@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/shuffle"
 	"mrapid/internal/topology"
+	"mrapid/internal/yarn"
 )
 
 // launchFingerprint is the observable behavior of one launch flow: when the
@@ -34,17 +36,23 @@ func fingerprintOf(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result, o
 	if res.Err != nil {
 		t.Fatalf("job failed: %v", res.Err)
 	}
-	b, err := rt.DFS.Contents(mapreduce.PartFileName(out, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every reduce partition, in order (one part file for the single-reduce
+	// cases, so their pinned hashes are the hash of part-00000 alone).
 	h := fnv.New64a()
-	h.Write(b)
+	outLen := 0
+	for part := 0; part < res.Spec.NumReduces; part++ {
+		b, err := rt.DFS.Contents(mapreduce.PartFileName(out, part))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+		outLen += len(b)
+	}
 	p := res.Profile
 	return launchFingerprint{
 		elapsed:    p.Elapsed(),
 		outHash:    h.Sum64(),
-		outLen:     len(b),
+		outLen:     outLen,
 		mode:       res.Mode,
 		maps:       p.NumMaps,
 		containers: p.NumContainers,
@@ -54,14 +62,43 @@ func fingerprintOf(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result, o
 	}
 }
 
+// launchFlow runs the standard 4×1 MiB word count through Framework.Submit
+// in one mode — on a pool of the given size, with or without the shuffle
+// service attached — and fingerprints the outcome.
+func launchFlow(t *testing.T, sched yarn.Scheduler, pool int, service bool, reduces int, mode ModeKind) launchFingerprint {
+	t.Helper()
+	rt := newRuntime(t, topology.A3, 4, sched)
+	if service {
+		if _, err := shuffle.Attach(rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := startFramework(t, rt, pool)
+	names, _ := stageInput(t, rt, 4, 1<<20)
+	spec := testWCSpec(names, "/out")
+	spec.NumReduces = reduces
+	exec, err := ExecutorFor(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *mapreduce.Result
+	rt.Eng.After(0, func() {
+		f.Submit(exec, spec, func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
+	})
+	rt.Eng.RunUntil(horizon)
+	return fingerprintOf(t, rt, res, "/out")
+}
+
 // TestLauncherGoldenFingerprints drives every launch flow — D+, U+, the
-// pool-exhaustion stock fallback, the AM-loss relaunch, and the speculative
-// race — through the shared mode-agnostic launcher and pins each flow's
+// pool-exhaustion stock fallback, the AM-loss relaunch, the speculative
+// race, the two stock modes, cold U+, and D+/U+ reading back through the
+// shuffle service — through the shared mode-agnostic launcher and pins each flow's
 // behavior to the fingerprint the per-mode launch bodies produced before the
 // refactor. Any drift in virtual timing, output bytes, or profile shape
 // fails the test.
 func TestLauncherGoldenFingerprints(t *testing.T) {
-	const wcHash = uint64(427899536177052244) // word-count output, 4×1MiB synthetic input
+	const wcHash = uint64(427899536177052244)    // word-count output, 4×1MiB synthetic input
+	const wc2Hash = uint64(10493004734913191624) // the same output hash-partitioned over two reduces
 
 	cases := []struct {
 		name string
@@ -184,6 +221,62 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 			want: launchFingerprint{
 				elapsed: 1262225991, outHash: wcHash, outLen: 122, mode: "uplus",
 				maps: 4, containers: 1, poolHit: true, amStartup: 94302381, tasks: 5,
+			},
+		},
+		{
+			// Stock Uber through the launcher's cold path: the in-AM executor
+			// with zero options.
+			name: "uber",
+			run: func(t *testing.T) launchFingerprint {
+				return launchFlow(t, yarn.NewStockScheduler(), 0, false, 1, ModeUber)
+			},
+			want: launchFingerprint{
+				elapsed: 7000000000, outHash: wcHash, outLen: 122, mode: "uber",
+				maps: 4, containers: 1, poolHit: false, amStartup: 4494302381, tasks: 5,
+			},
+		},
+		{
+			name: "hadoop",
+			run: func(t *testing.T) launchFingerprint {
+				return launchFlow(t, yarn.NewStockScheduler(), 0, false, 1, ModeHadoop)
+			},
+			want: launchFingerprint{
+				elapsed: 10000000000, outHash: wcHash, outLen: 122, mode: "hadoop",
+				maps: 4, containers: 28, poolHit: false, amStartup: 4494302381, tasks: 5,
+			},
+		},
+		{
+			// U+ on a size-0 pool degrades to the cold in-AM submission: AM
+			// allocated and launched through YARN, poll-based completion.
+			name: "uplus-cold",
+			run: func(t *testing.T) launchFingerprint {
+				return launchFlow(t, NewDPlusScheduler(FullDPlus()), 0, false, 1, ModeUPlus)
+			},
+			want: launchFingerprint{
+				elapsed: 6000000000, outHash: wcHash, outLen: 122, mode: "uplus",
+				maps: 4, containers: 1, poolHit: false, amStartup: 4383131028, tasks: 5,
+			},
+		},
+		{
+			// Shuffle service attached, two reduces: consolidated per-node
+			// fetches once every map has committed.
+			name: "dplus-service",
+			run: func(t *testing.T) launchFingerprint {
+				return launchFlow(t, NewDPlusScheduler(FullDPlus()), 3, true, 2, ModeDPlus)
+			},
+			want: launchFingerprint{
+				elapsed: 4377828011, outHash: wc2Hash, outLen: 122, mode: "dplus",
+				maps: 4, containers: 28, poolHit: true, amStartup: 93608470, tasks: 6,
+			},
+		},
+		{
+			name: "uplus-service",
+			run: func(t *testing.T) launchFingerprint {
+				return launchFlow(t, NewDPlusScheduler(FullDPlus()), 3, true, 2, ModeUPlus)
+			},
+			want: launchFingerprint{
+				elapsed: 1304942112, outHash: wc2Hash, outLen: 122, mode: "uplus",
+				maps: 4, containers: 1, poolHit: true, amStartup: 93608470, tasks: 6,
 			},
 		},
 	}

@@ -1,0 +1,229 @@
+package core
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"mrapid/internal/mapreduce"
+	"mrapid/internal/profiler"
+	"mrapid/internal/shuffle"
+	"mrapid/internal/sim"
+	"mrapid/internal/topology"
+	"mrapid/internal/yarn"
+)
+
+// lifecycleCell is what one cell of the AM-lifecycle matrix must reproduce:
+// the client-observed completion time, the instant the last task attempt
+// ended (cold submissions round elapsed up to the client's next status poll,
+// which would hide sub-second drift), and the hash of every output byte.
+type lifecycleCell struct {
+	elapsed  time.Duration
+	lastTask time.Duration
+	outHash  uint64
+}
+
+// lifecycleOut is the two-reduce word count every cell computes; a fault may
+// move when a job finishes, never what it writes.
+const lifecycleOut = uint64(10493004734913191624)
+
+// lifecycleGolden pins the matrix {AM shape} × {shuffle service} × {fault}.
+// The values were captured on the three hand-copied AM state machines
+// (UberAM, UPlusAM, DistributedAM) before they were folded into one
+// lifecycle core; the core must reproduce them bit for bit.
+//
+// Stock Uber ignores an attached shuffle service, so its service-on cells
+// equal its service-off cells.
+var lifecycleGolden = map[string]lifecycleCell{
+	"inam-zero/off/clean":          {7000000000, 6853607548, lifecycleOut},
+	"inam-zero/off/map-crash":      {7000000000, 6971832733, lifecycleOut},
+	"inam-zero/off/reduce-crash":   {8000000000, 7036831714, lifecycleOut},
+	"inam-zero/off/node-crash":     {17000000000, 16652913637, lifecycleOut},
+	"inam-zero/on/clean":           {7000000000, 6853607548, lifecycleOut},
+	"inam-zero/on/map-crash":       {7000000000, 6971832733, lifecycleOut},
+	"inam-zero/on/reduce-crash":    {8000000000, 7036831714, lifecycleOut},
+	"inam-zero/on/node-crash":      {17000000000, 16652913637, lifecycleOut},
+	"inam-full/off/clean":          {1261532079, 1261532079, lifecycleOut},
+	"inam-full/off/map-crash":      {1348915912, 1348915912, lifecycleOut},
+	"inam-full/off/reduce-crash":   {1444756245, 1444756245, lifecycleOut},
+	"inam-full/off/node-crash":     {1262225990, 1262225990, lifecycleOut},
+	"inam-full/on/clean":           {1304942112, 1304942112, lifecycleOut},
+	"inam-full/on/map-crash":       {1392325945, 1392325945, lifecycleOut},
+	"inam-full/on/reduce-crash":    {1488166278, 1488166278, lifecycleOut},
+	"inam-full/on/node-crash":      {1305636023, 1305636023, lifecycleOut},
+	"distributed/off/clean":        {10000000000, 9967948933, lifecycleOut},
+	"distributed/off/map-crash":    {14000000000, 13517630188, lifecycleOut},
+	"distributed/off/reduce-crash": {11000000000, 10151173099, lifecycleOut},
+	"distributed/off/node-crash":   {25000000000, 24010070338, lifecycleOut},
+	"distributed/on/clean":         {11000000000, 10110904641, lifecycleOut},
+	"distributed/on/map-crash":     {14000000000, 13766184962, lifecycleOut},
+	"distributed/on/reduce-crash":  {11000000000, 10294128807, lifecycleOut},
+	"distributed/on/node-crash":    {25000000000, 24146715174, lifecycleOut},
+}
+
+// lifecycleShapes are the three AM shapes: the in-AM executor with zero
+// options (stock Uber, cold), the in-AM executor with FullUPlus (pooled),
+// and the distributed AM (stock Hadoop, cold).
+var lifecycleShapes = []struct {
+	name   string
+	inAM   bool
+	sched  func() yarn.Scheduler
+	submit func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result))
+}{
+	{
+		name: "inam-zero", inAM: true,
+		sched: func() yarn.Scheduler { return yarn.NewStockScheduler() },
+		submit: func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+			mapreduce.Submit(rt, spec, mapreduce.ModeUber, done)
+		},
+	},
+	{
+		name: "inam-full", inAM: true,
+		sched: func() yarn.Scheduler { return NewDPlusScheduler(FullDPlus()) },
+		submit: func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+			f := NewFramework(rt, 3, FullUPlus())
+			f.Start(func() { f.SubmitUPlus(spec, done) })
+		},
+	},
+	{
+		name:  "distributed",
+		sched: func() yarn.Scheduler { return yarn.NewStockScheduler() },
+		submit: func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+			mapreduce.Submit(rt, spec, mapreduce.ModeDistributed, done)
+		},
+	},
+}
+
+// runLifecycleCell runs the 4×1 MiB, two-reduce word count on a fresh
+// cluster. arm, when non-nil, installs the cell's fault just before the job
+// is submitted.
+func runLifecycleCell(t *testing.T, shape int, service bool, arm func(rt *mapreduce.Runtime)) (*mapreduce.Result, lifecycleCell) {
+	t.Helper()
+	sh := lifecycleShapes[shape]
+	rt := newRuntime(t, topology.A3, 4, sh.sched())
+	if service {
+		if _, err := shuffle.Attach(rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, _ := stageInput(t, rt, 4, 1<<20)
+	spec := testWCSpec(names, "/out")
+	spec.NumReduces = 2
+	if arm != nil {
+		arm(rt)
+	}
+	var res *mapreduce.Result
+	rt.Eng.After(0, func() {
+		sh.submit(rt, spec, func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
+	})
+	rt.Eng.RunUntil(horizon)
+	if res == nil {
+		t.Fatal("job never completed")
+	}
+	if res.Err != nil {
+		t.Fatalf("job failed: %v", res.Err)
+	}
+	h := fnv.New64a()
+	for p := 0; p < spec.NumReduces; p++ {
+		b, err := rt.DFS.Contents(mapreduce.PartFileName("/out", p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	cell := lifecycleCell{elapsed: res.Profile.Elapsed(), outHash: h.Sum64()}
+	for _, tp := range res.Profile.Tasks {
+		if end := tp.Ended.Sub(res.Profile.SubmittedAt); end > cell.lastTask {
+			cell.lastTask = end
+		}
+	}
+	return res, cell
+}
+
+// nodeCrashFor scripts the cell's machine crash from the clean run of the
+// same configuration (the simulation is deterministic, so the faulty run is
+// identical up to the crash): an in-AM job loses its AM node halfway through
+// the map phase; a distributed job loses its reduce node halfway through the
+// first reduce task.
+func nodeCrashFor(t *testing.T, inAM bool, clean *mapreduce.Result) (node string, at sim.Time) {
+	t.Helper()
+	p := clean.Profile
+	if inAM {
+		return p.Tasks[0].Node, p.FirstTaskAt + (p.MapsDoneAt-p.FirstTaskAt)/2
+	}
+	for _, tp := range p.Tasks {
+		if tp.Kind == profiler.ReduceTask {
+			return tp.Node, tp.Started + (tp.Ended-tp.Started)/2
+		}
+	}
+	t.Fatal("clean run recorded no reduce task")
+	return "", 0
+}
+
+// failedAttempts counts the crashed task attempts a profile recorded.
+func failedAttempts(p *profiler.JobProfile) int {
+	n := 0
+	for _, tp := range p.Tasks {
+		if tp.Failed {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLifecycleMatrixGolden is the refactoring net under the AM lifecycle
+// core: every AM shape, with the shuffle service off and on, clean and under
+// each recoverable fault (a crashed map attempt, a crashed reduce attempt,
+// the machine under the reduce side), must finish at the pinned virtual
+// instant with the pinned output bytes.
+func TestLifecycleMatrixGolden(t *testing.T) {
+	for shape, sh := range lifecycleShapes {
+		for _, service := range []bool{false, true} {
+			svc := "off"
+			if service {
+				svc = "on"
+			}
+			clean, cleanCell := runLifecycleCell(t, shape, service, nil)
+			victim, crashAt := nodeCrashFor(t, sh.inAM, clean)
+			attemptCrash := func(kind string) func(*mapreduce.Runtime) {
+				return func(rt *mapreduce.Runtime) {
+					fi := mapreduce.NewFaultInjector(1, 0, 0)
+					fi.Fail(kind, 1, 0, 0.5)
+					rt.Faults = fi
+				}
+			}
+			faults := []struct {
+				name string
+				arm  func(*mapreduce.Runtime)
+			}{
+				{"clean", nil},
+				{"map-crash", attemptCrash("map")},
+				{"reduce-crash", attemptCrash("reduce")},
+				{"node-crash", func(rt *mapreduce.Runtime) {
+					for _, w := range rt.Cluster.Workers() {
+						if w.Name == victim {
+							rt.Eng.At(crashAt, w.Fail)
+						}
+					}
+				}},
+			}
+			for _, fault := range faults {
+				key := fmt.Sprintf("%s/%s/%s", sh.name, svc, fault.name)
+				t.Run(key, func(t *testing.T) {
+					got := cleanCell
+					if fault.arm != nil {
+						var res *mapreduce.Result
+						res, got = runLifecycleCell(t, shape, service, fault.arm)
+						if n := failedAttempts(res.Profile); fault.name != "node-crash" && n != 1 {
+							t.Fatalf("%d failed attempts recorded, want the 1 injected", n)
+						}
+					}
+					if want, ok := lifecycleGolden[key]; !ok || got != want {
+						t.Errorf("cell drifted:\n got  %+v\n want %+v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
