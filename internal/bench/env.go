@@ -238,7 +238,7 @@ func (e *Env) Run(v Variant, spec *mapreduce.JobSpec) (*mapreduce.Result, error)
 			if e.FW != nil {
 				e.FW.SubmitUPlus(spec, done)
 			} else {
-				core.SubmitUPlusCold(e.RT, spec, v.UOpts, done)
+				mapreduce.Submit(e.RT, spec, mapreduce.ModeUPlus(v.UOpts), done)
 			}
 		default:
 			panic(fmt.Sprintf("bench: unknown mode %q", v.Mode))

@@ -8,7 +8,6 @@ import (
 	"mrapid/internal/costmodel"
 	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
-	"mrapid/internal/profiler"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 	"mrapid/internal/yarn"
@@ -190,50 +189,97 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 	t.Logf("winner=%s", res.Winner)
 }
 
-// Whitebox: a map attempt that dies after admitting its output to the U+
-// memory cache must refund the admitted bytes before the retry, or every
-// crashed-and-retried map leaks budget. The phantom admission stands in for
-// the dead attempt's charge; after the retry succeeds the cache must hold
-// exactly the successful attempt's bytes.
-func TestUPlusCacheRefundOnCrashedAttempt(t *testing.T) {
-	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-	fi := mapreduce.NewFaultInjector(1, 0, 0)
-	fi.Fail("map", 0, 0, 0.5)
-	rt.Faults = fi
-	names, _ := stageInput(t, rt, 1, 256<<10)
-	app := rt.RM.NewApp("uplus-refund")
-	node := rt.Cluster.Workers()[0]
-	prof := &profiler.JobProfile{}
-	am, err := NewUPlusAM(rt, testWCSpec(names, "/out"), app, node, prof, FullUPlus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const phantom = int64(10_000)
-	am.admitted[0] = phantom
-	am.cacheUsed = phantom
-	var jobErr error
-	finished := false
-	rt.Eng.After(0, func() {
-		am.Run(func(_ *profiler.JobProfile, err error) {
-			finished = true
-			jobErr = err
-		})
-	})
-	rt.Eng.RunUntil(horizon)
-	if !finished || jobErr != nil {
-		t.Fatalf("job finished=%v err=%v", finished, jobErr)
-	}
-	var out int64
-	for _, tp := range prof.Tasks {
-		if tp.Kind == profiler.MapTask && !tp.Failed {
-			out = tp.OutputBytes
+// runColdUPlus submits a U+ WordCount on a framework whose pool is empty, so
+// the job degrades to the cold in-AM submission. arm, when non-nil, scripts a
+// fault before the job starts.
+func runColdUPlus(t *testing.T, queue string, arm func(rt *mapreduce.Runtime)) (*mapreduce.Result, *mapreduce.Runtime, []byte) {
+	t.Helper()
+	rt := chaosRuntime(t, 1)
+	if queue != "" {
+		if err := rt.RM.ConfigureQueues([]yarn.QueueConfig{
+			{Name: yarn.DefaultQueue, Capacity: 0.5}, {Name: queue, Capacity: 0.5},
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if out == 0 {
-		t.Fatal("no successful map attempt recorded")
+	f := startFramework(t, rt, 0)
+	names, all := stageInput(t, rt, 4, 1<<20)
+	spec := testWCSpec(names, "/out")
+	spec.Queue = queue
+	if arm != nil {
+		arm(rt)
 	}
-	if am.CacheUsed() != out {
-		t.Fatalf("cacheUsed = %d, want %d (phantom %d not refunded before retry)",
-			am.CacheUsed(), out, phantom)
+	var res *mapreduce.Result
+	rt.Eng.After(0, func() {
+		f.SubmitUPlus(spec, func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
+	})
+	rt.Eng.RunUntil(horizon)
+	if res == nil {
+		t.Fatal("cold U+ job did not finish")
+	}
+	if f.StockFallbacks != 1 {
+		t.Fatalf("StockFallbacks = %d, want 1 (the job was meant to take the cold path)", f.StockFallbacks)
+	}
+	return res, rt, all
+}
+
+// A tenant's U+ job that degrades to the cold path must still charge its AM
+// container — the only container a U+ job has — to the tenant's queue, or it
+// escapes the queue's capacity ceiling.
+func TestColdUPlusChargesTenantQueue(t *testing.T) {
+	var peakTenant, peakDefault topology.Resource
+	res, rt, all := runColdUPlus(t, "tenant-a", func(rt *mapreduce.Runtime) {
+		rt.Eng.Every(50*time.Millisecond, func() {
+			if u := rt.RM.QueueUsed("tenant-a"); u.VCores > peakTenant.VCores {
+				peakTenant = u
+			}
+			if u := rt.RM.QueueUsed(yarn.DefaultQueue); u.VCores > peakDefault.VCores {
+				peakDefault = u
+			}
+		})
+	})
+	if res.Err != nil {
+		t.Fatalf("job failed: %v", res.Err)
+	}
+	verifyWC(t, rt, "/out", all)
+	if peakTenant != rt.AMResource() {
+		t.Errorf("tenant-a queue peaked at %+v, want the AM container %+v", peakTenant, rt.AMResource())
+	}
+	if (peakDefault != topology.Resource{}) {
+		t.Errorf("default queue was charged %+v for a tenant-a job", peakDefault)
+	}
+}
+
+// A cold U+ job whose AM machine dies mid-map must be relaunched like any
+// other cold submission (up to MaxAMAttempts) and finish with correct output
+// on the second attempt.
+func TestChaosColdUPlusRelaunchesLostAM(t *testing.T) {
+	clean, _, _ := runColdUPlus(t, "", nil)
+	if clean.Err != nil {
+		t.Fatalf("clean run failed: %v", clean.Err)
+	}
+	p := clean.Profile
+	victim, crashAt := p.Tasks[0].Node, p.FirstTaskAt+(p.MapsDoneAt-p.FirstTaskAt)/2
+	res, rt, all := runColdUPlus(t, "", func(rt *mapreduce.Runtime) {
+		for _, w := range rt.Cluster.Workers() {
+			if w.Name == victim {
+				rt.Eng.At(crashAt, w.Fail)
+			}
+		}
+	})
+	if res.Err != nil {
+		t.Fatalf("job did not survive its AM node's crash: %v", res.Err)
+	}
+	verifyWC(t, rt, "/out", all)
+	if res.Mode != string(ModeUPlus) {
+		t.Errorf("mode = %q, want %q", res.Mode, ModeUPlus)
+	}
+	for _, tp := range res.Profile.Tasks {
+		if tp.Node == victim && tp.Started >= crashAt {
+			t.Fatalf("task ran on the dead node %s after the crash", victim)
+		}
+	}
+	if res.Elapsed() <= clean.Elapsed() {
+		t.Errorf("relaunched run (%.2fs) not slower than the clean run (%.2fs)", res.Elapsed(), clean.Elapsed())
 	}
 }

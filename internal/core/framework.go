@@ -6,9 +6,14 @@ import (
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/memo"
 	"mrapid/internal/profiler"
-	"mrapid/internal/trace"
-	"mrapid/internal/yarn"
 )
+
+// UPlusOptions toggle the U+ optimizations for the Figure 15 ablation: they
+// are the in-AM executor's options, whose zero value is stock Uber.
+type UPlusOptions = mapreduce.InAMOptions
+
+// FullUPlus returns the paper's complete U+ configuration.
+func FullUPlus() UPlusOptions { return mapreduce.FullUPlus() }
 
 // Framework is the MRapid job submission framework: the proxy with its AM
 // pool, the execution-record history, and the configured U+ options. One
@@ -126,7 +131,7 @@ func (f *Framework) SubmitDPlus(spec *mapreduce.JobSpec, done func(*mapreduce.Re
 
 // SubmitUPlus runs a job in U+ mode through the framework, with the same
 // AM-loss relaunch and pool-exhaustion degradation as SubmitDPlus (the
-// stock path for U+ is a cold-submitted uber-style AM).
+// stock path for U+ is the in-AM executor, cold-submitted).
 func (f *Framework) SubmitUPlus(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 	f.Submit(uplusExecutor{}, spec, done)
 }
@@ -150,79 +155,4 @@ func (f *Framework) retryLostAM(spec *mapreduce.JobSpec, attempt int, res *mapre
 	f.RT.DeleteOutputPrefix(spec.OutputFile)
 	relaunch()
 	return true
-}
-
-// SubmitUPlusCold runs U+ without the submission framework (for the Figure
-// 15 ablation): the AM is allocated and launched through the normal YARN
-// path, then executes the U+ task plan.
-func SubmitUPlusCold(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, uopts UPlusOptions, done func(*mapreduce.Result)) {
-	if done == nil {
-		panic("core: SubmitUPlusCold needs a completion callback")
-	}
-	prof := &profiler.JobProfile{
-		Job:         spec.Key(),
-		Mode:        string(ModeUPlus),
-		SubmittedAt: rt.Eng.Now(),
-	}
-	prof.Span = rt.Trace.StartSpan(0, "job", spec.Name+" (uplus cold)", "",
-		trace.A("mode", string(ModeUPlus)))
-	fail := func(err error) {
-		prof.DoneAt = rt.Eng.Now()
-		rt.Trace.EndSpan(prof.Span, trace.A("error", err.Error()))
-		done(&mapreduce.Result{Spec: spec, Mode: string(ModeUPlus), Profile: prof, Err: err})
-	}
-	uploadStart := rt.Eng.Now()
-	rt.UploadArtifacts(spec, func(err error) {
-		rt.Trace.SpanSince(prof.Span, "client", "upload artifacts", "submit", uploadStart)
-		if err != nil {
-			fail(err)
-			return
-		}
-		amSpan := rt.Trace.StartSpan(prof.Span, "am", "am-startup", "am", trace.A("cold", "true"))
-		app := rt.RM.SubmitApp(spec.Name, rt.AMResource(), func(app *yarn.App, amC *yarn.Container) {
-			amEpoch := amC.Node.Epoch()
-			rt.Eng.After(rt.Params.AMInit, func() {
-				if !amC.Node.AliveEpoch(amEpoch) {
-					return
-				}
-				rt.Localize(spec, amC.Node, func(err error) {
-					if !amC.Node.AliveEpoch(amEpoch) {
-						return
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					prof.AMReadyAt = rt.Eng.Now()
-					prof.AMStartup = prof.AMReadyAt.Sub(prof.SubmittedAt)
-					rt.Trace.EndSpan(amSpan)
-					am, err := NewUPlusAM(rt, spec, app, amC.Node, prof, uopts)
-					if err != nil {
-						fail(err)
-						return
-					}
-					am.Run(func(p *profiler.JobProfile, err error) {
-						// No proxy here: the stock client polls for status.
-						pollStart := rt.Eng.Now()
-						rt.PollAlignedNotify(prof.SubmittedAt, func() {
-							if p != nil {
-								p.DoneAt = rt.Eng.Now()
-							}
-							rt.Trace.SpanSince(prof.Span, "client", "poll wait", "notify", pollStart)
-							rt.Trace.EndSpan(prof.Span)
-							done(&mapreduce.Result{Spec: spec, Mode: string(ModeUPlus), Profile: p, Err: err})
-						})
-					})
-				})
-			})
-		})
-		app.Span = amSpan
-		// Covers the window before the U+ AM installs its own handler in
-		// Run(): an AM node death here would otherwise hang the client.
-		app.OnContainerLost = func(c *yarn.Container) {
-			if c.Tag == "am" {
-				fail(mapreduce.ErrAMLost)
-			}
-		}
-	})
 }

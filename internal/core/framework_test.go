@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/metrics"
 	"mrapid/internal/profiler"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
@@ -318,7 +320,7 @@ func TestSubmitUPlusColdSlowerThanPooled(t *testing.T) {
 		names, _ := stageInput(t, rt, 2, 512<<10)
 		var elapsed float64
 		rt.Eng.After(0, func() {
-			SubmitUPlusCold(rt, testWCSpec(names, "/out"), FullUPlus(), func(r *mapreduce.Result) {
+			mapreduce.Submit(rt, testWCSpec(names, "/out"), mapreduce.ModeUPlus(FullUPlus()), func(r *mapreduce.Result) {
 				elapsed = r.Elapsed()
 				rt.RM.Stop()
 			})
@@ -397,5 +399,66 @@ func TestUPlusOptionsMapsPerWave(t *testing.T) {
 	}
 	if got := (UPlusOptions{}).MapsPerWave(node); got != 1 {
 		t.Fatalf("sequential MapsPerWave = %d, want 1", got)
+	}
+}
+
+// observedNames runs one WordCount with a metrics registry attached to the
+// runtime and the RM and returns the series names the run minted.
+func observedNames(t *testing.T, sched yarn.Scheduler, submit func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result))) (*metrics.Registry, []string) {
+	t.Helper()
+	rt := newRuntime(t, topology.A3, 4, sched)
+	reg := metrics.New()
+	rt.Reg, rt.RM.Reg = reg, reg
+	names, _ := stageInput(t, rt, 2, 256<<10)
+	var res *mapreduce.Result
+	rt.Eng.After(0, func() {
+		submit(rt, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
+	})
+	rt.Eng.RunUntil(horizon)
+	if res == nil || res.Err != nil {
+		t.Fatalf("job failed: %+v", res)
+	}
+	return reg, reg.Names()
+}
+
+// The uplus_cache_bytes gauge belongs to runs that admitted bytes to the U+
+// memory cache. The in-AM executor with zero options is stock Uber: it must
+// mint exactly the series stock Uber always minted — no zero-valued cache
+// gauge — whether cold-submitted or dispatched to a pooled AM.
+func TestInAMCacheGaugeOnlyWhenAdmitted(t *testing.T) {
+	pooled := func(opts UPlusOptions) func(*mapreduce.Runtime, *mapreduce.JobSpec, func(*mapreduce.Result)) {
+		return func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+			f := NewFramework(rt, 3, opts)
+			f.Start(func() { f.SubmitUPlus(spec, done) })
+		}
+	}
+	_, uber := observedNames(t, yarn.NewStockScheduler(), func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+		mapreduce.Submit(rt, spec, mapreduce.ModeUber, done)
+	})
+	// Captured on the pre-consolidation mapreduce.UberAM.
+	want := []string{
+		"mapreduce_shuffle_fetch_total{kind=permap,transport=disk}",
+		"mapreduce_task_attempts_total{kind=map,outcome=failed}",
+		"mapreduce_task_attempts_total{kind=map,outcome=ok}",
+		"mapreduce_task_attempts_total{kind=reduce,outcome=failed}",
+		"mapreduce_task_attempts_total{kind=reduce,outcome=ok}",
+		"yarn_allocations_total{locality=ANY,sched=hadoop-capacity}",
+		"yarn_allocations_total{locality=NODE_LOCAL,sched=hadoop-capacity}",
+		"yarn_allocations_total{locality=RACK_LOCAL,sched=hadoop-capacity}",
+		"yarn_am_heartbeats_total",
+		"yarn_containers_launched_total{node=node-02}",
+	}
+	if !slices.Equal(uber, want) {
+		t.Errorf("stock Uber minted series\n got  %q\n want %q", uber, want)
+	}
+	if _, zero := observedNames(t, NewDPlusScheduler(FullDPlus()), pooled(UPlusOptions{})); slices.Contains(zero, "uplus_cache_bytes") {
+		t.Error("zero-options in-AM run minted uplus_cache_bytes without admitting a byte")
+	}
+	reg, full := observedNames(t, NewDPlusScheduler(FullDPlus()), pooled(FullUPlus()))
+	if !slices.Contains(full, "uplus_cache_bytes") {
+		t.Error("U+ run admitted outputs to the cache but never touched uplus_cache_bytes")
+	}
+	if v := reg.Get("uplus_cache_bytes"); v != 0 {
+		t.Errorf("uplus_cache_bytes = %d after the job ended, want 0", v)
 	}
 }

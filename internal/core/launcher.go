@@ -58,7 +58,6 @@ func (dplusExecutor) NewAM(f *Framework, spec *mapreduce.JobSpec, app *yarn.App,
 	if err != nil {
 		return nil, err
 	}
-	prof.NumContainers = mapreduce.ClusterContainerSlots(f.RT)
 	am.OnMapComplete = onMap
 	return am, nil
 }
@@ -75,7 +74,7 @@ func (uplusExecutor) UsesPool() bool { return true }
 
 func (uplusExecutor) NewAM(f *Framework, spec *mapreduce.JobSpec, app *yarn.App, node *topology.Node,
 	prof *profiler.JobProfile, onMap func(*profiler.TaskProfile)) (AM, error) {
-	am, err := NewUPlusAM(f.RT, spec, app, node, prof, f.UOpts)
+	am, err := mapreduce.NewInAM(f.RT, spec, app, node, prof, f.UOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +83,7 @@ func (uplusExecutor) NewAM(f *Framework, spec *mapreduce.JobSpec, app *yarn.App,
 }
 
 func (uplusExecutor) SubmitStock(f *Framework, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
-	SubmitUPlusCold(f.RT, spec, f.UOpts, done)
+	mapreduce.Submit(f.RT, spec, mapreduce.ModeUPlus(f.UOpts), done)
 }
 
 // stockExecutor runs jobs through the classic Hadoop submission flow in

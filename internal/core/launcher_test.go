@@ -108,15 +108,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 		{
 			name: "dplus",
 			run: func(t *testing.T) launchFingerprint {
-				rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-				f := startFramework(t, rt, 3)
-				names, _ := stageInput(t, rt, 4, 1<<20)
-				var res *mapreduce.Result
-				rt.Eng.After(0, func() {
-					f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
-				})
-				rt.Eng.RunUntil(horizon)
-				return fingerprintOf(t, rt, res, "/out")
+				return launchFlow(t, NewDPlusScheduler(FullDPlus()), 3, false, 1, ModeDPlus)
 			},
 			want: launchFingerprint{
 				elapsed: 4373972954, outHash: wcHash, outLen: 122, mode: "dplus",
@@ -126,15 +118,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 		{
 			name: "uplus",
 			run: func(t *testing.T) launchFingerprint {
-				rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-				f := startFramework(t, rt, 3)
-				names, _ := stageInput(t, rt, 4, 1<<20)
-				var res *mapreduce.Result
-				rt.Eng.After(0, func() {
-					f.SubmitUPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
-				})
-				rt.Eng.RunUntil(horizon)
-				return fingerprintOf(t, rt, res, "/out")
+				return launchFlow(t, NewDPlusScheduler(FullDPlus()), 3, false, 1, ModeUPlus)
 			},
 			want: launchFingerprint{
 				elapsed: 1261532080, outHash: wcHash, outLen: 122, mode: "uplus",

@@ -63,12 +63,14 @@ func NewMapCache(limitBytes int64) *MapCache {
 	return c
 }
 
-// key builds the cache key: job identity, split coordinates, partitioning
-// configuration, and the full-content hash guarding against two generators
-// producing different bytes under the same names.
+// key builds the cache key: job identity (the history key plus, for
+// closure-built specs that share one, the builder's ClosureSig), split
+// coordinates, partitioning configuration, and the full-content hash
+// guarding against two generators producing different bytes under the same
+// names.
 func (c *MapCache) key(spec *JobSpec, file string, offset int64, data []byte) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%t|%x",
-		spec.Key(), file, offset, len(data), spec.NumReduces, spec.Combine != nil, fingerprint(data))
+	return fmt.Sprintf("%s|%s|%s|%d|%d|%d|%t|%x",
+		spec.Key(), spec.ClosureSig, file, offset, len(data), spec.NumReduces, spec.Combine != nil, fingerprint(data))
 }
 
 // fingerprintSeed is fixed per process; the cache never outlives it.

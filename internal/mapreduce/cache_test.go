@@ -69,6 +69,19 @@ func TestMapCacheKeyDiscriminates(t *testing.T) {
 	if _, ok := c.lookup(spec4, "/in", 0, data); ok {
 		t.Fatal("hit across combiner settings")
 	}
+	// Closure-built specs from one site share JobKey and function symbols;
+	// the builder's ClosureSig is what separates them. A closure-carrying
+	// spec without one (TeraSort's cut-point partitioner) still hits.
+	spec5 := wcSpec([]string{"/in"}, "/out")
+	spec5.ClosureSig = "filter[amount>200]"
+	if _, ok := c.lookup(spec5, "/in", 0, data); ok {
+		t.Fatal("hit across closure signatures")
+	}
+	spec6 := wcSpec([]string{"/in"}, "/out")
+	spec6.Partition = func(key []byte, n int) int { return HashPartition(key, n) }
+	if _, ok := c.lookup(spec6, "/in", 0, data); !ok {
+		t.Fatal("a closure partitioner alone bypassed the cache")
+	}
 }
 
 // Regression: the old fingerprint sampled three 4 KiB windows, so two

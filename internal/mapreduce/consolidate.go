@@ -5,11 +5,14 @@ import (
 	"mrapid/internal/trace"
 )
 
-// ShuffleProvider is the hook a node-level shuffle service (implemented by
-// internal/shuffle) plugs into the runtime. When Runtime.Shuffle is non-nil,
-// the ApplicationMasters register committed map outputs with the service and
-// fetch consolidated per-(node, partition) results through it instead of
-// issuing one FetchPartition per (map, partition).
+// ShuffleProvider is how an ApplicationMaster moves committed map output to
+// the reduce side. The AMs speak only this interface; what differs between
+// implementations is the fetch plan — which outputs travel together and how
+// soon they may leave. The node-level shuffle service (internal/shuffle)
+// plugs in through Runtime.Shuffle: it waits for the last map, then moves
+// one consolidated result per (node, partition). With no service attached
+// the AMs resolve the package's direct provider (Runtime.shuffleProvider):
+// one FetchPartition per (map, partition), ready the moment the map commits.
 type ShuffleProvider interface {
 	// Register notes a committed map output with the service on its node.
 	Register(spec *JobSpec, mo *MapOutput)
@@ -18,21 +21,63 @@ type ShuffleProvider interface {
 	// finished and the intermediate data is garbage).
 	Forget(spec *JobSpec, mo *MapOutput)
 
-	// Consolidate merges one node's committed outputs into a single
-	// synthetic output (cross-task in-node combining when the job has a
-	// combiner) and records the byte-reduction stats.
+	// FetchPlan groups the committed outputs no fetch has been issued for
+	// into the units that may be fetched now, in deterministic order.
+	// mapsDone reports whether every map of the job has committed; a plan
+	// that consolidates across maps returns nothing until it has.
+	FetchPlan(pending []*MapOutput, mapsDone bool) [][]*MapOutput
+
+	// Consolidate merges one planned group into a single synthetic output
+	// (cross-task in-node combining when the job has a combiner) and records
+	// the byte-reduction stats.
 	Consolidate(spec *JobSpec, group []*MapOutput) *Consolidated
 
-	// Fetch moves one consolidated partition to dst, charging the service's
-	// merge/combine/compress cost model. done receives ErrOutputLost when
-	// the source node died before — or while — the fetch ran; the AM then
-	// falls back to per-map recovery for every member of the group.
+	// Fetch moves one consolidated partition to dst, charging the provider's
+	// cost model. done receives ErrOutputLost when the source node died
+	// before — or while — the fetch ran; the AM then recovers every member
+	// of the group.
 	Fetch(parent trace.SpanID, spec *JobSpec, c *Consolidated, part int, dst *topology.Node, done func(error))
 
 	// WireRatio estimates how the service scales the job's shuffled bytes
 	// (post-combine, post-compress) relative to the raw map output — the
 	// correction the Eq. 1/3 estimator applies to s^o.
 	WireRatio(spec *JobSpec) float64
+}
+
+// directShuffle is the stock per-map shuffle as a ShuffleProvider: every
+// committed output is its own fetch unit, ready at once, and a fetch is a
+// plain ShuffleFetch of the output itself. It keeps no state, so Register
+// and Forget have nothing to do.
+type directShuffle Runtime
+
+func (*directShuffle) Register(*JobSpec, *MapOutput) {}
+func (*directShuffle) Forget(*JobSpec, *MapOutput)   {}
+func (*directShuffle) WireRatio(*JobSpec) float64    { return 1 }
+
+func (*directShuffle) FetchPlan(pending []*MapOutput, _ bool) [][]*MapOutput {
+	groups := make([][]*MapOutput, len(pending))
+	for i := range pending {
+		groups[i] = pending[i : i+1]
+	}
+	return groups
+}
+
+func (*directShuffle) Consolidate(_ *JobSpec, group []*MapOutput) *Consolidated {
+	return &Consolidated{Out: group[0], Members: group}
+}
+
+func (d *directShuffle) Fetch(parent trace.SpanID, _ *JobSpec, c *Consolidated, part int, dst *topology.Node, done func(error)) {
+	(*Runtime)(d).ShuffleFetch(parent, c.Out, part, dst, done)
+}
+
+// shuffleProvider resolves the provider the AMs fetch through: the attached
+// service, or the direct per-map shuffle. Runtime.Shuffle itself stays nil
+// without a service — "is the service on" is what its other readers ask.
+func (rt *Runtime) shuffleProvider() ShuffleProvider {
+	if rt.Shuffle != nil {
+		return rt.Shuffle
+	}
+	return (*directShuffle)(rt)
 }
 
 // Consolidated is one node's merged map outputs: Out is a synthetic
@@ -156,8 +201,5 @@ func (c *Consolidated) SpilledPartBytes(part int) int64 {
 // speculative decision maker multiplies s^o by this so Equations 1 and 3
 // price the post-combine, post-compress shuffle.
 func (rt *Runtime) ShuffleWireRatio(spec *JobSpec) float64 {
-	if rt.Shuffle == nil {
-		return 1
-	}
-	return rt.Shuffle.WireRatio(spec)
+	return rt.shuffleProvider().WireRatio(spec)
 }

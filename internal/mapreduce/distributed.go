@@ -21,128 +21,65 @@ import (
 // between them lives in the RM's scheduler and in how the AM itself was
 // brought up (cold submission vs. the AM pool).
 type DistributedAM struct {
-	rt     *Runtime
-	spec   *JobSpec
-	app    *yarn.App
-	amNode *topology.Node
-	prof   *profiler.JobProfile
+	amCore
 
-	splits       []*hdfs.Split
 	pendingMaps  []*hdfs.Split
 	containerRes topology.Resource
 
-	mapOutputs    []*MapOutput
-	completedMaps int
-	failed        error
-
-	// mapAttempts / reduceAttempts are the next attempt ordinals (unique
-	// attempt IDs); failedMapAttempts / failedReduceAttempts count only
-	// attempts that FAILED. Hadoop distinguishes FAILED from KILLED: a task
-	// lost with its node is killed through no fault of its own and must not
-	// consume the MaxTaskAttempts failure budget.
-	mapAttempts       map[int]int
-	reduceAttempts    map[int]int
-	failedMapAttempts map[int]int
-	retryAsks         []*yarn.Ask
+	// mapAttempts are the next attempt ordinals (unique attempt IDs). They
+	// advance on every reschedule, including the ones node loss forces, which
+	// the core's failure budget never sees.
+	mapAttempts map[int]int
+	retryAsks   []*yarn.Ask
 
 	// runningMaps tracks which split each live map container is executing so
 	// a lost-container report can requeue exactly the stranded work.
 	runningMaps map[*yarn.Container]*hdfs.Split
 
 	reduceContainer *yarn.Container
-	reduceReady     bool
-	reduceRunning   bool
-	fetched         map[*MapOutput]bool
-	fetchesDone     int
-	// reduceGen is bumped when the reduce container is lost; in-flight
-	// shuffle completions from the previous reduce attempt carry the old
-	// generation and are dropped.
-	reduceGen int
-
-	// Shuffle-service state (rt.Shuffle != nil): the per-node consolidated
-	// outputs the reduce will consume, and how many consolidated group
-	// fetches are still in flight.
-	consolidated  []*MapOutput
-	pendingGroups int
 
 	ticker      *sim.Ticker
 	sentMapAsks bool
-	killed      bool
-	done        func(*profiler.JobProfile, error)
-
-	// OnMapComplete, when set before Run, observes every finished map task;
-	// the speculative decision maker uses it to collect the profile samples
-	// Equations 1–3 need.
-	OnMapComplete func(*profiler.TaskProfile)
 }
 
 // NewDistributedAM prepares a distributed-mode AM. The caller has already
 // brought the AM process up (cold or pooled) on amNode and charged that
 // cost; prof carries the submission timestamps.
 func NewDistributedAM(rt *Runtime, spec *JobSpec, app *yarn.App, amNode *topology.Node, prof *profiler.JobProfile) (*DistributedAM, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	splits, err := rt.Splits(spec.InputFiles)
+	core, err := newAMCore(rt, spec, app, prof)
 	if err != nil {
 		return nil, err
 	}
-	if len(splits) == 0 {
-		return nil, fmt.Errorf("mapreduce: job %q has no input splits", spec.Name)
-	}
+	prof.NumContainers = ClusterContainerSlots(rt)
 	am := &DistributedAM{
-		rt:                rt,
-		spec:              spec,
-		app:               app,
-		amNode:            amNode,
-		prof:              prof,
-		splits:            splits,
-		pendingMaps:       append([]*hdfs.Split(nil), splits...),
-		containerRes:      amNode.Type.ContainerResource(),
-		fetched:           make(map[*MapOutput]bool),
-		mapAttempts:       make(map[int]int),
-		reduceAttempts:    make(map[int]int),
-		failedMapAttempts: make(map[int]int),
-		runningMaps:       make(map[*yarn.Container]*hdfs.Split),
+		amCore:       core,
+		pendingMaps:  append([]*hdfs.Split(nil), core.splits...),
+		containerRes: amNode.Type.ContainerResource(),
+		mapAttempts:  make(map[int]int),
+		runningMaps:  make(map[*yarn.Container]*hdfs.Split),
 	}
-	prof.NumMaps = len(splits)
-	prof.NumReduces = spec.NumReduces
-	prof.NumWorkers = len(rt.Cluster.Workers())
+	// A fetch unit that fails means its source node died with every output
+	// in it: each member is declared lost and re-executed, and the next pump
+	// plans the replacements.
+	am.onFetchLost = func(group []*MapOutput, _ error) {
+		for _, mo := range group {
+			am.loseMapOutput(mo)
+		}
+	}
+	am.teardown = func() {
+		if am.ticker != nil {
+			am.ticker.Stop()
+		}
+	}
 	return am, nil
 }
 
 // Run starts the AM's allocate-heartbeat loop. done fires once the job
 // output is durable in HDFS (or the job fails or is killed).
 func (am *DistributedAM) Run(done func(*profiler.JobProfile, error)) {
-	if done == nil {
-		panic("mapreduce: DistributedAM.Run needs a completion callback")
-	}
-	am.done = done
-	am.app.OnContainerLost = am.onContainerLost
-	// From here on, task-container scheduling waits and launches nest
-	// under the job root span rather than the AM-startup span.
-	am.app.Span = am.prof.Span
+	am.start(done, am.onContainerLost)
 	am.heartbeat() // first allocate immediately after AM init
 	am.ticker = am.rt.Eng.Every(am.rt.Params.AMHeartbeat, am.heartbeat)
-}
-
-// Kill stops the job: outstanding work is abandoned and the RM releases the
-// app's containers. Used by speculative execution to cancel the slower mode.
-func (am *DistributedAM) Kill() {
-	if am.killed {
-		return
-	}
-	am.killed = true
-	if am.ticker != nil {
-		am.ticker.Stop()
-	}
-	am.rt.RM.KillApp(am.app)
-}
-
-// Progress reports completed and total map counts, the signal the
-// speculative decision maker polls.
-func (am *DistributedAM) Progress() (completed, total int) {
-	return am.completedMaps, len(am.splits)
 }
 
 func (am *DistributedAM) heartbeat() {
@@ -222,7 +159,7 @@ func (am *DistributedAM) place(c *yarn.Container) {
 		}
 		am.rt.Localize(am.spec, c.Node, func(err error) {
 			if err != nil {
-				am.fail(err)
+				am.finish(err)
 				return
 			}
 			am.runMap(c, s)
@@ -274,18 +211,13 @@ func (am *DistributedAM) runMap(c *yarn.Container, s *hdfs.Split) {
 			// the attempt budget is exhausted (Hadoop's maxattempts).
 			delete(am.runningMaps, c)
 			am.rt.RM.ReleaseContainer(c)
-			am.prof.Add(tp)
-			am.failedMapAttempts[s.Index]++
-			if am.failedMapAttempts[s.Index] >= am.rt.Params.MaxTaskAttempts {
-				am.fail(fmt.Errorf("mapreduce: map %d failed %d attempts: %w",
-					s.Index, am.failedMapAttempts[s.Index], err))
-				return
+			if am.mapAttemptFailed(s.Index, tp, err) {
+				am.rescheduleMap(s, "attempt failed")
 			}
-			am.rescheduleMap(s, "attempt failed")
 			return
 		}
 		if err != nil {
-			am.fail(err)
+			am.finish(err)
 			return
 		}
 		// Commit handshake with the AM, then the container is released (a
@@ -306,18 +238,9 @@ func (am *DistributedAM) runMap(c *yarn.Container, s *hdfs.Split) {
 			am.rt.RM.ReleaseContainer(c)
 			am.rt.Trace.SpanSince(am.prof.Span, "am",
 				fmt.Sprintf("commit map-%d", s.Index), "commit", commitStart)
-			am.prof.Add(tp)
-			am.mapOutputs = append(am.mapOutputs, mo)
-			if am.rt.Shuffle != nil {
-				am.rt.Shuffle.Register(am.spec, mo)
-			}
-			am.completedMaps++
-			if am.completedMaps == len(am.splits) {
-				am.prof.MapsDoneAt = am.rt.Eng.Now()
-			}
-			if am.OnMapComplete != nil {
-				am.OnMapComplete(tp)
-			}
+			am.commitMap(mo, tp)
+			// The reduce container is asked for with the maps, so the shuffle
+			// overlaps the remaining map waves.
 			am.pumpShuffle()
 		})
 	})
@@ -340,139 +263,23 @@ func (am *DistributedAM) startReduceContainer(c *yarn.Container) {
 		}
 		am.rt.Localize(am.spec, c.Node, func(err error) {
 			if err != nil {
-				am.fail(err)
+				am.finish(err)
 				return
 			}
-			am.reduceReady = true
+			am.reduceNode = c.Node
 			am.pumpShuffle()
 		})
 	})
 }
 
-// pumpShuffle fetches any completed-but-unfetched map outputs to the reduce
-// node, overlapping with still-running map waves, and starts the reduce
-// when everything has arrived. A fetch failure (the map's node died with
-// the intermediate data on its local disk) is Hadoop's
-// too-many-fetch-failures signal: the AM declares the completed map lost
-// and re-executes it.
-func (am *DistributedAM) pumpShuffle() {
-	if am.killed || !am.reduceReady {
-		return
-	}
-	if am.rt.Shuffle != nil {
-		am.pumpShuffleService()
-		return
-	}
-	dst := am.reduceContainer.Node
-	gen := am.reduceGen
-	for _, mo := range append([]*MapOutput(nil), am.mapOutputs...) {
-		if am.fetched[mo] {
-			continue
-		}
-		am.fetched[mo] = true
-		// Fetch every partition this reducer will handle (all of them: one
-		// physical reduce container processes each partition in turn).
-		mo := mo
-		total := 0
-		failed := false
-		for p := 0; p < am.spec.NumReduces; p++ {
-			total++
-			am.rt.ShuffleFetch(am.prof.Span, mo, p, dst, func(err error) {
-				if am.killed || gen != am.reduceGen {
-					// The reduce attempt this fetch fed was itself lost;
-					// the replacement reshuffles from scratch.
-					return
-				}
-				if err != nil {
-					if !failed {
-						failed = true
-						am.loseMapOutput(mo)
-					}
-					return
-				}
-				total--
-				if total == 0 && !failed {
-					am.fetchesDone++
-					am.maybeReduce()
-				}
-			})
-		}
-	}
-	am.maybeReduce()
-}
-
-// pumpShuffleService is the shuffle-service fetch path: once every map has
-// committed, the registered outputs are consolidated per node — merged and
-// re-combined by each node's service — and the reducer issues one fetch per
-// (node, partition) instead of one per (map, partition). A consolidated
-// fetch that fails means the source node died with every registered output
-// on it, so the AM falls back to the per-map recovery: each member of the
-// group is declared lost and re-executed, and the next pump consolidates
-// the replacements.
-//
-// Waiting for the last map trades the per-map shuffle's map-wave overlap
-// for the consolidation: the service cannot finalize a node's merged
-// partition while maps are still adding to it. For the paper's short jobs
-// the trade wins — the saved fetches and bytes outweigh the lost overlap.
-func (am *DistributedAM) pumpShuffleService() {
-	if am.completedMaps != len(am.splits) {
-		return
-	}
-	dst := am.reduceContainer.Node
-	gen := am.reduceGen
-	var pending []*MapOutput
-	for _, mo := range am.mapOutputs {
-		if !am.fetched[mo] {
-			pending = append(pending, mo)
-		}
-	}
-	for _, group := range GroupOutputsByNode(pending) {
-		group := group
-		for _, mo := range group {
-			am.fetched[mo] = true
-		}
-		cons := am.rt.Shuffle.Consolidate(am.spec, group)
-		am.pendingGroups++
-		remaining := am.spec.NumReduces
-		failed := false
-		for p := 0; p < am.spec.NumReduces; p++ {
-			am.rt.Shuffle.Fetch(am.prof.Span, am.spec, cons, p, dst, func(err error) {
-				if am.killed || gen != am.reduceGen {
-					return
-				}
-				if err != nil {
-					if !failed {
-						failed = true
-						am.pendingGroups--
-						for _, mo := range group {
-							am.loseMapOutput(mo)
-						}
-					}
-					return
-				}
-				remaining--
-				if remaining == 0 && !failed {
-					am.pendingGroups--
-					am.consolidated = append(am.consolidated, cons.Out)
-					am.maybeReduce()
-				}
-			})
-		}
-	}
-	am.maybeReduce()
-}
-
 // loseMapOutput handles a completed map whose output died with its node:
 // the map reverts to incomplete and is re-executed on a fresh container.
 func (am *DistributedAM) loseMapOutput(mo *MapOutput) {
-	for i, x := range am.mapOutputs {
+	for i, x := range am.outputs {
 		if x == mo {
-			am.mapOutputs = append(am.mapOutputs[:i], am.mapOutputs[i+1:]...)
+			am.outputs = append(am.outputs[:i], am.outputs[i+1:]...)
 			delete(am.fetched, mo)
-			if am.rt.Shuffle != nil {
-				am.rt.Shuffle.Forget(am.spec, mo)
-			}
-			am.completedMaps--
+			am.shuffle.Forget(am.spec, mo)
 			am.rt.Trace.Add("am", "map %d output lost on %s; re-executing", mo.Split.Index, mo.Node.Name)
 			am.rescheduleMap(mo.Split, "output lost")
 			return
@@ -514,7 +321,7 @@ func (am *DistributedAM) onContainerLost(c *yarn.Container) {
 	if c.Tag == "am" {
 		// Our own AM container (cold submission): the whole attempt dies;
 		// the submitter decides whether to relaunch.
-		am.fail(ErrAMLost)
+		am.finish(ErrAMLost)
 		return
 	}
 	if s, ok := am.runningMaps[c]; ok {
@@ -551,14 +358,8 @@ func (am *DistributedAM) onContainerLost(c *yarn.Container) {
 // writes don't collide. Node loss does not charge the reduce failure
 // budget (KILLED, not FAILED).
 func (am *DistributedAM) recoverReduce() {
-	am.reduceGen++
 	am.reduceContainer = nil
-	am.reduceReady = false
-	am.reduceRunning = false
-	am.fetchesDone = 0
-	am.fetched = make(map[*MapOutput]bool)
-	am.consolidated = nil
-	am.pendingGroups = 0
+	am.resetReduce()
 	for p := 0; p < am.spec.NumReduces; p++ {
 		am.rt.DeleteOutput(PartFileName(am.spec.OutputFile, p))
 	}
@@ -568,99 +369,4 @@ func (am *DistributedAM) recoverReduce() {
 		Tag:      "reduce-recovery",
 	})
 	am.rt.Trace.Add("am", "reduce container lost; restarting shuffle (gen %d)", am.reduceGen)
-}
-
-func (am *DistributedAM) maybeReduce() {
-	if am.killed || am.reduceRunning || !am.reduceReady {
-		return
-	}
-	if am.completedMaps != len(am.splits) {
-		return
-	}
-	if am.rt.Shuffle != nil {
-		// Service mode: every output must belong to a consolidated fetch
-		// that has fully arrived.
-		if am.pendingGroups > 0 {
-			return
-		}
-		for _, mo := range am.mapOutputs {
-			if !am.fetched[mo] {
-				return
-			}
-		}
-	} else if am.fetchesDone != len(am.splits) {
-		return
-	}
-	am.reduceRunning = true
-	am.runReducePartitions(0)
-}
-
-func (am *DistributedAM) runReducePartitions(p int) {
-	if p == am.spec.NumReduces {
-		am.finish(nil)
-		return
-	}
-	if am.reduceContainer == nil {
-		// The reduce container was lost; recovery restarts from partition 0
-		// once a replacement arrives.
-		return
-	}
-	gen := am.reduceGen
-	ropts := ReduceOptions{Attempt: am.reduceAttempts[p], Parent: am.prof.Span}
-	inputs := am.mapOutputs
-	if am.rt.Shuffle != nil {
-		inputs = am.consolidated
-	}
-	am.rt.RunReduceTask(am.spec, p, ropts, inputs, am.reduceContainer.Node, func(tp *profiler.TaskProfile, err error) {
-		if am.killed || gen != am.reduceGen {
-			return
-		}
-		var ae *AttemptError
-		if errors.As(err, &ae) {
-			am.prof.Add(tp)
-			am.reduceAttempts[p]++
-			if am.reduceAttempts[p] >= am.rt.Params.MaxTaskAttempts {
-				am.fail(fmt.Errorf("mapreduce: reduce %d failed %d attempts: %w",
-					p, am.reduceAttempts[p], err))
-				return
-			}
-			// Retried in the same container: the shuffled data is already
-			// local to it.
-			am.runReducePartitions(p)
-			return
-		}
-		if err != nil {
-			am.fail(err)
-			return
-		}
-		am.prof.Add(tp)
-		am.runReducePartitions(p + 1)
-	})
-}
-
-func (am *DistributedAM) fail(err error) {
-	if am.failed == nil {
-		am.failed = err
-	}
-	am.finish(err)
-}
-
-func (am *DistributedAM) finish(err error) {
-	if am.killed {
-		return
-	}
-	am.killed = true
-	if am.ticker != nil {
-		am.ticker.Stop()
-	}
-	if am.rt.Shuffle != nil {
-		// The job's intermediate data is garbage now; withdraw it from the
-		// node services.
-		for _, mo := range am.mapOutputs {
-			am.rt.Shuffle.Forget(am.spec, mo)
-		}
-	}
-	am.prof.DoneAt = am.rt.Eng.Now()
-	am.rt.RM.FinishApp(am.app)
-	am.done(am.prof, err)
 }

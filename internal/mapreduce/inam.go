@@ -1,0 +1,205 @@
+package mapreduce
+
+import (
+	"errors"
+
+	"mrapid/internal/hdfs"
+	"mrapid/internal/profiler"
+	"mrapid/internal/topology"
+	"mrapid/internal/yarn"
+)
+
+// UberEligible implements Hadoop's own definition of a job small enough for
+// Uber mode, as the paper quotes it: "a small job has less than 10 mappers,
+// only 1 reducer, and the input size is less than the size of one HDFS
+// block". MRapid deliberately does not rely on this rule — its decision
+// maker compares estimated completion times instead — but the stock runtime
+// exposes it so callers can reproduce Hadoop's behaviour.
+func UberEligible(rt *Runtime, spec *JobSpec) (bool, error) {
+	splits, err := rt.Splits(spec.InputFiles)
+	if err != nil {
+		return false, err
+	}
+	if len(splits) >= 10 || spec.NumReduces > 1 {
+		return false, nil
+	}
+	var total int64
+	for _, s := range splits {
+		total += s.Length
+	}
+	return total < rt.Params.HDFSBlockBytes, nil
+}
+
+// InAMOptions are the two toggles that separate stock Uber from the paper's
+// U+ mode (and that the Figure 15 ablation switches one at a time). The zero
+// value is stock Uber — sequential maps, every output spilled; FullUPlus()
+// is U+.
+type InAMOptions struct {
+	// ThreadsPerCore is n_c^m, the map threads multiplexed on each vcore;
+	// maps per wave is n_u^m = n^c · n_c^m. Zero or negative means
+	// sequential execution (stock Uber).
+	ThreadsPerCore int
+
+	// MemoryCache admits intermediate data into the in-heap cache (up to
+	// the cost model's UberCacheBytes) instead of spilling to disk.
+	MemoryCache bool
+}
+
+// FullUPlus returns the paper's complete U+ configuration.
+func FullUPlus() InAMOptions {
+	return InAMOptions{ThreadsPerCore: 1, MemoryCache: true}
+}
+
+// MapsPerWave returns n_u^m for an AM running on the given node.
+func (o InAMOptions) MapsPerWave(node *topology.Node) int {
+	if o.ThreadsPerCore <= 0 {
+		return 1
+	}
+	return node.Cores.Total() * o.ThreadsPerCore
+}
+
+// InAM is the in-AM executor: every map task and the reduce run inside the
+// AM's own container — no container request, no per-task JVM start, no
+// network shuffle. With the zero options that is stock Uber: strictly
+// sequential, all intermediate data spilled to the AM node's disk. U+ lifts
+// both weaknesses: maps run n_u^m per wave, and small outputs stay in the
+// heap so the reduce reads them without touching the disk.
+type InAM struct {
+	amCore
+	amNode *topology.Node
+	opts   InAMOptions
+
+	next     int
+	inFlight int
+
+	cacheUsed int64
+	// admitted remembers how many cache bytes each split's running attempt
+	// charged, so a crashed attempt refunds its budget before the retry.
+	admitted map[int]int64
+}
+
+// NewInAM prepares an in-AM executor on the node where the AM container
+// (cold-submitted or pooled) runs.
+func NewInAM(rt *Runtime, spec *JobSpec, app *yarn.App, amNode *topology.Node, prof *profiler.JobProfile, opts InAMOptions) (*InAM, error) {
+	core, err := newAMCore(rt, spec, app, prof)
+	if err != nil {
+		return nil, err
+	}
+	prof.NumContainers = 1
+	am := &InAM{amCore: core, amNode: amNode, opts: opts, admitted: make(map[int]int64)}
+	// The reduce runs where the maps ran, and every output lives there too:
+	// a read-back that fails means the AM node itself died, which kills the
+	// attempt.
+	am.reduceNode = amNode
+	am.onFetchLost = func(_ []*MapOutput, err error) { am.finish(err) }
+	am.teardown = am.releaseCacheGauge
+	return am, nil
+}
+
+// Run starts the map waves.
+func (am *InAM) Run(done func(*profiler.JobProfile, error)) {
+	// A cold-submitted job owns its AM container through this app; losing it
+	// loses the attempt, and the submitter decides whether to relaunch. (A
+	// pooled job's app owns no containers — the AM container belongs to the
+	// pool's app, which notifies the framework.)
+	am.start(done, func(*yarn.Container) { am.finish(ErrAMLost) })
+	am.prof.FirstTaskAt = am.rt.Eng.Now()
+	am.pump()
+}
+
+// CacheUsed reports how much intermediate data currently sits in the memory
+// cache.
+func (am *InAM) CacheUsed() int64 { return am.cacheUsed }
+
+// pump keeps up to n_u^m map tasks in flight.
+func (am *InAM) pump() {
+	if am.killed {
+		return
+	}
+	limit := am.opts.MapsPerWave(am.amNode)
+	for am.inFlight < limit && am.next < len(am.splits) {
+		s := am.splits[am.next]
+		am.next++
+		am.inFlight++
+		am.runOne(s)
+	}
+}
+
+// admitToCache decides whether a finished map's output fits the remaining
+// cache budget; if so the budget is consumed.
+func (am *InAM) admitToCache(outBytes int64) bool {
+	if !am.opts.MemoryCache {
+		return false
+	}
+	if am.cacheUsed+outBytes > am.rt.Params.UberCacheBytes {
+		return false
+	}
+	am.cacheUsed += outBytes
+	am.rt.Reg.Add("uplus_cache_bytes", outBytes)
+	return true
+}
+
+// releaseCacheGauge returns this AM's share of the cluster-wide
+// uplus_cache_bytes gauge when the job ends (finished or killed): the
+// in-heap outputs are freed with the JVM. CacheUsed itself is kept for
+// post-run inspection. An AM that never admitted a byte leaves the gauge
+// alone, so a stock-Uber run does not mint the series.
+func (am *InAM) releaseCacheGauge() {
+	if am.cacheUsed > 0 {
+		am.rt.Reg.Add("uplus_cache_bytes", -am.cacheUsed)
+	}
+}
+
+func (am *InAM) runOne(s *hdfs.Split) {
+	opts := MapTaskOptions{
+		SpillToDisk: true,
+		KeepInMemory: func(b int64) bool {
+			if !am.admitToCache(b) {
+				return false
+			}
+			am.admitted[s.Index] = b
+			return true
+		},
+		Attempt: am.failedMaps[s.Index],
+		Parent:  am.prof.Span,
+	}
+	am.rt.RunMapTask(am.spec, s, am.amNode, opts, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
+		if am.killed {
+			return
+		}
+		var ae *AttemptError
+		if errors.As(err, &ae) {
+			// Retry the crashed map thread in place, in its wave slot. Any
+			// cache budget the dead attempt admitted is refunded first — its
+			// in-heap output died with it, and without the refund every
+			// crashed-and-retried map would leak budget until U+ degrades to
+			// spilling everything.
+			if b, ok := am.admitted[s.Index]; ok {
+				am.cacheUsed -= b
+				am.rt.Reg.Add("uplus_cache_bytes", -b)
+				delete(am.admitted, s.Index)
+			}
+			if am.mapAttemptFailed(s.Index, tp, err) {
+				am.runOne(s)
+			}
+			return
+		}
+		if err != nil {
+			am.finish(err)
+			return
+		}
+		am.inFlight--
+		am.commitMap(mo, tp)
+		if am.killed {
+			// The observer may have killed this mode.
+			return
+		}
+		if len(am.outputs) == len(am.splits) {
+			// The in-AM reduce has no process of its own to overlap the map
+			// waves with: the read-back starts once the last map is in.
+			am.pumpShuffle()
+			return
+		}
+		am.pump()
+	})
+}

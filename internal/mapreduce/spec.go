@@ -1,7 +1,8 @@
 // Package mapreduce implements the simulated MapReduce runtime: job
 // specifications with real map/reduce functions, record formats, the map
-// task's sub-phases (read, map, spill, merge), shuffle, reduce, the
-// distributed-mode ApplicationMaster, and the stock Uber mode. Jobs compute
+// task's sub-phases (read, map, spill, merge), shuffle, reduce, and the
+// ApplicationMasters — one lifecycle core under the distributed AM and the
+// in-AM executor (stock Uber with zero options, U+ with FullUPlus). Jobs compute
 // real answers over real bytes in the simulated HDFS while every phase is
 // charged to the virtual clock.
 package mapreduce
@@ -146,6 +147,15 @@ type JobSpec struct {
 	// ReduceRate is the reduce function's throughput over its input bytes
 	// per second on one reference core.
 	ReduceRate float64
+
+	// ClosureSig, when non-empty, is the builder's signature of everything
+	// the spec's closures capture (the query compiler sets it to the stage's
+	// plan signature). Specs built from one definition site share a JobKey
+	// and function symbols whatever they capture; the MapCache adds this to
+	// its key so that two of them mapping the same bytes never share a
+	// result. Specs whose JobKey already pins what their closures compute
+	// (TeraSort's cut-point partitioner) leave it empty.
+	ClosureSig string
 
 	// MemoKey / MemoDigest, when MemoKey is non-empty, override the
 	// memoization cache's automatic identity for this job: MemoKey names the

@@ -9,21 +9,30 @@ import (
 	"mrapid/internal/yarn"
 )
 
-// Mode selects between the two stock execution modes.
-type Mode int
+// Mode selects the ApplicationMaster a cold submission brings up: the
+// distributed AM, or the in-AM executor with some options. Its name labels
+// results, profiles, and spans.
+type Mode struct {
+	name string
+	inAM bool
+	opts InAMOptions
+}
 
-// Stock execution modes.
-const (
-	ModeDistributed Mode = iota
-	ModeUber
+// The two stock execution modes. Stock Uber is the in-AM executor with zero
+// options.
+var (
+	ModeDistributed = Mode{name: "hadoop"}
+	ModeUber        = Mode{name: "uber", inAM: true}
 )
 
-func (m Mode) String() string {
-	if m == ModeUber {
-		return "uber"
-	}
-	return "hadoop"
+// ModeUPlus is the in-AM executor with the given U+ options, cold-submitted:
+// what a U+ job degrades to when no pooled AM is available, and the Figure 15
+// ablation rows that run U+ without the submission framework.
+func ModeUPlus(opts InAMOptions) Mode {
+	return Mode{name: "uplus", inAM: true, opts: opts}
 }
+
+func (m Mode) String() string { return m.name }
 
 // Result is the outcome of one job execution.
 type Result struct {
@@ -42,7 +51,8 @@ func (r *Result) Elapsed() float64 {
 }
 
 // Submit runs the classic Hadoop submission flow (Figure 1 of the paper)
-// with no MRapid optimizations:
+// with no submission-side MRapid optimizations — it is the one cold path
+// every mode shares:
 //
 //  1. the client uploads the job jar and configuration to HDFS,
 //  2. submits the job to the ResourceManager,
@@ -88,7 +98,7 @@ func Submit(rt *Runtime, spec *JobSpec, mode Mode, done func(*Result)) {
 	})
 }
 
-// launchStockAM runs one AM attempt of a stock submission. An attempt that
+// launchStockAM runs one AM attempt of a cold submission. An attempt that
 // dies with its machine is relaunched — partial output removed, same staged
 // artifacts — up to Params.MaxAMAttempts times, mirroring YARN's
 // yarn.resourcemanager.am.max-attempts; any other failure, or exhausting the
@@ -129,23 +139,19 @@ func (rt *Runtime) launchStockAM(spec *JobSpec, mode Mode, prof *profiler.JobPro
 				prof.AMReadyAt = rt.Eng.Now()
 				prof.AMStartup = prof.AMReadyAt.Sub(prof.SubmittedAt)
 				rt.Trace.EndSpan(amSpan)
-				switch mode {
-				case ModeUber:
-					am, err := NewUberAM(rt, spec, app, amC.Node, prof)
-					if err != nil {
-						fail(err)
-						return
-					}
-					am.Run(finish)
-				default:
-					am, err := NewDistributedAM(rt, spec, app, amC.Node, prof)
-					if err != nil {
-						fail(err)
-						return
-					}
-					prof.NumContainers = ClusterContainerSlots(rt)
-					am.Run(finish)
+				var am interface {
+					Run(func(*profiler.JobProfile, error))
 				}
+				if mode.inAM {
+					am, err = NewInAM(rt, spec, app, amC.Node, prof, mode.opts)
+				} else {
+					am, err = NewDistributedAM(rt, spec, app, amC.Node, prof)
+				}
+				if err != nil {
+					fail(err)
+					return
+				}
+				am.Run(finish)
 			})
 		})
 	})

@@ -175,8 +175,11 @@ func CompileWith(cat *Catalog, qid string, p *Plan, opts CompileOptions) (*Compi
 		out = st.Out
 	}
 	// The result table stays in HDFS; everything upstream is intra-query.
+	// Every stage of a kind shares one JobKey and one set of closure
+	// symbols, so the plan signature is what tells their map functions apart.
 	for _, st := range c.out {
 		st.Spec.IntermediateOutput = st.Out != out
+		st.Spec.ClosureSig = st.Sig
 	}
 	return &Compiled{Stages: c.out, Out: out, AggParseErrors: c.errs}, nil
 }

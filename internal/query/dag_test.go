@@ -664,3 +664,42 @@ func TestDAGCrossQueryMemoReuse(t *testing.T) {
 		t.Fatal("identical-bytes overwrite changed the result rows")
 	}
 }
+
+// TestMapCacheKeepsFilteredGroupBysApart: every group-by stage the compiler
+// emits shares the JobKey "query-groupby" and one map-closure symbol, so two
+// queries grouping the same table files under different filters used to
+// collide in the host-side MapCache — the second was served the first one's
+// map output and returned its rows. With the stage's plan signature in the
+// cache identity each query gets its own rows, and an identical repeat still
+// hits.
+func TestMapCacheKeepsFilteredGroupBysApart(t *testing.T) {
+	plans := []*Plan{
+		Scan("sales").Filter(Where("amount", OpGt, "200")).GroupBy([]string{"region"}, Sum("amount"), Count()),
+		Scan("sales").Filter(Where("amount", OpGt, "600")).GroupBy([]string{"region"}, Sum("amount"), Count()),
+	}
+	run := func(cache *mapreduce.MapCache) [][]string {
+		e := newDAGEnv(t, 4)
+		e.dag.FW.RT.MapCache = cache
+		e.mustCreate(t, "sales", salesSchema, salesRows(200, 21), 3)
+		var out [][]string
+		for _, p := range plans {
+			out = append(out, canonRows(e.execDAG(t, p).Rows))
+		}
+		return out
+	}
+	want := run(nil)
+	if reflect.DeepEqual(want[0], want[1]) {
+		t.Fatal("the two filters select the same rows; the test cannot tell a collision")
+	}
+	cache := mapreduce.NewMapCache(1 << 28)
+	if got := run(cache); !reflect.DeepEqual(got, want) {
+		t.Fatalf("with the MapCache attached:\n got  %v\n want %v", got, want)
+	}
+	hits := cache.Hits()
+	if got := run(cache); !reflect.DeepEqual(got, want) {
+		t.Fatalf("repeat over a warm MapCache:\n got  %v\n want %v", got, want)
+	}
+	if cache.Hits() == hits {
+		t.Fatal("an identical repeat never hit the MapCache")
+	}
+}

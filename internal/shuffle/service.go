@@ -112,6 +112,19 @@ func (s *Service) Forget(spec *mapreduce.JobSpec, mo *mapreduce.MapOutput) {
 // on node.
 func (s *Service) Registered(node *topology.Node) int { return s.registered[node] }
 
+// FetchPlan is the service's fetch plan: nothing moves until every map has
+// committed — a node's merged partition cannot be finalized while maps are
+// still adding to it — then each (node, boot-epoch) group travels as one
+// unit. Waiting for the last map trades the per-map shuffle's map-wave
+// overlap for the consolidation; for the paper's short jobs the saved
+// fetches and bytes outweigh the lost overlap.
+func (s *Service) FetchPlan(pending []*mapreduce.MapOutput, mapsDone bool) [][]*mapreduce.MapOutput {
+	if !mapsDone {
+		return nil
+	}
+	return mapreduce.GroupOutputsByNode(pending)
+}
+
 // Consolidate merges one node's committed outputs into a single synthetic
 // output (in-node combining when the job has a combiner) and folds the
 // byte-reduction into the service's running stats and gauges.

@@ -255,7 +255,7 @@ func TestUPlusGoldenOutput(t *testing.T) {
 		spec := stageWC(t, w)
 		var res *mapreduce.Result
 		w.rt.Eng.After(0, func() {
-			core.SubmitUPlusCold(w.rt, spec, core.FullUPlus(), func(r *mapreduce.Result) { res = r })
+			mapreduce.Submit(w.rt, spec, mapreduce.ModeUPlus(mapreduce.FullUPlus()), func(r *mapreduce.Result) { res = r })
 		})
 		w.rt.Eng.RunUntil(w.rt.Eng.Now().Add(600 * time.Second))
 		w.rt.RM.Stop()
