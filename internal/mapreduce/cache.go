@@ -43,11 +43,12 @@ type cacheShard struct {
 }
 
 type cachedExec struct {
-	partitions [][]Pair
+	store
+	partitions [][]Rec
 	partBytes  []int64
 	totalBytes int64
 	records    int64
-	retained   int64 // approximate host bytes held alive
+	retained   int64 // host bytes held alive
 }
 
 // NewMapCache creates a cache that evicts oldest-first once the retained
@@ -107,6 +108,7 @@ func (c *MapCache) lookup(spec *JobSpec, file string, offset int64, data []byte)
 	}
 	c.hits.Add(1)
 	return &MapOutput{
+		store:      e.store,
 		Partitions: e.partitions,
 		PartBytes:  append([]int64(nil), e.partBytes...),
 		TotalBytes: e.totalBytes,
@@ -119,9 +121,14 @@ func (c *MapCache) lookup(spec *JobSpec, file string, offset int64, data []byte)
 // two entries for one key.
 func (c *MapCache) store(spec *JobSpec, file string, offset int64, data []byte, mo *MapOutput) {
 	k := c.key(spec, file, offset, data)
-	// Pairs alias the input data, so the whole split stays alive.
-	retained := int64(len(data)) + mo.TotalBytes + 48*mo.Records
+	// What the entry keeps alive: the indexes, the slab, and the input block
+	// the indexes point into.
+	retained := int64(len(mo.input) + cap(mo.slab))
+	for _, idx := range mo.Partitions {
+		retained += int64(cap(idx)) * recSize
+	}
 	e := &cachedExec{
+		store:      mo.store,
 		partitions: mo.Partitions,
 		partBytes:  append([]int64(nil), mo.PartBytes...),
 		totalBytes: mo.TotalBytes,
@@ -165,7 +172,7 @@ func (c *MapCache) Len() int {
 	return int(c.count)
 }
 
-// Used reports the approximate retained host bytes.
+// Used reports the retained host bytes.
 func (c *MapCache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -135,6 +136,37 @@ func TestMapCacheLookupCopiesPartBytes(t *testing.T) {
 	}
 }
 
+// The budget books what an entry really keeps alive — input block, slab
+// and the indexes at their capacity — not a guess from the input's line
+// count: a WordCount split emits an order of magnitude more pairs than it
+// has lines.
+func TestMapCacheBooksRealFootprint(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	spec := wcSpec([]string{"/in"}, "/out")
+	c := NewMapCache(1 << 30)
+	before := heap()
+	var text bytes.Buffer
+	for i := 0; text.Len() < 1<<20; i++ {
+		fmt.Fprintf(&text, "w%d x%d the of and a%d\n", i%5000, i%37, i%11)
+	}
+	data := bytes.Clone(text.Bytes())
+	text = bytes.Buffer{}
+	mo := ExecMap(spec, data)
+	pairs, lines := int64(len(mo.Partitions[0])), mo.Records
+	c.store(spec, "/in", 0, data, mo)
+	data, mo = nil, nil
+	measured := heap() - before
+	if used := c.Used(); used < measured*9/10 || used > measured*11/10 {
+		t.Fatalf("Used() = %d bytes, the entry holds %d (%d pairs from %d lines)", used, measured, pairs, lines)
+	}
+	runtime.KeepAlive(c)
+}
+
 func TestMapCacheEvictsFIFO(t *testing.T) {
 	spec := wcSpec([]string{"/in"}, "/out")
 	mk := func(tag byte) []byte {
@@ -145,8 +177,7 @@ func TestMapCacheEvictsFIFO(t *testing.T) {
 		data := mk(byte('a' + i))
 		c.store(spec, "/in", int64(i), data, ExecMap(spec, data))
 	}
-	// Each entry retains ~2 MB (data + pairs + headers), far over the
-	// budget, so the cache evicts down to the single most recent entry —
+	// Each entry retains ~1.6 MB (data + index), far over the budget, so the cache evicts down to the single most recent entry —
 	// it always keeps at least one so oversized splits still memoize.
 	if c.Len() != 1 {
 		t.Fatalf("eviction kept %d entries (%d bytes), want 1", c.Len(), c.Used())

@@ -116,10 +116,11 @@ func GroupOutputsByNode(outputs []*MapOutput) [][]*MapOutput {
 
 // ConsolidateGroup builds the synthetic output for one node's group: each
 // partition is the k-way merge of the members' sorted runs, re-combined
-// through the job's combiner when it has one. Pure computation — the
-// shuffle service charges the virtual cost separately. Correctness rests on
-// comparePairs breaking key ties by value: merging sorted runs in any
-// grouping yields the same final sequence the reducer would have merged
+// through the job's combiner when it has one, copied into one new flat
+// output that pins none of the members' input blocks. Pure computation —
+// the shuffle service charges the virtual cost separately. Correctness
+// rests on compareRecs breaking key ties by value: merging sorted runs in
+// any grouping yields the same final sequence the reducer would have merged
 // per map, so job output is byte-identical with or without consolidation.
 func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 	if len(group) == 0 {
@@ -131,13 +132,22 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 		return &Consolidated{Out: group[0], Members: group}
 	}
 	first := group[0]
-	out := &MapOutput{
-		Split:      first.Split,
-		Node:       first.Node,
-		NodeEpoch:  first.NodeEpoch,
-		Partitions: make([][]Pair, spec.NumReduces),
-		PartBytes:  make([]int64, spec.NumReduces),
+	var split string
+	if first.Split != nil {
+		split = first.Split.File
 	}
+	b := newOutputBuilder(split, nil, spec.NumReduces, 64, maxOffset)
+	for p := 0; p < spec.NumReduces; p++ {
+		if spec.Combine != nil {
+			b.combineFrom(group, p, spec.Combine)
+			continue
+		}
+		for m := newMerger(group, p); len(m) > 0; m.advance() {
+			b.add(p, m[0].src.key(m[0].head), m[0].src.value(m[0].head))
+		}
+	}
+	out := b.output()
+	out.Split, out.Node, out.NodeEpoch = first.Split, first.Node, first.NodeEpoch
 	out.InMemory = true
 	for _, mo := range group {
 		out.Records += mo.Records
@@ -145,31 +155,6 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 			out.InMemory = false
 		}
 	}
-	runs := getRuns(len(group))
-	for p := 0; p < spec.NumReduces; p++ {
-		runs = runs[:0]
-		for _, mo := range group {
-			runs = append(runs, mo.Partitions[p])
-		}
-		merged, scratch := mergeSortedRuns(runs)
-		if spec.Combine != nil {
-			combined := combine(spec.Combine, merged)
-			if scratch {
-				putPairs(merged)
-			}
-			merged = combined
-		}
-		// Without a combiner the merge scratch itself is retained as the
-		// consolidated partition; it simply leaves the pool.
-		out.Partitions[p] = merged
-		var n int64
-		for _, pr := range merged {
-			n += pr.Bytes()
-		}
-		out.PartBytes[p] = n
-		out.TotalBytes += n
-	}
-	putRuns(runs)
 	return &Consolidated{Out: out, Members: group}
 }
 

@@ -1,10 +1,8 @@
 package mapreduce
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"mrapid/internal/costmodel"
@@ -145,11 +143,15 @@ func (rt *Runtime) AMResource() topology.Resource {
 }
 
 // MapOutput is the materialized result of one map task: real intermediate
-// pairs bucketed by reduce partition, each bucket sorted by key.
+// pairs bucketed by reduce partition, each bucket sorted by key then value.
+// The pairs are flat (see record.go): Partitions[p] indexes partition p's
+// pairs inside the output's byte store, and len(Partitions[p]) counts them.
+// Once built an output's pairs never change, so reduces, the shuffle
+// service and the MapCache read one concurrently.
 type MapOutput struct {
 	Split      *hdfs.Split
 	Node       *topology.Node
-	Partitions [][]Pair
+	Partitions [][]Rec
 	PartBytes  []int64
 	TotalBytes int64
 	Records    int64
@@ -162,6 +164,8 @@ type MapOutput struct {
 	// heap), not in HDFS — if the node has since crashed, the output is gone
 	// and shuffle fetches against it fail.
 	NodeEpoch int
+
+	store
 }
 
 // Available reports whether the output can still be fetched (its node is up
@@ -187,25 +191,24 @@ func ExecMap(spec *JobSpec, data []byte) *MapOutput {
 
 // ExecMapFile is ExecMap for a named input file, honoring spec.MapFor.
 func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
+	return execMap(spec, file, data, maxOffset)
+}
+
+func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 	nred := spec.NumReduces
-	part := spec.partitioner()
-	out := &MapOutput{
-		Partitions: make([][]Pair, nred),
-		PartBytes:  make([]int64, nred),
-	}
+	b := newOutputBuilder(file, data, nred, len(data)/(32*nred)+64, limit)
 	var emit Emit
 	if nred == 1 {
 		// Single-reduce short jobs (the paper's case) skip partitioning.
-		emit = func(k, v []byte) {
-			out.Partitions[0] = append(out.Partitions[0], Pair{Key: k, Value: v})
-		}
+		emit = func(k, v []byte) { b.add(0, k, v) }
 	} else {
+		part := spec.partitioner()
 		emit = func(k, v []byte) {
 			p := part(k, nred)
 			if p < 0 || p >= nred {
 				panic(fmt.Sprintf("mapreduce: partitioner returned %d of %d", p, nred))
 			}
-			out.Partitions[p] = append(out.Partitions[p], Pair{Key: k, Value: v})
+			b.add(p, k, v)
 		}
 	}
 	mapFn := spec.Map
@@ -214,149 +217,26 @@ func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 			mapFn = fn
 		}
 	}
+	var records int64
 	spec.Format.Scan(data, func(k, v []byte) {
-		out.Records++
+		records++
 		mapFn(k, v, emit)
 	})
-	for p := range out.Partitions {
-		sortPairs(out.Partitions[p])
-		if spec.Combine != nil {
-			raw := out.Partitions[p]
-			out.Partitions[p] = combine(spec.Combine, raw)
-			putPairs(raw) // pre-combine scratch, replaced and unreferenced
-		}
-		var n int64
-		for _, pr := range out.Partitions[p] {
-			n += pr.Bytes()
-		}
-		out.PartBytes[p] = n
-		out.TotalBytes += n
+	for _, idx := range b.parts {
+		b.sortRecs(idx)
 	}
+	if spec.Combine != nil {
+		// The combined output is a new builder over the same input block;
+		// the pre-combine index and slab are garbage once it is built.
+		raw := []*MapOutput{b.output()}
+		b = newOutputBuilder(file, data, nred, 64, limit)
+		for p := 0; p < nred; p++ {
+			b.combineFrom(raw, p, spec.Combine)
+		}
+	}
+	out := b.output()
+	out.Records = records
 	return out
-}
-
-// comparePairs orders pairs by key, breaking key ties by value so the order
-// — and therefore every downstream byte — is fully deterministic without
-// needing a stable sort.
-func comparePairs(a, b Pair) int {
-	if c := bytes.Compare(a.Key, b.Key); c != 0 {
-		return c
-	}
-	return bytes.Compare(a.Value, b.Value)
-}
-
-// sortPairs orders pairs with comparePairs. Sorting intermediate data is the
-// hottest real computation in the whole simulator, hence slices.SortFunc
-// (pdqsort, no reflection-based swaps).
-func sortPairs(ps []Pair) {
-	slices.SortFunc(ps, comparePairs)
-}
-
-// mergeSortedRuns merges already-sorted pair runs into one sorted slice via
-// a k-way heap merge — O(n log k) instead of re-sorting everything, which
-// matters when a reduce pulls dozens of pre-sorted map outputs. The heap is
-// a plain [][]Pair with hand-rolled sifts (container/heap would box every
-// run through an interface), and the output draws on the pair pool.
-//
-// The second result reports whether the returned slice is pool scratch the
-// caller owns (and should putPairs once done) — false when it aliases one
-// of the input runs or is nil.
-func mergeSortedRuns(runs [][]Pair) ([]Pair, bool) {
-	var total int
-	var nonEmpty int
-	var last []Pair
-	for _, r := range runs {
-		total += len(r)
-		if len(r) > 0 {
-			nonEmpty++
-			last = r
-		}
-	}
-	if nonEmpty == 0 {
-		return nil, false
-	}
-	if nonEmpty == 1 {
-		return last, false
-	}
-	h := getRuns(nonEmpty)
-	for _, r := range runs {
-		if len(r) > 0 {
-			h = append(h, r)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftRun(h, i)
-	}
-	out := getPairs(total)
-	for len(h) > 0 {
-		r := h[0]
-		out = append(out, r[0])
-		if len(r) > 1 {
-			h[0] = r[1:]
-		} else {
-			n := len(h) - 1
-			h[0] = h[n]
-			h = h[:n]
-		}
-		siftRun(h, 0)
-	}
-	putRuns(h)
-	return out, true
-}
-
-// siftRun restores the min-heap property at index i of a heap of runs
-// ordered by their head pair.
-func siftRun(h [][]Pair, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && comparePairs(h[r][0], h[l][0]) < 0 {
-			m = r
-		}
-		if comparePairs(h[m][0], h[i][0]) >= 0 {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// combine collapses sorted runs of equal keys through the combiner. The
-// result is freshly built (seeded from the pair pool, never put back by
-// combine itself — call sites retain it); the input is left untouched.
-func combine(c ReduceFunc, in []Pair) []Pair {
-	out := getPairs(len(in))
-	emit := func(k, v []byte) { out = append(out, Pair{Key: k, Value: v}) }
-	groupSorted(in, func(key []byte, values [][]byte) { c(key, values, emit) })
-	sortPairs(out)
-	return out
-}
-
-// groupSorted walks key-sorted pairs and yields each distinct key with its
-// values. The values slice is scratch reused between keys (and pooled
-// across calls): consumers — reducers and combiners — must not retain it
-// past the yield, the same contract Hadoop's reduce iterable has. Retaining
-// individual value byte slices is fine.
-func groupSorted(in []Pair, yield func(key []byte, values [][]byte)) {
-	values := getVals()
-	i := 0
-	for i < len(in) {
-		j := i + 1
-		for j < len(in) && bytes.Equal(in[j].Key, in[i].Key) {
-			j++
-		}
-		values = values[:0]
-		for k := i; k < j; k++ {
-			values = append(values, in[k].Value)
-		}
-		yield(in[i].Key, values)
-		i = j
-	}
-	putVals(values)
 }
 
 // spillCount reports how many spill files a map output of n bytes produces
@@ -752,43 +632,39 @@ func (rt *Runtime) FetchPartition(mo *MapOutput, part int, dst *topology.Node, d
 	finished = true
 }
 
-// ExecReduce runs the reduce function for real over the fetched partitions:
-// merge, group by key, reduce. Pure computation.
-func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) []Pair {
-	runs := getRuns(len(outputs))
-	for _, mo := range outputs {
-		runs = append(runs, mo.Partitions[part])
-	}
-	merged, scratch := mergeSortedRuns(runs)
-	putRuns(runs)
-	var result []Pair
-	emit := func(k, v []byte) { result = append(result, Pair{Key: k, Value: v}) }
-	groupSorted(merged, func(key []byte, values [][]byte) { spec.Reduce(key, values, emit) })
-	if scratch {
-		putPairs(merged)
-	}
-	return result
+// Reduced is one reduce partition's result: the part file's bytes and how
+// many records they hold.
+type Reduced struct {
+	Encoded []byte
+	Records int64
 }
 
-// EncodePairs serializes output pairs as tab-separated lines, the shape of
-// TextOutputFormat, so job output is a plain inspectable HDFS file. The
-// buffer is sized exactly up front — output encoding runs once per reduce
-// over everything the task produced, so the doubling-growth copies a
-// bytes.Buffer would do are pure waste.
-func EncodePairs(ps []Pair) []byte {
-	var n int
-	for _, p := range ps {
-		n += len(p.Key) + len(p.Value) + 2
-	}
-	buf := make([]byte, 0, n)
-	for _, p := range ps {
-		buf = append(buf, p.Key...)
+// ExecReduce runs the reduce function for real over the fetched partitions,
+// streaming merge → group by key → reduce → encode: neither the merged
+// sequence nor the output pairs are materialized. Output records are
+// tab-separated lines, the shape of TextOutputFormat, so job output is a
+// plain inspectable HDFS file. Pure computation.
+func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
+	var out Reduced
+	emit := func(k, v []byte) {
+		buf := out.Encoded
+		if n := len(k) + len(v) + 2; cap(buf)-len(buf) < n {
+			buf = grown(buf, n)
+		}
+		buf = append(buf, k...)
 		buf = append(buf, '\t')
-		buf = append(buf, p.Value...)
-		buf = append(buf, '\n')
+		buf = append(buf, v...)
+		out.Encoded = append(buf, '\n')
+		out.Records++
 	}
-	return buf
+	m := newMerger(outputs, part)
+	m.groups(func(key []byte, values [][]byte) { spec.Reduce(key, values, emit) })
+	return out
 }
+
+// EncodePairs returns the part file a reduce produced. ExecReduce encodes
+// as it reduces; this is the accessor its callers compose it with.
+func EncodePairs(r Reduced) []byte { return r.Encoded }
 
 // PartFileName returns the output file for one reduce partition.
 func PartFileName(outputFile string, part int) string {
@@ -867,16 +743,7 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 	}
 	// The reduce computation is pure over already-materialized map outputs;
 	// dispatch it now and await the encoded bytes only at the write point.
-	type reduced struct {
-		encoded []byte
-		records int64
-	}
-	fut := Async(rt.workerPool(), func() reduced {
-		result := ExecReduce(spec, part, outputs)
-		r := reduced{encoded: EncodePairs(result), records: int64(len(result))}
-		putPairs(result) // encoded copies the bytes; the pair headers are dead
-		return r
-	})
+	fut := Async(rt.workerPool(), func() Reduced { return ExecReduce(spec, part, outputs) })
 	node.Cores.Acquire(1, func() {
 		if !node.AliveEpoch(epoch) {
 			fut.Wait() // drain the host-side computation
@@ -891,13 +758,13 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 			if !node.AliveEpoch(epoch) {
 				return
 			}
-			tp.OutputBytes = int64(len(r.encoded))
-			tp.Records = r.records
+			tp.OutputBytes = int64(len(r.Encoded))
+			tp.Records = r.Records
 			tp.ComputeDur = rt.Eng.Now().Sub(computeStart)
 			node.Cores.Release(1)
 			if rt.Trace != nil {
 				rt.Trace.SpanSince(span, comp, "compute", "reduce", computeStart,
-					trace.A("records", fmt.Sprint(r.records)))
+					trace.A("records", fmt.Sprint(r.Records)))
 			}
 			writeStart := rt.Eng.Now()
 			committed := func(err error) {
@@ -924,7 +791,7 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 				// store's budget lasts, local disk after) and the consuming
 				// stage reads it shuffle-style. CommitIntermediate is
 				// last-writer-wins like the HDFS path below.
-				rt.CommitIntermediate(PartFileName(spec.OutputFile, part), r.encoded, node, committed)
+				rt.CommitIntermediate(PartFileName(spec.OutputFile, part), r.Encoded, node, committed)
 				return
 			}
 			// A superseded attempt's write cannot be cancelled (engine events
@@ -933,7 +800,7 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 			// (job, partition) is deterministic, so committing is safely
 			// last-writer-wins: clear any stale file and write ours.
 			rt.DFS.Delete(PartFileName(spec.OutputFile, part))
-			rt.DFS.Write(PartFileName(spec.OutputFile, part), r.encoded, node, func(_ *hdfs.File, err error) {
+			rt.DFS.Write(PartFileName(spec.OutputFile, part), r.Encoded, node, func(_ *hdfs.File, err error) {
 				committed(err)
 			})
 		})

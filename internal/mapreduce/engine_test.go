@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"bytes"
-	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -66,13 +65,13 @@ func TestExecMapPartitionsAndSorts(t *testing.T) {
 	var total int
 	for p, pairs := range mo.Partitions {
 		for i := 1; i < len(pairs); i++ {
-			if bytes.Compare(pairs[i-1].Key, pairs[i].Key) > 0 {
+			if bytes.Compare(mo.key(pairs[i-1]), mo.key(pairs[i])) > 0 {
 				t.Fatalf("partition %d not sorted", p)
 			}
 		}
 		for _, pr := range pairs {
-			if HashPartition(pr.Key, 4) != p {
-				t.Fatalf("key %q in wrong partition %d", pr.Key, p)
+			if HashPartition(mo.key(pr), 4) != p {
+				t.Fatalf("key %q in wrong partition %d", mo.key(pr), p)
 			}
 		}
 		total += len(pairs)
@@ -97,8 +96,8 @@ func TestExecMapCombiner(t *testing.T) {
 		t.Fatalf("combiner left %d pairs, want 2", len(mo.Partitions[0]))
 	}
 	for _, p := range mo.Partitions[0] {
-		if string(p.Key) == "a" && string(p.Value) != "3" {
-			t.Fatalf("combined count for a = %q", p.Value)
+		if string(mo.key(p)) == "a" && string(mo.value(p)) != "3" {
+			t.Fatalf("combined count for a = %q", mo.value(p))
 		}
 	}
 }
@@ -108,18 +107,9 @@ func TestExecReduceGroupsAcrossOutputs(t *testing.T) {
 	a := ExecMap(spec, []byte("x y\n"))
 	b := ExecMap(spec, []byte("y z\n"))
 	out := ExecReduce(spec, 0, []*MapOutput{a, b})
-	got := map[string]string{}
-	for _, p := range out {
-		got[string(p.Key)] = string(p.Value)
-	}
-	if got["x"] != "1" || got["y"] != "2" || got["z"] != "1" {
-		t.Fatalf("reduce output = %v", got)
-	}
-	// Output must be key-sorted.
-	for i := 1; i < len(out); i++ {
-		if bytes.Compare(out[i-1].Key, out[i].Key) > 0 {
-			t.Fatal("reduce output not sorted")
-		}
+	// One line per key, key-sorted.
+	if string(out.Encoded) != "x\t1\ny\t2\nz\t1\n" || out.Records != 3 {
+		t.Fatalf("reduce output = %q (%d records)", out.Encoded, out.Records)
 	}
 }
 
@@ -143,12 +133,18 @@ func TestQuickMapReduceEquivalence(t *testing.T) {
 		}
 		got := map[string]int{}
 		for p := 0; p < nred; p++ {
-			for _, pr := range ExecReduce(spec, p, []*MapOutput{mo}) {
-				n, err := strconv.Atoi(string(pr.Value))
-				if err != nil {
+			// Words hold neither tab nor newline (bytes.Fields splits on
+			// both), so the encoded lines parse back unambiguously.
+			for _, line := range bytes.Split(ExecReduce(spec, p, []*MapOutput{mo}).Encoded, []byte("\n")) {
+				if len(line) == 0 {
+					continue
+				}
+				tab := bytes.LastIndexByte(line, '\t')
+				n, err := strconv.Atoi(string(line[tab+1:]))
+				if tab < 0 || err != nil {
 					return false
 				}
-				got[string(pr.Key)] = n
+				got[string(line[:tab])] = n
 			}
 		}
 		if len(got) != len(want) {
@@ -306,49 +302,23 @@ func TestFetchPartitionCosts(t *testing.T) {
 	}
 }
 
-func TestEncodePairsAndPartFileName(t *testing.T) {
-	got := EncodePairs([]Pair{{Key: []byte("k"), Value: []byte("v")}, {Key: []byte("a"), Value: []byte("2")}})
-	if string(got) != "k\tv\na\t2\n" {
-		t.Fatalf("EncodePairs = %q", got)
-	}
+func TestPartFileName(t *testing.T) {
 	if PartFileName("/out", 3) != "/out/part-00003" {
 		t.Fatalf("PartFileName = %q", PartFileName("/out", 3))
 	}
 }
 
-func TestGroupSortedYieldsEachKeyOnce(t *testing.T) {
-	in := []Pair{
-		{Key: []byte("a"), Value: []byte("1")},
-		{Key: []byte("a"), Value: []byte("2")},
-		{Key: []byte("b"), Value: []byte("3")},
-	}
+func TestGroupsYieldEachKeyOnce(t *testing.T) {
+	spec := wcSpec([]string{"/x"}, "/o")
+	outs := []*MapOutput{ExecMap(spec, []byte("a b\n")), ExecMap(spec, []byte("a\n"))}
 	var keys []string
 	var sizes []int
-	groupSorted(in, func(k []byte, vs [][]byte) {
+	m := newMerger(outs, 0)
+	m.groups(func(k []byte, vs [][]byte) {
 		keys = append(keys, string(k))
 		sizes = append(sizes, len(vs))
 	})
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" || sizes[0] != 2 || sizes[1] != 1 {
 		t.Fatalf("groups = %v %v", keys, sizes)
-	}
-}
-
-// Property: sortPairs is a permutation that yields sorted keys.
-func TestQuickSortPairs(t *testing.T) {
-	f := func(keys [][]byte) bool {
-		ps := make([]Pair, len(keys))
-		for i, k := range keys {
-			ps[i] = Pair{Key: k, Value: []byte{byte(i)}}
-		}
-		sortPairs(ps)
-		if len(ps) != len(keys) {
-			return false
-		}
-		return sort.SliceIsSorted(ps, func(i, j int) bool {
-			return bytes.Compare(ps[i].Key, ps[j].Key) < 0
-		})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -156,22 +156,27 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// The same guarantee holds with the MapCache in play (shared results across
-// concurrent workers).
+// The same guarantee holds with one MapCache shared by every run: the
+// sequential run stores the flat outputs, the parallel runs hit them, and
+// their reduces — two partitions, so two at a time — read the cached
+// indexes and stores concurrently. Flat outputs are immutable once stored;
+// under -race this is the proof.
 func TestWorkersDeterminismWithSharedCache(t *testing.T) {
+	cache := NewMapCache(1 << 28)
 	run := func(workers int) (sim.Time, []byte) {
 		rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
 		rt.Workers = workers
-		rt.MapCache = NewMapCache(1 << 28)
+		rt.MapCache = cache
 		defer rt.CloseWorkers()
 		var names []string
 		for i := 0; i < 6; i++ {
 			name := fmt.Sprintf("/in/f%d", i)
-			data := bytes.Repeat([]byte("cached words repeat here\n"), 4000)
+			data := bytes.Repeat([]byte(fmt.Sprintf("cached words repeat here %d\n", i%3)), 4000)
 			rt.DFS.PutInstant(name, data, rt.Cluster.Workers()[i%4])
 			names = append(names, name)
 		}
 		spec := wcSpec(names, "/out")
+		spec.NumReduces = 2
 		var res *Result
 		rt.Eng.After(0, func() {
 			Submit(rt, spec, ModeDistributed, func(r *Result) {
@@ -183,18 +188,31 @@ func TestWorkersDeterminismWithSharedCache(t *testing.T) {
 		if res == nil || res.Err != nil {
 			t.Fatalf("job failed: %+v", res)
 		}
-		out, err := rt.DFS.Contents(PartFileName("/out", 0))
-		if err != nil {
-			t.Fatal(err)
+		var out []byte
+		for p := 0; p < spec.NumReduces; p++ {
+			data, err := rt.DFS.Contents(PartFileName("/out", p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, data...)
 		}
 		return end, out
 	}
-	seqEnd, seqOut := run(1)
-	parEnd, parOut := run(8)
-	if seqEnd != parEnd {
-		t.Errorf("cached parallel run completion %v != sequential %v", parEnd, seqEnd)
+	seqEnd, seqOut := run(0)
+	if cache.Hits() != 0 || cache.Len() != 6 {
+		t.Fatalf("sequential run: %d hits, %d entries; want 0 and 6", cache.Hits(), cache.Len())
 	}
-	if !bytes.Equal(seqOut, parOut) {
-		t.Error("cached parallel run output differs")
+	for _, workers := range []int{4, 8} {
+		hits := cache.Hits()
+		parEnd, parOut := run(workers)
+		if seqEnd != parEnd {
+			t.Errorf("Workers=%d cached run completion %v != sequential %v", workers, parEnd, seqEnd)
+		}
+		if !bytes.Equal(seqOut, parOut) {
+			t.Errorf("Workers=%d cached run output differs", workers)
+		}
+		if cache.Hits() != hits+6 {
+			t.Errorf("Workers=%d: %d cache hits, want 6", workers, cache.Hits()-hits)
+		}
 	}
 }

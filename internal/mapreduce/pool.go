@@ -2,64 +2,14 @@ package mapreduce
 
 import "sync"
 
-// Scratch pools for the sort/merge/group hot path. Map and reduce
-// computations run on host worker goroutines (see parallel.go), so the
-// pools are sync.Pools rather than per-runtime free lists.
-//
-// Ownership discipline, which every call site below follows:
-//
-//   - only provably-dead slices are put back: a pre-combine partition
-//     after the combiner replaced it, a merge result after grouping
-//     consumed it, a runs table after the merge took its pick;
-//   - retained data (MapOutput.Partitions, reduce results, encoded
-//     output) may be *seeded* from a pool but is never put back — an
-//     array handed to retained data simply leaves the pool;
-//   - entries are cleared before pooling so stale Pair/value headers do
-//     not pin job data past its lifetime.
-
-var pairPool = sync.Pool{New: func() any { ps := make([]Pair, 0, 64); return &ps }}
-
-// getPairs returns an empty pair slice with at least the hinted capacity.
-func getPairs(capHint int) []Pair {
-	p := pairPool.Get().(*[]Pair)
-	if cap(*p) < capHint {
-		pairPool.Put(p)
-		return make([]Pair, 0, capHint)
-	}
-	return *p
-}
-
-// putPairs recycles a dead pair slice. The caller asserts nothing aliases
-// it anymore.
-func putPairs(ps []Pair) {
-	if cap(ps) == 0 {
-		return
-	}
-	clear(ps)
-	ps = ps[:0]
-	pairPool.Put(&ps)
-}
-
-var runsPool = sync.Pool{New: func() any { rs := make([][]Pair, 0, 16); return &rs }}
-
-// getRuns returns an empty run table with at least the hinted capacity.
-func getRuns(capHint int) [][]Pair {
-	p := runsPool.Get().(*[][]Pair)
-	if cap(*p) < capHint {
-		runsPool.Put(p)
-		return make([][]Pair, 0, capHint)
-	}
-	return *p
-}
-
-func putRuns(rs [][]Pair) {
-	if cap(rs) == 0 {
-		return
-	}
-	clear(rs)
-	rs = rs[:0]
-	runsPool.Put(&rs)
-}
+// The flat record path (record.go) keeps its pairs in pointer-free indexes
+// and byte slabs that belong to the output they were built for, so there is
+// nothing to hand back and no ownership rule to follow. The one piece of
+// scratch left is the values slice a merge fills per key for the reducer or
+// combiner. Map and reduce computations run on host worker goroutines (see
+// parallel.go), hence a sync.Pool rather than a per-runtime free list; the
+// slice is cleared before pooling so stale value headers do not pin a
+// finished job's stores.
 
 var valsPool = sync.Pool{New: func() any { vs := make([][]byte, 0, 64); return &vs }}
 

@@ -21,17 +21,6 @@ import (
 	"mrapid/internal/topology"
 )
 
-// Pair is one intermediate or output key/value record.
-type Pair struct {
-	Key   []byte
-	Value []byte
-}
-
-// Bytes returns the serialized size of the pair, the unit charged to disks
-// and networks. The +8 models the two length prefixes of Hadoop's
-// IFile format.
-func (p Pair) Bytes() int64 { return int64(len(p.Key)+len(p.Value)) + 8 }
-
 // Emit is the output callback handed to map, combine, and reduce functions.
 type Emit func(key, value []byte)
 

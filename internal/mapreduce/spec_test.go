@@ -147,10 +147,3 @@ func TestComputeTimes(t *testing.T) {
 		t.Fatalf("zero-rate reduce = %v", got)
 	}
 }
-
-func TestPairBytes(t *testing.T) {
-	p := Pair{Key: []byte("ab"), Value: []byte("cde")}
-	if p.Bytes() != 13 {
-		t.Fatalf("Bytes = %d, want 13 (2+3+8)", p.Bytes())
-	}
-}

@@ -419,10 +419,13 @@ func (c *compiler) materialize(src *source) (*Stage, error) {
 // empty state (count 0) instead of silently aggregating as 0, and ticks the
 // skipped counter; COUNT counts rows regardless.
 func encodeAggStates(row Row, aggIdx []int, aggs []Agg, skipped *atomic.Int64) []byte {
-	parts := make([]string, len(aggs))
+	buf := make([]byte, 0, 24*len(aggs))
 	for i := range aggs {
+		if i > 0 {
+			buf = append(buf, colSep...)
+		}
 		if aggs[i].Kind == AggCount {
-			parts[i] = "1,0,0,0"
+			buf = append(buf, "1,0,0,0"...)
 			continue
 		}
 		v, ok := numeric(row[aggIdx[i]])
@@ -430,12 +433,19 @@ func encodeAggStates(row Row, aggIdx []int, aggs []Agg, skipped *atomic.Int64) [
 			if skipped != nil {
 				skipped.Add(1)
 			}
-			parts[i] = "0,0,0,0"
+			buf = append(buf, "0,0,0,0"...)
 			continue
 		}
-		parts[i] = "1," + formatNum(v) + "," + formatNum(v) + "," + formatNum(v)
+		// One observation is its own sum, min and max.
+		n := formatNum(v)
+		buf = append(buf, "1,"...)
+		buf = append(buf, n...)
+		buf = append(buf, ',')
+		buf = append(buf, n...)
+		buf = append(buf, ',')
+		buf = append(buf, n...)
 	}
-	return []byte(strings.Join(parts, colSep))
+	return buf
 }
 
 func mergeAggStates(values [][]byte, n int) ([]int64, []float64, []float64, []float64, error) {
@@ -709,7 +719,11 @@ func sortKey(v string, desc bool) []byte {
 		if desc {
 			bits = ^bits
 		}
-		return []byte(fmt.Sprintf("n%016x", bits))
+		var digits [16]byte
+		hex := strconv.AppendUint(digits[:0], bits, 16)
+		key := append(make([]byte, 0, 17), 'n')
+		key = append(key, "0000000000000000"[len(hex):]...)
+		return append(key, hex...)
 	}
 	if desc {
 		// Descending strings: invert each byte, then close with a 0xff

@@ -2,10 +2,12 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -488,6 +490,52 @@ func TestSortKeyOrderPreserving(t *testing.T) {
 		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The hand-appended encodings are byte-for-byte the ones they replaced:
+// "n%016x" for numeric sort keys, and count,sum,min,max with the one
+// observation formatted three times for aggregate states. Stage outputs,
+// memo digests and every query golden depend on these bytes.
+func TestEncodingsMatchTheirFormattedForms(t *testing.T) {
+	key := func(v float64, desc bool) bool {
+		bits := math.Float64bits(v)
+		if v >= 0 {
+			bits |= 1 << 63
+		} else {
+			bits = ^bits
+		}
+		if desc {
+			bits = ^bits
+		}
+		return string(sortKey(strconv.FormatFloat(v, 'g', -1, 64), desc)) == fmt.Sprintf("n%016x", bits)
+	}
+	if err := quick.Check(key, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{0, 1, -1, 1e-300, -1e-300, 255.5} { // leading zeros either way
+		if !key(v, false) || !key(v, true) {
+			t.Fatalf("sortKey(%g) lost its zero padding", v)
+		}
+	}
+	aggs := []Agg{Count(), Sum("x"), Min("y"), Avg("z")}
+	state := func(x, y float64) bool {
+		row := Row{formatNum(x), formatNum(y), "not a number"}
+		var parts []string
+		for i, a := range aggs {
+			switch v, ok := numeric(row[max(i-1, 0)]); {
+			case a.Kind == AggCount:
+				parts = append(parts, "1,0,0,0")
+			case !ok:
+				parts = append(parts, "0,0,0,0")
+			default:
+				parts = append(parts, "1,"+formatNum(v)+","+formatNum(v)+","+formatNum(v))
+			}
+		}
+		return string(encodeAggStates(row, []int{0, 0, 1, 2}, aggs, nil)) == strings.Join(parts, colSep)
+	}
+	if err := quick.Check(state, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

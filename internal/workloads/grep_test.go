@@ -10,16 +10,10 @@ import (
 
 func TestGrepSearchMapFiltersAndCounts(t *testing.T) {
 	spec := GrepSearchSpec("g", []string{"/in"}, "/out", "err")
-	var pairs []mapreduce.Pair
-	mapreduce.LineFormat{}.Scan([]byte("error noise err again\nerrand clean\n"), func(k, v []byte) {
-		spec.Map(k, v, func(key, val []byte) {
-			pairs = append(pairs, mapreduce.Pair{Key: key, Value: val})
-		})
-	})
 	got := map[string]int{}
-	for _, p := range pairs {
-		got[string(p.Key)]++
-	}
+	mapreduce.LineFormat{}.Scan([]byte("error noise err again\nerrand clean\n"), func(k, v []byte) {
+		spec.Map(k, v, func(key, _ []byte) { got[string(key)]++ })
+	})
 	want := map[string]int{"error": 1, "err": 1, "errand": 1}
 	if len(got) != len(want) {
 		t.Fatalf("matches = %v", got)
@@ -39,9 +33,10 @@ func TestGrepSortSpecOrdersDescending(t *testing.T) {
 	out := mapreduce.ExecReduce(spec, 0, []*mapreduce.MapOutput{mo})
 	var counts []string
 	var words []string
-	for _, p := range out {
-		counts = append(counts, string(p.Key))
-		words = append(words, string(p.Value))
+	for _, line := range strings.Split(strings.TrimSuffix(string(out.Encoded), "\n"), "\n") {
+		count, word, _ := strings.Cut(line, "\t")
+		counts = append(counts, count)
+		words = append(words, word)
 	}
 	if strings.Join(words, ",") != "zebra,mid,apple" {
 		t.Fatalf("order = %v (%v)", words, counts)

@@ -134,14 +134,7 @@ func TestTeraSampleToSortPipeline(t *testing.T) {
 		}
 		sampleOuts = append(sampleOuts, mapreduce.ExecMap(sample, data))
 	}
-	var out bytes.Buffer
-	for _, p := range mapreduce.ExecReduce(sample, 0, sampleOuts) {
-		out.Write(p.Key)
-		out.WriteByte('\t')
-		out.Write(p.Value)
-		out.WriteByte('\n')
-	}
-	d.PutInstant(mapreduce.PartFileName("/sample", 0), out.Bytes(), c.Workers()[0])
+	d.PutInstant(mapreduce.PartFileName("/sample", 0), mapreduce.ExecReduce(sample, 0, sampleOuts).Encoded, c.Workers()[0])
 
 	// Stage 2: cut points from the sample, then the sort.
 	const reduces = 4
@@ -161,11 +154,14 @@ func TestTeraSampleToSortPipeline(t *testing.T) {
 	var counted int64
 	var prev []byte
 	for p := 0; p < reduces; p++ {
-		for _, pr := range mapreduce.ExecReduce(sortSpec, p, sortOuts) {
-			if prev != nil && bytes.Compare(prev, pr.Key) > 0 {
-				t.Fatalf("partition %d breaks the total order: %q > %q", p, prev, pr.Key)
+		// Fixed-width lines: key, tab, value, newline.
+		const line = TeraKeyLen + 1 + TeraValueLen + 1
+		for out := mapreduce.ExecReduce(sortSpec, p, sortOuts).Encoded; len(out) >= line; out = out[line:] {
+			key := out[:TeraKeyLen]
+			if prev != nil && bytes.Compare(prev, key) > 0 {
+				t.Fatalf("partition %d breaks the total order: %q > %q", p, prev, key)
 			}
-			prev = append(prev[:0], pr.Key...)
+			prev = append(prev[:0], key...)
 			counted++
 		}
 	}

@@ -61,16 +61,16 @@ func TestCorpusShape(t *testing.T) {
 // Property: parse(encode(counts)) round-trips through the job output format.
 func TestQuickWordCountOutputRoundTrip(t *testing.T) {
 	f := func(words []string) bool {
-		var pairs []mapreduce.Pair
+		var encoded []byte
 		want := map[string]int{}
 		for i, w := range words {
 			if w == "" || bytes.ContainsAny([]byte(w), "\t\n") {
 				continue
 			}
-			pairs = append(pairs, mapreduce.Pair{Key: []byte(w), Value: []byte(strconv.Itoa(i + 1))})
+			encoded = append(encoded, w+"\t"+strconv.Itoa(i+1)+"\n"...)
 			want[w] = i + 1
 		}
-		got, err := ParseWordCountOutput(mapreduce.EncodePairs(pairs))
+		got, err := ParseWordCountOutput(encoded)
 		if err != nil {
 			return false
 		}
@@ -93,16 +93,12 @@ func TestCountWordsAgainstMapReduceFunctions(t *testing.T) {
 	data := []byte("a b a\nc b a\n")
 	want := CountWords(data)
 	// Drive the map and reduce functions directly.
-	var inter []mapreduce.Pair
+	byKey := map[string][][]byte{}
 	mapreduce.LineFormat{}.Scan(data, func(k, v []byte) {
 		wordCountMap(k, v, func(key, val []byte) {
-			inter = append(inter, mapreduce.Pair{Key: key, Value: val})
+			byKey[string(key)] = append(byKey[string(key)], val)
 		})
 	})
-	byKey := map[string][][]byte{}
-	for _, p := range inter {
-		byKey[string(p.Key)] = append(byKey[string(p.Key)], p.Value)
-	}
 	got := map[string]int{}
 	for k, vs := range byKey {
 		wordCountReduce([]byte(k), vs, func(key, val []byte) {
@@ -312,16 +308,14 @@ func TestHaltonUniformity(t *testing.T) {
 }
 
 func TestPiMapScalesVirtualSamples(t *testing.T) {
-	var pairs []mapreduce.Pair
-	piMap(nil, []byte("0,100000000"), func(k, v []byte) {
-		pairs = append(pairs, mapreduce.Pair{Key: k, Value: v})
-	})
-	if len(pairs) != 2 {
-		t.Fatalf("pi map emitted %d pairs", len(pairs))
+	var values [][]byte
+	piMap(nil, []byte("0,100000000"), func(_, v []byte) { values = append(values, v) })
+	if len(values) != 2 {
+		t.Fatalf("pi map emitted %d pairs", len(values))
 	}
 	var total int64
-	for _, p := range pairs {
-		n, err := strconv.ParseInt(string(p.Value), 10, 64)
+	for _, v := range values {
+		n, err := strconv.ParseInt(string(v), 10, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
