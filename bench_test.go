@@ -11,14 +11,21 @@
 package mrapid_test
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
 	"mrapid/internal/bench"
+	"mrapid/internal/core"
+	"mrapid/internal/costmodel"
+	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/sim"
+	"mrapid/internal/topology"
 	"mrapid/internal/workloads"
+	"mrapid/internal/yarn"
 )
 
 // benchScale reads MRAPID_BENCH_SCALE (default 0.25).
@@ -262,5 +269,89 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 		}
 		b.ReportMetric(first, "speculative-vsec")
 		b.ReportMetric(second, "history-vsec")
+	}
+}
+
+// BenchmarkDPlusAllocateTenantQueues measures one D+ allocate heartbeat
+// (Algorithm 1 answering 8 asks that carry node and rack hints) on the
+// cluster_stream shape: 256 nodes in 8 racks with three tenant queues of
+// 0.7/3 each. With queues configured every candidate placement asks the RM
+// whether the tenant's ceiling allows it, which is the cost a probe without
+// queues never sees. A fresh RM every 64 calls keeps the 512 containers
+// inside each tenant's share.
+func BenchmarkDPlusAllocateTenantQueues(b *testing.B) {
+	const tenants, perBeat, beatsPerRM = 3, 8, 64
+	var (
+		rm    *yarn.RM
+		sched *core.DPlusScheduler
+		apps  [tenants]*yarn.App
+		beats [beatsPerRM][]*yarn.Ask
+	)
+	fresh := func() {
+		eng := sim.NewEngine()
+		cluster, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 256, Racks: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched = core.NewDPlusScheduler(core.FullDPlus())
+		rm = yarn.NewRM(eng, cluster, costmodel.Default(), sched)
+		queues := make([]yarn.QueueConfig, tenants)
+		for i := range queues {
+			queues[i] = yarn.QueueConfig{Name: fmt.Sprintf("tenant-%d", i), Capacity: 0.7 / tenants}
+		}
+		if err := rm.ConfigureQueues(queues); err != nil {
+			b.Fatal(err)
+		}
+		for i, q := range queues {
+			apps[i] = rm.NewAppInQueue("bench", q.Name)
+		}
+		workers := cluster.Workers()
+		for i := range beats {
+			beats[i] = make([]*yarn.Ask, perBeat)
+			for a := range beats[i] {
+				n := workers[(i*perBeat+a)*31%len(workers)]
+				beats[i][a] = &yarn.Ask{
+					App: apps[i%tenants], Resource: topology.Resource{VCores: 1, MemoryMB: 1024},
+					PreferredNodes: []*topology.Node{n}, PreferredRacks: []string{n.Rack}, Tag: "map",
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		beat := i % beatsPerRM
+		if beat == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		if got := sched.OnAllocate(rm, apps[beat%tenants], beats[beat]); len(got) != perBeat {
+			b.Fatalf("beat %d granted %d of %d asks", beat, len(got), perBeat)
+		}
+	}
+}
+
+// BenchmarkUploadArtifacts measures staging one job's jar and configuration
+// into HDFS — step 1 of every submission — including the virtual-time events
+// of the two pipeline writes. Restaging under one name keeps the namespace
+// at two files, so the number is the steady per-job cost.
+func BenchmarkUploadArtifacts(b *testing.B) {
+	eng := sim.NewEngine()
+	cluster, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 4, Racks: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := costmodel.Default()
+	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, 1)
+	rt := mapreduce.NewRuntime(eng, cluster, dfs, yarn.NewRM(eng, cluster, params, yarn.NewStockScheduler()), params)
+	spec := &mapreduce.JobSpec{Name: "bench"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rt.UploadArtifacts(spec, func(err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+		eng.Run()
 	}
 }

@@ -26,6 +26,7 @@ func chaosRuntime(t testing.TB, seed int64) *mapreduce.Runtime {
 	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, seed)
 	rm := yarn.NewRM(eng, cluster, params, NewDPlusScheduler(FullDPlus()))
 	rm.Start()
+	checkViewAtTeardown(t, rm)
 	return mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
 }
 

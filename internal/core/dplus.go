@@ -6,7 +6,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mrapid/internal/topology"
 	"mrapid/internal/yarn"
@@ -44,6 +45,10 @@ func FullDPlus() DPlusOptions {
 type DPlusScheduler struct {
 	opts  DPlusOptions
 	queue []*yarn.Ask // asks the cluster could not satisfy yet
+
+	// sorted is allocate's scratch: the live nodes in the current tier's
+	// order, kept between calls so a heartbeat allocates no node slice.
+	sorted []*yarn.NodeTracker
 }
 
 // NewDPlusScheduler builds the scheduler with the given toggles.
@@ -105,20 +110,27 @@ func (s *DPlusScheduler) allocate(rm *yarn.RM, requester *yarn.App) []*yarn.Cont
 	// awareness everything is ANY.
 	tiers := []yarn.Locality{yarn.NodeLocal, yarn.RackLocal, yarn.Any}
 	if !s.opts.LocalityAware {
-		tiers = []yarn.Locality{yarn.Any}
+		tiers = tiers[2:]
+	}
+
+	// stale says the sort keys moved since s.sorted was ordered. Only a grant
+	// moves them (a node's Avail, and through the totals the dominant
+	// dimension), so a tier that follows one that granted nothing walks the
+	// same order without sorting again: a stable sort is a function of the
+	// keys and the starting order alone.
+	stale := true
+	grant := func(ask *yarn.Ask, nt *yarn.NodeTracker) {
+		c := rm.Grant(ask, nt)
+		stale = true
+		ask.App.RemovePending(ask)
+		if requester != nil && ask.App == requester && !ask.IsDirect() {
+			granted = append(granted, c)
+		} else {
+			ask.Deliver(c)
+		}
 	}
 
 	for _, tier := range tiers {
-		// Lines 3–4: decide the dominant resource and sort nodes by
-		// available dominant resource, descending, so relatively idle nodes
-		// come first.
-		nodes := append([]*yarn.NodeTracker(nil), trackers...)
-		if s.opts.BalancedSpread {
-			dominant := topology.DominantOf(rm.TotalUsed(), rm.TotalCapacity())
-			sort.SliceStable(nodes, func(i, j int) bool {
-				return dominant.Of(nodes[i].Avail) > dominant.Of(nodes[j].Avail)
-			})
-		}
 		// Lines 5–16, adapted to the paper's round-robin description: sweep
 		// the sorted nodes granting at most one matching ask per node per
 		// sweep, repeating until a full sweep grants nothing. (A literal
@@ -126,19 +138,22 @@ func (s *DPlusScheduler) allocate(rm *yarn.RM, requester *yarn.App) []*yarn.Cont
 		// contradicts the paper's own "spreads tasks ... uniformly" and
 		// "round-robin technique" discussion; we follow the prose. The
 		// BalancedSpread=false ablation restores the literal greedy packing.)
-		grant := func(ask *yarn.Ask, nt *yarn.NodeTracker) {
-			c := rm.Grant(ask, nt)
-			ask.App.RemovePending(ask)
-			if requester != nil && ask.App == requester && !ask.IsDirect() {
-				granted = append(granted, c)
-			} else {
-				ask.Deliver(c)
-			}
-		}
 		if s.opts.BalancedSpread {
+			if stale {
+				// Lines 3–4: decide the dominant resource and sort nodes by
+				// available dominant resource, descending, so relatively idle
+				// nodes come first. Every sort starts from the RM's order, so
+				// ties fall the same way in every tier.
+				dominant := topology.DominantOf(rm.TotalUsed(), rm.TotalCapacity())
+				s.sorted = append(s.sorted[:0], trackers...)
+				slices.SortStableFunc(s.sorted, func(a, b *yarn.NodeTracker) int {
+					return cmp.Compare(dominant.Of(b.Avail), dominant.Of(a.Avail))
+				})
+				stale = false
+			}
 			for {
 				progress := false
-				for _, nt := range nodes {
+				for _, nt := range s.sorted {
 					if ask := s.takeMatch(rm, nt, tier); ask != nil {
 						grant(ask, nt)
 						progress = true
@@ -149,7 +164,7 @@ func (s *DPlusScheduler) allocate(rm *yarn.RM, requester *yarn.App) []*yarn.Cont
 				}
 			}
 		} else {
-			for _, nt := range nodes {
+			for _, nt := range trackers {
 				for {
 					ask := s.takeMatch(rm, nt, tier)
 					if ask == nil {

@@ -26,7 +26,19 @@ func newRuntime(t testing.TB, instance topology.InstanceType, workers int, sched
 	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, 42)
 	rm := yarn.NewRM(eng, cluster, params, sched)
 	rm.Start()
+	checkViewAtTeardown(t, rm)
 	return mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+}
+
+// checkViewAtTeardown is conservation at teardown: whatever the test did to
+// the cluster, the RM's incremental resource view must still equal a
+// recomputation.
+func checkViewAtTeardown(t testing.TB, rm *yarn.RM) {
+	t.Cleanup(func() {
+		if err := rm.CheckView(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func oneContainer() topology.Resource { return topology.Resource{VCores: 1, MemoryMB: 1024} }
@@ -103,7 +115,7 @@ func TestDPlusLocalityTiersPreferRackOverAny(t *testing.T) {
 	pref := rt.Cluster.Workers()[0] // rack-0, as is worker 2
 	// Fill the preferred node completely so NodeLocal is impossible.
 	nt := rt.RM.TrackerFor(pref)
-	nt.Allocate(nt.Avail)
+	rt.RM.Grant(&yarn.Ask{App: rt.RM.NewApp("filler"), Resource: nt.Avail, Tag: "fill"}, nt)
 	ask := &yarn.Ask{
 		App: app, Resource: oneContainer(),
 		PreferredNodes: []*topology.Node{pref},

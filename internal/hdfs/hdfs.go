@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
@@ -153,13 +154,15 @@ func (d *DFS) Rename(oldName, newName string) error {
 
 // RenamePrefix renames every file under oldPrefix to the corresponding name
 // under newPrefix (directory rename). It returns the number of files moved.
+// Files move in name order, so which rename fails first is deterministic.
 func (d *DFS) RenamePrefix(oldPrefix, newPrefix string) (int, error) {
 	var moved []string
-	for _, name := range d.List() {
-		if len(name) >= len(oldPrefix) && name[:len(oldPrefix)] == oldPrefix {
+	for name := range d.files {
+		if strings.HasPrefix(name, oldPrefix) {
 			moved = append(moved, name)
 		}
 	}
+	sort.Strings(moved)
 	for _, name := range moved {
 		if err := d.Rename(name, newPrefix+name[len(oldPrefix):]); err != nil {
 			return 0, err
@@ -171,8 +174,8 @@ func (d *DFS) RenamePrefix(oldPrefix, newPrefix string) (int, error) {
 // DeletePrefix removes every file under the prefix and reports how many.
 func (d *DFS) DeletePrefix(prefix string) int {
 	n := 0
-	for _, name := range d.List() {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
+	for name := range d.files {
+		if strings.HasPrefix(name, prefix) {
 			delete(d.files, name)
 			n++
 		}

@@ -69,6 +69,10 @@ type Runtime struct {
 
 	pool *WorkerPool
 
+	// zeros is the one immutable all-zero buffer every staged job artifact
+	// is a view of (see UploadArtifacts).
+	zeros []byte
+
 	// h caches pre-resolved metric handles for the per-attempt and
 	// per-fetch paths; see handles().
 	h rtHandles
@@ -847,6 +851,13 @@ func ConfPath(spec *JobSpec) string { return "/staging/" + spec.Name + "/job.xml
 // client (master) node, charged as real writes — step 1 of the flow. A
 // resubmission of the same job name replaces the previous staging files
 // (each submission pays the upload, as each Hadoop job ID stages afresh).
+//
+// The artifacts carry a size, not content: nothing ever looks inside a jar,
+// so both files are capacity-clipped views of rt.zeros. HDFS blocks alias the
+// bytes they are given, Append copies before it grows a block and readers
+// treat what they get as immutable, so the views charge, place and digest
+// exactly as freshly allocated buffers would while no job allocates or pins
+// its own megabytes.
 func (rt *Runtime) UploadArtifacts(spec *JobSpec, done func(error)) {
 	for _, name := range []string{JarPath(spec), ConfPath(spec)} {
 		if rt.DFS.Exists(name) {
@@ -856,8 +867,11 @@ func (rt *Runtime) UploadArtifacts(spec *JobSpec, done func(error)) {
 			}
 		}
 	}
-	jar := make([]byte, rt.Params.JobJarBytes)
-	conf := make([]byte, rt.Params.JobConfBytes)
+	if n := max(rt.Params.JobJarBytes, rt.Params.JobConfBytes); int64(len(rt.zeros)) < n {
+		rt.zeros = make([]byte, n)
+	}
+	jar := rt.zeros[:rt.Params.JobJarBytes:rt.Params.JobJarBytes]
+	conf := rt.zeros[:rt.Params.JobConfBytes:rt.Params.JobConfBytes]
 	rt.DFS.Write(JarPath(spec), jar, rt.Cluster.Master(), func(_ *hdfs.File, err error) {
 		if err != nil {
 			done(err)

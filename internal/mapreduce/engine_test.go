@@ -26,6 +26,13 @@ func newTestRuntime(t *testing.T, instance topology.InstanceType, workers int, s
 	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, 42)
 	rm := yarn.NewRM(eng, cluster, params, sched)
 	rm.Start()
+	// Conservation at teardown: whatever the test did to the cluster, the
+	// RM's incremental resource view must still equal a recomputation.
+	t.Cleanup(func() {
+		if err := rm.CheckView(); err != nil {
+			t.Error(err)
+		}
+	})
 	return NewRuntime(eng, cluster, dfs, rm, params)
 }
 

@@ -115,3 +115,44 @@ func TestQuickRebootResyncLosesContainers(t *testing.T) {
 		t.Fatalf("rebooted node live=%v avail=%v cap=%v", nt.Live, nt.Avail, nt.Cap)
 	}
 }
+
+// Expiry takes a node out of the live list, the capacity total and every
+// tenant's absolute limit at once, and re-admission puts it back the same
+// way: a request that fits a tenant's share of four nodes is refused while
+// only three are schedulable and allowed again once the fourth returns.
+func TestExpiryAndReadmitMoveCapacityAndQueueVerdict(t *testing.T) {
+	eng, c, rm := testRM(t, 4) // 4×A3: 28 vcores, 28672 MB
+	if err := rm.ConfigureQueues([]QueueConfig{
+		{Name: "default", Capacity: 0.5}, {Name: "tenant", Capacity: 0.5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	app := rm.NewAppInQueue("j", "tenant")
+	want := oneContainer().Scale(12) // ≤ half of 28, > half of 21
+	victim := c.Workers()[2]
+	check := func(when string, nodes int, allows bool) {
+		t.Helper()
+		if got := len(rm.Trackers()); got != nodes {
+			t.Fatalf("%s: %d live nodes, want %d", when, got, nodes)
+		}
+		if got, exp := rm.TotalCapacity(), victim.Capacity().Scale(nodes); got != exp {
+			t.Fatalf("%s: TotalCapacity = %v, want %v", when, got, exp)
+		}
+		if got := rm.QueueAllows(app, want); got != allows {
+			t.Fatalf("%s: QueueAllows(%v) = %v, want %v", when, want, got, allows)
+		}
+		if err := rm.CheckView(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("before the crash", 4, true)
+	eng.After(time.Second, victim.Fail)
+	eng.After(15*time.Second, victim.Restart)
+	eng.RunUntil(sim.Time(10 * time.Second))
+	check("after expiry", 3, false)
+	eng.RunUntil(sim.Time(30 * time.Second))
+	check("after re-admission", 4, true)
+	if used := rm.TotalUsed(); !used.Zero() {
+		t.Fatalf("re-admitted node came back with %v allocated", used)
+	}
+}

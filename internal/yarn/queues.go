@@ -19,13 +19,24 @@ type QueueConfig struct {
 // are not configured at all.
 const DefaultQueue = "default"
 
-// queues tracks per-queue usage against configured capacity ceilings. This
-// models hard capacities (CapacityScheduler with maximum-capacity equal to
+// queue tracks one tenant's usage against its capacity ceiling. This models
+// hard capacities (CapacityScheduler with maximum-capacity equal to
 // capacity); elastic over-capacity borrowing is out of scope for the
 // paper's experiments, which run a single tenant.
-type queues struct {
-	capacity map[string]float64
-	used     map[string]topology.Resource
+type queue struct {
+	frac float64
+	// limit is frac of the live cluster capacity, each dimension truncated
+	// to an integer. rebuildView recomputes it when membership changes; a
+	// grant or release moves only used.
+	limit topology.Resource
+	used  topology.Resource
+}
+
+func (q *queue) limitOf(total topology.Resource) topology.Resource {
+	return topology.Resource{
+		VCores:   int(float64(total.VCores) * q.frac),
+		MemoryMB: int(float64(total.MemoryMB) * q.frac),
+	}
 }
 
 // ConfigureQueues installs tenant queues on the RM. Capacities must each be
@@ -35,7 +46,7 @@ func (rm *RM) ConfigureQueues(configs []QueueConfig) error {
 	if len(configs) == 0 {
 		return fmt.Errorf("yarn: ConfigureQueues needs at least one queue")
 	}
-	capacity := make(map[string]float64, len(configs))
+	queues := make(map[string]*queue, len(configs))
 	var sum float64
 	for _, c := range configs {
 		if c.Name == "" {
@@ -44,25 +55,26 @@ func (rm *RM) ConfigureQueues(configs []QueueConfig) error {
 		if c.Capacity <= 0 || c.Capacity > 1 {
 			return fmt.Errorf("yarn: queue %q capacity %v outside (0,1]", c.Name, c.Capacity)
 		}
-		if _, dup := capacity[c.Name]; dup {
+		if _, dup := queues[c.Name]; dup {
 			return fmt.Errorf("yarn: duplicate queue %q", c.Name)
 		}
-		capacity[c.Name] = c.Capacity
+		queues[c.Name] = &queue{frac: c.Capacity}
 		sum += c.Capacity
 	}
 	if sum > 1.0+1e-9 {
 		return fmt.Errorf("yarn: queue capacities sum to %v > 1", sum)
 	}
-	rm.queues = &queues{capacity: capacity, used: make(map[string]topology.Resource)}
+	rm.queues = queues
+	rm.rebuildView()
 	return nil
 }
 
-// queueOf resolves an app's effective queue.
-func queueOf(app *App) string {
+// queueOf resolves an app's queue; nil when the name is not configured.
+func (rm *RM) queueOf(app *App) *queue {
 	if app.Queue == "" {
-		return DefaultQueue
+		return rm.queues[DefaultQueue]
 	}
-	return app.Queue
+	return rm.queues[app.Queue]
 }
 
 // QueueAllows reports whether granting r to the app would keep its queue
@@ -71,44 +83,32 @@ func (rm *RM) QueueAllows(app *App, r topology.Resource) bool {
 	if rm.queues == nil {
 		return true
 	}
-	q := queueOf(app)
-	frac, ok := rm.queues.capacity[q]
-	if !ok {
-		return false
-	}
-	total := rm.TotalCapacity()
-	limit := topology.Resource{
-		VCores:   int(float64(total.VCores) * frac),
-		MemoryMB: int(float64(total.MemoryMB) * frac),
-	}
-	want := rm.queues.used[q].Add(r)
-	return want.FitsIn(limit)
+	q := rm.queueOf(app)
+	return q != nil && q.used.Add(r).FitsIn(q.limit)
 }
 
 // QueueUsed reports a queue's current allocation.
 func (rm *RM) QueueUsed(name string) topology.Resource {
-	if rm.queues == nil {
-		return topology.Resource{}
+	if q := rm.queues[name]; q != nil {
+		return q.used
 	}
-	return rm.queues.used[name]
+	return topology.Resource{}
 }
 
 // chargeQueue and creditQueue keep per-queue accounting in step with
 // grants and releases.
 func (rm *RM) chargeQueue(app *App, r topology.Resource) {
-	if rm.queues == nil {
-		return
+	if rm.queues != nil {
+		q := rm.queueOf(app)
+		q.used = q.used.Add(r)
 	}
-	q := queueOf(app)
-	rm.queues.used[q] = rm.queues.used[q].Add(r)
 }
 
 func (rm *RM) creditQueue(app *App, r topology.Resource) {
-	if rm.queues == nil {
-		return
+	if rm.queues != nil {
+		q := rm.queueOf(app)
+		q.used = q.used.Sub(r)
 	}
-	q := queueOf(app)
-	rm.queues.used[q] = rm.queues.used[q].Sub(r)
 }
 
 // ValidQueue reports whether the queue name is submittable.
@@ -117,9 +117,8 @@ func (rm *RM) ValidQueue(name string) bool {
 		return name == "" || name == DefaultQueue
 	}
 	if name == "" {
-		_, ok := rm.queues.capacity[DefaultQueue]
-		return ok
+		name = DefaultQueue
 	}
-	_, ok := rm.queues.capacity[name]
+	_, ok := rm.queues[name]
 	return ok
 }

@@ -34,6 +34,12 @@ type Metrics struct {
 // resource view (the Cluster Resource structure of the paper's Figure 3),
 // drives NodeManager heartbeats, and delegates placement to a pluggable
 // Scheduler.
+//
+// The view is maintained incrementally, so every question a scheduler asks
+// per ask per node (Trackers, TotalCapacity, TotalUsed, QueueAllows) is a
+// field read. Only the RM mutates it: debit and credit move a tracker's free
+// resources and the used total together, and rebuildView runs when a node
+// leaves or re-enters the schedulable cluster.
 type RM struct {
 	Eng     *sim.Engine
 	Cluster *topology.Cluster
@@ -49,9 +55,20 @@ type RM struct {
 	// latency histogram.
 	Reg *metrics.Registry
 
-	trackers  []*NodeTracker
+	trackers  []*NodeTracker // every worker, in cluster order, for good
 	trackerOf map[*topology.Node]*NodeTracker
-	nms       map[*topology.Node]*NM
+
+	// liveTrackers is the Live subset of trackers in the same order. It is
+	// replaced, never edited, on a membership change, so a slice a caller
+	// got from Trackers() before an expiry still lists what it listed then.
+	liveTrackers []*NodeTracker
+	// capacity sums Cap over liveTrackers. used sums Used over all trackers,
+	// which is the same as over the live ones: losing a node empties its
+	// tracker and Grant refuses a node that is not live.
+	capacity topology.Resource
+	used     topology.Resource
+
+	nms map[*topology.Node]*NM
 
 	nextContainer ContainerID
 	nextApp       int
@@ -64,7 +81,7 @@ type RM struct {
 	h rmHandles
 
 	// queues, when configured, enforces per-tenant capacity ceilings.
-	queues *queues
+	queues map[string]*queue
 }
 
 // NewRM builds a ResourceManager over the cluster's worker nodes.
@@ -84,7 +101,43 @@ func NewRM(eng *sim.Engine, cluster *topology.Cluster, params costmodel.Params, 
 		rm.trackerOf[n] = nt
 		rm.nms[n] = newNM(rm, n)
 	}
+	rm.rebuildView()
 	return rm
+}
+
+// rebuildView recomputes everything that depends on which nodes are live:
+// the live list, the capacity total and each tenant queue's absolute limit.
+// It runs at construction, on expiry, on re-admission and when queues are
+// configured — never on the grant path, where none of the three can change.
+func (rm *RM) rebuildView() {
+	live := make([]*NodeTracker, 0, len(rm.trackers))
+	var capacity topology.Resource
+	for _, nt := range rm.trackers {
+		if nt.Live {
+			live = append(live, nt)
+			capacity = capacity.Add(nt.Cap)
+		}
+	}
+	rm.liveTrackers, rm.capacity = live, capacity
+	for _, q := range rm.queues {
+		q.limit = q.limitOf(capacity)
+	}
+}
+
+// debit and credit are the only places a tracker's free resources move, so
+// the used total cannot drift from the per-node figures. Overcommit and
+// over-release panic: scheduler bugs must fail loudly.
+func (rm *RM) debit(nt *NodeTracker, r topology.Resource) {
+	nt.Avail = nt.Avail.Sub(r)
+	rm.used = rm.used.Add(r)
+}
+
+func (rm *RM) credit(nt *NodeTracker, r topology.Resource) {
+	nt.Avail = nt.Avail.Add(r)
+	if !nt.Avail.FitsIn(nt.Cap) {
+		panic(fmt.Sprintf("yarn: node %s over-released: %v > %v", nt.Node.Name, nt.Avail, nt.Cap))
+	}
+	rm.used = rm.used.Sub(r)
 }
 
 // rmHandles holds the pre-resolved metric handles for the RM's hot paths:
@@ -163,7 +216,11 @@ func (rm *RM) nodeHeartbeat(nt *NodeTracker) {
 	}
 	nt.lastHeartbeat = rm.Eng.Now()
 	if !nt.Live {
+		// Re-admission: the node re-enters the live list, the capacity total
+		// and every queue limit in one step. It comes back empty — the expiry
+		// (or the resync just above) already reset its tracker.
 		nt.Live = true
+		rm.rebuildView()
 		rm.Metrics.NodesRestored++
 		rm.Trace.Add("rm", "node %s re-admitted", nt.Node.Name)
 	}
@@ -172,7 +229,7 @@ func (rm *RM) nodeHeartbeat(nt *NodeTracker) {
 	// Releases reported by the NM free resources first, then the scheduler
 	// sees the NODE_STATUS_UPDATE.
 	for _, c := range nm.drainReleases() {
-		nt.Release(c.Resource)
+		rm.credit(nt, c.Resource)
 		rm.creditQueue(c.App, c.Resource)
 		delete(rm.live, c.ID)
 		rm.Metrics.Releases++
@@ -198,6 +255,7 @@ func (rm *RM) checkLiveness() {
 // its containers as lost to their owning applications.
 func (rm *RM) expireNode(nt *NodeTracker) {
 	nt.Live = false
+	rm.rebuildView()
 	rm.Metrics.NodesExpired++
 	rm.Trace.Add("rm", "node %s expired (no heartbeat for %s)", nt.Node.Name, rm.Params.NMExpiry)
 	rm.loseNodeContainers(nt, "node expired")
@@ -239,7 +297,7 @@ func (rm *RM) loseNodeContainers(nt *NodeTracker, why string) {
 			}
 		})
 	}
-	nt.Avail = nt.Cap
+	rm.credit(nt, nt.Used())
 }
 
 func (rm *RM) liveOnNode(n *topology.Node) []*Container {
@@ -256,16 +314,9 @@ func (rm *RM) liveOnNode(n *topology.Node) []*Container {
 
 // Trackers exposes the RM's per-node resource view — the Cluster Resource
 // structure the D+ scheduler allocates from. Expired nodes are excluded: a
-// dead node must never appear in the snapshot the D+ scheduler packs.
-func (rm *RM) Trackers() []*NodeTracker {
-	live := make([]*NodeTracker, 0, len(rm.trackers))
-	for _, nt := range rm.trackers {
-		if nt.Live {
-			live = append(live, nt)
-		}
-	}
-	return live
-}
+// dead node must never appear in the snapshot the D+ scheduler packs. The
+// slice is the RM's own and must not be modified; copy it to reorder it.
+func (rm *RM) Trackers() []*NodeTracker { return rm.liveTrackers }
 
 // TrackerFor returns the tracker for a worker node.
 func (rm *RM) TrackerFor(n *topology.Node) *NodeTracker { return rm.trackerOf[n] }
@@ -273,24 +324,12 @@ func (rm *RM) TrackerFor(n *topology.Node) *NodeTracker { return rm.trackerOf[n]
 // NMOn returns the NodeManager on a worker node.
 func (rm *RM) NMOn(n *topology.Node) *NM { return rm.nms[n] }
 
-// TotalUsed sums allocated resources across live nodes.
-func (rm *RM) TotalUsed() topology.Resource {
-	var u topology.Resource
-	for _, nt := range rm.Trackers() {
-		u = u.Add(nt.Used())
-	}
-	return u
-}
+// TotalUsed is the allocated resources across live nodes.
+func (rm *RM) TotalUsed() topology.Resource { return rm.used }
 
-// TotalCapacity sums live worker capacity (an expired node's resources are
+// TotalCapacity is the live worker capacity (an expired node's resources are
 // not schedulable, so tenant-queue ceilings shrink with it).
-func (rm *RM) TotalCapacity() topology.Resource {
-	var c topology.Resource
-	for _, nt := range rm.Trackers() {
-		c = c.Add(nt.Cap)
-	}
-	return c
-}
+func (rm *RM) TotalCapacity() topology.Resource { return rm.capacity }
 
 // NewApp registers an application record in the default queue.
 func (rm *RM) NewApp(name string) *App {
@@ -314,7 +353,10 @@ func (rm *RM) NewAppInQueue(name, queue string) *App {
 // the container reaches the app (buffered for the next AM heartbeat, direct
 // callback, or an immediate D+ response).
 func (rm *RM) Grant(ask *Ask, nt *NodeTracker) *Container {
-	nt.Allocate(ask.Resource)
+	if !nt.Live {
+		panic(fmt.Sprintf("yarn: grant on expired node %s", nt.Node.Name))
+	}
+	rm.debit(nt, ask.Resource)
 	rm.chargeQueue(ask.App, ask.Resource)
 	rm.nextContainer++
 	c := &Container{ID: rm.nextContainer, Node: nt.Node, Resource: ask.Resource, App: ask.App, Tag: ask.Tag}

@@ -111,7 +111,9 @@ func (a *Ask) LocalityOn(n *topology.Node) Locality {
 // NodeTracker is the ResourceManager's view of one node: its capacity and
 // currently unallocated resources. This collection is exactly the "Cluster
 // Resource" structure of the paper's Figure 3, which the D+ scheduler
-// consults to answer requests without waiting for node heartbeats.
+// consults to answer requests without waiting for node heartbeats. Schedulers
+// read it; only the RM writes it (Grant, heartbeat releases, node loss), so
+// its cluster-wide totals stay in step.
 type NodeTracker struct {
 	Node  *topology.Node
 	Cap   topology.Resource
@@ -127,20 +129,6 @@ type NodeTracker struct {
 	// happened entirely between two heartbeats (Hadoop's NM RESYNC).
 	lastHeartbeat sim.Time
 	epochSeen     int
-}
-
-// Allocate reserves r on the node. It panics on overcommit: scheduler bugs
-// must fail loudly.
-func (nt *NodeTracker) Allocate(r topology.Resource) {
-	nt.Avail = nt.Avail.Sub(r)
-}
-
-// Release returns r to the node.
-func (nt *NodeTracker) Release(r topology.Resource) {
-	nt.Avail = nt.Avail.Add(r)
-	if !nt.Avail.FitsIn(nt.Cap) {
-		panic(fmt.Sprintf("yarn: node %s over-released: %v > %v", nt.Node.Name, nt.Avail, nt.Cap))
-	}
 }
 
 // Used returns the allocated resources.

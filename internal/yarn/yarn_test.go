@@ -279,25 +279,23 @@ func TestAskLocalityOn(t *testing.T) {
 }
 
 func TestNodeTrackerAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	c, _ := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 1})
-	nt := &NodeTracker{Node: c.Workers()[0], Cap: c.Workers()[0].Capacity(), Avail: c.Workers()[0].Capacity()}
+	_, c, rm := testRM(t, 1)
+	nt := rm.TrackerFor(c.Workers()[0])
 	r := topology.Resource{VCores: 2, MemoryMB: 2048}
-	nt.Allocate(r)
-	if nt.Used() != r {
-		t.Fatalf("Used = %v", nt.Used())
+	rm.debit(nt, r)
+	if nt.Used() != r || rm.TotalUsed() != r {
+		t.Fatalf("Used = %v, TotalUsed = %v", nt.Used(), rm.TotalUsed())
 	}
-	nt.Release(r)
-	if !nt.Used().Zero() {
-		t.Fatalf("Used after release = %v", nt.Used())
+	rm.credit(nt, r)
+	if !nt.Used().Zero() || !rm.TotalUsed().Zero() {
+		t.Fatalf("after release Used = %v, TotalUsed = %v", nt.Used(), rm.TotalUsed())
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("over-release did not panic")
 		}
 	}()
-	nt.Release(r)
-	nt.Release(nt.Cap)
+	rm.credit(nt, r)
 }
 
 // Property: however many asks of whatever size arrive, no node tracker ever
