@@ -40,6 +40,7 @@ func TestTableII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	if len(fig.Points) != 3 {
 		t.Fatalf("rows = %d", len(fig.Points))
 	}
@@ -53,6 +54,7 @@ func TestFig7Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "hadoop", "uber", "dplus", "uplus")
 	if len(fig.Points) != 5 {
 		t.Fatalf("points = %d", len(fig.Points))
@@ -90,6 +92,7 @@ func TestFig8Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "hadoop", "uber", "dplus", "uplus")
 	// D+'s absolute gain over stock Hadoop grows with file size (the
 	// paper's "D+ gains more on larger file size").
@@ -105,6 +108,7 @@ func TestFig9Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "hadoop", "uber", "dplus", "uplus")
 	// With total input fixed, more files (more parallelism) never hurts
 	// the parallel modes: 4 splits beat 2 splits for D+ and U+.
@@ -121,6 +125,7 @@ func TestFig10Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "hadoop", "uber", "dplus", "uplus")
 	// TeraSort: U+ beats D+ throughout (the paper's "U+ is always better
 	// than the D+ mode" for this I/O-light, shuffle-heavy job).
@@ -137,6 +142,7 @@ func TestFig11Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "hadoop", "uber", "dplus", "uplus")
 	n := len(fig.Points)
 	// PI: at small sample counts stock-uber beats stock-distributed (no
@@ -164,6 +170,7 @@ func TestFig12Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "hadoop", "uber", "dplus", "uplus")
 	// Stock Hadoop degrades (or at worst stays flat, below the 1 s client
 	// poll quantum at small test scales) when two containers share a core;
@@ -186,6 +193,7 @@ func TestFig13Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "dplus@A2x10", "dplus@A3x5", "uplus@A2x10", "uplus@A3x5")
 	// U+ always prefers the fatter A3 nodes (more cores, faster disk).
 	for i, p := range fig.Points {
@@ -206,6 +214,7 @@ func TestFig14StackMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	if len(fig.Points) != 5 {
 		t.Fatalf("stack steps = %d", len(fig.Points))
 	}
@@ -231,6 +240,7 @@ func TestFig15StackMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	if len(fig.Points) != 5 {
 		t.Fatalf("stack steps = %d", len(fig.Points))
 	}
@@ -264,6 +274,7 @@ func TestEstimatorExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	requireColumns(t, fig, "dplus-measured", "uplus-measured", "dplus-estimate", "uplus-estimate")
 	if len(fig.Points) != 5 {
 		t.Fatalf("points = %d", len(fig.Points))
@@ -347,6 +358,7 @@ func TestDeterministicFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, a, Options{Scale: 0.05, Seed: 3})
 	for i := range a.Points {
 		for _, c := range a.Columns {
 			if a.Points[i].Seconds[c] != b.Points[i].Seconds[c] {

@@ -9,7 +9,8 @@ import (
 // DAG modes and a strict makespan win for the DAG; the test checks the
 // reported figure is shaped and signed as documented.
 func TestDAGQuerySmoke(t *testing.T) {
-	fig, err := DAGQuery(Options{Scale: 0.05, Seed: 7})
+	o := Options{Scale: 0.05, Seed: 7}
+	fig, err := DAGQuery(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,6 +18,11 @@ func TestDAGQuerySmoke(t *testing.T) {
 		t.Fatalf("points = %d, want 2", len(fig.Points))
 	}
 	chain, dag := fig.Points[0], fig.Points[1]
+	// The rows are pinned one by one as well: a change to how the sequential
+	// baseline runs may move "chain" and the notes, never "dag".
+	checkFigure(t, fig, o)
+	checkGolden(t, "dagquery scale=0.05 seed=7 row=chain", chain)
+	checkGolden(t, "dagquery scale=0.05 seed=7 row=dag", dag)
 	if chain.Label != "chain" || dag.Label != "dag" {
 		t.Fatalf("labels = %q, %q", chain.Label, dag.Label)
 	}
@@ -54,6 +60,8 @@ func TestDAGQueryDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "dagquery scale=0.05 seed=11 row=chain", a.Points[0])
+	checkGolden(t, "dagquery scale=0.05 seed=11 row=dag", a.Points[1])
 	for i := range a.Points {
 		for _, col := range a.Columns {
 			if a.Points[i].Seconds[col] != b.Points[i].Seconds[col] {

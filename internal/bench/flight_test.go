@@ -38,6 +38,9 @@ func TestFlightRecorderByteIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("recorder=%v workers=%d faults=%v: %v", recorder, workers, faults, err)
 				}
+				if workers == 0 {
+					checkWorkload(t, fmt.Sprintf("flight recorder=%v faults=%d", recorder, len(faults)), r)
+				}
 				if base == nil {
 					base = r.OutputHashes
 					continue

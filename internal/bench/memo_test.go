@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,6 +33,9 @@ func TestMemoByteIdentityGolden(t *testing.T) {
 				}
 				if !cache && r.MemoHits+r.MemoMisses != 0 {
 					t.Fatalf("cache-off run recorded lookups: %d/%d", r.MemoHits, r.MemoMisses)
+				}
+				if workers == 0 {
+					checkWorkload(t, fmt.Sprintf("memo cache=%v faults=%d", cache, len(faults)), r)
 				}
 				if base == nil {
 					base = r.OutputHashes
@@ -98,6 +102,7 @@ func TestMemoExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, Options{Scale: 0.05, Seed: 1})
 	if len(fig.Points) != 4 {
 		t.Fatalf("points = %d, want 4", len(fig.Points))
 	}

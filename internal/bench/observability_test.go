@@ -213,6 +213,7 @@ func TestPhaseBreakdownFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, Options{Scale: 0.05})
 	if len(fig.Points) != 5 {
 		t.Fatalf("points = %d, want 5 modes", len(fig.Points))
 	}

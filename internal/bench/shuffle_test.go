@@ -13,6 +13,7 @@ func TestShuffleExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, fig, testOpts())
 	cases := shuffleCases()
 	configs := shuffleConfigs()
 	if len(fig.Points) != len(cases)*len(configs) {

@@ -19,6 +19,7 @@ func TestThroughputSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
+		checkWorkload(t, "smoke policy="+string(policy), r)
 		if r.Jobs != 12 || r.Makespan <= 0 {
 			t.Fatalf("%s: degenerate result %+v", policy, r)
 		}
@@ -35,6 +36,11 @@ func TestThroughputSmoke(t *testing.T) {
 			}
 		}
 	}
+	fig, err := Throughput(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFigure(t, fig, o)
 }
 
 // TestThroughputDeterminism pins that the workload driver is a pure function
@@ -50,6 +56,7 @@ func TestThroughputDeterminism(t *testing.T) {
 		return r
 	}
 	a, b := run(), run()
+	checkWorkload(t, "determinism", a)
 	if a.Makespan != b.Makespan || a.P50 != b.P50 || a.P99 != b.P99 || a.MeanWait != b.MeanWait {
 		t.Fatalf("runs diverged:\n a=%+v\n b=%+v", a, b)
 	}

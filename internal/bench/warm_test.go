@@ -51,6 +51,14 @@ func TestWarmSweepSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	checkWorkload(t, "warm race-always", race)
+	checkWorkload(t, "warm calibrated", pred)
+	fig, err := Warm(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFigure(t, fig, o)
+
 	// The baseline raced everything; the calibrated run raced only until the
 	// class converged (MinRuns=3) and pre-decided the rest.
 	if race.Races != 10 || race.DirectPrediction != 0 {
