@@ -22,14 +22,17 @@
 //
 //	mrapid -job query -query-exec both
 //	mrapid -job query -query-exec dag -node-fail 'node-01@4s:20s'
+//
+// -cluster, -seed, -workers, -node-fail, -shuffle-service and -memo apply to
+// all three modes. A flag the selected mode cannot honour is an error (exit
+// status 2), never silently ignored.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
-	"strconv"
 
 	"mrapid/internal/bench"
 	"mrapid/internal/core"
@@ -45,68 +48,118 @@ import (
 	"mrapid/internal/yarn"
 )
 
-func main() {
-	var (
-		job      = flag.String("job", "wordcount", "workload: wordcount | terasort | pi | query")
-		mode     = flag.String("mode", "speculative", "mode: hadoop | uber | dplus | uplus | speculative")
-		cluster  = flag.String("cluster", "A3x4", "cluster: A3x4 | A2x9")
-		files    = flag.Int("files", 4, "wordcount/terasort input files")
-		sizeMB   = flag.Float64("size-mb", 10, "wordcount file size in MB")
-		rows     = flag.Int64("rows", 400_000, "terasort rows")
-		samples  = flag.Int64("samples", 400_000_000, "pi total samples")
-		maps     = flag.Int("maps", 4, "pi map tasks")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		workers  = flag.Int("workers", 0, "host worker threads for map/reduce computations: 0|1 sequential, >1 pool size, -1 all cores (virtual results are identical)")
-		verbose  = flag.Bool("verbose", false, "print per-task profile")
-		traceN   = flag.Int("trace", 0, "print the last N scheduling/task trace events")
-		nodeFail = flag.String("node-fail", "", "node-fault schedule 'node@at[:restartAfter]', comma-separated (e.g. 'node-02@5s:20s'); times measured from cluster-ready")
-		traceOut = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (load in Perfetto / chrome://tracing); with the flight recorder on, series ride along as counter lanes")
-		metOut   = flag.String("metrics-out", "", "write the phase report and metrics registry as JSON")
-		serOut   = flag.String("series-out", "", "enable the flight recorder and write its Prometheus series dump here")
-		dashOut  = flag.String("dash-out", "", "enable the flight recorder and write its HTML dashboard here")
-		phaseRep = flag.Bool("report", false, "print the critical-path phase-attribution report")
-		shuffle  = flag.Bool("shuffle-service", false, "attach the per-node consolidating shuffle service (one fetch per node & partition, in-node combine)")
-		memoOn   = flag.Bool("memo", false, "attach the cross-job memoization cache: repeat submissions of an identical job over unchanged inputs are served from the cache without launching anything (pairs well with -repeat and workload mode)")
-		codec    = flag.String("shuffle-codec", "none", "shuffle-service wire codec: none | lz")
-		jobs     = flag.Int("jobs", 1, "number of jobs; > 1 switches to multi-job workload mode through the JobServer")
-		tenants  = flag.Int("tenants", 2, "workload mode: tenant capacity queues the jobs are spread over")
-		arrival  = flag.String("arrival", "burst", "workload mode: arrival process — burst | uniform:<gap> | poisson:<mean>")
-		policy   = flag.String("policy", "fifo", "workload mode: admission policy — fifo | wfair | deadline")
-		predict  = flag.Bool("predict", false, "enable the calibrating estimator: confident workload classes skip the speculative dual-launch (workload mode: the whole stream runs speculative with prediction on)")
-		repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under fresh job keys, so the class estimator warms up and later runs can pre-decide")
-		showHist = flag.Bool("show-history", false, "print the execution-record history (exact-match entries and per-class calibration aggregates) after the run")
-		qexec    = flag.String("query-exec", "both", "query job: stage scheduling — chain | dag | both (compare)")
-	)
-	flag.Parse()
+var (
+	job      = flag.String("job", "wordcount", "workload: wordcount | terasort | pi | query")
+	mode     = flag.String("mode", "speculative", "mode: hadoop | uber | dplus | uplus | speculative")
+	cluster  = flag.String("cluster", "A3x4", "cluster: A3x4 | A2x9")
+	files    = flag.Int("files", 4, "wordcount/terasort input files")
+	sizeMB   = flag.Float64("size-mb", 10, "wordcount file size in MB")
+	rows     = flag.Int64("rows", 400_000, "terasort rows")
+	samples  = flag.Int64("samples", 400_000_000, "pi total samples")
+	maps     = flag.Int("maps", 4, "pi map tasks")
+	seed     = flag.Int64("seed", 1, "generator seed")
+	workers  = flag.Int("workers", 0, "host worker threads for map/reduce computations: 0|1 sequential, >1 pool size, -1 all cores (virtual results are identical)")
+	verbose  = flag.Bool("verbose", false, "print per-task profile (query job: every result row)")
+	traceN   = flag.Int("trace", 0, "print the last N scheduling/task trace events")
+	nodeFail = flag.String("node-fail", "", "node-fault schedule 'node@at[:restartAfter]', comma-separated (e.g. 'node-02@5s:20s'); times measured from cluster-ready")
+	traceOut = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (load in Perfetto / chrome://tracing); with the flight recorder on, series ride along as counter lanes")
+	metOut   = flag.String("metrics-out", "", "write the phase report and metrics registry as JSON")
+	serOut   = flag.String("series-out", "", "enable the flight recorder and write its Prometheus series dump here")
+	dashOut  = flag.String("dash-out", "", "enable the flight recorder and write its HTML dashboard here")
+	phaseRep = flag.Bool("report", false, "print the critical-path phase-attribution report")
+	shuffle  = flag.Bool("shuffle-service", false, "attach the per-node consolidating shuffle service (one fetch per node & partition, in-node combine)")
+	memoOn   = flag.Bool("memo", false, "attach the cross-job memoization cache: repeat submissions of an identical job over unchanged inputs are served from the cache without launching anything (pairs well with -repeat and workload mode)")
+	codec    = flag.String("shuffle-codec", "none", "shuffle-service wire codec: none | lz")
+	jobs     = flag.Int("jobs", 1, "number of jobs; > 1 switches to multi-job workload mode through the JobServer")
+	tenants  = flag.Int("tenants", 2, "workload mode: tenant capacity queues the jobs are spread over")
+	arrival  = flag.String("arrival", "burst", "workload mode: arrival process — burst | uniform:<gap> | poisson:<mean>")
+	policy   = flag.String("policy", "fifo", "workload mode: admission policy — fifo | wfair | deadline")
+	predict  = flag.Bool("predict", false, "enable the calibrating estimator: confident workload classes skip the speculative dual-launch (workload mode: the whole stream runs speculative with prediction on)")
+	repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under fresh job keys, so the class estimator warms up and later runs can pre-decide")
+	showHist = flag.Bool("show-history", false, "print the execution-record history (exact-match entries and per-class calibration aggregates) after the run")
+	qexec    = flag.String("query-exec", "both", "query job: stage scheduling — chain | dag | both (compare)")
+)
 
-	svc := shuffleSetting{Enabled: *shuffle, Codec: *codec}
+// runMode is what the command does with the cluster it builds.
+type runMode int
+
+const (
+	singleJob runMode = 1 << iota
+	workload
+	queryJob
+)
+
+var modeNames = map[runMode]string{singleJob: "a single job", workload: "-jobs N", queryJob: "-job query"}
+
+// honoured lists, for every flag that only some modes can honour, those
+// modes. Flags absent from it work everywhere.
+var honoured = map[string]runMode{
+	"mode": singleJob, "files": singleJob, "size-mb": singleJob, "rows": singleJob,
+	"samples": singleJob, "maps": singleJob, "trace": singleJob, "trace-out": singleJob,
+	"metrics-out": singleJob, "report": singleJob, "repeat": singleJob, "show-history": singleJob,
+	"verbose": singleJob | queryJob,
+	"predict": singleJob | workload, "series-out": singleJob | workload, "dash-out": singleJob | workload,
+	"jobs":    singleJob | workload,
+	"tenants": workload, "arrival": workload, "policy": workload,
+	"query-exec": queryJob,
+}
+
+// checkFlags names the first explicitly set flag the mode would ignore.
+func checkFlags(m runMode, set []string) error {
+	for _, name := range set {
+		if modes, ok := honoured[name]; ok && modes&m == 0 {
+			return fmt.Errorf("-%s has no effect with %s", name, modeNames[m])
+		}
+	}
+	return nil
+}
+
+func main() {
+	flag.Parse()
+	m := singleJob
 	if *job == "query" {
-		if err := runQuery(*cluster, *qexec, *seed, *workers, *nodeFail, svc, *verbose); err != nil {
-			fmt.Fprintf(os.Stderr, "mrapid: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		m = queryJob
+	} else if *jobs > 1 {
+		m = workload
 	}
-	if *jobs > 1 {
-		if err := runWorkload(*cluster, *jobs, *tenants, *arrival, *policy, *seed, *workers, *nodeFail, svc, *predict, *memoOn, *serOut, *dashOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mrapid: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(m, set); err != nil {
+		fmt.Fprintf(os.Stderr, "mrapid: %v\n", err)
+		os.Exit(2)
 	}
-	obs := observability{TraceOut: *traceOut, MetricsOut: *metOut, Report: *phaseRep, SeriesOut: *serOut, DashOut: *dashOut}
-	est := estimatorSetting{Predict: *predict, Repeat: *repeat, ShowHistory: *showHist}
-	if err := run(*job, *mode, *cluster, *files, *sizeMB, *rows, *samples, *maps, *seed, *workers, *verbose, *traceN, *nodeFail, svc, *memoOn, obs, est); err != nil {
+	if err := dispatch(m); err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// estimatorSetting groups the -predict/-repeat/-show-history flags.
-type estimatorSetting struct {
-	Predict     bool
-	Repeat      int
-	ShowHistory bool
+// dispatch turns the shared flags into the one cluster setup and run
+// description all three modes start from.
+func dispatch(m runMode) error {
+	mkSetup, ok := map[string]func() bench.ClusterSetup{"A3x4": bench.A3x4, "A2x9": bench.A2x9}[*cluster]
+	if !ok {
+		return fmt.Errorf("unknown cluster %q", *cluster)
+	}
+	setup := mkSetup()
+	setup.Seed = *seed
+	faults, err := mapreduce.ParseNodeFaults(*nodeFail)
+	if err != nil {
+		return err
+	}
+	opts := bench.Options{
+		Seed: *seed, HostWorkers: *workers, NodeFaults: faults,
+		ShuffleService: *shuffle, ShuffleCodec: *codec, MemoCache: *memoOn,
+		SeriesOut: *serOut, DashOut: *dashOut,
+		FlightRecorder: *serOut != "" || *dashOut != "",
+	}
+	switch m {
+	case queryJob:
+		return runQuery(setup, opts)
+	case workload:
+		return runWorkload(setup, opts)
+	}
+	return run(setup, opts)
 }
 
 // printHistory dumps the execution-record store: exact-match entries first,
@@ -125,55 +178,24 @@ func printHistory(h *core.History) {
 	}
 }
 
-// shuffleSetting groups the -shuffle-service/-shuffle-codec flags.
-type shuffleSetting struct {
-	Enabled bool
-	Codec   string
-}
-
 // runWorkload is the multi-job mode: a WordCount stream through the
 // JobServer on the chosen cluster, reported as a throughput/fairness table.
-func runWorkload(cluster string, jobs, tenants int, arrival, policy string, seed int64, workers int, nodeFail string, svc shuffleSetting, predict, memoOn bool, seriesOut, dashOut string) error {
-	var setup bench.ClusterSetup
-	switch cluster {
-	case "A3x4":
-		setup = bench.A3x4()
-	case "A2x9":
-		setup = bench.A2x9()
-	default:
-		return fmt.Errorf("unknown cluster %q", cluster)
-	}
-	setup.Seed = seed
-	faults, err := mapreduce.ParseNodeFaults(nodeFail)
-	if err != nil {
-		return err
-	}
-	var pol core.AdmissionPolicy
-	switch policy {
-	case "fifo":
-		pol = core.PolicyFIFO
-	case "wfair":
-		pol = core.PolicyWeightedFair
-	case "deadline":
-		pol = core.PolicyDeadline
-	default:
-		return fmt.Errorf("unknown admission policy %q (want fifo, wfair, or deadline)", policy)
-	}
-	opts := bench.Options{
-		Seed: seed, HostWorkers: workers, NodeFaults: faults,
-		ShuffleService: svc.Enabled, ShuffleCodec: svc.Codec, MemoCache: memoOn,
-		SeriesOut: seriesOut, DashOut: dashOut,
-		FlightRecorder: seriesOut != "" || dashOut != "",
+func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
+	pol, ok := map[string]core.AdmissionPolicy{
+		"fifo": core.PolicyFIFO, "wfair": core.PolicyWeightedFair, "deadline": core.PolicyDeadline,
+	}[*policy]
+	if !ok {
+		return fmt.Errorf("unknown admission policy %q (want fifo, wfair, or deadline)", *policy)
 	}
 	res, err := bench.RunThroughput(setup, bench.WorkloadConfig{
-		Jobs: jobs, Tenants: tenants, Arrival: arrival, Policy: pol,
-		Speculative: predict, Predict: predict, UniqueKeys: predict,
+		Jobs: *jobs, Tenants: *tenants, Arrival: *arrival, Policy: pol,
+		Speculative: *predict, Predict: *predict, UniqueKeys: *predict,
 	}, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workload: %d jobs, %d tenants, arrival=%s, policy=%s, cluster=%s\n",
-		res.Jobs, tenants, arrival, res.Policy, cluster)
+		res.Jobs, *tenants, *arrival, res.Policy, *cluster)
 	fmt.Printf("makespan: %.2f virtual seconds\n", res.Makespan)
 	fmt.Printf("job latency: p50=%.2fs p99=%.2fs  queue wait: mean=%.3fs\n", res.P50, res.P99, res.MeanWait)
 	fmt.Printf("fairness (Jain over per-tenant mean latency): %.4f\n", res.Fairness)
@@ -182,12 +204,12 @@ func runWorkload(cluster string, jobs, tenants int, arrival, policy string, seed
 		ts := res.Tenants[name]
 		fmt.Printf("  %-10s jobs=%-3d mean-latency=%.2fs mean-wait=%.3fs\n", name, ts.Jobs, ts.MeanLatency, ts.MeanWait)
 	}
-	if predict {
+	if *predict {
 		fmt.Printf("estimator: races=%d direct=%d (history=%d prediction=%d) slot-seconds=%.1f\n",
 			res.Races, res.DirectHistory+res.DirectPrediction, res.DirectHistory, res.DirectPrediction, res.SlotSeconds)
 		fmt.Printf("prediction: mean-rel-error=%.3f regret=%d\n", res.PredErrMean, res.Regret)
 	}
-	if memoOn {
+	if *memoOn {
 		fmt.Printf("memo cache: hits=%d misses=%d\n", res.MemoHits, res.MemoMisses)
 	}
 	if res.SLO != nil {
@@ -198,128 +220,45 @@ func runWorkload(cluster string, jobs, tenants int, arrival, policy string, seed
 				fmt.Printf("  %-10s %s\n", name, rep)
 			}
 		}
-		title := fmt.Sprintf("workload: %d jobs, policy=%s, cluster=%s", jobs, policy, cluster)
-		if err := res.WriteFlightArtifacts(opts, title); err != nil {
+		if err := res.WriteFlightArtifacts(opts, fmt.Sprintf("workload: %d jobs, policy=%s, cluster=%s", *jobs, *policy, *cluster)); err != nil {
 			return err
 		}
-		if seriesOut != "" {
-			fmt.Printf("series dump written to %s\n", seriesOut)
+		if *serOut != "" {
+			fmt.Printf("series dump written to %s\n", *serOut)
 		}
-		if dashOut != "" {
-			fmt.Printf("dashboard written to %s\n", dashOut)
+		if *dashOut != "" {
+			fmt.Printf("dashboard written to %s\n", *dashOut)
 		}
 	}
 	return nil
 }
 
 // runQuery is the query demo: a join-heavy analytics query (two group-by
-// branches feeding a join and an order-by) compiled to a stage DAG and
-// executed with the sequential chain runner, the DAG runner, or both for a
-// side-by-side comparison. Each execution gets a fresh simulation so the
-// modes never share history or cluster state, and stages run as plain D+
-// jobs so the wall-clock difference is scheduling, not race outcomes.
-func runQuery(cluster, exec string, seed int64, workers int, nodeFail string, svc shuffleSetting, verbose bool) error {
-	if exec != "chain" && exec != "dag" && exec != "both" {
-		return fmt.Errorf("unknown -query-exec %q (want chain, dag, or both)", exec)
+// branches feeding a join and an order-by) over the synthetic sales/returns
+// warehouse, compiled to a stage DAG and executed one stage at a time, with
+// branches overlapping, or both for a side-by-side comparison. Each execution
+// gets a fresh simulation so the schedules never share history or cluster
+// state, and stages run as plain D+ jobs so the difference is scheduling, not
+// race outcomes.
+func runQuery(setup bench.ClusterSetup, opts bench.Options) error {
+	schedules := map[string][]string{"chain": {"chain"}, "dag": {"dag"}, "both": {"chain", "dag"}}[*qexec]
+	if schedules == nil {
+		return fmt.Errorf("unknown -query-exec %q (want chain, dag, or both)", *qexec)
 	}
-	plan := query.Scan("sales").
-		Filter(query.Where("amount", query.OpGt, "250")).
-		GroupBy([]string{"cell"}, query.Sum("amount"), query.Count()).
-		Join(query.Scan("returns").
-			Filter(query.Where("refund", query.OpGt, "40")).
-			GroupBy([]string{"cell"}, query.Sum("refund")),
-			"cell", "cell").
-		OrderBy("sum(amount)", true)
+	plan := bench.WarehouseQuery(250, 40, true)
 	fmt.Println("logical plan:", plan)
 
-	runOne := func(dag bool) (*query.Result, float64, error) {
-		var setup bench.ClusterSetup
-		switch cluster {
-		case "A3x4":
-			setup = bench.A3x4()
-		case "A2x9":
-			setup = bench.A2x9()
-		default:
-			return nil, 0, fmt.Errorf("unknown cluster %q", cluster)
-		}
-		setup.Seed = seed
-		setup.HostWorkers = workers
-		if svc.Enabled {
-			setup.Params.ShuffleService = true
-			setup.Params.ShuffleCodec = svc.Codec
-		}
-		faults, err := mapreduce.ParseNodeFaults(nodeFail)
+	ran := map[string]*bench.QueryStreamResult{}
+	for _, name := range schedules {
+		r, err := bench.RunQueryStream(setup, bench.QueryStream{
+			Plans: []*query.Plan{plan}, Sequential: name == "chain",
+		}, opts)
 		if err != nil {
-			return nil, 0, err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		setup.NodeFaults = faults
-		v := bench.VariantDPlus()
-		// Racing a stage speculatively holds two pooled AMs; give the DAG's
-		// two concurrent branches room to race side by side.
-		v.PoolSize = 6
-		env, err := bench.NewEnv(setup, v)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer env.Close()
-
-		cat := query.NewCatalog(env.DFS, env.Cluster)
-		rng := rand.New(rand.NewSource(seed))
-		var sales, returns []query.Row
-		for i := 0; i < 20_000; i++ {
-			sales = append(sales, query.Row{
-				strconv.Itoa(i), fmt.Sprintf("c%05d", rng.Intn(2500)), strconv.Itoa(rng.Intn(1000)),
-			})
-		}
-		for i := 0; i < 10_000; i++ {
-			returns = append(returns, query.Row{
-				strconv.Itoa(i), fmt.Sprintf("c%05d", rng.Intn(2500)), strconv.Itoa(rng.Intn(200)),
-			})
-		}
-		if _, err := cat.Create("sales", query.Schema{"id", "cell", "amount"}, sales, 4); err != nil {
-			return nil, 0, err
-		}
-		if _, err := cat.Create("returns", query.Schema{"rid", "cell", "refund"}, returns, 3); err != nil {
-			return nil, 0, err
-		}
-
-		var run func(*query.Plan, func(*query.Result, error))
-		if dag {
-			dr, err := query.NewDAGRunner(env.FW, nil, cat)
-			if err != nil {
-				return nil, 0, err
-			}
-			dr.Mode = query.ViaDPlus
-			run = dr.Run
-		} else {
-			r := query.NewRunner(env.FW, cat)
-			r.Mode = query.ViaDPlus
-			run = r.Run
-		}
-		var res *query.Result
-		var qerr error
-		var wall float64
-		env.Eng.After(0, func() {
-			submitted := env.Eng.Now()
-			run(plan, func(r *query.Result, err error) {
-				res, qerr = r, err
-				wall = env.Eng.Now().Sub(submitted).Seconds()
-				env.RM.Stop()
-			})
-		})
-		env.Eng.RunUntil(sim.Time(1 << 42))
-		if qerr != nil {
-			return nil, 0, qerr
-		}
-		if res == nil {
-			return nil, 0, fmt.Errorf("query did not finish")
-		}
-		name := "chain"
-		if dag {
-			name = "dag"
-		}
+		res := r.Results[0]
 		fmt.Printf("%-5s %d stages in %.2f virtual seconds, max %d in flight, winners %v",
-			name, res.Stages, wall, res.MaxConcurrent, res.Winners)
+			name, res.Stages, r.Makespan, res.MaxConcurrent, res.Winners)
 		if res.Recoveries > 0 {
 			fmt.Printf(", %d lineage recoveries", res.Recoveries)
 		}
@@ -327,177 +266,86 @@ func runQuery(cluster, exec string, seed int64, workers int, nodeFail string, sv
 			fmt.Printf(", %d skipped aggregate values", res.AggParseErrors)
 		}
 		fmt.Println()
-		if st := env.RT.Intermediates; st != nil && st.HDFSBytesAvoided > 0 {
+		if st := r.Store; st.HDFSBytesAvoided > 0 {
 			fmt.Printf("      intermediates: %d B kept out of HDFS (%d B in memory, %d B on producer disks)\n",
 				st.HDFSBytesAvoided, st.MemBytes, st.DiskBytes)
 		}
-		return res, wall, nil
-	}
-
-	var chain, dag *query.Result
-	var chainWall, dagWall float64
-	var err error
-	if exec != "dag" {
-		if chain, chainWall, err = runOne(false); err != nil {
-			return fmt.Errorf("chain: %w", err)
+		if *memoOn {
+			fmt.Printf("      memo cache: hits=%d misses=%d\n", r.MemoHits, r.MemoMisses)
 		}
+		ran[name] = r
 	}
-	if exec != "chain" {
-		if dag, dagWall, err = runOne(true); err != nil {
-			return fmt.Errorf("dag: %w", err)
-		}
-	}
-	if chain != nil && dag != nil {
-		if len(chain.Rows) != len(dag.Rows) {
-			return fmt.Errorf("chain returned %d rows, dag %d — results diverge", len(chain.Rows), len(dag.Rows))
+	if chain, dag := ran["chain"], ran["dag"]; chain != nil && dag != nil {
+		if err := bench.SameQueryRows("chain", chain, "dag", dag); err != nil {
+			return err
 		}
 		fmt.Printf("dag vs chain: %.2fs vs %.2fs (%.1f%% faster), %d identical result rows\n",
-			dagWall, chainWall, (chainWall-dagWall)/chainWall*100, len(dag.Rows))
+			dag.Makespan, chain.Makespan, (chain.Makespan-dag.Makespan)/chain.Makespan*100, len(dag.Results[0].Rows))
 	}
-	show := chain
-	if show == nil {
-		show = dag
-	}
-	n := len(show.Rows)
-	if !verbose && n > 5 {
+	res := ran[schedules[0]].Results[0]
+	n := len(res.Rows)
+	if !*verbose && n > 5 {
 		n = 5
 	}
-	fmt.Printf("result: %v (top %d of %d rows)\n", []string(show.Table.Schema), n, len(show.Rows))
-	for _, r := range show.Rows[:n] {
+	fmt.Printf("result: %v (top %d of %d rows)\n", []string(res.Table.Schema), n, len(res.Rows))
+	for _, r := range res.Rows[:n] {
 		fmt.Printf("  %v\n", []string(r))
 	}
 	return nil
 }
 
-// observability groups the -trace-out/-metrics-out/-report/-series-out/
-// -dash-out outputs.
-type observability struct {
-	TraceOut   string
-	MetricsOut string
-	Report     bool
-	SeriesOut  string
-	DashOut    string
-}
-
-func (o observability) enabled() bool {
-	return o.TraceOut != "" || o.MetricsOut != "" || o.Report || o.flight()
-}
-
-func (o observability) flight() bool {
-	return o.SeriesOut != "" || o.DashOut != ""
-}
-
-func run(job, mode, cluster string, files int, sizeMB float64, rows, samples int64, maps int, seed int64, workers int, verbose bool, traceN int, nodeFail string, svc shuffleSetting, memoOn bool, obs observability, est estimatorSetting) error {
-	var setup bench.ClusterSetup
-	switch cluster {
-	case "A3x4":
-		setup = bench.A3x4()
-	case "A2x9":
-		setup = bench.A2x9()
-	default:
-		return fmt.Errorf("unknown cluster %q", cluster)
+// run is the single-job mode.
+func run(setup bench.ClusterSetup, opts bench.Options) error {
+	mkVariant, ok := map[string]func() bench.Variant{
+		"hadoop": bench.VariantHadoop, "uber": bench.VariantUber,
+		"dplus": bench.VariantDPlus, "uplus": bench.VariantUPlus,
+		"speculative": bench.VariantDPlus, // D+ scheduler + framework; both modes race
+	}[*mode]
+	if !ok {
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
-	setup.Seed = seed
-	setup.HostWorkers = workers
-	if svc.Enabled {
-		setup.Params.ShuffleService = true
-		setup.Params.ShuffleCodec = svc.Codec
-	}
-	setup.Params.MemoCache = memoOn
-	faults, err := mapreduce.ParseNodeFaults(nodeFail)
-	if err != nil {
-		return err
-	}
-	setup.NodeFaults = faults
-
-	var variant bench.Variant
-	speculative := false
-	switch mode {
-	case "hadoop":
-		variant = bench.VariantHadoop()
-	case "uber":
-		variant = bench.VariantUber()
-	case "dplus":
-		variant = bench.VariantDPlus()
-	case "uplus":
-		variant = bench.VariantUPlus()
-	case "speculative":
-		variant = bench.VariantDPlus() // D+ scheduler + framework; both modes race
-		variant.UOpts = core.FullUPlus()
-		speculative = true
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
-	}
-
-	env, err := bench.NewEnv(setup, variant)
+	variant := mkVariant()
+	env, err := bench.NewEnv(opts.Apply(setup), variant)
 	if err != nil {
 		return err
 	}
 	defer env.Close()
-	var tlog *trace.Log
-	if obs.enabled() {
-		limit := 1 << 16
-		if traceN > limit {
-			limit = traceN
-		}
-		env.EnableObservability(limit)
-		if obs.flight() {
-			// Single-job mode has no admission queue, so the recorder runs
-			// without an SLO tracker: cluster gauges, counter rates, and the
-			// engine self-profile still fill the dashboard.
-			env.EnableFlightRecorder(flight.SLOConfig{})
-		}
-		if traceN > 0 {
-			tlog = env.Trace
-		}
-	} else if traceN > 0 {
-		tlog = trace.New(env.Eng, traceN)
-		env.RM.Trace = tlog
-		env.RT.Trace = tlog
+	// -trace N alone keeps a ring of the last N events; the artifacts want
+	// the whole log.
+	observe := *traceOut != "" || *metOut != "" || *phaseRep || opts.FlightRecorder
+	if observe {
+		env.EnableObservability(max(*traceN, 1<<16))
+	} else if *traceN > 0 {
+		env.EnableObservability(*traceN)
+	}
+	if opts.FlightRecorder {
+		// Single-job mode has no admission queue, so the recorder runs
+		// without an SLO tracker: cluster gauges, counter rates, and the
+		// engine self-profile still fill the dashboard.
+		env.EnableFlightRecorder(flight.SLOConfig{})
 	}
 
 	var spec *mapreduce.JobSpec
-	switch job {
+	switch *job {
 	case "wordcount":
-		names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
-			Files: files, FileBytes: int64(sizeMB * (1 << 20)), Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		spec = workloads.WordCountSpec("wordcount", names, "/out", false)
+		spec, err = bench.StageWordCount(env, *files, int64(*sizeMB*(1<<20)), *seed)
 	case "terasort":
-		names, err := workloads.TeraGen(env.DFS, env.Cluster, "/in/ts", workloads.TeraGenConfig{
-			Rows: rows, Files: files, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		spec, err = workloads.TeraSortSpec(env.DFS, "terasort", names, "/out", 1)
-		if err != nil {
-			return err
-		}
+		spec, err = bench.StageTeraSort(env, *rows, *files, *seed)
 	case "pi":
-		names, err := workloads.GeneratePiInput(env.DFS, env.Cluster, "/in/pi", workloads.PiConfig{
-			Maps: maps, Samples: samples / int64(maps),
-		})
-		if err != nil {
-			return err
-		}
-		spec = workloads.PiSpec(env.DFS, "pi", names, "/out")
+		spec, err = bench.StagePi(env, *maps, *samples)
 	default:
-		return fmt.Errorf("unknown job %q", job)
+		err = fmt.Errorf("unknown job %q", *job)
+	}
+	if err != nil {
+		return err
 	}
 
 	var prof *profiler.JobProfile
 	var winner string
 	var root trace.SpanID
-	if speculative {
-		env.FW.Predict = est.Predict
-		repeat := est.Repeat
-		if repeat < 1 {
-			repeat = 1
-		}
+	if *mode == "speculative" {
+		env.FW.Predict = *predict
+		repeat := max(*repeat, 1)
 		var res *core.SpecResult
 		for i := 0; i < repeat; i++ {
 			run := *spec
@@ -513,9 +361,8 @@ func run(job, mode, cluster string, files int, sizeMB float64, rows, samples int
 				}
 			}
 			res = nil
-			first := i == 0
 			env.Eng.After(0, func() {
-				if !first {
+				if i > 0 {
 					env.RM.Start() // the previous run's completion stopped it
 				}
 				env.FW.SubmitSpeculative(&run, func(r *core.SpecResult) {
@@ -549,9 +396,7 @@ func run(job, mode, cluster string, files int, sizeMB float64, rows, samples int
 					i+1, repeat, res.Winner, how, res.Result.Profile.Elapsed().Seconds())
 			}
 		}
-		prof = res.Result.Profile
-		winner = string(res.Winner)
-		root = res.Span
+		prof, winner, root = res.Result.Profile, string(res.Winner), res.Span
 		fmt.Printf("speculative execution: winner=%s fromHistory=%v fromPrediction=%v\n",
 			res.Winner, res.FromHistory, res.FromPrediction)
 		if res.EstimateD > 0 {
@@ -562,7 +407,7 @@ func run(job, mode, cluster string, files int, sizeMB float64, rows, samples int
 			fmt.Printf("predicted runtime: %.2fs (actual %.2fs)\n",
 				res.Predicted.Seconds(), prof.Elapsed().Seconds())
 		}
-		if est.ShowHistory {
+		if *showHist {
 			printHistory(env.FW.History)
 		}
 	} else {
@@ -570,29 +415,26 @@ func run(job, mode, cluster string, files int, sizeMB float64, rows, samples int
 		if err != nil {
 			return err
 		}
-		prof = r.Profile
-		winner = r.Mode
-		root = prof.Span
+		prof, winner, root = r.Profile, r.Mode, r.Profile.Span
 	}
 
-	fmt.Printf("job=%s mode=%s cluster=%s\n", job, winner, cluster)
+	label := fmt.Sprintf("job=%s mode=%s cluster=%s", *job, winner, *cluster)
+	fmt.Println(label)
 	fmt.Printf("completion time: %.2f virtual seconds\n", prof.Elapsed().Seconds())
 	fmt.Printf("timeline: submitted=%s amReady=%s firstTask=%s mapsDone=%s done=%s\n",
 		prof.SubmittedAt, prof.AMReadyAt, prof.FirstTaskAt, prof.MapsDoneAt, prof.DoneAt)
-	s := prof.Summarize()
-	fmt.Printf("profile: %s\n", s)
+	fmt.Printf("profile: %s\n", prof.Summarize())
 
-	switch job {
+	switch *job {
 	case "pi":
-		if est, err := workloads.PiEstimate(env.DFS, "/out"); err == nil {
+		if est, err := workloads.PiEstimate(env.DFS, spec.OutputFile); err == nil {
 			fmt.Printf("pi estimate: %.6f\n", est)
 		}
 	case "terasort":
-		if err := workloads.VerifyTeraSortOutput(env.DFS, "/out", 1, rows); err == nil {
-			fmt.Printf("terasort output verified: %d rows in total order\n", rows)
-		} else {
+		if err := workloads.VerifyTeraSortOutput(env.DFS, spec.OutputFile, 1, *rows); err != nil {
 			return fmt.Errorf("output verification failed: %w", err)
 		}
+		fmt.Printf("terasort output verified: %d rows in total order\n", *rows)
 	}
 
 	reg := metrics.New()
@@ -610,94 +452,60 @@ func run(job, mode, cluster string, files int, sizeMB float64, rows, samples int
 	fmt.Println("metrics:")
 	reg.Dump(os.Stdout)
 
-	if tlog != nil {
-		fmt.Printf("trace (last %d events):\n", traceN)
-		tlog.Dump(os.Stdout)
+	if *traceN > 0 {
+		fmt.Printf("trace (last %d events):\n", *traceN)
+		env.Trace.Dump(os.Stdout)
 	}
 
-	if obs.enabled() {
+	if observe {
 		rep, err := report.Analyze(env.Trace, root)
 		if err != nil {
 			return err
 		}
-		if obs.Report {
+		if *phaseRep {
 			fmt.Println("phase report:")
 			if err := rep.Render(os.Stdout); err != nil {
 				return err
 			}
 		}
-		if obs.TraceOut != "" {
-			f, err := os.Create(obs.TraceOut)
-			if err != nil {
-				return err
-			}
+		if *traceOut != "" {
 			// With the recorder on, its series ride along as Chrome counter
 			// lanes so Perfetto shows gauges above the span tree.
-			var werr error
+			var lanes []trace.CounterSeries
 			if env.Flight != nil {
-				werr = env.Trace.WriteChromeTraceCounters(f, env.Flight.CounterSeries())
-			} else {
-				werr = env.Trace.WriteChromeTrace(f)
+				lanes = env.Flight.CounterSeries()
 			}
-			if werr != nil {
-				f.Close()
-				return werr
-			}
-			if err := f.Close(); err != nil {
+			err := bench.WriteArtifact(*traceOut, func(w io.Writer) error {
+				return env.Trace.WriteChromeTraceCounters(w, lanes)
+			})
+			if err != nil {
 				return err
 			}
 			fmt.Printf("chrome trace written to %s (%d spans, %d dropped events)\n",
-				obs.TraceOut, len(env.Trace.Spans()), env.Trace.Dropped())
+				*traceOut, len(env.Trace.Spans()), env.Trace.Dropped())
 		}
-		if obs.MetricsOut != "" {
-			f, err := os.Create(obs.MetricsOut)
-			if err != nil {
+		if *metOut != "" {
+			if err := bench.WriteArtifact(*metOut, func(w io.Writer) error { return report.WriteJSON(w, rep, env.Reg) }); err != nil {
 				return err
 			}
-			if err := report.WriteJSON(f, rep, env.Reg); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("metrics summary written to %s\n", obs.MetricsOut)
+			fmt.Printf("metrics summary written to %s\n", *metOut)
 		}
-		if obs.SeriesOut != "" {
-			f, err := os.Create(obs.SeriesOut)
-			if err != nil {
-				return err
-			}
-			if err := env.Flight.WritePrometheus(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("series dump written to %s (%d samples, %d series)\n",
-				obs.SeriesOut, env.Flight.Samples(), len(env.Flight.SeriesNames()))
-		}
-		if obs.DashOut != "" {
-			d := env.FlightDashboard(fmt.Sprintf("job=%s mode=%s cluster=%s", job, winner, cluster), 15)
+		if env.Flight != nil {
 			eb := env.Flight.SelfProfiler().Summary()
-			d.Engine = &eb
-			f, err := os.Create(obs.DashOut)
-			if err != nil {
+			if err := env.WriteFlightArtifacts(opts, label, &eb); err != nil {
 				return err
 			}
-			if err := flight.WriteDashboard(f, d); err != nil {
-				f.Close()
-				return err
+			if *serOut != "" {
+				fmt.Printf("series dump written to %s (%d samples, %d series)\n",
+					*serOut, env.Flight.Samples(), len(env.Flight.SeriesNames()))
 			}
-			if err := f.Close(); err != nil {
-				return err
+			if *dashOut != "" {
+				fmt.Printf("dashboard written to %s\n", *dashOut)
 			}
-			fmt.Printf("dashboard written to %s\n", obs.DashOut)
 		}
 	}
 
-	if verbose {
+	if *verbose {
 		fmt.Println("tasks:")
 		for _, tp := range prof.Tasks {
 			fmt.Printf("  %-7s %2d on %-8s read=%-8v compute=%-8v spill=%-8v merge=%-8v in=%-9d out=%-9d local=%v\n",

@@ -1,0 +1,149 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
+
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		mode runMode
+		set  []string
+		bad  string // the flag the error must name; "" = accepted
+	}{
+		{singleJob, []string{"job", "mode", "files", "size-mb", "trace", "report", "verbose", "predict", "repeat", "dash-out"}, ""},
+		{workload, []string{"jobs", "tenants", "arrival", "policy", "predict", "series-out", "dash-out"}, ""},
+		{queryJob, []string{"job", "query-exec", "verbose"}, ""},
+		// The shared setup works in all three modes.
+		{singleJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, ""},
+		{workload, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, ""},
+		{queryJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, ""},
+
+		{workload, []string{"jobs", "mode"}, "mode"},
+		{workload, []string{"jobs", "report"}, "report"},
+		{workload, []string{"jobs", "trace"}, "trace"},
+		{workload, []string{"jobs", "trace-out"}, "trace-out"},
+		{workload, []string{"jobs", "metrics-out"}, "metrics-out"},
+		{workload, []string{"jobs", "repeat"}, "repeat"},
+		{workload, []string{"jobs", "show-history"}, "show-history"},
+		{workload, []string{"jobs", "verbose"}, "verbose"},
+		{workload, []string{"jobs", "files"}, "files"},
+		{workload, []string{"jobs", "query-exec"}, "query-exec"},
+		{queryJob, []string{"job", "mode"}, "mode"},
+		{queryJob, []string{"job", "report"}, "report"},
+		{queryJob, []string{"job", "trace"}, "trace"},
+		{queryJob, []string{"job", "trace-out"}, "trace-out"},
+		{queryJob, []string{"job", "metrics-out"}, "metrics-out"},
+		{queryJob, []string{"job", "repeat"}, "repeat"},
+		{queryJob, []string{"job", "show-history"}, "show-history"},
+		{queryJob, []string{"job", "predict"}, "predict"},
+		{queryJob, []string{"job", "series-out"}, "series-out"},
+		{queryJob, []string{"job", "dash-out"}, "dash-out"},
+		{queryJob, []string{"job", "jobs"}, "jobs"},
+		{queryJob, []string{"job", "tenants"}, "tenants"},
+		{singleJob, []string{"tenants"}, "tenants"},
+		{singleJob, []string{"arrival"}, "arrival"},
+		{singleJob, []string{"policy"}, "policy"},
+		{singleJob, []string{"query-exec"}, "query-exec"},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.mode, c.set)
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%s with %v: %v", modeNames[c.mode], c.set, err)
+		case c.bad != "" && err == nil:
+			t.Errorf("%s with %v: -%s accepted", modeNames[c.mode], c.set, c.bad)
+		case c.bad != "" && !strings.Contains(err.Error(), "-"+c.bad+" "):
+			t.Errorf("%s with %v: error %q does not name -%s", modeNames[c.mode], c.set, err, c.bad)
+		}
+	}
+	// Every name in the table is a registered flag.
+	for name := range honoured {
+		if flag.Lookup(name) == nil {
+			t.Errorf("honoured lists -%s, which is not a flag", name)
+		}
+	}
+}
+
+// runCLI sets the flags, runs the command's dispatch in-process, and returns
+// what it printed.
+func runCLI(t *testing.T, m runMode, args map[string]string) string {
+	t.Helper()
+	for name, v := range args {
+		old := flag.Lookup(name).Value.String()
+		if err := flag.Set(name, v); err != nil {
+			t.Fatal(err)
+		}
+		defer flag.Set(name, old)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	var out bytes.Buffer
+	copied := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(&out, r)
+		copied <- err
+	}()
+	runErr := dispatch(m)
+	os.Stdout = stdout
+	w.Close()
+	if err := <-copied; err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return out.String()
+}
+
+// TestTraceShowsHDFSEvents: the event dump of one small D+ WordCount carries
+// the DFS's events whether -trace comes alone or with -report. (Alone, the
+// command used to wire its own log and forget the DFS.)
+func TestTraceShowsHDFSEvents(t *testing.T) {
+	args := map[string]string{"job": "wordcount", "mode": "dplus", "files": "2", "size-mb": "1", "trace": "400"}
+	for _, report := range []string{"false", "true"} {
+		args["report"] = report
+		out := runCLI(t, singleJob, args)
+		_, dump, ok := strings.Cut(out, "trace (last 400 events):\n")
+		if !ok {
+			t.Fatalf("report=%s: no trace dump in:\n%s", report, out)
+		}
+		hdfs := 0
+		for _, line := range strings.Split(dump, "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[1] == "hdfs" {
+				hdfs++
+			}
+		}
+		if hdfs == 0 {
+			t.Errorf("report=%s: no hdfs events in the trace dump", report)
+		}
+	}
+}
+
+// TestModesShareTheSetup drives the other two modes with the setup flags
+// they used to drop: a node fault one second after cluster-ready (it used to
+// hit the pool's bring-up and fail the run) and the memo cache.
+func TestModesShareTheSetup(t *testing.T) {
+	out := runCLI(t, workload, map[string]string{
+		"jobs": "6", "tenants": "2", "node-fail": "node-02@1s:8s", "memo": "true",
+	})
+	if !strings.Contains(out, "memo cache: hits=") {
+		t.Errorf("workload mode ignored -memo:\n%s", out)
+	}
+	out = runCLI(t, queryJob, map[string]string{
+		"job": "query", "query-exec": "both", "node-fail": "node-01@4s:20s", "memo": "true",
+	})
+	for _, want := range []string{"chain 4 stages", "dag   4 stages", "max 1 in flight", "memo cache: hits=", "identical result rows"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("query mode output lacks %q:\n%s", want, out)
+		}
+	}
+}

@@ -9,17 +9,15 @@ import (
 	"time"
 
 	"mrapid/internal/core"
+	"mrapid/internal/mapreduce"
 	"mrapid/internal/query"
-	"mrapid/internal/sim"
 )
 
 // dagQueryCount is how many queries the workload submits, dagQueryGap the
 // arrival spacing between them (an ad-hoc Hive-style stream, not a burst:
 // a burst saturates the 4-worker testbed and makes makespan purely
 // work-bound, hiding scheduling differences), and dagQueryPool the AM pool
-// size both modes share. The pool is sized so the DAG runner can overlap
-// every in-flight query's two independent branches while the chain baseline
-// — one stage in flight per query — never comes close to using it.
+// size every query stream runs on.
 const (
 	dagQueryCount = 3
 	dagQueryPool  = 6
@@ -27,21 +25,25 @@ const (
 
 const dagQueryGap = 6 * time.Second
 
-// dagQueryPlan builds the i-th query of the workload: a join-heavy shape
-// whose two group-by inputs are independent branches the DAG runner can
-// overlap. Thresholds vary per query so the three result tables differ.
-// Grouping is on "cell", a high-cardinality key (≈ one cell per 8 rows), so
-// the group-by outputs and the joined table are real intermediate data, not
-// a handful of summary rows.
-func dagQueryPlan(i int) *query.Plan {
+// WarehouseQuery is the join-heavy query shape every query stream runs over
+// the sales/returns warehouse: two independent group-by branches (the part a
+// DAG scheduler can overlap) feeding a join and an order-by. Grouping is on
+// "cell", a high-cardinality key (≈ one cell per 8 rows), so the group-by
+// outputs and the joined table are real intermediate data, not a handful of
+// summary rows.
+func WarehouseQuery(minAmount, minRefund int, desc bool) *query.Plan {
 	sales := query.Scan("sales").
-		Filter(query.Where("amount", query.OpGt, strconv.Itoa(100+60*i))).
+		Filter(query.Where("amount", query.OpGt, strconv.Itoa(minAmount))).
 		GroupBy([]string{"cell"}, query.Sum("amount"), query.Count())
 	returns := query.Scan("returns").
-		Filter(query.Where("refund", query.OpGt, strconv.Itoa(20+10*i))).
+		Filter(query.Where("refund", query.OpGt, strconv.Itoa(minRefund))).
 		GroupBy([]string{"cell"}, query.Sum("refund"))
-	return sales.Join(returns, "cell", "cell").OrderBy("sum(amount)", true)
+	return sales.Join(returns, "cell", "cell").OrderBy("sum(amount)", desc)
 }
+
+// dagQueryPlan builds the i-th query of the workload. Thresholds vary per
+// query so the three result tables differ.
+func dagQueryPlan(i int) *query.Plan { return WarehouseQuery(100+60*i, 20+10*i, true) }
 
 // dagQueryTables materializes the synthetic sales/returns warehouse. Row
 // counts scale with Options.Scale; generation is deterministic in the seed.
@@ -87,176 +89,192 @@ func canonQueryRows(rows []query.Row) []string {
 	return out
 }
 
-// dagQueryStats is one mode's measured outcome.
-type dagQueryStats struct {
-	makespan float64
-	meanLat  float64 // mean per-query latency, submission to rows back
-	hdfsMB   float64 // HDFS bytes written by the queries
-	savedMB  float64 // intermediate bytes that skipped the HDFS write path
-	maxConc  int     // peak in-flight stages of any single query
-	rows     [][]string
+// QueryStream is a stream of query plans for RunQueryStream.
+type QueryStream struct {
+	Plans []*query.Plan
+	// Gap spaces the arrivals a fixed interval apart (an ad-hoc Hive-style
+	// stream). AfterPrevious ignores it and submits each plan when the one
+	// before it has its rows back, so a query sees its predecessors'
+	// committed outputs.
+	Gap           time.Duration
+	AfterPrevious bool
+	// Sequential keeps at most one stage of each query in flight: the
+	// stage-chain baseline the DAG scheduler is measured against.
+	Sequential bool
 }
 
-// runDagQueryMode executes the whole workload on a fresh simulation under
-// one scheduling mode: sequential per-query chains (dag=false) or the DAG
-// runner (dag=true). Both see the same arrival stream and run stages as
-// plain D+ jobs, so the only difference is whether a query's independent
-// branches may overlap.
-func runDagQueryMode(dag bool, o Options) (*dagQueryStats, error) {
-	setup := A3x4()
-	setup.Seed = o.Seed
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup = o.applyTo(setup)
+// QueryStreamResult is what one stream measured.
+type QueryStreamResult struct {
+	Makespan    float64         // virtual s, first arrival to last query done
+	MeanLatency float64         // mean per-query latency, submission to rows back
+	Results     []*query.Result // per query
 
-	// Hand-assembled like RunThroughput: the DAG mode's JobServer must exist
-	// before the pool starts so its admission accounting sees a clean slate.
+	HDFSBytes   int64                        // written to HDFS by the queries
+	Store       *mapreduce.IntermediateStore // what stayed out of HDFS
+	SlotSeconds float64                      // the query server's admission-cost × time integral
+	MemoHits    int64                        // memo_hits_total at end of run
+	MemoMisses  int64
+}
+
+// RunQueryStream generates the sales/returns warehouse on a fresh simulation
+// of setup and drives the plans through the DAG runner, every stage a plain
+// D+ job, so streams differ in scheduling and caching only, never in race
+// outcomes. The first query to fail fails the stream.
+func RunQueryStream(setup ClusterSetup, qs QueryStream, o Options) (*QueryStreamResult, error) {
+	o = o.normalized()
+	if len(qs.Plans) == 0 {
+		return nil, fmt.Errorf("bench: query stream has no plans")
+	}
+	// The pool is sized so the DAG runner can overlap every in-flight query's
+	// two independent branches; the sequential baseline never comes close to
+	// using it.
 	v := VariantDPlus()
-	v.UseFramework = false
-	env, err := NewEnv(setup, v)
+	v.PoolSize = dagQueryPool
+	v.Server = &core.JobServerConfig{Policy: core.PolicyWeightedFair}
+	env, err := NewEnv(o.Apply(setup), v)
 	if err != nil {
 		return nil, err
 	}
 	defer env.Close()
 	env.EnableObservability(1 << 16)
-	fw := core.NewFramework(env.RT, dagQueryPool, core.FullUPlus())
-	var srv *core.JobServer
-	if dag {
-		srv, err = core.NewJobServer(fw, core.JobServerConfig{Policy: core.PolicyWeightedFair})
-		if err != nil {
-			return nil, err
-		}
-	}
-	ready := false
-	env.Eng.After(0, func() { fw.Start(func() { ready = true }) })
-	env.Eng.RunUntil(sim.Time(1 << 36))
-	if !ready {
-		return nil, fmt.Errorf("bench: AM pool failed to start")
-	}
-	env.FW = fw
-
 	cat := query.NewCatalog(env.DFS, env.Cluster)
 	if err := dagQueryTables(cat, o); err != nil {
 		return nil, err
 	}
-
-	var run func(p *query.Plan, done func(*query.Result, error))
-	if dag {
-		dr, err := query.NewDAGRunner(fw, srv, cat)
-		if err != nil {
-			return nil, err
-		}
-		dr.Mode = query.ViaDPlus
-		run = dr.Run
-	} else {
-		r := query.NewRunner(fw, cat)
-		r.Mode = query.ViaDPlus
-		run = r.Run
+	dr, err := query.NewDAGRunner(env.FW, env.Srv, cat)
+	if err != nil {
+		return nil, err
 	}
+	dr.Mode = query.ViaDPlus
+	dr.Sequential = qs.Sequential
 
-	baseline := env.DFS.BytesWritten
+	n := len(qs.Plans)
+	out := &QueryStreamResult{Results: make([]*query.Result, n)}
+	written := env.DFS.BytesWritten
 	start := env.Eng.Now()
-	stats := &dagQueryStats{rows: make([][]string, dagQueryCount)}
 	finished := 0
 	var runErr error
-	var lastDone sim.Time
-	var latSum float64
-	for i := 0; i < dagQueryCount; i++ {
-		i := i
-		env.Eng.After(time.Duration(i)*dagQueryGap, func() {
-			submitted := env.Eng.Now()
-			run(dagQueryPlan(i), func(res *query.Result, err error) {
-				if err != nil && runErr == nil {
+	var submit func(i int)
+	submit = func(i int) {
+		submitted := env.Eng.Now()
+		dr.Run(qs.Plans[i], func(res *query.Result, err error) {
+			if err != nil {
+				if runErr == nil {
 					runErr = fmt.Errorf("bench: query %d failed: %w", i, err)
 				}
-				if err == nil {
-					stats.rows[i] = canonQueryRows(res.Rows)
-					if res.MaxConcurrent > stats.maxConc {
-						stats.maxConc = res.MaxConcurrent
-					}
-				}
-				latSum += env.Eng.Now().Sub(submitted).Seconds()
-				lastDone = env.Eng.Now()
-				finished++
-				if finished == dagQueryCount {
-					env.RM.Stop()
-				}
-			})
+				env.RM.Stop()
+				return
+			}
+			out.Results[i] = res
+			out.MeanLatency += env.Eng.Now().Sub(submitted).Seconds()
+			out.Makespan = env.Eng.Now().Sub(start).Seconds()
+			if finished++; finished == n {
+				env.RM.Stop()
+			} else if qs.AfterPrevious {
+				submit(i + 1)
+			}
 		})
+	}
+	arrivals := n
+	if qs.AfterPrevious {
+		arrivals = 1 // the rest follow from the completions
+	}
+	for i := 0; i < arrivals; i++ {
+		env.Eng.After(time.Duration(i)*qs.Gap, func() { submit(i) })
 	}
 	env.Eng.RunUntil(horizon)
 	if runErr != nil {
 		return nil, runErr
 	}
-	if finished != dagQueryCount {
-		return nil, fmt.Errorf("bench: only %d of %d queries finished within the horizon", finished, dagQueryCount)
+	if finished != n {
+		return nil, fmt.Errorf("bench: only %d of %d queries finished within the horizon", finished, n)
 	}
-	stats.makespan = lastDone.Sub(start).Seconds()
-	stats.meanLat = latSum / dagQueryCount
-	stats.hdfsMB = float64(env.DFS.BytesWritten-baseline) / mb
-	if env.RT.Intermediates != nil {
-		stats.savedMB = float64(env.RT.Intermediates.HDFSBytesAvoided) / mb
+	out.MeanLatency /= float64(n)
+	out.HDFSBytes = env.DFS.BytesWritten - written
+	out.Store = env.RT.Intermediates
+	out.SlotSeconds = env.Srv.SlotSeconds
+	counters := env.Reg.Counters()
+	out.MemoHits = counters["memo_hits_total"]
+	out.MemoMisses = counters["memo_misses_total"]
+	return out, nil
+}
+
+// SameQueryRows checks two streams of the same plans returned the same rows,
+// query by query.
+func SameQueryRows(aName string, a *QueryStreamResult, bName string, b *QueryStreamResult) error {
+	for i := range a.Results {
+		ra, rb := canonQueryRows(a.Results[i].Rows), canonQueryRows(b.Results[i].Rows)
+		if len(ra) != len(rb) {
+			return fmt.Errorf("bench: query %d: %s returned %d rows, %s %d", i, aName, len(ra), bName, len(rb))
+		}
+		for j := range ra {
+			if ra[j] != rb[j] {
+				return fmt.Errorf("bench: query %d row %d: %s %q != %s %q", i, j, aName, ra[j], bName, rb[j])
+			}
+		}
 	}
-	return stats, nil
+	return nil
 }
 
 // DAGQuery compares sequential-chain and DAG execution of a join-heavy
 // multi-query workload: a stream of queries, each with two independent
 // group-by branches feeding a join and an order-by. Both modes see the same
-// compiled stages on identical clusters; the DAG runner overlaps the
-// branches and the chain does not. The run fails if the two modes disagree
+// compiled stages, the same arrivals and the same DAG runner on identical
+// clusters; the chain mode keeps one stage of a query in flight at a time,
+// the DAG mode overlaps the branches. The run fails if the two modes disagree
 // on any query's rows or if the DAG does not beat the chain's makespan.
 func DAGQuery(o Options) (*Figure, error) {
 	o = o.normalized()
-	chain, err := runDagQueryMode(false, o)
+	setup := A3x4()
+	setup.Seed = o.Seed
+	qs := QueryStream{Gap: dagQueryGap}
+	for i := 0; i < dagQueryCount; i++ {
+		qs.Plans = append(qs.Plans, dagQueryPlan(i))
+	}
+	qs.Sequential = true
+	chain, err := RunQueryStream(setup, qs, o)
 	if err != nil {
 		return nil, fmt.Errorf("bench: chain mode: %w", err)
 	}
-	dag, err := runDagQueryMode(true, o)
+	qs.Sequential = false
+	dag, err := RunQueryStream(setup, qs, o)
 	if err != nil {
 		return nil, fmt.Errorf("bench: dag mode: %w", err)
 	}
-	for i := range chain.rows {
-		a, b := chain.rows[i], dag.rows[i]
-		if len(a) != len(b) {
-			return nil, fmt.Errorf("bench: query %d: chain returned %d rows, dag %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return nil, fmt.Errorf("bench: query %d row %d: chain %q != dag %q", i, j, a[j], b[j])
-			}
-		}
+	if err := SameQueryRows("chain", chain, "dag", dag); err != nil {
+		return nil, err
 	}
-	if dag.makespan >= chain.makespan {
-		return nil, fmt.Errorf("bench: dag makespan %.2fs did not beat chain %.2fs", dag.makespan, chain.makespan)
+	if dag.Makespan >= chain.Makespan {
+		return nil, fmt.Errorf("bench: dag makespan %.2fs did not beat chain %.2fs", dag.Makespan, chain.Makespan)
 	}
 	fig := &Figure{
 		ID:      "dagquery",
 		Title:   "Query DAG scheduling: sequential chains vs parallel branches",
 		XLabel:  "execution mode",
 		Columns: []string{"makespan", "mean-latency", "hdfs-mb", "saved-mb", "max-conc"},
-		Notes: []string{
-			fmt.Sprintf("%d join-heavy queries (4 stages each) arriving every %s, AM pool %d; stages run as D+ jobs in both modes", dagQueryCount, dagQueryGap, dagQueryPool),
-			"makespan: first arrival to last query done (virtual s); max-conc: peak in-flight stages of one query",
-			"hdfs-mb: HDFS bytes the queries wrote; saved-mb: intermediate bytes kept in the producer-local store instead",
-			fmt.Sprintf("DAG beats chain by %.1f%% on makespan and %.1f%% on mean latency with row-identical results",
-				(chain.makespan-dag.makespan)/chain.makespan*100, (chain.meanLat-dag.meanLat)/chain.meanLat*100),
-		},
 	}
-	for i, s := range []*dagQueryStats{chain, dag} {
-		label := "chain"
-		if i == 1 {
-			label = "dag"
+	for i, s := range []*QueryStreamResult{chain, dag} {
+		maxConc := 0
+		for _, res := range s.Results {
+			maxConc = max(maxConc, res.MaxConcurrent)
 		}
 		fig.Points = append(fig.Points, Point{
-			X: float64(i), Label: label,
+			X: float64(i), Label: []string{"chain", "dag"}[i],
 			Seconds: map[string]float64{
-				"makespan":     s.makespan,
-				"mean-latency": s.meanLat,
-				"hdfs-mb":      s.hdfsMB,
-				"saved-mb":     s.savedMB,
-				"max-conc":     float64(s.maxConc),
+				"makespan":     s.Makespan,
+				"mean-latency": s.MeanLatency,
+				"hdfs-mb":      float64(s.HDFSBytes) / mb,
+				"saved-mb":     float64(s.Store.HDFSBytesAvoided) / mb,
+				"max-conc":     float64(maxConc),
 			},
 		})
+	}
+	fig.Notes = []string{
+		fmt.Sprintf("%d join-heavy queries (4 stages each) arriving every %s, AM pool %d; stages run as D+ jobs in both modes", dagQueryCount, dagQueryGap, dagQueryPool),
+		"makespan: first arrival to last query done (virtual s); max-conc: peak in-flight stages of one query",
+		"hdfs-mb: HDFS bytes the queries wrote; saved-mb: intermediate bytes kept in the producer-local store instead",
+		fmt.Sprintf("DAG beats chain by %.1f%% on makespan and %.1f%% on mean latency with row-identical results",
+			(chain.Makespan-dag.Makespan)/chain.Makespan*100, (chain.MeanLatency-dag.MeanLatency)/chain.MeanLatency*100),
 	}
 	return fig, nil
 }

@@ -50,7 +50,7 @@ type ClusterSetup struct {
 
 	// NodeFaults scripts machine crashes for fault-tolerance runs. Crash
 	// times are measured from cluster-ready (after the AM pool is up, just
-	// before the job is submitted).
+	// before the first job is submitted).
 	NodeFaults []mapreduce.NodeFault
 }
 
@@ -78,6 +78,11 @@ type Variant struct {
 	// NotifyPoll keeps stock client polling even under the framework (used
 	// by the ablation stacks that add "reduced communication" last).
 	NotifyPoll bool
+	// Server, when set, puts a JobServer with this configuration in front of
+	// the framework (Env.Srv). It is built before the pool starts, so its
+	// tenant queues exist when the reserved AM containers are charged — they
+	// land in the default queue.
+	Server *core.JobServerConfig
 
 	// Mode selects the execution engine.
 	Mode  core.ModeKind
@@ -127,6 +132,7 @@ type Env struct {
 	RM      *yarn.RM
 	RT      *mapreduce.Runtime
 	FW      *core.Framework
+	Srv     *core.JobServer // nil unless the variant asked for one
 
 	// Params is the validated cost model the env was built with.
 	Params costmodel.Params
@@ -155,9 +161,11 @@ func (e *Env) EnableObservability(eventLimit int) (*trace.Log, *metrics.Registry
 	return e.Trace, e.Reg
 }
 
-// NewEnv builds and starts a simulation for one variant. When the variant
-// uses the framework, the AM pool is brought up before NewEnv returns (that
-// cost is cluster startup, not job time).
+// NewEnv builds and starts a simulation for one variant, in the one order
+// that is right: cluster, DFS, RM, runtime, shuffle service, framework,
+// JobServer, pool start, memo cache, node faults. When the variant uses the
+// framework, the AM pool is brought up before NewEnv returns (that cost is
+// cluster startup, not job time), and node-fault times count from there.
 func NewEnv(setup ClusterSetup, v Variant) (*Env, error) {
 	eng := sim.NewEngine()
 	cluster, err := topology.NewCluster(eng, topology.Spec{Instance: setup.Instance, Workers: setup.Workers, Racks: setup.Racks})
@@ -183,6 +191,11 @@ func NewEnv(setup ClusterSetup, v Variant) (*Env, error) {
 	if v.UseFramework {
 		fw := core.NewFramework(rt, v.PoolSize, v.UOpts)
 		fw.NotifyPoll = v.NotifyPoll
+		if v.Server != nil {
+			if env.Srv, err = core.NewJobServer(fw, *v.Server); err != nil {
+				return nil, err
+			}
+		}
 		ready := false
 		eng.After(0, func() { fw.Start(func() { ready = true }) })
 		eng.RunUntil(sim.Time(1 << 36))
@@ -190,21 +203,21 @@ func NewEnv(setup ClusterSetup, v Variant) (*Env, error) {
 			return nil, fmt.Errorf("bench: AM pool failed to start")
 		}
 		env.FW = fw
+		// The cross-job memo cache hangs off the framework (the lookup lives
+		// in core.Submit); it needs the registry for its hit/miss counters,
+		// so turning it on implies observability.
+		if params.MemoCache {
+			env.EnableObservability(1 << 16)
+			fw.Memo = memo.New(env.Reg, cluster.Workers(), memo.Config{
+				MemBytes:  params.MemoMemBytes,
+				DiskBytes: params.MemoDiskBytes,
+			})
+		}
 	}
 	if len(setup.NodeFaults) > 0 {
 		if err := rt.ScheduleNodeFaults(setup.NodeFaults); err != nil {
 			return nil, err
 		}
-	}
-	// The cross-job memo cache hangs off the framework (the lookup lives in
-	// core.Submit); it needs the registry for its hit/miss counters, so
-	// turning it on implies observability.
-	if params.MemoCache && env.FW != nil {
-		env.EnableObservability(1 << 16)
-		env.FW.Memo = memo.New(env.Reg, cluster.Workers(), memo.Config{
-			MemBytes:  params.MemoMemBytes,
-			DiskBytes: params.MemoDiskBytes,
-		})
 	}
 	return env, nil
 }

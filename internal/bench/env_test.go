@@ -1,0 +1,100 @@
+package bench
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"mrapid/internal/core"
+	"mrapid/internal/mapreduce"
+	"mrapid/internal/query"
+	"mrapid/internal/sim"
+)
+
+// earlyFault crashes a worker half a second after cluster-ready — well inside
+// the ≥ 4 s the AM pool takes to come up, which is where it used to land on
+// the paths that assembled their framework by hand.
+var earlyFault = []mapreduce.NodeFault{{Node: "node-02", At: 500 * time.Millisecond, RestartAfter: 10 * time.Second}}
+
+// TestNodeFaultsCountFromClusterReady pins NewEnv's order for every shape of
+// variant the drivers use: the pool is up and every worker alive when NewEnv
+// returns, and the crash fires At after that instant, not before.
+func TestNodeFaultsCountFromClusterReady(t *testing.T) {
+	variants := map[string]Variant{"single job": VariantDPlus(), "workload": VariantDPlus(), "queries": VariantDPlus()}
+	w := variants["workload"]
+	w.Server = &core.JobServerConfig{Queues: tenantQueues(3)}
+	variants["workload"] = w
+	q := variants["queries"]
+	q.PoolSize = dagQueryPool
+	q.Server = &core.JobServerConfig{Policy: core.PolicyWeightedFair}
+	variants["queries"] = q
+
+	for name, v := range variants {
+		env, err := NewEnv(Options{NodeFaults: earlyFault}.Apply(A3x4()), v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if (v.Server != nil) != (env.Srv != nil) {
+			t.Errorf("%s: JobServer built = %v", name, env.Srv != nil)
+		}
+		if env.FW.Pool.AliveAMs() != v.PoolSize {
+			t.Errorf("%s: %d of %d pooled AMs alive at cluster-ready", name, env.FW.Pool.AliveAMs(), v.PoolSize)
+		}
+		victim := env.Cluster.Workers()[1]
+		if victim.Name != "node-02" {
+			t.Fatalf("%s: workers[1] = %s", name, victim.Name)
+		}
+		ready := env.Eng.Now()
+		env.Eng.RunUntil(ready.Add(earlyFault[0].At) - 1)
+		if !victim.Alive() {
+			t.Errorf("%s: node-02 crashed before cluster-ready + %s", name, earlyFault[0].At)
+		}
+		env.Eng.RunUntil(ready.Add(earlyFault[0].At))
+		if victim.Alive() {
+			t.Errorf("%s: node-02 still alive at cluster-ready + %s", name, earlyFault[0].At)
+		}
+		env.Close()
+	}
+}
+
+// TestEarlyFaultUnderTheDrivers runs the same schedule through RunThroughput
+// and RunQueryStream. Both used to lose the pool's bring-up to it.
+func TestEarlyFaultUnderTheDrivers(t *testing.T) {
+	// The workload's recorded trace starts at cluster-ready, and the first
+	// job of a burst is submitted at that instant.
+	o := Options{Scale: 0.05, Seed: 3, NodeFaults: earlyFault, FlightRecorder: true}
+	r, err := RunThroughput(A3x4(), WorkloadConfig{Jobs: 6, Tenants: 2, Policy: core.PolicyWeightedFair}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := r.flightEnv.Trace.Events()
+	var crashedAt sim.Time
+	for _, e := range events {
+		if e.Component == "fault" && strings.Contains(e.Message, "CRASHED") {
+			crashedAt = e.At
+		}
+	}
+	if want := events[0].At.Add(earlyFault[0].At); crashedAt != want {
+		t.Errorf("workload: node crashed at %s, want first submission + %s = %s", crashedAt, earlyFault[0].At, want)
+	}
+
+	qs := QueryStream{Plans: []*query.Plan{dagQueryPlan(0)}}
+	o = Options{Scale: 0.05, Seed: 3}
+	clean, err := RunQueryStream(A3x4(), qs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.NodeFaults = earlyFault
+	faulty, err := RunQueryStream(A3x4(), qs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SameQueryRows("fault-free", clean, "faulty", faulty); err != nil {
+		t.Error(err)
+	}
+	// A crash during the idle bring-up would be over before the query
+	// arrives and leave its timeline alone.
+	if faulty.Makespan <= clean.Makespan {
+		t.Errorf("queries: makespan %.3fs with the crash, %.3fs without — it did not land in the run", faulty.Makespan, clean.Makespan)
+	}
+}

@@ -31,10 +31,7 @@ func EstimatorAccuracy(o Options) (*Figure, error) {
 		var measured = map[core.ModeKind]float64{}
 		var sample *profiler.Summary
 		for _, v := range []Variant{VariantDPlus(), VariantUPlus()} {
-			setup := A3x4()
-			setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-			setup = o.applyTo(setup)
-			env, err := NewEnv(setup, v)
+			env, err := NewEnv(o.Apply(A3x4()), v)
 			if err != nil {
 				return nil, err
 			}

@@ -58,16 +58,18 @@ type Options struct {
 	EngineBenchOut string
 }
 
-// applyTo copies the run-wide Options knobs onto one simulation's setup.
-func (o Options) applyTo(setup ClusterSetup) ClusterSetup {
+// Apply is the one step from a run description to a simulation's setup: it
+// copies every run-wide knob onto a base cluster — Scale (the U+ cache
+// budget shrinks with the inputs), host workers, node faults, and the
+// feature toggles. The DFS placement seed stays the base setup's own.
+func (o Options) Apply(setup ClusterSetup) ClusterSetup {
+	o = o.normalized()
+	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
 	setup.HostWorkers = o.HostWorkers
 	setup.NodeFaults = o.NodeFaults
 	if o.ShuffleService {
 		setup.Params.ShuffleService = true
 		setup.Params.ShuffleCodec = o.ShuffleCodec
-	}
-	if o.FlightRecorder {
-		setup.Params.FlightRecorder = true
 	}
 	if o.MemoCache {
 		setup.Params.MemoCache = true
@@ -124,79 +126,71 @@ func (f *Figure) Improvement(i int, a, b string) float64 {
 
 const mb = float64(1 << 20)
 
-// runWordCount executes one WordCount configuration under one variant on a
-// fresh simulation and returns the completion time in seconds.
-func runWordCount(setup ClusterSetup, v Variant, files int, fileBytes int64, o Options) (float64, error) {
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup = o.applyTo(setup)
-	env, err := NewEnv(setup, v)
-	if err != nil {
-		return 0, err
-	}
-	defer env.Close()
+// StageWordCount generates a WordCount input on the env's DFS and returns the
+// job over it.
+func StageWordCount(env *Env, files int, fileBytes, seed int64) (*mapreduce.JobSpec, error) {
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
-		Files: files, FileBytes: fileBytes, Seed: o.Seed,
+		Files: files, FileBytes: fileBytes, Seed: seed,
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	spec := workloads.WordCountSpec(fmt.Sprintf("wordcount-%dx%dMB", files, fileBytes/(1<<20)), names, "/out/wc", false)
-	res, err := env.Run(v, spec)
-	if err != nil {
-		return 0, err
-	}
-	return res.Elapsed(), nil
+	return workloads.WordCountSpec(fmt.Sprintf("wordcount-%dx%dMB", files, fileBytes/(1<<20)), names, "/out/wc", false), nil
 }
 
-// runTeraSort executes one TeraSort configuration.
-func runTeraSort(setup ClusterSetup, v Variant, rows int64, files int, o Options) (float64, error) {
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup = o.applyTo(setup)
-	env, err := NewEnv(setup, v)
-	if err != nil {
-		return 0, err
-	}
-	defer env.Close()
+// StageTeraSort generates a TeraSort input and returns the single-reduce sort
+// over it.
+func StageTeraSort(env *Env, rows int64, files int, seed int64) (*mapreduce.JobSpec, error) {
 	names, err := workloads.TeraGen(env.DFS, env.Cluster, "/in/ts", workloads.TeraGenConfig{
-		Rows: rows, Files: files, Seed: o.Seed,
+		Rows: rows, Files: files, Seed: seed,
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	spec, err := workloads.TeraSortSpec(env.DFS, fmt.Sprintf("terasort-%dk", rows/1000), names, "/out/ts", 1)
-	if err != nil {
-		return 0, err
-	}
-	res, err := env.Run(v, spec)
-	if err != nil {
-		return 0, err
-	}
-	if err := workloads.VerifyTeraSortOutput(env.DFS, "/out/ts", 1, rows); err != nil {
-		return 0, fmt.Errorf("bench: terasort output invalid: %w", err)
-	}
-	return res.Elapsed(), nil
+	return workloads.TeraSortSpec(env.DFS, fmt.Sprintf("terasort-%dk", rows/1000), names, "/out/ts", 1)
 }
 
-// runPi executes one PI configuration.
-func runPi(setup ClusterSetup, v Variant, maps int, samples int64, o Options) (float64, error) {
-	setup = o.applyTo(setup)
-	env, err := NewEnv(setup, v)
-	if err != nil {
-		return 0, err
-	}
-	defer env.Close()
+// StagePi writes the PI sampler's map inputs and returns the job over them.
+func StagePi(env *Env, maps int, samples int64) (*mapreduce.JobSpec, error) {
 	names, err := workloads.GeneratePiInput(env.DFS, env.Cluster, "/in/pi", workloads.PiConfig{
 		Maps: maps, Samples: samples / int64(maps),
 	})
 	if err != nil {
+		return nil, err
+	}
+	return workloads.PiSpec(env.DFS, fmt.Sprintf("pi-%dm", samples/1_000_000), names, "/out/pi"), nil
+}
+
+// runJob stages one job on a fresh simulation of setup, runs it under the
+// variant, lets verify (if any) inspect the output, and returns the
+// completion time in seconds.
+func runJob(setup ClusterSetup, v Variant, o Options, stage func(*Env) (*mapreduce.JobSpec, error), verify func(*Env) error) (float64, error) {
+	env, err := NewEnv(o.Apply(setup), v)
+	if err != nil {
 		return 0, err
 	}
-	spec := workloads.PiSpec(env.DFS, fmt.Sprintf("pi-%dm", samples/1_000_000), names, "/out/pi")
+	defer env.Close()
+	spec, err := stage(env)
+	if err != nil {
+		return 0, err
+	}
 	res, err := env.Run(v, spec)
 	if err != nil {
 		return 0, err
 	}
+	if verify != nil {
+		if err := verify(env); err != nil {
+			return 0, err
+		}
+	}
 	return res.Elapsed(), nil
+}
+
+// runWordCount is runJob over one WordCount configuration.
+func runWordCount(setup ClusterSetup, v Variant, files int, fileBytes int64, o Options) (float64, error) {
+	return runJob(setup, v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+		return StageWordCount(env, files, fileBytes, o.Seed)
+	}, nil)
 }
 
 // sweep runs every variant at every x-position through run().
@@ -292,7 +286,14 @@ func Fig10(o Options) (*Figure, error) {
 		if rows < 4 {
 			rows = 4
 		}
-		return runTeraSort(A3x4(), v, rows, 4, o)
+		return runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+			return StageTeraSort(env, rows, 4, o.Seed)
+		}, func(env *Env) error {
+			if err := workloads.VerifyTeraSortOutput(env.DFS, "/out/ts", 1, rows); err != nil {
+				return fmt.Errorf("bench: terasort output invalid: %w", err)
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -314,7 +315,9 @@ func Fig11(o Options) (*Figure, error) {
 		if samples < 4 {
 			samples = 4
 		}
-		return runPi(A3x4(), v, 4, samples, o)
+		return runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+			return StagePi(env, 4, samples)
+		}, nil)
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -86,46 +87,42 @@ func (e *Env) FlightDashboard(title string, topK int) flight.Dashboard {
 	}
 }
 
+// WriteArtifact creates the file at path, lets write fill it, and closes
+// it; the first error of the three is the result.
+func WriteArtifact(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // WriteFlightArtifacts writes whichever flight artifacts the options ask
 // for: the Prometheus series dump (SeriesOut), the HTML dashboard
-// (DashOut, host lane included when bench != nil), and the engine
-// self-profile (EngineBenchOut).
-func writeFlightArtifacts(env *Env, o Options, title string, bench *flight.EngineBench) error {
-	if env.Flight == nil {
+// (DashOut, host lane included when eb != nil), and the engine
+// self-profile (EngineBenchOut). No-op when the env has no recorder.
+func (e *Env) WriteFlightArtifacts(o Options, title string, eb *flight.EngineBench) error {
+	if e.Flight == nil {
 		return nil
 	}
 	if o.SeriesOut != "" {
-		f, err := os.Create(o.SeriesOut)
-		if err != nil {
-			return err
-		}
-		if err := env.Flight.WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := WriteArtifact(o.SeriesOut, e.Flight.WritePrometheus); err != nil {
 			return err
 		}
 	}
 	if o.DashOut != "" {
-		d := env.FlightDashboard(title, 15)
-		d.Engine = bench
-		f, err := os.Create(o.DashOut)
-		if err != nil {
-			return err
-		}
-		if err := flight.WriteDashboard(f, d); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		d := e.FlightDashboard(title, 15)
+		d.Engine = eb
+		if err := WriteArtifact(o.DashOut, func(w io.Writer) error { return flight.WriteDashboard(w, d) }); err != nil {
 			return err
 		}
 	}
-	if o.EngineBenchOut != "" && bench != nil {
-		if err := writeEngineBenchFile(o.EngineBenchOut, "engine", *bench); err != nil {
-			return err
-		}
+	if o.EngineBenchOut != "" && eb != nil {
+		return writeEngineBenchFile(o.EngineBenchOut, "engine", *eb)
 	}
 	return nil
 }
@@ -133,15 +130,7 @@ func writeFlightArtifacts(env *Env, o Options, title string, bench *flight.Engin
 // writeEngineBenchFile writes one self-profiler summary as a BENCH_*.json
 // artifact.
 func writeEngineBenchFile(path, id string, b flight.EngineBench) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := flight.WriteEngineBench(f, id, b); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return WriteArtifact(path, func(w io.Writer) error { return flight.WriteEngineBench(w, id, b) })
 }
 
 // TenantSLOReport is one tenant's SLO outcome in a ThroughputResult: the

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"mrapid/internal/core"
-	"mrapid/internal/memo"
 	"mrapid/internal/query"
-	"mrapid/internal/sim"
 )
 
 // memoWorkload is the repeat-heavy job stream both Memo rows run: three
@@ -27,124 +25,19 @@ func memoWorkload() WorkloadConfig {
 // the two group-by branches and the join compile to byte-identical stage
 // signatures, so a warm cache serves them, while the order-by is novel and
 // must run — the partial-overlap case of cross-query reuse.
-func memoVariantPlan() *query.Plan {
-	sales := query.Scan("sales").
-		Filter(query.Where("amount", query.OpGt, "100")).
-		GroupBy([]string{"cell"}, query.Sum("amount"), query.Count())
-	returns := query.Scan("returns").
-		Filter(query.Where("refund", query.OpGt, "20")).
-		GroupBy([]string{"cell"}, query.Sum("refund"))
-	return sales.Join(returns, "cell", "cell").OrderBy("sum(amount)", false)
-}
+func memoVariantPlan() *query.Plan { return WarehouseQuery(100, 20, false) }
 
-// memoQueryStats is one cache mode's outcome over the query stream.
-type memoQueryStats struct {
-	makespan float64
-	slotSec  float64
-	hits     int64 // memo_hits_total at end of run
-	misses   int64 // memo_misses_total at end of run
-	stages   []int // per query
-	memoWins []int // per query, stages won by ModeMemo
-	rows     [][]string
-}
-
-// runMemoQueryMode drives a three-query stream through the DAG runner on a
-// fresh simulation — a cold join-heavy query, its exact repeat, and a
-// variant sharing everything but the final sort — submitted sequentially so
-// each query sees its predecessors' committed outputs. The only difference
-// between modes is whether the cross-job memo cache is attached.
-func runMemoQueryMode(memoOn bool, o Options) (*memoQueryStats, error) {
-	setup := A3x4()
-	setup.Seed = o.Seed
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup = o.applyTo(setup)
-	setup.Params.MemoCache = memoOn
-
-	v := VariantDPlus()
-	v.UseFramework = false
-	env, err := NewEnv(setup, v)
-	if err != nil {
-		return nil, err
-	}
-	defer env.Close()
-	env.EnableObservability(1 << 16)
-	fw := core.NewFramework(env.RT, dagQueryPool, core.FullUPlus())
-	srv, err := core.NewJobServer(fw, core.JobServerConfig{Policy: core.PolicyWeightedFair})
-	if err != nil {
-		return nil, err
-	}
-	ready := false
-	env.Eng.After(0, func() { fw.Start(func() { ready = true }) })
-	env.Eng.RunUntil(sim.Time(1 << 36))
-	if !ready {
-		return nil, fmt.Errorf("bench: AM pool failed to start")
-	}
-	env.FW = fw
-	if memoOn {
-		fw.Memo = memo.New(env.Reg, env.Cluster.Workers(), memo.Config{
-			MemBytes:  setup.Params.MemoMemBytes,
-			DiskBytes: setup.Params.MemoDiskBytes,
-		})
-	}
-
-	cat := query.NewCatalog(env.DFS, env.Cluster)
-	if err := dagQueryTables(cat, o); err != nil {
-		return nil, err
-	}
-	dr, err := query.NewDAGRunner(fw, srv, cat)
-	if err != nil {
-		return nil, err
-	}
-	dr.Mode = query.ViaDPlus
-
-	plans := []*query.Plan{dagQueryPlan(0), dagQueryPlan(0), memoVariantPlan()}
-	stats := &memoQueryStats{
-		stages:   make([]int, len(plans)),
-		memoWins: make([]int, len(plans)),
-		rows:     make([][]string, len(plans)),
-	}
-	start := env.Eng.Now()
-	var lastDone sim.Time
-	var runErr error
-	var launch func(i int)
-	launch = func(i int) {
-		dr.Run(plans[i], func(res *query.Result, err error) {
-			if err != nil {
-				if runErr == nil {
-					runErr = fmt.Errorf("bench: memo query %d failed: %w", i, err)
-				}
-				env.RM.Stop()
-				return
+// memoWins counts, per query of a stream, the stages served from the cache.
+func memoWins(r *QueryStreamResult) []int {
+	wins := make([]int, len(r.Results))
+	for i, res := range r.Results {
+		for _, w := range res.Winners {
+			if w == core.ModeMemo {
+				wins[i]++
 			}
-			stats.rows[i] = canonQueryRows(res.Rows)
-			stats.stages[i] = res.Stages
-			for _, w := range res.Winners {
-				if w == core.ModeMemo {
-					stats.memoWins[i]++
-				}
-			}
-			lastDone = env.Eng.Now()
-			if i+1 < len(plans) {
-				launch(i + 1)
-			} else {
-				env.RM.Stop()
-			}
-		})
+		}
 	}
-	env.Eng.After(0, func() { launch(0) })
-	env.Eng.RunUntil(horizon)
-	if runErr != nil {
-		return nil, runErr
-	}
-	if lastDone == 0 || stats.rows[len(plans)-1] == nil {
-		return nil, fmt.Errorf("bench: memo query stream did not finish within the horizon")
-	}
-	stats.makespan = lastDone.Sub(start).Seconds()
-	stats.slotSec = srv.SlotSeconds
-	counters := env.Reg.Counters()
-	stats.hits = counters["memo_hits_total"]
-	stats.misses = counters["memo_misses_total"]
-	return stats, nil
+	return wins
 }
 
 // Memo is the registered cross-job memoization experiment, in two halves.
@@ -192,7 +85,9 @@ func Memo(o Options) (*Figure, error) {
 		})
 	}
 
-	// Jobs half.
+	// Jobs half. The off rows stay off even when the run's options turn the
+	// cache on everywhere else.
+	o.MemoCache = false
 	off, err := RunThroughput(A3x4(), memoWorkload(), o)
 	if err != nil {
 		return nil, fmt.Errorf("bench: memo jobs, cache off: %w", err)
@@ -222,43 +117,46 @@ func Memo(o Options) (*Figure, error) {
 		(off.SlotSeconds-on.SlotSeconds)/off.SlotSeconds*100,
 		(off.Makespan-on.Makespan)/off.Makespan*100))
 
-	// Queries half.
-	qoff, err := runMemoQueryMode(false, o)
+	// Queries half: a cold join-heavy query, its exact repeat, and a variant
+	// sharing everything but the final sort, each submitted when the previous
+	// one is done so it sees its predecessors' committed outputs. The only
+	// difference between the rows is whether the cache is attached.
+	setup := A3x4()
+	setup.Seed = o.Seed
+	qs := QueryStream{
+		Plans:         []*query.Plan{dagQueryPlan(0), dagQueryPlan(0), memoVariantPlan()},
+		AfterPrevious: true,
+	}
+	qoff, err := RunQueryStream(setup, qs, o)
 	if err != nil {
+		return nil, fmt.Errorf("bench: memo queries, cache off: %w", err)
+	}
+	qon, err := RunQueryStream(setup, qs, oOn)
+	if err != nil {
+		return nil, fmt.Errorf("bench: memo queries, cache on: %w", err)
+	}
+	if err := SameQueryRows("cache off", qoff, "cache on", qon); err != nil {
 		return nil, err
 	}
-	qon, err := runMemoQueryMode(true, o)
-	if err != nil {
-		return nil, err
+	wins := memoWins(qon)
+	stages := func(i int) int { return qon.Results[i].Stages }
+	if wins[0] != 0 {
+		return nil, fmt.Errorf("bench: cold query won %d stages from an empty cache", wins[0])
 	}
-	for i := range qoff.rows {
-		a, b := qoff.rows[i], qon.rows[i]
-		if len(a) != len(b) {
-			return nil, fmt.Errorf("bench: memo query %d: cache off returned %d rows, on %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return nil, fmt.Errorf("bench: memo query %d row %d: off %q != on %q", i, j, a[j], b[j])
-			}
-		}
+	if wins[1] != stages(1) {
+		return nil, fmt.Errorf("bench: exact repeat won %d of %d stages from the cache", wins[1], stages(1))
 	}
-	if qon.memoWins[0] != 0 {
-		return nil, fmt.Errorf("bench: cold query won %d stages from an empty cache", qon.memoWins[0])
+	if wins[2] != stages(2)-1 {
+		return nil, fmt.Errorf("bench: shared-subtree variant won %d of %d stages, want all but the sort", wins[2], stages(2))
 	}
-	if qon.memoWins[1] != qon.stages[1] {
-		return nil, fmt.Errorf("bench: exact repeat won %d of %d stages from the cache", qon.memoWins[1], qon.stages[1])
+	if qon.Makespan >= qoff.Makespan {
+		return nil, fmt.Errorf("bench: cache-on query makespan %.2fs did not beat cache-off %.2fs", qon.Makespan, qoff.Makespan)
 	}
-	if qon.memoWins[2] != qon.stages[2]-1 {
-		return nil, fmt.Errorf("bench: shared-subtree variant won %d of %d stages, want all but the sort", qon.memoWins[2], qon.stages[2])
-	}
-	if qon.makespan >= qoff.makespan {
-		return nil, fmt.Errorf("bench: cache-on query makespan %.2fs did not beat cache-off %.2fs", qon.makespan, qoff.makespan)
-	}
-	addPoint("query/off", qoff.makespan, qoff.slotSec, 0, 0)
-	addPoint("query/on", qon.makespan, qon.slotSec, qon.hits, qon.misses)
+	addPoint("query/off", qoff.Makespan, qoff.SlotSeconds, 0, 0)
+	addPoint("query/on", qon.Makespan, qon.SlotSeconds, qon.MemoHits, qon.MemoMisses)
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"queries: repeat served %d/%d stages, variant %d/%d (all but the sort); cache-on beats cache-off makespan by %.1f%%",
-		qon.memoWins[1], qon.stages[1], qon.memoWins[2], qon.stages[2],
-		(qoff.makespan-qon.makespan)/qoff.makespan*100))
+		wins[1], stages(1), wins[2], stages(2),
+		(qoff.Makespan-qon.Makespan)/qoff.Makespan*100))
 	return fig, nil
 }

@@ -19,10 +19,7 @@ var phaseColumns = []string{
 // runPhases runs one traced WordCount (4×10 MB, A3×4) under a variant and
 // returns the critical-path analyzer's phase attribution.
 func runPhases(v Variant, speculative bool, o Options) (*report.Report, error) {
-	setup := A3x4()
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup = o.applyTo(setup)
-	env, err := NewEnv(setup, v)
+	env, err := NewEnv(o.Apply(A3x4()), v)
 	if err != nil {
 		return nil, err
 	}

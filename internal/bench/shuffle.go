@@ -102,11 +102,9 @@ func shuffleCases() []shuffleCase {
 // metrics registry.
 func RunShuffleCase(setup ClusterSetup, c shuffleCase, cfg shuffleConfig, o Options) (*ShuffleRun, error) {
 	o = o.normalized()
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
+	setup = o.Apply(setup)
 	setup.Params.ShuffleService = cfg.Enabled
 	setup.Params.ShuffleCodec = cfg.Codec
-	setup.HostWorkers = o.HostWorkers
-	setup.NodeFaults = o.NodeFaults
 	v := VariantHadoop()
 	env, err := NewEnv(setup, v)
 	if err != nil {

@@ -18,10 +18,7 @@ func SpeculationOverhead(o Options) (firstRun, historyRun float64, err error) {
 	o = o.normalized()
 	v := VariantDPlus()
 	v.UOpts = core.FullUPlus()
-	setup := A3x4()
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup = o.applyTo(setup)
-	env, err := NewEnv(setup, v)
+	env, err := NewEnv(o.Apply(A3x4()), v)
 	if err != nil {
 		return 0, 0, err
 	}

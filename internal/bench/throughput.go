@@ -12,7 +12,6 @@ import (
 	"mrapid/internal/core"
 	"mrapid/internal/flight"
 	"mrapid/internal/mapreduce"
-	"mrapid/internal/memo"
 	"mrapid/internal/metrics"
 	"mrapid/internal/sim"
 	"mrapid/internal/workloads"
@@ -122,7 +121,7 @@ func (r *ThroughputResult) WriteFlightArtifacts(o Options, title string) error {
 	if r.flightEnv == nil {
 		return nil
 	}
-	return writeFlightArtifacts(r.flightEnv, o, title, r.Engine)
+	return r.flightEnv.WriteFlightArtifacts(o, title, r.Engine)
 }
 
 // arrivalTimes expands a WorkloadConfig.Arrival spec into one absolute
@@ -177,47 +176,19 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	if cfg.Jobs <= 0 || cfg.Tenants <= 0 {
 		return nil, fmt.Errorf("bench: workload needs at least one job and one tenant")
 	}
-	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 3
-	}
-	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup = o.applyTo(setup)
-
-	// The framework is assembled by hand (not by NewEnv) so the JobServer can
-	// install the tenant queues before the pool starts — that way the
-	// reserved AM containers are charged against the default queue.
 	v := VariantDPlus()
-	v.UseFramework = false
-	env, err := NewEnv(setup, v)
+	if cfg.PoolSize != 0 {
+		v.PoolSize = cfg.PoolSize
+	}
+	v.Server = &core.JobServerConfig{Queues: tenantQueues(cfg.Tenants), Policy: cfg.Policy}
+	env, err := NewEnv(o.Apply(setup), v)
 	if err != nil {
 		return nil, err
 	}
 	defer env.Close()
 	env.EnableObservability(1 << 16)
-	fw := core.NewFramework(env.RT, cfg.PoolSize, core.FullUPlus())
-	srv, err := core.NewJobServer(fw, core.JobServerConfig{
-		Queues: tenantQueues(cfg.Tenants),
-		Policy: cfg.Policy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ready := false
-	env.Eng.After(0, func() { fw.Start(func() { ready = true }) })
-	env.Eng.RunUntil(sim.Time(1 << 36))
-	if !ready {
-		return nil, fmt.Errorf("bench: AM pool failed to start")
-	}
-	env.FW = fw
-	fw.Predict = cfg.Predict
-	// NewEnv can't attach the memo cache here (the framework is hand-built),
-	// so mirror its wiring: registry-backed counters, cluster-wide residency.
-	if setup.Params.MemoCache {
-		fw.Memo = memo.New(env.Reg, env.Cluster.Workers(), memo.Config{
-			MemBytes:  setup.Params.MemoMemBytes,
-			DiskBytes: setup.Params.MemoDiskBytes,
-		})
-	}
+	srv := env.Srv
+	env.FW.Predict = cfg.Predict
 
 	// Flight recorder: cluster gauges from the env, JobServer gauges here,
 	// and the SLO tracker fed through a tap that also keeps the raw events,
@@ -225,7 +196,7 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	// an independent recomputation after the run.
 	var rec *flight.Recorder
 	var tap *sloTap
-	if setup.Params.FlightRecorder {
+	if o.FlightRecorder {
 		rec = env.EnableFlightRecorder(DefaultSLO())
 		rec.AddGauge(func(sample func(string, float64)) {
 			pending := srv.PendingByTenant()

@@ -142,15 +142,6 @@ type Params struct {
 	// workloads.
 	ShuffleLZRatio float64
 
-	// FlightRecorder enables the cluster flight recorder
-	// (internal/flight): the simulation is sampled on the virtual clock
-	// every FlightInterval into ring-buffered time-series — registry rates,
-	// cluster gauges, per-tenant SLO burn rates — exportable as Prometheus
-	// text, Chrome-trace counter lanes, and an HTML dashboard. Off by
-	// default; sampling is read-only, so job outputs are byte-identical
-	// either way.
-	FlightRecorder bool
-
 	// FlightInterval is the virtual-clock sampling period of the flight
 	// recorder (zero means the 250 ms default).
 	FlightInterval time.Duration
@@ -207,7 +198,6 @@ func Default() Params {
 		ShuffleService:          false,
 		ShuffleCodec:            "none",
 		ShuffleLZRatio:          0.55,
-		FlightRecorder:          false,
 		FlightInterval:          250 * time.Millisecond,
 		FlightRingCap:           4096,
 		MemoCache:               false,

@@ -36,6 +36,12 @@ type DAGRunner struct {
 	// admission tenant is always the query itself.
 	Queue string
 
+	// Sequential keeps at most one stage of each query in flight, in plan
+	// order: the stage-chain execution of a Hive/Pig frontend, and the
+	// baseline the overlapping schedule is measured against. Everything else
+	// — admission, intermediates, lineage recovery — is unchanged.
+	Sequential bool
+
 	qseq int
 }
 
@@ -101,9 +107,10 @@ type dagRun struct {
 func (d *dagRun) rt() *mapreduce.Runtime { return d.r.FW.RT }
 
 // Run compiles the plan into a stage DAG and executes it, invoking done
-// with the result. Results are row-identical to the sequential Runner's
-// (modulo row order across part files); Elapsed is the query's makespan on
-// the virtual clock rather than a per-stage sum.
+// with the result. The caller drives the simulation engine (stages are
+// submitted asynchronously on the virtual clock). Rows do not depend on
+// Sequential, modulo row order across part files; Elapsed is the query's
+// makespan on the virtual clock.
 func (r *DAGRunner) Run(p *Plan, done func(*Result, error)) {
 	if done == nil {
 		panic("query: Run needs a completion callback")
@@ -143,12 +150,16 @@ func (r *DAGRunner) Run(p *Plan, done func(*Result, error)) {
 	d.submitReady()
 }
 
-// submitReady launches every pending stage whose dependencies are done.
+// submitReady launches every pending stage whose dependencies are done, or
+// under Sequential the first of them once nothing else is running.
 func (d *dagRun) submitReady() {
 	if d.failed {
 		return
 	}
 	for _, st := range d.compiled.Stages {
+		if d.r.Sequential && d.running > 0 {
+			return
+		}
 		if d.status[st.ID] == stagePending && d.remaining[st.ID] == 0 {
 			d.launch(st)
 		}

@@ -21,8 +21,8 @@ import (
 	"mrapid/internal/yarn"
 )
 
-// dagEnv extends the test env with a DAG runner over the same framework, so
-// chain and DAG executions share a cluster, catalog, and history.
+// dagEnv is the test env with a metrics registry and a runner that overlaps
+// independent stages; dag is env.run under the name these tests use.
 type dagEnv struct {
 	*env
 	dag *DAGRunner
@@ -54,29 +54,23 @@ func newDAGEnv(t *testing.T, workers int) *dagEnv {
 		t.Fatal(err)
 	}
 	return &dagEnv{
-		env: &env{eng: eng, rm: rm, cat: cat, run: NewRunner(fw, cat)},
+		env: &env{eng: eng, rm: rm, cat: cat, run: dag, tables: map[string]refTable{}},
 		dag: dag,
 	}
 }
 
-// execDAG runs a plan through the DAG runner to completion.
+// execDAG runs a plan with independent stages overlapping.
 func (e *dagEnv) execDAG(t *testing.T, p *Plan) *Result {
 	t.Helper()
-	var res *Result
-	var errOut error
-	e.eng.After(0, func() {
-		e.dag.Run(p, func(r *Result, err error) {
-			res, errOut = r, err
-		})
-	})
-	e.eng.RunUntil(e.eng.Now().Add(1 << 42))
-	if errOut != nil {
-		t.Fatal(errOut)
-	}
-	if res == nil {
-		t.Fatal("DAG query never completed")
-	}
-	return res
+	return e.exec(t, p)
+}
+
+// execSequential runs a plan on the same runner one stage at a time.
+func (e *dagEnv) execSequential(t *testing.T, p *Plan) *Result {
+	t.Helper()
+	e.dag.Sequential = true
+	defer func() { e.dag.Sequential = false }()
+	return e.exec(t, p)
 }
 
 // canonRows renders rows order-independently for cross-runner comparison
@@ -208,11 +202,12 @@ func TestCompileNoInteriorMaterialize(t *testing.T) {
 	}
 }
 
-// TestDAGMatchesChain is the golden row-identity check: across worker
+// TestDAGMatchesReference is the golden row-identity check: across worker
 // counts, for branch-parallel joins, empty-input stages, and multi-reduce
-// partitioned intermediates, the DAG runner's result rows are identical
-// (after canonical sort) to the sequential chain's.
-func TestDAGMatchesChain(t *testing.T) {
+// partitioned intermediates, the rows of the overlapping schedule and of the
+// one-stage-at-a-time schedule both equal the reference evaluator's — which
+// shares nothing with Compile, so a compiler bug cannot pass on both sides.
+func TestDAGMatchesReference(t *testing.T) {
 	for _, workers := range []int{3, 5} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			e := newDAGEnv(t, workers)
@@ -236,19 +231,20 @@ func TestDAGMatchesChain(t *testing.T) {
 							GroupBy([]string{"region"}, Count()), "region", "region").
 						OrderBy("region", false)
 				}, CompileOptions{}},
-				// Tiny reduce target: the DAG side runs multi-reduce
-				// partitioned intermediates while the chain stays
-				// single-reduce — the rows must still agree.
+				// Tiny reduce target: multi-reduce partitioned
+				// intermediates under both schedules.
 				{"multi-reduce", branchyPlan, CompileOptions{TargetBytesPerReduce: 1 << 10}},
 			}
 			for _, c := range cases {
 				t.Run(c.name, func(t *testing.T) {
-					chain := e.exec(t, c.plan())
 					e.dag.Opts = c.opts
-					dag := e.execDAG(t, c.plan())
-					if !reflect.DeepEqual(canonRows(chain.Rows), canonRows(dag.Rows)) {
-						t.Fatalf("DAG rows differ from chain:\nchain: %v\ndag:   %v", chain.Rows, dag.Rows)
+					seq := e.execSequential(t, c.plan())
+					checkAgainstReference(t, e.tables, c.plan(), "one stage at a time", seq)
+					if seq.MaxConcurrent != 1 {
+						t.Fatalf("sequential run had %d stages in flight", seq.MaxConcurrent)
 					}
+					dag := e.execDAG(t, c.plan())
+					checkAgainstReference(t, e.tables, c.plan(), "dag", dag)
 					if len(dag.Winners) != dag.Stages {
 						t.Fatalf("winners = %d, stages = %d", len(dag.Winners), dag.Stages)
 					}
@@ -333,14 +329,14 @@ func TestDAGIntermediatesAvoidHDFS(t *testing.T) {
 
 // TestDAGNodeCrashChaos kills a worker (with restart) while the DAG query
 // runs: unreplicated intermediates die with it, lineage recovery recomputes
-// them, and the rows still match a fault-free chain execution.
+// them, and the rows still match the reference.
 func TestDAGNodeCrashChaos(t *testing.T) {
 	e := newDAGEnv(t, 4)
 	e.mustCreate(t, "sales", salesSchema, salesRows(400, 39), 4)
 	e.mustCreate(t, "returns", returnsSchema, returnsRows(150), 2)
 
-	// Fault-free reference first (also warms the history).
-	chain := e.exec(t, branchyPlan())
+	// A fault-free run first warms the history.
+	checkAgainstReference(t, e.tables, branchyPlan(), "fault-free", e.execSequential(t, branchyPlan()))
 
 	rt := e.dag.FW.RT
 	victim := rt.Cluster.Workers()[1].Name
@@ -352,20 +348,26 @@ func TestDAGNodeCrashChaos(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		dag := e.execDAG(t, branchyPlan())
-		if !reflect.DeepEqual(canonRows(chain.Rows), canonRows(dag.Rows)) {
-			t.Fatalf("crash at %s: DAG rows differ from fault-free chain:\nchain: %v\ndag:   %v",
-				at, chain.Rows, dag.Rows)
-		}
+		checkAgainstReference(t, e.tables, branchyPlan(), fmt.Sprintf("crash at %s", at), e.execDAG(t, branchyPlan()))
 	}
 }
 
 // TestDAGLineageRecovery kills the node holding a committed group-by
 // intermediate just before the join consumes it: the read surfaces
 // ErrIntermediateLost, the runner reverts the producer from lineage, and the
-// query still answers correctly.
+// query still answers correctly — with branches overlapping and one stage at
+// a time alike.
 func TestDAGLineageRecovery(t *testing.T) {
+	for _, sequential := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sequential=%v", sequential), func(t *testing.T) {
+			testLineageRecovery(t, sequential)
+		})
+	}
+}
+
+func testLineageRecovery(t *testing.T, sequential bool) {
 	e := newDAGEnv(t, 4)
+	e.dag.Sequential = sequential
 	e.mustCreate(t, "sales", salesSchema, salesRows(400, 41), 4)
 	e.mustCreate(t, "returns", returnsSchema, returnsRows(150), 2)
 	e.dag.Mode = ViaDPlus
@@ -405,12 +407,7 @@ func TestDAGLineageRecovery(t *testing.T) {
 		t.Fatal("holder death did not trigger lineage recovery")
 	}
 
-	// The fault has passed (node restarted); a fresh chain run is the
-	// reference.
-	chain := e.exec(t, branchyPlan())
-	if !reflect.DeepEqual(canonRows(chain.Rows), canonRows(res.Rows)) {
-		t.Fatalf("recovered DAG rows differ from chain:\nchain: %v\ndag:   %v", chain.Rows, res.Rows)
-	}
+	checkAgainstReference(t, e.tables, branchyPlan(), "recovered dag", res)
 }
 
 // --- Satellite regressions -------------------------------------------------

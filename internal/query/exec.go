@@ -1,13 +1,11 @@
 package query
 
 import (
-	"fmt"
-
 	"mrapid/internal/core"
 	"mrapid/internal/mapreduce"
 )
 
-// SubmitMode selects how the runner submits each compiled stage.
+// SubmitMode selects how the DAG runner submits each compiled stage.
 type SubmitMode int
 
 // Submission modes.
@@ -24,44 +22,26 @@ const (
 // output files were materialized empty.
 const StageSkipped = core.ModeKind("skipped")
 
-// Runner executes compiled queries through the MRapid framework, one stage
-// at a time in plan order. It is the sequential baseline the DAGRunner is
-// measured against; both produce identical result tables.
-type Runner struct {
-	FW   *core.Framework
-	Cat  *Catalog
-	Mode SubmitMode
-
-	qseq int
-}
-
-// NewRunner builds a query runner over a started framework.
-func NewRunner(fw *core.Framework, cat *Catalog) *Runner {
-	return &Runner{FW: fw, Cat: cat, Mode: ViaSpeculative}
-}
-
 // Result is a finished query: its rows, output table, and execution
 // statistics.
 type Result struct {
 	Table   *Table
 	Rows    []Row
 	Stages  int
-	Elapsed float64 // virtual seconds: summed per stage (chain) or makespan (DAG)
+	Elapsed float64 // virtual seconds, the query's makespan
 	Winners []core.ModeKind
 
 	// MaxConcurrent is the peak number of this query's stages in flight at
-	// once: always 1 for the sequential Runner, ≥2 when the DAG runner
-	// overlapped independent branches.
+	// once: 1 under DAGRunner.Sequential, ≥2 when independent branches
+	// overlapped.
 	MaxConcurrent int
 
 	// AggParseErrors counts non-numeric values the query's aggregates
 	// skipped (also fed to the query_agg_parse_errors metric).
 	AggParseErrors int64
 
-	// Recoveries counts lineage-recovery rounds the DAG runner ran after
-	// losing unreplicated intermediates with a dead node (always 0 for the
-	// sequential Runner, whose intermediates never outlive a stage
-	// submission by much but which simply fails on loss).
+	// Recoveries counts lineage-recovery rounds the runner ran after losing
+	// unreplicated intermediates with a dead node.
 	Recoveries int
 }
 
@@ -102,7 +82,7 @@ func emitEmptyOutputs(rt *mapreduce.Runtime, st *Stage) error {
 }
 
 // finishQuery loads the result table and settles the aggregate-skip
-// accounting shared by both runners.
+// accounting.
 func finishQuery(fw *core.Framework, cat *Catalog, compiled *Compiled, res *Result, done func(*Result, error)) {
 	rows, err := cat.ReadTable(compiled.Out)
 	if err != nil {
@@ -115,65 +95,4 @@ func finishQuery(fw *core.Framework, cat *Catalog, compiled *Compiled, res *Resu
 		fw.RT.Reg.Add("query_agg_parse_errors", res.AggParseErrors)
 	}
 	done(res, nil)
-}
-
-// Run compiles and executes the plan, invoking done with the result. The
-// caller drives the simulation engine (stages chain asynchronously on the
-// virtual clock).
-func (r *Runner) Run(p *Plan, done func(*Result, error)) {
-	if done == nil {
-		panic("query: Run needs a completion callback")
-	}
-	r.qseq++
-	qid := fmt.Sprintf("q%04d", r.qseq)
-	compiled, err := Compile(r.Cat, qid, p)
-	if err != nil {
-		r.FW.RT.Eng.After(0, func() { done(nil, err) })
-		return
-	}
-	r.FW.RT.EnsureIntermediates()
-	res := &Result{Table: compiled.Out, Stages: len(compiled.Stages), MaxConcurrent: 1}
-	r.runStage(compiled, 0, res, done)
-}
-
-func (r *Runner) runStage(compiled *Compiled, i int, res *Result, done func(*Result, error)) {
-	if i == len(compiled.Stages) {
-		finishQuery(r.FW, r.Cat, compiled, res, done)
-		return
-	}
-	st := compiled.Stages[i]
-	next := func(elapsed float64, winner core.ModeKind, err error) {
-		if err != nil {
-			done(nil, fmt.Errorf("query: stage %d (%s): %w", i, st.Kind, err))
-			return
-		}
-		res.Elapsed += elapsed
-		res.Winners = append(res.Winners, winner)
-		r.runStage(compiled, i+1, res, done)
-	}
-	// A stage with nothing to read (every input empty — e.g. a filter that
-	// matched no rows upstream) cannot run as a job: there are no input
-	// splits. Materialize its empty output and move on.
-	if stageInputBytes(r.FW.RT, st.Spec.InputFiles) == 0 {
-		if err := emitEmptyOutputs(r.FW.RT, st); err != nil {
-			done(nil, fmt.Errorf("query: stage %d (%s): %w", i, st.Kind, err))
-			return
-		}
-		next(0, StageSkipped, nil)
-		return
-	}
-	switch r.Mode {
-	case ViaDPlus:
-		r.FW.SubmitDPlus(st.Spec, func(jr *mapreduce.Result) {
-			next(jr.Elapsed(), core.ModeDPlus, jr.Err)
-		})
-	case ViaUPlus:
-		r.FW.SubmitUPlus(st.Spec, func(jr *mapreduce.Result) {
-			next(jr.Elapsed(), core.ModeUPlus, jr.Err)
-		})
-	default:
-		r.FW.SubmitSpeculative(st.Spec, func(sr *core.SpecResult) {
-			next(sr.Elapsed(), sr.Winner, sr.Result.Err)
-		})
-	}
 }

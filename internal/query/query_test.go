@@ -21,12 +21,16 @@ import (
 	"mrapid/internal/yarn"
 )
 
-// env bundles a started framework + catalog for query tests.
+// env bundles a started framework + catalog for query tests. newEnv's runner
+// keeps one stage of a query in flight at a time, so this file's end-to-end
+// suite covers the stage-chain schedule; newDAGEnv's overlaps branches.
+// tables keeps what mustCreate loaded for the reference evaluator.
 type env struct {
-	eng *sim.Engine
-	rm  *yarn.RM
-	cat *Catalog
-	run *Runner
+	eng    *sim.Engine
+	rm     *yarn.RM
+	cat    *Catalog
+	run    *DAGRunner
+	tables map[string]refTable
 }
 
 func newEnv(t *testing.T) *env {
@@ -49,7 +53,12 @@ func newEnv(t *testing.T) *env {
 		t.Fatal("framework not ready")
 	}
 	cat := NewCatalog(dfs, cluster)
-	return &env{eng: eng, rm: rm, cat: cat, run: NewRunner(fw, cat)}
+	run, err := NewDAGRunner(fw, nil, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Sequential = true
+	return &env{eng: eng, rm: rm, cat: cat, run: run, tables: map[string]refTable{}}
 }
 
 // salesRows builds a deterministic sales table.
@@ -76,6 +85,7 @@ func (e *env) mustCreate(t *testing.T, name string, schema Schema, rows []Row, f
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.tables[name] = refTable{schema, rows}
 	return tab
 }
 

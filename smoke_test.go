@@ -1,6 +1,7 @@
 package mrapid_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -38,6 +39,31 @@ func TestRegistrySmoke(t *testing.T) {
 	for _, want := range []string{"A1", "A2", "A3", "0.36"} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("rendered Table II missing %q", want)
+		}
+	}
+}
+
+// TestDesignNamesEveryPackage keeps DESIGN.md §3 an inventory: a directory
+// under internal/ or cmd/ that the section does not name fails the build.
+func TestDesignNamesEveryPackage(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 3. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 3")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, root := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if name := "`" + root + "/" + e.Name() + "`"; e.IsDir() && !strings.Contains(section, name) {
+				t.Errorf("DESIGN.md §3 does not name %s", name)
+			}
 		}
 	}
 }
