@@ -339,6 +339,8 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	if err != nil {
 		return err
 	}
+	// The figure sweeps name jobs by their size; the CLI's are the -job value.
+	spec.Name, spec.OutputFile = *job, "/out"
 
 	var prof *profiler.JobProfile
 	var winner string

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mrapid/internal/core"
+	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/topology"
 	"mrapid/internal/workloads"
@@ -162,35 +163,31 @@ func StagePi(env *Env, maps int, samples int64) (*mapreduce.JobSpec, error) {
 }
 
 // runJob stages one job on a fresh simulation of setup, runs it under the
-// variant, lets verify (if any) inspect the output, and returns the
-// completion time in seconds.
-func runJob(setup ClusterSetup, v Variant, o Options, stage func(*Env) (*mapreduce.JobSpec, error), verify func(*Env) error) (float64, error) {
+// variant, and returns the completion time in seconds with the file system
+// holding the job's output.
+func runJob(setup ClusterSetup, v Variant, o Options, stage func(*Env) (*mapreduce.JobSpec, error)) (float64, *hdfs.DFS, error) {
 	env, err := NewEnv(o.Apply(setup), v)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer env.Close()
 	spec, err := stage(env)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	res, err := env.Run(v, spec)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	if verify != nil {
-		if err := verify(env); err != nil {
-			return 0, err
-		}
-	}
-	return res.Elapsed(), nil
+	return res.Elapsed(), env.DFS, nil
 }
 
 // runWordCount is runJob over one WordCount configuration.
 func runWordCount(setup ClusterSetup, v Variant, files int, fileBytes int64, o Options) (float64, error) {
-	return runJob(setup, v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+	secs, _, err := runJob(setup, v, o, func(env *Env) (*mapreduce.JobSpec, error) {
 		return StageWordCount(env, files, fileBytes, o.Seed)
-	}, nil)
+	})
+	return secs, err
 }
 
 // sweep runs every variant at every x-position through run().
@@ -286,14 +283,16 @@ func Fig10(o Options) (*Figure, error) {
 		if rows < 4 {
 			rows = 4
 		}
-		return runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+		secs, dfs, err := runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
 			return StageTeraSort(env, rows, 4, o.Seed)
-		}, func(env *Env) error {
-			if err := workloads.VerifyTeraSortOutput(env.DFS, "/out/ts", 1, rows); err != nil {
-				return fmt.Errorf("bench: terasort output invalid: %w", err)
-			}
-			return nil
 		})
+		if err != nil {
+			return 0, err
+		}
+		if err := workloads.VerifyTeraSortOutput(dfs, "/out/ts", 1, rows); err != nil {
+			return 0, fmt.Errorf("bench: terasort output invalid: %w", err)
+		}
+		return secs, nil
 	})
 	if err != nil {
 		return nil, err
@@ -315,9 +314,10 @@ func Fig11(o Options) (*Figure, error) {
 		if samples < 4 {
 			samples = 4
 		}
-		return runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+		secs, _, err := runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
 			return StagePi(env, 4, samples)
-		}, nil)
+		})
+		return secs, err
 	})
 	if err != nil {
 		return nil, err

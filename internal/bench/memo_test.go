@@ -17,12 +17,12 @@ import (
 // that must again match a from-scratch execution — is pinned at the
 // framework level in core's TestMemoHitSkipsExecution.)
 func TestMemoByteIdentityGolden(t *testing.T) {
-	// Fault times count from cluster-ready, so the crash lands while the
-	// stream's fifth job runs. (It is placed between two of the stream's U+
-	// attempts on node-02: a crash in the 3 s before one fails that job —
-	// the decision maker kills D+ on a D+ sample while U+'s AM is already
-	// dead but not yet expired. See ROADMAP, correctness.)
-	chaos := []mapreduce.NodeFault{{Node: "node-02", At: 8 * time.Second, RestartAfter: 8 * time.Second}}
+	// Fault times count from cluster-ready. With the cache on only the
+	// stream's first three jobs (arrivals 0, 2, 4 s) execute, so the crash
+	// has to land there to be chaos for both rows: node-01 dies under the
+	// second job's race.
+	chaos := []mapreduce.NodeFault{{Node: "node-01", At: 2 * time.Second, RestartAfter: 8 * time.Second}}
+	clean := map[bool]*ThroughputResult{}
 	for _, faults := range [][]mapreduce.NodeFault{nil, chaos} {
 		var base map[string]string
 		for _, cache := range []bool{false, true} {
@@ -41,6 +41,14 @@ func TestMemoByteIdentityGolden(t *testing.T) {
 				}
 				if workers == 0 {
 					checkWorkload(t, fmt.Sprintf("memo cache=%v faults=%d", cache, len(faults)), r)
+					// The chaos must be real chaos: a crash that changes no
+					// job's timing proves nothing about recovery.
+					if c := clean[cache]; faults == nil {
+						clean[cache] = r
+					} else if r.Makespan == c.Makespan && r.P99 == c.P99 && r.SlotSeconds == c.SlotSeconds {
+						t.Fatalf("cache=%v: the node crash left no mark on the run (makespan %.2f s, p99 %.2f s)",
+							cache, r.Makespan, r.P99)
+					}
 				}
 				if base == nil {
 					base = r.OutputHashes

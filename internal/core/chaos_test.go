@@ -190,6 +190,62 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 	t.Logf("winner=%s", res.Winner)
 }
 
+// The verdict can kill D+ while the projected winner's AM already sits on a
+// crashed node the RM has not expired yet. When that AM is finally reported
+// lost, no racing mode is left: the winner must be relaunched on a fresh
+// pooled AM, as a single-mode submission is, instead of failing the job.
+func TestSpeculativeRelaunchesWinnerLostAfterVerdict(t *testing.T) {
+	race := func(victim int, crashAt sim.Time) (*SpecResult, *Framework, *mapreduce.Runtime, []byte) {
+		rt := chaosRuntime(t, 1)
+		f := startFramework(t, rt, 3)
+		names, all := stageInput(t, rt, 4, 2<<20)
+		// The race takes the pool's first two idle AMs.
+		node := f.Pool.idle[victim].Node
+		var res *SpecResult
+		rt.Eng.After(0, func() {
+			f.SubmitSpeculative(testWCSpec(names, "/out"), func(r *SpecResult) { res = r })
+		})
+		if crashAt > 0 {
+			rt.Eng.After(crashAt.Sub(rt.Eng.Now()), node.Fail)
+		}
+		rt.Eng.RunUntil(rt.Eng.Now().Add(600 * time.Second))
+		rt.RM.Stop()
+		if res == nil {
+			t.Fatal("speculative job did not finish")
+		}
+		return res, f, rt, all
+	}
+	clean, f, _, _ := race(0, 0)
+	if clean.Result.Err != nil || clean.Winner != ModeUPlus || clean.DecidedAt == 0 {
+		t.Fatalf("clean race: winner=%s decidedAt=%s err=%v, want a U+ verdict", clean.Winner, clean.DecidedAt, clean.Result.Err)
+	}
+	if f.Pool.Dispatches != 2 {
+		t.Fatalf("clean race dispatched %d AMs, want 2", f.Pool.Dispatches)
+	}
+	// Crash each racing AM's node half a second before the verdict — well
+	// inside the RM's expiry interval, so the verdict still sees both modes.
+	relaunches := 0
+	for victim := 0; victim < 2; victim++ {
+		res, f, rt, all := race(victim, clean.DecidedAt.Add(-500*time.Millisecond))
+		if res.Result.Err != nil {
+			t.Fatalf("victim AM %d: speculative job failed: %v", victim, res.Result.Err)
+		}
+		verifyWC(t, rt, "/out", all)
+		if f.Pool.Lost != 1 {
+			t.Fatalf("victim AM %d: pool lost %d AMs, want 1", victim, f.Pool.Lost)
+		}
+		if f.Pool.Dispatches == 3 {
+			relaunches++
+			if res.Winner != ModeUPlus || res.DecidedAt == 0 {
+				t.Fatalf("victim AM %d: relaunched run reports winner=%s decidedAt=%s", victim, res.Winner, res.DecidedAt)
+			}
+		}
+	}
+	if relaunches != 1 {
+		t.Fatalf("%d of the two crashes forced a relaunch, want exactly 1 (the U+ AM's)", relaunches)
+	}
+}
+
 // runColdUPlus submits a U+ WordCount on a framework whose pool is empty, so
 // the job degrades to the cold in-AM submission. arm, when non-nil, scripts a
 // fault before the job starts.

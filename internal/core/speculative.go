@@ -213,23 +213,39 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 	}
 
 	// dropOut removes a crashed mode from the race. If the other mode is
-	// still runnable it simply inherits the win; if it already crashed or
-	// was killed by the decision maker, nobody can produce output and the
-	// job fails with the first crash's error.
+	// still runnable it simply inherits the win. If it already crashed or was
+	// killed by the decision maker, this was the last mode that could produce
+	// output: one that merely lost its AM's node is relaunched alone, the way
+	// a single-mode submission is (the verdict may kill D+ while U+'s AM sits
+	// on a crashed node the RM has not expired yet); any other crash fails
+	// the job with the first crash's error.
+	var modeDone func(ModeKind) func(*mapreduce.Result)
+	relaunched := false
 	dropOut := func(mode ModeKind, res *mapreduce.Result) {
 		if finished {
 			return
+		}
+		// The estimator must not kill the sole survivor after this point.
+		decided = true
+		other := loserOf(mode)
+		otherH := handleOf(other)
+		last := crashed[other] || (otherH != nil && otherH.killed)
+		if last && !relaunched {
+			exec, mSpec := Executor(dplusExecutor{}), &dSpec
+			if mode == ModeUPlus {
+				exec, mSpec = uplusExecutor{}, &uSpec
+			}
+			if f.retryLostAM(mSpec, 1, res, func() { f.run(exec, mSpec, 2, root, modeDone(mode)) }) {
+				relaunched = true
+				return
+			}
 		}
 		crashed[mode] = true
 		if firstErr == nil {
 			firstErr = res.Err
 		}
-		// The estimator must not kill the sole survivor after this point.
-		decided = true
 		f.RT.DeleteOutputPrefix(tempOutput(spec.OutputFile, mode))
-		other := loserOf(mode)
-		otherH := handleOf(other)
-		if crashed[other] || (otherH != nil && otherH.killed) {
+		if last {
 			finished = true
 			f.RT.DeleteOutputPrefix(tempOutput(spec.OutputFile, other))
 			out.Result = &mapreduce.Result{Spec: spec, Err: firstErr}
@@ -240,7 +256,7 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 
 	// modeDone routes a mode's completion: clean finishes arbitrate the
 	// race, crashes drop the mode out.
-	modeDone := func(mode ModeKind) func(*mapreduce.Result) {
+	modeDone = func(mode ModeKind) func(*mapreduce.Result) {
 		return func(res *mapreduce.Result) {
 			if res.Err != nil {
 				dropOut(mode, res)

@@ -21,14 +21,9 @@ import (
 	"mrapid/internal/yarn"
 )
 
-// dagEnv is the test env with a metrics registry and a runner that overlaps
-// independent stages; dag is env.run under the name these tests use.
-type dagEnv struct {
-	*env
-	dag *DAGRunner
-}
-
-func newDAGEnv(t *testing.T, workers int) *dagEnv {
+// newDAGEnv is the test env on a cluster of the given size, with a metrics
+// registry and a runner that overlaps independent stages.
+func newDAGEnv(t *testing.T, workers int) *env {
 	t.Helper()
 	eng := sim.NewEngine()
 	cluster, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: workers, Racks: 2})
@@ -53,23 +48,14 @@ func newDAGEnv(t *testing.T, workers int) *dagEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &dagEnv{
-		env: &env{eng: eng, rm: rm, cat: cat, run: dag, tables: map[string]refTable{}},
-		dag: dag,
-	}
-}
-
-// execDAG runs a plan with independent stages overlapping.
-func (e *dagEnv) execDAG(t *testing.T, p *Plan) *Result {
-	t.Helper()
-	return e.exec(t, p)
+	return &env{eng: eng, rm: rm, cat: cat, run: dag, tables: map[string]refTable{}}
 }
 
 // execSequential runs a plan on the same runner one stage at a time.
-func (e *dagEnv) execSequential(t *testing.T, p *Plan) *Result {
+func (e *env) execSequential(t *testing.T, p *Plan) *Result {
 	t.Helper()
-	e.dag.Sequential = true
-	defer func() { e.dag.Sequential = false }()
+	e.run.Sequential = true
+	defer func() { e.run.Sequential = false }()
 	return e.exec(t, p)
 }
 
@@ -237,13 +223,13 @@ func TestDAGMatchesReference(t *testing.T) {
 			}
 			for _, c := range cases {
 				t.Run(c.name, func(t *testing.T) {
-					e.dag.Opts = c.opts
+					e.run.Opts = c.opts
 					seq := e.execSequential(t, c.plan())
 					checkAgainstReference(t, e.tables, c.plan(), "one stage at a time", seq)
 					if seq.MaxConcurrent != 1 {
 						t.Fatalf("sequential run had %d stages in flight", seq.MaxConcurrent)
 					}
-					dag := e.execDAG(t, c.plan())
+					dag := e.exec(t, c.plan())
 					checkAgainstReference(t, e.tables, c.plan(), "dag", dag)
 					if len(dag.Winners) != dag.Stages {
 						t.Fatalf("winners = %d, stages = %d", len(dag.Winners), dag.Stages)
@@ -257,7 +243,7 @@ func TestDAGMatchesReference(t *testing.T) {
 func TestDAGSkipsEmptyStages(t *testing.T) {
 	e := newDAGEnv(t, 4)
 	e.mustCreate(t, "sales", salesSchema, salesRows(100, 33), 2)
-	res := e.execDAG(t, Scan("sales").
+	res := e.exec(t, Scan("sales").
 		Filter(Where("amount", OpGt, "99999")).
 		GroupBy([]string{"region"}, Count()).
 		OrderBy("region", false))
@@ -284,8 +270,8 @@ func TestDAGBranchOverlap(t *testing.T) {
 	e := newDAGEnv(t, 4)
 	e.mustCreate(t, "sales", salesSchema, salesRows(400, 35), 4)
 	e.mustCreate(t, "returns", returnsSchema, returnsRows(200), 2)
-	e.dag.Mode = ViaDPlus
-	res := e.execDAG(t, branchyPlan())
+	e.run.Mode = ViaDPlus
+	res := e.exec(t, branchyPlan())
 	if res.MaxConcurrent < 2 {
 		t.Fatalf("MaxConcurrent = %d; the join's input branches never overlapped", res.MaxConcurrent)
 	}
@@ -301,10 +287,10 @@ func TestDAGIntermediatesAvoidHDFS(t *testing.T) {
 	e := newDAGEnv(t, 4)
 	e.mustCreate(t, "sales", salesSchema, salesRows(300, 37), 3)
 	e.mustCreate(t, "returns", returnsSchema, returnsRows(120), 2)
-	e.dag.Mode = ViaDPlus
-	rt := e.dag.FW.RT
+	e.run.Mode = ViaDPlus
+	rt := e.run.FW.RT
 	before := rt.DFS.BytesWritten
-	res := e.execDAG(t, branchyPlan())
+	res := e.exec(t, branchyPlan())
 	if len(res.Rows) == 0 {
 		t.Fatal("no result rows")
 	}
@@ -338,7 +324,7 @@ func TestDAGNodeCrashChaos(t *testing.T) {
 	// A fault-free run first warms the history.
 	checkAgainstReference(t, e.tables, branchyPlan(), "fault-free", e.execSequential(t, branchyPlan()))
 
-	rt := e.dag.FW.RT
+	rt := e.run.FW.RT
 	victim := rt.Cluster.Workers()[1].Name
 	for _, at := range []time.Duration{3 * time.Second, 8 * time.Second} {
 		e.eng.After(0, func() {
@@ -348,7 +334,7 @@ func TestDAGNodeCrashChaos(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		checkAgainstReference(t, e.tables, branchyPlan(), fmt.Sprintf("crash at %s", at), e.execDAG(t, branchyPlan()))
+		checkAgainstReference(t, e.tables, branchyPlan(), fmt.Sprintf("crash at %s", at), e.exec(t, branchyPlan()))
 	}
 }
 
@@ -367,11 +353,11 @@ func TestDAGLineageRecovery(t *testing.T) {
 
 func testLineageRecovery(t *testing.T, sequential bool) {
 	e := newDAGEnv(t, 4)
-	e.dag.Sequential = sequential
+	e.run.Sequential = sequential
 	e.mustCreate(t, "sales", salesSchema, salesRows(400, 41), 4)
 	e.mustCreate(t, "returns", returnsSchema, returnsRows(150), 2)
-	e.dag.Mode = ViaDPlus
-	rt := e.dag.FW.RT
+	e.run.Mode = ViaDPlus
+	rt := e.run.FW.RT
 
 	// The first DAG query is dq0001; its left group-by writes stage-0.
 	target := "/query/dq0001/stage-0/part-00000"
@@ -399,7 +385,7 @@ func testLineageRecovery(t *testing.T, sequential bool) {
 	}
 	e.eng.After(0, watch)
 
-	res := e.execDAG(t, branchyPlan())
+	res := e.exec(t, branchyPlan())
 	if !killed {
 		t.Fatal("no intermediate ever appeared in the store")
 	}
@@ -502,8 +488,8 @@ func TestCatalogRejectsReservedBytes(t *testing.T) {
 
 	// A row wider than the schema (e.g. a stray separator written by hand)
 	// must fail loudly on read.
-	node := e.dag.FW.RT.Cluster.Workers()[0]
-	if _, err := e.dag.FW.RT.DFS.PutInstant("/warehouse/corrupt/part-00000",
+	node := e.run.FW.RT.Cluster.Workers()[0]
+	if _, err := e.run.FW.RT.DFS.PutInstant("/warehouse/corrupt/part-00000",
 		[]byte("a\x1fb\x1fc\n"), node); err != nil {
 		t.Fatal(err)
 	}
@@ -567,10 +553,10 @@ func TestAggSkipsNonNumeric(t *testing.T) {
 // whole lineage and forces fresh execution.
 func TestDAGCrossQueryMemoReuse(t *testing.T) {
 	e := newDAGEnv(t, 4)
-	rt := e.dag.FW.RT
+	rt := e.run.FW.RT
 	reg := rt.Reg
 	e.rm.Reg = reg
-	e.dag.FW.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
+	e.run.FW.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
 
 	e.mustCreate(t, "sales", salesSchema, salesRows(200, 21), 3)
 	e.mustCreate(t, "returns", returnsSchema, returnsRows(80), 2)
@@ -585,7 +571,7 @@ func TestDAGCrossQueryMemoReuse(t *testing.T) {
 		return n
 	}
 
-	res1 := e.execDAG(t, branchyPlan())
+	res1 := e.exec(t, branchyPlan())
 	for _, w := range res1.Winners {
 		if w == core.ModeMemo {
 			t.Fatalf("cold query served from cache: %v", res1.Winners)
@@ -601,7 +587,7 @@ func TestDAGCrossQueryMemoReuse(t *testing.T) {
 	base := launched()
 
 	// Identical repeat: every stage is a hit, no containers move.
-	res2 := e.execDAG(t, branchyPlan())
+	res2 := e.exec(t, branchyPlan())
 	for i, w := range res2.Winners {
 		if w != core.ModeMemo {
 			t.Fatalf("repeat stage %d winner = %q, want memo (%v)", i, w, res2.Winners)
@@ -623,7 +609,7 @@ func TestDAGCrossQueryMemoReuse(t *testing.T) {
 		Filter(Where("amount", OpGt, "200")).
 		GroupBy([]string{"region"}, Sum("amount"), Count()).
 		OrderBy("count(*)", false)
-	res3 := e.execDAG(t, shared)
+	res3 := e.exec(t, shared)
 	if res3.Winners[0] != core.ModeMemo {
 		t.Fatalf("shared subtree stage winner = %q, want memo (%v)", res3.Winners[0], res3.Winners)
 	}
@@ -648,7 +634,7 @@ func TestDAGCrossQueryMemoReuse(t *testing.T) {
 	// (2), and the order-by (3) all fold the mutated table into their
 	// lineage and must run fresh; the returns group-by (1) reads an
 	// untouched table and legitimately still hits.
-	res4 := e.execDAG(t, branchyPlan())
+	res4 := e.exec(t, branchyPlan())
 	for _, i := range []int{0, 2, 3} {
 		if res4.Winners[i] == core.ModeMemo {
 			t.Fatalf("post-mutation stage %d served from cache (%v)", i, res4.Winners)
@@ -676,11 +662,11 @@ func TestMapCacheKeepsFilteredGroupBysApart(t *testing.T) {
 	}
 	run := func(cache *mapreduce.MapCache) [][]string {
 		e := newDAGEnv(t, 4)
-		e.dag.FW.RT.MapCache = cache
+		e.run.FW.RT.MapCache = cache
 		e.mustCreate(t, "sales", salesSchema, salesRows(200, 21), 3)
 		var out [][]string
 		for _, p := range plans {
-			out = append(out, canonRows(e.execDAG(t, p).Rows))
+			out = append(out, canonRows(e.exec(t, p).Rows))
 		}
 		return out
 	}
