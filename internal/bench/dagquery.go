@@ -189,6 +189,9 @@ func RunQueryStream(setup ClusterSetup, qs QueryStream, o Options) (*QueryStream
 	if finished != n {
 		return nil, fmt.Errorf("bench: only %d of %d queries finished within the horizon", finished, n)
 	}
+	if err := env.CheckResidency(); err != nil {
+		return nil, err
+	}
 	out.MeanLatency /= float64(n)
 	out.HDFSBytes = env.DFS.BytesWritten - written
 	out.Store = env.RT.Intermediates

@@ -222,6 +222,17 @@ func NewEnv(setup ClusterSetup, v Variant) (*Env, error) {
 	return env, nil
 }
 
+// CheckResidency is the conservation check every experiment ends with, on
+// the drained simulation: each byte budget — in-AM caches, the intermediate
+// store, the memo tiers — holds exactly its resident copies, and no shuffle
+// byte is in flight.
+func (e *Env) CheckResidency() error {
+	if e.FW != nil {
+		return e.FW.CheckResidency()
+	}
+	return e.RT.CheckResidency()
+}
+
 // Close releases host-side resources (the worker pool, when HostWorkers
 // enabled one). The simulated state is untouched.
 func (e *Env) Close() { e.RT.CloseWorkers() }
@@ -264,5 +275,5 @@ func (e *Env) Run(v Variant, spec *mapreduce.JobSpec) (*mapreduce.Result, error)
 	if res.Err != nil {
 		return nil, fmt.Errorf("bench: job %q failed: %w", spec.Name, res.Err)
 	}
-	return res, nil
+	return res, e.CheckResidency()
 }

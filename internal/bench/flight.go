@@ -54,8 +54,8 @@ func (e *Env) EnableFlightRecorder(slo flight.SLOConfig) *flight.Recorder {
 		sample("yarn_pending_asks", float64(e.RM.PendingAsks()))
 		sample("mapreduce_shuffle_bytes_in_flight", float64(e.RT.ShuffleBytesInFlight()))
 		if st := e.RT.Intermediates; st != nil {
-			sample("intermediate_store_mem_bytes", float64(st.MemBytes))
-			sample("intermediate_store_disk_bytes", float64(st.DiskBytes))
+			sample("intermediate_store_mem_bytes", float64(st.MemUsed()))
+			sample("intermediate_store_disk_bytes", float64(st.DiskUsed()))
 		}
 		if e.FW != nil && e.FW.Pool != nil {
 			sample("ampool_idle", float64(e.FW.Pool.Idle()))

@@ -181,3 +181,40 @@ func ExampleTenantSLOReport_String() {
 	fmt.Println(rep)
 	// Output: p99=1.500s raw=1.250s bad=2/10 breaches=1
 }
+
+// The intermediate-store gauges are residency, like memo_cache_mem_bytes
+// beside them: they rise with a commit and return to 0 once the files are
+// deleted. Before the fix they sampled the cumulative commit counters and
+// never fell.
+func TestFlightRecorderStoreGaugesAreResidency(t *testing.T) {
+	setup := A3x4()
+	setup.Params.UberCacheBytes = 1000 // the store's memory budget
+	env, err := NewEnv(setup, VariantDPlus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	rec := env.EnableFlightRecorder(flight.SLOConfig{})
+	st, node := env.RT.EnsureIntermediates(), env.Cluster.Workers()[0]
+	sampled := func(when string, wantMem, wantDisk float64) {
+		t.Helper()
+		env.Eng.RunUntil(env.Eng.Now().Add(2 * rec.Interval()))
+		for name, want := range map[string]float64{"intermediate_store_mem_bytes": wantMem, "intermediate_store_disk_bytes": wantDisk} {
+			if last, ok := rec.Series(name).Last(); !ok || last.Value != want {
+				t.Errorf("%s: %s = %v, want %v", when, name, last.Value, want)
+			}
+		}
+	}
+	for _, name := range []string{"/q/a", "/q/b"} { // the second overflows to disk
+		env.RT.CommitIntermediate(name, make([]byte, 600), node, func(error) {})
+	}
+	sampled("after two commits", 600, 600)
+	st.DeletePrefix("/q/")
+	sampled("after the delete", 0, 0)
+	if st.MemBytes != 600 || st.DiskBytes != 600 {
+		t.Errorf("cumulative counters %d / %d fell with the delete, want 600 / 600", st.MemBytes, st.DiskBytes)
+	}
+	if err := env.CheckResidency(); err != nil {
+		t.Error(err)
+	}
+}

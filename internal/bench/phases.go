@@ -47,6 +47,9 @@ func runPhases(v Variant, speculative bool, o Options) (*report.Report, error) {
 			return nil, res.Result.Err
 		}
 		env.RM.Stop()
+		if err := env.CheckResidency(); err != nil {
+			return nil, err
+		}
 		root = res.Span
 	} else {
 		res, err := env.Run(v, spec)

@@ -61,5 +61,5 @@ func SpeculationOverhead(o Options) (firstRun, historyRun float64, err error) {
 		return 0, 0, fmt.Errorf("bench: second run ignored history")
 	}
 	env.RM.Stop()
-	return first.Elapsed(), second.Elapsed(), nil
+	return first.Elapsed(), second.Elapsed(), env.CheckResidency()
 }

@@ -291,6 +291,9 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	if len(ends) != cfg.Jobs {
 		return nil, fmt.Errorf("bench: only %d of %d jobs finished within the horizon (pending %d)", len(ends), cfg.Jobs, srv.Pending())
 	}
+	if err := env.CheckResidency(); err != nil {
+		return nil, err
+	}
 
 	res := &ThroughputResult{
 		Policy:   srvPolicy(cfg.Policy),

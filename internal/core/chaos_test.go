@@ -26,8 +26,9 @@ func chaosRuntime(t testing.TB, seed int64) *mapreduce.Runtime {
 	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, seed)
 	rm := yarn.NewRM(eng, cluster, params, NewDPlusScheduler(FullDPlus()))
 	rm.Start()
-	checkViewAtTeardown(t, rm)
-	return mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	checkAtTeardown(t, rt)
+	return rt
 }
 
 // runChaosDPlus runs a pooled D+ WordCount with an optional node fault and

@@ -26,16 +26,20 @@ func newRuntime(t testing.TB, instance topology.InstanceType, workers int, sched
 	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, 42)
 	rm := yarn.NewRM(eng, cluster, params, sched)
 	rm.Start()
-	checkViewAtTeardown(t, rm)
-	return mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	checkAtTeardown(t, rt)
+	return rt
 }
 
-// checkViewAtTeardown is conservation at teardown: whatever the test did to
-// the cluster, the RM's incremental resource view must still equal a
-// recomputation.
-func checkViewAtTeardown(t testing.TB, rm *yarn.RM) {
+// checkAtTeardown is conservation at teardown: whatever the test did to the
+// cluster, the RM's incremental resource view must still equal a
+// recomputation, and every byte budget the sum of its resident copies.
+func checkAtTeardown(t testing.TB, rt *mapreduce.Runtime) {
 	t.Cleanup(func() {
-		if err := rm.CheckView(); err != nil {
+		if err := rt.RM.CheckView(); err != nil {
+			t.Error(err)
+		}
+		if err := rt.CheckResidency(); err != nil {
 			t.Error(err)
 		}
 	})

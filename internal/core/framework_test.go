@@ -83,6 +83,12 @@ func startFramework(t testing.TB, rt *mapreduce.Runtime, poolSize int) *Framewor
 	if !ready {
 		t.Fatal("framework pool never came up")
 	}
+	// The memo tiers too, whichever cache the test attaches later.
+	t.Cleanup(func() {
+		if err := f.CheckResidency(); err != nil {
+			t.Error(err)
+		}
+	})
 	return f
 }
 

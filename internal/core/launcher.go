@@ -174,19 +174,12 @@ func (f *Framework) Submit(exec Executor, spec *mapreduce.JobSpec, done func(*ma
 	if done == nil {
 		panic("core: Submit needs a completion callback")
 	}
-	serve, commit := f.memoLookup(spec)
-	if serve != nil {
-		serve(done)
-		return
-	}
-	if commit != nil {
-		inner := done
-		done = func(res *mapreduce.Result) {
+	f.viaMemo(spec, done, func(commit func(*mapreduce.Result)) {
+		f.submitNoMemo(exec, spec, func(res *mapreduce.Result) {
 			commit(res)
-			inner(res)
-		}
-	}
-	f.submitNoMemo(exec, spec, done)
+			done(res)
+		})
+	})
 }
 
 // submitNoMemo is Submit's execution body, past the memoization hook.

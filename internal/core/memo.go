@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"hash/fnv"
 	"sort"
 
@@ -52,27 +53,21 @@ func (f *Framework) memoIdentity(spec *mapreduce.JobSpec) (key string, digest ui
 	return spec.SpecFingerprint(), h.Sum64(), true
 }
 
-// memoLookup consults the cache once per submission. A hit returns serve:
-// call it instead of executing and it materializes the cached output and
-// delivers a ModeMemo result. A miss returns commit: thread it through the
-// chosen execution path's completion so a successful fresh run is cached
-// (errors and partial runs never are). Both nil means this spec is not
-// memoizable — run normally, touch nothing.
-func (f *Framework) memoLookup(spec *mapreduce.JobSpec) (serve func(func(*mapreduce.Result)), commit func(*mapreduce.Result)) {
+// viaMemo consults the cache once per submission. A hit materializes the
+// cached output and delivers a ModeMemo result to served — no upload, no AM,
+// no containers. A miss of any flavor — absent, invalidated by an input
+// write, or lost with a dead disk node, even under the read itself: the
+// stale-entry fault-tolerance contract — calls run, which executes the job
+// and threads commit through its completion so a successful fresh result is
+// cached (errors and partial runs never are). A spec that is not memoizable
+// runs with a commit that does nothing.
+func (f *Framework) viaMemo(spec *mapreduce.JobSpec, served func(*mapreduce.Result), run func(commit func(*mapreduce.Result))) {
 	key, digest, ok := f.memoIdentity(spec)
 	if !ok {
-		return nil, nil
+		run(func(*mapreduce.Result) {})
+		return
 	}
-	// Misses of every flavor — absent, invalidated by an input write, or
-	// lost with a dead disk node — fall through to normal execution; the
-	// lost case is precisely the stale-entry fault-tolerance contract.
-	hit, err := f.Memo.Lookup(key, digest)
-	if err == nil {
-		return func(done func(*mapreduce.Result)) {
-			f.materializeMemo(spec, hit, done)
-		}, nil
-	}
-	return nil, func(res *mapreduce.Result) {
+	commit := func(res *mapreduce.Result) {
 		if res == nil || res.Err != nil {
 			return
 		}
@@ -86,6 +81,23 @@ func (f *Framework) memoLookup(spec *mapreduce.JobSpec) (serve func(func(*mapred
 		}
 		f.Memo.Commit(key, digest, parts, cost)
 	}
+	hit, err := f.Memo.Lookup(key, digest)
+	if err != nil {
+		run(commit)
+		return
+	}
+	f.materializeMemo(spec, hit, served, func() {
+		// The holder died after the lookup: this second lookup finds the
+		// entry unreadable, drops it and counts the loss.
+		_, err := f.Memo.Lookup(key, digest)
+		f.RT.Trace.Add("memo", "%s: %v; executing", spec.Name, err)
+		run(commit)
+	})
+}
+
+// CheckResidency is Runtime.CheckResidency plus the memo cache's tiers.
+func (f *Framework) CheckResidency() error {
+	return errors.Join(f.RT.CheckResidency(), f.Memo.CheckResidency())
 }
 
 // memoCollect snapshots a freshly committed output: one byte slice per
@@ -119,8 +131,9 @@ func (f *Framework) memoCollect(spec *mapreduce.JobSpec) ([][]byte, bool) {
 // installed under the spec's output — intermediate store for intra-query
 // stages, HDFS otherwise — with each part observed under the "memo"
 // shuffle transport. The result carries a minimal profile: zero tasks,
-// zero containers, elapsed ≈ the RPC plus any disk read.
-func (f *Framework) materializeMemo(spec *mapreduce.JobSpec, hit *memo.Hit, done func(*mapreduce.Result)) {
+// zero containers, elapsed ≈ the RPC plus any disk read. lost is called
+// instead when the disk-tier holder dies before the read completes.
+func (f *Framework) materializeMemo(spec *mapreduce.JobSpec, hit *memo.Hit, done func(*mapreduce.Result), lost func()) {
 	rt := f.RT
 	prof := &profiler.JobProfile{
 		Job:         spec.Key(),
@@ -165,10 +178,17 @@ func (f *Framework) materializeMemo(spec *mapreduce.JobSpec, hit *memo.Hit, done
 		done(&mapreduce.Result{Spec: spec, Mode: string(ModeMemo), Profile: prof})
 	}
 	rt.Eng.After(rt.Params.RPCLatency, func() {
-		if !hit.InMemory && hit.Node != nil && hit.Bytes > 0 {
-			hit.Node.Disk.Use(hit.Bytes, install)
+		if hit.InMemory || hit.Bytes == 0 {
+			install()
 			return
 		}
-		install()
+		rt.Cluster.Read(hit.Resident, hit.Node, hit.Bytes, rt.Params.RPCLatency, memo.ErrEntryLost, func(err error) {
+			if err != nil {
+				rt.Trace.EndSpan(prof.Span, trace.A("error", err.Error()))
+				lost()
+				return
+			}
+			install()
+		})
 	})
 }

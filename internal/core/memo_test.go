@@ -231,3 +231,45 @@ func TestMemoDiskLossFallsThrough(t *testing.T) {
 		t.Fatal("fall-through re-execution produced different bytes")
 	}
 }
+
+// TestMemoDiskHolderLostUnderRead is the memo entry's leg of the one read
+// protocol (internal/mapreduce TestLostHolderReadProtocol has the other
+// two carriers): the lookup hits, then the disk-tier holder dies — inside
+// the proxy round-trip (a refused read) or while its disk is serving the
+// bytes (a dropped one). Either way the hit is abandoned, the entry is
+// dropped and counted lost, and the submission executes for real. Before
+// the read went through the protocol it installed bytes off the dead disk.
+func TestMemoDiskHolderLostUnderRead(t *testing.T) {
+	for _, window := range []string{"round-trip", "disk read"} {
+		rt, reg := memoRuntime(t)
+		f := startFramework(t, rt, 2)
+		f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{MemBytes: 1})
+		if _, err := rt.DFS.PutInstant("/in/u-0", []byte("one two two three three three\n"), nil); err != nil {
+			t.Fatal(err)
+		}
+		submitWC(t, f, workloads.WordCountSpec("uwc", []string{"/in/u-0"}, "/outU1", false))
+		spec := workloads.WordCountSpec("uwc#2", []string{"/in/u-0"}, "/outU2", false)
+		key, digest, _ := f.memoIdentity(spec)
+		hit, err := f.Memo.Lookup(key, digest)
+		if err != nil || hit.InMemory {
+			t.Fatalf("%s: want a disk-tier entry, got %+v (%v)", window, hit, err)
+		}
+		crashAt := rt.Params.RPCLatency / 2
+		if window == "disk read" {
+			crashAt = rt.Params.RPCLatency + hit.Node.Disk.TransferTime(hit.Bytes)/2
+		}
+		rt.Eng.After(crashAt, hit.Node.Fail)
+		res := submitWC(t, f, spec)
+		if res.Mode == string(ModeMemo) {
+			t.Fatalf("%s: a hit whose holder died under the read was served", window)
+		}
+		if lost, entries := reg.Get("memo_lost_total"), f.Memo.Snapshot().Entries; lost != 1 || entries != 1 {
+			t.Fatalf("%s: lost = %d, entries = %d; want the dead entry dropped once and the fresh result committed", window, lost, entries)
+		}
+		a, _ := rt.DFS.Contents(mapreduce.PartFileName("/outU1", 0))
+		b, _ := rt.DFS.Contents(mapreduce.PartFileName("/outU2", 0))
+		if len(a) == 0 || !bytes.Equal(a, b) {
+			t.Fatalf("%s: fall-through execution produced different bytes", window)
+		}
+	}
+}

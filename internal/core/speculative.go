@@ -76,25 +76,22 @@ func (f *Framework) SubmitSpeculative(spec *mapreduce.JobSpec, done func(*SpecRe
 	// hit ends the whole workflow — no mode ever runs, so there is nothing
 	// to decide and no outcome to record (a served result must not feed the
 	// estimator's calibration with near-zero elapsed times). On a miss the
-	// commit hook rides each branch's completion; the branches below submit
+	// commit hook rides each branch's completion; speculate's branches submit
 	// through submitNoMemo/race so the one lookup here is the only one.
-	serve, commit := f.memoLookup(spec)
-	if serve != nil {
-		serve(func(res *mapreduce.Result) {
-			done(&SpecResult{Result: res, Winner: ModeMemo})
-		})
-		return
-	}
-	if commit != nil {
-		inner := done
-		done = func(out *SpecResult) {
+	f.viaMemo(spec, func(res *mapreduce.Result) {
+		done(&SpecResult{Result: res, Winner: ModeMemo})
+	}, func(commit func(*mapreduce.Result)) {
+		f.speculate(spec, func(out *SpecResult) {
 			if out.Result != nil {
 				commit(out.Result)
 			}
-			inner(out)
-		}
-	}
+			done(out)
+		})
+	})
+}
 
+// speculate is SubmitSpeculative past the memoization hook: steps 2–6.
+func (f *Framework) speculate(spec *mapreduce.JobSpec, done func(*SpecResult)) {
 	// Pre-decision from history (step 2).
 	if winner, ok := f.History.Winner(spec.Key()); ok {
 		f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", "history"))

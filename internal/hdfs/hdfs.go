@@ -8,6 +8,7 @@
 package hdfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -320,37 +321,25 @@ func (d *DFS) Write(name string, data []byte, writer *topology.Node, done func(*
 		d.Trace.Add("hdfs", "write %s (%d bytes, %d blocks)", name, len(data), len(f.Blocks))
 	}
 
-	pending := 0
-	finished := false
-	complete := func() {
-		pending--
-		if pending == 0 && finished {
-			done(f, nil)
-		}
-	}
+	// One writer-NIC use carries all of a block's replicas, so this is the
+	// bare join rather than one Cluster.Transfer per replica.
+	j := sim.NewJoin(d.eng, func() { done(f, nil) })
 	for _, b := range f.Blocks {
 		n := b.Size()
 		if writer != nil {
-			pending++
-			writer.NIC.Use(n*int64(len(b.Replicas)), complete)
+			j.Use(writer.NIC, n*int64(len(b.Replicas)))
 		}
 		for _, r := range b.Replicas {
-			pending++
-			r.Disk.Use(n, complete) // disk write charged at the replica
+			j.Use(r.Disk, n) // disk write charged at the replica
 			if writer != nil && r != writer {
-				pending++
-				r.NIC.Use(n, complete)
+				j.Use(r.NIC, n)
 				if writer.Rack != r.Rack {
-					pending++
-					d.cluster.CoreSwitch.Use(n, complete)
+					j.Use(d.cluster.CoreSwitch, n)
 				}
 			}
 		}
 	}
-	finished = true
-	if pending == 0 {
-		d.eng.After(0, func() { done(f, nil) })
-	}
+	j.Arm()
 }
 
 // bestReplica picks the cheapest live replica for a reader, preferring
@@ -417,14 +406,7 @@ func (d *DFS) ReadRange(name string, offset, length int64, reader *topology.Node
 	if !single {
 		out = make([]byte, 0, length)
 	}
-	pending := 0
-	finished := false
-	complete := func() {
-		pending--
-		if pending == 0 && finished {
-			done(out, nil)
-		}
-	}
+	j := sim.NewJoin(d.eng, func() { done(out, nil) })
 	for _, b := range f.Blocks {
 		bStart, bEnd := b.Offset, b.Offset+b.Size()
 		if bEnd <= offset || bStart >= offset+length {
@@ -440,29 +422,17 @@ func (d *DFS) ReadRange(name string, offset, length int64, reader *topology.Node
 		d.BytesRead += n
 		src := d.bestReplica(b, reader)
 		if src == nil {
+			// j is never armed: the blocks already charged complete unheard.
 			bid := b.ID
 			d.eng.After(0, func() {
 				done(nil, fmt.Errorf("hdfs: all replicas of %q block %d are offline", name, bid))
 			})
 			return
 		}
-		pending++
-		src.Disk.Use(n, complete)
-		if reader != nil && src != reader {
-			pending++
-			src.NIC.Use(n, complete)
-			pending++
-			reader.NIC.Use(n, complete)
-			if src.Rack != reader.Rack {
-				pending++
-				d.cluster.CoreSwitch.Use(n, complete)
-			}
-		}
+		// A reader outside the cluster (nil) pays the replica's disk only.
+		d.cluster.Charge(j, src, cmp.Or(reader, src), n, n)
 	}
-	finished = true
-	if pending == 0 {
-		d.eng.After(0, func() { done(out, nil) })
-	}
+	j.Arm()
 }
 
 // ReadAll reads a whole file.

@@ -95,14 +95,10 @@ type Consolidated struct {
 // consolidates. Outputs from different boot epochs of the same node never
 // mix: an old-epoch output is already unavailable and must fail alone.
 func GroupOutputsByNode(outputs []*MapOutput) [][]*MapOutput {
-	type key struct {
-		node  *topology.Node
-		epoch int
-	}
-	index := make(map[key]int)
+	index := make(map[topology.Resident]int)
 	var groups [][]*MapOutput
 	for _, mo := range outputs {
-		k := key{mo.Node, mo.NodeEpoch}
+		k := topology.Resident{Node: mo.Node, Epoch: mo.Epoch}
 		i, ok := index[k]
 		if !ok {
 			i = len(groups)
@@ -147,7 +143,7 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 		}
 	}
 	out := b.output()
-	out.Split, out.Node, out.NodeEpoch = first.Split, first.Node, first.NodeEpoch
+	out.Split, out.Resident = first.Split, first.Resident
 	out.InMemory = true
 	for _, mo := range group {
 		out.Records += mo.Records

@@ -198,7 +198,7 @@ func (am *DistributedAM) runMap(c *yarn.Container, s *hdfs.Split) {
 		am.prof.FirstTaskAt = am.rt.Eng.Now()
 	}
 	attempt := am.mapAttempts[s.Index]
-	opts := MapTaskOptions{SpillToDisk: true, Attempt: attempt, Parent: am.prof.Span}
+	opts := MapTaskOptions{Attempt: attempt, Parent: am.prof.Span}
 	am.rt.RunMapTask(am.spec, s, c.Node, opts, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		if am.killed {
 			am.rt.RM.ReleaseContainer(c)

@@ -59,6 +59,10 @@ type Runtime struct {
 	// running (see ShuffleBytesInFlight).
 	shuffleInFlight int64
 
+	// inAMs is the set of running in-AM executors, each holding a cache
+	// budget until its teardown (see CheckResidency).
+	inAMs map[*InAM]struct{}
+
 	// Workers opts into parallel host-side execution of the pure map and
 	// reduce computations: 0 or 1 keeps the fully sequential path, a value
 	// > 1 sizes a bounded worker pool of real OS threads, and a negative
@@ -135,7 +139,7 @@ func (rt *Runtime) CloseWorkers() {
 
 // NewRuntime wires a runtime together.
 func NewRuntime(eng *sim.Engine, cluster *topology.Cluster, dfs *hdfs.DFS, rm *yarn.RM, params costmodel.Params) *Runtime {
-	return &Runtime{Eng: eng, Cluster: cluster, DFS: dfs, RM: rm, Params: params}
+	return &Runtime{Eng: eng, Cluster: cluster, DFS: dfs, RM: rm, Params: params, inAMs: make(map[*InAM]struct{})}
 }
 
 // AMResource returns the ApplicationMaster container request. It comes from
@@ -154,27 +158,19 @@ func (rt *Runtime) AMResource() topology.Resource {
 // service and the MapCache read one concurrently.
 type MapOutput struct {
 	Split      *hdfs.Split
-	Node       *topology.Node
 	Partitions [][]Rec
 	PartBytes  []int64
 	TotalBytes int64
 	Records    int64
-	// InMemory marks outputs held in the U+ memory cache; their reduce-side
-	// read is free.
-	InMemory bool
 
-	// NodeEpoch is the hosting node's boot generation when the output was
-	// produced. Map output lives on the task node's local disk (or the AM
-	// heap), not in HDFS — if the node has since crashed, the output is gone
-	// and shuffle fetches against it fail.
-	NodeEpoch int
+	// Resident is where the output lives: the task node's local disk, or the
+	// AM heap for outputs the U+ memory cache admitted (InMemory) — never
+	// HDFS, so it is gone once that node crashes. Outputs computed outside a
+	// task (ExecMap) have no holder.
+	topology.Resident
 
 	store
 }
-
-// Available reports whether the output can still be fetched (its node is up
-// and has not rebooted since the map ran).
-func (mo *MapOutput) Available() bool { return mo.Node.AliveEpoch(mo.NodeEpoch) }
 
 // ErrOutputLost is reported by FetchPartition when a completed map's output
 // vanished with its node — Hadoop's too-many-fetch-failures signal, which
@@ -258,14 +254,11 @@ func spillCount(n, sortBuf int64) int {
 
 // MapTaskOptions control how a map task charges its output I/O.
 type MapTaskOptions struct {
-	// SpillToDisk charges the spill (and merge, when the output exceeds the
-	// sort buffer) to the node's disk. The U+ mode turns this off while the
-	// output fits its memory cache.
-	SpillToDisk bool
-
 	// KeepInMemory, when non-nil, is consulted once the map's output size is
-	// known; returning true overrides SpillToDisk and stores the output in
-	// memory. The U+ mode uses this to admit outputs into its cache budget.
+	// known; returning true keeps the output in memory. Otherwise the spill
+	// (and merge, when the output exceeds the sort buffer) is charged to the
+	// node's disk. The U+ mode uses this to admit outputs into its cache
+	// budget.
 	KeepInMemory func(outBytes int64) bool
 
 	// Attempt is the retry ordinal of this task execution (0 = first).
@@ -274,14 +267,6 @@ type MapTaskOptions struct {
 	// Parent is the trace span the task's spans nest under (the owning
 	// job's root span); 0 when untraced.
 	Parent trace.SpanID
-}
-
-// keepInMemory resolves the effective storage decision for an output size.
-func (o MapTaskOptions) keepInMemory(outBytes int64) bool {
-	if o.KeepInMemory != nil {
-		return o.KeepInMemory(outBytes)
-	}
-	return !o.SpillToDisk
 }
 
 // RunMapTask executes one map task on a node: read the split from HDFS
@@ -386,9 +371,7 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 					return
 				}
 				mo.Split = split
-				mo.Node = node
-				mo.NodeEpoch = epoch
-				mo.InMemory = opts.keepInMemory(mo.TotalBytes)
+				mo.Resident = topology.Resident{Node: node, Epoch: epoch, InMemory: opts.KeepInMemory != nil && opts.KeepInMemory(mo.TotalBytes)}
 				tp.Records = mo.Records
 				tp.OutputBytes = mo.TotalBytes
 				// Sorting/serializing the output buffer is CPU charged with
@@ -492,26 +475,23 @@ var shuffleByteBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
 }
 
-// ShuffleTransport classifies how a reduce-side read of mo actually moves
-// on dst: straight from the heap (U+ memory cache on the same node), off
-// the local disk, or across the network. It labels mapreduce_shuffle_bytes
-// so in-memory cache reads are distinguishable from real shuffle traffic.
-func ShuffleTransport(mo *MapOutput, dst *topology.Node) string {
-	switch {
-	case mo.InMemory && mo.Node == dst:
-		return "memory"
-	case mo.Node == dst:
-		return "disk"
-	default:
-		return "network"
+// TrackFetch brackets one shuffle fetch's observability, so every byte that
+// enters the in-flight gauge leaves it: inFlight bytes are on the move from
+// now until the returned completion is called, which closes span (0 when
+// untraced), observes the moved bytes on success, and hands err to done.
+func (rt *Runtime) TrackFetch(span trace.SpanID, kind, transport string, inFlight int64, done func(error)) func(moved int64, err error) {
+	rt.shuffleInFlight += inFlight
+	return func(moved int64, err error) {
+		rt.shuffleInFlight -= inFlight
+		if err != nil {
+			rt.Trace.EndSpan(span, trace.A("error", err.Error()))
+		} else {
+			rt.Trace.EndSpan(span)
+			rt.ObserveShuffle(kind, transport, moved)
+		}
+		done(err)
 	}
 }
-
-// AddShuffleInFlight adjusts the count of shuffle bytes currently on the
-// move — fetch starts add, completions subtract. Exported for the shuffle
-// service, which charges its consolidated wire bytes through the same
-// gauge. It moves only on the engine goroutine.
-func (rt *Runtime) AddShuffleInFlight(n int64) { rt.shuffleInFlight += n }
 
 // ShuffleBytesInFlight reports the bytes of shuffle fetches currently in
 // progress, the gauge the flight recorder samples.
@@ -547,7 +527,7 @@ func (rt *Runtime) ObserveShuffle(kind, transport string, n int64) {
 // as a shuffle span under parent and its size lands in the shuffle-bytes
 // histogram. AMs use this; FetchPartition remains the raw primitive.
 func (rt *Runtime) ShuffleFetch(parent trace.SpanID, mo *MapOutput, part int, dst *topology.Node, done func(error)) {
-	transport := ShuffleTransport(mo, dst)
+	transport := mo.Transport(dst)
 	var span trace.SpanID
 	if rt.Trace != nil {
 		span = rt.Trace.StartSpan(parent, "task/"+dst.Name,
@@ -556,84 +536,21 @@ func (rt *Runtime) ShuffleFetch(parent trace.SpanID, mo *MapOutput, part int, ds
 			trace.A("transport", transport),
 			trace.A("bytes", fmt.Sprint(mo.PartBytes[part])))
 	}
-	rt.AddShuffleInFlight(mo.PartBytes[part])
-	rt.FetchPartition(mo, part, dst, func(err error) {
-		rt.AddShuffleInFlight(-mo.PartBytes[part])
-		if err != nil {
-			if span != 0 {
-				rt.Trace.EndSpan(span, trace.A("error", err.Error()))
-			}
-		} else {
-			if span != 0 {
-				rt.Trace.EndSpan(span)
-			}
-			rt.ObserveShuffle("permap", transport, mo.PartBytes[part])
-		}
-		done(err)
-	})
+	n := mo.PartBytes[part]
+	finish := rt.TrackFetch(span, "permap", transport, n, done)
+	rt.FetchPartition(mo, part, dst, func(err error) { finish(n, err) })
 }
 
-// FetchPartition models the reduce-side fetch of one map output partition:
-// a local disk read when the output sits on the reducer's node, a free
-// access for U+ in-memory outputs, or a full network transfer (source disk,
-// both NICs, core switch across racks) otherwise. done receives
-// ErrOutputLost when the map output's node died before — or while — the
+// FetchPartition models the reduce-side fetch of one map output partition,
+// priced by where the output resides (see topology.Cluster.Read). done
+// receives ErrOutputLost when the output's node died before — or while — the
 // fetch ran (Hadoop's fetch failure, which the AM answers by re-executing
 // the map).
 func (rt *Runtime) FetchPartition(mo *MapOutput, part int, dst *topology.Node, done func(error)) {
 	if done == nil {
 		panic("mapreduce: FetchPartition needs a completion callback")
 	}
-	if !mo.Available() {
-		rt.Eng.After(rt.Params.RPCLatency, func() { done(ErrOutputLost) })
-		return
-	}
-	n := mo.PartBytes[part]
-	if n == 0 {
-		rt.Eng.After(0, func() { done(nil) })
-		return
-	}
-	if mo.InMemory && mo.Node == dst {
-		// U+ memory cache: the reduce reads straight from the heap.
-		rt.Eng.After(0, func() { done(nil) })
-		return
-	}
-	// A fetch in flight when the source node dies is a failed fetch: the
-	// completion re-checks availability (the timing still charges the
-	// devices, matching a connection that drops partway through).
-	if mo.Node == dst {
-		dst.Disk.Use(n, func() {
-			if !mo.Available() {
-				done(ErrOutputLost)
-				return
-			}
-			done(nil)
-		})
-		return
-	}
-	pending := 0
-	finished := false
-	complete := func() {
-		pending--
-		if pending == 0 && finished {
-			if !mo.Available() {
-				done(ErrOutputLost)
-				return
-			}
-			done(nil)
-		}
-	}
-	pending++
-	mo.Node.Disk.Use(n, complete)
-	pending++
-	mo.Node.NIC.Use(n, complete)
-	pending++
-	dst.NIC.Use(n, complete)
-	if mo.Node.Rack != dst.Rack {
-		pending++
-		rt.Cluster.CoreSwitch.Use(n, complete)
-	}
-	finished = true
+	rt.Cluster.Read(mo.Resident, dst, mo.PartBytes[part], rt.Params.RPCLatency, ErrOutputLost, done)
 }
 
 // Reduced is one reduce partition's result: the part file's bytes and how
@@ -682,12 +599,6 @@ type ReduceOptions struct {
 	// Parent is the trace span the task's spans nest under; 0 when
 	// untraced.
 	Parent trace.SpanID
-}
-
-// RunReducePhase executes reduce partition part on node. It is
-// RunReduceTask without tracing, kept for callers that predate spans.
-func (rt *Runtime) RunReducePhase(spec *JobSpec, part, attempt int, outputs []*MapOutput, node *topology.Node, done func(*profiler.TaskProfile, error)) {
-	rt.RunReduceTask(spec, part, ReduceOptions{Attempt: attempt}, outputs, node, done)
 }
 
 // RunReduceTask executes reduce partition part on node: merge-sort CPU,

@@ -26,14 +26,19 @@ func newTestRuntime(t *testing.T, instance topology.InstanceType, workers int, s
 	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, 42)
 	rm := yarn.NewRM(eng, cluster, params, sched)
 	rm.Start()
+	rt := NewRuntime(eng, cluster, dfs, rm, params)
 	// Conservation at teardown: whatever the test did to the cluster, the
-	// RM's incremental resource view must still equal a recomputation.
+	// RM's incremental resource view must still equal a recomputation, and
+	// every byte budget the sum of its resident copies.
 	t.Cleanup(func() {
 		if err := rm.CheckView(); err != nil {
 			t.Error(err)
 		}
+		if err := rt.CheckResidency(); err != nil {
+			t.Error(err)
+		}
 	})
-	return NewRuntime(eng, cluster, dfs, rm, params)
+	return rt
 }
 
 func wcSpec(inputs []string, output string) *JobSpec {
@@ -192,7 +197,7 @@ func TestRunMapTaskChargesPhases(t *testing.T) {
 	spec := wcSpec([]string{"/in"}, "/out")
 
 	var gotMO *MapOutput
-	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{SpillToDisk: true}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
+	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		if err != nil {
 			t.Errorf("map failed: %v", err)
 		}
@@ -226,7 +231,7 @@ func TestRunMapTaskMemoryModeSkipsSpill(t *testing.T) {
 	splits, _ := rt.DFS.Splits([]string{"/in"})
 	spec := wcSpec([]string{"/in"}, "/out")
 	done := false
-	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{SpillToDisk: false}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
+	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{KeepInMemory: func(int64) bool { return true }}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		done = true
 		if tp.SpillDur != 0 || tp.Spills != 0 {
 			t.Errorf("memory mode charged spill: %v / %d", tp.SpillDur, tp.Spills)
@@ -249,7 +254,7 @@ func TestMergePassChargedWhenOutputExceedsSortBuffer(t *testing.T) {
 	splits, _ := rt.DFS.Splits([]string{"/in"})
 	spec := wcSpec([]string{"/in"}, "/out")
 	done := false
-	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{SpillToDisk: true}, func(_ *MapOutput, tp *profiler.TaskProfile, err error) {
+	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{}, func(_ *MapOutput, tp *profiler.TaskProfile, err error) {
 		done = true
 		if tp.Spills < 2 {
 			t.Errorf("spills = %d, want ≥ 2", tp.Spills)

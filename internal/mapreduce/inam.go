@@ -72,9 +72,10 @@ type InAM struct {
 	next     int
 	inFlight int
 
-	cacheUsed int64
-	// admitted remembers how many cache bytes each split's running attempt
-	// charged, so a crashed attempt refunds its budget before the retry.
+	// cache is the in-heap budget (UberCacheBytes); admitted remembers how
+	// many of its bytes each split's attempt charged, so a crashed attempt
+	// refunds them before the retry.
+	cache    topology.Budget
 	admitted map[int]int64
 }
 
@@ -86,13 +87,14 @@ func NewInAM(rt *Runtime, spec *JobSpec, app *yarn.App, amNode *topology.Node, p
 		return nil, err
 	}
 	prof.NumContainers = 1
-	am := &InAM{amCore: core, amNode: amNode, opts: opts, admitted: make(map[int]int64)}
+	am := &InAM{amCore: core, amNode: amNode, opts: opts, admitted: make(map[int]int64),
+		cache: topology.Budget{Cap: rt.Params.UberCacheBytes}}
 	// The reduce runs where the maps ran, and every output lives there too:
 	// a read-back that fails means the AM node itself died, which kills the
 	// attempt.
 	am.reduceNode = amNode
 	am.onFetchLost = func(_ []*MapOutput, err error) { am.finish(err) }
-	am.teardown = am.releaseCacheGauge
+	am.teardown = am.releaseCache
 	return am, nil
 }
 
@@ -103,13 +105,10 @@ func (am *InAM) Run(done func(*profiler.JobProfile, error)) {
 	// pooled job's app owns no containers — the AM container belongs to the
 	// pool's app, which notifies the framework.)
 	am.start(done, func(*yarn.Container) { am.finish(ErrAMLost) })
+	am.rt.inAMs[am] = struct{}{}
 	am.prof.FirstTaskAt = am.rt.Eng.Now()
 	am.pump()
 }
-
-// CacheUsed reports how much intermediate data currently sits in the memory
-// cache.
-func (am *InAM) CacheUsed() int64 { return am.cacheUsed }
 
 // pump keeps up to n_u^m map tasks in flight.
 func (am *InAM) pump() {
@@ -126,42 +125,38 @@ func (am *InAM) pump() {
 }
 
 // admitToCache decides whether a finished map's output fits the remaining
-// cache budget; if so the budget is consumed.
-func (am *InAM) admitToCache(outBytes int64) bool {
-	if !am.opts.MemoryCache {
+// cache budget; if so the budget is consumed on the split's account.
+func (am *InAM) admitToCache(split int, outBytes int64) bool {
+	if !am.opts.MemoryCache || !am.cache.Admit(outBytes) {
 		return false
 	}
-	if am.cacheUsed+outBytes > am.rt.Params.UberCacheBytes {
-		return false
-	}
-	am.cacheUsed += outBytes
+	am.admitted[split] = outBytes
 	am.rt.Reg.Add("uplus_cache_bytes", outBytes)
 	return true
 }
 
-// releaseCacheGauge returns this AM's share of the cluster-wide
-// uplus_cache_bytes gauge when the job ends (finished or killed): the
-// in-heap outputs are freed with the JVM. CacheUsed itself is kept for
-// post-run inspection. An AM that never admitted a byte leaves the gauge
+// refundCache returns n cache bytes, and their share of the cluster-wide
+// uplus_cache_bytes gauge. An AM that never admitted a byte leaves the gauge
 // alone, so a stock-Uber run does not mint the series.
-func (am *InAM) releaseCacheGauge() {
-	if am.cacheUsed > 0 {
-		am.rt.Reg.Add("uplus_cache_bytes", -am.cacheUsed)
+func (am *InAM) refundCache(n int64) {
+	if n > 0 {
+		am.cache.Refund(n)
+		am.rt.Reg.Add("uplus_cache_bytes", -n)
 	}
+}
+
+// releaseCache empties the cache when the job ends (finished or killed):
+// the in-heap outputs are freed with the JVM.
+func (am *InAM) releaseCache() {
+	am.refundCache(am.cache.Used())
+	delete(am.rt.inAMs, am)
 }
 
 func (am *InAM) runOne(s *hdfs.Split) {
 	opts := MapTaskOptions{
-		SpillToDisk: true,
-		KeepInMemory: func(b int64) bool {
-			if !am.admitToCache(b) {
-				return false
-			}
-			am.admitted[s.Index] = b
-			return true
-		},
-		Attempt: am.failedMaps[s.Index],
-		Parent:  am.prof.Span,
+		KeepInMemory: func(b int64) bool { return am.admitToCache(s.Index, b) },
+		Attempt:      am.failedMaps[s.Index],
+		Parent:       am.prof.Span,
 	}
 	am.rt.RunMapTask(am.spec, s, am.amNode, opts, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		if am.killed {
@@ -174,11 +169,8 @@ func (am *InAM) runOne(s *hdfs.Split) {
 			// in-heap output died with it, and without the refund every
 			// crashed-and-retried map would leak budget until U+ degrades to
 			// spilling everything.
-			if b, ok := am.admitted[s.Index]; ok {
-				am.cacheUsed -= b
-				am.rt.Reg.Add("uplus_cache_bytes", -b)
-				delete(am.admitted, s.Index)
-			}
+			am.refundCache(am.admitted[s.Index])
+			delete(am.admitted, s.Index)
 			if am.mapAttemptFailed(s.Index, tp, err) {
 				am.runOne(s)
 			}

@@ -114,7 +114,10 @@ func TestUPlusCacheRefundOnCrashedAttempt(t *testing.T) {
 	}
 	const phantom = int64(10_000)
 	am.admitted[0] = phantom
-	am.cacheUsed = phantom
+	am.cache.Hold(phantom)
+	// The cache empties at teardown, so read it while the output is resident.
+	var held int64
+	am.OnMapComplete = func(*profiler.TaskProfile) { held = am.cache.Used() }
 	var jobErr error
 	finished := false
 	rt.Eng.After(0, func() {
@@ -136,8 +139,10 @@ func TestUPlusCacheRefundOnCrashedAttempt(t *testing.T) {
 	if out == 0 {
 		t.Fatal("no successful map attempt recorded")
 	}
-	if am.CacheUsed() != out {
-		t.Fatalf("cacheUsed = %d, want %d (phantom %d not refunded before retry)",
-			am.CacheUsed(), out, phantom)
+	if held != out {
+		t.Fatalf("cacheUsed = %d, want %d (phantom %d not refunded before retry)", held, out, phantom)
+	}
+	if am.cache.Used() != 0 {
+		t.Fatalf("finished AM still holds %d cache bytes", am.cache.Used())
 	}
 }

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
 	"mrapid/internal/hdfs"
@@ -18,21 +19,12 @@ import (
 // map outputs.
 var ErrIntermediateLost = errors.New("mapreduce: intermediate output lost with its node")
 
-// interFile is one committed intermediate file: the bytes, the node that
-// produced (and holds) them, and that node's boot generation at commit
-// time.
-type interFile struct {
-	data     []byte
-	node     *topology.Node
-	epoch    int
-	inMemory bool
-}
-
-// available reports whether the entry can still be read: its node is up and
-// has not rebooted since the commit. Empty entries carry no bytes and stay
+// interFile is one committed intermediate file: the bytes and where they
+// reside. An empty file is held nowhere (the zero Resident) and stays
 // readable forever.
-func (f *interFile) available() bool {
-	return len(f.data) == 0 || f.node.AliveEpoch(f.epoch)
+type interFile struct {
+	data []byte
+	topology.Resident
 }
 
 // IntermediateStore holds intra-query intermediate tables outside HDFS,
@@ -46,14 +38,12 @@ func (f *interFile) available() bool {
 //
 // All methods run on the engine goroutine, like every other Runtime method.
 type IntermediateStore struct {
-	// MemBudget bounds the bytes held in memory across all entries;
-	// commits past it go to the producer's local disk.
-	MemBudget int64
+	files map[string]*interFile
+	mem   topology.Budget // bytes held in memory across all entries
+	disk  int64           // bytes currently on producers' local disks
 
-	files   map[string]*interFile
-	memUsed int64
-
-	// MemBytes and DiskBytes count committed bytes by residence;
+	// MemBytes and DiskBytes count committed bytes by residence, cumulative
+	// over the store's life (MemUsed and DiskUsed are what it holds now);
 	// HDFSBytesAvoided totals every commit — bytes that skipped the
 	// replicated HDFS write path entirely.
 	MemBytes         int64
@@ -61,36 +51,22 @@ type IntermediateStore struct {
 	HDFSBytesAvoided int64
 }
 
-// NewIntermediateStore builds an empty store with the given memory budget.
-func NewIntermediateStore(memBudget int64) *IntermediateStore {
-	return &IntermediateStore{MemBudget: memBudget, files: make(map[string]*interFile)}
-}
-
 // EnsureIntermediates attaches an intermediate store to the runtime (reusing
 // the U+ cache budget as its memory bound) and returns it. Idempotent.
 func (rt *Runtime) EnsureIntermediates() *IntermediateStore {
 	if rt.Intermediates == nil {
-		rt.Intermediates = NewIntermediateStore(rt.Params.UberCacheBytes)
+		rt.Intermediates = &IntermediateStore{
+			files: make(map[string]*interFile),
+			mem:   topology.Budget{Cap: rt.Params.UberCacheBytes},
+		}
 	}
 	return rt.Intermediates
-}
-
-// lookup returns the entry for a name, if present.
-func (st *IntermediateStore) lookup(name string) (*interFile, bool) {
-	f, ok := st.files[name]
-	return f, ok
 }
 
 // Has reports whether the store holds a file under name (readable or not).
 func (st *IntermediateStore) Has(name string) bool {
 	_, ok := st.files[name]
 	return ok
-}
-
-// Available reports whether a held file can still be read.
-func (st *IntermediateStore) Available(name string) bool {
-	f, ok := st.files[name]
-	return ok && f.available()
 }
 
 // Size returns a held file's length in bytes.
@@ -102,8 +78,10 @@ func (st *IntermediateStore) Size(name string) (int64, bool) {
 	return int64(len(f.data)), true
 }
 
-// MemUsed reports the bytes currently held in memory.
-func (st *IntermediateStore) MemUsed() int64 { return st.memUsed }
+// MemUsed and DiskUsed report the bytes currently resident in producers'
+// memory and on their local disks.
+func (st *IntermediateStore) MemUsed() int64  { return st.mem.Used() }
+func (st *IntermediateStore) DiskUsed() int64 { return st.disk }
 
 // Contents returns a held file's bytes without charging any cost — the
 // store-side counterpart of DFS.Contents, used by the memoization cache to
@@ -112,42 +90,38 @@ func (st *IntermediateStore) MemUsed() int64 { return st.memUsed }
 // could have read).
 func (st *IntermediateStore) Contents(name string) ([]byte, bool) {
 	f, ok := st.files[name]
-	if !ok || !f.available() {
+	if !ok || !f.Readable() {
 		return nil, false
 	}
 	return f.data, true
 }
 
-// Holder returns the node that committed (and holds) a file.
-func (st *IntermediateStore) Holder(name string) (*topology.Node, bool) {
-	f, ok := st.files[name]
-	if !ok {
-		return nil, false
-	}
-	return f.node, true
-}
-
 // Put stores a file instantly, without charging any device — the
-// bookkeeping primitive behind empty-stage short-circuits and renames. Use
+// bookkeeping primitive behind empty-stage short-circuits and memo hits; in
+// memory while the budget lasts, on node's local disk after. Use
 // Runtime.CommitIntermediate for priced commits.
 func (st *IntermediateStore) Put(name string, data []byte, node *topology.Node) {
-	st.Delete(name)
-	inMem := st.memUsed+int64(len(data)) <= st.MemBudget
-	if inMem {
-		st.memUsed += int64(len(data))
+	st.Delete(name) // before admitting, so a replaced entry's bytes are back
+	f := &interFile{data: data}
+	st.files[name] = f
+	if n := int64(len(data)); n > 0 {
+		f.Resident = topology.ResidentOn(node, st.mem.Admit(n))
+		if !f.InMemory {
+			st.disk += n
+		}
 	}
-	st.files[name] = &interFile{data: data, node: node, epoch: node.Epoch(), inMemory: inMem}
 }
 
-// Delete drops a file, refunding its memory budget. Unknown names are a
-// no-op.
+// Delete drops a file, refunding its residence. Unknown names are a no-op.
 func (st *IntermediateStore) Delete(name string) {
 	f, ok := st.files[name]
 	if !ok {
 		return
 	}
-	if f.inMemory {
-		st.memUsed -= int64(len(f.data))
+	if f.InMemory {
+		st.mem.Refund(int64(len(f.data)))
+	} else {
+		st.disk -= int64(len(f.data))
 	}
 	delete(st.files, name)
 }
@@ -164,18 +138,24 @@ func (st *IntermediateStore) DeletePrefix(prefix string) int {
 	return n
 }
 
-// RenamePrefix moves every file under oldPrefix to newPrefix and reports
-// how many, the store half of a speculative winner's output promotion.
+// RenamePrefix moves every file under oldPrefix to newPrefix, in name order
+// like DFS.RenamePrefix, and reports how many — the store half of a
+// speculative winner's output promotion.
 func (st *IntermediateStore) RenamePrefix(oldPrefix, newPrefix string) int {
-	n := 0
-	for name, f := range st.files {
+	var names []string
+	for name := range st.files {
 		if strings.HasPrefix(name, oldPrefix) {
-			delete(st.files, name)
-			st.files[newPrefix+name[len(oldPrefix):]] = f
-			n++
+			names = append(names, name)
 		}
 	}
-	return n
+	sort.Strings(names)
+	for _, name := range names {
+		f, target := st.files[name], newPrefix+name[len(oldPrefix):]
+		delete(st.files, name)
+		st.Delete(target) // refund whatever the move displaces
+		st.files[target] = f
+	}
+	return len(names)
 }
 
 // CommitIntermediate stores a reduce task's output bytes as an intermediate
@@ -188,24 +168,16 @@ func (rt *Runtime) CommitIntermediate(name string, data []byte, node *topology.N
 	if st == nil {
 		panic("mapreduce: CommitIntermediate without an intermediate store")
 	}
-	st.Delete(name)
 	n := int64(len(data))
 	st.HDFSBytesAvoided += n
-	entry := &interFile{data: data, node: node, epoch: node.Epoch()}
-	st.files[name] = entry
-	if st.memUsed+n <= st.MemBudget {
-		entry.inMemory = true
-		st.memUsed += n
+	disk := int64(0)
+	if st.Put(name, data, node); st.files[name].InMemory {
 		st.MemBytes += n
-		rt.Eng.After(0, func() { done(nil) })
-		return
+	} else {
+		st.DiskBytes += n
+		disk = n
 	}
-	st.DiskBytes += n
-	if n == 0 {
-		rt.Eng.After(0, func() { done(nil) })
-		return
-	}
-	node.Disk.Use(n, func() { done(nil) })
+	rt.Cluster.Transfer(node, node, disk, 0, func() { done(nil) })
 }
 
 // Splits computes a job's input splits with the intermediate store layered
@@ -222,13 +194,13 @@ func (rt *Runtime) Splits(files []string) ([]*hdfs.Split, error) {
 	}
 	var splits []*hdfs.Split
 	for _, name := range files {
-		if f, ok := st.lookup(name); ok {
+		if f, ok := st.files[name]; ok {
 			block := rt.Params.HDFSBlockBytes
 			for off := int64(0); off < int64(len(f.data)); off += block {
 				length := min(block, int64(len(f.data))-off)
 				splits = append(splits, &hdfs.Split{
 					File: name, Index: len(splits), Offset: off, Length: length,
-					Hosts: []*topology.Node{f.node},
+					Hosts: []*topology.Node{f.Node},
 				})
 			}
 			continue
@@ -246,80 +218,28 @@ func (rt *Runtime) Splits(files []string) ([]*hdfs.Split, error) {
 }
 
 // ReadSplit reads one input split on behalf of a map task running on node.
-// Intermediate-store splits are priced like shuffle fetches — free from the
-// producer's memory on the same node, a local disk read, or a network
-// transfer (source disk, both NICs, core switch across racks) — and
-// observed under kind "intermediate" with the matching transport label.
+// Intermediate-store splits are priced like shuffle fetches, by where the
+// file resides (see topology.Cluster.Read), observed under kind
+// "intermediate" with the matching transport label, and fail with
+// ErrIntermediateLost when the producer died before or during the read.
 // Everything else is a plain locality-priced HDFS range read.
 func (rt *Runtime) ReadSplit(split *hdfs.Split, node *topology.Node, done func([]byte, error)) {
-	st := rt.Intermediates
 	var f *interFile
-	if st != nil {
-		f, _ = st.lookup(split.File)
+	if st := rt.Intermediates; st != nil {
+		f = st.files[split.File]
 	}
 	if f == nil {
 		rt.DFS.ReadRange(split.File, split.Offset, split.Length, node, done)
 		return
 	}
-	lost := func() {
-		rt.Eng.After(rt.Params.RPCLatency, func() {
-			done(nil, fmt.Errorf("reading %s: %w", split, ErrIntermediateLost))
-		})
-	}
-	if !f.available() {
-		lost()
-		return
-	}
-	data := f.data[split.Offset : split.Offset+split.Length]
-	n := split.Length
-	transport := "disk"
-	if f.inMemory {
-		transport = "memory"
-	}
-	if f.node != node {
-		transport = "network"
-	}
-	finish := func() {
-		// A read in flight when the producer dies is a failed read, like a
-		// dropped shuffle connection.
-		if !f.available() {
-			lost()
+	rt.Cluster.Read(f.Resident, node, split.Length, rt.Params.RPCLatency, ErrIntermediateLost, func(err error) {
+		if err != nil {
+			done(nil, fmt.Errorf("reading %s: %w", split, err))
 			return
 		}
-		rt.ObserveShuffle("intermediate", transport, n)
-		done(data, nil)
-	}
-	switch {
-	case f.inMemory && f.node == node:
-		rt.Eng.After(0, finish)
-	case f.node == node:
-		node.Disk.Use(n, finish)
-	default:
-		pending := 0
-		armed := false
-		complete := func() {
-			pending--
-			if pending == 0 && armed {
-				finish()
-			}
-		}
-		if !f.inMemory {
-			pending++
-			f.node.Disk.Use(n, complete)
-		}
-		pending++
-		f.node.NIC.Use(n, complete)
-		pending++
-		node.NIC.Use(n, complete)
-		if f.node.Rack != node.Rack {
-			pending++
-			rt.Cluster.CoreSwitch.Use(n, complete)
-		}
-		armed = true
-		if pending == 0 {
-			rt.Eng.After(0, finish)
-		}
-	}
+		rt.ObserveShuffle("intermediate", f.Transport(node), split.Length)
+		done(f.data[split.Offset:split.Offset+split.Length], nil)
+	})
 }
 
 // DeleteOutput removes one committed output file from wherever it lives —

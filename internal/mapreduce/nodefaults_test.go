@@ -62,7 +62,7 @@ func TestMapOutputUnavailableAfterNodeDeath(t *testing.T) {
 	spec := wcSpec(names, "/out")
 	var mo *MapOutput
 	rt.Eng.After(0, func() {
-		rt.RunMapTask(spec, splits[0], src, MapTaskOptions{SpillToDisk: true}, func(m *MapOutput, _ *profiler.TaskProfile, err error) {
+		rt.RunMapTask(spec, splits[0], src, MapTaskOptions{}, func(m *MapOutput, _ *profiler.TaskProfile, err error) {
 			if err != nil {
 				t.Errorf("map failed: %v", err)
 			}
@@ -73,11 +73,11 @@ func TestMapOutputUnavailableAfterNodeDeath(t *testing.T) {
 	if mo == nil {
 		t.Fatal("map never completed")
 	}
-	if !mo.Available() {
+	if !mo.Readable() {
 		t.Fatal("fresh output reported unavailable")
 	}
 	src.Fail()
-	if mo.Available() {
+	if mo.Readable() {
 		t.Fatal("output on a dead node reported available")
 	}
 	var fetchErr error
@@ -98,7 +98,7 @@ func TestMapOutputUnavailableAfterNodeDeath(t *testing.T) {
 	// A restart does not resurrect the intermediate data: the reborn node
 	// has an empty local disk.
 	src.Restart()
-	if mo.Available() {
+	if mo.Readable() {
 		t.Fatal("output survived the node's reboot")
 	}
 }

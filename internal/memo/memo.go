@@ -6,11 +6,12 @@
 // answered from the cache and never launches an AM or a single container.
 //
 // Entries live in two tiers. The memory tier models the cache service's own
-// replicated RAM: always readable, bounded by Config.MemBytes. Overflow is
-// demoted to the disk tier — a single unreplicated copy on one worker's
-// local disk, recorded as (node, boot epoch) exactly like intra-query
-// intermediates — and is lost when that node dies or reboots; a lookup then
-// fails with ErrEntryLost and the caller falls through to normal execution.
+// replicated RAM: no single holder, always readable, bounded by
+// Config.MemBytes. Overflow is demoted to the disk tier — a single
+// unreplicated copy on one worker's local disk, a topology.Resident exactly
+// like intra-query intermediates — and is lost when that node dies or
+// reboots; a lookup then fails with ErrEntryLost and the caller falls
+// through to normal execution.
 //
 // Eviction is cost-aware, not LRU: the victim is the entry with the lowest
 // recomputation-cost-per-byte (measured job seconds over output bytes), so
@@ -50,53 +51,41 @@ type Config struct {
 	DiskBytes int64
 }
 
-// entry is one memoized job output.
+// Hit is a successful lookup: the cached output and where it resides, so
+// the materializer can price the read (free from the memory tier, a disk
+// read from the holder otherwise).
+type Hit struct {
+	Parts [][]byte
+	Bytes int64
+	Cost  float64 // measured recomputation cost, virtual seconds: what a hit saves
+
+	topology.Resident // holder-less in the memory tier, the disk-tier holder after demotion
+}
+
+// entry is one memoized job output: what a hit returns, under its identity.
 type entry struct {
 	key    string
 	digest uint64
-	parts  [][]byte
-	bytes  int64
-	cost   float64 // measured recomputation cost, virtual seconds
-
-	inMemory bool
-	node     *topology.Node // disk-tier holder (nil while in memory)
-	epoch    int            // holder's boot epoch at demotion time
-	seq      int64          // insertion order, the deterministic tie-break
+	seq    int64 // insertion order, the deterministic tie-break
+	Hit
 }
 
 // costPerByte is the eviction priority: cheapest recomputation per cached
 // byte goes first. Empty outputs are free to hold and never selected.
 func (e *entry) costPerByte() float64 {
-	if e.bytes == 0 {
+	if e.Bytes == 0 {
 		return 0
 	}
-	return e.cost / float64(e.bytes)
-}
-
-// available reports whether the entry's bytes are still readable.
-func (e *entry) available() bool {
-	return e.inMemory || e.node.AliveEpoch(e.epoch)
-}
-
-// Hit is a successful lookup: the cached output and where it resides, so
-// the materializer can price the read (free from the memory tier, a disk
-// read from the holder otherwise).
-type Hit struct {
-	Parts    [][]byte
-	Bytes    int64
-	InMemory bool
-	Node     *topology.Node // disk-tier holder; nil for memory-tier hits
-	Cost     float64        // the recomputation seconds the hit just saved
+	return e.Cost / float64(e.Bytes)
 }
 
 // Cache is the cluster-wide memoization service.
 type Cache struct {
 	mu      sync.Mutex
-	cfg     Config
 	workers []*topology.Node
 	entries map[string]*entry
-	memUsed int64
-	dskUsed int64
+	mem     topology.Budget
+	dsk     topology.Budget
 	seq     int64
 
 	hits, misses, invalidations, evictions, lost int64
@@ -114,7 +103,8 @@ func New(reg *metrics.Registry, workers []*topology.Node, cfg Config) *Cache {
 		cfg.DiskBytes = 1 << 30
 	}
 	return &Cache{
-		cfg:     cfg,
+		mem:     topology.Budget{Cap: cfg.MemBytes},
+		dsk:     topology.Budget{Cap: cfg.DiskBytes},
 		workers: workers,
 		entries: make(map[string]*entry),
 		mHits:   reg.CounterHandle("memo_hits_total"),
@@ -146,7 +136,7 @@ func (c *Cache) Lookup(key string, digest uint64) (*Hit, error) {
 		c.mMisses.Inc()
 		return nil, fmt.Errorf("%w (input generation moved)", ErrMiss)
 	}
-	if !e.available() {
+	if !e.Readable() {
 		c.drop(e)
 		c.lost++
 		c.mLost.Inc()
@@ -156,7 +146,8 @@ func (c *Cache) Lookup(key string, digest uint64) (*Hit, error) {
 	}
 	c.hits++
 	c.mHits.Inc()
-	return &Hit{Parts: e.parts, Bytes: e.bytes, InMemory: e.inMemory, Node: e.node, Cost: e.cost}, nil
+	hit := e.Hit
+	return &hit, nil
 }
 
 // Commit stores a finished job's output under its cache identity,
@@ -179,25 +170,24 @@ func (c *Cache) Commit(key string, digest uint64, parts [][]byte, costSeconds fl
 		copied[i] = append([]byte(nil), p...)
 		bytes += int64(len(p))
 	}
-	if bytes > c.cfg.MemBytes && bytes > c.cfg.DiskBytes {
+	if bytes > c.mem.Cap && bytes > c.dsk.Cap {
 		return
 	}
 	c.seq++
-	e := &entry{
-		key: key, digest: digest, parts: copied, bytes: bytes,
-		cost: costSeconds, inMemory: true, seq: c.seq,
-	}
+	e := &entry{key: key, digest: digest, seq: c.seq, Hit: Hit{
+		Parts: copied, Bytes: bytes, Cost: costSeconds, Resident: topology.Resident{InMemory: true},
+	}}
 	c.entries[key] = e
-	c.memUsed += bytes
+	c.mem.Hold(bytes)
 	c.rebalance()
 }
 
 // drop removes an entry and refunds its tier budget. Caller holds the lock.
 func (c *Cache) drop(e *entry) {
-	if e.inMemory {
-		c.memUsed -= e.bytes
+	if e.InMemory {
+		c.mem.Refund(e.Bytes)
 	} else {
-		c.dskUsed -= e.bytes
+		c.dsk.Refund(e.Bytes)
 	}
 	delete(c.entries, e.key)
 }
@@ -208,7 +198,7 @@ func (c *Cache) drop(e *entry) {
 func (c *Cache) victims(inMemory bool) []*entry {
 	var out []*entry
 	for _, e := range c.entries {
-		if e.inMemory == inMemory {
+		if e.InMemory == inMemory {
 			out = append(out, e)
 		}
 	}
@@ -227,32 +217,35 @@ func (c *Cache) victims(inMemory bool) []*entry {
 // live worker can take the copy), disk overflow evicts outright. Caller
 // holds the lock.
 func (c *Cache) rebalance() {
-	if c.memUsed > c.cfg.MemBytes {
+	if c.mem.Over() {
 		for _, e := range c.victims(true) {
-			if c.memUsed <= c.cfg.MemBytes {
+			if !c.mem.Over() {
 				break
 			}
-			c.memUsed -= e.bytes
-			if n := c.diskNodeFor(e.key); n != nil && e.bytes <= c.cfg.DiskBytes {
-				e.inMemory, e.node, e.epoch = false, n, n.Epoch()
-				c.dskUsed += e.bytes
+			if n := c.diskNodeFor(e.key); n != nil && e.Bytes <= c.dsk.Cap {
+				c.mem.Refund(e.Bytes)
+				e.Resident = topology.ResidentOn(n, false)
+				c.dsk.Hold(e.Bytes)
 			} else {
-				delete(c.entries, e.key)
-				c.evictions++
-				c.mEvict.Inc()
+				c.evict(e)
 			}
 		}
 	}
-	if c.dskUsed > c.cfg.DiskBytes {
+	if c.dsk.Over() {
 		for _, e := range c.victims(false) {
-			if c.dskUsed <= c.cfg.DiskBytes {
+			if !c.dsk.Over() {
 				break
 			}
-			c.drop(e)
-			c.evictions++
-			c.mEvict.Inc()
+			c.evict(e)
 		}
 	}
+}
+
+// evict drops an entry to make room. Caller holds the lock.
+func (c *Cache) evict(e *entry) {
+	c.drop(e)
+	c.evictions++
+	c.mEvict.Inc()
 }
 
 // diskNodeFor picks the disk-tier holder for a key: a deterministic hash
@@ -290,6 +283,30 @@ func (c *Cache) Snapshot() Stats {
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations,
 		Evictions: c.evictions, Lost: c.lost,
-		Entries: len(c.entries), MemBytes: c.memUsed, DiskBytes: c.dskUsed,
+		Entries: len(c.entries), MemBytes: c.mem.Used(), DiskBytes: c.dsk.Used(),
 	}
+}
+
+// CheckResidency recomputes both tier budgets from the entries and reports
+// the first disagreement, or a tier left over its cap — the memo half of
+// the conservation check Runtime.CheckResidency makes.
+func (c *Cache) CheckResidency() error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var mem, dsk int64
+	for _, e := range c.entries {
+		if e.InMemory {
+			mem += e.Bytes
+		} else {
+			dsk += e.Bytes
+		}
+	}
+	if c.mem.Used() != mem || c.dsk.Used() != dsk || c.mem.Over() || c.dsk.Over() {
+		return fmt.Errorf("memo: tiers account %d/%d B in memory and %d/%d B on disk, the entries sum to %d and %d",
+			c.mem.Used(), c.mem.Cap, c.dsk.Used(), c.dsk.Cap, mem, dsk)
+	}
+	return nil
 }

@@ -297,7 +297,7 @@ func (d *dagRun) outputsAvailable(st *Stage) bool {
 	}
 	store := d.rt().Intermediates
 	for _, f := range st.Out.Files {
-		if !store.Available(f) {
+		if _, ok := store.Contents(f); !ok {
 			return false
 		}
 	}

@@ -43,6 +43,13 @@ func newDAGEnv(t *testing.T, workers int) *env {
 	if !ready {
 		t.Fatal("framework not ready")
 	}
+	// The DAG runner is the intermediate store's heaviest user: at teardown
+	// every byte budget must equal the sum of its resident copies.
+	t.Cleanup(func() {
+		if err := fw.CheckResidency(); err != nil {
+			t.Error(err)
+		}
+	})
 	cat := NewCatalog(dfs, cluster)
 	dag, err := NewDAGRunner(fw, nil, cat)
 	if err != nil {
@@ -367,8 +374,9 @@ func testLineageRecovery(t *testing.T, sequential bool) {
 		if killed {
 			return
 		}
-		if st := rt.Intermediates; st != nil && st.Available(target) {
-			if n, ok := st.Holder(target); ok {
+		if st := rt.Intermediates; st != nil && st.Has(target) {
+			if splits, _ := rt.Splits([]string{target}); len(splits) > 0 {
+				n := splits[0].Hosts[0] // the producer that holds the file
 				killed = true
 				// Let the producing job finish its commit handshake, then
 				// take the holder down (restarting later so capacity

@@ -178,24 +178,21 @@ func (s *Service) WireRatio(spec *mapreduce.JobSpec) float64 {
 //     more than one member), then compresses the consolidated partition —
 //     charged as elapsed time on the node but not against a task core: the
 //     shuffle handler is a NodeManager auxiliary daemon, not a container;
-//   - spilled member bytes are read off the source disk (U+ in-memory
-//     members cost nothing to pick up);
-//   - the wire-sized bytes cross source NIC, destination NIC, and the core
-//     switch when the nodes sit in different racks — all in parallel, like
-//     FetchPartition;
+//   - one topology.Cluster.Transfer moves the spilled member bytes off the
+//     source disk (U+ in-memory members cost nothing to pick up) and the
+//     wire-sized bytes across the network;
 //   - the destination decompresses before handing the bytes to the reducer.
 //
-// A same-node fetch skips the codec and the network entirely. Availability
-// is re-checked when the transfer completes, so a source node dying
-// mid-fetch still charges the devices but reports ErrOutputLost — the AM
-// then reverts every member of the group through the PR-2 per-map recovery.
+// A same-node fetch skips the codec and the network entirely. A source node
+// dying mid-fetch still charges the devices but reports ErrOutputLost — the
+// AM then reverts every member of the group through the per-map recovery.
 func (s *Service) Fetch(parent trace.SpanID, spec *mapreduce.JobSpec, c *mapreduce.Consolidated, part int, dst *topology.Node, done func(error)) {
 	if done == nil {
 		panic("shuffle: Fetch needs a completion callback")
 	}
 	rt := s.rt
 	out := c.Out
-	if !out.Available() {
+	if !out.Readable() {
 		rt.Eng.After(rt.Params.RPCLatency, func() { done(mapreduce.ErrOutputLost) })
 		return
 	}
@@ -203,7 +200,7 @@ func (s *Service) Fetch(parent trace.SpanID, spec *mapreduce.JobSpec, c *mapredu
 	memberRaw := c.RawPartBytes(part)
 	spilled := c.SpilledPartBytes(part)
 	wire := s.codec.Wire(combined)
-	transport := mapreduce.ShuffleTransport(out, dst)
+	transport := out.Transport(dst)
 	var span trace.SpanID
 	if rt.Trace != nil {
 		span = rt.Trace.StartSpan(parent, "task/"+dst.Name,
@@ -216,22 +213,7 @@ func (s *Service) Fetch(parent trace.SpanID, spec *mapreduce.JobSpec, c *mapredu
 			trace.A("wire_bytes", fmt.Sprint(wire)))
 	}
 
-	rt.AddShuffleInFlight(wire)
-	finish := func(moved int64, err error) {
-		rt.AddShuffleInFlight(-wire)
-		if err != nil {
-			if span != 0 {
-				rt.Trace.EndSpan(span, trace.A("error", err.Error()))
-			}
-			done(err)
-			return
-		}
-		if span != 0 {
-			rt.Trace.EndSpan(span)
-		}
-		rt.ObserveShuffle("consolidated", transport, moved)
-		done(nil)
-	}
+	finish := rt.TrackFetch(span, "consolidated", transport, wire, done)
 
 	// The cross-task merge happens once per consolidated partition on the
 	// source, whatever the transport; it replaces reduce-side merge work
@@ -241,73 +223,48 @@ func (s *Service) Fetch(parent trace.SpanID, spec *mapreduce.JobSpec, c *mapredu
 		prep += time.Duration(float64(memberRaw) / (rt.Params.SortCPUBytesPerSec * out.Node.Type.CPUSpeed) * float64(time.Second))
 	}
 
+	// arrived closes a fetch whose bytes have moved: a source lost meanwhile
+	// still fails it.
+	arrived := func(moved int64) {
+		if !out.Readable() {
+			finish(0, mapreduce.ErrOutputLost)
+			return
+		}
+		finish(moved, nil)
+	}
+
 	if out.Node == dst {
 		// Local pickup: spilled members come off the disk, in-memory ones
 		// straight from the heap; no codec on a loopback transfer.
 		rt.Eng.After(prep, func() {
 			if spilled == 0 {
-				if !out.Available() {
-					finish(0, mapreduce.ErrOutputLost)
-					return
-				}
-				finish(combined, nil)
+				arrived(combined)
 				return
 			}
-			dst.Disk.Use(spilled, func() {
-				if !out.Available() {
-					finish(0, mapreduce.ErrOutputLost)
-					return
-				}
-				finish(spilled, nil)
-			})
+			rt.Cluster.Transfer(dst, dst, spilled, 0, func() { arrived(spilled) })
 		})
 		return
 	}
 
 	prep += s.codec.CompressTime(combined, out.Node)
 	rt.Eng.After(prep, func() {
-		if !out.Available() {
-			finish(0, mapreduce.ErrOutputLost)
+		if wire == 0 || !out.Readable() {
+			arrived(0)
 			return
 		}
-		if wire == 0 {
-			finish(0, nil)
-			return
-		}
-		pending := 0
-		dispatched := false
-		complete := func() {
-			pending--
-			if pending > 0 || !dispatched {
-				return
-			}
+		rt.Cluster.Transfer(out.Node, dst, spilled, wire, func() {
 			rt.Eng.After(s.codec.DecompressTime(combined, dst), func() {
-				if !out.Available() {
-					finish(0, mapreduce.ErrOutputLost)
-					return
+				if out.Readable() {
+					s.sentRaw += combined
+					s.sentWire += wire
+					if s.sentRaw > 0 {
+						s.handles()
+						s.compressSaved.Set(s.sentRaw - s.sentWire)
+						s.compressRatio.Set(s.sentWire * 1000 / s.sentRaw)
+					}
 				}
-				s.sentRaw += combined
-				s.sentWire += wire
-				if s.sentRaw > 0 {
-					s.handles()
-					s.compressSaved.Set(s.sentRaw - s.sentWire)
-					s.compressRatio.Set(s.sentWire * 1000 / s.sentRaw)
-				}
-				finish(wire, nil)
+				arrived(wire)
 			})
-		}
-		if spilled > 0 {
-			pending++
-			out.Node.Disk.Use(spilled, complete)
-		}
-		pending++
-		out.Node.NIC.Use(wire, complete)
-		pending++
-		dst.NIC.Use(wire, complete)
-		if out.Node.Rack != dst.Rack {
-			pending++
-			rt.Cluster.CoreSwitch.Use(wire, complete)
-		}
-		dispatched = true
+		})
 	})
 }

@@ -77,6 +77,50 @@ func (d *Device) Backlog() time.Duration {
 	return d.free.Sub(d.eng.Now())
 }
 
+// Join is the completion of several device transfers started together: done
+// fires inside the event that completes the last of them, or — when Arm
+// finds that none was started — as its own event at the current instant.
+// A Join that is never armed never fires, which is how a caller abandons
+// one it has already charged devices through.
+type Join struct {
+	eng     *Engine
+	pending int
+	armed   bool
+	done    func()
+	step    func() // j.complete, bound once so every Use shares one closure
+}
+
+// NewJoin prepares a join that will invoke done.
+func NewJoin(eng *Engine, done func()) *Join {
+	if done == nil {
+		panic("sim: NewJoin called with nil completion")
+	}
+	j := &Join{eng: eng, done: done}
+	j.step = j.complete
+	return j
+}
+
+// Use enqueues n bytes on d as one of the joined transfers.
+func (j *Join) Use(d *Device, n int64) {
+	j.pending++
+	d.Use(n, j.step)
+}
+
+// Arm declares that every transfer has been started.
+func (j *Join) Arm() {
+	j.armed = true
+	if j.pending == 0 {
+		j.eng.After(0, j.done)
+	}
+}
+
+func (j *Join) complete() {
+	j.pending--
+	if j.pending == 0 && j.armed {
+		j.done()
+	}
+}
+
 // Semaphore is a counting semaphore with FIFO waiters, used to model
 // exclusive resources such as CPU cores on a node.
 type Semaphore struct {

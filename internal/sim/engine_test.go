@@ -300,6 +300,30 @@ func TestDeviceBacklogAndBusy(t *testing.T) {
 	}
 }
 
+func TestJoinFiresWithTheLastTransfer(t *testing.T) {
+	e := NewEngine()
+	disk, nic := NewDevice(e, "disk", 100), NewDevice(e, "nic", 50)
+	var at []Time
+	j := NewJoin(e, func() { at = append(at, e.Now()) })
+	j.Use(disk, 100) // 1s
+	j.Use(nic, 100)  // 2s
+	j.Arm()
+	// Armed with nothing started: its own event at the current instant.
+	NewJoin(e, func() { at = append(at, e.Now()) }).Arm()
+	// Never armed: the transfer is charged, the completion never heard.
+	NewJoin(e, func() { t.Error("an unarmed join fired") }).Use(disk, 100)
+	if len(at) != 0 {
+		t.Fatal("a join fired synchronously")
+	}
+	e.Run()
+	if len(at) != 2 || at[0] != 0 || at[1] != Time(2*time.Second) {
+		t.Fatalf("joins fired at %v, want [0s 2s]", at)
+	}
+	if disk.BusyTime() != 2*time.Second {
+		t.Fatalf("disk busy %v, want 2s (both joins' transfers)", disk.BusyTime())
+	}
+}
+
 func TestDeviceTransferTime(t *testing.T) {
 	e := NewEngine()
 	d := NewDevice(e, "net", 1e6)

@@ -67,3 +67,37 @@ func TestDesignNamesEveryPackage(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignWhereBytesLive keeps DESIGN.md §3.2 honest in both directions:
+// the section must name each mechanism of the residency layer, and each
+// name must still be declared where the section says it is.
+func TestDesignWhereBytesLive(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n### 3.2 Where bytes live\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 3.2 \"Where bytes live\"")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, m := range []struct{ name, file, decl string }{
+		{"`sim.Join`", "internal/sim/device.go", "type Join struct"},
+		{"`topology.Resident`", "internal/topology/resident.go", "type Resident struct"},
+		{"`Resident.Readable`", "internal/topology/resident.go", "func (r Resident) Readable() bool"},
+		{"`Resident.Transport(reader)`", "internal/topology/resident.go", "func (r Resident) Transport("},
+		{"`Cluster.Transfer(src, dst, diskBytes, wireBytes,", "internal/topology/resident.go", "func (c *Cluster) Transfer(src, dst *Node, diskBytes, wireBytes int64, done func())"},
+		{"`Cluster.Read(resident, reader, n, rpc, lost,", "internal/topology/resident.go", "func (c *Cluster) Read(r Resident, dst *Node, n int64, rpc time.Duration, lost error, done func(error))"},
+		{"`topology.Budget`", "internal/topology/resident.go", "type Budget struct"},
+		{"`Runtime.CheckResidency`", "internal/mapreduce/residency.go", "func (rt *Runtime) CheckResidency() error"},
+		{"`Framework.CheckResidency`", "internal/core/memo.go", "func (f *Framework) CheckResidency() error"},
+	} {
+		if !strings.Contains(section, m.name) {
+			t.Errorf("DESIGN.md §3.2 does not name %s", m.name)
+		}
+		src, err := os.ReadFile(m.file)
+		if err != nil || !strings.Contains(string(src), m.decl) {
+			t.Errorf("DESIGN.md §3.2 names %s, but %s no longer declares %q", m.name, m.file, m.decl)
+		}
+	}
+}
