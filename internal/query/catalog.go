@@ -10,7 +10,6 @@ package query
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"mrapid/internal/hdfs"
@@ -155,20 +154,7 @@ func (c *Catalog) ReadTable(t *Table) ([]Row, error) {
 			if len(line) == 0 {
 				continue
 			}
-			// Result part files are pair-encoded: key TAB value. The row
-			// lives in the key; values carry either nothing or a row (for
-			// order-by results, where the key is the sort key).
-			var row Row
-			if i := bytes.IndexByte(line, '\t'); i >= 0 {
-				key, val := line[:i], line[i+1:]
-				if len(val) > 0 {
-					row = DecodeRow(val)
-				} else {
-					row = DecodeRow(key)
-				}
-			} else {
-				row = DecodeRow(line)
-			}
+			row := DecodeRow(rowBytes(line))
 			if len(row) != len(t.Schema) {
 				return nil, fmt.Errorf("query: table %q: row %q decodes to %d columns, schema %v has %d",
 					t.Name, line, len(row), []string(t.Schema), len(t.Schema))
@@ -177,19 +163,4 @@ func (c *Catalog) ReadTable(t *Table) ([]Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// numeric parses a column value for comparisons and aggregation.
-func numeric(s string) (float64, bool) {
-	v, err := strconv.ParseFloat(s, 64)
-	return v, err == nil
-}
-
-// formatNum renders an aggregate value without trailing noise: integers
-// print as integers.
-func formatNum(v float64) string {
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', 12, 64)
 }

@@ -1,8 +1,8 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -110,26 +110,64 @@ type compiler struct {
 	errs  *atomic.Int64
 }
 
-// source is a fusable input: files plus a row transform pending application
-// in the next stage's map function. producer is the stage that wrote the
-// files (-1 for base tables); estBytes is the planner's size estimate. sig
-// accumulates the plan-content signature of the rows this source yields —
-// scan plus any fused filters/projections, or a producer stage's Sig.
+// source is a fusable input: files plus the filters and projection pending
+// application in the next stage's map function. The pending work is data, not
+// a closure chain: preds are conditions over the stored row's fields, cols
+// maps each schema position to the stored field it shows (nil = the stored
+// row as it is). producer is the stage that wrote the files (-1 for base
+// tables); estBytes is the planner's size estimate. sig accumulates the
+// plan-content signature of the rows this source yields — scan plus any fused
+// filters/projections, or a producer stage's Sig.
 type source struct {
-	files     []string
-	schema    Schema
-	transform func(Row) (Row, bool) // nil = identity
-	producer  int
-	estBytes  int64
-	sig       string
+	files    []string
+	schema   Schema
+	preds    []pred // non-nil once any filter fused, even an empty one
+	cols     []int
+	producer int
+	estBytes int64
+	sig      string
 }
 
-// apply runs the pending transform.
-func (s *source) apply(r Row) (Row, bool) {
-	if s.transform == nil {
-		return r, true
+// fused reports whether map-side work is pending on the source.
+func (s *source) fused() bool { return s.preds != nil || s.cols != nil }
+
+// field maps a schema position to the stored row's field.
+func (s *source) field(col int) int {
+	if s.cols == nil {
+		return col
 	}
-	return s.transform(r)
+	return s.cols[col]
+}
+
+// fieldOf resolves a column name to the stored row's field.
+func (s *source) fieldOf(col string) (int, error) {
+	j, err := s.schema.Index(col)
+	if err != nil {
+		return 0, err
+	}
+	return s.field(j), nil
+}
+
+// scan splits a stage input line once (into buf, which the caller keeps on
+// its stack) and reports whether the row passes the fused filters.
+func (s *source) scan(line []byte, buf spans) (row []byte, sp spans, ok bool) {
+	row = rowBytes(line)
+	sp = splitFields(row, buf)
+	for i := range s.preds {
+		if p := &s.preds[i]; !p.eval(sp.field(row, p.field)) {
+			return row, sp, false
+		}
+	}
+	return row, sp, true
+}
+
+// appendRow appends the encoded row the source yields: the stored row's own
+// bytes unless a projection is pending.
+func (s *source) appendRow(dst, row []byte, sp spans) []byte {
+	if s.cols == nil {
+		return append(dst, row...)
+	}
+	return sp.appendFields(dst, row, s.cols)
 }
 
 // deps returns the dependency edges a stage reading these sources needs.
@@ -165,7 +203,7 @@ func CompileWith(cat *Catalog, qid string, p *Plan, opts CompileOptions) (*Compi
 	// A plan ending in scan/filter/project (pending transform, or no stage
 	// at all) still needs one job to materialize its result.
 	var out *Table
-	if src.transform == nil && src.producer >= 0 {
+	if !src.fused() && src.producer >= 0 {
 		out = c.out[src.producer].Out
 	} else {
 		st, err := c.materialize(src)
@@ -249,30 +287,16 @@ func (c *compiler) compileNode(p *Plan) (*source, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx := make([]int, len(p.conds))
-		for i, cond := range p.conds {
-			j, err := src.schema.Index(cond.Col)
+		preds := append(make([]pred, 0, len(src.preds)+len(p.conds)), src.preds...)
+		for _, cond := range p.conds {
+			f, err := src.fieldOf(cond.Col)
 			if err != nil {
 				return nil, err
 			}
-			idx[i] = j
+			preds = append(preds, newPred(f, cond))
 		}
+		src.preds = preds
 		conds := p.conds
-		prev := src.transform
-		src.transform = func(r Row) (Row, bool) {
-			if prev != nil {
-				var ok bool
-				if r, ok = prev(r); !ok {
-					return nil, false
-				}
-			}
-			for i, cond := range conds {
-				if !cond.eval(r[idx[i]]) {
-					return nil, false
-				}
-			}
-			return r, true
-		}
 		rendered := make([]string, len(conds))
 		for i, cond := range conds {
 			rendered[i] = cond.Col + string(cond.Op) + cond.Val
@@ -285,28 +309,13 @@ func (c *compiler) compileNode(p *Plan) (*source, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx := make([]int, len(p.cols))
+		cols := make([]int, len(p.cols))
 		for i, col := range p.cols {
-			j, err := src.schema.Index(col)
-			if err != nil {
+			if cols[i], err = src.fieldOf(col); err != nil {
 				return nil, err
 			}
-			idx[i] = j
 		}
-		prev := src.transform
-		src.transform = func(r Row) (Row, bool) {
-			if prev != nil {
-				var ok bool
-				if r, ok = prev(r); !ok {
-					return nil, false
-				}
-			}
-			out := make(Row, len(idx))
-			for i, j := range idx {
-				out[i] = r[j]
-			}
-			return out, true
-		}
+		src.cols = cols
 		src.schema = append(Schema(nil), p.cols...)
 		src.sig = fmt.Sprintf("project[%s](%s)", strings.Join(p.cols, ","), src.sig)
 		return src, nil
@@ -370,22 +379,6 @@ func (c *compiler) newStage(kind string, inputs []string, out *Table, estIn int6
 	return st, nil
 }
 
-// decodeStageLine recovers a row from either a raw table line or a
-// pair-encoded stage output line (key TAB value; order-by stages put the
-// row in the value).
-func decodeStageLine(line []byte) Row {
-	for i := 0; i < len(line); i++ {
-		if line[i] == '\t' {
-			key, val := line[:i], line[i+1:]
-			if len(val) > 0 {
-				return DecodeRow(val)
-			}
-			return DecodeRow(key)
-		}
-	}
-	return DecodeRow(line)
-}
-
 // materialize emits a pass-through stage for plans ending without a
 // shuffle: rows become keys so the output is deterministic (sorted within
 // each partition), with duplicate rows preserved through value
@@ -399,11 +392,19 @@ func (c *compiler) materialize(src *source) (*Stage, error) {
 	}
 	st.Sig = fmt.Sprintf("materialize[]x%d(%s)", len(out.Files), src.sig)
 	st.Spec.Map = func(_, line []byte, emit mapreduce.Emit) {
-		row, ok := src.apply(decodeStageLine(line))
+		var inline [inlineFields]span
+		row, sp, ok := src.scan(line, inline[:0])
 		if !ok {
 			return
 		}
-		emit(EncodeRow(row), nil)
+		if src.cols == nil {
+			emit(row, nil)
+			return
+		}
+		buf := scratchPool.Get().(*scratch)
+		buf.b = src.appendRow(buf.b[:0], row, sp)
+		emit(buf.b, nil)
+		scratchPool.Put(buf)
 	}
 	st.Spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
 		for range values {
@@ -411,86 +412,6 @@ func (c *compiler) materialize(src *source) (*Stage, error) {
 		}
 	}
 	return st, nil
-}
-
-// aggState is the mergeable partial state of all aggregates for one key:
-// per aggregate, (count, sum, min, max) encoded compactly so map-side
-// combining works. A value that fails to parse as a number contributes an
-// empty state (count 0) instead of silently aggregating as 0, and ticks the
-// skipped counter; COUNT counts rows regardless.
-func encodeAggStates(row Row, aggIdx []int, aggs []Agg, skipped *atomic.Int64) []byte {
-	buf := make([]byte, 0, 24*len(aggs))
-	for i := range aggs {
-		if i > 0 {
-			buf = append(buf, colSep...)
-		}
-		if aggs[i].Kind == AggCount {
-			buf = append(buf, "1,0,0,0"...)
-			continue
-		}
-		v, ok := numeric(row[aggIdx[i]])
-		if !ok {
-			if skipped != nil {
-				skipped.Add(1)
-			}
-			buf = append(buf, "0,0,0,0"...)
-			continue
-		}
-		// One observation is its own sum, min and max.
-		n := formatNum(v)
-		buf = append(buf, "1,"...)
-		buf = append(buf, n...)
-		buf = append(buf, ',')
-		buf = append(buf, n...)
-		buf = append(buf, ',')
-		buf = append(buf, n...)
-	}
-	return buf
-}
-
-func mergeAggStates(values [][]byte, n int) ([]int64, []float64, []float64, []float64, error) {
-	cnt := make([]int64, n)
-	sum := make([]float64, n)
-	mn := make([]float64, n)
-	mx := make([]float64, n)
-	for i := range mn {
-		mn[i] = math.Inf(1)
-		mx[i] = math.Inf(-1)
-	}
-	for _, v := range values {
-		parts := strings.Split(string(v), colSep)
-		if len(parts) != n {
-			return nil, nil, nil, nil, fmt.Errorf("query: corrupt agg state %q", v)
-		}
-		for i, p := range parts {
-			f := strings.SplitN(p, ",", 4)
-			if len(f) != 4 {
-				return nil, nil, nil, nil, fmt.Errorf("query: corrupt agg field %q", p)
-			}
-			c, err := strconv.ParseInt(f[0], 10, 64)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			// Empty states (count 0, from skipped non-numeric values) carry
-			// no observation: folding their placeholder min/max/sum would
-			// resurrect the silent-zero bug this encoding exists to fix.
-			if c == 0 {
-				continue
-			}
-			s, _ := strconv.ParseFloat(f[1], 64)
-			lo, _ := strconv.ParseFloat(f[2], 64)
-			hi, _ := strconv.ParseFloat(f[3], 64)
-			cnt[i] += c
-			sum[i] += s
-			if lo < mn[i] {
-				mn[i] = lo
-			}
-			if hi > mx[i] {
-				mx[i] = hi
-			}
-		}
-	}
-	return cnt, sum, mn, mx, nil
 }
 
 // groupByStage emits the aggregation job.
@@ -501,24 +422,21 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("query: group-by needs at least one aggregate")
 	}
-	keyIdx := make([]int, len(keys))
+	var err error
+	keyField := make([]int, len(keys))
 	for i, k := range keys {
-		j, err := src.schema.Index(k)
-		if err != nil {
+		if keyField[i], err = src.fieldOf(k); err != nil {
 			return nil, err
 		}
-		keyIdx[i] = j
 	}
-	aggIdx := make([]int, len(aggs))
+	aggField := make([]int, len(aggs))
 	for i, a := range aggs {
 		if a.Kind == AggCount {
 			continue
 		}
-		j, err := src.schema.Index(a.Col)
-		if err != nil {
+		if aggField[i], err = src.fieldOf(a.Col); err != nil {
 			return nil, err
 		}
-		aggIdx[i] = j
 	}
 	outSchema := append(Schema(nil), keys...)
 	for _, a := range aggs {
@@ -537,67 +455,76 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		strings.Join(keys, ","), strings.Join(aggNames, ","), len(out.Files), src.sig)
 	skipped := c.errs
 	st.Spec.Map = func(_, line []byte, emit mapreduce.Emit) {
-		row, ok := src.apply(decodeStageLine(line))
+		var inline [inlineFields]span
+		row, sp, ok := src.scan(line, inline[:0])
 		if !ok {
 			return
 		}
-		keyParts := make([]string, len(keyIdx))
-		for i, j := range keyIdx {
-			keyParts[i] = row[j]
+		// A one-column key is emitted where it lies in the input line (the
+		// record builder indexes such slices in place); a wider key is joined
+		// ahead of the state in the same buffer.
+		buf := scratchPool.Get().(*scratch)
+		b, n := buf.b[:0], 0
+		if len(keyField) > 1 {
+			b = sp.appendFields(b, row, keyField)
+			n = len(b)
 		}
-		emit([]byte(strings.Join(keyParts, colSep)), encodeAggStates(row, aggIdx, aggs, skipped))
+		b = appendRowStates(b, row, sp, aggField, aggs, skipped)
+		key := b[:n]
+		if len(keyField) == 1 {
+			key = sp.field(row, keyField[0])
+		}
+		emit(key, b[n:])
+		buf.b = b
+		scratchPool.Put(buf)
 	}
-	mergeAndEmit := func(key []byte, values [][]byte, emit mapreduce.Emit, final bool) {
-		cnt, sum, mn, mx, err := mergeAggStates(values, len(aggs))
+	st.Spec.Combine = func(key []byte, values [][]byte, emit mapreduce.Emit) {
+		var inline [inlineAggs]aggAcc
+		acc, err := mergeAggStates(values, len(aggs), &inline)
 		if err != nil {
 			panic(err)
 		}
-		if !final {
-			parts := make([]string, len(aggs))
-			for i := range aggs {
-				if cnt[i] == 0 {
-					parts[i] = "0,0,0,0"
-					continue
-				}
-				parts[i] = fmt.Sprintf("%d,%s,%s,%s", cnt[i], formatNum(sum[i]), formatNum(mn[i]), formatNum(mx[i]))
-			}
-			emit(key, []byte(strings.Join(parts, colSep)))
-			return
+		buf := scratchPool.Get().(*scratch)
+		buf.b = appendStates(buf.b[:0], acc)
+		emit(key, buf.b)
+		scratchPool.Put(buf)
+	}
+	st.Spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
+		var inline [inlineAggs]aggAcc
+		acc, err := mergeAggStates(values, len(aggs), &inline)
+		if err != nil {
+			panic(err)
 		}
-		row := DecodeRow(key)
+		buf := scratchPool.Get().(*scratch)
+		b := append(buf.b[:0], key...)
 		for i, a := range aggs {
+			b = append(b, sepByte)
 			var v float64
 			switch a.Kind {
 			case AggCount:
-				row = append(row, strconv.FormatInt(cnt[i], 10))
+				b = strconv.AppendInt(b, acc[i].cnt, 10)
 				continue
 			case AggSum:
-				v = sum[i]
+				v = acc[i].sum
 			case AggMin:
-				v = mn[i]
+				v = acc[i].lo
 			case AggMax:
-				v = mx[i]
+				v = acc[i].hi
 			case AggAvg:
-				if cnt[i] > 0 {
-					v = sum[i] / float64(cnt[i])
-				}
+				v = acc[i].sum / float64(acc[i].cnt)
 			}
-			if cnt[i] == 0 {
+			if acc[i].cnt == 0 {
 				// Every value in the group failed to parse: surface NULL
 				// rather than a fabricated 0 (or ±Inf from the identity
 				// elements).
-				row = append(row, "NULL")
+				b = append(b, "NULL"...)
 				continue
 			}
-			row = append(row, formatNum(v))
+			b = appendNum(b, v, resultPrec)
 		}
-		emit(EncodeRow(row), nil)
-	}
-	st.Spec.Combine = func(key []byte, values [][]byte, emit mapreduce.Emit) {
-		mergeAndEmit(key, values, emit, false)
-	}
-	st.Spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
-		mergeAndEmit(key, values, emit, true)
+		emit(b, nil)
+		buf.b = b
+		scratchPool.Put(buf)
 	}
 	// Grouping collapses rows; a quarter of the input is a workable prior
 	// for sizing downstream stages.
@@ -609,11 +536,11 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 // are independent — the stage's Deps carry one edge per side that is itself
 // a stage, which is exactly where the DAG runner overlaps branches.
 func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*source, error) {
-	li, err := left.schema.Index(leftCol)
+	li, err := left.fieldOf(leftCol)
 	if err != nil {
 		return nil, err
 	}
-	ri, err := right.schema.Index(rightCol)
+	ri, err := right.fieldOf(rightCol)
 	if err != nil {
 		return nil, err
 	}
@@ -632,43 +559,66 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 	for _, f := range left.files {
 		leftFiles[f] = true
 	}
-	mkSide := func(side *source, keyCol int, tag string) mapreduce.MapFunc {
+	mkSide := func(side *source, keyField int, tag byte) mapreduce.MapFunc {
 		return func(_, line []byte, emit mapreduce.Emit) {
-			row, ok := side.apply(decodeStageLine(line))
+			var inline [inlineFields]span
+			row, sp, ok := side.scan(line, inline[:0])
 			if !ok {
 				return
 			}
-			emit([]byte(row[keyCol]), []byte(tag+colSep+string(EncodeRow(row))))
+			buf := scratchPool.Get().(*scratch)
+			buf.b = side.appendRow(append(buf.b[:0], tag, sepByte), row, sp)
+			emit(sp.field(row, keyField), buf.b)
+			scratchPool.Put(buf)
 		}
 	}
-	leftMap := mkSide(left, li, "L")
-	rightMap := mkSide(right, ri, "R")
+	leftMap := mkSide(left, li, 'L')
+	rightMap := mkSide(right, ri, 'R')
 	st.Spec.MapFor = func(file string) mapreduce.MapFunc {
 		if leftFiles[file] {
 			return leftMap
 		}
 		return rightMap
 	}
+	// A joined row is the left row's bytes, a separator, the right row's
+	// bytes: nothing is decoded. Left rows pair with right rows in value
+	// order; rows holds the group's left rows from the front and its right
+	// rows after them, on the stack for the usual small group.
 	st.Spec.Reduce = func(_ []byte, values [][]byte, emit mapreduce.Emit) {
-		var ls, rs []Row
+		var inline [inlineFields][]byte
+		rows := inline[:]
+		if len(values) > len(rows) {
+			rows = make([][]byte, len(values))
+		}
+		nl := 0
 		for _, v := range values {
-			s := string(v)
-			i := strings.Index(s, colSep)
-			if i < 0 {
-				panic(fmt.Sprintf("query: corrupt join value %q", s))
+			tag, _, ok := bytes.Cut(v, sepBytes)
+			if !ok {
+				panic(fmt.Sprintf("query: corrupt join value %q", v))
 			}
-			row := DecodeRow([]byte(s[i+len(colSep):]))
-			if s[:i] == "L" {
-				ls = append(ls, row)
+			if string(tag) == "L" {
+				nl++
+			}
+		}
+		l, r := 0, nl
+		for _, v := range values {
+			tag, row, _ := bytes.Cut(v, sepBytes)
+			if string(tag) == "L" {
+				rows[l] = row
+				l++
 			} else {
-				rs = append(rs, row)
+				rows[r] = row
+				r++
 			}
 		}
-		for _, l := range ls {
-			for _, r := range rs {
-				emit(EncodeRow(append(append(Row(nil), l...), r...)), nil)
+		buf := scratchPool.Get().(*scratch)
+		for _, left := range rows[:nl] {
+			for _, right := range rows[nl:len(values)] {
+				buf.b = append(append(append(buf.b[:0], left...), sepByte), right...)
+				emit(buf.b, nil)
 			}
 		}
+		scratchPool.Put(buf)
 	}
 	return &source{files: out.Files, schema: outSchema, producer: st.ID, estBytes: estIn, sig: st.Sig}, nil
 }
@@ -677,7 +627,7 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 // numerically via an order-preserving fixed-width encoding of the float
 // bits; string columns sort lexically.
 func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, error) {
-	ci, err := src.schema.Index(col)
+	ci, err := src.fieldOf(col)
 	if err != nil {
 		return nil, err
 	}
@@ -690,11 +640,22 @@ func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, er
 	}
 	st.Sig = fmt.Sprintf("orderby[%s;desc=%v]x1(%s)", col, desc, src.sig)
 	st.Spec.Map = func(_, line []byte, emit mapreduce.Emit) {
-		row, ok := src.apply(decodeStageLine(line))
+		var inline [inlineFields]span
+		row, sp, ok := src.scan(line, inline[:0])
 		if !ok {
 			return
 		}
-		emit(sortKey(row[ci], desc), EncodeRow(row))
+		// An untransformed row passes through as the line's own bytes.
+		buf := scratchPool.Get().(*scratch)
+		b := appendSortKey(buf.b[:0], sp.field(row, ci), desc)
+		n := len(b)
+		if src.cols != nil {
+			b = src.appendRow(b, row, sp)
+			row = b[n:]
+		}
+		emit(b[:n], row)
+		buf.b = b
+		scratchPool.Put(buf)
 	}
 	st.Spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
 		for _, v := range values {
@@ -702,44 +663,4 @@ func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, er
 		}
 	}
 	return &source{files: out.Files, schema: src.schema, producer: st.ID, estBytes: src.estBytes, sig: st.Sig}, nil
-}
-
-// sortKey builds an order-preserving byte encoding of a column value:
-// numerics map through the IEEE-754 total-order trick to 16 hex digits
-// (prefixed "n"), everything else sorts lexically after all numerics
-// (prefixed "s"), matching SQL's numeric-before-string comparison.
-func sortKey(v string, desc bool) []byte {
-	if f, ok := numeric(v); ok {
-		bits := math.Float64bits(f)
-		if f >= 0 {
-			bits |= 1 << 63
-		} else {
-			bits = ^bits
-		}
-		if desc {
-			bits = ^bits
-		}
-		var digits [16]byte
-		hex := strconv.AppendUint(digits[:0], bits, 16)
-		key := append(make([]byte, 0, 17), 'n')
-		key = append(key, "0000000000000000"[len(hex):]...)
-		return append(key, hex...)
-	}
-	if desc {
-		// Descending strings: invert each byte, then close with a 0xff
-		// sentinel. The sentinel fixes prefix ordering — without it, the
-		// inverted encoding of "ab" is a prefix of the inverted "abc" and
-		// sorts before it, putting the shorter string first when descending
-		// order demands it last. 0xff cannot collide with inverted content:
-		// the catalog rejects NUL bytes in values, so no inverted byte is
-		// ever 0xff.
-		b := []byte(v)
-		inv := make([]byte, len(b)+1)
-		for i, ch := range b {
-			inv[i] = 0xff - ch
-		}
-		inv[len(b)] = 0xff
-		return append([]byte("s"), inv...)
-	}
-	return append([]byte("s"), v...)
 }

@@ -419,7 +419,7 @@ func TestSortKeyDescendingStrings(t *testing.T) {
 			}
 		}
 		out := string(b)
-		if _, isNum := numeric(out); isNum {
+		if _, isNum := numericStr(out); isNum {
 			return "", false // numerics take the numeric key path
 		}
 		return out, true

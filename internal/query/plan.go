@@ -25,31 +25,7 @@ type Cond struct {
 	Val string
 }
 
-// eval applies the condition to a value.
-func (c Cond) eval(v string) bool {
-	if c.Op == OpContains {
-		return contains(v, c.Val)
-	}
-	if a, okA := numeric(v); okA {
-		if b, okB := numeric(c.Val); okB {
-			return cmpOrd(c.Op, compareFloat(a, b))
-		}
-	}
-	return cmpOrd(c.Op, compareString(v, c.Val))
-}
-
 func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func compareString(a, b string) int {
 	switch {
 	case a < b:
 		return -1
@@ -77,18 +53,6 @@ func cmpOrd(op Op, c int) bool {
 	default:
 		panic(fmt.Sprintf("query: unknown operator %q", op))
 	}
-}
-
-func contains(haystack, needle string) bool {
-	if needle == "" {
-		return true
-	}
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }
 
 // AggKind identifies an aggregation function.

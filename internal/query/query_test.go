@@ -488,8 +488,8 @@ func TestSortKeyOrderPreserving(t *testing.T) {
 		ka := string(sortKey(formatNum(a), false))
 		kb := string(sortKey(formatNum(b), false))
 		// formatNum may round; compare on the parsed-back values.
-		pa, _ := numeric(formatNum(a))
-		pb, _ := numeric(formatNum(b))
+		pa, _ := numericStr(formatNum(a))
+		pb, _ := numericStr(formatNum(b))
 		switch {
 		case pa < pb:
 			return ka < kb
@@ -506,7 +506,8 @@ func TestSortKeyOrderPreserving(t *testing.T) {
 
 // The hand-appended encodings are byte-for-byte the ones they replaced:
 // "n%016x" for numeric sort keys, and count,sum,min,max with the one
-// observation formatted three times for aggregate states. Stage outputs,
+// observation formatted three times (shortest round-trip form) for aggregate
+// states. Stage outputs,
 // memo digests and every query golden depend on these bytes.
 func TestEncodingsMatchTheirFormattedForms(t *testing.T) {
 	key := func(v float64, desc bool) bool {
@@ -534,16 +535,17 @@ func TestEncodingsMatchTheirFormattedForms(t *testing.T) {
 		row := Row{formatNum(x), formatNum(y), "not a number"}
 		var parts []string
 		for i, a := range aggs {
-			switch v, ok := numeric(row[max(i-1, 0)]); {
+			switch v, ok := numericStr(row[max(i-1, 0)]); {
 			case a.Kind == AggCount:
 				parts = append(parts, "1,0,0,0")
 			case !ok:
 				parts = append(parts, "0,0,0,0")
 			default:
-				parts = append(parts, "1,"+formatNum(v)+","+formatNum(v)+","+formatNum(v))
+				parts = append(parts, "1,"+formatPartial(v)+","+formatPartial(v)+","+formatPartial(v))
 			}
 		}
-		return string(encodeAggStates(row, []int{0, 0, 1, 2}, aggs, nil)) == strings.Join(parts, colSep)
+		enc := EncodeRow(row)
+		return string(appendRowStates(nil, enc, splitFields(enc, nil), []int{0, 0, 1, 2}, aggs, nil)) == strings.Join(parts, colSep)
 	}
 	if err := quick.Check(state, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
