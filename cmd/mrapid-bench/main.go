@@ -37,6 +37,7 @@ func main() {
 		seriesOut = flag.String("series-out", "", "write the flight recorder's Prometheus series dump here (enables the recorder; throughput experiment)")
 		dashOut   = flag.String("dash-out", "", "write the flight recorder's HTML dashboard here (enables the recorder; throughput experiment)")
 		engineOut = flag.String("engine-bench", "", "write the engine self-profile JSON (BENCH_engine.json) here (enables the recorder; throughput and engine experiments)")
+		profiles  = bench.ProfileFlags()
 	)
 	flag.Parse()
 
@@ -71,6 +72,11 @@ func main() {
 		SeriesOut: *seriesOut, DashOut: *dashOut, EngineBenchOut: *engineOut,
 	}
 	opts.FlightRecorder = *seriesOut != "" || *dashOut != "" || *engineOut != ""
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)
+		os.Exit(1)
+	}
 	failures := 0
 	var figures []*bench.Figure
 	for _, r := range bench.Registry {
@@ -99,6 +105,10 @@ func main() {
 		} else {
 			fmt.Printf("figures written to %s\n", *jsonOut)
 		}
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)
+		failures++
 	}
 	if failures > 0 {
 		os.Exit(1)

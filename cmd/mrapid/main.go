@@ -78,6 +78,7 @@ var (
 	repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under fresh job keys, so the class estimator warms up and later runs can pre-decide")
 	showHist = flag.Bool("show-history", false, "print the execution-record history (exact-match entries and per-class calibration aggregates) after the run")
 	qexec    = flag.String("query-exec", "both", "query job: stage scheduling — chain | dag | both (compare)")
+	profiles = bench.ProfileFlags()
 )
 
 // runMode is what the command does with the cluster it builds.
@@ -136,7 +137,16 @@ func main() {
 
 // dispatch turns the shared flags into the one cluster setup and run
 // description all three modes start from.
-func dispatch(m runMode) error {
+func dispatch(m runMode) (err error) {
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	mkSetup, ok := map[string]func() bench.ClusterSetup{"A3x4": bench.A3x4, "A2x9": bench.A2x9}[*cluster]
 	if !ok {
 		return fmt.Errorf("unknown cluster %q", *cluster)

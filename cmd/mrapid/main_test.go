@@ -5,6 +5,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -145,5 +146,25 @@ func TestModesShareTheSetup(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("query mode output lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile leave a profile each behind
+// one query run, and a path that cannot be created fails the run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	runCLI(t, queryJob, map[string]string{"job": "query", "query-exec": "dag", "cpuprofile": cpu, "memprofile": mem})
+	for _, path := range []string{cpu, mem} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("no profile at %s (%v)", path, err)
+		}
+	}
+	if err := flag.Set("cpuprofile", filepath.Join(dir, "missing", "cpu.prof")); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("cpuprofile", "")
+	if err := dispatch(queryJob); err == nil {
+		t.Error("an uncreatable -cpuprofile path did not fail the run")
 	}
 }

@@ -121,31 +121,21 @@ type compiler struct {
 type source struct {
 	files    []string
 	schema   Schema
-	preds    []pred // non-nil once any filter fused, even an empty one
+	preds    []pred
 	cols     []int
+	fused    bool // a filter or projection is pending, even an empty one
 	producer int
 	estBytes int64
 	sig      string
 }
 
-// fused reports whether map-side work is pending on the source.
-func (s *source) fused() bool { return s.preds != nil || s.cols != nil }
-
-// field maps a schema position to the stored row's field.
-func (s *source) field(col int) int {
-	if s.cols == nil {
-		return col
-	}
-	return s.cols[col]
-}
-
 // fieldOf resolves a column name to the stored row's field.
 func (s *source) fieldOf(col string) (int, error) {
 	j, err := s.schema.Index(col)
-	if err != nil {
-		return 0, err
+	if err != nil || s.cols == nil {
+		return j, err
 	}
-	return s.field(j), nil
+	return s.cols[j], nil
 }
 
 // scan splits a stage input line once (into buf, which the caller keeps on
@@ -203,7 +193,7 @@ func CompileWith(cat *Catalog, qid string, p *Plan, opts CompileOptions) (*Compi
 	// A plan ending in scan/filter/project (pending transform, or no stage
 	// at all) still needs one job to materialize its result.
 	var out *Table
-	if !src.fused() && src.producer >= 0 {
+	if !src.fused && src.producer >= 0 {
 		out = c.out[src.producer].Out
 	} else {
 		st, err := c.materialize(src)
@@ -287,18 +277,16 @@ func (c *compiler) compileNode(p *Plan) (*source, error) {
 		if err != nil {
 			return nil, err
 		}
-		preds := append(make([]pred, 0, len(src.preds)+len(p.conds)), src.preds...)
+		src.fused = true
 		for _, cond := range p.conds {
 			f, err := src.fieldOf(cond.Col)
 			if err != nil {
 				return nil, err
 			}
-			preds = append(preds, newPred(f, cond))
+			src.preds = append(src.preds, newPred(f, cond))
 		}
-		src.preds = preds
-		conds := p.conds
-		rendered := make([]string, len(conds))
-		for i, cond := range conds {
+		rendered := make([]string, len(p.conds))
+		for i, cond := range p.conds {
 			rendered[i] = cond.Col + string(cond.Op) + cond.Val
 		}
 		src.sig = fmt.Sprintf("filter[%s](%s)", strings.Join(rendered, "&"), src.sig)
@@ -315,7 +303,7 @@ func (c *compiler) compileNode(p *Plan) (*source, error) {
 				return nil, err
 			}
 		}
-		src.cols = cols
+		src.cols, src.fused = cols, true
 		src.schema = append(Schema(nil), p.cols...)
 		src.sig = fmt.Sprintf("project[%s](%s)", strings.Join(p.cols, ","), src.sig)
 		return src, nil
@@ -464,16 +452,13 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		// record builder indexes such slices in place); a wider key is joined
 		// ahead of the state in the same buffer.
 		buf := scratchPool.Get().(*scratch)
-		b, n := buf.b[:0], 0
+		key, b := sp.field(row, keyField[0]), buf.b[:0]
 		if len(keyField) > 1 {
 			b = sp.appendFields(b, row, keyField)
-			n = len(b)
+			key = b
 		}
+		n := len(b)
 		b = appendRowStates(b, row, sp, aggField, aggs, skipped)
-		key := b[:n]
-		if len(keyField) == 1 {
-			key = sp.field(row, keyField[0])
-		}
 		emit(key, b[n:])
 		buf.b = b
 		scratchPool.Put(buf)
@@ -581,40 +566,34 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 		return rightMap
 	}
 	// A joined row is the left row's bytes, a separator, the right row's
-	// bytes: nothing is decoded. Left rows pair with right rows in value
-	// order; rows holds the group's left rows from the front and its right
-	// rows after them, on the stack for the usual small group.
+	// bytes: nothing is decoded. rows holds the group's left rows from the
+	// front and its right rows from the back — on the stack for a group of up
+	// to inlineRows — and each left row meets the right rows in value order.
+	const inlineRows = 16
 	st.Spec.Reduce = func(_ []byte, values [][]byte, emit mapreduce.Emit) {
-		var inline [inlineFields][]byte
+		var inline [inlineRows][]byte
 		rows := inline[:]
 		if len(values) > len(rows) {
 			rows = make([][]byte, len(values))
 		}
-		nl := 0
+		nl, nr := 0, 0
 		for _, v := range values {
-			tag, _, ok := bytes.Cut(v, sepBytes)
+			tag, row, ok := bytes.Cut(v, sepBytes)
 			if !ok {
 				panic(fmt.Sprintf("query: corrupt join value %q", v))
 			}
 			if string(tag) == "L" {
+				rows[nl] = row
 				nl++
-			}
-		}
-		l, r := 0, nl
-		for _, v := range values {
-			tag, row, _ := bytes.Cut(v, sepBytes)
-			if string(tag) == "L" {
-				rows[l] = row
-				l++
 			} else {
-				rows[r] = row
-				r++
+				nr++
+				rows[len(values)-nr] = row
 			}
 		}
 		buf := scratchPool.Get().(*scratch)
 		for _, left := range rows[:nl] {
-			for _, right := range rows[nl:len(values)] {
-				buf.b = append(append(append(buf.b[:0], left...), sepByte), right...)
+			for i := len(values) - 1; i >= nl; i-- {
+				buf.b = append(append(append(buf.b[:0], left...), sepByte), rows[i]...)
 				emit(buf.b, nil)
 			}
 		}
