@@ -278,15 +278,13 @@ func (c *compiler) compileNode(p *Plan) (*source, error) {
 			return nil, err
 		}
 		src.fused = true
-		for _, cond := range p.conds {
+		rendered := make([]string, len(p.conds))
+		for i, cond := range p.conds {
 			f, err := src.fieldOf(cond.Col)
 			if err != nil {
 				return nil, err
 			}
 			src.preds = append(src.preds, newPred(f, cond))
-		}
-		rendered := make([]string, len(p.conds))
-		for i, cond := range p.conds {
 			rendered[i] = cond.Col + string(cond.Op) + cond.Val
 		}
 		src.sig = fmt.Sprintf("filter[%s](%s)", strings.Join(rendered, "&"), src.sig)
@@ -435,12 +433,8 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 	if err != nil {
 		return nil, err
 	}
-	aggNames := make([]string, len(aggs))
-	for i, a := range aggs {
-		aggNames[i] = a.Name()
-	}
 	st.Sig = fmt.Sprintf("groupby[%s;%s]x%d(%s)",
-		strings.Join(keys, ","), strings.Join(aggNames, ","), len(out.Files), src.sig)
+		strings.Join(keys, ","), strings.Join(outSchema[len(keys):], ","), len(out.Files), src.sig)
 	skipped := c.errs
 	st.Spec.Map = func(_, line []byte, emit mapreduce.Emit) {
 		var inline [inlineFields]span

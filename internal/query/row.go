@@ -134,19 +134,17 @@ var floatByte = func() (t [256]bool) {
 // escape, so short values cost no allocation either.
 func numeric(b []byte) (float64, bool) {
 	digits := len(b) > 0 && len(b) <= 15
+	var n int64 // wraps on longer runs, which do not use it
 	for _, c := range b {
-		if c-'0' > 9 {
-			if !floatByte[c] {
-				return 0, false
-			}
+		if d := c - '0'; d <= 9 {
+			n = n*10 + int64(d)
+		} else if !floatByte[c] {
+			return 0, false
+		} else {
 			digits = false
 		}
 	}
 	if digits {
-		var n int64
-		for _, c := range b {
-			n = n*10 + int64(c-'0')
-		}
 		return float64(n), true
 	}
 	v, err := strconv.ParseFloat(string(b), 64)
