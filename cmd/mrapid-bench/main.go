@@ -18,26 +18,16 @@ import (
 	"time"
 
 	"mrapid/internal/bench"
-	"mrapid/internal/mapreduce"
 )
 
 func main() {
 	var (
 		run      = flag.String("run", "", "comma-separated experiment IDs (default: all)")
 		scale    = flag.Float64("scale", 1.0, "input-size scale factor (1.0 = paper sizes)")
-		seed     = flag.Int64("seed", 1, "input synthesis / placement seed")
-		workers  = flag.Int("workers", -1, "host worker threads for map/reduce computations: 0|1 sequential, >1 pool size, -1 all cores (figures are identical either way)")
-		nodeFail = flag.String("node-fail", "", "node-fault schedule 'node@at[:restartAfter]', comma-separated, injected into every simulation (times measured from cluster-ready)")
-		shuffle  = flag.Bool("shuffle-service", false, "attach the per-node consolidating shuffle service to every simulation")
-		memoOn   = flag.Bool("memo", false, "attach the cross-job memoization cache to every framework-backed simulation (repeat submissions over unchanged inputs skip execution)")
-		codec    = flag.String("shuffle-codec", "none", "shuffle-service wire codec: none | lz")
 		jsonOut  = flag.String("json", "", "also write the regenerated figures as a JSON array to this path (CI artifact)")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
-
-		seriesOut = flag.String("series-out", "", "write the flight recorder's Prometheus series dump here (enables the recorder; throughput experiment)")
-		dashOut   = flag.String("dash-out", "", "write the flight recorder's HTML dashboard here (enables the recorder; throughput experiment)")
-		engineOut = flag.String("engine-bench", "", "write the engine self-profile JSON (BENCH_engine.json) here (enables the recorder; throughput and engine experiments)")
-		profiles  = bench.ProfileFlags()
+		runOpts  = bench.RunFlags(-1)
+		profiles = bench.ProfileFlags()
 	)
 	flag.Parse()
 
@@ -60,18 +50,12 @@ func main() {
 		}
 	}
 
-	faults, err := mapreduce.ParseNodeFaults(*nodeFail)
+	opts, err := runOpts()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)
 		os.Exit(2)
 	}
-
-	opts := bench.Options{
-		Scale: *scale, Seed: *seed, HostWorkers: *workers, NodeFaults: faults,
-		ShuffleService: *shuffle, ShuffleCodec: *codec, MemoCache: *memoOn,
-		SeriesOut: *seriesOut, DashOut: *dashOut, EngineBenchOut: *engineOut,
-	}
-	opts.FlightRecorder = *seriesOut != "" || *dashOut != "" || *engineOut != ""
+	opts.Scale = *scale
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)

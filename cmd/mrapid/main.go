@@ -57,19 +57,11 @@ var (
 	rows     = flag.Int64("rows", 400_000, "terasort rows")
 	samples  = flag.Int64("samples", 400_000_000, "pi total samples")
 	maps     = flag.Int("maps", 4, "pi map tasks")
-	seed     = flag.Int64("seed", 1, "generator seed")
-	workers  = flag.Int("workers", 0, "host worker threads for map/reduce computations: 0|1 sequential, >1 pool size, -1 all cores (virtual results are identical)")
 	verbose  = flag.Bool("verbose", false, "print per-task profile (query job: every result row)")
 	traceN   = flag.Int("trace", 0, "print the last N scheduling/task trace events")
-	nodeFail = flag.String("node-fail", "", "node-fault schedule 'node@at[:restartAfter]', comma-separated (e.g. 'node-02@5s:20s'); times measured from cluster-ready")
 	traceOut = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (load in Perfetto / chrome://tracing); with the flight recorder on, series ride along as counter lanes")
 	metOut   = flag.String("metrics-out", "", "write the phase report and metrics registry as JSON")
-	serOut   = flag.String("series-out", "", "enable the flight recorder and write its Prometheus series dump here")
-	dashOut  = flag.String("dash-out", "", "enable the flight recorder and write its HTML dashboard here")
 	phaseRep = flag.Bool("report", false, "print the critical-path phase-attribution report")
-	shuffle  = flag.Bool("shuffle-service", false, "attach the per-node consolidating shuffle service (one fetch per node & partition, in-node combine)")
-	memoOn   = flag.Bool("memo", false, "attach the cross-job memoization cache: repeat submissions of an identical job over unchanged inputs are served from the cache without launching anything (pairs well with -repeat and workload mode)")
-	codec    = flag.String("shuffle-codec", "none", "shuffle-service wire codec: none | lz")
 	jobs     = flag.Int("jobs", 1, "number of jobs; > 1 switches to multi-job workload mode through the JobServer")
 	tenants  = flag.Int("tenants", 2, "workload mode: tenant capacity queues the jobs are spread over")
 	arrival  = flag.String("arrival", "burst", "workload mode: arrival process — burst | uniform:<gap> | poisson:<mean>")
@@ -78,6 +70,7 @@ var (
 	repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under fresh job keys, so the class estimator warms up and later runs can pre-decide")
 	showHist = flag.Bool("show-history", false, "print the execution-record history (exact-match entries and per-class calibration aggregates) after the run")
 	qexec    = flag.String("query-exec", "both", "query job: stage scheduling — chain | dag | both (compare)")
+	runOpts  = bench.RunFlags(0)
 	profiles = bench.ProfileFlags()
 )
 
@@ -151,18 +144,12 @@ func dispatch(m runMode) (err error) {
 	if !ok {
 		return fmt.Errorf("unknown cluster %q", *cluster)
 	}
-	setup := mkSetup()
-	setup.Seed = *seed
-	faults, err := mapreduce.ParseNodeFaults(*nodeFail)
+	opts, err := runOpts()
 	if err != nil {
 		return err
 	}
-	opts := bench.Options{
-		Seed: *seed, HostWorkers: *workers, NodeFaults: faults,
-		ShuffleService: *shuffle, ShuffleCodec: *codec, MemoCache: *memoOn,
-		SeriesOut: *serOut, DashOut: *dashOut,
-		FlightRecorder: *serOut != "" || *dashOut != "",
-	}
+	setup := mkSetup()
+	setup.Seed = opts.Seed
 	switch m {
 	case queryJob:
 		return runQuery(setup, opts)
@@ -219,7 +206,7 @@ func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
 			res.Races, res.DirectHistory+res.DirectPrediction, res.DirectHistory, res.DirectPrediction, res.SlotSeconds)
 		fmt.Printf("prediction: mean-rel-error=%.3f regret=%d\n", res.PredErrMean, res.Regret)
 	}
-	if *memoOn {
+	if opts.MemoCache {
 		fmt.Printf("memo cache: hits=%d misses=%d\n", res.MemoHits, res.MemoMisses)
 	}
 	if res.SLO != nil {
@@ -233,11 +220,11 @@ func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
 		if err := res.WriteFlightArtifacts(opts, fmt.Sprintf("workload: %d jobs, policy=%s, cluster=%s", *jobs, *policy, *cluster)); err != nil {
 			return err
 		}
-		if *serOut != "" {
-			fmt.Printf("series dump written to %s\n", *serOut)
+		if opts.SeriesOut != "" {
+			fmt.Printf("series dump written to %s\n", opts.SeriesOut)
 		}
-		if *dashOut != "" {
-			fmt.Printf("dashboard written to %s\n", *dashOut)
+		if opts.DashOut != "" {
+			fmt.Printf("dashboard written to %s\n", opts.DashOut)
 		}
 	}
 	return nil
@@ -280,7 +267,7 @@ func runQuery(setup bench.ClusterSetup, opts bench.Options) error {
 			fmt.Printf("      intermediates: %d B kept out of HDFS (%d B in memory, %d B on producer disks)\n",
 				st.HDFSBytesAvoided, st.MemBytes, st.DiskBytes)
 		}
-		if *memoOn {
+		if opts.MemoCache {
 			fmt.Printf("      memo cache: hits=%d misses=%d\n", r.MemoHits, r.MemoMisses)
 		}
 		ran[name] = r
@@ -338,9 +325,9 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	var spec *mapreduce.JobSpec
 	switch *job {
 	case "wordcount":
-		spec, err = bench.StageWordCount(env, *files, int64(*sizeMB*(1<<20)), *seed)
+		spec, err = bench.StageWordCount(env, *files, int64(*sizeMB*(1<<20)), opts.Seed)
 	case "terasort":
-		spec, err = bench.StageTeraSort(env, *rows, *files, *seed)
+		spec, err = bench.StageTeraSort(env, *rows, *files, opts.Seed)
 	case "pi":
 		spec, err = bench.StagePi(env, *maps, *samples)
 	default:
@@ -507,12 +494,12 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 			if err := env.WriteFlightArtifacts(opts, label, &eb); err != nil {
 				return err
 			}
-			if *serOut != "" {
+			if opts.SeriesOut != "" {
 				fmt.Printf("series dump written to %s (%d samples, %d series)\n",
-					*serOut, env.Flight.Samples(), len(env.Flight.SeriesNames()))
+					opts.SeriesOut, env.Flight.Samples(), len(env.Flight.SeriesNames()))
 			}
-			if *dashOut != "" {
-				fmt.Printf("dashboard written to %s\n", *dashOut)
+			if opts.DashOut != "" {
+				fmt.Printf("dashboard written to %s\n", opts.DashOut)
 			}
 		}
 	}

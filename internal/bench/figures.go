@@ -51,12 +51,11 @@ type Options struct {
 	// and the engine self-profile. Sampling is read-only on the virtual
 	// clock, so results are byte-identical with it on or off.
 	FlightRecorder bool
-	// SeriesOut/DashOut/EngineBenchOut, when non-empty, make the recording
-	// experiments write the Prometheus series dump, the HTML dashboard,
-	// and the engine self-profile JSON to these paths.
-	SeriesOut      string
-	DashOut        string
-	EngineBenchOut string
+	// SeriesOut/DashOut, when non-empty, make the recording experiments
+	// write the Prometheus series dump and the HTML dashboard to these
+	// paths.
+	SeriesOut string
+	DashOut   string
 }
 
 // Apply is the one step from a run description to a simulation's setup: it
@@ -546,7 +545,6 @@ var Registry = []struct {
 	{"warm", Warm, "calibrating estimator: warm workloads skip the 2× dual-launch"},
 	{"dagquery", DAGQuery, "query DAG scheduler: parallel branches vs sequential chains"},
 	{"memo", Memo, "cross-job memoization: digest-keyed result reuse skips execution"},
-	{"engine", EngineStorm, "discrete-event engine self-benchmark (events/sec, allocs/event)"},
 }
 
 // Lookup finds a registered experiment by ID.

@@ -102,9 +102,9 @@ func WriteArtifact(path string, write func(io.Writer) error) error {
 }
 
 // WriteFlightArtifacts writes whichever flight artifacts the options ask
-// for: the Prometheus series dump (SeriesOut), the HTML dashboard
-// (DashOut, host lane included when eb != nil), and the engine
-// self-profile (EngineBenchOut). No-op when the env has no recorder.
+// for: the Prometheus series dump (SeriesOut) and the HTML dashboard
+// (DashOut, host lane included when eb != nil). No-op when the env has no
+// recorder.
 func (e *Env) WriteFlightArtifacts(o Options, title string, eb *flight.EngineBench) error {
 	if e.Flight == nil {
 		return nil
@@ -121,16 +121,7 @@ func (e *Env) WriteFlightArtifacts(o Options, title string, eb *flight.EngineBen
 			return err
 		}
 	}
-	if o.EngineBenchOut != "" && eb != nil {
-		return writeEngineBenchFile(o.EngineBenchOut, "engine", *eb)
-	}
 	return nil
-}
-
-// writeEngineBenchFile writes one self-profiler summary as a BENCH_*.json
-// artifact.
-func writeEngineBenchFile(path, id string, b flight.EngineBench) error {
-	return WriteArtifact(path, func(w io.Writer) error { return flight.WriteEngineBench(w, id, b) })
 }
 
 // TenantSLOReport is one tenant's SLO outcome in a ThroughputResult: the

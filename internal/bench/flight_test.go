@@ -141,14 +141,12 @@ func TestFlightRecorderSLOPopulated(t *testing.T) {
 }
 
 // TestFlightArtifactsWritten drives the artifact path end to end through a
-// temp dir: series dump, dashboard, and engine bench all written and
-// non-trivial.
+// temp dir: series dump and dashboard both written and non-trivial.
 func TestFlightArtifactsWritten(t *testing.T) {
 	dir := t.TempDir()
 	o := Options{Scale: 0.05, Seed: 7, FlightRecorder: true,
-		SeriesOut:      dir + "/series.prom",
-		DashOut:        dir + "/dash.html",
-		EngineBenchOut: dir + "/BENCH_engine.json",
+		SeriesOut: dir + "/series.prom",
+		DashOut:   dir + "/dash.html",
 	}
 	r, err := RunThroughput(A3x4(), flightWorkload(), o)
 	if err != nil {
@@ -157,7 +155,7 @@ func TestFlightArtifactsWritten(t *testing.T) {
 	if err := r.WriteFlightArtifacts(o, "artifact test"); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{o.SeriesOut, o.DashOut, o.EngineBenchOut} {
+	for _, f := range []string{o.SeriesOut, o.DashOut} {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)

@@ -85,16 +85,13 @@ func checkWorkload(t *testing.T, key string, r *ThroughputResult) {
 }
 
 // TestGoldenCoversRegistry fails when a registered experiment has no pinned
-// Figure. "engine" is host-timed and has none.
+// Figure.
 func TestGoldenCoversRegistry(t *testing.T) {
 	if *update {
 		t.Skip("golden is being rewritten")
 	}
 	golden := readGolden(t)
 	for _, r := range Registry {
-		if r.ID == "engine" {
-			continue
-		}
 		found := false
 		for key := range golden {
 			if strings.HasPrefix(key, r.ID+" ") {

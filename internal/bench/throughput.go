@@ -115,8 +115,8 @@ type ThroughputResult struct {
 	flightEnv *Env
 }
 
-// WriteFlightArtifacts writes the series dump / dashboard / engine-bench
-// files the options ask for. No-op when the run had no recorder.
+// WriteFlightArtifacts writes the series dump / dashboard files the
+// options ask for. No-op when the run had no recorder.
 func (r *ThroughputResult) WriteFlightArtifacts(o Options, title string) error {
 	if r.flightEnv == nil {
 		return nil
@@ -590,8 +590,8 @@ func Throughput(o Options) (*Figure, error) {
 	// Recording must be a pure observer — every job's output has to hash
 	// identically to the recorder-off row — and RunThroughput has already
 	// cross-checked the recorder's p99s and burn rates against the run's
-	// own raw measurements. This row is also where the series dump /
-	// dashboard / engine-bench artifacts come from when paths are set.
+	// own raw measurements. This row is also where the series dump and
+	// dashboard artifacts come from when paths are set.
 	fo := o
 	fo.FlightRecorder = true
 	fr, err := RunThroughput(A3x4(), workload(core.PolicyWeightedFair), fo)

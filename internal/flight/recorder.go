@@ -13,7 +13,7 @@
 // identical series dumps. The one intentionally non-deterministic lane is
 // the self-profiler (package file selfprof.go), which watches the host —
 // wall-clock event throughput, heap depth, allocations — and is excluded
-// from the deterministic exports; it only feeds BENCH_engine.json.
+// from the deterministic exports; it only feeds the dashboard's host lane.
 //
 // The recorded data is surfaced three ways: Prometheus text-format
 // exposition (WritePrometheus), Chrome-trace counter lanes next to the

@@ -1,8 +1,6 @@
 package flight
 
 import (
-	"encoding/json"
-	"io"
 	"runtime"
 	"time"
 
@@ -14,7 +12,8 @@ import (
 // second, allocation pressure, event-heap depth. Everything here reads the
 // host clock and runtime, so it is deliberately kept OUT of the
 // deterministic series store and the Prometheus/dashboard series dumps;
-// its only output is the EngineBench summary (BENCH_engine.json).
+// its only output is the EngineBench summary, which the dashboard's host
+// lane and bench.ThroughputResult.Engine carry.
 type SelfProfiler struct {
 	eng *sim.Engine
 
@@ -85,25 +84,13 @@ func (p *SelfProfiler) Summary() EngineBench { return p.bench }
 // host to host and run to run — they are benchmark output, never inputs to
 // determinism checks.
 type EngineBench struct {
-	Events              uint64  `json:"events"`
-	VirtualSeconds      float64 `json:"virtual_seconds"`
-	HostSeconds         float64 `json:"host_seconds"`
-	EventsPerHostSec    float64 `json:"events_per_host_sec"`
-	HostNsPerVirtualSec float64 `json:"host_ns_per_virtual_sec"`
-	AllocsPerEvent      float64 `json:"allocs_per_event"`
-	BytesPerEvent       float64 `json:"bytes_per_event"`
-	MaxEventHeapDepth   int     `json:"max_event_heap_depth"`
-	RecorderTicks       int64   `json:"recorder_ticks"`
-}
-
-// WriteEngineBench writes the summary as indented JSON under an id, the
-// shape the repo's BENCH_*.json artifacts use.
-func WriteEngineBench(w io.Writer, id string, b EngineBench) error {
-	doc := struct {
-		ID    string      `json:"id"`
-		Bench EngineBench `json:"bench"`
-	}{ID: id, Bench: b}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	Events              uint64
+	VirtualSeconds      float64
+	HostSeconds         float64
+	EventsPerHostSec    float64
+	HostNsPerVirtualSec float64
+	AllocsPerEvent      float64
+	BytesPerEvent       float64
+	MaxEventHeapDepth   int
+	RecorderTicks       int64
 }

@@ -6,16 +6,16 @@
 // two events scheduled for the same instant fire in the order they were
 // scheduled, making every simulation run bit-reproducible.
 //
-// The event queue is a ladder queue tuned for the cluster's workload shape
-// (dense near-future RPC traffic plus sparse far-future maintenance
-// timers): a small binary heap holds only the current time window, future
-// windows sit unsorted in calendar buckets that are heapified — or split
-// into finer rungs — only when the clock reaches them, and everything past
-// the last rung overflows into an unsorted spill that is re-laddered on
-// demand. Events are stored by value in a slab with a free list, so
-// steady-state scheduling allocates nothing and a cancelled Timer releases
-// its slot immediately instead of churning through the queue as a dead
-// entry.
+// The event queue is a binary heap of by-value refs, because the traffic it
+// carries is small: the busiest workload the repository measures
+// (benchmark/'s cluster_stream: 1100 jobs on 256 nodes) fires 214 671 events
+// with at most 1 404 pending, the other four at most 3 451 with 180 pending.
+// A sift is ten levels at worst, a schedule-pop-fire cycle ≈ 80 ns, and the
+// queue 1–2 % of a pass's host time (EXPERIMENTS.md "Engine event queue").
+// Callbacks live by value in a slab with a free list, so steady-state
+// scheduling allocates nothing, and a cancelled Timer gives its slot and
+// callback back at once; only its 24-byte ref stays queued, to be dropped
+// when it reaches the top.
 package sim
 
 import (
@@ -63,8 +63,8 @@ type slot struct {
 }
 
 // A ref is the queued, by-value form of an event: its firing key plus the
-// slab coordinates of its callback. Refs are what the heaps and buckets
-// shuffle around — 24 bytes, no pointers into the heap beyond the slab.
+// slab coordinates of its callback. Refs are what the queue shuffles
+// around — 24 bytes, no pointers.
 type ref struct {
 	at  Time
 	seq uint64
@@ -78,35 +78,6 @@ func refLess(a, b ref) bool {
 	}
 	return a.seq < b.seq
 }
-
-// A rung is one calendar tier: equal-width buckets covering [start, end).
-// Buckets before next are consumed. count tracks refs across the live
-// buckets so an exhausted rung is popped without scanning.
-type rung struct {
-	start   Time
-	width   Time
-	end     Time
-	next    int
-	count   int
-	buckets [][]ref
-}
-
-const (
-	// spawnThreshold is the bucket occupancy above which a bucket is split
-	// into a finer child rung instead of being sorted as the current
-	// window. Below it, a binary heap of the bucket is cheap enough.
-	spawnThreshold = 48
-	// childBuckets is the fan-out of a spawned child rung.
-	childBuckets = 16
-	// minRootBuckets/maxRootBuckets bound the root rung built from the
-	// overflow spill; the root aims for ~1 ref per bucket. Simulated time
-	// is heavily clustered (events land on round instants), so generous
-	// fan-out is what lets a bucket hold a single instant and be adopted
-	// without a re-ladder; empty buckets between clusters cost one nil
-	// check each to skip.
-	minRootBuckets = 16
-	maxRootBuckets = 8192
-)
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use: all simulated "parallelism" is expressed as interleaved
@@ -123,22 +94,10 @@ type Engine struct {
 	slab []slot
 	free []int32
 
-	// cur is the sorted tier: an ascending array of every pending ref with
-	// at < curEnd, consumed from curFront. Refs at or past curEnd live in
-	// the rungs (calendar buckets, deepest == finest last) or, past the
-	// last rung, in the unsorted far spill.
-	cur      []ref
-	curFront int
-	curEnd   Time
-	rungs    []rung
-	far      []ref
-	farLo    Time // min/max at across far, maintained incrementally
-	farHi    Time
-
-	// bucketCache recycles drained bucket backing arrays; rungCache
-	// recycles the bucket-table arrays of popped rungs.
-	bucketCache [][]ref
-	rungCache   [][][]ref
+	// queue is a binary min-heap on (at, seq). A ref whose generation no
+	// longer matches its slot belongs to a cancelled timer and is dropped
+	// when it surfaces.
+	queue []ref
 }
 
 // NewEngine returns an engine whose clock starts at virtual time zero.
@@ -158,16 +117,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // backlog figure (the flight recorder's engine_pending_events lane).
 func (e *Engine) Pending() int { return e.live }
 
-// MaxPending reports the most live events ever scheduled at once — the
-// engine's high-water mark, recorded for the self-profiler lane of the
-// flight recorder and the engine benchmark.
+// MaxPending reports the most live events ever scheduled at once, the
+// engine's high-water mark: 1 404 on the largest measured workload, which
+// is what sizes the queue (refs of cancelled timers add to its length until
+// they surface, not to this count). The flight recorder's self-profiler and
+// benchmark/'s sim.max_pending read it.
 func (e *Engine) MaxPending() int { return e.maxDepth }
-
-// SeqMark returns an opaque mark that changes whenever an event is
-// scheduled. Coalescer uses it to detect whether anything else was
-// scheduled between two of its appends — the condition under which merging
-// them into one event would reorder the timeline.
-func (e *Engine) SeqMark() uint64 { return e.seq }
 
 // alloc claims a slab slot for fn and returns its coordinates.
 func (e *Engine) alloc(fn func()) (int32, uint32) {
@@ -193,12 +148,12 @@ func (e *Engine) release(idx int32) {
 	e.live--
 }
 
-// schedule claims a slot, assigns the next sequence number and files the
-// ref into the right tier.
+// schedule claims a slot, assigns the next sequence number and queues the
+// ref.
 func (e *Engine) schedule(at Time, fn func()) (int32, uint32) {
 	e.seq++
 	idx, gen := e.alloc(fn)
-	e.insert(ref{at: at, seq: e.seq, idx: idx, gen: gen})
+	e.push(ref{at: at, seq: e.seq, idx: idx, gen: gen})
 	e.live++
 	if e.live > e.maxDepth {
 		e.maxDepth = e.live
@@ -206,356 +161,63 @@ func (e *Engine) schedule(at Time, fn func()) (int32, uint32) {
 	return idx, gen
 }
 
-// insert files a ref: the current window's heap, a calendar bucket, or the
-// far spill. The rung walk goes deepest (finest) first; a ref below the
-// deepest rung's range (possible after a re-ladder leaves a gap over an
-// empty stretch) joins the current heap, which keeps ordering correct
-// because everything in the rungs is later than any such gap.
-func (e *Engine) insert(r ref) {
-	if r.at < e.curEnd {
-		e.pushCur(r)
-		return
-	}
-	for i := len(e.rungs) - 1; i >= 0; i-- {
-		rg := &e.rungs[i]
-		if r.at < rg.end {
-			if r.at < rg.start {
-				e.pushCur(r)
-				return
-			}
-			b := int((r.at - rg.start) / rg.width)
-			// The last bucket absorbs the rounding slack when the rung's
-			// nominal span saturated at Infinity.
-			if b >= len(rg.buckets) {
-				b = len(rg.buckets) - 1
-			}
-			if rg.buckets[b] == nil {
-				rg.buckets[b] = e.getBucket()
-			}
-			rg.buckets[b] = append(rg.buckets[b], r)
-			rg.count++
-			return
-		}
-	}
-	if len(e.far) == 0 {
-		e.farLo, e.farHi = r.at, r.at
-	} else {
-		if r.at < e.farLo {
-			e.farLo = r.at
-		}
-		if r.at > e.farHi {
-			e.farHi = r.at
-		}
-	}
-	e.far = append(e.far, r)
-}
-
-// pushCur inserts into the sorted current window. The window is an
-// ascending array consumed from curFront; an insert binary-searches its
-// slot and shifts whichever side is shorter. The common mid-window insert
-// is an After(0) — next to fire, right at the front — which shifts nothing
-// when pops have opened space there.
-func (e *Engine) pushCur(r ref) {
-	h := e.cur
-	lo, hi := e.curFront, len(h)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if refLess(h[m], r) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if f := e.curFront; f > 0 && lo-f <= len(h)-lo {
-		copy(h[f-1:], h[f:lo])
-		h[lo-1] = r
-		e.curFront = f - 1
-		return
-	}
-	h = append(h, ref{})
-	copy(h[lo+1:], h[lo:])
-	h[lo] = r
-	e.cur = h
-}
-
-// popCur consumes the front of the current window.
-func (e *Engine) popCur() {
-	e.curFront++
-	if e.curFront == len(e.cur) {
-		e.cur = e.cur[:0]
-		e.curFront = 0
-	}
-}
-
-// sortRefs insertion-sorts a window. Buckets arrive nearly sorted — equal
-// instants are appended in schedule order, so inversions only come from
-// distinct instants interleaved at insert time — which keeps this O(n) in
-// practice; it only runs when adoptCur's scan found an inversion at all.
-func sortRefs(h []ref) {
-	for i := 1; i < len(h); i++ {
-		r := h[i]
-		j := i - 1
-		for j >= 0 && refLess(r, h[j]) {
-			h[j+1] = h[j]
-			j--
-		}
-		h[j+1] = r
-	}
-}
-
-func (e *Engine) getBucket() []ref {
-	if n := len(e.bucketCache); n > 0 {
-		b := e.bucketCache[n-1]
-		e.bucketCache = e.bucketCache[:n-1]
-		return b
-	}
-	return make([]ref, 0, 8)
-}
-
-func (e *Engine) putBucket(b []ref) {
-	if cap(b) >= 8 && len(e.bucketCache) < 1024 {
-		e.bucketCache = append(e.bucketCache, b[:0])
-	}
-}
-
-// getBuckets returns a zeroed bucket table of exactly n entries, reusing a
-// cached array when one is big enough.
-func (e *Engine) getBuckets(n int) [][]ref {
-	for i := len(e.rungCache) - 1; i >= 0; i-- {
-		if t := e.rungCache[i]; cap(t) >= n {
-			e.rungCache[i] = e.rungCache[len(e.rungCache)-1]
-			e.rungCache = e.rungCache[:len(e.rungCache)-1]
-			t = t[:n]
-			for j := range t {
-				t[j] = nil
-			}
-			return t
-		}
-	}
-	return make([][]ref, n)
-}
-
-func (e *Engine) putBuckets(t [][]ref) {
-	if len(e.rungCache) < 8 {
-		e.rungCache = append(e.rungCache, t)
-	}
-}
-
-// satAfter returns t+d saturated at Infinity.
-func satAfter(t, d Time) Time {
-	if d > Infinity-t {
-		return Infinity
-	}
-	return t + d
-}
-
-// adoptCur makes refs the new current window, recycling the old backing
-// array. A same-instant cluster — the dominant shape in simulations whose
-// events land on round timestamps — passes the inversion scan untouched
-// and is consumed by pure front-index increments.
-func (e *Engine) adoptCur(refs []ref) {
-	e.putBucket(e.cur)
-	for i := 1; i < len(refs); i++ {
-		if refLess(refs[i], refs[i-1]) {
-			sortRefs(refs)
+// push adds r to the heap, sifting it up from the last leaf. The sifts are
+// written out because container/heap moves elements through interface
+// values, which would box and allocate a ref per operation.
+func (e *Engine) push(r ref) {
+	q := append(e.queue, r)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !refLess(r, q[parent]) {
 			break
 		}
+		q[i] = q[parent]
+		i = parent
 	}
-	e.cur = refs
-	e.curFront = 0
+	q[i] = r
+	e.queue = q
 }
 
-// spawnRung re-ladders one overweight bucket spanning [start, end) into a
-// finer child rung — or, when the refs turn out to be one same-instant
-// cluster (the dominant case in a simulation whose events land on round
-// timestamps), adopts them as the current window directly: no subdivision
-// can separate refs that share an instant, and re-laddering them down to
-// 1-unit buckets is exactly the pathology a ladder queue must avoid. The
-// child rung subdivides the refs' actual [lo, hi] span, not the bucket's
-// nominal one, so one level almost always separates the clusters; its end
-// stays the bucket's nominal end to keep the tier coverage contiguous.
-func (e *Engine) spawnRung(start, end Time, refs []ref) {
-	lo, hi := refs[0].at, refs[0].at
-	for _, r := range refs[1:] {
-		if r.at < lo {
-			lo = r.at
-		}
-		if r.at > hi {
-			hi = r.at
-		}
-	}
-	if lo == hi {
-		// Equal instants are appended in schedule order, so the cluster is
-		// already sorted by (at, seq): adopt without adoptCur's scan.
-		e.putBucket(e.cur)
-		e.cur = refs
-		e.curFront = 0
-		e.curEnd = end
-		return
-	}
-	width := (hi - lo + childBuckets) / childBuckets // covers [lo, hi] in <= childBuckets
-	rg := rung{
-		start:   lo,
-		width:   width,
-		end:     end,
-		count:   len(refs),
-		buckets: e.getBuckets(childBuckets),
-	}
-	for _, r := range refs {
-		b := int((r.at - lo) / width)
-		if b >= childBuckets {
-			b = childBuckets - 1
-		}
-		if rg.buckets[b] == nil {
-			rg.buckets[b] = e.getBucket()
-		}
-		rg.buckets[b] = append(rg.buckets[b], r)
-	}
-	e.putBucket(refs)
-	e.rungs = append(e.rungs, rg)
-}
-
-// refill builds a fresh root rung from the far spill. Width adapts to the
-// spill's span so typical occupancy stays near one bucket per window; the
-// arithmetic only shapes bucket boundaries, never firing order, so the
-// degenerate cases (one far event, clustered outliers) merely fall back to
-// plain-heap behavior.
-func (e *Engine) refill() {
-	far := e.far
-	lo, hi := e.farLo, e.farHi
-	// A small spill skips the calendar altogether: it becomes the current
-	// window directly, spanning through its last event. This is the idle
-	// regime — a handful of heartbeats and retry timers — where bucket
-	// bookkeeping would cost more than the heap it avoids.
-	if len(far) <= 8 {
-		e.far = e.getBucket()
-		e.adoptCur(far)
-		e.curEnd = satAfter(hi, 1)
-		return
-	}
-	nb := minRootBuckets
-	for nb < len(far)/2 && nb < maxRootBuckets {
-		nb <<= 1
-	}
-	// The root's span tracks the bulk of the spill, not its extremes: a few
-	// far-future outliers (maintenance timers, horizon sentinels) would
-	// otherwise stretch the bucket width until every near-term bucket holds
-	// thousands of refs and has to be re-laddered. 2*(mean-lo) equals the
-	// true span for a uniform spill and shrinks under skew; whatever falls
-	// past the root stays in far for a later refill, by which time the
-	// clock is closer and the span estimate tighter.
-	var sum Time
-	for _, r := range far {
-		sum += r.at - lo
-	}
-	span := hi - lo
-	if bulk := 2*(sum/Time(len(far))) + 1; bulk < span {
-		span = bulk
-	}
-	width := span/Time(nb) + 1
-	rg := rung{
-		start:   lo,
-		width:   width,
-		end:     satAfter(lo, span+Time(nb)), // >= lo + nb*width, saturated
-		count:   0,
-		buckets: e.getBuckets(nb),
-	}
-	kept := far[:0]
-	var keptLo, keptHi Time
-	for _, r := range far {
-		if r.at >= rg.end {
-			if len(kept) == 0 {
-				keptLo, keptHi = r.at, r.at
-			} else {
-				if r.at < keptLo {
-					keptLo = r.at
-				}
-				if r.at > keptHi {
-					keptHi = r.at
-				}
-			}
-			kept = append(kept, r)
-			continue
-		}
-		b := int((r.at - lo) / width)
-		if b >= nb {
-			b = nb - 1
-		}
-		if rg.buckets[b] == nil {
-			rg.buckets[b] = e.getBucket()
-		}
-		rg.buckets[b] = append(rg.buckets[b], r)
-		rg.count++
-	}
-	e.far = kept
-	e.farLo, e.farHi = keptLo, keptHi
-	e.rungs = append(e.rungs, rg)
-}
-
-// advance moves the current window forward: adopt the next non-empty
-// bucket (splitting it first if overweight), pop exhausted rungs, or
-// re-ladder the far spill. Reports whether any pending ref exists.
-func (e *Engine) advance() bool {
+// pop removes the heap's root: the last leaf takes its place and sifts
+// down.
+func (e *Engine) pop() {
+	q := e.queue
+	n := len(q) - 1
+	r := q[n]
+	q = q[:n]
+	i := 0
 	for {
-		if e.curFront < len(e.cur) { // a refill may have filled the window directly
-			return true
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		if n := len(e.rungs); n > 0 {
-			rg := &e.rungs[n-1]
-			if rg.count == 0 {
-				// Extend the empty current window to the rung's end so
-				// later inserts in this range stay correctly routed.
-				e.curEnd = rg.end
-				for _, b := range rg.buckets {
-					e.putBucket(b)
-				}
-				e.putBuckets(rg.buckets)
-				e.rungs = e.rungs[:n-1]
-				continue
-			}
-			j := rg.next
-			for len(rg.buckets[j]) == 0 {
-				j++
-			}
-			refs := rg.buckets[j]
-			rg.buckets[j] = nil
-			rg.next = j + 1
-			rg.count -= len(refs)
-			bstart := rg.start + Time(j)*rg.width
-			bend := satAfter(bstart, rg.width)
-			if j == len(rg.buckets)-1 || bend > rg.end {
-				bend = rg.end
-			}
-			if len(refs) > spawnThreshold && bend-bstart > 1 {
-				e.spawnRung(bstart, bend, refs)
-				continue
-			}
-			e.adoptCur(refs)
-			e.curEnd = bend
-			return true
+		if right := child + 1; right < n && refLess(q[right], q[child]) {
+			child = right
 		}
-		if len(e.far) == 0 {
-			return false
+		if !refLess(q[child], r) {
+			break
 		}
-		e.refill()
+		q[i] = q[child]
+		i = child
 	}
+	if n > 0 {
+		q[i] = r
+	}
+	e.queue = q
 }
 
 // peekLive returns the earliest live ref without removing it, discarding
 // cancelled refs as it encounters them.
 func (e *Engine) peekLive() (ref, bool) {
-	for {
-		for e.curFront < len(e.cur) {
-			r := e.cur[e.curFront]
-			if e.slab[r.idx].gen == r.gen {
-				return r, true
-			}
-			e.popCur()
+	for len(e.queue) > 0 {
+		r := e.queue[0]
+		if e.slab[r.idx].gen == r.gen {
+			return r, true
 		}
-		if !e.advance() {
-			return ref{}, false
-		}
+		e.pop()
 	}
+	return ref{}, false
 }
 
 // At schedules fn to fire at virtual instant t. Scheduling into the past
@@ -661,27 +323,41 @@ func (e *Engine) Run() Time {
 	return e.RunUntil(Infinity)
 }
 
+// enter marks the engine as firing. Firing from inside a callback would nest
+// one timeline in another, so it panics; leave undoes the mark.
+func (e *Engine) enter() {
+	if e.running {
+		panic("sim: Run or Step re-entered from within an event callback")
+	}
+	e.running = true
+}
+
+func (e *Engine) leave() { e.running = false }
+
+// fire pops the earliest live event and runs it at its instant, unless the
+// queue is empty or that event is due after the deadline.
+func (e *Engine) fire(deadline Time) bool {
+	r, ok := e.peekLive()
+	if !ok || r.at > deadline {
+		return false
+	}
+	e.pop()
+	fn := e.slab[r.idx].fn
+	e.release(r.idx)
+	e.now = r.at
+	e.fired++
+	fn()
+	return true
+}
+
 // RunUntil fires events in order until the queue is empty or the next event
 // would fire after the deadline, and returns the current virtual time. Events
 // exactly at the deadline fire. The clock stays at the last fired event; it
 // does not jump to the deadline, so work can resume afterwards.
 func (e *Engine) RunUntil(deadline Time) Time {
-	if e.running {
-		panic("sim: Run re-entered from within an event callback")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for {
-		r, ok := e.peekLive()
-		if !ok || r.at > deadline {
-			break
-		}
-		e.popCur()
-		fn := e.slab[r.idx].fn
-		e.release(r.idx)
-		e.now = r.at
-		e.fired++
-		fn()
+	e.enter()
+	defer e.leave()
+	for e.fire(deadline) {
 	}
 	return e.now
 }
@@ -689,15 +365,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // Step fires the single next pending event (skipping cancelled ones) and
 // reports whether an event fired.
 func (e *Engine) Step() bool {
-	r, ok := e.peekLive()
-	if !ok {
-		return false
-	}
-	e.popCur()
-	fn := e.slab[r.idx].fn
-	e.release(r.idx)
-	e.now = r.at
-	e.fired++
-	fn()
-	return true
+	e.enter()
+	defer e.leave()
+	return e.fire(Infinity)
 }

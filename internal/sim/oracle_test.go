@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// The ladder-queue engine is verified here against a brutally simple
+// The engine's event queue is verified here against a brutally simple
 // oracle: an unordered list popped by linear min-scan on (time, seq).
 // Both queues are driven through the same byte script — same-instant
 // bursts, far-future outliers, cancels, staged RunUntil segments — and
@@ -220,7 +220,7 @@ func TestEngineOracleAdversarial(t *testing.T) {
 	})
 }
 
-// FuzzEngineOrder lets the fuzzer hunt for schedules where the ladder
+// FuzzEngineOrder lets the fuzzer hunt for schedules where the engine's
 // queue and the oracle disagree.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 255, 5, 5, 255})

@@ -2,7 +2,6 @@ package yarn
 
 import (
 	"mrapid/internal/metrics"
-	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 	"mrapid/internal/trace"
 )
@@ -17,12 +16,6 @@ type NM struct {
 	pendingRelease []*Container
 	running        map[ContainerID]*Container
 
-	// launches coalesces the start-container completions of one allocation
-	// burst: N containers granted to this node in one scheduler pass become
-	// one engine event, not N (same timeline — the callbacks run in the
-	// same consecutive order).
-	launches *sim.Coalescer
-
 	// launched is the node-labeled launch counter, bound once per registry.
 	launched    metrics.Counter
 	launchedSrc *metrics.Registry
@@ -32,7 +25,7 @@ type NM struct {
 }
 
 func newNM(rm *RM, n *topology.Node) *NM {
-	return &NM{rm: rm, Node: n, running: make(map[ContainerID]*Container), launches: sim.NewCoalescer(rm.Eng)}
+	return &NM{rm: rm, Node: n, running: make(map[ContainerID]*Container)}
 }
 
 // StartContainer models the AM→NM start-container RPC followed by container
@@ -58,7 +51,7 @@ func (nm *NM) StartContainer(c *Container, warm bool, ready func()) {
 		}
 	}
 	epoch := nm.Node.Epoch()
-	nm.launches.After(delay, func() {
+	nm.rm.Eng.After(delay, func() {
 		if !nm.Node.AliveEpoch(epoch) {
 			// The node died before (or while) the container process came up:
 			// ready never fires (the launch span stays open), and the RM
