@@ -64,11 +64,24 @@ var lifecycleGolden = map[string]lifecycleCell{
 	"distributed/on/map-crash":     {14000000000, 13766184962, lifecycleOut},
 	"distributed/on/reduce-crash":  {11000000000, 10294128807, lifecycleOut},
 	"distributed/on/node-crash":    {25000000000, 24146715174, lifecycleOut},
+
+	// D+ on a pool of 3, captured on the per-path pooled launcher before the
+	// one submission lifecycle replaced it. The node crash takes the reduce
+	// node, which does not host the serving pooled AM: no relaunch.
+	"distributed-pooled/off/clean":        {4373972953, 4373972953, lifecycleOut},
+	"distributed-pooled/off/map-crash":    {7120160332, 7120160332, lifecycleOut},
+	"distributed-pooled/off/reduce-crash": {4557197119, 4557197119, lifecycleOut},
+	"distributed-pooled/off/node-crash":   {16120854243, 16120854243, lifecycleOut},
+	"distributed-pooled/on/clean":         {4377828011, 4377828011, lifecycleOut},
+	"distributed-pooled/on/map-crash":     {7312292012, 7312292012, lifecycleOut},
+	"distributed-pooled/on/reduce-crash":  {4561052177, 4561052177, lifecycleOut},
+	"distributed-pooled/on/node-crash":    {16120854243, 16120854243, lifecycleOut},
 }
 
-// lifecycleShapes are the three AM shapes: the in-AM executor with zero
-// options (stock Uber, cold), the in-AM executor with FullUPlus (pooled),
-// and the distributed AM (stock Hadoop, cold).
+// lifecycleShapes cover {cold, pooled} × {in-AM, distributed}: the in-AM
+// executor with zero options (stock Uber, cold), the in-AM executor with
+// FullUPlus (pooled), the distributed AM cold (stock Hadoop) and the
+// distributed AM pooled (D+).
 var lifecycleShapes = []struct {
 	name   string
 	inAM   bool
@@ -95,6 +108,14 @@ var lifecycleShapes = []struct {
 		sched: func() yarn.Scheduler { return yarn.NewStockScheduler() },
 		submit: func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 			mapreduce.Submit(rt, spec, mapreduce.ModeDistributed, done)
+		},
+	},
+	{
+		name:  "distributed-pooled",
+		sched: func() yarn.Scheduler { return NewDPlusScheduler(FullDPlus()) },
+		submit: func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+			f := NewFramework(rt, 3, FullUPlus())
+			f.Start(func() { f.SubmitDPlus(spec, done) })
 		},
 	},
 }
