@@ -247,26 +247,15 @@ func (e *Env) Run(v Variant, spec *mapreduce.JobSpec) (*mapreduce.Result, error)
 			e.RM.Stop()
 			e.Flight.StopIfRunning()
 		}
-		switch v.Mode {
-		case core.ModeHadoop:
-			mapreduce.Submit(e.RT, spec, mapreduce.ModeDistributed, done)
-		case core.ModeUber:
-			mapreduce.Submit(e.RT, spec, mapreduce.ModeUber, done)
-		case core.ModeDPlus:
-			if e.FW != nil {
-				e.FW.SubmitDPlus(spec, done)
-			} else {
-				mapreduce.Submit(e.RT, spec, mapreduce.ModeDistributed, done)
-			}
-		case core.ModeUPlus:
-			if e.FW != nil {
-				e.FW.SubmitUPlus(spec, done)
-			} else {
-				mapreduce.Submit(e.RT, spec, mapreduce.ModeUPlus(v.UOpts), done)
-			}
-		default:
+		if e.FW != nil {
+			e.FW.Submit(v.Mode, spec, done)
+			return
+		}
+		mode, _, err := core.ModeFor(v.Mode, v.UOpts)
+		if err != nil {
 			panic(fmt.Sprintf("bench: unknown mode %q", v.Mode))
 		}
+		mapreduce.Submit(e.RT, spec, mode, done)
 	})
 	e.Eng.RunUntil(horizon)
 	if res == nil {

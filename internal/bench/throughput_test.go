@@ -9,7 +9,7 @@ import (
 
 // TestThroughputSmoke runs a reduced multi-tenant workload through the
 // JobServer under both admission policies — the CI gate for the whole
-// submission stack (launcher, admission, queues, arrival processes).
+// submission stack (lifecycle, admission, queues, arrival processes).
 func TestThroughputSmoke(t *testing.T) {
 	o := Options{Scale: 0.05, Seed: 7}
 	for _, policy := range []core.AdmissionPolicy{core.PolicyFIFO, core.PolicyWeightedFair} {

@@ -10,6 +10,7 @@ import (
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
+	"mrapid/internal/trace"
 	"mrapid/internal/yarn"
 )
 
@@ -116,18 +117,24 @@ func TestPoolAMNodeCrashReplenished(t *testing.T) {
 // deadlocking on an empty pool.
 func TestPoolExhaustionFallsBackToStock(t *testing.T) {
 	rt := chaosRuntime(t, 1)
+	rt.Trace = trace.New(rt.Eng, 1<<12)
 	f := startFramework(t, rt, 1)
 	victim := f.Pool.ams[0].Node
 	names, all := stageInput(t, rt, 4, 1<<20)
 	rt.Eng.After(time.Second, victim.Fail)
 	var res *mapreduce.Result
+	var written int64
 	submitted := false
 	ticker := rt.Eng.Every(200*time.Millisecond, func() {
 		if submitted || !f.Pool.Exhausted() {
 			return
 		}
 		submitted = true
-		f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
+		written = rt.DFS.BytesWritten
+		f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) {
+			res = r
+			written = rt.DFS.BytesWritten - written
+		})
 	})
 	rt.Eng.RunUntil(rt.Eng.Now().Add(600 * time.Second))
 	ticker.Stop()
@@ -147,6 +154,33 @@ func TestPoolExhaustionFallsBackToStock(t *testing.T) {
 	verifyWC(t, rt, "/out", all)
 	if f.Pool.AliveAMs() != 1 {
 		t.Fatalf("pool did not recover: %d AMs alive", f.Pool.AliveAMs())
+	}
+	assertStagedOnce(t, rt, res, written)
+}
+
+// assertStagedOnce checks that a job degraded by pool exhaustion is still one
+// submission: one artifact upload, one root span, and HDFS grew by jar + conf
+// + output, not by a second staging.
+func assertStagedOnce(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result, written int64) {
+	t.Helper()
+	uploads, roots := 0, 0
+	for _, sp := range rt.Trace.Spans() {
+		if sp.Name == "upload artifacts" {
+			uploads++
+		}
+		if sp.Parent == 0 && sp.Component == "job" && sp.Name == res.Spec.Name {
+			roots++
+		}
+	}
+	if uploads != 1 || roots != 1 {
+		t.Errorf("%d upload spans and %d root job spans, want 1 and 1", uploads, roots)
+	}
+	out, err := rt.DFS.Contents(mapreduce.PartFileName(res.Spec.OutputFile, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rt.Params.JobJarBytes + rt.Params.JobConfBytes + int64(len(out)); written != want {
+		t.Errorf("HDFS grew by %d B over the job, want jar + conf + output = %d B", written, want)
 	}
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/memo"
 	"mrapid/internal/profiler"
+	"mrapid/internal/topology"
+	"mrapid/internal/trace"
+	"mrapid/internal/yarn"
 )
 
 // UPlusOptions toggle the U+ optimizations for the Figure 15 ablation: they
@@ -15,73 +18,31 @@ type UPlusOptions = mapreduce.InAMOptions
 // FullUPlus returns the paper's complete U+ configuration.
 func FullUPlus() UPlusOptions { return mapreduce.FullUPlus() }
 
-// Framework is the MRapid job submission framework: the proxy with its AM
-// pool, the execution-record history, and the configured U+ options. One
-// Framework serves one simulated cluster.
+// Framework is the MRapid job submission framework of one simulated cluster:
+// the proxy with its AM pool, the execution-record history, the U+ options.
 type Framework struct {
 	RT      *mapreduce.Runtime
 	Pool    *Pool
 	History *History
 	UOpts   UPlusOptions
-
-	// NotifyPoll makes the framework report completion at the client's next
-	// status-poll tick instead of over the proxy's direct RPC. It exists
-	// only for the "reducing communication" ablation (Figures 14–15); the
-	// real framework always notifies directly.
+	// NotifyPoll reports completion at the client's next status poll, not over
+	// the proxy's RPC: the "reducing communication" ablation (Figures 14–15).
 	NotifyPoll bool
-
-	// Memo, when non-nil, attaches the cross-job memoization cache: every
-	// Submit/SubmitSpeculative consults it first, a hit skips execution
-	// entirely (ModeMemo result, zero containers), and a miss commits the
-	// successful fresh output for future identical submissions. Attached by
-	// the bench/CLI layers when Params.MemoCache is set; nil means every
-	// submission executes.
+	// Memo, when non-nil, is consulted by every Submit/SubmitSpeculative first:
+	// a hit skips execution (ModeMemo result), a miss commits the fresh output.
 	Memo *memo.Cache
-
-	// Predict enables the online-calibrating estimator: speculative
-	// submissions whose workload class has passed the history's confidence
-	// gate launch the projected winner directly instead of paying the 2×
-	// dual-launch. Off by default — the paper's decision maker only trusts
-	// exact-match history.
+	// Predict lets a speculative submission whose workload class passed the
+	// history's confidence gate run the projected winner alone (default off).
 	Predict bool
-
-	// StockFallbacks counts jobs routed through the stock submission path
-	// because the AM pool had no live AM to offer (every reserved AM died
-	// and the replacements were still launching).
+	// StockFallbacks counts jobs that went cold for want of a live pooled AM.
 	StockFallbacks int64
 
 	started bool
 }
 
-// notify delivers a finished result to the client: direct RPC normally,
-// poll-aligned under the communication ablation.
-func (f *Framework) notify(prof *profiler.JobProfile, res *mapreduce.Result, done func(*mapreduce.Result)) {
-	if !f.NotifyPoll {
-		f.RT.Trace.EndSpan(prof.Span)
-		done(res)
-		return
-	}
-	pollStart := f.RT.Eng.Now()
-	f.RT.PollAlignedNotify(prof.SubmittedAt, func() {
-		if res.Profile != nil {
-			res.Profile.DoneAt = f.RT.Eng.Now()
-		}
-		f.RT.Trace.SpanSince(prof.Span, "client", "poll wait", "notify", pollStart)
-		f.RT.Trace.EndSpan(prof.Span)
-		done(res)
-	})
-}
-
-// NewFramework assembles the framework over a runtime. poolSize is the
-// number of reserved AMs (the paper's default is 3, from the cost model's
-// AMPoolSize).
+// NewFramework assembles the framework with poolSize reserved AMs (paper: 3).
 func NewFramework(rt *mapreduce.Runtime, poolSize int, uopts UPlusOptions) *Framework {
-	return &Framework{
-		RT:      rt,
-		Pool:    NewPool(rt, poolSize),
-		History: NewHistory(),
-		UOpts:   uopts,
-	}
+	return &Framework{RT: rt, Pool: NewPool(rt, poolSize), History: NewHistory(), UOpts: uopts}
 }
 
 // Start launches the proxy service: the AM pool comes up and any persisted
@@ -98,61 +59,89 @@ func (f *Framework) Start(ready func()) {
 	f.Pool.Start(ready)
 }
 
-// handle tracks a mode execution whose AM materializes asynchronously, so
-// the decision maker can kill it at any point.
-type handle struct {
-	killed bool
-	killFn func()
-}
-
-func (h *handle) Kill() {
-	h.killed = true
-	if h.killFn != nil {
-		h.killFn()
+// ModeFor is the mode table: which AM a single-mode ModeKind runs, and whether
+// it comes warm from the pool. A race or a memo label is not a single mode.
+func ModeFor(kind ModeKind, uopts UPlusOptions) (mode mapreduce.Mode, pooled bool, err error) {
+	switch kind {
+	case ModeHadoop:
+		return mapreduce.ModeDistributed, false, nil
+	case ModeUber:
+		return mapreduce.ModeUber, false, nil
+	case ModeDPlus:
+		return mapreduce.ModeDPlus, true, nil
+	case ModeUPlus:
+		return mapreduce.ModeUPlus(uopts), true, nil
 	}
+	return mapreduce.Mode{}, false, fmt.Errorf("core: %q is not a single execution mode", kind)
 }
 
-func (h *handle) attach(kill func()) {
-	h.killFn = kill
-	if h.killed {
-		kill()
+// submission is the mode table applied to this framework, ready to start.
+func (f *Framework) submission(kind ModeKind) (*mapreduce.Submission, error) {
+	mode, pooled, err := ModeFor(kind, f.UOpts)
+	s := &mapreduce.Submission{Mode: mode, Poll: f.NotifyPoll}
+	if pooled {
+		s.Source = f.pooledAM
 	}
+	return s, err
 }
 
-// SubmitDPlus runs a job in D+ mode through the framework: artifacts are
-// uploaded, a pooled AM is dispatched by the proxy (no AM allocation or JVM
-// start), and the distributed AM requests containers from the D+ scheduler.
-// If the serving AM dies with its node the job is relaunched (fresh pooled
-// AM, partial output removed) up to Params.MaxAMAttempts times; if the pool
-// has no live AM at all, the job degrades to the stock submission path.
+// Submit runs a job through the submission lifecycle in one mode — the entry
+// the JobServer routes admitted jobs through; a kind that is not a single mode
+// comes back as an error result. An attached memoization cache is consulted
+// first: a hit serves the cached output, a miss commits the fresh result.
+func (f *Framework) Submit(kind ModeKind, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+	s, err := f.submission(kind)
+	if err != nil {
+		done(&mapreduce.Result{Spec: spec, Mode: string(kind), Err: err})
+		return
+	}
+	f.viaMemo(spec, done, func(commit func(*mapreduce.Result)) {
+		s.Start(f.RT, spec, func(res *mapreduce.Result) {
+			commit(res)
+			done(res)
+		})
+	})
+}
+
+// SubmitDPlus and SubmitUPlus run a job on a pooled AM process: D+ is the
+// distributed AM, U+ the in-AM executor with the framework's options.
 func (f *Framework) SubmitDPlus(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
-	f.Submit(dplusExecutor{}, spec, done)
+	f.Submit(ModeDPlus, spec, done)
 }
-
-// SubmitUPlus runs a job in U+ mode through the framework, with the same
-// AM-loss relaunch and pool-exhaustion degradation as SubmitDPlus (the
-// stock path for U+ is the in-AM executor, cold-submitted).
 func (f *Framework) SubmitUPlus(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
-	f.Submit(uplusExecutor{}, spec, done)
+	f.Submit(ModeUPlus, spec, done)
 }
 
-// fallBackToStock records and traces a pool-exhaustion degradation, then
-// runs the stock submission closure.
-func (f *Framework) fallBackToStock(spec *mapreduce.JobSpec, submit func()) {
-	f.StockFallbacks++
-	f.RT.Trace.Add("proxy", "AM pool exhausted; job %s falls back to stock submission", spec.Name)
-	submit()
-}
-
-// retryLostAM relaunches a job whose serving AM died, if the attempt budget
-// allows: partial output is removed first so the re-run's writes don't
-// collide. Returns true when the retry was taken.
-func (f *Framework) retryLostAM(spec *mapreduce.JobSpec, attempt int, res *mapreduce.Result, relaunch func()) bool {
-	if !errors.Is(res.Err, mapreduce.ErrAMLost) || attempt >= f.RT.Params.MaxAMAttempts {
-		return false
+// pooledAM is the lifecycle's warm AM source: the proxy dispatches a reserved
+// AM, which only has to localize the job's artifacts — no AM allocation, no
+// JVM start, the paper's central saving. With no live AM to offer it declines:
+// the submission continues cold rather than queue behind the replacements.
+func (f *Framework) pooledAM(spec *mapreduce.JobSpec, prof *profiler.JobProfile, _ int,
+	up func(*yarn.App, *topology.Node, error), lost func()) func() {
+	if f.Pool.Exhausted() {
+		f.StockFallbacks++
+		f.RT.Trace.Add("proxy", "AM pool exhausted; job %s falls back to stock submission", spec.Name)
+		return nil
 	}
-	f.RT.Trace.Add("proxy", "job %s attempt %d lost its AM; relaunching", spec.Name, attempt)
-	f.RT.DeleteOutputPrefix(spec.OutputFile)
-	relaunch()
-	return true
+	prof.AMPoolHit = true
+	dispatchStart := f.RT.Eng.Now()
+	var pam *PooledAM
+	f.Pool.Acquire(func(am *PooledAM) {
+		pam = am
+		pam.onLost = lost
+		f.RT.Localize(spec, pam.Node, func(err error) {
+			if pam.lost {
+				return
+			}
+			if err != nil {
+				up(nil, pam.Node, err)
+				return
+			}
+			f.RT.Trace.SpanSince(prof.Span, "proxy", "am-dispatch", "am", dispatchStart,
+				trace.A("pool_hit", "true"), trace.A("am_node", pam.Node.Name))
+			// The AM container belongs to the pool's app, not to the job's.
+			up(f.RT.RM.NewAppInQueue(spec.Name+"@"+prof.Mode, spec.Queue), pam.Node, nil)
+		})
+	})
+	return func() { f.Pool.Release(pam) }
 }

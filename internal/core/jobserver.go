@@ -142,7 +142,7 @@ type AdmissionObserver interface {
 // clients Submit jobs tagged with a tenant, the server validates the tenant
 // queue, applies backpressure against the admission window, orders waiting
 // jobs by the configured policy, and routes each admitted job through the
-// shared mode-agnostic launcher (or the speculative race). Queue-wait is
+// one submission lifecycle (or the speculative race). Queue-wait is
 // visible per job as a trace span and a per-tenant histogram.
 type JobServer struct {
 	fw      *Framework
@@ -297,7 +297,7 @@ func (s *JobServer) InFlight() int { return s.inFlight }
 // Submit hands a job to the server on behalf of a tenant. The tenant names
 // the target queue ("" = default); an unknown queue is rejected here, at the
 // submission boundary, so the RM never sees an unroutable app. mode selects
-// the execution path — one of the four single-mode executors or
+// the execution path — one of the mode table's four single modes or
 // ModeSpeculative. done fires with the job's result once it completes.
 //
 // Submission is asynchronous admission: the job may queue behind the
@@ -373,12 +373,11 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 			})
 		}
 	default:
-		exec, err := ExecutorFor(mode)
-		if err != nil {
+		if _, _, err := ModeFor(mode, s.fw.UOpts); err != nil {
 			return err
 		}
 		run = func(j *queuedJob) {
-			s.fw.Submit(exec, j.spec, func(res *mapreduce.Result) {
+			s.fw.Submit(mode, j.spec, func(res *mapreduce.Result) {
 				s.settle(j, res)
 			})
 		}

@@ -225,7 +225,7 @@ func TestJobServerSubmitValidation(t *testing.T) {
 	if got := rt.Reg.Get(metrics.With("jobserver_rejected_total", "tenant", "mallory")); got != 1 {
 		t.Errorf("rejected metric = %d, want 1", got)
 	}
-	if err := s.Submit("alice", ModeKind("warp"), spec, noop); err == nil || !strings.Contains(err.Error(), "no executor") {
+	if err := s.Submit("alice", ModeKind("warp"), spec, noop); err == nil || !strings.Contains(err.Error(), "not a single execution mode") {
 		t.Errorf("bogus mode: err = %v", err)
 	}
 	if err := s.Submit("alice", ModeSpeculative, spec, noop); err == nil || !strings.Contains(err.Error(), "pool of at least 2") {

@@ -8,14 +8,16 @@ import (
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/shuffle"
 	"mrapid/internal/topology"
+	"mrapid/internal/trace"
 	"mrapid/internal/yarn"
 )
 
 // launchFingerprint is the observable behavior of one launch flow: when the
 // job finished, what it wrote, and how its profile describes the run. The
 // expected values below were captured on the pre-refactor per-mode launch
-// bodies (launchDPlus/launchUPlus); the shared Executor launcher must
-// reproduce them bit for bit — the refactor is structure, not behavior.
+// bodies (launchDPlus/launchUPlus); the one submission lifecycle must
+// reproduce them bit for bit — the refactors were structure, not behavior —
+// except the three cases re-pinned below, each with its reason.
 type launchFingerprint struct {
 	elapsed    time.Duration
 	outHash    uint64
@@ -77,22 +79,45 @@ func launchFlow(t *testing.T, sched yarn.Scheduler, pool int, service bool, redu
 	names, _ := stageInput(t, rt, 4, 1<<20)
 	spec := testWCSpec(names, "/out")
 	spec.NumReduces = reduces
-	exec, err := ExecutorFor(mode)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.Submit(exec, spec, func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
+		f.Submit(mode, spec, func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
 	})
 	rt.Eng.RunUntil(horizon)
 	return fingerprintOf(t, rt, res, "/out")
 }
 
+// coldFlow runs the standard word count in an MRapid mode on a size-0 pool —
+// permanently exhausted, so the job continues on the cold source — and checks
+// that it was counted as one fallback and staged once.
+func coldFlow(t *testing.T, mode ModeKind) launchFingerprint {
+	t.Helper()
+	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
+	rt.Trace = trace.New(rt.Eng, 1<<12)
+	f := startFramework(t, rt, 0)
+	names, _ := stageInput(t, rt, 4, 1<<20)
+	var res *mapreduce.Result
+	var written int64
+	rt.Eng.After(0, func() {
+		written = rt.DFS.BytesWritten
+		f.Submit(mode, testWCSpec(names, "/out"), func(r *mapreduce.Result) {
+			res, written = r, rt.DFS.BytesWritten-written
+			rt.RM.Stop()
+		})
+	})
+	rt.Eng.RunUntil(horizon)
+	fp := fingerprintOf(t, rt, res, "/out")
+	if f.StockFallbacks != 1 {
+		t.Fatalf("StockFallbacks = %d, want 1", f.StockFallbacks)
+	}
+	assertStagedOnce(t, rt, res, written)
+	return fp
+}
+
 // TestLauncherGoldenFingerprints drives every launch flow — D+, U+, the
 // pool-exhaustion stock fallback, the AM-loss relaunch, the speculative
 // race, the two stock modes, cold U+, and D+/U+ reading back through the
-// shuffle service — through the shared mode-agnostic launcher and pins each flow's
+// shuffle service — through the one submission lifecycle and pins each flow's
 // behavior to the fingerprint the per-mode launch bodies produced before the
 // refactor. Any drift in virtual timing, output bytes, or profile shape
 // fails the test.
@@ -130,22 +155,16 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 			// to the stock distributed path (cold AM, poll-based completion).
 			name: "stock-fallback",
 			run: func(t *testing.T) launchFingerprint {
-				rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-				f := startFramework(t, rt, 0)
-				names, _ := stageInput(t, rt, 4, 1<<20)
-				var res *mapreduce.Result
-				rt.Eng.After(0, func() {
-					f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
-				})
-				rt.Eng.RunUntil(horizon)
-				if f.StockFallbacks != 1 {
-					t.Fatalf("StockFallbacks = %d, want 1", f.StockFallbacks)
-				}
-				return fingerprintOf(t, rt, res, "/out")
+				return coldFlow(t, ModeDPlus)
 			},
+			// Re-pinned with the one submission lifecycle: the degraded job
+			// is the same submission continuing on the cold source, so it keeps
+			// its mode label ("hadoop" → "dplus") and stages once — amStartup
+			// 4383131028 → 4123608470, the second 259.5 ms upload it no longer
+			// pays. elapsed is poll-aligned and stays on the same tick.
 			want: launchFingerprint{
-				elapsed: 9000000000, outHash: wcHash, outLen: 122, mode: "hadoop",
-				maps: 4, containers: 28, poolHit: false, amStartup: 4383131028, tasks: 5,
+				elapsed: 9000000000, outHash: wcHash, outLen: 122, mode: "dplus",
+				maps: 4, containers: 28, poolHit: false, amStartup: 4123608470, tasks: 5,
 			},
 		},
 		{
@@ -170,9 +189,15 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 				}
 				return fingerprintOf(t, rt, res, "/out")
 			},
+			// Re-pinned with the one submission lifecycle: one profile covers
+			// both attempts, so the job is measured from its first hand-off to
+			// the proxy, not from the relaunch — elapsed 4340281966 →
+			// 10110759408, amStartup 94302381 → 5864779823 (ready on the second
+			// AM, counted from submission like a cold relaunch's), tasks 5 → 8
+			// (the first attempt's three finished maps stay on record).
 			want: launchFingerprint{
-				elapsed: 4340281966, outHash: wcHash, outLen: 122, mode: "dplus",
-				maps: 4, containers: 28, poolHit: true, amStartup: 94302381, tasks: 5,
+				elapsed: 10110759408, outHash: wcHash, outLen: 122, mode: "dplus",
+				maps: 4, containers: 28, poolHit: true, amStartup: 5864779823, tasks: 8,
 			},
 		},
 		{
@@ -208,7 +233,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 			},
 		},
 		{
-			// Stock Uber through the launcher's cold path: the in-AM executor
+			// Stock Uber through the framework's cold path: the in-AM executor
 			// with zero options.
 			name: "uber",
 			run: func(t *testing.T) launchFingerprint {
@@ -234,11 +259,13 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 			// allocated and launched through YARN, poll-based completion.
 			name: "uplus-cold",
 			run: func(t *testing.T) launchFingerprint {
-				return launchFlow(t, NewDPlusScheduler(FullDPlus()), 0, false, 1, ModeUPlus)
+				return coldFlow(t, ModeUPlus)
 			},
+			// Re-pinned like stock-fallback: staged once, amStartup 4383131028
+			// → 4123608470.
 			want: launchFingerprint{
 				elapsed: 6000000000, outHash: wcHash, outLen: 122, mode: "uplus",
-				maps: 4, containers: 1, poolHit: false, amStartup: 4383131028, tasks: 5,
+				maps: 4, containers: 1, poolHit: false, amStartup: 4123608470, tasks: 5,
 			},
 		},
 		{
@@ -275,11 +302,13 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// TestExecutorFor checks the mode→executor registry, including the stock
-// modes the JobServer routes around the pool.
-func TestExecutorFor(t *testing.T) {
+// TestModeTable checks the mode table — which AM each single-mode ModeKind
+// runs and whether it comes from the pool — and that a kind outside the table
+// is an error result from Framework.Submit and a rejection from the JobServer,
+// which still routes ModeSpeculative to the race.
+func TestModeTable(t *testing.T) {
 	for _, tc := range []struct {
-		mode ModeKind
+		kind ModeKind
 		pool bool
 	}{
 		{ModeDPlus, true},
@@ -287,21 +316,45 @@ func TestExecutorFor(t *testing.T) {
 		{ModeHadoop, false},
 		{ModeUber, false},
 	} {
-		exec, err := ExecutorFor(tc.mode)
+		mode, pooled, err := ModeFor(tc.kind, FullUPlus())
 		if err != nil {
-			t.Fatalf("ExecutorFor(%s): %v", tc.mode, err)
+			t.Fatalf("ModeFor(%s): %v", tc.kind, err)
 		}
-		if exec.Mode() != tc.mode {
-			t.Errorf("ExecutorFor(%s).Mode() = %s", tc.mode, exec.Mode())
+		if mode.String() != string(tc.kind) {
+			t.Errorf("ModeFor(%s) runs mode %q", tc.kind, mode)
 		}
-		if exec.UsesPool() != tc.pool {
-			t.Errorf("ExecutorFor(%s).UsesPool() = %v, want %v", tc.mode, exec.UsesPool(), tc.pool)
+		if pooled != tc.pool {
+			t.Errorf("ModeFor(%s) pooled = %v, want %v", tc.kind, pooled, tc.pool)
 		}
 	}
-	if _, err := ExecutorFor(ModeKind("bogus")); err == nil {
-		t.Error("ExecutorFor(bogus) did not fail")
+
+	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
+	f := startFramework(t, rt, 3)
+	srv, err := NewJobServer(f, JobServerConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ExecutorFor(ModeSpeculative); err == nil {
-		t.Error("ExecutorFor(speculative) did not fail: the race is a JobServer routing mode, not an executor")
+	names, _ := stageInput(t, rt, 4, 1<<20)
+	var raced *mapreduce.Result
+	for _, kind := range []ModeKind{ModeSpeculative, ModeMemo, "bogus"} {
+		if _, _, err := ModeFor(kind, FullUPlus()); err == nil {
+			t.Errorf("ModeFor(%s) did not fail", kind)
+		}
+		var res *mapreduce.Result
+		f.Submit(kind, testWCSpec(names, "/out/"+string(kind)), func(r *mapreduce.Result) { res = r })
+		if res == nil || res.Err == nil {
+			t.Errorf("Framework.Submit(%s) = %+v, want an error result", kind, res)
+		}
+		err := srv.Submit("", kind, testWCSpec(names, "/out/srv-"+string(kind)), func(r *mapreduce.Result) {
+			raced = r
+			rt.RM.Stop()
+		})
+		if (err == nil) != (kind == ModeSpeculative) {
+			t.Errorf("JobServer.Submit(%s) = %v", kind, err)
+		}
+	}
+	rt.Eng.RunUntil(horizon)
+	if raced == nil || raced.Err != nil {
+		t.Fatalf("the speculative job did not complete through the race: %+v", raced)
 	}
 }

@@ -76,8 +76,8 @@ func (f *Framework) SubmitSpeculative(spec *mapreduce.JobSpec, done func(*SpecRe
 	// hit ends the whole workflow — no mode ever runs, so there is nothing
 	// to decide and no outcome to record (a served result must not feed the
 	// estimator's calibration with near-zero elapsed times). On a miss the
-	// commit hook rides each branch's completion; speculate's branches submit
-	// through submitNoMemo/race so the one lookup here is the only one.
+	// commit hook rides each branch's completion; speculate's branches start
+	// their submissions directly, so the one lookup here is the only one.
 	f.viaMemo(spec, func(res *mapreduce.Result) {
 		done(&SpecResult{Result: res, Winner: ModeMemo})
 	}, func(commit func(*mapreduce.Result)) {
@@ -92,55 +92,44 @@ func (f *Framework) SubmitSpeculative(spec *mapreduce.JobSpec, done func(*SpecRe
 
 // speculate is SubmitSpeculative past the memoization hook: steps 2–6.
 func (f *Framework) speculate(spec *mapreduce.JobSpec, done func(*SpecResult)) {
-	// Pre-decision from history (step 2).
-	if winner, ok := f.History.Winner(spec.Key()); ok {
-		f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", "history"))
-		exec := Executor(uplusExecutor{})
-		if winner == ModeDPlus {
-			exec = dplusExecutor{}
-		}
-		f.submitNoMemo(exec, spec, func(res *mapreduce.Result) {
-			f.recordOutcome(spec, winner, res)
-			out := &SpecResult{Result: res, Winner: winner, FromHistory: true}
-			if res.Profile != nil {
-				out.Span = res.Profile.Span
-			}
+	// direct runs one pre-decided mode alone, like a single-mode submission.
+	direct := func(s *mapreduce.Submission, out *SpecResult, after func(*mapreduce.Result)) {
+		s.Start(f.RT, spec, func(res *mapreduce.Result) {
+			f.recordOutcome(spec, out.Winner, res)
+			after(res)
+			out.Result, out.Span = res, res.Profile.Span
 			done(out)
 		})
-		return
+	}
+
+	// Pre-decision from history (step 2).
+	if winner, ok := f.History.Winner(spec.Key()); ok {
+		if s, err := f.submission(winner); err == nil {
+			f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", "history"))
+			direct(s, &SpecResult{Winner: winner, FromHistory: true}, func(*mapreduce.Result) {})
+			return
+		}
 	}
 
 	// Pre-decision from the calibrating estimator: a job whose workload
 	// class has converged launches the projected winner directly — no 2×
 	// dual-launch — and its outcome keeps calibrating the class.
 	if pred, ok := f.PredictMode(spec); ok {
-		exec, err := ExecutorFor(pred.Mode)
-		if err == nil {
+		if s, err := f.submission(pred.Mode); err == nil {
 			f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", "prediction"))
 			f.RT.Trace.Add("proxy", "estimator pre-decision: %s direct (predicted %s, class %s over %d runs)",
 				pred.Mode, pred.Runtime, pred.Class, pred.Runs)
-			f.submitNoMemo(exec, spec, func(res *mapreduce.Result) {
-				f.recordOutcome(spec, pred.Mode, res)
-				f.accountPrediction(pred, spec, res)
-				out := &SpecResult{
-					Result: res, Winner: pred.Mode,
-					FromPrediction: true, Predicted: pred.Runtime,
-					EstimateD: pred.EstimateD, EstimateU: pred.EstimateU,
-				}
-				if res.Profile != nil {
-					out.Span = res.Profile.Span
-				}
-				done(out)
-			})
+			direct(s, &SpecResult{
+				Winner:         pred.Mode,
+				FromPrediction: true, Predicted: pred.Runtime,
+				EstimateD: pred.EstimateD, EstimateU: pred.EstimateU,
+			}, func(res *mapreduce.Result) { f.accountPrediction(pred, spec, res) })
 			return
 		}
 	}
 
 	f.RT.Reg.Inc("estimator_race_total")
-	root := f.RT.Trace.StartSpan(0, "job", spec.Name, "", trace.A("mode", "speculative"))
-	uploadStart := f.RT.Eng.Now()
-	f.RT.UploadArtifacts(spec, func(err error) {
-		f.RT.Trace.SpanSince(root, "client", "upload artifacts", "submit", uploadStart)
+	mapreduce.Stage(f.RT, spec, string(ModeSpeculative), func(root trace.SpanID, err error) {
 		if err != nil {
 			f.RT.Trace.EndSpan(root, trace.A("error", err.Error()))
 			done(&SpecResult{Result: &mapreduce.Result{Spec: spec, Err: err}, Span: root})
@@ -163,9 +152,9 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 	out := &SpecResult{Span: root}
 	decided := false
 	finished := false
-	var dHandle, uHandle *handle
-	var dSample, uSample *profiler.TaskProfile
-	crashed := map[ModeKind]bool{}
+	handles := map[ModeKind]*mapreduce.Submission{}
+	var sample *profiler.TaskProfile
+	gone := map[ModeKind]bool{} // modes that crashed or that the decision maker killed
 	var firstErr error
 
 	finish := func(winner ModeKind, res *mapreduce.Result) {
@@ -175,11 +164,8 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 		finished = true
 		// Kill the loser if it is still running (a finished mode's kill is
 		// a no-op).
-		if winner == ModeDPlus && uHandle != nil {
-			uHandle.Kill()
-		}
-		if winner == ModeUPlus && dHandle != nil {
-			dHandle.Kill()
+		if h := handles[loserOf(winner)]; h != nil {
+			h.Kill()
 		}
 		// Promote the winner's output and discard the loser's — from HDFS
 		// and the intermediate store both, since intra-query stages commit
@@ -201,43 +187,31 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 		done(out)
 	}
 
-	// handleOf returns the launch handle for a mode (once assigned).
-	handleOf := func(mode ModeKind) *handle {
-		if mode == ModeDPlus {
-			return dHandle
+	// amLost answers the lifecycle when a racing mode lost its AM's node: the
+	// last mode that could still produce output is relaunched alone, the way a
+	// single-mode submission is (the verdict may kill D+ while U+'s AM sits on
+	// a crashed node the RM has not expired yet); otherwise the loss is a
+	// crash like any other and the mode drops out.
+	amLost := func(mode ModeKind) func() bool {
+		return func() bool {
+			// The estimator must not kill the sole survivor after this point.
+			decided = true
+			return !finished && gone[loserOf(mode)]
 		}
-		return uHandle
 	}
 
 	// dropOut removes a crashed mode from the race. If the other mode is
-	// still runnable it simply inherits the win. If it already crashed or was
-	// killed by the decision maker, this was the last mode that could produce
-	// output: one that merely lost its AM's node is relaunched alone, the way
-	// a single-mode submission is (the verdict may kill D+ while U+'s AM sits
-	// on a crashed node the RM has not expired yet); any other crash fails
-	// the job with the first crash's error.
-	var modeDone func(ModeKind) func(*mapreduce.Result)
-	relaunched := false
+	// still runnable it simply inherits the win; if not, this was the last
+	// mode that could produce output and the job fails with the first
+	// crash's error.
 	dropOut := func(mode ModeKind, res *mapreduce.Result) {
 		if finished {
 			return
 		}
-		// The estimator must not kill the sole survivor after this point.
 		decided = true
 		other := loserOf(mode)
-		otherH := handleOf(other)
-		last := crashed[other] || (otherH != nil && otherH.killed)
-		if last && !relaunched {
-			exec, mSpec := Executor(dplusExecutor{}), &dSpec
-			if mode == ModeUPlus {
-				exec, mSpec = uplusExecutor{}, &uSpec
-			}
-			if f.retryLostAM(mSpec, 1, res, func() { f.run(exec, mSpec, 2, root, modeDone(mode)) }) {
-				relaunched = true
-				return
-			}
-		}
-		crashed[mode] = true
+		last := gone[other]
+		gone[mode] = true
 		if firstErr == nil {
 			firstErr = res.Err
 		}
@@ -253,7 +227,7 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 
 	// modeDone routes a mode's completion: clean finishes arbitrate the
 	// race, crashes drop the mode out.
-	modeDone = func(mode ModeKind) func(*mapreduce.Result) {
+	modeDone := func(mode ModeKind) func(*mapreduce.Result) {
 		return func(res *mapreduce.Result) {
 			if res.Err != nil {
 				dropOut(mode, res)
@@ -268,13 +242,6 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 	// first sample from either mode suffices.
 	decide := func() {
 		if decided || finished {
-			return
-		}
-		sample := dSample
-		if sample == nil {
-			sample = uSample
-		}
-		if sample == nil {
 			return
 		}
 		decided = true
@@ -295,25 +262,27 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 			trace.A("projected_winner", string(projected)))
 		f.RT.Trace.Add("proxy", "speculative decision: %s projected to win (D+=%s U+=%s)",
 			projected, out.EstimateD, out.EstimateU)
-		if projected == ModeDPlus {
-			uHandle.Kill()
-		} else {
-			dHandle.Kill()
-		}
+		gone[loserOf(projected)] = true
+		handles[loserOf(projected)].Kill()
 	}
 
-	dHandle = f.launch(dplusExecutor{}, &dSpec, root, func(tp *profiler.TaskProfile) {
-		if dSample == nil {
-			dSample = tp
-			decide()
+	// Both modes go through the one submission lifecycle, already staged
+	// under the race's root.
+	for _, m := range []struct {
+		mode ModeKind
+		spec *mapreduce.JobSpec
+	}{{ModeDPlus, &dSpec}, {ModeUPlus, &uSpec}} {
+		s, _ := f.submission(m.mode)
+		s.OnAMLost = amLost(m.mode)
+		s.OnMap = func(tp *profiler.TaskProfile) {
+			if sample == nil {
+				sample = tp
+				decide()
+			}
 		}
-	}, modeDone(ModeDPlus))
-	uHandle = f.launch(uplusExecutor{}, &uSpec, root, func(tp *profiler.TaskProfile) {
-		if uSample == nil {
-			uSample = tp
-			decide()
-		}
-	}, modeDone(ModeUPlus))
+		handles[m.mode] = s
+		s.StartStaged(f.RT, m.spec, root, modeDone(m.mode))
+	}
 }
 
 func loserOf(winner ModeKind) ModeKind {
