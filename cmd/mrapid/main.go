@@ -42,7 +42,6 @@ import (
 	"mrapid/internal/profiler"
 	"mrapid/internal/query"
 	"mrapid/internal/report"
-	"mrapid/internal/sim"
 	"mrapid/internal/trace"
 	"mrapid/internal/workloads"
 	"mrapid/internal/yarn"
@@ -296,7 +295,7 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	mkVariant, ok := map[string]func() bench.Variant{
 		"hadoop": bench.VariantHadoop, "uber": bench.VariantUber,
 		"dplus": bench.VariantDPlus, "uplus": bench.VariantUPlus,
-		"speculative": bench.VariantDPlus, // D+ scheduler + framework; both modes race
+		"speculative": bench.VariantSpeculative,
 	}[*mode]
 	if !ok {
 		return fmt.Errorf("unknown mode %q", *mode)
@@ -339,85 +338,56 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	// The figure sweeps name jobs by their size; the CLI's are the -job value.
 	spec.Name, spec.OutputFile = *job, "/out"
 
-	var prof *profiler.JobProfile
-	var winner string
-	var root trace.SpanID
+	runs := 1
 	if *mode == "speculative" {
 		env.FW.Predict = *predict
-		repeat := max(*repeat, 1)
-		var res *core.SpecResult
-		for i := 0; i < repeat; i++ {
-			run := *spec
-			if repeat > 1 {
-				// Fresh job keys keep the exact-match history out of the
-				// picture: only the class estimator can pre-decide, which is
-				// what -repeat is for. Earlier runs land in scratch outputs;
-				// the final one writes the real /out the verifiers read.
-				run.Name = fmt.Sprintf("%s#run%d", spec.Name, i+1)
-				run.JobKey = run.Name
-				if i < repeat-1 {
-					run.OutputFile = fmt.Sprintf("%s.run%d", spec.OutputFile, i+1)
-				}
-			}
-			res = nil
-			env.Eng.After(0, func() {
-				if i > 0 {
-					env.RM.Start() // the previous run's completion stopped it
-				}
-				env.FW.SubmitSpeculative(&run, func(r *core.SpecResult) {
-					res = r
-					env.RM.Stop()
-					// Stop the recorder with the first completion so its
-					// ticker doesn't keep the event queue alive to the
-					// horizon; with -repeat the flight artifacts therefore
-					// cover run 1.
-					env.Flight.StopIfRunning()
-				})
-			})
-			env.Eng.RunUntil(sim.Time(1 << 42))
-			if res == nil {
-				return fmt.Errorf("job did not finish")
-			}
-			if res.Result.Err != nil {
-				return res.Result.Err
-			}
-			if repeat > 1 {
-				how := "raced"
-				switch {
-				case res.Winner == core.ModeMemo:
-					how = "served from the memo cache"
-				case res.FromPrediction:
-					how = "pre-decided (class estimator)"
-				case res.FromHistory:
-					how = "pre-decided (exact history)"
-				}
-				fmt.Printf("run %d/%d: winner=%s %s elapsed=%.2fs\n",
-					i+1, repeat, res.Winner, how, res.Result.Profile.Elapsed().Seconds())
+		runs = max(*repeat, 1)
+	}
+	var res *mapreduce.Result
+	for i := 0; i < runs; i++ {
+		run := *spec
+		if runs > 1 {
+			// Fresh job keys keep the exact-match history out of the
+			// picture: only the class estimator can pre-decide, which is
+			// what -repeat is for. Earlier runs land in scratch outputs;
+			// the final one writes the real /out the verifiers read. The
+			// flight artifacts cover run 1.
+			run.Name = fmt.Sprintf("%s#run%d", spec.Name, i+1)
+			run.JobKey = run.Name
+			if i < runs-1 {
+				run.OutputFile = fmt.Sprintf("%s.run%d", spec.OutputFile, i+1)
 			}
 		}
-		prof, winner, root = res.Result.Profile, string(res.Winner), res.Span
+		if res, err = env.Run(variant, &run); err != nil {
+			return err
+		}
+		if runs > 1 {
+			how := map[string]string{
+				profiler.ByRace:       "raced",
+				profiler.ByMemo:       "served from the memo cache",
+				profiler.ByPrediction: "pre-decided (class estimator)",
+				profiler.ByHistory:    "pre-decided (exact history)",
+			}[res.Profile.Decision.Source]
+			fmt.Printf("run %d/%d: winner=%s %s elapsed=%.2fs\n", i+1, runs, res.Mode, how, res.Elapsed())
+		}
+	}
+	prof := res.Profile
+	if d := prof.Decision; *mode == "speculative" {
 		fmt.Printf("speculative execution: winner=%s fromHistory=%v fromPrediction=%v\n",
-			res.Winner, res.FromHistory, res.FromPrediction)
-		if res.EstimateD > 0 {
+			res.Mode, d.Source == profiler.ByHistory, d.Source == profiler.ByPrediction)
+		if d.EstimateD > 0 {
 			fmt.Printf("estimates: t_d=%.2fs t_u=%.2fs (decided at %s)\n",
-				res.EstimateD.Seconds(), res.EstimateU.Seconds(), res.DecidedAt)
+				d.EstimateD.Seconds(), d.EstimateU.Seconds(), d.At)
 		}
-		if res.FromPrediction {
-			fmt.Printf("predicted runtime: %.2fs (actual %.2fs)\n",
-				res.Predicted.Seconds(), prof.Elapsed().Seconds())
+		if d.Source == profiler.ByPrediction {
+			fmt.Printf("predicted runtime: %.2fs (actual %.2fs)\n", d.Predicted.Seconds(), res.Elapsed())
 		}
 		if *showHist {
 			printHistory(env.FW.History)
 		}
-	} else {
-		r, err := env.Run(variant, spec)
-		if err != nil {
-			return err
-		}
-		prof, winner, root = r.Profile, r.Mode, r.Profile.Span
 	}
 
-	label := fmt.Sprintf("job=%s mode=%s cluster=%s", *job, winner, *cluster)
+	label := fmt.Sprintf("job=%s mode=%s cluster=%s", *job, res.Mode, *cluster)
 	fmt.Println(label)
 	fmt.Printf("completion time: %.2f virtual seconds\n", prof.Elapsed().Seconds())
 	fmt.Printf("timeline: submitted=%s amReady=%s firstTask=%s mapsDone=%s done=%s\n",
@@ -457,7 +427,7 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	}
 
 	if observe {
-		rep, err := report.Analyze(env.Trace, root)
+		rep, err := report.Analyze(env.Trace, prof.Root())
 		if err != nil {
 			return err
 		}

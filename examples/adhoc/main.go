@@ -13,8 +13,7 @@ import (
 	"log"
 
 	"mrapid/internal/bench"
-	"mrapid/internal/core"
-	"mrapid/internal/mapreduce"
+	"mrapid/internal/profiler"
 	"mrapid/internal/workloads"
 )
 
@@ -35,7 +34,8 @@ func stageInputs(env *bench.Env, job int) ([]string, error) {
 // (the frontend waits for each stage's output), and returns the total
 // virtual time.
 func runStockBurst() (float64, error) {
-	env, err := bench.NewEnv(bench.A3x4(), bench.VariantHadoop())
+	v := bench.VariantHadoop()
+	env, err := bench.NewEnv(bench.A3x4(), v)
 	if err != nil {
 		return 0, err
 	}
@@ -46,25 +46,21 @@ func runStockBurst() (float64, error) {
 			return 0, err
 		}
 		spec := workloads.WordCountSpec(fmt.Sprintf("query-stage-%d", j), inputs, fmt.Sprintf("/out/q%d", j), false)
-		var res *mapreduce.Result
-		env.Eng.After(0, func() {
-			mapreduce.Submit(env.RT, spec, mapreduce.ModeDistributed, func(r *mapreduce.Result) { res = r })
-		})
-		env.Eng.RunUntil(env.Eng.Now().Add(1 << 41))
-		if res == nil || res.Err != nil {
-			return 0, fmt.Errorf("stage %d failed: %+v", j, res)
+		res, err := env.Run(v, spec)
+		if err != nil {
+			return 0, fmt.Errorf("stage %d failed: %w", j, err)
 		}
 		total += res.Elapsed()
 		fmt.Printf("  stock  stage %d: %6.2fs\n", j, res.Elapsed())
 	}
-	env.RM.Stop()
 	return total, nil
 }
 
 // runMRapidBurst submits the burst through the framework with speculative
 // execution and history reuse.
 func runMRapidBurst() (float64, error) {
-	env, err := bench.NewEnv(bench.A3x4(), bench.VariantDPlus())
+	v := bench.VariantSpeculative()
+	env, err := bench.NewEnv(bench.A3x4(), v)
 	if err != nil {
 		return 0, err
 	}
@@ -76,22 +72,17 @@ func runMRapidBurst() (float64, error) {
 		}
 		spec := workloads.WordCountSpec(fmt.Sprintf("query-stage-%d", j), inputs, fmt.Sprintf("/out/q%d", j), false)
 		spec.JobKey = "adhoc-query-stage" // one program identity: history carries over
-		var res *core.SpecResult
-		env.Eng.After(0, func() {
-			env.FW.SubmitSpeculative(spec, func(r *core.SpecResult) { res = r })
-		})
-		env.Eng.RunUntil(env.Eng.Now().Add(1 << 41))
-		if res == nil || res.Result.Err != nil {
-			return 0, fmt.Errorf("stage %d failed: %+v", j, res)
+		res, err := env.Run(v, spec)
+		if err != nil {
+			return 0, fmt.Errorf("stage %d failed: %w", j, err)
 		}
 		tag := "speculated"
-		if res.FromHistory {
+		if res.Profile.Decision.Source == profiler.ByHistory {
 			tag = "from history"
 		}
 		total += res.Elapsed()
-		fmt.Printf("  mrapid stage %d: %6.2fs  winner=%-5s (%s)\n", j, res.Elapsed(), res.Winner, tag)
+		fmt.Printf("  mrapid stage %d: %6.2fs  winner=%-5s (%s)\n", j, res.Elapsed(), res.Mode, tag)
 	}
-	env.RM.Stop()
 	fmt.Printf("  AM pool served %d dispatches with %d reserved AMs\n",
 		env.FW.Pool.Dispatches, env.FW.Pool.Size())
 	return total, nil

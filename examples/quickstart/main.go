@@ -12,6 +12,7 @@ import (
 	"mrapid/internal/costmodel"
 	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/profiler"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 	"mrapid/internal/workloads"
@@ -59,22 +60,24 @@ func main() {
 
 	// 5. Submit speculatively: with no history, both D+ and U+ race; the
 	//    decision maker estimates both (Equations 2–3) and kills the loser.
-	var result *core.SpecResult
+	var result *mapreduce.Result
 	eng.After(0, func() {
-		fw.SubmitSpeculative(spec, func(r *core.SpecResult) {
+		fw.Submit(core.ModeSpeculative, spec, func(r *mapreduce.Result) {
 			result = r
 			rm.Stop()
 		})
 	})
 	eng.RunUntil(sim.Time(1 << 42))
-	if result == nil || result.Result.Err != nil {
+	if result == nil || result.Err != nil {
 		log.Fatalf("job failed: %+v", result)
 	}
 
-	fmt.Printf("winner: %s (from history: %v)\n", result.Winner, result.FromHistory)
-	if result.EstimateD > 0 {
+	// What the decision maker did is on the result's profile.
+	d := result.Profile.Decision
+	fmt.Printf("winner: %s (from history: %v)\n", result.Mode, d.Source == profiler.ByHistory)
+	if d.EstimateD > 0 {
 		fmt.Printf("estimator verdict at %s: t_d=%.2fs t_u=%.2fs\n",
-			result.DecidedAt, result.EstimateD.Seconds(), result.EstimateU.Seconds())
+			d.At, d.EstimateD.Seconds(), d.EstimateU.Seconds())
 	}
 	fmt.Printf("completion: %.2f virtual seconds\n", result.Elapsed())
 
@@ -100,18 +103,18 @@ func main() {
 	// 7. Submit the same program again: the history answers instantly and
 	//    only the winning mode runs.
 	spec2 := workloads.WordCountSpec("quickstart-wc-2", inputs, "/out/wc2", false)
-	var second *core.SpecResult
+	var second *mapreduce.Result
 	eng.After(0, func() {
 		rm.Start()
-		fw.SubmitSpeculative(spec2, func(r *core.SpecResult) {
+		fw.Submit(core.ModeSpeculative, spec2, func(r *mapreduce.Result) {
 			second = r
 			rm.Stop()
 		})
 	})
 	eng.RunUntil(eng.Now().Add(1 << 42))
-	if second == nil || second.Result.Err != nil {
+	if second == nil || second.Err != nil {
 		log.Fatalf("second job failed: %+v", second)
 	}
 	fmt.Printf("second run: winner=%s fromHistory=%v, %.2fs (vs %.2fs speculative)\n",
-		second.Winner, second.FromHistory, second.Elapsed(), result.Elapsed())
+		second.Mode, second.Profile.Decision.Source == profiler.ByHistory, second.Elapsed(), result.Elapsed())
 }

@@ -11,8 +11,6 @@ import (
 	"log"
 
 	"mrapid/internal/bench"
-	"mrapid/internal/mapreduce"
-	"mrapid/internal/sim"
 	"mrapid/internal/workloads"
 )
 
@@ -78,16 +76,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var res *mapreduce.Result
-	env.Eng.After(0, func() {
-		env.FW.SubmitUPlus(spec, func(r *mapreduce.Result) {
-			res = r
-			env.RM.Stop()
-		})
-	})
-	env.Eng.RunUntil(sim.Time(1 << 42))
-	if res == nil || res.Err != nil {
-		log.Fatalf("3-reduce sort failed: %+v", res)
+	res, err := env.Run(bench.VariantUPlus(), spec)
+	if err != nil {
+		log.Fatalf("3-reduce sort failed: %v", err)
 	}
 	if err := workloads.VerifyTeraSortOutput(env.DFS, "/out/ts3", 3, rows); err != nil {
 		log.Fatal(err)

@@ -110,6 +110,14 @@ func VariantDPlus() Variant {
 	}
 }
 
+// VariantSpeculative is the D+ environment with the decision maker picking
+// the mode: history, a class prediction, or the D+/U+ race.
+func VariantSpeculative() Variant {
+	v := VariantDPlus()
+	v.Name, v.Mode = "speculative", core.ModeSpeculative
+	return v
+}
+
 func VariantUPlus() Variant {
 	return Variant{
 		Name:         "uplus",
@@ -238,13 +246,19 @@ func (e *Env) CheckResidency() error {
 func (e *Env) Close() { e.RT.CloseWorkers() }
 
 // Run executes one job under the variant and returns the client-observed
-// result. The simulation is driven until the job completes.
+// result. The simulation is driven until the job completes; an env can Run
+// one job after another.
 func (e *Env) Run(v Variant, spec *mapreduce.JobSpec) (*mapreduce.Result, error) {
 	var res *mapreduce.Result
 	e.Eng.After(0, func() {
+		if !e.RM.Started() {
+			e.RM.Start() // an earlier Run's completion stopped it
+		}
 		done := func(r *mapreduce.Result) {
 			res = r
 			e.RM.Stop()
+			// The recorder stops with the first completion so its ticker
+			// doesn't keep the event queue alive to the horizon.
 			e.Flight.StopIfRunning()
 		}
 		if e.FW != nil {

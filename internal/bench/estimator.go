@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mrapid/internal/core"
+	"mrapid/internal/mapreduce"
 	"mrapid/internal/profiler"
 	"mrapid/internal/workloads"
 )
@@ -31,24 +32,17 @@ func EstimatorAccuracy(o Options) (*Figure, error) {
 		var measured = map[core.ModeKind]float64{}
 		var sample *profiler.Summary
 		for _, v := range []Variant{VariantDPlus(), VariantUPlus()} {
-			env, err := NewEnv(o.Apply(A3x4()), v)
-			if err != nil {
-				return nil, err
-			}
-			defer env.Close()
-			names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
-				Files: files, FileBytes: o.bytes(10 * mb), Seed: o.Seed,
+			res, _, err := runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+				names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
+					Files: files, FileBytes: o.bytes(10 * mb), Seed: o.Seed,
+				})
+				return workloads.WordCountSpec(fmt.Sprintf("est-%d", files), names, "/out", false), err
 			})
 			if err != nil {
 				return nil, err
 			}
-			spec := workloads.WordCountSpec(fmt.Sprintf("est-%d", files), names, "/out", false)
-			res, err := env.Run(v, spec)
-			if err != nil {
-				return nil, err
-			}
-			measured[core.ModeKind(v.Name)] = res.Elapsed()
-			if v.Name == "dplus" {
+			measured[v.Mode] = res.Elapsed()
+			if v.Mode == core.ModeDPlus {
 				s := res.Profile.Summarize()
 				sample = &s
 			}

@@ -162,31 +162,27 @@ func StagePi(env *Env, maps int, samples int64) (*mapreduce.JobSpec, error) {
 }
 
 // runJob stages one job on a fresh simulation of setup, runs it under the
-// variant, and returns the completion time in seconds with the file system
-// holding the job's output.
-func runJob(setup ClusterSetup, v Variant, o Options, stage func(*Env) (*mapreduce.JobSpec, error)) (float64, *hdfs.DFS, error) {
+// variant, and returns its result with the file system holding its output.
+func runJob(setup ClusterSetup, v Variant, o Options, stage func(*Env) (*mapreduce.JobSpec, error)) (*mapreduce.Result, *hdfs.DFS, error) {
 	env, err := NewEnv(o.Apply(setup), v)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	defer env.Close()
 	spec, err := stage(env)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	res, err := env.Run(v, spec)
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.Elapsed(), env.DFS, nil
+	return res, env.DFS, err
 }
 
 // runWordCount is runJob over one WordCount configuration.
 func runWordCount(setup ClusterSetup, v Variant, files int, fileBytes int64, o Options) (float64, error) {
-	secs, _, err := runJob(setup, v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+	res, _, err := runJob(setup, v, o, func(env *Env) (*mapreduce.JobSpec, error) {
 		return StageWordCount(env, files, fileBytes, o.Seed)
 	})
-	return secs, err
+	return res.Elapsed(), err
 }
 
 // sweep runs every variant at every x-position through run().
@@ -282,7 +278,7 @@ func Fig10(o Options) (*Figure, error) {
 		if rows < 4 {
 			rows = 4
 		}
-		secs, dfs, err := runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+		res, dfs, err := runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
 			return StageTeraSort(env, rows, 4, o.Seed)
 		})
 		if err != nil {
@@ -291,7 +287,7 @@ func Fig10(o Options) (*Figure, error) {
 		if err := workloads.VerifyTeraSortOutput(dfs, "/out/ts", 1, rows); err != nil {
 			return 0, fmt.Errorf("bench: terasort output invalid: %w", err)
 		}
-		return secs, nil
+		return res.Elapsed(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -313,10 +309,10 @@ func Fig11(o Options) (*Figure, error) {
 		if samples < 4 {
 			samples = 4
 		}
-		secs, _, err := runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
+		res, _, err := runJob(A3x4(), v, o, func(env *Env) (*mapreduce.JobSpec, error) {
 			return StagePi(env, 4, samples)
 		})
-		return secs, err
+		return res.Elapsed(), err
 	})
 	if err != nil {
 		return nil, err

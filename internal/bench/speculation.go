@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"mrapid/internal/core"
+	"mrapid/internal/profiler"
 	"mrapid/internal/workloads"
 )
 
@@ -16,8 +16,7 @@ import (
 // paper accepts on first runs.
 func SpeculationOverhead(o Options) (firstRun, historyRun float64, err error) {
 	o = o.normalized()
-	v := VariantDPlus()
-	v.UOpts = core.FullUPlus()
+	v := VariantSpeculative()
 	env, err := NewEnv(o.Apply(A3x4()), v)
 	if err != nil {
 		return 0, 0, err
@@ -29,37 +28,19 @@ func SpeculationOverhead(o Options) (firstRun, historyRun float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-
-	submit := func(name, out string) (*core.SpecResult, error) {
-		spec := workloads.WordCountSpec(name, inputs, out, false)
-		var res *core.SpecResult
-		env.Eng.After(0, func() {
-			env.FW.SubmitSpeculative(spec, func(r *core.SpecResult) { res = r })
-		})
-		env.Eng.RunUntil(env.Eng.Now().Add(1 << 41))
-		if res == nil {
-			return nil, fmt.Errorf("bench: speculative job %q hung", name)
-		}
-		if res.Result.Err != nil {
-			return nil, res.Result.Err
-		}
-		return res, nil
-	}
-
-	first, err := submit("spec-first", "/out/first")
+	first, err := env.Run(v, workloads.WordCountSpec("spec-first", inputs, "/out/first", false))
 	if err != nil {
 		return 0, 0, err
 	}
-	if first.FromHistory {
-		return 0, 0, fmt.Errorf("bench: first run unexpectedly had history")
+	if src := first.Profile.Decision.Source; src != profiler.ByRace {
+		return 0, 0, fmt.Errorf("bench: first run did not race (decided by %q)", src)
 	}
-	second, err := submit("spec-second", "/out/second")
+	second, err := env.Run(v, workloads.WordCountSpec("spec-second", inputs, "/out/second", false))
 	if err != nil {
 		return 0, 0, err
 	}
-	if !second.FromHistory {
-		return 0, 0, fmt.Errorf("bench: second run ignored history")
+	if src := second.Profile.Decision.Source; src != profiler.ByHistory {
+		return 0, 0, fmt.Errorf("bench: second run ignored history (decided by %q)", src)
 	}
-	env.RM.Stop()
-	return first.Elapsed(), second.Elapsed(), env.CheckResidency()
+	return first.Elapsed(), second.Elapsed(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mrapid/internal/mapreduce"
-	"mrapid/internal/rpc"
 	"mrapid/internal/topology"
 	"mrapid/internal/yarn"
 )
@@ -45,10 +44,6 @@ type Pool struct {
 	waiters []func(*PooledAM)
 	nextID  int
 
-	// link carries the proxy↔AM control RPCs (the paper implements these
-	// over Spring Hadoop).
-	link *rpc.Link
-
 	// Dispatches counts jobs served; Lost counts AMs that died with their
 	// node; Replenished counts background replacement launches.
 	Dispatches  int64
@@ -62,15 +57,8 @@ func NewPool(rt *mapreduce.Runtime, size int) *Pool {
 	if size < 0 {
 		panic("core: negative pool size")
 	}
-	return &Pool{
-		rt:   rt,
-		size: size,
-		link: rpc.NewLink(rt.Eng, "proxy-am", rt.Params.RPCLatency, 0),
-	}
+	return &Pool{rt: rt, size: size}
 }
-
-// Link exposes the proxy↔AM RPC link for metrics.
-func (p *Pool) Link() *rpc.Link { return p.link }
 
 // Size returns the configured pool size.
 func (p *Pool) Size() int { return p.size }
@@ -186,9 +174,9 @@ func (p *Pool) Acquire(fn func(*PooledAM)) {
 }
 
 // Release returns an AM to the pool for the next short job. The completion
-// report travels AM→proxy over the same link as Acquire's dispatch, and is
-// charged the same RPC — the accounting must be symmetric. A lost AM is not
-// re-idled; its replacement is already launching.
+// report travels AM→proxy and is charged the same RPC as Acquire's dispatch
+// (the paper runs both over Spring Hadoop) — the accounting must be symmetric.
+// A lost AM is not re-idled; its replacement is already launching.
 func (p *Pool) Release(am *PooledAM) {
 	if !am.busy {
 		panic(fmt.Sprintf("core: AM %d released while idle", am.ID))
@@ -198,7 +186,7 @@ func (p *Pool) Release(am *PooledAM) {
 	if am.lost {
 		return
 	}
-	p.link.Send(0, func() {
+	p.rt.Eng.After(p.rt.Params.RPCLatency, func() {
 		if am.lost {
 			// The node died while the completion report was in flight.
 			return
@@ -216,7 +204,7 @@ func (p *Pool) dispatch() {
 		p.waiters = p.waiters[1:]
 		am.busy = true
 		p.Dispatches++
-		p.link.Send(0, func() {
+		p.rt.Eng.After(p.rt.Params.RPCLatency, func() {
 			if am.lost {
 				// The AM died while the dispatch RPC was in flight: put the
 				// job back at the head of the queue for the next AM (or the

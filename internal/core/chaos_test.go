@@ -47,7 +47,7 @@ func runChaosDPlus(t *testing.T, seed int64, faults []mapreduce.NodeFault) (*map
 	}
 	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
+		f.Submit(ModeDPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
 	})
 	rt.Eng.RunUntil(rt.Eng.Now().Add(600 * time.Second))
 	rt.RM.Stop()
@@ -91,7 +91,7 @@ func TestPoolAMNodeCrashReplenished(t *testing.T) {
 	var res *mapreduce.Result
 	rt.Eng.After(500*time.Millisecond, victim.Fail)
 	rt.Eng.After(0, func() {
-		f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
+		f.Submit(ModeDPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
 	})
 	rt.Eng.RunUntil(rt.Eng.Now().Add(600 * time.Second))
 	rt.RM.Stop()
@@ -131,7 +131,7 @@ func TestPoolExhaustionFallsBackToStock(t *testing.T) {
 		}
 		submitted = true
 		written = rt.DFS.BytesWritten
-		f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) {
+		f.Submit(ModeDPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) {
 			res = r
 			written = rt.DFS.BytesWritten - written
 		})
@@ -190,9 +190,9 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 	rt := chaosRuntime(t, 1)
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 8, 8<<20)
-	var res *SpecResult
+	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitSpeculative(testWCSpec(names, "/out"), func(r *SpecResult) { res = r })
+		f.Submit(ModeSpeculative, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
 	})
 	// Crash the first pooled AM to go busy — one of the two racing modes —
 	// the moment it acquires, well before the estimator's decision point.
@@ -218,11 +218,11 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 	if res == nil {
 		t.Fatal("speculative job did not finish")
 	}
-	if res.Result.Err != nil {
-		t.Fatalf("speculative job failed: %v", res.Result.Err)
+	if res.Err != nil {
+		t.Fatalf("speculative job failed: %v", res.Err)
 	}
 	verifyWC(t, rt, "/out", all)
-	t.Logf("winner=%s", res.Winner)
+	t.Logf("winner=%s", ModeKind(res.Mode))
 }
 
 // The verdict can kill D+ while the projected winner's AM already sits on a
@@ -230,15 +230,15 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 // lost, no racing mode is left: the winner must be relaunched on a fresh
 // pooled AM, as a single-mode submission is, instead of failing the job.
 func TestSpeculativeRelaunchesWinnerLostAfterVerdict(t *testing.T) {
-	race := func(victim int, crashAt sim.Time) (*SpecResult, *Framework, *mapreduce.Runtime, []byte) {
+	race := func(victim int, crashAt sim.Time) (*mapreduce.Result, *Framework, *mapreduce.Runtime, []byte) {
 		rt := chaosRuntime(t, 1)
 		f := startFramework(t, rt, 3)
 		names, all := stageInput(t, rt, 4, 2<<20)
 		// The race takes the pool's first two idle AMs.
 		node := f.Pool.idle[victim].Node
-		var res *SpecResult
+		var res *mapreduce.Result
 		rt.Eng.After(0, func() {
-			f.SubmitSpeculative(testWCSpec(names, "/out"), func(r *SpecResult) { res = r })
+			f.Submit(ModeSpeculative, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
 		})
 		if crashAt > 0 {
 			rt.Eng.After(crashAt.Sub(rt.Eng.Now()), node.Fail)
@@ -251,8 +251,8 @@ func TestSpeculativeRelaunchesWinnerLostAfterVerdict(t *testing.T) {
 		return res, f, rt, all
 	}
 	clean, f, _, _ := race(0, 0)
-	if clean.Result.Err != nil || clean.Winner != ModeUPlus || clean.DecidedAt == 0 {
-		t.Fatalf("clean race: winner=%s decidedAt=%s err=%v, want a U+ verdict", clean.Winner, clean.DecidedAt, clean.Result.Err)
+	if clean.Err != nil || ModeKind(clean.Mode) != ModeUPlus || clean.Profile.Decision.At == 0 {
+		t.Fatalf("clean race: winner=%s decidedAt=%s err=%v, want a U+ verdict", ModeKind(clean.Mode), clean.Profile.Decision.At, clean.Err)
 	}
 	if f.Pool.Dispatches != 2 {
 		t.Fatalf("clean race dispatched %d AMs, want 2", f.Pool.Dispatches)
@@ -261,9 +261,9 @@ func TestSpeculativeRelaunchesWinnerLostAfterVerdict(t *testing.T) {
 	// inside the RM's expiry interval, so the verdict still sees both modes.
 	relaunches := 0
 	for victim := 0; victim < 2; victim++ {
-		res, f, rt, all := race(victim, clean.DecidedAt.Add(-500*time.Millisecond))
-		if res.Result.Err != nil {
-			t.Fatalf("victim AM %d: speculative job failed: %v", victim, res.Result.Err)
+		res, f, rt, all := race(victim, clean.Profile.Decision.At.Add(-500*time.Millisecond))
+		if res.Err != nil {
+			t.Fatalf("victim AM %d: speculative job failed: %v", victim, res.Err)
 		}
 		verifyWC(t, rt, "/out", all)
 		if f.Pool.Lost != 1 {
@@ -271,8 +271,8 @@ func TestSpeculativeRelaunchesWinnerLostAfterVerdict(t *testing.T) {
 		}
 		if f.Pool.Dispatches == 3 {
 			relaunches++
-			if res.Winner != ModeUPlus || res.DecidedAt == 0 {
-				t.Fatalf("victim AM %d: relaunched run reports winner=%s decidedAt=%s", victim, res.Winner, res.DecidedAt)
+			if ModeKind(res.Mode) != ModeUPlus || res.Profile.Decision.At == 0 {
+				t.Fatalf("victim AM %d: relaunched run reports winner=%s decidedAt=%s", victim, ModeKind(res.Mode), res.Profile.Decision.At)
 			}
 		}
 	}
@@ -303,7 +303,7 @@ func runColdUPlus(t *testing.T, queue string, arm func(rt *mapreduce.Runtime)) (
 	}
 	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitUPlus(spec, func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
+		f.Submit(ModeUPlus, spec, func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
 	})
 	rt.Eng.RunUntil(horizon)
 	if res == nil {

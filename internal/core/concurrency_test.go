@@ -32,18 +32,18 @@ func TestConcurrentSpeculativeJobs(t *testing.T) {
 	specB := testWCSpec(namesB, "/outB")
 	specB.Name, specB.JobKey = "jobB", "jobB"
 
-	var resA, resB *SpecResult
+	var resA, resB *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitSpeculative(specA, func(r *SpecResult) { resA = r })
-		f.SubmitSpeculative(specB, func(r *SpecResult) { resB = r })
+		f.Submit(ModeSpeculative, specA, func(r *mapreduce.Result) { resA = r })
+		f.Submit(ModeSpeculative, specB, func(r *mapreduce.Result) { resB = r })
 	})
 	rt.Eng.RunUntil(rt.Eng.Now().Add(1 << 41))
 	rt.RM.Stop()
 	if resA == nil || resB == nil {
 		t.Fatalf("jobs unfinished: A=%v B=%v", resA != nil, resB != nil)
 	}
-	if resA.Result.Err != nil || resB.Result.Err != nil {
-		t.Fatalf("errors: %v / %v", resA.Result.Err, resB.Result.Err)
+	if resA.Err != nil || resB.Err != nil {
+		t.Fatalf("errors: %v / %v", resA.Err, resB.Err)
 	}
 	verifyWC(t, rt, "/outA", allA)
 	verifyWC(t, rt, "/outB", allB)
@@ -67,9 +67,9 @@ func TestManySequentialJobsThroughPool(t *testing.T) {
 		var res *mapreduce.Result
 		rt.Eng.After(0, func() {
 			if j%2 == 0 {
-				f.SubmitDPlus(spec, func(r *mapreduce.Result) { res = r })
+				f.Submit(ModeDPlus, spec, func(r *mapreduce.Result) { res = r })
 			} else {
-				f.SubmitUPlus(spec, func(r *mapreduce.Result) { res = r })
+				f.Submit(ModeUPlus, spec, func(r *mapreduce.Result) { res = r })
 			}
 		})
 		rt.Eng.RunUntil(rt.Eng.Now().Add(1 << 39))
@@ -102,9 +102,9 @@ func TestSpeculativeJobsQueueOnSmallPool(t *testing.T) {
 			spec := testWCSpec(names, fmt.Sprintf("/outq%d", j))
 			spec.Name = fmt.Sprintf("qjob-%d", j)
 			spec.JobKey = fmt.Sprintf("qjob-%d", j) // distinct: all speculate
-			f.SubmitSpeculative(spec, func(r *SpecResult) {
-				if r.Result.Err != nil {
-					t.Errorf("job failed: %v", r.Result.Err)
+			f.Submit(ModeSpeculative, spec, func(r *mapreduce.Result) {
+				if r.Err != nil {
+					t.Errorf("job failed: %v", r.Err)
 				}
 				done++
 			})

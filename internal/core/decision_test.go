@@ -1,0 +1,121 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"mrapid/internal/mapreduce"
+	"mrapid/internal/memo"
+	"mrapid/internal/profiler"
+	"mrapid/internal/trace"
+)
+
+// TestDecisionRecordOnBothRoutes runs one job per way a mode can be come by
+// — fixed by the submitter, raced, pre-decided from the exact history,
+// predicted from the class, served from the memo cache — through
+// Framework.Submit directly and through JobServer.Submit, and checks that the
+// decision record on the result's profile says so on both routes, agrees with
+// Result.Mode, carries estimates exactly where the decision maker computed
+// them, and puts a race's verdict inside the job.
+func TestDecisionRecordOnBothRoutes(t *testing.T) {
+	for _, route := range []string{"Framework.Submit", "JobServer.Submit"} {
+		t.Run(route, func(t *testing.T) {
+			rt, reg := memoRuntime(t)
+			rt.Trace = trace.New(rt.Eng, 1<<12)
+			f := startFramework(t, rt, 3)
+			f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
+			f.Predict = true
+			srv, err := NewJobServer(f, JobServerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, _ := stageInput(t, rt, 4, 256<<10)
+
+			// Every job is the same program over the same bytes, so the class
+			// converges; key is its exact-history identity and content its
+			// cache identity, so each row meets exactly the records it should.
+			jobs := 0
+			run := func(kind ModeKind, key string, content int) *mapreduce.Result {
+				t.Helper()
+				jobs++
+				spec := testWCSpec(names, fmt.Sprintf("/out/%d", jobs))
+				spec.Name = fmt.Sprintf("wc-%d", jobs)
+				spec.JobKey, spec.MemoKey = key, fmt.Sprintf("wc-%d", content)
+				var res *mapreduce.Result
+				done := func(r *mapreduce.Result) { res = r }
+				rt.Eng.After(0, func() {
+					if route == "Framework.Submit" {
+						f.Submit(kind, spec, done)
+					} else if err := srv.Submit("", kind, spec, done); err != nil {
+						t.Error(err)
+					}
+				})
+				rt.Eng.RunUntil(rt.Eng.Now().Add(10 * time.Minute))
+				if res == nil || res.Err != nil {
+					t.Fatalf("job %d (%s, key %s) = %+v", jobs, kind, key, res)
+				}
+				return res
+			}
+
+			check := func(row string, res *mapreduce.Result, source string, modes ...ModeKind) {
+				t.Helper()
+				p, d := res.Profile, res.Profile.Decision
+				if d.Source != source {
+					t.Fatalf("%s: decided by %q, want %q", row, d.Source, source)
+				}
+				if res.Mode != p.Mode || !slices.Contains(modes, ModeKind(res.Mode)) {
+					t.Errorf("%s: Result.Mode %q, profile mode %q, want one of %v", row, res.Mode, p.Mode, modes)
+				}
+				estimated := source == profiler.ByRace || source == profiler.ByPrediction
+				if (d.EstimateD != 0) != estimated || (d.EstimateU != 0) != estimated {
+					t.Errorf("%s: estimates D=%v U=%v", row, d.EstimateD, d.EstimateU)
+				}
+				if (d.Predicted > 0) != (source == profiler.ByPrediction) {
+					t.Errorf("%s: predicted runtime %v", row, d.Predicted)
+				}
+				if source == profiler.ByRace {
+					if d.At < p.SubmittedAt || d.At > p.DoneAt {
+						t.Errorf("%s: verdict at %s outside the job [%s, %s]", row, d.At, p.SubmittedAt, p.DoneAt)
+					}
+					if root := rt.Trace.Span(d.Span); root == nil || root.Parent != 0 || rt.Trace.Span(p.Span).Parent != d.Span {
+						t.Errorf("%s: race span %d is not the root over the winner's job span %d", row, d.Span, p.Span)
+					}
+				} else if d.At != 0 || d.Span != 0 {
+					t.Errorf("%s: verdict instant %s and race span %d without a race", row, d.At, d.Span)
+				}
+				want := p.Span
+				if source == profiler.ByRace {
+					want = d.Span
+				}
+				if p.Root() != want {
+					t.Errorf("%s: Root() = %d with race span %d and job span %d", row, p.Root(), d.Span, p.Span)
+				}
+			}
+
+			check("fixed D+", run(ModeDPlus, "fixed", 1), "", ModeDPlus)
+			raced := run(ModeSpeculative, "k", 2)
+			check("raced", raced, profiler.ByRace, ModeDPlus, ModeUPlus)
+			hist := run(ModeSpeculative, "k", 3)
+			check("history", hist, profiler.ByHistory, ModeKind(raced.Mode))
+			// Fresh keys race until the class passes the confidence gate.
+			var predicted *mapreduce.Result
+			for i := 0; i < 6 && predicted == nil; i++ {
+				res := run(ModeSpeculative, fmt.Sprintf("fresh-%d", i), 10+i)
+				if by(res) == profiler.ByPrediction {
+					predicted = res
+				} else {
+					check("warm-up race", res, profiler.ByRace, ModeDPlus, ModeUPlus)
+				}
+			}
+			if predicted == nil {
+				t.Fatal("the class never converged")
+			}
+			check("predicted", predicted, profiler.ByPrediction, ModeDPlus, ModeUPlus)
+			// The raced job's content again, under a key with no history.
+			check("memo", run(ModeSpeculative, "never-seen", 2), profiler.ByMemo, ModeMemo)
+			check("memo, fixed mode", run(ModeUPlus, "never-seen", 2), profiler.ByMemo, ModeMemo)
+		})
+	}
+}

@@ -28,7 +28,7 @@ type Framework struct {
 	// NotifyPoll reports completion at the client's next status poll, not over
 	// the proxy's RPC: the "reducing communication" ablation (Figures 14–15).
 	NotifyPoll bool
-	// Memo, when non-nil, is consulted by every Submit/SubmitSpeculative first:
+	// Memo, when non-nil, is consulted by every Submit first:
 	// a hit skips execution (ModeMemo result), a miss commits the fresh output.
 	Memo *memo.Cache
 	// Predict lets a speculative submission whose workload class passed the
@@ -75,41 +75,59 @@ func ModeFor(kind ModeKind, uopts UPlusOptions) (mode mapreduce.Mode, pooled boo
 	return mapreduce.Mode{}, false, fmt.Errorf("core: %q is not a single execution mode", kind)
 }
 
-// submission is the mode table applied to this framework, ready to start.
-func (f *Framework) submission(kind ModeKind) (*mapreduce.Submission, error) {
-	mode, pooled, err := ModeFor(kind, f.UOpts)
+// submission is a row of the mode table applied to this framework, ready to
+// start; runnable has vouched for kind.
+func (f *Framework) submission(kind ModeKind) *mapreduce.Submission {
+	mode, pooled, _ := ModeFor(kind, f.UOpts)
 	s := &mapreduce.Submission{Mode: mode, Poll: f.NotifyPoll}
 	if pooled {
 		s.Source = f.pooledAM
 	}
-	return s, err
+	return s
 }
 
-// Submit runs a job through the submission lifecycle in one mode — the entry
-// the JobServer routes admitted jobs through; a kind that is not a single mode
-// comes back as an error result. An attached memoization cache is consulted
-// first: a hit serves the cached output, a miss commits the fresh result.
+// runnable is the check ahead of the memo step and of admission: a mode the
+// table knows, or a race with a reserved AM for each side.
+func (f *Framework) runnable(kind ModeKind) error {
+	if kind != ModeSpeculative {
+		_, _, err := ModeFor(kind, f.UOpts)
+		return err
+	}
+	if f.Pool.Size() < 2 {
+		return fmt.Errorf("core: speculative submission needs an AM pool of at least 2, have %d", f.Pool.Size())
+	}
+	return nil
+}
+
+// Submit is the one way a job enters the framework (Figure 6): the client
+// uploads and submits to the proxy, which runs the job in one of the table's
+// modes or, for ModeSpeculative, in the mode the decision maker picks. A kind
+// that cannot run here comes back as an error result. An attached memoization
+// cache is consulted first: a hit serves the cached output — no mode runs, so
+// there is nothing to decide or record — and a miss commits the fresh result.
+// What the decision maker did is on the result's Profile.Decision.
 func (f *Framework) Submit(kind ModeKind, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
-	s, err := f.submission(kind)
-	if err != nil {
+	if err := f.runnable(kind); err != nil {
 		done(&mapreduce.Result{Spec: spec, Mode: string(kind), Err: err})
 		return
 	}
 	f.viaMemo(spec, done, func(commit func(*mapreduce.Result)) {
-		s.Start(f.RT, spec, func(res *mapreduce.Result) {
+		f.run(kind, spec, func(res *mapreduce.Result) {
 			commit(res)
 			done(res)
 		})
 	})
 }
 
-// SubmitDPlus and SubmitUPlus run a job on a pooled AM process: D+ is the
-// distributed AM, U+ the in-AM executor with the framework's options.
-func (f *Framework) SubmitDPlus(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
-	f.Submit(ModeDPlus, spec, done)
-}
-func (f *Framework) SubmitUPlus(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
-	f.Submit(ModeUPlus, spec, done)
+// run is Submit past the memo step: a single mode goes through the submission
+// lifecycle, a race through the decision maker — which comes back here with
+// the one mode it picked up front, or stages once and starts two.
+func (f *Framework) run(kind ModeKind, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+	if kind == ModeSpeculative {
+		f.decide(spec, done)
+		return
+	}
+	f.submission(kind).Start(f.RT, spec, done)
 }
 
 // pooledAM is the lifecycle's warm AM source: the proxy dispatches a reserved

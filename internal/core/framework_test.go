@@ -165,13 +165,13 @@ func TestPoolReleaseIdlePanics(t *testing.T) {
 	f.Pool.Release(f.Pool.ams[0])
 }
 
-func TestSubmitDPlusEndToEnd(t *testing.T) {
+func TestDPlusEndToEnd(t *testing.T) {
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
 	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) {
+		f.Submit(ModeDPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) {
 			res = r
 			rt.RM.Stop()
 		})
@@ -189,13 +189,13 @@ func TestSubmitDPlusEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSubmitUPlusEndToEnd(t *testing.T) {
+func TestUPlusEndToEnd(t *testing.T) {
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
 	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitUPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) {
+		f.Submit(ModeUPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) {
 			res = r
 			rt.RM.Stop()
 		})
@@ -222,7 +222,7 @@ func TestDPlusFasterThanStockHadoop(t *testing.T) {
 		if framework {
 			f := startFramework(t, rt, 3)
 			rt.Eng.After(0, func() {
-				f.SubmitDPlus(spec, func(r *mapreduce.Result) {
+				f.Submit(ModeDPlus, spec, func(r *mapreduce.Result) {
 					elapsed = r.Elapsed()
 					rt.RM.Stop()
 				})
@@ -262,7 +262,7 @@ func TestUPlusFasterThanStockUber(t *testing.T) {
 		if uplus {
 			f := startFramework(t, rt, 3)
 			rt.Eng.After(0, func() {
-				f.SubmitUPlus(spec, func(r *mapreduce.Result) {
+				f.Submit(ModeUPlus, spec, func(r *mapreduce.Result) {
 					elapsed = r.Elapsed()
 					rt.RM.Stop()
 				})
@@ -299,7 +299,7 @@ func TestUPlusCacheOverflowSpills(t *testing.T) {
 	names, all := stageInput(t, rt, 4, 256<<10)
 	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitUPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) {
+		f.Submit(ModeUPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) {
 			res = r
 			rt.RM.Stop()
 		})
@@ -320,7 +320,7 @@ func TestUPlusCacheOverflowSpills(t *testing.T) {
 	}
 }
 
-func TestSubmitUPlusColdSlowerThanPooled(t *testing.T) {
+func TestUPlusColdSlowerThanPooled(t *testing.T) {
 	runCold := func() float64 {
 		rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 		names, _ := stageInput(t, rt, 2, 512<<10)
@@ -340,7 +340,7 @@ func TestSubmitUPlusColdSlowerThanPooled(t *testing.T) {
 		names, _ := stageInput(t, rt, 2, 512<<10)
 		var elapsed float64
 		rt.Eng.After(0, func() {
-			f.SubmitUPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) {
+			f.Submit(ModeUPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) {
 				elapsed = r.Elapsed()
 				rt.RM.Stop()
 			})
@@ -435,7 +435,7 @@ func TestInAMCacheGaugeOnlyWhenAdmitted(t *testing.T) {
 	pooled := func(opts UPlusOptions) func(*mapreduce.Runtime, *mapreduce.JobSpec, func(*mapreduce.Result)) {
 		return func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 			f := NewFramework(rt, 3, opts)
-			f.Start(func() { f.SubmitUPlus(spec, done) })
+			f.Start(func() { f.Submit(ModeUPlus, spec, done) })
 		}
 	}
 	_, uber := observedNames(t, yarn.NewStockScheduler(), func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {

@@ -22,26 +22,26 @@ func TestGrepChainThroughFramework(t *testing.T) {
 	rt.DFS.PutInstant("/in/g/part-1", bytes.Repeat([]byte("req-c req-a gamma\n"), 10_000), rt.Cluster.Workers()[1])
 
 	search := workloads.GrepSearchSpec("grep-search", []string{"/in/g/part-0", "/in/g/part-1"}, "/grep/inter", "req")
-	var searchRes, sortRes *SpecResult
+	var searchRes, sortRes *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitSpeculative(search, func(r *SpecResult) {
+		f.Submit(ModeSpeculative, search, func(r *mapreduce.Result) {
 			searchRes = r
-			if r.Result.Err != nil {
+			if r.Err != nil {
 				return
 			}
 			sortSpec := workloads.GrepSortSpec("grep-sort",
 				[]string{mapreduce.PartFileName("/grep/inter", 0)}, "/grep/out")
-			f.SubmitSpeculative(sortSpec, func(r2 *SpecResult) {
+			f.Submit(ModeSpeculative, sortSpec, func(r2 *mapreduce.Result) {
 				sortRes = r2
 				rt.RM.Stop()
 			})
 		})
 	})
 	rt.Eng.RunUntil(rt.Eng.Now().Add(1 << 42))
-	if searchRes == nil || searchRes.Result.Err != nil {
+	if searchRes == nil || searchRes.Err != nil {
 		t.Fatalf("search job: %+v", searchRes)
 	}
-	if sortRes == nil || sortRes.Result.Err != nil {
+	if sortRes == nil || sortRes.Err != nil {
 		t.Fatalf("sort job: %+v", sortRes)
 	}
 

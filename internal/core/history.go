@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -248,8 +247,7 @@ const (
 )
 
 // historySnapshot is the persisted schema (version 2): exact-match entries
-// plus workload-class calibration aggregates. Version 1 snapshots were a
-// bare JSON array of entries; Load still accepts them.
+// plus workload-class calibration aggregates.
 type historySnapshot struct {
 	Version int             `json:"version"`
 	Jobs    []*HistoryEntry `json:"jobs"`
@@ -291,9 +289,7 @@ func (h *History) Save(dfs *hdfs.DFS) error {
 
 // Load restores a snapshot saved by Save. A missing snapshot yields an
 // empty store, not an error; an interrupted Save is recovered from its
-// staged temporary. Version-1 snapshots (a bare array, written before the
-// running-aggregate schema) migrate transparently: their single recorded
-// values seed the means and their run count seeds the winner's vote.
+// staged temporary.
 func (h *History) Load(dfs *hdfs.DFS) error {
 	path := historyPath
 	if !dfs.Exists(path) {
@@ -306,32 +302,16 @@ func (h *History) Load(dfs *hdfs.DFS) error {
 	if err != nil {
 		return err
 	}
-	var list []*HistoryEntry
-	if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
-		// Version 1: a bare entry array with last-run values.
-		if err := json.Unmarshal(data, &list); err != nil {
-			return fmt.Errorf("core: decoding history: %w", err)
-		}
-	} else {
-		var snap historySnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("core: decoding history: %w", err)
-		}
-		list = snap.Jobs
-		for _, cs := range snap.Classes {
-			if cs != nil && cs.Class != "" {
-				h.classes[cs.Class] = cs
-			}
+	var snap historySnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return fmt.Errorf("core: decoding history: %w", err)
+	}
+	for _, cs := range snap.Classes {
+		if cs != nil && cs.Class != "" {
+			h.classes[cs.Class] = cs
 		}
 	}
-	for _, e := range list {
-		if e.Wins == nil && e.Winner != "" {
-			runs := e.Runs
-			if runs <= 0 {
-				runs = 1
-			}
-			e.Wins = map[ModeKind]int{e.Winner: runs}
-		}
+	for _, e := range snap.Jobs {
 		h.entries[e.Job] = e
 	}
 	return nil

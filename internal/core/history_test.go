@@ -55,35 +55,6 @@ func TestHistoryWinnerMajorityVote(t *testing.T) {
 	}
 }
 
-// Version-1 snapshots (a bare entry array) must load transparently, seeding
-// the win counters from the recorded winner and run count.
-func TestHistoryV1Migration(t *testing.T) {
-	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
-	v1 := []byte(`[
-	  {"job": "wordcount", "winner": "dplus", "elapsed": 20000000000,
-	   "avg_map_cpu": 1500000000, "avg_in": 1048576, "avg_out": 2097152, "runs": 3}
-	]`)
-	if _, err := rt.DFS.PutInstant("/mrapid/history.json", v1, nil); err != nil {
-		t.Fatal(err)
-	}
-	h := NewHistory()
-	if err := h.Load(rt.DFS); err != nil {
-		t.Fatal(err)
-	}
-	e, ok := h.Entry("wordcount")
-	if !ok || e.Runs != 3 || e.Winner != ModeDPlus {
-		t.Fatalf("migrated entry = %+v / %v", e, ok)
-	}
-	if e.Wins[ModeDPlus] != 3 {
-		t.Fatalf("migrated wins = %v, want the run count seeding the winner's vote", e.Wins)
-	}
-	// A post-migration anomaly still cannot flip a 3-run streak.
-	h.Record("wordcount", ModeUPlus, 9*time.Second, profilerSummary())
-	if w, _ := h.Winner("wordcount"); w != ModeDPlus {
-		t.Fatalf("winner = %v, one post-migration run flipped a 3-win record", w)
-	}
-}
-
 // The version-2 snapshot round-trips both the exact-match entries and the
 // per-class calibration aggregates.
 func TestHistoryV2RoundTripWithClasses(t *testing.T) {

@@ -12,10 +12,9 @@ import (
 	"mrapid/internal/yarn"
 )
 
-// ModeSpeculative asks the JobServer to run a job through the full MRapid
-// speculative workflow (D+ and U+ race, decision maker kills the loser).
-// It is a JobServer routing mode, not a single-executor ModeKind: the race
-// holds two pooled AMs, so admission charges it double.
+// ModeSpeculative asks for the full MRapid workflow: the decision maker picks
+// the mode, racing D+ and U+ when it has nothing to go on. It is not a row of
+// the mode table: the race holds two pooled AMs, so admission charges it double.
 const ModeSpeculative ModeKind = "speculative"
 
 // AdmissionPolicy orders waiting jobs when the admission window has room.
@@ -103,7 +102,6 @@ type queuedJob struct {
 	spec   *mapreduce.JobSpec
 	mode   ModeKind
 	cost   int
-	run    func() // dispatches through the framework and settles the window
 	done   func(*mapreduce.Result)
 	span   trace.SpanID
 	enqAt  sim.Time
@@ -141,9 +139,9 @@ type AdmissionObserver interface {
 // JobServer is the long-running submission service in front of a Framework:
 // clients Submit jobs tagged with a tenant, the server validates the tenant
 // queue, applies backpressure against the admission window, orders waiting
-// jobs by the configured policy, and routes each admitted job through the
-// one submission lifecycle (or the speculative race). Queue-wait is
-// visible per job as a trace span and a per-tenant histogram.
+// jobs by the configured policy, and hands each admitted job to
+// Framework.Submit. Queue-wait is visible per job as a trace span and a
+// per-tenant histogram.
 type JobServer struct {
 	fw      *Framework
 	policy  AdmissionPolicy
@@ -354,33 +352,14 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 		s.fw.RT.Reg.Inc(metrics.With("jobserver_rejected_total", "tenant", tenant))
 		return fmt.Errorf("core: unknown tenant queue %q", queue)
 	}
+	if err := s.fw.runnable(mode); err != nil {
+		return err
+	}
+	// The race holds a pooled AM per mode; history or the calibrating
+	// estimator skipping it launches one mode, so admission charges one slot.
 	cost := 1
-	var run func(*queuedJob)
-	switch mode {
-	case ModeSpeculative:
-		if s.fw.Pool.Size() < 2 {
-			return fmt.Errorf("core: speculative submission needs an AM pool of at least 2")
-		}
-		cost = 2 // the race holds a pooled AM per mode
-		if s.fw.PreDecided(spec) {
-			// History or the calibrating estimator will skip the race and
-			// launch one mode, so admission charges a single slot.
-			cost = 1
-		}
-		run = func(j *queuedJob) {
-			s.fw.SubmitSpeculative(j.spec, func(res *SpecResult) {
-				s.settle(j, res.Result)
-			})
-		}
-	default:
-		if _, _, err := ModeFor(mode, s.fw.UOpts); err != nil {
-			return err
-		}
-		run = func(j *queuedJob) {
-			s.fw.Submit(mode, j.spec, func(res *mapreduce.Result) {
-				s.settle(j, res)
-			})
-		}
+	if mode == ModeSpeculative && !s.fw.PreDecided(spec) {
+		cost = 2
 	}
 
 	t := s.tenantFor(tenant)
@@ -402,7 +381,6 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 		// queue deterministically as the clock advances.
 		j.predicted, _ = s.fw.PredictRuntime(spec)
 	}
-	j.run = func() { run(j) }
 	if s.fw.RT.Trace != nil {
 		j.span = s.fw.RT.Trace.StartSpan(0, "jobserver", spec.Name+" queue-wait", "admit",
 			trace.A("tenant", t.name), trace.A("mode", string(mode)))
@@ -435,9 +413,6 @@ func (s *JobServer) settle(j *queuedJob, res *mapreduce.Result) {
 	s.dispatch()
 	// The submitter's callback runs after dispatch so a chain of short jobs
 	// can't observe an artificially empty window.
-	if res == nil {
-		res = &mapreduce.Result{Spec: j.spec}
-	}
 	j.tenant.handles(s.fw.RT.Reg).hCompleted.Inc()
 	j.done(res)
 }
@@ -519,5 +494,5 @@ func (s *JobServer) admit(j *queuedJob) {
 	if s.Observer != nil {
 		s.Observer.JobAdmitted(j.tenant.name, wait)
 	}
-	j.run()
+	s.fw.Submit(j.mode, j.spec, func(res *mapreduce.Result) { s.settle(j, res) })
 }

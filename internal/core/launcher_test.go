@@ -151,7 +151,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 			},
 		},
 		{
-			// A size-0 pool is permanently exhausted: SubmitDPlus must degrade
+			// A size-0 pool is permanently exhausted: a D+ submission must degrade
 			// to the stock distributed path (cold AM, poll-based completion).
 			name: "stock-fallback",
 			run: func(t *testing.T) launchFingerprint {
@@ -180,7 +180,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 				var res *mapreduce.Result
 				rt.Eng.After(500*time.Millisecond, victim.Fail)
 				rt.Eng.After(0, func() {
-					f.SubmitDPlus(testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
+					f.Submit(ModeDPlus, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
 				})
 				rt.Eng.RunUntil(rt.Eng.Now().Add(600 * time.Second))
 				rt.RM.Stop()
@@ -208,24 +208,24 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 				rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 				f := startFramework(t, rt, 3)
 				names, _ := stageInput(t, rt, 4, 1<<20)
-				var res *SpecResult
+				var res *mapreduce.Result
 				rt.Eng.After(0, func() {
-					f.SubmitSpeculative(testWCSpec(names, "/out"), func(r *SpecResult) { res = r; rt.RM.Stop() })
+					f.Submit(ModeSpeculative, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r; rt.RM.Stop() })
 				})
 				rt.Eng.RunUntil(horizon)
 				if res == nil {
 					t.Fatal("speculative run never completed")
 				}
-				if res.Winner != ModeUPlus {
-					t.Fatalf("winner = %s, want %s", res.Winner, ModeUPlus)
+				if ModeKind(res.Mode) != ModeUPlus {
+					t.Fatalf("winner = %s, want %s", ModeKind(res.Mode), ModeUPlus)
 				}
-				if res.EstimateD != 5467440281 || res.EstimateU != 194781382 {
-					t.Fatalf("estimates D=%d U=%d, want D=5467440281 U=194781382", res.EstimateD, res.EstimateU)
+				if res.Profile.Decision.EstimateD != 5467440281 || res.Profile.Decision.EstimateU != 194781382 {
+					t.Fatalf("estimates D=%d U=%d, want D=5467440281 U=194781382", res.Profile.Decision.EstimateD, res.Profile.Decision.EstimateU)
 				}
-				if res.DecidedAt != 60579447673 {
-					t.Fatalf("DecidedAt = %d, want 60579447673", res.DecidedAt)
+				if res.Profile.Decision.At != 60579447673 {
+					t.Fatalf("Decision.At = %d, want 60579447673", res.Profile.Decision.At)
 				}
-				return fingerprintOf(t, rt, res.Result, "/out")
+				return fingerprintOf(t, rt, res, "/out")
 			},
 			want: launchFingerprint{
 				elapsed: 1262225991, outHash: wcHash, outLen: 122, mode: "uplus",
@@ -305,7 +305,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 // TestModeTable checks the mode table — which AM each single-mode ModeKind
 // runs and whether it comes from the pool — and that a kind outside the table
 // is an error result from Framework.Submit and a rejection from the JobServer,
-// which still routes ModeSpeculative to the race.
+// except ModeSpeculative, which both take to the decision maker.
 func TestModeTable(t *testing.T) {
 	for _, tc := range []struct {
 		kind ModeKind
@@ -335,26 +335,31 @@ func TestModeTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	names, _ := stageInput(t, rt, 4, 1<<20)
-	var raced *mapreduce.Result
+	var direct, raced *mapreduce.Result
 	for _, kind := range []ModeKind{ModeSpeculative, ModeMemo, "bogus"} {
 		if _, _, err := ModeFor(kind, FullUPlus()); err == nil {
 			t.Errorf("ModeFor(%s) did not fail", kind)
 		}
 		var res *mapreduce.Result
-		f.Submit(kind, testWCSpec(names, "/out/"+string(kind)), func(r *mapreduce.Result) { res = r })
-		if res == nil || res.Err == nil {
+		f.Submit(kind, testWCSpec(names, "/out/"+string(kind)), func(r *mapreduce.Result) {
+			if res = r; kind == ModeSpeculative {
+				direct = r
+			}
+		})
+		if kind != ModeSpeculative && (res == nil || res.Err == nil) {
 			t.Errorf("Framework.Submit(%s) = %+v, want an error result", kind, res)
 		}
-		err := srv.Submit("", kind, testWCSpec(names, "/out/srv-"+string(kind)), func(r *mapreduce.Result) {
-			raced = r
-			rt.RM.Stop()
-		})
+		spec := testWCSpec(names, "/out/srv-"+string(kind))
+		spec.Name += "-srv" // staged next to the direct one
+		err := srv.Submit("", kind, spec, func(r *mapreduce.Result) { raced = r })
 		if (err == nil) != (kind == ModeSpeculative) {
 			t.Errorf("JobServer.Submit(%s) = %v", kind, err)
 		}
 	}
-	rt.Eng.RunUntil(horizon)
-	if raced == nil || raced.Err != nil {
-		t.Fatalf("the speculative job did not complete through the race: %+v", raced)
+	rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
+	for route, res := range map[string]*mapreduce.Result{"Framework.Submit": direct, "JobServer.Submit": raced} {
+		if res == nil || res.Err != nil || by(res) == "" {
+			t.Fatalf("the speculative job did not complete through the decision maker via %s: %+v", route, res)
+		}
 	}
 }

@@ -107,7 +107,7 @@ var lifecycleShapes = []struct {
 		sched: func() yarn.Scheduler { return NewDPlusScheduler(FullDPlus()) },
 		submit: func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 			f := NewFramework(rt, 3, FullUPlus())
-			f.Start(func() { f.SubmitUPlus(spec, done) })
+			f.Start(func() { f.Submit(ModeUPlus, spec, done) })
 		},
 	},
 	{
@@ -122,7 +122,7 @@ var lifecycleShapes = []struct {
 		sched: func() yarn.Scheduler { return NewDPlusScheduler(FullDPlus()) },
 		submit: func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 			f := NewFramework(rt, 3, FullUPlus())
-			f.Start(func() { f.SubmitDPlus(spec, done) })
+			f.Start(func() { f.Submit(ModeDPlus, spec, done) })
 		},
 	},
 }

@@ -141,6 +141,7 @@ func (f *Framework) materializeMemo(spec *mapreduce.JobSpec, hit *memo.Hit, done
 		SubmittedAt: rt.Eng.Now(),
 		AMPoolHit:   true,
 		NumReduces:  spec.NumReduces,
+		Decision:    profiler.Decision{Source: profiler.ByMemo},
 	}
 	prof.Span = rt.Trace.StartSpan(0, "job", spec.Name+" (memo)", "", trace.A("mode", string(ModeMemo)))
 	install := func() {

@@ -9,6 +9,7 @@ import (
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/memo"
 	"mrapid/internal/metrics"
+	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
 	"mrapid/internal/workloads"
 )
@@ -38,7 +39,7 @@ func submitWC(t *testing.T, f *Framework, spec *mapreduce.JobSpec) *mapreduce.Re
 	var res *mapreduce.Result
 	run := *spec
 	f.RT.Eng.After(0, func() {
-		f.SubmitDPlus(&run, func(r *mapreduce.Result) { res = r })
+		f.Submit(ModeDPlus, &run, func(r *mapreduce.Result) { res = r })
 	})
 	f.RT.Eng.RunUntil(f.RT.Eng.Now().Add(10 * time.Minute))
 	if res == nil {
@@ -148,31 +149,31 @@ func TestMemoSpeculativeHit(t *testing.T) {
 	if _, err := rt.DFS.PutInstant("/in/s-0", []byte("alpha beta alpha gamma\n"), nil); err != nil {
 		t.Fatal(err)
 	}
-	run := func(name, out string) *SpecResult {
+	run := func(name, out string) *mapreduce.Result {
 		spec := workloads.WordCountSpec(name, []string{"/in/s-0"}, out, false)
 		spec.JobKey = name // keep exact-match history out of the picture
-		var res *SpecResult
+		var res *mapreduce.Result
 		rt.Eng.After(0, func() {
-			f.SubmitSpeculative(spec, func(r *SpecResult) { res = r })
+			f.Submit(ModeSpeculative, spec, func(r *mapreduce.Result) { res = r })
 		})
 		rt.Eng.RunUntil(rt.Eng.Now().Add(10 * time.Minute))
 		if res == nil {
 			t.Fatalf("%s did not finish", name)
 		}
-		if res.Result.Err != nil {
-			t.Fatal(res.Result.Err)
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
 		return res
 	}
 
 	first := run("swc", "/outA")
-	if first.Winner == ModeMemo {
+	if ModeKind(first.Mode) == ModeMemo {
 		t.Fatal("first speculative run cannot be a memo hit")
 	}
 	entries := len(f.History.Entries())
 
 	second := run("swc2", "/outB")
-	if second.Winner != ModeMemo || second.FromHistory || second.FromPrediction {
+	if ModeKind(second.Mode) != ModeMemo || by(second) == profiler.ByHistory || by(second) == profiler.ByPrediction {
 		t.Fatalf("repeat = %+v, want a pure memo win", second)
 	}
 	if len(f.History.Entries()) != entries {

@@ -24,18 +24,18 @@ func uniqueKeySpec(names []string, i int) *mapreduce.JobSpec {
 
 // runSpeculativeSeq drives n class-identical, key-unique speculative jobs
 // through the framework, one after another, returning every result.
-func runSpeculativeSeq(t *testing.T, f *Framework, names []string, n int) []*SpecResult {
+func runSpeculativeSeq(t *testing.T, f *Framework, names []string, n int) []*mapreduce.Result {
 	t.Helper()
-	out := make([]*SpecResult, 0, n)
+	out := make([]*mapreduce.Result, 0, n)
 	for i := 0; i < n; i++ {
 		i := i
 		spec := uniqueKeySpec(names, i)
-		var res *SpecResult
+		var res *mapreduce.Result
 		f.RT.Eng.After(0, func() {
 			if i > 0 {
 				f.RT.RM.Start() // the previous job's completion stopped it
 			}
-			f.SubmitSpeculative(spec, func(r *SpecResult) {
+			f.Submit(ModeSpeculative, spec, func(r *mapreduce.Result) {
 				res = r
 				f.RT.RM.Stop()
 			})
@@ -44,8 +44,8 @@ func runSpeculativeSeq(t *testing.T, f *Framework, names []string, n int) []*Spe
 		if res == nil {
 			t.Fatalf("job %d never completed", i)
 		}
-		if res.Result.Err != nil {
-			t.Fatalf("job %d failed: %v", i, res.Result.Err)
+		if res.Err != nil {
+			t.Fatalf("job %d failed: %v", i, res.Err)
 		}
 		out = append(out, res)
 	}
@@ -62,7 +62,7 @@ func TestPredictFirstSightStillRaces(t *testing.T) {
 	names, all := stageInput(t, rt, 4, 1<<20)
 
 	res := runSpeculativeSeq(t, f, names, 1)[0]
-	if res.FromPrediction || res.FromHistory {
+	if by(res) == profiler.ByPrediction || by(res) == profiler.ByHistory {
 		t.Fatalf("first-sight job skipped the race: %+v", res)
 	}
 	if rt.Reg.Get("estimator_race_total") != 1 {
@@ -88,19 +88,19 @@ func TestPredictConvergedClassGoesDirect(t *testing.T) {
 
 	results := runSpeculativeSeq(t, f, names, 4)
 	for i, res := range results[:3] {
-		if res.FromPrediction {
+		if by(res) == profiler.ByPrediction {
 			t.Fatalf("warm-up job %d predicted before the class converged", i)
 		}
 	}
 	last := results[3]
-	if !last.FromPrediction {
+	if by(last) != profiler.ByPrediction {
 		t.Fatalf("converged class still raced: %+v (class %+v)",
 			last, f.History.Classes())
 	}
-	if last.Winner != results[2].Winner {
-		t.Fatalf("predicted winner %v != racing winner %v", last.Winner, results[2].Winner)
+	if last.Mode != results[2].Mode {
+		t.Fatalf("predicted winner %v != racing winner %v", last.Mode, results[2].Mode)
 	}
-	if last.Predicted <= 0 {
+	if last.Profile.Decision.Predicted <= 0 {
 		t.Fatalf("direct pick carried no runtime prediction: %+v", last)
 	}
 	verifyWC(t, rt, "/out/3", all)
@@ -132,7 +132,7 @@ func TestPredictConvergedClassGoesDirect(t *testing.T) {
 // Golden determinism: a direct-picked job's output must be byte-identical to
 // what the full race would have produced in an identical universe.
 func TestPredictDirectOutputMatchesRace(t *testing.T) {
-	run := func(predict bool) (*mapreduce.Runtime, *SpecResult) {
+	run := func(predict bool) (*mapreduce.Runtime, *mapreduce.Result) {
 		rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 		f := startFramework(t, rt, 3)
 		f.Predict = predict
@@ -142,9 +142,9 @@ func TestPredictDirectOutputMatchesRace(t *testing.T) {
 	}
 	rtRace, raceRes := run(false)
 	rtPred, predRes := run(true)
-	if predRes.FromPrediction == raceRes.FromPrediction {
+	if (by(predRes) == profiler.ByPrediction) == (by(raceRes) == profiler.ByPrediction) {
 		t.Fatalf("expected one direct pick and one race: predict=%v race=%v",
-			predRes.FromPrediction, raceRes.FromPrediction)
+			by(predRes) == profiler.ByPrediction, by(raceRes) == profiler.ByPrediction)
 	}
 	a, err := rtRace.DFS.Contents(mapreduce.PartFileName("/out/3", 0))
 	if err != nil {

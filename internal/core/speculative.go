@@ -1,138 +1,60 @@
 package core
 
 import (
-	"time"
-
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/metrics"
 	"mrapid/internal/profiler"
-	"mrapid/internal/sim"
 	"mrapid/internal/trace"
 )
-
-// SpecResult is the outcome of a speculative submission.
-type SpecResult struct {
-	Result *mapreduce.Result
-	Winner ModeKind
-
-	// FromHistory is true when the decision maker answered from the
-	// execution-record store and only one mode ran.
-	FromHistory bool
-
-	// FromPrediction is true when the calibrating estimator pre-decided the
-	// mode from workload-class aggregates (no exact history record, no
-	// race); Predicted is its calibrated completion-time prediction.
-	FromPrediction bool
-	Predicted      time.Duration
-
-	// DecidedAt is when the estimator's verdict killed the slower mode
-	// (zero when the decision came from history or a mode finishing first).
-	DecidedAt sim.Time
-
-	// EstimateD and EstimateU are the Equation 2/3 estimates the decision
-	// used (zero when no estimate was needed).
-	EstimateD time.Duration
-	EstimateU time.Duration
-
-	// Span is the root of the race's span tree in the run's trace.Log (the
-	// winner's own job span is a child); 0 when untraced or pre-decided
-	// from history (then the winner's Result.Profile.Span is the root).
-	Span trace.SpanID
-}
-
-// Elapsed returns the winner's completion time in seconds.
-func (r *SpecResult) Elapsed() float64 {
-	if r.Result == nil {
-		return 0
-	}
-	return r.Result.Elapsed()
-}
 
 // tempOutput names a mode's private output prefix during speculation.
 func tempOutput(base string, mode ModeKind) string {
 	return base + ".__" + string(mode)
 }
 
-// SubmitSpeculative runs a job through the full MRapid workflow of Figure 6:
+// decide is the decision maker, Figure 6 past the upload and the memo step:
 //
-//  1. the client uploads the job artifacts and submits to the proxy;
-//  2. the decision maker consults the history — a recorded winner runs
-//     alone;
+//  2. the history is consulted — a recorded winner runs alone, and so does
+//     the projected winner of a workload class that has converged;
 //  3. otherwise both D+ and U+ launch (against private temporary outputs);
 //  4. the profiler reports each mode's first completed map;
-//  5. the decision maker evaluates Equations 2 and 3 and kills the slower
-//     mode;
+//  5. Equations 2 and 3 are evaluated and the slower mode is killed;
 //  6. the winner's output is promoted and the verdict is recorded for
 //     future submissions of the same job key.
-func (f *Framework) SubmitSpeculative(spec *mapreduce.JobSpec, done func(*SpecResult)) {
-	if done == nil {
-		panic("core: SubmitSpeculative needs a completion callback")
-	}
-	if f.Pool.Size() < 2 {
-		panic("core: speculative execution needs an AM pool of at least 2")
-	}
-
-	// Step 0, ahead of even the history consult: the memoization cache. A
-	// hit ends the whole workflow — no mode ever runs, so there is nothing
-	// to decide and no outcome to record (a served result must not feed the
-	// estimator's calibration with near-zero elapsed times). On a miss the
-	// commit hook rides each branch's completion; speculate's branches start
-	// their submissions directly, so the one lookup here is the only one.
-	f.viaMemo(spec, func(res *mapreduce.Result) {
-		done(&SpecResult{Result: res, Winner: ModeMemo})
-	}, func(commit func(*mapreduce.Result)) {
-		f.speculate(spec, func(out *SpecResult) {
-			if out.Result != nil {
-				commit(out.Result)
-			}
-			done(out)
-		})
-	})
-}
-
-// speculate is SubmitSpeculative past the memoization hook: steps 2–6.
-func (f *Framework) speculate(spec *mapreduce.JobSpec, done func(*SpecResult)) {
-	// direct runs one pre-decided mode alone, like a single-mode submission.
-	direct := func(s *mapreduce.Submission, out *SpecResult, after func(*mapreduce.Result)) {
-		s.Start(f.RT, spec, func(res *mapreduce.Result) {
-			f.recordOutcome(spec, out.Winner, res)
-			after(res)
-			out.Result, out.Span = res, res.Profile.Span
-			done(out)
+//
+// Whichever way the mode was picked, the result's Profile.Decision says how.
+func (f *Framework) decide(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
+	// alone runs a pre-decided mode by itself; its outcome keeps calibrating.
+	alone := func(mode ModeKind, d profiler.Decision, account func(*mapreduce.Result)) {
+		f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", d.Source))
+		f.run(mode, spec, func(res *mapreduce.Result) {
+			f.recordOutcome(spec, mode, res)
+			account(res)
+			res.Profile.Decision = d
+			done(res)
 		})
 	}
-
-	// Pre-decision from history (step 2).
 	if winner, ok := f.History.Winner(spec.Key()); ok {
-		if s, err := f.submission(winner); err == nil {
-			f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", "history"))
-			direct(s, &SpecResult{Winner: winner, FromHistory: true}, func(*mapreduce.Result) {})
+		if _, _, err := ModeFor(winner, f.UOpts); err == nil {
+			alone(winner, profiler.Decision{Source: profiler.ByHistory}, func(*mapreduce.Result) {})
 			return
 		}
 	}
-
-	// Pre-decision from the calibrating estimator: a job whose workload
-	// class has converged launches the projected winner directly — no 2×
-	// dual-launch — and its outcome keeps calibrating the class.
 	if pred, ok := f.PredictMode(spec); ok {
-		if s, err := f.submission(pred.Mode); err == nil {
-			f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", "prediction"))
-			f.RT.Trace.Add("proxy", "estimator pre-decision: %s direct (predicted %s, class %s over %d runs)",
-				pred.Mode, pred.Runtime, pred.Class, pred.Runs)
-			direct(s, &SpecResult{
-				Winner:         pred.Mode,
-				FromPrediction: true, Predicted: pred.Runtime,
-				EstimateD: pred.EstimateD, EstimateU: pred.EstimateU,
-			}, func(res *mapreduce.Result) { f.accountPrediction(pred, spec, res) })
-			return
-		}
+		f.RT.Trace.Add("proxy", "estimator pre-decision: %s direct (predicted %s, class %s over %d runs)",
+			pred.Mode, pred.Runtime, pred.Class, pred.Runs)
+		alone(pred.Mode, profiler.Decision{
+			Source: profiler.ByPrediction, Predicted: pred.Runtime,
+			EstimateD: pred.EstimateD, EstimateU: pred.EstimateU,
+		}, func(res *mapreduce.Result) { f.accountPrediction(pred, spec, res) })
+		return
 	}
 
 	f.RT.Reg.Inc("estimator_race_total")
 	mapreduce.Stage(f.RT, spec, string(ModeSpeculative), func(root trace.SpanID, err error) {
 		if err != nil {
 			f.RT.Trace.EndSpan(root, trace.A("error", err.Error()))
-			done(&SpecResult{Result: &mapreduce.Result{Spec: spec, Err: err}, Span: root})
+			done(&mapreduce.Result{Spec: spec, Mode: string(ModeSpeculative), Err: err})
 			return
 		}
 		f.race(spec, root, done)
@@ -143,13 +65,13 @@ func (f *Framework) speculate(spec *mapreduce.JobSpec, done func(*SpecResult)) {
 // (e.g. a fault-injected task exhausting MaxTaskAttempts) drops out of the
 // race and the surviving mode wins by default; the job as a whole fails
 // only when no runnable mode remains.
-func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*SpecResult)) {
+func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*mapreduce.Result)) {
 	dSpec := *spec
 	dSpec.OutputFile = tempOutput(spec.OutputFile, ModeDPlus)
 	uSpec := *spec
 	uSpec.OutputFile = tempOutput(spec.OutputFile, ModeUPlus)
 
-	out := &SpecResult{Span: root}
+	d := profiler.Decision{Source: profiler.ByRace, Span: root}
 	decided := false
 	finished := false
 	handles := map[ModeKind]*mapreduce.Submission{}
@@ -175,16 +97,10 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 			res.Err = err
 		}
 		res.Spec = spec
-		out.Result = res
-		out.Winner = winner
-		if res.Profile != nil {
-			// The verdict instant belongs in the winner's profile too, so
-			// the analyzer and the cost model read the same record.
-			res.Profile.DecidedAt = out.DecidedAt
-		}
+		res.Profile.Decision = d
 		f.RT.Trace.EndSpan(root, trace.A("winner", string(winner)))
 		f.recordOutcome(spec, winner, res)
-		done(out)
+		done(res)
 	}
 
 	// amLost answers the lifecycle when a racing mode lost its AM's node: the
@@ -219,9 +135,8 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 		if last {
 			finished = true
 			f.RT.DeleteOutputPrefix(tempOutput(spec.OutputFile, other))
-			out.Result = &mapreduce.Result{Spec: spec, Err: firstErr}
 			f.RT.Trace.EndSpan(root, trace.A("error", firstErr.Error()))
-			done(out)
+			done(&mapreduce.Result{Spec: spec, Mode: string(ModeSpeculative), Err: firstErr})
 		}
 	}
 
@@ -249,19 +164,19 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 		in.TM = sample.ComputeDur
 		in.SI = sample.InputBytes
 		in.SO = sample.OutputBytes
-		out.EstimateU = EstimateUPlus(in)
-		out.EstimateD = EstimateDPlus(in)
-		out.DecidedAt = f.RT.Eng.Now()
+		d.EstimateU = EstimateUPlus(in)
+		d.EstimateD = EstimateDPlus(in)
+		d.At = f.RT.Eng.Now()
 		projected := Decide(in)
 		// The decision instant is a point event on the race span: which
 		// mode was projected to lose, and from which estimates.
 		f.RT.Trace.Annotate(root,
-			trace.A("decided_at", out.DecidedAt.String()),
-			trace.A("estimate_dplus", out.EstimateD.String()),
-			trace.A("estimate_uplus", out.EstimateU.String()),
+			trace.A("decided_at", d.At.String()),
+			trace.A("estimate_dplus", d.EstimateD.String()),
+			trace.A("estimate_uplus", d.EstimateU.String()),
 			trace.A("projected_winner", string(projected)))
 		f.RT.Trace.Add("proxy", "speculative decision: %s projected to win (D+=%s U+=%s)",
-			projected, out.EstimateD, out.EstimateU)
+			projected, d.EstimateD, d.EstimateU)
 		gone[loserOf(projected)] = true
 		handles[loserOf(projected)].Kill()
 	}
@@ -272,7 +187,7 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 		mode ModeKind
 		spec *mapreduce.JobSpec
 	}{{ModeDPlus, &dSpec}, {ModeUPlus, &uSpec}} {
-		s, _ := f.submission(m.mode)
+		s := f.submission(m.mode)
 		s.OnAMLost = amLost(m.mode)
 		s.OnMap = func(tp *profiler.TaskProfile) {
 			if sample == nil {

@@ -5,16 +5,22 @@ import (
 	"testing"
 
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/memo"
+	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
+	"mrapid/internal/workloads"
 )
 
+// by reads how the decision maker came by a finished job's mode.
+func by(r *mapreduce.Result) string { return r.Profile.Decision.Source }
+
 // runSpeculative drives one speculative submission to completion.
-func runSpeculative(t *testing.T, f *Framework, spec *mapreduce.JobSpec) *SpecResult {
+func runSpeculative(t *testing.T, f *Framework, spec *mapreduce.JobSpec) *mapreduce.Result {
 	t.Helper()
 	rt := f.RT
-	var res *SpecResult
+	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
-		f.SubmitSpeculative(spec, func(r *SpecResult) {
+		f.Submit(ModeSpeculative, spec, func(r *mapreduce.Result) {
 			res = r
 			rt.RM.Stop()
 		})
@@ -31,19 +37,19 @@ func TestSpeculativeFirstRunRacesAndDecides(t *testing.T) {
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
 	res := runSpeculative(t, f, testWCSpec(names, "/out"))
-	if res.Result.Err != nil {
-		t.Fatalf("job failed: %v", res.Result.Err)
+	if res.Err != nil {
+		t.Fatalf("job failed: %v", res.Err)
 	}
-	if res.FromHistory {
+	if by(res) == profiler.ByHistory {
 		t.Fatal("first run claimed a history hit")
 	}
-	if res.Winner != ModeDPlus && res.Winner != ModeUPlus {
-		t.Fatalf("winner = %q", res.Winner)
+	if ModeKind(res.Mode) != ModeDPlus && ModeKind(res.Mode) != ModeUPlus {
+		t.Fatalf("winner = %q", ModeKind(res.Mode))
 	}
 	// The decision used the estimator (both estimates populated) unless a
 	// mode finished before any sample — impossible here given map counts.
-	if res.EstimateD == 0 || res.EstimateU == 0 {
-		t.Fatalf("estimates missing: D=%v U=%v", res.EstimateD, res.EstimateU)
+	if res.Profile.Decision.EstimateD == 0 || res.Profile.Decision.EstimateU == 0 {
+		t.Fatalf("estimates missing: D=%v U=%v", res.Profile.Decision.EstimateD, res.Profile.Decision.EstimateU)
 	}
 	verifyWC(t, rt, "/out", all)
 	// Temporary outputs were cleaned up.
@@ -57,8 +63,8 @@ func TestSpeculativeFirstRunRacesAndDecides(t *testing.T) {
 		t.Fatalf("pool idle = %d, want 3", f.Pool.Idle())
 	}
 	// History recorded the winner.
-	if w, ok := f.History.Winner("wordcount"); !ok || w != res.Winner {
-		t.Fatalf("history winner = %v/%v, want %v", w, ok, res.Winner)
+	if w, ok := f.History.Winner("wordcount"); !ok || w != ModeKind(res.Mode) {
+		t.Fatalf("history winner = %v/%v, want %v", w, ok, ModeKind(res.Mode))
 	}
 }
 
@@ -69,23 +75,23 @@ func TestSpeculativeSecondRunUsesHistory(t *testing.T) {
 	first := runSpeculative(t, f, testWCSpec(names, "/out1"))
 
 	spec2 := testWCSpec(names, "/out2")
-	var second *SpecResult
+	var second *mapreduce.Result
 	rt.Eng.After(0, func() {
 		rt.RM.Start()
-		f.SubmitSpeculative(spec2, func(r *SpecResult) {
+		f.Submit(ModeSpeculative, spec2, func(r *mapreduce.Result) {
 			second = r
 			rt.RM.Stop()
 		})
 	})
 	rt.Eng.RunUntil(horizon)
-	if second == nil || second.Result.Err != nil {
+	if second == nil || second.Err != nil {
 		t.Fatalf("second run failed: %+v", second)
 	}
-	if !second.FromHistory {
+	if by(second) != profiler.ByHistory {
 		t.Fatal("second run did not use the history pre-decision")
 	}
-	if second.Winner != first.Winner {
-		t.Fatalf("history winner %v != first run winner %v", second.Winner, first.Winner)
+	if second.Mode != first.Mode {
+		t.Fatalf("history winner %v != first run winner %v", second.Mode, first.Mode)
 	}
 	// With only one mode running, the second run is at least as fast as the
 	// first (no speculative overhead contending for resources).
@@ -130,12 +136,12 @@ func TestSpeculativeComputeBoundJobPicksUPlus(t *testing.T) {
 	spec.JobKey = "pi-like"
 	spec.MapFixedCost = 3e9 // 3 s of compute per map
 	res := runSpeculative(t, f, spec)
-	if res.Result.Err != nil {
-		t.Fatalf("job failed: %v", res.Result.Err)
+	if res.Err != nil {
+		t.Fatalf("job failed: %v", res.Err)
 	}
-	if res.Winner != ModeUPlus {
+	if ModeKind(res.Mode) != ModeUPlus {
 		t.Fatalf("winner = %v, want uplus for a compute-bound 4-map job (estimates D=%v U=%v)",
-			res.Winner, res.EstimateD, res.EstimateU)
+			ModeKind(res.Mode), res.Profile.Decision.EstimateD, res.Profile.Decision.EstimateU)
 	}
 }
 
@@ -149,24 +155,43 @@ func TestSpeculativeWideJobPicksDPlus(t *testing.T) {
 	spec.JobKey = "wide"
 	spec.MapFixedCost = 8e9 // 8 s per map dwarfs launch overhead
 	res := runSpeculative(t, f, spec)
-	if res.Result.Err != nil {
-		t.Fatalf("job failed: %v", res.Result.Err)
+	if res.Err != nil {
+		t.Fatalf("job failed: %v", res.Err)
 	}
-	if res.Winner != ModeDPlus {
+	if ModeKind(res.Mode) != ModeDPlus {
 		t.Fatalf("winner = %v, want dplus (estimates D=%v U=%v)",
-			res.Winner, res.EstimateD, res.EstimateU)
+			ModeKind(res.Mode), res.Profile.Decision.EstimateD, res.Profile.Decision.EstimateU)
 	}
 }
 
+// A race needs a reserved AM per side. On a smaller pool the submission is an
+// error result naming the pool size — the job fails alone, the way the
+// JobServer refuses it — where the speculative entry used to panic the process.
 func TestSpeculativeNeedsPool(t *testing.T) {
-	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
+	rt, reg := memoRuntime(t)
 	f := startFramework(t, rt, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("speculation with a 1-AM pool did not panic")
-		}
-	}()
-	f.SubmitSpeculative(testWCSpec([]string{"/x"}, "/out"), func(*SpecResult) {})
+	f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
+	if _, err := rt.DFS.PutInstant("/in/x", []byte("alpha beta\n"), nil); err != nil {
+		t.Fatal(err)
+	}
+	spec := workloads.WordCountSpec("needs-pool", []string{"/in/x"}, "/out", false)
+	var res *mapreduce.Result
+	f.Submit(ModeSpeculative, spec, func(r *mapreduce.Result) { res = r })
+	if res == nil || res.Err == nil || !strings.Contains(res.Err.Error(), "at least 2, have 1") {
+		t.Fatalf("speculation on a 1-AM pool = %+v, want an error result naming the pool size", res)
+	}
+	// Validity comes before the memo step: a job that cannot run looks nothing up.
+	if n := reg.Get("memo_misses_total") + reg.Get("memo_hits_total"); n != 0 {
+		t.Fatalf("a job that cannot run consulted the memo cache %d times", n)
+	}
+	srv, err := NewJobServer(f, JobServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.Submit("", ModeSpeculative, spec, func(*mapreduce.Result) {})
+	if err == nil || err.Error() != res.Err.Error() {
+		t.Fatalf("JobServer refused with %v, Framework.Submit with %v", err, res.Err)
+	}
 }
 
 // failAllMapAttempts scripts every attempt of every map task to crash
@@ -196,11 +221,11 @@ func TestSpeculativeSurvivesOneModeCrash(t *testing.T) {
 	})
 
 	res := runSpeculative(t, f, testWCSpec(names, "/out"))
-	if res.Result.Err != nil {
-		t.Fatalf("job failed despite a healthy D+ mode: %v", res.Result.Err)
+	if res.Err != nil {
+		t.Fatalf("job failed despite a healthy D+ mode: %v", res.Err)
 	}
-	if res.Winner != ModeDPlus {
-		t.Fatalf("winner = %v, want the surviving dplus", res.Winner)
+	if ModeKind(res.Mode) != ModeDPlus {
+		t.Fatalf("winner = %v, want the surviving dplus", ModeKind(res.Mode))
 	}
 	if rt.Faults.Injected == 0 {
 		t.Fatal("no faults delivered; the test exercised nothing")
@@ -232,11 +257,11 @@ func TestSpeculativeSurvivesDPlusCrash(t *testing.T) {
 	})
 
 	res := runSpeculative(t, f, testWCSpec(names, "/out"))
-	if res.Result.Err != nil {
-		t.Fatalf("job failed despite a healthy U+ mode: %v", res.Result.Err)
+	if res.Err != nil {
+		t.Fatalf("job failed despite a healthy U+ mode: %v", res.Err)
 	}
-	if res.Winner != ModeUPlus {
-		t.Fatalf("winner = %v, want the surviving uplus", res.Winner)
+	if ModeKind(res.Mode) != ModeUPlus {
+		t.Fatalf("winner = %v, want the surviving uplus", ModeKind(res.Mode))
 	}
 	verifyWC(t, rt, "/out", all)
 	if f.Pool.Idle() != 3 {
@@ -253,7 +278,7 @@ func TestSpeculativeBothModesCrashFailsJob(t *testing.T) {
 	failAllMapAttempts(rt, 4, rt.Params.MaxTaskAttempts, nil) // both modes
 
 	res := runSpeculative(t, f, testWCSpec(names, "/out"))
-	if res.Result.Err == nil {
+	if res.Err == nil {
 		t.Fatal("job succeeded with every mode crashed")
 	}
 	for _, name := range rt.DFS.List() {
@@ -281,15 +306,15 @@ func TestSpeculativeOutputMatchesSingleMode(t *testing.T) {
 	}
 	rtA, fA, namesA, allA := mk()
 	resA := runSpeculative(t, fA, testWCSpec(namesA, "/out"))
-	if resA.Result.Err != nil {
-		t.Fatal(resA.Result.Err)
+	if resA.Err != nil {
+		t.Fatal(resA.Err)
 	}
 	verifyWC(t, rtA, "/out", allA)
 
 	rtB, fB, namesB, _ := mk()
 	var resB *mapreduce.Result
 	rtB.Eng.After(0, func() {
-		fB.SubmitDPlus(testWCSpec(namesB, "/out"), func(r *mapreduce.Result) {
+		fB.Submit(ModeDPlus, testWCSpec(namesB, "/out"), func(r *mapreduce.Result) {
 			resB = r
 			rtB.RM.Stop()
 		})

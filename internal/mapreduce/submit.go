@@ -65,9 +65,9 @@ type Result struct {
 	Err     error
 }
 
-// Elapsed returns the job's completion time.
+// Elapsed returns the job's completion time (0 for no result or no profile).
 func (r *Result) Elapsed() float64 {
-	if r.Profile == nil {
+	if r == nil || r.Profile == nil {
 		return 0
 	}
 	return r.Profile.Elapsed().Seconds()

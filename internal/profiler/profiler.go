@@ -61,6 +61,38 @@ type TaskProfile struct {
 // Elapsed returns the task's wall time on the virtual clock.
 func (p *TaskProfile) Elapsed() time.Duration { return p.Ended.Sub(p.Started) }
 
+// Decision sources: how a job came by the mode it ran in. The zero source is
+// a mode the submitter fixed.
+const (
+	ByRace       = "race"       // D+ and U+ raced, the slower one was killed
+	ByHistory    = "history"    // the job key's recorded winner ran alone
+	ByPrediction = "prediction" // the workload class's projected winner ran alone
+	ByMemo       = "memo"       // nothing ran: the cache served the output
+)
+
+// Decision is the decision maker's record for one job, written once by
+// core.Framework.Submit whichever path chose the mode.
+type Decision struct {
+	Source string
+
+	// EstimateD and EstimateU are the Equation 3 and 2 estimates behind a
+	// race's verdict or a prediction; zero when none was needed (history,
+	// memo, a fixed mode, a race a mode won or lost before the first sample).
+	EstimateD time.Duration
+	EstimateU time.Duration
+
+	// Predicted is a prediction's calibrated completion time.
+	Predicted time.Duration
+
+	// At is the instant a race's verdict killed the slower mode.
+	At sim.Time
+
+	// Span is the race's root span: both modes' job spans are its children
+	// and the upload sits under it, so it, not JobProfile.Span, is the tree
+	// the analyzer must walk. Zero for every other source.
+	Span trace.SpanID
+}
+
 // JobProfile aggregates a single job execution in one mode.
 type JobProfile struct {
 	Job  string // job identity key, e.g. "wordcount"
@@ -79,9 +111,8 @@ type JobProfile struct {
 	AMStartup time.Duration
 	AMPoolHit bool
 
-	// DecidedAt is the instant the speculative racer (or history) picked a
-	// winner; zero for non-speculative runs.
-	DecidedAt sim.Time
+	// Decision is what the decision maker did to pick Mode (Figure 6).
+	Decision Decision
 
 	// Span is the root of this job's span tree in the run's trace.Log
 	// (0 when tracing is off); the critical-path analyzer walks it.
@@ -97,6 +128,15 @@ type JobProfile struct {
 
 // Add appends a finished task record.
 func (jp *JobProfile) Add(tp *TaskProfile) { jp.Tasks = append(jp.Tasks, tp) }
+
+// Root is the span tree that covers the whole job: the race's when the
+// decision maker ran one, the job's own otherwise.
+func (jp *JobProfile) Root() trace.SpanID {
+	if jp.Decision.Span != 0 {
+		return jp.Decision.Span
+	}
+	return jp.Span
+}
 
 // Elapsed is the job completion time from submission.
 func (jp *JobProfile) Elapsed() time.Duration { return jp.DoneAt.Sub(jp.SubmittedAt) }

@@ -29,7 +29,7 @@ type DAGRunner struct {
 	FW   *core.Framework
 	Srv  *core.JobServer
 	Cat  *Catalog
-	Mode SubmitMode
+	Mode core.ModeKind // ViaSpeculative, ViaDPlus or ViaUPlus
 	Opts CompileOptions
 
 	// Queue is the RM capacity queue stage jobs land in ("" = default). The
@@ -58,18 +58,6 @@ func NewDAGRunner(fw *core.Framework, srv *core.JobServer, cat *Catalog) (*DAGRu
 		}
 	}
 	return &DAGRunner{FW: fw, Srv: srv, Cat: cat, Mode: ViaSpeculative}, nil
-}
-
-// jobMode maps the runner's submission mode to the JobServer routing mode.
-func (r *DAGRunner) jobMode() core.ModeKind {
-	switch r.Mode {
-	case ViaDPlus:
-		return core.ModeDPlus
-	case ViaUPlus:
-		return core.ModeUPlus
-	default:
-		return core.ModeSpeculative
-	}
 }
 
 // stage lifecycle within one DAG execution.
@@ -251,7 +239,7 @@ func (d *dagRun) launch(st *Stage) {
 		return
 	}
 	d.stampMemo(st)
-	err := d.r.Srv.SubmitAs(d.tenant, d.r.Queue, d.r.jobMode(), st.Spec, func(jr *mapreduce.Result) {
+	err := d.r.Srv.SubmitAs(d.tenant, d.r.Queue, d.r.Mode, st.Spec, func(jr *mapreduce.Result) {
 		winner := core.ModeKind(jr.Mode)
 		d.complete(st, winner, jr.Err)
 	})

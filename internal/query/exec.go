@@ -5,17 +5,14 @@ import (
 	"mrapid/internal/mapreduce"
 )
 
-// SubmitMode selects how the DAG runner submits each compiled stage.
-type SubmitMode int
-
-// Submission modes.
+// The modes a DAG runner submits its compiled stages in. ViaSpeculative races
+// D+ and U+ per stage kind; after the first query the history pre-decides each
+// stage kind instantly — the paper's intended deployment for Hive/Pig-style
+// bursts.
 const (
-	// ViaSpeculative races D+ and U+ per stage kind; after the first query
-	// the history pre-decides each stage kind instantly — the paper's
-	// intended deployment for Hive/Pig-style bursts.
-	ViaSpeculative SubmitMode = iota
-	ViaDPlus
-	ViaUPlus
+	ViaSpeculative = core.ModeSpeculative
+	ViaDPlus       = core.ModeDPlus
+	ViaUPlus       = core.ModeUPlus
 )
 
 // StageSkipped marks a stage whose input was empty: no job ran, the stage's

@@ -202,6 +202,9 @@ func (rm *RM) Stop() {
 	rm.started = false
 }
 
+// Started reports whether the NodeManagers are heartbeating.
+func (rm *RM) Started() bool { return rm.started }
+
 func (rm *RM) nodeHeartbeat(nt *NodeTracker) {
 	if !nt.Node.Alive() {
 		// A crashed machine sends nothing; the liveness monitor will notice.
