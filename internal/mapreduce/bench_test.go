@@ -25,11 +25,7 @@ func teraBenchSpec() *JobSpec {
 		Name: "tera-bench", InputFiles: []string{"/x"}, OutputFile: "/o", NumReduces: 1,
 		Format: FixedFormat{KeyLen: 10, ValLen: 90},
 		Map:    func(k, v []byte, emit Emit) { emit(k, v) },
-		Reduce: func(k []byte, vs [][]byte, emit Emit) {
-			for _, v := range vs {
-				emit(k, v)
-			}
-		},
+		Reduce: identityReduce,
 	}
 }
 
@@ -65,9 +61,51 @@ func BenchmarkExecMapUnique(b *testing.B) {
 	benchExecMap(b, teraBenchSpec(), benchRows)
 }
 
-func benchExecReduce(b *testing.B, spec *JobSpec, data []byte) {
-	outputs := make([]*MapOutput, 8)
-	for i := range outputs {
+// zipfSplits builds the inputs of one of the paper's short WordCount jobs:
+// count splits of size bytes each, 70-column lines of 3- to 10-letter words
+// drawn under Zipf(1.2) from one 30 000-word vocabulary — the shape
+// workloads.Corpus generates (this package's tests cannot import workloads).
+func zipfSplits(count, size int) [][]byte {
+	rng := rand.New(rand.NewSource(7))
+	vocab := make([][]byte, 30_000)
+	for i := range vocab {
+		w := make([]byte, 3+rng.Intn(8))
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		vocab[i] = w
+	}
+	zipf := rand.NewZipf(rng, 1.2, 1.0, uint64(len(vocab)-1))
+	splits := make([][]byte, count)
+	for i := range splits {
+		text := make([]byte, 0, size+16)
+		for line := 0; len(text) < size; {
+			w := vocab[zipf.Uint64()]
+			text = append(text, w...)
+			if line += len(w) + 1; line >= 70 {
+				text, line = append(text, '\n'), 0
+			} else {
+				text = append(text, ' ')
+			}
+		}
+		splits[i] = append(text, '\n')
+	}
+	return splits
+}
+
+// eightOf is the input of the long reduce benchmarks: the same split mapped
+// eight times.
+func eightOf(data []byte) [][]byte {
+	splits := make([][]byte, 8)
+	for i := range splits {
+		splits[i] = data
+	}
+	return splits
+}
+
+func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
+	outputs := make([]*MapOutput, len(splits))
+	for i, data := range splits {
 		outputs[i] = ExecMap(spec, data)
 	}
 	b.ReportAllocs()
@@ -82,13 +120,19 @@ func benchExecReduce(b *testing.B, spec *JobSpec, data []byte) {
 // BenchmarkExecReduce measures the streaming reduce — k-way merge, group,
 // reduce, encode — over 8 pre-sorted duplicate-heavy map outputs.
 func BenchmarkExecReduce(b *testing.B) {
-	benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), benchInput)
+	benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), eightOf(benchInput))
+}
+
+// BenchmarkExecReduceShort measures it at the size the paper's jobs have:
+// 4 runs of 20 KiB of Zipf text each, ≈ 10 k pairs over ≈ 1.9 k keys.
+func BenchmarkExecReduceShort(b *testing.B) {
+	benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(4, 20<<10))
 }
 
 // BenchmarkExecReduceUnique measures the same stream over unique keys:
 // every pair is its own group and its own 102-byte output line.
 func BenchmarkExecReduceUnique(b *testing.B) {
-	benchExecReduce(b, teraBenchSpec(), benchRows)
+	benchExecReduce(b, teraBenchSpec(), eightOf(benchRows))
 }
 
 // BenchmarkConsolidateGroup measures the shuffle service's per-node merge:

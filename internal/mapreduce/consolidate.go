@@ -138,9 +138,11 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 			b.combineFrom(group, p, spec.Combine)
 			continue
 		}
-		for m := newMerger(group, p); len(m) > 0; m.advance() {
-			b.add(p, m[0].src.key(m[0].head), m[0].src.value(m[0].head))
-		}
+		newMerger(group, p).groups(func(key []byte, values [][]byte) {
+			for _, v := range values {
+				b.add(p, key, v)
+			}
+		})
 	}
 	out := b.output()
 	out.Split, out.Resident = first.Split, first.Resident

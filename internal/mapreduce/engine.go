@@ -578,8 +578,7 @@ func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
 		out.Encoded = append(buf, '\n')
 		out.Records++
 	}
-	m := newMerger(outputs, part)
-	m.groups(func(key []byte, values [][]byte) { spec.Reduce(key, values, emit) })
+	newMerger(outputs, part).groups(func(key []byte, values [][]byte) { spec.Reduce(key, values, emit) })
 	return out
 }
 

@@ -1,0 +1,216 @@
+package mapreduce
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// A differential test of the reduce-side merge. Whatever runs it is given,
+// draining a merger must yield what the textbook yields — concatenate every
+// run, sort by bytes.Compare on key then value (refCompare, which shares
+// nothing with compareRecs), group — through all three of its consumers:
+// groups itself, ExecReduce and ConsolidateGroup.
+
+type kv struct{ k, v string }
+
+// runOutput builds one sorted map output holding pairs. Keys lie in the
+// input block, one copy per occurrence the way text holds its words, and
+// values go to the slab, so a value repeating its predecessor shares its
+// offset: the layout in which the merge sees run-spans.
+func runOutput(pairs []kv) *MapOutput {
+	var block []byte
+	for _, p := range pairs {
+		block = append(block, p.k...)
+	}
+	b := newOutputBuilder("run", block, 1, 1, maxOffset)
+	off := 0
+	for _, p := range pairs {
+		b.add(0, block[off:off+len(p.k)], []byte(p.v))
+		off += len(p.k)
+	}
+	b.sortRecs(b.parts[0])
+	return b.output()
+}
+
+// identityReduce emits every value under its key, so a reduce's bytes show
+// the merged order of values as well as of keys.
+func identityReduce(k []byte, vs [][]byte, emit Emit) {
+	for _, v := range vs {
+		emit(k, v)
+	}
+}
+
+func checkMerge(t *testing.T, runs [][]kv) {
+	t.Helper()
+	var want []kv
+	outs := make([]*MapOutput, len(runs))
+	for i, run := range runs {
+		want = append(want, run...)
+		outs[i] = runOutput(run)
+	}
+	slices.SortFunc(want, func(a, b kv) int { return refCompare([]byte(a.k), []byte(a.v), []byte(b.k), []byte(b.v)) })
+	var wantBytes []byte
+	for _, p := range want {
+		wantBytes = append(append(append(append(wantBytes, p.k...), '\t'), p.v...), '\n')
+	}
+
+	var got []kv
+	var keys []string
+	m := newMerger(outs, 0) // a variable: on the parent commit groups has a pointer receiver, and this file must compile there too
+	m.groups(func(k []byte, vs [][]byte) {
+		keys = append(keys, string(k))
+		for _, v := range vs {
+			got = append(got, kv{string(k), string(v)})
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("groups yielded %q, want %q", got, want)
+	}
+	if !slices.IsSorted(keys) || len(slices.Compact(slices.Clone(keys))) != len(keys) {
+		t.Fatalf("groups did not yield each key once, in order: %q", keys)
+	}
+
+	spec := &JobSpec{NumReduces: 1, Reduce: identityReduce}
+	if red := ExecReduce(spec, 0, outs); !bytes.Equal(red.Encoded, wantBytes) || red.Records != int64(len(want)) {
+		t.Fatalf("ExecReduce wrote %d records %q, want %d %q", red.Records, red.Encoded, len(want), wantBytes)
+	}
+	if len(outs) == 0 {
+		return
+	}
+	con := ConsolidateGroup(spec, outs).Out
+	got = got[:0]
+	for _, r := range con.Partitions[0] {
+		got = append(got, kv{string(con.key(r)), string(con.value(r))})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ConsolidateGroup holds %q, want %q", got, want)
+	}
+}
+
+// mergeShapes are the inputs that take a merge down its different paths.
+// Each builds the given number of runs.
+var mergeShapes = []struct {
+	name string
+	runs func(rng *rand.Rand, n int) [][]kv
+}{
+	{"all pairs identical", func(rng *rand.Rand, n int) [][]kv {
+		return fillRuns(n, func(int) int { return 1 + rng.Intn(40) }, func(int) kv { return kv{"word", "1"} })
+	}},
+	{"unique keys", func(rng *rand.Rand, n int) [][]kv {
+		next := 0
+		return fillRuns(n, func(int) int { return rng.Intn(30) }, func(int) kv {
+			next++
+			return kv{fmt.Sprintf("k%05d", (next*7919)%100_000), "v"}
+		})
+	}},
+	{"zipf duplicates", func(rng *rand.Rand, n int) [][]kv {
+		zipf := rand.NewZipf(rng, 1.2, 1, 49)
+		return fillRuns(n, func(int) int { return 200 }, func(int) kv { return kv{fmt.Sprintf("w%d", zipf.Uint64()), "1"} })
+	}},
+	{"long keys sharing the prefix", func(rng *rand.Rand, n int) [][]kv {
+		tails := []string{"", "a", "b", "ab", "\x00", "a\x00", "tail-of-some-length"}
+		return fillRuns(n, func(int) int { return 60 }, func(int) kv { return kv{"sharedpf" + tails[rng.Intn(len(tails))], "1"} })
+	}},
+	{"one key, values differing between runs", func(rng *rand.Rand, n int) [][]kv {
+		return fillRuns(n, func(int) int { return 1 + rng.Intn(9) }, func(run int) kv {
+			return kv{"key", fmt.Sprint((run + rng.Intn(2)) % 4)}
+		})
+	}},
+	{"empty keys and values", func(rng *rand.Rand, n int) [][]kv {
+		return fillRuns(n, func(int) int { return rng.Intn(12) }, func(int) kv {
+			return kv{[]string{"", "a"}[rng.Intn(2)], []string{"", "x"}[rng.Intn(2)]}
+		})
+	}},
+	{"a run empty for the partition", func(rng *rand.Rand, n int) [][]kv {
+		zipf := rand.NewZipf(rng, 1.2, 1, 19)
+		return fillRuns(n, func(run int) int {
+			if run == n/2 {
+				return 0
+			}
+			return 50
+		}, func(int) kv { return kv{fmt.Sprintf("w%d", zipf.Uint64()), "1"} })
+	}},
+}
+
+func fillRuns(n int, size func(run int) int, pair func(run int) kv) [][]kv {
+	runs := make([][]kv, n)
+	for i := range runs {
+		runs[i] = make([]kv, size(i))
+		for j := range runs[i] {
+			runs[i][j] = pair(i)
+		}
+	}
+	return runs
+}
+
+// eachMergeCase visits run counts × shapes.
+func eachMergeCase(visit func(name string, runs [][]kv)) {
+	for _, n := range []int{0, 1, 2, 3, 8, 33} {
+		for _, shape := range mergeShapes {
+			rng := rand.New(rand.NewSource(int64(n)))
+			visit(fmt.Sprintf("%d runs/%s", n, shape.name), shape.runs(rng, n))
+		}
+	}
+}
+
+func TestMergeMatchesSortedConcatenation(t *testing.T) {
+	eachMergeCase(func(name string, runs [][]kv) {
+		t.Run(name, func(t *testing.T) { checkMerge(t, runs) })
+	})
+}
+
+// FuzzMergeGroups feeds checkMerge arbitrary runs. The input is lines of
+// "<run byte><key>\t<value>"; a line's first byte modulo nruns picks its
+// run, and a line without a tab is a key with an empty value.
+func FuzzMergeGroups(f *testing.F) {
+	eachMergeCase(func(_ string, runs [][]kv) {
+		var text strings.Builder
+		for i, run := range runs {
+			for _, p := range run {
+				fmt.Fprintf(&text, "%c%s\t%s\n", i, p.k, p.v)
+			}
+		}
+		f.Add([]byte(text.String()), uint8(len(runs)))
+	})
+	f.Fuzz(func(t *testing.T, text []byte, nruns uint8) {
+		if nruns == 0 || nruns > 40 {
+			return
+		}
+		runs := make([][]kv, nruns)
+		for _, line := range bytes.Split(text, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			k, v, _ := bytes.Cut(line[1:], []byte("\t"))
+			run := int(line[0]) % int(nruns)
+			runs[run] = append(runs[run], kv{string(k), string(v)})
+		}
+		checkMerge(t, runs)
+	})
+}
+
+// The pooled values slice must not keep a finished job's stores reachable:
+// every header the merge wrote into it is cleared before it is pooled, also
+// those of a group longer than the last one.
+func TestPooledValuesPinNothing(t *testing.T) {
+	spec := wcSpec([]string{"/x"}, "/o")
+	mo := ExecMap(spec, []byte(strings.Repeat("a ", 300)+"b\n")) // a long group, then a short one
+	for try := 0; try < 50; try++ {
+		ExecReduce(spec, 0, []*MapOutput{mo})
+		vs := getVals()
+		if cap(vs) < 300 {
+			continue // sync.Pool may drop what it is given, and does under -race
+		}
+		for i, v := range vs[:cap(vs)] {
+			if v != nil {
+				t.Fatalf("pooled values[%d] of %d still holds %q", i, cap(vs), v)
+			}
+		}
+		return
+	}
+	t.Fatal("the pool never handed back the slice a reduce had grown")
+}

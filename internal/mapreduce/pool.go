@@ -15,6 +15,11 @@ var valsPool = sync.Pool{New: func() any { vs := make([][]byte, 0, 64); return &
 
 func getVals() [][]byte { return *valsPool.Get().(*[][]byte) }
 
+// putVals pools vs, which the caller has resliced to the longest length it
+// filled: everything a pooled slice holds up to its capacity is nil, and
+// clearing to that high-water mark — not to the last length, which would
+// leave a longer group's headers behind, nor to the capacity, which can be
+// a million entries — keeps it so.
 func putVals(vs [][]byte) {
 	clear(vs)
 	vs = vs[:0]

@@ -22,6 +22,10 @@ import (
 )
 
 // Emit is the output callback handed to map, combine, and reduce functions.
+// The callee copies what it keeps (or, for bytes of the split's input block,
+// indexes them where they lie), so the caller may reuse or share the
+// memory behind key and value as soon as the call returns, and the callee
+// must not write to it.
 type Emit func(key, value []byte)
 
 // MapFunc consumes one record and emits intermediate pairs.

@@ -28,21 +28,28 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 		panic("workloads: vocabulary must be positive")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	vocab := make([][]byte, vocabSize)
-	seen := make(map[string]bool, vocabSize)
+	// The words are cut from one slab, and the set of those drawn so far is
+	// keyed by their letters packed five bits each (ten letters at most, none
+	// packed as zero, so the length is part of the key): nothing is allocated
+	// per word.
 	const letters = "abcdefghijklmnopqrstuvwxyz"
+	vocab := make([][]byte, vocabSize)
+	slab := make([]byte, 0, 10*vocabSize)
+	seen := make(map[uint64]bool, vocabSize)
 	for i := range vocab {
 		for {
-			n := 3 + rng.Intn(8)
-			w := make([]byte, n)
-			for j := range w {
-				w[j] = letters[rng.Intn(len(letters))]
+			start, packed := len(slab), uint64(0)
+			for n := 3 + rng.Intn(8); n > 0; n-- {
+				c := rng.Intn(len(letters))
+				slab = append(slab, letters[c])
+				packed = packed<<5 | uint64(c+1)
 			}
-			if !seen[string(w)] {
-				seen[string(w)] = true
-				vocab[i] = w
+			if !seen[packed] {
+				seen[packed] = true
+				vocab[i] = slab[start:len(slab):len(slab)]
 				break
 			}
+			slab = slab[:start] // drawn before: draw again
 		}
 	}
 	return &Corpus{

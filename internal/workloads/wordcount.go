@@ -100,16 +100,37 @@ func wordCountMap(_, line []byte, emit mapreduce.Emit) {
 	}
 }
 
+// countTexts holds the decimal text of every count below 1000, cut from one
+// slab: what a short job's reduce emits for all but a few hundred head
+// words. Shared and read-only — Emit's contract is that the callee copies.
+var countTexts = func() (texts [1000][]byte) {
+	slab := make([]byte, 0, 10+2*90+3*900)
+	for n := range texts {
+		start := len(slab)
+		slab = strconv.AppendInt(slab, int64(n), 10)
+		texts[n] = slab[start:len(slab):len(slab)]
+	}
+	return texts
+}()
+
 func wordCountReduce(key []byte, values [][]byte, emit mapreduce.Emit) {
 	total := 0
 	for _, v := range values {
+		if len(v) == 1 && v[0]-'0' <= 9 { // the map's "1", or a combiner's small count
+			total += int(v[0] - '0')
+			continue
+		}
 		n, err := strconv.Atoi(string(v))
 		if err != nil {
 			panic(fmt.Sprintf("workloads: wordcount got non-numeric count %q", v))
 		}
 		total += n
 	}
-	emit(key, []byte(strconv.Itoa(total)))
+	if 0 <= total && total < len(countTexts) {
+		emit(key, countTexts[total])
+		return
+	}
+	emit(key, strconv.AppendInt(nil, int64(total), 10))
 }
 
 // CountWords computes the reference answer directly, for output

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"testing"
@@ -337,5 +338,71 @@ func TestRadicalInverseKnownValues(t *testing.T) {
 		if got := radicalInverse(c.n, c.b); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("radicalInverse(%d,%d) = %v, want %v", c.n, c.b, got, c.want)
 		}
+	}
+}
+
+// The corpus bytes are what every WordCount figure, golden and benchmark
+// digest is computed over: pinned so that a change to how NewCorpus builds
+// its vocabulary (30 000 words redraw several hundred duplicates) or to the
+// order it draws from its source cannot move them unnoticed.
+func TestCorpusPinned(t *testing.T) {
+	for _, c := range []struct {
+		vocab int
+		seed  int64
+		size  int64
+		want  uint64
+	}{
+		{30000, 1, 1 << 20, 0xd0a51b9ce1421aa9},
+		{500, 42, 64 << 10, 0x1f0e6d5d06a0026a},
+	} {
+		h := fnv.New64a()
+		h.Write(NewCorpus(c.vocab, c.seed).Generate(c.size))
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("NewCorpus(%d, %d).Generate(%d) hashes to %#x, pinned %#x", c.vocab, c.seed, c.size, got, c.want)
+		}
+	}
+}
+
+// The reducer sums one-digit counts without parsing, takes totals below
+// 1000 from the shared table and the rest from strconv, allocates for
+// neither of the first two, and still refuses a count that is no number.
+func TestWordCountReduceFastPaths(t *testing.T) {
+	reduce := func(values ...string) (text string) {
+		vs := make([][]byte, len(values))
+		for i, v := range values {
+			vs[i] = []byte(v)
+		}
+		wordCountReduce([]byte("w"), vs, func(_, v []byte) { text = string(v) })
+		return text
+	}
+	for _, c := range []struct {
+		values []string
+		want   string
+	}{
+		{nil, "0"},
+		{[]string{"1", "1", "1"}, "3"},
+		{[]string{"9", "990"}, "999"},
+		{[]string{"9", "991"}, "1000"},
+		{[]string{"123456", "7", "-7"}, "123456"},
+		{[]string{"-5", "2"}, "-3"},
+	} {
+		if got := reduce(c.values...); got != c.want {
+			t.Errorf("reduce%q = %q, want %q", c.values, got, c.want)
+		}
+	}
+	for _, bad := range []string{"x", "", "1x"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("count %q did not panic", bad)
+				}
+			}()
+			reduce("1", bad)
+		}()
+	}
+	key, ones := []byte("w"), [][]byte{one, one, one, []byte("42")}
+	emit := func(_, _ []byte) {}
+	if n := testing.AllocsPerRun(100, func() { wordCountReduce(key, ones, emit) }); n != 0 {
+		t.Errorf("a reduce inside the table allocates %v times", n)
 	}
 }
