@@ -1,8 +1,6 @@
 package bench
 
-import (
-	"testing"
-)
+import "testing"
 
 // TestDAGQuerySmoke is the CI gate for the query DAG scheduler: on a reduced
 // workload the experiment itself enforces row-identity between the chain and
@@ -62,6 +60,7 @@ func TestDAGQueryDeterminism(t *testing.T) {
 	}
 	checkGolden(t, "dagquery scale=0.05 seed=11 row=chain", a.Points[0])
 	checkGolden(t, "dagquery scale=0.05 seed=11 row=dag", a.Points[1])
+	pinFigure(t, a, Options{Scale: 0.05, Seed: 11})
 	for i := range a.Points {
 		for _, col := range a.Columns {
 			if a.Points[i].Seconds[col] != b.Points[i].Seconds[col] {

@@ -2,18 +2,19 @@ package bench
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"strings"
 	"testing"
+
+	"mrapid/internal/pin"
 )
 
-// update rewrites testdata/golden.json from whatever the run computes:
+// -update (pin's flag) rewrites testdata/golden.json from whatever the run
+// computes:
 //
 //	go test ./internal/bench/ -update
-var update = flag.Bool("update", false, "rewrite testdata/golden.json from this run")
 
 const goldenPath = "testdata/golden.json"
 
@@ -22,7 +23,7 @@ func readGolden(t *testing.T) map[string]string {
 	golden := map[string]string{}
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
-		if *update && os.IsNotExist(err) {
+		if pin.Updating() && os.IsNotExist(err) {
 			return golden
 		}
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func checkGolden(t *testing.T, key string, v any) {
 	got := fmt.Sprintf("%016x", h.Sum64())
 
 	golden := readGolden(t)
-	if *update {
+	if pin.Updating() {
 		golden[key] = got
 		out, err := json.MarshalIndent(golden, "", "  ")
 		if err != nil {
@@ -73,6 +74,32 @@ func checkFigure(t *testing.T, fig *Figure, o Options) {
 	t.Helper()
 	o = o.normalized()
 	checkGolden(t, fmt.Sprintf("%s scale=%g seed=%d", fig.ID, o.Scale, o.Seed), fig)
+	pinFigure(t, fig, o)
+}
+
+// pinFigure pins a figure under its ID and the options it ran at: every
+// point × column value in seconds as "<label>/<column>", each point's x, the
+// notes, and the title, axis, column and point order.
+func pinFigure(t *testing.T, fig *Figure, o Options) {
+	t.Helper()
+	o = o.normalized()
+	labels := make([]string, len(fig.Points))
+	rec := pin.Record{"title": fig.Title, "xlabel": fig.XLabel, "columns": strings.Join(fig.Columns, " ")}
+	for i, p := range fig.Points {
+		labels[i] = p.Label
+		if _, dup := rec[p.Label+"/x"]; dup {
+			t.Fatalf("%s: two points labelled %q", fig.ID, p.Label)
+		}
+		rec[p.Label+"/x"] = p.X
+		for c, v := range p.Seconds {
+			rec[p.Label+"/"+c] = v
+		}
+	}
+	rec["points"] = strings.Join(labels, " ")
+	for i, n := range fig.Notes {
+		rec[fmt.Sprintf("note %d", i)] = n
+	}
+	pin.Check(t, fmt.Sprintf("%s scale=%g seed=%d", fig.ID, o.Scale, o.Seed), rec)
 }
 
 // checkWorkload pins one RunThroughput result. The engine self-profile is
@@ -82,12 +109,13 @@ func checkWorkload(t *testing.T, key string, r *ThroughputResult) {
 	c := *r
 	c.Engine = nil
 	checkGolden(t, "workload "+key, c)
+	pin.Check(t, "workload "+key, pin.Fields(c))
 }
 
 // TestGoldenCoversRegistry fails when a registered experiment has no pinned
 // Figure.
 func TestGoldenCoversRegistry(t *testing.T) {
-	if *update {
+	if pin.Updating() {
 		t.Skip("golden is being rewritten")
 	}
 	golden := readGolden(t)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/pin"
 	"mrapid/internal/shuffle"
 	"mrapid/internal/topology"
 	"mrapid/internal/trace"
@@ -18,6 +19,9 @@ import (
 // bodies (launchDPlus/launchUPlus); the one submission lifecycle must
 // reproduce them bit for bit — the refactors were structure, not behavior —
 // except the three cases re-pinned below, each with its reason.
+// lastRecord is the record of the run fingerprintOf saw last.
+var lastRecord pin.Record
+
 type launchFingerprint struct {
 	elapsed    time.Duration
 	outHash    uint64
@@ -30,8 +34,67 @@ type launchFingerprint struct {
 	tasks      int
 }
 
+// runRecord is what a finished job must reproduce: when it finished, when its
+// last task attempt ended (a cold submission rounds elapsed up to the
+// client's next status poll, which would hide sub-second drift), what it
+// wrote, how its profile describes the run, what the decision maker did, and
+// how many engine events and container allocations it took.
+func runRecord(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result, out string) pin.Record {
+	t.Helper()
+	if res == nil {
+		t.Fatal("job never completed")
+	}
+	if res.Err != nil {
+		t.Fatalf("job failed: %v", res.Err)
+	}
+	var parts [][]byte
+	outLen := 0
+	for part := 0; part < res.Spec.NumReduces; part++ {
+		b, err := rt.DFS.Contents(mapreduce.PartFileName(out, part))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, b)
+		outLen += len(b)
+	}
+	p := res.Profile
+	var lastTask time.Duration
+	for _, tp := range p.Tasks {
+		lastTask = max(lastTask, tp.Ended.Sub(p.SubmittedAt))
+	}
+	rec := pin.Record{
+		"elapsed_s":    pin.Seconds(p.Elapsed()),
+		"last_task_s":  pin.Seconds(lastTask),
+		"output":       pin.Digest(parts...),
+		"output_bytes": outLen,
+		"mode":         res.Mode,
+		"maps":         p.NumMaps,
+		"containers":   p.NumContainers,
+		"pool_hit":     p.AMPoolHit,
+		"am_startup_s": pin.Seconds(p.AMStartup),
+		"tasks":        len(p.Tasks),
+		"events":       rt.Eng.Fired(),
+		"allocations":  rt.RM.Metrics.Allocations,
+	}
+	// The decision record, where the decision maker made one.
+	d := p.Decision
+	for field, v := range map[string]any{
+		"decision":              d.Source,
+		"decision.estimate_d_s": pin.Seconds(d.EstimateD),
+		"decision.estimate_u_s": pin.Seconds(d.EstimateU),
+		"decision.predicted_s":  pin.Seconds(d.Predicted),
+		"decision.at_s":         pin.Seconds(time.Duration(d.At)),
+	} {
+		if v != "" && v != 0.0 {
+			rec[field] = v
+		}
+	}
+	return rec
+}
+
 func fingerprintOf(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result, out string) launchFingerprint {
 	t.Helper()
+	lastRecord = runRecord(t, rt, res, out)
 	if res == nil {
 		t.Fatal("job never completed")
 	}
@@ -295,6 +358,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run(t)
+			pin.Check(t, "launch "+tc.name, lastRecord)
 			if got != tc.want {
 				t.Errorf("fingerprint drifted:\n got  %+v\n want %+v", got, tc.want)
 			}

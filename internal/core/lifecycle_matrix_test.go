@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/pin"
 	"mrapid/internal/profiler"
 	"mrapid/internal/shuffle"
 	"mrapid/internal/sim"
@@ -130,7 +131,7 @@ var lifecycleShapes = []struct {
 // runLifecycleCell runs the 4×1 MiB, two-reduce word count on a fresh
 // cluster. arm, when non-nil, installs the cell's fault just before the job
 // is submitted.
-func runLifecycleCell(t *testing.T, shape int, service bool, arm func(rt *mapreduce.Runtime)) (*mapreduce.Result, lifecycleCell) {
+func runLifecycleCell(t *testing.T, shape int, service bool, arm func(rt *mapreduce.Runtime)) (*mapreduce.Result, lifecycleCell, pin.Record) {
 	t.Helper()
 	sh := lifecycleShapes[shape]
 	rt := newRuntime(t, topology.A3, 4, sh.sched())
@@ -170,7 +171,7 @@ func runLifecycleCell(t *testing.T, shape int, service bool, arm func(rt *mapred
 			cell.lastTask = end
 		}
 	}
-	return res, cell
+	return res, cell, runRecord(t, rt, res, "/out")
 }
 
 // nodeCrashFor scripts the cell's machine crash from the clean run of the
@@ -216,7 +217,7 @@ func TestLifecycleMatrixGolden(t *testing.T) {
 			if service {
 				svc = "on"
 			}
-			clean, cleanCell := runLifecycleCell(t, shape, service, nil)
+			clean, cleanCell, cleanRec := runLifecycleCell(t, shape, service, nil)
 			victim, crashAt := nodeCrashFor(t, sh.inAM, clean)
 			attemptCrash := func(kind string) func(*mapreduce.Runtime) {
 				return func(rt *mapreduce.Runtime) {
@@ -243,14 +244,15 @@ func TestLifecycleMatrixGolden(t *testing.T) {
 			for _, fault := range faults {
 				key := fmt.Sprintf("%s/%s/%s", sh.name, svc, fault.name)
 				t.Run(key, func(t *testing.T) {
-					got := cleanCell
+					got, rec := cleanCell, cleanRec
 					if fault.arm != nil {
 						var res *mapreduce.Result
-						res, got = runLifecycleCell(t, shape, service, fault.arm)
+						res, got, rec = runLifecycleCell(t, shape, service, fault.arm)
 						if n := failedAttempts(res.Profile); fault.name != "node-crash" && n != 1 {
 							t.Fatalf("%d failed attempts recorded, want the 1 injected", n)
 						}
 					}
+					pin.Check(t, "lifecycle "+key, rec)
 					if want, ok := lifecycleGolden[key]; !ok || got != want {
 						t.Errorf("cell drifted:\n got  %+v\n want %+v", got, want)
 					}

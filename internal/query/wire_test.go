@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"mrapid/internal/pin"
 )
 
 // warehousePlan is bench.WarehouseQuery's shape (this package cannot import
@@ -126,7 +128,9 @@ func TestStagePartFilesPinned(t *testing.T) {
 		e.run.Sequential = sequential
 		e.run.Opts = CompileOptions{TargetBytesPerReduce: 8 << 10, MaxReduces: 4}
 		for _, v := range variants {
-			if got := e.stageFilesDigest(t, v.plan); got != v.want {
+			got := e.stageFilesDigest(t, v.plan)
+			pin.Check(t, fmt.Sprintf("warehouse %s sequential=%v", v.name, sequential), pin.Record{"part_files": got})
+			if got != v.want {
 				t.Errorf("sequential=%v %s: stage part files digest %s, pinned %s", sequential, v.name, got, v.want)
 			}
 		}

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/metrics"
+	"mrapid/internal/pin"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 	"mrapid/internal/workloads"
@@ -101,6 +103,13 @@ func runDistributed(t testing.TB, w *world, spec *mapreduce.JobSpec, faults []ma
 	return res, out
 }
 
+// pinRun pins one job of a test world: its virtual completion, output bytes
+// and engine event count.
+func pinRun(t *testing.T, run string, w *world, res *mapreduce.Result, out []byte) {
+	t.Helper()
+	pin.Check(t, run, pin.Record{"elapsed_s": res.Elapsed(), "output": pin.Digest(out), "events": w.rt.Eng.Fired()})
+}
+
 // The golden determinism contract: attaching the service — with or without
 // compression — must not change a single byte of job output, at any host
 // worker count. Virtual completion time may differ (the service changes the
@@ -125,6 +134,11 @@ func TestGoldenOutputAcrossServiceAndWorkers(t *testing.T) {
 	for _, c := range cfgs {
 		w := newWorld(t, 1, c.workers, c.attach, c.codec)
 		res, out := runDistributed(t, w, stageWC(t, w), nil)
+		service := "off"
+		if c.attach {
+			service = c.codec
+		}
+		pinRun(t, fmt.Sprintf("distributed service=%s workers=%d", service, c.workers), w, res, out)
 		if goldenOut == nil {
 			goldenOut = out
 		} else if !bytes.Equal(goldenOut, out) {
@@ -146,6 +160,7 @@ func TestGoldenOutputAcrossServiceAndWorkers(t *testing.T) {
 func TestGoldenOutputUnderNodeFault(t *testing.T) {
 	clean := newWorld(t, 1, 0, true, "lz")
 	cleanRes, cleanOut := runDistributed(t, clean, stageWC(t, clean), nil)
+	pinRun(t, "distributed service=lz workers=0", clean, cleanRes, cleanOut)
 	mid := time.Duration(cleanRes.Elapsed()/2*float64(time.Second)) + time.Millisecond
 	for _, fault := range []mapreduce.NodeFault{
 		{Node: "node-02", At: mid},
@@ -153,6 +168,7 @@ func TestGoldenOutputUnderNodeFault(t *testing.T) {
 	} {
 		w := newWorld(t, 1, 0, true, "lz")
 		res, out := runDistributed(t, w, stageWC(t, w), []mapreduce.NodeFault{fault})
+		pinRun(t, fmt.Sprintf("distributed service=lz workers=0 crash=%s@%s restart=%s", fault.Node, fault.At, fault.RestartAfter), w, res, out)
 		if !bytes.Equal(cleanOut, out) {
 			t.Fatalf("output diverged after crashing %s at %s", fault.Node, fault.At)
 		}
@@ -270,6 +286,7 @@ func TestUPlusGoldenOutput(t *testing.T) {
 		if attach {
 			key = "on"
 		}
+		pinRun(t, map[bool]string{false: "uplus service=off", true: "uplus service=lz"}[attach], w, res, out)
 		outs[key] = out
 	}
 	if !bytes.Equal(outs["off"], outs["on"]) {

@@ -3,16 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"mrapid/internal/pin"
 	"mrapid/internal/sim"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenLog builds a small but representative span tree: a job root, an AM
 // startup with a scheduling wait under it, one map with a read sub-span, an
@@ -47,8 +45,11 @@ func TestChromeTraceGolden(t *testing.T) {
 	if err := goldenLog().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
+	rec := pin.Fields(json.RawMessage(buf.Bytes()))
+	rec["bytes"] = pin.Digest(buf.Bytes())
+	pin.Check(t, "chrome goldenLog", rec)
 	golden := filepath.Join("testdata", "chrome_golden.json")
-	if *update {
+	if pin.Updating() {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"mrapid/internal/costmodel"
 	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/pin"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 )
@@ -178,13 +180,19 @@ func TestTeraGenGeometry(t *testing.T) {
 func TestTeraGenDeterministic(t *testing.T) {
 	d1, c1 := testDFS(t)
 	d2, c2 := testDFS(t)
-	TeraGen(d1, c1, "/a", TeraGenConfig{Rows: 100, Files: 2, Seed: 9})
+	names, _ := TeraGen(d1, c1, "/a", TeraGenConfig{Rows: 100, Files: 2, Seed: 9})
 	TeraGen(d2, c2, "/a", TeraGenConfig{Rows: 100, Files: 2, Seed: 9})
 	b1, _ := d1.Contents("/a/part-00000")
 	b2, _ := d2.Contents("/a/part-00000")
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("teragen not deterministic")
 	}
+	var files [][]byte
+	for _, n := range names {
+		b, _ := d1.Contents(n)
+		files = append(files, b)
+	}
+	pin.Check(t, "teragen rows=100 files=2 seed=9", pin.Record{"output": pin.Digest(files...)})
 }
 
 func TestTotalOrderPartitioner(t *testing.T) {
@@ -356,7 +364,9 @@ func TestCorpusPinned(t *testing.T) {
 		{500, 42, 64 << 10, 0x1f0e6d5d06a0026a},
 	} {
 		h := fnv.New64a()
-		h.Write(NewCorpus(c.vocab, c.seed).Generate(c.size))
+		data := NewCorpus(c.vocab, c.seed).Generate(c.size)
+		h.Write(data)
+		pin.Check(t, fmt.Sprintf("corpus vocab=%d seed=%d size=%d", c.vocab, c.seed, c.size), pin.Record{"output": pin.Digest(data)})
 		if got := h.Sum64(); got != c.want {
 			t.Errorf("NewCorpus(%d, %d).Generate(%d) hashes to %#x, pinned %#x", c.vocab, c.seed, c.size, got, c.want)
 		}
