@@ -106,18 +106,18 @@ func (e *env) stageFilesDigest(t *testing.T, p *Plan) string {
 
 // TestStagePartFilesPinned pins the bytes of every stage's part files — the
 // group-by and join outputs over several partitions, the order-by's single
-// one — for the three warehouse query variants under both schedules. The row codec may change how the bytes are produced, never the
-// bytes: part files, PartBytes, the cost model's charges and every virtual
-// time follow from them.
+// one — for the three warehouse query variants under both schedules. The row
+// codec may change how the bytes are produced, never the bytes: part files,
+// PartBytes, the cost model's charges and every virtual time follow from
+// them.
 func TestStagePartFilesPinned(t *testing.T) {
 	variants := []struct {
 		name string
 		plan *Plan
-		want string
 	}{
-		{"amount>100,refund>20,desc", warehousePlan(100, 20, true), "546946e0e3e0bdf8"},
-		{"amount>160,refund>30,desc", warehousePlan(160, 30, true), "7a4406f1e3a408e7"},
-		{"amount>100,refund>20,asc", warehousePlan(100, 20, false), "a9ef7f5e9be72291"},
+		{"amount>100,refund>20,desc", warehousePlan(100, 20, true)},
+		{"amount>160,refund>30,desc", warehousePlan(160, 30, true)},
+		{"amount>100,refund>20,asc", warehousePlan(100, 20, false)},
 	}
 	for _, sequential := range []bool{true, false} {
 		e := newDAGEnv(t, 4)
@@ -128,11 +128,8 @@ func TestStagePartFilesPinned(t *testing.T) {
 		e.run.Sequential = sequential
 		e.run.Opts = CompileOptions{TargetBytesPerReduce: 8 << 10, MaxReduces: 4}
 		for _, v := range variants {
-			got := e.stageFilesDigest(t, v.plan)
-			pin.Check(t, fmt.Sprintf("warehouse %s sequential=%v", v.name, sequential), pin.Record{"part_files": got})
-			if got != v.want {
-				t.Errorf("sequential=%v %s: stage part files digest %s, pinned %s", sequential, v.name, got, v.want)
-			}
+			pin.Check(t, fmt.Sprintf("warehouse %s sequential=%v", v.name, sequential),
+				pin.Record{"part_files": e.stageFilesDigest(t, v.plan)})
 		}
 	}
 }

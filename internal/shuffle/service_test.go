@@ -26,7 +26,8 @@ type world struct {
 	reg *metrics.Registry
 }
 
-// newWorld builds a 4-node A3 runtime; codec == "" leaves the service off.
+// newWorld builds a 4-node A3 runtime; with attach false the service stays
+// off and codec is ignored.
 func newWorld(t testing.TB, seed int64, hostWorkers int, attach bool, codec string) *world {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -115,41 +116,25 @@ func pinRun(t *testing.T, run string, w *world, res *mapreduce.Result, out []byt
 // worker count. Virtual completion time may differ (the service changes the
 // cost model); within one configuration it must not depend on HostWorkers.
 func TestGoldenOutputAcrossServiceAndWorkers(t *testing.T) {
-	type cfg struct {
-		name    string
-		attach  bool
-		codec   string
-		workers int
-	}
-	cfgs := []cfg{
-		{"off/seq", false, "", 0},
-		{"off/par", false, "", 4},
-		{"svc/seq", true, "none", 0},
-		{"svc/par", true, "none", 4},
-		{"lz/seq", true, "lz", 0},
-		{"lz/par", true, "lz", 4},
-	}
 	var goldenOut []byte
 	elapsed := map[string]float64{}
-	for _, c := range cfgs {
-		w := newWorld(t, 1, c.workers, c.attach, c.codec)
-		res, out := runDistributed(t, w, stageWC(t, w), nil)
-		service := "off"
-		if c.attach {
-			service = c.codec
+	for _, service := range []string{"off", "none", "lz"} {
+		for _, workers := range []int{0, 4} {
+			run := fmt.Sprintf("distributed service=%s workers=%d", service, workers)
+			w := newWorld(t, 1, workers, service != "off", service)
+			res, out := runDistributed(t, w, stageWC(t, w), nil)
+			pinRun(t, run, w, res, out)
+			if goldenOut == nil {
+				goldenOut = out
+			} else if !bytes.Equal(goldenOut, out) {
+				t.Fatalf("%s: output diverged from baseline", run)
+			}
+			if prev, ok := elapsed[service]; ok && prev != res.Elapsed() {
+				t.Fatalf("%s: elapsed %.6fs differs from same-config run %.6fs — HostWorkers leaked into the virtual timeline",
+					run, res.Elapsed(), prev)
+			}
+			elapsed[service] = res.Elapsed()
 		}
-		pinRun(t, fmt.Sprintf("distributed service=%s workers=%d", service, c.workers), w, res, out)
-		if goldenOut == nil {
-			goldenOut = out
-		} else if !bytes.Equal(goldenOut, out) {
-			t.Fatalf("%s: output diverged from baseline", c.name)
-		}
-		key := strings.Split(c.name, "/")[0]
-		if prev, ok := elapsed[key]; ok && prev != res.Elapsed() {
-			t.Fatalf("%s: elapsed %.6fs differs from same-config run %.6fs — HostWorkers leaked into the virtual timeline",
-				c.name, res.Elapsed(), prev)
-		}
-		elapsed[key] = res.Elapsed()
 	}
 }
 
@@ -266,8 +251,8 @@ func TestRegisteredOutputsDrain(t *testing.T) {
 // service attached produces output byte-identical to the service-off run.
 func TestUPlusGoldenOutput(t *testing.T) {
 	outs := map[string][]byte{}
-	for _, attach := range []bool{false, true} {
-		w := newWorld(t, 1, 0, attach, "lz")
+	for _, service := range []string{"off", "lz"} {
+		w := newWorld(t, 1, 0, service != "off", service)
 		spec := stageWC(t, w)
 		var res *mapreduce.Result
 		w.rt.Eng.After(0, func() {
@@ -276,20 +261,16 @@ func TestUPlusGoldenOutput(t *testing.T) {
 		w.rt.Eng.RunUntil(w.rt.Eng.Now().Add(600 * time.Second))
 		w.rt.RM.Stop()
 		if res == nil || res.Err != nil {
-			t.Fatalf("attach=%v: U+ job failed: %+v", attach, res)
+			t.Fatalf("service=%s: U+ job failed: %+v", service, res)
 		}
 		out, err := w.rt.DFS.Contents(mapreduce.PartFileName(spec.OutputFile, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := "off"
-		if attach {
-			key = "on"
-		}
-		pinRun(t, map[bool]string{false: "uplus service=off", true: "uplus service=lz"}[attach], w, res, out)
-		outs[key] = out
+		pinRun(t, "uplus service="+service, w, res, out)
+		outs[service] = out
 	}
-	if !bytes.Equal(outs["off"], outs["on"]) {
+	if !bytes.Equal(outs["off"], outs["lz"]) {
 		t.Fatal("U+ output diverged with the service attached")
 	}
 }

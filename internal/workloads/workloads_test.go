@@ -3,7 +3,6 @@ package workloads
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"testing"
@@ -349,27 +348,22 @@ func TestRadicalInverseKnownValues(t *testing.T) {
 	}
 }
 
-// The corpus bytes are what every WordCount figure, golden and benchmark
-// digest is computed over: pinned so that a change to how NewCorpus builds
-// its vocabulary (30 000 words redraw several hundred duplicates) or to the
-// order it draws from its source cannot move them unnoticed.
+// The corpus bytes are what every WordCount figure, pinned run and
+// benchmark digest is computed over: pinned so that a change to how
+// NewCorpus builds its vocabulary (30 000 words redraw several hundred
+// duplicates) or to the order it draws from its source cannot move them
+// unnoticed.
 func TestCorpusPinned(t *testing.T) {
 	for _, c := range []struct {
 		vocab int
 		seed  int64
 		size  int64
-		want  uint64
 	}{
-		{30000, 1, 1 << 20, 0xd0a51b9ce1421aa9},
-		{500, 42, 64 << 10, 0x1f0e6d5d06a0026a},
+		{30000, 1, 1 << 20},
+		{500, 42, 64 << 10},
 	} {
-		h := fnv.New64a()
-		data := NewCorpus(c.vocab, c.seed).Generate(c.size)
-		h.Write(data)
-		pin.Check(t, fmt.Sprintf("corpus vocab=%d seed=%d size=%d", c.vocab, c.seed, c.size), pin.Record{"output": pin.Digest(data)})
-		if got := h.Sum64(); got != c.want {
-			t.Errorf("NewCorpus(%d, %d).Generate(%d) hashes to %#x, pinned %#x", c.vocab, c.seed, c.size, got, c.want)
-		}
+		pin.Check(t, fmt.Sprintf("corpus vocab=%d seed=%d size=%d", c.vocab, c.seed, c.size),
+			pin.Record{"output": pin.Digest(NewCorpus(c.vocab, c.seed).Generate(c.size))})
 	}
 }
 
