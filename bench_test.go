@@ -258,20 +258,6 @@ func BenchmarkParallelMapExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSpeculation measures the cost/benefit of the speculative
-// dual-mode executor itself (not a paper figure; §III-C's mechanism):
-// first-run speculation vs a history-guided second run of the same program.
-func BenchmarkAblationSpeculation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		first, second, err := bench.SpeculationOverhead(bench.Options{Scale: benchScale(), Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(first, "speculative-vsec")
-		b.ReportMetric(second, "history-vsec")
-	}
-}
-
 // BenchmarkDPlusAllocateTenantQueues measures one D+ allocate heartbeat
 // (Algorithm 1 answering 8 asks that carry node and rack hints) on the
 // cluster_stream shape: 256 nodes in 8 racks with three tenant queues of

@@ -64,7 +64,7 @@ var (
 	jobs     = flag.Int("jobs", 1, "number of jobs; > 1 switches to multi-job workload mode through the JobServer")
 	tenants  = flag.Int("tenants", 2, "workload mode: tenant capacity queues the jobs are spread over")
 	arrival  = flag.String("arrival", "burst", "workload mode: arrival process — burst | uniform:<gap> | poisson:<mean>")
-	policy   = flag.String("policy", "fifo", "workload mode: admission policy — fifo | wfair | deadline")
+	policy   = flag.String("policy", "fifo", "workload mode: admission policy — fifo | wfair")
 	predict  = flag.Bool("predict", false, "enable the calibrating estimator: confident workload classes skip the speculative dual-launch (workload mode: the whole stream runs speculative with prediction on)")
 	repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under fresh job keys, so the class estimator warms up and later runs can pre-decide")
 	showHist = flag.Bool("show-history", false, "print the execution-record history (exact-match entries and per-class calibration aggregates) after the run")
@@ -178,10 +178,10 @@ func printHistory(h *core.History) {
 // JobServer on the chosen cluster, reported as a throughput/fairness table.
 func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
 	pol, ok := map[string]core.AdmissionPolicy{
-		"fifo": core.PolicyFIFO, "wfair": core.PolicyWeightedFair, "deadline": core.PolicyDeadline,
+		"fifo": core.PolicyFIFO, "wfair": core.PolicyWeightedFair,
 	}[*policy]
 	if !ok {
-		return fmt.Errorf("unknown admission policy %q (want fifo, wfair, or deadline)", *policy)
+		return fmt.Errorf("unknown admission policy %q (want fifo or wfair)", *policy)
 	}
 	res, err := bench.RunThroughput(setup, bench.WorkloadConfig{
 		Jobs: *jobs, Tenants: *tenants, Arrival: *arrival, Policy: pol,

@@ -1,6 +1,6 @@
-// Command teragen generates TeraSort input rows (100-byte records, 10-byte
-// random printable keys) to stdout or a local file, for inspecting exactly
-// what the simulated TeraGen stages into HDFS.
+// Command teragen writes the TeraSort input rows the simulated TeraGen
+// stages (100-byte records, 10-byte random printable keys) to stdout or a
+// local file, for inspecting exactly what it puts in HDFS.
 //
 // Usage:
 //
@@ -9,17 +9,12 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-)
 
-const (
-	keyLen = 10
-	rowLen = 100
+	"mrapid/internal/workloads"
 )
 
 func main() {
@@ -29,44 +24,27 @@ func main() {
 		out  = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
-
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teragen: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-
-	if err := generate(bw, *rows, *seed); err != nil {
+	if err := run(*rows, *seed, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "teragen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// generate writes rows records identical in shape to the simulated TeraGen:
-// a printable random key followed by the zero-padded row ordinal and dot
-// filler.
-func generate(w io.Writer, rows, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	row := make([]byte, rowLen)
-	for r := int64(0); r < rows; r++ {
-		for k := 0; k < keyLen; k++ {
-			row[k] = byte(' ' + rng.Intn(95))
-		}
-		payload := fmt.Sprintf("%022d", r)
-		copy(row[keyLen:], payload)
-		for i := keyLen + len(payload); i < rowLen; i++ {
-			row[i] = '.'
-		}
-		if _, err := w.Write(row); err != nil {
+// run writes workloads.TeraGen's rows for one file of rows rows.
+func run(rows, seed int64, out string) error {
+	chunks, err := workloads.TeraRows(workloads.TeraGenConfig{Rows: rows, Files: 1, Seed: seed})
+	if err != nil {
+		return err
+	}
+	w := io.Writer(os.Stdout)
+	if out != "" {
+		f, err := os.Create(out)
+		if err != nil {
 			return err
 		}
+		defer f.Close()
+		w = f
 	}
-	return nil
+	_, err = w.Write(chunks[0])
+	return err
 }

@@ -1,48 +1,59 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"mrapid/internal/core"
+	"mrapid/internal/pin"
 	"mrapid/internal/profiler"
-	"mrapid/internal/workloads"
 	"mrapid/internal/yarn"
 )
 
+// TestDebugSchedulerAblation pins where stock YARN and the D+ balanced-spread
+// scheduler — Fig. 14's first two steps — place the eight maps of a
+// WordCount over 1 MB files, and the job's timeline under each. Spreading
+// must use more nodes than stock packing.
 func TestDebugSchedulerAblation(t *testing.T) {
-	run := func(v Variant) *profiler.JobProfile {
-		env, err := NewEnv(A3x4(), v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
-			Files: 8, FileBytes: 10 << 20, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := workloads.WordCountSpec("abl", names, "/out", false)
-		res, err := env.Run(v, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Profile
-	}
 	stock := Variant{Name: "hadoop", NewScheduler: func() yarn.Scheduler { return yarn.NewStockScheduler() }, Mode: core.ModeHadoop}
 	spread := Variant{Name: "spread", NewScheduler: func() yarn.Scheduler {
 		return core.NewDPlusScheduler(core.DPlusOptions{BalancedSpread: true})
 	}, Mode: core.ModeHadoop}
+	used := map[string]int{}
 	for _, v := range []Variant{stock, spread} {
-		p := run(v)
-		nodes := map[string]int{}
-		var mapSpan float64
+		env, err := NewEnv(A3x4(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		spec, err := StageWordCount(env, 8, 1<<20, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.Run(v, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Profile
+		rec := pin.Record{
+			"am_ready_s":   pin.Seconds(p.AMReadyAt.Sub(p.SubmittedAt)),
+			"first_task_s": pin.Seconds(p.FirstTaskAt.Sub(p.SubmittedAt)),
+			"maps_done_s":  pin.Seconds(p.MapsDoneAt.Sub(p.SubmittedAt)),
+			"elapsed_s":    pin.Seconds(p.Elapsed()),
+		}
+		maps := map[string]int{}
 		for _, tp := range p.Tasks {
 			if tp.Kind == profiler.MapTask {
-				nodes[tp.Node]++
+				maps[tp.Node]++
 			}
 		}
-		mapSpan = p.MapsDoneAt.Sub(p.FirstTaskAt).Seconds()
-		t.Logf("%s: amReady=%v firstTask=%v mapsDone=%v done=%v mapSpan=%.2fs placement=%v",
-			v.Name, p.AMReadyAt, p.FirstTaskAt, p.MapsDoneAt, p.DoneAt, mapSpan, nodes)
+		for node, n := range maps {
+			rec["maps@"+node] = n
+		}
+		used[v.Name] = len(maps)
+		pin.Check(t, fmt.Sprintf("placement %s wordcount 8x1MB", v.Name), rec)
+	}
+	if used["spread"] <= used["hadoop"] {
+		t.Errorf("balanced spread placed maps on %d nodes, stock packing on %d", used["spread"], used["hadoop"])
 	}
 }

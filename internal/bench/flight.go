@@ -37,9 +37,7 @@ func (e *Env) EnableFlightRecorder(slo flight.SLOConfig) *flight.Recorder {
 		return e.Flight
 	}
 	e.EnableObservability(1 << 16)
-	cfg := flight.ConfigFromParams(e.Params)
-	cfg.SLO = slo
-	rec := flight.New(e.Eng, e.Reg, e.Trace, cfg)
+	rec := flight.New(e.Eng, e.Reg, e.Trace, flight.Config{SLO: slo})
 
 	rec.AddGauge(func(sample func(string, float64)) {
 		byNode := e.RM.ContainersByNode()

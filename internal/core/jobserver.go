@@ -29,13 +29,6 @@ const (
 	// capacity), so a burst from one tenant cannot starve the others. Within
 	// a tenant, jobs stay FIFO.
 	PolicyWeightedFair AdmissionPolicy = "wfair"
-
-	// PolicyDeadline admits the deadline job with the least laxity —
-	// (deadline − now) − predicted runtime, the prediction coming from the
-	// framework's history/class estimator (see Framework.PredictRuntime).
-	// Jobs without deadlines wait behind all deadline jobs in arrival order;
-	// an unpredictable deadline job schedules on the deadline alone.
-	PolicyDeadline AdmissionPolicy = "deadline"
 )
 
 // JobServerConfig sizes the admission layer.
@@ -67,11 +60,10 @@ type tenantState struct {
 
 	// Pre-resolved tenant-labeled handles, bound per registry (RT.Reg is
 	// assignable after the server is built; see handles).
-	hSrc          *metrics.Registry
-	hSubmitted    map[ModeKind]metrics.Counter
-	hCompleted    metrics.Counter
-	hDeadlineMiss metrics.Counter
-	hQueueWait    metrics.Observer
+	hSrc       *metrics.Registry
+	hSubmitted map[ModeKind]metrics.Counter
+	hCompleted metrics.Counter
+	hQueueWait metrics.Observer
 }
 
 // handles rebinds the tenant's metric handles when the registry changed.
@@ -80,7 +72,6 @@ func (t *tenantState) handles(reg *metrics.Registry) *tenantState {
 		t.hSrc = reg
 		t.hSubmitted = make(map[ModeKind]metrics.Counter)
 		t.hCompleted = reg.CounterHandle("jobserver_completed_total", "tenant", t.name)
-		t.hDeadlineMiss = reg.CounterHandle("jobserver_deadline_miss_total", "tenant", t.name)
 		t.hQueueWait = reg.HistogramHandle("jobserver_queue_wait_seconds", "tenant", t.name)
 	}
 	return t
@@ -106,25 +97,12 @@ type queuedJob struct {
 	span   trace.SpanID
 	enqAt  sim.Time
 
-	// deadline is the absolute completion target (hasDeadline false = none);
-	// predicted is the estimator's runtime prediction at submission, used by
-	// PolicyDeadline's laxity ordering.
-	deadline    sim.Time
-	hasDeadline bool
-	predicted   time.Duration
-
 	admitAt sim.Time // when the job left the queue, for slot-second accounting
-}
-
-// laxity is the job's scheduling slack at time now: how long admission could
-// still be deferred before the predicted runtime overruns the deadline.
-func (j *queuedJob) laxity(now sim.Time) time.Duration {
-	return j.deadline.Sub(now) - j.predicted
 }
 
 // AdmissionObserver receives the JobServer's per-tenant lifecycle signals.
 // The flight recorder's SLO tracker hangs off this: queue waits feed the
-// per-tenant p99 objective, completions feed the deadline-miss budget.
+// per-tenant p99 objective.
 // Callbacks fire on the engine's virtual-clock goroutine, synchronously
 // with the state change they describe.
 type AdmissionObserver interface {
@@ -132,7 +110,8 @@ type AdmissionObserver interface {
 	JobAdmitted(tenant string, wait time.Duration)
 
 	// JobCompleted fires when a job finishes, before the submitter's own
-	// callback. missedDeadline is true for a deadline job past its target.
+	// callback. No job has a deadline, so missedDeadline is always false; the
+	// parameter stays for the implementations outside this module.
 	JobCompleted(tenant string, missedDeadline bool)
 }
 
@@ -159,10 +138,8 @@ type JobServer struct {
 
 	// SlotSeconds accumulates admission-cost × execution-time over completed
 	// jobs: the cluster-slot consumption the speculative 2× dual-launch pays
-	// for and the calibrating estimator claws back. DeadlineMisses counts
-	// deadline jobs that finished past their target.
-	SlotSeconds    float64
-	DeadlineMisses int64
+	// for and the calibrating estimator claws back.
+	SlotSeconds float64
 
 	// Observer, when non-nil, is notified of admissions and completions
 	// (see AdmissionObserver). Set it before submitting.
@@ -180,7 +157,7 @@ func NewJobServer(fw *Framework, cfg JobServerConfig) (*JobServer, error) {
 	if policy == "" {
 		policy = PolicyFIFO
 	}
-	if policy != PolicyFIFO && policy != PolicyWeightedFair && policy != PolicyDeadline {
+	if policy != PolicyFIFO && policy != PolicyWeightedFair {
 		return nil, fmt.Errorf("core: unknown admission policy %q", policy)
 	}
 	s := &JobServer{
@@ -302,7 +279,7 @@ func (s *JobServer) InFlight() int { return s.inFlight }
 // admission window; its queue-wait is recorded as a span and a per-tenant
 // histogram sample.
 func (s *JobServer) Submit(tenant string, mode ModeKind, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) error {
-	return s.submit(tenant, tenant, mode, spec, sim.Time(0), false, done)
+	return s.submit(tenant, tenant, mode, spec, done)
 }
 
 // SubmitAs is Submit with the fairness identity decoupled from the RM
@@ -314,7 +291,7 @@ func (s *JobServer) Submit(tenant string, mode ModeKind, spec *mapreduce.JobSpec
 // capacity queue per query. The queue, not the tenant, is validated
 // against the RM.
 func (s *JobServer) SubmitAs(tenant, queue string, mode ModeKind, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) error {
-	return s.submit(tenant, queue, mode, spec, sim.Time(0), false, done)
+	return s.submit(tenant, queue, mode, spec, done)
 }
 
 // ReleaseTenant drops a logical tenant's fairness state once it has no
@@ -330,17 +307,7 @@ func (s *JobServer) ReleaseTenant(name string) {
 	delete(s.tenants, name)
 }
 
-// SubmitWithDeadline is Submit with an absolute completion target on the
-// virtual clock. Under PolicyDeadline the queue orders by least laxity —
-// (deadline − now) minus the estimator's predicted runtime — and a job that
-// finishes past its target increments DeadlineMisses and the
-// jobserver_deadline_miss_total counter (the job itself still completes
-// normally; the deadline is an SLO, not a kill switch).
-func (s *JobServer) SubmitWithDeadline(tenant string, mode ModeKind, spec *mapreduce.JobSpec, deadline sim.Time, done func(*mapreduce.Result)) error {
-	return s.submit(tenant, tenant, mode, spec, deadline, true, done)
-}
-
-func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.JobSpec, deadline sim.Time, hasDeadline bool, done func(*mapreduce.Result)) error {
+func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) error {
 	if spec == nil {
 		panic("core: Submit needs a job spec")
 	}
@@ -367,19 +334,12 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 	s.Submitted++
 	spec.Queue = queue
 	j := &queuedJob{
-		tenant:      t,
-		spec:        spec,
-		mode:        mode,
-		cost:        cost,
-		done:        done,
-		enqAt:       s.fw.RT.Eng.Now(),
-		deadline:    deadline,
-		hasDeadline: hasDeadline,
-	}
-	if hasDeadline {
-		// The prediction is pinned at submission: laxity then orders the
-		// queue deterministically as the clock advances.
-		j.predicted, _ = s.fw.PredictRuntime(spec)
+		tenant: t,
+		spec:   spec,
+		mode:   mode,
+		cost:   cost,
+		done:   done,
+		enqAt:  s.fw.RT.Eng.Now(),
 	}
 	if s.fw.RT.Trace != nil {
 		j.span = s.fw.RT.Trace.StartSpan(0, "jobserver", spec.Name+" queue-wait", "admit",
@@ -397,18 +357,10 @@ func (s *JobServer) settle(j *queuedJob, res *mapreduce.Result) {
 	now := s.fw.RT.Eng.Now()
 	s.inFlight -= j.cost
 	s.SlotSeconds += float64(j.cost) * now.Sub(j.admitAt).Seconds()
-	missed := j.hasDeadline && now.Sub(j.deadline) > 0
-	if missed {
-		s.DeadlineMisses++
-		j.tenant.handles(s.fw.RT.Reg).hDeadlineMiss.Inc()
-		if s.fw.RT.Trace != nil {
-			s.fw.RT.Trace.Add("jobserver", "job %s missed its deadline by %s", j.spec.Name, now.Sub(j.deadline))
-		}
-	}
 	j.tenant.Completed++
 	s.Completed++
 	if s.Observer != nil {
-		s.Observer.JobCompleted(j.tenant.name, missed)
+		s.Observer.JobCompleted(j.tenant.name, false)
 	}
 	s.dispatch()
 	// The submitter's callback runs after dispatch so a chain of short jobs
@@ -432,14 +384,10 @@ func (s *JobServer) dispatch() {
 
 // next picks the pending index to admit: FIFO takes the head; weighted-fair
 // takes the earliest job of the most underserved tenant (lowest
-// served/weight, ties broken by arrival order for determinism); deadline
-// takes the least-laxity deadline job, no-deadline jobs after all of them.
+// served/weight, ties broken by arrival order for determinism).
 func (s *JobServer) next() int {
 	if s.policy == PolicyFIFO {
 		return 0
-	}
-	if s.policy == PolicyDeadline {
-		return s.nextByLaxity()
 	}
 	best := 0
 	bestRatio := s.pending[0].tenant.served / s.pending[0].tenant.weight
@@ -453,28 +401,6 @@ func (s *JobServer) next() int {
 		if ratio := t.served / t.weight; ratio < bestRatio {
 			best, bestRatio = i, ratio
 		}
-	}
-	return best
-}
-
-// nextByLaxity picks the deadline job whose slack — time to deadline minus
-// predicted runtime — is smallest (least-laxity-first). Jobs without
-// deadlines are best-effort: they wait behind every deadline job, in arrival
-// order. Ties break by arrival order for determinism.
-func (s *JobServer) nextByLaxity() int {
-	now := s.fw.RT.Eng.Now()
-	best := -1
-	var bestLax time.Duration
-	for i, j := range s.pending {
-		if !j.hasDeadline {
-			continue
-		}
-		if lax := j.laxity(now); best < 0 || lax < bestLax {
-			best, bestLax = i, lax
-		}
-	}
-	if best < 0 {
-		return 0 // only best-effort jobs pending: arrival order
 	}
 	return best
 }

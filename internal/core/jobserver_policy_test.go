@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mrapid/internal/mapreduce"
-	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 )
 
@@ -37,102 +36,6 @@ func TestTenantForVirtualTimeJoin(t *testing.T) {
 	s3 := &JobServer{tenants: map[string]*tenantState{}}
 	if first := s3.tenantFor("first"); first.served != 0 {
 		t.Fatalf("first tenant served = %v, want 0", first.served)
-	}
-}
-
-// nextByLaxity orders by least laxity — (deadline − now) − predicted — with
-// best-effort jobs behind every deadline job.
-func TestNextByLaxityOrdering(t *testing.T) {
-	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
-	fw := NewFramework(rt, 0, FullUPlus())
-	ten := &tenantState{name: "t", weight: 1}
-	mk := func(deadline time.Duration, predicted time.Duration, has bool) *queuedJob {
-		return &queuedJob{
-			tenant: ten, deadline: sim.Time(deadline), hasDeadline: has, predicted: predicted,
-		}
-	}
-	s := &JobServer{fw: fw, policy: PolicyDeadline, pending: []*queuedJob{
-		mk(0, 0, false), // best-effort, arrived first
-		mk(100*time.Second, 10*time.Second, true), // laxity 90s
-		mk(50*time.Second, 45*time.Second, true),  // laxity 5s — most urgent
-		mk(60*time.Second, 20*time.Second, true),  // laxity 40s
-	}}
-	if got := s.next(); got != 2 {
-		t.Fatalf("next = %d, want the least-laxity job at index 2", got)
-	}
-	// An unpredictable deadline job (predicted 0) schedules on its deadline
-	// alone and can out-rank a predictable one with more slack.
-	s.pending = []*queuedJob{
-		mk(0, 0, false),
-		mk(200*time.Second, 0, true), // laxity 200s
-		mk(30*time.Second, 0, true),  // laxity 30s
-	}
-	if got := s.next(); got != 2 {
-		t.Fatalf("next = %d, want the tighter deadline at index 2", got)
-	}
-	// Only best-effort jobs pending: arrival order.
-	s.pending = []*queuedJob{mk(0, 0, false), mk(0, 0, false)}
-	if got := s.next(); got != 0 {
-		t.Fatalf("next = %d, want FIFO head with no deadline jobs", got)
-	}
-}
-
-// End-to-end deadline scheduling: with a serialized window, a tight-deadline
-// job submitted after a loose one jumps the queue; a deadline that cannot be
-// met is counted as a miss (and only that one).
-func TestJobServerDeadlinePolicy(t *testing.T) {
-	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-	_, s := startJobServer(t, rt, 3, JobServerConfig{Policy: PolicyDeadline, MaxInFlight: 1})
-	names, input := stageInput(t, rt, 4, 1<<20)
-
-	var order []string
-	done := func(name string) func(*mapreduce.Result) {
-		return func(res *mapreduce.Result) {
-			if res.Err != nil {
-				t.Errorf("job %s failed: %v", name, res.Err)
-			}
-			order = append(order, name)
-			if len(order) == 3 {
-				rt.RM.Stop()
-			}
-		}
-	}
-	submit := func(name string, deadline time.Duration) {
-		spec := testWCSpec(names, "/out/"+name)
-		spec.Name = name
-		var err error
-		if deadline > 0 {
-			err = s.SubmitWithDeadline("", ModeUPlus, spec, rt.Eng.Now().Add(deadline), done(name))
-		} else {
-			err = s.Submit("", ModeUPlus, spec, done(name))
-		}
-		if err != nil {
-			t.Errorf("submit %s: %v", name, err)
-		}
-	}
-	rt.Eng.After(0, func() {
-		submit("blocker", 0)            // admitted immediately, occupies the window
-		submit("loose", 20*time.Minute) // plenty of slack
-		submit("tight", 30*time.Second) // urgent — must jump ahead of loose
-	})
-	rt.Eng.RunUntil(horizon)
-
-	if len(order) != 3 {
-		t.Fatalf("completed %d of 3 jobs", len(order))
-	}
-	if order[1] != "tight" {
-		t.Fatalf("completion order %v: tight deadline did not jump the queue", order)
-	}
-	// The tight job queued behind the blocker, so 30 s was likely missed;
-	// whatever happened, the loose 20-minute deadline cannot have been.
-	if s.DeadlineMisses > 1 {
-		t.Fatalf("DeadlineMisses = %d, the loose deadline cannot have been missed", s.DeadlineMisses)
-	}
-	if s.SlotSeconds <= 0 {
-		t.Fatalf("SlotSeconds = %v, want positive accumulation", s.SlotSeconds)
-	}
-	for _, name := range order {
-		verifyWC(t, rt, "/out/"+name, input)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Prediction is the calibrating estimator's up-front verdict for a job: the
 // mode to launch directly (no speculative race) and the calibrated
-// completion-time prediction the admission layer can schedule against.
+// completion-time prediction.
 type Prediction struct {
 	Class   string
 	Mode    ModeKind
@@ -103,20 +103,6 @@ func (f *Framework) PredictMode(spec *mapreduce.JobSpec) (*Prediction, bool) {
 	}
 	p.Runtime = cs.calibrated(est)
 	return p, true
-}
-
-// PredictRuntime returns the best available completion-time prediction for
-// a spec: the exact-match history's running mean when the job key is known,
-// otherwise the class estimator's calibrated estimate. The admission layer
-// uses it for deadline/SLO-aware ordering.
-func (f *Framework) PredictRuntime(spec *mapreduce.JobSpec) (time.Duration, bool) {
-	if e, ok := f.History.Entry(spec.Key()); ok && e.Runs > 0 && e.Elapsed > 0 {
-		return e.Elapsed, true
-	}
-	if p, ok := f.PredictMode(spec); ok {
-		return p.Runtime, true
-	}
-	return 0, false
 }
 
 // PreDecided reports whether a speculative submission of this spec would

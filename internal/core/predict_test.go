@@ -159,24 +159,6 @@ func TestPredictDirectOutputMatchesRace(t *testing.T) {
 	}
 }
 
-// PredictRuntime prefers the exact-match record and falls back to the class
-// estimate; with neither it reports no prediction.
-func TestPredictRuntimeSources(t *testing.T) {
-	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-	f := startFramework(t, rt, 3)
-	f.Predict = true
-	names, _ := stageInput(t, rt, 4, 1<<20)
-	spec := uniqueKeySpec(names, 0)
-
-	if d, ok := f.PredictRuntime(spec); ok || d != 0 {
-		t.Fatalf("cold store predicted %v/%v", d, ok)
-	}
-	f.History.Record(spec.Key(), ModeDPlus, 17*time.Second, profilerSummary())
-	if d, ok := f.PredictRuntime(spec); !ok || d != 17*time.Second {
-		t.Fatalf("exact-match prediction = %v/%v, want 17s", d, ok)
-	}
-}
-
 // Regret accounting: when the skipped mode — re-estimated from the direct
 // run's own measured sample — would have finished sooner than we actually
 // did, the pick is charged to the regret counter and histogram.

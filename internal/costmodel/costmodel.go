@@ -88,10 +88,6 @@ type Params struct {
 	// 14–15 ablations.
 	ClientPollInterval time.Duration
 
-	// SpeculationProfileWaves is how many map waves the speculative
-	// executor profiles before consulting the decision maker.
-	SpeculationProfileWaves int
-
 	// MaxTaskAttempts is how many times a failed task attempt is retried
 	// before the job fails (mapreduce.map.maxattempts, default 4).
 	MaxTaskAttempts int
@@ -142,14 +138,6 @@ type Params struct {
 	// workloads.
 	ShuffleLZRatio float64
 
-	// FlightInterval is the virtual-clock sampling period of the flight
-	// recorder (zero means the 250 ms default).
-	FlightInterval time.Duration
-
-	// FlightRingCap bounds the samples retained per series (zero means the
-	// 4096 default); beyond it the oldest samples fall off the ring.
-	FlightRingCap int
-
 	// MemoCache enables the cross-job memoization cache (internal/memo): a
 	// repeat submission of an identical job spec over unchanged inputs
 	// (same transform symbols, parameters, and input write generations) is
@@ -171,38 +159,35 @@ type Params struct {
 // otherwise.
 func Default() Params {
 	return Params{
-		NMHeartbeat:             1000 * time.Millisecond,
-		AMHeartbeat:             1000 * time.Millisecond,
-		RPCLatency:              30 * time.Millisecond,
-		ContainerAllocate:       20 * time.Millisecond,
-		ContainerLaunch:         800 * time.Millisecond,
-		JVMStart:                1700 * time.Millisecond,
-		AMInit:                  1500 * time.Millisecond,
-		TaskCommit:              100 * time.Millisecond,
-		JobJarBytes:             2 << 20,   // 2 MB job jar
-		JobConfBytes:            64 << 10,  // 64 KB configuration
-		SortBufferBytes:         100 << 20, // io.sort.mb = 100
-		UberCacheBytes:          128 << 20,
-		SortCPUBytesPerSec:      120e6,
-		HDFSBlockBytes:          128 << 20,
-		Replication:             3,
-		AMPoolSize:              3,
-		ClientPollInterval:      1000 * time.Millisecond,
-		SpeculationProfileWaves: 1,
-		MaxTaskAttempts:         4,
-		NMLivenessInterval:      1000 * time.Millisecond,
-		NMExpiry:                5000 * time.Millisecond,
-		MaxAMAttempts:           2,
-		AMContainerMB:           1024,
-		AMContainerVCores:       1,
-		ShuffleService:          false,
-		ShuffleCodec:            "none",
-		ShuffleLZRatio:          0.55,
-		FlightInterval:          250 * time.Millisecond,
-		FlightRingCap:           4096,
-		MemoCache:               false,
-		MemoMemBytes:            256 << 20,
-		MemoDiskBytes:           1 << 30,
+		NMHeartbeat:        1000 * time.Millisecond,
+		AMHeartbeat:        1000 * time.Millisecond,
+		RPCLatency:         30 * time.Millisecond,
+		ContainerAllocate:  20 * time.Millisecond,
+		ContainerLaunch:    800 * time.Millisecond,
+		JVMStart:           1700 * time.Millisecond,
+		AMInit:             1500 * time.Millisecond,
+		TaskCommit:         100 * time.Millisecond,
+		JobJarBytes:        2 << 20,   // 2 MB job jar
+		JobConfBytes:       64 << 10,  // 64 KB configuration
+		SortBufferBytes:    100 << 20, // io.sort.mb = 100
+		UberCacheBytes:     128 << 20,
+		SortCPUBytesPerSec: 120e6,
+		HDFSBlockBytes:     128 << 20,
+		Replication:        3,
+		AMPoolSize:         3,
+		ClientPollInterval: 1000 * time.Millisecond,
+		MaxTaskAttempts:    4,
+		NMLivenessInterval: 1000 * time.Millisecond,
+		NMExpiry:           5000 * time.Millisecond,
+		MaxAMAttempts:      2,
+		AMContainerMB:      1024,
+		AMContainerVCores:  1,
+		ShuffleService:     false,
+		ShuffleCodec:       "none",
+		ShuffleLZRatio:     0.55,
+		MemoCache:          false,
+		MemoMemBytes:       256 << 20,
+		MemoDiskBytes:      1 << 30,
 	}
 }
 
@@ -233,8 +218,6 @@ func (p Params) Validate() error {
 		return errBad("AMPoolSize")
 	case p.ClientPollInterval <= 0:
 		return errBad("ClientPollInterval")
-	case p.SpeculationProfileWaves <= 0:
-		return errBad("SpeculationProfileWaves")
 	case p.MaxTaskAttempts <= 0:
 		return errBad("MaxTaskAttempts")
 	case p.NMLivenessInterval <= 0:
@@ -251,10 +234,6 @@ func (p Params) Validate() error {
 		return errBad("ShuffleCodec")
 	case p.ShuffleCodec == "lz" && (p.ShuffleLZRatio <= 0 || p.ShuffleLZRatio > 1):
 		return errBad("ShuffleLZRatio")
-	case p.FlightInterval < 0:
-		return errBad("FlightInterval")
-	case p.FlightRingCap < 0:
-		return errBad("FlightRingCap")
 	case p.MemoMemBytes < 0:
 		return errBad("MemoMemBytes")
 	case p.MemoDiskBytes < 0:

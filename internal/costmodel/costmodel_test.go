@@ -31,7 +31,6 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"HDFSBlockBytes", func(p *Params) { p.HDFSBlockBytes = 0 }},
 		{"Replication", func(p *Params) { p.Replication = 0 }},
 		{"AMPoolSize", func(p *Params) { p.AMPoolSize = -1 }},
-		{"SpeculationProfileWaves", func(p *Params) { p.SpeculationProfileWaves = 0 }},
 	}
 	for _, m := range mutations {
 		p := Default()

@@ -64,7 +64,7 @@ svg polyline{fill:none;stroke:#2563eb;stroke-width:1.5}
 		fmt.Fprintf(out, `<div class="warn">&#9888; trace span ring dropped %d events (trace_dropped_spans_total) — the span tree below the ring limit is incomplete.</div>`+"\n", n)
 	}
 	if n := r.Evicted(); n > 0 {
-		fmt.Fprintf(out, `<div class="warn">&#9888; series rings evicted %d samples — early history is truncated; raise Params.FlightRingCap or the interval.</div>`+"\n", n)
+		fmt.Fprintf(out, `<div class="warn">&#9888; series rings evicted %d samples — early history is truncated; raise Config.RingCap or the interval.</div>`+"\n", n)
 	}
 
 	if slo := r.SLO(); slo != nil {

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"mrapid/internal/costmodel"
 	"mrapid/internal/metrics"
 	"mrapid/internal/sim"
 	"mrapid/internal/trace"
@@ -43,12 +42,6 @@ type Config struct {
 	// SLO configures the per-tenant SLO tracker; the zero value (no
 	// target) disables it.
 	SLO SLOConfig
-}
-
-// ConfigFromParams builds a recorder Config from the cost-model knobs
-// (Params.FlightInterval / Params.FlightRingCap).
-func ConfigFromParams(p costmodel.Params) Config {
-	return Config{Interval: p.FlightInterval, RingCap: p.FlightRingCap}
 }
 
 // GaugeFunc probes live cluster state at each tick. It must only read:

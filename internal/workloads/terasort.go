@@ -37,11 +37,11 @@ type TeraGenConfig struct {
 // files staged into HDFS, and returns the file names. Row keys are uniform
 // random bytes; payloads carry the row ordinal for debuggability.
 func TeraGen(dfs *hdfs.DFS, cluster *topology.Cluster, prefix string, cfg TeraGenConfig) ([]string, error) {
-	if cfg.Rows <= 0 || cfg.Files <= 0 {
-		return nil, fmt.Errorf("workloads: teragen needs positive rows and files, got %d/%d", cfg.Rows, cfg.Files)
+	chunks, err := TeraRows(cfg)
+	if err != nil {
+		return nil, err
 	}
 	workers := cluster.Workers()
-	chunks := teraChunks(cfg)
 	var names []string
 	for i, buf := range chunks {
 		name := InputFileName(prefix, i)
@@ -60,9 +60,14 @@ var (
 	teraCacheOrder []TeraGenConfig
 )
 
-func teraChunks(cfg TeraGenConfig) [][]byte {
+// TeraRows returns the rows of each file TeraGen stages for cfg, without a
+// cluster. The slices are shared with later calls and must not be modified.
+func TeraRows(cfg TeraGenConfig) ([][]byte, error) {
+	if cfg.Rows <= 0 || cfg.Files <= 0 {
+		return nil, fmt.Errorf("workloads: teragen needs positive rows and files, got %d/%d", cfg.Rows, cfg.Files)
+	}
 	if cached, ok := teraCache[cfg]; ok {
-		return cached
+		return cached, nil
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perFile := cfg.Rows / int64(cfg.Files)
@@ -96,7 +101,7 @@ func teraChunks(cfg TeraGenConfig) [][]byte {
 		teraCacheOrder = teraCacheOrder[1:]
 		delete(teraCache, victim)
 	}
-	return chunks
+	return chunks, nil
 }
 
 // TeraSortSpec builds the TeraSort job: identity map, identity reduce, and
@@ -109,6 +114,30 @@ func TeraSortSpec(dfs *hdfs.DFS, name string, inputs []string, output string, re
 		return nil, err
 	}
 	return TeraSortSpecFromCuts(name, inputs, output, reduces, cuts), nil
+}
+
+// TeraSortSpecFromCuts builds the TeraSort job around the given total-order
+// cut points.
+func TeraSortSpecFromCuts(name string, inputs []string, output string, reduces int, cuts [][]byte) *mapreduce.JobSpec {
+	return &mapreduce.JobSpec{
+		Name:       name,
+		JobKey:     "terasort",
+		InputFiles: inputs,
+		OutputFile: output,
+		NumReduces: reduces,
+		Format:     mapreduce.FixedFormat{KeyLen: TeraKeyLen, ValLen: TeraValueLen},
+		Map: func(key, value []byte, emit mapreduce.Emit) {
+			emit(key, value)
+		},
+		Reduce: func(key []byte, values [][]byte, emit mapreduce.Emit) {
+			for _, v := range values {
+				emit(key, v)
+			}
+		},
+		Partition:  totalOrderPartitioner(cuts),
+		MapRate:    TeraSortMapRate,
+		ReduceRate: TeraSortReduceRate,
+	}
 }
 
 // sampleCutPoints reads a prefix of each input file (the client-side sample
