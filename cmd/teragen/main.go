@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"mrapid/internal/workloads"
@@ -36,15 +35,17 @@ func run(rows, seed int64, out string) error {
 	if err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if out == "" {
+		_, err = os.Stdout.Write(chunks[0])
+		return err
 	}
-	_, err = w.Write(chunks[0])
-	return err
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(chunks[0]); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

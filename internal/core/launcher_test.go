@@ -55,18 +55,12 @@ func runRecord(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result, out s
 		"events":       rt.Eng.Fired(),
 		"allocations":  rt.RM.Metrics.Allocations,
 	}
-	// The decision record, where the decision maker made one.
-	d := p.Decision
-	for field, v := range map[string]any{
-		"decision":              d.Source,
-		"decision.estimate_d_s": pin.Seconds(d.EstimateD),
-		"decision.estimate_u_s": pin.Seconds(d.EstimateU),
-		"decision.predicted_s":  pin.Seconds(d.Predicted),
-		"decision.at_s":         pin.Seconds(time.Duration(d.At)),
-	} {
-		if v != "" && v != 0.0 {
-			rec[field] = v
-		}
+	if d := p.Decision; d.Source != "" { // the decision maker made one
+		rec["decision"] = d.Source
+		rec["decision.estimate_d_s"] = pin.Seconds(d.EstimateD)
+		rec["decision.estimate_u_s"] = pin.Seconds(d.EstimateU)
+		rec["decision.predicted_s"] = pin.Seconds(d.Predicted)
+		rec["decision.at_s"] = pin.Seconds(time.Duration(d.At))
 	}
 	return rec
 }
