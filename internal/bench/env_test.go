@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/query"
 	"mrapid/internal/sim"
+	"mrapid/internal/workloads"
 )
 
 // earlyFault crashes a worker half a second after cluster-ready — well inside
@@ -96,5 +99,58 @@ func TestEarlyFaultUnderTheDrivers(t *testing.T) {
 	// arrives and leave its timeline alone.
 	if faulty.Makespan <= clean.Makespan {
 		t.Errorf("queries: makespan %.3fs with the crash, %.3fs without — it did not land in the run", faulty.Makespan, clean.Makespan)
+	}
+}
+
+// TestGrepPatternsShareNoMapOutput: NewEnv attaches the process-wide
+// MapCache, which once keyed on the program's JobKey and served a grep for
+// "e" the map outputs of an earlier grep for "ab" over the same bytes. Each
+// pattern's output must be the count taken straight from the input.
+func TestGrepPatternsShareNoMapOutput(t *testing.T) {
+	env, err := NewEnv(A3x4(), VariantDPlus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/grep-patterns",
+		workloads.WordCountConfig{Files: 2, FileBytes: 32 << 10, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var input []byte
+	for _, name := range names {
+		data, err := env.DFS.Contents(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input = append(append(input, data...), '\n')
+	}
+	for i, pattern := range []string{"ab", "e"} {
+		out := fmt.Sprintf("/out/grep-patterns/%d", i)
+		if _, err := env.Run(VariantDPlus(), workloads.GrepSearchSpec("grep-"+pattern, names, out, pattern)); err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]int{}
+		for _, w := range strings.Fields(string(input)) {
+			if strings.Contains(w, pattern) {
+				counts[w]++
+			}
+		}
+		words := make([]string, 0, len(counts))
+		for w := range counts {
+			words = append(words, w)
+		}
+		sort.Strings(words)
+		var want strings.Builder
+		for _, w := range words {
+			fmt.Fprintf(&want, "%s\t%d\n", w, counts[w])
+		}
+		got, err := env.DFS.Contents(mapreduce.PartFileName(out, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want.String() {
+			t.Fatalf("grep %q wrote %d bytes, a direct count gives %d", pattern, len(got), want.Len())
+		}
 	}
 }

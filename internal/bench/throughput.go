@@ -381,10 +381,11 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	return res, nil
 }
 
-// sloRawEvent is the tap's independent record of one SLO event.
+// sloRawEvent is the tap's independent record of one SLO event, an
+// admission.
 type sloRawEvent struct {
 	at   sim.Time
-	wait float64 // seconds; admissions only (completions carry -1)
+	wait float64 // seconds
 	bad  bool
 }
 
@@ -405,12 +406,8 @@ func (t *sloTap) JobAdmitted(tenant string, wait time.Duration) {
 	t.inner.JobAdmitted(tenant, wait)
 }
 
-func (t *sloTap) JobCompleted(tenant string, missedDeadline bool) {
-	t.events[tenant] = append(t.events[tenant], sloRawEvent{
-		at: t.eng.Now(), wait: -1, bad: missedDeadline,
-	})
-	t.inner.JobCompleted(tenant, missedDeadline)
-}
+// JobCompleted is not an SLO event: no job has a deadline to miss.
+func (t *sloTap) JobCompleted(string, bool) {}
 
 // collectSLO fills ThroughputResult's flight fields and enforces the
 // recorder's accuracy contract: for every tenant, the tracker's
@@ -446,9 +443,7 @@ func collectSLO(res *ThroughputResult, env *Env, rec *flight.Recorder, tap *sloT
 			if e.bad {
 				rawBad++
 			}
-			if e.wait >= 0 {
-				waits = append(waits, e.wait)
-			}
+			waits = append(waits, e.wait)
 		}
 		if rawTotal != total || rawBad != bad {
 			return fmt.Errorf("bench: SLO tracker for %s counted (%d,%d) events, tap saw (%d,%d)",

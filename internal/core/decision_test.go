@@ -42,7 +42,7 @@ func TestDecisionRecordOnBothRoutes(t *testing.T) {
 				jobs++
 				spec := testWCSpec(names, fmt.Sprintf("/out/%d", jobs))
 				spec.Name = fmt.Sprintf("wc-%d", jobs)
-				spec.JobKey, spec.MemoKey = key, fmt.Sprintf("wc-%d", content)
+				spec.JobKey, spec.ClosureSig = key, fmt.Sprintf("wc-%d", content)
 				var res *mapreduce.Result
 				done := func(r *mapreduce.Result) { res = r }
 				rt.Eng.After(0, func() {

@@ -357,9 +357,9 @@ func TestUPlusColdSlowerThanPooled(t *testing.T) {
 func TestHistoryRoundTrip(t *testing.T) {
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	h := NewHistory()
-	h.Record("wordcount", ModeDPlus, 20*time.Second, profilerSummary())
-	h.Record("pi", ModeUPlus, 9*time.Second, profilerSummary())
-	h.Record("wordcount", ModeUPlus, 18*time.Second, profilerSummary()) // update
+	h.Record("wordcount", ModeDPlus, 20*time.Second)
+	h.Record("pi", ModeUPlus, 9*time.Second)
+	h.Record("wordcount", ModeUPlus, 18*time.Second) // update
 	if err := h.Save(rt.DFS); err != nil {
 		t.Fatal(err)
 	}

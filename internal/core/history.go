@@ -12,19 +12,17 @@ import (
 )
 
 // HistoryEntry records the outcome of the profiled executions of one job
-// key. Elapsed, AvgMapCPU, AvgIn, and AvgOut are running means over all
-// recorded runs (not last-run values — a single anomalous run used to
-// overwrite the whole record and flip future mode decisions); Wins counts
-// how often each mode won, and Winner is the majority vote.
+// key. Elapsed is the running mean over all recorded runs (not the last
+// run's value — a single anomalous run used to overwrite the whole record);
+// Wins counts how often each mode won, and Winner is the majority vote.
+// Snapshots written when entries also carried per-job map averages load:
+// the decoder skips those fields.
 type HistoryEntry struct {
-	Job       string           `json:"job"`
-	Winner    ModeKind         `json:"winner"`
-	Elapsed   time.Duration    `json:"elapsed"`
-	AvgMapCPU time.Duration    `json:"avg_map_cpu"`
-	AvgIn     int64            `json:"avg_in"`
-	AvgOut    int64            `json:"avg_out"`
-	Runs      int              `json:"runs"`
-	Wins      map[ModeKind]int `json:"wins,omitempty"`
+	Job     string           `json:"job"`
+	Winner  ModeKind         `json:"winner"`
+	Elapsed time.Duration    `json:"elapsed"`
+	Runs    int              `json:"runs"`
+	Wins    map[ModeKind]int `json:"wins,omitempty"`
 }
 
 // Welford is an online mean/variance accumulator (Welford's algorithm),
@@ -129,7 +127,7 @@ func NewHistory() *History {
 // recent winner — a mode keeps the crown only while it wins at least as often
 // as the incumbent, so one anomalous run amid a streak cannot flip future
 // mode decisions.
-func (h *History) Record(job string, winner ModeKind, elapsed time.Duration, s profiler.Summary) {
+func (h *History) Record(job string, winner ModeKind, elapsed time.Duration) {
 	e, ok := h.entries[job]
 	if !ok {
 		e = &HistoryEntry{Job: job, Wins: make(map[ModeKind]int)}
@@ -139,11 +137,7 @@ func (h *History) Record(job string, winner ModeKind, elapsed time.Duration, s p
 		e.Wins = make(map[ModeKind]int)
 	}
 	e.Runs++
-	n := time.Duration(e.Runs)
-	e.Elapsed += (elapsed - e.Elapsed) / n
-	e.AvgMapCPU += (s.AvgMapCPU - e.AvgMapCPU) / n
-	e.AvgIn += (s.AvgIn - e.AvgIn) / int64(e.Runs)
-	e.AvgOut += (s.AvgOut - e.AvgOut) / int64(e.Runs)
+	e.Elapsed += (elapsed - e.Elapsed) / time.Duration(e.Runs)
 	e.Wins[winner]++
 	if e.Winner == "" || e.Wins[winner] >= e.Wins[e.Winner] {
 		e.Winner = winner

@@ -8,18 +8,15 @@ import (
 	"mrapid/internal/topology"
 )
 
-// Regression for the history-feedback bug: Record used to overwrite Elapsed /
-// AvgMapCPU / AvgIn / AvgOut with the last run's values while still counting
-// Runs++, so one anomalous run rewrote the whole record. The fields must be
-// running means over every recorded run.
+// Regression for the history-feedback bug: Record used to overwrite Elapsed
+// with the last run's value while still counting Runs++, so one anomalous
+// run rewrote the whole record. Elapsed must be the running mean over every
+// recorded run.
 func TestHistoryRecordRunningAggregates(t *testing.T) {
 	h := NewHistory()
-	mk := func(cpu time.Duration, in, out int64) profiler.Summary {
-		return profiler.Summary{MapCount: 4, AvgMapCPU: cpu, AvgIn: in, AvgOut: out}
-	}
-	h.Record("job", ModeDPlus, 10*time.Second, mk(1*time.Second, 100, 200))
-	h.Record("job", ModeDPlus, 20*time.Second, mk(3*time.Second, 300, 400))
-	h.Record("job", ModeDPlus, 30*time.Second, mk(5*time.Second, 500, 600))
+	h.Record("job", ModeDPlus, 10*time.Second)
+	h.Record("job", ModeDPlus, 20*time.Second)
+	h.Record("job", ModeDPlus, 30*time.Second)
 
 	e, ok := h.Entry("job")
 	if !ok || e.Runs != 3 {
@@ -28,11 +25,26 @@ func TestHistoryRecordRunningAggregates(t *testing.T) {
 	if e.Elapsed != 20*time.Second {
 		t.Errorf("Elapsed = %v, want the 20s running mean, not the last run", e.Elapsed)
 	}
-	if e.AvgMapCPU != 3*time.Second {
-		t.Errorf("AvgMapCPU = %v, want 3s mean", e.AvgMapCPU)
+}
+
+// A snapshot written when entries also carried per-job map averages
+// (avg_map_cpu, avg_in, avg_out) still loads, with everything the decision
+// maker reads intact.
+func TestHistoryLoadsSnapshotWithDroppedAggregates(t *testing.T) {
+	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
+	old := `{"version": 2, "jobs": [{"job": "wordcount", "winner": "uplus", "elapsed": 9000000000,
+		"avg_map_cpu": 1500000000, "avg_in": 10485760, "avg_out": 12582912, "runs": 3,
+		"wins": {"dplus": 1, "uplus": 2}}]}`
+	if _, err := rt.DFS.PutInstant(historyPath, []byte(old), nil); err != nil {
+		t.Fatal(err)
 	}
-	if e.AvgIn != 300 || e.AvgOut != 400 {
-		t.Errorf("AvgIn/AvgOut = %d/%d, want 300/400 means", e.AvgIn, e.AvgOut)
+	h := NewHistory()
+	if err := h.Load(rt.DFS); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := h.Entry("wordcount")
+	if !ok || e.Winner != ModeUPlus || e.Elapsed != 9*time.Second || e.Runs != 3 || e.Wins[ModeUPlus] != 2 {
+		t.Fatalf("loaded entry = %+v / %v", e, ok)
 	}
 }
 
@@ -40,16 +52,15 @@ func TestHistoryRecordRunningAggregates(t *testing.T) {
 // anomalous U+ win amid a D+ streak must not flip the decision.
 func TestHistoryWinnerMajorityVote(t *testing.T) {
 	h := NewHistory()
-	s := profilerSummary()
-	h.Record("job", ModeDPlus, 10*time.Second, s)
-	h.Record("job", ModeDPlus, 10*time.Second, s)
-	h.Record("job", ModeUPlus, 9*time.Second, s) // anomaly: 2-1 for D+
+	h.Record("job", ModeDPlus, 10*time.Second)
+	h.Record("job", ModeDPlus, 10*time.Second)
+	h.Record("job", ModeUPlus, 9*time.Second) // anomaly: 2-1 for D+
 	if w, _ := h.Winner("job"); w != ModeDPlus {
 		t.Fatalf("winner = %v after a 2-1 D+ majority", w)
 	}
 	// Two more U+ wins (3-2) flip it legitimately.
-	h.Record("job", ModeUPlus, 9*time.Second, s)
-	h.Record("job", ModeUPlus, 9*time.Second, s)
+	h.Record("job", ModeUPlus, 9*time.Second)
+	h.Record("job", ModeUPlus, 9*time.Second)
 	if w, _ := h.Winner("job"); w != ModeUPlus {
 		t.Fatalf("winner = %v after a 3-2 U+ majority", w)
 	}
@@ -60,7 +71,7 @@ func TestHistoryWinnerMajorityVote(t *testing.T) {
 func TestHistoryV2RoundTripWithClasses(t *testing.T) {
 	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
 	h := NewHistory()
-	h.Record("wordcount", ModeDPlus, 20*time.Second, profilerSummary())
+	h.Record("wordcount", ModeDPlus, 20*time.Second)
 	for i := 0; i < 4; i++ {
 		h.Observe("class-abc", ModeDPlus, 20*time.Second, 18*time.Second, profilerSummary())
 	}

@@ -92,7 +92,7 @@ type queuedJob struct {
 	tenant *tenantState
 	spec   *mapreduce.JobSpec
 	mode   ModeKind
-	cost   int
+	cost   int // admission cost, decided by dispatch
 	done   func(*mapreduce.Result)
 	span   trace.SpanID
 	enqAt  sim.Time
@@ -322,12 +322,6 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 	if err := s.fw.runnable(mode); err != nil {
 		return err
 	}
-	// The race holds a pooled AM per mode; history or the calibrating
-	// estimator skipping it launches one mode, so admission charges one slot.
-	cost := 1
-	if mode == ModeSpeculative && !s.fw.PreDecided(spec) {
-		cost = 2
-	}
 
 	t := s.tenantFor(tenant)
 	t.Submitted++
@@ -337,7 +331,6 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 		tenant: t,
 		spec:   spec,
 		mode:   mode,
-		cost:   cost,
 		done:   done,
 		enqAt:  s.fw.RT.Eng.Now(),
 	}
@@ -374,6 +367,14 @@ func (s *JobServer) dispatch() {
 	for len(s.pending) > 0 {
 		idx := s.next()
 		j := s.pending[idx]
+		// Decided here, where the decision maker runs, not at enqueue: a
+		// job queued behind the race that records its winner runs alone.
+		// The race holds a pooled AM per mode; history or the calibrating
+		// estimator skipping it launches one mode, so it costs one slot.
+		j.cost = 1
+		if j.mode == ModeSpeculative && !s.fw.PreDecided(j.spec) {
+			j.cost = 2
+		}
 		if s.inFlight > 0 && s.inFlight+j.cost > s.window {
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
 )
 
@@ -46,7 +47,7 @@ func TestJobServerPreDecidedSpeculativeCostsOne(t *testing.T) {
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f, s := startJobServer(t, rt, 3, JobServerConfig{MaxInFlight: 2})
 	names, input := stageInput(t, rt, 4, 1<<20)
-	f.History.Record("wordcount", ModeUPlus, 10*time.Second, profilerSummary())
+	f.History.Record("wordcount", ModeUPlus, 10*time.Second)
 
 	completed := 0
 	inFlightAfterSubmit := 0
@@ -83,5 +84,56 @@ func TestJobServerPreDecidedSpeculativeCostsOne(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		verifyWC(t, rt, fmt.Sprintf("/out/%d", i), input)
+	}
+}
+
+// inFlightAtAdmission records the window's charge right after each admission.
+type inFlightAtAdmission struct {
+	s  *JobServer
+	at []int
+}
+
+func (o *inFlightAtAdmission) JobAdmitted(string, time.Duration) { o.at = append(o.at, o.s.InFlight()) }
+func (o *inFlightAtAdmission) JobCompleted(string, bool)         {}
+
+// The admission cost is decided when the job is admitted, not when it is
+// queued. Two same-key speculative jobs arrive together on a pool of 2: the
+// first races and holds the whole window, the second waits, then runs alone
+// from the history the race recorded — and is charged one slot for it.
+func TestJobServerChargesTheDecisionAtAdmission(t *testing.T) {
+	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
+	_, s := startJobServer(t, rt, 2, JobServerConfig{})
+	obs := &inFlightAtAdmission{s: s}
+	s.Observer = obs
+	names, input := stageInput(t, rt, 2, 256<<10)
+
+	results := make([]*mapreduce.Result, 2)
+	rt.Eng.After(0, func() {
+		for i := range results {
+			spec := testWCSpec(names, fmt.Sprintf("/out/%d", i))
+			spec.Name = fmt.Sprintf("wc-%d", i)
+			if err := s.Submit("", ModeSpeculative, spec, func(res *mapreduce.Result) {
+				results[i] = res
+				if results[0] != nil && results[1] != nil {
+					rt.RM.Stop()
+				}
+			}); err != nil {
+				t.Errorf("submit: %v", err)
+			}
+		}
+	})
+	rt.Eng.RunUntil(horizon)
+
+	for i, res := range results {
+		if res == nil || res.Err != nil {
+			t.Fatalf("job %d = %+v", i, res)
+		}
+		verifyWC(t, rt, fmt.Sprintf("/out/%d", i), input)
+	}
+	if got := []string{results[0].Profile.Decision.Source, results[1].Profile.Decision.Source}; got[0] != profiler.ByRace || got[1] != profiler.ByHistory {
+		t.Fatalf("decided by %v, want the race then history", got)
+	}
+	if len(obs.at) != 2 || obs.at[0] != 2 || obs.at[1] != 1 {
+		t.Fatalf("in flight after each admission = %v, want [2 1]: the history run holds one AM", obs.at)
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/memo"
@@ -16,41 +17,45 @@ import (
 // materialized under the "memo" transport.
 const ModeMemo ModeKind = "memo"
 
-// memoIdentity resolves a spec's cache identity: the content-sensitive key
-// and the digest of its current inputs. A caller-provided MemoKey (the
-// query layer's plan-content signature) wins outright; otherwise the
-// automatic path requires a fingerprintable spec — named transforms only
-// (MemoSafe), a real HDFS output, and inputs that are plain HDFS files,
-// not intermediate-store entries whose names say nothing about content.
+// memoIdentity resolves a spec's cache identity: the key is JobSpec.Identity
+// (the MapCache's key too) over the names of its HDFS inputs; the digest is
+// what they hold now — each one's write-generation digest, plus the DAG
+// runner's lineage digest (MemoDigest) for intermediate-store inputs, whose
+// query-scoped names say nothing about content. A spec that is not reusable,
+// or whose inputs cannot be digested, is not memoizable.
 func (f *Framework) memoIdentity(spec *mapreduce.JobSpec) (key string, digest uint64, ok bool) {
 	if f.Memo == nil {
 		return "", 0, false
 	}
-	if spec.MemoKey != "" {
-		return spec.MemoKey, spec.MemoDigest, true
-	}
-	if spec.IntermediateOutput || !spec.MemoSafe() {
+	id, ok := spec.Identity()
+	if !ok {
 		return "", 0, false
 	}
-	inputs := append([]string(nil), spec.InputFiles...)
-	sort.Strings(inputs)
+	inputs := slices.Clone(spec.InputFiles)
+	slices.Sort(inputs)
+	named := inputs[:0]
+	lineage := false
 	h := fnv.New64a()
 	for _, in := range inputs {
 		if st := f.RT.Intermediates; st != nil && st.Has(in) {
-			return "", 0, false
+			if spec.MemoDigest == 0 {
+				return "", 0, false
+			}
+			lineage = true
+			continue
 		}
 		d, err := f.RT.DFS.FileDigest(in)
 		if err != nil {
 			return "", 0, false
 		}
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(d >> (8 * i))
-		}
+		named = append(named, in)
 		h.Write([]byte(in))
-		h.Write(buf[:])
+		h.Write(binary.LittleEndian.AppendUint64(nil, d))
 	}
-	return spec.SpecFingerprint(), h.Sum64(), true
+	if lineage {
+		h.Write(binary.LittleEndian.AppendUint64(nil, spec.MemoDigest))
+	}
+	return mapreduce.Fingerprint(id, named), h.Sum64(), true
 }
 
 // viaMemo consults the cache once per submission. A hit materializes the

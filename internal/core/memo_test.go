@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -66,8 +67,8 @@ func TestMemoHitSkipsExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := workloads.WordCountSpec("memo-wc", []string{"/in/m-0"}, "/out1", false)
-	if !spec.MemoSafe() {
-		t.Fatal("wordcount spec should be memo-safe (named transforms)")
+	if _, ok := spec.Identity(); !ok {
+		t.Fatal("wordcount spec should be reusable (named transforms)")
 	}
 
 	res1 := submitWC(t, f, spec)
@@ -272,5 +273,50 @@ func TestMemoDiskHolderLostUnderRead(t *testing.T) {
 		if len(a) == 0 || !bytes.Equal(a, b) {
 			t.Fatalf("%s: fall-through execution produced different bytes", window)
 		}
+	}
+}
+
+// wordFilter counts the words containing sub. Its Map is used as a method
+// value, whose symbol ("…wordFilter.Map-fm") every receiver shares.
+type wordFilter struct{ sub string }
+
+func (w wordFilter) Map(_, line []byte, emit mapreduce.Emit) {
+	for _, word := range bytes.Fields(line) {
+		if bytes.Contains(word, []byte(w.sub)) {
+			emit(word, []byte("1"))
+		}
+	}
+}
+
+// A method-value transform captures its receiver, and the spec names none of
+// it: neither result cache may serve it. Two filters of one program over one
+// input — same JobKey, same symbols — each get their own output, and neither
+// cache is consulted.
+func TestMethodValueTransformIsNeverServedFromACache(t *testing.T) {
+	rt, reg := memoRuntime(t)
+	f := startFramework(t, rt, 2)
+	f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
+	rt.MapCache = mapreduce.NewMapCache(1 << 26)
+	names, input := stageInput(t, rt, 2, 64<<10)
+
+	for i, sub := range []string{"or", "e"} {
+		out := fmt.Sprintf("/out/filter-%d", i)
+		spec := workloads.WordCountSpec("filter-"+sub, names, out, false)
+		spec.JobKey = "word-filter"
+		spec.Map = wordFilter{sub}.Map
+		submitWC(t, f, spec)
+		var kept [][]byte
+		for _, w := range bytes.Fields(input) {
+			if bytes.Contains(w, []byte(sub)) {
+				kept = append(kept, w)
+			}
+		}
+		verifyWC(t, rt, out, bytes.Join(kept, []byte(" ")))
+	}
+	if n := rt.MapCache.Hits() + rt.MapCache.Misses(); n != 0 {
+		t.Errorf("the MapCache was consulted %d times", n)
+	}
+	if n := reg.Get("memo_hits_total") + reg.Get("memo_misses_total"); n != 0 {
+		t.Errorf("the memo cache was consulted %d times", n)
 	}
 }

@@ -213,9 +213,8 @@ func (f *Framework) recordOutcome(spec *mapreduce.JobSpec, winner ModeKind, res 
 	if res.Err != nil || res.Profile == nil {
 		return
 	}
-	sum := res.Profile.Summarize()
-	f.History.Record(spec.Key(), winner, res.Profile.Elapsed(), sum)
-	f.calibrate(spec, winner, res.Profile.Elapsed(), sum)
+	f.History.Record(spec.Key(), winner, res.Profile.Elapsed())
+	f.calibrate(spec, winner, res.Profile.Elapsed(), res.Profile.Summarize())
 	// Persisting the snapshot mirrors the profiler uploading records to
 	// HDFS; failures only cost future pre-decisions.
 	_ = f.History.Save(f.RT.DFS)

@@ -57,9 +57,9 @@ type Recorder struct {
 	tlog *trace.Log
 	cfg  Config
 
-	// droppedSpans is the pre-resolved gauge the span ring's drop count is
-	// folded into each tick.
-	droppedSpans metrics.Gauge
+	// droppedEvents is the pre-resolved gauge the event ring's drop count
+	// is folded into each tick.
+	droppedEvents metrics.Gauge
 
 	series map[string]*Series
 	gauges []GaugeFunc
@@ -93,7 +93,7 @@ func New(eng *sim.Engine, reg *metrics.Registry, tlog *trace.Log, cfg Config) *R
 		series: make(map[string]*Series),
 	}
 	if tlog != nil {
-		r.droppedSpans = reg.GaugeHandle("trace_dropped_spans_total")
+		r.droppedEvents = reg.GaugeHandle("trace_dropped_events_total")
 	}
 	if cfg.SLO.enabled() {
 		r.slo = NewSLOTracker(eng, tlog, cfg.SLO)
@@ -158,9 +158,9 @@ func (r *Recorder) StopIfRunning() {
 // Samples reports how many ticks have been recorded.
 func (r *Recorder) Samples() int64 { return r.samples }
 
-// DroppedSpans reports the trace log's event-ring drop count (0 with no
-// log attached).
-func (r *Recorder) DroppedSpans() int64 { return r.tlog.Dropped() }
+// DroppedEvents reports how many flat events the trace log's ring evicted (0
+// with no log attached). Spans are always retained.
+func (r *Recorder) DroppedEvents() int64 { return r.tlog.Dropped() }
 
 // Series returns one series by full key, or nil.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
@@ -231,11 +231,11 @@ func (r *Recorder) tick() {
 	at := r.eng.Now()
 	dt := at.Sub(r.lastAt).Seconds()
 
-	// The span ring's drop count is folded into the registry first so it
+	// The event ring's drop count is folded into the registry first so it
 	// rides the normal counter path (and the Prometheus export) rather
 	// than needing a side channel.
 	if r.tlog != nil {
-		r.droppedSpans.Set(r.tlog.Dropped())
+		r.droppedEvents.Set(r.tlog.Dropped())
 	}
 
 	counters := r.reg.Counters()

@@ -148,7 +148,7 @@ func TestRecorderDeterministicPrometheusDump(t *testing.T) {
 	}
 }
 
-func TestRecorderDroppedSpansSurfaced(t *testing.T) {
+func TestRecorderDroppedEventsSurfaced(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := metrics.New()
 	tlog := trace.New(eng, 2) // tiny event ring
@@ -158,18 +158,18 @@ func TestRecorderDroppedSpansSurfaced(t *testing.T) {
 	rec.Start()
 	eng.RunUntil(sim.Time(time.Second))
 
-	if rec.DroppedSpans() == 0 {
+	if rec.DroppedEvents() == 0 {
 		t.Fatal("expected drops with a 2-slot ring")
 	}
-	s := rec.Series("trace_dropped_spans_total")
+	s := rec.Series("trace_dropped_events_total")
 	if s == nil {
-		t.Fatal("trace_dropped_spans_total not recorded")
+		t.Fatal("trace_dropped_events_total not recorded")
 	}
 	// The spam ticker may squeeze one more drop in after the final sample
 	// at the same instant, so the series trails by at most one event.
 	last, _ := s.Last()
-	if int64(last.Value) == 0 || int64(last.Value) > rec.DroppedSpans() {
-		t.Fatalf("series %v vs Dropped %d", last.Value, rec.DroppedSpans())
+	if int64(last.Value) == 0 || int64(last.Value) > rec.DroppedEvents() {
+		t.Fatalf("series %v vs Dropped %d", last.Value, rec.DroppedEvents())
 	}
 }
 

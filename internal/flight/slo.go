@@ -11,8 +11,8 @@ import (
 )
 
 // SLOConfig defines one service-level objective applied uniformly to every
-// tenant: an admission queue-wait target plus an error budget that both
-// over-target waits and missed deadlines burn against.
+// tenant: an admission queue-wait target plus an error budget that
+// over-target waits burn against.
 type SLOConfig struct {
 	// TargetWait is the per-job queue-wait objective: an admission whose
 	// wait exceeds it is a bad event. Zero disables the tracker.
@@ -46,9 +46,8 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
-// sloEvent is one budget-relevant occurrence: a job admission (bad when the
-// wait blew the target) or a job completion (bad when it missed its
-// deadline).
+// sloEvent is one budget-relevant occurrence: a job admission, bad when the
+// wait blew the target.
 type sloEvent struct {
 	at  sim.Time
 	bad bool
@@ -85,8 +84,8 @@ func (ts *tenantSLO) seriesNames(windows []time.Duration) {
 	}
 }
 
-// SLOTracker watches per-tenant queue waits and deadline misses and turns
-// them into multi-window burn rates. It implements core.AdmissionObserver
+// SLOTracker watches per-tenant queue waits and turns them into
+// multi-window burn rates. It implements core.AdmissionObserver
 // structurally (JobAdmitted / JobCompleted), so a JobServer feeds it
 // directly.
 type SLOTracker struct {
@@ -126,15 +125,15 @@ func (t *SLOTracker) tenant(name string) *tenantSLO {
 	return ts
 }
 
-func (ts *tenantSLO) observe(v float64) {
-	i := sort.SearchFloat64s(ts.waits.Buckets, v)
-	ts.waits.Counts[i]++
+// JobAdmitted records one admission: the wait feeds the tenant's histogram
+// and burns budget when it exceeds the target.
+func (t *SLOTracker) JobAdmitted(tenant string, wait time.Duration) {
+	ts := t.tenant(tenant)
+	v := wait.Seconds()
+	ts.waits.Counts[sort.SearchFloat64s(ts.waits.Buckets, v)]++
 	ts.waits.Sum += v
 	ts.waits.Count++
-}
-
-func (t *SLOTracker) add(tenant string, bad bool) {
-	ts := t.tenant(tenant)
+	bad := wait > t.cfg.TargetWait
 	ts.events = append(ts.events, sloEvent{at: t.eng.Now(), bad: bad})
 	ts.total++
 	if bad {
@@ -142,18 +141,9 @@ func (t *SLOTracker) add(tenant string, bad bool) {
 	}
 }
 
-// JobAdmitted records one admission: the wait feeds the tenant's histogram
-// and burns budget when it exceeds the target.
-func (t *SLOTracker) JobAdmitted(tenant string, wait time.Duration) {
-	ts := t.tenant(tenant)
-	ts.observe(wait.Seconds())
-	t.add(tenant, wait > t.cfg.TargetWait)
-}
-
-// JobCompleted records one completion: a missed deadline burns budget.
-func (t *SLOTracker) JobCompleted(tenant string, missedDeadline bool) {
-	t.add(tenant, missedDeadline)
-}
+// JobCompleted is not an SLO event: no job has a deadline to miss, and
+// counting completions as good events would halve every burn rate.
+func (t *SLOTracker) JobCompleted(string, bool) {}
 
 // Tenants lists tracked tenant names, sorted.
 func (t *SLOTracker) Tenants() []string {

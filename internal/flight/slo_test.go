@@ -41,15 +41,18 @@ func TestSLOBurnRateMath(t *testing.T) {
 		t.Fatalf("events = (%d,%d), want (4,1)", total, bad)
 	}
 
-	// Missed deadlines burn too: 2 completions, 1 missed → 6 events, 2 bad
-	// → fraction 1/3, burn 2/3.
+	// Completions are not events: counted as good ones they would dilute
+	// the burn.
 	eng.At(sim.Time(time.Second), func() {
 		tr.JobCompleted("acme", true)
 		tr.JobCompleted("acme", false)
 	})
 	eng.Run()
-	if got := tr.BurnRate("acme", 10*time.Second); math.Abs(got-(2.0/6.0/0.5)) > 1e-12 {
-		t.Fatalf("burn after completions = %v, want 2/3", got)
+	if got := tr.BurnRate("acme", 10*time.Second); math.Abs(got-0.5) > 1e-12 {
+		t.Fatalf("burn after completions = %v, want 0.5", got)
+	}
+	if total, _ := tr.Events("acme"); total != 4 {
+		t.Fatalf("completions added %d events", total-4)
 	}
 
 	// Unknown tenant and empty window are zero, not NaN.

@@ -1,9 +1,8 @@
 package mapreduce
 
 import (
-	"fmt"
-	"hash/fnv"
 	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -12,9 +11,11 @@ import (
 // harness compares four execution modes over byte-identical inputs; the map
 // function's real output is the same every time, only the virtual-clock
 // charges differ, so recomputing it per mode is pure host-CPU waste. The
-// cache is keyed by the job identity plus a hash of the full split content,
-// and it never affects simulated timing: ExecMap is instantaneous on the
-// virtual clock whether it hits or misses.
+// cache is keyed by the job's computation identity (JobSpec.Identity) plus
+// the split's coordinates and a hash of its full content, and it never
+// affects simulated timing: ExecMap is instantaneous on the virtual clock
+// whether it hits or misses. A spec that is not reusable is never looked up
+// or stored.
 //
 // MapCache is safe for concurrent use: entries live in sharded,
 // mutex-protected maps so worker-pool goroutines (Runtime.Workers > 1) and
@@ -28,8 +29,7 @@ type MapCache struct {
 	mu    sync.Mutex
 	limit int64
 	used  int64
-	order []string // FIFO eviction
-	count int64
+	order []cacheKey // FIFO eviction, one per entry
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -39,16 +39,25 @@ const cacheShardCount = 16
 
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[string]*cachedExec
+	entries map[cacheKey]*cachedExec
 }
 
+// cacheKey names one split's map output: the computation, the split's
+// coordinates, and the full-content hash guarding against two generators
+// producing different bytes under the same names.
+type cacheKey struct {
+	id      uint64 // JobSpec.Identity
+	file    string
+	offset  int64
+	size    int
+	content uint64
+}
+
+// cachedExec is one stored map output — its pairs, sizes and counts, with
+// no split or holder — and the host bytes it keeps alive.
 type cachedExec struct {
-	store
-	partitions [][]Rec
-	partBytes  []int64
-	totalBytes int64
-	records    int64
-	retained   int64 // host bytes held alive
+	out      MapOutput
+	retained int64
 }
 
 // NewMapCache creates a cache that evicts oldest-first once the retained
@@ -59,19 +68,22 @@ func NewMapCache(limitBytes int64) *MapCache {
 	}
 	c := &MapCache{limit: limitBytes}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*cachedExec)
+		c.shards[i].entries = make(map[cacheKey]*cachedExec)
 	}
 	return c
 }
 
-// key builds the cache key: job identity (the history key plus, for
-// closure-built specs that share one, the builder's ClosureSig), split
-// coordinates, partitioning configuration, and the full-content hash
-// guarding against two generators producing different bytes under the same
-// names.
-func (c *MapCache) key(spec *JobSpec, file string, offset int64, data []byte) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d|%d|%t|%x",
-		spec.Key(), spec.ClosureSig, file, offset, len(data), spec.NumReduces, spec.Combine != nil, fingerprint(data))
+// key builds the cache key of one split, or reports that there is no cache
+// or the spec is not reusable.
+func (c *MapCache) key(spec *JobSpec, file string, offset int64, data []byte) (cacheKey, bool) {
+	if c == nil {
+		return cacheKey{}, false
+	}
+	id, ok := spec.Identity()
+	if !ok {
+		return cacheKey{}, false
+	}
+	return cacheKey{id: id, file: file, offset: offset, size: len(data), content: fingerprint(data)}, true
 }
 
 // fingerprintSeed is fixed per process; the cache never outlives it.
@@ -87,17 +99,14 @@ func fingerprint(data []byte) uint64 {
 }
 
 // shardFor picks the shard holding a key.
-func (c *MapCache) shardFor(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShardCount]
+func (c *MapCache) shardFor(k cacheKey) *cacheShard {
+	return &c.shards[(k.content^k.id)%cacheShardCount]
 }
 
 // lookup returns a previously computed result for identical input, if any.
 // The returned MapOutput gets its own PartBytes slice — callers treat it as
 // their own — while the (immutable once stored) partition data is shared.
-func (c *MapCache) lookup(spec *JobSpec, file string, offset int64, data []byte) (*MapOutput, bool) {
-	k := c.key(spec, file, offset, data)
+func (c *MapCache) lookup(k cacheKey) (*MapOutput, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.entries[k]
@@ -107,34 +116,23 @@ func (c *MapCache) lookup(spec *JobSpec, file string, offset int64, data []byte)
 		return nil, false
 	}
 	c.hits.Add(1)
-	return &MapOutput{
-		store:      e.store,
-		Partitions: e.partitions,
-		PartBytes:  append([]int64(nil), e.partBytes...),
-		TotalBytes: e.totalBytes,
-		Records:    e.records,
-	}, true
+	out := e.out
+	out.PartBytes = slices.Clone(out.PartBytes)
+	return &out, true
 }
 
 // store saves a computed result, evicting oldest entries past the budget.
 // Concurrent stores of the same key keep the first; the cache never holds
 // two entries for one key.
-func (c *MapCache) store(spec *JobSpec, file string, offset int64, data []byte, mo *MapOutput) {
-	k := c.key(spec, file, offset, data)
+func (c *MapCache) store(k cacheKey, mo *MapOutput) {
 	// What the entry keeps alive: the indexes, the slab, and the input block
 	// the indexes point into.
 	retained := int64(len(mo.input) + cap(mo.slab))
 	for _, idx := range mo.Partitions {
 		retained += int64(cap(idx)) * recSize
 	}
-	e := &cachedExec{
-		store:      mo.store,
-		partitions: mo.Partitions,
-		partBytes:  append([]int64(nil), mo.PartBytes...),
-		totalBytes: mo.TotalBytes,
-		records:    mo.Records,
-		retained:   retained,
-	}
+	e := &cachedExec{retained: retained, out: MapOutput{store: mo.store, Partitions: mo.Partitions,
+		PartBytes: slices.Clone(mo.PartBytes), TotalBytes: mo.TotalBytes, Records: mo.Records}}
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if _, exists := s.entries[k]; exists {
@@ -147,7 +145,6 @@ func (c *MapCache) store(spec *JobSpec, file string, offset int64, data []byte, 
 	c.mu.Lock()
 	c.order = append(c.order, k)
 	c.used += retained
-	c.count++
 	// Evict down to the budget, always keeping at least one entry so
 	// oversized splits still memoize.
 	for c.used > c.limit && len(c.order) > 1 {
@@ -157,7 +154,6 @@ func (c *MapCache) store(spec *JobSpec, file string, offset int64, data []byte, 
 		vs.mu.Lock()
 		if v, ok := vs.entries[victim]; ok {
 			c.used -= v.retained
-			c.count--
 			delete(vs.entries, victim)
 		}
 		vs.mu.Unlock()
@@ -169,7 +165,7 @@ func (c *MapCache) store(spec *JobSpec, file string, offset int64, data []byte, 
 func (c *MapCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return int(c.count)
+	return len(c.order)
 }
 
 // Used reports the retained host bytes.

@@ -18,12 +18,12 @@ func TestMapCacheHitReturnsEqualResult(t *testing.T) {
 	data := bytes.Repeat([]byte("cache me if you can\n"), 5000)
 	c := NewMapCache(1 << 30)
 
-	if _, ok := c.lookup(spec, "/in", 0, data); ok {
+	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, data)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	fresh := ExecMap(spec, data)
-	c.store(spec, "/in", 0, data, fresh)
-	hit, ok := c.lookup(spec, "/in", 0, data)
+	c.store(mustKey(t, spec, "/in", 0, data), fresh)
+	hit, ok := c.lookup(mustKey(t, spec, "/in", 0, data))
 	if !ok {
 		t.Fatal("no hit after store")
 	}
@@ -44,45 +44,57 @@ func TestMapCacheKeyDiscriminates(t *testing.T) {
 	data := bytes.Repeat([]byte("same name different content\n"), 100)
 	other := bytes.Repeat([]byte("SAME name different CONTENT!\n"), 100)
 	c := NewMapCache(1 << 30)
-	c.store(spec, "/in", 0, data, ExecMap(spec, data))
+	c.store(mustKey(t, spec, "/in", 0, data), ExecMap(spec, data))
 
-	if _, ok := c.lookup(spec, "/in", 0, other); ok {
+	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, other)); ok {
 		t.Fatal("hit on different content under the same name")
 	}
-	if _, ok := c.lookup(spec, "/in2", 0, data); ok {
+	if _, ok := c.lookup(mustKey(t, spec, "/in2", 0, data)); ok {
 		t.Fatal("hit on different file name")
 	}
-	if _, ok := c.lookup(spec, "/in", 100, data); ok {
+	if _, ok := c.lookup(mustKey(t, spec, "/in", 100, data)); ok {
 		t.Fatal("hit on different offset")
 	}
 	spec2 := wcSpec([]string{"/in"}, "/out")
-	spec2.JobKey = "other-job"
-	if _, ok := c.lookup(spec2, "/in", 0, data); ok {
-		t.Fatal("hit across job identities")
-	}
-	spec3 := wcSpec([]string{"/in"}, "/out")
-	spec3.NumReduces = 3
-	if _, ok := c.lookup(spec3, "/in", 0, data); ok {
+	spec2.NumReduces = 3
+	if _, ok := c.lookup(mustKey(t, spec2, "/in", 0, data)); ok {
 		t.Fatal("hit across partition counts")
 	}
-	spec4 := wcSpec([]string{"/in"}, "/out")
-	spec4.Combine = spec4.Reduce
-	if _, ok := c.lookup(spec4, "/in", 0, data); ok {
+	spec3 := wcSpec([]string{"/in"}, "/out")
+	spec3.Combine = spec3.Reduce
+	if _, ok := c.lookup(mustKey(t, spec3, "/in", 0, data)); ok {
 		t.Fatal("hit across combiner settings")
 	}
-	// Closure-built specs from one site share JobKey and function symbols;
-	// the builder's ClosureSig is what separates them. A closure-carrying
-	// spec without one (TeraSort's cut-point partitioner) still hits.
-	spec5 := wcSpec([]string{"/in"}, "/out")
-	spec5.ClosureSig = "filter[amount>200]"
-	if _, ok := c.lookup(spec5, "/in", 0, data); ok {
+	// Closure-built specs from one site share function symbols; the
+	// builder's ClosureSig is what separates them.
+	spec4 := wcSpec([]string{"/in"}, "/out")
+	spec4.ClosureSig = "filter[amount>200]"
+	if _, ok := c.lookup(mustKey(t, spec4, "/in", 0, data)); ok {
 		t.Fatal("hit across closure signatures")
 	}
+	// The program and submission names are not the computation: another
+	// JobKey over the same bytes is served.
+	spec5 := wcSpec([]string{"/in"}, "/out")
+	spec5.Name, spec5.JobKey = "renamed", "other-job"
+	if _, ok := c.lookup(mustKey(t, spec5, "/in", 0, data)); !ok {
+		t.Fatal("the job's names split one computation")
+	}
+	// A closure partitioner with no ClosureSig is not reusable at all.
 	spec6 := wcSpec([]string{"/in"}, "/out")
 	spec6.Partition = func(key []byte, n int) int { return HashPartition(key, n) }
-	if _, ok := c.lookup(spec6, "/in", 0, data); !ok {
-		t.Fatal("a closure partitioner alone bypassed the cache")
+	if _, ok := c.key(spec6, "/in", 0, data); ok {
+		t.Fatal("a closure partitioner with no ClosureSig got a cache key")
 	}
+}
+
+// mustKey is MapCache.key for a spec the test knows is reusable.
+func mustKey(t *testing.T, spec *JobSpec, file string, offset int64, data []byte) cacheKey {
+	t.Helper()
+	k, ok := (&MapCache{}).key(spec, file, offset, data)
+	if !ok {
+		t.Fatalf("spec %s is not reusable", spec.Name)
+	}
+	return k
 }
 
 // Regression: the old fingerprint sampled three 4 KiB windows, so two
@@ -102,13 +114,13 @@ func TestMapCacheSameLengthDifferentContentNoCollision(t *testing.T) {
 		t.Fatal("same-length different-content splits share a fingerprint")
 	}
 	c := NewMapCache(1 << 30)
-	c.store(spec, "/in", 0, a, ExecMap(spec, a))
-	if _, ok := c.lookup(spec, "/in", 0, b); ok {
+	c.store(mustKey(t, spec, "/in", 0, a), ExecMap(spec, a))
+	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, b)); ok {
 		t.Fatal("cache hit for different content: wrong job output would be returned")
 	}
 	mb := ExecMap(spec, b)
-	c.store(spec, "/in", 0, b, mb)
-	hit, ok := c.lookup(spec, "/in", 0, b)
+	c.store(mustKey(t, spec, "/in", 0, b), mb)
+	hit, ok := c.lookup(mustKey(t, spec, "/in", 0, b))
 	if !ok {
 		t.Fatal("no hit for b after storing b")
 	}
@@ -124,10 +136,10 @@ func TestMapCacheLookupCopiesPartBytes(t *testing.T) {
 	spec := wcSpec([]string{"/in"}, "/out")
 	data := bytes.Repeat([]byte("isolated part bytes\n"), 1000)
 	c := NewMapCache(1 << 30)
-	c.store(spec, "/in", 0, data, ExecMap(spec, data))
-	first, _ := c.lookup(spec, "/in", 0, data)
+	c.store(mustKey(t, spec, "/in", 0, data), ExecMap(spec, data))
+	first, _ := c.lookup(mustKey(t, spec, "/in", 0, data))
 	first.PartBytes[0] = -1
-	second, ok := c.lookup(spec, "/in", 0, data)
+	second, ok := c.lookup(mustKey(t, spec, "/in", 0, data))
 	if !ok {
 		t.Fatal("no hit")
 	}
@@ -158,7 +170,7 @@ func TestMapCacheBooksRealFootprint(t *testing.T) {
 	text = bytes.Buffer{}
 	mo := ExecMap(spec, data)
 	pairs, lines := int64(len(mo.Partitions[0])), mo.Records
-	c.store(spec, "/in", 0, data, mo)
+	c.store(mustKey(t, spec, "/in", 0, data), mo)
 	data, mo = nil, nil
 	measured := heap() - before
 	if used := c.Used(); used < measured*9/10 || used > measured*11/10 {
@@ -175,7 +187,7 @@ func TestMapCacheEvictsFIFO(t *testing.T) {
 	c := NewMapCache(600 << 10) // far under one entry's retained bytes
 	for i := 0; i < 5; i++ {
 		data := mk(byte('a' + i))
-		c.store(spec, "/in", int64(i), data, ExecMap(spec, data))
+		c.store(mustKey(t, spec, "/in", int64(i), data), ExecMap(spec, data))
 	}
 	// Each entry retains ~1.6 MB (data + index), far over the budget, so the cache evicts down to the single most recent entry —
 	// it always keeps at least one so oversized splits still memoize.
@@ -184,11 +196,11 @@ func TestMapCacheEvictsFIFO(t *testing.T) {
 	}
 	// Newest entry survives.
 	newest := mk(byte('a' + 4))
-	if _, ok := c.lookup(spec, "/in", 4, newest); !ok {
+	if _, ok := c.lookup(mustKey(t, spec, "/in", 4, newest)); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	// Evicted entries are gone.
-	if _, ok := c.lookup(spec, "/in", 0, mk('a')); ok {
+	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, mk('a'))); ok {
 		t.Fatal("oldest entry still cached")
 	}
 }
@@ -205,6 +217,10 @@ func TestMapCacheConcurrentStress(t *testing.T) {
 		datas[i] = bytes.Repeat([]byte(fmt.Sprintf("split %d words here\n", i)), 500+100*i)
 		want[i] = ExecMap(spec, datas[i])
 	}
+	keys := make([]cacheKey, splits)
+	for i := range keys {
+		keys[i] = mustKey(t, spec, "/in", int64(i), datas[i])
+	}
 	c := NewMapCache(1 << 30)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -213,10 +229,10 @@ func TestMapCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				i := (g + iter) % splits
-				mo, ok := c.lookup(spec, "/in", int64(i), datas[i])
+				mo, ok := c.lookup(keys[i])
 				if !ok {
 					mo = ExecMap(spec, datas[i])
-					c.store(spec, "/in", int64(i), datas[i], mo)
+					c.store(keys[i], mo)
 				}
 				if mo.Records != want[i].Records || mo.TotalBytes != want[i].TotalBytes {
 					t.Errorf("split %d: got %d/%d records/bytes, want %d/%d",
@@ -229,7 +245,7 @@ func TestMapCacheConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 	for i := range datas {
-		mo, ok := c.lookup(spec, "/in", int64(i), datas[i])
+		mo, ok := c.lookup(keys[i])
 		if !ok {
 			t.Fatalf("split %d missing after stress", i)
 		}

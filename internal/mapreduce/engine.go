@@ -410,14 +410,15 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 // two speculative modes mapping the same split); the cache's sharded locks
 // make that safe, and the duplicate store deduplicates.
 func (rt *Runtime) execMapCached(spec *JobSpec, split *hdfs.Split, data []byte) *MapOutput {
-	if rt.MapCache != nil {
-		if hit, ok := rt.MapCache.lookup(spec, split.File, split.Offset, data); ok {
+	k, reusable := rt.MapCache.key(spec, split.File, split.Offset, data)
+	if reusable {
+		if hit, ok := rt.MapCache.lookup(k); ok {
 			return hit
 		}
 	}
 	mo := ExecMapFile(spec, split.File, data)
-	if rt.MapCache != nil {
-		rt.MapCache.store(spec, split.File, split.Offset, data, mo)
+	if reusable {
+		rt.MapCache.store(k, mo)
 	}
 	return mo
 }

@@ -56,6 +56,42 @@ var (
 	}()
 )
 
+// wcTestMap and wcTestReduce are WordCount as named functions, so specs
+// built by wcSpec are reusable by the MapCache.
+func wcTestMap(_, line []byte, emit Emit) {
+	start := -1
+	for i, c := range line {
+		if c == ' ' || c == '\t' {
+			if start >= 0 {
+				emit(line[start:i], wcOne)
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		emit(line[start:], wcOne)
+	}
+}
+
+func wcTestReduce(key []byte, values [][]byte, emit Emit) {
+	total := 0
+	for _, v := range values {
+		if len(v) == 1 {
+			total += int(v[0] - '0')
+			continue
+		}
+		n, _ := strconv.Atoi(string(v))
+		total += n
+	}
+	if total < len(wcCountTexts) {
+		emit(key, wcCountTexts[total])
+		return
+	}
+	emit(key, []byte(strconv.Itoa(total)))
+}
+
 func wcSpec(inputs []string, output string) *JobSpec {
 	return &JobSpec{
 		Name:       "wc-test",
@@ -64,38 +100,8 @@ func wcSpec(inputs []string, output string) *JobSpec {
 		OutputFile: output,
 		NumReduces: 1,
 		Format:     LineFormat{},
-		Map: func(_, line []byte, emit Emit) {
-			start := -1
-			for i, c := range line {
-				if c == ' ' || c == '\t' {
-					if start >= 0 {
-						emit(line[start:i], wcOne)
-						start = -1
-					}
-				} else if start < 0 {
-					start = i
-				}
-			}
-			if start >= 0 {
-				emit(line[start:], wcOne)
-			}
-		},
-		Reduce: func(key []byte, values [][]byte, emit Emit) {
-			total := 0
-			for _, v := range values {
-				if len(v) == 1 {
-					total += int(v[0] - '0')
-					continue
-				}
-				n, _ := strconv.Atoi(string(v))
-				total += n
-			}
-			if total < len(wcCountTexts) {
-				emit(key, wcCountTexts[total])
-				return
-			}
-			emit(key, []byte(strconv.Itoa(total)))
-		},
+		Map:        wcTestMap,
+		Reduce:     wcTestReduce,
 		MapRate:    6e6,
 		ReduceRate: 12e6,
 	}

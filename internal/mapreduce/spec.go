@@ -13,7 +13,8 @@ import (
 	"hash/fnv"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -141,24 +142,16 @@ type JobSpec struct {
 	// per second on one reference core.
 	ReduceRate float64
 
-	// ClosureSig, when non-empty, is the builder's signature of everything
-	// the spec's closures capture (the query compiler sets it to the stage's
-	// plan signature). Specs built from one definition site share a JobKey
-	// and function symbols whatever they capture; the MapCache adds this to
-	// its key so that two of them mapping the same bytes never share a
-	// result. Specs whose JobKey already pins what their closures compute
-	// (TeraSort's cut-point partitioner) leave it empty.
+	// ClosureSig is the builder's signature of everything the spec's
+	// closures and method values capture: the query compiler's plan
+	// signature, Grep's pattern, TeraSort's cut points. Transforms built at
+	// one definition site share a function symbol whatever they capture, so
+	// Identity refuses a spec that has such a transform and no ClosureSig.
 	ClosureSig string
 
-	// MemoKey / MemoDigest, when MemoKey is non-empty, override the
-	// memoization cache's automatic identity for this job: MemoKey names the
-	// computation and MemoDigest fingerprints its inputs. The query layer
-	// sets them from plan-content signatures and lineage digests, because
-	// its transform closures all share one function symbol — the automatic
-	// SpecFingerprint/MemoSafe path would either refuse them or, worse,
-	// collide distinct predicates. Callers that set MemoKey take over the
-	// collision-freedom obligation.
-	MemoKey    string
+	// MemoDigest is the DAG runner's lineage digest of a query stage's
+	// intermediate inputs, whose query-scoped names say nothing about their
+	// content; the memo cache folds it into the input digest.
 	MemoDigest uint64
 }
 
@@ -196,17 +189,10 @@ func (s *JobSpec) Key() string {
 // ClassKey fingerprints the job's workload class: the structural program
 // shape (record format, compute rates, reduce count, presence of combiner /
 // per-file maps / split costs) without its identity or inputs. Jobs that
-// share a class key behave alike per input byte, so the decision maker's
-// calibrating estimator can generalize execution records across similar
-// jobs that never share an exact Key.
-//
-// ClassKey is intentionally shape-only and therefore lossy: two different
-// programs with the same structure (say, grep-for-ERROR and grep-for-WARN,
-// both LineFormat × 1 reduce × equal rates) share a class, which is exactly
-// what lets the estimator pool their timing samples. That lossiness makes it
-// unusable as a cache key — reusing grep-for-ERROR's output for a
-// grep-for-WARN submission would be wrong. SpecFingerprint is the
-// content-sensitive counterpart the memoization cache keys on.
+// share a class key behave alike per input byte, so the calibrating
+// estimator pools their timing samples — grep-for-ERROR and grep-for-WARN
+// share a class. That makes it unusable as a cache key; Identity is the
+// content-sensitive counterpart both result caches key on.
 func (s *JobSpec) ClassKey() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%T|%d|%g|%g|%d|%v|%v|%v",
@@ -215,10 +201,74 @@ func (s *JobSpec) ClassKey() string {
 	return fmt.Sprintf("class-%016x", h.Sum64())
 }
 
+// Identity is the job's computation identity, the one key of both result
+// caches (the MapCache with the split, the memo cache with the inputs): the
+// record format, reduce count and rates, each transform's linker symbol, and
+// ClosureSig — not Name or JobKey, since two computations of one program
+// differ. A symbol is blind to captured state, so a spec with a closure or
+// method value and no ClosureSig is not reusable: ok is false. Identity
+// allocates nothing, since the MapCache computes it per map task; never
+// cache it on the JobSpec, which races copy and tests mutate and resubmit.
+func (s *JobSpec) Identity() (id uint64, ok bool) {
+	format := "<nil>"
+	if s.Format != nil {
+		format = reflect.TypeOf(s.Format).String() // as %T prints it
+	}
+	var num [96]byte
+	b := strconv.AppendInt(append(num[:0], '|'), int64(s.NumReduces), 10)
+	b = strconv.AppendFloat(append(b, '|'), s.MapRate, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, '|'), s.ReduceRate, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, '|'), int64(s.MapFixedCost), 10)
+	h := fnvAdd(fnvAdd(fnvOffset64, format), b)
+	ok = true
+	fields := [...]string{"|map=", "|combine=", "|reduce=", "|part=", "|mapfor=", "|splitcost="}
+	for i, fn := range [...]any{s.Map, s.Combine, s.Reduce, s.Partition, s.MapFor, s.SplitCost} {
+		sym := funcSymbol(fn)
+		h = fnvAdd(fnvAdd(h, fields[i]), sym)
+		ok = ok && !capturesState(sym)
+	}
+	if s.ClosureSig != "" {
+		h = fnvAdd(fnvAdd(h, "|sig="), s.ClosureSig)
+		ok = true
+	}
+	return h, ok
+}
+
+// SpecFingerprint is Identity over the job's input set by name: the memo
+// cache's key for a job whose inputs are all HDFS files.
+func (s *JobSpec) SpecFingerprint() string {
+	id, _ := s.Identity()
+	return Fingerprint(id, s.InputFiles)
+}
+
+// Fingerprint extends a computation identity with an input set. Order is not
+// part of the computation — splits are planned per file — so the names are
+// hashed sorted.
+func Fingerprint(id uint64, inputs []string) string {
+	sorted := slices.Clone(inputs)
+	slices.Sort(sorted)
+	for _, in := range sorted {
+		id = fnvAdd(fnvAdd(id, "|in="), in)
+	}
+	return fmt.Sprintf("spec-%016x", id)
+}
+
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
+// fnvAdd folds b into an FNV-1a hash, the stream hash/fnv's New64a computes
+// from fnvOffset64.
+func fnvAdd[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // funcSymbol resolves a function value to its linker symbol name
-// ("mrapid/internal/workloads.wordCountMap"), the identity the memoization
-// fingerprint hashes. Nil-safe: nil functions map to "".
-func funcSymbol(fn interface{}) string {
+// ("mrapid/internal/workloads.wordCountMap"). Nil-safe: nil functions map
+// to "".
+func funcSymbol(fn any) string {
 	v := reflect.ValueOf(fn)
 	if !v.IsValid() || v.IsNil() {
 		return ""
@@ -230,53 +280,20 @@ func funcSymbol(fn interface{}) string {
 	return f.Name()
 }
 
-// SpecFingerprint fingerprints the job's *computation*: which transform
-// functions run (by linker symbol), with which parameters, over which input
-// set. Unlike the shape-only ClassKey it distinguishes grep-for-ERROR from
-// grep-for-WARN, WordCount with and without its combiner, and the same
-// program pointed at different files — any two specs that could produce
-// different output bytes get different fingerprints. Paired with the HDFS
-// write-generation digest of the inputs it forms the memoization cache key:
-// same fingerprint × same input digest ⇒ same committed output.
-//
-// The function identity is the package-level symbol name, which is exact for
-// named functions but blind to captured state — every closure from one
-// definition site shares a symbol. MemoSafe gates on that: specs carrying
-// closures are never auto-memoized (the query layer provides explicit
-// MemoKeys built from plan content instead).
-func (s *JobSpec) SpecFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%T|%d|%g|%g|%d", s.Format, s.NumReduces,
-		s.MapRate, s.ReduceRate, s.MapFixedCost)
-	fmt.Fprintf(h, "|map=%s|combine=%s|reduce=%s|part=%s|mapfor=%s|splitcost=%s",
-		funcSymbol(s.Map), funcSymbol(s.Combine), funcSymbol(s.Reduce),
-		funcSymbol(s.Partition), funcSymbol(s.MapFor), funcSymbol(s.SplitCost))
-	// The input *set* is part of the computation; order is not (splits are
-	// planned per file), so hash a sorted copy.
-	inputs := append([]string(nil), s.InputFiles...)
-	sort.Strings(inputs)
-	for _, in := range inputs {
-		fmt.Fprintf(h, "|in=%s", in)
-	}
-	return fmt.Sprintf("spec-%016x", h.Sum64())
-}
-
-// MemoSafe reports whether SpecFingerprint fully captures this job's
-// computation: every configured transform must be a named package-level
-// function. A closure's symbol ends in a ".funcN" segment and is shared by
-// all instances from that definition site regardless of captured variables,
-// so two semantically different jobs could collide — such specs are only
-// memoized when the caller supplies an explicit MemoKey.
-func (s *JobSpec) MemoSafe() bool {
-	for _, sym := range []string{
-		funcSymbol(s.Map), funcSymbol(s.Combine), funcSymbol(s.Reduce),
-		funcSymbol(s.Partition), funcSymbol(s.MapFor), funcSymbol(s.SplitCost),
-	} {
-		if i := strings.LastIndexByte(sym, '.'); i >= 0 && strings.HasPrefix(sym[i+1:], "func") {
-			return false
+// capturesState reports whether a symbol names code that every instance from
+// one definition site shares: a closure ("pkg.F.func1", "pkg.F.func1.2",
+// "pkg.glob..func1") or a method value ("pkg.T.Map-fm").
+func capturesState(sym string) bool {
+	for rest := sym; ; {
+		_, after, found := strings.Cut(rest, ".func")
+		if !found {
+			return strings.HasSuffix(sym, "-fm")
 		}
+		if after != "" && '0' <= after[0] && after[0] <= '9' {
+			return true
+		}
+		rest = after
 	}
-	return true
 }
 
 // partitioner returns the configured or default partition function.

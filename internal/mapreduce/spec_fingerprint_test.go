@@ -1,6 +1,12 @@
 package mapreduce
 
-import "testing"
+import (
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"testing"
+	"time"
+)
 
 // Named package-level transforms: distinct symbols with identical shapes,
 // so ClassKey cannot tell them apart but SpecFingerprint must.
@@ -93,27 +99,86 @@ func TestSpecFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestMemoSafe pins the closure guard: named package-level transforms are
-// fingerprintable, closures (whose symbols collapse to one ".funcN" per
-// definition site regardless of captures) are not.
-func TestMemoSafe(t *testing.T) {
-	if !fpSpec().MemoSafe() {
-		t.Fatal("spec with named transforms reported unsafe")
+// fpGrep is a transform with state, used as a method value: every receiver
+// shares the symbol "…fpGrep.Map-fm".
+type fpGrep struct{ word string }
+
+func (g fpGrep) Map(_, line []byte, emit Emit) { emit([]byte(g.word), line) }
+
+// TestIdentityNamesCapturedState pins the closure rule: named package-level
+// transforms are their own identity; closures and method values (whose
+// symbols collapse to one per definition site whatever they capture) are
+// reusable only under a ClosureSig, which then tells them apart.
+func TestIdentityNamesCapturedState(t *testing.T) {
+	if _, ok := fpSpec().Identity(); !ok {
+		t.Fatal("spec with named transforms reported not reusable")
 	}
-	capture := "x"
-	cl := fpSpec()
-	cl.Map = func(_, line []byte, emit Emit) { emit([]byte(capture), line) }
-	if cl.MemoSafe() {
-		t.Fatal("spec with a closure map reported memo-safe")
+	for name, mapFn := range map[string][2]MapFunc{
+		"closure":      {fpMakeGrep("ERROR"), fpMakeGrep("WARN")},
+		"method value": {fpGrep{"ERROR"}.Map, fpGrep{"WARN"}.Map},
+	} {
+		s1, s2 := fpSpec(), fpSpec()
+		s1.Map, s2.Map = mapFn[0], mapFn[1]
+		id1, ok1 := s1.Identity()
+		id2, ok2 := s2.Identity()
+		if id1 != id2 {
+			t.Fatalf("%s: expected the symbol collision the rule guards against", name)
+		}
+		if ok1 || ok2 {
+			t.Fatalf("%s: a transform with unnamed captured state reported reusable", name)
+		}
+		s1.ClosureSig, s2.ClosureSig = "grep[ERROR]", "grep[WARN]"
+		id1, ok1 = s1.Identity()
+		id2, ok2 = s2.Identity()
+		if !ok1 || !ok2 || id1 == id2 {
+			t.Fatalf("%s: ClosureSig did not make the two specs reusable and distinct", name)
+		}
 	}
-	// The hazard MemoSafe exists for: two closures from one definition site
-	// with different captured state share a fingerprint.
-	s1, s2 := fpSpec(), fpSpec()
-	s1.Map, s2.Map = fpMakeGrep("ERROR"), fpMakeGrep("WARN")
-	if s1.SpecFingerprint() != s2.SpecFingerprint() {
-		t.Fatal("expected the closure collision the MemoSafe guard protects against")
+	// A nested closure's symbol ends in a bare number, not "funcN".
+	for _, sym := range []string{"p.F.func1", "p.F.func1.2", "p.glob..func3", "p.T.Map-fm", "a/b.c/p.F.func12"} {
+		if !capturesState(sym) {
+			t.Errorf("%s: not recognised as captured state", sym)
+		}
 	}
-	if s1.MemoSafe() || s2.MemoSafe() {
-		t.Fatal("colliding closure specs reported memo-safe")
+	for _, sym := range []string{"", "p.wordCountMap", "p.funcy", "p.T.Map", "a/func1.F"} {
+		if capturesState(sym) {
+			t.Errorf("%s: named code taken for captured state", sym)
+		}
+	}
+}
+
+// TestIdentityIsTheFmtStream pins the allocation-free writer to the stream it
+// replaced, FNV-1a over the fmt rendering below: memo keys — and with them
+// where disk-tier entries are placed — do not move.
+func TestIdentityIsTheFmtStream(t *testing.T) {
+	old := func(s *JobSpec) string {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%T|%d|%g|%g|%d", s.Format, s.NumReduces, s.MapRate, s.ReduceRate, s.MapFixedCost)
+		fmt.Fprintf(h, "|map=%s|combine=%s|reduce=%s|part=%s|mapfor=%s|splitcost=%s",
+			funcSymbol(s.Map), funcSymbol(s.Combine), funcSymbol(s.Reduce),
+			funcSymbol(s.Partition), funcSymbol(s.MapFor), funcSymbol(s.SplitCost))
+		inputs := slices.Clone(s.InputFiles)
+		slices.Sort(inputs)
+		for _, in := range inputs {
+			fmt.Fprintf(h, "|in=%s", in)
+		}
+		return fmt.Sprintf("spec-%016x", h.Sum64())
+	}
+	for _, mutate := range []func(*JobSpec){
+		func(*JobSpec) {},
+		func(s *JobSpec) { s.MapRate, s.ReduceRate = 6.5e-7, 1e21 },
+		func(s *JobSpec) { s.MapFixedCost, s.NumReduces = 1500*time.Millisecond, 12 },
+		func(s *JobSpec) { s.Format, s.Combine = FixedFormat{KeyLen: 10, ValLen: 90}, fpCombine },
+		func(s *JobSpec) { s.InputFiles = []string{"/z", "/a/b", "/m"} },
+	} {
+		s := fpSpec()
+		mutate(s)
+		if got, want := s.SpecFingerprint(), old(s); got != want {
+			t.Errorf("fingerprint %s, the fmt stream gives %s", got, want)
+		}
+	}
+	spec := fpSpec()
+	if n := testing.AllocsPerRun(100, func() { spec.Identity() }); n != 0 {
+		t.Fatalf("Identity allocates %v times", n)
 	}
 }

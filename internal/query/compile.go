@@ -203,8 +203,8 @@ func CompileWith(cat *Catalog, qid string, p *Plan, opts CompileOptions) (*Compi
 		out = st.Out
 	}
 	// The result table stays in HDFS; everything upstream is intra-query.
-	// Every stage of a kind shares one JobKey and one set of closure
-	// symbols, so the plan signature is what tells their map functions apart.
+	// Every stage of a kind shares one set of closure symbols, so the plan
+	// signature is what tells their computations apart to both result caches.
 	for _, st := range c.out {
 		st.Spec.IntermediateOutput = st.Out != out
 		st.Spec.ClosureSig = st.Sig

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -154,22 +155,19 @@ func (d *dagRun) submitReady() {
 	}
 }
 
-// stampMemo gives a ready stage its cross-query cache identity before
-// submission: MemoKey is the plan-content signature (query IDs never appear
-// in it, so an identical stage of a *different* query maps to the same
-// entry), MemoDigest is the recursive lineage digest — every base table's
-// current (block, generation) digest folded up through the stage's
-// dependency subtree. A base file that cannot be digested (e.g. dropped
-// between compile and launch) leaves the stage unstamped: it runs normally
-// and is never cached.
+// stampMemo gives a ready stage the digest of its intermediate inputs before
+// submission: the recursive lineage digest — every base table's current
+// (block, generation) digest folded up through the stage's dependency
+// subtree. The memo key is the stage's computation identity, whose
+// ClosureSig is the plan signature (query IDs never appear in it, so an
+// identical stage of a *different* query maps to the same entry). A base
+// file that cannot be digested (e.g. dropped between compile and launch)
+// leaves the digest zero: the stage runs normally and is never cached.
 func (d *dagRun) stampMemo(st *Stage) {
-	if d.r.FW.Memo == nil || st.Sig == "" {
+	if d.r.FW.Memo == nil {
 		return
 	}
-	if digest, ok := d.stageDigest(st, make(map[int]uint64)); ok {
-		st.Spec.MemoKey = "query:" + st.Sig
-		st.Spec.MemoDigest = digest
-	}
+	st.Spec.MemoDigest, _ = d.stageDigest(st, make(map[int]uint64))
 }
 
 // stageDigest folds a stage's signature, its dependencies' digests
@@ -188,11 +186,7 @@ func (d *dagRun) stageDigest(st *Stage, cache map[int]uint64) (uint64, bool) {
 		if !ok {
 			return 0, false
 		}
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(dd >> (8 * i))
-		}
-		h.Write(buf[:])
+		h.Write(binary.LittleEndian.AppendUint64(nil, dd))
 		for _, f := range d.compiled.Stages[dep].Out.Files {
 			produced[f] = true
 		}
@@ -205,12 +199,8 @@ func (d *dagRun) stageDigest(st *Stage, cache map[int]uint64) (uint64, bool) {
 		if err != nil {
 			return 0, false
 		}
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(fd >> (8 * i))
-		}
 		h.Write([]byte(f))
-		h.Write(buf[:])
+		h.Write(binary.LittleEndian.AppendUint64(nil, fd))
 	}
 	v := h.Sum64()
 	cache[st.ID] = v

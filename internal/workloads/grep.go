@@ -22,10 +22,11 @@ const (
 
 // GrepSearchSpec builds the first job: emit (word, 1) for every
 // whitespace-separated token containing pattern; reduce sums counts. The
-// sum combiner is associative, so it is valid both per task and cross-task
-// (the shuffle service's in-node combiner re-applies it when merging a
-// node's outputs). The sort job below deliberately has no combiner: its
-// reduce re-keys each record, which a combiner must never do.
+// map closure captures the pattern, so the pattern is the spec's
+// ClosureSig. The sum combiner is associative, so it is valid both per task
+// and cross-task (the shuffle service's in-node combiner re-applies it when
+// merging a node's outputs). The sort job below deliberately has no
+// combiner: its reduce re-keys each record, which a combiner must never do.
 func GrepSearchSpec(name string, inputs []string, output, pattern string) *mapreduce.JobSpec {
 	pat := []byte(pattern)
 	return &mapreduce.JobSpec{
@@ -46,6 +47,7 @@ func GrepSearchSpec(name string, inputs []string, output, pattern string) *mapre
 		Reduce:     wordCountReduce,
 		MapRate:    GrepMapRate,
 		ReduceRate: GrepReduceRate,
+		ClosureSig: "pattern=" + pattern,
 	}
 }
 
@@ -85,6 +87,7 @@ func GrepSortSpec(name string, searchOutput []string, output string) *mapreduce.
 		},
 		MapRate:    GrepMapRate,
 		ReduceRate: GrepReduceRate,
+		ClosureSig: "grep-sort", // its closures capture nothing
 	}
 }
 

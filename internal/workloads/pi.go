@@ -52,7 +52,9 @@ func GeneratePiInput(dfs *hdfs.DFS, cluster *topology.Cluster, prefix string, cf
 
 // PiSpec builds the PI estimation job. The map's virtual compute cost is
 // its full sample count at PiSampleRate; its real computation evaluates up
-// to PiMaxRealSamples Halton points.
+// to PiMaxRealSamples Halton points. The SplitCost closure captures only the
+// filesystem it reads each split's control file from, so its ClosureSig is
+// a constant.
 func PiSpec(dfs *hdfs.DFS, name string, inputs []string, output string) *mapreduce.JobSpec {
 	return &mapreduce.JobSpec{
 		Name:       name,
@@ -70,6 +72,7 @@ func PiSpec(dfs *hdfs.DFS, name string, inputs []string, output string) *mapredu
 			}
 			return time.Duration(float64(samples) / PiSampleRate * float64(time.Second))
 		},
+		ClosureSig: "splitcost=pi-control",
 	}
 }
 

@@ -1,7 +1,10 @@
 package mrapid_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -98,6 +101,39 @@ func TestDesignWhereBytesLive(t *testing.T) {
 		src, err := os.ReadFile(m.file)
 		if err != nil || !strings.Contains(string(src), m.decl) {
 			t.Errorf("DESIGN.md §3.2 names %s, but %s no longer declares %q", m.name, m.file, m.decl)
+		}
+	}
+}
+
+// TestDocsNameDeclaredTests keeps the docs' citations live: every Test…,
+// Benchmark… or Fuzz… name DESIGN.md or README.md cites must be declared by
+// some test file in the tree.
+func TestDocsNameDeclaredTests(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cited.FindAllString(string(text), -1) {
+			if !declared[name] {
+				t.Errorf("%s cites %s, which no test file declares", doc, name)
+			}
 		}
 	}
 }
