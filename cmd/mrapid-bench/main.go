@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -51,6 +52,11 @@ func main() {
 	}
 
 	opts, err := runOpts()
+	if err == nil {
+		codecSet := false
+		flag.Visit(func(f *flag.Flag) { codecSet = codecSet || f.Name == "shuffle-codec" })
+		err = checkFlags(*scale, codecSet, opts.ShuffleService)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)
 		os.Exit(2)
@@ -97,6 +103,19 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// checkFlags names a flag the run cannot honour: a -scale that is not
+// positive (the figures would silently run at paper scale) or a
+// -shuffle-codec set without the -shuffle-service it configures.
+func checkFlags(scale float64, codecSet, shuffleService bool) error {
+	if scale <= 0 {
+		return fmt.Errorf("-scale %g is not positive", scale)
+	}
+	if codecSet && !shuffleService {
+		return errors.New("-shuffle-codec has no effect without -shuffle-service")
+	}
+	return nil
 }
 
 // writeJSON stores the regenerated figures as an indented JSON array, the

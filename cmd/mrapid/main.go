@@ -24,8 +24,9 @@
 //	mrapid -job query -query-exec dag -node-fail 'node-01@4s:20s'
 //
 // -cluster, -seed, -workers, -node-fail, -shuffle-service and -memo apply to
-// all three modes. A flag the selected mode cannot honour is an error (exit
-// status 2), never silently ignored.
+// all three modes (-memo needs the framework, which -mode hadoop and uber
+// lack). A flag the run cannot honour is an error (exit status 2), never
+// silently ignored.
 package main
 
 import (
@@ -97,11 +98,22 @@ var honoured = map[string]runMode{
 	"query-exec": queryJob,
 }
 
-// checkFlags names the first explicitly set flag the mode would ignore.
-func checkFlags(m runMode, set []string) error {
+// checkFlags names the first explicitly set flag the run would ignore: one
+// the mode cannot honour, a single-job flag the -mode value has no use for,
+// or -shuffle-codec without the service it configures. value reads a
+// flag's effective value.
+func checkFlags(m runMode, set []string, value func(name string) string) error {
 	for _, name := range set {
 		if modes, ok := honoured[name]; ok && modes&m == 0 {
 			return fmt.Errorf("-%s has no effect with %s", name, modeNames[m])
+		}
+		switch mode := value("mode"); {
+		case m == singleJob && mode != "speculative" && (name == "repeat" || name == "predict" || name == "show-history"):
+			return fmt.Errorf("-%s has no effect with -mode %s (only speculative decides)", name, mode)
+		case m == singleJob && name == "memo" && (mode == "hadoop" || mode == "uber"):
+			return fmt.Errorf("-memo has no effect with -mode %s (no framework, no cache)", mode)
+		case name == "shuffle-codec" && value("shuffle-service") != "true":
+			return fmt.Errorf("-shuffle-codec has no effect without -shuffle-service")
 		}
 	}
 	return nil
@@ -117,7 +129,8 @@ func main() {
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := checkFlags(m, set); err != nil {
+	value := func(name string) string { return flag.Lookup(name).Value.String() }
+	if err := checkFlags(m, set, value); err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid: %v\n", err)
 		os.Exit(2)
 	}
@@ -185,7 +198,7 @@ func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
 	}
 	res, err := bench.RunThroughput(setup, bench.WorkloadConfig{
 		Jobs: *jobs, Tenants: *tenants, Arrival: *arrival, Policy: pol,
-		Speculative: *predict, Predict: *predict, UniqueKeys: *predict,
+		Speculative: *predict, Predict: *predict,
 	}, opts)
 	if err != nil {
 		return err
@@ -316,8 +329,8 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	}
 	if opts.FlightRecorder {
 		// Single-job mode has no admission queue, so the recorder runs
-		// without an SLO tracker: cluster gauges, counter rates, and the
-		// engine self-profile still fill the dashboard.
+		// without an SLO tracker: cluster gauges and counter rates still
+		// fill the dashboard.
 		env.EnableFlightRecorder(flight.SLOConfig{})
 	}
 
@@ -460,8 +473,7 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 			fmt.Printf("metrics summary written to %s\n", *metOut)
 		}
 		if env.Flight != nil {
-			eb := env.Flight.SelfProfiler().Summary()
-			if err := env.WriteFlightArtifacts(opts, label, &eb); err != nil {
+			if err := env.WriteFlightArtifacts(opts, label); err != nil {
 				return err
 			}
 			if opts.SeriesOut != "" {

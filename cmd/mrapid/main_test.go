@@ -11,48 +11,68 @@ import (
 )
 
 func TestCheckFlags(t *testing.T) {
+	shuffleOn := map[string]string{"shuffle-service": "true"}
 	cases := []struct {
 		mode runMode
 		set  []string
-		bad  string // the flag the error must name; "" = accepted
+		bad  string            // the flag the error must name; "" = accepted
+		vals map[string]string // values other than the flags' defaults
 	}{
-		{singleJob, []string{"job", "mode", "files", "size-mb", "trace", "report", "verbose", "predict", "repeat", "dash-out"}, ""},
-		{workload, []string{"jobs", "tenants", "arrival", "policy", "predict", "series-out", "dash-out"}, ""},
-		{queryJob, []string{"job", "query-exec", "verbose"}, ""},
+		{singleJob, []string{"job", "mode", "files", "size-mb", "trace", "report", "verbose", "predict", "repeat", "show-history", "dash-out"}, "", nil},
+		{singleJob, []string{"mode", "memo"}, "", map[string]string{"mode": "dplus"}},
+		{workload, []string{"jobs", "tenants", "arrival", "policy", "predict", "series-out", "dash-out"}, "", nil},
+		{queryJob, []string{"job", "query-exec", "verbose"}, "", nil},
 		// The shared setup works in all three modes.
-		{singleJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, ""},
-		{workload, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, ""},
-		{queryJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, ""},
+		{singleJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
+		{workload, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
+		{queryJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
 
-		{workload, []string{"jobs", "mode"}, "mode"},
-		{workload, []string{"jobs", "report"}, "report"},
-		{workload, []string{"jobs", "trace"}, "trace"},
-		{workload, []string{"jobs", "trace-out"}, "trace-out"},
-		{workload, []string{"jobs", "metrics-out"}, "metrics-out"},
-		{workload, []string{"jobs", "repeat"}, "repeat"},
-		{workload, []string{"jobs", "show-history"}, "show-history"},
-		{workload, []string{"jobs", "verbose"}, "verbose"},
-		{workload, []string{"jobs", "files"}, "files"},
-		{workload, []string{"jobs", "query-exec"}, "query-exec"},
-		{queryJob, []string{"job", "mode"}, "mode"},
-		{queryJob, []string{"job", "report"}, "report"},
-		{queryJob, []string{"job", "trace"}, "trace"},
-		{queryJob, []string{"job", "trace-out"}, "trace-out"},
-		{queryJob, []string{"job", "metrics-out"}, "metrics-out"},
-		{queryJob, []string{"job", "repeat"}, "repeat"},
-		{queryJob, []string{"job", "show-history"}, "show-history"},
-		{queryJob, []string{"job", "predict"}, "predict"},
-		{queryJob, []string{"job", "series-out"}, "series-out"},
-		{queryJob, []string{"job", "dash-out"}, "dash-out"},
-		{queryJob, []string{"job", "jobs"}, "jobs"},
-		{queryJob, []string{"job", "tenants"}, "tenants"},
-		{singleJob, []string{"tenants"}, "tenants"},
-		{singleJob, []string{"arrival"}, "arrival"},
-		{singleJob, []string{"policy"}, "policy"},
-		{singleJob, []string{"query-exec"}, "query-exec"},
+		// Only -mode speculative decides, and only a framework has a cache.
+		{singleJob, []string{"mode", "repeat"}, "repeat", map[string]string{"mode": "dplus"}},
+		{singleJob, []string{"mode", "predict"}, "predict", map[string]string{"mode": "uplus"}},
+		{singleJob, []string{"mode", "show-history"}, "show-history", map[string]string{"mode": "hadoop"}},
+		{singleJob, []string{"mode", "memo"}, "memo", map[string]string{"mode": "hadoop"}},
+		{singleJob, []string{"mode", "memo"}, "memo", map[string]string{"mode": "uber"}},
+		// A codec needs the service it configures.
+		{singleJob, []string{"shuffle-codec"}, "shuffle-codec", map[string]string{"shuffle-codec": "lz"}},
+		{workload, []string{"jobs", "shuffle-codec"}, "shuffle-codec", nil},
+		{queryJob, []string{"job", "shuffle-service", "shuffle-codec"}, "shuffle-codec", map[string]string{"shuffle-service": "false"}},
+
+		{workload, []string{"jobs", "mode"}, "mode", nil},
+		{workload, []string{"jobs", "report"}, "report", nil},
+		{workload, []string{"jobs", "trace"}, "trace", nil},
+		{workload, []string{"jobs", "trace-out"}, "trace-out", nil},
+		{workload, []string{"jobs", "metrics-out"}, "metrics-out", nil},
+		{workload, []string{"jobs", "repeat"}, "repeat", nil},
+		{workload, []string{"jobs", "show-history"}, "show-history", nil},
+		{workload, []string{"jobs", "verbose"}, "verbose", nil},
+		{workload, []string{"jobs", "files"}, "files", nil},
+		{workload, []string{"jobs", "query-exec"}, "query-exec", nil},
+		{queryJob, []string{"job", "mode"}, "mode", nil},
+		{queryJob, []string{"job", "report"}, "report", nil},
+		{queryJob, []string{"job", "trace"}, "trace", nil},
+		{queryJob, []string{"job", "trace-out"}, "trace-out", nil},
+		{queryJob, []string{"job", "metrics-out"}, "metrics-out", nil},
+		{queryJob, []string{"job", "repeat"}, "repeat", nil},
+		{queryJob, []string{"job", "show-history"}, "show-history", nil},
+		{queryJob, []string{"job", "predict"}, "predict", nil},
+		{queryJob, []string{"job", "series-out"}, "series-out", nil},
+		{queryJob, []string{"job", "dash-out"}, "dash-out", nil},
+		{queryJob, []string{"job", "jobs"}, "jobs", nil},
+		{queryJob, []string{"job", "tenants"}, "tenants", nil},
+		{singleJob, []string{"tenants"}, "tenants", nil},
+		{singleJob, []string{"arrival"}, "arrival", nil},
+		{singleJob, []string{"policy"}, "policy", nil},
+		{singleJob, []string{"query-exec"}, "query-exec", nil},
 	}
 	for _, c := range cases {
-		err := checkFlags(c.mode, c.set)
+		value := func(name string) string {
+			if v, ok := c.vals[name]; ok {
+				return v
+			}
+			return flag.Lookup(name).DefValue
+		}
+		err := checkFlags(c.mode, c.set, value)
 		switch {
 		case c.bad == "" && err != nil:
 			t.Errorf("%s with %v: %v", modeNames[c.mode], c.set, err)

@@ -38,8 +38,9 @@ func main() {
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
 
-	// 3. The MRapid framework: proxy, AM pool (3 reserved AMs), history.
-	fw := core.NewFramework(rt, params.AMPoolSize, core.FullUPlus())
+	// 3. The MRapid framework: proxy, AM pool (the paper's 3 reserved AMs),
+	//    history.
+	fw := core.NewFramework(rt, 3, core.FullUPlus())
 	poolReady := false
 	eng.After(0, func() { fw.Start(func() { poolReady = true }) })
 	eng.RunUntil(sim.Time(1 << 36))

@@ -47,9 +47,9 @@ type Options struct {
 	MemoCache bool
 
 	// FlightRecorder turns on the flight recorder (internal/flight) for
-	// workload runs: virtual-clock time-series, per-tenant SLO burn rates,
-	// and the engine self-profile. Sampling is read-only on the virtual
-	// clock, so results are byte-identical with it on or off.
+	// workload runs: virtual-clock time-series and per-tenant SLO burn
+	// rates. Sampling is read-only on the virtual clock, so results are
+	// byte-identical with it on or off.
 	FlightRecorder bool
 	// SeriesOut/DashOut, when non-empty, make the recording experiments
 	// write the Prometheus series dump and the HTML dashboard to these

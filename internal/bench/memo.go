@@ -17,7 +17,7 @@ import (
 func memoWorkload() WorkloadConfig {
 	return WorkloadConfig{
 		Jobs: 18, Tenants: 3, Arrival: "uniform:2s",
-		Speculative: true, UniqueKeys: true, Mix: 3,
+		Speculative: true, Mix: 3,
 	}
 }
 

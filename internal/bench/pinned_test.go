@@ -36,13 +36,10 @@ func checkFigure(t *testing.T, fig *Figure, o Options) {
 	pin.Check(t, fmt.Sprintf("%s scale=%g seed=%d", fig.ID, o.Scale, o.Seed), rec)
 }
 
-// checkWorkload pins every field of one RunThroughput result. The engine
-// self-profile is host-timed and left out.
+// checkWorkload pins every field of one RunThroughput result.
 func checkWorkload(t *testing.T, key string, r *ThroughputResult) {
 	t.Helper()
-	c := *r
-	c.Engine = nil
-	pin.Check(t, "workload "+key, pin.Fields(c))
+	pin.Check(t, "workload "+key, pin.Fields(*r))
 }
 
 // TestGoldenCoversRegistry fails when a registered experiment has no pinned

@@ -38,20 +38,16 @@ type WorkloadConfig struct {
 	// admission policies diverge: FIFO drains the first tenant's backlog
 	// before later tenants run, weighted-fair interleaves them.
 	Blocked bool
-	// PoolSize sizes the AM pool (and thereby the default admission window);
-	// zero means the paper's default of 3.
-	PoolSize int
 
 	// Speculative routes every job through the full speculative workflow
-	// (D+/U+ race + decision maker) instead of alternating fixed modes.
+	// (D+/U+ race + decision maker) instead of alternating fixed modes, each
+	// under its own JobKey, so the exact-match history never pre-decides a
+	// later job — only the class estimator can. This is the warm-workload
+	// regime: similar jobs, never the same one.
 	Speculative bool
 	// Predict turns on the framework's calibrating estimator, letting
 	// confident workload classes skip the dual-launch (Framework.Predict).
 	Predict bool
-	// UniqueKeys gives every submission its own JobKey, so the exact-match
-	// history never pre-decides a later job — only the class estimator can.
-	// This is the warm-workload regime: similar jobs, never the same one.
-	UniqueKeys bool
 
 	// Mix spreads the stream over this many distinct input sets (job i reads
 	// set i%Mix), each generated from its own seed. 0 or 1 keeps the classic
@@ -105,11 +101,9 @@ type ThroughputResult struct {
 
 	// Flight-recorder results, populated only when Options.FlightRecorder
 	// was set: per-tenant SLO outcomes (already cross-checked against the
-	// run's raw measurements), the sample count, and the engine's host-side
-	// self-profile.
+	// run's raw measurements) and the sample count.
 	SLO           map[string]*TenantSLOReport
 	FlightSamples int64
-	Engine        *flight.EngineBench
 
 	// flightEnv keeps the recorded simulation alive for artifact writing.
 	flightEnv *Env
@@ -121,7 +115,7 @@ func (r *ThroughputResult) WriteFlightArtifacts(o Options, title string) error {
 	if r.flightEnv == nil {
 		return nil
 	}
-	return r.flightEnv.WriteFlightArtifacts(o, title, r.Engine)
+	return r.flightEnv.WriteFlightArtifacts(o, title)
 }
 
 // arrivalTimes expands a WorkloadConfig.Arrival spec into one absolute
@@ -177,9 +171,6 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 		return nil, fmt.Errorf("bench: workload needs at least one job and one tenant")
 	}
 	v := VariantDPlus()
-	if cfg.PoolSize != 0 {
-		v.PoolSize = cfg.PoolSize
-	}
 	v.Server = &core.JobServerConfig{Queues: tenantQueues(cfg.Tenants), Policy: cfg.Policy}
 	env, err := NewEnv(o.Apply(setup), v)
 	if err != nil {
@@ -258,11 +249,9 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 		if i%2 == 1 {
 			mode = core.ModeUPlus
 		}
+		spec := workloads.WordCountSpec(fmt.Sprintf("wc-%s-%d", tenant, i), inputSets[i%mix], fmt.Sprintf("/out/tp/%d", i), false)
 		if cfg.Speculative {
 			mode = core.ModeSpeculative
-		}
-		spec := workloads.WordCountSpec(fmt.Sprintf("wc-%s-%d", tenant, i), inputSets[i%mix], fmt.Sprintf("/out/tp/%d", i), false)
-		if cfg.UniqueKeys {
 			spec.JobKey = spec.Name
 		}
 		specs[i] = spec
@@ -416,24 +405,21 @@ func (t *sloTap) JobCompleted(string, bool) {}
 // burn rate must exactly match a recomputation from the tap's event log.
 func collectSLO(res *ThroughputResult, env *Env, rec *flight.Recorder, tap *sloTap) error {
 	slo := rec.SLO()
-	scfg := slo.Config()
+	windows := flight.SLOWindows()
 	now := env.Eng.Now()
 	res.FlightSamples = rec.Samples()
 	res.SLO = make(map[string]*TenantSLOReport)
 	res.flightEnv = env
 
-	eb := rec.SelfProfiler().Summary()
-	res.Engine = &eb
-
 	for _, tn := range slo.Tenants() {
 		total, bad := slo.Events(tn)
 		rep := &TenantSLOReport{
-			TargetSeconds: scfg.TargetWait.Seconds(),
+			TargetSeconds: slo.Config().TargetWait.Seconds(),
 			P99Wait:       slo.P99Wait(tn),
 			Events:        total,
 			Bad:           bad,
 			Breaches:      slo.Breaches(tn),
-			Burn:          make(map[string]float64, len(scfg.Windows)),
+			Burn:          make(map[string]float64, len(windows)),
 		}
 
 		var waits []float64
@@ -455,7 +441,7 @@ func collectSLO(res *ThroughputResult, env *Env, rec *flight.Recorder, tap *sloT
 			return fmt.Errorf("bench: tenant %s p99 queue wait: %w", tn, err)
 		}
 
-		for _, w := range scfg.Windows {
+		for _, w := range windows {
 			got := slo.BurnRate(tn, w)
 			cutoff := now.Add(-w)
 			var wTotal, wBad int64
@@ -470,7 +456,7 @@ func collectSLO(res *ThroughputResult, env *Env, rec *flight.Recorder, tap *sloT
 			}
 			var want float64
 			if wTotal > 0 {
-				want = float64(wBad) / float64(wTotal) / scfg.MissBudget
+				want = float64(wBad) / float64(wTotal) / flight.MissBudget
 			}
 			if math.Abs(got-want) > 1e-9 {
 				return fmt.Errorf("bench: tenant %s burn over %s: tracker %v, recomputed %v",
@@ -620,7 +606,7 @@ func Throughput(o Options) (*Figure, error) {
 func warmWorkload(predict bool) WorkloadConfig {
 	return WorkloadConfig{
 		Jobs: 24, Tenants: 2, Arrival: "uniform:2s",
-		Speculative: true, Predict: predict, UniqueKeys: true,
+		Speculative: true, Predict: predict,
 	}
 }
 

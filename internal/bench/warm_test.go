@@ -60,7 +60,7 @@ func TestWarmSweepSmoke(t *testing.T) {
 	checkFigure(t, fig, o)
 
 	// The baseline raced everything; the calibrated run raced only until the
-	// class converged (MinRuns=3) and pre-decided the rest.
+	// class converged (minRuns=3) and pre-decided the rest.
 	if race.Races != 10 || race.DirectPrediction != 0 {
 		t.Fatalf("baseline: races=%d direct=%d, want 10/0", race.Races, race.DirectPrediction)
 	}

@@ -101,24 +101,23 @@ type ClassStats struct {
 type History struct {
 	entries map[string]*HistoryEntry
 	classes map[string]*ClassStats
-
-	// Confidence gate: a class predicts only after MinRuns observations
-	// with across-run rate/selectivity CVs at most MaxCV and a mean
-	// within-job map-compute CV at most MaxIntraCV. Below the gate the job
-	// still races (and its outcome calibrates the class).
-	MinRuns    int
-	MaxCV      float64
-	MaxIntraCV float64
 }
 
-// NewHistory returns an empty store with the default confidence gate.
+// The confidence gate: a class predicts only after minRuns observations
+// with across-run rate/selectivity CVs at most maxCV and a mean within-job
+// map-compute CV at most maxIntraCV. Below the gate the job still races
+// (and its outcome calibrates the class).
+const (
+	minRuns    = 3
+	maxCV      = 0.25
+	maxIntraCV = 0.75
+)
+
+// NewHistory returns an empty store.
 func NewHistory() *History {
 	return &History{
-		entries:    make(map[string]*HistoryEntry),
-		classes:    make(map[string]*ClassStats),
-		MinRuns:    3,
-		MaxCV:      0.25,
-		MaxIntraCV: 0.75,
+		entries: make(map[string]*HistoryEntry),
+		classes: make(map[string]*ClassStats),
 	}
 }
 
@@ -185,10 +184,10 @@ func (h *History) Class(class string) (*ClassStats, bool) {
 // across runs, and internally un-skewed maps.
 func (h *History) Confident(class string) bool {
 	cs, ok := h.classes[class]
-	if !ok || cs.Runs < h.MinRuns {
+	if !ok || cs.Runs < minRuns {
 		return false
 	}
-	return cs.Rate.CV() <= h.MaxCV && cs.Sel.CV() <= h.MaxCV && cs.IntraCV.Mean <= h.MaxIntraCV
+	return cs.Rate.CV() <= maxCV && cs.Sel.CV() <= maxCV && cs.IntraCV.Mean <= maxIntraCV
 }
 
 // Winner returns the recorded majority mode for a job key, if any.

@@ -94,7 +94,7 @@ func TestHistoryV2RoundTripWithClasses(t *testing.T) {
 		t.Fatalf("class aggregates lost in round-trip: %+v vs %+v", cs, want)
 	}
 	if !h2.Confident("class-abc") {
-		t.Fatal("identical samples over MinRuns must pass the confidence gate")
+		t.Fatal("identical samples over minRuns must pass the confidence gate")
 	}
 }
 
@@ -104,18 +104,18 @@ func TestHistoryConfidenceGate(t *testing.T) {
 	h := NewHistory()
 	stable := profilerSummary()
 
-	// Under MinRuns: never confident.
+	// Under minRuns: never confident.
 	h.Observe("young", ModeDPlus, 20*time.Second, 18*time.Second, stable)
 	h.Observe("young", ModeDPlus, 20*time.Second, 18*time.Second, stable)
 	if h.Confident("young") {
-		t.Fatal("confident after 2 runs with MinRuns=3")
+		t.Fatal("confident after 2 runs with minRuns=3")
 	}
 	h.Observe("young", ModeDPlus, 20*time.Second, 18*time.Second, stable)
 	if !h.Confident("young") {
 		t.Fatal("not confident after 3 identical runs")
 	}
 
-	// Noisy per-byte rate across runs: CV blows past MaxCV.
+	// Noisy per-byte rate across runs: CV blows past maxCV.
 	for i, cpu := range []time.Duration{500 * time.Millisecond, 3 * time.Second, 9 * time.Second} {
 		s := stable
 		s.AvgMapCPU = cpu
@@ -134,7 +134,7 @@ func TestHistoryConfidenceGate(t *testing.T) {
 		h.Observe("skewed", ModeDPlus, 20*time.Second, 18*time.Second, skewed)
 	}
 	if h.Confident("skewed") {
-		t.Fatal("confident despite intra-job map skew above MaxIntraCV")
+		t.Fatal("confident despite intra-job map skew above maxIntraCV")
 	}
 
 	// Unknown class: not confident, no panic.

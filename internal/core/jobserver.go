@@ -41,12 +41,6 @@ type JobServerConfig struct {
 
 	// Policy selects the admission order; empty means PolicyFIFO.
 	Policy AdmissionPolicy
-
-	// MaxInFlight caps concurrently executing jobs (a speculative job counts
-	// twice — it holds two pooled AMs). Zero derives the window from the
-	// framework: one job per reserved AM, bounded by the cluster's container
-	// slots; a pool-less framework serializes stock submissions.
-	MaxInFlight int
 }
 
 // tenantState tracks one tenant's weighted-fair accounting and statistics.
@@ -163,11 +157,8 @@ func NewJobServer(fw *Framework, cfg JobServerConfig) (*JobServer, error) {
 	s := &JobServer{
 		fw:      fw,
 		policy:  policy,
-		window:  cfg.MaxInFlight,
+		window:  admissionWindow(fw),
 		tenants: make(map[string]*tenantState),
-	}
-	if s.window <= 0 {
-		s.window = defaultWindow(fw)
 	}
 	if len(cfg.Queues) > 0 {
 		queues, err := withDefaultQueue(cfg.Queues)
@@ -184,11 +175,12 @@ func NewJobServer(fw *Framework, cfg JobServerConfig) (*JobServer, error) {
 	return s, nil
 }
 
-// defaultWindow derives the admission window: one job per reserved AM keeps
+// admissionWindow caps the admission cost executing at once (a speculative
+// race costs two — it holds two pooled AMs). One job per reserved AM keeps
 // every admitted job on the warm path (more would just stack up inside
 // Pool.Acquire), clamped by the cluster's container slots; a size-0 pool
 // serializes the stock submissions it degrades to.
-func defaultWindow(fw *Framework) int {
+func admissionWindow(fw *Framework) int {
 	w := fw.Pool.Size()
 	if w == 0 {
 		w = 1

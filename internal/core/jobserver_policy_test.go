@@ -41,11 +41,11 @@ func TestTenantForVirtualTimeJoin(t *testing.T) {
 }
 
 // A pre-decided speculative submission (recorded history winner) is charged
-// one admission slot, not two: with a window of 2, two such jobs run
-// concurrently where undecided races could not.
+// one admission slot, not two: with a window of 2 (a pool of two AMs), two
+// such jobs run concurrently where undecided races could not.
 func TestJobServerPreDecidedSpeculativeCostsOne(t *testing.T) {
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-	f, s := startJobServer(t, rt, 3, JobServerConfig{MaxInFlight: 2})
+	f, s := startJobServer(t, rt, 2, JobServerConfig{})
 	names, input := stageInput(t, rt, 4, 1<<20)
 	f.History.Record("wordcount", ModeUPlus, 10*time.Second)
 

@@ -150,13 +150,13 @@ func TestJobServerMultiTenantFairness(t *testing.T) {
 // of queueing behind all of it.
 func TestJobServerWeightedFairInterleaving(t *testing.T) {
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-	_, s := startJobServer(t, rt, 3, JobServerConfig{
+	// A pool of one AM serializes the window.
+	_, s := startJobServer(t, rt, 1, JobServerConfig{
 		Queues: []yarn.QueueConfig{
 			{Name: "heavy", Capacity: 0.35},
 			{Name: "light", Capacity: 0.35},
 		},
-		Policy:      PolicyWeightedFair,
-		MaxInFlight: 1,
+		Policy: PolicyWeightedFair,
 	})
 	names, _ := stageInput(t, rt, 4, 1<<20)
 

@@ -75,7 +75,7 @@ func TestPredictFirstSightStillRaces(t *testing.T) {
 	}
 }
 
-// The tentpole's acceptance path: after MinRuns races of one workload class,
+// The estimator's acceptance path: after minRuns races of one workload class,
 // a new job of that class (fresh key, same shape) launches its predicted
 // winner directly — no dual-launch — with byte-identical output, and the
 // prediction error lands in the metrics.

@@ -76,10 +76,6 @@ type Params struct {
 	// replica is three").
 	Replication int
 
-	// AMPoolSize is the number of ApplicationMasters the submission
-	// framework keeps reserved ("which is 3 by default").
-	AMPoolSize int
-
 	// ClientPollInterval is how often a stock Hadoop client polls the job
 	// status (mapreduce.client.progressmonitor.pollinterval). A stock
 	// submission only observes completion at the next poll tick; the MRapid
@@ -174,7 +170,6 @@ func Default() Params {
 		SortCPUBytesPerSec: 120e6,
 		HDFSBlockBytes:     128 << 20,
 		Replication:        3,
-		AMPoolSize:         3,
 		ClientPollInterval: 1000 * time.Millisecond,
 		MaxTaskAttempts:    4,
 		NMLivenessInterval: 1000 * time.Millisecond,
@@ -214,8 +209,6 @@ func (p Params) Validate() error {
 		return errBad("HDFSBlockBytes")
 	case p.Replication <= 0:
 		return errBad("Replication")
-	case p.AMPoolSize < 0:
-		return errBad("AMPoolSize")
 	case p.ClientPollInterval <= 0:
 		return errBad("ClientPollInterval")
 	case p.MaxTaskAttempts <= 0:

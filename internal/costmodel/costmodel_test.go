@@ -30,7 +30,6 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"SortCPUBytesPerSec", func(p *Params) { p.SortCPUBytesPerSec = 0 }},
 		{"HDFSBlockBytes", func(p *Params) { p.HDFSBlockBytes = 0 }},
 		{"Replication", func(p *Params) { p.Replication = 0 }},
-		{"AMPoolSize", func(p *Params) { p.AMPoolSize = -1 }},
 	}
 	for _, m := range mutations {
 		p := Default()
@@ -65,8 +64,5 @@ func TestDefaultsMatchHadoop2(t *testing.T) {
 	}
 	if p.Replication != 3 {
 		t.Errorf("Replication = %d, want 3", p.Replication)
-	}
-	if p.AMPoolSize != 3 {
-		t.Errorf("AMPoolSize = %d, want 3 (paper default)", p.AMPoolSize)
 	}
 }

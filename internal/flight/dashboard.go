@@ -10,18 +10,14 @@ import (
 )
 
 // Dashboard bundles everything WriteDashboard renders: the recorder's
-// series and SLO state, the slowest phase-attributed spans from the
-// critical-path analyzer, and (optionally) the host-side engine bench.
+// series and SLO state, and the slowest phase-attributed spans from the
+// critical-path analyzer.
 type Dashboard struct {
 	Title string
 	Rec   *Recorder
 
 	// TopSpans is the top-k slowest phase-carrying spans (report.TopSpans).
 	TopSpans []report.SlowSpan
-
-	// Engine, when non-nil, adds the host-lane block. Leave nil for
-	// deterministic output (the host numbers differ run to run).
-	Engine *EngineBench
 }
 
 // WriteDashboard renders a self-contained HTML page: inline CSS, one SVG
@@ -52,7 +48,6 @@ td.bad{background:#fdd;font-weight:600} td.ok{background:#dfd}
 .card .name{font-size:11px;color:#444;word-break:break-all}
 .card .last{font-size:13px;font-weight:600}
 svg polyline{fill:none;stroke:#2563eb;stroke-width:1.5}
-.host{color:#666;font-size:13px}
 </style></head><body>
 <h1>%s</h1>
 `, html.EscapeString(title), html.EscapeString(title))
@@ -64,14 +59,14 @@ svg polyline{fill:none;stroke:#2563eb;stroke-width:1.5}
 		fmt.Fprintf(out, `<div class="warn">&#9888; trace event ring dropped %d events (trace_dropped_events_total) — the flat event log is truncated; spans are unaffected.</div>`+"\n", n)
 	}
 	if n := r.Evicted(); n > 0 {
-		fmt.Fprintf(out, `<div class="warn">&#9888; series rings evicted %d samples — early history is truncated; raise Config.RingCap or the interval.</div>`+"\n", n)
+		fmt.Fprintf(out, `<div class="warn">&#9888; series rings evicted %d samples — early history is truncated; raise the interval.</div>`+"\n", n)
 	}
 
 	if slo := r.SLO(); slo != nil {
 		cfg := slo.Config()
 		fmt.Fprintf(out, "<h2>SLO — wait target %s, budget %.3g, alert at burn %.3g</h2>\n<table><tr><th class=\"l\">tenant</th><th>p99 wait</th><th>events</th><th>bad</th>",
-			cfg.TargetWait, cfg.MissBudget, cfg.BurnAlert)
-		for _, win := range cfg.Windows {
+			cfg.TargetWait, MissBudget, burnAlert)
+		for _, win := range sloWindows {
 			fmt.Fprintf(out, "<th>burn %s</th>", win)
 		}
 		fmt.Fprintf(out, "<th>breaches</th></tr>\n")
@@ -84,10 +79,10 @@ svg polyline{fill:none;stroke:#2563eb;stroke-width:1.5}
 			}
 			fmt.Fprintf(out, `<tr><td class="l">%s</td><td class="%s">%.3fs</td><td>%d</td><td>%d</td>`,
 				html.EscapeString(tn), cls, p99, total, bad)
-			for _, win := range cfg.Windows {
+			for _, win := range sloWindows {
 				burn := slo.BurnRate(tn, win)
 				cls := "ok"
-				if burn >= cfg.BurnAlert {
+				if burn >= burnAlert {
 					cls = "bad"
 				}
 				fmt.Fprintf(out, `<td class="%s">%.2f</td>`, cls, burn)
@@ -138,14 +133,6 @@ svg polyline{fill:none;stroke:#2563eb;stroke-width:1.5}
 			html.EscapeString(name), promFloat(last.Value), sparkline(s))
 	}
 	fmt.Fprintf(out, "</div>\n")
-
-	if d.Engine != nil {
-		b := d.Engine
-		fmt.Fprintf(out, `<h2>Engine self-profile <span class="host">(host-side, non-deterministic)</span></h2>
-<table><tr><th>events</th><th>virtual s</th><th>host s</th><th>events/host-s</th><th>host-ns/virtual-s</th><th>allocs/event</th><th>bytes/event</th><th>max heap depth</th></tr>
-<tr><td>%d</td><td>%.3f</td><td>%.3f</td><td>%.0f</td><td>%.0f</td><td>%.1f</td><td>%.0f</td><td>%d</td></tr></table>
-`, b.Events, b.VirtualSeconds, b.HostSeconds, b.EventsPerHostSec, b.HostNsPerVirtualSec, b.AllocsPerEvent, b.BytesPerEvent, b.MaxEventHeapDepth)
-	}
 
 	fmt.Fprintf(out, "</body></html>\n")
 	return out.err

@@ -17,8 +17,7 @@ import (
 // histograms (cumulative _bucket/_sum/_count form). The full history makes
 // the dump double as the recorder's canonical series artifact — two
 // deterministic runs must produce byte-identical output — while still
-// being scrapeable/parsable as Prometheus data. The host-side
-// self-profiler lane is deliberately absent.
+// being scrapeable/parsable as Prometheus data.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 

@@ -107,7 +107,7 @@ func TestDashboardRenders(t *testing.T) {
 	reg := metrics.New()
 	rec := New(eng, reg, nil, Config{
 		Interval: 100 * time.Millisecond,
-		SLO:      SLOConfig{TargetWait: time.Second, MissBudget: 0.5},
+		SLO:      SLOConfig{TargetWait: time.Second},
 	})
 	eng.At(0, func() {
 		reg.Inc("jobs_total")
@@ -118,29 +118,25 @@ func TestDashboardRenders(t *testing.T) {
 	eng.Run()
 
 	var buf bytes.Buffer
-	err := WriteDashboard(&buf, Dashboard{
-		Title:  "test run",
-		Rec:    rec,
-		Engine: &EngineBench{Events: 42, VirtualSeconds: 0.3},
-	})
-	if err != nil {
+	if err := WriteDashboard(&buf, Dashboard{Title: "test run", Rec: rec}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
 		"<title>test run</title>",
 		"jobs_total",
-		"acme",           // SLO table row
-		"<polyline",      // sparkline
-		"self-profile",   // host lane
-		"</body></html>", // complete document
+		"acme",                      // SLO table row
+		"budget 0.1, alert at burn", // the fixed miss budget
+		"<th>burn 10m0s</th>",       // the longest window
+		"<polyline",                 // sparkline
+		"</body></html>",            // complete document
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dashboard missing %q", want)
 		}
 	}
 
-	// Deterministic without the host lane: render twice.
+	// Deterministic: render twice.
 	var a, b bytes.Buffer
 	if err := WriteDashboard(&a, Dashboard{Rec: rec}); err != nil {
 		t.Fatal(err)

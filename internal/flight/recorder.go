@@ -10,10 +10,7 @@
 // simulation itself and every probe is read-only with respect to cluster
 // state, turning the recorder on cannot change job outputs: runs with the
 // recorder on and off stay byte-identical, and two identical runs produce
-// identical series dumps. The one intentionally non-deterministic lane is
-// the self-profiler (package file selfprof.go), which watches the host —
-// wall-clock event throughput, heap depth, allocations — and is excluded
-// from the deterministic exports; it only feeds the dashboard's host lane.
+// identical series dumps.
 //
 // The recorded data is surfaced three ways: Prometheus text-format
 // exposition (WritePrometheus), Chrome-trace counter lanes next to the
@@ -35,9 +32,6 @@ import (
 type Config struct {
 	// Interval is the virtual-clock sampling period. Zero means 250ms.
 	Interval time.Duration
-
-	// RingCap bounds each series' retained samples. Zero means 4096.
-	RingCap int
 
 	// SLO configures the per-tenant SLO tracker; the zero value (no
 	// target) disables it.
@@ -64,7 +58,6 @@ type Recorder struct {
 	series map[string]*Series
 	gauges []GaugeFunc
 	slo    *SLOTracker
-	prof   *SelfProfiler
 
 	ticker  *sim.Ticker
 	started bool
@@ -82,9 +75,6 @@ func New(eng *sim.Engine, reg *metrics.Registry, tlog *trace.Log, cfg Config) *R
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
 	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = 4096
-	}
 	r := &Recorder{
 		eng:    eng,
 		reg:    reg,
@@ -98,7 +88,6 @@ func New(eng *sim.Engine, reg *metrics.Registry, tlog *trace.Log, cfg Config) *R
 	if cfg.SLO.enabled() {
 		r.slo = NewSLOTracker(eng, tlog, cfg.SLO)
 	}
-	r.prof = newSelfProfiler(eng)
 	return r
 }
 
@@ -109,9 +98,6 @@ func (r *Recorder) AddGauge(fn GaugeFunc) { r.gauges = append(r.gauges, fn) }
 // The tracker satisfies core.AdmissionObserver, so it plugs straight into
 // a JobServer's Observer field.
 func (r *Recorder) SLO() *SLOTracker { return r.slo }
-
-// SelfProfiler returns the host-side profiler lane.
-func (r *Recorder) SelfProfiler() *SelfProfiler { return r.prof }
 
 // Interval reports the effective sampling period.
 func (r *Recorder) Interval() time.Duration { return r.cfg.Interval }
@@ -126,7 +112,6 @@ func (r *Recorder) Start() {
 	r.lastAt = r.eng.Now()
 	r.lastCounters = r.reg.Counters()
 	r.lastFired = r.eng.Fired()
-	r.prof.start()
 	r.ticker = r.eng.Every(r.cfg.Interval, r.tick)
 }
 
@@ -143,7 +128,6 @@ func (r *Recorder) Stop() {
 	if r.eng.Now() > r.lastAt {
 		r.tick()
 	}
-	r.prof.stop()
 }
 
 // StopIfRunning is Stop, but safe on a nil recorder — embedding code can
@@ -199,7 +183,7 @@ func (r *Recorder) Evicted() int64 {
 func (r *Recorder) record(at sim.Time, name string, v float64) {
 	s := r.series[name]
 	if s == nil {
-		s = newSeries(name, r.cfg.RingCap)
+		s = &Series{Name: name}
 		r.series[name] = s
 	}
 	s.add(at, v)
@@ -257,7 +241,7 @@ func (r *Recorder) tick() {
 	}
 
 	// Engine lane: both are functions of the deterministic event schedule,
-	// so they belong in the virtual-clock series (unlike the host lane).
+	// so they belong in the virtual-clock series.
 	fired := r.eng.Fired()
 	if dt > 0 {
 		r.record(at, "engine_events_per_virtual_sec", float64(fired-r.lastFired)/dt)
@@ -267,7 +251,6 @@ func (r *Recorder) tick() {
 	if r.slo != nil {
 		r.slo.sample(at, func(name string, v float64) { r.record(at, name, v) })
 	}
-	r.prof.tick()
 
 	r.samples++
 	r.lastAt = at

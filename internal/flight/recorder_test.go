@@ -94,13 +94,14 @@ func TestRecorderSamplesValuesAndRates(t *testing.T) {
 }
 
 func TestRecorderRingEviction(t *testing.T) {
-	rec, _ := driveWorkload(t, Config{Interval: 250 * time.Millisecond, RingCap: 4})
+	// 5s at 1ms is ~5000 ticks, past the 4096-sample ring.
+	rec, _ := driveWorkload(t, Config{Interval: time.Millisecond})
 	s := rec.Series("work_done_total")
-	if s.Len() != 4 {
-		t.Fatalf("ring len = %d, want 4", s.Len())
+	if s.Len() != ringCap {
+		t.Fatalf("ring len = %d, want %d", s.Len(), ringCap)
 	}
 	if s.Evicted() == 0 || rec.Evicted() == 0 {
-		t.Fatal("expected evictions with a 4-slot ring over ~20 ticks")
+		t.Fatalf("expected evictions with a %d-slot ring over ~5000 ticks", ringCap)
 	}
 	// The retained window is the most recent samples, oldest-first.
 	samples := s.Samples()

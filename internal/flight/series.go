@@ -8,35 +8,30 @@ type Sample struct {
 	Value float64
 }
 
+// ringCap bounds each series' retained samples: 4096 ticks at the default
+// 250ms interval keep the last 17 minutes of virtual time.
+const ringCap = 4096
+
 // Series is a ring-buffered time-series: a fixed-capacity window of the
-// most recent samples. The flight recorder appends one sample per tick;
-// once the ring fills, the oldest samples fall off and are counted.
+// most recent ringCap samples. The flight recorder appends one sample per
+// tick; once the ring fills, the oldest samples fall off and are counted.
 type Series struct {
 	// Name is the full series key in metrics.With form, e.g.
 	// "slo_burn_rate{tenant=tenant-0,window=30s}".
 	Name string
 
-	cap     int
 	buf     []Sample
 	head    int // index of the oldest sample
-	n       int
 	evicted int64
 }
 
-func newSeries(name string, capacity int) *Series {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Series{Name: name, cap: capacity}
-}
-
 func (s *Series) add(at sim.Time, v float64) {
-	if len(s.buf) < s.cap {
+	if len(s.buf) < ringCap {
 		s.buf = append(s.buf, Sample{At: at, Value: v})
 		return
 	}
 	s.buf[s.head] = Sample{At: at, Value: v}
-	s.head = (s.head + 1) % s.cap
+	s.head = (s.head + 1) % ringCap
 	s.evicted++
 }
 

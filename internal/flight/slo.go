@@ -11,40 +11,30 @@ import (
 )
 
 // SLOConfig defines one service-level objective applied uniformly to every
-// tenant: an admission queue-wait target plus an error budget that
-// over-target waits burn against.
+// tenant: an admission queue-wait target. Over-target waits burn the
+// MissBudget error budget.
 type SLOConfig struct {
 	// TargetWait is the per-job queue-wait objective: an admission whose
 	// wait exceeds it is a bad event. Zero disables the tracker.
 	TargetWait time.Duration
-
-	// MissBudget is the tolerated bad-event fraction (e.g. 0.1 = 10% of
-	// events may violate the objective). Zero means 0.1.
-	MissBudget float64
-
-	// Windows are the virtual-time lookback windows burn rates are
-	// computed over. Nil means 30s, 2m, 10m.
-	Windows []time.Duration
-
-	// BurnAlert is the burn-rate threshold that opens a breach span (burn
-	// 1.0 = consuming exactly the budget). Zero means 1.0.
-	BurnAlert float64
 }
 
 func (c SLOConfig) enabled() bool { return c.TargetWait > 0 }
 
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.MissBudget <= 0 {
-		c.MissBudget = 0.1
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []time.Duration{30 * time.Second, 2 * time.Minute, 10 * time.Minute}
-	}
-	if c.BurnAlert <= 0 {
-		c.BurnAlert = 1.0
-	}
-	return c
-}
+// MissBudget is the tolerated bad-event fraction: 10% of admissions may
+// miss the wait target.
+const MissBudget = 0.1
+
+// burnAlert is the burn rate that opens a breach span: 1.0 consumes exactly
+// the budget.
+const burnAlert = 1.0
+
+// sloWindows are the virtual-time lookback windows burn rates are computed
+// over, shortest first.
+var sloWindows = [...]time.Duration{30 * time.Second, 2 * time.Minute, 10 * time.Minute}
+
+// SLOWindows returns the burn-rate windows, shortest first.
+func SLOWindows() []time.Duration { return append([]time.Duration(nil), sloWindows[:]...) }
 
 // sloEvent is one budget-relevant occurrence: a job admission, bad when the
 // wait blew the target.
@@ -70,7 +60,7 @@ type tenantSLO struct {
 }
 
 // seriesNames builds the tenant's recorder series keys once.
-func (ts *tenantSLO) seriesNames(windows []time.Duration) {
+func (ts *tenantSLO) seriesNames() {
 	if ts.nP99 != "" {
 		return
 	}
@@ -78,8 +68,8 @@ func (ts *tenantSLO) seriesNames(windows []time.Duration) {
 	ts.nEvents = metrics.With("slo_events_total", "tenant", ts.name)
 	ts.nBad = metrics.With("slo_bad_events_total", "tenant", ts.name)
 	ts.nBreach = metrics.With("slo_breach_total", "tenant", ts.name)
-	ts.nBurn = make(map[time.Duration]string, len(windows))
-	for _, w := range windows {
+	ts.nBurn = make(map[time.Duration]string, len(sloWindows))
+	for _, w := range sloWindows {
 		ts.nBurn[w] = metrics.With("slo_burn_rate", "tenant", ts.name, "window", w.String())
 	}
 }
@@ -99,14 +89,14 @@ type SLOTracker struct {
 // are then skipped).
 func NewSLOTracker(eng *sim.Engine, tlog *trace.Log, cfg SLOConfig) *SLOTracker {
 	return &SLOTracker{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		eng:     eng,
 		tlog:    tlog,
 		tenants: make(map[string]*tenantSLO),
 	}
 }
 
-// Config reports the tracker's effective (defaulted) configuration.
+// Config reports the tracker's configuration.
 func (t *SLOTracker) Config() SLOConfig { return t.cfg }
 
 func (t *SLOTracker) tenant(name string) *tenantSLO {
@@ -190,7 +180,7 @@ func (t *SLOTracker) Breaches(tenant string) int64 {
 }
 
 // BurnRate computes the tenant's burn rate over the trailing window ending
-// now: the bad-event fraction inside the window divided by the budget. 1.0
+// now: the bad-event fraction inside the window divided by MissBudget. 1.0
 // means the budget is being consumed exactly as provisioned; above 1.0 the
 // tenant is on course to exhaust it early. No events in the window → 0.
 func (t *SLOTracker) BurnRate(tenant string, window time.Duration) float64 {
@@ -198,10 +188,10 @@ func (t *SLOTracker) BurnRate(tenant string, window time.Duration) float64 {
 	if ts == nil {
 		return 0
 	}
-	return ts.burn(t.eng.Now(), window, t.cfg.MissBudget)
+	return ts.burn(t.eng.Now(), window)
 }
 
-func (ts *tenantSLO) burn(now sim.Time, window time.Duration, budget float64) float64 {
+func (ts *tenantSLO) burn(now sim.Time, window time.Duration) float64 {
 	cutoff := now.Add(-window)
 	var total, bad int64
 	for i := len(ts.events) - 1; i >= 0; i-- {
@@ -217,7 +207,7 @@ func (ts *tenantSLO) burn(now sim.Time, window time.Duration, budget float64) fl
 	if total == 0 {
 		return 0
 	}
-	return float64(bad) / float64(total) / budget
+	return float64(bad) / float64(total) / MissBudget
 }
 
 // prune drops events older than the longest window.
@@ -237,36 +227,30 @@ func (ts *tenantSLO) prune(now sim.Time, maxWindow time.Duration) {
 // opens an "slo" span (visible in the Perfetto lanes and counted in
 // slo_breach_total); dropping back below closes it.
 func (t *SLOTracker) sample(at sim.Time, record func(name string, v float64)) {
-	maxWindow := t.cfg.Windows[0]
-	for _, w := range t.cfg.Windows {
-		if w > maxWindow {
-			maxWindow = w
-		}
-	}
 	for _, name := range t.Tenants() {
 		ts := t.tenants[name]
-		ts.seriesNames(t.cfg.Windows)
+		ts.seriesNames()
 		record(ts.nP99, ts.waits.Quantile(0.99))
 		record(ts.nEvents, float64(ts.total))
 		record(ts.nBad, float64(ts.bad))
-		for _, w := range t.cfg.Windows {
-			burn := ts.burn(at, w, t.cfg.MissBudget)
+		for _, w := range sloWindows {
+			burn := ts.burn(at, w)
 			record(ts.nBurn[w], burn)
 			open, isOpen := ts.breachOpen[w]
 			switch {
-			case burn >= t.cfg.BurnAlert && !isOpen:
+			case burn >= burnAlert && !isOpen:
 				ts.breaches++
 				if t.tlog != nil {
 					wl := w.String()
 					ts.breachOpen[w] = t.tlog.StartSpan(0, "slo",
-						fmt.Sprintf("%s burn>%.3g over %s", name, t.cfg.BurnAlert, wl), "",
+						fmt.Sprintf("%s burn>%.3g over %s", name, burnAlert, wl), "",
 						trace.A("tenant", name),
 						trace.A("window", wl),
 						trace.A("burn", fmt.Sprintf("%.3f", burn)))
 				} else {
 					ts.breachOpen[w] = 0
 				}
-			case burn < t.cfg.BurnAlert && isOpen:
+			case burn < burnAlert && isOpen:
 				if t.tlog != nil {
 					t.tlog.EndSpan(open, trace.A("burn", fmt.Sprintf("%.3f", burn)))
 				}
@@ -274,6 +258,6 @@ func (t *SLOTracker) sample(at sim.Time, record func(name string, v float64)) {
 			}
 		}
 		record(ts.nBreach, float64(ts.breaches))
-		ts.prune(at, maxWindow)
+		ts.prune(at, sloWindows[len(sloWindows)-1])
 	}
 }

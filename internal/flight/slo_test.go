@@ -2,6 +2,7 @@ package flight
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,19 +13,14 @@ import (
 func sloFixture() (*sim.Engine, *trace.Log, *SLOTracker) {
 	eng := sim.NewEngine()
 	tlog := trace.New(eng, 0)
-	tr := NewSLOTracker(eng, tlog, SLOConfig{
-		TargetWait: time.Second,
-		MissBudget: 0.5,
-		Windows:    []time.Duration{10 * time.Second},
-		BurnAlert:  1.0,
-	})
+	tr := NewSLOTracker(eng, tlog, SLOConfig{TargetWait: time.Second})
 	return eng, tlog, tr
 }
 
 func TestSLOBurnRateMath(t *testing.T) {
 	eng, _, tr := sloFixture()
 
-	// 4 admissions: 1 over target → bad fraction 0.25, budget 0.5 → burn 0.5.
+	// 4 admissions: 1 over target → bad fraction 0.25, budget 0.1 → burn 2.5.
 	eng.At(0, func() {
 		tr.JobAdmitted("acme", 100*time.Millisecond)
 		tr.JobAdmitted("acme", 200*time.Millisecond)
@@ -33,8 +29,8 @@ func TestSLOBurnRateMath(t *testing.T) {
 	})
 	eng.Run()
 
-	if got := tr.BurnRate("acme", 10*time.Second); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("burn = %v, want 0.5", got)
+	if got := tr.BurnRate("acme", 30*time.Second); math.Abs(got-2.5) > 1e-12 {
+		t.Fatalf("burn = %v, want 2.5", got)
 	}
 	total, bad := tr.Events("acme")
 	if total != 4 || bad != 1 {
@@ -48,15 +44,15 @@ func TestSLOBurnRateMath(t *testing.T) {
 		tr.JobCompleted("acme", false)
 	})
 	eng.Run()
-	if got := tr.BurnRate("acme", 10*time.Second); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("burn after completions = %v, want 0.5", got)
+	if got := tr.BurnRate("acme", 30*time.Second); math.Abs(got-2.5) > 1e-12 {
+		t.Fatalf("burn after completions = %v, want 2.5", got)
 	}
 	if total, _ := tr.Events("acme"); total != 4 {
 		t.Fatalf("completions added %d events", total-4)
 	}
 
 	// Unknown tenant and empty window are zero, not NaN.
-	if tr.BurnRate("ghost", 10*time.Second) != 0 {
+	if tr.BurnRate("ghost", 30*time.Second) != 0 {
 		t.Fatal("unknown tenant burn != 0")
 	}
 }
@@ -64,13 +60,13 @@ func TestSLOBurnRateMath(t *testing.T) {
 func TestSLOWindowExpiry(t *testing.T) {
 	eng, _, tr := sloFixture()
 	eng.At(0, func() { tr.JobAdmitted("acme", 5*time.Second) }) // bad at t=0
-	eng.At(sim.Time(20*time.Second), func() {
-		if got := tr.BurnRate("acme", 10*time.Second); got != 0 {
+	eng.At(sim.Time(40*time.Second), func() {
+		if got := tr.BurnRate("acme", 30*time.Second); got != 0 {
 			t.Errorf("burn with only stale events = %v, want 0", got)
 		}
 		tr.JobAdmitted("acme", 2*time.Second) // fresh bad event
-		if got := tr.BurnRate("acme", 10*time.Second); math.Abs(got-2.0) > 1e-12 {
-			t.Errorf("fresh burn = %v, want 2.0 (1/1 bad over budget 0.5)", got)
+		if got := tr.BurnRate("acme", 30*time.Second); math.Abs(got-10) > 1e-12 {
+			t.Errorf("fresh burn = %v, want 10 (1/1 bad over budget 0.1)", got)
 		}
 	})
 	eng.Run()
@@ -97,12 +93,14 @@ func TestSLOQuantileTracksWaits(t *testing.T) {
 	}
 }
 
+// Each window opens one breach span when its burn crosses the alert and
+// closes it once the bad events have left that window.
 func TestSLOBreachSpansOpenAndClose(t *testing.T) {
 	eng, tlog, tr := sloFixture()
 	record := func(string, float64) {}
 
 	eng.At(0, func() {
-		// All-bad admissions: fraction 1.0, burn 2.0 ≥ alert 1.0.
+		// All-bad admissions: fraction 1.0, burn 10 ≥ alert 1.0 in every window.
 		tr.JobAdmitted("acme", 10*time.Second)
 		tr.JobAdmitted("acme", 10*time.Second)
 		tr.sample(eng.Now(), record)
@@ -111,29 +109,35 @@ func TestSLOBreachSpansOpenAndClose(t *testing.T) {
 		// Re-sampling inside the breach must not open a second span.
 		tr.sample(eng.Now(), record)
 	})
-	eng.At(sim.Time(30*time.Second), func() {
-		// Events expired from the window → burn 0 → span closes.
-		tr.sample(eng.Now(), record)
-	})
+	closeAt := map[string]sim.Time{}
+	for _, w := range sloWindows {
+		// One second past the window the events have expired → burn 0.
+		at := sim.Time(w + time.Second)
+		closeAt[w.String()] = at
+		eng.At(at, func() { tr.sample(eng.Now(), record) })
+	}
 	eng.Run()
 
-	if got := tr.Breaches("acme"); got != 1 {
-		t.Fatalf("breaches = %d, want 1", got)
+	if got := tr.Breaches("acme"); got != int64(len(sloWindows)) {
+		t.Fatalf("breaches = %d, want %d (one per window)", got, len(sloWindows))
 	}
-	var breach *trace.Span
+	seen := map[string]bool{}
 	for _, s := range tlog.Spans() {
-		if s.Component == "slo" {
-			if breach != nil {
-				t.Fatal("more than one breach span")
-			}
-			breach = s
+		if s.Component != "slo" {
+			continue
+		}
+		_, window, _ := strings.Cut(s.Name, " over ")
+		want, ok := closeAt[window]
+		if !ok || seen[window] {
+			t.Fatalf("unexpected breach span %q", s.Name)
+		}
+		seen[window] = true
+		if !s.Ended || s.End != want {
+			t.Fatalf("breach span %q not closed at %s: ended=%v end=%s", s.Name, want, s.Ended, s.End)
 		}
 	}
-	if breach == nil {
-		t.Fatal("no breach span recorded")
-	}
-	if !breach.Ended || breach.End != sim.Time(30*time.Second) {
-		t.Fatalf("breach span not closed at 30s: ended=%v end=%s", breach.Ended, breach.End)
+	if len(seen) != len(sloWindows) {
+		t.Fatalf("breach spans for windows %v, want all of %v", seen, sloWindows)
 	}
 }
 
@@ -147,7 +151,9 @@ func TestSLOSampleEmitsSeries(t *testing.T) {
 	eng.Run()
 
 	for _, want := range []string{
-		"slo_burn_rate{tenant=acme,window=10s}",
+		"slo_burn_rate{tenant=acme,window=30s}",
+		"slo_burn_rate{tenant=acme,window=2m0s}",
+		"slo_burn_rate{tenant=acme,window=10m0s}",
 		"slo_queue_wait_p99_seconds{tenant=acme}",
 		"slo_events_total{tenant=acme}",
 		"slo_bad_events_total{tenant=acme}",
@@ -157,7 +163,7 @@ func TestSLOSampleEmitsSeries(t *testing.T) {
 			t.Errorf("series %q not emitted; got %v", want, got)
 		}
 	}
-	if got["slo_burn_rate{tenant=acme,window=10s}"] != 2.0 {
-		t.Fatalf("burn series = %v, want 2.0", got["slo_burn_rate{tenant=acme,window=10s}"])
+	if got["slo_burn_rate{tenant=acme,window=30s}"] != 10 {
+		t.Fatalf("burn series = %v, want 10", got["slo_burn_rate{tenant=acme,window=30s}"])
 	}
 }
