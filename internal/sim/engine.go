@@ -120,8 +120,7 @@ func (e *Engine) Pending() int { return e.live }
 // MaxPending reports the most live events ever scheduled at once, the
 // engine's high-water mark: 1 404 on the largest measured workload, which
 // is what sizes the queue (refs of cancelled timers add to its length until
-// they surface, not to this count). The flight recorder's self-profiler and
-// benchmark/'s sim.max_pending read it.
+// they surface, not to this count). benchmark/'s sim.max_pending reads it.
 func (e *Engine) MaxPending() int { return e.maxDepth }
 
 // alloc claims a slab slot for fn and returns its coordinates.
