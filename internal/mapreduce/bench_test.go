@@ -61,6 +61,13 @@ func BenchmarkExecMapUnique(b *testing.B) {
 	benchExecMap(b, teraBenchSpec(), benchRows)
 }
 
+// BenchmarkExecMapZipf measures it on one 1 MiB split of Zipf text, the
+// shape of wc_modes' splits: 130 447 words fold into 10 145 distinct pairs,
+// where BenchmarkExecMap's ten words fold trivially.
+func BenchmarkExecMapZipf(b *testing.B) {
+	benchExecMap(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
+}
+
 // zipfSplits builds the inputs of one of the paper's short WordCount jobs:
 // count splits of size bytes each, 70-column lines of 3- to 10-letter words
 // drawn under Zipf(1.2) from one 30 000-word vocabulary — the shape

@@ -125,13 +125,13 @@ func (c *MapCache) lookup(k cacheKey) (*MapOutput, bool) {
 // Concurrent stores of the same key keep the first; the cache never holds
 // two entries for one key.
 func (c *MapCache) store(k cacheKey, mo *MapOutput) {
-	// What the entry keeps alive: the indexes, the slab, and the input block
-	// the indexes point into.
+	// What the entry keeps alive: the indexes and their counts, the slab,
+	// and the input block the indexes point into.
 	retained := int64(len(mo.input) + cap(mo.slab))
-	for _, idx := range mo.Partitions {
-		retained += int64(cap(idx)) * recSize
+	for p, idx := range mo.Partitions {
+		retained += int64(cap(idx))*recSize + int64(cap(mo.counts[p]))*4
 	}
-	e := &cachedExec{retained: retained, out: MapOutput{store: mo.store, Partitions: mo.Partitions,
+	e := &cachedExec{retained: retained, out: MapOutput{store: mo.store, Partitions: mo.Partitions, counts: mo.counts,
 		PartBytes: slices.Clone(mo.PartBytes), TotalBytes: mo.TotalBytes, Records: mo.Records}}
 	s := c.shardFor(k)
 	s.mu.Lock()

@@ -184,13 +184,16 @@ func TestMapCacheEvictsFIFO(t *testing.T) {
 	mk := func(tag byte) []byte {
 		return bytes.Repeat([]byte{tag, ' ', tag, '\n'}, 30_000) // ~120 KB
 	}
-	c := NewMapCache(600 << 10) // far under one entry's retained bytes
+	c := NewMapCache(200 << 10) // under one entry's retained bytes
 	for i := 0; i < 5; i++ {
 		data := mk(byte('a' + i))
 		c.store(mustKey(t, spec, "/in", int64(i), data), ExecMap(spec, data))
 	}
-	// Each entry retains ~1.6 MB (data + index), far over the budget, so the cache evicts down to the single most recent entry —
-	// it always keeps at least one so oversized splits still memoize.
+	// Each entry retains ~227 KB: the 120 KB input, an index presized for
+	// the input (3 814 Recs of 24 bytes) that holds one counted word, and
+	// its counts at the index's capacity. That is over the budget, so the
+	// cache evicts down to the single most recent entry — it always keeps
+	// at least one so oversized splits still memoize.
 	if c.Len() != 1 {
 		t.Fatalf("eviction kept %d entries (%d bytes), want 1", c.Len(), c.Used())
 	}

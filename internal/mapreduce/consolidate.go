@@ -113,7 +113,8 @@ func GroupOutputsByNode(outputs []*MapOutput) [][]*MapOutput {
 // ConsolidateGroup builds the synthetic output for one node's group: each
 // partition is the k-way merge of the members' sorted runs, re-combined
 // through the job's combiner when it has one, copied into one new flat
-// output that pins none of the members' input blocks. Pure computation —
+// output that pins none of the members' input blocks; without a combiner
+// each merged pair keeps its count. Pure computation —
 // the shuffle service charges the virtual cost separately. Correctness
 // rests on compareRecs breaking key ties by value: merging sorted runs in
 // any grouping yields the same final sequence the reducer would have merged
@@ -138,11 +139,11 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 			b.combineFrom(group, p, spec.Combine)
 			continue
 		}
-		newMerger(group, p).groups(func(key []byte, values [][]byte) {
-			for _, v := range values {
-				b.add(p, key, v)
-			}
-		})
+		// The merged pairs come sorted: append each with its count.
+		for m := newMerger(group, p); len(m) > 0; {
+			r, src, n := m.pop()
+			b.add(p, src.key(r), src.value(r), n)
+		}
 	}
 	out := b.output()
 	out.Split, out.Resident = first.Split, first.Resident

@@ -152,13 +152,14 @@ func (rt *Runtime) AMResource() topology.Resource {
 
 // MapOutput is the materialized result of one map task: real intermediate
 // pairs bucketed by reduce partition, each bucket sorted by key then value.
-// The pairs are flat (see record.go): Partitions[p] indexes partition p's
-// pairs inside the output's byte store, and len(Partitions[p]) counts them.
-// Once built an output's pairs never change, so reduces, the shuffle
-// service and the MapCache read one concurrently.
+// The pairs are flat and counted (see record.go): len(Partitions[p]) counts
+// partition p's distinct pairs, while PartBytes and TotalBytes count every
+// occurrence. Once built an output's pairs never change, so reduces, the
+// shuffle service and the MapCache read one concurrently.
 type MapOutput struct {
 	Split      *hdfs.Split
 	Partitions [][]Rec
+	counts     [][]uint32 // per partition, parallel to Partitions; nil while every count is 1
 	PartBytes  []int64
 	TotalBytes int64
 	Records    int64
@@ -183,24 +184,30 @@ var ErrOutputLost = errors.New("mapreduce: map output lost with its node")
 var ErrAMLost = errors.New("mapreduce: application master lost with its node")
 
 // ExecMap runs the map function for real over split data: scan records,
-// map, partition, sort each partition, and optionally combine. It is pure
-// computation — the caller charges the virtual clock separately.
+// map, partition, fold repeated pairs, sort each partition, and optionally
+// combine. It is pure computation — the caller charges the virtual clock
+// separately.
 func ExecMap(spec *JobSpec, data []byte) *MapOutput {
 	return ExecMapFile(spec, "", data)
 }
 
 // ExecMapFile is ExecMap for a named input file, honoring spec.MapFor.
 func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
-	return execMap(spec, file, data, maxOffset)
+	return execMap(spec, file, data, maxOffset, foldMaxSlots)
 }
 
-func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
+// execMap is ExecMapFile with the offset space and the fold table's size
+// bounded by limit and slots, which tests lower (slots 0: no table).
+func execMap(spec *JobSpec, file string, data []byte, limit uint64, slots int) *MapOutput {
 	nred := spec.NumReduces
 	b := newOutputBuilder(file, data, nred, len(data)/(32*nred)+64, limit)
+	if slots > 0 {
+		b.table = newFoldTable(slots)
+	}
 	var emit Emit
 	if nred == 1 {
 		// Single-reduce short jobs (the paper's case) skip partitioning.
-		emit = func(k, v []byte) { b.add(0, k, v) }
+		emit = func(k, v []byte) { b.add(0, k, v, 1) }
 	} else {
 		part := spec.partitioner()
 		emit = func(k, v []byte) {
@@ -208,7 +215,7 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 			if p < 0 || p >= nred {
 				panic(fmt.Sprintf("mapreduce: partitioner returned %d of %d", p, nred))
 			}
-			b.add(p, k, v)
+			b.add(p, k, v, 1)
 		}
 	}
 	mapFn := spec.Map
@@ -222,8 +229,8 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 		records++
 		mapFn(k, v, emit)
 	})
-	for _, idx := range b.parts {
-		b.sortRecs(idx)
+	for p := range b.parts {
+		b.sortRecs(p)
 	}
 	if spec.Combine != nil {
 		// The combined output is a new builder over the same input block;
@@ -565,9 +572,16 @@ type Reduced struct {
 // streaming merge → group by key → reduce → encode: neither the merged
 // sequence nor the output pairs are materialized. Output records are
 // tab-separated lines, the shape of TextOutputFormat, so job output is a
-// plain inspectable HDFS file. Pure computation.
+// plain inspectable HDFS file, presized to one line per distinct pair of
+// every run and grown if the reducer emits more. Pure computation.
 func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
-	var out Reduced
+	var size int
+	for _, mo := range outputs {
+		for _, r := range mo.Partitions[part] {
+			size += int(r.klen) + int(r.vlen) + 2
+		}
+	}
+	out := Reduced{Encoded: make([]byte, 0, size)}
 	emit := func(k, v []byte) {
 		buf := out.Encoded
 		if n := len(k) + len(v) + 2; cap(buf)-len(buf) < n {

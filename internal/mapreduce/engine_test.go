@@ -114,11 +114,11 @@ func TestExecMapPartitionsAndSorts(t *testing.T) {
 	if mo.Records != 2 {
 		t.Fatalf("records = %d, want 2 lines", mo.Records)
 	}
-	var total int
+	var distinct, total int
 	for p, pairs := range mo.Partitions {
 		for i := 1; i < len(pairs); i++ {
-			if bytes.Compare(mo.key(pairs[i-1]), mo.key(pairs[i])) > 0 {
-				t.Fatalf("partition %d not sorted", p)
+			if bytes.Compare(mo.key(pairs[i-1]), mo.key(pairs[i])) >= 0 {
+				t.Fatalf("partition %d not sorted, or a repeated word not folded", p)
 			}
 		}
 		for _, pr := range pairs {
@@ -126,10 +126,12 @@ func TestExecMapPartitionsAndSorts(t *testing.T) {
 				t.Fatalf("key %q in wrong partition %d", mo.key(pr), p)
 			}
 		}
-		total += len(pairs)
+		n, occurrences := Distinct(mo, p)
+		distinct += n
+		total += occurrences
 	}
-	if total != 5 {
-		t.Fatalf("pairs = %d, want 5 words", total)
+	if distinct != 3 || total != 5 {
+		t.Fatalf("%d pairs counted %d times, want 3 distinct words of 5", distinct, total)
 	}
 	var sum int64
 	for p := range mo.PartBytes {
@@ -143,14 +145,22 @@ func TestExecMapPartitionsAndSorts(t *testing.T) {
 func TestExecMapCombiner(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	spec.Combine = spec.Reduce
-	mo := ExecMap(spec, []byte("a a a b\n"))
-	if len(mo.Partitions[0]) != 2 {
-		t.Fatalf("combiner left %d pairs, want 2", len(mo.Partitions[0]))
+	data := []byte("a a a b\n")
+	mo := ExecMap(spec, data)
+	if n, occurrences := Distinct(mo, 0); n != 2 || occurrences != 2 {
+		t.Fatalf("combiner left %d pairs counted %d times, want 2 once each", n, occurrences)
 	}
 	for _, p := range mo.Partitions[0] {
 		if string(mo.key(p)) == "a" && string(mo.value(p)) != "3" {
 			t.Fatalf("combined count for a = %q", mo.value(p))
 		}
+	}
+	// A combiner that keeps every value sees each folded occurrence, and its
+	// output charges what the map emitted.
+	spec.Combine = identityReduce
+	kept, raw := ExecMap(spec, data), ExecMapUnfolded(wcSpec([]string{"/x"}, "/o"), "", data)
+	if _, occurrences := Distinct(kept, 0); occurrences != 4 || kept.TotalBytes != raw.TotalBytes {
+		t.Fatalf("identity combiner kept %d occurrences, %d bytes; the map emitted 4, %d bytes", occurrences, kept.TotalBytes, raw.TotalBytes)
 	}
 }
 

@@ -13,27 +13,54 @@ import (
 // draining a merger must yield what the textbook yields — concatenate every
 // run, sort by bytes.Compare on key then value (refCompare, which shares
 // nothing with compareRecs), group — through all three of its consumers:
-// groups itself, ExecReduce and ConsolidateGroup.
+// groups itself, ExecReduce and ConsolidateGroup. Each run is built as a
+// map task builds it, through the fold table, at every table size in
+// foldSizes.
 
 type kv struct{ k, v string }
 
-// runOutput builds one sorted map output holding pairs. Keys lie in the
-// input block, one copy per occurrence the way text holds its words, and
-// values go to the slab, so a value repeating its predecessor shares its
-// offset: the layout in which the merge sees run-spans.
-func runOutput(pairs []kv) *MapOutput {
+// foldSizes are the fold tables runs are built with: none, so every
+// occurrence is its own Rec; one that holds two pairs and misses the rest,
+// so counted pairs and unfolded repeats of them share a run; and the full
+// table, which folds every repeat.
+var foldSizes = []int{0, 4, foldMaxSlots}
+
+// runOutput builds one sorted map output holding pairs, folded through a
+// table of the given slots (0: no table). Keys lie in the input block, one
+// copy per occurrence the way text holds its words, and values go to the
+// slab, so a value repeating its predecessor shares its offset and folds.
+func runOutput(pairs []kv, slots int) *MapOutput {
 	var block []byte
 	for _, p := range pairs {
 		block = append(block, p.k...)
 	}
 	b := newOutputBuilder("run", block, 1, 1, maxOffset)
+	if slots > 0 {
+		b.table = newFoldTable(slots)
+	}
 	off := 0
 	for _, p := range pairs {
-		b.add(0, block[off:off+len(p.k)], []byte(p.v))
+		b.add(0, block[off:off+len(p.k)], []byte(p.v), 1)
 		off += len(p.k)
 	}
-	b.sortRecs(b.parts[0])
+	b.sortRecs(0)
 	return b.output()
+}
+
+// occurrences expands partition p of an output back into its pairs, each
+// counted pair as many times as its count says.
+func occurrences(mo *MapOutput, p int) []kv {
+	var pairs []kv
+	for i, r := range mo.Partitions[p] {
+		n := uint32(1)
+		if c := mo.counts[p]; c != nil {
+			n = c[i]
+		}
+		for ; n > 0; n-- {
+			pairs = append(pairs, kv{string(mo.key(r)), string(mo.value(r))})
+		}
+	}
+	return pairs
 }
 
 // identityReduce emits every value under its key, so a reduce's bytes show
@@ -46,11 +73,21 @@ func identityReduce(k []byte, vs [][]byte, emit Emit) {
 
 func checkMerge(t *testing.T, runs [][]kv) {
 	t.Helper()
+	for _, slots := range foldSizes {
+		checkMergeFolded(t, runs, slots)
+	}
+}
+
+func checkMergeFolded(t *testing.T, runs [][]kv, slots int) {
+	t.Helper()
 	var want []kv
 	outs := make([]*MapOutput, len(runs))
 	for i, run := range runs {
 		want = append(want, run...)
-		outs[i] = runOutput(run)
+		outs[i] = runOutput(run, slots)
+		if got := len(occurrences(outs[i], 0)); got != len(run) {
+			t.Fatalf("fold table of %d slots: run %d counts %d pairs, want %d", slots, i, got, len(run))
+		}
 	}
 	slices.SortFunc(want, func(a, b kv) int { return refCompare([]byte(a.k), []byte(a.v), []byte(b.k), []byte(b.v)) })
 	var wantBytes []byte
@@ -68,26 +105,29 @@ func checkMerge(t *testing.T, runs [][]kv) {
 		}
 	})
 	if !slices.Equal(got, want) {
-		t.Fatalf("groups yielded %q, want %q", got, want)
+		t.Fatalf("fold table of %d slots: groups yielded %q, want %q", slots, got, want)
 	}
 	if !slices.IsSorted(keys) || len(slices.Compact(slices.Clone(keys))) != len(keys) {
-		t.Fatalf("groups did not yield each key once, in order: %q", keys)
+		t.Fatalf("fold table of %d slots: groups did not yield each key once, in order: %q", slots, keys)
 	}
 
 	spec := &JobSpec{NumReduces: 1, Reduce: identityReduce}
 	if red := ExecReduce(spec, 0, outs); !bytes.Equal(red.Encoded, wantBytes) || red.Records != int64(len(want)) {
-		t.Fatalf("ExecReduce wrote %d records %q, want %d %q", red.Records, red.Encoded, len(want), wantBytes)
+		t.Fatalf("fold table of %d slots: ExecReduce wrote %d records %q, want %d %q", slots, red.Records, red.Encoded, len(want), wantBytes)
 	}
 	if len(outs) == 0 {
 		return
 	}
 	con := ConsolidateGroup(spec, outs).Out
-	got = got[:0]
-	for _, r := range con.Partitions[0] {
-		got = append(got, kv{string(con.key(r)), string(con.value(r))})
+	if got := occurrences(con, 0); !slices.Equal(got, want) {
+		t.Fatalf("fold table of %d slots: ConsolidateGroup holds %q, want %q", slots, got, want)
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("ConsolidateGroup holds %q, want %q", got, want)
+	var charged int64
+	for _, mo := range outs {
+		charged += mo.TotalBytes
+	}
+	if con.TotalBytes != charged {
+		t.Fatalf("fold table of %d slots: ConsolidateGroup charges %d bytes, its members %d", slots, con.TotalBytes, charged)
 	}
 }
 
@@ -133,6 +173,19 @@ var mergeShapes = []struct {
 			}
 			return 50
 		}, func(int) kv { return kv{fmt.Sprintf("w%d", zipf.Uint64()), "1"} })
+	}},
+	{"repeats around more unique keys than the fold trial", func(_ *rand.Rand, n int) [][]kv {
+		// The full table folds the first repeats, drops itself once
+		// foldTrial pairs have folded almost nothing, and leaves the
+		// later repeats unfolded next to the counted ones.
+		pos := 0
+		return fillRuns(n, func(int) int { pos = 0; return 2 * foldTrial }, func(int) kv {
+			pos++
+			if pos <= 100 || pos > foldTrial+200 {
+				return kv{fmt.Sprintf("r%d", pos%5), "1"}
+			}
+			return kv{fmt.Sprintf("u%05d", pos), "1"}
+		})
 	}},
 }
 

@@ -111,6 +111,9 @@ func agree(t *testing.T, name string, spec *mapreduce.JobSpec, splits []split) [
 	if records == 0 {
 		t.Fatalf("%s: the reference produced no output; the case checks nothing", name)
 	}
+	for _, s := range splits {
+		sameCharges(t, name+" "+s.file, mapreduce.ExecMapFile(spec, s.file, s.data), mapreduce.ExecMapUnfolded(spec, s.file, s.data))
+	}
 	for _, consolidate := range []bool{false, true} {
 		got := flat(spec, splits, consolidate)
 		for p := range want {
@@ -121,6 +124,24 @@ func agree(t *testing.T, name string, spec *mapreduce.JobSpec, splits []split) [
 		}
 	}
 	return want
+}
+
+// sameCharges checks that folding changed no number the cost model reads:
+// a folded map output charges the bytes and records of every occurrence,
+// exactly as the unfolded one does, and its counts add up to the
+// occurrences the unfolded one indexes one by one.
+func sameCharges(t *testing.T, name string, folded, unfolded *mapreduce.MapOutput) {
+	t.Helper()
+	if folded.TotalBytes != unfolded.TotalBytes || folded.Records != unfolded.Records || !slices.Equal(folded.PartBytes, unfolded.PartBytes) {
+		t.Errorf("%s: folded output charges %d bytes %v over %d records, unfolded %d bytes %v over %d",
+			name, folded.TotalBytes, folded.PartBytes, folded.Records, unfolded.TotalBytes, unfolded.PartBytes, unfolded.Records)
+	}
+	for p := range folded.Partitions {
+		pairs, n := mapreduce.Distinct(folded, p)
+		if want, _ := mapreduce.Distinct(unfolded, p); n != want || pairs > want {
+			t.Errorf("%s: partition %d folds %d occurrences into %d pairs, unfolded it holds %d", name, p, n, pairs, want)
+		}
+	}
 }
 
 func clip(b []byte) []byte {

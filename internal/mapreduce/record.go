@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 )
@@ -16,14 +17,22 @@ import (
 //     function emitted as a sub-slice of the input block is indexed where it
 //     lies; anything else is copied into the slab. The two share one offset
 //     space: [0, len(input)) is the block, the slab follows.
-//   - Rec: 24 bytes per pair — the key's first eight bytes as a big-endian
-//     integer, then offset and length of key and value as uint32.
+//   - Rec: 24 bytes per distinct pair — the key's first eight bytes as a
+//     big-endian integer, then offset and length of key and value as uint32.
+//   - counts: per partition, each Rec's multiplicity, parallel to the
+//     index; nil while every count is 1.
 //
-// Sorting and merging compare the prefix as one integer and look at bytes
-// only on a prefix tie, the garbage collector has nothing to scan in an
-// index, and a cached output is immutable: readers share it freely.
+// A map task folds the pairs its map function emits through one hash table
+// (foldTable), so a partition holds each distinct (key, value) pair once
+// with the number of times it was emitted: len(Partitions[p]) counts
+// distinct pairs, while PartBytes and TotalBytes charge every occurrence.
+// Byte-identical pairs are interchangeable, so nothing downstream can tell a
+// counted pair from its occurrences. Sorting and merging compare the prefix
+// as one integer and look at bytes only on a prefix tie, the garbage
+// collector has nothing to scan in an index, and a cached output is
+// immutable: readers share it freely.
 
-// Rec indexes one intermediate pair inside its output's store.
+// Rec indexes one distinct intermediate pair inside its output's store.
 type Rec struct {
 	prefix     uint64 // first 8 key bytes, big-endian, zero-padded
 	koff, klen uint32
@@ -108,20 +117,8 @@ func compareRecs(a Rec, as *store, b Rec, bs *store) int {
 
 // sameKey reports whether two pairs carry byte-identical keys.
 func sameKey(a Rec, as *store, b Rec, bs *store) bool {
-	return a.prefix == b.prefix && a.klen == b.klen && (a.klen <= 8 || sameTail(a, as, b, bs))
-}
-
-// sameTail compares what two equally long keys hold past their prefixes.
-func sameTail(a Rec, as *store, b Rec, bs *store) bool {
-	return bytes.Equal(as.at(a.koff+8, a.klen-8), bs.at(b.koff+8, b.klen-8))
-}
-
-// sortRecs orders one partition's index with compareRecs. Sorting
-// intermediate data is the hottest real computation in the whole simulator,
-// hence slices.SortFunc (pdqsort, no reflection-based swaps) over 24-byte
-// entries.
-func (s *store) sortRecs(idx []Rec) {
-	slices.SortFunc(idx, func(a, b Rec) int { return compareRecs(a, s, b, s) })
+	return a.prefix == b.prefix && a.klen == b.klen &&
+		(a.klen <= 8 || bytes.Equal(as.at(a.koff+8, a.klen-8), bs.at(b.koff+8, b.klen-8)))
 }
 
 // offsetWithin reports where p lies inside block when p's bytes are a
@@ -156,9 +153,11 @@ func grown[T any](s []T, need int) []T {
 type outputBuilder struct {
 	store
 	parts     [][]Rec
+	counts    [][]uint32 // per partition; nil while every count is 1
 	partBytes []int64
-	split     string // named when the offset space overflows
-	limit     uint64 // maxOffset, lower under test
+	table     *foldTable // folds repeated pairs; nil appends every pair
+	split     string     // named when the offset space overflows
+	limit     uint64     // maxOffset, lower under test
 }
 
 // newOutputBuilder starts an output of nparts partitions over input, with
@@ -167,6 +166,7 @@ func newOutputBuilder(split string, input []byte, nparts, recsHint int, limit ui
 	b := &outputBuilder{
 		store:     store{input: input},
 		parts:     make([][]Rec, nparts),
+		counts:    make([][]uint32, nparts),
 		partBytes: make([]int64, nparts),
 		split:     split,
 		limit:     limit,
@@ -197,8 +197,8 @@ func (b *outputBuilder) place(p []byte) uint32 {
 		return uint32(off)
 	}
 	// A repeat of what the slab already ends with — WordCount's "1" after
-	// every word — shares those bytes: no copy, and compareRecs can tell two
-	// such values are equal from their offsets alone.
+	// every word — shares those bytes: no copy, and the fold table and
+	// compareRecs can tell two such values are equal from their offsets.
 	if tail := len(b.slab) - len(p); tail >= 0 && bytes.Equal(b.slab[tail:], p) {
 		return uint32(len(b.input) + tail)
 	}
@@ -213,32 +213,178 @@ func (b *outputBuilder) place(p []byte) uint32 {
 	return uint32(off)
 }
 
-// add appends one pair to partition p.
-func (b *outputBuilder) add(p int, k, v []byte) {
-	r := Rec{
-		prefix: keyPrefix(k),
-		koff:   b.place(k), klen: uint32(len(k)),
-		voff: b.place(v), vlen: uint32(len(v)),
+// add appends n occurrences of the pair (k, v) to partition p: as n more of
+// the Rec p already holds for it when the fold table finds one, else as a
+// new Rec. The value is placed first, so a pair that folds copies no key.
+func (b *outputBuilder) add(p int, k, v []byte, n uint32) {
+	r := Rec{prefix: keyPrefix(k), klen: uint32(len(k)), voff: b.place(v), vlen: uint32(len(v))}
+	if b.table != nil && b.fold(p, k, r, n) {
+		return
 	}
+	r.koff = b.place(k)
 	part := b.parts[p]
 	if len(part) == cap(part) {
 		part = grown(part, 1)
 	}
+	if n != 1 || b.counts[p] != nil {
+		b.counts[p] = append(b.counted(p), n)
+	}
 	b.parts[p] = append(part, r)
-	b.partBytes[p] += r.Bytes()
+	b.partBytes[p] += int64(n) * r.Bytes()
+}
+
+// counted returns partition p's multiplicities, made all ones on first need.
+func (b *outputBuilder) counted(p int) []uint32 {
+	if b.counts[p] == nil {
+		c := make([]uint32, len(b.parts[p]), cap(b.parts[p]))
+		for i := range c {
+			c[i] = 1
+		}
+		b.counts[p] = c
+	}
+	return b.counts[p]
+}
+
+// sortRecs orders partition p's index with compareRecs, its counts along
+// with it. Sorting intermediate data is the hottest real computation in the
+// whole simulator, hence slices.SortFunc (pdqsort, no reflection-based
+// swaps) over the 24-byte entries — or over Rec-and-count pairs, copied in
+// and out, when folding has left counts.
+func (b *outputBuilder) sortRecs(p int) {
+	s, idx, counts := &b.store, b.parts[p], b.counts[p]
+	if counts == nil {
+		slices.SortFunc(idx, func(x, y Rec) int { return compareRecs(x, s, y, s) })
+		return
+	}
+	type countedRec struct {
+		Rec
+		n uint32
+	}
+	both := make([]countedRec, len(idx))
+	for i, r := range idx {
+		both[i] = countedRec{r, counts[i]}
+	}
+	slices.SortFunc(both, func(x, y countedRec) int { return compareRecs(x.Rec, s, y.Rec, s) })
+	for i, c := range both {
+		idx[i], counts[i] = c.Rec, c.n
+	}
+}
+
+// foldTable is a map task's table of the distinct pairs its map function
+// emitted, so that a repeat counts against the Rec of the pair's first
+// occurrence. It is keyed on the key's bytes and the value's offsets
+// (place gives every "1" WordCount emits one offset); a pair it misses is
+// just not folded, which the merge takes as it takes any repeated pair.
+// One table serves all of a task's partitions. It starts at foldMinSlots,
+// grows to at most maxSlots, fills at most half of them, and a task whose
+// pairs do not repeat drops it (see fold) after foldTrial pairs.
+type foldTable struct {
+	slots    []foldSlot // open addressing, linear probing; a power of two long
+	shift    uint       // a hash's top bits pick its home slot
+	maxSlots int        // foldMaxSlots, lower under test
+	pairs    int        // pairs entered
+	folded   int        // emits counted against an entered pair
+}
+
+// foldSlot names the Rec of one entered pair; hash 0 marks an empty slot.
+type foldSlot struct{ hash, part, idx uint32 }
+
+const (
+	foldMinSlots = 1 << 11
+	foldMaxSlots = 1 << 16 // 32 768 pairs: the whole 30 000-word corpus vocabulary
+	foldTrial    = 1 << 10
+)
+
+func newFoldTable(maxSlots int) *foldTable {
+	n := min(foldMinSlots, maxSlots)
+	return &foldTable{slots: make([]foldSlot, n), shift: uint(32 - bits.TrailingZeros(uint(n))), maxSlots: maxSlots}
+}
+
+// fold counts n more occurrences of the pair r — key k, value already
+// placed — against the Rec partition p holds for it, and reports whether
+// it could. When it could not, it enters the pair as the Rec add appends
+// next, while the table has room. Each time the entered pairs reach a power
+// of two from foldTrial on, fewer folds than pairs mean the keys do not
+// repeat, and the builder drops the table.
+func (b *outputBuilder) fold(p int, k []byte, r Rec, n uint32) bool {
+	t := b.table
+	h := pairHash(r.prefix, k, r.voff, r.vlen)
+	mask := uint32(len(t.slots) - 1)
+	i := h >> t.shift
+	for ; t.slots[i].hash != 0; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s.hash != h || s.part != uint32(p) {
+			continue
+		}
+		e := b.parts[p][s.idx]
+		if e.prefix != r.prefix || e.klen != r.klen || e.voff != r.voff || e.vlen != r.vlen ||
+			e.klen > 8 && !bytes.Equal(b.at(e.koff+8, e.klen-8), k[8:]) {
+			continue
+		}
+		c := b.counted(p)
+		if c[s.idx] > math.MaxUint32-n {
+			return false
+		}
+		c[s.idx] += n
+		b.partBytes[p] += int64(n) * r.Bytes()
+		t.folded++
+		return true
+	}
+	if 2*(t.pairs+1) > len(t.slots) {
+		return false // full
+	}
+	t.slots[i] = foldSlot{hash: h, part: uint32(p), idx: uint32(len(b.parts[p]))}
+	t.pairs++
+	if t.pairs >= foldTrial && t.pairs&(t.pairs-1) == 0 && t.folded < t.pairs {
+		b.table = nil
+	} else if 2*t.pairs == len(t.slots) && len(t.slots) < t.maxSlots {
+		t.grow()
+	}
+	return false
+}
+
+// grow doubles the table, re-entering every pair by its stored hash.
+func (t *foldTable) grow() {
+	old := t.slots
+	t.slots, t.shift = make([]foldSlot, 2*len(old)), t.shift-1
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s.hash != 0 {
+			i := s.hash >> t.shift
+			for t.slots[i].hash != 0 {
+				i = (i + 1) & mask
+			}
+			t.slots[i] = s
+		}
+	}
+}
+
+// pairHash hashes what fold compares — the key's bytes and length, the
+// value's offsets — to 32 bits, never 0. Each step multiplies by 2^64/φ,
+// which carries every input bit into the top bits the table indexes by.
+func pairHash(prefix uint64, k []byte, voff, vlen uint32) uint32 {
+	const mul = 0x9e3779b97f4a7c15
+	h := prefix
+	for tail := k[min(len(k), 8):]; len(tail) > 0; tail = tail[min(len(tail), 8):] {
+		h = h*mul ^ keyPrefix(tail)
+	}
+	h = (h*mul ^ uint64(voff)<<32 ^ uint64(vlen)<<8 ^ uint64(len(k))) * mul
+	return uint32(h>>32) | 1
 }
 
 // combineFrom merges partition p of the outputs, feeds it through the
-// combiner and leaves the result, sorted, as partition p of b.
+// combiner and leaves the result, sorted, as partition p of b. The merge is
+// already grouped and sorted, so the combiner's pairs are appended as they
+// come, without a fold table.
 func (b *outputBuilder) combineFrom(outputs []*MapOutput, p int, c ReduceFunc) {
-	emit := func(k, v []byte) { b.add(p, k, v) }
+	emit := func(k, v []byte) { b.add(p, k, v, 1) }
 	newMerger(outputs, p).groups(func(key []byte, values [][]byte) { c(key, values, emit) })
-	b.sortRecs(b.parts[p])
+	b.sortRecs(p)
 }
 
 // output hands the accumulated pairs over as a MapOutput.
 func (b *outputBuilder) output() *MapOutput {
-	out := &MapOutput{store: b.store, Partitions: b.parts, PartBytes: b.partBytes}
+	out := &MapOutput{store: b.store, Partitions: b.parts, counts: b.counts, PartBytes: b.partBytes}
 	for _, n := range b.partBytes {
 		out.TotalBytes += n
 	}
@@ -246,11 +392,13 @@ func (b *outputBuilder) output() *MapOutput {
 }
 
 // cursor is one sorted run being merged: its head pair, the pairs after
-// it, and the store they index.
+// it, and the output and partition whose store and counts they index (64
+// bytes, which the heap swaps without a duffcopy).
 type cursor struct {
 	head Rec
 	rest []Rec
-	src  *store
+	out  *MapOutput
+	part int
 }
 
 // merger is a k-way merge over sorted runs — O(n log k) instead of
@@ -259,8 +407,8 @@ type cursor struct {
 // with hand-rolled sifts (container/heap would box every cursor through an
 // interface; a heap of indexes into the cursors and a sift that moves a
 // hole instead of swapping both measured no faster on BenchmarkExecReduce*).
-// The merged sequence is never materialized, and groups is the one way to
-// drain it.
+// The merged sequence is never materialized: pop takes it one counted pair
+// at a time, and groups drains it by key.
 type merger []cursor
 
 // newMerger starts a merge of partition part of every output.
@@ -268,7 +416,7 @@ func newMerger(outputs []*MapOutput, part int) merger {
 	m := make(merger, 0, len(outputs))
 	for _, mo := range outputs {
 		if idx := mo.Partitions[part]; len(idx) > 0 {
-			m = append(m, cursor{head: idx[0], rest: idx[1:], src: &mo.store})
+			m = append(m, cursor{head: idx[0], rest: idx[1:], out: mo, part: part})
 		}
 	}
 	for i := len(m)/2 - 1; i >= 0; i-- {
@@ -289,11 +437,11 @@ func (m merger) sift(i int) {
 		// the call.
 		c, cp := l, m[l].head.prefix
 		if r := l + 1; r < n {
-			if rp := m[r].head.prefix; rp < cp || rp == cp && compareRecs(m[r].head, m[r].src, m[l].head, m[l].src) < 0 {
+			if rp := m[r].head.prefix; rp < cp || rp == cp && compareRecs(m[r].head, &m[r].out.store, m[l].head, &m[l].out.store) < 0 {
 				c, cp = r, rp
 			}
 		}
-		if ip := m[i].head.prefix; ip < cp || ip == cp && compareRecs(m[c].head, m[c].src, m[i].head, m[i].src) >= 0 {
+		if ip := m[i].head.prefix; ip < cp || ip == cp && compareRecs(m[c].head, &m[c].out.store, m[i].head, &m[i].out.store) >= 0 {
 			return
 		}
 		m[i], m[c] = m[c], m[i]
@@ -301,14 +449,28 @@ func (m merger) sift(i int) {
 	}
 }
 
+// pop takes the least pair off the merge: the Rec, its store and its
+// multiplicity. The merge must not be empty. Byte-identical pairs are
+// interchangeable, so which run's copy of one pops first is not defined.
+func (m *merger) pop() (r Rec, src *store, n uint32) {
+	c := &(*m)[0]
+	r, src, n = c.head, &c.out.store, 1
+	if counts := c.out.counts[c.part]; counts != nil {
+		n = counts[len(counts)-len(c.rest)-1] // counts run parallel to the whole partition
+	}
+	if len(c.rest) > 0 {
+		c.head, c.rest = c.rest[0], c.rest[1:]
+	} else {
+		last := len(*m) - 1
+		(*m)[0], *m = (*m)[last], (*m)[:last]
+	}
+	m.sift(0)
+	return r, src, n
+}
+
 // groups drains the merge, yielding each distinct key once with all its
-// values in merged order. It works per run-span, not per record: it takes
-// the minimum cursor's head and then, in one loop over that run alone,
-// every successor that is the identical pair — the same key, and the same
-// value offsets, which is what place gives a value repeating the one before
-// it. Those are minima too whatever the other runs hold, so the heap is
-// sifted once per (run, distinct pair) and a single run never. Byte-identical
-// pairs are interchangeable: which run's copy comes first is not defined.
+// values in merged order: a pair counted n times contributes its value n
+// times, and the heap is sifted once per (run, distinct pair).
 //
 // The values slice is scratch reused between keys (and pooled across
 // calls): consumers — reducers and combiners — must not retain it past the
@@ -318,29 +480,15 @@ func (m merger) sift(i int) {
 func (m merger) groups(yield func(key []byte, values [][]byte)) {
 	values, high := getVals(), 0
 	for len(m) > 0 {
-		first, src := m[0].head, m[0].src
+		first, src := m[0].head, &m[0].out.store
 		values = values[:0]
 		for {
-			c := &m[0]
-			head, v, n := c.head, c.src.value(c.head), 0
-			// The span test is spelled out because sameKey does not inline
-			// (−40 % on BenchmarkExecReduce).
-			for values = append(values, v); n < len(c.rest); n++ {
-				r := &c.rest[n]
-				if r.prefix != head.prefix || r.klen != head.klen || r.voff != head.voff || r.vlen != head.vlen ||
-					head.klen > 8 && !sameTail(head, c.src, *r, c.src) {
-					break
-				}
+			r, s, n := m.pop()
+			v := s.value(r)
+			for ; n > 0; n-- {
 				values = append(values, v)
 			}
-			if n < len(c.rest) {
-				c.head, c.rest = c.rest[n], c.rest[n+1:]
-			} else {
-				last := len(m) - 1
-				m[0], m = m[last], m[:last]
-			}
-			m.sift(0)
-			if len(m) == 0 || !sameKey(first, src, m[0].head, m[0].src) {
+			if len(m) == 0 || !sameKey(first, src, m[0].head, &m[0].out.store) {
 				break
 			}
 		}

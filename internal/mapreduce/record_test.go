@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,9 +31,9 @@ func refCompare(ak, av, bk, bv []byte) int {
 func twoRecs(ak, av, bk, bv []byte) (*outputBuilder, *outputBuilder) {
 	block := append(append([]byte("##"), ak...), "##"...)
 	a := newOutputBuilder("a", block, 1, 1, maxOffset)
-	a.add(0, block[2:2+len(ak)], av) // key in place, value copied
+	a.add(0, block[2:2+len(ak)], av, 1) // key in place, value copied
 	b := newOutputBuilder("b", nil, 1, 1, maxOffset)
-	b.add(0, bk, bv)
+	b.add(0, bk, bv, 1)
 	return a, b
 }
 
@@ -83,10 +84,10 @@ func TestQuickSortRecs(t *testing.T) {
 			if len(values) > 0 {
 				v = values[i%len(values)]
 			}
-			b.add(0, k, v)
+			b.add(0, k, v, 1)
 			want = append(want, pair{k, v})
 		}
-		b.sortRecs(b.parts[0])
+		b.sortRecs(0)
 		slices.SortFunc(want, func(x, y pair) int { return refCompare(x.k, x.v, y.k, y.v) })
 		for i, r := range b.parts[0] {
 			if !bytes.Equal(b.key(r), want[i].k) || !bytes.Equal(b.value(r), want[i].v) {
@@ -97,6 +98,26 @@ func TestQuickSortRecs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The fold table gives up on keys that do not repeat: at foldTrial pairs
+// with fewer folds it is dropped, what it folded stays counted, and later
+// repeats are appended as pairs of their own.
+func TestFoldTableDropsOnUniqueKeys(t *testing.T) {
+	b := newOutputBuilder("u", nil, 1, 1, maxOffset)
+	b.table = newFoldTable(foldMaxSlots)
+	b.add(0, []byte("repeat"), nil, 1)
+	b.add(0, []byte("repeat"), nil, 1)
+	for i := 0; b.table != nil; i++ {
+		b.add(0, []byte(strconv.Itoa(i)), nil, 1)
+	}
+	if n := len(b.parts[0]); n != foldTrial {
+		t.Fatalf("the table was dropped at %d pairs, want %d", n, foldTrial)
+	}
+	b.add(0, []byte("repeat"), nil, 1)
+	if n, c := len(b.parts[0]), b.counts[0]; n != foldTrial+1 || c[0] != 2 || c[n-1] != 1 {
+		t.Fatalf("after the drop: %d pairs, counts %v…%v; want %d, 2…1", n, c[:2], c[n-1:], foldTrial+1)
 	}
 }
 
@@ -132,7 +153,7 @@ func TestInputBytesIndexedInPlace(t *testing.T) {
 func TestOffsetSpaceGuard(t *testing.T) {
 	spec := wcSpec([]string{"/in/big"}, "/o")
 	data := []byte("aa bb cc dd ee ff\n") // 18 input bytes + one shared value byte
-	if mo := execMap(spec, "/in/big", data, 19); mo.TotalBytes == 0 {
+	if mo := execMap(spec, "/in/big", data, 19, foldMaxSlots); mo.TotalBytes == 0 {
 		t.Fatal("an output that exactly fits was refused")
 	}
 	for _, limit := range []uint64{18, 10} { // slab overflow; input alone too big
@@ -143,7 +164,7 @@ func TestOffsetSpaceGuard(t *testing.T) {
 					t.Fatalf("limit %d: panic %q does not name the split", limit, msg)
 				}
 			}()
-			execMap(spec, "/in/big", data, limit)
+			execMap(spec, "/in/big", data, limit, foldMaxSlots)
 			t.Fatalf("limit %d: overflow went unnoticed", limit)
 		}()
 	}

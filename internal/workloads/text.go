@@ -6,7 +6,6 @@
 package workloads
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 )
@@ -62,21 +61,29 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 // Generate produces approximately size bytes of newline-separated text,
 // always ending cleanly at a line boundary.
 func (c *Corpus) Generate(size int64) []byte {
-	var buf bytes.Buffer
-	buf.Grow(int(size) + 128)
-	line := 0
-	for int64(buf.Len()) < size {
+	b, _ := c.appendWords(make([]byte, 0, size+128), size, 0)
+	return endLine(b)
+}
+
+// appendWords appends words to b until it holds size bytes, the first
+// starting at column line, and returns b and the column the next word
+// would start at. Words are separated by a space, or by a newline once a
+// line reaches 70 columns.
+func (c *Corpus) appendWords(b []byte, size int64, line int) ([]byte, int) {
+	for int64(len(b)) < size {
 		w := c.vocab[c.zipf.Uint64()]
-		buf.Write(w)
-		line += len(w) + 1
-		if line >= 70 {
-			buf.WriteByte('\n')
-			line = 0
+		b = append(b, w...)
+		if line += len(w) + 1; line >= 70 {
+			b, line = append(b, '\n'), 0
 		} else {
-			buf.WriteByte(' ')
+			b = append(b, ' ')
 		}
 	}
-	b := buf.Bytes()
+	return b, line
+}
+
+// endLine closes text with a newline unless it already ends with one.
+func endLine(b []byte) []byte {
 	if len(b) > 0 && b[len(b)-1] != '\n' {
 		b = append(b, '\n')
 	}
@@ -102,17 +109,38 @@ type streamKey struct {
 	seed  int64
 }
 
+// resume is the generator of the stream generated last, stopped where that
+// stream's words end, so that a longer request for it continues it instead
+// of replaying the seed: an ascending sweep generates each byte once. Only
+// the last one is kept: a generator holds its whole vocabulary, and a
+// workload over many seeds would pin one per seed.
+var resume struct {
+	key    streamKey
+	corpus *Corpus
+	words  int // the stream's length without the newline that closes it
+	line   int // the column the next word starts at
+}
+
 // corpusStream returns at least n bytes of the deterministic corpus stream
-// for (vocab, seed), extending the cached stream as needed.
+// for (vocab, seed) — NewCorpus(vocab, seed).Generate(m) for some m ≥ n —
+// extending the cached stream as needed.
 func corpusStream(vocab int, seed int64, n int64) []byte {
 	k := streamKey{vocab, seed}
 	s := streamCache[k]
-	if int64(len(s)) < n {
-		// Regenerate from scratch at the larger size: Corpus generation is
-		// stateful, so extending requires replaying from the seed anyway.
-		s = NewCorpus(vocab, seed).Generate(n)
-		streamCache[k] = s
+	if int64(len(s)) >= n {
+		return s
 	}
+	if resume.key != k || resume.corpus == nil {
+		resume.key, resume.corpus, resume.words, resume.line = k, NewCorpus(vocab, seed), 0, 0
+	}
+	// The words continue in a new buffer: files cut from the old one alias
+	// it, and the next word goes where its closing newline is.
+	b := make([]byte, resume.words, n+128)
+	copy(b, s)
+	b, resume.line = resume.corpus.appendWords(b, n, resume.line)
+	resume.words = len(b)
+	s = endLine(b)
+	streamCache[k] = s
 	return s
 }
 

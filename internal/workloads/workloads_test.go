@@ -367,6 +367,33 @@ func TestCorpusPinned(t *testing.T) {
 	}
 }
 
+// A cached stream grows by continuing its generator, not by replaying the
+// seed: generated in steps it equals one Generate at the final size, at
+// every step, and bytes handed out earlier — files cut from them alias
+// them — stay as they were. Generate(m) stops at the first word boundary
+// at or past m, so a stream of length L is Generate(L-1). Another seed in
+// between takes the generator, and the first stream then grows from its
+// seed again.
+func TestCorpusStreamExtends(t *testing.T) {
+	const vocab = 700 // keys no other test streams
+	var earlier [][]byte
+	for _, step := range []struct {
+		seed int64
+		n    int64
+	}{{31, 1}, {31, 5000}, {31, 5003}, {31, 4000}, {32, 3000}, {31, 64 << 10}, {31, 64<<10 + 1}, {32, 9000}} {
+		got := corpusStream(vocab, step.seed, step.n)
+		if int64(len(got)) < step.n || !bytes.Equal(got, NewCorpus(vocab, step.seed).Generate(int64(len(got))-1)) {
+			t.Fatalf("after asking for %d bytes of seed %d the stream is not one Generate of its length (%d bytes)", step.n, step.seed, len(got))
+		}
+		earlier = append(earlier, got, bytes.Clone(got))
+	}
+	for i := 0; i < len(earlier); i += 2 {
+		if !bytes.Equal(earlier[i], earlier[i+1]) {
+			t.Fatalf("extending the stream rewrote the %d bytes it had handed out", len(earlier[i+1]))
+		}
+	}
+}
+
 // The reducer sums one-digit counts without parsing, takes totals below
 // 1000 from the shared table and the rest from strconv, allocates for
 // neither of the first two, and still refuses a count that is no number.
