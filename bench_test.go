@@ -15,7 +15,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"mrapid/internal/bench"
 	"mrapid/internal/core"
@@ -24,7 +23,6 @@ import (
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
-	"mrapid/internal/workloads"
 	"mrapid/internal/yarn"
 )
 
@@ -178,83 +176,6 @@ func BenchmarkAblationEstimator(b *testing.B) {
 			sum += fig.Get(i, c)
 		}
 		b.ReportMetric(sum/float64(len(fig.Points)), c)
-	}
-}
-
-// runParallelWorkload executes one 8-split distributed WordCount with the
-// given host parallelism and returns its virtual completion seconds plus
-// the host wall-clock seconds spent inside the simulation. Only the job
-// execution is timed; building the simulation and generating input are
-// setup. The shared map cache is disabled so every map actually computes —
-// this benchmark measures host-side execution, not memoization.
-func runParallelWorkload(b *testing.B, hostWorkers int) (vsec, hostSec float64) {
-	b.Helper()
-	b.StopTimer()
-	setup := bench.A3x4()
-	setup.HostWorkers = hostWorkers
-	variant := bench.VariantHadoop()
-	env, err := bench.NewEnv(setup, variant)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer env.Close()
-	env.RT.MapCache = nil
-	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
-		Files: 8, FileBytes: int64(16 * (1 << 20) * benchScale()), Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := workloads.WordCountSpec("wordcount", names, "/out", true)
-	b.StartTimer()
-	start := time.Now()
-	res, err := env.Run(variant, spec)
-	hostSec = time.Since(start).Seconds()
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Profile == nil || res.Profile.Elapsed() <= 0 {
-		b.Fatal("empty profile")
-	}
-	b.StartTimer()
-	return res.Profile.Elapsed().Seconds(), hostSec
-}
-
-// BenchmarkParallelMapExecution measures the host wall-clock effect of the
-// parallel execution layer (Runtime.Workers) on an 8-split WordCount: the
-// sequential and parallel sub-benchmarks simulate the identical job — same
-// virtual timeline, byte-identical output — differing only in how many OS
-// threads execute the pure map/reduce computations.
-//
-// The parent benchmark reports the resulting speedup× (sequential wall
-// time / parallel wall time) and the worker count it was measured with.
-// The speedup scales with real cores: on a single-core host (workers=1)
-// there is nothing to overlap and the ratio degrades to ~1×.
-func BenchmarkParallelMapExecution(b *testing.B) {
-	var seqVsec, parVsec, seqHost, parHost float64
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v, h := runParallelWorkload(b, 0)
-			seqVsec, seqHost = v, seqHost+h
-		}
-		b.ReportMetric(seqVsec, "vsec")
-		seqHost /= float64(b.N)
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v, h := runParallelWorkload(b, -1)
-			parVsec, parHost = v, parHost+h
-		}
-		b.ReportMetric(parVsec, "vsec")
-		parHost /= float64(b.N)
-		if seqHost > 0 && parHost > 0 {
-			b.ReportMetric(seqHost/parHost, "speedup×")
-			b.ReportMetric(float64(mapreduce.DefaultWorkers()), "workers")
-		}
-	})
-	if seqVsec != 0 && parVsec != 0 && seqVsec != parVsec {
-		b.Fatalf("virtual time diverged: sequential %.4f vsec, parallel %.4f vsec", seqVsec, parVsec)
 	}
 }
 

@@ -7,6 +7,9 @@
 //	mrapid-bench -run fig7,fig14  # run selected experiments
 //	mrapid-bench -scale 0.2       # shrink the inputs (faster, same code paths)
 //	mrapid-bench -list            # list experiment IDs
+//
+// Experiments run concurrently, one per core (GOMAXPROCS); the tables print
+// in registry order.
 package main
 
 import (
@@ -15,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -27,7 +31,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "input-size scale factor (1.0 = paper sizes)")
 		jsonOut  = flag.String("json", "", "also write the regenerated figures as a JSON array to this path (CI artifact)")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		runOpts  = bench.RunFlags(-1)
+		runOpts  = bench.RunFlags()
 		profiles = bench.ProfileFlags()
 	)
 	flag.Parse()
@@ -69,24 +73,20 @@ func main() {
 	}
 	failures := 0
 	var figures []*bench.Figure
-	for _, r := range bench.Registry {
-		if len(selected) > 0 && !selected[r.ID] {
-			continue
-		}
-		start := time.Now()
-		fig, err := r.Run(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrapid-bench: %s failed: %v\n", r.ID, err)
+	for _, c := range runAll(selected, opts) {
+		r := <-c
+		if r.err != nil {
+			fmt.Fprintf(os.Stderr, "mrapid-bench: %s failed: %v\n", r.id, r.err)
 			failures++
 			continue
 		}
-		if err := bench.Render(os.Stdout, fig); err != nil {
-			fmt.Fprintf(os.Stderr, "mrapid-bench: rendering %s: %v\n", r.ID, err)
+		if err := bench.Render(os.Stdout, r.fig); err != nil {
+			fmt.Fprintf(os.Stderr, "mrapid-bench: rendering %s: %v\n", r.id, err)
 			failures++
 			continue
 		}
-		figures = append(figures, fig)
-		fmt.Printf("(%s regenerated in %.1fs wall time)\n\n", r.ID, time.Since(start).Seconds())
+		figures = append(figures, r.fig)
+		fmt.Printf("(%s regenerated in %.1fs wall time)\n\n", r.id, r.wall.Seconds())
 	}
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, figures); err != nil {
@@ -103,6 +103,47 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// outcome is one experiment's run: its figure or error and its own wall
+// time.
+type outcome struct {
+	id   string
+	fig  *bench.Figure
+	err  error
+	wall time.Duration
+}
+
+// runAll starts the selected experiments (all when none is selected) on up
+// to GOMAXPROCS goroutines, in registry order, and returns one channel per
+// experiment, in that order, that receives its outcome. Experiments share
+// only the process-wide input and map-output caches, which are safe for
+// concurrent use; GOMAXPROCS=1 runs them one after another.
+func runAll(selected map[string]bool, opts bench.Options) []chan outcome {
+	var ids []string
+	var runs []bench.Runner
+	for _, r := range bench.Registry {
+		if len(selected) == 0 || selected[r.ID] {
+			ids, runs = append(ids, r.ID), append(runs, r.Run)
+		}
+	}
+	done := make([]chan outcome, len(runs))
+	next := make(chan int, len(runs))
+	for i := range runs {
+		done[i] = make(chan outcome, 1)
+		next <- i
+	}
+	close(next)
+	for range min(runtime.GOMAXPROCS(0), len(runs)) {
+		go func() {
+			for i := range next {
+				start := time.Now()
+				fig, err := runs[i](opts)
+				done[i] <- outcome{ids[i], fig, err, time.Since(start)}
+			}
+		}()
+	}
+	return done
 }
 
 // checkFlags names a flag the run cannot honour: a -scale that is not

@@ -23,7 +23,7 @@
 //	mrapid -job query -query-exec both
 //	mrapid -job query -query-exec dag -node-fail 'node-01@4s:20s'
 //
-// -cluster, -seed, -workers, -node-fail, -shuffle-service and -memo apply to
+// -cluster, -seed, -node-fail, -shuffle-service and -memo apply to
 // all three modes (-memo needs the framework, which -mode hadoop and uber
 // lack). A flag the run cannot honour is an error (exit status 2), never
 // silently ignored.
@@ -70,7 +70,7 @@ var (
 	repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under fresh job keys, so the class estimator warms up and later runs can pre-decide")
 	showHist = flag.Bool("show-history", false, "print the execution-record history (exact-match entries and per-class calibration aggregates) after the run")
 	qexec    = flag.String("query-exec", "both", "query job: stage scheduling — chain | dag | both (compare)")
-	runOpts  = bench.RunFlags(0)
+	runOpts  = bench.RunFlags()
 	profiles = bench.ProfileFlags()
 )
 
@@ -318,7 +318,6 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	if err != nil {
 		return err
 	}
-	defer env.Close()
 	// -trace N alone keeps a ring of the last N events; the artifacts want
 	// the whole log.
 	observe := *traceOut != "" || *metOut != "" || *phaseRep || opts.FlightRecorder

@@ -23,9 +23,9 @@ func TestCheckFlags(t *testing.T) {
 		{workload, []string{"jobs", "tenants", "arrival", "policy", "predict", "series-out", "dash-out"}, "", nil},
 		{queryJob, []string{"job", "query-exec", "verbose"}, "", nil},
 		// The shared setup works in all three modes.
-		{singleJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
-		{workload, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
-		{queryJob, []string{"cluster", "seed", "workers", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
+		{singleJob, []string{"cluster", "seed", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
+		{workload, []string{"cluster", "seed", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
+		{queryJob, []string{"cluster", "seed", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
 
 		// Only -mode speculative decides, and only a framework has a cache.
 		{singleJob, []string{"mode", "repeat"}, "repeat", map[string]string{"mode": "dplus"}},

@@ -24,7 +24,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer env.Close()
 	eng := env.Eng
 
 	// Warehouse tables: ~40k sales rows and a small dimension table.

@@ -15,6 +15,7 @@ import (
 // WordCount over 1 MB files, and the job's timeline under each. Spreading
 // must use more nodes than stock packing.
 func TestDebugSchedulerAblation(t *testing.T) {
+	t.Parallel()
 	stock := Variant{Name: "hadoop", NewScheduler: func() yarn.Scheduler { return yarn.NewStockScheduler() }, Mode: core.ModeHadoop}
 	spread := Variant{Name: "spread", NewScheduler: func() yarn.Scheduler {
 		return core.NewDPlusScheduler(core.DPlusOptions{BalancedSpread: true})
@@ -25,7 +26,6 @@ func TestDebugSchedulerAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer env.Close()
 		spec, err := StageWordCount(env, 8, 1<<20, 1)
 		if err != nil {
 			t.Fatal(err)

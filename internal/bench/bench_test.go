@@ -36,6 +36,7 @@ func requireColumns(t *testing.T, f *Figure, cols ...string) {
 }
 
 func TestTableII(t *testing.T) {
+	t.Parallel()
 	fig, err := TableII(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,7 @@ func TestTableII(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig7(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +90,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig8(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +107,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig9(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +125,7 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestFig10Shapes(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig10(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +143,7 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestFig11Shapes(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig11(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +172,7 @@ func TestFig11Shapes(t *testing.T) {
 }
 
 func TestFig12Shapes(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig12(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -189,6 +196,7 @@ func TestFig12Shapes(t *testing.T) {
 }
 
 func TestFig13Shapes(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig13(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +218,7 @@ func TestFig13Shapes(t *testing.T) {
 }
 
 func TestFig14StackMonotone(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig14(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +245,7 @@ func TestFig14StackMonotone(t *testing.T) {
 }
 
 func TestFig15StackMonotone(t *testing.T) {
+	t.Parallel()
 	fig, err := Fig15(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -270,6 +280,7 @@ func TestFig15StackMonotone(t *testing.T) {
 }
 
 func TestEstimatorExperiment(t *testing.T) {
+	t.Parallel()
 	fig, err := EstimatorAccuracy(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -298,6 +309,7 @@ func TestEstimatorExperiment(t *testing.T) {
 }
 
 func TestRegistryAndLookup(t *testing.T) {
+	t.Parallel()
 	want := []string{"table2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "estimator", "phases", "throughput", "shuffle", "warm", "dagquery", "memo"}
 	if len(Registry) != len(want) {
 		t.Fatalf("registry has %d entries", len(Registry))
@@ -316,6 +328,7 @@ func TestRegistryAndLookup(t *testing.T) {
 }
 
 func TestRenderTable(t *testing.T) {
+	t.Parallel()
 	fig := &Figure{
 		ID: "figX", Title: "demo", XLabel: "x",
 		Columns: []string{"hadoop", "uber", "dplus", "uplus"},
@@ -337,6 +350,7 @@ func TestRenderTable(t *testing.T) {
 }
 
 func TestEnvRejectsBadSetup(t *testing.T) {
+	t.Parallel()
 	setup := A3x4()
 	setup.Workers = 0
 	if _, err := NewEnv(setup, VariantHadoop()); err == nil {
@@ -350,6 +364,7 @@ func TestEnvRejectsBadSetup(t *testing.T) {
 }
 
 func TestDeterministicFigure(t *testing.T) {
+	t.Parallel()
 	a, err := Fig9(Options{Scale: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

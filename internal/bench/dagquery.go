@@ -135,7 +135,6 @@ func RunQueryStream(setup ClusterSetup, qs QueryStream, o Options) (*QueryStream
 	if err != nil {
 		return nil, err
 	}
-	defer env.Close()
 	env.EnableObservability(1 << 16)
 	cat := query.NewCatalog(env.DFS, env.Cluster)
 	if err := dagQueryTables(cat, o); err != nil {

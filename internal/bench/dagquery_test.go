@@ -7,6 +7,7 @@ import "testing"
 // DAG modes and a strict makespan win for the DAG; the test checks the
 // reported figure is shaped and signed as documented.
 func TestDAGQuerySmoke(t *testing.T) {
+	t.Parallel()
 	o := Options{Scale: 0.05, Seed: 7}
 	fig, err := DAGQuery(o)
 	if err != nil {
@@ -48,6 +49,7 @@ func TestDAGQuerySmoke(t *testing.T) {
 
 // TestDAGQueryDeterminism: same options, same figure.
 func TestDAGQueryDeterminism(t *testing.T) {
+	t.Parallel()
 	a, err := DAGQuery(Options{Scale: 0.05, Seed: 11})
 	if err != nil {
 		t.Fatal(err)

@@ -42,12 +42,6 @@ type ClusterSetup struct {
 	Params   costmodel.Params
 	Seed     int64
 
-	// HostWorkers opts the runtime into parallel host-side execution of
-	// the pure map/reduce computations (see mapreduce.Runtime.Workers):
-	// 0 or 1 is sequential, > 1 sizes the worker pool, < 0 uses
-	// GOMAXPROCS. Simulated results are identical either way.
-	HostWorkers int
-
 	// NodeFaults scripts machine crashes for fault-tolerance runs. Crash
 	// times are measured from cluster-ready (after the AM pool is up, just
 	// before the first job is submitted).
@@ -189,7 +183,6 @@ func NewEnv(setup ClusterSetup, v Variant) (*Env, error) {
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
 	rt.MapCache = sharedMapCache
-	rt.Workers = setup.HostWorkers
 	if params.ShuffleService {
 		if _, err := shuffle.Attach(rt); err != nil {
 			return nil, err
@@ -241,9 +234,9 @@ func (e *Env) CheckResidency() error {
 	return e.RT.CheckResidency()
 }
 
-// Close releases host-side resources (the worker pool, when HostWorkers
-// enabled one). The simulated state is untouched.
-func (e *Env) Close() { e.RT.CloseWorkers() }
+// Close does nothing: an Env holds no host-side resource beyond memory. It
+// is kept only because the benchmark module (benchmark/) calls it.
+func (e *Env) Close() {}
 
 // Run executes one job under the variant and returns the client-observed
 // result. The simulation is driven until the job completes; an env can Run

@@ -23,6 +23,7 @@ var earlyFault = []mapreduce.NodeFault{{Node: "node-02", At: 500 * time.Millisec
 // variant the drivers use: the pool is up and every worker alive when NewEnv
 // returns, and the crash fires At after that instant, not before.
 func TestNodeFaultsCountFromClusterReady(t *testing.T) {
+	t.Parallel()
 	variants := map[string]Variant{"single job": VariantDPlus(), "workload": VariantDPlus(), "queries": VariantDPlus()}
 	w := variants["workload"]
 	w.Server = &core.JobServerConfig{Queues: tenantQueues(3)}
@@ -56,13 +57,13 @@ func TestNodeFaultsCountFromClusterReady(t *testing.T) {
 		if victim.Alive() {
 			t.Errorf("%s: node-02 still alive at cluster-ready + %s", name, earlyFault[0].At)
 		}
-		env.Close()
 	}
 }
 
 // TestEarlyFaultUnderTheDrivers runs the same schedule through RunThroughput
 // and RunQueryStream. Both used to lose the pool's bring-up to it.
 func TestEarlyFaultUnderTheDrivers(t *testing.T) {
+	t.Parallel()
 	// The workload's recorded trace starts at cluster-ready, and the first
 	// job of a burst is submitted at that instant.
 	o := Options{Scale: 0.05, Seed: 3, NodeFaults: earlyFault, FlightRecorder: true}
@@ -107,11 +108,11 @@ func TestEarlyFaultUnderTheDrivers(t *testing.T) {
 // "e" the map outputs of an earlier grep for "ab" over the same bytes. Each
 // pattern's output must be the count taken straight from the input.
 func TestGrepPatternsShareNoMapOutput(t *testing.T) {
+	t.Parallel()
 	env, err := NewEnv(A3x4(), VariantDPlus())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer env.Close()
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/grep-patterns",
 		workloads.WordCountConfig{Files: 2, FileBytes: 32 << 10, Seed: 11})
 	if err != nil {

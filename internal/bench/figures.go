@@ -22,10 +22,6 @@ type Options struct {
 	Scale float64
 	// Seed drives input synthesis and replica placement.
 	Seed int64
-	// HostWorkers enables parallel host-side execution of the pure
-	// map/reduce computations (see ClusterSetup.HostWorkers). Purely a
-	// wall-clock optimization; every figure's numbers are identical.
-	HostWorkers int
 	// NodeFaults scripts machine crashes into every simulation of the run
 	// (crash times measured from cluster-ready). The fault-tolerance
 	// machinery re-executes lost work, so figures still complete — slower,
@@ -60,12 +56,11 @@ type Options struct {
 
 // Apply is the one step from a run description to a simulation's setup: it
 // copies every run-wide knob onto a base cluster — Scale (the U+ cache
-// budget shrinks with the inputs), host workers, node faults, and the
-// feature toggles. The DFS placement seed stays the base setup's own.
+// budget shrinks with the inputs), node faults, and the feature toggles.
+// The DFS placement seed stays the base setup's own.
 func (o Options) Apply(setup ClusterSetup) ClusterSetup {
 	o = o.normalized()
 	setup.Params.UberCacheBytes = int64(float64(setup.Params.UberCacheBytes) * o.Scale)
-	setup.HostWorkers = o.HostWorkers
 	setup.NodeFaults = o.NodeFaults
 	if o.ShuffleService {
 		setup.Params.ShuffleService = true
@@ -168,7 +163,6 @@ func runJob(setup ClusterSetup, v Variant, o Options, stage func(*Env) (*mapredu
 	if err != nil {
 		return nil, nil, err
 	}
-	defer env.Close()
 	spec, err := stage(env)
 	if err != nil {
 		return nil, nil, err

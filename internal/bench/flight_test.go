@@ -21,35 +21,29 @@ func flightWorkload() WorkloadConfig {
 }
 
 // TestFlightRecorderByteIdentity is the recorder's core contract: sampling
-// is a pure observer. Across recorder on/off, sequential vs parallel host
-// workers, and a node-crash chaos schedule, every job's output must hash
-// identically.
+// is a pure observer. Across recorder on/off and a node-crash chaos
+// schedule, every job's output must hash identically.
 func TestFlightRecorderByteIdentity(t *testing.T) {
+	t.Parallel()
 	// The crash lands mid-workload (after the AM pool is fully up) and the
 	// node comes back, so every schedule still completes all jobs.
 	chaos := []mapreduce.NodeFault{{Node: "node-02", At: 6 * time.Second, RestartAfter: 8 * time.Second}}
 	for _, faults := range [][]mapreduce.NodeFault{nil, chaos} {
 		var base map[string]string
 		for _, recorder := range []bool{false, true} {
-			for _, workers := range []int{0, 4} {
-				o := Options{Scale: 0.05, Seed: 3, HostWorkers: workers,
-					FlightRecorder: recorder, NodeFaults: faults}
-				r, err := RunThroughput(A3x4(), flightWorkload(), o)
-				if err != nil {
-					t.Fatalf("recorder=%v workers=%d faults=%v: %v", recorder, workers, faults, err)
-				}
-				if workers == 0 {
-					checkWorkload(t, fmt.Sprintf("flight recorder=%v faults=%d", recorder, len(faults)), r)
-				}
-				if base == nil {
-					base = r.OutputHashes
-					continue
-				}
-				for job, want := range base {
-					if got := r.OutputHashes[job]; got != want {
-						t.Fatalf("recorder=%v workers=%d faults=%v: %s output %s, want %s",
-							recorder, workers, faults, job, got, want)
-					}
+			o := Options{Scale: 0.05, Seed: 3, FlightRecorder: recorder, NodeFaults: faults}
+			r, err := RunThroughput(A3x4(), flightWorkload(), o)
+			if err != nil {
+				t.Fatalf("recorder=%v faults=%v: %v", recorder, faults, err)
+			}
+			checkWorkload(t, fmt.Sprintf("flight recorder=%v faults=%d", recorder, len(faults)), r)
+			if base == nil {
+				base = r.OutputHashes
+				continue
+			}
+			for job, want := range base {
+				if got := r.OutputHashes[job]; got != want {
+					t.Fatalf("recorder=%v faults=%v: %s output %s, want %s", recorder, faults, job, got, want)
 				}
 			}
 		}
@@ -58,10 +52,11 @@ func TestFlightRecorderByteIdentity(t *testing.T) {
 
 // TestFlightRecorderSeriesDeterminism pins the series artifact itself: two
 // identical recorder-on runs must produce byte-identical Prometheus dumps
-// and byte-identical dashboards, independent of host worker count.
+// and byte-identical dashboards.
 func TestFlightRecorderSeriesDeterminism(t *testing.T) {
-	dump := func(workers int) (series, dash []byte) {
-		o := Options{Scale: 0.05, Seed: 3, HostWorkers: workers, FlightRecorder: true}
+	t.Parallel()
+	dump := func() (series, dash []byte) {
+		o := Options{Scale: 0.05, Seed: 3, FlightRecorder: true}
 		r, err := RunThroughput(A3x4(), flightWorkload(), o)
 		if err != nil {
 			t.Fatal(err)
@@ -76,13 +71,12 @@ func TestFlightRecorderSeriesDeterminism(t *testing.T) {
 		}
 		return sb.Bytes(), db.Bytes()
 	}
-	s1, d1 := dump(0)
-	s2, d2 := dump(0)
-	s3, d3 := dump(4)
-	if !bytes.Equal(s1, s2) || !bytes.Equal(s1, s3) {
+	s1, d1 := dump()
+	s2, d2 := dump()
+	if !bytes.Equal(s1, s2) {
 		t.Fatal("Prometheus series dumps differ between identical runs")
 	}
-	if !bytes.Equal(d1, d2) || !bytes.Equal(d1, d3) {
+	if !bytes.Equal(d1, d2) {
 		t.Fatal("dashboards differ between identical runs")
 	}
 	if len(s1) == 0 {
@@ -99,6 +93,7 @@ func writeDashboardTo(w *bytes.Buffer, r *ThroughputResult) error {
 // cross-verified SLO reports (RunThroughput errors out if the tracker and
 // the raw recomputation disagree, so reaching here means they agreed).
 func TestFlightRecorderSLOPopulated(t *testing.T) {
+	t.Parallel()
 	o := Options{Scale: 0.05, Seed: 7, FlightRecorder: true}
 	r, err := RunThroughput(A3x4(), flightWorkload(), o)
 	if err != nil {
@@ -139,6 +134,7 @@ func TestFlightRecorderSLOPopulated(t *testing.T) {
 // TestFlightArtifactsWritten drives the artifact path end to end through a
 // temp dir: series dump and dashboard both written and non-trivial.
 func TestFlightArtifactsWritten(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	o := Options{Scale: 0.05, Seed: 7, FlightRecorder: true,
 		SeriesOut: dir + "/series.prom",
@@ -181,13 +177,13 @@ func ExampleTenantSLOReport_String() {
 // deleted. Before the fix they sampled the cumulative commit counters and
 // never fell.
 func TestFlightRecorderStoreGaugesAreResidency(t *testing.T) {
+	t.Parallel()
 	setup := A3x4()
 	setup.Params.UberCacheBytes = 1000 // the store's memory budget
 	env, err := NewEnv(setup, VariantDPlus())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer env.Close()
 	rec := env.EnableFlightRecorder(flight.SLOConfig{})
 	st, node := env.RT.EnsureIntermediates(), env.Cluster.Workers()[0]
 	sampled := func(when string, wantMem, wantDisk float64) {

@@ -10,13 +10,14 @@ import (
 )
 
 // TestMemoByteIdentityGolden is the cache's core contract at workload
-// scale: across cache on/off, sequential vs parallel host workers, and a
-// node-crash chaos schedule, every job of the repeat-heavy stream must
-// hash identically — a memo hit is indistinguishable from a fresh run.
-// (The companion invalidation golden — a mutated input forcing a re-run
-// that must again match a from-scratch execution — is pinned at the
-// framework level in core's TestMemoHitSkipsExecution.)
+// scale: across cache on/off and a node-crash chaos schedule, every job of
+// the repeat-heavy stream must hash identically — a memo hit is
+// indistinguishable from a fresh run. (The companion invalidation golden —
+// a mutated input forcing a re-run that must again match a from-scratch
+// execution — is pinned at the framework level in core's
+// TestMemoHitSkipsExecution.)
 func TestMemoByteIdentityGolden(t *testing.T) {
+	t.Parallel()
 	// Fault times count from cluster-ready. With the cache on only the
 	// stream's first three jobs (arrivals 0, 2, 4 s) execute, so the crash
 	// has to land there to be chaos for both rows: node-01 dies under the
@@ -26,39 +27,33 @@ func TestMemoByteIdentityGolden(t *testing.T) {
 	for _, faults := range [][]mapreduce.NodeFault{nil, chaos} {
 		var base map[string]string
 		for _, cache := range []bool{false, true} {
-			for _, workers := range []int{0, 4} {
-				o := Options{Scale: 0.05, Seed: 3, HostWorkers: workers,
-					MemoCache: cache, NodeFaults: faults}
-				r, err := RunThroughput(A3x4(), memoWorkload(), o)
-				if err != nil {
-					t.Fatalf("cache=%v workers=%d faults=%v: %v", cache, workers, faults, err)
-				}
-				if cache && faults == nil && r.MemoHits == 0 {
-					t.Fatalf("workers=%d: cache-on run recorded no hits", workers)
-				}
-				if !cache && r.MemoHits+r.MemoMisses != 0 {
-					t.Fatalf("cache-off run recorded lookups: %d/%d", r.MemoHits, r.MemoMisses)
-				}
-				if workers == 0 {
-					checkWorkload(t, fmt.Sprintf("memo cache=%v faults=%d", cache, len(faults)), r)
-					// The chaos must be real chaos: a crash that changes no
-					// job's timing proves nothing about recovery.
-					if c := clean[cache]; faults == nil {
-						clean[cache] = r
-					} else if r.Makespan == c.Makespan && r.P99 == c.P99 && r.SlotSeconds == c.SlotSeconds {
-						t.Fatalf("cache=%v: the node crash left no mark on the run (makespan %.2f s, p99 %.2f s)",
-							cache, r.Makespan, r.P99)
-					}
-				}
-				if base == nil {
-					base = r.OutputHashes
-					continue
-				}
-				for job, want := range base {
-					if got := r.OutputHashes[job]; got != want {
-						t.Fatalf("cache=%v workers=%d faults=%v: %s output %s, want %s",
-							cache, workers, faults, job, got, want)
-					}
+			o := Options{Scale: 0.05, Seed: 3, MemoCache: cache, NodeFaults: faults}
+			r, err := RunThroughput(A3x4(), memoWorkload(), o)
+			if err != nil {
+				t.Fatalf("cache=%v faults=%v: %v", cache, faults, err)
+			}
+			if cache && faults == nil && r.MemoHits == 0 {
+				t.Fatal("cache-on run recorded no hits")
+			}
+			if !cache && r.MemoHits+r.MemoMisses != 0 {
+				t.Fatalf("cache-off run recorded lookups: %d/%d", r.MemoHits, r.MemoMisses)
+			}
+			checkWorkload(t, fmt.Sprintf("memo cache=%v faults=%d", cache, len(faults)), r)
+			// The chaos must be real chaos: a crash that changes no job's
+			// timing proves nothing about recovery.
+			if c := clean[cache]; faults == nil {
+				clean[cache] = r
+			} else if r.Makespan == c.Makespan && r.P99 == c.P99 && r.SlotSeconds == c.SlotSeconds {
+				t.Fatalf("cache=%v: the node crash left no mark on the run (makespan %.2f s, p99 %.2f s)",
+					cache, r.Makespan, r.P99)
+			}
+			if base == nil {
+				base = r.OutputHashes
+				continue
+			}
+			for job, want := range base {
+				if got := r.OutputHashes[job]; got != want {
+					t.Fatalf("cache=%v faults=%v: %s output %s, want %s", cache, faults, job, got, want)
 				}
 			}
 		}
@@ -70,6 +65,7 @@ func TestMemoByteIdentityGolden(t *testing.T) {
 // memo counters and residency gauges included — and the dashboard must
 // carry the cache row.
 func TestMemoFlightSeries(t *testing.T) {
+	t.Parallel()
 	dump := func() (series, dash []byte, hits int64) {
 		o := Options{Scale: 0.05, Seed: 3, MemoCache: true, FlightRecorder: true}
 		r, err := RunThroughput(A3x4(), memoWorkload(), o)
@@ -111,6 +107,7 @@ func TestMemoFlightSeries(t *testing.T) {
 // shared-subtree precision, makespan and slot-second wins) is enforced
 // inside Memo itself, so this pins that they all hold.
 func TestMemoExperiment(t *testing.T) {
+	t.Parallel()
 	fig, err := Memo(Options{Scale: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ func tracedRun(t *testing.T, v Variant) (*trace.Log, trace.SpanID, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer env.Close()
 	tr, _ := env.EnableObservability(1 << 14)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/obs", workloads.WordCountConfig{
 		Files: 2, FileBytes: 2 << 20, Seed: 1,
@@ -40,6 +39,7 @@ func tracedRun(t *testing.T, v Variant) (*trace.Log, trace.SpanID, int64) {
 // report partitions the job's wall-clock virtual time exactly — phase
 // durations sum to the profiler's elapsed time with zero error.
 func TestReportSumsToJobElapsed(t *testing.T) {
+	t.Parallel()
 	for _, v := range StandardVariants() {
 		v := v
 		t.Run(v.Name, func(t *testing.T) {
@@ -72,6 +72,7 @@ func TestReportSumsToJobElapsed(t *testing.T) {
 // lifecycle the issue names: AM allocation, container scheduling and
 // launch, and the map/shuffle/reduce sub-phases.
 func TestTraceCoversLifecycle(t *testing.T) {
+	t.Parallel()
 	tr, root, _ := tracedRun(t, VariantHadoop())
 	phases := map[string]int{}
 	names := map[string]bool{}
@@ -116,7 +117,6 @@ func exportAll(t *testing.T, v Variant) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer env.Close()
 	tr, reg := env.EnableObservability(1 << 14)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/det", workloads.WordCountConfig{
 		Files: 2, FileBytes: 1 << 20, Seed: 7,
@@ -149,6 +149,7 @@ func exportAll(t *testing.T, v Variant) []byte {
 // TestObservabilityDeterministic runs the same seeded simulation twice and
 // requires byte-identical trace, summary, and report output.
 func TestObservabilityDeterministic(t *testing.T) {
+	t.Parallel()
 	a := exportAll(t, VariantDPlus())
 	b := exportAll(t, VariantDPlus())
 	if !bytes.Equal(a, b) {
@@ -159,13 +160,13 @@ func TestObservabilityDeterministic(t *testing.T) {
 // TestChromeExportOfRealRunIsValid loads a real run's Chrome export and
 // checks the event stream is well-formed and covers the lifecycle.
 func TestChromeExportOfRealRunIsValid(t *testing.T) {
+	t.Parallel()
 	setup := A3x4()
 	v := VariantUPlus()
 	env, err := NewEnv(setup, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer env.Close()
 	tr, _ := env.EnableObservability(1 << 14)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/cv", workloads.WordCountConfig{
 		Files: 2, FileBytes: 1 << 20, Seed: 1,
@@ -206,6 +207,7 @@ func TestChromeExportOfRealRunIsValid(t *testing.T) {
 // TestPhaseBreakdownFigure runs the registered "phases" experiment at a
 // small scale and checks every mode's row partitions its total.
 func TestPhaseBreakdownFigure(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-mode sweep")
 	}

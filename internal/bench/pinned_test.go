@@ -45,6 +45,7 @@ func checkWorkload(t *testing.T, key string, r *ThroughputResult) {
 // TestGoldenCoversRegistry fails when a registered experiment has no pinned
 // figure.
 func TestGoldenCoversRegistry(t *testing.T) {
+	t.Parallel()
 	if pin.Updating() {
 		t.Skip("the table is being rewritten")
 	}

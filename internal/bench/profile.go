@@ -63,23 +63,21 @@ func (p *Profiles) Start() (stop func() error, err error) {
 	}, nil
 }
 
-// RunFlags declares the run flags both CLIs take — -seed -workers -node-fail
+// RunFlags declares the run flags both CLIs take — -seed -node-fail
 // -shuffle-service -shuffle-codec -memo -series-out -dash-out — on the
-// command line's flag set; call it before flag.Parse. workers is the
-// -workers default, the one value the two commands differ in. The returned
-// function reads the parsed flags into Options: the flight recorder is on
-// exactly when an artifact path asks for it, and a malformed -node-fail
-// schedule is the error.
-func RunFlags(workers int) func() (Options, error) {
+// command line's flag set; call it before flag.Parse. The returned function
+// reads the parsed flags into Options: the flight recorder is on exactly
+// when an artifact path asks for it, and a malformed -node-fail schedule is
+// the error.
+func RunFlags() func() (Options, error) {
 	var (
-		seed        = flag.Int64("seed", 1, "input synthesis / placement seed")
-		hostWorkers = flag.Int("workers", workers, "host worker threads for map/reduce computations: 0|1 sequential, >1 pool size, -1 all cores (virtual results are identical either way)")
-		nodeFail    = flag.String("node-fail", "", "node-fault schedule 'node@at[:restartAfter]', comma-separated (e.g. 'node-02@5s:20s'), injected into every simulation; times measured from cluster-ready")
-		shuffle     = flag.Bool("shuffle-service", false, "attach the per-node consolidating shuffle service (one fetch per node & partition, in-node combine)")
-		codec       = flag.String("shuffle-codec", "none", "shuffle-service wire codec: none | lz")
-		memo        = flag.Bool("memo", false, "attach the cross-job memoization cache: repeat submissions of an identical job over unchanged inputs are served from the cache without launching anything")
-		seriesOut   = flag.String("series-out", "", "enable the flight recorder and write its Prometheus series dump here")
-		dashOut     = flag.String("dash-out", "", "enable the flight recorder and write its HTML dashboard here")
+		seed      = flag.Int64("seed", 1, "input synthesis / placement seed")
+		nodeFail  = flag.String("node-fail", "", "node-fault schedule 'node@at[:restartAfter]', comma-separated (e.g. 'node-02@5s:20s'), injected into every simulation; times measured from cluster-ready")
+		shuffle   = flag.Bool("shuffle-service", false, "attach the per-node consolidating shuffle service (one fetch per node & partition, in-node combine)")
+		codec     = flag.String("shuffle-codec", "none", "shuffle-service wire codec: none | lz")
+		memo      = flag.Bool("memo", false, "attach the cross-job memoization cache: repeat submissions of an identical job over unchanged inputs are served from the cache without launching anything")
+		seriesOut = flag.String("series-out", "", "enable the flight recorder and write its Prometheus series dump here")
+		dashOut   = flag.String("dash-out", "", "enable the flight recorder and write its HTML dashboard here")
 	)
 	return func() (Options, error) {
 		faults, err := mapreduce.ParseNodeFaults(*nodeFail)
@@ -87,7 +85,7 @@ func RunFlags(workers int) func() (Options, error) {
 			return Options{}, err
 		}
 		return Options{
-			Seed: *seed, HostWorkers: *hostWorkers, NodeFaults: faults,
+			Seed: *seed, NodeFaults: faults,
 			ShuffleService: *shuffle, ShuffleCodec: *codec, MemoCache: *memo,
 			SeriesOut: *seriesOut, DashOut: *dashOut,
 			FlightRecorder: *seriesOut != "" || *dashOut != "",

@@ -110,7 +110,6 @@ func RunShuffleCase(setup ClusterSetup, c shuffleCase, cfg shuffleConfig, o Opti
 	if err != nil {
 		return nil, err
 	}
-	defer env.Close()
 	env.EnableObservability(1 << 16)
 	spec, output, err := c.Gen(env, o)
 	if err != nil {

@@ -9,6 +9,7 @@ import "testing"
 // workload, the in-node combiner cuts shuffle bytes on combiner workloads,
 // and lz compression cuts network bytes everywhere.
 func TestShuffleExperiment(t *testing.T) {
+	t.Parallel()
 	fig, err := Shuffle(testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +53,7 @@ func TestShuffleExperiment(t *testing.T) {
 // identical measurements — the consolidated shuffle must not perturb the
 // simulation's determinism.
 func TestShuffleDeterministic(t *testing.T) {
+	t.Parallel()
 	c := shuffleCases()[0]
 	cfg := shuffleConfigs()[2] // svc+lz, the most machinery engaged
 	o := Options{Scale: 0.05, Seed: 3}

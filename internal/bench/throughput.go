@@ -176,7 +176,6 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	if err != nil {
 		return nil, err
 	}
-	defer env.Close()
 	env.EnableObservability(1 << 16)
 	srv := env.Srv
 	env.FW.Predict = cfg.Predict

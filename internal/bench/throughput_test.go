@@ -11,6 +11,7 @@ import (
 // JobServer under both admission policies — the CI gate for the whole
 // submission stack (lifecycle, admission, queues, arrival processes).
 func TestThroughputSmoke(t *testing.T) {
+	t.Parallel()
 	o := Options{Scale: 0.05, Seed: 7}
 	for _, policy := range []core.AdmissionPolicy{core.PolicyFIFO, core.PolicyWeightedFair} {
 		r, err := RunThroughput(A3x4(), WorkloadConfig{
@@ -46,6 +47,7 @@ func TestThroughputSmoke(t *testing.T) {
 // TestThroughputDeterminism pins that the workload driver is a pure function
 // of its inputs: two runs with identical options agree exactly.
 func TestThroughputDeterminism(t *testing.T) {
+	t.Parallel()
 	run := func() *ThroughputResult {
 		r, err := RunThroughput(A3x4(), WorkloadConfig{
 			Jobs: 8, Tenants: 2, Arrival: "poisson:300ms", Policy: core.PolicyWeightedFair,
@@ -64,6 +66,7 @@ func TestThroughputDeterminism(t *testing.T) {
 
 // TestArrivalTimes covers the arrival-spec parser.
 func TestArrivalTimes(t *testing.T) {
+	t.Parallel()
 	if ts, err := arrivalTimes("burst", 3, 1); err != nil || ts[0] != 0 || ts[2] != 0 {
 		t.Errorf("burst: %v %v", ts, err)
 	}

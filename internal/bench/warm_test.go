@@ -8,6 +8,7 @@ import (
 // value with at least ⌈p·n⌉ samples at or below it. The old int(p·n) index
 // read one rank too high (p50 of 10 samples returned the 6th value).
 func TestPercentileNearestRank(t *testing.T) {
+	t.Parallel()
 	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
 		name   string
@@ -37,6 +38,7 @@ func TestPercentileNearestRank(t *testing.T) {
 // spend materially fewer cluster-slot seconds than the always-racing
 // baseline, and produce byte-identical outputs.
 func TestWarmSweepSmoke(t *testing.T) {
+	t.Parallel()
 	o := Options{Scale: 0.05, Seed: 7}
 	cfgRace := warmWorkload(false)
 	cfgPred := warmWorkload(true)

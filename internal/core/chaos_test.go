@@ -69,6 +69,7 @@ func runChaosDPlus(t *testing.T, seed int64, faults []mapreduce.NodeFault) (*map
 // several placement seeds, the faulty run's output is byte-identical to the
 // fault-free run's.
 func TestChaosOutputByteIdenticalAcrossSeeds(t *testing.T) {
+	t.Parallel()
 	for seed := int64(1); seed <= 3; seed++ {
 		clean, cleanOut, _ := runChaosDPlus(t, seed, nil)
 		mid := time.Duration(float64(clean.Elapsed())/2*float64(time.Second)) + time.Millisecond
@@ -84,6 +85,7 @@ func TestChaosOutputByteIdenticalAcrossSeeds(t *testing.T) {
 // pool detects the loss, relaunches a standby on a surviving node, and the
 // submitted job still completes with correct output.
 func TestPoolAMNodeCrashReplenished(t *testing.T) {
+	t.Parallel()
 	rt := chaosRuntime(t, 1)
 	f := startFramework(t, rt, 3)
 	victim := f.Pool.ams[0].Node
@@ -116,6 +118,7 @@ func TestPoolAMNodeCrashReplenished(t *testing.T) {
 // submission must degrade gracefully to the stock submission path instead of
 // deadlocking on an empty pool.
 func TestPoolExhaustionFallsBackToStock(t *testing.T) {
+	t.Parallel()
 	rt := chaosRuntime(t, 1)
 	rt.Trace = trace.New(rt.Eng, 1<<12)
 	f := startFramework(t, rt, 1)
@@ -187,6 +190,7 @@ func assertStagedOnce(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result
 // When one racing speculative mode's AM machine dies before the decision
 // point, that mode drops out and the survivor wins with correct output.
 func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
+	t.Parallel()
 	rt := chaosRuntime(t, 1)
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 8, 8<<20)
@@ -230,6 +234,7 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 // lost, no racing mode is left: the winner must be relaunched on a fresh
 // pooled AM, as a single-mode submission is, instead of failing the job.
 func TestSpeculativeRelaunchesWinnerLostAfterVerdict(t *testing.T) {
+	t.Parallel()
 	race := func(victim int, crashAt sim.Time) (*mapreduce.Result, *Framework, *mapreduce.Runtime, []byte) {
 		rt := chaosRuntime(t, 1)
 		f := startFramework(t, rt, 3)
@@ -319,6 +324,7 @@ func runColdUPlus(t *testing.T, queue string, arm func(rt *mapreduce.Runtime)) (
 // container — the only container a U+ job has — to the tenant's queue, or it
 // escapes the queue's capacity ceiling.
 func TestColdUPlusChargesTenantQueue(t *testing.T) {
+	t.Parallel()
 	var peakTenant, peakDefault topology.Resource
 	res, rt, all := runColdUPlus(t, "tenant-a", func(rt *mapreduce.Runtime) {
 		rt.Eng.Every(50*time.Millisecond, func() {
@@ -346,6 +352,7 @@ func TestColdUPlusChargesTenantQueue(t *testing.T) {
 // other cold submission (up to MaxAMAttempts) and finish with correct output
 // on the second attempt.
 func TestChaosColdUPlusRelaunchesLostAM(t *testing.T) {
+	t.Parallel()
 	clean, _, _ := runColdUPlus(t, "", nil)
 	if clean.Err != nil {
 		t.Fatalf("clean run failed: %v", clean.Err)

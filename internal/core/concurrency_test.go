@@ -12,6 +12,7 @@ import (
 // racers (2 jobs × 2 modes) share the pool and cluster. Both must finish
 // with correct output and the pool must drain back to idle.
 func TestConcurrentSpeculativeJobs(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 4)
 	namesA, allA := stageInput(t, rt, 3, 512<<10)
@@ -58,6 +59,7 @@ func TestConcurrentSpeculativeJobs(t *testing.T) {
 // TestManySequentialJobsThroughPool stresses AM reuse: ten jobs back to
 // back must all succeed through the same 2-AM pool with no leakage.
 func TestManySequentialJobsThroughPool(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 2)
 	names, all := stageInput(t, rt, 2, 128<<10)
@@ -93,6 +95,7 @@ func TestManySequentialJobsThroughPool(t *testing.T) {
 // TestSpeculativeJobsQueueOnSmallPool: with a 2-AM pool, a second
 // speculative job must wait for AMs instead of deadlocking.
 func TestSpeculativeJobsQueueOnSmallPool(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 2)
 	names, _ := stageInput(t, rt, 2, 256<<10)

@@ -20,6 +20,7 @@ import (
 // Result.Mode, carries estimates exactly where the decision maker computed
 // them, and puts a race's verdict inside the job.
 func TestDecisionRecordOnBothRoutes(t *testing.T) {
+	t.Parallel()
 	for _, route := range []string{"Framework.Submit", "JobServer.Submit"} {
 		t.Run(route, func(t *testing.T) {
 			rt, reg := memoRuntime(t)

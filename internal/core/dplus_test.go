@@ -48,6 +48,7 @@ func checkAtTeardown(t testing.TB, rt *mapreduce.Runtime) {
 func oneContainer() topology.Resource { return topology.Resource{VCores: 1, MemoryMB: 1024} }
 
 func TestDPlusGrantsInSameHeartbeat(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	app := rt.RM.NewApp("j")
 	ask := &yarn.Ask{App: app, Resource: oneContainer(), Tag: "map-0"}
@@ -67,6 +68,7 @@ func TestDPlusGrantsInSameHeartbeat(t *testing.T) {
 }
 
 func TestDPlusSpreadsAcrossNodes(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	app := rt.RM.NewApp("j")
 	var asks []*yarn.Ask
@@ -91,6 +93,7 @@ func TestDPlusSpreadsAcrossNodes(t *testing.T) {
 }
 
 func TestDPlusHonorsNodeLocality(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	app := rt.RM.NewApp("j")
 	pref := rt.Cluster.Workers()[2]
@@ -114,6 +117,7 @@ func TestDPlusHonorsNodeLocality(t *testing.T) {
 }
 
 func TestDPlusLocalityTiersPreferRackOverAny(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	app := rt.RM.NewApp("j")
 	pref := rt.Cluster.Workers()[0] // rack-0, as is worker 2
@@ -143,6 +147,7 @@ func TestDPlusLocalityTiersPreferRackOverAny(t *testing.T) {
 }
 
 func TestDPlusWithoutSameHeartbeatWaitsForNodeUpdate(t *testing.T) {
+	t.Parallel()
 	opts := FullDPlus()
 	opts.SameHeartbeat = false
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(opts))
@@ -175,6 +180,7 @@ func TestDPlusWithoutSameHeartbeatWaitsForNodeUpdate(t *testing.T) {
 }
 
 func TestDPlusWithoutBalancedSpreadPacksGreedily(t *testing.T) {
+	t.Parallel()
 	opts := FullDPlus()
 	opts.BalancedSpread = false
 	opts.LocalityAware = false
@@ -202,6 +208,7 @@ func TestDPlusWithoutBalancedSpreadPacksGreedily(t *testing.T) {
 }
 
 func TestDPlusQueueDrainsOnNodeUpdateWhenFull(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 1, NewDPlusScheduler(FullDPlus()))
 	app := rt.RM.NewApp("j")
 	// 9 asks on a 7-slot node: 7 granted immediately, 2 queued.
@@ -236,6 +243,7 @@ func TestDPlusQueueDrainsOnNodeUpdateWhenFull(t *testing.T) {
 // Property: under random ask streams the D+ scheduler never overcommits any
 // node and every grant respects the tracker accounting.
 func TestQuickDPlusNoOvercommit(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine()
@@ -268,6 +276,7 @@ func TestQuickDPlusNoOvercommit(t *testing.T) {
 }
 
 func TestDPlusSchedulerName(t *testing.T) {
+	t.Parallel()
 	s := NewDPlusScheduler(FullDPlus())
 	if s.Name() != "mrapid-dplus" {
 		t.Fatalf("Name = %q", s.Name())
@@ -278,6 +287,7 @@ func TestDPlusSchedulerName(t *testing.T) {
 }
 
 func TestEstimatorEquations(t *testing.T) {
+	t.Parallel()
 	in := EstimatorInputs{
 		TM:  2 * time.Second,
 		SI:  10 << 20,
@@ -315,6 +325,7 @@ func TestEstimatorEquations(t *testing.T) {
 }
 
 func TestDecide(t *testing.T) {
+	t.Parallel()
 	base := EstimatorInputs{
 		TM: time.Second, SO: 1 << 20, NM: 4, NC: 16, NUM: 4,
 		TL: 2500 * time.Millisecond, DI: 50e6, DO: 60e6, BI: 50e6,
@@ -335,6 +346,7 @@ func TestDecide(t *testing.T) {
 }
 
 func TestWavesAndIOTime(t *testing.T) {
+	t.Parallel()
 	if waves(8, 4) != 2 || waves(9, 4) != 3 || waves(1, 4) != 1 || waves(5, 0) != 5 {
 		t.Fatal("waves arithmetic wrong")
 	}
@@ -344,6 +356,7 @@ func TestWavesAndIOTime(t *testing.T) {
 }
 
 func TestInputsFromProfile(t *testing.T) {
+	t.Parallel()
 	p := costmodel.Default()
 	s := profilerSummary()
 	in := InputsFromProfile(s, 8, 16, 4, topology.A3, p)

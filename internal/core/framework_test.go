@@ -122,6 +122,7 @@ func verifyWC(t testing.TB, rt *mapreduce.Runtime, output string, input []byte) 
 }
 
 func TestPoolStartAcquireRelease(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	if f.Pool.Idle() != 3 {
@@ -146,6 +147,7 @@ func TestPoolStartAcquireRelease(t *testing.T) {
 }
 
 func TestPoolOccupiesClusterResources(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	startFramework(t, rt, 3)
 	used := rt.RM.TotalUsed()
@@ -155,6 +157,7 @@ func TestPoolOccupiesClusterResources(t *testing.T) {
 }
 
 func TestPoolReleaseIdlePanics(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 1)
 	defer func() {
@@ -166,6 +169,7 @@ func TestPoolReleaseIdlePanics(t *testing.T) {
 }
 
 func TestDPlusEndToEnd(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
@@ -190,6 +194,7 @@ func TestDPlusEndToEnd(t *testing.T) {
 }
 
 func TestUPlusEndToEnd(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
@@ -214,6 +219,7 @@ func TestUPlusEndToEnd(t *testing.T) {
 }
 
 func TestDPlusFasterThanStockHadoop(t *testing.T) {
+	t.Parallel()
 	run := func(sched yarn.Scheduler, framework bool) float64 {
 		rt := newRuntime(t, topology.A3, 4, sched)
 		names, _ := stageInput(t, rt, 8, 1<<20)
@@ -254,6 +260,7 @@ func TestDPlusFasterThanStockHadoop(t *testing.T) {
 }
 
 func TestUPlusFasterThanStockUber(t *testing.T) {
+	t.Parallel()
 	run := func(uplus bool) float64 {
 		rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 		names, _ := stageInput(t, rt, 4, 1<<20)
@@ -287,6 +294,7 @@ func TestUPlusFasterThanStockUber(t *testing.T) {
 }
 
 func TestUPlusCacheOverflowSpills(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	rt.Params.UberCacheBytes = 64 << 10 // tiny budget: most maps must spill
 	f := NewFramework(rt, 2, FullUPlus())
@@ -321,6 +329,7 @@ func TestUPlusCacheOverflowSpills(t *testing.T) {
 }
 
 func TestUPlusColdSlowerThanPooled(t *testing.T) {
+	t.Parallel()
 	runCold := func() float64 {
 		rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 		names, _ := stageInput(t, rt, 2, 512<<10)
@@ -355,6 +364,7 @@ func TestUPlusColdSlowerThanPooled(t *testing.T) {
 }
 
 func TestHistoryRoundTrip(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	h := NewHistory()
 	h.Record("wordcount", ModeDPlus, 20*time.Second)
@@ -395,6 +405,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 }
 
 func TestUPlusOptionsMapsPerWave(t *testing.T) {
+	t.Parallel()
 	eng := sim.NewEngine()
 	node := topology.NewNode(eng, 1, "rack-0", topology.A3)
 	if got := FullUPlus().MapsPerWave(node); got != 4 {
@@ -432,6 +443,7 @@ func observedNames(t *testing.T, sched yarn.Scheduler, submit func(rt *mapreduce
 // mint exactly the series stock Uber always minted — no zero-valued cache
 // gauge — whether cold-submitted or dispatched to a pooled AM.
 func TestInAMCacheGaugeOnlyWhenAdmitted(t *testing.T) {
+	t.Parallel()
 	pooled := func(opts UPlusOptions) func(*mapreduce.Runtime, *mapreduce.JobSpec, func(*mapreduce.Result)) {
 		return func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 			f := NewFramework(rt, 3, opts)

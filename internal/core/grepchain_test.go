@@ -14,6 +14,7 @@ import (
 // speculatively. The second job is tiny — exactly the ad-hoc short-job
 // traffic the framework targets.
 func TestGrepChainThroughFramework(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 

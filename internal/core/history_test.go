@@ -13,6 +13,7 @@ import (
 // run rewrote the whole record. Elapsed must be the running mean over every
 // recorded run.
 func TestHistoryRecordRunningAggregates(t *testing.T) {
+	t.Parallel()
 	h := NewHistory()
 	h.Record("job", ModeDPlus, 10*time.Second)
 	h.Record("job", ModeDPlus, 20*time.Second)
@@ -31,6 +32,7 @@ func TestHistoryRecordRunningAggregates(t *testing.T) {
 // (avg_map_cpu, avg_in, avg_out) still loads, with everything the decision
 // maker reads intact.
 func TestHistoryLoadsSnapshotWithDroppedAggregates(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
 	old := `{"version": 2, "jobs": [{"job": "wordcount", "winner": "uplus", "elapsed": 9000000000,
 		"avg_map_cpu": 1500000000, "avg_in": 10485760, "avg_out": 12582912, "runs": 3,
@@ -51,6 +53,7 @@ func TestHistoryLoadsSnapshotWithDroppedAggregates(t *testing.T) {
 // The winner is a majority vote with ties going to the latest run: a single
 // anomalous U+ win amid a D+ streak must not flip the decision.
 func TestHistoryWinnerMajorityVote(t *testing.T) {
+	t.Parallel()
 	h := NewHistory()
 	h.Record("job", ModeDPlus, 10*time.Second)
 	h.Record("job", ModeDPlus, 10*time.Second)
@@ -69,6 +72,7 @@ func TestHistoryWinnerMajorityVote(t *testing.T) {
 // The version-2 snapshot round-trips both the exact-match entries and the
 // per-class calibration aggregates.
 func TestHistoryV2RoundTripWithClasses(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
 	h := NewHistory()
 	h.Record("wordcount", ModeDPlus, 20*time.Second)
@@ -101,6 +105,7 @@ func TestHistoryV2RoundTripWithClasses(t *testing.T) {
 // The confidence gate: too few runs, noisy across-run rates, or internally
 // skewed maps all keep a class racing.
 func TestHistoryConfidenceGate(t *testing.T) {
+	t.Parallel()
 	h := NewHistory()
 	stable := profilerSummary()
 
@@ -145,6 +150,7 @@ func TestHistoryConfidenceGate(t *testing.T) {
 
 // Observe ignores unusable samples instead of poisoning the aggregates.
 func TestHistoryObserveGuards(t *testing.T) {
+	t.Parallel()
 	h := NewHistory()
 	h.Observe("", ModeDPlus, time.Second, time.Second, profilerSummary())
 	h.Observe("c", ModeDPlus, time.Second, time.Second, profiler.Summary{})

@@ -16,6 +16,7 @@ import (
 // submitted. A late joiner must start at the current minimum served/weight
 // ratio (virtual-time join).
 func TestTenantForVirtualTimeJoin(t *testing.T) {
+	t.Parallel()
 	s := &JobServer{tenants: map[string]*tenantState{
 		"a": {name: "a", weight: 2, served: 10}, // ratio 5
 		"b": {name: "b", weight: 1, served: 8},  // ratio 8
@@ -44,6 +45,7 @@ func TestTenantForVirtualTimeJoin(t *testing.T) {
 // one admission slot, not two: with a window of 2 (a pool of two AMs), two
 // such jobs run concurrently where undecided races could not.
 func TestJobServerPreDecidedSpeculativeCostsOne(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f, s := startJobServer(t, rt, 2, JobServerConfig{})
 	names, input := stageInput(t, rt, 4, 1<<20)
@@ -101,6 +103,7 @@ func (o *inFlightAtAdmission) JobCompleted(string, bool)         {}
 // first races and holds the whole window, the second waits, then runs alone
 // from the history the race recorded — and is charged one slot for it.
 func TestJobServerChargesTheDecisionAtAdmission(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	_, s := startJobServer(t, rt, 2, JobServerConfig{})
 	obs := &inFlightAtAdmission{s: s}

@@ -138,6 +138,7 @@ func coldFlow(t *testing.T, mode ModeKind) pin.Record {
 //     cold relaunch's), tasks 5 → 8 (the first attempt's three finished maps
 //     stay on record).
 func TestLauncherGoldenFingerprints(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name string
 		run  func(t *testing.T) pin.Record
@@ -209,6 +210,7 @@ func TestLauncherGoldenFingerprints(t *testing.T) {
 // is an error result from Framework.Submit and a rejection from the JobServer,
 // except ModeSpeculative, which both take to the decision maker.
 func TestModeTable(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		kind ModeKind
 		pool bool

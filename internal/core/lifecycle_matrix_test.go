@@ -140,6 +140,7 @@ func failedAttempts(p *profiler.JobProfile) int {
 // the machine under the reduce side), must finish at the pinned virtual
 // instant with the pinned output bytes.
 func TestLifecycleMatrixGolden(t *testing.T) {
+	t.Parallel()
 	for shape, sh := range lifecycleShapes {
 		for _, service := range []bool{false, true} {
 			svc := "off"

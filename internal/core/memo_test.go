@@ -58,6 +58,7 @@ func submitWC(t *testing.T, f *Framework, spec *mapreduce.JobSpec) *mapreduce.Re
 // reports ModeMemo under the "memo" transport; mutating an input block
 // invalidates the entry and forces full re-execution.
 func TestMemoHitSkipsExecution(t *testing.T) {
+	t.Parallel()
 	rt, reg := memoRuntime(t)
 	f := startFramework(t, rt, 2)
 	f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
@@ -143,6 +144,7 @@ func TestMemoHitSkipsExecution(t *testing.T) {
 // and no outcome recorded (a served result must not calibrate the
 // estimator).
 func TestMemoSpeculativeHit(t *testing.T) {
+	t.Parallel()
 	rt, reg := memoRuntime(t)
 	f := startFramework(t, rt, 2)
 	f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
@@ -191,6 +193,7 @@ func TestMemoSpeculativeHit(t *testing.T) {
 // disk-tier entry whose holder died fails the lookup and the submission
 // falls through to full execution, then recommits.
 func TestMemoDiskLossFallsThrough(t *testing.T) {
+	t.Parallel()
 	rt, reg := memoRuntime(t)
 	f := startFramework(t, rt, 2)
 	// A 1-byte memory tier forces every entry straight to a worker disk.
@@ -242,6 +245,7 @@ func TestMemoDiskLossFallsThrough(t *testing.T) {
 // dropped and counted lost, and the submission executes for real. Before
 // the read went through the protocol it installed bytes off the dead disk.
 func TestMemoDiskHolderLostUnderRead(t *testing.T) {
+	t.Parallel()
 	for _, window := range []string{"round-trip", "disk read"} {
 		rt, reg := memoRuntime(t)
 		f := startFramework(t, rt, 2)
@@ -293,6 +297,7 @@ func (w wordFilter) Map(_, line []byte, emit mapreduce.Emit) {
 // input — same JobKey, same symbols — each get their own output, and neither
 // cache is consulted.
 func TestMethodValueTransformIsNeverServedFromACache(t *testing.T) {
+	t.Parallel()
 	rt, reg := memoRuntime(t)
 	f := startFramework(t, rt, 2)
 	f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})

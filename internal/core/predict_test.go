@@ -55,6 +55,7 @@ func runSpeculativeSeq(t *testing.T, f *Framework, names []string, n int) []*map
 // A first-sight workload class must race even with prediction enabled: the
 // estimator has no aggregates, so the full dual-launch runs and calibrates.
 func TestPredictFirstSightStillRaces(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	rt.Reg = metrics.New()
 	f := startFramework(t, rt, 3)
@@ -80,6 +81,7 @@ func TestPredictFirstSightStillRaces(t *testing.T) {
 // winner directly — no dual-launch — with byte-identical output, and the
 // prediction error lands in the metrics.
 func TestPredictConvergedClassGoesDirect(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	rt.Reg = metrics.New()
 	f := startFramework(t, rt, 3)
@@ -132,6 +134,7 @@ func TestPredictConvergedClassGoesDirect(t *testing.T) {
 // Golden determinism: a direct-picked job's output must be byte-identical to
 // what the full race would have produced in an identical universe.
 func TestPredictDirectOutputMatchesRace(t *testing.T) {
+	t.Parallel()
 	run := func(predict bool) (*mapreduce.Runtime, *mapreduce.Result) {
 		rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 		f := startFramework(t, rt, 3)
@@ -163,6 +166,7 @@ func TestPredictDirectOutputMatchesRace(t *testing.T) {
 // run's own measured sample — would have finished sooner than we actually
 // did, the pick is charged to the regret counter and histogram.
 func TestPredictRegretAccounting(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	rt.Reg = metrics.New()
 	f := startFramework(t, rt, 3)

@@ -45,6 +45,7 @@ func pooledRun(t *testing.T, mode ModeKind, arm func(*mapreduce.Runtime, *Framew
 // at the first hand-off to the proxy, not at the relaunch, so what it reports
 // is what the client waited for.
 func TestRelaunchedPooledJobIsMeasuredFromItsFirstAttempt(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []ModeKind{ModeUPlus, ModeDPlus} {
 		t.Run(string(mode), func(t *testing.T) {
 			clean, _, _, _, _ := pooledRun(t, mode, nil)

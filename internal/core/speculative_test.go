@@ -33,6 +33,7 @@ func runSpeculative(t *testing.T, f *Framework, spec *mapreduce.JobSpec) *mapred
 }
 
 func TestSpeculativeFirstRunRacesAndDecides(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
@@ -69,6 +70,7 @@ func TestSpeculativeFirstRunRacesAndDecides(t *testing.T) {
 }
 
 func TestSpeculativeSecondRunUsesHistory(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, _ := stageInput(t, rt, 4, 1<<20)
@@ -102,6 +104,7 @@ func TestSpeculativeSecondRunUsesHistory(t *testing.T) {
 }
 
 func TestSpeculativeHistoryPersistsAcrossFrameworks(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, _ := stageInput(t, rt, 4, 512<<10)
@@ -121,6 +124,7 @@ func TestSpeculativeHistoryPersistsAcrossFrameworks(t *testing.T) {
 }
 
 func TestSpeculativeComputeBoundJobPicksUPlus(t *testing.T) {
+	t.Parallel()
 	// A PI-like job: 4 tiny splits, heavy fixed compute. One U+ wave does
 	// all maps in parallel with no container launches; the estimator must
 	// pick U+.
@@ -146,6 +150,7 @@ func TestSpeculativeComputeBoundJobPicksUPlus(t *testing.T) {
 }
 
 func TestSpeculativeWideJobPicksDPlus(t *testing.T) {
+	t.Parallel()
 	// 16 heavy maps on a 4-core U+ node need 4 waves; 16 D+ containers do
 	// one wave. D+ must win.
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
@@ -168,6 +173,7 @@ func TestSpeculativeWideJobPicksDPlus(t *testing.T) {
 // error result naming the pool size — the job fails alone, the way the
 // JobServer refuses it — where the speculative entry used to panic the process.
 func TestSpeculativeNeedsPool(t *testing.T) {
+	t.Parallel()
 	rt, reg := memoRuntime(t)
 	f := startFramework(t, rt, 1)
 	f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
@@ -213,6 +219,7 @@ func failAllMapAttempts(rt *mapreduce.Runtime, splits, maxAttempts int, filter f
 // nonexistent output, and failing the whole job. The crashed mode must
 // drop out and the survivor must win.
 func TestSpeculativeSurvivesOneModeCrash(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
@@ -249,6 +256,7 @@ func TestSpeculativeSurvivesOneModeCrash(t *testing.T) {
 
 // Mirror case: D+ crashes, U+ survives and wins.
 func TestSpeculativeSurvivesDPlusCrash(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 4, 1<<20)
@@ -272,6 +280,7 @@ func TestSpeculativeSurvivesDPlusCrash(t *testing.T) {
 // Only when both modes crash does the speculative job fail as a whole —
 // with the underlying task error, clean temp state, and a free pool.
 func TestSpeculativeBothModesCrashFailsJob(t *testing.T) {
+	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
 	f := startFramework(t, rt, 3)
 	names, _ := stageInput(t, rt, 4, 512<<10)
@@ -296,6 +305,7 @@ func TestSpeculativeBothModesCrashFailsJob(t *testing.T) {
 }
 
 func TestSpeculativeOutputMatchesSingleMode(t *testing.T) {
+	t.Parallel()
 	// The speculative pipeline (temp outputs + rename) must not corrupt the
 	// result: compare with a plain D+ run.
 	mk := func() (*mapreduce.Runtime, *Framework, []string, []byte) {

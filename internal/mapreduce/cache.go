@@ -18,10 +18,10 @@ import (
 // or stored.
 //
 // MapCache is safe for concurrent use: entries live in sharded,
-// mutex-protected maps so worker-pool goroutines (Runtime.Workers > 1) and
-// the engine goroutine can hit it simultaneously, and a single
-// mutex-protected FIFO ledger enforces the global byte budget on the rarer
-// store path.
+// mutex-protected maps so simulations driven from different goroutines —
+// mrapid-bench's concurrent experiments, parallel tests — can share one
+// cache and hit it simultaneously, and a single mutex-protected FIFO ledger
+// enforces the global byte budget on the rarer store path.
 type MapCache struct {
 	shards [cacheShardCount]cacheShard
 

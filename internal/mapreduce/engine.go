@@ -37,9 +37,9 @@ type Runtime struct {
 	Trace *trace.Log
 
 	// Reg, when non-nil, receives task-duration and shuffle-byte
-	// histograms and task counters. It must be thread-safe: completions
-	// run on the engine goroutine, but nothing stops future callers from
-	// observing from worker-pool tasks.
+	// histograms and task counters. Every observation comes from the engine
+	// goroutine; the registry's own locking lets a reader on another
+	// goroutine snapshot it mid-run.
 	Reg *metrics.Registry
 
 	// Intermediates, when non-nil, holds intra-query intermediate tables
@@ -62,16 +62,6 @@ type Runtime struct {
 	// inAMs is the set of running in-AM executors, each holding a cache
 	// budget until its teardown (see CheckResidency).
 	inAMs map[*InAM]struct{}
-
-	// Workers opts into parallel host-side execution of the pure map and
-	// reduce computations: 0 or 1 keeps the fully sequential path, a value
-	// > 1 sizes a bounded worker pool of real OS threads, and a negative
-	// value asks for DefaultWorkers (GOMAXPROCS). The virtual timeline is
-	// byte-for-byte identical across all settings — the pool changes host
-	// wall-clock time only. Set before the first task runs.
-	Workers int
-
-	pool *WorkerPool
 
 	// zeros is the one immutable all-zero buffer every staged job artifact
 	// is a view of (see UploadArtifacts).
@@ -114,27 +104,6 @@ func (rt *Runtime) handles() *rtHandles {
 		}
 	}
 	return &rt.h
-}
-
-// workerPool lazily builds the pool selected by Workers. Called only from
-// the engine goroutine, like every other Runtime method.
-func (rt *Runtime) workerPool() *WorkerPool {
-	if rt.Workers >= 0 && rt.Workers <= 1 {
-		return nil
-	}
-	if rt.pool == nil {
-		rt.pool = NewWorkerPool(rt.Workers) // Workers < 0 → DefaultWorkers
-	}
-	return rt.pool
-}
-
-// CloseWorkers shuts the worker pool down (a no-op when none was started).
-// Call it when a Runtime with Workers > 1 is discarded.
-func (rt *Runtime) CloseWorkers() {
-	if rt.pool != nil {
-		rt.pool.Close()
-		rt.pool = nil
-	}
 }
 
 // NewRuntime wires a runtime together.
@@ -354,29 +323,20 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 			})
 			return
 		}
-		// Dispatch the pure map computation as soon as the bytes are known:
-		// on the worker pool it overlaps with other tasks (and with the
-		// engine itself); on the sequential path Async runs it inline here.
-		// Either way the virtual timeline below is identical.
-		fut := Async(rt.workerPool(), func() *MapOutput {
-			return rt.execMapCached(spec, split, data)
-		})
 		node.Cores.Acquire(1, func() {
 			if !node.AliveEpoch(epoch) {
-				fut.Wait() // drain the host-side computation
 				return
 			}
 			// Charge the map function first — its cost depends only on the
-			// input size — and await the real result when the output-sized
-			// sort charge needs it. The await point is a fixed event on the
-			// virtual timeline, so parallelism never reorders anything.
+			// input size — and run it when the output-sized sort charge
+			// needs its result.
 			compute := spec.MapComputeTime(split, int64(len(data)), node)
 			computeStart := rt.Eng.Now()
 			rt.Eng.After(compute, func() {
-				mo := fut.Wait()
 				if !node.AliveEpoch(epoch) {
 					return
 				}
+				mo := rt.execMapCached(spec, split, data)
 				mo.Split = split
 				mo.Resident = topology.Resident{Node: node, Epoch: epoch, InMemory: opts.KeepInMemory != nil && opts.KeepInMemory(mo.TotalBytes)}
 				tp.Records = mo.Records
@@ -412,10 +372,9 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 	})
 }
 
-// execMapCached runs ExecMapFile through the MapCache. It is called from
-// worker-pool goroutines, possibly concurrently for the same key (e.g. the
-// two speculative modes mapping the same split); the cache's sharded locks
-// make that safe, and the duplicate store deduplicates.
+// execMapCached runs ExecMapFile through the MapCache. Simulations on other
+// goroutines may map the same key at the same moment; the cache's sharded
+// locks make that safe, and the duplicate store deduplicates.
 func (rt *Runtime) execMapCached(spec *JobSpec, split *hdfs.Split, data []byte) *MapOutput {
 	k, reusable := rt.MapCache.key(spec, split.File, split.Offset, data)
 	if reusable {
@@ -670,12 +629,8 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 		})
 		return
 	}
-	// The reduce computation is pure over already-materialized map outputs;
-	// dispatch it now and await the encoded bytes only at the write point.
-	fut := Async(rt.workerPool(), func() Reduced { return ExecReduce(spec, part, outputs) })
 	node.Cores.Acquire(1, func() {
 		if !node.AliveEpoch(epoch) {
-			fut.Wait() // drain the host-side computation
 			return
 		}
 		compute := spec.ReduceComputeTime(in, node)
@@ -683,10 +638,12 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 		compute += time.Duration(float64(in) / (rt.Params.SortCPUBytesPerSec * node.Type.CPUSpeed) * float64(time.Second))
 		computeStart := rt.Eng.Now()
 		rt.Eng.After(compute, func() {
-			r := fut.Wait()
 			if !node.AliveEpoch(epoch) {
 				return
 			}
+			// The reduce is pure over already-materialized map outputs; it
+			// runs where the write needs its bytes.
+			r := ExecReduce(spec, part, outputs)
 			tp.OutputBytes = int64(len(r.Encoded))
 			tp.Records = r.Records
 			tp.ComputeDur = rt.Eng.Now().Sub(computeStart)

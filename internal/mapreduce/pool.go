@@ -6,10 +6,10 @@ import "sync"
 // and byte slabs that belong to the output they were built for, so there is
 // nothing to hand back and no ownership rule to follow. The one piece of
 // scratch left is the values slice a merge fills per key for the reducer or
-// combiner. Map and reduce computations run on host worker goroutines (see
-// parallel.go), hence a sync.Pool rather than a per-runtime free list; the
-// slice is cleared before pooling so stale value headers do not pin a
-// finished job's stores.
+// combiner. Simulations on different goroutines merge at the same time,
+// hence a sync.Pool rather than a per-runtime free list; the slice is
+// cleared before pooling so stale value headers do not pin a finished job's
+// stores.
 
 var valsPool = sync.Pool{New: func() any { vs := make([][]byte, 0, 64); return &vs }}
 

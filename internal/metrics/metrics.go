@@ -130,9 +130,8 @@ func (hc *histCell) snapshot() *Histogram {
 // usable; call New. A nil *Registry is a valid "disabled" registry: every
 // method is a no-op (reads return zero values, handle constructors return
 // no-op handles), so components can carry an optional registry without
-// guards. Registries are safe for concurrent use — PR 1's WorkerPool
-// executes host-side map functions on multiple goroutines, and task-level
-// instrumentation records from all of them.
+// guards. Registries are safe for concurrent use: a reader may snapshot one
+// while the simulation that owns it is still recording.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*counterCell

@@ -93,10 +93,10 @@ type Compiled struct {
 
 	// AggParseErrors counts non-numeric values that SUM/MIN/MAX/AVG
 	// aggregates skipped during this query's map tasks (satellite: the old
-	// planner silently aggregated them as 0). Incremented from worker-pool
-	// goroutines, hence atomic; under a speculative race both modes map the
-	// same rows, so treat the count as a lower-bounded signal, not an exact
-	// row count.
+	// planner silently aggregated them as 0). Atomic, so one compiled query
+	// can run in simulations on several goroutines; under a speculative race
+	// both modes map the same rows, so treat the count as a lower-bounded
+	// signal, not an exact row count.
 	AggParseErrors *atomic.Int64
 }
 

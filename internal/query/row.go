@@ -78,9 +78,9 @@ func (s spans) appendFields(dst, row []byte, idx []int) []byte {
 	return dst
 }
 
-// scratch is the buffer a closure builds its emitted bytes in. Closures run
-// concurrently on worker-pool goroutines and share nothing mutable; each call
-// borrows a buffer for its own duration. A new one starts wide enough for the
+// scratch is the buffer a closure builds its emitted bytes in. Closures may
+// run concurrently in simulations on different goroutines and share nothing
+// mutable; each call borrows a buffer for its own duration. A new one starts wide enough for the
 // usual row, so a pool the collector emptied refills in one step.
 type scratch struct{ b []byte }
 

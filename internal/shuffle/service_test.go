@@ -28,7 +28,7 @@ type world struct {
 
 // newWorld builds a 4-node A3 runtime; with attach false the service stays
 // off and codec is ignored.
-func newWorld(t testing.TB, seed int64, hostWorkers int, attach bool, codec string) *world {
+func newWorld(t testing.TB, seed int64, attach bool, codec string) *world {
 	t.Helper()
 	eng := sim.NewEngine()
 	cluster, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 4, Racks: 2})
@@ -50,7 +50,6 @@ func newWorld(t testing.TB, seed int64, hostWorkers int, attach bool, codec stri
 	rm := yarn.NewRM(eng, cluster, params, core.NewDPlusScheduler(core.FullDPlus()))
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
-	rt.Workers = hostWorkers
 	rt.Reg = metrics.New()
 	w := &world{rt: rt, reg: rt.Reg}
 	if attach {
@@ -60,7 +59,6 @@ func newWorld(t testing.TB, seed int64, hostWorkers int, attach bool, codec stri
 		}
 		w.svc = svc
 	}
-	t.Cleanup(rt.CloseWorkers)
 	return w
 }
 
@@ -112,28 +110,20 @@ func pinRun(t *testing.T, run string, w *world, res *mapreduce.Result, out []byt
 }
 
 // The golden determinism contract: attaching the service — with or without
-// compression — must not change a single byte of job output, at any host
-// worker count. Virtual completion time may differ (the service changes the
-// cost model); within one configuration it must not depend on HostWorkers.
+// compression — must not change a single byte of job output. Virtual
+// completion time may differ (the service changes the cost model). The
+// workers=0 suffix is part of the pinned run keys.
 func TestGoldenOutputAcrossServiceAndWorkers(t *testing.T) {
 	var goldenOut []byte
-	elapsed := map[string]float64{}
 	for _, service := range []string{"off", "none", "lz"} {
-		for _, workers := range []int{0, 4} {
-			run := fmt.Sprintf("distributed service=%s workers=%d", service, workers)
-			w := newWorld(t, 1, workers, service != "off", service)
-			res, out := runDistributed(t, w, stageWC(t, w), nil)
-			pinRun(t, run, w, res, out)
-			if goldenOut == nil {
-				goldenOut = out
-			} else if !bytes.Equal(goldenOut, out) {
-				t.Fatalf("%s: output diverged from baseline", run)
-			}
-			if prev, ok := elapsed[service]; ok && prev != res.Elapsed() {
-				t.Fatalf("%s: elapsed %.6fs differs from same-config run %.6fs — HostWorkers leaked into the virtual timeline",
-					run, res.Elapsed(), prev)
-			}
-			elapsed[service] = res.Elapsed()
+		run := fmt.Sprintf("distributed service=%s workers=0", service)
+		w := newWorld(t, 1, service != "off", service)
+		res, out := runDistributed(t, w, stageWC(t, w), nil)
+		pinRun(t, run, w, res, out)
+		if goldenOut == nil {
+			goldenOut = out
+		} else if !bytes.Equal(goldenOut, out) {
+			t.Fatalf("%s: output diverged from baseline", run)
 		}
 	}
 }
@@ -143,7 +133,7 @@ func TestGoldenOutputAcrossServiceAndWorkers(t *testing.T) {
 // produce byte-identical output — the PR-2 chaos contract extended to
 // consolidated fetches.
 func TestGoldenOutputUnderNodeFault(t *testing.T) {
-	clean := newWorld(t, 1, 0, true, "lz")
+	clean := newWorld(t, 1, true, "lz")
 	cleanRes, cleanOut := runDistributed(t, clean, stageWC(t, clean), nil)
 	pinRun(t, "distributed service=lz workers=0", clean, cleanRes, cleanOut)
 	mid := time.Duration(cleanRes.Elapsed()/2*float64(time.Second)) + time.Millisecond
@@ -151,7 +141,7 @@ func TestGoldenOutputUnderNodeFault(t *testing.T) {
 		{Node: "node-02", At: mid},
 		{Node: "node-03", At: mid, RestartAfter: 10 * time.Second},
 	} {
-		w := newWorld(t, 1, 0, true, "lz")
+		w := newWorld(t, 1, true, "lz")
 		res, out := runDistributed(t, w, stageWC(t, w), []mapreduce.NodeFault{fault})
 		pinRun(t, fmt.Sprintf("distributed service=lz workers=0 crash=%s@%s restart=%s", fault.Node, fault.At, fault.RestartAfter), w, res, out)
 		if !bytes.Equal(cleanOut, out) {
@@ -179,11 +169,11 @@ func sumCounters(reg *metrics.Registry, family string) int64 {
 // The service's headline effect: one fetch per (node, partition) instead of
 // per (map, partition), every one labeled kind=consolidated.
 func TestConsolidatedFetchCount(t *testing.T) {
-	off := newWorld(t, 1, 0, false, "")
+	off := newWorld(t, 1, false, "")
 	runDistributed(t, off, stageWC(t, off), nil)
 	perMap := sumCounters(off.reg, "mapreduce_shuffle_fetch_total")
 
-	on := newWorld(t, 1, 0, true, "none")
+	on := newWorld(t, 1, true, "none")
 	runDistributed(t, on, stageWC(t, on), nil)
 	consolidated := sumCounters(on.reg, "mapreduce_shuffle_fetch_total")
 
@@ -207,7 +197,7 @@ func TestConsolidatedFetchCount(t *testing.T) {
 // ratio drops below 1, the wire ratio compounds it with the codec, and a
 // combinerless spec sees the codec ratio alone.
 func TestWireRatioTracksMeasurements(t *testing.T) {
-	w := newWorld(t, 1, 0, true, "lz")
+	w := newWorld(t, 1, true, "lz")
 	spec := stageWC(t, w)
 	if got := w.svc.WireRatio(spec); got != w.svc.Codec().Ratio {
 		t.Fatalf("pre-evidence WireRatio = %v, want codec ratio %v", got, w.svc.Codec().Ratio)
@@ -238,7 +228,7 @@ func TestWireRatioTracksMeasurements(t *testing.T) {
 // forgets its intermediate data, exactly like the real shuffle handler
 // garbage-collecting a completed application's spills.
 func TestRegisteredOutputsDrain(t *testing.T) {
-	w := newWorld(t, 1, 0, true, "none")
+	w := newWorld(t, 1, true, "none")
 	runDistributed(t, w, stageWC(t, w), nil)
 	for _, node := range w.rt.Cluster.Workers() {
 		if n := w.svc.Registered(node); n != 0 {
@@ -252,7 +242,7 @@ func TestRegisteredOutputsDrain(t *testing.T) {
 func TestUPlusGoldenOutput(t *testing.T) {
 	outs := map[string][]byte{}
 	for _, service := range []string{"off", "lz"} {
-		w := newWorld(t, 1, 0, service != "off", service)
+		w := newWorld(t, 1, service != "off", service)
 		spec := stageWC(t, w)
 		var res *mapreduce.Result
 		w.rt.Eng.After(0, func() {

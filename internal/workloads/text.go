@@ -8,6 +8,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Corpus generates deterministic English-like text for WordCount inputs.
@@ -100,9 +101,12 @@ func InputFileName(prefix string, i int) string {
 // benchmark harness builds hundreds of simulations over the same synthetic
 // inputs; regenerating Zipf text each time is pure host-CPU waste, and a
 // cached stream is byte-identical to a regenerated one by construction.
-// Not safe for concurrent use, like the rest of the single-threaded
-// simulator.
-var streamCache = map[streamKey][]byte{}
+// streamMu guards it and resume, so simulations on different goroutines can
+// share them.
+var (
+	streamMu    sync.Mutex
+	streamCache = map[streamKey][]byte{}
+)
 
 type streamKey struct {
 	vocab int
@@ -126,6 +130,8 @@ var resume struct {
 // extending the cached stream as needed.
 func corpusStream(vocab int, seed int64, n int64) []byte {
 	k := streamKey{vocab, seed}
+	streamMu.Lock()
+	defer streamMu.Unlock()
 	s := streamCache[k]
 	if int64(len(s)) >= n {
 		return s

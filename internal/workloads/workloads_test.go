@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -390,6 +392,40 @@ func TestCorpusStreamExtends(t *testing.T) {
 	for i := 0; i < len(earlier); i += 2 {
 		if !bytes.Equal(earlier[i], earlier[i+1]) {
 			t.Fatalf("extending the stream rewrote the %d bytes it had handed out", len(earlier[i+1]))
+		}
+	}
+}
+
+// The generator caches are shared by simulations on different goroutines:
+// two streams grown from several goroutines at once, and one TeraGen
+// configuration asked for by all of them, give each caller what a lone
+// caller gets. Under -race this checks the caches' locking.
+func TestGeneratorCachesConcurrentUse(t *testing.T) {
+	const vocab = 701 // keys no other test streams
+	cfg := TeraGenConfig{Rows: 400, Files: 2, Seed: 41}
+	rows := make([][][]byte, 8)
+	var wg sync.WaitGroup
+	for g := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seed := int64(g % 2)
+			for _, n := range []int64{1000, 3000 + int64(g)*500, 9000} {
+				got := corpusStream(vocab, seed, n)
+				if int64(len(got)) < n || !bytes.Equal(got, NewCorpus(vocab, seed).Generate(int64(len(got))-1)) {
+					t.Errorf("goroutine %d: %d bytes of seed %d are not one Generate of their length", g, n, seed)
+				}
+			}
+			var err error
+			if rows[g], err = TeraRows(cfg); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range rows {
+		if !slices.EqualFunc(rows[g], rows[0], bytes.Equal) {
+			t.Fatalf("goroutine %d got other TeraGen rows than goroutine 0", g)
 		}
 	}
 }
