@@ -151,7 +151,7 @@ func TestLifecycleMatrixGolden(t *testing.T) {
 			victim, crashAt := nodeCrashFor(t, sh.inAM, clean)
 			attemptCrash := func(kind string) func(*mapreduce.Runtime) {
 				return func(rt *mapreduce.Runtime) {
-					fi := mapreduce.NewFaultInjector(1, 0, 0)
+					fi := new(mapreduce.FaultInjector)
 					fi.Fail(kind, 1, 0, 0.5)
 					rt.Faults = fi
 				}

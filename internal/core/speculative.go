@@ -77,7 +77,7 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 	handles := map[ModeKind]*mapreduce.Submission{}
 	var sample *profiler.TaskProfile
 	gone := map[ModeKind]bool{} // modes that crashed or that the decision maker killed
-	var firstErr error
+	var first *mapreduce.Result // the first crash, reported if no mode survives
 
 	finish := func(winner ModeKind, res *mapreduce.Result) {
 		if finished {
@@ -119,7 +119,7 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 	// dropOut removes a crashed mode from the race. If the other mode is
 	// still runnable it simply inherits the win; if not, this was the last
 	// mode that could produce output and the job fails with the first
-	// crash's error.
+	// crash's error and profile.
 	dropOut := func(mode ModeKind, res *mapreduce.Result) {
 		if finished {
 			return
@@ -128,15 +128,16 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 		other := loserOf(mode)
 		last := gone[other]
 		gone[mode] = true
-		if firstErr == nil {
-			firstErr = res.Err
+		if first == nil {
+			first = res
 		}
 		f.RT.DeleteOutputPrefix(tempOutput(spec.OutputFile, mode))
 		if last {
 			finished = true
 			f.RT.DeleteOutputPrefix(tempOutput(spec.OutputFile, other))
-			f.RT.Trace.EndSpan(root, trace.A("error", firstErr.Error()))
-			done(&mapreduce.Result{Spec: spec, Mode: string(ModeSpeculative), Err: firstErr})
+			f.RT.Trace.EndSpan(root, trace.A("error", first.Err.Error()))
+			first.Profile.Decision = d
+			done(&mapreduce.Result{Spec: spec, Mode: string(ModeSpeculative), Profile: first.Profile, Err: first.Err})
 		}
 	}
 

@@ -203,7 +203,7 @@ func TestSpeculativeNeedsPool(t *testing.T) {
 // failAllMapAttempts scripts every attempt of every map task to crash
 // almost immediately, for jobs whose output file the filter accepts.
 func failAllMapAttempts(rt *mapreduce.Runtime, splits, maxAttempts int, filter func(string) bool) {
-	fi := mapreduce.NewFaultInjector(1, 0, 0)
+	fi := new(mapreduce.FaultInjector)
 	fi.JobFilter = filter
 	for idx := 0; idx < splits; idx++ {
 		for a := 0; a < maxAttempts; a++ {

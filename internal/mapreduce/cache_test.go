@@ -274,7 +274,7 @@ func TestMapCacheNeverChangesSimulatedTiming(t *testing.T) {
 		spec := wcSpec([]string{"/in"}, "/out")
 		var end sim.Time
 		var out int64
-		rt.RunMapTask(spec, splits[0], node, MapTaskOptions{},
+		rt.RunMapTask(spec, splits[0], node, TaskOptions{},
 			func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 				if err != nil {
 					t.Fatal(err)

@@ -198,20 +198,19 @@ func (am *DistributedAM) runMap(c *yarn.Container, s *hdfs.Split) {
 		am.prof.FirstTaskAt = am.rt.Eng.Now()
 	}
 	attempt := am.mapAttempts[s.Index]
-	opts := MapTaskOptions{Attempt: attempt, Parent: am.prof.Span}
+	opts := TaskOptions{Attempt: attempt, Parent: am.prof.Span}
 	am.rt.RunMapTask(am.spec, s, c.Node, opts, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		if am.killed {
 			am.rt.RM.ReleaseContainer(c)
 			return
 		}
-		var ae *AttemptError
-		if errors.As(err, &ae) {
+		if errors.As(err, new(*AttemptError)) {
 			// The attempt crashed: give the container back, record the
 			// failed attempt, and reschedule on a fresh container unless
 			// the attempt budget is exhausted (Hadoop's maxattempts).
 			delete(am.runningMaps, c)
 			am.rt.RM.ReleaseContainer(c)
-			if am.mapAttemptFailed(s.Index, tp, err) {
+			if am.attemptFailed(err, tp) {
 				am.rescheduleMap(s, "attempt failed")
 			}
 			return

@@ -29,8 +29,9 @@ type Runtime struct {
 	// only, never simulated results.
 	MapCache *MapCache
 
-	// Faults, when non-nil, injects deterministic task-attempt failures;
-	// ApplicationMasters retry up to Params.MaxTaskAttempts.
+	// Faults, when non-nil, crashes the task attempts it scripts. A scripted
+	// crash and a panic in user code fail their attempt alike: AMs retry it
+	// up to Params.MaxTaskAttempts, then fail the job with ErrTaskFailed.
 	Faults *FaultInjector
 
 	// Trace, when non-nil, records task lifecycle events and spans.
@@ -228,13 +229,13 @@ func spillCount(n, sortBuf int64) int {
 	return c
 }
 
-// MapTaskOptions control how a map task charges its output I/O.
-type MapTaskOptions struct {
-	// KeepInMemory, when non-nil, is consulted once the map's output size is
+// TaskOptions control one map or reduce task attempt.
+type TaskOptions struct {
+	// KeepInMemory, when non-nil, is consulted once a map's output size is
 	// known; returning true keeps the output in memory. Otherwise the spill
 	// (and merge, when the output exceeds the sort buffer) is charged to the
 	// node's disk. The U+ mode uses this to admit outputs into its cache
-	// budget.
+	// budget. Reduces ignore it.
 	KeepInMemory func(outBytes int64) bool
 
 	// Attempt is the retry ordinal of this task execution (0 = first).
@@ -248,7 +249,7 @@ type MapTaskOptions struct {
 // RunMapTask executes one map task on a node: read the split from HDFS
 // (locality-priced), run the map function on a core, and spill the output.
 // done receives the materialized output together with the task profile.
-func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.Node, opts MapTaskOptions, done func(*MapOutput, *profiler.TaskProfile, error)) {
+func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.Node, opts TaskOptions, done func(*MapOutput, *profiler.TaskProfile, error)) {
 	if done == nil {
 		panic("mapreduce: RunMapTask needs a completion callback")
 	}
@@ -293,50 +294,28 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 			rt.Trace.EndSpan(readSpan, trace.A("bytes", fmt.Sprint(len(data))))
 		}
 		tp.InputBytes = int64(len(data))
-		if fail, point := rt.Faults.MapAttemptFor(spec.OutputFile, split.Index, opts.Attempt); fail {
-			// The attempt crashes partway through its compute phase: charge
-			// the core for the work done before the death, then surface the
-			// failure for the AM to reschedule.
-			node.Cores.Acquire(1, func() {
-				if !node.AliveEpoch(epoch) {
-					return
-				}
-				partial := time.Duration(float64(spec.MapComputeTime(split, int64(len(data)), node)) * point)
-				computeStart := rt.Eng.Now()
-				rt.Eng.After(partial, func() {
-					if !node.AliveEpoch(epoch) {
-						return
-					}
-					tp.ComputeDur = rt.Eng.Now().Sub(computeStart)
-					node.Cores.Release(1)
-					tp.Failed = true
-					tp.Ended = rt.Eng.Now()
-					rt.Faults.FailNow()
-					if rt.Trace != nil {
-						rt.Trace.Add("task", "map %d attempt %d FAILED on %s", split.Index, opts.Attempt, node.Name)
-						rt.Trace.SpanSince(span, comp, "compute", "map", computeStart)
-						rt.Trace.EndSpan(span, trace.A("failed", "true"))
-					}
-					rt.handles().mapFailed.Inc()
-					done(nil, tp, &AttemptError{Kind: "map", Index: split.Index, Attempt: opts.Attempt})
-				})
-			})
-			return
-		}
+		point, crash := rt.Faults.crashPoint(spec.OutputFile, attemptID{taskID{"map", split.Index}, opts.Attempt})
 		node.Cores.Acquire(1, func() {
 			if !node.AliveEpoch(epoch) {
 				return
 			}
 			// Charge the map function first — its cost depends only on the
 			// input size — and run it when the output-sized sort charge
-			// needs its result.
+			// needs its result. A scripted crash dies partway through.
 			compute := spec.MapComputeTime(split, int64(len(data)), node)
+			if crash {
+				compute = time.Duration(float64(compute) * point)
+			}
 			computeStart := rt.Eng.Now()
 			rt.Eng.After(compute, func() {
 				if !node.AliveEpoch(epoch) {
 					return
 				}
-				mo := rt.execMapCached(spec, split, data)
+				mo, died := contain(crash, func() *MapOutput { return rt.execMapCached(spec, split, data) })
+				if died != nil {
+					done(nil, tp, rt.failAttempt(tp, node, span, computeStart, died))
+					return
+				}
 				mo.Split = split
 				mo.Resident = topology.Resident{Node: node, Epoch: epoch, InMemory: opts.KeepInMemory != nil && opts.KeepInMemory(mo.TotalBytes)}
 				tp.Records = mo.Records
@@ -387,6 +366,34 @@ func (rt *Runtime) execMapCached(spec *JobSpec, split *hdfs.Split, data []byte) 
 		rt.MapCache.store(k, mo)
 	}
 	return mo
+}
+
+// failAttempt is the one exit of a map or reduce attempt that died at the end
+// of its compute timer (see contain): the core the compute held is released,
+// the failure is recorded on the attempt's profile, spans and counters — a
+// panic's value and raising frame on the compute span — and err, stamped with
+// the attempt's coordinates, goes back for the AM to charge.
+func (rt *Runtime) failAttempt(tp *profiler.TaskProfile, node *topology.Node, span trace.SpanID, computeStart sim.Time, err *AttemptError) error {
+	tp.ComputeDur = rt.Eng.Now().Sub(computeStart)
+	node.Cores.Release(1)
+	tp.Failed = true
+	tp.Ended = rt.Eng.Now()
+	err.Kind, err.Index, err.Attempt = tp.Kind.String(), tp.Index, tp.Attempt
+	var attrs []trace.Attr
+	if err.Cause == nil {
+		rt.Faults.Injected++
+	} else {
+		attrs = []trace.Attr{trace.A("panic", fmt.Sprint(err.Cause)), trace.A("at", err.At)}
+	}
+	rt.Trace.Add("task", "%s %d attempt %d FAILED on %s", err.Kind, err.Index, err.Attempt, node.Name)
+	rt.Trace.SpanSince(span, "task/"+node.Name, "compute", err.Kind, computeStart, attrs...)
+	rt.Trace.EndSpan(span, trace.A("failed", "true"))
+	if h := rt.handles(); tp.Kind == profiler.MapTask {
+		h.mapFailed.Inc()
+	} else {
+		h.reduceFailed.Inc()
+	}
+	return err
 }
 
 // spillPhase charges the spill and merge sub-phases of Eq. 1: the spill
@@ -565,35 +572,25 @@ func PartFileName(outputFile string, part int) string {
 	return fmt.Sprintf("%s/part-%05d", outputFile, part)
 }
 
-// ReduceOptions control a reduce task execution.
-type ReduceOptions struct {
-	// Attempt is the retry ordinal (0 = first).
-	Attempt int
-	// Parent is the trace span the task's spans nest under; 0 when
-	// untraced.
-	Parent trace.SpanID
-}
-
 // RunReduceTask executes reduce partition part on node: merge-sort CPU,
 // the reduce function, and the HDFS write of the output. Fetches must have
 // completed already. done fires when the output file is durable.
-func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, outputs []*MapOutput, node *topology.Node, done func(*profiler.TaskProfile, error)) {
+func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outputs []*MapOutput, node *topology.Node, done func(*profiler.TaskProfile, error)) {
 	if done == nil {
 		panic("mapreduce: RunReduceTask needs a completion callback")
 	}
-	attempt := opts.Attempt
 	tp := &profiler.TaskProfile{
 		Kind:    profiler.ReduceTask,
 		Index:   part,
 		Node:    node.Name,
 		Started: rt.Eng.Now(),
-		Attempt: attempt,
+		Attempt: opts.Attempt,
 	}
 	comp := "task/" + node.Name
 	var span trace.SpanID
 	if rt.Trace != nil {
 		span = rt.Trace.StartSpan(opts.Parent, comp, fmt.Sprintf("reduce-%d", part), "reduce",
-			trace.A("attempt", fmt.Sprint(attempt)))
+			trace.A("attempt", fmt.Sprint(opts.Attempt)))
 	}
 	var in int64
 	for _, mo := range outputs {
@@ -603,39 +600,18 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 	// Abandon silently if the node dies mid-phase (see RunMapTask): the AM
 	// hears about the lost container from the RM, never from the task.
 	epoch := node.Epoch()
-	if fail, point := rt.Faults.ReduceAttemptFor(spec.OutputFile, part, attempt); fail {
-		node.Cores.Acquire(1, func() {
-			if !node.AliveEpoch(epoch) {
-				return
-			}
-			partial := time.Duration(float64(spec.ReduceComputeTime(in, node)) * point)
-			computeStart := rt.Eng.Now()
-			rt.Eng.After(partial, func() {
-				if !node.AliveEpoch(epoch) {
-					return
-				}
-				tp.ComputeDur = rt.Eng.Now().Sub(computeStart)
-				node.Cores.Release(1)
-				tp.Failed = true
-				tp.Ended = rt.Eng.Now()
-				rt.Faults.FailNow()
-				if rt.Trace != nil {
-					rt.Trace.SpanSince(span, comp, "compute", "reduce", computeStart)
-					rt.Trace.EndSpan(span, trace.A("failed", "true"))
-				}
-				rt.handles().reduceFailed.Inc()
-				done(tp, &AttemptError{Kind: "reduce", Index: part, Attempt: attempt})
-			})
-		})
-		return
-	}
+	point, crash := rt.Faults.crashPoint(spec.OutputFile, attemptID{taskID{"reduce", part}, opts.Attempt})
 	node.Cores.Acquire(1, func() {
 		if !node.AliveEpoch(epoch) {
 			return
 		}
 		compute := spec.ReduceComputeTime(in, node)
-		// Merge-sort CPU over the shuffled bytes.
-		compute += time.Duration(float64(in) / (rt.Params.SortCPUBytesPerSec * node.Type.CPUSpeed) * float64(time.Second))
+		if crash {
+			compute = time.Duration(float64(compute) * point)
+		} else {
+			// Merge-sort CPU over the shuffled bytes.
+			compute += time.Duration(float64(in) / (rt.Params.SortCPUBytesPerSec * node.Type.CPUSpeed) * float64(time.Second))
+		}
 		computeStart := rt.Eng.Now()
 		rt.Eng.After(compute, func() {
 			if !node.AliveEpoch(epoch) {
@@ -643,7 +619,11 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 			}
 			// The reduce is pure over already-materialized map outputs; it
 			// runs where the write needs its bytes.
-			r := ExecReduce(spec, part, outputs)
+			r, died := contain(crash, func() Reduced { return ExecReduce(spec, part, outputs) })
+			if died != nil {
+				done(tp, rt.failAttempt(tp, node, span, computeStart, died))
+				return
+			}
 			tp.OutputBytes = int64(len(r.Encoded))
 			tp.Records = r.Records
 			tp.ComputeDur = rt.Eng.Now().Sub(computeStart)
@@ -661,7 +641,7 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 				tp.Ended = rt.Eng.Now()
 				if rt.Trace != nil {
 					rt.Trace.Add("task", "reduce %d attempt %d done on %s (in=%d out=%d)",
-						part, attempt, node.Name, tp.InputBytes, tp.OutputBytes)
+						part, opts.Attempt, node.Name, tp.InputBytes, tp.OutputBytes)
 					rt.Trace.SpanSince(span, comp, "write", "reduce", writeStart,
 						trace.A("bytes", fmt.Sprint(tp.OutputBytes)))
 					rt.Trace.EndSpan(span)

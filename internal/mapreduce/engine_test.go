@@ -249,7 +249,7 @@ func TestRunMapTaskChargesPhases(t *testing.T) {
 	spec := wcSpec([]string{"/in"}, "/out")
 
 	var gotMO *MapOutput
-	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
+	rt.RunMapTask(spec, splits[0], node, TaskOptions{}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		if err != nil {
 			t.Errorf("map failed: %v", err)
 		}
@@ -283,7 +283,7 @@ func TestRunMapTaskMemoryModeSkipsSpill(t *testing.T) {
 	splits, _ := rt.DFS.Splits([]string{"/in"})
 	spec := wcSpec([]string{"/in"}, "/out")
 	done := false
-	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{KeepInMemory: func(int64) bool { return true }}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
+	rt.RunMapTask(spec, splits[0], node, TaskOptions{KeepInMemory: func(int64) bool { return true }}, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		done = true
 		if tp.SpillDur != 0 || tp.Spills != 0 {
 			t.Errorf("memory mode charged spill: %v / %d", tp.SpillDur, tp.Spills)
@@ -306,7 +306,7 @@ func TestMergePassChargedWhenOutputExceedsSortBuffer(t *testing.T) {
 	splits, _ := rt.DFS.Splits([]string{"/in"})
 	spec := wcSpec([]string{"/in"}, "/out")
 	done := false
-	rt.RunMapTask(spec, splits[0], node, MapTaskOptions{}, func(_ *MapOutput, tp *profiler.TaskProfile, err error) {
+	rt.RunMapTask(spec, splits[0], node, TaskOptions{}, func(_ *MapOutput, tp *profiler.TaskProfile, err error) {
 		done = true
 		if tp.Spills < 2 {
 			t.Errorf("spills = %d, want ≥ 2", tp.Spills)

@@ -3,40 +3,55 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"path"
+	"runtime"
+	"strings"
 )
 
 // ErrTaskFailed marks a task attempt that died mid-execution (JVM crash,
-// node blip). ApplicationMasters react the way Hadoop's do: the attempt is
-// rescheduled until mapreduce.map.maxattempts is exhausted.
+// node blip, a panic in user code). ApplicationMasters react the way
+// Hadoop's do: the attempt is rescheduled until mapreduce.map.maxattempts is
+// exhausted, and then the job fails.
 var ErrTaskFailed = errors.New("mapreduce: task attempt failed")
 
-// AttemptError carries the failing attempt's coordinates.
+// AttemptError carries the failing attempt's coordinates. When user code
+// (map, partitioner, combiner, reduce) panicked, Cause is the panic value and
+// At the frame that raised it; both are zero for a scripted crash.
 type AttemptError struct {
 	Kind    string
 	Index   int
 	Attempt int
+	Cause   any
+	At      string
 }
 
 func (e *AttemptError) Error() string {
-	return fmt.Sprintf("mapreduce: %s task %d attempt %d failed", e.Kind, e.Index, e.Attempt)
+	msg := fmt.Sprintf("mapreduce: %s task %d attempt %d failed", e.Kind, e.Index, e.Attempt)
+	if e.Cause != nil {
+		msg += fmt.Sprintf(": panic: %v at %s", e.Cause, e.At)
+	}
+	return msg
 }
 
 // Unwrap lets errors.Is(err, ErrTaskFailed) match.
 func (e *AttemptError) Unwrap() error { return ErrTaskFailed }
 
-// FaultInjector decides, deterministically from a seed, which task attempts
-// die. A task attempt that fails is charged its read phase plus a fraction
-// of its compute before the failure surfaces, like a real mid-task crash.
-type FaultInjector struct {
-	rng *rand.Rand
-	// MapFailProb and ReduceFailProb are per-attempt failure probabilities.
-	MapFailProb    float64
-	ReduceFailProb float64
-	// decisions memoizes per (kind,index,attempt) so replays are stable
-	// regardless of event interleaving.
-	decisions map[string]faultDecision
+// taskID names one task of a job; attemptID one execution of it.
+type taskID struct {
+	kind  string // "map" or "reduce"
+	index int
+}
 
+type attemptID struct {
+	taskID
+	attempt int
+}
+
+// FaultInjector scripts which task attempts crash. A crashed attempt is
+// charged its read phase plus the scripted fraction of its compute before the
+// failure surfaces, like a real mid-task crash. The zero value scripts
+// nothing.
+type FaultInjector struct {
 	// JobFilter, when non-nil, restricts injection to executions whose
 	// output file it accepts. Speculative execution gives each racing mode
 	// a distinct temporary output prefix, so a filter on the output file
@@ -45,96 +60,61 @@ type FaultInjector struct {
 
 	// Injected counts failures actually delivered.
 	Injected int64
+
+	script map[attemptID]float64
 }
 
-type faultDecision struct {
-	fail bool
-	// point is the fraction of the compute phase completed before dying.
-	point float64
-}
-
-// NewFaultInjector builds an injector with the given seed and per-attempt
-// map/reduce failure probabilities.
-func NewFaultInjector(seed int64, mapProb, reduceProb float64) *FaultInjector {
-	if mapProb < 0 || mapProb > 1 || reduceProb < 0 || reduceProb > 1 {
-		panic("mapreduce: failure probabilities must be within [0,1]")
-	}
-	return &FaultInjector{
-		rng:            rand.New(rand.NewSource(seed)),
-		MapFailProb:    mapProb,
-		ReduceFailProb: reduceProb,
-		decisions:      make(map[string]faultDecision),
-	}
-}
-
-// decide returns the memoized verdict for one attempt.
-func (fi *FaultInjector) decide(kind string, index, attempt int, prob float64) faultDecision {
-	key := fmt.Sprintf("%s/%d/%d", kind, index, attempt)
-	if d, ok := fi.decisions[key]; ok {
-		return d
-	}
-	d := faultDecision{
-		fail:  fi.rng.Float64() < prob,
-		point: fi.rng.Float64(),
-	}
-	fi.decisions[key] = d
-	return d
-}
-
-// MapAttempt reports whether the given map attempt should fail and how far
-// through its compute phase.
-func (fi *FaultInjector) MapAttempt(index, attempt int) (fail bool, point float64) {
-	if fi == nil {
-		return false, 0
-	}
-	d := fi.decide("map", index, attempt, fi.MapFailProb)
-	return d.fail, d.point
-}
-
-// ReduceAttempt reports whether the given reduce attempt should fail.
-func (fi *FaultInjector) ReduceAttempt(index, attempt int) (fail bool, point float64) {
-	if fi == nil {
-		return false, 0
-	}
-	d := fi.decide("reduce", index, attempt, fi.ReduceFailProb)
-	return d.fail, d.point
-}
-
-// Fail scripts a specific attempt to fail at the given compute fraction,
-// overriding the probabilistic draw. kind is "map" or "reduce". Tests use
-// it for deterministic failure scenarios.
+// Fail scripts attempt attempt of task (kind, index) — kind is "map" or
+// "reduce" — to crash once it has done the fraction point of its compute.
 func (fi *FaultInjector) Fail(kind string, index, attempt int, point float64) {
 	if point < 0 || point >= 1 {
 		panic("mapreduce: failure point must be within [0,1)")
 	}
-	fi.decisions[fmt.Sprintf("%s/%d/%d", kind, index, attempt)] = faultDecision{fail: true, point: point}
-}
-
-// accepts applies the optional JobFilter to an execution's output file.
-func (fi *FaultInjector) accepts(outputFile string) bool {
-	return fi.JobFilter == nil || fi.JobFilter(outputFile)
-}
-
-// MapAttemptFor is MapAttempt gated by the JobFilter (the task runtime's
-// entry point; it passes the executing job's output file).
-func (fi *FaultInjector) MapAttemptFor(outputFile string, index, attempt int) (fail bool, point float64) {
-	if fi == nil || !fi.accepts(outputFile) {
-		return false, 0
+	if fi.script == nil {
+		fi.script = make(map[attemptID]float64)
 	}
-	return fi.MapAttempt(index, attempt)
+	fi.script[attemptID{taskID{kind, index}, attempt}] = point
 }
 
-// ReduceAttemptFor is ReduceAttempt gated by the JobFilter.
-func (fi *FaultInjector) ReduceAttemptFor(outputFile string, index, attempt int) (fail bool, point float64) {
-	if fi == nil || !fi.accepts(outputFile) {
-		return false, 0
+// crashPoint reports whether attempt id of the job writing outputFile is
+// scripted to crash, and at which fraction of its compute.
+func (fi *FaultInjector) crashPoint(outputFile string, id attemptID) (point float64, crash bool) {
+	if fi == nil || fi.JobFilter != nil && !fi.JobFilter(outputFile) {
+		return 0, false
 	}
-	return fi.ReduceAttempt(index, attempt)
+	point, crash = fi.script[id]
+	return point, crash
 }
 
-// FailNow records a delivered failure (called by the task runtime).
-func (fi *FaultInjector) FailNow() {
-	if fi != nil {
-		fi.Injected++
+// contain runs body, an attempt's user code, when the attempt's compute
+// timer fires, and reports how the attempt died instead: scripted to crash
+// there (body never runs), or body panicked — bad user code fails its
+// attempt, not the process. failAttempt stamps the error with the attempt's
+// coordinates.
+func contain[T any](crash bool, body func() T) (v T, died *AttemptError) {
+	if crash {
+		return v, &AttemptError{}
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			died = &AttemptError{Cause: p, At: raiser()}
+		}
+	}()
+	return body(), nil
+}
+
+// raiser names the frame that raised the panic being recovered — the first
+// one past runtime.gopanic outside the runtime — as function (file:line).
+// No stack and no directory: a trace must not depend on where the code was
+// built or loaded.
+func raiser() string {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
+	for past := false; ; {
+		f, more := frames.Next()
+		if past && !strings.HasPrefix(f.Function, "runtime.") || !more {
+			return fmt.Sprintf("%s (%s:%d)", f.Function, path.Base(f.File), f.Line)
+		}
+		past = past || f.Function == "runtime.gopanic"
 	}
 }

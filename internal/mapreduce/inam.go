@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"errors"
-
 	"mrapid/internal/hdfs"
 	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
@@ -153,31 +151,26 @@ func (am *InAM) releaseCache() {
 }
 
 func (am *InAM) runOne(s *hdfs.Split) {
-	opts := MapTaskOptions{
+	opts := TaskOptions{
 		KeepInMemory: func(b int64) bool { return am.admitToCache(s.Index, b) },
-		Attempt:      am.failedMaps[s.Index],
+		Attempt:      am.failed[taskID{"map", s.Index}],
 		Parent:       am.prof.Span,
 	}
 	am.rt.RunMapTask(am.spec, s, am.amNode, opts, func(mo *MapOutput, tp *profiler.TaskProfile, err error) {
 		if am.killed {
 			return
 		}
-		var ae *AttemptError
-		if errors.As(err, &ae) {
-			// Retry the crashed map thread in place, in its wave slot. Any
-			// cache budget the dead attempt admitted is refunded first — its
-			// in-heap output died with it, and without the refund every
-			// crashed-and-retried map would leak budget until U+ degrades to
-			// spilling everything.
+		if err != nil {
+			// A crashed map thread is retried in place, in its wave slot
+			// (any other error fails the job). Any cache budget the dead
+			// attempt admitted is refunded first — its in-heap output died
+			// with it, and without the refund every crashed-and-retried map
+			// would leak budget until U+ degrades to spilling everything.
 			am.refundCache(am.admitted[s.Index])
 			delete(am.admitted, s.Index)
-			if am.mapAttemptFailed(s.Index, tp, err) {
+			if am.attemptFailed(err, tp) {
 				am.runOne(s)
 			}
-			return
-		}
-		if err != nil {
-			am.finish(err)
 			return
 		}
 		am.inFlight--

@@ -101,7 +101,7 @@ func TestInAMProgressAndKill(t *testing.T) {
 // exactly the successful attempt's bytes.
 func TestUPlusCacheRefundOnCrashedAttempt(t *testing.T) {
 	rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
-	fi := NewFaultInjector(1, 0, 0)
+	fi := new(FaultInjector)
 	fi.Fail("map", 0, 0, 0.5)
 	rt.Faults = fi
 	names, _ := stageWordCountInput(t, rt, 1, 256<<10)

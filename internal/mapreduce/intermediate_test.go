@@ -141,7 +141,7 @@ func newLostHolderFixture(t *testing.T) *lostHolderFixture {
 	if fx.src.Rack == fx.dst.Rack {
 		t.Fatal("fixture wants a cross-rack reader")
 	}
-	rt.RunMapTask(wcSpec(names, "/out"), in[0], fx.src, MapTaskOptions{}, func(mo *MapOutput, _ *profiler.TaskProfile, err error) {
+	rt.RunMapTask(wcSpec(names, "/out"), in[0], fx.src, TaskOptions{}, func(mo *MapOutput, _ *profiler.TaskProfile, err error) {
 		if err != nil {
 			t.Errorf("map failed: %v", err)
 		}

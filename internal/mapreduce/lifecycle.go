@@ -29,12 +29,11 @@ type amCore struct {
 	splits  []*hdfs.Split
 	outputs []*MapOutput // committed map outputs, in commit order
 
-	// failedMaps / failedReduces count attempts that FAILED, the budget
+	// failed counts each task's attempts that FAILED, the budget
 	// MaxTaskAttempts bounds. Hadoop distinguishes FAILED from KILLED: a task
 	// lost with its node is killed through no fault of its own and is never
 	// charged here.
-	failedMaps    map[int]int
-	failedReduces map[int]int
+	failed map[taskID]int
 
 	// The reduce side. reduceNode is nil until it can accept fetches.
 	// reduceGen is bumped by resetReduce; completions that started under an
@@ -83,8 +82,7 @@ func newAMCore(rt *Runtime, spec *JobSpec, app *yarn.App, prof *profiler.JobProf
 	prof.NumWorkers = len(rt.Cluster.Workers())
 	return amCore{
 		rt: rt, spec: spec, app: app, prof: prof, shuffle: rt.shuffleProvider(), splits: splits,
-		failedMaps: make(map[int]int), failedReduces: make(map[int]int),
-		fetched: make(map[*MapOutput]bool),
+		failed: make(map[taskID]int), fetched: make(map[*MapOutput]bool),
 	}, nil
 }
 
@@ -118,14 +116,20 @@ func (am *amCore) Progress() (completed, total int) {
 	return len(am.outputs), len(am.splits)
 }
 
-// mapAttemptFailed charges a crashed map attempt to the task's failure
-// budget. It reports whether the shape may retry; when the budget is spent
-// the job has already been failed.
-func (am *amCore) mapAttemptFailed(index int, tp *profiler.TaskProfile, err error) (retry bool) {
+// attemptFailed ends a map or reduce attempt that returned err. A crash (an
+// AttemptError) is charged to its task's failure budget; any other error,
+// or a spent budget, fails the job. It reports whether the shape may retry.
+func (am *amCore) attemptFailed(err error, tp *profiler.TaskProfile) (retry bool) {
+	var ae *AttemptError
+	if !errors.As(err, &ae) {
+		am.finish(err)
+		return false
+	}
 	am.prof.Add(tp)
-	am.failedMaps[index]++
-	if am.failedMaps[index] >= am.rt.Params.MaxTaskAttempts {
-		am.finish(fmt.Errorf("mapreduce: map %d failed %d attempts: %w", index, am.failedMaps[index], err))
+	task := taskID{ae.Kind, ae.Index}
+	am.failed[task]++
+	if n := am.failed[task]; n >= am.rt.Params.MaxTaskAttempts {
+		am.finish(fmt.Errorf("mapreduce: %s %d failed %d attempts: %w", ae.Kind, ae.Index, n, ae))
 		return false
 	}
 	return true
@@ -221,24 +225,15 @@ func (am *amCore) runReducePartitions(p int) {
 		return
 	}
 	gen := am.reduceGen
-	ropts := ReduceOptions{Attempt: am.failedReduces[p], Parent: am.prof.Span}
-	am.rt.RunReduceTask(am.spec, p, ropts, am.reduceInputs, am.reduceNode, func(tp *profiler.TaskProfile, err error) {
+	opts := TaskOptions{Attempt: am.failed[taskID{"reduce", p}], Parent: am.prof.Span}
+	am.rt.RunReduceTask(am.spec, p, opts, am.reduceInputs, am.reduceNode, func(tp *profiler.TaskProfile, err error) {
 		if am.killed || gen != am.reduceGen {
 			return
 		}
-		var ae *AttemptError
-		if errors.As(err, &ae) {
-			am.prof.Add(tp)
-			am.failedReduces[p]++
-			if am.failedReduces[p] >= am.rt.Params.MaxTaskAttempts {
-				am.finish(fmt.Errorf("mapreduce: reduce %d failed %d attempts: %w", p, am.failedReduces[p], err))
-				return
-			}
-			am.runReducePartitions(p)
-			return
-		}
 		if err != nil {
-			am.finish(err)
+			if am.attemptFailed(err, tp) {
+				am.runReducePartitions(p)
+			}
 			return
 		}
 		am.prof.Add(tp)

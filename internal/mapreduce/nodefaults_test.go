@@ -62,7 +62,7 @@ func TestMapOutputUnavailableAfterNodeDeath(t *testing.T) {
 	spec := wcSpec(names, "/out")
 	var mo *MapOutput
 	rt.Eng.After(0, func() {
-		rt.RunMapTask(spec, splits[0], src, MapTaskOptions{}, func(m *MapOutput, _ *profiler.TaskProfile, err error) {
+		rt.RunMapTask(spec, splits[0], src, TaskOptions{}, func(m *MapOutput, _ *profiler.TaskProfile, err error) {
 			if err != nil {
 				t.Errorf("map failed: %v", err)
 			}
