@@ -59,11 +59,12 @@ func testWCSpec(inputs []string, output string) *mapreduce.JobSpec {
 				emit(w, []byte("1"))
 			}
 		},
-		Reduce: func(key []byte, values [][]byte, emit mapreduce.Emit) {
+		Reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 			total := 0
-			for _, v := range values {
+			for i := range values.Len() {
+				v, times := values.At(i)
 				n, _ := strconv.Atoi(string(v))
-				total += n
+				total += times * n
 			}
 			emit(key, []byte(strconv.Itoa(total)))
 		},

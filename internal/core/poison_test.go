@@ -50,7 +50,7 @@ func runBesidePoison(t *testing.T, poison bool) map[string]string {
 	}
 	panicReduce := func(spec *mapreduce.JobSpec) {
 		reduce := spec.Reduce
-		spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
+		spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 			if string(key) == "dolor" {
 				panic("poisoned key")
 			}

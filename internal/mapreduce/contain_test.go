@@ -31,7 +31,7 @@ var poisons = []struct {
 		}
 	}},
 	{"reduce", profiler.ReduceTask, `bad key "fox"`, "contain_test.go", func(spec *JobSpec, _ []string) {
-		spec.Reduce = func(key []byte, values [][]byte, emit Emit) {
+		spec.Reduce = func(key []byte, values Values, emit Emit) {
 			if string(key) == "fox" {
 				panic(fmt.Sprintf("bad key %q", key))
 			}

@@ -559,7 +559,7 @@ func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
 		out.Encoded = append(buf, '\n')
 		out.Records++
 	}
-	newMerger(outputs, part).groups(func(key []byte, values [][]byte) { spec.Reduce(key, values, emit) })
+	newMerger(outputs, part).groups(spec.Reduce, emit)
 	return out
 }
 

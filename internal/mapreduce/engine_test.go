@@ -75,15 +75,16 @@ func wcTestMap(_, line []byte, emit Emit) {
 	}
 }
 
-func wcTestReduce(key []byte, values [][]byte, emit Emit) {
+func wcTestReduce(key []byte, values Values, emit Emit) {
 	total := 0
-	for _, v := range values {
+	for i := range values.Len() {
+		v, times := values.At(i)
 		if len(v) == 1 {
-			total += int(v[0] - '0')
+			total += times * int(v[0]-'0')
 			continue
 		}
 		n, _ := strconv.Atoi(string(v))
-		total += n
+		total += times * n
 	}
 	if total < len(wcCountTexts) {
 		emit(key, wcCountTexts[total])
@@ -377,11 +378,12 @@ func TestGroupsYieldEachKeyOnce(t *testing.T) {
 	outs := []*MapOutput{ExecMap(spec, []byte("a b\n")), ExecMap(spec, []byte("a\n"))}
 	var keys []string
 	var sizes []int
-	m := newMerger(outs, 0)
-	m.groups(func(k []byte, vs [][]byte) {
+	newMerger(outs, 0).groups(func(k []byte, vs Values, _ Emit) {
 		keys = append(keys, string(k))
-		sizes = append(sizes, len(vs))
-	})
+		n := 0
+		vs.Each(func([]byte) { n++ })
+		sizes = append(sizes, n)
+	}, nil)
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" || sizes[0] != 2 || sizes[1] != 1 {
 		t.Fatalf("groups = %v %v", keys, sizes)
 	}

@@ -63,12 +63,10 @@ func occurrences(mo *MapOutput, p int) []kv {
 	return pairs
 }
 
-// identityReduce emits every value under its key, so a reduce's bytes show
-// the merged order of values as well as of keys.
-func identityReduce(k []byte, vs [][]byte, emit Emit) {
-	for _, v := range vs {
-		emit(k, v)
-	}
+// identityReduce emits every occurrence under its key, so a reduce's bytes
+// show the merged order of values as well as of keys.
+func identityReduce(k []byte, vs Values, emit Emit) {
+	vs.Each(func(v []byte) { emit(k, v) })
 }
 
 func checkMerge(t *testing.T, runs [][]kv) {
@@ -95,15 +93,31 @@ func checkMergeFolded(t *testing.T, runs [][]kv, slots int) {
 		wantBytes = append(append(append(append(wantBytes, p.k...), '\t'), p.v...), '\n')
 	}
 
+	// groups hands over runs: expanded, they must be the sorted
+	// concatenation, and each key's counts must add up to its occurrences.
 	var got []kv
 	var keys []string
-	m := newMerger(outs, 0) // a variable: on the parent commit groups has a pointer receiver, and this file must compile there too
-	m.groups(func(k []byte, vs [][]byte) {
+	occurs := map[string]int{}
+	for _, p := range want {
+		occurs[p.k]++
+	}
+	newMerger(outs, 0).groups(func(k []byte, vs Values, _ Emit) {
 		keys = append(keys, string(k))
-		for _, v := range vs {
-			got = append(got, kv{string(k), string(v)})
+		total := 0
+		for i := range vs.Len() {
+			v, n := vs.At(i)
+			if n < 1 {
+				t.Fatalf("fold table of %d slots: key %q has a run of %q counted %d", slots, k, v, n)
+			}
+			for range n {
+				got = append(got, kv{string(k), string(v)})
+			}
+			total += n
 		}
-	})
+		if total != occurs[string(k)] {
+			t.Fatalf("fold table of %d slots: key %q has runs counting %d values, want %d", slots, k, total, occurs[string(k)])
+		}
+	}, nil)
 	if !slices.Equal(got, want) {
 		t.Fatalf("fold table of %d slots: groups yielded %q, want %q", slots, got, want)
 	}
@@ -216,6 +230,26 @@ func TestMergeMatchesSortedConcatenation(t *testing.T) {
 	})
 }
 
+// A reduce allocates per call, never per key: the merge hands each key its
+// runs in scratch sized once, and the counted WordCount reducer sums them
+// without expanding. Zipf text over four runs gives ≈ 1.9 k keys; the few
+// allocations left are the part file, the merge heap, the scratch and the
+// text of the handful of totals past wcCountTexts.
+func TestExecReduceAllocatesNothingPerKey(t *testing.T) {
+	spec := wcSpec([]string{"/x"}, "/o")
+	var outs []*MapOutput
+	for _, split := range zipfSplits(4, 20<<10) {
+		outs = append(outs, ExecMap(spec, split))
+	}
+	keys := ExecReduce(spec, 0, outs).Records
+	if keys < 1000 {
+		t.Fatalf("the input has %d keys; the check needs many", keys)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ExecReduce(spec, 0, outs) }); allocs > 16 {
+		t.Fatalf("ExecReduce over %d keys made %v allocations, want at most 16", keys, allocs)
+	}
+}
+
 // FuzzMergeGroups feeds checkMerge arbitrary runs. The input is lines of
 // "<run byte><key>\t<value>"; a line's first byte modulo nruns picks its
 // run, and a line without a tab is a key with an empty value.
@@ -244,26 +278,4 @@ func FuzzMergeGroups(f *testing.F) {
 		}
 		checkMerge(t, runs)
 	})
-}
-
-// The pooled values slice must not keep a finished job's stores reachable:
-// every header the merge wrote into it is cleared before it is pooled, also
-// those of a group longer than the last one.
-func TestPooledValuesPinNothing(t *testing.T) {
-	spec := wcSpec([]string{"/x"}, "/o")
-	mo := ExecMap(spec, []byte(strings.Repeat("a ", 300)+"b\n")) // a long group, then a short one
-	for try := 0; try < 50; try++ {
-		ExecReduce(spec, 0, []*MapOutput{mo})
-		vs := getVals()
-		if cap(vs) < 300 {
-			continue // sync.Pool may drop what it is given, and does under -race
-		}
-		for i, v := range vs[:cap(vs)] {
-			if v != nil {
-				t.Fatalf("pooled values[%d] of %d still holds %q", i, cap(vs), v)
-			}
-		}
-		return
-	}
-	t.Fatal("the pool never handed back the slice a reduce had grown")
 }

@@ -67,10 +67,11 @@ func reference(spec *mapreduce.JobSpec, splits []split) [][]byte {
 		for i := 0; i < len(ps); {
 			j := i
 			var values [][]byte
+			var ones []int // every occurrence its own run
 			for ; j < len(ps) && bytes.Equal(ps[j].k, ps[i].k); j++ {
-				values = append(values, ps[j].v)
+				values, ones = append(values, ps[j].v), append(ones, 1)
 			}
-			spec.Reduce(ps[i].k, values, emit)
+			spec.Reduce(ps[i].k, mapreduce.NewValues(values, ones), emit)
 			i = j
 		}
 	}
@@ -228,10 +229,12 @@ func TestOracleEmptyKeysAndValues(t *testing.T) {
 				emit(bytes.ToUpper(k), bytes.ToUpper(v))
 			},
 			// Position-tagged values make the output depend on value order.
-			Reduce: func(k []byte, vs [][]byte, emit mapreduce.Emit) {
-				for i, v := range vs {
+			Reduce: func(k []byte, vs mapreduce.Values, emit mapreduce.Emit) {
+				i := 0
+				vs.Each(func(v []byte) {
 					emit(k, append(strconv.AppendInt(nil, int64(i), 10), v...))
-				}
+					i++
+				})
 			},
 		}
 		agree(t, fmt.Sprintf("trimmed rows reduces=%d", reduces), spec, splits)

@@ -26,11 +26,11 @@ import (
 // (foldTable), so a partition holds each distinct (key, value) pair once
 // with the number of times it was emitted: len(Partitions[p]) counts
 // distinct pairs, while PartBytes and TotalBytes charge every occurrence.
-// Byte-identical pairs are interchangeable, so nothing downstream can tell a
-// counted pair from its occurrences. Sorting and merging compare the prefix
-// as one integer and look at bytes only on a prefix tie, the garbage
-// collector has nothing to scan in an index, and a cached output is
-// immutable: readers share it freely.
+// Byte-identical pairs are interchangeable, so a counted pair stands for its
+// occurrences: reducers receive it as one run (see Values). Sorting and
+// merging compare the prefix as one integer and look at bytes only on a
+// prefix tie, the garbage collector has nothing to scan in an index, and a
+// cached output is immutable: readers share it freely.
 
 // Rec indexes one distinct intermediate pair inside its output's store.
 type Rec struct {
@@ -377,8 +377,7 @@ func pairHash(prefix uint64, k []byte, voff, vlen uint32) uint32 {
 // already grouped and sorted, so the combiner's pairs are appended as they
 // come, without a fold table.
 func (b *outputBuilder) combineFrom(outputs []*MapOutput, p int, c ReduceFunc) {
-	emit := func(k, v []byte) { b.add(p, k, v, 1) }
-	newMerger(outputs, p).groups(func(key []byte, values [][]byte) { c(key, values, emit) })
+	newMerger(outputs, p).groups(c, func(k, v []byte) { b.add(p, k, v, 1) })
 	b.sortRecs(p)
 }
 
@@ -468,32 +467,24 @@ func (m *merger) pop() (r Rec, src *store, n uint32) {
 	return r, src, n
 }
 
-// groups drains the merge, yielding each distinct key once with all its
-// values in merged order: a pair counted n times contributes its value n
-// times, and the heap is sifted once per (run, distinct pair).
-//
-// The values slice is scratch reused between keys (and pooled across
-// calls): consumers — reducers and combiners — must not retain it past the
-// yield, the same contract Hadoop's reduce iterable has. Retaining
-// individual key or value byte slices is fine: they point into immutable
-// stores.
-func (m merger) groups(yield func(key []byte, values [][]byte)) {
-	values, high := getVals(), 0
+// groups drains the merge, handing fn each distinct key once with its values
+// in merged order as runs: one per popped pair, its value with its count, so
+// the heap is sifted once per (run, distinct pair) and no value is repeated.
+// The view's slices are scratch reused between keys, sized for one run per
+// cursor: fn must not retain it past the call (see Values), the same
+// contract Hadoop's reduce iterable has.
+func (m merger) groups(fn ReduceFunc, emit Emit) {
+	vs := Values{make([][]byte, 0, len(m)), make([]int, 0, len(m))}
 	for len(m) > 0 {
 		first, src := m[0].head, &m[0].out.store
-		values = values[:0]
+		vs.vals, vs.counts = vs.vals[:0], vs.counts[:0]
 		for {
 			r, s, n := m.pop()
-			v := s.value(r)
-			for ; n > 0; n-- {
-				values = append(values, v)
-			}
+			vs.vals, vs.counts = append(vs.vals, s.value(r)), append(vs.counts, int(n))
 			if len(m) == 0 || !sameKey(first, src, m[0].head, &m[0].out.store) {
 				break
 			}
 		}
-		high = max(high, len(values))
-		yield(src.key(first), values)
+		fn(src.key(first), vs, emit)
 	}
-	putVals(values[:high])
 }

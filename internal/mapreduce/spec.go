@@ -34,7 +34,39 @@ type MapFunc func(key, value []byte, emit Emit)
 
 // ReduceFunc consumes one key and all its values (sorted ordering of keys is
 // guaranteed by the framework) and emits output pairs.
-type ReduceFunc func(key []byte, values [][]byte, emit Emit)
+type ReduceFunc func(key []byte, values Values, emit Emit)
+
+// Values is one key's values in merged order, as runs: At(i) is a value and
+// how many times in a row it occurs. A map task's folded pairs arrive as one
+// run each, so a reducer that counts or sums works per run, not per
+// occurrence. Where one run ends and the next begins is not defined — equal
+// values may come as one run or as several — only the occurrences are. The
+// view is scratch: do not retain it past the call. Retaining a value's bytes
+// is fine; they point into immutable stores.
+type Values struct {
+	vals   [][]byte
+	counts []int
+}
+
+// NewValues is the view of the runs vals[i] × counts[i], each count at least
+// 1, for handing values to a ReduceFunc outside a merge.
+func NewValues(vals [][]byte, counts []int) Values { return Values{vals, counts[:len(vals)]} }
+
+// Len returns the number of runs.
+func (vs Values) Len() int { return len(vs.vals) }
+
+// At returns run i: its value and how many times it occurs.
+func (vs Values) At(i int) (v []byte, n int) { return vs.vals[i], vs.counts[i] }
+
+// Each calls f once per occurrence, in order: the runs expanded, for a
+// reducer that needs every value on its own.
+func (vs Values) Each(f func(v []byte)) {
+	for i, v := range vs.vals {
+		for range vs.counts[i] {
+			f(v)
+		}
+	}
+}
 
 // PartitionFunc routes a key to one of n reduce partitions.
 type PartitionFunc func(key []byte, n int) int

@@ -10,10 +10,10 @@ import (
 
 // Named package-level transforms: distinct symbols with identical shapes,
 // so ClassKey cannot tell them apart but SpecFingerprint must.
-func fpMapA(_, line []byte, emit Emit)            { emit(line, nil) }
-func fpMapB(_, line []byte, emit Emit)            { emit(nil, line) }
-func fpReduce(key []byte, _ [][]byte, emit Emit)  { emit(key, nil) }
-func fpCombine(key []byte, _ [][]byte, emit Emit) { emit(key, nil) }
+func fpMapA(_, line []byte, emit Emit)          { emit(line, nil) }
+func fpMapB(_, line []byte, emit Emit)          { emit(nil, line) }
+func fpReduce(key []byte, _ Values, emit Emit)  { emit(key, nil) }
+func fpCombine(key []byte, _ Values, emit Emit) { emit(key, nil) }
 
 // fpMakeGrep returns a parameterized closure from a single definition site,
 // the shape a query compiler's predicate factory has. noinline matters: an

@@ -91,7 +91,7 @@ func validSpec() *JobSpec {
 		NumReduces: 1,
 		Format:     LineFormat{},
 		Map:        func(_, _ []byte, _ Emit) {},
-		Reduce:     func(_ []byte, _ [][]byte, _ Emit) {},
+		Reduce:     func(_ []byte, _ Values, _ Emit) {},
 	}
 }
 

@@ -14,11 +14,12 @@ import (
 // group is one key's values as a combiner or reducer receives them.
 type group struct {
 	key    []byte
-	values [][]byte
+	values mapreduce.Values
 }
 
-// groupsOf runs fn over lines and gathers what it emits by key, values in
-// the engine's order (sorted).
+// groupsOf runs fn over lines and gathers what it emits by key; sortedGroups
+// hands each key's values over in the engine's order (sorted), equal ones
+// as one counted run.
 func groupsOf(lines [][]byte, fn mapreduce.MapFunc, into map[string][][]byte) {
 	for _, line := range lines {
 		fn(nil, line, func(k, v []byte) {
@@ -31,7 +32,7 @@ func sortedGroups(m map[string][][]byte) []group {
 	out := make([]group, 0, len(m))
 	for k, vs := range m {
 		sort.Slice(vs, func(i, j int) bool { return string(vs[i]) < string(vs[j]) })
-		out = append(out, group{[]byte(k), vs})
+		out = append(out, group{[]byte(k), runsOf(vs)})
 	}
 	sort.Slice(out, func(i, j int) bool { return string(out[i].key) < string(out[j].key) })
 	return out

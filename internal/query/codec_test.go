@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -244,6 +245,29 @@ func refMergeAggStates(values [][]byte, n int) ([]int64, []float64, []float64, [
 	return cnt, sum, mn, mx, nil
 }
 
+// runsOf collapses adjacent equal values into counted runs, the shape in
+// which a merge of folded map outputs hands them to a combiner or reducer.
+func runsOf(values [][]byte) mapreduce.Values {
+	var vals [][]byte
+	var counts []int
+	for _, v := range values {
+		if n := len(vals); n > 0 && bytes.Equal(vals[n-1], v) {
+			counts[n-1]++
+			continue
+		}
+		vals, counts = append(vals, v), append(counts, 1)
+	}
+	return mapreduce.NewValues(vals, counts)
+}
+
+// occurrences expands runs back into one value per occurrence: the string
+// codec's reducers see nothing counted.
+func occurrences(vs mapreduce.Values) [][]byte {
+	var out [][]byte
+	vs.Each(func(v []byte) { out = append(out, v) })
+	return out
+}
+
 // refStage is one stage's closures in the string codec. mapFor is the join's
 // two tagged maps.
 type refStage struct {
@@ -263,8 +287,8 @@ func refMaterialize(src refSource) refStage {
 			}
 			emit(EncodeRow(row), nil)
 		},
-		reduce: func(key []byte, values [][]byte, emit mapreduce.Emit) {
-			for range values {
+		reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+			for range occurrences(values) {
 				emit(key, nil)
 			}
 		},
@@ -283,8 +307,8 @@ func refGroupBy(src refSource, keys []string, aggs []Agg) refStage {
 		}
 	}
 	skipped := &atomic.Int64{}
-	mergeAndEmit := func(key []byte, values [][]byte, emit mapreduce.Emit, final bool) {
-		cnt, sum, mn, mx, err := refMergeAggStates(values, len(aggs))
+	mergeAndEmit := func(key []byte, values mapreduce.Values, emit mapreduce.Emit, final bool) {
+		cnt, sum, mn, mx, err := refMergeAggStates(occurrences(values), len(aggs))
 		if err != nil {
 			panic(err)
 		}
@@ -339,8 +363,8 @@ func refGroupBy(src refSource, keys []string, aggs []Agg) refStage {
 			}
 			emit([]byte(strings.Join(keyParts, colSep)), refEncodeAggStates(row, aggIdx, aggs, skipped))
 		},
-		combine: func(key []byte, values [][]byte, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, false) },
-		reduce:  func(key []byte, values [][]byte, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, true) },
+		combine: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, false) },
+		reduce:  func(key []byte, values mapreduce.Values, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, true) },
 	}
 }
 
@@ -356,9 +380,9 @@ func refJoin(left, right refSource, leftCol, rightCol string) refStage {
 	}
 	return refStage{
 		mapFor: [2]mapreduce.MapFunc{mkSide(left, left.index(leftCol), "L"), mkSide(right, right.index(rightCol), "R")},
-		reduce: func(_ []byte, values [][]byte, emit mapreduce.Emit) {
+		reduce: func(_ []byte, values mapreduce.Values, emit mapreduce.Emit) {
 			var ls, rs []Row
-			for _, v := range values {
+			for _, v := range occurrences(values) {
 				s := string(v)
 				i := strings.Index(s, colSep)
 				if i < 0 {
@@ -390,8 +414,8 @@ func refOrderBy(src refSource, col string, desc bool) refStage {
 			}
 			emit(refSortKey(row[ci], desc), EncodeRow(row))
 		},
-		reduce: func(key []byte, values [][]byte, emit mapreduce.Emit) {
-			for _, v := range values {
+		reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+			for _, v := range occurrences(values) {
 				emit(key, v)
 			}
 		},
@@ -541,8 +565,9 @@ func FuzzStageCodec(f *testing.F) {
 		onLine := func(fn mapreduce.MapFunc) emitted {
 			return capture(func(emit mapreduce.Emit) { fn(nil, line, emit) })
 		}
+		// Adjacent equal values reach a closure as one counted run.
 		onValues := func(fn mapreduce.ReduceFunc, key string, values ...[]byte) emitted {
-			return capture(func(emit mapreduce.Emit) { fn([]byte(key), values, emit) })
+			return capture(func(emit mapreduce.Emit) { fn([]byte(key), runsOf(values), emit) })
 		}
 
 		gb := compile(scanT.GroupBy(keys, aggs...))
@@ -553,7 +578,9 @@ func FuzzStageCodec(f *testing.F) {
 		}
 		values := [][]byte{state}
 		for _, p := range mapped.pairs {
-			values = append(values, []byte(p[1]), state)
+			// Three copies: a run of three adds its sum three times, which
+			// sum × 3 does not always equal.
+			values = append(values, []byte(p[1]), []byte(p[1]), []byte(p[1]), state)
 		}
 		combined := same("combine", onValues(gbSpec.Combine, "k", values...), onValues(gbRef.combine, "k", values...))
 		same("reduce", onValues(gbSpec.Reduce, "k"+colSep+"j", values...), onValues(gbRef.reduce, "k"+colSep+"j", values...))
@@ -606,6 +633,53 @@ func TestPartialStatesKeepFractions(t *testing.T) {
 	}
 }
 
+// TestFoldedRowsSumOccurrenceExact: ten byte-identical rows whose amount is
+// 0.1 fold on the map side into one pair counted ten times, and the combiner
+// receives that one run. Its partial sum must still be ten additions of 0.1,
+// 0.9999999999999999 — what the combiner computed when it received ten
+// values — and not 0.1 × 10, which is 1: a partial state may not depend on
+// how many rows the map side folded. The result must match the reference.
+func TestFoldedRowsSumOccurrenceExact(t *testing.T) {
+	rows := make([]Row, 10)
+	for i := range rows {
+		rows[i] = Row{"east", "0.1"}
+	}
+	plan := Scan("sales").GroupBy([]string{"region"}, Sum("amount"), Count())
+	e := newDAGEnv(t, 4)
+	tab := e.mustCreate(t, "sales", Schema{"region", "amount"}, rows, 1)
+	checkAgainstReference(t, e.tables, plan, "folded rows", e.exec(t, plan))
+
+	compiled, err := Compile(e.cat, "folded", plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := *compiled.Stages[0].Spec
+	var runs []int // the count of each run the combiner received
+	combine := spec.Combine
+	spec.Combine = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+		for i := range values.Len() {
+			_, n := values.At(i)
+			runs = append(runs, n)
+		}
+		combine(key, values, emit)
+	}
+	data, err := e.cat.dfs.Contents(tab.Files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo := mapreduce.ExecMapFile(&spec, tab.Files[0], data)
+	if len(runs) != 1 || runs[0] != 10 {
+		t.Fatalf("the combiner received runs %v, want the ten rows as one run counted 10", runs)
+	}
+	states := &mapreduce.JobSpec{Reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+		values.Each(func(v []byte) { emit(key, v) })
+	}}
+	want := "east\t10,0.9999999999999999,0.1,0.1" + colSep + "10,0,0,0\n"
+	if got := mapreduce.ExecReduce(states, 0, []*mapreduce.MapOutput{mo}).Encoded; string(got) != want {
+		t.Fatalf("combined partial state %q, want %q", got, want)
+	}
+}
+
 // TestCorruptAggStateFails: a state whose sum, min or max does not parse fails
 // the merge like a damaged count does, in the combiner and in the reduce; it
 // used to fold in as zero.
@@ -616,14 +690,14 @@ func TestCorruptAggStateFails(t *testing.T) {
 	}
 	spec := compiled.Stages[0].Spec
 	good := []byte("2,7,3,4" + colSep + "2,0,0,0")
-	if out := capture(func(emit mapreduce.Emit) { spec.Reduce([]byte("k"), [][]byte{good, good}, emit) }); out.panicked ||
+	if out := capture(func(emit mapreduce.Emit) { spec.Reduce([]byte("k"), runsOf([][]byte{good, good}), emit) }); out.panicked ||
 		len(out.pairs) != 1 || out.pairs[0][0] != "k"+colSep+"14"+colSep+"4" {
 		t.Fatalf("intact states reduce to %+v", out)
 	}
 	for _, bad := range []string{"2,x,3,4", "2,7,,4", "2,7,3,4,5", "2,7,3,0x"} {
 		values := [][]byte{good, []byte(bad + colSep + "2,0,0,0")}
 		for name, fn := range map[string]mapreduce.ReduceFunc{"combine": spec.Combine, "reduce": spec.Reduce} {
-			if out := capture(func(emit mapreduce.Emit) { fn([]byte("k"), values, emit) }); !out.panicked {
+			if out := capture(func(emit mapreduce.Emit) { fn([]byte("k"), runsOf(values), emit) }); !out.panicked {
 				t.Errorf("%s folded the corrupt state %q into %+v", name, bad, out.pairs)
 			}
 		}

@@ -392,9 +392,12 @@ func (c *compiler) materialize(src *source) (*Stage, error) {
 		emit(buf.b, nil)
 		scratchPool.Put(buf)
 	}
-	st.Spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
-		for range values {
-			emit(key, nil)
+	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+		for i := range values.Len() {
+			_, n := values.At(i)
+			for range n {
+				emit(key, nil)
+			}
 		}
 	}
 	return st, nil
@@ -457,7 +460,7 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		buf.b = b
 		scratchPool.Put(buf)
 	}
-	st.Spec.Combine = func(key []byte, values [][]byte, emit mapreduce.Emit) {
+	st.Spec.Combine = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		var inline [inlineAggs]aggAcc
 		acc, err := mergeAggStates(values, len(aggs), &inline)
 		if err != nil {
@@ -468,7 +471,7 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		emit(key, buf.b)
 		scratchPool.Put(buf)
 	}
-	st.Spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
+	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		var inline [inlineAggs]aggAcc
 		acc, err := mergeAggStates(values, len(aggs), &inline)
 		if err != nil {
@@ -561,32 +564,41 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 	}
 	// A joined row is the left row's bytes, a separator, the right row's
 	// bytes: nothing is decoded. rows holds the group's left rows from the
-	// front and its right rows from the back — on the stack for a group of up
-	// to inlineRows — and each left row meets the right rows in value order.
+	// front and its right rows from the back, each run expanded to its
+	// occurrences — on the stack for a group of up to inlineRows — and each
+	// left row meets the right rows in value order.
 	const inlineRows = 16
-	st.Spec.Reduce = func(_ []byte, values [][]byte, emit mapreduce.Emit) {
+	st.Spec.Reduce = func(_ []byte, values mapreduce.Values, emit mapreduce.Emit) {
+		total := 0
+		for i := range values.Len() {
+			_, n := values.At(i)
+			total += n
+		}
 		var inline [inlineRows][]byte
 		rows := inline[:]
-		if len(values) > len(rows) {
-			rows = make([][]byte, len(values))
+		if total > len(rows) {
+			rows = make([][]byte, total)
 		}
 		nl, nr := 0, 0
-		for _, v := range values {
+		for i := range values.Len() {
+			v, n := values.At(i)
 			tag, row, ok := bytes.Cut(v, sepBytes)
 			if !ok {
 				panic(fmt.Sprintf("query: corrupt join value %q", v))
 			}
-			if string(tag) == "L" {
-				rows[nl] = row
-				nl++
-			} else {
-				nr++
-				rows[len(values)-nr] = row
+			for range n {
+				if string(tag) == "L" {
+					rows[nl] = row
+					nl++
+				} else {
+					nr++
+					rows[total-nr] = row
+				}
 			}
 		}
 		buf := scratchPool.Get().(*scratch)
 		for _, left := range rows[:nl] {
-			for i := len(values) - 1; i >= nl; i-- {
+			for i := total - 1; i >= nl; i-- {
 				buf.b = append(append(append(buf.b[:0], left...), sepByte), rows[i]...)
 				emit(buf.b, nil)
 			}
@@ -630,9 +642,12 @@ func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, er
 		buf.b = b
 		scratchPool.Put(buf)
 	}
-	st.Spec.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emit) {
-		for _, v := range values {
-			emit(key, v)
+	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+		for i := range values.Len() {
+			v, n := values.At(i)
+			for range n {
+				emit(key, v)
+			}
 		}
 	}
 	return &source{files: out.Files, schema: src.schema, producer: st.ID, estBytes: src.estBytes, sig: st.Sig}, nil

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"mrapid/internal/mapreduce"
 )
 
 // The row codec. Between a stage's input line and the bytes it emits a row
@@ -234,9 +236,10 @@ func appendStates(dst []byte, acc []aggAcc) []byte {
 }
 
 // mergeAggStates folds every value's states into one accumulator per
-// aggregate, walking the state bytes in place. The accumulators are inline —
-// the caller's stack — for the usual handful of aggregates.
-func mergeAggStates(values [][]byte, n int, inline *[inlineAggs]aggAcc) ([]aggAcc, error) {
+// aggregate, walking the state bytes in place, once per run. The
+// accumulators are inline — the caller's stack — for the usual handful of
+// aggregates.
+func mergeAggStates(values mapreduce.Values, n int, inline *[inlineAggs]aggAcc) ([]aggAcc, error) {
 	acc := inline[:]
 	if n > len(acc) {
 		acc = make([]aggAcc, n)
@@ -245,7 +248,8 @@ func mergeAggStates(values [][]byte, n int, inline *[inlineAggs]aggAcc) ([]aggAc
 	for i := range acc {
 		acc[i] = aggAcc{lo: math.Inf(1), hi: math.Inf(-1)}
 	}
-	for _, v := range values {
+	for j := range values.Len() {
+		v, times := values.At(j)
 		rest, more := v, true
 		for i := range acc {
 			if !more {
@@ -279,8 +283,13 @@ func mergeAggStates(values [][]byte, n int, inline *[inlineAggs]aggAcc) ([]aggAc
 				return nil, fmt.Errorf("query: corrupt agg field %q", state)
 			}
 			a := &acc[i]
-			a.cnt += c
-			a.sum += s
+			a.cnt += int64(times) * c
+			// One addition per occurrence: s × times is not bit-identical
+			// to times additions, and a sum must not depend on how many
+			// rows the map side folded.
+			for range times {
+				a.sum += s
+			}
 			if l < a.lo {
 				a.lo = l
 			}

@@ -79,10 +79,13 @@ func GrepSortSpec(name string, searchOutput []string, output string) *mapreduce.
 			key := fmt.Sprintf("%019d", int64(1<<62)-n)
 			emit([]byte(key), append(append([]byte{}, countText...), append([]byte("\t"), word...)...))
 		},
-		Reduce: func(_ []byte, values [][]byte, emit mapreduce.Emit) {
-			for _, v := range values {
+		Reduce: func(_ []byte, values mapreduce.Values, emit mapreduce.Emit) {
+			for j := range values.Len() {
+				v, n := values.At(j)
 				i := bytes.IndexByte(v, '\t')
-				emit(v[:i], v[i+1:]) // (count, word) lines, descending
+				for range n {
+					emit(v[:i], v[i+1:]) // (count, word) lines, descending
+				}
 			}
 		},
 		MapRate:    GrepMapRate,

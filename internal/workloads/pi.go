@@ -132,14 +132,15 @@ func piMap(_, line []byte, emit mapreduce.Emit) {
 	emit([]byte("outside"), []byte(strconv.FormatInt(outside, 10)))
 }
 
-func piReduce(key []byte, values [][]byte, emit mapreduce.Emit) {
+func piReduce(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 	var total int64
-	for _, v := range values {
+	for i := range values.Len() {
+		v, times := values.At(i)
 		n, err := strconv.ParseInt(string(v), 10, 64)
 		if err != nil {
 			panic(err)
 		}
-		total += n
+		total += int64(times) * n
 	}
 	emit(key, []byte(strconv.FormatInt(total, 10)))
 }

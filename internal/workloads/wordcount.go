@@ -113,18 +113,19 @@ var countTexts = func() (texts [1000][]byte) {
 	return texts
 }()
 
-func wordCountReduce(key []byte, values [][]byte, emit mapreduce.Emit) {
+func wordCountReduce(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 	total := 0
-	for _, v := range values {
+	for i := range values.Len() {
+		v, times := values.At(i)
 		if len(v) == 1 && v[0]-'0' <= 9 { // the map's "1", or a combiner's small count
-			total += int(v[0] - '0')
+			total += times * int(v[0]-'0')
 			continue
 		}
 		n, err := strconv.Atoi(string(v))
 		if err != nil {
 			panic(fmt.Sprintf("workloads: wordcount got non-numeric count %q", v))
 		}
-		total += n
+		total += times * n
 	}
 	if 0 <= total && total < len(countTexts) {
 		emit(key, countTexts[total])

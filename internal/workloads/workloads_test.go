@@ -105,7 +105,12 @@ func TestCountWordsAgainstMapReduceFunctions(t *testing.T) {
 	})
 	got := map[string]int{}
 	for k, vs := range byKey {
-		wordCountReduce([]byte(k), vs, func(key, val []byte) {
+		// One run per occurrence, as an unfolded merge would hand them over.
+		ones := make([]int, len(vs))
+		for i := range ones {
+			ones[i] = 1
+		}
+		wordCountReduce([]byte(k), mapreduce.NewValues(vs, ones), func(key, val []byte) {
 			n, _ := strconv.Atoi(string(val))
 			got[string(key)] = n
 		})
@@ -430,31 +435,41 @@ func TestGeneratorCachesConcurrentUse(t *testing.T) {
 	}
 }
 
-// The reducer sums one-digit counts without parsing, takes totals below
-// 1000 from the shared table and the rest from strconv, allocates for
-// neither of the first two, and still refuses a count that is no number.
+// The reducer sums one-digit counts without parsing, multiplies each by its
+// run's length, takes totals below 1000 from the shared table and the rest
+// from strconv, allocates for neither of the first two, and still refuses a
+// count that is no number.
 func TestWordCountReduceFastPaths(t *testing.T) {
-	reduce := func(values ...string) (text string) {
-		vs := make([][]byte, len(values))
-		for i, v := range values {
-			vs[i] = []byte(v)
+	type run struct {
+		v string
+		n int
+	}
+	reduce := func(runs ...run) (text string) {
+		var vals [][]byte
+		var counts []int
+		for _, r := range runs {
+			vals, counts = append(vals, []byte(r.v)), append(counts, r.n)
 		}
-		wordCountReduce([]byte("w"), vs, func(_, v []byte) { text = string(v) })
+		wordCountReduce([]byte("w"), mapreduce.NewValues(vals, counts), func(_, v []byte) { text = string(v) })
 		return text
 	}
 	for _, c := range []struct {
-		values []string
-		want   string
+		runs []run
+		want string
 	}{
 		{nil, "0"},
-		{[]string{"1", "1", "1"}, "3"},
-		{[]string{"9", "990"}, "999"},
-		{[]string{"9", "991"}, "1000"},
-		{[]string{"123456", "7", "-7"}, "123456"},
-		{[]string{"-5", "2"}, "-3"},
+		{[]run{{"1", 1}, {"1", 1}, {"1", 1}}, "3"},
+		{[]run{{"1", 3}}, "3"},
+		{[]run{{"9", 1}, {"990", 1}}, "999"},
+		{[]run{{"9", 1}, {"991", 1}}, "1000"},
+		{[]run{{"1", 997}, {"3", 1}}, "1000"},
+		{[]run{{"7", 2}, {"990", 1}}, "1004"},
+		{[]run{{"123456", 1}, {"7", 1}, {"-7", 1}}, "123456"},
+		{[]run{{"-5", 1}, {"2", 1}}, "-3"},
+		{[]run{{"-5", 2}, {"2", 3}}, "-4"},
 	} {
-		if got := reduce(c.values...); got != c.want {
-			t.Errorf("reduce%q = %q, want %q", c.values, got, c.want)
+		if got := reduce(c.runs...); got != c.want {
+			t.Errorf("reduce%v = %q, want %q", c.runs, got, c.want)
 		}
 	}
 	for _, bad := range []string{"x", "", "1x"} {
@@ -464,12 +479,13 @@ func TestWordCountReduceFastPaths(t *testing.T) {
 					t.Errorf("count %q did not panic", bad)
 				}
 			}()
-			reduce("1", bad)
+			reduce(run{"1", 1}, run{bad, 2})
 		}()
 	}
-	key, ones := []byte("w"), [][]byte{one, one, one, []byte("42")}
+	key := []byte("w")
+	runs := mapreduce.NewValues([][]byte{one, one, []byte("42")}, []int{1, 300, 2})
 	emit := func(_, _ []byte) {}
-	if n := testing.AllocsPerRun(100, func() { wordCountReduce(key, ones, emit) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { wordCountReduce(key, runs, emit) }); n != 0 {
 		t.Errorf("a reduce inside the table allocates %v times", n)
 	}
 }
