@@ -286,9 +286,35 @@ func TestEstimatorExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFigure(t, fig, testOpts())
-	requireColumns(t, fig, "dplus-measured", "uplus-measured", "dplus-estimate", "uplus-estimate")
 	if len(fig.Points) != 5 {
 		t.Fatalf("points = %d", len(fig.Points))
+	}
+	// Every column but regret is a positive time; regret is never negative
+	// and is exactly zero where the race's verdict was the faster mode.
+	matched := 0
+	for i, p := range fig.Points {
+		for _, c := range []string{"dplus-measured", "uplus-measured", "speculative", "dplus-estimate", "uplus-estimate"} {
+			if p.Seconds[c] <= 0 {
+				t.Fatalf("point %s column %q = %v", p.Label, c, p.Seconds[c])
+			}
+		}
+		regret, ok := p.Seconds["regret"]
+		if !ok || regret < 0 {
+			t.Fatalf("point %s regret = %v (present %v)", p.Label, regret, ok)
+		}
+		best := min(fig.Get(i, "dplus-measured"), fig.Get(i, "uplus-measured"))
+		missed := false
+		for _, n := range fig.Notes {
+			missed = missed || strings.HasPrefix(n, p.Label+" files: the race picked")
+		}
+		if !missed {
+			matched++
+			if regret != 0 {
+				t.Errorf("point %s: the verdict matched but regret = %v", p.Label, regret)
+			}
+		} else if regret != max(fig.Get(i, "dplus-measured"), fig.Get(i, "uplus-measured"))-best {
+			t.Errorf("point %s: regret %v is not the gap between the modes", p.Label, regret)
+		}
 	}
 	// The decision maker must be right most of the time; it is allowed to
 	// miss near crossovers (Eq. 2 ignores cache-overflow spills).
@@ -297,6 +323,9 @@ func TestEstimatorExperiment(t *testing.T) {
 		if _, err := fmt.Sscanf(n, "decision matched the measured winner at %d/5", &correct); err == nil {
 			break
 		}
+	}
+	if correct != matched {
+		t.Errorf("notes count %d matched verdicts, the points %d", correct, matched)
 	}
 	if correct < 3 {
 		t.Fatalf("estimator matched only %d/5 decisions", correct)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/memo"
 	"mrapid/internal/profiler"
+	"mrapid/internal/topology"
 	"mrapid/internal/trace"
 )
 
@@ -118,5 +120,59 @@ func TestDecisionRecordOnBothRoutes(t *testing.T) {
 			check("memo", run(ModeSpeculative, "never-seen", 2), profiler.ByMemo, ModeMemo)
 			check("memo, fixed mode", run(ModeUPlus, "never-seen", 2), profiler.ByMemo, ModeMemo)
 		})
+	}
+}
+
+// TestRaceEstimatesMatchInputsFromProfile pins the race to the one assembly
+// of the Eq. 2/3 inputs: a raced job's recorded estimates must be exactly
+// Equations 3 and 2 over InputsFromProfile of the first completed map's
+// sample (compute time, input bytes, output bytes) with the cluster's n^m,
+// n^c and n_u^m. The four inputs differ in size, so every map is a different
+// sample and the first one is the map that ended at the verdict instant; four
+// maps fill the A3's one U+ wave exactly, so a miscounted n^m moves Eq. 2.
+func TestRaceEstimatesMatchInputsFromProfile(t *testing.T) {
+	t.Parallel()
+	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
+	f := startFramework(t, rt, 3)
+	var names []string
+	for i, lines := range []int{1000, 2000, 3000, 4000} {
+		name := fmt.Sprintf("/in/sized-%d", i)
+		data := bytes.Repeat([]byte("lorem ipsum dolor sit amet\n"), lines)
+		if _, err := rt.DFS.PutInstant(name, data, rt.Cluster.Workers()[i]); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	var res *mapreduce.Result
+	rt.Eng.After(0, func() {
+		f.Submit(ModeSpeculative, testWCSpec(names, "/out/raced"), func(r *mapreduce.Result) { res = r })
+	})
+	rt.Eng.RunUntil(rt.Eng.Now().Add(10 * time.Minute))
+	if res == nil || res.Err != nil {
+		t.Fatalf("raced job = %+v", res)
+	}
+	d := res.Profile.Decision
+	if d.Source != profiler.ByRace || d.EstimateD <= 0 || d.EstimateU <= 0 {
+		t.Fatalf("decision = %+v, want a race with estimates", d)
+	}
+	var first *profiler.TaskProfile
+	for _, tp := range res.Profile.Tasks {
+		if tp.Kind == profiler.MapTask && !tp.Failed && tp.Ended == d.At {
+			if first != nil {
+				t.Fatalf("maps %d and %d both ended at the verdict instant %s", first.Index, tp.Index, d.At)
+			}
+			first = tp
+		}
+	}
+	if first == nil {
+		t.Fatalf("no map of the winner (%s) ended at the verdict instant %s", res.Mode, d.At)
+	}
+	in := InputsFromProfile(
+		profiler.Summary{AvgMapCPU: first.ComputeDur, AvgIn: first.InputBytes, AvgOut: first.OutputBytes},
+		len(names), 4*topology.A3.MaxContainers(), FullUPlus().MapsPerWave(rt.Cluster.Workers()[0]),
+		topology.A3, rt.Params)
+	if d.EstimateD != EstimateDPlus(in) || d.EstimateU != EstimateUPlus(in) {
+		t.Errorf("race estimates D+=%s U+=%s, the one assembly D+=%s U+=%s",
+			d.EstimateD, d.EstimateU, EstimateDPlus(in), EstimateUPlus(in))
 	}
 }

@@ -1,7 +1,7 @@
 // Package core implements MRapid, the paper's contribution: the D+
 // resource- and locality-aware scheduler (Algorithm 1), the U+ parallel
 // in-memory Uber mode, the AM-pool job submission framework, the
-// profile-driven completion-time estimator (Equations 1–3), and the
+// profile-driven completion-time estimator (Equations 2 and 3), and the
 // speculative dual-mode executor with its decision maker.
 package core
 

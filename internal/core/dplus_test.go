@@ -311,16 +311,8 @@ func TestEstimatorEquations(t *testing.T) {
 	if got := EstimateDPlus(in); got != want {
 		t.Errorf("EstimateDPlus = %v, want %v", got, want)
 	}
-	// Eq. 1 is strictly larger than Eq. 3 (it adds AM setup, read, and the
-	// double-spill merge terms).
-	if EstimateJob(in, 100<<20) <= EstimateDPlus(in) {
-		t.Error("EstimateJob should exceed EstimateDPlus")
-	}
-	// Merge terms only charged above the sort buffer.
-	small := EstimateJob(in, in.SO)
-	big := EstimateJob(in, in.SO-1)
-	if big <= small {
-		t.Error("overflowing the sort buffer should add merge cost")
+	if estimate(ModeDPlus, in) != want || estimate(ModeUPlus, in) != 4*time.Second || estimate(ModeHadoop, in) != 0 {
+		t.Error("estimate does not pick Eq. 3 for D+, Eq. 2 for U+ and zero otherwise")
 	}
 }
 

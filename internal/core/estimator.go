@@ -9,7 +9,7 @@ import (
 )
 
 // EstimatorInputs carries the Table I quantities the decision maker plugs
-// into Equations 1–3. Measured values (t^m, s^i, s^o) come from the
+// into Equations 2 and 3. Measured values (t^m, s^i, s^o) come from the
 // profiler; structural values (n^m, n^c, n_u^m) from the job and cluster;
 // rates (d^i, d^o, b^i, t^l) from the cost model and instance type.
 type EstimatorInputs struct {
@@ -26,9 +26,7 @@ type EstimatorInputs struct {
 	DO float64       // d^o: disk output (read) rate, bytes/s
 	BI float64       // b^i: network bandwidth, bytes/s
 
-	TReduce time.Duration // reduce-phase time, identical across modes (Eq. 2/3 omit it)
-
-	// ShuffleRatio scales s^o in the shuffle terms of Equations 1 and 3:
+	// ShuffleRatio scales s^o in the shuffle term of Equation 3:
 	// with the node-level shuffle service attached, in-node combining and
 	// compression move fewer bytes across the network than the maps
 	// emitted (Runtime.ShuffleWireRatio supplies the factor). Zero (unset)
@@ -38,7 +36,7 @@ type EstimatorInputs struct {
 	ShuffleRatio float64
 }
 
-// shuffleBytes is s^o scaled by ShuffleRatio for the shuffle terms.
+// shuffleBytes is s^o scaled by ShuffleRatio for the shuffle term.
 func (in EstimatorInputs) shuffleBytes() int64 {
 	r := in.ShuffleRatio
 	if r <= 0 || r >= 1 {
@@ -48,8 +46,8 @@ func (in EstimatorInputs) shuffleBytes() int64 {
 }
 
 // InputsFromProfile builds estimator inputs from a measured job summary and
-// the cluster configuration, the way the decision maker assembles them from
-// the profiler records uploaded to HDFS.
+// the cluster configuration. Framework.estimatorInputs assembles every
+// input the decision maker prices through it.
 func InputsFromProfile(s profiler.Summary, nm, nc, num int, it topology.InstanceType, p costmodel.Params) EstimatorInputs {
 	return EstimatorInputs{
 		TM:  s.AvgMapCPU,
@@ -82,26 +80,6 @@ func ioTime(bytes int64, rate float64) time.Duration {
 	return time.Duration(float64(bytes) / rate * float64(time.Second))
 }
 
-// EstimateJob implements Equation 1, the full completion-time model for a
-// stock distributed job:
-//
-//	t^job = t^AM + t^Map + t^Shuffle + t^Reduce
-//	      = t^l + (t^l + s^i/d^o + t^m + s^o/d^i + s^o/d^o + s^o/d^i) · n^w
-//	        + (s^o · n^c)/b^i + t^Reduce
-//
-// The merge terms (s^o/d^o + s^o/d^i) are only charged when the output
-// overflows the sort buffer and actually merges, matching the paper's
-// "if the intermediate data is too large to spill once".
-func EstimateJob(in EstimatorInputs, sortBuffer int64) time.Duration {
-	nw := waves(in.NM, in.NC)
-	perWave := in.TL + ioTime(in.SI, in.DO) + in.TM + ioTime(in.SO, in.DI)
-	if in.SO > sortBuffer {
-		perWave += ioTime(in.SO, in.DO) + ioTime(in.SO, in.DI)
-	}
-	shuffle := ioTime(in.shuffleBytes()*int64(in.NC), in.BI)
-	return in.TL + perWave*time.Duration(nw) + shuffle + in.TReduce
-}
-
 // EstimateUPlus implements Equation 2: with the AM pool removing setup, the
 // single container removing shuffle, and the memory cache removing spill
 // and merge, only the map compute remains, repeated over the U+ waves:
@@ -119,6 +97,18 @@ func EstimateDPlus(in EstimatorInputs) time.Duration {
 	perWave := in.TL + in.TM + ioTime(in.SO, in.DI)
 	shuffle := ioTime(in.shuffleBytes()*int64(in.NC), in.BI)
 	return perWave*time.Duration(waves(in.NM, in.NC)) + shuffle
+}
+
+// estimate prices one MRapid mode: Equation 3 for D+, Equation 2 for U+,
+// and zero for a mode the equations do not cover.
+func estimate(mode ModeKind, in EstimatorInputs) time.Duration {
+	switch mode {
+	case ModeDPlus:
+		return EstimateDPlus(in)
+	case ModeUPlus:
+		return EstimateUPlus(in)
+	}
+	return 0
 }
 
 // ModeKind identifies one of the four execution modes.

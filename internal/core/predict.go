@@ -26,38 +26,33 @@ type Prediction struct {
 	Runs int
 }
 
-// estimatorInputs assembles the cluster-structural Table I quantities for a
-// spec — everything except the measured TM/SI/SO, which the caller fills
-// from a profiler sample (the speculative race) or from class aggregates
-// (the calibrating estimator).
-func (f *Framework) estimatorInputs(spec *mapreduce.JobSpec) EstimatorInputs {
+// estimatorInputs is the one assembly of the Table I quantities Equations 2
+// and 3 price: the measured t^m, s^i and s^o of sample (a profiled map in
+// the race, a finished run's averages in calibration, class aggregates in a
+// prediction), the job's n^m from its split listing, and the cluster's n^c,
+// n_u^m and rates.
+func (f *Framework) estimatorInputs(spec *mapreduce.JobSpec, nm int, sample profiler.Summary) EstimatorInputs {
 	workers := f.RT.Cluster.Workers()
-	it := workers[0].Type
-	return EstimatorInputs{
-		NM:  countSplits(f.RT, spec),
-		NC:  mapreduce.ClusterContainerSlots(f.RT),
-		NUM: f.UOpts.MapsPerWave(workers[0]),
-		TL:  f.RT.Params.ContainerStart(),
-		DI:  it.DiskWriteBps,
-		DO:  it.DiskReadBps,
-		BI:  it.NetworkBps,
-		// With the shuffle service attached, the decision maker prices the
-		// post-combine, post-compress shuffle, not the raw map output.
-		ShuffleRatio: f.RT.ShuffleWireRatio(spec),
-	}
+	in := InputsFromProfile(sample, nm, mapreduce.ClusterContainerSlots(f.RT),
+		f.UOpts.MapsPerWave(workers[0]), workers[0].Type, f.RT.Params)
+	// With the shuffle service attached, the decision maker prices the
+	// post-combine, post-compress shuffle, not the raw map output.
+	in.ShuffleRatio = f.RT.ShuffleWireRatio(spec)
+	return in
 }
 
-// avgSplitBytes returns the job's mean input split size (0 when unknown).
-func (f *Framework) avgSplitBytes(spec *mapreduce.JobSpec) int64 {
+// splitShape lists the job's input splits once: n^m and the mean split size
+// (both 0 when the listing fails).
+func (f *Framework) splitShape(spec *mapreduce.JobSpec) (n int, mean int64) {
 	splits, err := f.RT.Splits(spec.InputFiles)
 	if err != nil || len(splits) == 0 {
-		return 0
+		return 0, 0
 	}
 	var total int64
 	for _, s := range splits {
 		total += s.Length
 	}
-	return total / int64(len(splits))
+	return len(splits), total / int64(len(splits))
 }
 
 // calibrated scales a raw Eq. 2/3 estimate by the class's measured
@@ -82,26 +77,23 @@ func (f *Framework) PredictMode(spec *mapreduce.JobSpec) (*Prediction, bool) {
 	if !ok || !f.History.Confident(class) {
 		return nil, false
 	}
-	in := f.estimatorInputs(spec)
-	si := f.avgSplitBytes(spec)
-	if in.NM <= 0 || si <= 0 {
+	nm, si := f.splitShape(spec)
+	if nm <= 0 || si <= 0 {
 		return nil, false
 	}
-	in.SI = si
-	in.TM = time.Duration(cs.Rate.Mean * float64(si) * float64(time.Second))
-	in.SO = int64(cs.Sel.Mean * float64(si))
+	in := f.estimatorInputs(spec, nm, profiler.Summary{
+		AvgMapCPU: time.Duration(cs.Rate.Mean * float64(si) * float64(time.Second)),
+		AvgIn:     si,
+		AvgOut:    int64(cs.Sel.Mean * float64(si)),
+	})
 	p := &Prediction{
 		Class:     class,
 		Runs:      cs.Runs,
 		EstimateD: EstimateDPlus(in),
 		EstimateU: EstimateUPlus(in),
+		Mode:      Decide(in),
 	}
-	p.Mode = Decide(in)
-	est := p.EstimateU
-	if p.Mode == ModeDPlus {
-		est = p.EstimateD
-	}
-	p.Runtime = cs.calibrated(est)
+	p.Runtime = cs.calibrated(estimate(p.Mode, in))
 	return p, true
 }
 
@@ -123,15 +115,8 @@ func (f *Framework) calibrate(spec *mapreduce.JobSpec, winner ModeKind, elapsed 
 	if sum.MapCount == 0 || sum.AvgIn <= 0 {
 		return
 	}
-	in := f.estimatorInputs(spec)
-	in.TM, in.SI, in.SO = sum.AvgMapCPU, sum.AvgIn, sum.AvgOut
-	var est time.Duration
-	switch winner {
-	case ModeDPlus:
-		est = EstimateDPlus(in)
-	case ModeUPlus:
-		est = EstimateUPlus(in)
-	}
+	nm, _ := f.splitShape(spec)
+	est := estimate(winner, f.estimatorInputs(spec, nm, sum))
 	f.History.Observe(spec.ClassKey(), winner, elapsed, est, sum)
 }
 
@@ -160,15 +145,10 @@ func (f *Framework) accountPrediction(pred *Prediction, spec *mapreduce.JobSpec,
 	if sum.MapCount == 0 || sum.AvgIn <= 0 {
 		return
 	}
-	in := f.estimatorInputs(spec)
-	in.TM, in.SI, in.SO = sum.AvgMapCPU, sum.AvgIn, sum.AvgOut
+	nm, _ := f.splitShape(spec)
 	other := loserOf(pred.Mode)
-	otherEst := EstimateUPlus(in)
-	if other == ModeDPlus {
-		otherEst = EstimateDPlus(in)
-	}
 	cs, _ := f.History.Class(pred.Class)
-	otherEst = cs.calibrated(otherEst)
+	otherEst := cs.calibrated(estimate(other, f.estimatorInputs(spec, nm, sum)))
 	if otherEst > 0 && otherEst < actual {
 		regret := actual - otherEst
 		f.RT.Reg.Inc(metrics.With("estimator_regret_total", "picked", string(pred.Mode)))

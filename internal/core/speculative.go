@@ -161,10 +161,10 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 			return
 		}
 		decided = true
-		in := f.estimatorInputs(spec)
-		in.TM = sample.ComputeDur
-		in.SI = sample.InputBytes
-		in.SO = sample.OutputBytes
+		nm, _ := f.splitShape(spec)
+		in := f.estimatorInputs(spec, nm, profiler.Summary{
+			AvgMapCPU: sample.ComputeDur, AvgIn: sample.InputBytes, AvgOut: sample.OutputBytes,
+		})
 		d.EstimateU = EstimateUPlus(in)
 		d.EstimateD = EstimateDPlus(in)
 		d.At = f.RT.Eng.Now()
@@ -219,13 +219,4 @@ func (f *Framework) recordOutcome(spec *mapreduce.JobSpec, winner ModeKind, res 
 	// Persisting the snapshot mirrors the profiler uploading records to
 	// HDFS; failures only cost future pre-decisions.
 	_ = f.History.Save(f.RT.DFS)
-}
-
-// countSplits returns n^m for the estimator.
-func countSplits(rt *mapreduce.Runtime, spec *mapreduce.JobSpec) int {
-	splits, err := rt.Splits(spec.InputFiles)
-	if err != nil {
-		return 0
-	}
-	return len(splits)
 }

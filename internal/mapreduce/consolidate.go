@@ -40,7 +40,7 @@ type ShuffleProvider interface {
 
 	// WireRatio estimates how the service scales the job's shuffled bytes
 	// (post-combine, post-compress) relative to the raw map output — the
-	// correction the Eq. 1/3 estimator applies to s^o.
+	// correction the Eq. 3 estimator applies to s^o.
 	WireRatio(spec *JobSpec) float64
 }
 
@@ -182,8 +182,8 @@ func (c *Consolidated) SpilledPartBytes(part int) int64 {
 
 // ShuffleWireRatio reports how the attached shuffle service (if any) scales
 // shuffled bytes relative to raw map output; 1 without a service. The
-// speculative decision maker multiplies s^o by this so Equations 1 and 3
-// price the post-combine, post-compress shuffle.
+// speculative decision maker multiplies s^o by this so Equation 3 prices
+// the post-combine, post-compress shuffle.
 func (rt *Runtime) ShuffleWireRatio(spec *JobSpec) float64 {
 	return rt.shuffleProvider().WireRatio(spec)
 }

@@ -60,7 +60,7 @@ type amCore struct {
 
 	// OnMapComplete, when set before Run, observes every finished map task;
 	// the speculative decision maker uses it to collect the profile samples
-	// Equations 1–3 need.
+	// Equations 2 and 3 need.
 	OnMapComplete func(*profiler.TaskProfile)
 }
 
@@ -79,7 +79,6 @@ func newAMCore(rt *Runtime, spec *JobSpec, app *yarn.App, prof *profiler.JobProf
 	}
 	prof.NumMaps = len(splits)
 	prof.NumReduces = spec.NumReduces
-	prof.NumWorkers = len(rt.Cluster.Workers())
 	return amCore{
 		rt: rt, spec: spec, app: app, prof: prof, shuffle: rt.shuffleProvider(), splits: splits,
 		failed: make(map[taskID]int), fetched: make(map[*MapOutput]bool),

@@ -285,8 +285,14 @@ func TestProfileSummarize(t *testing.T) {
 	if s.AvgMapCPU <= 0 || s.AvgIn <= 0 || s.AvgOut <= 0 {
 		t.Errorf("summary empty: %+v", s)
 	}
-	if s.ReduceInput <= 0 {
-		t.Errorf("ReduceInput = %d", s.ReduceInput)
+	var reduceIn int64
+	for _, tp := range res.Profile.Tasks {
+		if tp.Kind == profiler.ReduceTask && !tp.Failed {
+			reduceIn += tp.InputBytes
+		}
+	}
+	if reduceIn <= 0 {
+		t.Errorf("reduce InputBytes = %d", reduceIn)
 	}
 	if s.String() == "" {
 		t.Error("Summary.String empty")

@@ -1,8 +1,8 @@
 // Package profiler records per-task and per-job execution information —
 // phase durations, input/output sizes, achieved locality — the way the
 // paper's ASM-based bytecode profiler instruments Hadoop tasks. The MRapid
-// decision maker feeds these records into its cost model (Equations 1–3) to
-// estimate D+ vs U+ completion times.
+// decision maker feeds these records into its cost model (Equations 2 and
+// 3) to estimate D+ vs U+ completion times.
 package profiler
 
 import (
@@ -122,7 +122,6 @@ type JobProfile struct {
 
 	NumMaps       int
 	NumReduces    int
-	NumWorkers    int // DataNodes in the cluster
 	NumContainers int // max simultaneous task containers available to the job
 }
 
@@ -152,9 +151,6 @@ type Summary struct {
 	MapCPUStd time.Duration // stddev of map compute across the job's tasks
 	AvgIn     int64         // s^i: average map input bytes
 	AvgOut    int64         // s^o: average map output bytes
-
-	ReduceCPU   time.Duration // reduce-function compute time
-	ReduceInput int64
 }
 
 // Summarize reduces a job profile to the estimator's inputs.
@@ -163,20 +159,13 @@ func (jp *JobProfile) Summarize() Summary {
 	var mapCPU time.Duration
 	var in, out int64
 	for _, t := range jp.Tasks {
-		if t.Failed {
-			// Crashed attempts carry partial measurements; the estimator
-			// only wants completed-task averages.
-			continue
-		}
-		switch t.Kind {
-		case MapTask:
+		// Crashed attempts carry partial measurements; the estimator only
+		// wants completed-map averages.
+		if !t.Failed && t.Kind == MapTask {
 			s.MapCount++
 			mapCPU += t.ComputeDur
 			in += t.InputBytes
 			out += t.OutputBytes
-		case ReduceTask:
-			s.ReduceCPU += t.ComputeDur
-			s.ReduceInput += t.InputBytes
 		}
 	}
 	if s.MapCount > 0 {

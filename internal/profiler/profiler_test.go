@@ -57,9 +57,6 @@ func TestSummarizeAverages(t *testing.T) {
 	if s.AvgIn != 200 || s.AvgOut != 300 {
 		t.Fatalf("averages = %d/%d", s.AvgIn, s.AvgOut)
 	}
-	if s.ReduceCPU != time.Second || s.ReduceInput != 600 {
-		t.Fatalf("reduce aggregates = %v/%d", s.ReduceCPU, s.ReduceInput)
-	}
 	if s.Job != "wc" || s.Mode != "uplus" {
 		t.Fatalf("identity lost: %+v", s)
 	}

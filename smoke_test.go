@@ -106,8 +106,9 @@ func TestDesignWhereBytesLive(t *testing.T) {
 }
 
 // TestDocsNameDeclaredTests keeps the docs' citations live: every Test…,
-// Benchmark… or Fuzz… name DESIGN.md or README.md cites must be declared by
-// some test file in the tree.
+// Benchmark… or Fuzz… name DESIGN.md, README.md or EXPERIMENTS.md cites must
+// be declared by some test file in the tree, or be the prefix of a declared
+// name (the `-run` forms, such as TestRelaunchedPooledJob or BenchmarkFig).
 func TestDocsNameDeclaredTests(t *testing.T) {
 	declared := map[string]bool{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
@@ -125,13 +126,21 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	covered := func(name string) bool {
+		for d := range declared {
+			if strings.HasPrefix(d, name) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range cited.FindAllString(string(text), -1) {
-			if !declared[name] {
+			if !covered(name) {
 				t.Errorf("%s cites %s, which no test file declares", doc, name)
 			}
 		}
