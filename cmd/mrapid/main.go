@@ -66,9 +66,8 @@ var (
 	tenants  = flag.Int("tenants", 2, "workload mode: tenant capacity queues the jobs are spread over")
 	arrival  = flag.String("arrival", "burst", "workload mode: arrival process — burst | uniform:<gap> | poisson:<mean>")
 	policy   = flag.String("policy", "fifo", "workload mode: admission policy — fifo | wfair")
-	predict  = flag.Bool("predict", false, "enable the calibrating estimator: confident workload classes skip the speculative dual-launch (workload mode: the whole stream runs speculative with prediction on)")
-	repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under fresh job keys, so the class estimator warms up and later runs can pre-decide")
-	showHist = flag.Bool("show-history", false, "print the execution-record history (exact-match entries and per-class calibration aggregates) after the run")
+	repeat   = flag.Int("repeat", 1, "speculative mode: submit the job N times under its own job key, so run 1 races and runs 2..N run the recorded winner alone (or are served from the cache with -memo)")
+	showHist = flag.Bool("show-history", false, "print the execution-record history (the winner recorded per job key) after the run")
 	qexec    = flag.String("query-exec", "both", "query job: stage scheduling — chain | dag | both (compare)")
 	runOpts  = bench.RunFlags()
 	profiles = bench.ProfileFlags()
@@ -91,8 +90,8 @@ var honoured = map[string]runMode{
 	"mode": singleJob, "files": singleJob, "size-mb": singleJob, "rows": singleJob,
 	"samples": singleJob, "maps": singleJob, "trace": singleJob, "trace-out": singleJob,
 	"metrics-out": singleJob, "report": singleJob, "repeat": singleJob, "show-history": singleJob,
-	"verbose": singleJob | queryJob,
-	"predict": singleJob | workload, "series-out": singleJob | workload, "dash-out": singleJob | workload,
+	"verbose":    singleJob | queryJob,
+	"series-out": singleJob | workload, "dash-out": singleJob | workload,
 	"jobs":    singleJob | workload,
 	"tenants": workload, "arrival": workload, "policy": workload,
 	"query-exec": queryJob,
@@ -108,7 +107,7 @@ func checkFlags(m runMode, set []string, value func(name string) string) error {
 			return fmt.Errorf("-%s has no effect with %s", name, modeNames[m])
 		}
 		switch mode := value("mode"); {
-		case m == singleJob && mode != "speculative" && (name == "repeat" || name == "predict" || name == "show-history"):
+		case m == singleJob && mode != "speculative" && (name == "repeat" || name == "show-history"):
 			return fmt.Errorf("-%s has no effect with -mode %s (only speculative decides)", name, mode)
 		case m == singleJob && name == "memo" && (mode == "hadoop" || mode == "uber"):
 			return fmt.Errorf("-memo has no effect with -mode %s (no framework, no cache)", mode)
@@ -171,19 +170,12 @@ func dispatch(m runMode) (err error) {
 	return run(setup, opts)
 }
 
-// printHistory dumps the execution-record store: exact-match entries first,
-// then the per-class calibration aggregates with their confidence verdicts.
+// printHistory dumps the execution-record store, one entry per job key.
 func printHistory(h *core.History) {
 	fmt.Println("history (exact-match records):")
 	for _, e := range h.Entries() {
 		fmt.Printf("  %-14s winner=%-6s runs=%-2d elapsed=%.2fs wins=%v\n",
 			e.Job, e.Winner, e.Runs, e.Elapsed.Seconds(), e.Wins)
-	}
-	fmt.Println("history (workload-class aggregates):")
-	for _, cs := range h.Classes() {
-		fmt.Printf("  %s runs=%-2d rate=%.3gs/B (cv %.3f) sel=%.3f (cv %.3f) calib=%.3f intra-cv=%.3f d/u=%d/%d confident=%v\n",
-			cs.Class, cs.Runs, cs.Rate.Mean, cs.Rate.CV(), cs.Sel.Mean, cs.Sel.CV(),
-			cs.Calib.Mean, cs.IntraCV.Mean, cs.DWins, cs.UWins, h.Confident(cs.Class))
 	}
 }
 
@@ -198,7 +190,6 @@ func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
 	}
 	res, err := bench.RunThroughput(setup, bench.WorkloadConfig{
 		Jobs: *jobs, Tenants: *tenants, Arrival: *arrival, Policy: pol,
-		Speculative: *predict, Predict: *predict,
 	}, opts)
 	if err != nil {
 		return err
@@ -212,11 +203,6 @@ func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
 	for _, name := range res.TenantOrder {
 		ts := res.Tenants[name]
 		fmt.Printf("  %-10s jobs=%-3d mean-latency=%.2fs mean-wait=%.3fs\n", name, ts.Jobs, ts.MeanLatency, ts.MeanWait)
-	}
-	if *predict {
-		fmt.Printf("estimator: races=%d direct=%d (history=%d prediction=%d) slot-seconds=%.1f\n",
-			res.Races, res.DirectHistory+res.DirectPrediction, res.DirectHistory, res.DirectPrediction, res.SlotSeconds)
-		fmt.Printf("prediction: mean-rel-error=%.3f regret=%d\n", res.PredErrMean, res.Regret)
 	}
 	if opts.MemoCache {
 		fmt.Printf("memo cache: hits=%d misses=%d\n", res.MemoHits, res.MemoMisses)
@@ -352,20 +338,17 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 
 	runs := 1
 	if *mode == "speculative" {
-		env.FW.Predict = *predict
 		runs = max(*repeat, 1)
 	}
 	var res *mapreduce.Result
 	for i := 0; i < runs; i++ {
 		run := *spec
 		if runs > 1 {
-			// Fresh job keys keep the exact-match history out of the
-			// picture: only the class estimator can pre-decide, which is
-			// what -repeat is for. Earlier runs land in scratch outputs;
-			// the final one writes the real /out the verifiers read. The
-			// flight artifacts cover run 1.
+			// Every run keeps the job's key, so the first records its
+			// winner and the rest run it alone. Earlier runs land in
+			// scratch outputs; the final one writes the real /out the
+			// verifiers read. The flight artifacts cover run 1.
 			run.Name = fmt.Sprintf("%s#run%d", spec.Name, i+1)
-			run.JobKey = run.Name
 			if i < runs-1 {
 				run.OutputFile = fmt.Sprintf("%s.run%d", spec.OutputFile, i+1)
 			}
@@ -375,24 +358,20 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 		}
 		if runs > 1 {
 			how := map[string]string{
-				profiler.ByRace:       "raced",
-				profiler.ByMemo:       "served from the memo cache",
-				profiler.ByPrediction: "pre-decided (class estimator)",
-				profiler.ByHistory:    "pre-decided (exact history)",
+				profiler.ByRace:    "raced",
+				profiler.ByMemo:    "served from the memo cache",
+				profiler.ByHistory: "pre-decided (exact history)",
 			}[res.Profile.Decision.Source]
 			fmt.Printf("run %d/%d: winner=%s %s elapsed=%.2fs\n", i+1, runs, res.Mode, how, res.Elapsed())
 		}
 	}
 	prof := res.Profile
 	if d := prof.Decision; *mode == "speculative" {
-		fmt.Printf("speculative execution: winner=%s fromHistory=%v fromPrediction=%v\n",
-			res.Mode, d.Source == profiler.ByHistory, d.Source == profiler.ByPrediction)
+		fmt.Printf("speculative execution: winner=%s fromHistory=%v\n",
+			res.Mode, d.Source == profiler.ByHistory)
 		if d.EstimateD > 0 {
 			fmt.Printf("estimates: t_d=%.2fs t_u=%.2fs (decided at %s)\n",
 				d.EstimateD.Seconds(), d.EstimateU.Seconds(), d.At)
-		}
-		if d.Source == profiler.ByPrediction {
-			fmt.Printf("predicted runtime: %.2fs (actual %.2fs)\n", d.Predicted.Seconds(), res.Elapsed())
 		}
 		if *showHist {
 			printHistory(env.FW.History)

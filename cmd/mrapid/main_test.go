@@ -18,9 +18,9 @@ func TestCheckFlags(t *testing.T) {
 		bad  string            // the flag the error must name; "" = accepted
 		vals map[string]string // values other than the flags' defaults
 	}{
-		{singleJob, []string{"job", "mode", "files", "size-mb", "trace", "report", "verbose", "predict", "repeat", "show-history", "dash-out"}, "", nil},
+		{singleJob, []string{"job", "mode", "files", "size-mb", "trace", "report", "verbose", "repeat", "show-history", "dash-out"}, "", nil},
 		{singleJob, []string{"mode", "memo"}, "", map[string]string{"mode": "dplus"}},
-		{workload, []string{"jobs", "tenants", "arrival", "policy", "predict", "series-out", "dash-out"}, "", nil},
+		{workload, []string{"jobs", "tenants", "arrival", "policy", "series-out", "dash-out"}, "", nil},
 		{queryJob, []string{"job", "query-exec", "verbose"}, "", nil},
 		// The shared setup works in all three modes.
 		{singleJob, []string{"cluster", "seed", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
@@ -29,7 +29,6 @@ func TestCheckFlags(t *testing.T) {
 
 		// Only -mode speculative decides, and only a framework has a cache.
 		{singleJob, []string{"mode", "repeat"}, "repeat", map[string]string{"mode": "dplus"}},
-		{singleJob, []string{"mode", "predict"}, "predict", map[string]string{"mode": "uplus"}},
 		{singleJob, []string{"mode", "show-history"}, "show-history", map[string]string{"mode": "hadoop"}},
 		{singleJob, []string{"mode", "memo"}, "memo", map[string]string{"mode": "hadoop"}},
 		{singleJob, []string{"mode", "memo"}, "memo", map[string]string{"mode": "uber"}},
@@ -55,7 +54,6 @@ func TestCheckFlags(t *testing.T) {
 		{queryJob, []string{"job", "metrics-out"}, "metrics-out", nil},
 		{queryJob, []string{"job", "repeat"}, "repeat", nil},
 		{queryJob, []string{"job", "show-history"}, "show-history", nil},
-		{queryJob, []string{"job", "predict"}, "predict", nil},
 		{queryJob, []string{"job", "series-out"}, "series-out", nil},
 		{queryJob, []string{"job", "dash-out"}, "dash-out", nil},
 		{queryJob, []string{"job", "jobs"}, "jobs", nil},

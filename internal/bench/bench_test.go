@@ -339,7 +339,7 @@ func TestEstimatorExperiment(t *testing.T) {
 
 func TestRegistryAndLookup(t *testing.T) {
 	t.Parallel()
-	want := []string{"table2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "estimator", "phases", "throughput", "shuffle", "warm", "dagquery", "memo"}
+	want := []string{"table2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "estimator", "phases", "throughput", "shuffle", "dagquery", "memo"}
 	if len(Registry) != len(want) {
 		t.Fatalf("registry has %d entries", len(Registry))
 	}

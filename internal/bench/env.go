@@ -105,7 +105,7 @@ func VariantDPlus() Variant {
 }
 
 // VariantSpeculative is the D+ environment with the decision maker picking
-// the mode: history, a class prediction, or the D+/U+ race.
+// the mode: the job key's recorded winner or the D+/U+ race.
 func VariantSpeculative() Variant {
 	v := VariantDPlus()
 	v.Name, v.Mode = "speculative", core.ModeSpeculative

@@ -532,7 +532,6 @@ var Registry = []struct {
 	{"phases", PhaseBreakdown, "phase attribution per mode (observability)"},
 	{"throughput", Throughput, "multi-tenant JobServer throughput & fairness"},
 	{"shuffle", Shuffle, "shuffle service: consolidated fetches, combine & compression"},
-	{"warm", Warm, "calibrating estimator: warm workloads skip the 2× dual-launch"},
 	{"dagquery", DAGQuery, "query DAG scheduler: parallel branches vs sequential chains"},
 	{"memo", Memo, "cross-job memoization: digest-keyed result reuse skips execution"},
 }

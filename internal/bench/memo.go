@@ -9,9 +9,8 @@ import (
 
 // memoWorkload is the repeat-heavy job stream both Memo rows run: three
 // tenants resubmitting the same three WordCount jobs (Mix=3 input sets,
-// job i reads set i%3) under fresh JobKeys, so neither the exact-match
-// history nor the class estimator — only the digest-keyed memo cache — can
-// recognize a repeat. Every set's first submission must execute; with the
+// job i reads set i%3) under fresh JobKeys, so not the history — only the
+// digest-keyed memo cache — can recognize a repeat. Every set's first submission must execute; with the
 // cache on, later revisits whose first run has committed are served without
 // launching anything.
 func memoWorkload() WorkloadConfig {

@@ -41,13 +41,9 @@ type WorkloadConfig struct {
 
 	// Speculative routes every job through the full speculative workflow
 	// (D+/U+ race + decision maker) instead of alternating fixed modes, each
-	// under its own JobKey, so the exact-match history never pre-decides a
-	// later job — only the class estimator can. This is the warm-workload
-	// regime: similar jobs, never the same one.
+	// under its own JobKey, so the history never pre-decides a later job:
+	// every job the memo cache misses races.
 	Speculative bool
-	// Predict turns on the framework's calibrating estimator, letting
-	// confident workload classes skip the dual-launch (Framework.Predict).
-	Predict bool
 
 	// Mix spreads the stream over this many distinct input sets (job i reads
 	// set i%Mix), each generated from its own seed. 0 or 1 keeps the classic
@@ -75,18 +71,9 @@ type ThroughputResult struct {
 	TenantOrder []string
 	Tenants     map[string]*TenantStats
 
-	// Estimator accounting for speculative workloads: SlotSeconds is the
-	// JobServer's admission-cost × execution-time integral (the dual-launch
-	// pays 2× here), Races/DirectHistory/DirectPrediction split the jobs by
-	// how the mode was chosen, PredErrMean is the mean relative prediction
-	// error of the direct picks, and Regret counts picks the skipped mode
-	// would have beaten.
-	SlotSeconds      float64
-	Races            int64
-	DirectHistory    int64
-	DirectPrediction int64
-	PredErrMean      float64
-	Regret           int64
+	// SlotSeconds is the JobServer's admission-cost × execution-time
+	// integral: the speculative dual-launch pays 2× here.
+	SlotSeconds float64
 
 	// Memo accounting, non-zero only when Params.MemoCache was on: lookups
 	// served from the cross-job cache vs. missed (memo_hits_total /
@@ -178,7 +165,6 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	}
 	env.EnableObservability(1 << 16)
 	srv := env.Srv
-	env.FW.Predict = cfg.Predict
 
 	// Flight recorder: cluster gauges from the env, JobServer gauges here,
 	// and the SLO tracker fed through a tap that also keeps the raw events,
@@ -328,21 +314,9 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	}
 	res.Fairness = jainIndex(res.TenantOrder, res.Tenants)
 
-	// Estimator accounting: how the speculative jobs picked their mode, and
-	// what the admission layer paid for them in cluster-slot time.
+	// What the admission layer paid for the jobs in cluster-slot time.
 	res.SlotSeconds = srv.SlotSeconds
 	counters := env.Reg.Counters()
-	res.Races = counters["estimator_race_total"]
-	res.DirectHistory = counters[metrics.With("estimator_direct_total", "source", "history")]
-	res.DirectPrediction = counters[metrics.With("estimator_direct_total", "source", "prediction")]
-	for name, n := range counters {
-		if strings.HasPrefix(name, "estimator_regret_total{") {
-			res.Regret += n
-		}
-	}
-	if h := hists["estimator_prediction_error"]; h != nil {
-		res.PredErrMean = h.Mean()
-	}
 	res.MemoHits = counters["memo_hits_total"]
 	res.MemoMisses = counters["memo_misses_total"]
 
@@ -594,71 +568,6 @@ func Throughput(o Options) (*Figure, error) {
 		"wfair+recorder re-runs the wfair row with the flight recorder sampling every 250ms of virtual time; outputs are verified byte-identical and all columns must match the recorder-off row")
 	if err := fr.WriteFlightArtifacts(fo, "throughput: weighted-fair, flight recorder on"); err != nil {
 		return nil, err
-	}
-	return fig, nil
-}
-
-// warmWorkload is the warm-workload stream both Warm rows run: a stream of
-// WordCount jobs that are all structurally alike (same workload class) but
-// each under a fresh JobKey, so the exact-match history can never pre-decide
-// — the only way to avoid the 2× dual-launch is the calibrating estimator.
-func warmWorkload(predict bool) WorkloadConfig {
-	return WorkloadConfig{
-		Jobs: 24, Tenants: 2, Arrival: "uniform:2s",
-		Speculative: true, Predict: predict,
-	}
-}
-
-// Warm is the registered warm-workload experiment: the same 24-job stream of
-// class-identical (but never key-identical) speculative WordCounts, first
-// with the estimator off — every job pays the D+/U+ dual-launch — and then
-// with the calibrating estimator on, where the first few jobs race to
-// calibrate the class and every confident successor launches its predicted
-// winner alone. Besides the measurements, the experiment enforces the
-// estimator's correctness contract: every job's final output is
-// byte-identical between the two rows (a direct pick must produce exactly
-// what the race's winner would have).
-func Warm(o Options) (*Figure, error) {
-	o = o.normalized()
-	fig := &Figure{
-		ID:      "warm",
-		Title:   "Warm workload: 24 class-identical speculative jobs, estimator off vs on (A3x4, D+ env)",
-		XLabel:  "estimator",
-		Columns: []string{"makespan", "slot-sec", "races", "direct", "pred-err", "regret"},
-		Notes: []string{
-			"slot-sec is admission-cost × execution-time summed over jobs (the dual-launch pays 2×)",
-			"direct counts jobs whose mode was picked up front (no race); pred-err is their mean relative prediction error",
-			"regret counts direct picks the skipped mode would have beaten (model-judged from the run's own sample)",
-			"outputs are verified byte-identical between the two rows",
-		},
-	}
-	var base *ThroughputResult
-	for i, predict := range []bool{false, true} {
-		label := "race-always"
-		if predict {
-			label = "calibrated"
-		}
-		r, err := RunThroughput(A3x4(), warmWorkload(predict), o)
-		if err != nil {
-			return nil, err
-		}
-		if base == nil {
-			base = r
-		} else {
-			for job, want := range base.OutputHashes {
-				if got := r.OutputHashes[job]; got != want {
-					return nil, fmt.Errorf("bench: %s output %s under the estimator, %s under the race", job, got, want)
-				}
-			}
-		}
-		fig.Points = append(fig.Points, Point{
-			X: float64(i), Label: label,
-			Seconds: map[string]float64{
-				"makespan": r.Makespan, "slot-sec": r.SlotSeconds,
-				"races": float64(r.Races), "direct": float64(r.DirectHistory + r.DirectPrediction),
-				"pred-err": r.PredErrMean, "regret": float64(r.Regret),
-			},
-		})
 	}
 	return fig, nil
 }

@@ -94,3 +94,32 @@ func TestArrivalTimes(t *testing.T) {
 		}
 	}
 }
+
+// Regression for the percentile off-by-one: nearest-rank means the smallest
+// value with at least ⌈p·n⌉ samples at or below it. The old int(p·n) index
+// read one rank too high (p50 of 10 samples returned the 6th value).
+func TestPercentileNearestRank(t *testing.T) {
+	t.Parallel()
+	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		name   string
+		sorted []float64
+		p      float64
+		want   float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"single", []float64{7}, 0.99, 7},
+		{"p0 clamps to first", ten, 0, 1},
+		{"p50 of 10 is the 5th", ten, 0.50, 5},
+		{"p90 of 10 is the 9th", ten, 0.90, 9},
+		{"p99 of 10 is the 10th", ten, 0.99, 10},
+		{"p100 of 10 is the 10th", ten, 1.0, 10},
+		{"p50 of 4 is the 2nd", []float64{10, 20, 30, 40}, 0.50, 20},
+		{"p25 of 4 is the 1st", []float64{10, 20, 30, 40}, 0.25, 10},
+	}
+	for _, c := range cases {
+		if got := percentile(c.sorted, c.p); got != c.want {
+			t.Errorf("%s: percentile(%v, %v) = %v, want %v", c.name, c.sorted, c.p, got, c.want)
+		}
+	}
+}

@@ -16,11 +16,11 @@ import (
 
 // TestDecisionRecordOnBothRoutes runs one job per way a mode can be come by
 // — fixed by the submitter, raced, pre-decided from the exact history,
-// predicted from the class, served from the memo cache — through
-// Framework.Submit directly and through JobServer.Submit, and checks that the
-// decision record on the result's profile says so on both routes, agrees with
-// Result.Mode, carries estimates exactly where the decision maker computed
-// them, and puts a race's verdict inside the job.
+// served from the memo cache — through Framework.Submit directly and through
+// JobServer.Submit, and checks that the decision record on the result's
+// profile says so on both routes, agrees with Result.Mode, carries estimates
+// exactly where the decision maker computed them, and puts a race's verdict
+// inside the job.
 func TestDecisionRecordOnBothRoutes(t *testing.T) {
 	t.Parallel()
 	for _, route := range []string{"Framework.Submit", "JobServer.Submit"} {
@@ -29,16 +29,15 @@ func TestDecisionRecordOnBothRoutes(t *testing.T) {
 			rt.Trace = trace.New(rt.Eng, 1<<12)
 			f := startFramework(t, rt, 3)
 			f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
-			f.Predict = true
 			srv, err := NewJobServer(f, JobServerConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			names, _ := stageInput(t, rt, 4, 256<<10)
 
-			// Every job is the same program over the same bytes, so the class
-			// converges; key is its exact-history identity and content its
-			// cache identity, so each row meets exactly the records it should.
+			// Every job is the same program over the same bytes; key is its
+			// exact-history identity and content its cache identity, so each
+			// row meets exactly the records it should.
 			jobs := 0
 			run := func(kind ModeKind, key string, content int) *mapreduce.Result {
 				t.Helper()
@@ -71,12 +70,9 @@ func TestDecisionRecordOnBothRoutes(t *testing.T) {
 				if res.Mode != p.Mode || !slices.Contains(modes, ModeKind(res.Mode)) {
 					t.Errorf("%s: Result.Mode %q, profile mode %q, want one of %v", row, res.Mode, p.Mode, modes)
 				}
-				estimated := source == profiler.ByRace || source == profiler.ByPrediction
-				if (d.EstimateD != 0) != estimated || (d.EstimateU != 0) != estimated {
+				raced := source == profiler.ByRace
+				if (d.EstimateD != 0) != raced || (d.EstimateU != 0) != raced {
 					t.Errorf("%s: estimates D=%v U=%v", row, d.EstimateD, d.EstimateU)
-				}
-				if (d.Predicted > 0) != (source == profiler.ByPrediction) {
-					t.Errorf("%s: predicted runtime %v", row, d.Predicted)
 				}
 				if source == profiler.ByRace {
 					if d.At < p.SubmittedAt || d.At > p.DoneAt {
@@ -102,20 +98,9 @@ func TestDecisionRecordOnBothRoutes(t *testing.T) {
 			check("raced", raced, profiler.ByRace, ModeDPlus, ModeUPlus)
 			hist := run(ModeSpeculative, "k", 3)
 			check("history", hist, profiler.ByHistory, ModeKind(raced.Mode))
-			// Fresh keys race until the class passes the confidence gate.
-			var predicted *mapreduce.Result
-			for i := 0; i < 6 && predicted == nil; i++ {
-				res := run(ModeSpeculative, fmt.Sprintf("fresh-%d", i), 10+i)
-				if by(res) == profiler.ByPrediction {
-					predicted = res
-				} else {
-					check("warm-up race", res, profiler.ByRace, ModeDPlus, ModeUPlus)
-				}
-			}
-			if predicted == nil {
-				t.Fatal("the class never converged")
-			}
-			check("predicted", predicted, profiler.ByPrediction, ModeDPlus, ModeUPlus)
+			// The raced job's program and bytes under a fresh key race again:
+			// only the job key's own record pre-decides, never its shape.
+			check("fresh key", run(ModeSpeculative, "fresh", 4), profiler.ByRace, ModeDPlus, ModeUPlus)
 			// The raced job's content again, under a key with no history.
 			check("memo", run(ModeSpeculative, "never-seen", 2), profiler.ByMemo, ModeMemo)
 			check("memo, fixed mode", run(ModeUPlus, "never-seen", 2), profiler.ByMemo, ModeMemo)

@@ -311,9 +311,6 @@ func TestEstimatorEquations(t *testing.T) {
 	if got := EstimateDPlus(in); got != want {
 		t.Errorf("EstimateDPlus = %v, want %v", got, want)
 	}
-	if estimate(ModeDPlus, in) != want || estimate(ModeUPlus, in) != 4*time.Second || estimate(ModeHadoop, in) != 0 {
-		t.Error("estimate does not pick Eq. 3 for D+, Eq. 2 for U+ and zero otherwise")
-	}
 }
 
 func TestDecide(t *testing.T) {

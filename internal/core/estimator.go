@@ -99,18 +99,6 @@ func EstimateDPlus(in EstimatorInputs) time.Duration {
 	return perWave*time.Duration(waves(in.NM, in.NC)) + shuffle
 }
 
-// estimate prices one MRapid mode: Equation 3 for D+, Equation 2 for U+,
-// and zero for a mode the equations do not cover.
-func estimate(mode ModeKind, in EstimatorInputs) time.Duration {
-	switch mode {
-	case ModeDPlus:
-		return EstimateDPlus(in)
-	case ModeUPlus:
-		return EstimateUPlus(in)
-	}
-	return 0
-}
-
 // ModeKind identifies one of the four execution modes.
 type ModeKind string
 

@@ -31,9 +31,6 @@ type Framework struct {
 	// Memo, when non-nil, is consulted by every Submit first:
 	// a hit skips execution (ModeMemo result), a miss commits the fresh output.
 	Memo *memo.Cache
-	// Predict lets a speculative submission whose workload class passed the
-	// history's confidence gate run the projected winner alone (default off).
-	Predict bool
 	// StockFallbacks counts jobs that went cold for want of a live pooled AM.
 	StockFallbacks int64
 

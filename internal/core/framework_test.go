@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -364,6 +365,8 @@ func TestUPlusColdSlowerThanPooled(t *testing.T) {
 	}
 }
 
+// A saved snapshot loads back every entry whole: winner, running mean,
+// run count and per-mode wins.
 func TestHistoryRoundTrip(t *testing.T) {
 	t.Parallel()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
@@ -389,9 +392,8 @@ func TestHistoryRoundTrip(t *testing.T) {
 	if e.Runs != 2 {
 		t.Fatalf("runs = %d", e.Runs)
 	}
-	h2.Forget("pi")
-	if _, ok := h2.Winner("pi"); ok {
-		t.Fatal("forgotten entry still present")
+	if got, want := h2.Entries(), h.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries lost in round-trip: %+v vs %+v", got, want)
 	}
 	// Save twice (overwrite path).
 	if err := h2.Save(rt.DFS); err != nil {

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
-	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
 )
 
@@ -29,14 +30,15 @@ func TestHistoryRecordRunningAggregates(t *testing.T) {
 }
 
 // A snapshot written when entries also carried per-job map averages
-// (avg_map_cpu, avg_in, avg_out) still loads, with everything the decision
-// maker reads intact.
+// (avg_map_cpu, avg_in, avg_out), and the store per-class calibration
+// aggregates, still loads, with everything the decision maker reads intact.
 func TestHistoryLoadsSnapshotWithDroppedAggregates(t *testing.T) {
 	t.Parallel()
 	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
 	old := `{"version": 2, "jobs": [{"job": "wordcount", "winner": "uplus", "elapsed": 9000000000,
 		"avg_map_cpu": 1500000000, "avg_in": 10485760, "avg_out": 12582912, "runs": 3,
-		"wins": {"dplus": 1, "uplus": 2}}]}`
+		"wins": {"dplus": 1, "uplus": 2}}],
+		"classes": [{"class": "class-85eee4018e800c3a", "runs": 3, "rate": {"n": 3, "mean": 5.7e-07, "m2": 0}}]}`
 	if _, err := rt.DFS.PutInstant(historyPath, []byte(old), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +71,38 @@ func TestHistoryWinnerMajorityVote(t *testing.T) {
 	}
 }
 
-// The version-2 snapshot round-trips both the exact-match entries and the
-// per-class calibration aggregates.
+// A version-2 snapshot that still carries per-class aggregates round-trips:
+// loading it and saving it again keeps every entry whole, and the re-saved
+// snapshot is version 2 without the class aggregates nothing reads.
 func TestHistoryV2RoundTripWithClasses(t *testing.T) {
 	t.Parallel()
 	rt := newRuntime(t, topology.A3, 2, NewDPlusScheduler(FullDPlus()))
+	old := `{"version": 2, "jobs": [{"job": "wordcount", "winner": "dplus", "elapsed": 20000000000,
+		"runs": 4, "wins": {"dplus": 4}}],
+		"classes": [{"class": "class-abc", "runs": 4, "rate": {"n": 4, "mean": 5.7e-07, "m2": 0}}]}`
+	if _, err := rt.DFS.PutInstant(historyPath, []byte(old), nil); err != nil {
+		t.Fatal(err)
+	}
 	h := NewHistory()
-	h.Record("wordcount", ModeDPlus, 20*time.Second)
-	for i := 0; i < 4; i++ {
-		h.Observe("class-abc", ModeDPlus, 20*time.Second, 18*time.Second, profilerSummary())
+	if err := h.Load(rt.DFS); err != nil {
+		t.Fatal(err)
 	}
 	if err := h.Save(rt.DFS); err != nil {
 		t.Fatal(err)
+	}
+	data, err := rt.DFS.Contents(historyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if v := string(snap["version"]); v != "2" {
+		t.Fatalf("re-saved snapshot version = %s, want 2", v)
+	}
+	if _, ok := snap["classes"]; ok {
+		t.Fatal("re-saved snapshot still carries class aggregates")
 	}
 	h2 := NewHistory()
 	if err := h2.Load(rt.DFS); err != nil {
@@ -89,72 +111,11 @@ func TestHistoryV2RoundTripWithClasses(t *testing.T) {
 	if h2.Len() != 1 {
 		t.Fatalf("loaded %d entries", h2.Len())
 	}
-	cs, ok := h2.Class("class-abc")
-	if !ok || cs.Runs != 4 {
-		t.Fatalf("class = %+v / %v", cs, ok)
+	if got, want := h2.Entries(), h.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries lost in round-trip: %+v vs %+v", got, want)
 	}
-	want, _ := h.Class("class-abc")
-	if cs.Rate.Mean != want.Rate.Mean || cs.Calib.N != want.Calib.N {
-		t.Fatalf("class aggregates lost in round-trip: %+v vs %+v", cs, want)
-	}
-	if !h2.Confident("class-abc") {
-		t.Fatal("identical samples over minRuns must pass the confidence gate")
-	}
-}
-
-// The confidence gate: too few runs, noisy across-run rates, or internally
-// skewed maps all keep a class racing.
-func TestHistoryConfidenceGate(t *testing.T) {
-	t.Parallel()
-	h := NewHistory()
-	stable := profilerSummary()
-
-	// Under minRuns: never confident.
-	h.Observe("young", ModeDPlus, 20*time.Second, 18*time.Second, stable)
-	h.Observe("young", ModeDPlus, 20*time.Second, 18*time.Second, stable)
-	if h.Confident("young") {
-		t.Fatal("confident after 2 runs with minRuns=3")
-	}
-	h.Observe("young", ModeDPlus, 20*time.Second, 18*time.Second, stable)
-	if !h.Confident("young") {
-		t.Fatal("not confident after 3 identical runs")
-	}
-
-	// Noisy per-byte rate across runs: CV blows past maxCV.
-	for i, cpu := range []time.Duration{500 * time.Millisecond, 3 * time.Second, 9 * time.Second} {
-		s := stable
-		s.AvgMapCPU = cpu
-		h.Observe("noisy", ModeDPlus, 20*time.Second, 18*time.Second, s)
-		_ = i
-	}
-	if h.Confident("noisy") {
-		t.Fatal("confident despite wildly varying map rates")
-	}
-
-	// Internally skewed maps: high within-job CV keeps the class gated even
-	// when the across-run aggregates are stable.
-	skewed := stable
-	skewed.MapCPUStd = 2 * skewed.AvgMapCPU
-	for i := 0; i < 3; i++ {
-		h.Observe("skewed", ModeDPlus, 20*time.Second, 18*time.Second, skewed)
-	}
-	if h.Confident("skewed") {
-		t.Fatal("confident despite intra-job map skew above maxIntraCV")
-	}
-
-	// Unknown class: not confident, no panic.
-	if h.Confident("never-seen") {
-		t.Fatal("confident about an unknown class")
-	}
-}
-
-// Observe ignores unusable samples instead of poisoning the aggregates.
-func TestHistoryObserveGuards(t *testing.T) {
-	t.Parallel()
-	h := NewHistory()
-	h.Observe("", ModeDPlus, time.Second, time.Second, profilerSummary())
-	h.Observe("c", ModeDPlus, time.Second, time.Second, profiler.Summary{})
-	if len(h.Classes()) != 0 {
-		t.Fatalf("guarded samples created classes: %+v", h.Classes())
+	e, _ := h2.Entry("wordcount")
+	if e.Winner != ModeDPlus || e.Elapsed != 20*time.Second || e.Runs != 4 || e.Wins[ModeDPlus] != 4 {
+		t.Fatalf("loaded entry = %+v", e)
 	}
 }

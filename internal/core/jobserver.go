@@ -132,7 +132,7 @@ type JobServer struct {
 
 	// SlotSeconds accumulates admission-cost × execution-time over completed
 	// jobs: the cluster-slot consumption the speculative 2× dual-launch pays
-	// for and the calibrating estimator claws back.
+	// for and a recorded winner or a memo hit avoids.
 	SlotSeconds float64
 
 	// Observer, when non-nil, is notified of admissions and completions
@@ -361,8 +361,8 @@ func (s *JobServer) dispatch() {
 		j := s.pending[idx]
 		// Decided here, where the decision maker runs, not at enqueue: a
 		// job queued behind the race that records its winner runs alone.
-		// The race holds a pooled AM per mode; history or the calibrating
-		// estimator skipping it launches one mode, so it costs one slot.
+		// The race holds a pooled AM per mode; a recorded winner skipping
+		// it launches one mode, so it costs one slot.
 		j.cost = 1
 		if j.mode == ModeSpeculative && !s.fw.PreDecided(j.spec) {
 			j.cost = 2

@@ -59,7 +59,6 @@ func runRecord(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result, out s
 		rec["decision"] = d.Source
 		rec["decision.estimate_d_s"] = pin.Seconds(d.EstimateD)
 		rec["decision.estimate_u_s"] = pin.Seconds(d.EstimateU)
-		rec["decision.predicted_s"] = pin.Seconds(d.Predicted)
 		rec["decision.at_s"] = pin.Seconds(time.Duration(d.At))
 	}
 	return rec

@@ -176,7 +176,7 @@ func TestMemoSpeculativeHit(t *testing.T) {
 	entries := len(f.History.Entries())
 
 	second := run("swc2", "/outB")
-	if ModeKind(second.Mode) != ModeMemo || by(second) == profiler.ByHistory || by(second) == profiler.ByPrediction {
+	if ModeKind(second.Mode) != ModeMemo || by(second) == profiler.ByHistory {
 		t.Fatalf("repeat = %+v, want a pure memo win", second)
 	}
 	if len(f.History.Entries()) != entries {

@@ -14,8 +14,7 @@ func tempOutput(base string, mode ModeKind) string {
 
 // decide is the decision maker, Figure 6 past the upload and the memo step:
 //
-//  2. the history is consulted — a recorded winner runs alone, and so does
-//     the projected winner of a workload class that has converged;
+//  2. the history is consulted — a recorded winner runs alone;
 //  3. otherwise both D+ and U+ launch (against private temporary outputs);
 //  4. the profiler reports each mode's first completed map;
 //  5. Equations 2 and 3 are evaluated and the slower mode is killed;
@@ -24,30 +23,16 @@ func tempOutput(base string, mode ModeKind) string {
 //
 // Whichever way the mode was picked, the result's Profile.Decision says how.
 func (f *Framework) decide(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
-	// alone runs a pre-decided mode by itself; its outcome keeps calibrating.
-	alone := func(mode ModeKind, d profiler.Decision, account func(*mapreduce.Result)) {
-		f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", d.Source))
-		f.run(mode, spec, func(res *mapreduce.Result) {
-			f.recordOutcome(spec, mode, res)
-			account(res)
-			res.Profile.Decision = d
-			done(res)
-		})
-	}
 	if winner, ok := f.History.Winner(spec.Key()); ok {
 		if _, _, err := ModeFor(winner, f.UOpts); err == nil {
-			alone(winner, profiler.Decision{Source: profiler.ByHistory}, func(*mapreduce.Result) {})
+			f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", profiler.ByHistory))
+			f.run(winner, spec, func(res *mapreduce.Result) {
+				f.recordOutcome(spec, winner, res)
+				res.Profile.Decision = profiler.Decision{Source: profiler.ByHistory}
+				done(res)
+			})
 			return
 		}
-	}
-	if pred, ok := f.PredictMode(spec); ok {
-		f.RT.Trace.Add("proxy", "estimator pre-decision: %s direct (predicted %s, class %s over %d runs)",
-			pred.Mode, pred.Runtime, pred.Class, pred.Runs)
-		alone(pred.Mode, profiler.Decision{
-			Source: profiler.ByPrediction, Predicted: pred.Runtime,
-			EstimateD: pred.EstimateD, EstimateU: pred.EstimateU,
-		}, func(res *mapreduce.Result) { f.accountPrediction(pred, spec, res) })
-		return
 	}
 
 	f.RT.Reg.Inc("estimator_race_total")
@@ -59,6 +44,38 @@ func (f *Framework) decide(spec *mapreduce.JobSpec, done func(*mapreduce.Result)
 		}
 		f.race(spec, root, done)
 	})
+}
+
+// PreDecided reports whether a speculative submission of this spec would
+// skip the race and launch its recorded winner alone. The JobServer charges
+// such submissions one admission slot instead of two.
+func (f *Framework) PreDecided(spec *mapreduce.JobSpec) bool {
+	_, ok := f.History.Winner(spec.Key())
+	return ok
+}
+
+// estimatorInputs is the one assembly of the Table I quantities Equations 2
+// and 3 price: the measured t^m, s^i and s^o of sample (the race's first
+// profiled map), the job's n^m from its split listing, and the cluster's
+// n^c, n_u^m and rates.
+func (f *Framework) estimatorInputs(spec *mapreduce.JobSpec, nm int, sample profiler.Summary) EstimatorInputs {
+	workers := f.RT.Cluster.Workers()
+	in := InputsFromProfile(sample, nm, mapreduce.ClusterContainerSlots(f.RT),
+		f.UOpts.MapsPerWave(workers[0]), workers[0].Type, f.RT.Params)
+	// With the shuffle service attached, the decision maker prices the
+	// post-combine, post-compress shuffle, not the raw map output.
+	in.ShuffleRatio = f.RT.ShuffleWireRatio(spec)
+	return in
+}
+
+// splitShape lists the job's input splits once: n^m (0 when the listing
+// fails).
+func (f *Framework) splitShape(spec *mapreduce.JobSpec) int {
+	splits, err := f.RT.Splits(spec.InputFiles)
+	if err != nil {
+		return 0
+	}
+	return len(splits)
 }
 
 // race runs both modes and arbitrates (steps 3–6). A mode that crashes
@@ -161,8 +178,7 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 			return
 		}
 		decided = true
-		nm, _ := f.splitShape(spec)
-		in := f.estimatorInputs(spec, nm, profiler.Summary{
+		in := f.estimatorInputs(spec, f.splitShape(spec), profiler.Summary{
 			AvgMapCPU: sample.ComputeDur, AvgIn: sample.InputBytes, AvgOut: sample.OutputBytes,
 		})
 		d.EstimateU = EstimateUPlus(in)
@@ -208,14 +224,12 @@ func loserOf(winner ModeKind) ModeKind {
 	return ModeDPlus
 }
 
-// recordOutcome updates the history with the finished run (step 6): the
-// exact-match running aggregates and the workload class's calibration.
+// recordOutcome records the finished run's winner under its job key (step 6).
 func (f *Framework) recordOutcome(spec *mapreduce.JobSpec, winner ModeKind, res *mapreduce.Result) {
 	if res.Err != nil || res.Profile == nil {
 		return
 	}
 	f.History.Record(spec.Key(), winner, res.Profile.Elapsed())
-	f.calibrate(spec, winner, res.Profile.Elapsed(), res.Profile.Summarize())
 	// Persisting the snapshot mirrors the profiler uploading records to
 	// HDFS; failures only cost future pre-decisions.
 	_ = f.History.Save(f.RT.DFS)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/memo"
+	"mrapid/internal/metrics"
 	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
 	"mrapid/internal/workloads"
@@ -336,4 +338,41 @@ func TestSpeculativeOutputMatchesSingleMode(t *testing.T) {
 		t.Fatal("speculative output differs from plain D+ output")
 	}
 	_ = resB
+}
+
+// A fresh job key must race even when the same program over the same bytes
+// has already raced under other keys: only a key's own exact-history record
+// pre-decides, so every first sight runs the full dual launch.
+func TestPredictFirstSightStillRaces(t *testing.T) {
+	t.Parallel()
+	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
+	rt.Reg = metrics.New()
+	f := startFramework(t, rt, 3)
+	names, all := stageInput(t, rt, 4, 1<<20)
+
+	const jobs = 3
+	for i := 0; i < jobs; i++ {
+		if i > 0 {
+			rt.RM.Start() // the previous job's completion stopped it
+		}
+		out := fmt.Sprintf("/out/%d", i)
+		spec := testWCSpec(names, out)
+		spec.Name = fmt.Sprintf("wc-%d", i)
+		spec.JobKey = spec.Name
+		res := runSpeculative(t, f, spec)
+		if res.Err != nil {
+			t.Fatalf("job %d failed: %v", i, res.Err)
+		}
+		if by(res) != profiler.ByRace {
+			t.Fatalf("first sight of key %s decided by %q, want a race", spec.JobKey, by(res))
+		}
+		verifyWC(t, rt, out, all)
+	}
+	if got := rt.Reg.Get("estimator_race_total"); got != jobs {
+		t.Fatalf("race counter = %d, want %d", got, jobs)
+	}
+	// Each race seeded its own key's record.
+	if f.History.Len() != jobs {
+		t.Fatalf("history holds %d keys, want %d", f.History.Len(), jobs)
+	}
 }

@@ -218,21 +218,6 @@ func (s *JobSpec) Key() string {
 	return s.Name
 }
 
-// ClassKey fingerprints the job's workload class: the structural program
-// shape (record format, compute rates, reduce count, presence of combiner /
-// per-file maps / split costs) without its identity or inputs. Jobs that
-// share a class key behave alike per input byte, so the calibrating
-// estimator pools their timing samples — grep-for-ERROR and grep-for-WARN
-// share a class. That makes it unusable as a cache key; Identity is the
-// content-sensitive counterpart both result caches key on.
-func (s *JobSpec) ClassKey() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%T|%d|%g|%g|%d|%v|%v|%v",
-		s.Format, s.NumReduces, s.MapRate, s.ReduceRate, s.MapFixedCost,
-		s.Combine != nil, s.MapFor != nil, s.SplitCost != nil)
-	return fmt.Sprintf("class-%016x", h.Sum64())
-}
-
 // Identity is the job's computation identity, the one key of both result
 // caches (the MapCache with the split, the memo cache with the inputs): the
 // record format, reduce count and rates, each transform's linker symbol, and

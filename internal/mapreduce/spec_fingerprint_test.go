@@ -9,7 +9,7 @@ import (
 )
 
 // Named package-level transforms: distinct symbols with identical shapes,
-// so ClassKey cannot tell them apart but SpecFingerprint must.
+// which SpecFingerprint must tell apart.
 func fpMapA(_, line []byte, emit Emit)          { emit(line, nil) }
 func fpMapB(_, line []byte, emit Emit)          { emit(nil, line) }
 func fpReduce(key []byte, _ Values, emit Emit)  { emit(key, nil) }
@@ -42,21 +42,17 @@ func fpSpec() *JobSpec {
 
 // TestSpecFingerprintSensitivity mirrors TestFingerprintSensitivity for the
 // job-spec fingerprint: identical specs agree, and every content change —
-// transform identity, parameters, input set — moves the fingerprint, even
-// when the shape-only ClassKey stays put.
+// transform identity, parameters, input set — moves the fingerprint.
 func TestSpecFingerprintSensitivity(t *testing.T) {
 	base := fpSpec()
 	if got, again := base.SpecFingerprint(), fpSpec().SpecFingerprint(); got != again {
 		t.Fatalf("identical specs disagree: %s vs %s", got, again)
 	}
 
-	// Same shape, different program: the workload-class key must pool them
-	// (that is its job) while the memo fingerprint must separate them.
+	// Same shape, different program: the memo fingerprint must separate
+	// them.
 	other := fpSpec()
 	other.Map = fpMapB
-	if base.ClassKey() != other.ClassKey() {
-		t.Fatal("ClassKey should be shape-only: swapping the map symbol changed it")
-	}
 	if base.SpecFingerprint() == other.SpecFingerprint() {
 		t.Fatal("SpecFingerprint blind to the map function's identity")
 	}

@@ -7,7 +7,6 @@ package profiler
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"mrapid/internal/sim"
@@ -64,10 +63,9 @@ func (p *TaskProfile) Elapsed() time.Duration { return p.Ended.Sub(p.Started) }
 // Decision sources: how a job came by the mode it ran in. The zero source is
 // a mode the submitter fixed.
 const (
-	ByRace       = "race"       // D+ and U+ raced, the slower one was killed
-	ByHistory    = "history"    // the job key's recorded winner ran alone
-	ByPrediction = "prediction" // the workload class's projected winner ran alone
-	ByMemo       = "memo"       // nothing ran: the cache served the output
+	ByRace    = "race"    // D+ and U+ raced, the slower one was killed
+	ByHistory = "history" // the job key's recorded winner ran alone
+	ByMemo    = "memo"    // nothing ran: the cache served the output
 )
 
 // Decision is the decision maker's record for one job, written once by
@@ -76,13 +74,10 @@ type Decision struct {
 	Source string
 
 	// EstimateD and EstimateU are the Equation 3 and 2 estimates behind a
-	// race's verdict or a prediction; zero when none was needed (history,
-	// memo, a fixed mode, a race a mode won or lost before the first sample).
+	// race's verdict; zero when none was needed (history, memo, a fixed
+	// mode, a race a mode won or lost before the first sample).
 	EstimateD time.Duration
 	EstimateU time.Duration
-
-	// Predicted is a prediction's calibrated completion time.
-	Predicted time.Duration
 
 	// At is the instant a race's verdict killed the slower mode.
 	At sim.Time
@@ -148,7 +143,6 @@ type Summary struct {
 
 	MapCount  int
 	AvgMapCPU time.Duration // t^m: average map-function compute time
-	MapCPUStd time.Duration // stddev of map compute across the job's tasks
 	AvgIn     int64         // s^i: average map input bytes
 	AvgOut    int64         // s^o: average map output bytes
 }
@@ -172,20 +166,6 @@ func (jp *JobProfile) Summarize() Summary {
 		s.AvgMapCPU = mapCPU / time.Duration(s.MapCount)
 		s.AvgIn = in / int64(s.MapCount)
 		s.AvgOut = out / int64(s.MapCount)
-	}
-	if s.MapCount > 1 {
-		// Within-job spread of map compute: the calibrating estimator uses
-		// it to keep internally skewed workloads behind the confidence gate.
-		var sq float64
-		mean := float64(s.AvgMapCPU)
-		for _, t := range jp.Tasks {
-			if t.Failed || t.Kind != MapTask {
-				continue
-			}
-			d := float64(t.ComputeDur) - mean
-			sq += d * d
-		}
-		s.MapCPUStd = time.Duration(math.Sqrt(sq / float64(s.MapCount-1)))
 	}
 	return s
 }
