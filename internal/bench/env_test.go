@@ -155,3 +155,72 @@ func TestGrepPatternsShareNoMapOutput(t *testing.T) {
 		}
 	}
 }
+
+// reuseRun runs a two-reduce WordCount under v in a fresh env attached to
+// cache (nil: none) and returns its part files and completion time.
+func reuseRun(t *testing.T, setup ClusterSetup, v Variant, cache *mapreduce.MapCache) ([][]byte, float64) {
+	t.Helper()
+	env, err := NewEnv(setup, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.RT.MapCache = cache
+	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/reuse",
+		workloads.WordCountConfig{Files: 8, FileBytes: 32 << 10, Seed: 36})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workloads.WordCountSpec("reuse", names, "/out/reuse", false)
+	spec.NumReduces = 2
+	res, err := env.Run(v, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([][]byte, spec.NumReduces)
+	for p := range parts {
+		if parts[p], err = env.DFS.Contents(mapreduce.PartFileName(spec.OutputFile, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return parts, res.Elapsed()
+}
+
+// TestReduceReuseAcrossVariants: the four modes of one figure point, each
+// in a fresh env sharing one cache, compute each reduce once — one miss
+// and three hits per partition — and commit the bytes and the completion
+// times of runs without the cache.
+func TestReduceReuseAcrossVariants(t *testing.T) {
+	t.Parallel()
+	cache := mapreduce.NewMapCache(1 << 28)
+	for _, v := range StandardVariants() {
+		want, wantAt := reuseRun(t, A3x4(), v, nil)
+		got, at := reuseRun(t, A3x4(), v, cache)
+		if at != wantAt {
+			t.Errorf("%s: done in %.6fs with the cache, %.6fs without", v.Name, at, wantAt)
+		}
+		for p := range want {
+			if string(got[p]) != string(want[p]) {
+				t.Errorf("%s: partition %d differs from the run without the cache", v.Name, p)
+			}
+		}
+	}
+	if cache.ReduceMisses() != 2 || cache.ReduceHits() != 6 {
+		t.Fatalf("reduce lookups over 4 modes × 2 partitions: %d misses, %d hits; want 2, 6", cache.ReduceMisses(), cache.ReduceHits())
+	}
+}
+
+// TestReduceReuseSkipsConsolidatedInputs: the shuffle service hands a
+// reduce merged outputs that no map computed, so no reduce is looked up,
+// while the maps still are.
+func TestReduceReuseSkipsConsolidatedInputs(t *testing.T) {
+	t.Parallel()
+	setup := A3x4()
+	setup.Params.ShuffleService = true
+	cache := mapreduce.NewMapCache(1 << 28)
+	for range 2 {
+		reuseRun(t, setup, VariantHadoop(), cache)
+	}
+	if cache.Hits() == 0 || cache.ReduceHits()+cache.ReduceMisses() != 0 {
+		t.Fatalf("%d map hits, %d reduce lookups; want map hits and no reduce lookup", cache.Hits(), cache.ReduceHits()+cache.ReduceMisses())
+	}
+}

@@ -276,7 +276,7 @@ func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File 
 			ID:       d.nextBlockID,
 			File:     name,
 			Offset:   off,
-			Data:     data[off:end],
+			Data:     data[off:end:end],
 			Replicas: d.place(writer),
 			Gen:      d.gen,
 		})
@@ -447,11 +447,18 @@ func (d *DFS) ReadAll(name string, reader *topology.Node, done func([]byte, erro
 
 // Contents returns a file's bytes without charging any cost — for test
 // verification and for the decision-maker's history lookups, which the
-// paper treats as negligible.
+// paper treats as negligible. The returned bytes are read-only: a
+// single-block file (every part file, at 128 MB blocks) is returned as its
+// block's bytes, which other files and caches may share; only a multi-block
+// file is assembled into a copy. Blocks are capacity-clipped, so appending
+// to the result copies.
 func (d *DFS) Contents(name string) ([]byte, error) {
 	f, err := d.Lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if len(f.Blocks) == 1 {
+		return f.Blocks[0].Data, nil
 	}
 	out := make([]byte, 0, f.Size())
 	for _, b := range f.Blocks {

@@ -101,6 +101,47 @@ func TestBlockSplitting(t *testing.T) {
 	}
 }
 
+// TestContentsIsAReadOnlyView: a single-block file's Contents is its block's
+// bytes, not a copy, and appending to it copies instead of writing past the
+// block; a multi-block file is assembled into a copy; an Append after
+// Contents leaves the earlier view as it was (copy on append).
+func TestContentsIsAReadOnlyView(t *testing.T) {
+	eng, c := testCluster(t, 4)
+	d := New(eng, c, 16, 3, 1)
+	buf := make([]byte, 12, 64) // spare capacity a careless view would expose
+	copy(buf, "twelve bytes")
+	f, err := d.PutInstant("/one", buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _ := d.Contents("/one")
+	if &view[0] != &f.Blocks[0].Data[0] {
+		t.Fatal("single-block Contents copied its block")
+	}
+	if grown := append(view, "!!"...); &grown[0] == &view[0] {
+		t.Fatal("appending to a view wrote into the block's spare capacity")
+	}
+	if _, err := d.Append("/one", []byte("+abc"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if string(view) != "twelve bytes" {
+		t.Fatalf("Append changed an earlier view to %q", view)
+	}
+	if now, _ := d.Contents("/one"); string(now) != "twelve bytes+abc" {
+		t.Fatalf("Contents after Append = %q", now)
+	}
+
+	multi := []byte("0123456789abcdefghij") // two blocks of 16
+	g, err := d.PutInstant("/two", multi, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := d.Contents("/two")
+	if len(g.Blocks) != 2 || string(got) != string(multi) || &got[0] == &g.Blocks[0].Data[0] {
+		t.Fatalf("multi-block Contents = %q over %d blocks, want a copy of %q", got, len(g.Blocks), multi)
+	}
+}
+
 func TestPlacementPolicy(t *testing.T) {
 	eng, c := testCluster(t, 6)
 	d := New(eng, c, 128<<20, 3, 42)

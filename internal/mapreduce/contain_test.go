@@ -49,7 +49,7 @@ var poisons = []struct {
 // the process: the attempt is retried up to MaxTaskAttempts, then the job
 // fails with ErrTaskFailed and the panic value as the cause. Every failed
 // attempt's compute span names the panic and the frame that raised it, and
-// no panicking map attempt leaves an output in the MapCache.
+// no panicking attempt leaves an output in the MapCache.
 func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -108,6 +108,9 @@ func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 					if p.name == "partitioner" || p.name == "map" && file == names[1] {
 						t.Errorf("the MapCache holds %s, whose map attempts panicked", file)
 					}
+				}
+				if n := cachedReduces(rt.MapCache); n != 0 {
+					t.Errorf("the MapCache holds %d reduce outputs of a job whose reduce never succeeded", n)
 				}
 			})
 		}

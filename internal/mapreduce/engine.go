@@ -141,6 +141,11 @@ type MapOutput struct {
 	topology.Resident
 
 	store
+
+	// cached is the MapCache key the output was stored or found under; nil
+	// when it did not come through the cache. A reduce whose every input has
+	// one is keyed by them (see reduceKey).
+	cached *cacheKey
 }
 
 // ErrOutputLost is reported by FetchPartition when a completed map's output
@@ -351,18 +356,18 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 	})
 }
 
-// execMapCached runs ExecMapFile through the MapCache. Simulations on other
+// execMapCached runs ExecMapFile through the MapCache; the output comes back
+// stamped with the key it was stored or found under. Simulations on other
 // goroutines may map the same key at the same moment; the cache's sharded
 // locks make that safe, and the duplicate store deduplicates.
 func (rt *Runtime) execMapCached(spec *JobSpec, split *hdfs.Split, data []byte) *MapOutput {
 	k, reusable := rt.MapCache.key(spec, split.File, split.Offset, data)
-	if reusable {
-		if hit, ok := rt.MapCache.lookup(k); ok {
-			return hit
-		}
+	if !reusable {
+		return ExecMapFile(spec, split.File, data)
 	}
-	mo := ExecMapFile(spec, split.File, data)
-	if reusable {
+	mo, ok := rt.MapCache.lookup(k)
+	if !ok {
+		mo = ExecMapFile(spec, split.File, data)
 		rt.MapCache.store(k, mo)
 	}
 	return mo
@@ -572,6 +577,22 @@ func PartFileName(outputFile string, part int) string {
 	return fmt.Sprintf("%s/part-%05d", outputFile, part)
 }
 
+// execReduceCached runs ExecReduce through the MapCache: a reduce over
+// outputs that all came through the cache commits the part file an earlier
+// reduce over the same multiset of them produced, and stores its own once
+// it has succeeded. The bytes are shared; HDFS and the intermediate store
+// never write into block data.
+func (rt *Runtime) execReduceCached(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
+	k, reusable := rt.MapCache.reduceKeyFor(spec, part, outputs)
+	if !reusable {
+		return ExecReduce(spec, part, outputs)
+	}
+	if r, ok := rt.MapCache.lookupReduce(k); ok {
+		return r
+	}
+	return rt.MapCache.storeReduce(k, ExecReduce(spec, part, outputs))
+}
+
 // RunReduceTask executes reduce partition part on node: merge-sort CPU,
 // the reduce function, and the HDFS write of the output. Fetches must have
 // completed already. done fires when the output file is durable.
@@ -619,7 +640,7 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 			}
 			// The reduce is pure over already-materialized map outputs; it
 			// runs where the write needs its bytes.
-			r, died := contain(crash, func() Reduced { return ExecReduce(spec, part, outputs) })
+			r, died := contain(crash, func() Reduced { return rt.execReduceCached(spec, part, outputs) })
 			if died != nil {
 				done(tp, rt.failAttempt(tp, node, span, computeStart, died))
 				return

@@ -250,9 +250,12 @@ func TestExecReduceAllocatesNothingPerKey(t *testing.T) {
 	}
 }
 
-// FuzzMergeGroups feeds checkMerge arbitrary runs. The input is lines of
-// "<run byte><key>\t<value>"; a line's first byte modulo nruns picks its
-// run, and a line without a tab is a key with an empty value.
+// FuzzMergeGroups feeds checkMerge arbitrary runs in an arbitrary order. The
+// input is lines of "<run byte><key>\t<value>"; a line's first byte modulo
+// nruns picks its run, and a line without a tab is a key with an empty
+// value. The runs are then shuffled by order: a merge's result must not
+// depend on the order its runs are fed, which is what lets the MapCache key
+// a reduce by the multiset of its inputs (see reduceKey).
 func FuzzMergeGroups(f *testing.F) {
 	eachMergeCase(func(_ string, runs [][]kv) {
 		var text strings.Builder
@@ -261,9 +264,9 @@ func FuzzMergeGroups(f *testing.F) {
 				fmt.Fprintf(&text, "%c%s\t%s\n", i, p.k, p.v)
 			}
 		}
-		f.Add([]byte(text.String()), uint8(len(runs)))
+		f.Add([]byte(text.String()), uint8(len(runs)), int64(len(runs)))
 	})
-	f.Fuzz(func(t *testing.T, text []byte, nruns uint8) {
+	f.Fuzz(func(t *testing.T, text []byte, nruns uint8, order int64) {
 		if nruns == 0 || nruns > 40 {
 			return
 		}
@@ -276,6 +279,7 @@ func FuzzMergeGroups(f *testing.F) {
 			run := int(line[0]) % int(nruns)
 			runs[run] = append(runs[run], kv{string(k), string(v)})
 		}
+		rand.New(rand.NewSource(order)).Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
 		checkMerge(t, runs)
 	})
 }

@@ -80,8 +80,9 @@ func reference(spec *mapreduce.JobSpec, splits []split) [][]byte {
 
 // flat runs the job through the real executors. With consolidate the map
 // outputs pass through the shuffle service's merge first, in two groups
-// the way two nodes would hold them.
-func flat(spec *mapreduce.JobSpec, splits []split, consolidate bool) [][]byte {
+// the way two nodes would hold them. order permutes the outputs the reduce
+// is fed (nil: as mapped).
+func flat(spec *mapreduce.JobSpec, splits []split, consolidate bool, order *rand.Rand) [][]byte {
 	outs := make([]*mapreduce.MapOutput, len(splits))
 	for i, s := range splits {
 		outs[i] = mapreduce.ExecMapFile(spec, s.file, s.data)
@@ -92,6 +93,9 @@ func flat(spec *mapreduce.JobSpec, splits []split, consolidate bool) [][]byte {
 			mapreduce.ConsolidateGroup(spec, outs[:half]).Out,
 			mapreduce.ConsolidateGroup(spec, outs[half:]).Out,
 		}
+	}
+	if order != nil {
+		order.Shuffle(len(outs), func(i, j int) { outs[i], outs[j] = outs[j], outs[i] })
 	}
 	parts := make([][]byte, spec.NumReduces)
 	for p := range parts {
@@ -115,12 +119,19 @@ func agree(t *testing.T, name string, spec *mapreduce.JobSpec, splits []split) [
 	for _, s := range splits {
 		sameCharges(t, name+" "+s.file, mapreduce.ExecMapFile(spec, s.file, s.data), mapreduce.ExecMapUnfolded(spec, s.file, s.data))
 	}
+	// The order outputs reach a reduce is the order their maps finished,
+	// which differs per mode; the MapCache keys a reduce by the multiset of
+	// its inputs, so no order may reach the part file. Each shuffle must
+	// commit the reference's bytes too.
+	order := rand.New(rand.NewSource(int64(len(splits))))
 	for _, consolidate := range []bool{false, true} {
-		got := flat(spec, splits, consolidate)
-		for p := range want {
-			if !bytes.Equal(got[p], want[p]) {
-				t.Errorf("%s (consolidate=%v): partition %d differs from the reference:\n got %q\nwant %q",
-					name, consolidate, p, clip(got[p]), clip(want[p]))
+		for _, shuffle := range []*rand.Rand{nil, order, order} {
+			got := flat(spec, splits, consolidate, shuffle)
+			for p := range want {
+				if !bytes.Equal(got[p], want[p]) {
+					t.Errorf("%s (consolidate=%v, shuffled=%v): partition %d differs from the reference:\n got %q\nwant %q",
+						name, consolidate, shuffle != nil, p, clip(got[p]), clip(want[p]))
+				}
 			}
 		}
 	}
@@ -260,6 +271,16 @@ func TestOracleTeraSort(t *testing.T) {
 	}
 	cuts := [][]byte{[]byte("\x00\x00b"), []byte("a"), []byte("b\xff")}
 	agree(t, "terasort", workloads.TeraSortSpecFromCuts("tera", nil, "/out", 4, cuts), splits)
+}
+
+// PI's reduce sums counted partial totals; the control lines stand in for
+// the per-map files GeneratePiInput stages.
+func TestOraclePi(t *testing.T) {
+	splits := make([]split, 5)
+	for i := range splits {
+		splits[i] = split{fmt.Sprintf("/in/pi-%d", i), []byte(fmt.Sprintf("%d,%d\n", i*3000, 3000))}
+	}
+	agree(t, "pi", workloads.PiSpec(nil, "pi", nil, "/out"), splits)
 }
 
 // One compiled query, stage by stage: repartition join (per-file map

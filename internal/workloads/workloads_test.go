@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -274,6 +275,37 @@ func TestTeraSortSpecSampling(t *testing.T) {
 	for p, n := range counts {
 		if n < 500 || n > 1500 {
 			t.Errorf("partition %d got %d of 3000 keys — sampling badly skewed", p, n)
+		}
+	}
+}
+
+// TestVerifyTeraSortOutput: the in-place line walk counts rows across part
+// files, the last one with or without a trailing newline, compares keys
+// across a part-file boundary, and names malformed and unordered rows.
+func TestVerifyTeraSortOutput(t *testing.T) {
+	row := func(k string) string { return k + "\tvalue\n" }
+	cases := []struct {
+		name  string
+		parts []string
+		rows  int64
+		err   string
+	}{
+		{"ordered", []string{row("aaaaaaaaaa") + row("bbbbbbbbbb"), row("bbbbbbbbbb") + "cccccccccc\tlast"}, 4, ""},
+		{"count", []string{row("aaaaaaaaaa"), row("bbbbbbbbbb")}, 3, "has 2 rows, want 3"},
+		{"across parts", []string{row("bbbbbbbbbb"), row("aaaaaaaaaa")}, 2, "out of order"},
+		{"within a part", []string{row("bbbbbbbbbb") + row("aaaaaaaaaa"), ""}, 2, "out of order"},
+		{"malformed", []string{row("short"), ""}, 1, "malformed terasort row"},
+	}
+	for _, c := range cases {
+		d, _ := testDFS(t)
+		for p, data := range c.parts {
+			if _, err := d.PutInstant(mapreduce.PartFileName("/out", p), []byte(data), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := VerifyTeraSortOutput(d, "/out", len(c.parts), c.rows)
+		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+			t.Errorf("%s: VerifyTeraSortOutput = %v, want %q", c.name, err, c.err)
 		}
 	}
 }
