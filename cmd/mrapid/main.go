@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"mrapid/internal/bench"
 	"mrapid/internal/core"
@@ -58,7 +59,7 @@ var (
 	samples  = flag.Int64("samples", 400_000_000, "pi total samples")
 	maps     = flag.Int("maps", 4, "pi map tasks")
 	verbose  = flag.Bool("verbose", false, "print per-task profile (query job: every result row)")
-	traceN   = flag.Int("trace", 0, "print the last N scheduling/task trace events")
+	traceN   = flag.Int("trace", 0, "print the last N trace records (spans and point marks, in start order)")
 	traceOut = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (load in Perfetto / chrome://tracing); with the flight recorder on, series ride along as counter lanes")
 	metOut   = flag.String("metrics-out", "", "write the phase report and metrics registry as JSON")
 	phaseRep = flag.Bool("report", false, "print the critical-path phase-attribution report")
@@ -304,13 +305,9 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	if err != nil {
 		return err
 	}
-	// -trace N alone keeps a ring of the last N events; the artifacts want
-	// the whole log.
 	observe := *traceOut != "" || *metOut != "" || *phaseRep || opts.FlightRecorder
-	if observe {
-		env.EnableObservability(max(*traceN, 1<<16))
-	} else if *traceN > 0 {
-		env.EnableObservability(*traceN)
+	if observe || *traceN > 0 {
+		env.EnableObservability(0)
 	}
 	if opts.FlightRecorder {
 		// Single-job mode has no admission queue, so the recorder runs
@@ -413,8 +410,11 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	reg.Dump(os.Stdout)
 
 	if *traceN > 0 {
-		fmt.Printf("trace (last %d events):\n", *traceN)
-		env.Trace.Dump(os.Stdout)
+		fmt.Printf("trace (last %d records):\n", *traceN)
+		var dump strings.Builder
+		env.Trace.Dump(&dump)
+		lines := strings.SplitAfter(dump.String(), "\n")
+		fmt.Print(strings.Join(lines[max(len(lines)-1-*traceN, 0):], ""))
 	}
 
 	if observe {
@@ -441,8 +441,7 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("chrome trace written to %s (%d spans, %d dropped events)\n",
-				*traceOut, len(env.Trace.Spans()), env.Trace.Dropped())
+			fmt.Printf("chrome trace written to %s (%d spans)\n", *traceOut, len(env.Trace.Spans()))
 		}
 		if *metOut != "" {
 			if err := bench.WriteArtifact(*metOut, func(w io.Writer) error { return report.WriteJSON(w, rep, env.Reg) }); err != nil {

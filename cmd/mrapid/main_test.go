@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -123,26 +124,37 @@ func runCLI(t *testing.T, m runMode, args map[string]string) string {
 	return out.String()
 }
 
-// TestTraceShowsHDFSEvents: the event dump of one small D+ WordCount carries
-// the DFS's events whether -trace comes alone or with -report. (Alone, the
-// command used to wire its own log and forget the DFS.)
+// TestTraceShowsHDFSEvents: the dump of one small D+ WordCount carries the
+// DFS's marks whether -trace comes alone or with -report (alone, the command
+// used to wire its own log and forget the DFS), and holds at most the last N
+// records either way (with an artifact flag it used to print the whole log
+// under the "last N" header).
 func TestTraceShowsHDFSEvents(t *testing.T) {
-	args := map[string]string{"job": "wordcount", "mode": "dplus", "files": "2", "size-mb": "1", "trace": "400"}
+	const n = 20
+	args := map[string]string{"job": "wordcount", "mode": "dplus", "files": "2", "size-mb": "1", "trace": fmt.Sprint(n)}
 	for _, report := range []string{"false", "true"} {
 		args["report"] = report
 		out := runCLI(t, singleJob, args)
-		_, dump, ok := strings.Cut(out, "trace (last 400 events):\n")
+		_, dump, ok := strings.Cut(out, fmt.Sprintf("trace (last %d records):\n", n))
 		if !ok {
 			t.Fatalf("report=%s: no trace dump in:\n%s", report, out)
 		}
-		hdfs := 0
+		records, hdfs := 0, 0
 		for _, line := range strings.Split(dump, "\n") {
-			if f := strings.Fields(line); len(f) > 1 && f[1] == "hdfs" {
+			f := strings.Fields(line)
+			if len(f) < 3 || !strings.Contains(f[0], "s+") {
+				break // the dump ends where the next section starts
+			}
+			records++
+			if f[1] == "hdfs" {
 				hdfs++
 			}
 		}
+		if records == 0 || records > n {
+			t.Errorf("report=%s: %d records under the last-%d header", report, records, n)
+		}
 		if hdfs == 0 {
-			t.Errorf("report=%s: no hdfs events in the trace dump", report)
+			t.Errorf("report=%s: no hdfs marks in the trace dump", report)
 		}
 	}
 }

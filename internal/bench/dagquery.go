@@ -135,7 +135,7 @@ func RunQueryStream(setup ClusterSetup, qs QueryStream, o Options) (*QueryStream
 	if err != nil {
 		return nil, err
 	}
-	env.EnableObservability(1 << 16)
+	env.EnableObservability(0)
 	cat := query.NewCatalog(env.DFS, env.Cluster)
 	if err := dagQueryTables(cat, o); err != nil {
 		return nil, err

@@ -149,10 +149,12 @@ type Env struct {
 
 // EnableObservability attaches a span tracer and a metrics registry to
 // every instrumented component (RM, runtime, HDFS). Call it right after
-// NewEnv, before submitting work, so spans form complete trees.
-func (e *Env) EnableObservability(eventLimit int) (*trace.Log, *metrics.Registry) {
+// NewEnv, before submitting work, so spans form complete trees. The int
+// parameter is ignored; it is kept only because the benchmark module
+// (benchmark/) passes one.
+func (e *Env) EnableObservability(int) (*trace.Log, *metrics.Registry) {
 	if e.Trace == nil {
-		e.Trace = trace.New(e.Eng, eventLimit)
+		e.Trace = trace.New(e.Eng, 0)
 		e.Reg = metrics.New()
 		e.RM.Trace = e.Trace
 		e.RM.Reg = e.Reg
@@ -208,7 +210,7 @@ func NewEnv(setup ClusterSetup, v Variant) (*Env, error) {
 		// in core.Submit); it needs the registry for its hit/miss counters,
 		// so turning it on implies observability.
 		if params.MemoCache {
-			env.EnableObservability(1 << 16)
+			env.EnableObservability(0)
 			fw.Memo = memo.New(env.Reg, cluster.Workers(), memo.Config{
 				MemBytes:  params.MemoMemBytes,
 				DiskBytes: params.MemoDiskBytes,

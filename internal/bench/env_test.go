@@ -71,14 +71,14 @@ func TestEarlyFaultUnderTheDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := r.flightEnv.Trace.Events()
+	spans := r.flightEnv.Trace.Spans()
 	var crashedAt sim.Time
-	for _, e := range events {
-		if e.Component == "fault" && strings.Contains(e.Message, "CRASHED") {
-			crashedAt = e.At
+	for _, s := range spans {
+		if s.Component == "fault" && s.Name == "node crashed" {
+			crashedAt = s.Start
 		}
 	}
-	if want := events[0].At.Add(earlyFault[0].At); crashedAt != want {
+	if want := spans[0].Start.Add(earlyFault[0].At); crashedAt != want {
 		t.Errorf("workload: node crashed at %s, want first submission + %s = %s", crashedAt, earlyFault[0].At, want)
 	}
 

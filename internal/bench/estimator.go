@@ -82,6 +82,8 @@ func EstimatorAccuracy(o Options) (*Figure, error) {
 	}
 	fig.Notes = append(fig.Notes, fmt.Sprintf("decision matched the measured winner at %d/%d sweep points", correct, total))
 	fig.Notes = append(fig.Notes,
-		"Equation 2 omits U+ cache-overflow spills (the paper's model has the same blind spot), so mispredictions cluster at the largest inputs")
+		"Equation 2 omits U+ cache-overflow spills (the paper's model has the same blind spot), so mispredictions cluster at the largest inputs",
+		"speculative is timed from the pooled SubmittedAt, after the race's artifact upload; the phases table times the same race from its root span, "+
+			"upload included (DESIGN.md §7, \"Where a job's clock starts\")")
 	return fig, nil
 }

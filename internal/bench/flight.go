@@ -33,7 +33,7 @@ func (e *Env) EnableFlightRecorder(slo flight.SLOConfig) *flight.Recorder {
 	if e.Flight != nil {
 		return e.Flight
 	}
-	e.EnableObservability(1 << 16)
+	e.EnableObservability(0)
 	rec := flight.New(e.Eng, e.Reg, e.Trace, flight.Config{SLO: slo})
 
 	rec.AddGauge(func(sample func(string, float64)) {

@@ -19,7 +19,7 @@ func tracedRun(t *testing.T, v Variant) (*trace.Log, trace.SpanID, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := env.EnableObservability(1 << 14)
+	tr, _ := env.EnableObservability(0)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/obs", workloads.WordCountConfig{
 		Files: 2, FileBytes: 2 << 20, Seed: 1,
 	})
@@ -117,7 +117,7 @@ func exportAll(t *testing.T, v Variant) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, reg := env.EnableObservability(1 << 14)
+	tr, reg := env.EnableObservability(0)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/det", workloads.WordCountConfig{
 		Files: 2, FileBytes: 1 << 20, Seed: 7,
 	})
@@ -167,7 +167,7 @@ func TestChromeExportOfRealRunIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := env.EnableObservability(1 << 14)
+	tr, _ := env.EnableObservability(0)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/cv", workloads.WordCountConfig{
 		Files: 2, FileBytes: 1 << 20, Seed: 1,
 	})

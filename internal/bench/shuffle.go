@@ -110,7 +110,7 @@ func RunShuffleCase(setup ClusterSetup, c shuffleCase, cfg shuffleConfig, o Opti
 	if err != nil {
 		return nil, err
 	}
-	env.EnableObservability(1 << 16)
+	env.EnableObservability(0)
 	spec, output, err := c.Gen(env, o)
 	if err != nil {
 		return nil, err

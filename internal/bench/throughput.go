@@ -163,7 +163,7 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	if err != nil {
 		return nil, err
 	}
-	env.EnableObservability(1 << 16)
+	env.EnableObservability(0)
 	srv := env.Srv
 
 	// Flight recorder: cluster gauges from the env, JobServer gauges here,

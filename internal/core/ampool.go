@@ -5,6 +5,7 @@ import (
 
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/topology"
+	"mrapid/internal/trace"
 	"mrapid/internal/yarn"
 )
 
@@ -117,7 +118,9 @@ func (p *Pool) launchOne(up func()) {
 			holder.Node = c.Node
 			p.ams = append(p.ams, holder)
 			p.idle = append(p.idle, holder)
-			p.rt.Trace.Add("pool", "AM %d up on %s", holder.ID, c.Node.Name)
+			if p.rt.Trace != nil {
+				p.rt.Trace.Mark(0, "pool", "AM up", trace.A("am", fmt.Sprint(holder.ID)), trace.A("node", c.Node.Name))
+			}
 			if up != nil {
 				up()
 			}
@@ -150,7 +153,9 @@ func (p *Pool) amLost(am *PooledAM) {
 			break
 		}
 	}
-	p.rt.Trace.Add("pool", "AM %d lost with its node; launching replacement", am.ID)
+	if p.rt.Trace != nil {
+		p.rt.Trace.Mark(0, "pool", "AM lost; launching replacement", trace.A("am", fmt.Sprint(am.ID)))
+	}
 	if am.busy && am.onLost != nil {
 		cb := am.onLost
 		am.onLost = nil

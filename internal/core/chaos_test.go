@@ -120,7 +120,7 @@ func TestPoolAMNodeCrashReplenished(t *testing.T) {
 func TestPoolExhaustionFallsBackToStock(t *testing.T) {
 	t.Parallel()
 	rt := chaosRuntime(t, 1)
-	rt.Trace = trace.New(rt.Eng, 1<<12)
+	rt.Trace = trace.New(rt.Eng, 0)
 	f := startFramework(t, rt, 1)
 	victim := f.Pool.ams[0].Node
 	names, all := stageInput(t, rt, 4, 1<<20)

@@ -26,7 +26,7 @@ func TestDecisionRecordOnBothRoutes(t *testing.T) {
 	for _, route := range []string{"Framework.Submit", "JobServer.Submit"} {
 		t.Run(route, func(t *testing.T) {
 			rt, reg := memoRuntime(t)
-			rt.Trace = trace.New(rt.Eng, 1<<12)
+			rt.Trace = trace.New(rt.Eng, 0)
 			f := startFramework(t, rt, 3)
 			f.Memo = memo.New(reg, rt.Cluster.Workers(), memo.Config{})
 			srv, err := NewJobServer(f, JobServerConfig{})

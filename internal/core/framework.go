@@ -135,7 +135,7 @@ func (f *Framework) pooledAM(spec *mapreduce.JobSpec, prof *profiler.JobProfile,
 	up func(*yarn.App, *topology.Node, error), lost func()) func() {
 	if f.Pool.Exhausted() {
 		f.StockFallbacks++
-		f.RT.Trace.Add("proxy", "AM pool exhausted; job %s falls back to stock submission", spec.Name)
+		f.RT.Trace.Mark(prof.Span, "proxy", "AM pool exhausted; stock submission")
 		return nil
 	}
 	prof.AMPoolHit = true

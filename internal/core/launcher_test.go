@@ -93,7 +93,7 @@ func launchFlow(t *testing.T, sched yarn.Scheduler, pool int, service bool, redu
 func coldFlow(t *testing.T, mode ModeKind) pin.Record {
 	t.Helper()
 	rt := newRuntime(t, topology.A3, 4, NewDPlusScheduler(FullDPlus()))
-	rt.Trace = trace.New(rt.Eng, 1<<12)
+	rt.Trace = trace.New(rt.Eng, 0)
 	f := startFramework(t, rt, 0)
 	names, _ := stageInput(t, rt, 4, 1<<20)
 	var res *mapreduce.Result

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"slices"
 
@@ -95,7 +96,9 @@ func (f *Framework) viaMemo(spec *mapreduce.JobSpec, served func(*mapreduce.Resu
 		// The holder died after the lookup: this second lookup finds the
 		// entry unreadable, drops it and counts the loss.
 		_, err := f.Memo.Lookup(key, digest)
-		f.RT.Trace.Add("memo", "%s: %v; executing", spec.Name, err)
+		if f.RT.Trace != nil {
+			f.RT.Trace.Mark(0, "memo", "entry lost; executing", trace.A("job", spec.Name), trace.A("error", fmt.Sprint(err)))
+		}
 		run(commit)
 	})
 }

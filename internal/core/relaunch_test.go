@@ -16,7 +16,7 @@ import (
 func pooledRun(t *testing.T, mode ModeKind, arm func(*mapreduce.Runtime, *Framework)) (*mapreduce.Result, sim.Time, *mapreduce.Runtime, *Framework, []byte) {
 	t.Helper()
 	rt := chaosRuntime(t, 1)
-	rt.Trace = trace.New(rt.Eng, 1<<12)
+	rt.Trace = trace.New(rt.Eng, 0)
 	f := startFramework(t, rt, 3)
 	names, all := stageInput(t, rt, 12, 1<<20)
 	if arm != nil {

@@ -192,8 +192,6 @@ func (f *Framework) race(spec *mapreduce.JobSpec, root trace.SpanID, done func(*
 			trace.A("estimate_dplus", d.EstimateD.String()),
 			trace.A("estimate_uplus", d.EstimateU.String()),
 			trace.A("projected_winner", string(projected)))
-		f.RT.Trace.Add("proxy", "speculative decision: %s projected to win (D+=%s U+=%s)",
-			projected, d.EstimateD, d.EstimateU)
 		gone[loserOf(projected)] = true
 		handles[loserOf(projected)].Kill()
 	}

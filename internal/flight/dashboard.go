@@ -21,8 +21,8 @@ type Dashboard struct {
 }
 
 // WriteDashboard renders a self-contained HTML page: inline CSS, one SVG
-// sparkline per series, the per-tenant SLO table with burn rates, warnings
-// for dropped trace events / evicted samples, and the top-k slowest phases.
+// sparkline per series, the per-tenant SLO table with burn rates, a warning
+// for evicted samples, and the top-k slowest phases.
 // No external assets, so the file works from a CI artifact or file:// URL.
 func WriteDashboard(w io.Writer, d Dashboard) error {
 	r := d.Rec
@@ -55,9 +55,6 @@ svg polyline{fill:none;stroke:#2563eb;stroke-width:1.5}
 	fmt.Fprintf(out, `<div class="meta">%d samples @ %s virtual interval &middot; %d series &middot; virtual now %s</div>`+"\n",
 		r.Samples(), r.Interval(), len(r.series), r.eng.Now())
 
-	if n := r.DroppedEvents(); n > 0 {
-		fmt.Fprintf(out, `<div class="warn">&#9888; trace event ring dropped %d events (trace_dropped_events_total) — the flat event log is truncated; spans are unaffected.</div>`+"\n", n)
-	}
 	if n := r.Evicted(); n > 0 {
 		fmt.Fprintf(out, `<div class="warn">&#9888; series rings evicted %d samples — early history is truncated; raise the interval.</div>`+"\n", n)
 	}

@@ -46,14 +46,9 @@ type GaugeFunc func(sample func(name string, v float64))
 
 // Recorder samples one simulation into ring-buffered time-series.
 type Recorder struct {
-	eng  *sim.Engine
-	reg  *metrics.Registry
-	tlog *trace.Log
-	cfg  Config
-
-	// droppedEvents is the pre-resolved gauge the event ring's drop count
-	// is folded into each tick.
-	droppedEvents metrics.Gauge
+	eng *sim.Engine
+	reg *metrics.Registry
+	cfg Config
 
 	series map[string]*Series
 	gauges []GaugeFunc
@@ -70,7 +65,8 @@ type Recorder struct {
 }
 
 // New builds a recorder over the engine, registry and (optional) trace
-// log. Call AddGauge to register cluster probes, then Start.
+// log, which receives the SLO tracker's breach spans. Call AddGauge to
+// register cluster probes, then Start.
 func New(eng *sim.Engine, reg *metrics.Registry, tlog *trace.Log, cfg Config) *Recorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
@@ -78,12 +74,8 @@ func New(eng *sim.Engine, reg *metrics.Registry, tlog *trace.Log, cfg Config) *R
 	r := &Recorder{
 		eng:    eng,
 		reg:    reg,
-		tlog:   tlog,
 		cfg:    cfg,
 		series: make(map[string]*Series),
-	}
-	if tlog != nil {
-		r.droppedEvents = reg.GaugeHandle("trace_dropped_events_total")
 	}
 	if cfg.SLO.enabled() {
 		r.slo = NewSLOTracker(eng, tlog, cfg.SLO)
@@ -141,10 +133,6 @@ func (r *Recorder) StopIfRunning() {
 
 // Samples reports how many ticks have been recorded.
 func (r *Recorder) Samples() int64 { return r.samples }
-
-// DroppedEvents reports how many flat events the trace log's ring evicted (0
-// with no log attached). Spans are always retained.
-func (r *Recorder) DroppedEvents() int64 { return r.tlog.Dropped() }
 
 // Series returns one series by full key, or nil.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
@@ -214,13 +202,6 @@ func isMonotonic(key string) bool {
 func (r *Recorder) tick() {
 	at := r.eng.Now()
 	dt := at.Sub(r.lastAt).Seconds()
-
-	// The event ring's drop count is folded into the registry first so it
-	// rides the normal counter path (and the Prometheus export) rather
-	// than needing a side channel.
-	if r.tlog != nil {
-		r.droppedEvents.Set(r.tlog.Dropped())
-	}
 
 	counters := r.reg.Counters()
 	names := make([]string, 0, len(counters))

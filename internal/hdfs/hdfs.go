@@ -14,6 +14,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mrapid/internal/sim"
@@ -315,10 +316,12 @@ func (d *DFS) Write(name string, data []byte, writer *topology.Node, done func(*
 	f := d.makeBlocks(name, data, writer)
 	d.files[name] = f
 	d.BytesWritten += int64(len(data))
-	if writer != nil {
-		d.Trace.Add("hdfs", "write %s (%d bytes, %d blocks) from %s", name, len(data), len(f.Blocks), writer.Name)
-	} else {
-		d.Trace.Add("hdfs", "write %s (%d bytes, %d blocks)", name, len(data), len(f.Blocks))
+	if d.Trace != nil {
+		attrs := []trace.Attr{trace.A("file", name), trace.A("bytes", strconv.Itoa(len(data))), trace.A("blocks", strconv.Itoa(len(f.Blocks)))}
+		if writer != nil {
+			attrs = append(attrs, trace.A("from", writer.Name))
+		}
+		d.Trace.Mark(0, "hdfs", "write", attrs...)
 	}
 
 	// One writer-NIC use carries all of a block's replicas, so this is the
@@ -393,10 +396,12 @@ func (d *DFS) ReadRange(name string, offset, length int64, reader *topology.Node
 		return
 	}
 
-	if reader != nil {
-		d.Trace.Add("hdfs", "read %s [%d,%d) on %s", name, offset, offset+length, reader.Name)
-	} else {
-		d.Trace.Add("hdfs", "read %s [%d,%d)", name, offset, offset+length)
+	if d.Trace != nil {
+		attrs := []trace.Attr{trace.A("file", name), trace.A("range", fmt.Sprintf("[%d,%d)", offset, offset+length))}
+		if reader != nil {
+			attrs = append(attrs, trace.A("on", reader.Name))
+		}
+		d.Trace.Mark(0, "hdfs", "read", attrs...)
 	}
 	var out []byte
 	// Fast path: a read covering exactly one whole block returns the block

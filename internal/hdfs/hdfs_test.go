@@ -441,3 +441,40 @@ func TestEmptyFileHasOneEmptyBlockAndNoSplits(t *testing.T) {
 		t.Fatalf("splits for empty file = %d, want 0", len(splits))
 	}
 }
+
+// TestUntracedIOAllocatesNothingForTracing: with a nil Trace a read or write
+// builds no trace attributes. The budgets are the operations' own
+// allocations (the device join, its completion events, the file's blocks);
+// boxing the file name, sizes and offsets for a disabled log would add 3–4
+// to each.
+func TestUntracedIOAllocatesNothingForTracing(t *testing.T) {
+	eng, c := testCluster(t, 4)
+	d := New(eng, c, 128<<20, 3, 1)
+	node := c.Workers()[0]
+	data := make([]byte, 4096)
+	if _, err := d.PutInstant("/in/a", data, node); err != nil {
+		t.Fatal(err)
+	}
+	read := func([]byte, error) {}
+	wrote := func(*File, error) {}
+	cases := []struct {
+		name   string
+		budget float64
+		op     func()
+	}{
+		{"whole-file read", 7, func() { d.ReadRange("/in/a", 0, 4096, node, read) }},
+		{"range read", 8, func() { d.ReadRange("/in/a", 1000, 2000, node, read) }},
+		{"write and delete", 15, func() {
+			d.Write("/out/a", data, node, wrote)
+			eng.Run()
+			d.Delete("/out/a")
+		}},
+	}
+	for _, tc := range cases {
+		tc.op() // warm the engine and the devices
+		eng.Run()
+		if got := testing.AllocsPerRun(100, func() { tc.op(); eng.Run() }); got > tc.budget {
+			t.Errorf("untraced %s: %.0f allocations, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}

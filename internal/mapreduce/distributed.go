@@ -8,6 +8,7 @@ import (
 	"mrapid/internal/profiler"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
+	"mrapid/internal/trace"
 	"mrapid/internal/yarn"
 )
 
@@ -279,7 +280,10 @@ func (am *DistributedAM) loseMapOutput(mo *MapOutput) {
 			am.outputs = append(am.outputs[:i], am.outputs[i+1:]...)
 			delete(am.fetched, mo)
 			am.shuffle.Forget(am.spec, mo)
-			am.rt.Trace.Add("am", "map %d output lost on %s; re-executing", mo.Split.Index, mo.Node.Name)
+			if am.rt.Trace != nil {
+				am.rt.Trace.Mark(am.prof.Span, "am", "map output lost",
+					trace.A("map", fmt.Sprint(mo.Split.Index)), trace.A("node", mo.Node.Name))
+			}
 			am.rescheduleMap(mo.Split, "output lost")
 			return
 		}
@@ -305,7 +309,10 @@ func (am *DistributedAM) rescheduleMap(s *hdfs.Split, why string) {
 		PreferredRacks: racks,
 		Tag:            fmt.Sprintf("map-%d-attempt-%d", s.Index, am.mapAttempts[s.Index]),
 	})
-	am.rt.Trace.Add("am", "map %d rescheduled (%s) as attempt %d", s.Index, why, am.mapAttempts[s.Index])
+	if am.rt.Trace != nil {
+		am.rt.Trace.Mark(am.prof.Span, "am", "map rescheduled", trace.A("map", fmt.Sprint(s.Index)),
+			trace.A("why", why), trace.A("attempt", fmt.Sprint(am.mapAttempts[s.Index])))
+	}
 }
 
 // onContainerLost is the RM's report that one of this job's containers
@@ -316,7 +323,9 @@ func (am *DistributedAM) onContainerLost(c *yarn.Container) {
 	if am.killed {
 		return
 	}
-	am.rt.Trace.Add("am", "lost %s", c)
+	if am.rt.Trace != nil {
+		am.rt.Trace.Mark(am.prof.Span, "am", "lost container", trace.A("container", c.String()))
+	}
 	if c.Tag == "am" {
 		// Our own AM container (cold submission): the whole attempt dies;
 		// the submitter decides whether to relaunch.
@@ -367,5 +376,7 @@ func (am *DistributedAM) recoverReduce() {
 		Resource: am.containerRes,
 		Tag:      "reduce-recovery",
 	})
-	am.rt.Trace.Add("am", "reduce container lost; restarting shuffle (gen %d)", am.reduceGen)
+	if am.rt.Trace != nil {
+		am.rt.Trace.Mark(am.prof.Span, "am", "reduce container lost", trace.A("gen", fmt.Sprint(am.reduceGen)))
+	}
 }

@@ -341,9 +341,8 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 					rt.spillPhase(mo, node, epoch, span, tp, func() {
 						tp.Ended = rt.Eng.Now()
 						if rt.Trace != nil {
-							rt.Trace.Add("task", "map %d attempt %d done on %s (in=%d out=%d mem=%v)",
-								split.Index, opts.Attempt, node.Name, tp.InputBytes, tp.OutputBytes, mo.InMemory)
-							rt.Trace.EndSpan(span, trace.A("out_bytes", fmt.Sprint(mo.TotalBytes)))
+							rt.Trace.EndSpan(span, trace.A("out_bytes", fmt.Sprint(mo.TotalBytes)),
+								trace.A("in_memory", fmt.Sprint(mo.InMemory)))
 						}
 						h := rt.handles()
 						h.mapOK.Inc()
@@ -390,7 +389,6 @@ func (rt *Runtime) failAttempt(tp *profiler.TaskProfile, node *topology.Node, sp
 	} else {
 		attrs = []trace.Attr{trace.A("panic", fmt.Sprint(err.Cause)), trace.A("at", err.At)}
 	}
-	rt.Trace.Add("task", "%s %d attempt %d FAILED on %s", err.Kind, err.Index, err.Attempt, node.Name)
 	rt.Trace.SpanSince(span, "task/"+node.Name, "compute", err.Kind, computeStart, attrs...)
 	rt.Trace.EndSpan(span, trace.A("failed", "true"))
 	if h := rt.handles(); tp.Kind == profiler.MapTask {
@@ -661,11 +659,9 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 				tp.SpillDur = rt.Eng.Now().Sub(writeStart)
 				tp.Ended = rt.Eng.Now()
 				if rt.Trace != nil {
-					rt.Trace.Add("task", "reduce %d attempt %d done on %s (in=%d out=%d)",
-						part, opts.Attempt, node.Name, tp.InputBytes, tp.OutputBytes)
 					rt.Trace.SpanSince(span, comp, "write", "reduce", writeStart,
 						trace.A("bytes", fmt.Sprint(tp.OutputBytes)))
-					rt.Trace.EndSpan(span)
+					rt.Trace.EndSpan(span, trace.A("in_bytes", fmt.Sprint(tp.InputBytes)))
 				}
 				h := rt.handles()
 				h.reduceOK.Inc()

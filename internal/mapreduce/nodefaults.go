@@ -7,6 +7,7 @@ import (
 
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
+	"mrapid/internal/trace"
 )
 
 // NodeFault is one scripted machine failure: the named worker crashes at
@@ -90,11 +91,15 @@ func (rt *Runtime) ScheduleNodeFaults(faults []NodeFault) error {
 		at := rt.Eng.Now() + sim.Time(f.At)
 		n, restart := target, f.RestartAfter
 		rt.Eng.At(at, func() {
-			rt.Trace.Add("fault", "node %s CRASHED", n.Name)
+			if rt.Trace != nil {
+				rt.Trace.Mark(0, "fault", "node crashed", trace.A("node", n.Name))
+			}
 			n.Fail()
 			if restart > 0 {
 				rt.Eng.After(restart, func() {
-					rt.Trace.Add("fault", "node %s restarted", n.Name)
+					if rt.Trace != nil {
+						rt.Trace.Mark(0, "fault", "node restarted", trace.A("node", n.Name))
+					}
 					n.Restart()
 				})
 			}

@@ -229,7 +229,9 @@ func (s *Submission) attempt() {
 			s.rt.Trace.EndSpan(s.prof.Span, trace.A("killed", "true"))
 		case errors.Is(err, ErrAMLost) && s.attempts < s.rt.Params.MaxAMAttempts &&
 			(s.OnAMLost == nil || s.OnAMLost()):
-			s.rt.Trace.Add("am", "job %s attempt %d lost its AM; relaunching", s.spec.Name, s.attempts)
+			if s.rt.Trace != nil {
+				s.rt.Trace.Mark(s.prof.Span, "am", "AM lost; relaunching", trace.A("attempt", fmt.Sprint(s.attempts)))
+			}
 			s.rt.DeleteOutputPrefix(s.spec.OutputFile)
 			s.attempt()
 		default:

@@ -290,8 +290,10 @@ func (d *dagRun) outputsAvailable(st *Stage) bool {
 func (d *dagRun) recover(failed *Stage) {
 	rt := d.rt()
 	d.recoveries++
-	rt.Trace.Add("query", "%s: stage %d lost an intermediate input; recovery round %d",
-		d.qid, failed.ID, d.recoveries)
+	if rt.Trace != nil {
+		rt.Trace.Mark(d.span, "query", "lost an intermediate input",
+			trace.A("stage", fmt.Sprint(failed.ID)), trace.A("recovery_round", fmt.Sprint(d.recoveries)))
+	}
 	d.status[failed.ID] = stagePending
 	rt.DeleteOutputPrefix(failed.Spec.OutputFile)
 	for _, st := range d.compiled.Stages {

@@ -9,11 +9,11 @@ import (
 	"mrapid/internal/sim"
 )
 
-// Chrome trace_event export: the span tree and event log serialized in the
-// Trace Event Format that chrome://tracing and Perfetto load. Components
-// map to threads (one lane per component), spans to complete ("X") events,
-// and log events to instant ("i") events. Output is deterministic: lanes
-// are sorted by name, spans and events keep log order.
+// Chrome trace_event export: the span tree serialized in the Trace Event
+// Format that chrome://tracing and Perfetto load. Components map to threads
+// (one lane per component) and spans, marks included, to complete ("X")
+// events. Output is deterministic: lanes are sorted by name and spans keep
+// log order.
 
 type chromeEvent struct {
 	Name  string         `json:"name"`
@@ -23,7 +23,6 @@ type chromeEvent struct {
 	Dur   *float64       `json:"dur,omitempty"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
@@ -68,9 +67,6 @@ func (l *Log) WriteChromeTraceCounters(w io.Writer, counters []CounterSeries) er
 	for _, s := range l.Spans() {
 		laneSet[s.Component] = true
 	}
-	for _, e := range l.Events() {
-		laneSet[e.Component] = true
-	}
 	lanes := make([]string, 0, len(laneSet))
 	for c := range laneSet {
 		lanes = append(lanes, c)
@@ -113,12 +109,6 @@ func (l *Log) WriteChromeTraceCounters(w io.Writer, counters []CounterSeries) er
 			Name: s.Name, Cat: cat, Phase: "X",
 			TS: micros(s.Start), Dur: &dur,
 			PID: 1, TID: tid[s.Component], Args: args,
-		})
-	}
-	for _, e := range l.Events() {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: e.Message, Cat: "log", Phase: "i",
-			TS: micros(e.At), PID: 1, TID: tid[e.Component], Scope: "t",
 		})
 	}
 	for _, cs := range counters {

@@ -12,7 +12,7 @@ import (
 
 // goldenLog builds a small but representative span tree: a job root, an AM
 // startup with a scheduling wait under it, one map with a read sub-span, an
-// open (abandoned) task, and a flat log event.
+// open (abandoned) task, and an HDFS mark.
 func goldenLog() *Log {
 	eng := sim.NewEngine()
 	l := New(eng, 16)
@@ -27,7 +27,7 @@ func goldenLog() *Log {
 		task = l.StartSpan(root, "task/node-01", "map-0", "map")
 		read := l.StartSpan(task, "task/node-01", "read", "map")
 		l.EndSpan(read, A("bytes", "1048576"))
-		l.Add("hdfs", "read /in/wc-0 [0,1048576) on node-01")
+		l.Mark(0, "hdfs", "read", A("file", "/in/wc-0"), A("range", "[0,1048576)"), A("node", "node-01"))
 	})
 	eng.After(3*time.Second, func() {
 		l.EndSpan(task, A("out_bytes", "2097152"))
@@ -73,7 +73,7 @@ func TestChromeTraceIsValidAndComplete(t *testing.T) {
 	if out.DisplayTimeUnit != "ms" {
 		t.Fatalf("displayTimeUnit = %q", out.DisplayTimeUnit)
 	}
-	var complete, instant, meta, open int
+	var complete, meta, open int
 	for _, e := range out.TraceEvents {
 		switch e.Phase {
 		case "X":
@@ -87,8 +87,6 @@ func TestChromeTraceIsValidAndComplete(t *testing.T) {
 				}
 				open++
 			}
-		case "i":
-			instant++
 		case "M":
 			meta++
 		}
@@ -96,11 +94,11 @@ func TestChromeTraceIsValidAndComplete(t *testing.T) {
 			t.Fatalf("event %q pid = %d", e.Name, e.PID)
 		}
 	}
-	if complete != 6 { // root, am, alloc, map-0, read, map-1
-		t.Fatalf("complete events = %d, want 6", complete)
+	if complete != 7 { // root, am, alloc, map-0, read, the hdfs mark, map-1
+		t.Fatalf("complete events = %d, want 7", complete)
 	}
-	if instant != 1 || open != 1 {
-		t.Fatalf("instant = %d open = %d", instant, open)
+	if open != 1 {
+		t.Fatalf("open = %d", open)
 	}
 	// One lane per component (job, am, rm, hdfs, task/node-01,
 	// task/node-02) plus the process name.

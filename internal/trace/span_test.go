@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -21,8 +20,8 @@ func TestNilLogSpansAreSafe(t *testing.T) {
 	if l.Span(1) != nil || l.Spans() != nil || l.Subtree(1) != nil {
 		t.Fatal("nil log returned spans")
 	}
-	if l.Now() != 0 || l.Dropped() != 0 {
-		t.Fatal("nil log clock/dropped nonzero")
+	if l.Now() != 0 {
+		t.Fatal("nil log clock nonzero")
 	}
 }
 
@@ -113,28 +112,5 @@ func TestSpanSinceIsRetroactiveAndClosed(t *testing.T) {
 	}
 	if len(s.Attrs) != 1 || s.Attrs[0].Value != "node-01" {
 		t.Fatalf("SpanSince attrs = %+v", s.Attrs)
-	}
-}
-
-func TestDroppedEventsCountedAndReported(t *testing.T) {
-	eng := sim.NewEngine()
-	l := New(eng, 3)
-	for i := 0; i < 10; i++ {
-		l.Add("c", "event %d", i)
-	}
-	if l.Dropped() != 7 {
-		t.Fatalf("Dropped = %d, want 7", l.Dropped())
-	}
-	var b strings.Builder
-	if err := l.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "7 earlier events dropped") {
-		t.Fatalf("Dump missing dropped prefix:\n%s", b.String())
-	}
-	// Spans are never ring-limited; only the flat event log is.
-	l.StartSpan(0, "c", "s", "")
-	if len(l.Spans()) != 1 {
-		t.Fatal("span was dropped by the event ring limit")
 	}
 }

@@ -1,111 +1,65 @@
-// Package trace records structured observability data for a simulation
-// run: a flat event log (which component did what at which virtual
-// instant) and a causal span tree (how long each operation took and what
-// it was part of), for debugging scheduling decisions, for the CLI's
-// -trace output, and for the critical-path analyzer (package report).
-// Tracing is optional: a nil *Log is safe to use and records nothing.
+// Package trace records one structured record of a simulation run: a causal
+// span tree on the virtual clock (how long each operation took and what it
+// was part of). Point facts — a node crash, an HDFS read, a lost container —
+// are zero-length spans (Mark) under the operation they happened in. The
+// tree feeds the critical-path analyzer (package report), the Chrome export
+// and the CLI's -trace dump. Tracing is optional: a nil *Log is safe to use
+// and records nothing.
 package trace
 
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"mrapid/internal/sim"
 )
 
-// Event is one timestamped log entry.
-type Event struct {
-	At        sim.Time
-	Component string // "rm", "nm/node-01", "am/wc", "hdfs", ...
-	Message   string
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%12s  %-14s %s", e.At, e.Component, e.Message)
-}
-
-// Log accumulates events in firing order and spans in open order. The zero
-// value is unusable; nil is a valid "disabled" log. A Log is driven only
-// from the simulation engine's goroutine, like the engine itself.
+// Log accumulates spans in open order. The zero value is unusable; nil is a
+// valid "disabled" log. A Log is driven only from the simulation engine's
+// goroutine, like the engine itself.
 type Log struct {
-	eng     *sim.Engine
-	events  []Event
-	limit   int
-	dropped int64
-
+	eng   *sim.Engine
 	spans []*Span
 }
 
-// New creates a log bound to the engine's clock. limit bounds event memory
-// (0 means unlimited); beyond it old events are dropped from the front and
-// counted (see Dropped). Spans are always retained.
-func New(eng *sim.Engine, limit int) *Log {
-	return &Log{eng: eng, limit: limit}
+// New creates a log bound to the engine's clock. Every span is retained.
+// The int parameter is ignored; it is kept only because the out-of-module
+// benchmark harness still calls New(eng, limit).
+func New(eng *sim.Engine, _ int) *Log {
+	return &Log{eng: eng}
 }
 
-// Add records an event at the current virtual time. Safe on a nil log.
-func (l *Log) Add(component, format string, args ...any) {
+// Mark records a point fact at the current virtual time: a closed,
+// zero-length span with no phase, so it owns no time in the critical-path
+// analysis. Safe on a nil log.
+func (l *Log) Mark(parent SpanID, component, name string, attrs ...Attr) {
 	if l == nil {
 		return
 	}
-	l.events = append(l.events, Event{
-		At:        l.eng.Now(),
-		Component: component,
-		Message:   fmt.Sprintf(format, args...),
-	})
-	if l.limit > 0 && len(l.events) > l.limit {
-		l.dropped += int64(len(l.events) - l.limit)
-		l.events = l.events[len(l.events)-l.limit:]
-	}
+	l.EndSpan(l.startAt(parent, component, name, "", l.eng.Now(), attrs))
 }
 
-// Len reports the number of retained events. Safe on a nil log.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.events)
-}
-
-// Dropped reports how many events the ring limit evicted. Safe on a nil
-// log.
-func (l *Log) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped
-}
-
-// Events returns the retained events in order. Safe on a nil log.
-func (l *Log) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	return l.events
-}
-
-// Filter returns the events whose component matches exactly.
-func (l *Log) Filter(component string) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Component == component {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump writes every retained event, one per line. When the ring limit has
-// evicted events, the first line says how many are missing instead of
-// silently truncating the front. Safe on a nil log.
+// Dump writes every span, one per line, in start order: the start instant
+// joined to the duration (or "open"), the component, the name, then the
+// attributes. Safe on a nil log.
 func (l *Log) Dump(w io.Writer) error {
-	if l.Dropped() > 0 {
-		if _, err := fmt.Fprintf(w, "… %d earlier events dropped (ring limit %d)\n", l.dropped, l.limit); err != nil {
-			return err
+	spans := append([]*Span(nil), l.Spans()...)
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	var b strings.Builder
+	for _, s := range spans {
+		dur := "open"
+		if s.Ended {
+			dur = (s.End - s.Start).String()
 		}
-	}
-	for _, e := range l.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
+		b.Reset()
+		fmt.Fprintf(&b, "%18s  %-14s %s", s.Start.String()+"+"+dur, s.Component, s.Name)
+		for _, a := range s.Attrs {
+			b.WriteString(" " + a.Key + "=" + a.Value)
+		}
+		b.WriteByte('\n')
+		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
 		}
 	}

@@ -10,9 +10,9 @@ import (
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	l.Add("rm", "message %d", 1)
-	if l.Len() != 0 || l.Events() != nil {
-		t.Fatal("nil log retained events")
+	l.Mark(0, "rm", "node expired", A("node", "node-01"))
+	if l.Spans() != nil {
+		t.Fatal("nil log retained a mark")
 	}
 	var b strings.Builder
 	if err := l.Dump(&b); err != nil || b.Len() != 0 {
@@ -20,58 +20,59 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 }
 
-func TestAddRecordsVirtualTime(t *testing.T) {
+func TestMarkRecordsVirtualTime(t *testing.T) {
 	eng := sim.NewEngine()
 	l := New(eng, 0)
-	eng.After(2*time.Second, func() { l.Add("rm", "allocated %d", 3) })
+	var parent SpanID
+	eng.After(1*time.Second, func() { parent = l.StartSpan(0, "job", "wc", "") })
+	eng.After(2*time.Second, func() { l.Mark(parent, "rm", "lost", A("container", "3")) })
 	eng.Run()
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.Spans()) != 2 {
+		t.Fatalf("%d spans, want the parent and the mark", len(l.Spans()))
 	}
-	e := l.Events()[0]
-	if e.At != sim.Time(2*time.Second) || e.Component != "rm" || e.Message != "allocated 3" {
-		t.Fatalf("event = %+v", e)
+	m := l.Spans()[1]
+	at := sim.Time(2 * time.Second)
+	if m.Parent != parent || m.Component != "rm" || m.Name != "lost" || m.Phase != "" {
+		t.Fatalf("mark = %+v", m)
 	}
-	if !strings.Contains(e.String(), "rm") {
-		t.Fatalf("String = %q", e.String())
+	if !m.Ended || m.Start != at || m.End != at || m.Duration(l.Now()) != 0 {
+		t.Fatalf("mark is not a closed zero-length span at %s: %+v", at, m)
 	}
-}
-
-func TestLimitDropsOldest(t *testing.T) {
-	eng := sim.NewEngine()
-	l := New(eng, 3)
-	for i := 0; i < 10; i++ {
-		l.Add("c", "event %d", i)
+	if len(m.Attrs) != 1 || m.Attrs[0] != A("container", "3") {
+		t.Fatalf("mark attrs = %+v", m.Attrs)
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
-	}
-	if l.Events()[0].Message != "event 7" {
-		t.Fatalf("oldest retained = %q", l.Events()[0].Message)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	eng := sim.NewEngine()
-	l := New(eng, 0)
-	l.Add("rm", "a")
-	l.Add("nm/node-01", "b")
-	l.Add("rm", "c")
-	got := l.Filter("rm")
-	if len(got) != 2 || got[0].Message != "a" || got[1].Message != "c" {
-		t.Fatalf("Filter = %+v", got)
+	if eng.Fired() != 2 {
+		t.Fatalf("engine fired %d events, want 2: a mark schedules none", eng.Fired())
 	}
 }
 
 func TestDumpWritesLines(t *testing.T) {
 	eng := sim.NewEngine()
 	l := New(eng, 0)
-	l.Add("hdfs", "read 10 bytes")
+	var open SpanID
+	eng.After(1*time.Second, func() { open = l.StartSpan(0, "task/node-01", "map-0", "map") })
+	eng.After(3*time.Second, func() {
+		l.Mark(open, "hdfs", "read", A("file", "/in/wc-0"), A("bytes", "10"))
+		// Opened now, started earlier: the dump orders by start.
+		l.SpanSince(0, "rm", "alloc map-0", "schedule", sim.Time(500*time.Millisecond))
+	})
+	eng.Run()
 	var b strings.Builder
 	if err := l.Dump(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "read 10 bytes") {
-		t.Fatalf("Dump = %q", b.String())
+	want := [][]string{
+		{"0.500s+2.500s", "rm", "alloc", "map-0"},
+		{"1.000s+open", "task/node-01", "map-0"},
+		{"3.000s+0.000s", "hdfs", "read", "file=/in/wc-0", "bytes=10"},
+	}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("Dump wrote %d lines, want %d:\n%s", len(lines), len(want), b.String())
+	}
+	for i, line := range lines {
+		if got := strings.Fields(line); strings.Join(got, " ") != strings.Join(want[i], " ") {
+			t.Errorf("line %d = %q, want fields %q", i, line, want[i])
+		}
 	}
 }

@@ -225,7 +225,9 @@ func (rm *RM) nodeHeartbeat(nt *NodeTracker) {
 		nt.Live = true
 		rm.rebuildView()
 		rm.Metrics.NodesRestored++
-		rm.Trace.Add("rm", "node %s re-admitted", nt.Node.Name)
+		if rm.Trace != nil {
+			rm.Trace.Mark(0, "rm", "node re-admitted", trace.A("node", nt.Node.Name))
+		}
 	}
 	rm.Metrics.NMHeartbeats++
 	nm := rm.nms[nt.Node]
@@ -237,7 +239,7 @@ func (rm *RM) nodeHeartbeat(nt *NodeTracker) {
 		delete(rm.live, c.ID)
 		rm.Metrics.Releases++
 		if rm.Trace != nil {
-			rm.Trace.Add("rm", "released %s", c)
+			rm.Trace.Mark(c.App.Span, "rm", "released", trace.A("container", c.String()))
 		}
 	}
 	rm.Sched.OnNodeUpdate(rm, nt)
@@ -260,7 +262,10 @@ func (rm *RM) expireNode(nt *NodeTracker) {
 	nt.Live = false
 	rm.rebuildView()
 	rm.Metrics.NodesExpired++
-	rm.Trace.Add("rm", "node %s expired (no heartbeat for %s)", nt.Node.Name, rm.Params.NMExpiry)
+	if rm.Trace != nil {
+		rm.Trace.Mark(0, "rm", "node expired", trace.A("node", nt.Node.Name),
+			trace.A("silent_for", rm.Params.NMExpiry.String()))
+	}
 	rm.loseNodeContainers(nt, "node expired")
 }
 
@@ -280,7 +285,7 @@ func (rm *RM) loseNodeContainers(nt *NodeTracker, why string) {
 		rm.creditQueue(c.App, c.Resource)
 		rm.Metrics.ContainersLost++
 		if rm.Trace != nil {
-			rm.Trace.Add("rm", "lost %s (%s)", c, why)
+			rm.Trace.Mark(c.App.Span, "rm", "lost", trace.A("container", c.String()), trace.A("why", why))
 		}
 		if c.released {
 			continue
@@ -368,7 +373,6 @@ func (rm *RM) Grant(ask *Ask, nt *NodeTracker) *Container {
 	rm.Metrics.Allocations++
 	rm.Metrics.ByLocality[loc]++
 	if rm.Trace != nil {
-		rm.Trace.Add("rm", "granted %s to app %d (%s)", c, ask.App.ID, loc)
 		// The scheduling-wait span: ask arrival → grant. A same-heartbeat D+
 		// answer shows ~2×RPC of wait; a stock grant shows the node-heartbeat
 		// wait the paper's Figure 2 attributes to allocation.
@@ -466,7 +470,9 @@ func (rm *RM) KillApp(app *App) {
 	}
 	app.State = AppKilled
 	rm.Metrics.AppsKilled++
-	rm.Trace.Add("rm", "killed app %d (%s)", app.ID, app.Name)
+	if rm.Trace != nil {
+		rm.Trace.Mark(app.Span, "rm", "killed app", trace.A("app", fmt.Sprint(app.ID)), trace.A("name", app.Name))
+	}
 	app.queued = nil
 	app.granted = nil
 	for _, c := range rm.liveOf(app) {
