@@ -188,12 +188,16 @@ func assertStagedOnce(t *testing.T, rt *mapreduce.Runtime, res *mapreduce.Result
 }
 
 // When one racing speculative mode's AM machine dies before the decision
-// point, that mode drops out and the survivor wins with correct output.
+// point, that mode drops out and the survivor wins with correct output. The
+// input is small (4 × 1 MB) but keeps the crash ahead of the verdict: crash
+// at 60.3 s, verdict at 60.6 s. The RM reports the lost AM only after
+// NMExpiry, so here the verdict kills the crashed mode before its loss is
+// seen.
 func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 	t.Parallel()
 	rt := chaosRuntime(t, 1)
 	f := startFramework(t, rt, 3)
-	names, all := stageInput(t, rt, 8, 8<<20)
+	names, all := stageInput(t, rt, 4, 1<<20)
 	var res *mapreduce.Result
 	rt.Eng.After(0, func() {
 		f.Submit(ModeSpeculative, testWCSpec(names, "/out"), func(r *mapreduce.Result) { res = r })
@@ -201,6 +205,7 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 	// Crash the first pooled AM to go busy — one of the two racing modes —
 	// the moment it acquires, well before the estimator's decision point.
 	crashed := false
+	var crashAt sim.Time
 	ticker := rt.Eng.Every(100*time.Millisecond, func() {
 		if crashed {
 			return
@@ -208,7 +213,7 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 		for _, am := range f.Pool.ams {
 			if am.busy {
 				am.Node.Fail()
-				crashed = true
+				crashed, crashAt = true, rt.Eng.Now()
 				return
 			}
 		}
@@ -224,6 +229,9 @@ func TestSpeculativeSurvivesAMNodeCrash(t *testing.T) {
 	}
 	if res.Err != nil {
 		t.Fatalf("speculative job failed: %v", res.Err)
+	}
+	if at := res.Profile.Decision.At; at <= crashAt {
+		t.Fatalf("the verdict came at %s, not after the AM crash at %s", at, crashAt)
 	}
 	verifyWC(t, rt, "/out", all)
 	t.Logf("winner=%s", ModeKind(res.Mode))

@@ -13,8 +13,9 @@ import (
 )
 
 // poisons are the bad user code every AM shape must contain: a map that
-// panics on one split, a reduce that panics on one key, and a partitioner
-// out of range, which the map side's own check turns into a panic.
+// panics on one split, a map flush that panics after one split's last
+// record, a reduce that panics on one key, and a partitioner out of range,
+// which the map side's own check turns into a panic.
 var poisons = []struct {
 	name  string
 	kind  profiler.TaskKind
@@ -23,11 +24,19 @@ var poisons = []struct {
 	arm   func(spec *JobSpec, names []string)
 }{
 	{"map", profiler.MapTask, "poisoned split", "contain_test.go", func(spec *JobSpec, names []string) {
-		spec.MapFor = func(file string) MapFunc {
+		spec.MapFor = func(file string) (MapFunc, func(Emit)) {
 			if file == names[1] {
-				return func(_, _ []byte, _ Emit) { panic("poisoned split") }
+				return func(_, _ []byte, _ Emit) { panic("poisoned split") }, nil
 			}
-			return nil
+			return nil, nil
+		}
+	}},
+	{"flush", profiler.MapTask, "poisoned flush", "contain_test.go", func(spec *JobSpec, names []string) {
+		spec.MapFor = func(file string) (MapFunc, func(Emit)) {
+			if file == names[1] {
+				return nil, func(Emit) { panic("poisoned flush") }
+			}
+			return nil, nil
 		}
 	}},
 	{"reduce", profiler.ReduceTask, `bad key "fox"`, "contain_test.go", func(spec *JobSpec, _ []string) {
@@ -105,7 +114,7 @@ func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 					t.Fatalf("%d compute spans name the panic, want one per failed attempt (%d)", spans, failed)
 				}
 				for _, file := range cachedFiles(rt.MapCache) {
-					if p.name == "partitioner" || p.name == "map" && file == names[1] {
+					if p.name == "partitioner" || (p.name == "map" || p.name == "flush") && file == names[1] {
 						t.Errorf("the MapCache holds %s, whose map attempts panicked", file)
 					}
 				}

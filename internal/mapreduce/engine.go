@@ -159,9 +159,9 @@ var ErrOutputLost = errors.New("mapreduce: map output lost with its node")
 var ErrAMLost = errors.New("mapreduce: application master lost with its node")
 
 // ExecMap runs the map function for real over split data: scan records,
-// map, partition, fold repeated pairs, sort each partition, and optionally
-// combine. It is pure computation — the caller charges the virtual clock
-// separately.
+// map, flush, partition, fold repeated pairs, sort each partition, and
+// optionally combine. It is pure computation — the caller charges the
+// virtual clock separately.
 func ExecMap(spec *JobSpec, data []byte) *MapOutput {
 	return ExecMapFile(spec, "", data)
 }
@@ -194,8 +194,10 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64, slots int) *
 		}
 	}
 	mapFn := spec.Map
+	var flush func(Emit)
 	if spec.MapFor != nil {
-		if fn := spec.MapFor(file); fn != nil {
+		var fn MapFunc
+		if fn, flush = spec.MapFor(file); fn != nil {
 			mapFn = fn
 		}
 	}
@@ -204,6 +206,9 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64, slots int) *
 		records++
 		mapFn(k, v, emit)
 	})
+	if flush != nil {
+		flush(emit)
+	}
 	for p := range b.parts {
 		b.sortRecs(p)
 	}

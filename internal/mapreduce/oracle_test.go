@@ -36,22 +36,26 @@ func reference(spec *mapreduce.JobSpec, splits []split) [][]byte {
 		partition = mapreduce.HashPartition
 	}
 	parts := make([][]pair, spec.NumReduces)
+	emit := func(ek, ev []byte) {
+		p := 0
+		if spec.NumReduces > 1 {
+			p = partition(ek, spec.NumReduces)
+		}
+		parts[p] = append(parts[p], pair{bytes.Clone(ek), bytes.Clone(ev)})
+	}
 	for _, s := range splits {
 		mapFn := spec.Map
+		var flush func(mapreduce.Emit)
 		if spec.MapFor != nil {
-			if fn := spec.MapFor(s.file); fn != nil {
+			var fn mapreduce.MapFunc
+			if fn, flush = spec.MapFor(s.file); fn != nil {
 				mapFn = fn
 			}
 		}
-		spec.Format.Scan(s.data, func(k, v []byte) {
-			mapFn(k, v, func(ek, ev []byte) {
-				p := 0
-				if spec.NumReduces > 1 {
-					p = partition(ek, spec.NumReduces)
-				}
-				parts[p] = append(parts[p], pair{bytes.Clone(ek), bytes.Clone(ev)})
-			})
-		})
+		spec.Format.Scan(s.data, func(k, v []byte) { mapFn(k, v, emit) })
+		if flush != nil {
+			flush(emit)
+		}
 	}
 	out := make([][]byte, spec.NumReduces)
 	for p, ps := range parts {
@@ -284,9 +288,9 @@ func TestOraclePi(t *testing.T) {
 }
 
 // One compiled query, stage by stage: repartition join (per-file map
-// functions), group-by (combiner with partial aggregate states), order-by
-// (order-preserving numeric keys). Each stage reads what the reference
-// says the one before it committed.
+// functions), group-by (per-split aggregation flushed as partial states),
+// order-by (order-preserving numeric keys). Each stage reads what the
+// reference says the one before it committed.
 func TestOracleQueryStages(t *testing.T) {
 	eng := sim.NewEngine()
 	cluster, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 4, Racks: 2})

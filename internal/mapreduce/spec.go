@@ -154,10 +154,13 @@ type JobSpec struct {
 	Reduce    ReduceFunc
 	Partition PartitionFunc // defaults to HashPartition
 
-	// MapFor, when set, selects the map function per input file and
-	// overrides Map wherever it returns non-nil. Repartition joins use it
-	// to tag the two sides of the join differently.
-	MapFor func(file string) MapFunc
+	// MapFor, when set, is called once per split with the split's file. It
+	// returns the split's record function, which overrides Map unless it is
+	// nil, and an optional flush that runs once after the split's last
+	// record and may emit too — Hadoop's Mapper.cleanup. Repartition joins
+	// use it to tag the two sides of the join differently; group-by stages
+	// fold a split's rows into one table the flush emits, one pair per key.
+	MapFor func(file string) (MapFunc, func(Emit))
 
 	// MapRate is the map function's compute throughput in input bytes per
 	// second on one reference core; zero means the map function itself is

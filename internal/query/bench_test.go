@@ -11,7 +11,7 @@ import (
 // warehouse-shaped input, outside the simulator. SetBytes counts rows (or
 // groups), so the MB/s column reads as million rows (groups) per second.
 
-// group is one key's values as a combiner or reducer receives them.
+// group is one key's values as a reducer receives them.
 type group struct {
 	key    []byte
 	values mapreduce.Values
@@ -38,15 +38,18 @@ func sortedGroups(m map[string][][]byte) []group {
 	return out
 }
 
-// stageFixture holds the warehouse's lines and every stage closure compiled
+// salesFile is the file the fixture's splits claim to be.
+const salesFile = "/warehouse/sales/part-00000"
+
+// stageFixture holds the warehouse's lines and every stage's map compiled
 // plain and with a fused filter+projection in front.
 type stageFixture struct {
 	sales, returns [][]byte
-	maps           map[string]mapreduce.MapFunc // by "<stage>" and "<stage>/fused"
-	combine        mapreduce.ReduceFunc
+	maps           map[string]mapreduce.MapFunc  // by "<stage>" and "<stage>/fused"
+	groupBy        map[string]*mapreduce.JobSpec // "groupby" and "groupby/fused"
 	reduce         mapreduce.ReduceFunc
 	joinReduce     mapreduce.ReduceFunc
-	states         []group // group-by map output by cell
+	states         []group // group-by partial states of eight splits, by cell
 	joinValues     []group // tagged join values by cell
 }
 
@@ -60,7 +63,7 @@ func newStageFixture(tb testing.TB) *stageFixture {
 		}
 		return compiled.Stages[len(compiled.Stages)-1].Spec
 	}
-	fx := &stageFixture{maps: map[string]mapreduce.MapFunc{}}
+	fx := &stageFixture{maps: map[string]mapreduce.MapFunc{}, groupBy: map[string]*mapreduce.JobSpec{}}
 	sales, returns := warehouseRows(4096, 3)
 	for _, r := range sales {
 		fx.sales = append(fx.sales, EncodeRow(r))
@@ -71,24 +74,41 @@ func newStageFixture(tb testing.TB) *stageFixture {
 	plain := Scan("sales")
 	fused := Scan("sales").Filter(Where("amount", OpGt, "100")).Project("amount", "cell")
 	for name, src := range map[string]*Plan{"": plain, "/fused": fused} {
-		fx.maps["groupby"+name] = stage(src.GroupBy([]string{"cell"}, Sum("amount"), Count())).Map
+		fx.groupBy["groupby"+name] = stage(src.GroupBy([]string{"cell"}, Sum("amount"), Count()))
 		fx.maps["orderby"+name] = stage(src.OrderBy("amount", true)).Map
 		fx.maps["materialize"+name] = stage(src).Map
-		fx.maps["join"+name] = stage(src.Join(Scan("returns"), "cell", "cell")).MapFor("/warehouse/sales/part-00000")
+		fx.maps["join"+name], _ = stage(src.Join(Scan("returns"), "cell", "cell")).MapFor(salesFile)
 	}
-	gb := stage(plain.GroupBy([]string{"cell"}, Sum("amount"), Count()))
-	fx.combine, fx.reduce = gb.Combine, gb.Reduce
+	gb := fx.groupBy["groupby"]
+	fx.reduce = gb.Reduce
 	states := map[string][][]byte{}
-	groupsOf(fx.sales, gb.Map, states)
+	for i := range 8 {
+		n := len(fx.sales) / 8
+		mapSplit(gb, salesFile, fx.sales[i*n:(i+1)*n], func(k, v []byte) {
+			states[string(k)] = append(states[string(k)], append([]byte(nil), v...))
+		})
+	}
 	fx.states = sortedGroups(states)
 
 	join := stage(plain.Join(Scan("returns"), "cell", "cell"))
 	fx.joinReduce = join.Reduce
 	tagged := map[string][][]byte{}
-	groupsOf(fx.sales, join.MapFor("/warehouse/sales/part-00000"), tagged)
-	groupsOf(fx.returns, join.MapFor("/warehouse/returns/part-00000"), tagged)
+	leftMap, _ := join.MapFor(salesFile)
+	rightMap, _ := join.MapFor("/warehouse/returns/part-00000")
+	groupsOf(fx.sales, leftMap, tagged)
+	groupsOf(fx.returns, rightMap, tagged)
 	fx.joinValues = sortedGroups(tagged)
 	return fx
+}
+
+// mapSplit runs lines through spec's map as one split of file: each line
+// through the split's record function, then its flush.
+func mapSplit(spec *mapreduce.JobSpec, file string, lines [][]byte, emit mapreduce.Emit) {
+	fn, flush := spec.MapFor(file)
+	for _, line := range lines {
+		fn(nil, line, emit)
+	}
+	flush(emit)
 }
 
 var benchSink int
@@ -96,15 +116,18 @@ var benchSink int
 func discard(k, v []byte) { benchSink += len(k) + len(v) }
 
 // TestStageClosuresAllocBudget is the allocation gate of the row path: a map
-// closure allocates nothing per input row, with or without a fused
-// filter+projection, and combine and reduce allocate at most twice per group
-// (a join group past the inline row array allocates its row list once). Each
-// measured run is one row or one group, so AllocsPerRun's truncated average
-// absorbs the pool refills a GC cycle — or the race detector's randomly
-// dropped Puts — cause, and still reads ≥ 1 for anything allocated per call.
+// record function allocates nothing per input row, with or without a fused
+// filter+projection — the group-by's on a table that already holds the
+// split's keys — a group-by split costs a constant number of allocations
+// whatever its rows and keys, and reduce allocates at most twice per group
+// (a join group past the inline row array allocates its row list once).
+// Each measured run is one row, one split or one group, so AllocsPerRun's
+// truncated average absorbs the pool refills a GC cycle — or the race
+// detector's randomly dropped Puts — cause, and still reads ≥ 1 for
+// anything allocated per call.
 func TestStageClosuresAllocBudget(t *testing.T) {
 	fx := newStageFixture(t)
-	for name, fn := range fx.maps {
+	perRow := func(name string, fn mapreduce.MapFunc) {
 		i := 0
 		if got := testing.AllocsPerRun(4000, func() {
 			fn(nil, fx.sales[i%len(fx.sales)], discard)
@@ -113,12 +136,27 @@ func TestStageClosuresAllocBudget(t *testing.T) {
 			t.Errorf("%s map: %v allocations per row, want 0", name, got)
 		}
 	}
+	for name, fn := range fx.maps {
+		perRow(name, fn)
+	}
+	for name, spec := range fx.groupBy {
+		fn, flush := spec.MapFor(salesFile)
+		for _, line := range fx.sales {
+			fn(nil, line, discard)
+		}
+		perRow(name, fn)
+		flush(discard)
+		// None on a warm table; a table or buffer whose Put the race
+		// detector dropped costs a few to refill.
+		if got := testing.AllocsPerRun(100, func() { mapSplit(spec, salesFile, fx.sales, discard) }); got > 4 {
+			t.Errorf("%s split: %v allocations per split of %d rows, want at most 4", name, got, len(fx.sales))
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		fn     mapreduce.ReduceFunc
 		groups []group
 	}{
-		{"groupby combine", fx.combine, fx.states},
 		{"groupby reduce", fx.reduce, fx.states},
 		{"join reduce", fx.joinReduce, fx.joinValues},
 	} {
@@ -155,20 +193,22 @@ func benchGroups(b *testing.B, fn mapreduce.ReduceFunc, groups []group) {
 	}
 }
 
-// BenchmarkGroupByMap: filter on amount, project, key on cell, emit the
-// partial state — the warehouse query's map side.
+// BenchmarkGroupByMap: filter on amount, project, key on cell, fold into
+// the split's table, and flush one partial state per cell — the warehouse
+// query's map side, one split per iteration.
 func BenchmarkGroupByMap(b *testing.B) {
 	fx := newStageFixture(b)
-	benchMap(b, fx.maps["groupby/fused"], fx.sales)
+	spec := fx.groupBy["groupby/fused"]
+	b.ReportAllocs()
+	b.SetBytes(int64(len(fx.sales)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mapSplit(spec, salesFile, fx.sales, discard)
+	}
 }
 
-// BenchmarkGroupByCombine merges each cell's ~8 one-row states into one.
-func BenchmarkGroupByCombine(b *testing.B) {
-	fx := newStageFixture(b)
-	benchGroups(b, fx.combine, fx.states)
-}
-
-// BenchmarkGroupByReduce merges the same states and renders the result row.
+// BenchmarkGroupByReduce merges each cell's partial states, one per split
+// that saw it, and renders the result row.
 func BenchmarkGroupByReduce(b *testing.B) {
 	fx := newStageFixture(b)
 	benchGroups(b, fx.reduce, fx.states)

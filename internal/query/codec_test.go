@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -246,7 +248,7 @@ func refMergeAggStates(values [][]byte, n int) ([]int64, []float64, []float64, [
 }
 
 // runsOf collapses adjacent equal values into counted runs, the shape in
-// which a merge of folded map outputs hands them to a combiner or reducer.
+// which a merge of folded map outputs hands them to a reducer.
 func runsOf(values [][]byte) mapreduce.Values {
 	var vals [][]byte
 	var counts []int
@@ -269,11 +271,12 @@ func occurrences(vs mapreduce.Values) [][]byte {
 }
 
 // refStage is one stage's closures in the string codec. mapFor is the join's
-// two tagged maps.
+// two tagged maps; fold is the group-by's merge of one key's per-row states,
+// in the order given, into its partial state.
 type refStage struct {
 	mapFn   mapreduce.MapFunc
 	mapFor  [2]mapreduce.MapFunc
-	combine mapreduce.ReduceFunc
+	fold    mapreduce.ReduceFunc
 	reduce  mapreduce.ReduceFunc
 	skipped *atomic.Int64
 }
@@ -363,8 +366,8 @@ func refGroupBy(src refSource, keys []string, aggs []Agg) refStage {
 			}
 			emit([]byte(strings.Join(keyParts, colSep)), refEncodeAggStates(row, aggIdx, aggs, skipped))
 		},
-		combine: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, false) },
-		reduce:  func(key []byte, values mapreduce.Values, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, true) },
+		fold:   func(key []byte, values mapreduce.Values, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, false) },
+		reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) { mergeAndEmit(key, values, emit, true) },
 	}
 }
 
@@ -447,6 +450,44 @@ func codecCatalog(tb testing.TB) *Catalog {
 	return cat
 }
 
+// refSplit runs a split's lines through the reference's per-row group-by
+// map and folds each key's states in row order: the partial states the
+// split's flush must emit, sorted by key.
+func refSplit(ref refStage, lines [][]byte) emitted {
+	out := capture(func(emit mapreduce.Emit) {
+		var order []string
+		states := map[string][][]byte{}
+		for _, line := range lines {
+			ref.mapFn(nil, line, func(k, v []byte) {
+				if _, seen := states[string(k)]; !seen {
+					order = append(order, string(k))
+				}
+				states[string(k)] = append(states[string(k)], bytes.Clone(v))
+			})
+		}
+		for _, k := range order {
+			ones := make([]int, len(states[k]))
+			for i := range ones {
+				ones[i] = 1
+			}
+			ref.fold([]byte(k), mapreduce.NewValues(states[k], ones), emit)
+		}
+	})
+	return sortedPairs(out)
+}
+
+// mapSplitOf is what mapSplit emits, sorted by key.
+func mapSplitOf(spec *mapreduce.JobSpec, file string, lines [][]byte) emitted {
+	return sortedPairs(capture(func(emit mapreduce.Emit) { mapSplit(spec, file, lines, emit) }))
+}
+
+// sortedPairs orders a split's output by key: which key a flush emits
+// first is not part of its contract, the sort that follows it is.
+func sortedPairs(e emitted) emitted {
+	sort.Slice(e.pairs, func(i, j int) bool { return e.pairs[i][0] < e.pairs[j][0] })
+	return e
+}
+
 // emitted is what one closure call produced: its pairs, or that it panicked.
 type emitted struct {
 	pairs    [][2]string
@@ -472,7 +513,10 @@ func sameFloat(a, b float64) bool {
 // numeric, filter conditions, sort keys), then every compiled stage closure
 // against its string-codec counterpart — same emitted bytes, same
 // panic-or-not, same skipped-value count — with and without a fused
-// filter+projection.
+// filter+projection. The group-by map is the aggregator: a split of the
+// fuzzed line, rows carrying the state's numbers under the line's key, and
+// the line again, through MapFor and its flush, must emit what the
+// reference's per-row states folded in row order give.
 func FuzzStageCodec(f *testing.F) {
 	wide := strings.Repeat("7"+colSep, inlineFields+3) + "x"
 	for _, line := range []string{
@@ -570,28 +614,48 @@ func FuzzStageCodec(f *testing.F) {
 			return capture(func(emit mapreduce.Emit) { fn([]byte(key), runsOf(values), emit) })
 		}
 
+		// The split: the line, one row per number-like piece of the state
+		// (and the literal) in its aggregate columns under the line's key,
+		// and the line again. Pieces that would change the row's framing
+		// are left out.
+		split := [][]byte{line}
+		for _, piece := range append(bytes.FieldsFunc(state, func(r rune) bool { return r == sepByte || r == ',' }), []byte(lit)) {
+			if !bytes.ContainsAny(piece, "\t\x1f") && !strings.Contains(want[1], "\t") {
+				split = append(split, []byte(string(piece)+colSep+want[1]+colSep+string(piece)))
+			}
+		}
+		split = append(split, line)
 		gb := compile(scanT.GroupBy(keys, aggs...))
 		gbSpec, gbRef := gb.Stages[0].Spec, refGroupBy(refT, keys, aggs)
-		mapped := same("group-by map", onLine(gbSpec.Map), onLine(gbRef.mapFn))
+		mapped := same("group-by split", mapSplitOf(gbSpec, "/warehouse/t/part-00000", split), refSplit(gbRef, split))
 		if g, w := gb.AggParseErrors.Load(), gbRef.skipped.Load(); g != w {
-			t.Fatalf("group-by map on %q skipped %d values, reference %d", line, g, w)
+			t.Fatalf("group-by split of %q skipped %d values, reference %d", split, g, w)
 		}
 		values := [][]byte{state}
-		for _, p := range mapped.pairs {
-			// Three copies: a run of three adds its sum three times, which
-			// sum × 3 does not always equal.
-			values = append(values, []byte(p[1]), []byte(p[1]), []byte(p[1]), state)
+		for _, row := range split {
+			rows := capture(func(emit mapreduce.Emit) { gbRef.mapFn(nil, row, emit) })
+			for _, p := range rows.pairs {
+				// Three copies: a run of three adds its sum three times,
+				// which sum × 3 does not always equal.
+				values = append(values, []byte(p[1]), []byte(p[1]), []byte(p[1]), state)
+			}
 		}
-		combined := same("combine", onValues(gbSpec.Combine, "k", values...), onValues(gbRef.combine, "k", values...))
 		same("reduce", onValues(gbSpec.Reduce, "k"+colSep+"j", values...), onValues(gbRef.reduce, "k"+colSep+"j", values...))
-		for _, p := range combined.pairs {
-			same("reduce of combined", onValues(gbSpec.Reduce, "", []byte(p[1])), onValues(gbRef.reduce, "", []byte(p[1])))
+		for _, p := range mapped.pairs {
+			same("reduce of flushed", onValues(gbSpec.Reduce, "", []byte(p[1])), onValues(gbRef.reduce, "", []byte(p[1])))
 		}
 
 		join := compile(scanT.Join(scanU, "a", "x")).Stages[0].Spec
 		joinRef := refJoin(refT, refU, "a", "x")
-		left := same("join left map", onLine(join.MapFor("/warehouse/t/part-00000")), onLine(joinRef.mapFor[0]))
-		right := same("join right map", onLine(join.MapFor("/warehouse/u/part-00000")), onLine(joinRef.mapFor[1]))
+		joinMap := func(file string) mapreduce.MapFunc {
+			fn, flush := join.MapFor(file)
+			if flush != nil {
+				t.Fatalf("the join map of %s has a flush", file)
+			}
+			return fn
+		}
+		left := same("join left map", onLine(joinMap("/warehouse/t/part-00000")), onLine(joinRef.mapFor[0]))
+		right := same("join right map", onLine(joinMap("/warehouse/u/part-00000")), onLine(joinRef.mapFor[1]))
 		values = [][]byte{state}
 		for _, p := range append(left.pairs, right.pairs...) {
 			values = append(values, []byte(p[1]), []byte(p[1]))
@@ -605,12 +669,12 @@ func FuzzStageCodec(f *testing.F) {
 }
 
 // TestPartialStatesKeepFractions: SUM and AVG over a fractional column must
-// not depend on how many combine hops a partial state crossed. The amounts are
-// multiples of 2^-30 below 10, so every partial sum is exact in float64 in
-// any order and the result has to equal the reference's, digit for digit —
-// with the map-side combiner alone and with the shuffle service's
-// ConsolidateGroup hop on top. Rendering partial states with 12 digits lost
-// the tail at every hop.
+// not lose digits on the wire between the map's fold and the reduce's merge.
+// The amounts are multiples of 2^-30 below 10, so every partial sum is exact
+// in float64 in any order and the result has to equal the reference's, digit
+// for digit — with the shuffle service's ConsolidateGroup between the maps
+// and the reduce and without it. Rendering partial states with 12 digits
+// lost the tail at every hop.
 func TestPartialStatesKeepFractions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	regions := []string{"east", "west", "north", "south"}
@@ -634,11 +698,10 @@ func TestPartialStatesKeepFractions(t *testing.T) {
 }
 
 // TestFoldedRowsSumOccurrenceExact: ten byte-identical rows whose amount is
-// 0.1 fold on the map side into one pair counted ten times, and the combiner
-// receives that one run. Its partial sum must still be ten additions of 0.1,
-// 0.9999999999999999 — what the combiner computed when it received ten
-// values — and not 0.1 × 10, which is 1: a partial state may not depend on
-// how many rows the map side folded. The result must match the reference.
+// 0.1 fold in the map's table into one partial state. Its sum must be ten
+// additions of 0.1, 0.9999999999999999 — what merging the ten rows' states
+// computed — and not 0.1 × 10, which is 1: a partial state may not depend on
+// how the map side folded its rows. The result must match the reference.
 func TestFoldedRowsSumOccurrenceExact(t *testing.T) {
 	rows := make([]Row, 10)
 	for i := range rows {
@@ -653,36 +716,22 @@ func TestFoldedRowsSumOccurrenceExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := *compiled.Stages[0].Spec
-	var runs []int // the count of each run the combiner received
-	combine := spec.Combine
-	spec.Combine = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
-		for i := range values.Len() {
-			_, n := values.At(i)
-			runs = append(runs, n)
-		}
-		combine(key, values, emit)
-	}
 	data, err := e.cat.dfs.Contents(tab.Files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	mo := mapreduce.ExecMapFile(&spec, tab.Files[0], data)
-	if len(runs) != 1 || runs[0] != 10 {
-		t.Fatalf("the combiner received runs %v, want the ten rows as one run counted 10", runs)
-	}
+	mo := mapreduce.ExecMapFile(compiled.Stages[0].Spec, tab.Files[0], data)
 	states := &mapreduce.JobSpec{Reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		values.Each(func(v []byte) { emit(key, v) })
 	}}
 	want := "east\t10,0.9999999999999999,0.1,0.1" + colSep + "10,0,0,0\n"
 	if got := mapreduce.ExecReduce(states, 0, []*mapreduce.MapOutput{mo}).Encoded; string(got) != want {
-		t.Fatalf("combined partial state %q, want %q", got, want)
+		t.Fatalf("folded partial state %q, want %q", got, want)
 	}
 }
 
 // TestCorruptAggStateFails: a state whose sum, min or max does not parse fails
-// the merge like a damaged count does, in the combiner and in the reduce; it
-// used to fold in as zero.
+// the reduce's merge like a damaged count does; it used to fold in as zero.
 func TestCorruptAggStateFails(t *testing.T) {
 	compiled, err := Compile(codecCatalog(t), "corrupt", Scan("t").GroupBy([]string{"a"}, Sum("c"), Count()))
 	if err != nil {
@@ -696,10 +745,92 @@ func TestCorruptAggStateFails(t *testing.T) {
 	}
 	for _, bad := range []string{"2,x,3,4", "2,7,,4", "2,7,3,4,5", "2,7,3,0x"} {
 		values := [][]byte{good, []byte(bad + colSep + "2,0,0,0")}
-		for name, fn := range map[string]mapreduce.ReduceFunc{"combine": spec.Combine, "reduce": spec.Reduce} {
-			if out := capture(func(emit mapreduce.Emit) { fn([]byte("k"), runsOf(values), emit) }); !out.panicked {
-				t.Errorf("%s folded the corrupt state %q into %+v", name, bad, out.pairs)
+		if out := capture(func(emit mapreduce.Emit) { spec.Reduce([]byte("k"), runsOf(values), emit) }); !out.panicked {
+			t.Errorf("reduce folded the corrupt state %q into %+v", bad, out.pairs)
+		}
+	}
+}
+
+// TestGroupByTableMatchesRowOrderFold: a group-by split folded in the
+// mapper's table emits what the reference's per-row states, folded in row
+// order, give — over values that exercise every fold rule (non-numeric,
+// NaN, ±Inf, −0, fractions, hex and underscore spellings, an empty row),
+// for COUNT-only plans, multi-column keys, a fused filter+projection, and a
+// split with enough keys to grow the table. Splits run back to back through
+// one compiled spec, and at once on several goroutines, emit what each
+// emits alone: the pooled table keeps nothing of the split before it.
+func TestGroupByTableMatchesRowOrderFold(t *testing.T) {
+	const file = "/warehouse/t/part-00000"
+	cat := codecCatalog(t)
+	row := func(a, b, c string) []byte { return EncodeRow(Row{a, b, c}) }
+	splits := map[string][][]byte{
+		"odd": {
+			row("1", "k", "x"), row("NaN", "k", "2.5"), row("+Inf", "j", "-Inf"), row("-0", "k", "0"),
+			row("0", "j", "-0"), row("0.1", "k", "0.2"), row("1e3", "j", "NaN"), row("x", "k", "0.30000000000000004"),
+			row("-1.5", "j", "+Inf"), row("", "", ""), row("7", "k", "banana"), row("0x1p-2", "j", "1_0"),
+			row("-0", "k", "-0"), row("0.1", "k", "0.7"), row("0.1", "j", "0.1"),
+		},
+		"many": nil,
+	}
+	for i := range 3000 {
+		splits["many"] = append(splits["many"], row(strconv.Itoa(i%7), fmt.Sprintf("g%04d", i%1500), strconv.Itoa(i)+".25"))
+	}
+	refT := refSource{schema: Schema{"a", "b", "c"}}
+	fusedCond := Where("c", OpNe, "banana")
+	cases := []struct {
+		name string
+		plan *Plan
+		ref  refSource
+		keys []string
+		aggs []Agg
+	}{
+		{"sum min max avg", Scan("t"), refT, []string{"b"}, []Agg{Sum("c"), Min("a"), Max("c"), Avg("a")}},
+		{"count only", Scan("t"), refT, []string{"b"}, []Agg{Count()}},
+		{"two-column key", Scan("t"), refT, []string{"b", "a"}, []Agg{Count(), Sum("c"), Min("c")}},
+		{"fused", Scan("t").Filter(fusedCond).Project("c", "b", "a"), refT.filter(fusedCond).project("c", "b", "a"),
+			[]string{"a", "b"}, []Agg{Max("c"), Count(), Sum("a")}},
+	}
+	for _, c := range cases {
+		compiled, err := Compile(cat, "tbl", c.plan.GroupBy(c.keys, c.aggs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, ref := compiled.Stages[0].Spec, refGroupBy(c.ref, c.keys, c.aggs)
+		if spec.Map != nil || spec.Combine != nil {
+			t.Fatalf("%s: the group-by stage sets a Map or a Combine", c.name)
+		}
+		alone := map[string]emitted{}
+		for name, split := range splits {
+			got, want := mapSplitOf(spec, file, split), refSplit(ref, split)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, split %s:\n got %+v\nwant %+v", c.name, name, got, want)
+			}
+			if g, w := compiled.AggParseErrors.Load(), ref.skipped.Load(); g != w {
+				t.Fatalf("%s, split %s: %d values skipped, reference %d", c.name, name, g, w)
+			}
+			alone[name] = got
+		}
+		for _, name := range []string{"many", "odd", "many", "odd"} {
+			if got := mapSplitOf(spec, file, splits[name]); !reflect.DeepEqual(got, alone[name]) {
+				t.Fatalf("%s: split %s after another emits\n %+v\nalone\n %+v", c.name, name, got, alone[name])
 			}
 		}
+		// Simulations on several goroutines map splits of one compiled
+		// stage at once, each split on a table of its own.
+		var wg sync.WaitGroup
+		for w := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 6 {
+					name := [...]string{"odd", "many"}[(w+i)%2]
+					if got := mapSplitOf(spec, file, splits[name]); !reflect.DeepEqual(got, alone[name]) {
+						t.Errorf("%s: split %s on goroutine %d emits\n %+v\nalone\n %+v", c.name, name, w, got, alone[name])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

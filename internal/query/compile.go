@@ -438,39 +438,10 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 	}
 	st.Sig = fmt.Sprintf("groupby[%s;%s]x%d(%s)",
 		strings.Join(keys, ","), strings.Join(outSchema[len(keys):], ","), len(out.Files), src.sig)
-	skipped := c.errs
-	st.Spec.Map = func(_, line []byte, emit mapreduce.Emit) {
-		var inline [inlineFields]span
-		row, sp, ok := src.scan(line, inline[:0])
-		if !ok {
-			return
-		}
-		// A one-column key is emitted where it lies in the input line (the
-		// record builder indexes such slices in place); a wider key is joined
-		// ahead of the state in the same buffer.
-		buf := scratchPool.Get().(*scratch)
-		key, b := sp.field(row, keyField[0]), buf.b[:0]
-		if len(keyField) > 1 {
-			b = sp.appendFields(b, row, keyField)
-			key = b
-		}
-		n := len(b)
-		b = appendRowStates(b, row, sp, aggField, aggs, skipped)
-		emit(key, b[n:])
-		buf.b = b
-		scratchPool.Put(buf)
-	}
-	st.Spec.Combine = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
-		var inline [inlineAggs]aggAcc
-		acc, err := mergeAggStates(values, len(aggs), &inline)
-		if err != nil {
-			panic(err)
-		}
-		buf := scratchPool.Get().(*scratch)
-		buf.b = appendStates(buf.b[:0], acc)
-		emit(key, buf.b)
-		scratchPool.Put(buf)
-	}
+	// Each split folds its rows into one table and emits a partial state per
+	// key when it ends (in-mapper combining); the reduce merges the states.
+	plan := &aggPlan{src: src, keyField: keyField, aggField: aggField, aggs: aggs, skipped: c.errs}
+	st.Spec.MapFor = plan.split
 	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		var inline [inlineAggs]aggAcc
 		acc, err := mergeAggStates(values, len(aggs), &inline)
@@ -556,11 +527,11 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 	}
 	leftMap := mkSide(left, li, 'L')
 	rightMap := mkSide(right, ri, 'R')
-	st.Spec.MapFor = func(file string) mapreduce.MapFunc {
+	st.Spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.Emit)) {
 		if leftFiles[file] {
-			return leftMap
+			return leftMap, nil
 		}
-		return rightMap
+		return rightMap, nil
 	}
 	// A joined row is the left row's bytes, a separator, the right row's
 	// bytes: nothing is decoded. rows holds the group's left rows from the

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"sync"
@@ -155,7 +156,7 @@ func numeric(b []byte) (float64, bool) {
 
 // Precisions for appendNum: result columns keep 12 significant digits;
 // partial aggregate states carry the shortest form that parses back to the
-// same float64, so a sum does not depend on how many combine hops it crossed.
+// same float64, so the reduce merges exactly the sums the maps folded.
 const (
 	resultPrec  = 12
 	partialPrec = -1
@@ -172,49 +173,178 @@ func appendNum(dst []byte, v float64, prec int) []byte {
 
 // aggAcc is the mergeable partial state of one aggregate: count, sum, min
 // and max of the numeric observations, on the wire as "count,sum,min,max"
-// so map-side combining works.
+// so each map's states merge in the reduce.
 type aggAcc struct {
 	cnt         int64
 	sum, lo, hi float64
 }
 
-// inlineAggs is how many accumulators combine and reduce keep on the stack.
+// inlineAggs is how many accumulators the reduce keeps on the stack.
 const inlineAggs = 8
 
 const emptyState = "0,0,0,0"
 
-// appendRowStates appends one row's partial states, one per aggregate. A
-// value that fails to parse as a number contributes an empty state (count 0)
-// instead of silently aggregating as 0, and ticks the skipped counter; COUNT
-// counts rows regardless.
-func appendRowStates(dst, row []byte, s spans, aggField []int, aggs []Agg, skipped *atomic.Int64) []byte {
-	for i := range aggs {
-		if i > 0 {
-			dst = append(dst, sepByte)
-		}
-		if aggs[i].Kind == AggCount {
-			dst = append(dst, "1,0,0,0"...)
-			continue
-		}
-		v, ok := numeric(s.field(row, aggField[i]))
-		if !ok {
-			if skipped != nil {
-				skipped.Add(1)
-			}
-			dst = append(dst, emptyState...)
-			continue
-		}
-		// One observation is its own sum, min and max.
-		dst = append(dst, "1,"...)
-		lo := len(dst)
-		dst = appendNum(dst, v, partialPrec)
-		hi := len(dst)
-		dst = append(dst, ',')
-		dst = append(dst, dst[lo:hi]...)
-		dst = append(dst, ',')
-		dst = append(dst, dst[lo:hi]...)
+// aggPlan is a group-by stage's map side: its input source, the stored-row
+// fields of its key and aggregate columns, the aggregates, and the compiled
+// query's count of skipped non-numeric values.
+type aggPlan struct {
+	src                *source
+	keyField, aggField []int
+	aggs               []Agg
+	skipped            *atomic.Int64
+}
+
+// split is the stage's MapFor: it borrows a table for one split and hands
+// out the table's record function and flush.
+func (p *aggPlan) split(string) (mapreduce.MapFunc, func(mapreduce.Emit)) {
+	t, _ := aggTables.Get().(*aggTable)
+	if t == nil {
+		t = newAggTable()
 	}
-	return dst
+	t.plan = p
+	return t.mapFn, t.flushFn
+}
+
+// aggTable is one split's in-mapper combiner: every key the split's rows
+// carry, in first-seen order, with len(aggs) accumulators each. A slot of
+// the open-addressing table (linear probing) holds a key's hash and its
+// group's index + 1 (0 = empty). A one-column key is the input block's own
+// bytes; a wider key is copied into arena once, when it first appears. The
+// table comes from aggTables with its record function and flush already
+// bound to it, and the flush resets it and puts it back, so a split on a
+// warm table allocates nothing.
+type aggTable struct {
+	plan  *aggPlan
+	slots []aggSlot // a power of two long, at most half full
+	keys  [][]byte
+	accs  []aggAcc // group g's accumulators at [g*len(aggs), (g+1)*len(aggs))
+	arena []byte
+	key   []byte // a wider key, joined for its lookup
+
+	mapFn   mapreduce.MapFunc
+	flushFn func(mapreduce.Emit)
+}
+
+type aggSlot struct{ hash, group uint32 }
+
+const aggMinSlots = 1 << 10
+
+var (
+	aggTables sync.Pool // of *aggTable, flushed and reset
+	aggSeed   = maphash.MakeSeed()
+)
+
+func newAggTable() *aggTable {
+	t := &aggTable{
+		slots: make([]aggSlot, aggMinSlots),
+		keys:  make([][]byte, 0, aggMinSlots/2),
+		accs:  make([]aggAcc, 0, aggMinSlots),
+	}
+	t.mapFn = func(_, line []byte, _ mapreduce.Emit) {
+		var inline [inlineFields]span
+		if row, sp, ok := t.plan.src.scan(line, inline[:0]); ok {
+			t.add(row, sp)
+		}
+	}
+	t.flushFn = t.flush
+	return t
+}
+
+// add folds one row into its key's accumulators with the rules the per-row
+// states and their merge had: COUNT observes every row (as a zero), a value
+// that does not parse as a number ticks the skipped counter and contributes
+// nothing, and a numeric one is one addition to the sum and one < and one >
+// test against min and max.
+func (t *aggTable) add(row []byte, sp spans) {
+	p := t.plan
+	var acc []aggAcc
+	if len(p.keyField) == 1 {
+		acc = t.group(sp.field(row, p.keyField[0]), len(p.aggs), false)
+	} else {
+		t.key = sp.appendFields(t.key[:0], row, p.keyField)
+		acc = t.group(t.key, len(p.aggs), true)
+	}
+	for i := range acc {
+		var v float64
+		if p.aggs[i].Kind != AggCount {
+			var ok bool
+			if v, ok = numeric(sp.field(row, p.aggField[i])); !ok {
+				p.skipped.Add(1)
+				continue
+			}
+		}
+		a := &acc[i]
+		a.cnt++
+		a.sum += v
+		if v < a.lo {
+			a.lo = v
+		}
+		if v > a.hi {
+			a.hi = v
+		}
+	}
+}
+
+// group returns key's n accumulators, entering the key with empty ones when
+// it is new; a borrowed key is copied before the table keeps it.
+func (t *aggTable) group(key []byte, n int, borrowed bool) []aggAcc {
+	h := uint32(maphash.Bytes(aggSeed, key))
+	mask := uint32(len(t.slots) - 1)
+	i := h & mask
+	for ; t.slots[i].group != 0; i = (i + 1) & mask {
+		if s := t.slots[i]; s.hash == h && bytes.Equal(t.keys[s.group-1], key) {
+			g := int(s.group-1) * n
+			return t.accs[g : g+n]
+		}
+	}
+	if borrowed {
+		lo := len(t.arena)
+		t.arena = append(t.arena, key...)
+		key = t.arena[lo:len(t.arena):len(t.arena)]
+	}
+	t.keys = append(t.keys, key)
+	t.slots[i] = aggSlot{h, uint32(len(t.keys))}
+	g := len(t.accs)
+	for range n {
+		t.accs = append(t.accs, aggAcc{lo: math.Inf(1), hi: math.Inf(-1)})
+	}
+	if 2*len(t.keys) > len(t.slots) {
+		t.grow()
+	}
+	return t.accs[g : g+n]
+}
+
+// grow doubles the slots, re-entering every key by its stored hash.
+func (t *aggTable) grow() {
+	old := t.slots
+	t.slots = make([]aggSlot, 2*len(old))
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s.group != 0 {
+			i := s.hash & mask
+			for t.slots[i].group != 0 {
+				i = (i + 1) & mask
+			}
+			t.slots[i] = s
+		}
+	}
+}
+
+// flush emits one partial state per key, in first-seen order, then resets
+// the table and returns it to aggTables; the split's record function and
+// flush must not be called after.
+func (t *aggTable) flush(emit mapreduce.Emit) {
+	n := len(t.plan.aggs)
+	buf := scratchPool.Get().(*scratch)
+	for g, key := range t.keys {
+		buf.b = appendStates(buf.b[:0], t.accs[g*n:(g+1)*n])
+		emit(key, buf.b)
+	}
+	scratchPool.Put(buf)
+	clear(t.slots)
+	clear(t.keys) // the keys pin their input blocks
+	t.keys, t.accs, t.arena, t.plan = t.keys[:0], t.accs[:0], t.arena[:0], nil
+	aggTables.Put(t)
 }
 
 // appendStates appends merged partial states in wire form.
@@ -270,8 +400,8 @@ func mergeAggStates(values mapreduce.Values, n int, inline *[inlineAggs]aggAcc) 
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("query: corrupt agg field %q", state)
 			}
-			// Empty states (count 0, from skipped non-numeric values) carry
-			// no observation: folding their placeholder min/max/sum would
+			// Empty states (count 0: every value of the key in that split was
+			// skipped as non-numeric) carry no observation: folding their placeholder min/max/sum would
 			// resurrect the silent-zero bug this encoding exists to fix.
 			if c == 0 {
 				continue
@@ -285,8 +415,8 @@ func mergeAggStates(values mapreduce.Values, n int, inline *[inlineAggs]aggAcc) 
 			a := &acc[i]
 			a.cnt += int64(times) * c
 			// One addition per occurrence: s × times is not bit-identical
-			// to times additions, and a sum must not depend on how many
-			// rows the map side folded.
+			// to times additions, and a sum must not depend on whether
+			// identical states reached the reduce counted or one by one.
 			for range times {
 				a.sum += s
 			}
