@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -18,6 +20,20 @@ var benchRows = func() []byte {
 	rand.New(rand.NewSource(7)).Read(rows)
 	return rows
 }()
+
+// teraRows builds n rows the way workloads.TeraRows does (this package's
+// tests cannot import workloads): a 10-byte key of printable ASCII, then the
+// row's ordinal zero-padded to 22 digits and dots to 100 bytes.
+func teraRows(rng *rand.Rand, n int) []byte {
+	rows, dots := make([]byte, 0, n*100), strings.Repeat(".", 68)
+	for i := range n {
+		for range 10 {
+			rows = append(rows, byte(' '+rng.Intn(95)))
+		}
+		rows = fmt.Appendf(rows, "%022d%s", i, dots)
+	}
+	return rows
+}
 
 // teraBenchSpec is the identity job over fixed 100-byte rows.
 func teraBenchSpec() *JobSpec {
@@ -140,6 +156,53 @@ func BenchmarkExecReduceShort(b *testing.B) {
 // every pair is its own group and its own 102-byte output line.
 func BenchmarkExecReduceUnique(b *testing.B) {
 	benchExecReduce(b, teraBenchSpec(), eightOf(benchRows))
+}
+
+// BenchmarkExecReduceTera measures it at the shape of one reduce of the
+// 500k-row TeraSort point: four distinct runs of 125 000 rows, 12.5 MB
+// each. Unlike BenchmarkExecReduceUnique's one cached split, the merge
+// gathers every 100-byte row from a random offset in 50 MB of input.
+func BenchmarkExecReduceTera(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	splits := make([][]byte, 4)
+	for i := range splits {
+		splits[i] = teraRows(rng, 125_000)
+	}
+	benchExecReduce(b, teraBenchSpec(), splits)
+}
+
+// BenchmarkSortRecs measures the map-side sort alone on one partition in
+// four shapes, each restored to its unsorted order before every sort (the
+// copy is part of the time):
+//   - tera: 125 000 unique rows, one split of the 500k-row TeraSort point;
+//   - zipf-counted: one 1 MiB WordCount split's folded partition, shuffled;
+//   - sorted: the same partition in order, what combineFrom re-sorts;
+//   - one-prefix: 20 000 pairs sharing all eight prefix bytes, which only
+//     compareRecs can order; a quadratic sort would take seconds here.
+func BenchmarkSortRecs(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func() *outputBuilder
+	}{
+		{"tera", func() *outputBuilder { return rowPartition(teraRows(rand.New(rand.NewSource(7)), 125_000)) }},
+		{"zipf-counted", func() *outputBuilder { return shuffled(wordPartition(), 7) }},
+		{"sorted", wordPartition},
+		{"one-prefix", func() *outputBuilder { return onePrefixPartition(20_000) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ob := c.build()
+			idx, counts := ob.parts[0], ob.counts[0]
+			saved, savedCounts := slices.Clone(idx), slices.Clone(counts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(idx, saved)
+				copy(counts, savedCounts)
+				ob.sortRecs(0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/pair")
+		})
+	}
 }
 
 // BenchmarkConsolidateGroup measures the shuffle service's per-node merge:

@@ -19,6 +19,9 @@ import (
 
 type kv struct{ k, v string }
 
+// compareKV is refCompare on two pairs.
+func compareKV(a, b kv) int { return refCompare([]byte(a.k), []byte(a.v), []byte(b.k), []byte(b.v)) }
+
 // foldSizes are the fold tables runs are built with: none, so every
 // occurrence is its own Rec; one that holds two pairs and misses the rest,
 // so counted pairs and unfolded repeats of them share a run; and the full
@@ -87,7 +90,7 @@ func checkMergeFolded(t *testing.T, runs [][]kv, slots int) {
 			t.Fatalf("fold table of %d slots: run %d counts %d pairs, want %d", slots, i, got, len(run))
 		}
 	}
-	slices.SortFunc(want, func(a, b kv) int { return refCompare([]byte(a.k), []byte(a.v), []byte(b.k), []byte(b.v)) })
+	slices.SortFunc(want, compareKV)
 	var wantBytes []byte
 	for _, p := range want {
 		wantBytes = append(append(append(append(wantBytes, p.k...), '\t'), p.v...), '\n')

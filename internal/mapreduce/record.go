@@ -27,10 +27,11 @@ import (
 // with the number of times it was emitted: len(Partitions[p]) counts
 // distinct pairs, while PartBytes and TotalBytes charge every occurrence.
 // Byte-identical pairs are interchangeable, so a counted pair stands for its
-// occurrences: reducers receive it as one run (see Values). Sorting and
-// merging compare the prefix as one integer and look at bytes only on a
-// prefix tie, the garbage collector has nothing to scan in an index, and a
-// cached output is immutable: readers share it freely.
+// occurrences: reducers receive it as one run (see Values). Sorting is a
+// radix sort on the prefix's bytes and merging compares the prefix as one
+// integer; both look at key bytes only on a prefix tie. The garbage
+// collector has nothing to scan in an index, and a cached output is
+// immutable: readers share it freely.
 
 // Rec indexes one distinct intermediate pair inside its output's store.
 type Rec struct {
@@ -247,11 +248,122 @@ func (b *outputBuilder) counted(p int) []uint32 {
 
 // sortRecs orders partition p's index with compareRecs, its counts along
 // with it. Sorting intermediate data is the hottest real computation in the
-// whole simulator, hence slices.SortFunc (pdqsort, no reflection-based
-// swaps) over the 24-byte entries — or over Rec-and-count pairs, copied in
-// and out, when folding has left counts.
+// whole simulator, and almost every pair is ordered by its prefix alone: an
+// index the merge already ordered (combineFrom's) is left as it is, and any
+// other is radix-sorted in place on the prefix bytes, so compareRecs decides
+// only between pairs that share all eight of them.
 func (b *outputBuilder) sortRecs(p int) {
-	s, idx, counts := &b.store, b.parts[p], b.counts[p]
+	idx, s := b.parts[p], &b.store
+	for i := 1; i < len(idx); i++ {
+		if recLess(idx[i], idx[i-1], s) {
+			radixSort(idx, b.counts[p], s, 0)
+			return
+		}
+	}
+}
+
+// recLess reports whether a sorts before b, both in s.
+func recLess(a, b Rec, s *store) bool {
+	return a.prefix < b.prefix || a.prefix == b.prefix && compareRecs(a, s, b, s) < 0
+}
+
+// insertionMax is the largest bucket radixSort leaves to an insertion sort.
+const insertionMax = 32
+
+// radixSort orders idx, and counts with it when non-nil, given that every
+// pair in idx shares the first level bytes of its prefix. It is an American
+// flag sort: one histogram pass over the next prefix byte, a cycle
+// permutation that moves each pair (and its count) straight into its
+// bucket, then each bucket on the byte after. A level whose pairs all share
+// the byte is skipped without moving anything; buckets of at most
+// insertionMax pairs are insertion-sorted, and a larger one left with all
+// eight bytes equal goes to sortTies. It needs no buffer beside idx.
+func radixSort(idx []Rec, counts []uint32, s *store, level int) {
+	for len(idx) > insertionMax {
+		if level == 8 {
+			sortTies(idx, counts, s)
+			return
+		}
+		shift := uint(56 - 8*level)
+		var end [256]uint32
+		for _, r := range idx {
+			end[byte(r.prefix>>shift)]++
+		}
+		if int(end[byte(idx[0].prefix>>shift)]) == len(idx) {
+			level++
+			continue
+		}
+		var next [256]uint32
+		sum := uint32(0)
+		for d, n := range end {
+			next[d] = sum
+			sum += n
+			end[d] = sum
+		}
+		for d := range next {
+			for i := next[d]; i < end[d]; i = next[d] {
+				r := idx[i]
+				var n uint32
+				if counts != nil {
+					n = counts[i]
+				}
+				// Carry r to its bucket's next free slot and pick up what
+				// lay there, until the pair in hand belongs in slot i.
+				for e := byte(r.prefix >> shift); e != byte(d); e = byte(r.prefix >> shift) {
+					j := next[e]
+					next[e]++
+					r, idx[j] = idx[j], r
+					if counts != nil {
+						n, counts[j] = counts[j], n
+					}
+				}
+				idx[i] = r
+				if counts != nil {
+					counts[i] = n
+				}
+				next[d]++
+			}
+		}
+		start := uint32(0)
+		for _, e := range end {
+			if e-start > 1 {
+				var c []uint32
+				if counts != nil {
+					c = counts[start:e]
+				}
+				radixSort(idx[start:e], c, s, level+1)
+			}
+			start = e
+		}
+		return
+	}
+	insertionSort(idx, counts, s)
+}
+
+// insertionSort orders a bucket of at most insertionMax pairs, and counts
+// with it when non-nil.
+func insertionSort(idx []Rec, counts []uint32, s *store) {
+	for i := 1; i < len(idx); i++ {
+		r := idx[i]
+		j := i
+		for ; j > 0 && recLess(r, idx[j-1], s); j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = r
+		if counts != nil && j < i {
+			n := counts[i]
+			copy(counts[j+1:i+1], counts[j:i])
+			counts[j] = n
+		}
+	}
+}
+
+// sortTies orders a bucket whose pairs share one prefix, which only
+// compareRecs can do: pdqsort, O(k log k) however the keys' tails look, so
+// the sort is never quadratic — over Rec-and-count pairs, copied in and
+// out, when the bucket is counted. This copy is the one allocation
+// sortRecs can make.
+func sortTies(idx []Rec, counts []uint32, s *store) {
 	if counts == nil {
 		slices.SortFunc(idx, func(x, y Rec) int { return compareRecs(x, s, y, s) })
 		return
