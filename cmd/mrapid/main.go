@@ -395,17 +395,17 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	}
 
 	reg := metrics.New()
-	reg.Set("yarn.am_heartbeats", env.RM.Metrics.AMHeartbeats)
-	reg.Set("yarn.nm_heartbeats", env.RM.Metrics.NMHeartbeats)
-	reg.Set("yarn.allocations", env.RM.Metrics.Allocations)
-	reg.Set("yarn.node_local", env.RM.Metrics.ByLocality[yarn.NodeLocal])
-	reg.Set("yarn.rack_local", env.RM.Metrics.ByLocality[yarn.RackLocal])
-	reg.Set("yarn.any_locality", env.RM.Metrics.ByLocality[yarn.Any])
-	reg.Set("hdfs.bytes_read", env.DFS.BytesRead)
-	reg.Set("hdfs.bytes_written", env.DFS.BytesWritten)
-	reg.Set("hdfs.local_reads", env.DFS.LocalReads)
-	reg.Set("hdfs.rack_reads", env.DFS.RackReads)
-	reg.Set("hdfs.remote_reads", env.DFS.RemoteReads)
+	reg.GaugeHandle("yarn.am_heartbeats").Set(env.RM.Metrics.AMHeartbeats)
+	reg.GaugeHandle("yarn.nm_heartbeats").Set(env.RM.Metrics.NMHeartbeats)
+	reg.GaugeHandle("yarn.allocations").Set(env.RM.Metrics.Allocations)
+	reg.GaugeHandle("yarn.node_local").Set(env.RM.Metrics.ByLocality[yarn.NodeLocal])
+	reg.GaugeHandle("yarn.rack_local").Set(env.RM.Metrics.ByLocality[yarn.RackLocal])
+	reg.GaugeHandle("yarn.any_locality").Set(env.RM.Metrics.ByLocality[yarn.Any])
+	reg.GaugeHandle("hdfs.bytes_read").Set(env.DFS.BytesRead)
+	reg.GaugeHandle("hdfs.bytes_written").Set(env.DFS.BytesWritten)
+	reg.GaugeHandle("hdfs.local_reads").Set(env.DFS.LocalReads)
+	reg.GaugeHandle("hdfs.rack_reads").Set(env.DFS.RackReads)
+	reg.GaugeHandle("hdfs.remote_reads").Set(env.DFS.RemoteReads)
 	fmt.Println("metrics:")
 	reg.Dump(os.Stdout)
 

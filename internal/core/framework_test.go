@@ -441,45 +441,115 @@ func observedNames(t *testing.T, sched yarn.Scheduler, submit func(rt *mapreduce
 	return reg, reg.Names()
 }
 
-// The uplus_cache_bytes gauge belongs to runs that admitted bytes to the U+
-// memory cache. The in-AM executor with zero options is stock Uber: it must
-// mint exactly the series stock Uber always minted — no zero-valued cache
-// gauge — whether cold-submitted or dispatched to a pooled AM.
+// A series appears on its first sample. The in-AM executor with zero
+// options is stock Uber: it must mint exactly the series stock Uber mints —
+// no zero-valued uplus_cache_bytes gauge, which belongs to runs that
+// admitted bytes to the U+ memory cache — whether cold-submitted or
+// dispatched to a pooled AM. Each sample site spells its own series name,
+// so the exact lists of a stock Uber, a D+ and a full U+ WordCount are
+// pinned: a misspelt name would show up here as a new series.
 func TestInAMCacheGaugeOnlyWhenAdmitted(t *testing.T) {
 	t.Parallel()
-	pooled := func(opts UPlusOptions) func(*mapreduce.Runtime, *mapreduce.JobSpec, func(*mapreduce.Result)) {
+	pooled := func(mode ModeKind, opts UPlusOptions) func(*mapreduce.Runtime, *mapreduce.JobSpec, func(*mapreduce.Result)) {
 		return func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 			f := NewFramework(rt, 3, opts)
-			f.Start(func() { f.Submit(ModeUPlus, spec, done) })
+			f.Start(func() { f.Submit(mode, spec, done) })
 		}
 	}
 	_, uber := observedNames(t, yarn.NewStockScheduler(), func(rt *mapreduce.Runtime, spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 		mapreduce.Submit(rt, spec, mapreduce.ModeUber, done)
 	})
-	// Captured on the pre-consolidation mapreduce.UberAM.
 	want := []string{
 		"mapreduce_shuffle_fetch_total{kind=permap,transport=disk}",
-		"mapreduce_task_attempts_total{kind=map,outcome=failed}",
 		"mapreduce_task_attempts_total{kind=map,outcome=ok}",
-		"mapreduce_task_attempts_total{kind=reduce,outcome=failed}",
 		"mapreduce_task_attempts_total{kind=reduce,outcome=ok}",
 		"yarn_allocations_total{locality=ANY,sched=hadoop-capacity}",
-		"yarn_allocations_total{locality=NODE_LOCAL,sched=hadoop-capacity}",
-		"yarn_allocations_total{locality=RACK_LOCAL,sched=hadoop-capacity}",
-		"yarn_am_heartbeats_total",
 		"yarn_containers_launched_total{node=node-02}",
 	}
 	if !slices.Equal(uber, want) {
 		t.Errorf("stock Uber minted series\n got  %q\n want %q", uber, want)
 	}
-	if _, zero := observedNames(t, NewDPlusScheduler(FullDPlus()), pooled(UPlusOptions{})); slices.Contains(zero, "uplus_cache_bytes") {
+	_, dplus := observedNames(t, NewDPlusScheduler(FullDPlus()), pooled(ModeDPlus, FullUPlus()))
+	want = []string{
+		"mapreduce_shuffle_fetch_total{kind=permap,transport=network}",
+		"mapreduce_task_attempts_total{kind=map,outcome=ok}",
+		"mapreduce_task_attempts_total{kind=reduce,outcome=ok}",
+		"yarn_allocations_total{locality=ANY,sched=mrapid-dplus}",
+		"yarn_allocations_total{locality=NODE_LOCAL,sched=mrapid-dplus}",
+		"yarn_am_heartbeats_total",
+		"yarn_containers_launched_total{node=node-01}",
+		"yarn_containers_launched_total{node=node-02}",
+		"yarn_containers_launched_total{node=node-03}",
+		"yarn_containers_launched_total{node=node-04}",
+	}
+	if !slices.Equal(dplus, want) {
+		t.Errorf("D+ minted series\n got  %q\n want %q", dplus, want)
+	}
+	if _, zero := observedNames(t, NewDPlusScheduler(FullDPlus()), pooled(ModeUPlus, UPlusOptions{})); slices.Contains(zero, "uplus_cache_bytes") {
 		t.Error("zero-options in-AM run minted uplus_cache_bytes without admitting a byte")
 	}
-	reg, full := observedNames(t, NewDPlusScheduler(FullDPlus()), pooled(FullUPlus()))
-	if !slices.Contains(full, "uplus_cache_bytes") {
-		t.Error("U+ run admitted outputs to the cache but never touched uplus_cache_bytes")
+	reg, full := observedNames(t, NewDPlusScheduler(FullDPlus()), pooled(ModeUPlus, FullUPlus()))
+	want = []string{
+		"mapreduce_shuffle_fetch_total{kind=permap,transport=memory}",
+		"mapreduce_task_attempts_total{kind=map,outcome=ok}",
+		"mapreduce_task_attempts_total{kind=reduce,outcome=ok}",
+		"uplus_cache_bytes",
+		"yarn_allocations_total{locality=ANY,sched=mrapid-dplus}",
+		"yarn_containers_launched_total{node=node-01}",
+		"yarn_containers_launched_total{node=node-02}",
+		"yarn_containers_launched_total{node=node-03}",
+	}
+	if !slices.Equal(full, want) {
+		t.Errorf("full U+ minted series\n got  %q\n want %q", full, want)
 	}
 	if v := reg.Get("uplus_cache_bytes"); v != 0 {
 		t.Errorf("uplus_cache_bytes = %d after the job ended, want 0", v)
+	}
+}
+
+// No component holds a handle on a registry: swap rt.Reg and rt.RM.Reg
+// between two identical stock jobs and the second job's task-attempt,
+// allocation and launch samples land in the new registry only, while the
+// old one stops moving.
+func TestRegistrySwapBetweenJobs(t *testing.T) {
+	t.Parallel()
+	rt := newRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
+	a, b := metrics.New(), metrics.New()
+	rt.Reg, rt.RM.Reg = a, a
+	names, _ := stageInput(t, rt, 2, 256<<10)
+	var first, second *mapreduce.Result
+	var atSwap map[string]int64
+	rt.Eng.After(0, func() {
+		mapreduce.Submit(rt, testWCSpec(names, "/out-a"), mapreduce.ModeDistributed, func(r *mapreduce.Result) {
+			first = r
+			atSwap = a.Counters()
+			rt.Reg, rt.RM.Reg = b, b
+			mapreduce.Submit(rt, testWCSpec(names, "/out-b"), mapreduce.ModeDistributed, func(r *mapreduce.Result) {
+				second = r
+				rt.RM.Stop()
+			})
+		})
+	})
+	rt.Eng.RunUntil(horizon)
+	if first == nil || first.Err != nil || second == nil || second.Err != nil {
+		t.Fatalf("jobs failed: %+v / %+v", first, second)
+	}
+	sum := func(counters map[string]int64, family string) (n int64) {
+		for k, v := range counters {
+			if name, _ := metrics.ParseSeries(k); name == family {
+				n += v
+			}
+		}
+		return n
+	}
+	after := a.Counters()
+	for _, family := range []string{"mapreduce_task_attempts_total", "yarn_allocations_total", "yarn_containers_launched_total"} {
+		got, want := sum(b.Counters(), family), sum(atSwap, family)
+		if want == 0 || got != want {
+			t.Errorf("%s: second job recorded %d in the new registry, first job %d in the old", family, got, want)
+		}
+		if moved := sum(after, family); moved != want {
+			t.Errorf("%s: old registry moved from %d to %d after the swap", family, want, moved)
+		}
 	}
 }

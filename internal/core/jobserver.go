@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mrapid/internal/mapreduce"
-	"mrapid/internal/metrics"
 	"mrapid/internal/sim"
 	"mrapid/internal/trace"
 	"mrapid/internal/yarn"
@@ -51,34 +50,6 @@ type tenantState struct {
 
 	Submitted int64
 	Completed int64
-
-	// Pre-resolved tenant-labeled handles, bound per registry (RT.Reg is
-	// assignable after the server is built; see handles).
-	hSrc       *metrics.Registry
-	hSubmitted map[ModeKind]metrics.Counter
-	hCompleted metrics.Counter
-	hQueueWait metrics.Observer
-}
-
-// handles rebinds the tenant's metric handles when the registry changed.
-func (t *tenantState) handles(reg *metrics.Registry) *tenantState {
-	if t.hSrc != reg || t.hSubmitted == nil {
-		t.hSrc = reg
-		t.hSubmitted = make(map[ModeKind]metrics.Counter)
-		t.hCompleted = reg.CounterHandle("jobserver_completed_total", "tenant", t.name)
-		t.hQueueWait = reg.HistogramHandle("jobserver_queue_wait_seconds", "tenant", t.name)
-	}
-	return t
-}
-
-func (t *tenantState) submittedCounter(reg *metrics.Registry, mode ModeKind) metrics.Counter {
-	t.handles(reg)
-	c, ok := t.hSubmitted[mode]
-	if !ok {
-		c = reg.CounterHandle("jobserver_submitted_total", "tenant", t.name, "mode", string(mode))
-		t.hSubmitted[mode] = c
-	}
-	return c
 }
 
 // queuedJob is one submission waiting for admission.
@@ -308,7 +279,7 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 	}
 	if !s.fw.RT.RM.ValidQueue(queue) {
 		s.Rejected++
-		s.fw.RT.Reg.Inc(metrics.With("jobserver_rejected_total", "tenant", tenant))
+		s.fw.RT.Reg.CounterHandle("jobserver_rejected_total", "tenant", tenant).Inc()
 		return fmt.Errorf("core: unknown tenant queue %q", queue)
 	}
 	if err := s.fw.runnable(mode); err != nil {
@@ -330,7 +301,7 @@ func (s *JobServer) submit(tenant, queue string, mode ModeKind, spec *mapreduce.
 		j.span = s.fw.RT.Trace.StartSpan(0, "jobserver", spec.Name+" queue-wait", "admit",
 			trace.A("tenant", t.name), trace.A("mode", string(mode)))
 	}
-	t.submittedCounter(s.fw.RT.Reg, mode).Inc()
+	s.fw.RT.Reg.CounterHandle("jobserver_submitted_total", "tenant", t.name, "mode", string(mode)).Inc()
 	s.pending = append(s.pending, j)
 	s.dispatch()
 	return nil
@@ -350,7 +321,7 @@ func (s *JobServer) settle(j *queuedJob, res *mapreduce.Result) {
 	s.dispatch()
 	// The submitter's callback runs after dispatch so a chain of short jobs
 	// can't observe an artificially empty window.
-	j.tenant.handles(s.fw.RT.Reg).hCompleted.Inc()
+	s.fw.RT.Reg.CounterHandle("jobserver_completed_total", "tenant", j.tenant.name).Inc()
 	j.done(res)
 }
 
@@ -409,7 +380,7 @@ func (s *JobServer) admit(j *queuedJob) {
 	if j.span != 0 {
 		s.fw.RT.Trace.EndSpan(j.span, trace.A("wait", wait.String()))
 	}
-	j.tenant.handles(s.fw.RT.Reg).hQueueWait.Observe(wait.Seconds())
+	s.fw.RT.Reg.HistogramHandle("jobserver_queue_wait_seconds", "tenant", j.tenant.name).Observe(wait.Seconds())
 	if s.Observer != nil {
 		s.Observer.JobAdmitted(j.tenant.name, wait)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"mrapid/internal/mapreduce"
-	"mrapid/internal/metrics"
 	"mrapid/internal/profiler"
 	"mrapid/internal/trace"
 )
@@ -25,7 +24,7 @@ func tempOutput(base string, mode ModeKind) string {
 func (f *Framework) decide(spec *mapreduce.JobSpec, done func(*mapreduce.Result)) {
 	if winner, ok := f.History.Winner(spec.Key()); ok {
 		if _, _, err := ModeFor(winner, f.UOpts); err == nil {
-			f.RT.Reg.Inc(metrics.With("estimator_direct_total", "source", profiler.ByHistory))
+			f.RT.Reg.CounterHandle("estimator_direct_total", "source", profiler.ByHistory).Inc()
 			f.run(winner, spec, func(res *mapreduce.Result) {
 				f.recordOutcome(spec, winner, res)
 				res.Profile.Decision = profiler.Decision{Source: profiler.ByHistory}
@@ -35,7 +34,7 @@ func (f *Framework) decide(spec *mapreduce.JobSpec, done func(*mapreduce.Result)
 		}
 	}
 
-	f.RT.Reg.Inc("estimator_race_total")
+	f.RT.Reg.CounterHandle("estimator_race_total").Inc()
 	mapreduce.Stage(f.RT, spec, string(ModeSpeculative), func(root trace.SpanID, err error) {
 		if err != nil {
 			f.RT.Trace.EndSpan(root, trace.A("error", err.Error()))

@@ -16,10 +16,10 @@ func TestWritePrometheusFormat(t *testing.T) {
 	rec := New(eng, reg, nil, Config{Interval: 100 * time.Millisecond})
 
 	eng.At(0, func() {
-		reg.Set(metrics.With("queue_depth", "tenant", "acme"), 3)
-		reg.Inc(metrics.With("jobs_admitted_total", "tenant", "acme"))
-		reg.Observe(metrics.With("wait_seconds", "tenant", "acme"), 0.2)
-		reg.Observe(metrics.With("wait_seconds", "tenant", "acme"), 7)
+		reg.GaugeHandle("queue_depth", "tenant", "acme").Set(3)
+		reg.CounterHandle("jobs_admitted_total", "tenant", "acme").Inc()
+		reg.HistogramHandle("wait_seconds", "tenant", "acme").Observe(0.2)
+		reg.HistogramHandle("wait_seconds", "tenant", "acme").Observe(7)
 	})
 	eng.At(sim.Time(300*time.Millisecond), func() { rec.Stop() })
 	rec.Start()
@@ -66,8 +66,8 @@ func TestWritePrometheusEscapesHostileLabels(t *testing.T) {
 	// registry key escapes them (metrics.With) and the exposition must
 	// re-escape for its own quoting rules without aliasing.
 	eng.At(0, func() {
-		reg.Set(metrics.With("queue_depth", "tenant", "a=b,c"), 1)
-		reg.Set(metrics.With("queue_depth", "tenant", `say "hi"`), 2)
+		reg.GaugeHandle("queue_depth", "tenant", "a=b,c").Set(1)
+		reg.GaugeHandle("queue_depth", "tenant", `say "hi"`).Set(2)
 	})
 	eng.At(sim.Time(200*time.Millisecond), func() { rec.Stop() })
 	rec.Start()
@@ -110,7 +110,7 @@ func TestDashboardRenders(t *testing.T) {
 		SLO:      SLOConfig{TargetWait: time.Second},
 	})
 	eng.At(0, func() {
-		reg.Inc("jobs_total")
+		reg.CounterHandle("jobs_total").Inc()
 		rec.SLO().JobAdmitted("acme", 3*time.Second)
 	})
 	eng.At(sim.Time(300*time.Millisecond), func() { rec.Stop() })

@@ -28,8 +28,8 @@ func driveWorkload(t *testing.T, cfg Config) (*Recorder, *metrics.Registry) {
 	})
 
 	work := eng.Every(100*time.Millisecond, func() {
-		reg.Inc("work_done_total")
-		reg.Add("work_bytes", 10)
+		reg.CounterHandle("work_done_total").Inc()
+		reg.CounterHandle("work_bytes").Add(10)
 		gaugeVal++
 	})
 	var stopAt *sim.Ticker = work

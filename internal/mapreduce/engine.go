@@ -67,44 +67,6 @@ type Runtime struct {
 	// zeros is the one immutable all-zero buffer every staged job artifact
 	// is a view of (see UploadArtifacts).
 	zeros []byte
-
-	// h caches pre-resolved metric handles for the per-attempt and
-	// per-fetch paths; see handles().
-	h rtHandles
-}
-
-// rtHandles holds the runtime's pre-resolved metric handles: the four
-// kind×outcome task-attempt counters, the two task-duration histograms, and
-// the transport/kind-keyed shuffle series (bound on first sight of each
-// label value). Reg is a public field assigned after construction, so
-// handles() rebinds whenever it changes.
-type rtHandles struct {
-	src           *metrics.Registry
-	mapOK         metrics.Counter
-	mapFailed     metrics.Counter
-	reduceOK      metrics.Counter
-	reduceFailed  metrics.Counter
-	mapSeconds    metrics.Observer
-	reduceSeconds metrics.Observer
-	shuffleBytes  map[string]metrics.Observer // by transport
-	shuffleFetch  map[string]metrics.Counter  // by kind+transport
-}
-
-func (rt *Runtime) handles() *rtHandles {
-	if rt.h.src != rt.Reg {
-		rt.h = rtHandles{
-			src:           rt.Reg,
-			mapOK:         rt.Reg.CounterHandle("mapreduce_task_attempts_total", "kind", "map", "outcome", "ok"),
-			mapFailed:     rt.Reg.CounterHandle("mapreduce_task_attempts_total", "kind", "map", "outcome", "failed"),
-			reduceOK:      rt.Reg.CounterHandle("mapreduce_task_attempts_total", "kind", "reduce", "outcome", "ok"),
-			reduceFailed:  rt.Reg.CounterHandle("mapreduce_task_attempts_total", "kind", "reduce", "outcome", "failed"),
-			mapSeconds:    rt.Reg.HistogramHandle("mapreduce_task_seconds", "kind", "map"),
-			reduceSeconds: rt.Reg.HistogramHandle("mapreduce_task_seconds", "kind", "reduce"),
-			shuffleBytes:  make(map[string]metrics.Observer),
-			shuffleFetch:  make(map[string]metrics.Counter),
-		}
-	}
-	return &rt.h
 }
 
 // NewRuntime wires a runtime together.
@@ -349,9 +311,8 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 							rt.Trace.EndSpan(span, trace.A("out_bytes", fmt.Sprint(mo.TotalBytes)),
 								trace.A("in_memory", fmt.Sprint(mo.InMemory)))
 						}
-						h := rt.handles()
-						h.mapOK.Inc()
-						h.mapSeconds.Observe(tp.Elapsed().Seconds())
+						rt.Reg.CounterHandle("mapreduce_task_attempts_total", "kind", "map", "outcome", "ok").Inc()
+						rt.Reg.HistogramHandle("mapreduce_task_seconds", "kind", "map").Observe(tp.Elapsed().Seconds())
 						done(mo, tp, nil)
 					})
 				})
@@ -396,11 +357,7 @@ func (rt *Runtime) failAttempt(tp *profiler.TaskProfile, node *topology.Node, sp
 	}
 	rt.Trace.SpanSince(span, "task/"+node.Name, "compute", err.Kind, computeStart, attrs...)
 	rt.Trace.EndSpan(span, trace.A("failed", "true"))
-	if h := rt.handles(); tp.Kind == profiler.MapTask {
-		h.mapFailed.Inc()
-	} else {
-		h.reduceFailed.Inc()
-	}
+	rt.Reg.CounterHandle("mapreduce_task_attempts_total", "kind", err.Kind, "outcome", "failed").Inc()
 	return err
 }
 
@@ -480,29 +437,15 @@ func (rt *Runtime) TrackFetch(span trace.SpanID, kind, transport string, inFligh
 func (rt *Runtime) ShuffleBytesInFlight() int64 { return rt.shuffleInFlight }
 
 // ObserveShuffle records one completed shuffle fetch: n bytes into the
-// transport-labeled mapreduce_shuffle_bytes histogram plus a tick of the
+// transport-labeled mapreduce_shuffle_bytes histogram (whose family it
+// defines with byte-sized buckets) plus a tick of the
 // mapreduce_shuffle_fetch_total counter. kind is "permap" for the stock
 // per-(map, partition) fetch and "consolidated" for the shuffle service's
 // per-(node, partition) fetch.
 func (rt *Runtime) ObserveShuffle(kind, transport string, n int64) {
-	if rt.Reg == nil {
-		return
-	}
-	h := rt.handles()
-	ob, ok := h.shuffleBytes[transport]
-	if !ok {
-		name := metrics.With("mapreduce_shuffle_bytes", "transport", transport)
-		rt.Reg.Define(name, shuffleByteBuckets)
-		ob = rt.Reg.HistogramHandle(name)
-		h.shuffleBytes[transport] = ob
-	}
-	ob.Observe(float64(n))
-	fetch, ok := h.shuffleFetch[kind+"/"+transport]
-	if !ok {
-		fetch = rt.Reg.CounterHandle("mapreduce_shuffle_fetch_total", "kind", kind, "transport", transport)
-		h.shuffleFetch[kind+"/"+transport] = fetch
-	}
-	fetch.Inc()
+	rt.Reg.Define("mapreduce_shuffle_bytes", shuffleByteBuckets)
+	rt.Reg.HistogramHandle("mapreduce_shuffle_bytes", "transport", transport).Observe(float64(n))
+	rt.Reg.CounterHandle("mapreduce_shuffle_fetch_total", "kind", kind, "transport", transport).Inc()
 }
 
 // ShuffleFetch is FetchPartition with observability: the fetch is recorded
@@ -668,9 +611,8 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 						trace.A("bytes", fmt.Sprint(tp.OutputBytes)))
 					rt.Trace.EndSpan(span, trace.A("in_bytes", fmt.Sprint(tp.InputBytes)))
 				}
-				h := rt.handles()
-				h.reduceOK.Inc()
-				h.reduceSeconds.Observe(tp.Elapsed().Seconds())
+				rt.Reg.CounterHandle("mapreduce_task_attempts_total", "kind", "reduce", "outcome", "ok").Inc()
+				rt.Reg.HistogramHandle("mapreduce_task_seconds", "kind", "reduce").Observe(tp.Elapsed().Seconds())
 				done(tp, err)
 			}
 			if spec.IntermediateOutput && rt.Intermediates != nil {

@@ -129,7 +129,7 @@ func (am *InAM) admitToCache(split int, outBytes int64) bool {
 		return false
 	}
 	am.admitted[split] = outBytes
-	am.rt.Reg.Add("uplus_cache_bytes", outBytes)
+	am.rt.Reg.GaugeHandle("uplus_cache_bytes").Add(outBytes)
 	return true
 }
 
@@ -139,7 +139,7 @@ func (am *InAM) admitToCache(split int, outBytes int64) bool {
 func (am *InAM) refundCache(n int64) {
 	if n > 0 {
 		am.cache.Refund(n)
-		am.rt.Reg.Add("uplus_cache_bytes", -n)
+		am.rt.Reg.GaugeHandle("uplus_cache_bytes").Add(-n)
 	}
 }
 

@@ -2,17 +2,16 @@ package metrics
 
 import "testing"
 
-// The benchmarks contrast the two access styles on the same registry: the
-// string-keyed path pays With (label escape + sort + join) plus a map
-// lookup under the registry mutex per sample; a handle pays all of that
-// once at bind time and then a bare atomic per sample. Hot paths are
-// expected to stay on handles — the perf gate watches allocs/event.
+// The *Lookup and BareName benchmarks resolve the series at every sample,
+// as the components do: build the key in a stack buffer, then one map
+// lookup under the registry mutex. The *Handle benchmarks keep the handle
+// and pay a bare atomic (or the histogram's own mutex) per sample.
 
 func BenchmarkCounterLookupInc(b *testing.B) {
 	r := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Inc(With("containers_launched_total", "node", "node07"))
+		r.CounterHandle("containers_launched_total", "node", "node07").Inc()
 	}
 }
 
@@ -26,11 +25,11 @@ func BenchmarkCounterHandleInc(b *testing.B) {
 }
 
 func BenchmarkCounterBareNameInc(b *testing.B) {
-	// No labels: isolates the map-lookup + mutex cost from With.
+	// No labels: isolates the map-lookup + mutex cost from the key build.
 	r := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Inc("heartbeats_total")
+		r.CounterHandle("heartbeats_total").Inc()
 	}
 }
 
@@ -47,7 +46,7 @@ func BenchmarkObserveLookup(b *testing.B) {
 	r := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Observe("alloc_latency_seconds", 0.003)
+		r.HistogramHandle("alloc_latency_seconds").Observe(0.003)
 	}
 }
 

@@ -3,19 +3,18 @@
 // I/O activity (heartbeat counts, bytes moved, locality hit rates,
 // allocation-latency distributions) alongside job timings.
 //
-// Two access styles share the same underlying cells:
+// A sample site names its series where it samples:
 //
-//   - String-keyed calls (Inc, Add, Set, Observe) resolve the series name in
-//     a map under the registry mutex on every sample. Convenient for cold
-//     paths and tests.
-//   - Pre-resolved handles (CounterHandle, GaugeHandle, HistogramHandle)
-//     bind a label set once at setup and return a cell pointer; each sample
-//     is then a single atomic add with no lock, no map lookup and no label
-//     escaping. Hot paths — per-heartbeat, per-container, per-record — use
-//     handles.
+//	reg.CounterHandle("yarn_allocations_total", "locality", loc, "sched", s).Inc()
+//
+// The registry builds the series key in a stack buffer and finds its cell
+// under the registry mutex without allocating; a cell is created on the
+// series' first sample. The returned handle may also be kept and sampled
+// lock-free, as long as the registry it came from is the one to record to.
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -24,8 +23,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultDurationBuckets are the upper bounds (in seconds) used by Observe
-// for histograms without an explicit Define. They span the latencies this
+// DefaultDurationBuckets are the upper bounds (in seconds) of every
+// histogram whose family has no Define. They span the latencies this
 // simulator cares about: sub-millisecond RPCs up to minute-scale jobs.
 var DefaultDurationBuckets = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
@@ -94,9 +93,9 @@ type counterCell struct {
 	v atomic.Int64
 }
 
-// histCell is the storage behind one histogram series. Buckets are replaced
-// only while the histogram is empty (Define), so observation needs just the
-// cell's own mutex — never the registry's.
+// histCell is the storage behind one histogram series. Its buckets are
+// fixed when the series is created, so observation needs just the cell's
+// own mutex — never the registry's.
 type histCell struct {
 	mu      sync.Mutex
 	buckets []float64
@@ -135,8 +134,8 @@ func (hc *histCell) snapshot() *Histogram {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*counterCell
-	order    []string
 	hists    map[string]*histCell
+	buckets  map[string][]float64 // by histogram family; see Define
 }
 
 // New returns an empty registry.
@@ -144,39 +143,78 @@ func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*counterCell),
 		hists:    make(map[string]*histCell),
+		buckets:  make(map[string][]float64),
 	}
 }
 
+// keyBuf sizes the stack buffer a series key is built in; a longer key
+// spills to the heap and is still correct.
+const keyBuf = 256
+
 // With encodes a metric name plus label key/value pairs into a single
-// series key: name{k1=v1,k2=v2} with keys sorted, so the same label set
-// always yields the same series. Pass kvs as alternating key, value. The
-// structural characters `=`, `,`, `{`, `}` and the escape `\` are escaped
-// inside label values, so a tenant named "a=b" yields a distinct series
-// from a tenant "a" with some other label "b" — and ParseSeries can recover
-// the exact labels.
+// series key: name{k1=v1,k2=v2} with the pairs sorted, so the same label
+// set always yields the same series. Pass kvs as alternating key, value.
+// The structural characters `=`, `,`, `{`, `}` and the escape `\` are
+// escaped inside label values, so a tenant named "a=b" yields a distinct
+// series from a tenant "a" with some other label "b" — and ParseSeries can
+// recover the exact labels.
 func With(name string, kvs ...string) string {
 	if len(kvs) == 0 {
 		return name
 	}
-	n := len(kvs) / 2
-	pairs := make([]string, 0, n)
-	for i := 0; i+1 < len(kvs); i += 2 {
-		pairs = append(pairs, kvs[i]+"="+escapeLabel(kvs[i+1]))
-	}
-	sort.Strings(pairs)
-	return name + "{" + strings.Join(pairs, ",") + "}"
+	var buf [keyBuf]byte
+	return string(appendKey(buf[:0], name, kvs))
 }
 
-// labelEscaper guards the characters that delimit a series key.
-var labelEscaper = strings.NewReplacer(
-	`\`, `\\`, `=`, `\=`, `,`, `\,`, `{`, `\{`, `}`, `\}`,
-)
-
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, `\=,{}`) {
-		return v
+// appendKey appends With(name, kvs...) to dst. Each "k=escaped(v)" pair is
+// first written past the key as scratch and sorted as a whole string (so
+// keys "a" and "a-b" order as "a-b=…,a=…"); the sorted pairs are then
+// moved into place.
+func appendKey(dst []byte, name string, kvs []string) []byte {
+	dst = append(dst, name...)
+	if len(kvs) == 0 {
+		return dst
 	}
-	return labelEscaper.Replace(v)
+	var spanBuf [8][2]int // up to eight pairs sort on the stack
+	spans := spanBuf[:0]
+	scratch := len(dst)
+	for i := 0; i+1 < len(kvs); i += 2 {
+		lo := len(dst)
+		dst = append(dst, kvs[i]...)
+		dst = append(dst, '=')
+		dst = appendEscaped(dst, kvs[i+1])
+		spans = append(spans, [2]int{lo, len(dst)})
+		for j := len(spans) - 1; j > 0; j-- {
+			a, b := spans[j-1], spans[j]
+			if bytes.Compare(dst[a[0]:a[1]], dst[b[0]:b[1]]) <= 0 {
+				break
+			}
+			spans[j-1], spans[j] = b, a
+		}
+	}
+	out := len(dst)
+	dst = append(dst, '{')
+	for i, sp := range spans {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, dst[sp[0]:sp[1]]...)
+	}
+	dst = append(dst, '}')
+	return dst[:scratch+copy(dst[scratch:], dst[out:])]
+}
+
+// appendEscaped appends v with the characters that delimit a series key
+// backslash-escaped.
+func appendEscaped(dst []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch v[i] {
+		case '\\', '=', ',', '{', '}':
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, v[i])
+	}
+	return dst
 }
 
 func unescapeLabel(v string) string {
@@ -249,38 +287,42 @@ func ParseSeries(key string) (name string, labels []Label) {
 	return name, labels
 }
 
-// counterCellFor resolves (creating on first use) the cell behind a series.
-func (r *Registry) counterCellFor(name string) *counterCell {
+// counterCell finds the cell behind a series key, creating it on a miss.
+// The lookup converts key without allocating; only a new series copies it.
+func (r *Registry) counterCell(key []byte) *counterCell {
 	r.mu.Lock()
-	c, ok := r.counters[name]
-	if !ok {
+	c := r.counters[string(key)]
+	if c == nil {
 		c = new(counterCell)
-		r.counters[name] = c
-		r.order = append(r.order, name)
+		r.counters[string(key)] = c
 	}
 	r.mu.Unlock()
 	return c
 }
 
-// histCellFor resolves (creating with the default duration buckets on first
-// use) the cell behind a histogram series.
-func (r *Registry) histCellFor(name string) *histCell {
+// histCell finds the cell behind a histogram series key, creating it on a
+// miss with its family's buckets (Define) or the default duration buckets.
+func (r *Registry) histCell(key []byte) *histCell {
 	r.mu.Lock()
-	hc, ok := r.hists[name]
-	if !ok {
-		hc = &histCell{
-			buckets: DefaultDurationBuckets,
-			counts:  make([]int64, len(DefaultDurationBuckets)+1),
+	hc := r.hists[string(key)]
+	if hc == nil {
+		family := key
+		if i := bytes.IndexByte(key, '{'); i >= 0 {
+			family = key[:i]
 		}
-		r.hists[name] = hc
+		b, ok := r.buckets[string(family)]
+		if !ok {
+			b = DefaultDurationBuckets
+		}
+		hc = &histCell{buckets: b, counts: make([]int64, len(b)+1)}
+		r.hists[string(key)] = hc
 	}
 	r.mu.Unlock()
 	return hc
 }
 
 // Counter is a pre-resolved handle on one counter series. The zero value
-// (and any handle from a nil registry) is a no-op. Copying is cheap; bind
-// once at setup and sample lock-free ever after.
+// (and any handle from a nil registry) is a no-op.
 type Counter struct{ c *counterCell }
 
 // Add increments the bound series by delta.
@@ -342,55 +384,37 @@ func (o Observer) Observe(v float64) {
 	}
 }
 
-// CounterHandle resolves a counter series once and returns a lock-free
-// handle. Labels are passed as alternating key, value (as for With) and are
-// escaped and sorted here, at bind time — never again per sample. A nil
-// registry returns a no-op handle.
+// CounterHandle returns the counter series With(name, kvs...), creating it
+// on first use. Labels are alternating key, value. The lookup allocates
+// nothing once the series exists. A nil registry returns a no-op handle.
 func (r *Registry) CounterHandle(name string, kvs ...string) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	return Counter{c: r.counterCellFor(With(name, kvs...))}
+	var buf [keyBuf]byte
+	return Counter{c: r.counterCell(appendKey(buf[:0], name, kvs))}
 }
 
-// GaugeHandle resolves a gauge series once and returns a lock-free handle.
-// A nil registry returns a no-op handle.
+// GaugeHandle returns the gauge series With(name, kvs...), creating it on
+// first use. A nil registry returns a no-op handle.
 func (r *Registry) GaugeHandle(name string, kvs ...string) Gauge {
 	if r == nil {
 		return Gauge{}
 	}
-	return Gauge{c: r.counterCellFor(With(name, kvs...))}
+	var buf [keyBuf]byte
+	return Gauge{c: r.counterCell(appendKey(buf[:0], name, kvs))}
 }
 
-// HistogramHandle resolves a histogram series once and returns a handle
-// whose Observe takes only the cell's own mutex. The histogram is created
-// with the default duration buckets if it does not exist; Define beforehand
-// (or before the first observation) to choose others. A nil registry
-// returns a no-op handle.
+// HistogramHandle returns the histogram series With(name, kvs...),
+// creating it on first use with the buckets Define declared for name, or
+// the default duration buckets. Observe takes only the series' own mutex.
+// A nil registry returns a no-op handle.
 func (r *Registry) HistogramHandle(name string, kvs ...string) Observer {
 	if r == nil {
 		return Observer{}
 	}
-	return Observer{h: r.histCellFor(With(name, kvs...))}
-}
-
-// Add increments a counter by delta, creating it on first use.
-func (r *Registry) Add(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.counterCellFor(name).v.Add(delta)
-}
-
-// Inc increments a counter by one.
-func (r *Registry) Inc(name string) { r.Add(name, 1) }
-
-// Set overwrites a counter's value (gauge semantics).
-func (r *Registry) Set(name string, value int64) {
-	if r == nil {
-		return
-	}
-	r.counterCellFor(name).v.Store(value)
+	var buf [keyBuf]byte
+	return Observer{h: r.histCell(appendKey(buf[:0], name, kvs))}
 }
 
 // Get returns a counter's value (zero when absent).
@@ -407,30 +431,17 @@ func (r *Registry) Get(name string) int64 {
 	return c.v.Load()
 }
 
-// Define creates (or re-buckets an empty) histogram with explicit upper
-// bounds, for series where the default duration buckets are wrong — e.g.
-// byte sizes. Bounds must be ascending. Handles bound before Define observe
-// into the re-bucketed cell.
+// Define declares the bucket upper bounds (ascending) of the histogram
+// family name — every series of that name, whatever its labels — for
+// series created after it; e.g. byte sizes, where the default duration
+// buckets are wrong. The registry keeps buckets; do not modify it.
 func (r *Registry) Define(name string, buckets []float64) {
 	if r == nil {
 		return
 	}
-	hc := r.histCellFor(name)
-	hc.mu.Lock()
-	if hc.count == 0 {
-		hc.buckets = append([]float64(nil), buckets...)
-		hc.counts = make([]int64, len(buckets)+1)
-	}
-	hc.mu.Unlock()
-}
-
-// Observe records a value into the named histogram, creating it with the
-// default duration buckets on first use.
-func (r *Registry) Observe(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.histCellFor(name).observe(v)
+	r.mu.Lock()
+	r.buckets[name] = buckets
+	r.mu.Unlock()
 }
 
 // Names returns all counter names in sorted order.
@@ -439,45 +450,16 @@ func (r *Registry) Names() []string {
 		return nil
 	}
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
+	names := make([]string, 0, len(r.counters))
+	for k := range r.counters {
+		names = append(names, k)
+	}
 	r.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
 
-// Len reports the number of counters.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.counters)
-}
-
-// Reset zeroes every counter and histogram but keeps the names (and any
-// outstanding handles — they keep pointing at the zeroed cells).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, hc := range r.hists {
-		hc.mu.Lock()
-		for i := range hc.counts {
-			hc.counts[i] = 0
-		}
-		hc.sum = 0
-		hc.count = 0
-		hc.mu.Unlock()
-	}
-}
-
-// Counters returns a sorted-by-name snapshot of every counter.
+// Counters returns a snapshot of every counter's value, keyed by series.
 func (r *Registry) Counters() map[string]int64 {
 	if r == nil {
 		return nil
@@ -540,13 +522,4 @@ func (r *Registry) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Ratio returns a/(a+b) as a percentage, guarding division by zero —
-// convenient for locality hit rates.
-func Ratio(a, b int64) float64 {
-	if a+b == 0 {
-		return 0
-	}
-	return float64(a) / float64(a+b) * 100
 }

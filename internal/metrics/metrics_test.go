@@ -1,47 +1,39 @@
 package metrics
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
 
 func TestCountersAddIncSetGet(t *testing.T) {
 	r := New()
-	r.Inc("a")
-	r.Add("a", 4)
-	r.Set("b", 10)
+	r.CounterHandle("a").Inc()
+	r.CounterHandle("a").Add(4)
+	r.GaugeHandle("b").Set(10)
 	if r.Get("a") != 5 || r.Get("b") != 10 || r.Get("missing") != 0 {
 		t.Fatalf("counters wrong: a=%d b=%d", r.Get("a"), r.Get("b"))
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+	if n := len(r.Counters()); n != 2 {
+		t.Fatalf("%d counters, want 2", n)
 	}
 }
 
 func TestNamesSorted(t *testing.T) {
 	r := New()
-	r.Inc("zulu")
-	r.Inc("alpha")
-	r.Inc("mike")
+	r.CounterHandle("zulu").Inc()
+	r.CounterHandle("alpha").Inc()
+	r.CounterHandle("mike").Inc()
 	names := r.Names()
 	if len(names) != 3 || names[0] != "alpha" || names[1] != "mike" || names[2] != "zulu" {
 		t.Fatalf("Names = %v", names)
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := New()
-	r.Add("x", 7)
-	r.Reset()
-	if r.Get("x") != 0 || r.Len() != 1 {
-		t.Fatalf("after reset: x=%d len=%d", r.Get("x"), r.Len())
-	}
-}
-
 func TestDump(t *testing.T) {
 	r := New()
-	r.Set("reads", 3)
-	r.Set("writes", 1)
+	r.GaugeHandle("reads").Set(3)
+	r.GaugeHandle("writes").Set(1)
 	var b strings.Builder
 	if err := r.Dump(&b); err != nil {
 		t.Fatal(err)
@@ -55,12 +47,37 @@ func TestDump(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if got := Ratio(3, 1); got != 75 {
-		t.Fatalf("Ratio(3,1) = %v", got)
+// TestHandleLookupAllocatesNothing is what the per-component handle caches
+// used to buy: a sample site that names its labelled series each time it
+// samples must not allocate once the series exists, nor on a nil registry.
+func TestHandleLookupAllocatesNothing(t *testing.T) {
+	node, tenant := "node-07", "tenant-01"
+	for _, r := range []*Registry{New(), nil} {
+		r.CounterHandle("launched_total", "node", node).Inc()
+		r.GaugeHandle("registered", "node", node).Set(1)
+		r.HistogramHandle("wait_seconds", "tenant", tenant, "mode", "dplus").Observe(1)
+		allocs := testing.AllocsPerRun(100, func() {
+			r.CounterHandle("launched_total", "node", node).Inc()
+			r.GaugeHandle("registered", "node", node).Set(2)
+			r.HistogramHandle("wait_seconds", "tenant", tenant, "mode", "dplus").Observe(0.5)
+		})
+		if allocs != 0 {
+			t.Fatalf("registry %p: %v allocs per labelled sample, want 0", r, allocs)
+		}
 	}
-	if got := Ratio(0, 0); got != 0 {
-		t.Fatalf("Ratio(0,0) = %v", got)
+}
+
+func TestDefineSetsFamilyBuckets(t *testing.T) {
+	r := New()
+	r.Define("bytes", []float64{10, 100})
+	r.HistogramHandle("bytes", "transport", "disk").Observe(50)
+	r.HistogramHandle("seconds").Observe(50)
+	hs := r.Histograms()
+	if h := hs[With("bytes", "transport", "disk")]; len(h.Buckets) != 2 || h.Counts[1] != 1 {
+		t.Fatalf("labelled series of a defined family = %+v", h)
+	}
+	if h := hs["seconds"]; len(h.Buckets) != len(DefaultDurationBuckets) {
+		t.Fatalf("undefined family = %+v", h)
 	}
 }
 
@@ -76,6 +93,40 @@ func TestWithEscapesLabelValues(t *testing.T) {
 	if name != "jobs" || len(labels) != 1 || labels[0].Key != "tenant" || labels[0].Value != "a=b" {
 		t.Fatalf("ParseSeries(%q) = %q %v", k1, name, labels)
 	}
+	// The pairs sort as whole "k=v" strings, not by key: '-' sorts before
+	// '=', so key "a-b" comes first.
+	if got, want := With("m", "a", "x=y", "a-b", "1,2"), `m{a-b=1\,2,a=x\=y}`; got != want {
+		t.Fatalf("With = %s, want %s", got, want)
+	}
+}
+
+// withJoinSort is the reference definition of a series key: escape each
+// value, sort the joined "k=v" pairs, join them. With must match it byte
+// for byte, because every exported series name is built by With.
+func withJoinSort(name string, kvs ...string) string {
+	if len(kvs) == 0 {
+		return name
+	}
+	pairs := []string{}
+	for i := 0; i+1 < len(kvs); i += 2 {
+		v := strings.NewReplacer(`\`, `\\`, `=`, `\=`, `,`, `\,`, `{`, `\{`, `}`, `\}`).Replace(kvs[i+1])
+		pairs = append(pairs, kvs[i]+"="+v)
+	}
+	sort.Strings(pairs)
+	return name + "{" + strings.Join(pairs, ",") + "}"
+}
+
+func FuzzWithMatchesJoinSort(f *testing.F) {
+	f.Add("m", "a", "x=y", "a-b", "1,2", "", "")
+	f.Add("jobs", "tenant", `a\{b}`, "mode", "dplus", "z", "")
+	f.Fuzz(func(t *testing.T, name, k1, v1, k2, v2, k3, v3 string) {
+		kvs := []string{k1, v1, k2, v2, k3, v3}
+		for n := 0; n <= len(kvs); n++ {
+			if got, want := With(name, kvs[:n]...), withJoinSort(name, kvs[:n]...); got != want {
+				t.Fatalf("With(%q, %q) = %q, want %q", name, kvs[:n], got, want)
+			}
+		}
+	})
 }
 
 func TestParseSeriesRoundTrip(t *testing.T) {
@@ -114,8 +165,9 @@ func TestParseSeriesRoundTrip(t *testing.T) {
 func TestHistogramQuantile(t *testing.T) {
 	r := New()
 	r.Define("lat", []float64{1, 2, 4, 8})
+	lat := r.HistogramHandle("lat")
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 5, 7} {
-		r.Observe("lat", v)
+		lat.Observe(v)
 	}
 	h := r.Histograms()["lat"]
 	// 8 observations: bucket counts are ≤1:1, ≤2:2, ≤4:3, ≤8:2.
@@ -138,9 +190,9 @@ func TestHistogramQuantile(t *testing.T) {
 		prev = q
 	}
 	// Overflow bucket clamps to the last finite bound.
-	r.Observe("lat", 100)
-	r.Observe("lat", 200)
-	r.Observe("lat", 300)
+	lat.Observe(100)
+	lat.Observe(200)
+	lat.Observe(300)
 	h = r.Histograms()["lat"]
 	if got := h.Quantile(0.99); got != 8 {
 		t.Fatalf("overflow p99 = %v, want clamp to 8", got)

@@ -25,9 +25,9 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perTask; j++ {
-				reg.Inc("tasks_total")
-				reg.Add(metrics.With("bytes_total", "shard", string(rune('a'+i%4))), 10)
-				reg.Observe("latency", float64(j)*0.001)
+				reg.CounterHandle("tasks_total").Inc()
+				reg.CounterHandle("bytes_total", "shard", string(rune('a'+i%4))).Add(10)
+				reg.HistogramHandle("latency").Observe(float64(j) * 0.001)
 				if j%50 == 0 {
 					// Concurrent readers must see consistent snapshots.
 					_ = reg.Get("tasks_total")

@@ -89,7 +89,7 @@ func finishQuery(fw *core.Framework, cat *Catalog, compiled *Compiled, res *Resu
 	res.Rows = rows
 	res.AggParseErrors = compiled.AggParseErrors.Load()
 	if res.AggParseErrors > 0 {
-		fw.RT.Reg.Add("query_agg_parse_errors", res.AggParseErrors)
+		fw.RT.Reg.CounterHandle("query_agg_parse_errors").Add(res.AggParseErrors)
 	}
 	done(res, nil)
 }

@@ -170,9 +170,9 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	reg.Inc("yarn_allocations_total")
+	reg.CounterHandle("yarn_allocations_total").Inc()
 	reg.Define("d", metrics.DefaultDurationBuckets)
-	reg.Observe("d", 0.5)
+	reg.HistogramHandle("d").Observe(0.5)
 	var b bytes.Buffer
 	if err := WriteJSON(&b, rep, reg); err != nil {
 		t.Fatal(err)

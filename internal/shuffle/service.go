@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mrapid/internal/mapreduce"
-	"mrapid/internal/metrics"
 	"mrapid/internal/topology"
 	"mrapid/internal/trace"
 )
@@ -38,42 +37,6 @@ type Service struct {
 	// their on-the-wire (post-compress) size.
 	sentRaw  int64
 	sentWire int64
-
-	// Pre-resolved gauge handles for the per-register and per-fetch paths.
-	// Bound per registry — rt.Reg is assignable after Attach, so rebinding
-	// is keyed on the field (see handles).
-	gaugeSrc         *metrics.Registry
-	regGauges        map[*topology.Node]metrics.Gauge
-	combineSaved     metrics.Gauge
-	combineReduction metrics.Gauge
-	compressSaved    metrics.Gauge
-	compressRatio    metrics.Gauge
-}
-
-// handles rebinds the service's gauge handles when the runtime's registry
-// changed (or on first use).
-func (s *Service) handles() {
-	if s.gaugeSrc == s.rt.Reg && s.regGauges != nil {
-		return
-	}
-	s.gaugeSrc = s.rt.Reg
-	s.regGauges = make(map[*topology.Node]metrics.Gauge)
-	s.combineSaved = s.rt.Reg.GaugeHandle("shuffle_combine_saved_bytes")
-	s.combineReduction = s.rt.Reg.GaugeHandle("shuffle_combine_reduction_permille")
-	s.compressSaved = s.rt.Reg.GaugeHandle("shuffle_compress_saved_bytes")
-	s.compressRatio = s.rt.Reg.GaugeHandle("shuffle_compression_ratio_permille")
-}
-
-// registeredGauge returns the node-labeled registered-outputs gauge,
-// binding it on first sight of the node.
-func (s *Service) registeredGauge(n *topology.Node) metrics.Gauge {
-	s.handles()
-	g, ok := s.regGauges[n]
-	if !ok {
-		g = s.rt.Reg.GaugeHandle("shuffle_service_registered_outputs", "node", n.Name)
-		s.regGauges[n] = g
-	}
-	return g
 }
 
 // Attach builds a Service from the runtime's configured codec and installs
@@ -96,7 +59,7 @@ func (s *Service) Codec() Codec { return s.codec }
 // Register notes a committed map output with the service on its node.
 func (s *Service) Register(spec *mapreduce.JobSpec, mo *mapreduce.MapOutput) {
 	s.registered[mo.Node]++
-	s.registeredGauge(mo.Node).Set(int64(s.registered[mo.Node]))
+	s.rt.Reg.GaugeHandle("shuffle_service_registered_outputs", "node", mo.Node.Name).Set(int64(s.registered[mo.Node]))
 }
 
 // Forget withdraws a registered output (lost with its node, or its job
@@ -105,7 +68,7 @@ func (s *Service) Forget(spec *mapreduce.JobSpec, mo *mapreduce.MapOutput) {
 	if s.registered[mo.Node] > 0 {
 		s.registered[mo.Node]--
 	}
-	s.registeredGauge(mo.Node).Set(int64(s.registered[mo.Node]))
+	s.rt.Reg.GaugeHandle("shuffle_service_registered_outputs", "node", mo.Node.Name).Set(int64(s.registered[mo.Node]))
 }
 
 // Registered reports how many committed outputs the service currently holds
@@ -141,10 +104,9 @@ func (s *Service) Consolidate(spec *mapreduce.JobSpec, group []*mapreduce.MapOut
 		s.combineOut += c.Out.TotalBytes
 	}
 	if s.rawBytes > 0 {
-		s.handles()
 		saved := s.rawBytes - s.combinedBytes
-		s.combineSaved.Set(saved)
-		s.combineReduction.Set(saved * 1000 / s.rawBytes)
+		s.rt.Reg.GaugeHandle("shuffle_combine_saved_bytes").Set(saved)
+		s.rt.Reg.GaugeHandle("shuffle_combine_reduction_permille").Set(saved * 1000 / s.rawBytes)
 	}
 	return c
 }
@@ -258,9 +220,8 @@ func (s *Service) Fetch(parent trace.SpanID, spec *mapreduce.JobSpec, c *mapredu
 					s.sentRaw += combined
 					s.sentWire += wire
 					if s.sentRaw > 0 {
-						s.handles()
-						s.compressSaved.Set(s.sentRaw - s.sentWire)
-						s.compressRatio.Set(s.sentWire * 1000 / s.sentRaw)
+						rt.Reg.GaugeHandle("shuffle_compress_saved_bytes").Set(s.sentRaw - s.sentWire)
+						rt.Reg.GaugeHandle("shuffle_compression_ratio_permille").Set(s.sentWire * 1000 / s.sentRaw)
 					}
 				}
 				arrived(wire)

@@ -1,7 +1,6 @@
 package yarn
 
 import (
-	"mrapid/internal/metrics"
 	"mrapid/internal/topology"
 	"mrapid/internal/trace"
 )
@@ -15,10 +14,6 @@ type NM struct {
 
 	pendingRelease []*Container
 	running        map[ContainerID]*Container
-
-	// launched is the node-labeled launch counter, bound once per registry.
-	launched    metrics.Counter
-	launchedSrc *metrics.Registry
 
 	// ContainersLaunched counts lifetime launches for metrics.
 	ContainersLaunched int64
@@ -63,11 +58,7 @@ func (nm *NM) StartContainer(c *Container, warm bool, ready func()) {
 		}
 		nm.running[c.ID] = c
 		nm.ContainersLaunched++
-		if nm.launchedSrc != nm.rm.Reg {
-			nm.launchedSrc = nm.rm.Reg
-			nm.launched = nm.rm.Reg.CounterHandle("yarn_containers_launched_total", "node", nm.Node.Name)
-		}
-		nm.launched.Inc()
+		nm.rm.Reg.CounterHandle("yarn_containers_launched_total", "node", nm.Node.Name).Inc()
 		ready()
 	})
 }

@@ -76,10 +76,6 @@ type RM struct {
 	started       bool
 	tickers       []*sim.Ticker
 
-	// h caches pre-resolved metric handles for the per-grant and
-	// per-heartbeat paths; see handles().
-	h rmHandles
-
 	// queues, when configured, enforces per-tenant capacity ceilings.
 	queues map[string]*queue
 }
@@ -138,31 +134,6 @@ func (rm *RM) credit(nt *NodeTracker, r topology.Resource) {
 		panic(fmt.Sprintf("yarn: node %s over-released: %v > %v", nt.Node.Name, nt.Avail, nt.Cap))
 	}
 	rm.used = rm.used.Sub(r)
-}
-
-// rmHandles holds the pre-resolved metric handles for the RM's hot paths:
-// one histogram for allocation latency, one counter per achieved locality
-// level, one for AM heartbeats. Binding happens once per registry — Reg is
-// a public field assigned after construction (and swapped by some tests),
-// so handles() rebinds whenever the field changes rather than at NewRM.
-type rmHandles struct {
-	src          *metrics.Registry
-	allocLatency metrics.Observer
-	amHeartbeats metrics.Counter
-	allocations  [3]metrics.Counter
-}
-
-func (rm *RM) handles() *rmHandles {
-	if rm.h.src != rm.Reg {
-		rm.h.src = rm.Reg
-		rm.h.allocLatency = rm.Reg.HistogramHandle("yarn_alloc_latency_seconds")
-		rm.h.amHeartbeats = rm.Reg.CounterHandle("yarn_am_heartbeats_total")
-		for loc := range rm.h.allocations {
-			rm.h.allocations[loc] = rm.Reg.CounterHandle("yarn_allocations_total",
-				"locality", Locality(loc).String(), "sched", rm.Sched.Name())
-		}
-	}
-	return &rm.h
 }
 
 // Start begins NodeManager heartbeats, staggered deterministically across
@@ -382,9 +353,8 @@ func (rm *RM) Grant(ask *Ask, nt *NodeTracker) *Container {
 			trace.A("node", nt.Node.Name),
 			trace.A("locality", loc.String()))
 	}
-	h := rm.handles()
-	h.allocLatency.Observe(rm.Eng.Now().Sub(ask.arrived).Seconds())
-	h.allocations[loc].Inc()
+	rm.Reg.HistogramHandle("yarn_alloc_latency_seconds").Observe(rm.Eng.Now().Sub(ask.arrived).Seconds())
+	rm.Reg.CounterHandle("yarn_allocations_total", "locality", loc.String(), "sched", rm.Sched.Name()).Inc()
 	return c
 }
 
@@ -399,7 +369,7 @@ func (rm *RM) Allocate(app *App, asks []*Ask, respond func([]*Container)) {
 	}
 	rm.Eng.After(rm.Params.RPCLatency, func() {
 		rm.Metrics.AMHeartbeats++
-		rm.handles().amHeartbeats.Inc()
+		rm.Reg.CounterHandle("yarn_am_heartbeats_total").Inc()
 		if app.State == AppKilled || app.State == AppFinished {
 			rm.Eng.After(rm.Params.RPCLatency, func() { respond(nil) })
 			return
