@@ -308,7 +308,7 @@ func TestMethodValueTransformIsNeverServedFromACache(t *testing.T) {
 		out := fmt.Sprintf("/out/filter-%d", i)
 		spec := workloads.WordCountSpec("filter-"+sub, names, out, false)
 		spec.JobKey = "word-filter"
-		spec.Map = wordFilter{sub}.Map
+		spec.Map, spec.MapFor = wordFilter{sub}.Map, nil
 		submitWC(t, f, spec)
 		var kept [][]byte
 		for _, w := range bytes.Fields(input) {

@@ -41,7 +41,7 @@ func runBesidePoison(t *testing.T, poison bool) map[string]string {
 	names, input := stageInput(t, rt, 4, 256<<10)
 
 	panicMap := func(spec *mapreduce.JobSpec) {
-		spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.Emit)) {
+		spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
 			if file == names[1] {
 				return func(_, _ []byte, _ mapreduce.Emit) { panic("poisoned split") }, nil
 			}

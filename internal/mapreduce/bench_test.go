@@ -78,8 +78,10 @@ func BenchmarkExecMapUnique(b *testing.B) {
 }
 
 // BenchmarkExecMapZipf measures it on one 1 MiB split of Zipf text, the
-// shape of wc_modes' splits: 130 447 words fold into 10 145 distinct pairs,
-// where BenchmarkExecMap's ten words fold trivially.
+// shape of wc_modes' splits: 130 447 words fold into 10 145 distinct pairs
+// through the fold table, where BenchmarkExecMap's ten words fold
+// trivially. (The production WordCount counts its words in the mapper
+// instead; workloads' BenchmarkWordCountMap times that path.)
 func BenchmarkExecMapZipf(b *testing.B) {
 	benchExecMap(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
 }

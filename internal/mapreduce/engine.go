@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"mrapid/internal/costmodel"
@@ -141,22 +142,16 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64, slots int) *
 	if slots > 0 {
 		b.table = newFoldTable(slots)
 	}
+	part := spec.partitioner()
 	var emit Emit
 	if nred == 1 {
 		// Single-reduce short jobs (the paper's case) skip partitioning.
 		emit = func(k, v []byte) { b.add(0, k, v, 1) }
 	} else {
-		part := spec.partitioner()
-		emit = func(k, v []byte) {
-			p := part(k, nred)
-			if p < 0 || p >= nred {
-				panic(fmt.Sprintf("mapreduce: partitioner returned %d of %d", p, nred))
-			}
-			b.add(p, k, v, 1)
-		}
+		emit = func(k, v []byte) { b.add(partitionOf(part, k, nred), k, v, 1) }
 	}
 	mapFn := spec.Map
-	var flush func(Emit)
+	var flush func(CountedEmit)
 	if spec.MapFor != nil {
 		var fn MapFunc
 		if fn, flush = spec.MapFor(file); fn != nil {
@@ -169,7 +164,12 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64, slots int) *
 		mapFn(k, v, emit)
 	})
 	if flush != nil {
-		flush(emit)
+		flush(func(k, v []byte, n int) {
+			if n < 1 || n > math.MaxUint32 {
+				panic(fmt.Sprintf("mapreduce: a map flush emitted a pair %d times", n))
+			}
+			b.add(partitionOf(part, k, nred), k, v, uint32(n))
+		})
 	}
 	for p := range b.parts {
 		b.sortRecs(p)
@@ -186,6 +186,19 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64, slots int) *
 	out := b.output()
 	out.Records = records
 	return out
+}
+
+// partitionOf is the partition of key k among nred: 0 for a single reduce,
+// else what part says, which must be in range.
+func partitionOf(part PartitionFunc, k []byte, nred int) int {
+	if nred == 1 {
+		return 0
+	}
+	p := part(k, nred)
+	if p < 0 || p >= nred {
+		panic(fmt.Sprintf("mapreduce: partitioner returned %d of %d", p, nred))
+	}
+	return p
 }
 
 // spillCount reports how many spill files a map output of n bytes produces

@@ -18,3 +18,13 @@ func Distinct(mo *MapOutput, p int) (pairs, occurrences int) {
 	}
 	return len(mo.Partitions[p]), occurrences
 }
+
+// PlainWordCountSpec is WordCount as a plain Map that emits (word, "1") for
+// every occurrence, so the builder's fold table does the counting.
+func PlainWordCountSpec(combiner bool) *JobSpec {
+	spec := wcSpec(nil, "/out")
+	if combiner {
+		spec.Combine = spec.Reduce
+	}
+	return spec
+}

@@ -7,6 +7,7 @@ import (
 	"mrapid/internal/hdfs"
 	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
+	"mrapid/internal/trace"
 	"mrapid/internal/yarn"
 )
 
@@ -169,7 +170,11 @@ func (am *amCore) pumpShuffle() {
 		for _, mo := range group {
 			am.fetched[mo] = true
 		}
-		cons := am.shuffle.Consolidate(am.spec, group)
+		cons, died := contain(false, func() *Consolidated { return am.shuffle.Consolidate(am.spec, group) })
+		if died != nil {
+			am.combineFailed(group, died)
+			return
+		}
 		am.pendingGroups++
 		remaining, failed := am.spec.NumReduces, false
 		for p := 0; p < am.spec.NumReduces; p++ {
@@ -193,6 +198,21 @@ func (am *amCore) pumpShuffle() {
 		}
 	}
 	am.maybeReduce()
+}
+
+// combineFailed fails the job whose combiner panicked while the shuffle
+// service consolidated group. No attempt ran that combiner, so there is
+// none to retry, and the same combiner over the same outputs would panic
+// again: the job fails at once, with the panic as its cause.
+func (am *amCore) combineFailed(group []*MapOutput, err *AttemptError) {
+	err.Kind = "combine"
+	if s := group[0].Split; s != nil {
+		err.Index = s.Index
+	}
+	node := group[0].Node.Name
+	am.rt.Trace.Mark(am.prof.Span, "shuffle/"+node, "combine failed",
+		trace.A("panic", fmt.Sprint(err.Cause)), trace.A("at", err.At))
+	am.finish(fmt.Errorf("mapreduce: the shuffle service's combine of %d map outputs on %s failed: %w", len(group), node, err))
 }
 
 // maybeReduce starts the reduce partitions once every map has committed and

@@ -29,6 +29,11 @@ import (
 // must not write to it.
 type Emit func(key, value []byte)
 
+// CountedEmit is Emit for n occurrences of one pair at once — the emitting
+// twin of Values.At's (value, count). A map flush that counted its pairs
+// hands each distinct one over once; n must be at least 1.
+type CountedEmit func(key, value []byte, n int)
+
 // MapFunc consumes one record and emits intermediate pairs.
 type MapFunc func(key, value []byte, emit Emit)
 
@@ -157,10 +162,12 @@ type JobSpec struct {
 	// MapFor, when set, is called once per split with the split's file. It
 	// returns the split's record function, which overrides Map unless it is
 	// nil, and an optional flush that runs once after the split's last
-	// record and may emit too — Hadoop's Mapper.cleanup. Repartition joins
-	// use it to tag the two sides of the join differently; group-by stages
-	// fold a split's rows into one table the flush emits, one pair per key.
-	MapFor func(file string) (MapFunc, func(Emit))
+	// record and may emit too — Hadoop's Mapper.cleanup — each pair with
+	// its count. Repartition joins use it to tag the two sides of the join
+	// differently; group-by stages fold a split's rows into one table the
+	// flush emits, one pair per key; WordCount and Grep count a split's
+	// words in one table the flush emits as (word, "1") × n.
+	MapFor func(file string) (MapFunc, func(CountedEmit))
 
 	// MapRate is the map function's compute throughput in input bytes per
 	// second on one reference core; zero means the map function itself is

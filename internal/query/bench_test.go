@@ -84,7 +84,7 @@ func newStageFixture(tb testing.TB) *stageFixture {
 	states := map[string][][]byte{}
 	for i := range 8 {
 		n := len(fx.sales) / 8
-		mapSplit(gb, salesFile, fx.sales[i*n:(i+1)*n], func(k, v []byte) {
+		mapSplit(gb, salesFile, fx.sales[i*n:(i+1)*n], func(k, v []byte, _ int) {
 			states[string(k)] = append(states[string(k)], append([]byte(nil), v...))
 		})
 	}
@@ -101,12 +101,13 @@ func newStageFixture(tb testing.TB) *stageFixture {
 	return fx
 }
 
-// mapSplit runs lines through spec's map as one split of file: each line
-// through the split's record function, then its flush.
-func mapSplit(spec *mapreduce.JobSpec, file string, lines [][]byte, emit mapreduce.Emit) {
+// mapSplit runs lines through a group-by spec's map as one split of file:
+// each line through the split's record function, which only folds it into
+// the split's table (its emit is nil), then the flush.
+func mapSplit(spec *mapreduce.JobSpec, file string, lines [][]byte, emit mapreduce.CountedEmit) {
 	fn, flush := spec.MapFor(file)
 	for _, line := range lines {
-		fn(nil, line, emit)
+		fn(nil, line, nil)
 	}
 	flush(emit)
 }
@@ -114,6 +115,8 @@ func mapSplit(spec *mapreduce.JobSpec, file string, lines [][]byte, emit mapredu
 var benchSink int
 
 func discard(k, v []byte) { benchSink += len(k) + len(v) }
+
+func discardCounted(k, v []byte, _ int) { discard(k, v) }
 
 // TestStageClosuresAllocBudget is the allocation gate of the row path: a map
 // record function allocates nothing per input row, with or without a fused
@@ -145,10 +148,10 @@ func TestStageClosuresAllocBudget(t *testing.T) {
 			fn(nil, line, discard)
 		}
 		perRow(name, fn)
-		flush(discard)
+		flush(discardCounted)
 		// None on a warm table; a table or buffer whose Put the race
 		// detector dropped costs a few to refill.
-		if got := testing.AllocsPerRun(100, func() { mapSplit(spec, salesFile, fx.sales, discard) }); got > 4 {
+		if got := testing.AllocsPerRun(100, func() { mapSplit(spec, salesFile, fx.sales, discardCounted) }); got > 4 {
 			t.Errorf("%s split: %v allocations per split of %d rows, want at most 4", name, got, len(fx.sales))
 		}
 	}
@@ -203,7 +206,7 @@ func BenchmarkGroupByMap(b *testing.B) {
 	b.SetBytes(int64(len(fx.sales)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mapSplit(spec, salesFile, fx.sales, discard)
+		mapSplit(spec, salesFile, fx.sales, discardCounted)
 	}
 }
 

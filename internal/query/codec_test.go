@@ -478,7 +478,13 @@ func refSplit(ref refStage, lines [][]byte) emitted {
 
 // mapSplitOf is what mapSplit emits, sorted by key.
 func mapSplitOf(spec *mapreduce.JobSpec, file string, lines [][]byte) emitted {
-	return sortedPairs(capture(func(emit mapreduce.Emit) { mapSplit(spec, file, lines, emit) }))
+	return sortedPairs(capture(func(emit mapreduce.Emit) {
+		mapSplit(spec, file, lines, func(k, v []byte, n int) {
+			for range n {
+				emit(k, v)
+			}
+		})
+	}))
 }
 
 // sortedPairs orders a split's output by key: which key a flush emits

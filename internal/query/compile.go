@@ -527,7 +527,7 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 	}
 	leftMap := mkSide(left, li, 'L')
 	rightMap := mkSide(right, ri, 'R')
-	st.Spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.Emit)) {
+	st.Spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
 		if leftFiles[file] {
 			return leftMap, nil
 		}

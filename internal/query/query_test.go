@@ -550,7 +550,7 @@ func TestEncodingsMatchTheirFormattedForms(t *testing.T) {
 		fn, flush := plan.split("")
 		fn(nil, EncodeRow(row), nil)
 		var got []byte
-		flush(func(_, v []byte) { got = append(got, v...) })
+		flush(func(_, v []byte, _ int) { got = append(got, v...) })
 		return string(got) == strings.Join(parts, colSep)
 	}
 	if err := quick.Check(state, &quick.Config{MaxCount: 500}); err != nil {

@@ -196,7 +196,7 @@ type aggPlan struct {
 
 // split is the stage's MapFor: it borrows a table for one split and hands
 // out the table's record function and flush.
-func (p *aggPlan) split(string) (mapreduce.MapFunc, func(mapreduce.Emit)) {
+func (p *aggPlan) split(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
 	t, _ := aggTables.Get().(*aggTable)
 	if t == nil {
 		t = newAggTable()
@@ -222,7 +222,7 @@ type aggTable struct {
 	key   []byte // a wider key, joined for its lookup
 
 	mapFn   mapreduce.MapFunc
-	flushFn func(mapreduce.Emit)
+	flushFn func(mapreduce.CountedEmit)
 }
 
 type aggSlot struct{ hash, group uint32 }
@@ -330,15 +330,15 @@ func (t *aggTable) grow() {
 	}
 }
 
-// flush emits one partial state per key, in first-seen order, then resets
-// the table and returns it to aggTables; the split's record function and
-// flush must not be called after.
-func (t *aggTable) flush(emit mapreduce.Emit) {
+// flush emits one partial state per key, once, in first-seen order, then
+// resets the table and returns it to aggTables; the split's record function
+// and flush must not be called after.
+func (t *aggTable) flush(emit mapreduce.CountedEmit) {
 	n := len(t.plan.aggs)
 	buf := scratchPool.Get().(*scratch)
 	for g, key := range t.keys {
 		buf.b = appendStates(buf.b[:0], t.accs[g*n:(g+1)*n])
-		emit(key, buf.b)
+		emit(key, buf.b, 1)
 	}
 	scratchPool.Put(buf)
 	clear(t.slots)

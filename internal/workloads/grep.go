@@ -20,12 +20,13 @@ const (
 	GrepReduceRate = 40e6
 )
 
-// GrepSearchSpec builds the first job: emit (word, 1) for every
-// whitespace-separated token containing pattern; reduce sums counts. The
-// map closure captures the pattern, so the pattern is the spec's
-// ClosureSig. The sum combiner is associative, so it is valid both per task
-// and cross-task (the shuffle service's in-node combiner re-applies it when
-// merging a node's outputs). The sort job below deliberately has no
+// GrepSearchSpec builds the first job: count every word — WordCount's: a
+// run of bytes between ' ' and '\t' — that contains pattern, in the
+// mapper's word table (see wordTable), and emit (word, 1) × its count;
+// reduce sums counts. The MapFor closure captures the pattern, so the
+// pattern is the spec's ClosureSig. The sum combiner is associative, so it
+// is valid both per task and cross-task (the shuffle service's in-node
+// combiner re-applies it when merging a node's outputs). The sort job below deliberately has no
 // combiner: its reduce re-keys each record, which a combiner must never do.
 func GrepSearchSpec(name string, inputs []string, output, pattern string) *mapreduce.JobSpec {
 	pat := []byte(pattern)
@@ -36,12 +37,9 @@ func GrepSearchSpec(name string, inputs []string, output, pattern string) *mapre
 		OutputFile: output,
 		NumReduces: 1,
 		Format:     mapreduce.LineFormat{},
-		Map: func(_, line []byte, emit mapreduce.Emit) {
-			for _, w := range bytes.Fields(line) {
-				if bytes.Contains(w, pat) {
-					emit(w, one)
-				}
-			}
+		MapFor: func(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+			t := borrowWordTable(pat)
+			return t.mapFn, t.flushFn
 		},
 		Combine:    wordCountReduce,
 		Reduce:     wordCountReduce,

@@ -9,11 +9,7 @@ import (
 )
 
 func TestGrepSearchMapFiltersAndCounts(t *testing.T) {
-	spec := GrepSearchSpec("g", []string{"/in"}, "/out", "err")
-	got := map[string]int{}
-	mapreduce.LineFormat{}.Scan([]byte("error noise err again\nerrand clean\n"), func(k, v []byte) {
-		spec.Map(k, v, func(key, _ []byte) { got[string(key)]++ })
-	})
+	got := splitCounts(t, []byte("error noise err again\nerrand clean\n"), "err", 0)
 	want := map[string]int{"error": 1, "err": 1, "errand": 1}
 	if len(got) != len(want) {
 		t.Fatalf("matches = %v", got)

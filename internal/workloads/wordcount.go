@@ -2,8 +2,11 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
+	"sync"
 
 	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
@@ -58,7 +61,10 @@ func GenerateWordCountInput(dfs *hdfs.DFS, cluster *topology.Cluster, prefix str
 	return names, nil
 }
 
-// WordCountSpec builds the WordCount job over the given input files.
+// WordCountSpec builds the WordCount job over the given input files. Its
+// map counts each split's words in the mapper (wordCountSplit), so the map
+// output holds each distinct word of a split once, as the pair (word, "1")
+// with its count.
 func WordCountSpec(name string, inputs []string, output string, combiner bool) *mapreduce.JobSpec {
 	spec := &mapreduce.JobSpec{
 		Name:       name,
@@ -67,7 +73,7 @@ func WordCountSpec(name string, inputs []string, output string, combiner bool) *
 		OutputFile: output,
 		NumReduces: 1,
 		Format:     mapreduce.LineFormat{},
-		Map:        wordCountMap,
+		MapFor:     wordCountSplit,
 		Reduce:     wordCountReduce,
 		MapRate:    WordCountMapRate,
 		ReduceRate: WordCountReduceRate,
@@ -80,24 +86,195 @@ func WordCountSpec(name string, inputs []string, output string, combiner bool) *
 
 var one = []byte("1")
 
-func wordCountMap(_, line []byte, emit mapreduce.Emit) {
-	// Manual tokenization: bytes.Fields would allocate a fresh slice of
-	// slices per line, and this function runs over every byte of every
-	// experiment's input.
-	start := -1
-	for i, c := range line {
-		if c == ' ' || c == '\t' {
-			if start >= 0 {
-				emit(line[start:i], one)
-				start = -1
+// wordCountSplit is WordCount's MapFor: it borrows a word table for one
+// split and hands out the table's record function and flush.
+func wordCountSplit(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+	t := borrowWordTable(nil)
+	return t.mapFn, t.flushFn
+}
+
+// wordTable is one split's in-mapper combiner for WordCount and Grep's
+// search: every distinct word of the split's lines — a run of bytes between
+// ' ' and '\t' — in first-seen order, with its count. The record function
+// reads a line eight bytes at a time and builds each word's radix prefix
+// (its first eight bytes, big-endian and zero-padded: what the map
+// output's index keys on) and a multiply-xor hash of all of it from the
+// same loads. A slot of the table holds a word's prefix, length and count
+// in 16 bytes, so counting a repeat of a word of at most eight bytes reads
+// one slot and never the word; a longer one compares its bytes past the
+// prefix with the word's first occurrence. The words are sub-slices of the
+// split's input block, which the map output indexes in place.
+//
+// The table is open addressing with linear probing, a hash's top bits
+// picking its home slot, and each word keeps its hash and knows its slot,
+// so growing never rehashes and the flush empties only the slots the split
+// used. It grows at half load up to wordMaxSlots; once it holds
+// wordMaxSlots/2 words, a new word goes out at once through the record
+// function's Emit, uncounted, which the builder and the merge take as they
+// take any repeated pair. A table comes from wordTables with its record
+// function and flush bound to it, and the flush resets it and puts it
+// back, so a split on a warm table allocates nothing; a split whose map
+// panics never flushes and never returns its table.
+type wordTable struct {
+	slots    []wordSlot // a power of two long, at most half full
+	shift    uint       // a hash's top bits pick its home slot
+	words    []wordEntry
+	maxWords int    // wordMaxSlots/2, lower under test
+	pattern  []byte // Grep: admit only words containing it; nil admits all
+
+	mapFn   mapreduce.MapFunc
+	flushFn func(mapreduce.CountedEmit)
+}
+
+// wordSlot is one word's slot: its prefix, its count, its index in words
+// + 1 (0: the slot is empty) and its length, 0xffff for any longer.
+type wordSlot struct {
+	prefix    uint64
+	n         uint32
+	word, len uint16
+}
+
+type wordEntry struct {
+	word       []byte
+	hash, slot uint32
+}
+
+// A full table holds 32 768 words — the whole 30 000-word corpus
+// vocabulary — each numbered in its slot's 16 bits.
+const (
+	wordMinSlots = 1 << 11
+	wordMaxSlots = 1 << 16
+)
+
+var wordTables sync.Pool // of *wordTable, flushed and reset
+
+// borrowWordTable takes a reset table from wordTables, or builds one, for
+// a split whose words must contain pattern (nil: every word counts).
+func borrowWordTable(pattern []byte) *wordTable {
+	t, _ := wordTables.Get().(*wordTable)
+	if t == nil {
+		t = &wordTable{
+			slots: make([]wordSlot, wordMinSlots),
+			shift: uint(32 - bits.TrailingZeros(wordMinSlots)),
+			words: make([]wordEntry, 0, wordMinSlots/2),
+		}
+		t.mapFn = t.scan
+		t.flushFn = t.flush
+	}
+	t.maxWords, t.pattern = wordMaxSlots/2, pattern
+	return t
+}
+
+const (
+	bytes8 = 0x0101010101010101 // one in every byte
+	high8  = 0x8080808080808080 // every byte's high bit
+	low8   = 0x7f7f7f7f7f7f7f7f // every byte's other bits
+)
+
+// separators marks the bytes of x that are ' ' or '\t' with their high bit.
+// A byte of y&low8 + low8 | y has its high bit set exactly when the byte of
+// y is not zero (no carry crosses a byte), so the test is exact per byte.
+func separators(x uint64) uint64 {
+	s, t := x^' '*bytes8, x^'\t'*bytes8
+	return ^((s&low8 + low8 | s) & (t&low8 + low8 | t)) & high8
+}
+
+// load8 returns line's eight bytes from i on, little-endian, as ' ' past
+// the end of line.
+func load8(line []byte, i int) uint64 {
+	if len(line)-i >= 8 {
+		return binary.LittleEndian.Uint64(line[i:])
+	}
+	x := uint64(' ' * bytes8)
+	for j := len(line) - 1; j >= i; j-- {
+		x = x<<8 | uint64(line[j])
+	}
+	return x
+}
+
+// scan is the record function: it counts every word of line.
+func (t *wordTable) scan(_, line []byte, emit mapreduce.Emit) {
+	const mul = 0x9e3779b97f4a7c15
+	for i := 0; i < len(line); i++ { // i++ steps past the word's separator
+		x := load8(line, i)
+		m := separators(x)
+		if skip := bits.TrailingZeros64(^m&high8) >> 3; skip > 0 {
+			i += skip - 1 // a run of separators (8: the load held only those)
+			continue
+		}
+		start := i
+		// n: the word's bytes in this load, 8 when it runs past it. The
+		// prefix is the first eight bytes big-endian, zero-padded; every
+		// further eight are mixed into the hash the same way.
+		n := bits.TrailingZeros64(m) >> 3
+		prefix := bits.ReverseBytes64(x) &^ (1<<(64-8*uint(n)) - 1)
+		h := prefix
+		for i += n; n == 8; i += n {
+			x = load8(line, i)
+			if n = bits.TrailingZeros64(separators(x)) >> 3; n > 0 {
+				h = h*mul ^ bits.ReverseBytes64(x)&^(1<<(64-8*uint(n))-1)
 			}
-		} else if start < 0 {
-			start = i
+		}
+		word := line[start:i]
+		if t.pattern != nil && !bytes.Contains(word, t.pattern) {
+			continue
+		}
+		h = (h*mul ^ uint64(len(word))) * mul
+		t.count(word, prefix, uint32(h>>32), emit)
+	}
+}
+
+// count adds one occurrence of word, whose prefix and hash scan built.
+func (t *wordTable) count(word []byte, prefix uint64, h uint32, emit mapreduce.Emit) {
+	mask := uint32(len(t.slots) - 1)
+	i := h >> t.shift
+	l := uint16(min(len(word), 0xffff))
+	for ; t.slots[i].word != 0; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.prefix == prefix && s.len == l &&
+			(len(word) <= 8 || bytes.Equal(t.words[s.word-1].word[8:], word[8:])) {
+			s.n++
+			return
 		}
 	}
-	if start >= 0 {
-		emit(line[start:], one)
+	if len(t.words) == t.maxWords {
+		emit(word, one) // full
+		return
 	}
+	t.words = append(t.words, wordEntry{word: word, hash: h, slot: i})
+	t.slots[i] = wordSlot{prefix: prefix, n: 1, word: uint16(len(t.words)), len: l}
+	if 2*len(t.words) == len(t.slots) && len(t.words) < t.maxWords {
+		t.grow()
+	}
+}
+
+// grow doubles the slots, re-entering every word by its stored hash.
+func (t *wordTable) grow() {
+	old := t.slots
+	t.slots, t.shift = make([]wordSlot, 2*len(old)), t.shift-1
+	mask := uint32(len(t.slots) - 1)
+	for w := range t.words {
+		e := &t.words[w]
+		s := old[e.slot]
+		i := e.hash >> t.shift
+		for t.slots[i].word != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i], e.slot = s, i
+	}
+}
+
+// flush emits every counted word once, as (word, "1") × its count, in
+// first-seen order, then resets the table and returns it to wordTables;
+// the split's record function and flush must not be called after.
+func (t *wordTable) flush(emit mapreduce.CountedEmit) {
+	for _, e := range t.words {
+		emit(e.word, one, int(t.slots[e.slot].n))
+		t.slots[e.slot] = wordSlot{}
+	}
+	clear(t.words) // the words pin their input blocks
+	t.words, t.pattern = t.words[:0], nil
+	wordTables.Put(t)
 }
 
 // countTexts holds the decimal text of every count below 1000, cut from one

@@ -97,21 +97,21 @@ func TestQuickWordCountOutputRoundTrip(t *testing.T) {
 func TestCountWordsAgainstMapReduceFunctions(t *testing.T) {
 	data := []byte("a b a\nc b a\n")
 	want := CountWords(data)
-	// Drive the map and reduce functions directly.
+	// Drive the split function, its flush and the reduce directly.
 	byKey := map[string][][]byte{}
+	runs := map[string][]int{}
+	mapFn, flush := wordCountSplit("")
 	mapreduce.LineFormat{}.Scan(data, func(k, v []byte) {
-		wordCountMap(k, v, func(key, val []byte) {
-			byKey[string(key)] = append(byKey[string(key)], val)
-		})
+		mapFn(k, v, func([]byte, []byte) { t.Fatal("a split of three words overflowed the word table") })
+	})
+	flush(func(key, val []byte, n int) {
+		byKey[string(key)] = append(byKey[string(key)], val)
+		runs[string(key)] = append(runs[string(key)], n)
 	})
 	got := map[string]int{}
 	for k, vs := range byKey {
-		// One run per occurrence, as an unfolded merge would hand them over.
-		ones := make([]int, len(vs))
-		for i := range ones {
-			ones[i] = 1
-		}
-		wordCountReduce([]byte(k), mapreduce.NewValues(vs, ones), func(key, val []byte) {
+		// One run per counted pair, as the merge hands them over.
+		wordCountReduce([]byte(k), mapreduce.NewValues(vs, runs[k]), func(key, val []byte) {
 			n, _ := strconv.Atoi(string(val))
 			got[string(key)] = n
 		})
