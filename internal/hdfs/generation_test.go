@@ -37,8 +37,8 @@ func TestGenerationBumpsOnMutation(t *testing.T) {
 		t.Fatal("overwrite did not change FileDigest")
 	}
 
-	// Append within the last block's slack: the block mutates in place, so
-	// its generation must bump even though no new block is allocated.
+	// Append within the last block's slack: the block keeps its ID, so its
+	// generation must bump even though no new block ID is allocated.
 	f, _ := d.Lookup("/t/a")
 	lastGen := f.Blocks[len(f.Blocks)-1].Gen
 	if _, err := d.Append("/t/a", []byte("+abc"), nil); err != nil {

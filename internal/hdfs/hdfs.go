@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,12 +23,15 @@ import (
 	"mrapid/internal/trace"
 )
 
-// Block is one replicated chunk of a file.
+// Block is one replicated chunk of a file. A Block value is one write
+// generation: a write that replaces its bytes replaces the block (same ID,
+// fresh Gen), so the digest its Content keeps, and hands out with every
+// split read, stays the digest of the bytes it was handed out with.
 type Block struct {
-	ID       int
-	File     string
-	Offset   int64 // offset of this block within the file
-	Data     []byte
+	ID     int
+	File   string
+	Offset int64 // offset of this block within the file
+	Content
 	Replicas []*topology.Node // placement order: first is the "primary"
 
 	// Gen is the NameNode's monotonic write generation, stamped when the
@@ -36,6 +40,11 @@ type Block struct {
 	// without hashing it. FileDigest folds these stamps into the cheap
 	// input-freshness check the cross-job memoization cache keys on.
 	Gen int64
+}
+
+// newBlock returns a block of one write generation.
+func newBlock(id int, file string, offset int64, data []byte, replicas []*topology.Node, gen int64) *Block {
+	return &Block{ID: id, File: file, Offset: offset, Content: Content{Data: data}, Replicas: replicas, Gen: gen}
 }
 
 // Size returns the block length in bytes.
@@ -200,68 +209,75 @@ func (d *DFS) List() []string {
 // writer is not a DataNode), one on a node in a different rack, and one on a
 // different node in that same remote rack. Additional replicas (replication
 // > 3) go to random distinct workers.
+//
+// Only live DataNodes take new replicas — the NameNode never targets a dead
+// node. (Existing replicas on a crashed node survive on its disk and are
+// readable again after a restart; see bestReplica.) Each draw picks the i-th
+// candidate in cluster order; candidates are counted and indexed in place
+// rather than listed, so the replica slice is the only allocation.
 func (d *DFS) place(writer *topology.Node) []*topology.Node {
-	// Only live DataNodes take new replicas — the NameNode never targets a
-	// dead node. (Existing replicas on a crashed node survive on its disk
-	// and are readable again after a restart; see bestReplica.)
-	var workers []*topology.Node
-	for _, n := range d.cluster.Workers() {
-		if n.Alive() {
-			workers = append(workers, n)
-		}
-	}
-	if len(workers) == 0 {
+	workers, master := d.cluster.Workers(), d.cluster.Master()
+	anyNode := func(*topology.Node) bool { return true }
+	nLive := countLive(workers, anyNode)
+	if nLive == 0 {
 		panic("hdfs: cluster has no live workers")
 	}
-	var first *topology.Node
-	if writer != nil && writer != d.cluster.Master() && writer.Alive() {
-		first = writer
-	} else {
-		first = workers[d.rng.Intn(len(workers))]
+	first := writer
+	if writer == nil || writer == master || !writer.Alive() {
+		first = nthLive(workers, anyNode, d.rng.Intn(nLive))
 	}
-	replicas := []*topology.Node{first}
+	replicas := append(make([]*topology.Node, 0, d.replication), first)
 	if d.replication == 1 {
 		return replicas
 	}
 
-	// Second replica: a node in a different rack if one exists.
-	var remoteRack []*topology.Node
-	for _, n := range workers {
-		if n.Rack != first.Rack {
-			remoteRack = append(remoteRack, n)
-		}
-	}
-	if len(remoteRack) > 0 {
-		second := remoteRack[d.rng.Intn(len(remoteRack))]
+	// Second replica: a node in a different rack if one exists. A rack's
+	// node list, in cluster order, holds the master too, never a candidate.
+	notMaster := func(n *topology.Node) bool { return n != master }
+	if k := nLive - countLive(d.cluster.NodesInRack(first.Rack), notMaster); k > 0 {
+		second := nthLive(workers, func(n *topology.Node) bool { return n.Rack != first.Rack }, d.rng.Intn(k))
 		replicas = append(replicas, second)
 		if d.replication >= 3 {
 			// Third replica: a different node in the second replica's rack.
-			var sameRemote []*topology.Node
-			for _, n := range workers {
-				if n.Rack == second.Rack && n != second {
-					sameRemote = append(sameRemote, n)
-				}
-			}
-			if len(sameRemote) > 0 {
-				replicas = append(replicas, sameRemote[d.rng.Intn(len(sameRemote))])
+			rack := d.cluster.NodesInRack(second.Rack)
+			mate := func(n *topology.Node) bool { return n != master && n != second }
+			if k := countLive(rack, mate); k > 0 {
+				replicas = append(replicas, nthLive(rack, mate, d.rng.Intn(k)))
 			}
 		}
 	}
 	// Fill any remaining replication with distinct random workers.
-	for len(replicas) < d.replication && len(replicas) < len(workers) {
-		cand := workers[d.rng.Intn(len(workers))]
-		dup := false
-		for _, r := range replicas {
-			if r == cand {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	for len(replicas) < d.replication && len(replicas) < nLive {
+		if cand := nthLive(workers, anyNode, d.rng.Intn(nLive)); !slices.Contains(replicas, cand) {
 			replicas = append(replicas, cand)
 		}
 	}
 	return replicas
+}
+
+// countLive counts the live nodes ok admits.
+func countLive(nodes []*topology.Node, ok func(*topology.Node) bool) int {
+	k := 0
+	for _, n := range nodes {
+		if n.Alive() && ok(n) {
+			k++
+		}
+	}
+	return k
+}
+
+// nthLive returns the i-th live node ok admits, counting from 0 in the
+// order of nodes; i must be below countLive(nodes, ok).
+func nthLive(nodes []*topology.Node, ok func(*topology.Node) bool, i int) *topology.Node {
+	for _, n := range nodes {
+		if n.Alive() && ok(n) {
+			if i == 0 {
+				return n
+			}
+			i--
+		}
+	}
+	panic("hdfs: fewer live candidates than counted")
 }
 
 func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File {
@@ -273,14 +289,7 @@ func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File 
 		}
 		d.nextBlockID++
 		d.gen++
-		f.Blocks = append(f.Blocks, &Block{
-			ID:       d.nextBlockID,
-			File:     name,
-			Offset:   off,
-			Data:     data[off:end:end],
-			Replicas: d.place(writer),
-			Gen:      d.gen,
-		})
+		f.Blocks = append(f.Blocks, newBlock(d.nextBlockID, name, off, data[off:end:end], d.place(writer), d.gen))
 		if len(data) == 0 {
 			break
 		}
@@ -384,16 +393,28 @@ func (d *DFS) ReadRange(name string, offset, length int64, reader *topology.Node
 	if done == nil {
 		panic("hdfs: ReadRange needs a completion callback")
 	}
-	f, err := d.Lookup(name)
-	if err != nil {
+	var out []byte
+	j := sim.NewJoin(d.eng, func() { done(out, nil) })
+	var err error
+	if out, _, err = d.read(name, offset, length, reader, j); err != nil {
 		d.eng.After(0, func() { done(nil, err) })
 		return
 	}
+	j.Arm()
+}
+
+// read takes the bytes of [offset, offset+length) of the named file and
+// charges their transfer to reader on j, which the caller arms. Besides the
+// bytes it returns the block whose current bytes they are exactly, or nil
+// for a range over several blocks or part of one. On an error nothing is to
+// be armed: the blocks already charged complete unheard.
+func (d *DFS) read(name string, offset, length int64, reader *topology.Node, j *sim.Join) ([]byte, *Block, error) {
+	f, err := d.Lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
 	if offset < 0 || length < 0 || offset+length > f.Size() {
-		d.eng.After(0, func() {
-			done(nil, fmt.Errorf("hdfs: read [%d,%d) out of range for %q (size %d)", offset, offset+length, name, f.Size()))
-		})
-		return
+		return nil, nil, fmt.Errorf("hdfs: read [%d,%d) out of range for %q (size %d)", offset, offset+length, name, f.Size())
 	}
 
 	if d.Trace != nil {
@@ -411,13 +432,16 @@ func (d *DFS) ReadRange(name string, offset, length int64, reader *topology.Node
 	if !single {
 		out = make([]byte, 0, length)
 	}
-	j := sim.NewJoin(d.eng, func() { done(out, nil) })
+	var whole *Block
 	for _, b := range f.Blocks {
 		bStart, bEnd := b.Offset, b.Offset+b.Size()
 		if bEnd <= offset || bStart >= offset+length {
 			continue
 		}
 		lo, hi := max(offset, bStart)-bStart, min(offset+length, bEnd)-bStart
+		if lo == 0 && hi == b.Size() && hi == length {
+			whole = b
+		}
 		if single {
 			out = b.Data
 		} else {
@@ -427,17 +451,12 @@ func (d *DFS) ReadRange(name string, offset, length int64, reader *topology.Node
 		d.BytesRead += n
 		src := d.bestReplica(b, reader)
 		if src == nil {
-			// j is never armed: the blocks already charged complete unheard.
-			bid := b.ID
-			d.eng.After(0, func() {
-				done(nil, fmt.Errorf("hdfs: all replicas of %q block %d are offline", name, bid))
-			})
-			return
+			return nil, nil, fmt.Errorf("hdfs: all replicas of %q block %d are offline", name, b.ID)
 		}
 		// A reader outside the cluster (nil) pays the replica's disk only.
 		d.cluster.Charge(j, src, cmp.Or(reader, src), n, n)
 	}
-	j.Arm()
+	return out, whole, nil
 }
 
 // ReadAll reads a whole file.
@@ -508,8 +527,9 @@ func (d *DFS) OverwriteInstant(name string, data []byte, writer *topology.Node) 
 }
 
 // Append extends an existing file in place without charging I/O cost: the
-// last block absorbs bytes up to the block size (its generation is bumped —
-// its content changed), and the remainder spills into fresh blocks. Like the
+// last block absorbs bytes up to the block size (it is replaced by a block
+// of the same ID and a fresh generation — its content changed), and the
+// remainder spills into fresh blocks. Like the
 // other *Instant helpers it models out-of-band data arrival, e.g. a log
 // shipper adding records between measured jobs.
 func (d *DFS) Append(name string, data []byte, writer *topology.Node) (*File, error) {
@@ -532,9 +552,8 @@ func (d *DFS) Append(name string, data []byte, writer *topology.Node) (*File, er
 			grown := make([]byte, 0, last.Size()+take)
 			grown = append(grown, last.Data...)
 			grown = append(grown, data[:take]...)
-			last.Data = grown
 			d.gen++
-			last.Gen = d.gen
+			f.Blocks[n-1] = newBlock(last.ID, name, last.Offset, grown, last.Replicas, d.gen)
 			data = data[take:]
 		}
 	}
@@ -546,14 +565,7 @@ func (d *DFS) Append(name string, data []byte, writer *topology.Node) (*File, er
 		}
 		d.nextBlockID++
 		d.gen++
-		f.Blocks = append(f.Blocks, &Block{
-			ID:       d.nextBlockID,
-			File:     name,
-			Offset:   base,
-			Data:     data[:end:end],
-			Replicas: d.place(writer),
-			Gen:      d.gen,
-		})
+		f.Blocks = append(f.Blocks, newBlock(d.nextBlockID, name, base, data[:end:end], d.place(writer), d.gen))
 		base += end
 		data = data[end:]
 	}

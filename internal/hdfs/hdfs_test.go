@@ -456,6 +456,8 @@ func TestUntracedIOAllocatesNothingForTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func([]byte, error) {}
+	split := &Split{File: "/in/a", Length: 4096}
+	readSplit := func([]byte, *Content, error) {}
 	wrote := func(*File, error) {}
 	cases := []struct {
 		name   string
@@ -464,6 +466,7 @@ func TestUntracedIOAllocatesNothingForTracing(t *testing.T) {
 	}{
 		{"whole-file read", 7, func() { d.ReadRange("/in/a", 0, 4096, node, read) }},
 		{"range read", 8, func() { d.ReadRange("/in/a", 1000, 2000, node, read) }},
+		{"split read", 7, func() { d.ReadSplit(split, node, readSplit) }},
 		{"write and delete", 15, func() {
 			d.Write("/out/a", data, node, wrote)
 			eng.Run()

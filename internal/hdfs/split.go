@@ -2,7 +2,9 @@ package hdfs
 
 import (
 	"fmt"
+	"hash/maphash"
 
+	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 )
 
@@ -68,3 +70,56 @@ func (d *DFS) Splits(files []string) ([]*Split, error) {
 	}
 	return splits, nil
 }
+
+// ReadSplit reads one split like ReadRange and hands done, with the bytes,
+// a Content whose digest is that of those same bytes: the block's own when
+// the split is still its block's whole bytes — kept on the block, so a
+// generation is hashed at most once whoever reads it — and otherwise one
+// holding the bytes read (a split listed before an Append grew its block).
+// The Content is taken with the bytes, so no later write can pair its
+// digest with bytes the reader never saw; nothing is hashed until Digest.
+func (d *DFS) ReadSplit(s *Split, reader *topology.Node, done func([]byte, *Content, error)) {
+	if done == nil {
+		panic("hdfs: ReadSplit needs a completion callback")
+	}
+	var got struct {
+		data    []byte
+		content *Content
+	}
+	j := sim.NewJoin(d.eng, func() { done(got.data, got.content, nil) })
+	data, whole, err := d.read(s.File, s.Offset, s.Length, reader, j)
+	if err != nil {
+		d.eng.After(0, func() { done(nil, nil, err) })
+		return
+	}
+	got.data = data
+	if whole != nil {
+		got.content = &whole.Content
+	} else {
+		got.content = &Content{Data: data}
+	}
+	j.Arm()
+}
+
+// Content is one generation of immutable bytes and their 64-bit digest,
+// computed on the first Digest call and kept. Equal bytes have equal
+// digests across every DFS in the process; the seed is per process, so no
+// digest outlives it.
+type Content struct {
+	Data     []byte
+	digest   uint64
+	digested bool
+}
+
+var digestSeed = maphash.MakeSeed()
+
+// Digest returns the digest of c.Data, hashing it on the first call only.
+func (c *Content) Digest() uint64 {
+	if !c.digested {
+		c.digest, c.digested = maphash.Bytes(digestSeed, c.Data), true
+	}
+	return c.digest
+}
+
+// Digested reports whether Digest has hashed the bytes yet.
+func (c *Content) Digested() bool { return c.digested }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"mrapid/internal/hdfs"
 )
 
 // MapCache memoizes pure ExecMap results across simulations. The benchmark
@@ -16,10 +18,11 @@ import (
 // function's real output is the same every time, only the virtual-clock
 // charges differ, so recomputing it per mode is pure host-CPU waste. The
 // cache is keyed by the job's computation identity (JobSpec.Identity) plus
-// the split's coordinates and a hash of its full content, and it never
-// affects simulated timing: ExecMap is instantaneous on the virtual clock
-// whether it hits or misses. A spec that is not reusable is never looked up
-// or stored.
+// the split's coordinates and the digest of the hdfs.Content the split
+// reader hands out with its bytes (hashed once per block generation, not
+// per lookup), and it never affects simulated timing: ExecMap is
+// instantaneous on the virtual clock whether it hits or misses. A spec that
+// is not reusable is never looked up or stored.
 //
 // The cache keeps reduces too: a reduce whose every input came through the
 // cache is keyed by the job's identity, the partition, and the multiset of
@@ -54,8 +57,11 @@ type cacheShard struct {
 }
 
 // cacheKey names one split's map output: the computation, the split's
-// coordinates, and the full-content hash guarding against two generators
-// producing different bytes under the same names.
+// coordinates, and the digest of its content guarding against two
+// generators producing different bytes under the same names. The file
+// stays in the key even though the digest alone tells contents apart:
+// MapFor receives the file, and a repartition join tags each row with its
+// side by it, so equal bytes under two names can map differently.
 type cacheKey struct {
 	id      uint64 // JobSpec.Identity
 	file    string
@@ -105,9 +111,13 @@ func NewMapCache(limitBytes int64) *MapCache {
 	return c
 }
 
-// key builds the cache key of one split, or reports that there is no cache
-// or the spec is not reusable.
-func (c *MapCache) key(spec *JobSpec, file string, offset int64, data []byte) (cacheKey, bool) {
+// key builds the cache key of one size-byte split read with content, or
+// reports that there is no cache or the spec is not reusable. Only a key
+// asks content for its digest, so a run without a cache hashes nothing.
+// The digest covers the full content: an earlier key sampled three 4 KiB
+// windows, which let two same-length splits differing only outside the
+// windows collide — a silent wrong-output bug on a cache hit.
+func (c *MapCache) key(spec *JobSpec, file string, offset int64, size int, content *hdfs.Content) (cacheKey, bool) {
 	if c == nil {
 		return cacheKey{}, false
 	}
@@ -115,19 +125,7 @@ func (c *MapCache) key(spec *JobSpec, file string, offset int64, data []byte) (c
 	if !ok {
 		return cacheKey{}, false
 	}
-	return cacheKey{id: id, file: file, offset: offset, size: len(data), content: fingerprint(data)}, true
-}
-
-// fingerprintSeed is fixed per process; the cache never outlives it.
-var fingerprintSeed = maphash.MakeSeed()
-
-// fingerprint hashes the entire split content. An earlier version sampled
-// three 4 KiB windows, which let two same-length splits differing only
-// outside the windows collide — a silent wrong-output bug on a cache hit.
-// Hashing everything (maphash runs at memory speed) is still far cheaper
-// than re-running the map function.
-func fingerprint(data []byte) uint64 {
-	return maphash.Bytes(fingerprintSeed, data)
+	return cacheKey{id: id, file: file, offset: offset, size: size, content: content.Digest()}, true
 }
 
 // shardFor picks the shard holding a key.
@@ -260,9 +258,12 @@ func compareCacheKeys(a, b *cacheKey) int {
 		cmp.Compare(a.size, b.size), cmp.Compare(a.content, b.content), cmp.Compare(a.id, b.id))
 }
 
+// shardSeed spreads reduce keys over the shards.
+var shardSeed = maphash.MakeSeed()
+
 // reduceShard picks the shard holding a reduce key.
 func (c *MapCache) reduceShard(k reduceKey) *cacheShard {
-	return &c.shards[maphash.String(fingerprintSeed, k.inputs)%cacheShardCount]
+	return &c.shards[maphash.String(shardSeed, k.inputs)%cacheShardCount]
 }
 
 // lookupReduce returns the part file an earlier reduce under the same key

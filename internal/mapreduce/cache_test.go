@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mrapid/internal/hdfs"
 	"mrapid/internal/profiler"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
@@ -82,19 +83,44 @@ func TestMapCacheKeyDiscriminates(t *testing.T) {
 	// A closure partitioner with no ClosureSig is not reusable at all.
 	spec6 := wcSpec([]string{"/in"}, "/out")
 	spec6.Partition = func(key []byte, n int) int { return HashPartition(key, n) }
-	if _, ok := c.key(spec6, "/in", 0, data); ok {
+	if _, ok := c.key(spec6, "/in", 0, len(data), blockContent(t, data)); ok {
 		t.Fatal("a closure partitioner with no ClosureSig got a cache key")
 	}
 }
 
-// mustKey is MapCache.key for a spec the test knows is reusable.
+// mustKey is MapCache.key for a spec the test knows is reusable, over the
+// digest HDFS hands out with data.
 func mustKey(t *testing.T, spec *JobSpec, file string, offset int64, data []byte) cacheKey {
 	t.Helper()
-	k, ok := (&MapCache{}).key(spec, file, offset, data)
+	k, ok := (&MapCache{}).key(spec, file, offset, len(data), blockContent(t, data))
 	if !ok {
 		t.Fatalf("spec %s is not reusable", spec.Name)
 	}
 	return k
+}
+
+// blockContent stages data as a one-block file in a fresh DFS and returns
+// the Content its split read hands out.
+func blockContent(t testing.TB, data []byte) *hdfs.Content {
+	t.Helper()
+	eng := sim.NewEngine()
+	cl, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := hdfs.New(eng, cl, 128<<20, 1, 1)
+	if _, err := d.PutInstant("/in", data, nil); err != nil {
+		t.Fatal(err)
+	}
+	var content *hdfs.Content
+	d.ReadSplit(&hdfs.Split{File: "/in", Length: int64(len(data))}, nil, func(got []byte, c *hdfs.Content, err error) {
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("split read = %d bytes, %v; want the %d staged", len(got), err, len(data))
+		}
+		content = c
+	})
+	eng.Run()
+	return content
 }
 
 // Regression: the old fingerprint sampled three 4 KiB windows, so two
@@ -110,8 +136,8 @@ func TestMapCacheSameLengthDifferentContentNoCollision(t *testing.T) {
 	if len(a) != len(b) {
 		t.Fatal("test needs equal lengths")
 	}
-	if fingerprint(a) == fingerprint(b) {
-		t.Fatal("same-length different-content splits share a fingerprint")
+	if blockContent(t, a).Digest() == blockContent(t, b).Digest() {
+		t.Fatal("same-length different-content blocks share a digest")
 	}
 	c := NewMapCache(1 << 30)
 	c.store(mustKey(t, spec, "/in", 0, a), ExecMap(spec, a))
@@ -301,29 +327,32 @@ func TestMapCacheNeverChangesSimulatedTiming(t *testing.T) {
 	}
 }
 
+// TestFingerprintSensitivity: the block digest a MapCache key carries sees
+// every byte of the block.
 func TestFingerprintSensitivity(t *testing.T) {
+	sum := func(data []byte) uint64 { return blockContent(t, data).Digest() }
 	a := bytes.Repeat([]byte("x"), 100_000)
 	b := append(append([]byte{}, a...), 'y')
-	if fingerprint(a) == fingerprint(b) {
+	if sum(a) == sum(b) {
 		t.Fatal("length change not detected")
 	}
 	c := append([]byte{}, a...)
 	c[50_000] = 'z'
-	if fingerprint(a) == fingerprint(c) {
+	if sum(a) == sum(c) {
 		t.Fatal("middle mutation not detected")
 	}
 	// Mutations anywhere must be detected now that the full content is
 	// hashed (the old sampled windows missed this position).
 	d := append([]byte{}, a...)
 	d[30_000] = 'z'
-	if fingerprint(a) == fingerprint(d) {
+	if sum(a) == sum(d) {
 		t.Fatal("off-window mutation not detected")
 	}
-	if fingerprint(a) != fingerprint(append([]byte{}, a...)) {
-		t.Fatal("identical content fingerprints differ")
+	if sum(a) != sum(append([]byte{}, a...)) {
+		t.Fatal("identical content digests differ")
 	}
 	// Tiny inputs work too.
-	if fingerprint([]byte{}) == fingerprint([]byte{1}) {
+	if sum([]byte{}) == sum([]byte{1}) {
 		t.Fatal("tiny inputs collide")
 	}
 }

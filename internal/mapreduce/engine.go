@@ -262,7 +262,7 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 		readSpan = rt.Trace.StartSpan(span, comp, "read", "map")
 	}
 	readStart := rt.Eng.Now()
-	rt.ReadSplit(split, node, func(data []byte, err error) {
+	rt.ReadSplit(split, node, func(data []byte, content *hdfs.Content, err error) {
 		if !node.AliveEpoch(epoch) {
 			return
 		}
@@ -296,7 +296,7 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 				if !node.AliveEpoch(epoch) {
 					return
 				}
-				mo, died := contain(crash, func() *MapOutput { return rt.execMapCached(spec, split, data) })
+				mo, died := contain(crash, func() *MapOutput { return rt.execMapCached(spec, split, data, content) })
 				if died != nil {
 					done(nil, tp, rt.failAttempt(tp, node, span, computeStart, died))
 					return
@@ -335,11 +335,12 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 }
 
 // execMapCached runs ExecMapFile through the MapCache; the output comes back
-// stamped with the key it was stored or found under. Simulations on other
-// goroutines may map the same key at the same moment; the cache's sharded
-// locks make that safe, and the duplicate store deduplicates.
-func (rt *Runtime) execMapCached(spec *JobSpec, split *hdfs.Split, data []byte) *MapOutput {
-	k, reusable := rt.MapCache.key(spec, split.File, split.Offset, data)
+// stamped with the key it was stored or found under. content is what the
+// split reader handed out with data. Simulations on other goroutines may map
+// the same key at the same moment; the cache's sharded locks make that safe,
+// and the duplicate store deduplicates.
+func (rt *Runtime) execMapCached(spec *JobSpec, split *hdfs.Split, data []byte, content *hdfs.Content) *MapOutput {
+	k, reusable := rt.MapCache.key(spec, split.File, split.Offset, len(data), content)
 	if !reusable {
 		return ExecMapFile(spec, split.File, data)
 	}

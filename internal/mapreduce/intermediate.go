@@ -23,7 +23,7 @@ var ErrIntermediateLost = errors.New("mapreduce: intermediate output lost with i
 // reside. An empty file is held nowhere (the zero Resident) and stays
 // readable forever.
 type interFile struct {
-	data []byte
+	hdfs.Content // its digest goes out with every split read of the file
 	topology.Resident
 }
 
@@ -75,7 +75,7 @@ func (st *IntermediateStore) Size(name string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return int64(len(f.data)), true
+	return int64(len(f.Data)), true
 }
 
 // MemUsed and DiskUsed report the bytes currently resident in producers'
@@ -93,7 +93,7 @@ func (st *IntermediateStore) Contents(name string) ([]byte, bool) {
 	if !ok || !f.Readable() {
 		return nil, false
 	}
-	return f.data, true
+	return f.Data, true
 }
 
 // Put stores a file instantly, without charging any device — the
@@ -102,7 +102,7 @@ func (st *IntermediateStore) Contents(name string) ([]byte, bool) {
 // Runtime.CommitIntermediate for priced commits.
 func (st *IntermediateStore) Put(name string, data []byte, node *topology.Node) {
 	st.Delete(name) // before admitting, so a replaced entry's bytes are back
-	f := &interFile{data: data}
+	f := &interFile{Content: hdfs.Content{Data: data}}
 	st.files[name] = f
 	if n := int64(len(data)); n > 0 {
 		f.Resident = topology.ResidentOn(node, st.mem.Admit(n))
@@ -119,9 +119,9 @@ func (st *IntermediateStore) Delete(name string) {
 		return
 	}
 	if f.InMemory {
-		st.mem.Refund(int64(len(f.data)))
+		st.mem.Refund(int64(len(f.Data)))
 	} else {
-		st.disk -= int64(len(f.data))
+		st.disk -= int64(len(f.Data))
 	}
 	delete(st.files, name)
 }
@@ -196,8 +196,8 @@ func (rt *Runtime) Splits(files []string) ([]*hdfs.Split, error) {
 	for _, name := range files {
 		if f, ok := st.files[name]; ok {
 			block := rt.Params.HDFSBlockBytes
-			for off := int64(0); off < int64(len(f.data)); off += block {
-				length := min(block, int64(len(f.data))-off)
+			for off := int64(0); off < int64(len(f.Data)); off += block {
+				length := min(block, int64(len(f.Data))-off)
 				splits = append(splits, &hdfs.Split{
 					File: name, Index: len(splits), Offset: off, Length: length,
 					Hosts: []*topology.Node{f.Node},
@@ -217,28 +217,31 @@ func (rt *Runtime) Splits(files []string) ([]*hdfs.Split, error) {
 	return splits, nil
 }
 
-// ReadSplit reads one input split on behalf of a map task running on node.
-// Intermediate-store splits are priced like shuffle fetches, by where the
-// file resides (see topology.Cluster.Read), observed under kind
-// "intermediate" with the matching transport label, and fail with
-// ErrIntermediateLost when the producer died before or during the read.
-// Everything else is a plain locality-priced HDFS range read.
-func (rt *Runtime) ReadSplit(split *hdfs.Split, node *topology.Node, done func([]byte, error)) {
+// ReadSplit reads one input split on behalf of a map task running on node,
+// and hands done, with the bytes, a Content whose digest tells them apart
+// from any other bytes under the split's coordinates (see
+// hdfs.DFS.ReadSplit). Intermediate-store splits are priced like shuffle
+// fetches, by where the file resides (see topology.Cluster.Read), observed
+// under kind "intermediate" with the matching transport label, and fail
+// with ErrIntermediateLost when the producer died before or during the
+// read; their Content is the whole stored file, digest kept on the file.
+// Everything else is a plain locality-priced HDFS split read.
+func (rt *Runtime) ReadSplit(split *hdfs.Split, node *topology.Node, done func([]byte, *hdfs.Content, error)) {
 	var f *interFile
 	if st := rt.Intermediates; st != nil {
 		f = st.files[split.File]
 	}
 	if f == nil {
-		rt.DFS.ReadRange(split.File, split.Offset, split.Length, node, done)
+		rt.DFS.ReadSplit(split, node, done)
 		return
 	}
 	rt.Cluster.Read(f.Resident, node, split.Length, rt.Params.RPCLatency, ErrIntermediateLost, func(err error) {
 		if err != nil {
-			done(nil, fmt.Errorf("reading %s: %w", split, err))
+			done(nil, nil, fmt.Errorf("reading %s: %w", split, err))
 			return
 		}
 		rt.ObserveShuffle("intermediate", f.Transport(node), split.Length)
-		done(f.data[split.Offset:split.Offset+split.Length], nil)
+		done(f.Data[split.Offset:split.Offset+split.Length], &f.Content, nil)
 	})
 }
 

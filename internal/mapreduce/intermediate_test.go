@@ -172,7 +172,7 @@ func (fx *lostHolderFixture) fetch(out *lostRead) int64 {
 }
 
 func (fx *lostHolderFixture) readSplit(out *lostRead) int64 {
-	fx.rt.ReadSplit(fx.split, fx.dst, func(_ []byte, err error) { *out = lostRead{err, fx.rt.Eng.Now()} })
+	fx.rt.ReadSplit(fx.split, fx.dst, func(_ []byte, _ *hdfs.Content, err error) { *out = lostRead{err, fx.rt.Eng.Now()} })
 	return fx.split.Length
 }
 

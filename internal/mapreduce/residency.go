@@ -15,9 +15,9 @@ func (rt *Runtime) CheckResidency() error {
 		var mem, disk int64
 		for _, f := range st.files {
 			if f.InMemory {
-				mem += int64(len(f.data))
+				mem += int64(len(f.Data))
 			} else {
-				disk += int64(len(f.data))
+				disk += int64(len(f.Data))
 			}
 		}
 		if st.MemUsed() != mem || st.DiskUsed() != disk {

@@ -7,6 +7,7 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 )
@@ -30,12 +31,15 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 	rng := rand.New(rand.NewSource(seed))
 	// The words are cut from one slab, and the set of those drawn so far is
 	// keyed by their letters packed five bits each (ten letters at most, none
-	// packed as zero, so the length is part of the key): nothing is allocated
-	// per word.
+	// packed as zero, so the length is part of the key and no key is 0). The
+	// set is open-addressed over a flat table at most half full, 0 marking a
+	// free slot: nothing is allocated per word.
 	const letters = "abcdefghijklmnopqrstuvwxyz"
 	vocab := make([][]byte, vocabSize)
 	slab := make([]byte, 0, 10*vocabSize)
-	seen := make(map[uint64]bool, vocabSize)
+	shift := 64 - bits.Len(uint(2*vocabSize))
+	seen := make([]uint64, 1<<(64-shift))
+	mask := uint64(len(seen) - 1)
 	for i := range vocab {
 		for {
 			start, packed := len(slab), uint64(0)
@@ -44,8 +48,12 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 				slab = append(slab, letters[c])
 				packed = packed<<5 | uint64(c+1)
 			}
-			if !seen[packed] {
-				seen[packed] = true
+			slot := packed * 0x9e3779b97f4a7c15 >> shift
+			for seen[slot] != 0 && seen[slot] != packed {
+				slot = (slot + 1) & mask
+			}
+			if seen[slot] == 0 {
+				seen[slot] = packed
 				vocab[i] = slab[start:len(slab):len(slab)]
 				break
 			}

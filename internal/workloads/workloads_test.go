@@ -406,6 +406,25 @@ func TestCorpusPinned(t *testing.T) {
 	}
 }
 
+// The vocabulary itself, word by word in draw order, at the size the
+// WordCount figures use: the duplicate check decides which draws survive,
+// so a set that answered wrongly even once would move these.
+func TestVocabularyPinned(t *testing.T) {
+	for _, seed := range []int64{1, 2, 1000} {
+		pin.Check(t, fmt.Sprintf("vocabulary size=30000 seed=%d", seed),
+			pin.Record{"words": pin.Digest(bytes.Join(NewCorpus(30000, seed).vocab, []byte{'\n'}))})
+	}
+}
+
+// BenchmarkNewCorpus builds the 30 000-word vocabulary every WordCount
+// input set starts from.
+func BenchmarkNewCorpus(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewCorpus(30000, 1)
+	}
+}
+
 // A cached stream grows by continuing its generator, not by replaying the
 // seed: generated in steps it equals one Generate at the final size, at
 // every step, and bytes handed out earlier — files cut from them alias
