@@ -391,7 +391,10 @@ func TestRadicalInverseKnownValues(t *testing.T) {
 // benchmark digest is computed over: pinned so that a change to how
 // NewCorpus builds its vocabulary (30 000 words redraw several hundred
 // duplicates) or to the order it draws from its source cannot move them
-// unnoticed.
+// unnoticed. Besides two small corpora it pins the first 4 MiB of the
+// streams shuffle_combine stages at seeds 1 and 7, 1 MiB over a 700-word
+// vocabulary (another Zipf range, its rarest words drawn often) and one
+// cluster_stream input set as the harness cuts it into files.
 func TestCorpusPinned(t *testing.T) {
 	for _, c := range []struct {
 		vocab int
@@ -400,10 +403,29 @@ func TestCorpusPinned(t *testing.T) {
 	}{
 		{30000, 1, 1 << 20},
 		{500, 42, 64 << 10},
+		{30000, 1, 4 << 20},
+		{30000, 7, 4 << 20},
+		{700, 3, 1 << 20},
 	} {
 		pin.Check(t, fmt.Sprintf("corpus vocab=%d seed=%d size=%d", c.vocab, c.seed, c.size),
 			pin.Record{"output": pin.Digest(NewCorpus(c.vocab, c.seed).Generate(c.size))})
 	}
+	d, cl := testDFS(t)
+	cfg := WordCountConfig{Files: 4, FileBytes: 20 << 10, Seed: 1001}
+	names, err := GenerateWordCountInput(d, cl, "/in/cs/1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files [][]byte
+	for _, n := range names {
+		b, err := d.Contents(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, b)
+	}
+	pin.Check(t, fmt.Sprintf("wordcount input files=%d size=%d seed=%d", cfg.Files, cfg.FileBytes, cfg.Seed),
+		pin.Record{"output": pin.Digest(files...)})
 }
 
 // The vocabulary itself, word by word in draw order, at the size the
