@@ -9,18 +9,28 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
 // Corpus generates deterministic English-like text for WordCount inputs.
 // Words are drawn from a fixed-size vocabulary under a Zipf distribution,
 // which yields the skewed word frequencies real text has (a heavy head that
-// the combiner, when enabled, can collapse).
+// the combiner, when enabled, can collapse). The ranks are math/rand's
+// Zipf(1.2, 1) over the vocabulary, drawn from the corpus's source draw for
+// draw, but looked up in a precomputed table (zipfTable) rather than
+// computed with an Exp and a Log per word; the text is byte for byte what
+// rand.NewZipf would give.
 type Corpus struct {
-	vocab [][]byte
-	zipf  *rand.Zipf
+	slab  []byte   // the words' letters back to back, then 16 bytes of padding
+	words []uint32 // word i as its offset in slab << 4 | its length
+	zipf  *zipfTable
 	rng   *rand.Rand
 }
+
+// defaultVocab is the vocabulary size of every WordCount input unless its
+// configuration says otherwise.
+const defaultVocab = 30000
 
 // NewCorpus builds a corpus with the given vocabulary size and seed. The
 // same (size, seed) always produces the same text.
@@ -34,17 +44,29 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 	// packed as zero, so the length is part of the key and no key is 0). The
 	// set is open-addressed over a flat table at most half full, 0 marking a
 	// free slot: nothing is allocated per word.
-	const letters = "abcdefghijklmnopqrstuvwxyz"
-	vocab := make([][]byte, vocabSize)
-	slab := make([]byte, 0, 10*vocabSize)
+	//
+	// A word's length is 3 + rng.Intn(8) and each letter rng.Intn(26),
+	// written out: Intn is Int31n's arithmetic over Int63's top 31 bits,
+	// masking for a power of two and otherwise rejecting the draws above
+	// the largest multiple of n.
+	const (
+		letters   = "abcdefghijklmnopqrstuvwxyz"
+		letterMax = int32(1<<31 - 1 - (1<<31)%len(letters))
+	)
+	words := make([]uint32, vocabSize)
+	slab := make([]byte, 0, 10*vocabSize+16)
 	shift := 64 - bits.Len(uint(2*vocabSize))
 	seen := make([]uint64, 1<<(64-shift))
 	mask := uint64(len(seen) - 1)
-	for i := range vocab {
+	for i := range words {
 		for {
 			start, packed := len(slab), uint64(0)
-			for n := 3 + rng.Intn(8); n > 0; n-- {
-				c := rng.Intn(len(letters))
+			for n := 3 + rng.Int63()>>32&7; n > 0; n-- {
+				v := int32(rng.Int63() >> 32)
+				for v > letterMax {
+					v = int32(rng.Int63() >> 32)
+				}
+				c := v % int32(len(letters))
 				slab = append(slab, letters[c])
 				packed = packed<<5 | uint64(c+1)
 			}
@@ -54,15 +76,16 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 			}
 			if seen[slot] == 0 {
 				seen[slot] = packed
-				vocab[i] = slab[start:len(slab):len(slab)]
+				words[i] = uint32(start<<4 | (len(slab) - start))
 				break
 			}
 			slab = slab[:start] // drawn before: draw again
 		}
 	}
 	return &Corpus{
-		vocab: vocab,
-		zipf:  rand.NewZipf(rng, 1.2, 1.0, uint64(vocabSize-1)),
+		slab:  slab[:len(slab)+16],
+		words: words,
+		zipf:  zipfFor(vocabSize),
 		rng:   rng,
 	}
 }
@@ -77,12 +100,18 @@ func (c *Corpus) Generate(size int64) []byte {
 // appendWords appends words to b until it holds size bytes, the first
 // starting at column line, and returns b and the column the next word
 // would start at. Words are separated by a space, or by a newline once a
-// line reaches 70 columns.
+// line reaches 70 columns. Each word is one 16-byte store from the slab
+// (whose padding keeps the last word's in bounds), cut to its length; the
+// separator overwrites the byte after it.
 func (c *Corpus) appendWords(b []byte, size int64, line int) ([]byte, int) {
 	for int64(len(b)) < size {
-		w := c.vocab[c.zipf.Uint64()]
-		b = append(b, w...)
-		if line += len(w) + 1; line >= 70 {
+		w := c.words[c.zipf.next(c.rng)]
+		off, n := int(w>>4), int(w&15)
+		b = slices.Grow(b, 16)
+		end := len(b)
+		*(*[16]byte)(b[end : end+16]) = *(*[16]byte)(c.slab[off : off+16])
+		b = b[:end+n]
+		if line += n + 1; line >= 70 {
 			b, line = append(b, '\n'), 0
 		} else {
 			b = append(b, ' ')

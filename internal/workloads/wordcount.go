@@ -40,7 +40,7 @@ func GenerateWordCountInput(dfs *hdfs.DFS, cluster *topology.Cluster, prefix str
 	}
 	vocab := cfg.VocabSize
 	if vocab == 0 {
-		vocab = 30000
+		vocab = defaultVocab
 	}
 	// One long deterministic stream per (vocab, seed), cut into per-file
 	// chunks at line boundaries. Cached across runs: every experiment that

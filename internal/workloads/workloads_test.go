@@ -434,8 +434,17 @@ func TestCorpusPinned(t *testing.T) {
 func TestVocabularyPinned(t *testing.T) {
 	for _, seed := range []int64{1, 2, 1000} {
 		pin.Check(t, fmt.Sprintf("vocabulary size=30000 seed=%d", seed),
-			pin.Record{"words": pin.Digest(bytes.Join(NewCorpus(30000, seed).vocab, []byte{'\n'}))})
+			pin.Record{"words": pin.Digest(bytes.Join(NewCorpus(30000, seed).vocabulary(), []byte{'\n'}))})
 	}
+}
+
+// vocabulary returns the corpus's words in draw order.
+func (c *Corpus) vocabulary() [][]byte {
+	words := make([][]byte, len(c.words))
+	for i, w := range c.words {
+		words[i] = c.slab[w>>4 : w>>4+w&15]
+	}
+	return words
 }
 
 // BenchmarkNewCorpus builds the 30 000-word vocabulary every WordCount
@@ -445,6 +454,21 @@ func BenchmarkNewCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NewCorpus(30000, 1)
 	}
+}
+
+// BenchmarkCorpusGenerate generates 4 MiB of text over the 30 000-word
+// vocabulary per iteration, one corpus continuing its stream: the Zipf
+// draw and the word copy, per word.
+func BenchmarkCorpusGenerate(b *testing.B) {
+	c := NewCorpus(30000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	words := 0
+	for i := 0; i < b.N; i++ {
+		text := c.Generate(4 << 20)
+		words += bytes.Count(text, []byte{' '}) + bytes.Count(text, []byte{'\n'})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
 }
 
 // A cached stream grows by continuing its generator, not by replaying the
