@@ -32,11 +32,15 @@ type Corpus struct {
 // configuration says otherwise.
 const defaultVocab = 30000
 
+// maxVocab bounds the vocabulary so that a word's slab offset fits in 28
+// bits of its packed entry.
+const maxVocab = 1 << 24
+
 // NewCorpus builds a corpus with the given vocabulary size and seed. The
 // same (size, seed) always produces the same text.
 func NewCorpus(vocabSize int, seed int64) *Corpus {
-	if vocabSize <= 0 {
-		panic("workloads: vocabulary must be positive")
+	if vocabSize <= 0 || vocabSize > maxVocab {
+		panic(fmt.Sprintf("workloads: vocabulary of %d words, want 1 to %d", vocabSize, maxVocab))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	// The words are cut from one slab, and the set of those drawn so far is

@@ -63,6 +63,21 @@ func TestCorpusShape(t *testing.T) {
 	}
 }
 
+// A vocabulary must have a word, and no more words than a packed entry's
+// offset can address.
+func TestNewCorpusRejectsVocabularyOutOfRange(t *testing.T) {
+	for _, size := range []int{0, -1, maxVocab + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCorpus(%d, 1) did not panic", size)
+				}
+			}()
+			NewCorpus(size, 1)
+		}()
+	}
+}
+
 // Property: parse(encode(counts)) round-trips through the job output format.
 func TestQuickWordCountOutputRoundTrip(t *testing.T) {
 	f := func(words []string) bool {

@@ -9,20 +9,21 @@ import (
 // zipfTable draws Zipf ranks exactly as math/rand's Zipf does, draw for
 // draw, without its Exp and Log per draw in the common case.
 //
-// math/rand's Zipf (zipf.go, Hörmann & Derflinger's rejection-inversion;
-// its constants and loop body below are reproduced from the Go source,
-// BSD licence) draws r = rng.Float64(), maps it to ur = hxm +
-// r·hx0minusHxm, inverts x = hinv(ur), takes the rank k = ⌊x+0.5⌋ and
-// accepts it if k−x ≤ s (test 1) or ur ≥ h(k+0.5) − exp(−log(k+v)·q)
-// (test 2); otherwise it draws again. h is increasing, so every decision
-// but test 2 is a comparison of ur against a threshold that depends on the
-// rank alone: k ≥ j exactly when ur ≥ h(j−0.5), and test 1 holds exactly
-// when ur ≥ h(k−s). The table precomputes those thresholds for the first
+// math/rand's Zipf (Hörmann & Derflinger's rejection-inversion; its
+// constants, h, hinv and loop body below are reproduced from Go's
+// math/rand/zipf.go, Copyright 2009 The Go Authors, BSD-style licence)
+// draws r = rng.Float64(), maps it to ur = hxm + r·hx0minusHxm, inverts
+// x = hinv(ur), takes the rank k = ⌊x+0.5⌋ and accepts it if k−x ≤ s
+// (test 1) or ur ≥ h(k+0.5) − exp(−log(k+v)·q) (test 2); otherwise it
+// draws again. h is increasing, so every decision but test 2 is a
+// comparison of ur against a threshold that depends on the rank alone:
+// k ≥ j exactly when ur ≥ h(j−0.5), and test 1 holds exactly when
+// ur ≥ h(k−s). The table precomputes those thresholds for the first
 // zipfHead ranks, and test 2's right-hand side with math/rand's own
 // expression, so its comparison is the very one math/rand makes.
 //
 // Why the ranks are identical. The computed hinv(ur) is within a few ulps
-// of the true inverse (a relative error below 1e-14 in v+x: one rounding
+// of the true inverse in v+x (a relative error below 1e-14: one rounding
 // each in the product, Log, the scaling and Exp, the Log's error magnified
 // by |1/(1−q)|), and ⌊x+0.5⌋ and k−x add at most one rounding more. The
 // computed thresholds are within a few ulps of h at the true points. A

@@ -62,10 +62,9 @@ func (s *scripted) Seed(int64) {}
 
 // Both samplers driven by one chosen draw at, and 1, 2, 3, 4, 8, 16, 32
 // and 64 representable values of r either side of, every point the table
-// decides by: each
-// guide bucket's edge, each head rank's boundary and test-1 point, and
-// both edges of their guard bands. The rank and the number of draws taken
-// (a rejected draw takes another) must agree.
+// decides by: each guide bucket's edge, each head rank's boundary and
+// test-1 point, and both edges of their guard bands. The rank and the
+// number of draws taken (a rejected draw takes another) must agree.
 func TestZipfTableScriptedDraws(t *testing.T) {
 	for _, imax := range []uint64{19, 699, defaultVocab - 1} {
 		z := newZipfTable(1.2, 1, imax)
