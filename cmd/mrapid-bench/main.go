@@ -59,7 +59,7 @@ func main() {
 	if err == nil {
 		codecSet := false
 		flag.Visit(func(f *flag.Flag) { codecSet = codecSet || f.Name == "shuffle-codec" })
-		err = checkFlags(*scale, codecSet, opts.ShuffleService)
+		err = checkFlags(*scale, codecSet, len(selected) == 0 || selected["throughput"], opts)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)
@@ -147,14 +147,24 @@ func runAll(selected map[string]bool, opts bench.Options) []chan outcome {
 }
 
 // checkFlags names a flag the run cannot honour: a -scale that is not
-// positive (the figures would silently run at paper scale) or a
-// -shuffle-codec set without the -shuffle-service it configures.
-func checkFlags(scale float64, codecSet, shuffleService bool) error {
+// positive (the figures would silently run at paper scale), a
+// -shuffle-codec set without the -shuffle-service it configures, or a
+// flight artifact path when the selected experiments do not include
+// throughput, the only one that writes them.
+func checkFlags(scale float64, codecSet, throughput bool, opts bench.Options) error {
 	if scale <= 0 {
 		return fmt.Errorf("-scale %g is not positive", scale)
 	}
-	if codecSet && !shuffleService {
+	if codecSet && !opts.ShuffleService {
 		return errors.New("-shuffle-codec has no effect without -shuffle-service")
+	}
+	if !throughput {
+		switch {
+		case opts.SeriesOut != "":
+			return errors.New("-series-out has no effect unless -run includes throughput")
+		case opts.DashOut != "":
+			return errors.New("-dash-out has no effect unless -run includes throughput")
+		}
 	}
 	return nil
 }

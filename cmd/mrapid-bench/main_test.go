@@ -3,22 +3,31 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"mrapid/internal/bench"
 )
 
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
-		scale             float64
-		codecSet, service bool
-		bad               string // the flag the error must name; "" = accepted
+		scale                         float64
+		codecSet, service, throughput bool
+		seriesOut, dashOut            string
+		bad                           string // the flag the error must name; "" = accepted
 	}{
-		{1, false, false, ""},
-		{0.05, true, true, ""},
-		{0, false, false, "scale"},
-		{-1, false, false, "scale"},
-		{1, true, false, "shuffle-codec"},
+		{1, false, false, true, "", "", ""},
+		{0.05, true, true, true, "", "", ""},
+		{0, false, false, true, "", "", "scale"},
+		{-1, false, false, true, "", "", "scale"},
+		{1, true, false, true, "", "", "shuffle-codec"},
+		{1, false, false, true, "x.prom", "x.html", ""},
+		{1, false, false, false, "", "", ""},
+		{1, false, false, false, "x.prom", "", "series-out"},
+		{1, false, false, false, "", "x.html", "dash-out"},
+		{1, false, false, false, "x.prom", "x.html", "series-out"},
 	}
 	for _, c := range cases {
-		err := checkFlags(c.scale, c.codecSet, c.service)
+		opts := bench.Options{ShuffleService: c.service, SeriesOut: c.seriesOut, DashOut: c.dashOut}
+		err := checkFlags(c.scale, c.codecSet, c.throughput, opts)
 		switch {
 		case c.bad == "" && err != nil:
 			t.Errorf("%+v: %v", c, err)

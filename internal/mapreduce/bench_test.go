@@ -78,10 +78,11 @@ func BenchmarkExecMapUnique(b *testing.B) {
 }
 
 // BenchmarkExecMapZipf measures it on one 1 MiB split of Zipf text, the
-// shape of wc_modes' splits: 130 447 words fold into 10 145 distinct pairs
-// through the fold table, where BenchmarkExecMap's ten words fold
-// trivially. (The production WordCount counts its words in the mapper
-// instead; workloads' BenchmarkWordCountMap times that path.)
+// shape of wc_modes' splits, through a plain Map: each of its 130 447 words
+// is indexed and sorted as a pair of its own. No production job maps this
+// way any more — WordCount counts its words in the mapper, and workloads'
+// BenchmarkWordCountMap times that path — so this is the cost a user's
+// plain WordCount pays.
 func BenchmarkExecMapZipf(b *testing.B) {
 	benchExecMap(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
 }
@@ -143,15 +144,16 @@ func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
 }
 
 // BenchmarkExecReduce measures the streaming reduce — k-way merge, group,
-// reduce, encode — over 8 pre-sorted duplicate-heavy map outputs.
+// reduce, encode — over 8 pre-sorted duplicate-heavy map outputs, their
+// words counted in the mapper.
 func BenchmarkExecReduce(b *testing.B) {
-	benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), eightOf(benchInput))
+	benchExecReduce(b, wcCountedSpec([]string{"/x"}, "/o"), eightOf(benchInput))
 }
 
 // BenchmarkExecReduceShort measures it at the size the paper's jobs have:
 // 4 runs of 20 KiB of Zipf text each, ≈ 10 k pairs over ≈ 1.9 k keys.
 func BenchmarkExecReduceShort(b *testing.B) {
-	benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(4, 20<<10))
+	benchExecReduce(b, wcCountedSpec([]string{"/x"}, "/o"), zipfSplits(4, 20<<10))
 }
 
 // BenchmarkExecReduceUnique measures the same stream over unique keys:
@@ -177,7 +179,7 @@ func BenchmarkExecReduceTera(b *testing.B) {
 // four shapes, each restored to its unsorted order before every sort (the
 // copy is part of the time):
 //   - tera: 125 000 unique rows, one split of the 500k-row TeraSort point;
-//   - zipf-counted: one 1 MiB WordCount split's folded partition, shuffled;
+//   - zipf-counted: one 1 MiB WordCount split's counted partition, shuffled;
 //   - sorted: the same partition in order, what combineFrom re-sorts;
 //   - one-prefix: 20 000 pairs sharing all eight prefix bytes, which only
 //     compareRecs can order; a quadratic sort would take seconds here.

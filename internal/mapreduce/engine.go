@@ -122,26 +122,22 @@ var ErrOutputLost = errors.New("mapreduce: map output lost with its node")
 var ErrAMLost = errors.New("mapreduce: application master lost with its node")
 
 // ExecMap runs the map function for real over split data: scan records,
-// map, flush, partition, fold repeated pairs, sort each partition, and
-// optionally combine. It is pure computation — the caller charges the
-// virtual clock separately.
+// map, flush, partition, sort each partition, and optionally combine. It is
+// pure computation — the caller charges the virtual clock separately.
 func ExecMap(spec *JobSpec, data []byte) *MapOutput {
 	return ExecMapFile(spec, "", data)
 }
 
 // ExecMapFile is ExecMap for a named input file, honoring spec.MapFor.
 func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
-	return execMap(spec, file, data, maxOffset, foldMaxSlots)
+	return execMap(spec, file, data, maxOffset)
 }
 
-// execMap is ExecMapFile with the offset space and the fold table's size
-// bounded by limit and slots, which tests lower (slots 0: no table).
-func execMap(spec *JobSpec, file string, data []byte, limit uint64, slots int) *MapOutput {
+// execMap is ExecMapFile with the offset space bounded by limit, which tests
+// lower.
+func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 	nred := spec.NumReduces
 	b := newOutputBuilder(file, data, nred, len(data)/(32*nred)+64, limit)
-	if slots > 0 {
-		b.table = newFoldTable(slots)
-	}
 	part := spec.partitioner()
 	var emit Emit
 	if nred == 1 {

@@ -108,8 +108,43 @@ func wcSpec(inputs []string, output string) *JobSpec {
 	}
 }
 
+// wcCountedSpec is wcSpec with its words counted in the mapper, the way the
+// production WordCount counts them: each split's record function tallies
+// its words, and the flush hands each distinct word over once, as
+// (word, "1") × its count, the word a sub-slice of the split at its first
+// occurrence.
+func wcCountedSpec(inputs []string, output string) *JobSpec {
+	spec := wcSpec(inputs, output)
+	spec.Map, spec.MapFor = nil, wcCountedSplit
+	return spec
+}
+
+func wcCountedSplit(string) (MapFunc, func(CountedEmit)) {
+	type tally struct {
+		word []byte
+		n    int
+	}
+	seen := map[string]int{}
+	var tallies []tally
+	count := func(w, _ []byte) {
+		i, ok := seen[string(w)]
+		if !ok {
+			i = len(tallies)
+			seen[string(w)] = i
+			tallies = append(tallies, tally{word: w})
+		}
+		tallies[i].n++
+	}
+	mapFn := func(k, line []byte, _ Emit) { wcTestMap(k, line, count) }
+	return mapFn, func(emit CountedEmit) {
+		for _, t := range tallies {
+			emit(t.word, wcOne, t.n)
+		}
+	}
+}
+
 func TestExecMapPartitionsAndSorts(t *testing.T) {
-	spec := wcSpec([]string{"/x"}, "/o")
+	spec := wcCountedSpec([]string{"/x"}, "/o")
 	spec.NumReduces = 4
 	mo := ExecMap(spec, []byte("pear apple pear\nbanana apple\n"))
 	if mo.Records != 2 {
@@ -119,7 +154,7 @@ func TestExecMapPartitionsAndSorts(t *testing.T) {
 	for p, pairs := range mo.Partitions {
 		for i := 1; i < len(pairs); i++ {
 			if bytes.Compare(mo.key(pairs[i-1]), mo.key(pairs[i])) >= 0 {
-				t.Fatalf("partition %d not sorted, or a repeated word not folded", p)
+				t.Fatalf("partition %d not sorted, or a repeated word not counted", p)
 			}
 		}
 		for _, pr := range pairs {
@@ -156,10 +191,11 @@ func TestExecMapCombiner(t *testing.T) {
 			t.Fatalf("combined count for a = %q", mo.value(p))
 		}
 	}
-	// A combiner that keeps every value sees each folded occurrence, and its
-	// output charges what the map emitted.
-	spec.Combine = identityReduce
-	kept, raw := ExecMap(spec, data), ExecMapUnfolded(wcSpec([]string{"/x"}, "/o"), "", data)
+	// A combiner that keeps every value sees each counted occurrence, and
+	// its output charges what a plain map emits.
+	counted := wcCountedSpec([]string{"/x"}, "/o")
+	counted.Combine = identityReduce
+	kept, raw := ExecMap(counted, data), ExecMap(wcSpec([]string{"/x"}, "/o"), data)
 	if _, occurrences := Distinct(kept, 0); occurrences != 4 || kept.TotalBytes != raw.TotalBytes {
 		t.Fatalf("identity combiner kept %d occurrences, %d bytes; the map emitted 4, %d bytes", occurrences, kept.TotalBytes, raw.TotalBytes)
 	}

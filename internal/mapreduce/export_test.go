@@ -1,11 +1,5 @@
 package mapreduce
 
-// ExecMapUnfolded is ExecMapFile without a fold table: every pair the map
-// function emits is its own Rec, the layout before counted pairs.
-func ExecMapUnfolded(spec *JobSpec, file string, data []byte) *MapOutput {
-	return execMap(spec, file, data, maxOffset, 0)
-}
-
 // Distinct reports how many distinct pairs partition p of mo indexes and
 // how many occurrences their counts add up to.
 func Distinct(mo *MapOutput, p int) (pairs, occurrences int) {
@@ -20,7 +14,7 @@ func Distinct(mo *MapOutput, p int) (pairs, occurrences int) {
 }
 
 // PlainWordCountSpec is WordCount as a plain Map that emits (word, "1") for
-// every occurrence, so the builder's fold table does the counting.
+// every occurrence, so each repeat reaches the merge as a pair of its own.
 func PlainWordCountSpec(combiner bool) *JobSpec {
 	spec := wcSpec(nil, "/out")
 	if combiner {

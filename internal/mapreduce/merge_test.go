@@ -14,37 +14,56 @@ import (
 // run, sort by bytes.Compare on key then value (refCompare, which shares
 // nothing with compareRecs), group — through all three of its consumers:
 // groups itself, ExecReduce and ConsolidateGroup. Each run is built as a
-// map task builds it, through the fold table, at every table size in
-// foldSizes.
+// map task builds it, through add, counted in each of three shares.
 
 type kv struct{ k, v string }
 
 // compareKV is refCompare on two pairs.
 func compareKV(a, b kv) int { return refCompare([]byte(a.k), []byte(a.v), []byte(b.k), []byte(b.v)) }
 
-// foldSizes are the fold tables runs are built with: none, so every
-// occurrence is its own Rec; one that holds two pairs and misses the rest,
-// so counted pairs and unfolded repeats of them share a run; and the full
-// table, which folds every repeat.
-var foldSizes = []int{0, 4, foldMaxSlots}
+// countedHalves are the shares of a run, in halves, that its build counts:
+// none, so every occurrence is its own Rec, as a plain Map emits them; the
+// first half, so counted pairs share a run with uncounted repeats of them;
+// and all of it, each distinct pair once with its count, as a counted flush
+// hands them over.
+var countedHalves = []int{0, 1, 2}
 
-// runOutput builds one sorted map output holding pairs, folded through a
-// table of the given slots (0: no table). Keys lie in the input block, one
-// copy per occurrence the way text holds its words, and values go to the
-// slab, so a value repeating its predecessor shares its offset and folds.
-func runOutput(pairs []kv, slots int) *MapOutput {
+// runOutput builds one sorted map output holding pairs: the occurrences
+// among the first counted ones tallied per distinct pair, in first-seen
+// order, and added once each with their count, the rest added one by one.
+// Keys lie in the input block, one copy per occurrence the way text holds
+// its words (a counted pair is keyed by its first), and values go to the
+// slab, so a value repeating its predecessor shares its offset.
+func runOutput(pairs []kv, counted int) *MapOutput {
 	var block []byte
 	for _, p := range pairs {
 		block = append(block, p.k...)
 	}
 	b := newOutputBuilder("run", block, 1, 1, maxOffset)
-	if slots > 0 {
-		b.table = newFoldTable(slots)
+	type tally struct {
+		key, value []byte
+		n          uint32
 	}
+	seen := map[kv]int{}
+	var tallies []tally
 	off := 0
-	for _, p := range pairs {
-		b.add(0, block[off:off+len(p.k)], []byte(p.v), 1)
+	for i, p := range pairs {
+		k := block[off : off+len(p.k)]
 		off += len(p.k)
+		if i >= counted {
+			b.add(0, k, []byte(p.v), 1)
+			continue
+		}
+		t, ok := seen[p]
+		if !ok {
+			t = len(tallies)
+			seen[p] = t
+			tallies = append(tallies, tally{key: k, value: []byte(p.v)})
+		}
+		tallies[t].n++
+	}
+	for _, t := range tallies {
+		b.add(0, t.key, t.value, t.n)
 	}
 	b.sortRecs(0)
 	return b.output()
@@ -74,20 +93,20 @@ func identityReduce(k []byte, vs Values, emit Emit) {
 
 func checkMerge(t *testing.T, runs [][]kv) {
 	t.Helper()
-	for _, slots := range foldSizes {
-		checkMergeFolded(t, runs, slots)
+	for _, halves := range countedHalves {
+		checkMergeCounted(t, runs, halves)
 	}
 }
 
-func checkMergeFolded(t *testing.T, runs [][]kv, slots int) {
+func checkMergeCounted(t *testing.T, runs [][]kv, halves int) {
 	t.Helper()
 	var want []kv
 	outs := make([]*MapOutput, len(runs))
 	for i, run := range runs {
 		want = append(want, run...)
-		outs[i] = runOutput(run, slots)
+		outs[i] = runOutput(run, len(run)*halves/2)
 		if got := len(occurrences(outs[i], 0)); got != len(run) {
-			t.Fatalf("fold table of %d slots: run %d counts %d pairs, want %d", slots, i, got, len(run))
+			t.Fatalf("%d/2 counted: run %d counts %d pairs, want %d", halves, i, got, len(run))
 		}
 	}
 	slices.SortFunc(want, compareKV)
@@ -110,7 +129,7 @@ func checkMergeFolded(t *testing.T, runs [][]kv, slots int) {
 		for i := range vs.Len() {
 			v, n := vs.At(i)
 			if n < 1 {
-				t.Fatalf("fold table of %d slots: key %q has a run of %q counted %d", slots, k, v, n)
+				t.Fatalf("%d/2 counted: key %q has a run of %q counted %d", halves, k, v, n)
 			}
 			for range n {
 				got = append(got, kv{string(k), string(v)})
@@ -118,33 +137,33 @@ func checkMergeFolded(t *testing.T, runs [][]kv, slots int) {
 			total += n
 		}
 		if total != occurs[string(k)] {
-			t.Fatalf("fold table of %d slots: key %q has runs counting %d values, want %d", slots, k, total, occurs[string(k)])
+			t.Fatalf("%d/2 counted: key %q has runs counting %d values, want %d", halves, k, total, occurs[string(k)])
 		}
 	}, nil)
 	if !slices.Equal(got, want) {
-		t.Fatalf("fold table of %d slots: groups yielded %q, want %q", slots, got, want)
+		t.Fatalf("%d/2 counted: groups yielded %q, want %q", halves, got, want)
 	}
 	if !slices.IsSorted(keys) || len(slices.Compact(slices.Clone(keys))) != len(keys) {
-		t.Fatalf("fold table of %d slots: groups did not yield each key once, in order: %q", slots, keys)
+		t.Fatalf("%d/2 counted: groups did not yield each key once, in order: %q", halves, keys)
 	}
 
 	spec := &JobSpec{NumReduces: 1, Reduce: identityReduce}
 	if red := ExecReduce(spec, 0, outs); !bytes.Equal(red.Encoded, wantBytes) || red.Records != int64(len(want)) {
-		t.Fatalf("fold table of %d slots: ExecReduce wrote %d records %q, want %d %q", slots, red.Records, red.Encoded, len(want), wantBytes)
+		t.Fatalf("%d/2 counted: ExecReduce wrote %d records %q, want %d %q", halves, red.Records, red.Encoded, len(want), wantBytes)
 	}
 	if len(outs) == 0 {
 		return
 	}
 	con := ConsolidateGroup(spec, outs).Out
 	if got := occurrences(con, 0); !slices.Equal(got, want) {
-		t.Fatalf("fold table of %d slots: ConsolidateGroup holds %q, want %q", slots, got, want)
+		t.Fatalf("%d/2 counted: ConsolidateGroup holds %q, want %q", halves, got, want)
 	}
 	var charged int64
 	for _, mo := range outs {
 		charged += mo.TotalBytes
 	}
 	if con.TotalBytes != charged {
-		t.Fatalf("fold table of %d slots: ConsolidateGroup charges %d bytes, its members %d", slots, con.TotalBytes, charged)
+		t.Fatalf("%d/2 counted: ConsolidateGroup charges %d bytes, its members %d", halves, con.TotalBytes, charged)
 	}
 }
 
@@ -191,14 +210,13 @@ var mergeShapes = []struct {
 			return 50
 		}, func(int) kv { return kv{fmt.Sprintf("w%d", zipf.Uint64()), "1"} })
 	}},
-	{"repeats around more unique keys than the fold trial", func(_ *rand.Rand, n int) [][]kv {
-		// The full table folds the first repeats, drops itself once
-		// foldTrial pairs have folded almost nothing, and leaves the
-		// later repeats unfolded next to the counted ones.
+	{"repeats around more unique keys, counted and not", func(_ *rand.Rand, n int) [][]kv {
+		// Counting the first half counts the first repeats and leaves the
+		// later ones uncounted next to them.
 		pos := 0
-		return fillRuns(n, func(int) int { pos = 0; return 2 * foldTrial }, func(int) kv {
+		return fillRuns(n, func(int) int { pos = 0; return 2048 }, func(int) kv {
 			pos++
-			if pos <= 100 || pos > foldTrial+200 {
+			if pos <= 100 || pos > 1024+200 {
 				return kv{fmt.Sprintf("r%d", pos%5), "1"}
 			}
 			return kv{fmt.Sprintf("u%05d", pos), "1"}
@@ -235,11 +253,12 @@ func TestMergeMatchesSortedConcatenation(t *testing.T) {
 
 // A reduce allocates per call, never per key: the merge hands each key its
 // runs in scratch sized once, and the counted WordCount reducer sums them
-// without expanding. Zipf text over four runs gives ≈ 1.9 k keys; the few
+// without expanding. Zipf text over four runs, its words counted in the
+// mapper, gives ≈ 1.9 k keys; the few
 // allocations left are the part file, the merge heap, the scratch and the
 // text of the handful of totals past wcCountTexts.
 func TestExecReduceAllocatesNothingPerKey(t *testing.T) {
-	spec := wcSpec([]string{"/x"}, "/o")
+	spec := wcCountedSpec([]string{"/x"}, "/o")
 	var outs []*MapOutput
 	for _, split := range zipfSplits(4, 20<<10) {
 		outs = append(outs, ExecMap(spec, split))

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"unsafe"
 )
@@ -17,15 +16,17 @@ import (
 //     function emitted as a sub-slice of the input block is indexed where it
 //     lies; anything else is copied into the slab. The two share one offset
 //     space: [0, len(input)) is the block, the slab follows.
-//   - Rec: 24 bytes per distinct pair — the key's first eight bytes as a
+//   - Rec: 24 bytes per indexed pair — the key's first eight bytes as a
 //     big-endian integer, then offset and length of key and value as uint32.
 //   - counts: per partition, each Rec's multiplicity, parallel to the
 //     index; nil while every count is 1.
 //
-// A map task folds the pairs its map function emits through one hash table
-// (foldTable), so a partition holds each distinct (key, value) pair once
-// with the number of times it was emitted: len(Partitions[p]) counts
-// distinct pairs, while PartBytes and TotalBytes charge every occurrence.
+// A pair is indexed once per add, with the count add is given: a map flush
+// that counted its pairs in the mapper (WordCount's word table, a group-by
+// stage's aggregation table) hands over each distinct pair once with its
+// multiplicity, and a plain Map's repeats are indexed one by one, which the
+// merge takes as it takes any repeated pair. len(Partitions[p]) counts
+// indexed pairs, while PartBytes and TotalBytes charge every occurrence.
 // Byte-identical pairs are interchangeable, so a counted pair stands for its
 // occurrences: reducers receive it as one run (see Values). Sorting is a
 // radix sort on the prefix's bytes and merging compares the prefix as one
@@ -33,7 +34,7 @@ import (
 // collector has nothing to scan in an index, and a cached output is
 // immutable: readers share it freely.
 
-// Rec indexes one distinct intermediate pair inside its output's store.
+// Rec indexes one intermediate pair inside its output's store.
 type Rec struct {
 	prefix     uint64 // first 8 key bytes, big-endian, zero-padded
 	koff, klen uint32
@@ -156,9 +157,8 @@ type outputBuilder struct {
 	parts     [][]Rec
 	counts    [][]uint32 // per partition; nil while every count is 1
 	partBytes []int64
-	table     *foldTable // folds repeated pairs; nil appends every pair
-	split     string     // named when the offset space overflows
-	limit     uint64     // maxOffset, lower under test
+	split     string // named when the offset space overflows
+	limit     uint64 // maxOffset, lower under test
 }
 
 // newOutputBuilder starts an output of nparts partitions over input, with
@@ -198,8 +198,8 @@ func (b *outputBuilder) place(p []byte) uint32 {
 		return uint32(off)
 	}
 	// A repeat of what the slab already ends with — WordCount's "1" after
-	// every word — shares those bytes: no copy, and the fold table and
-	// compareRecs can tell two such values are equal from their offsets.
+	// every word — shares those bytes: no copy, and compareRecs can tell
+	// two such values are equal from their offsets.
 	if tail := len(b.slab) - len(p); tail >= 0 && bytes.Equal(b.slab[tail:], p) {
 		return uint32(len(b.input) + tail)
 	}
@@ -214,15 +214,9 @@ func (b *outputBuilder) place(p []byte) uint32 {
 	return uint32(off)
 }
 
-// add appends n occurrences of the pair (k, v) to partition p: as n more of
-// the Rec p already holds for it when the fold table finds one, else as a
-// new Rec. The value is placed first, so a pair that folds copies no key.
+// add appends n occurrences of the pair (k, v) to partition p as one Rec.
 func (b *outputBuilder) add(p int, k, v []byte, n uint32) {
-	r := Rec{prefix: keyPrefix(k), klen: uint32(len(k)), voff: b.place(v), vlen: uint32(len(v))}
-	if b.table != nil && b.fold(p, k, r, n) {
-		return
-	}
-	r.koff = b.place(k)
+	r := Rec{prefix: keyPrefix(k), voff: b.place(v), vlen: uint32(len(v)), koff: b.place(k), klen: uint32(len(k))}
 	part := b.parts[p]
 	if len(part) == cap(part) {
 		part = grown(part, 1)
@@ -382,112 +376,8 @@ func sortTies(idx []Rec, counts []uint32, s *store) {
 	}
 }
 
-// foldTable is a map task's table of the distinct pairs its map function
-// emitted, so that a repeat counts against the Rec of the pair's first
-// occurrence. It is keyed on the key's bytes and the value's offsets
-// (place gives every "1" WordCount emits one offset); a pair it misses is
-// just not folded, which the merge takes as it takes any repeated pair.
-// One table serves all of a task's partitions. It starts at foldMinSlots,
-// grows to at most maxSlots, fills at most half of them, and a task whose
-// pairs do not repeat drops it (see fold) after foldTrial pairs.
-type foldTable struct {
-	slots    []foldSlot // open addressing, linear probing; a power of two long
-	shift    uint       // a hash's top bits pick its home slot
-	maxSlots int        // foldMaxSlots, lower under test
-	pairs    int        // pairs entered
-	folded   int        // emits counted against an entered pair
-}
-
-// foldSlot names the Rec of one entered pair; hash 0 marks an empty slot.
-type foldSlot struct{ hash, part, idx uint32 }
-
-const (
-	foldMinSlots = 1 << 11
-	foldMaxSlots = 1 << 16 // 32 768 pairs: the whole 30 000-word corpus vocabulary
-	foldTrial    = 1 << 10
-)
-
-func newFoldTable(maxSlots int) *foldTable {
-	n := min(foldMinSlots, maxSlots)
-	return &foldTable{slots: make([]foldSlot, n), shift: uint(32 - bits.TrailingZeros(uint(n))), maxSlots: maxSlots}
-}
-
-// fold counts n more occurrences of the pair r — key k, value already
-// placed — against the Rec partition p holds for it, and reports whether
-// it could. When it could not, it enters the pair as the Rec add appends
-// next, while the table has room. Each time the entered pairs reach a power
-// of two from foldTrial on, fewer folds than pairs mean the keys do not
-// repeat, and the builder drops the table.
-func (b *outputBuilder) fold(p int, k []byte, r Rec, n uint32) bool {
-	t := b.table
-	h := pairHash(r.prefix, k, r.voff, r.vlen)
-	mask := uint32(len(t.slots) - 1)
-	i := h >> t.shift
-	for ; t.slots[i].hash != 0; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s.hash != h || s.part != uint32(p) {
-			continue
-		}
-		e := b.parts[p][s.idx]
-		if e.prefix != r.prefix || e.klen != r.klen || e.voff != r.voff || e.vlen != r.vlen ||
-			e.klen > 8 && !bytes.Equal(b.at(e.koff+8, e.klen-8), k[8:]) {
-			continue
-		}
-		c := b.counted(p)
-		if c[s.idx] > math.MaxUint32-n {
-			return false
-		}
-		c[s.idx] += n
-		b.partBytes[p] += int64(n) * r.Bytes()
-		t.folded++
-		return true
-	}
-	if 2*(t.pairs+1) > len(t.slots) {
-		return false // full
-	}
-	t.slots[i] = foldSlot{hash: h, part: uint32(p), idx: uint32(len(b.parts[p]))}
-	t.pairs++
-	if t.pairs >= foldTrial && t.pairs&(t.pairs-1) == 0 && t.folded < t.pairs {
-		b.table = nil
-	} else if 2*t.pairs == len(t.slots) && len(t.slots) < t.maxSlots {
-		t.grow()
-	}
-	return false
-}
-
-// grow doubles the table, re-entering every pair by its stored hash.
-func (t *foldTable) grow() {
-	old := t.slots
-	t.slots, t.shift = make([]foldSlot, 2*len(old)), t.shift-1
-	mask := uint32(len(t.slots) - 1)
-	for _, s := range old {
-		if s.hash != 0 {
-			i := s.hash >> t.shift
-			for t.slots[i].hash != 0 {
-				i = (i + 1) & mask
-			}
-			t.slots[i] = s
-		}
-	}
-}
-
-// pairHash hashes what fold compares — the key's bytes and length, the
-// value's offsets — to 32 bits, never 0. Each step multiplies by 2^64/φ,
-// which carries every input bit into the top bits the table indexes by.
-func pairHash(prefix uint64, k []byte, voff, vlen uint32) uint32 {
-	const mul = 0x9e3779b97f4a7c15
-	h := prefix
-	for tail := k[min(len(k), 8):]; len(tail) > 0; tail = tail[min(len(tail), 8):] {
-		h = h*mul ^ keyPrefix(tail)
-	}
-	h = (h*mul ^ uint64(voff)<<32 ^ uint64(vlen)<<8 ^ uint64(len(k))) * mul
-	return uint32(h>>32) | 1
-}
-
 // combineFrom merges partition p of the outputs, feeds it through the
-// combiner and leaves the result, sorted, as partition p of b. The merge is
-// already grouped and sorted, so the combiner's pairs are appended as they
-// come, without a fold table.
+// combiner and leaves the result, sorted, as partition p of b.
 func (b *outputBuilder) combineFrom(outputs []*MapOutput, p int, c ReduceFunc) {
 	newMerger(outputs, p).groups(c, func(k, v []byte) { b.add(p, k, v, 1) })
 	b.sortRecs(p)

@@ -102,26 +102,6 @@ func TestQuickSortRecs(t *testing.T) {
 	}
 }
 
-// The fold table gives up on keys that do not repeat: at foldTrial pairs
-// with fewer folds it is dropped, what it folded stays counted, and later
-// repeats are appended as pairs of their own.
-func TestFoldTableDropsOnUniqueKeys(t *testing.T) {
-	b := newOutputBuilder("u", nil, 1, 1, maxOffset)
-	b.table = newFoldTable(foldMaxSlots)
-	b.add(0, []byte("repeat"), nil, 1)
-	b.add(0, []byte("repeat"), nil, 1)
-	for i := 0; b.table != nil; i++ {
-		b.add(0, []byte(strconv.Itoa(i)), nil, 1)
-	}
-	if n := len(b.parts[0]); n != foldTrial {
-		t.Fatalf("the table was dropped at %d pairs, want %d", n, foldTrial)
-	}
-	b.add(0, []byte("repeat"), nil, 1)
-	if n, c := len(b.parts[0]), b.counts[0]; n != foldTrial+1 || c[0] != 2 || c[n-1] != 1 {
-		t.Fatalf("after the drop: %d pairs, counts %v…%v; want %d, 2…1", n, c[:2], c[n-1:], foldTrial+1)
-	}
-}
-
 // Emitted sub-slices of the input block are indexed where they lie; only
 // foreign bytes reach the slab.
 func TestInputBytesIndexedInPlace(t *testing.T) {
@@ -154,7 +134,7 @@ func TestInputBytesIndexedInPlace(t *testing.T) {
 func TestOffsetSpaceGuard(t *testing.T) {
 	spec := wcSpec([]string{"/in/big"}, "/o")
 	data := []byte("aa bb cc dd ee ff\n") // 18 input bytes + one shared value byte
-	if mo := execMap(spec, "/in/big", data, 19, foldMaxSlots); mo.TotalBytes == 0 {
+	if mo := execMap(spec, "/in/big", data, 19); mo.TotalBytes == 0 {
 		t.Fatal("an output that exactly fits was refused")
 	}
 	for _, limit := range []uint64{18, 10} { // slab overflow; input alone too big
@@ -165,7 +145,7 @@ func TestOffsetSpaceGuard(t *testing.T) {
 					t.Fatalf("limit %d: panic %q does not name the split", limit, msg)
 				}
 			}()
-			execMap(spec, "/in/big", data, limit, foldMaxSlots)
+			execMap(spec, "/in/big", data, limit)
 			t.Fatalf("limit %d: overflow went unnoticed", limit)
 		}()
 	}
@@ -183,7 +163,7 @@ func rowPartition(rows []byte) *outputBuilder {
 
 // wordPartition is one 1 MiB WordCount split's sorted, counted partition.
 func wordPartition() *outputBuilder {
-	mo := ExecMap(wcSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
+	mo := ExecMap(wcCountedSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
 	return &outputBuilder{store: mo.store, parts: mo.Partitions, counts: mo.counts}
 }
 
@@ -285,9 +265,10 @@ const (
 // on one partition of 0–20 000 pairs: n pairs of a shape from sortShapes
 // plus the lines "<key>\t<value>" of text, fed as drawn, already sorted or
 // reversed. The partition is built twice through add: uncounted, and
-// through the fold table with every pair added one to three times. Sorted,
-// its pairs expanded by their counts must be the stable reference sort of
-// every occurrence, and each distinct pair must keep its total count.
+// counted, every pair added with a count of one to three, so equal pairs
+// lie side by side as counted Recs of their own. Sorted, its pairs
+// expanded by their counts must be the stable reference sort of every
+// occurrence, and each distinct pair must keep its total count.
 func FuzzSortRecs(f *testing.F) {
 	for shape := range sortShapes {
 		for order := range numOrders {
@@ -329,9 +310,6 @@ func checkSort(t *testing.T, pairs []kv, counted bool, rng *rand.Rand) {
 		block = append(block, p.k...)
 	}
 	b := newOutputBuilder("sort", block, 1, 1, maxOffset)
-	if counted {
-		b.table = newFoldTable(foldMaxSlots)
-	}
 	var want []kv
 	totals := map[kv]int{}
 	off := 0

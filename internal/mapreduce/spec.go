@@ -42,8 +42,8 @@ type MapFunc func(key, value []byte, emit Emit)
 type ReduceFunc func(key []byte, values Values, emit Emit)
 
 // Values is one key's values in merged order, as runs: At(i) is a value and
-// how many times in a row it occurs. A map task's folded pairs arrive as one
-// run each, so a reducer that counts or sums works per run, not per
+// how many times in a row it occurs. A map flush's counted pairs arrive as
+// one run each, so a reducer that counts or sums works per run, not per
 // occurrence. Where one run ends and the next begins is not defined — equal
 // values may come as one run or as several — only the occurrences are. The
 // view is scratch: do not retain it past the call. Retaining a value's bytes

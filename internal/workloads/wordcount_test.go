@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -152,17 +153,23 @@ func TestWordTableTellsApartWordsThatShareAPrefix(t *testing.T) {
 	}
 }
 
-// TestWordCountSplitOverflowsPastTheCap: a split with more distinct words
-// than the table holds counts wordMaxSlots/2 of them and emits the rest as
-// they come.
-func TestWordCountSplitOverflowsPastTheCap(t *testing.T) {
+// overflowSplit holds 100 more distinct words than a word table counts,
+// each twice.
+func overflowSplit() []byte {
 	var data bytes.Buffer
 	for i := range wordMaxSlots/2 + 100 {
 		fmt.Fprintf(&data, "w%d w%d\n", i, i)
 	}
+	return data.Bytes()
+}
+
+// TestWordCountSplitOverflowsPastTheCap: a split with more distinct words
+// than the table holds counts wordMaxSlots/2 of them and emits the rest as
+// they come.
+func TestWordCountSplitOverflowsPastTheCap(t *testing.T) {
 	mapFn, flush := wordCountSplit("")
 	emitted, flushed := 0, 0
-	mapreduce.LineFormat{}.Scan(data.Bytes(), func(k, v []byte) {
+	mapreduce.LineFormat{}.Scan(overflowSplit(), func(k, v []byte) {
 		mapFn(k, v, func([]byte, []byte) { emitted++ })
 	})
 	flush(func(_, _ []byte, n int) {
@@ -173,6 +180,55 @@ func TestWordCountSplitOverflowsPastTheCap(t *testing.T) {
 	})
 	if flushed != wordMaxSlots/2 || emitted != 2*100 {
 		t.Fatalf("%d words flushed and %d occurrences emitted, want %d and %d", flushed, emitted, wordMaxSlots/2, 2*100)
+	}
+}
+
+// TestWordCountOverflowEndToEnd runs the overflow of
+// TestWordCountSplitOverflowsPastTheCap through the map output and the
+// reduce: the one production path where uncounted repeats reach the map
+// output, which indexes each as a pair of its own and leaves them to the
+// merge. Every word must count 2, and the output must charge what a plain
+// Map that emits every occurrence charges.
+func TestWordCountOverflowEndToEnd(t *testing.T) {
+	data, words := overflowSplit(), wordMaxSlots/2+100
+	for _, reduces := range []int{1, 4} {
+		spec := WordCountSpec("wc", nil, "/out", false)
+		plain := WordCountSpec("wc", nil, "/out", false)
+		plain.MapFor = nil
+		plain.Map = func(_, line []byte, emit mapreduce.Emit) {
+			for _, w := range bytes.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '\t' }) {
+				emit(w, one)
+			}
+		}
+		spec.NumReduces, plain.NumReduces = reduces, reduces
+		mo, ref := mapreduce.ExecMapFile(spec, "", data), mapreduce.ExecMapFile(plain, "", data)
+		if mo.TotalBytes != ref.TotalBytes || mo.Records != ref.Records || !slices.Equal(mo.PartBytes, ref.PartBytes) {
+			t.Fatalf("reduces=%d: the output charges %d bytes %v over %d records, the plain Map's %d bytes %v over %d",
+				reduces, mo.TotalBytes, mo.PartBytes, mo.Records, ref.TotalBytes, ref.PartBytes, ref.Records)
+		}
+		pairs := 0
+		for _, part := range mo.Partitions {
+			pairs += len(part)
+		}
+		if want := wordMaxSlots/2 + 2*100; pairs != want {
+			t.Fatalf("reduces=%d: the output indexes %d pairs, want %d counted and %d uncounted", reduces, pairs, wordMaxSlots/2, 2*100)
+		}
+		counts := map[string]int{}
+		for p := range reduces {
+			got, err := ParseWordCountOutput(mapreduce.EncodePairs(mapreduce.ExecReduce(spec, p, []*mapreduce.MapOutput{mo})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			maps.Copy(counts, got)
+		}
+		if len(counts) != words {
+			t.Fatalf("reduces=%d: %d words counted, want %d", reduces, len(counts), words)
+		}
+		for w, n := range counts {
+			if n != 2 {
+				t.Fatalf("reduces=%d: %q counts %d, want 2", reduces, w, n)
+			}
+		}
 	}
 }
 
