@@ -150,9 +150,15 @@ func (c *Catalog) ReadTable(t *Table) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, line := range bytes.Split(data, []byte("\n")) {
-			if len(line) == 0 {
-				continue
+		// Lines are framed as LineFormat frames them for a query's scan:
+		// every newline-terminated line is a row, empty or not, and so is
+		// a non-empty unterminated tail.
+		for len(data) > 0 {
+			line := data
+			if i := bytes.IndexByte(data, '\n'); i >= 0 {
+				line, data = data[:i], data[i+1:]
+			} else {
+				data = nil
 			}
 			row := DecodeRow(rowBytes(line))
 			if len(row) != len(t.Schema) {

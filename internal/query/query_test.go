@@ -200,6 +200,28 @@ func TestCatalogCreateAndRead(t *testing.T) {
 	}
 }
 
+// TestReadTableKeepsEmptyRows: a one-column row holding the empty string
+// encodes to an empty line, and that line is a row — to ReadTable as to a
+// query's scan, which frames lines with LineFormat. Skipping empty lines
+// lost those rows from ReadTable alone.
+func TestReadTableKeepsEmptyRows(t *testing.T) {
+	e := newEnv(t)
+	rows := []Row{{""}, {"a"}, {""}}
+	tab := e.mustCreate(t, "t", Schema{"x"}, rows, 1)
+	got, err := e.cat.ReadTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatalf("ReadTable = %q, want the created rows %q", got, rows)
+	}
+	scanned := e.exec(t, Scan("t")).Rows
+	sort.Slice(scanned, func(i, j int) bool { return scanned[i][0] < scanned[j][0] })
+	if want := []Row{{""}, {""}, {"a"}}; !reflect.DeepEqual(scanned, want) {
+		t.Fatalf("Scan(t) = %q, want %q", scanned, want)
+	}
+}
+
 func TestCompileShapes(t *testing.T) {
 	e := newEnv(t)
 	e.mustCreate(t, "sales", salesSchema, salesRows(10, 1), 2)
