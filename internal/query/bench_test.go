@@ -228,3 +228,39 @@ func BenchmarkOrderByMap(b *testing.B) {
 	fx := newStageFixture(b)
 	benchMap(b, fx.maps["orderby"], fx.sales)
 }
+
+// BenchmarkCatalogCreate stages the warehouse's sales table over four files,
+// as the query_repeat workload stages its tables, and drops it again.
+func BenchmarkCatalogCreate(b *testing.B) {
+	cat := codecCatalog(b)
+	sales, _ := warehouseRows(4096, 3)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(sales)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cat.Create("staged", warehouseSalesSchema, sales, 4); err != nil {
+			b.Fatal(err)
+		}
+		cat.dfs.DeletePrefix("/warehouse/staged/")
+		delete(cat.tables, "staged")
+	}
+}
+
+// BenchmarkReadTable reads that table back into rows, as a finished query
+// reads its result table.
+func BenchmarkReadTable(b *testing.B) {
+	cat := codecCatalog(b)
+	sales, _ := warehouseRows(4096, 3)
+	tab, err := cat.Create("staged", warehouseSalesSchema, sales, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(sales)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cat.ReadTable(tab); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

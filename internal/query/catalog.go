@@ -2,15 +2,19 @@
 // over the MapReduce runtime — the workload that motivates the paper:
 // "higher level query languages, such as Hive and Pig, would handle a
 // complex query by breaking it into smaller ad-hoc ones." A logical plan
-// (scan → filter/project → group-by / join / order-by) compiles into a
-// chain of short MapReduce jobs, each submitted through the MRapid
-// framework, with intermediate tables materialized in HDFS.
+// (scan → filter/project → group-by / join / order-by) compiles into a DAG
+// of short MapReduce stages, each submitted through the MRapid framework,
+// with filters and projections fused into their consumer's map. Stages
+// whose dependencies are met run at once, so independent branches overlap.
+// Intermediate tables go to the producing node's IntermediateStore
+// (JobSpec.IntermediateOutput), not HDFS; only base tables and a query's
+// result table live in HDFS, where the Catalog names them.
 package query
 
 import (
 	"bytes"
 	"fmt"
-	"strings"
+	"slices"
 
 	"mrapid/internal/hdfs"
 	"mrapid/internal/topology"
@@ -36,17 +40,6 @@ func (s Schema) Index(col string) (int, error) {
 
 // Row is one record: column values as strings, parallel to the schema.
 type Row []string
-
-// EncodeRow serializes a row for transport through pair keys/values.
-func EncodeRow(r Row) []byte { return []byte(strings.Join(r, colSep)) }
-
-// DecodeRow parses an encoded row. An empty encoding decodes as one empty
-// column: zero-width rows cannot exist (schemas are non-empty), so the
-// single-empty-column reading makes Encode/Decode a lossless round trip for
-// every legal row.
-func DecodeRow(b []byte) Row {
-	return Row(strings.Split(string(b), colSep))
-}
 
 // Table is a named relation stored as one or more HDFS files of
 // newline-separated encoded rows.
@@ -92,8 +85,15 @@ func (c *Catalog) Register(t *Table) error {
 	return nil
 }
 
+// reserved marks the bytes no value may contain: the runtime's framing bytes
+// (tab, newline), the column separator, and NUL (reserved by the
+// descending-sort encoding). A value smuggling one of them would silently
+// corrupt every downstream row decode.
+var reserved = [256]bool{'\t': true, '\n': true, sepByte: true, 0: true}
+
 // Create materializes rows as a new table spread over files input files,
-// staged instantly (experiment setup, like the workload generators).
+// staged instantly (experiment setup, like the workload generators). Each
+// file is encoded into one buffer of exactly its size.
 func (c *Catalog) Create(name string, schema Schema, rows []Row, files int) (*Table, error) {
 	if files <= 0 {
 		files = 1
@@ -102,13 +102,11 @@ func (c *Catalog) Create(name string, schema Schema, rows []Row, files int) (*Ta
 		if len(r) != len(schema) {
 			return nil, fmt.Errorf("query: row width %d != schema width %d", len(r), len(schema))
 		}
-		// The runtime's framing bytes (tab, newline), the column separator,
-		// and NUL (reserved by the descending-sort encoding) may not appear
-		// inside values: a value smuggling one of them would silently corrupt
-		// every downstream row decode.
 		for j, v := range r {
-			if strings.ContainsAny(v, "\t\n"+colSep+"\x00") {
-				return nil, fmt.Errorf("query: value %q for column %q contains a reserved byte (tab, newline, 0x1f, or NUL)", v, schema[j])
+			for i := 0; i < len(v); i++ {
+				if reserved[v[i]] {
+					return nil, fmt.Errorf("query: value %q for column %q contains a reserved byte (tab, newline, 0x1f, or NUL)", v, schema[j])
+				}
 			}
 		}
 	}
@@ -124,13 +122,25 @@ func (c *Catalog) Create(name string, schema Schema, rows []Row, files int) (*Ta
 		if hi > len(rows) {
 			hi = len(rows)
 		}
-		var buf bytes.Buffer
+		size := 0
 		for _, r := range rows[lo:hi] {
-			buf.Write(EncodeRow(r))
-			buf.WriteByte('\n')
+			size += len(r) // a separator after every field but the last, then a newline
+			for _, v := range r {
+				size += len(v)
+			}
+		}
+		buf := make([]byte, 0, size)
+		for _, r := range rows[lo:hi] {
+			for j, v := range r {
+				if j > 0 {
+					buf = append(buf, sepByte)
+				}
+				buf = append(buf, v...)
+			}
+			buf = append(buf, '\n')
 		}
 		file := fmt.Sprintf("/warehouse/%s/part-%05d", name, i)
-		if _, err := c.dfs.PutInstant(file, buf.Bytes(), workers[i%len(workers)]); err != nil {
+		if _, err := c.dfs.PutInstant(file, buf, workers[i%len(workers)]); err != nil {
 			return nil, err
 		}
 		t.Files = append(t.Files, file)
@@ -142,30 +152,51 @@ func (c *Catalog) Create(name string, schema Schema, rows []Row, files int) (*Ta
 }
 
 // ReadTable loads a table's rows (costlessly; for verification and for
-// returning final results to the caller).
+// returning final results to the caller). Lines are framed as LineFormat
+// frames them for a query's scan: every newline-terminated line is a row,
+// empty or not, and so is a non-empty unterminated tail.
+//
+// Each file becomes one string and one field array, whatever its rows: a
+// row is a window into the array and its values are substrings of the
+// string. The rows of one file therefore share that string, and keeping
+// any one of them keeps the whole file's bytes alive.
 func (c *Catalog) ReadTable(t *Table) ([]Row, error) {
 	var rows []Row
+	w := len(t.Schema)
+	var inline [inlineFields]span
+	sp := spans(inline[:0])
 	for _, f := range t.Files {
-		data, err := c.dfs.Contents(f)
+		file, err := c.dfs.Contents(f)
 		if err != nil {
 			return nil, err
 		}
-		// Lines are framed as LineFormat frames them for a query's scan:
-		// every newline-terminated line is a row, empty or not, and so is
-		// a non-empty unterminated tail.
-		for len(data) > 0 {
+		n := bytes.Count(file, newline)
+		if len(file) > 0 && file[len(file)-1] != '\n' {
+			n++
+		}
+		s := string(file)
+		fields := make([]string, 0, n*w)
+		rows = slices.Grow(rows, n)
+		for data := file; len(data) > 0; {
 			line := data
 			if i := bytes.IndexByte(data, '\n'); i >= 0 {
 				line, data = data[:i], data[i+1:]
 			} else {
 				data = nil
 			}
-			row := DecodeRow(rowBytes(line))
-			if len(row) != len(t.Schema) {
+			row := rowBytes(line)
+			if sp = splitFields(row, sp[:0]); len(sp) != w {
 				return nil, fmt.Errorf("query: table %q: row %q decodes to %d columns, schema %v has %d",
-					t.Name, line, len(row), []string(t.Schema), len(t.Schema))
+					t.Name, line, len(sp), []string(t.Schema), len(t.Schema))
 			}
-			rows = append(rows, row)
+			// row is a sub-slice of file, so their capacities differ by its
+			// offset.
+			off := cap(file) - cap(row)
+			k := len(fields)
+			for _, x := range sp {
+				fields = append(fields, s[off+x.lo:off+x.hi])
+			}
+			rows = append(rows, Row(fields[k:len(fields):len(fields)]))
 		}
 	}
 	return rows, nil

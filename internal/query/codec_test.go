@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -514,6 +515,18 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
+// refReadTable is ReadTable through the string codec: LineFormat's framing
+// and DecodeRow of each line's row, and whether every row is w wide.
+func refReadTable(file []byte, w int) (rows []Row, ok bool) {
+	ok = true
+	mapreduce.LineFormat{}.Scan(file, func(_, line []byte) {
+		r := DecodeRow(rowBytes(line))
+		ok = ok && len(r) == w
+		rows = append(rows, r)
+	})
+	return rows, ok
+}
+
 // FuzzStageCodec checks the byte-view codec against the string codec on
 // arbitrary lines and states: the value-level rules on every field (split,
 // numeric, filter conditions, sort keys), then every compiled stage closure
@@ -522,7 +535,9 @@ func sameFloat(a, b float64) bool {
 // filter+projection. The group-by map is the aggregator: a split of the
 // fuzzed line, rows carrying the state's numbers under the line's key, and
 // the line again, through MapFor and its flush, must emit what the
-// reference's per-row states folded in row order give.
+// reference's per-row states folded in row order give. The catalog's read
+// path is checked too: ReadTable of files built from the line against
+// LineFormat's framing and DecodeRow.
 func FuzzStageCodec(f *testing.F) {
 	wide := strings.Repeat("7"+colSep, inlineFields+3) + "x"
 	for _, line := range []string{
@@ -542,7 +557,13 @@ func FuzzStageCodec(f *testing.F) {
 			f.Add([]byte(line), []byte(state), "c0", uint8(i)|8|16|32)
 		}
 	}
+	// The table path's edges: no row but an empty one, a lone newline, and
+	// a one-column empty row behind an empty key.
+	for _, line := range []string{"", "\n", "\t"} {
+		f.Add([]byte(line), []byte(nil), "", uint8(0))
+	}
 	cat := codecCatalog(f)
+	writer := cat.cluster.Workers()[0]
 	ops := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpContains}
 	aggs := []Agg{Count(), Sum("c"), Min("a"), Avg("c")}
 
@@ -580,6 +601,34 @@ func FuzzStageCodec(f *testing.F) {
 				}
 			}
 		}
+		// The table path: ReadTable of a file holding the line, an empty
+		// line, the line behind a pair's key and an unterminated copy, at
+		// the width of each row the reference reads from it and at one
+		// more, must return the reference's rows or fail when one row's
+		// width differs from the schema's. The same file without the empty
+		// line reads at widths the empty row would fail.
+		full := slices.Concat(line, newline, newline, []byte("key\t"), line, newline, line)
+		for _, file := range [][]byte{full, slices.Concat(line, newline, []byte("key\t"), line, newline, line)} {
+			if _, err := cat.dfs.OverwriteInstant("/warehouse/fz/part-00000", file, writer); err != nil {
+				t.Fatal(err)
+			}
+			refRows, _ := refReadTable(file, 0)
+			widths := []int{1}
+			for _, r := range refRows {
+				widths = append(widths, len(r), len(r)+1)
+			}
+			for _, w := range widths {
+				wantRows, ok := refReadTable(file, w)
+				got, err := cat.ReadTable(&Table{Name: "fz", Schema: make(Schema, w), Files: []string{"/warehouse/fz/part-00000"}})
+				if (err == nil) != ok {
+					t.Fatalf("ReadTable of %q at width %d: error %v, reference widths ok = %v", file, w, err, ok)
+				}
+				if ok && !reflect.DeepEqual(got, wantRows) {
+					t.Fatalf("ReadTable of %q at width %d = %q, reference %q", file, w, got, wantRows)
+				}
+			}
+		}
+
 		if len(want) < 3 {
 			return // narrower than the schema: indexing panics, where depends on the codec
 		}

@@ -22,7 +22,10 @@ const StageSkipped = core.ModeKind("skipped")
 // Result is a finished query: its rows, output table, and execution
 // statistics.
 type Result struct {
-	Table   *Table
+	Table *Table
+	// Rows is the result table as ReadTable returns it: the rows of one
+	// part file share one string, so keeping any row keeps that file's
+	// bytes alive.
 	Rows    []Row
 	Stages  int
 	Elapsed float64 // virtual seconds, the query's makespan

@@ -222,6 +222,49 @@ func TestReadTableKeepsEmptyRows(t *testing.T) {
 	}
 }
 
+// TestReadTableAllocatesPerFile: what ReadTable allocates depends on a
+// table's files, not on its rows — one string, one field array and one
+// growth of the row list per file.
+func TestReadTableAllocatesPerFile(t *testing.T) {
+	allocs := func(n int) float64 {
+		e := newEnv(t)
+		sales, _ := warehouseRows(n, 1)
+		tab := e.mustCreate(t, "sales", warehouseSalesSchema, sales, 3)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.cat.ReadTable(tab); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(30), allocs(30000); small != large {
+		t.Fatalf("ReadTable of 3 files: %v allocations at 30 rows, %v at 30 000", small, large)
+	}
+}
+
+// TestCatalogCreateAllocatesPerFile: Create encodes each file into one
+// buffer, so what it allocates depends on the files, not on the rows.
+func TestCatalogCreateAllocatesPerFile(t *testing.T) {
+	const runs = 20
+	allocs := func(n int) float64 {
+		e := newEnv(t)
+		sales, _ := warehouseRows(n, 1)
+		names := make([]string, runs+1) // AllocsPerRun warms up with one extra call
+		for i := range names {
+			names[i] = "sales" + strconv.Itoa(i)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := e.cat.Create(names[i], warehouseSalesSchema, sales, 3); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	if small, large := allocs(30), allocs(30000); small != large {
+		t.Fatalf("Create of 3 files: %v allocations at 30 rows, %v at 30 000", small, large)
+	}
+}
+
 func TestCompileShapes(t *testing.T) {
 	e := newEnv(t)
 	e.mustCreate(t, "sales", salesSchema, salesRows(10, 1), 2)

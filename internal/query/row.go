@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +26,23 @@ const sepByte = 0x1f // colSep as a byte
 var (
 	sepBytes = []byte{sepByte}
 	comma    = []byte{','}
+	newline  = []byte{'\n'}
 )
+
+// EncodeRow and DecodeRow are the codec's string form: a row as a []string,
+// joined and split on the separator. Nothing in the package calls them; the
+// tests check the byte views against them.
+
+// EncodeRow serializes a row for transport through pair keys/values.
+func EncodeRow(r Row) []byte { return []byte(strings.Join(r, colSep)) }
+
+// DecodeRow parses an encoded row. An empty encoding decodes as one empty
+// column: zero-width rows cannot exist (schemas are non-empty), so the
+// single-empty-column reading makes Encode/Decode a lossless round trip for
+// every legal row.
+func DecodeRow(b []byte) Row {
+	return Row(strings.Split(string(b), colSep))
+}
 
 // span is one field's extent inside its row.
 type span struct{ lo, hi int }
