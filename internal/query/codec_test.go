@@ -607,8 +607,10 @@ func FuzzStageCodec(f *testing.F) {
 		// more, must return the reference's rows or fail when one row's
 		// width differs from the schema's. The same file without the empty
 		// line reads at widths the empty row would fail.
-		full := slices.Concat(line, newline, newline, []byte("key\t"), line, newline, line)
-		for _, file := range [][]byte{full, slices.Concat(line, newline, []byte("key\t"), line, newline, line)} {
+		for _, file := range [][]byte{
+			slices.Concat(line, newline, newline, []byte("key\t"), line, newline, line),
+			slices.Concat(line, newline, []byte("key\t"), line, newline, line),
+		} {
 			if _, err := cat.dfs.OverwriteInstant("/warehouse/fz/part-00000", file, writer); err != nil {
 				t.Fatal(err)
 			}

@@ -260,10 +260,16 @@ func TestCatalogCreateAllocatesPerFile(t *testing.T) {
 			i++
 		})
 	}
-	if small, large := allocs(30), allocs(30000); small != large {
+	// Under the race detector, which drops sync.Pool Puts at random, fmt's
+	// printer pool costs a refill now and then.
+	small, large := allocs(30), allocs(30000)
+	if small != large && !(raceDetector && math.Abs(small-large) <= 2) {
 		t.Fatalf("Create of 3 files: %v allocations at 30 rows, %v at 30 000", small, large)
 	}
 }
+
+// raceDetector is set under the race detector.
+var raceDetector bool
 
 func TestCompileShapes(t *testing.T) {
 	e := newEnv(t)
