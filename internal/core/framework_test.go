@@ -13,6 +13,7 @@ import (
 	"mrapid/internal/profiler"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
+	"mrapid/internal/workloads"
 	"mrapid/internal/yarn"
 )
 
@@ -47,31 +48,12 @@ func stageInput(t testing.TB, rt *mapreduce.Runtime, n, size int) ([]string, []b
 	return names, all
 }
 
+// testWCSpec is the production WordCount, counted in the mapper, at core's
+// test rates, so that the tests' virtual timelines keep their instants.
 func testWCSpec(inputs []string, output string) *mapreduce.JobSpec {
-	return &mapreduce.JobSpec{
-		Name:       "wc-core",
-		JobKey:     "wordcount",
-		InputFiles: inputs,
-		OutputFile: output,
-		NumReduces: 1,
-		Format:     mapreduce.LineFormat{},
-		Map: func(_, line []byte, emit mapreduce.Emit) {
-			for _, w := range bytes.Fields(line) {
-				emit(w, []byte("1"))
-			}
-		},
-		Reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
-			total := 0
-			for i := range values.Len() {
-				v, times := values.At(i)
-				n, _ := strconv.Atoi(string(v))
-				total += times * n
-			}
-			emit(key, []byte(strconv.Itoa(total)))
-		},
-		MapRate:    6e6,
-		ReduceRate: 12e6,
-	}
+	spec := workloads.WordCountSpec("wc-core", inputs, output, false)
+	spec.MapRate, spec.ReduceRate = 6e6, 12e6
+	return spec
 }
 
 // startFramework builds a framework over rt with the given pool size and

@@ -41,11 +41,12 @@ func runBesidePoison(t *testing.T, poison bool) map[string]string {
 	names, input := stageInput(t, rt, 4, 256<<10)
 
 	panicMap := func(spec *mapreduce.JobSpec) {
+		mapFor := spec.MapFor
 		spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
 			if file == names[1] {
 				return func(_, _ []byte, _ mapreduce.Emit) { panic("poisoned split") }, nil
 			}
-			return nil, nil
+			return mapFor(file)
 		}
 	}
 	panicReduce := func(spec *mapreduce.JobSpec) {

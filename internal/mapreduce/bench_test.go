@@ -57,18 +57,16 @@ func benchExecMap(b *testing.B, spec *JobSpec, data []byte) {
 }
 
 // BenchmarkExecMap measures the real map execution hot path (scan, map,
-// partition, sort), the dominant host cost of every experiment, on
-// duplicate-heavy keys.
+// partition, sort) through a plain Map on duplicate-heavy keys: every
+// occurrence is indexed and sorted as a pair of its own.
 func BenchmarkExecMap(b *testing.B) {
-	benchExecMap(b, wcSpec([]string{"/x"}, "/o"), benchInput)
+	benchExecMap(b, PlainWordCountSpec(false), benchInput)
 }
 
-// BenchmarkExecMapWithCombiner measures the same path with map-side
+// BenchmarkExecMapWithCombiner measures the same plain path with map-side
 // combining enabled.
 func BenchmarkExecMapWithCombiner(b *testing.B) {
-	spec := wcSpec([]string{"/x"}, "/o")
-	spec.Combine = spec.Reduce
-	benchExecMap(b, spec, benchInput)
+	benchExecMap(b, PlainWordCountSpec(true), benchInput)
 }
 
 // BenchmarkExecMapUnique measures the map path on unique keys, every pair
@@ -84,7 +82,7 @@ func BenchmarkExecMapUnique(b *testing.B) {
 // BenchmarkWordCountMap times that path — so this is the cost a user's
 // plain WordCount pays.
 func BenchmarkExecMapZipf(b *testing.B) {
-	benchExecMap(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
+	benchExecMap(b, PlainWordCountSpec(false), zipfSplits(1, 1<<20)[0])
 }
 
 // zipfSplits builds the inputs of one of the paper's short WordCount jobs:
@@ -147,13 +145,13 @@ func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
 // reduce, encode — over 8 pre-sorted duplicate-heavy map outputs, their
 // words counted in the mapper.
 func BenchmarkExecReduce(b *testing.B) {
-	benchExecReduce(b, wcCountedSpec([]string{"/x"}, "/o"), eightOf(benchInput))
+	benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), eightOf(benchInput))
 }
 
 // BenchmarkExecReduceShort measures it at the size the paper's jobs have:
 // 4 runs of 20 KiB of Zipf text each, ≈ 10 k pairs over ≈ 1.9 k keys.
 func BenchmarkExecReduceShort(b *testing.B) {
-	benchExecReduce(b, wcCountedSpec([]string{"/x"}, "/o"), zipfSplits(4, 20<<10))
+	benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(4, 20<<10))
 }
 
 // BenchmarkExecReduceUnique measures the same stream over unique keys:
@@ -210,11 +208,10 @@ func BenchmarkSortRecs(b *testing.B) {
 }
 
 // BenchmarkConsolidateGroup measures the shuffle service's per-node merge:
-// 8 combined outputs of 4 partitions over a 5000-word vocabulary,
-// re-combined into one.
+// 8 outputs of a plain Map combined on the map side, 4 partitions over a
+// 5000-word vocabulary, re-combined into one.
 func BenchmarkConsolidateGroup(b *testing.B) {
-	spec := wcSpec([]string{"/x"}, "/o")
-	spec.Combine = spec.Reduce
+	spec := PlainWordCountSpec(true)
 	spec.NumReduces = 4
 	group := make([]*MapOutput, 8)
 	for i := range group {

@@ -27,19 +27,22 @@ var poisons = []struct {
 	arm     func(spec *JobSpec, names []string)
 }{
 	{"map", profiler.MapTask, "poisoned split", "contain_test.go", false, func(spec *JobSpec, names []string) {
+		mapFor := spec.MapFor
 		spec.MapFor = func(file string) (MapFunc, func(CountedEmit)) {
 			if file == names[1] {
 				return func(_, _ []byte, _ Emit) { panic("poisoned split") }, nil
 			}
-			return nil, nil
+			return mapFor(file)
 		}
 	}},
 	{"flush", profiler.MapTask, "poisoned flush", "contain_test.go", false, func(spec *JobSpec, names []string) {
+		mapFor := spec.MapFor
 		spec.MapFor = func(file string) (MapFunc, func(CountedEmit)) {
+			mapFn, flush := mapFor(file)
 			if file == names[1] {
-				return nil, func(CountedEmit) { panic("poisoned flush") }
+				return mapFn, func(CountedEmit) { panic("poisoned flush") }
 			}
-			return nil, nil
+			return mapFn, flush
 		}
 	}},
 	{"reduce", profiler.ReduceTask, `bad key "fox"`, "contain_test.go", false, func(spec *JobSpec, _ []string) {

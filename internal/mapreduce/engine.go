@@ -149,10 +149,7 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 	mapFn := spec.Map
 	var flush func(CountedEmit)
 	if spec.MapFor != nil {
-		var fn MapFunc
-		if fn, flush = spec.MapFor(file); fn != nil {
-			mapFn = fn
-		}
+		mapFn, flush = spec.MapFor(file)
 	}
 	var records int64
 	spec.Format.Scan(data, func(k, v []byte) {

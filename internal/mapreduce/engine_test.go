@@ -44,8 +44,8 @@ func newTestRuntime(t *testing.T, instance topology.InstanceType, workers int, s
 
 // wcOne is the count the fixture's map emits with every word, and
 // wcCountTexts the decimal text of every total below 1000: shared and
-// read-only, so that allocs/op of a benchmark over wcSpec counts the record
-// path's allocations and none of the fixture's.
+// read-only, so that allocs/op of a benchmark over these doubles counts
+// the record path's allocations and none of the fixture's.
 var (
 	wcOne        = []byte("1")
 	wcCountTexts = func() (texts [1000][]byte) {
@@ -57,7 +57,7 @@ var (
 )
 
 // wcTestMap and wcTestReduce are WordCount as named functions, so specs
-// built by wcSpec are reusable by the MapCache.
+// built by wcSpec and PlainWordCountSpec are reusable by the MapCache.
 func wcTestMap(_, line []byte, emit Emit) {
 	start := -1
 	for i, c := range line {
@@ -93,6 +93,11 @@ func wcTestReduce(key []byte, values Values, emit Emit) {
 	emit(key, []byte(strconv.Itoa(total)))
 }
 
+// wcSpec is WordCount with its words counted in the mapper, the way the
+// production WordCount counts them: each split's record function tallies
+// its words, and the flush hands each distinct word over once, as
+// (word, "1") × its count, the word a sub-slice of the split at its first
+// occurrence.
 func wcSpec(inputs []string, output string) *JobSpec {
 	return &JobSpec{
 		Name:       "wc-test",
@@ -101,22 +106,11 @@ func wcSpec(inputs []string, output string) *JobSpec {
 		OutputFile: output,
 		NumReduces: 1,
 		Format:     LineFormat{},
-		Map:        wcTestMap,
+		MapFor:     wcCountedSplit,
 		Reduce:     wcTestReduce,
 		MapRate:    6e6,
 		ReduceRate: 12e6,
 	}
-}
-
-// wcCountedSpec is wcSpec with its words counted in the mapper, the way the
-// production WordCount counts them: each split's record function tallies
-// its words, and the flush hands each distinct word over once, as
-// (word, "1") × its count, the word a sub-slice of the split at its first
-// occurrence.
-func wcCountedSpec(inputs []string, output string) *JobSpec {
-	spec := wcSpec(inputs, output)
-	spec.Map, spec.MapFor = nil, wcCountedSplit
-	return spec
 }
 
 func wcCountedSplit(string) (MapFunc, func(CountedEmit)) {
@@ -144,7 +138,7 @@ func wcCountedSplit(string) (MapFunc, func(CountedEmit)) {
 }
 
 func TestExecMapPartitionsAndSorts(t *testing.T) {
-	spec := wcCountedSpec([]string{"/x"}, "/o")
+	spec := wcSpec([]string{"/x"}, "/o")
 	spec.NumReduces = 4
 	mo := ExecMap(spec, []byte("pear apple pear\nbanana apple\n"))
 	if mo.Records != 2 {
@@ -193,9 +187,9 @@ func TestExecMapCombiner(t *testing.T) {
 	}
 	// A combiner that keeps every value sees each counted occurrence, and
 	// its output charges what a plain map emits.
-	counted := wcCountedSpec([]string{"/x"}, "/o")
+	counted := wcSpec([]string{"/x"}, "/o")
 	counted.Combine = identityReduce
-	kept, raw := ExecMap(counted, data), ExecMap(wcSpec([]string{"/x"}, "/o"), data)
+	kept, raw := ExecMap(counted, data), ExecMap(PlainWordCountSpec(false), data)
 	if _, occurrences := Distinct(kept, 0); occurrences != 4 || kept.TotalBytes != raw.TotalBytes {
 		t.Fatalf("identity combiner kept %d occurrences, %d bytes; the map emitted 4, %d bytes", occurrences, kept.TotalBytes, raw.TotalBytes)
 	}

@@ -17,6 +17,7 @@ func Distinct(mo *MapOutput, p int) (pairs, occurrences int) {
 // every occurrence, so each repeat reaches the merge as a pair of its own.
 func PlainWordCountSpec(combiner bool) *JobSpec {
 	spec := wcSpec(nil, "/out")
+	spec.Map, spec.MapFor = wcTestMap, nil
 	if combiner {
 		spec.Combine = spec.Reduce
 	}

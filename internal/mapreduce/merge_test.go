@@ -258,7 +258,7 @@ func TestMergeMatchesSortedConcatenation(t *testing.T) {
 // allocations left are the part file, the merge heap, the scratch and the
 // text of the handful of totals past wcCountTexts.
 func TestExecReduceAllocatesNothingPerKey(t *testing.T) {
-	spec := wcCountedSpec([]string{"/x"}, "/o")
+	spec := wcSpec([]string{"/x"}, "/o")
 	var outs []*MapOutput
 	for _, split := range zipfSplits(4, 20<<10) {
 		outs = append(outs, ExecMap(spec, split))

@@ -47,10 +47,7 @@ func reference(spec *mapreduce.JobSpec, splits []split) [][]byte {
 		mapFn := spec.Map
 		var flush func(mapreduce.CountedEmit)
 		if spec.MapFor != nil {
-			var fn mapreduce.MapFunc
-			if fn, flush = spec.MapFor(s.file); fn != nil {
-				mapFn = fn
-			}
+			mapFn, flush = spec.MapFor(s.file)
 		}
 		spec.Format.Scan(s.data, func(k, v []byte) { mapFn(k, v, emit) })
 		if flush != nil {

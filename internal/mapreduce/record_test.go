@@ -108,7 +108,7 @@ func TestInputBytesIndexedInPlace(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	data := []byte("pear apple pear\n")
 	mo := ExecMap(spec, data)
-	if got := string(mo.slab); got != "1" { // three "1" values share one byte
+	if got := string(mo.slab); got != "1" { // every "1" value shares one byte
 		t.Fatalf("slab holds %q, want one shared \"1\"", got)
 	}
 	for _, r := range mo.Partitions[0] {
@@ -163,7 +163,7 @@ func rowPartition(rows []byte) *outputBuilder {
 
 // wordPartition is one 1 MiB WordCount split's sorted, counted partition.
 func wordPartition() *outputBuilder {
-	mo := ExecMap(wcCountedSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
+	mo := ExecMap(wcSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
 	return &outputBuilder{store: mo.store, parts: mo.Partitions, counts: mo.counts}
 }
 

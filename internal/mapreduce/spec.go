@@ -159,9 +159,9 @@ type JobSpec struct {
 	Reduce    ReduceFunc
 	Partition PartitionFunc // defaults to HashPartition
 
-	// MapFor, when set, is called once per split with the split's file. It
-	// returns the split's record function, which overrides Map unless it is
-	// nil, and an optional flush that runs once after the split's last
+	// MapFor, when set, replaces Map: it is called once per split with the
+	// split's file, and returns the split's record function, which must not
+	// be nil, and an optional flush that runs once after the split's last
 	// record and may emit too — Hadoop's Mapper.cleanup — each pair with
 	// its count. Repartition joins use it to tag the two sides of the join
 	// differently; group-by stages fold a split's rows into one table the
