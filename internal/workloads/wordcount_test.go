@@ -263,7 +263,8 @@ func BenchmarkWordCountMap(b *testing.B) {
 	split := NewCorpus(30000, 1).Generate(1 << 20)
 	b.SetBytes(int64(len(split)))
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		mapreduce.ExecMapFile(spec, "", split)
 	}
 }
