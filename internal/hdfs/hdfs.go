@@ -26,12 +26,14 @@ import (
 // Block is one replicated chunk of a file. A Block value is one write
 // generation: a write that replaces its bytes replaces the block (same ID,
 // fresh Gen), so the digest its Content keeps, and hands out with every
-// split read, stays the digest of the bytes it was handed out with.
+// split read, stays the digest of the bytes it was handed out with. A block
+// that is a whole file staged by PutContentInstant shares the caller's
+// Content, so every DFS that stages it shares one digest.
 type Block struct {
 	ID     int
 	File   string
 	Offset int64 // offset of this block within the file
-	Content
+	*Content
 	Replicas []*topology.Node // placement order: first is the "primary"
 
 	// Gen is the NameNode's monotonic write generation, stamped when the
@@ -42,9 +44,19 @@ type Block struct {
 	Gen int64
 }
 
-// newBlock returns a block of one write generation.
-func newBlock(id int, file string, offset int64, data []byte, replicas []*topology.Node, gen int64) *Block {
-	return &Block{ID: id, File: file, Offset: offset, Content: Content{Data: data}, Replicas: replicas, Gen: gen}
+// newBlock returns a block of one write generation over content, or, when
+// content is nil, over a Content of its own holding data, allocated with
+// the block.
+func newBlock(id int, file string, offset int64, data []byte, content *Content, replicas []*topology.Node, gen int64) *Block {
+	if content != nil {
+		return &Block{ID: id, File: file, Offset: offset, Content: content, Replicas: replicas, Gen: gen}
+	}
+	own := &struct {
+		Block
+		content Content
+	}{Block: Block{ID: id, File: file, Offset: offset, Replicas: replicas, Gen: gen}, content: Content{Data: data}}
+	own.Block.Content = &own.content
+	return &own.Block
 }
 
 // Size returns the block length in bytes.
@@ -280,7 +292,13 @@ func nthLive(nodes []*topology.Node, ok func(*topology.Node) bool, i int) *topol
 	panic("hdfs: fewer live candidates than counted")
 }
 
-func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File {
+// makeBlocks cuts data into blocks. A file of one block takes whole as its
+// Content when whole is non-nil (whole.Data is then data); every other
+// block gets a Content of its own.
+func (d *DFS) makeBlocks(name string, data []byte, whole *Content, writer *topology.Node) *File {
+	if int64(len(data)) > d.blockSize {
+		whole = nil
+	}
 	f := &File{Name: name}
 	for off := int64(0); off < int64(len(data)) || (off == 0 && len(data) == 0); off += d.blockSize {
 		end := off + d.blockSize
@@ -289,7 +307,7 @@ func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File 
 		}
 		d.nextBlockID++
 		d.gen++
-		f.Blocks = append(f.Blocks, newBlock(d.nextBlockID, name, off, data[off:end:end], d.place(writer), d.gen))
+		f.Blocks = append(f.Blocks, newBlock(d.nextBlockID, name, off, data[off:end:end], whole, d.place(writer), d.gen))
 		if len(data) == 0 {
 			break
 		}
@@ -302,10 +320,26 @@ func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File 
 // begins), mirroring how the paper's inputs were staged before timing.
 // Overwriting an existing file is an error.
 func (d *DFS) PutInstant(name string, data []byte, writer *topology.Node) (*File, error) {
+	return d.put(name, data, nil, writer)
+}
+
+// PutContentInstant is PutInstant for bytes that already have a Content,
+// typically a generator's cached file: a file that fits in one block uses c
+// as its block's Content, so every DFS that stages c shares one digest and
+// the bytes are hashed at most once per process. Nothing is hashed here.
+// c.Data must be capacity-clipped, as every block's bytes are.
+func (d *DFS) PutContentInstant(name string, c *Content, writer *topology.Node) (*File, error) {
+	if cap(c.Data) != len(c.Data) {
+		panic("hdfs: PutContentInstant needs capacity-clipped bytes")
+	}
+	return d.put(name, c.Data, c, writer)
+}
+
+func (d *DFS) put(name string, data []byte, whole *Content, writer *topology.Node) (*File, error) {
 	if d.Exists(name) {
 		return nil, fmt.Errorf("hdfs: file %q already exists", name)
 	}
-	f := d.makeBlocks(name, data, writer)
+	f := d.makeBlocks(name, data, whole, writer)
 	d.files[name] = f
 	return f, nil
 }
@@ -322,7 +356,7 @@ func (d *DFS) Write(name string, data []byte, writer *topology.Node, done func(*
 		d.eng.After(0, func() { done(nil, fmt.Errorf("hdfs: file %q already exists", name)) })
 		return
 	}
-	f := d.makeBlocks(name, data, writer)
+	f := d.makeBlocks(name, data, nil, writer)
 	d.files[name] = f
 	d.BytesWritten += int64(len(data))
 	if d.Trace != nil {
@@ -355,35 +389,35 @@ func (d *DFS) Write(name string, data []byte, writer *topology.Node, done func(*
 }
 
 // bestReplica picks the cheapest live replica for a reader, preferring
-// node-local then rack-local then any, and updates the locality counters.
-// It returns nil when every replica's node is down (with the default
-// replication of 3 that takes a multi-node failure), and the read fails.
+// node-local then rack-local then any (the first live one in placement
+// order), and updates the locality counters. It returns nil when every
+// replica's node is down (with the default replication of 3 that takes a
+// multi-node failure), and the read fails.
 func (d *DFS) bestReplica(b *Block, reader *topology.Node) *topology.Node {
-	var live []*topology.Node
+	var rack, first *topology.Node
 	for _, r := range b.Replicas {
-		if r.Alive() {
-			live = append(live, r)
+		if !r.Alive() {
+			continue
+		}
+		if r == reader {
+			d.LocalReads++
+			return r
+		}
+		if first == nil {
+			first = r
+		}
+		if rack == nil && reader != nil && r.Rack == reader.Rack {
+			rack = r
 		}
 	}
-	if len(live) == 0 {
-		return nil
+	switch {
+	case rack != nil:
+		d.RackReads++
+		return rack
+	case first != nil:
+		d.RemoteReads++
 	}
-	if reader != nil {
-		for _, r := range live {
-			if r == reader {
-				d.LocalReads++
-				return r
-			}
-		}
-		for _, r := range live {
-			if r.Rack == reader.Rack {
-				d.RackReads++
-				return r
-			}
-		}
-	}
-	d.RemoteReads++
-	return live[0]
+	return first
 }
 
 // ReadRange reads length bytes starting at offset from the named file on
@@ -553,7 +587,7 @@ func (d *DFS) Append(name string, data []byte, writer *topology.Node) (*File, er
 			grown = append(grown, last.Data...)
 			grown = append(grown, data[:take]...)
 			d.gen++
-			f.Blocks[n-1] = newBlock(last.ID, name, last.Offset, grown, last.Replicas, d.gen)
+			f.Blocks[n-1] = newBlock(last.ID, name, last.Offset, grown, nil, last.Replicas, d.gen)
 			data = data[take:]
 		}
 	}
@@ -565,7 +599,7 @@ func (d *DFS) Append(name string, data []byte, writer *topology.Node) (*File, er
 		}
 		d.nextBlockID++
 		d.gen++
-		f.Blocks = append(f.Blocks, newBlock(d.nextBlockID, name, base, data[:end:end], d.place(writer), d.gen))
+		f.Blocks = append(f.Blocks, newBlock(d.nextBlockID, name, base, data[:end:end], nil, d.place(writer), d.gen))
 		base += end
 		data = data[end:]
 	}

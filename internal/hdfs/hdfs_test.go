@@ -444,9 +444,9 @@ func TestEmptyFileHasOneEmptyBlockAndNoSplits(t *testing.T) {
 
 // TestUntracedIOAllocatesNothingForTracing: with a nil Trace a read or write
 // builds no trace attributes. The budgets are the operations' own
-// allocations (the device join, its completion events, the file's blocks);
-// boxing the file name, sizes and offsets for a disabled log would add 3–4
-// to each.
+// allocations (the device join, its completion events, the file's blocks;
+// choosing a read's replica allocates nothing); boxing the file name, sizes
+// and offsets for a disabled log would add 3–4 to each.
 func TestUntracedIOAllocatesNothingForTracing(t *testing.T) {
 	eng, c := testCluster(t, 4)
 	d := New(eng, c, 128<<20, 3, 1)
@@ -464,9 +464,9 @@ func TestUntracedIOAllocatesNothingForTracing(t *testing.T) {
 		budget float64
 		op     func()
 	}{
-		{"whole-file read", 7, func() { d.ReadRange("/in/a", 0, 4096, node, read) }},
-		{"range read", 8, func() { d.ReadRange("/in/a", 1000, 2000, node, read) }},
-		{"split read", 7, func() { d.ReadSplit(split, node, readSplit) }},
+		{"whole-file read", 4, func() { d.ReadRange("/in/a", 0, 4096, node, read) }},
+		{"range read", 5, func() { d.ReadRange("/in/a", 1000, 2000, node, read) }},
+		{"split read", 4, func() { d.ReadSplit(split, node, readSplit) }},
 		{"write and delete", 15, func() {
 			d.Write("/out/a", data, node, wrote)
 			eng.Run()

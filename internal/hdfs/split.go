@@ -3,6 +3,8 @@ package hdfs
 import (
 	"fmt"
 	"hash/maphash"
+	"sync"
+	"sync/atomic"
 
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
@@ -73,8 +75,9 @@ func (d *DFS) Splits(files []string) ([]*Split, error) {
 
 // ReadSplit reads one split like ReadRange and hands done, with the bytes,
 // a Content whose digest is that of those same bytes: the block's own when
-// the split is still its block's whole bytes — kept on the block, so a
-// generation is hashed at most once whoever reads it — and otherwise one
+// the split is still its block's whole bytes — kept on the block, and
+// shared by every DFS that staged the same generated file, so its bytes are
+// hashed at most once per process whoever reads them — and otherwise one
 // holding the bytes read (a split listed before an Append grew its block).
 // The Content is taken with the bytes, so no later write can pair its
 // digest with bytes the reader never saw; nothing is hashed until Digest.
@@ -94,7 +97,7 @@ func (d *DFS) ReadSplit(s *Split, reader *topology.Node, done func([]byte, *Cont
 	}
 	got.data = data
 	if whole != nil {
-		got.content = &whole.Content
+		got.content = whole.Content
 	} else {
 		got.content = &Content{Data: data}
 	}
@@ -104,22 +107,49 @@ func (d *DFS) ReadSplit(s *Split, reader *topology.Node, done func([]byte, *Cont
 // Content is one generation of immutable bytes and their 64-bit digest,
 // computed on the first Digest call and kept. Equal bytes have equal
 // digests across every DFS in the process; the seed is per process, so no
-// digest outlives it.
+// digest outlives it. A Content may be shared by blocks of many DFSs on
+// many goroutines (see PutContentInstant), so bytes are hashed once per
+// generated content per process, however many DFSs read them.
 type Content struct {
 	Data     []byte
+	mu       sync.Mutex // held while the first Digest hashes
+	digested atomic.Bool
 	digest   uint64
-	digested bool
 }
 
 var digestSeed = maphash.MakeSeed()
 
+// hashedBytes counts the bytes every Digest has hashed in this process.
+var hashedBytes atomic.Int64
+
 // Digest returns the digest of c.Data, hashing it on the first call only.
+// It is safe for concurrent use: a caller that arrives while another
+// hashes waits for that digest.
 func (c *Content) Digest() uint64 {
-	if !c.digested {
-		c.digest, c.digested = maphash.Bytes(digestSeed, c.Data), true
+	if !c.digested.Load() {
+		c.mu.Lock()
+		if !c.digested.Load() {
+			c.digest = maphash.Bytes(digestSeed, c.Data)
+			hashedBytes.Add(int64(len(c.Data)))
+			c.digested.Store(true)
+		}
+		c.mu.Unlock()
 	}
 	return c.digest
 }
 
 // Digested reports whether Digest has hashed the bytes yet.
-func (c *Content) Digested() bool { return c.digested }
+func (c *Content) Digested() bool { return c.digested.Load() }
+
+// Rebased returns a Content over data, which must hold the same bytes as
+// c.Data, carrying c's digest if c has one: a generator that moves its
+// bytes to a new buffer keeps what was hashed, and c keeps its own bytes
+// for whoever holds it.
+func (c *Content) Rebased(data []byte) *Content {
+	r := &Content{Data: data}
+	if c.digested.Load() {
+		r.digest = c.digest
+		r.digested.Store(true)
+	}
+	return r
+}

@@ -72,14 +72,14 @@ func TestStagedArtifactsAliasSharedZeros(t *testing.T) {
 	if _, err := rt.DFS.Append(JarPath(a), []byte("xyz"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(bytes.Trim(rt.zeros, "\x00")) != 0 {
+	if len(bytes.Trim(stagingZeros.buf, "\x00")) != 0 {
 		t.Fatal("the shared zero buffer was written to")
 	}
 	jarB, err := rt.DFS.Lookup(JarPath(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &jarB.Blocks[0].Data[0] != &rt.zeros[0] {
+	if &jarB.Blocks[0].Data[0] != &stagingZeros.buf[0] {
 		t.Fatal("a staged jar owns its bytes instead of aliasing the shared buffer")
 	}
 	jarA, err := rt.DFS.Contents(JarPath(a))

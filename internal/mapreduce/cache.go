@@ -19,10 +19,10 @@ import (
 // charges differ, so recomputing it per mode is pure host-CPU waste. The
 // cache is keyed by the job's computation identity (JobSpec.Identity) plus
 // the split's coordinates and the digest of the hdfs.Content the split
-// reader hands out with its bytes (hashed once per block generation, not
-// per lookup), and it never affects simulated timing: ExecMap is
-// instantaneous on the virtual clock whether it hits or misses. A spec that
-// is not reusable is never looked up or stored.
+// reader hands out with its bytes (hashed once per generated content per
+// process, not per lookup or per DFS), and it never affects simulated
+// timing: ExecMap is instantaneous on the virtual clock whether it hits or
+// misses. A spec that is not reusable is never looked up or stored.
 //
 // The cache keeps reduces too: a reduce whose every input came through the
 // cache is keyed by the job's identity, the partition, and the multiset of

@@ -64,10 +64,6 @@ type Runtime struct {
 	// inAMs is the set of running in-AM executors, each holding a cache
 	// budget until its teardown (see CheckResidency).
 	inAMs map[*InAM]struct{}
-
-	// zeros is the one immutable all-zero buffer every staged job artifact
-	// is a view of (see UploadArtifacts).
-	zeros []byte
 }
 
 // NewRuntime wires a runtime together.
@@ -133,11 +129,30 @@ func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 	return execMap(spec, file, data, maxOffset)
 }
 
+// recsHint sizes each partition's index for a split of n bytes. Fixed-length
+// records give the record count, one pair each: exact for one partition,
+// and for more the even share and half again, so a partition holding up to
+// three times its share grows once at most. Other formats guess one pair
+// per 32 bytes.
+func recsHint(spec *JobSpec, n int) int {
+	nred := spec.NumReduces
+	f, ok := spec.Format.(FixedFormat)
+	if !ok || f.KeyLen+f.ValLen <= 0 {
+		return n/(32*nred) + 64
+	}
+	recs := n / (f.KeyLen + f.ValLen)
+	if nred == 1 {
+		return recs
+	}
+	even := (recs + nred - 1) / nred
+	return even + even/2
+}
+
 // execMap is ExecMapFile with the offset space bounded by limit, which tests
 // lower.
 func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 	nred := spec.NumReduces
-	b := newOutputBuilder(file, data, nred, len(data)/(32*nred)+64, limit)
+	b := newOutputBuilder(file, data, nred, recsHint(spec, len(data)), limit)
 	part := spec.partitioner()
 	var emit Emit
 	if nred == 1 {
@@ -674,44 +689,4 @@ func (rt *Runtime) PollAlignedNotify(submittedAt sim.Time, done func()) {
 		rem = 0
 	}
 	rt.Eng.After(rem, done)
-}
-
-// JarPath and ConfPath name the job artifacts a client uploads to HDFS.
-func JarPath(spec *JobSpec) string  { return "/staging/" + spec.Name + "/job.jar" }
-func ConfPath(spec *JobSpec) string { return "/staging/" + spec.Name + "/job.xml" }
-
-// UploadArtifacts stages the job jar and configuration into HDFS from the
-// client (master) node, charged as real writes — step 1 of the flow. A
-// resubmission of the same job name replaces the previous staging files
-// (each submission pays the upload, as each Hadoop job ID stages afresh).
-//
-// The artifacts carry a size, not content: nothing ever looks inside a jar,
-// so both files are capacity-clipped views of rt.zeros. HDFS blocks alias the
-// bytes they are given, Append copies before it grows a block and readers
-// treat what they get as immutable, so the views charge, place and digest
-// exactly as freshly allocated buffers would while no job allocates or pins
-// its own megabytes.
-func (rt *Runtime) UploadArtifacts(spec *JobSpec, done func(error)) {
-	for _, name := range []string{JarPath(spec), ConfPath(spec)} {
-		if rt.DFS.Exists(name) {
-			if err := rt.DFS.Delete(name); err != nil {
-				rt.Eng.After(0, func() { done(err) })
-				return
-			}
-		}
-	}
-	if n := max(rt.Params.JobJarBytes, rt.Params.JobConfBytes); int64(len(rt.zeros)) < n {
-		rt.zeros = make([]byte, n)
-	}
-	jar := rt.zeros[:rt.Params.JobJarBytes:rt.Params.JobJarBytes]
-	conf := rt.zeros[:rt.Params.JobConfBytes:rt.Params.JobConfBytes]
-	rt.DFS.Write(JarPath(spec), jar, rt.Cluster.Master(), func(_ *hdfs.File, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		rt.DFS.Write(ConfPath(spec), conf, rt.Cluster.Master(), func(_ *hdfs.File, err2 error) {
-			done(err2)
-		})
-	})
 }

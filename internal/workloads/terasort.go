@@ -40,15 +40,15 @@ type TeraGenConfig struct {
 // files staged into HDFS, and returns the file names. Row keys are uniform
 // random bytes; payloads carry the row ordinal for debuggability.
 func TeraGen(dfs *hdfs.DFS, cluster *topology.Cluster, prefix string, cfg TeraGenConfig) ([]string, error) {
-	chunks, err := TeraRows(cfg)
+	files, err := teraFiles(cfg)
 	if err != nil {
 		return nil, err
 	}
 	workers := cluster.Workers()
 	var names []string
-	for i, buf := range chunks {
+	for i, c := range files {
 		name := InputFileName(prefix, i)
-		if _, err := dfs.PutInstant(name, buf, workers[i%len(workers)]); err != nil {
+		if _, err := dfs.PutContentInstant(name, c, workers[i%len(workers)]); err != nil {
 			return nil, err
 		}
 		names = append(names, name)
@@ -62,18 +62,32 @@ var teraPayload = strings.Repeat("0", teraOrdinalLen) + strings.Repeat(".", Tera
 
 const teraOrdinalLen = 22
 
-// teraCache memoizes generated row files by configuration; the benchmark
-// harness stages the same inputs for every execution mode. Bounded FIFO,
-// guarded by teraMu.
+// teraCache memoizes generated row files by configuration, each file as
+// the Content every DFS that stages it shares; the benchmark harness stages
+// the same inputs for every execution mode. Bounded FIFO, guarded by teraMu.
 var (
 	teraMu         sync.Mutex
-	teraCache      = map[TeraGenConfig][][]byte{}
+	teraCache      = map[TeraGenConfig][]*hdfs.Content{}
 	teraCacheOrder []TeraGenConfig
 )
 
 // TeraRows returns the rows of each file TeraGen stages for cfg, without a
 // cluster. The slices are shared with later calls and must not be modified.
 func TeraRows(cfg TeraGenConfig) ([][]byte, error) {
+	files, err := teraFiles(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]byte, len(files))
+	for i, c := range files {
+		rows[i] = c.Data
+	}
+	return rows, nil
+}
+
+// teraFiles returns the Content of each file TeraGen stages for cfg,
+// generating them on a miss.
+func teraFiles(cfg TeraGenConfig) ([]*hdfs.Content, error) {
 	if cfg.Rows <= 0 || cfg.Files <= 0 {
 		return nil, fmt.Errorf("workloads: teragen needs positive rows and files, got %d/%d", cfg.Rows, cfg.Files)
 	}
@@ -84,7 +98,7 @@ func TeraRows(cfg TeraGenConfig) ([][]byte, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perFile := cfg.Rows / int64(cfg.Files)
-	chunks := make([][]byte, 0, cfg.Files)
+	files := make([]*hdfs.Content, 0, cfg.Files)
 	var row int64
 	for i := 0; i < cfg.Files; i++ {
 		n := perFile
@@ -104,16 +118,16 @@ func TeraRows(cfg TeraGenConfig) ([][]byte, error) {
 			copy(buf[len(buf)-TeraValueLen+teraOrdinalLen-len(d):], d)
 			row++
 		}
-		chunks = append(chunks, buf)
+		files = append(files, &hdfs.Content{Data: buf})
 	}
-	teraCache[cfg] = chunks
+	teraCache[cfg] = files
 	teraCacheOrder = append(teraCacheOrder, cfg)
 	for len(teraCacheOrder) > 4 {
 		victim := teraCacheOrder[0]
 		teraCacheOrder = teraCacheOrder[1:]
 		delete(teraCache, victim)
 	}
-	return chunks, nil
+	return files, nil
 }
 
 // TeraSortSpec builds the TeraSort job: identity map, identity reduce, and

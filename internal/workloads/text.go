@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+
+	"mrapid/internal/hdfs"
 )
 
 // Corpus generates deterministic English-like text for WordCount inputs.
@@ -146,13 +148,23 @@ func InputFileName(prefix string, i int) string {
 // share them.
 var (
 	streamMu    sync.Mutex
-	streamCache = map[streamKey][]byte{}
+	streamCache = map[streamKey]*stream{}
 )
 
 type streamKey struct {
 	vocab int
 	seed  int64
 }
+
+// stream is one cached corpus stream and the Content of every file cut from
+// it so far, by offset and length: each DFS that stages a file shares its
+// Content, so the file's bytes are hashed at most once per process.
+type stream struct {
+	data   []byte
+	chunks map[chunkKey]*hdfs.Content
+}
+
+type chunkKey struct{ off, n int64 }
 
 // resume is the generator of the stream generated last, stopped where that
 // stream's words end, so that a longer request for it continues it instead
@@ -166,28 +178,54 @@ var resume struct {
 	line   int // the column the next word starts at
 }
 
-// corpusStream returns at least n bytes of the deterministic corpus stream
-// for (vocab, seed) — NewCorpus(vocab, seed).Generate(m) for some m ≥ n —
-// extending the cached stream as needed.
-func corpusStream(vocab int, seed int64, n int64) []byte {
-	k := streamKey{vocab, seed}
+// corpusFiles cuts files files of at least fileBytes bytes each, at line
+// boundaries, from the start of the (vocab, seed) stream and returns their
+// Contents, the cached one for each file cut before.
+func corpusFiles(vocab int, seed int64, files int, fileBytes int64) []*hdfs.Content {
 	streamMu.Lock()
 	defer streamMu.Unlock()
+	s := grownStream(streamKey{vocab, seed}, int64(files)*(fileBytes+256))
+	out := make([]*hdfs.Content, files)
+	var off int64
+	for i := range out {
+		chunk := cutAtLine(s.data[off:], fileBytes)
+		k := chunkKey{off, int64(len(chunk))}
+		if s.chunks[k] == nil {
+			s.chunks[k] = &hdfs.Content{Data: chunk[:len(chunk):len(chunk)]}
+		}
+		out[i] = s.chunks[k]
+		off = k.off + k.n
+	}
+	return out
+}
+
+// grownStream returns the cached stream for k, extended to at least n
+// bytes: its data is NewCorpus(k.vocab, k.seed).Generate(m) for some m ≥ n.
+// The caller holds streamMu.
+func grownStream(k streamKey, n int64) *stream {
 	s := streamCache[k]
-	if int64(len(s)) >= n {
+	if s == nil {
+		s = &stream{chunks: map[chunkKey]*hdfs.Content{}}
+		streamCache[k] = s
+	}
+	if int64(len(s.data)) >= n {
 		return s
 	}
 	if resume.key != k || resume.corpus == nil {
-		resume.key, resume.corpus, resume.words, resume.line = k, NewCorpus(vocab, seed), 0, 0
+		resume.key, resume.corpus, resume.words, resume.line = k, NewCorpus(k.vocab, k.seed), 0, 0
 	}
 	// The words continue in a new buffer: files cut from the old one alias
 	// it, and the next word goes where its closing newline is.
 	b := make([]byte, resume.words, n+128)
-	copy(b, s)
+	copy(b, s.data)
 	b, resume.line = resume.corpus.appendWords(b, n, resume.line)
 	resume.words = len(b)
-	s = endLine(b)
-	streamCache[k] = s
+	s.data = endLine(b)
+	// The cached files move to the new buffer with their digests, so the
+	// cache does not pin the old one; files already staged keep theirs.
+	for ck, c := range s.chunks {
+		s.chunks[ck] = c.Rebased(s.data[ck.off : ck.off+ck.n : ck.off+ck.n])
+	}
 	return s
 }
 

@@ -44,16 +44,12 @@ func GenerateWordCountInput(dfs *hdfs.DFS, cluster *topology.Cluster, prefix str
 	}
 	// One long deterministic stream per (vocab, seed), cut into per-file
 	// chunks at line boundaries. Cached across runs: every experiment that
-	// asks for the same configuration gets byte-identical files.
-	stream := corpusStream(vocab, cfg.Seed, int64(cfg.Files)*(cfg.FileBytes+256))
+	// asks for the same configuration gets the same files, Contents and all.
 	workers := cluster.Workers()
 	var names []string
-	for i := 0; i < cfg.Files; i++ {
+	for i, c := range corpusFiles(vocab, cfg.Seed, cfg.Files, cfg.FileBytes) {
 		name := InputFileName(prefix, i)
-		writer := workers[i%len(workers)]
-		chunk := cutAtLine(stream, cfg.FileBytes)
-		stream = stream[len(chunk):]
-		if _, err := dfs.PutInstant(name, chunk, writer); err != nil {
+		if _, err := dfs.PutContentInstant(name, c, workers[i%len(workers)]); err != nil {
 			return nil, err
 		}
 		names = append(names, name)

@@ -486,6 +486,13 @@ func BenchmarkCorpusGenerate(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
 }
 
+// corpusStream returns at least n bytes of the cached (vocab, seed) stream.
+func corpusStream(vocab int, seed int64, n int64) []byte {
+	streamMu.Lock()
+	defer streamMu.Unlock()
+	return grownStream(streamKey{vocab, seed}, n).data
+}
+
 // A cached stream grows by continuing its generator, not by replaying the
 // seed: generated in steps it equals one Generate at the final size, at
 // every step, and bytes handed out earlier — files cut from them alias
@@ -513,14 +520,46 @@ func TestCorpusStreamExtends(t *testing.T) {
 	}
 }
 
+// A generated file keeps one Content for the process: asking for the same
+// WordCount files again returns the same Contents, and a longer request
+// that extends the stream moves the cached ones to the new buffer with
+// their digests, while the Contents already handed out keep their bytes.
+func TestCorpusFilesKeepTheirContent(t *testing.T) {
+	const vocab = 702 // keys no other test streams
+	first := corpusFiles(vocab, 5, 2, 4000)
+	if again := corpusFiles(vocab, 5, 2, 4000); again[0] != first[0] || again[1] != first[1] {
+		t.Fatal("a repeated request got fresh Contents")
+	}
+	digests := []uint64{first[0].Digest(), first[1].Digest()}
+	kept := [][]byte{bytes.Clone(first[0].Data), bytes.Clone(first[1].Data)}
+	longer := corpusFiles(vocab, 5, 16, 4000)
+	stream := corpusStream(vocab, 5, 1)
+	var off int
+	for i, c := range longer {
+		if cap(c.Data) != len(c.Data) || &c.Data[0] != &stream[off] {
+			t.Fatalf("file %d is not a clipped view of the stream at %d", i, off)
+		}
+		off += len(c.Data)
+		if i < 2 && (!c.Digested() || c.Digest() != digests[i] || !bytes.Equal(c.Data, kept[i])) {
+			t.Fatalf("file %d lost its digest when the stream grew", i)
+		}
+		if i < 2 && !bytes.Equal(first[i].Data, kept[i]) {
+			t.Fatalf("file %d handed out earlier changed its bytes", i)
+		}
+	}
+}
+
 // The generator caches are shared by simulations on different goroutines:
 // two streams grown from several goroutines at once, and one TeraGen
 // configuration asked for by all of them, give each caller what a lone
-// caller gets. Under -race this checks the caches' locking.
+// caller gets, and the Contents of one WordCount configuration, digested
+// from every goroutine, agree. Under -race this checks the caches' locking
+// and Digest's.
 func TestGeneratorCachesConcurrentUse(t *testing.T) {
 	const vocab = 701 // keys no other test streams
 	cfg := TeraGenConfig{Rows: 400, Files: 2, Seed: 41}
 	rows := make([][][]byte, 8)
+	digests := make([][]uint64, len(rows))
 	var wg sync.WaitGroup
 	for g := range rows {
 		wg.Add(1)
@@ -531,6 +570,9 @@ func TestGeneratorCachesConcurrentUse(t *testing.T) {
 				got := corpusStream(vocab, seed, n)
 				if int64(len(got)) < n || !bytes.Equal(got, NewCorpus(vocab, seed).Generate(int64(len(got))-1)) {
 					t.Errorf("goroutine %d: %d bytes of seed %d are not one Generate of their length", g, n, seed)
+				}
+				for _, c := range corpusFiles(vocab, 2, 3, 800) {
+					digests[g] = append(digests[g], c.Digest())
 				}
 			}
 			var err error
@@ -543,6 +585,9 @@ func TestGeneratorCachesConcurrentUse(t *testing.T) {
 	for g := range rows {
 		if !slices.EqualFunc(rows[g], rows[0], bytes.Equal) {
 			t.Fatalf("goroutine %d got other TeraGen rows than goroutine 0", g)
+		}
+		if !slices.Equal(digests[g], digests[0]) {
+			t.Fatalf("goroutine %d digested other WordCount files than goroutine 0", g)
 		}
 	}
 }
