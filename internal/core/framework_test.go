@@ -28,24 +28,21 @@ func profilerSummary() profiler.Summary {
 }
 
 // stageInput writes n deterministic text files and returns names + all data.
+// Every file holds the same bytes, one line repeated until it reaches size,
+// built once and staged n times.
 func stageInput(t testing.TB, rt *mapreduce.Runtime, n, size int) ([]string, []byte) {
 	t.Helper()
-	var names []string
-	var all []byte
 	line := []byte("lorem ipsum dolor sit amet consectetur adipiscing elit sed do\n")
+	file := bytes.Repeat(line, (size+len(line)-1)/len(line))
+	var names []string
 	for i := 0; i < n; i++ {
-		var buf bytes.Buffer
-		for buf.Len() < size {
-			buf.Write(line)
-		}
 		name := "/in/part-" + strconv.Itoa(i)
-		if _, err := rt.DFS.PutInstant(name, buf.Bytes(), rt.Cluster.Workers()[i%len(rt.Cluster.Workers())]); err != nil {
+		if _, err := rt.DFS.PutInstant(name, file, rt.Cluster.Workers()[i%len(rt.Cluster.Workers())]); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
-		all = append(all, buf.Bytes()...)
 	}
-	return names, all
+	return names, bytes.Repeat(file, n)
 }
 
 // testWCSpec is the production WordCount, counted in the mapper, at core's
@@ -78,10 +75,7 @@ func startFramework(t testing.TB, rt *mapreduce.Runtime, poolSize int) *Framewor
 
 func verifyWC(t testing.TB, rt *mapreduce.Runtime, output string, input []byte) {
 	t.Helper()
-	want := map[string]int{}
-	for _, w := range bytes.Fields(input) {
-		want[string(w)]++
-	}
+	want := wordCounts(input)
 	data, err := rt.DFS.Contents(mapreduce.PartFileName(output, 0))
 	if err != nil {
 		t.Fatalf("output missing: %v", err)
@@ -103,6 +97,41 @@ func verifyWC(t testing.TB, rt *mapreduce.Runtime, output string, input []byte) 
 			t.Fatalf("count[%q] = %d, want %d", k, got[k], v)
 		}
 	}
+}
+
+// wordCounts counts the words of text, split at ASCII white space the way
+// bytes.Fields splits ASCII text, without building the list of words: a
+// count is found by a lookup, which does not allocate, and only a new word
+// allocates its key and counter.
+func wordCounts(text []byte) map[string]int {
+	counts := map[string]*int{}
+	for i := 0; i < len(text); {
+		for i < len(text) && asciiSpace(text[i]) {
+			i++
+		}
+		j := i
+		for j < len(text) && !asciiSpace(text[j]) {
+			j++
+		}
+		if j > i {
+			n := counts[string(text[i:j])]
+			if n == nil {
+				n = new(int)
+				counts[string(text[i:j])] = n
+			}
+			*n++
+		}
+		i = j
+	}
+	out := make(map[string]int, len(counts))
+	for w, n := range counts {
+		out[w] = *n
+	}
+	return out
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 func TestPoolStartAcquireRelease(t *testing.T) {

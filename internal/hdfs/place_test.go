@@ -140,6 +140,7 @@ func BenchmarkPlace(b *testing.B) {
 	c := placeCluster(b)
 	d := New(c.Eng, c, 128<<20, 3, 7)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.place(nil)
 	}

@@ -175,7 +175,7 @@ func TestMapCacheLookupCopiesPartBytes(t *testing.T) {
 }
 
 // The budget books what an entry really keeps alive — input block, slab
-// and the indexes at their capacity — not a guess from the input's line
+// and the sealed indexes at their capacity — not a guess from the input's line
 // count: a WordCount split emits an order of magnitude more pairs than it
 // has lines.
 func TestMapCacheBooksRealFootprint(t *testing.T) {
@@ -187,13 +187,18 @@ func TestMapCacheBooksRealFootprint(t *testing.T) {
 	}
 	spec := wcSpec([]string{"/in"}, "/out")
 	c := NewMapCache(1 << 30)
-	before := heap()
-	var text bytes.Buffer
-	for i := 0; text.Len() < 1<<20; i++ {
-		fmt.Fprintf(&text, "w%d x%d the of and a%d\n", i%5000, i%37, i%11)
+	input := func() []byte {
+		var text bytes.Buffer
+		for i := 0; text.Len() < 1<<20; i++ {
+			fmt.Fprintf(&text, "w%d x%d the of and a%d\n", i%5000, i%37, i%11)
+		}
+		return bytes.Clone(text.Bytes())
 	}
-	data := bytes.Clone(text.Bytes())
-	text = bytes.Buffer{}
+	// The map's scratch outlives the map: grow it before the baseline, so
+	// the heap grows by what the entry keeps and nothing else.
+	ExecMap(spec, input())
+	before := heap()
+	data := input()
 	mo := ExecMap(spec, data)
 	pairs, lines := int64(len(mo.Partitions[0])), mo.Records
 	c.store(mustKey(t, spec, "/in", 0, data), mo)

@@ -112,9 +112,10 @@ func GroupOutputsByNode(outputs []*MapOutput) [][]*MapOutput {
 
 // ConsolidateGroup builds the synthetic output for one node's group: each
 // partition is the k-way merge of the members' sorted runs, re-combined
-// through the job's combiner when it has one, copied into one new flat
-// output that pins none of the members' input blocks; without a combiner
-// each merged pair keeps its count. Pure computation —
+// through the job's combiner when it has one, built in a scratch builder
+// and sealed into one new flat output that pins none of the members' input
+// blocks; without a combiner each merged pair keeps its count. Pure
+// computation —
 // the shuffle service charges the virtual cost separately. Correctness
 // rests on compareRecs breaking key ties by value: merging sorted runs in
 // any grouping yields the same final sequence the reducer would have merged
@@ -133,7 +134,7 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 	if first.Split != nil {
 		split = first.Split.File
 	}
-	b := newOutputBuilder(split, nil, spec.NumReduces, 64, maxOffset)
+	b := newOutputBuilder(split, nil, spec.NumReduces, maxOffset)
 	for p := 0; p < spec.NumReduces; p++ {
 		if spec.Combine != nil {
 			b.combineFrom(group, p, spec.Combine)
@@ -146,6 +147,7 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 		}
 	}
 	out := b.output()
+	b.release()
 	out.Split, out.Resident = first.Split, first.Resident
 	out.InMemory = true
 	for _, mo := range group {

@@ -129,30 +129,25 @@ func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 	return execMap(spec, file, data, maxOffset)
 }
 
-// recsHint sizes each partition's index for a split of n bytes. Fixed-length
-// records give the record count, one pair each: exact for one partition,
-// and for more the even share and half again, so a partition holding up to
-// three times its share grows once at most. Other formats guess one pair
-// per 32 bytes.
-func recsHint(spec *JobSpec, n int) int {
-	nred := spec.NumReduces
+// exactRecs is the pair count of a split of n bytes when it is known before
+// the map runs: fixed-length records into a single reduce with no combiner,
+// one pair each (TeraSort's identity map).
+func exactRecs(spec *JobSpec, n int) (int, bool) {
 	f, ok := spec.Format.(FixedFormat)
-	if !ok || f.KeyLen+f.ValLen <= 0 {
-		return n/(32*nred) + 64
+	if !ok || f.KeyLen+f.ValLen <= 0 || spec.NumReduces != 1 || spec.Combine != nil {
+		return 0, false
 	}
-	recs := n / (f.KeyLen + f.ValLen)
-	if nred == 1 {
-		return recs
-	}
-	even := (recs + nred - 1) / nred
-	return even + even/2
+	return n / (f.KeyLen + f.ValLen), true
 }
 
 // execMap is ExecMapFile with the offset space bounded by limit, which tests
 // lower.
 func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 	nred := spec.NumReduces
-	b := newOutputBuilder(file, data, nred, recsHint(spec, len(data)), limit)
+	b := newOutputBuilder(file, data, nred, limit)
+	if recs, ok := exactRecs(spec, len(data)); ok {
+		b.parts[0], b.exact = make([]Rec, 0, recs), true
+	}
 	part := spec.partitioner()
 	var emit Emit
 	if nred == 1 {
@@ -183,15 +178,19 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 		b.sortRecs(p)
 	}
 	if spec.Combine != nil {
-		// The combined output is a new builder over the same input block;
-		// the pre-combine index and slab are garbage once it is built.
-		raw := []*MapOutput{b.output()}
-		b = newOutputBuilder(file, data, nred, 64, limit)
+		// The pre-combine pairs are never sealed: the combiner reads them
+		// through a view of b's scratch into a second builder over the same
+		// input block, and b goes back once they are in.
+		raw := []*MapOutput{b.view()}
+		c := newOutputBuilder(file, data, nred, limit)
 		for p := 0; p < nred; p++ {
-			b.combineFrom(raw, p, spec.Combine)
+			c.combineFrom(raw, p, spec.Combine)
 		}
+		b.release()
+		b = c
 	}
 	out := b.output()
+	b.release()
 	out.Records = records
 	return out
 }

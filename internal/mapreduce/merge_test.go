@@ -39,7 +39,7 @@ func runOutput(pairs []kv, counted int) *MapOutput {
 	for _, p := range pairs {
 		block = append(block, p.k...)
 	}
-	b := newOutputBuilder("run", block, 1, 1, maxOffset)
+	b := newOutputBuilder("run", block, 1, maxOffset)
 	type tally struct {
 		key, value []byte
 		n          uint32

@@ -33,6 +33,18 @@ import (
 // integer; both look at key bytes only on a prefix tie. The garbage
 // collector has nothing to scan in an index, and a cached output is
 // immutable: readers share it freely.
+//
+// An output is built in scratch and then sealed. The outputBuilder a map
+// task adds to comes from builders, a free list, with the per-partition
+// index, counts and slab buffers an earlier build grew: a warm builder
+// neither guesses sizes nor regrows. output seals what it holds — every
+// partition's index copied into one exactly sized array, each partition a
+// capacity-clipped window of it, the counts the same way, the slab copied
+// at its exact length — so an output owns no scratch and retains exactly
+// its bytes, which is what the MapCache books. The builder then goes back
+// to the list. A single-reduce split of fixed-length records knows its pair
+// count, so its partition is allocated at that size and handed over
+// without a copy.
 
 // Rec indexes one intermediate pair inside its output's store.
 type Rec struct {
@@ -151,7 +163,9 @@ func grown[T any](s []T, need int) []T {
 	return g
 }
 
-// outputBuilder accumulates emitted pairs into a flat map output.
+// outputBuilder accumulates emitted pairs into a flat map output. It is
+// scratch: take one with newOutputBuilder, seal what it holds with output,
+// and hand it back with release.
 type outputBuilder struct {
 	store
 	parts     [][]Rec
@@ -159,26 +173,56 @@ type outputBuilder struct {
 	partBytes []int64
 	split     string // named when the offset space overflows
 	limit     uint64 // maxOffset, lower under test
+	exact     bool   // parts[0] was allocated at the split's pair count, not taken from recBufs
+
+	// What each partition's index and counts grew into, kept for the next
+	// build (the slab keeps its own).
+	recBufs   [][]Rec
+	countBufs [][]uint32
 }
 
-// newOutputBuilder starts an output of nparts partitions over input, with
-// room for recsHint pairs in each before the first regrowth.
-func newOutputBuilder(split string, input []byte, nparts, recsHint int, limit uint64) *outputBuilder {
-	b := &outputBuilder{
-		store:     store{input: input},
-		parts:     make([][]Rec, nparts),
-		counts:    make([][]uint32, nparts),
-		partBytes: make([]int64, nparts),
-		split:     split,
-		limit:     limit,
+// builders are the released output builders, every one's buffers as large
+// as its largest build made them.
+var builders FreeList[outputBuilder]
+
+// newOutputBuilder starts an output of nparts partitions over input on a
+// builder from builders, or a new one.
+func newOutputBuilder(split string, input []byte, nparts int, limit uint64) *outputBuilder {
+	b := builders.Get()
+	if b == nil {
+		b = new(outputBuilder)
 	}
+	b.input, b.split, b.limit, b.exact = input, split, limit, false
 	if uint64(len(input)) > limit {
 		b.overflow(0)
 	}
-	for p := range b.parts {
-		b.parts[p] = make([]Rec, 0, recsHint)
+	for len(b.recBufs) < nparts {
+		b.recBufs, b.countBufs = append(b.recBufs, nil), append(b.countBufs, nil)
 	}
+	b.parts = append(b.parts[:0], b.recBufs[:nparts]...)
+	b.counts = slices.Grow(b.counts[:0], nparts)[:nparts]
+	b.partBytes = slices.Grow(b.partBytes[:0], nparts)[:nparts]
+	clear(b.partBytes)
+	b.slab = b.slab[:0]
 	return b
+}
+
+// release hands b back to builders, keeping what its buffers grew into.
+// Nothing may read b, or a view of it, after; a builder whose build
+// panicked is never released.
+func (b *outputBuilder) release() {
+	for p, part := range b.parts {
+		if cap(part) > cap(b.recBufs[p]) {
+			b.recBufs[p] = part[:0]
+		}
+		if c := b.counts[p]; cap(c) > cap(b.countBufs[p]) {
+			b.countBufs[p] = c[:0]
+		}
+	}
+	clear(b.parts)
+	clear(b.counts)
+	b.input, b.split = nil, ""
+	builders.Put(b)
 }
 
 // overflow fails the task: offsets past the limit would wrap in the index
@@ -231,7 +275,11 @@ func (b *outputBuilder) add(p int, k, v []byte, n uint32) {
 // counted returns partition p's multiplicities, made all ones on first need.
 func (b *outputBuilder) counted(p int) []uint32 {
 	if b.counts[p] == nil {
-		c := make([]uint32, len(b.parts[p]), cap(b.parts[p]))
+		c := b.countBufs[p][:0]
+		if cap(c) < cap(b.parts[p]) {
+			c = make([]uint32, 0, cap(b.parts[p]))
+		}
+		c = c[:len(b.parts[p])]
 		for i := range c {
 			c[i] = 1
 		}
@@ -383,13 +431,52 @@ func (b *outputBuilder) combineFrom(outputs []*MapOutput, p int, c ReduceFunc) {
 	b.sortRecs(p)
 }
 
-// output hands the accumulated pairs over as a MapOutput.
+// output seals the accumulated pairs into a MapOutput that shares nothing
+// with b but the input block: the indexes copied into one exactly sized
+// array, each partition a capacity-clipped window of it, the counts the
+// same way, and the slab copied at its exact length. An exact partition
+// that came out full is handed over as it is.
 func (b *outputBuilder) output() *MapOutput {
-	out := &MapOutput{store: b.store, Partitions: b.parts, counts: b.counts, PartBytes: b.partBytes}
-	for _, n := range b.partBytes {
-		out.TotalBytes += n
+	n := len(b.parts)
+	out := &MapOutput{store: store{input: b.input}, Partitions: make([][]Rec, n), counts: make([][]uint32, n),
+		PartBytes: slices.Clone(b.partBytes)}
+	handed := b.exact && len(b.parts[0]) == cap(b.parts[0]) && b.counts[0] == nil
+	if handed {
+		out.Partitions[0], b.parts[0] = b.parts[0], nil // release must not keep it
+	}
+	var recs, counted int
+	for p, part := range b.parts {
+		recs += len(part)
+		if b.counts[p] != nil {
+			counted += len(part)
+		}
+		out.TotalBytes += b.partBytes[p]
+	}
+	idx, cnt := make([]Rec, 0, recs), make([]uint32, 0, counted)
+	for p, part := range b.parts {
+		if p == 0 && handed {
+			continue
+		}
+		lo := len(idx)
+		idx = append(idx, part...)
+		out.Partitions[p] = idx[lo:len(idx):len(idx)]
+		if c := b.counts[p]; c != nil {
+			lo := len(cnt)
+			cnt = append(cnt, c...)
+			out.counts[p] = cnt[lo:len(cnt):len(cnt)]
+		}
+	}
+	if len(b.slab) > 0 {
+		out.slab = make([]byte, len(b.slab)) // not bytes.Clone: append rounds its capacity up
+		copy(out.slab, b.slab)
 	}
 	return out
+}
+
+// view returns what b holds as a MapOutput without sealing it, for a merge
+// that runs before b is released: the view aliases b's scratch.
+func (b *outputBuilder) view() *MapOutput {
+	return &MapOutput{store: b.store, Partitions: b.parts, counts: b.counts}
 }
 
 // cursor is one sorted run being merged: its head pair, the pairs after

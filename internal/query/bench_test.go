@@ -122,13 +122,11 @@ func discardCounted(k, v []byte, _ int) { discard(k, v) }
 // TestStageClosuresAllocBudget is the allocation gate of the row path: a map
 // record function allocates nothing per input row, with or without a fused
 // filter+projection — the group-by's on a table that already holds the
-// split's keys — a group-by split costs a constant number of allocations
-// whatever its rows and keys, and reduce allocates at most twice per group
-// (a join group past the inline row array allocates its row list once).
-// Each measured run is one row, one split or one group, so AllocsPerRun's
-// truncated average absorbs the pool refills a GC cycle — or the race
-// detector's randomly dropped Puts — cause, and still reads ≥ 1 for
-// anything allocated per call.
+// split's keys — and reduce allocates at most twice per group (a join group
+// past the inline row array allocates its row list once). Each measured run
+// is one row or one group, so AllocsPerRun's truncated average still reads
+// ≥ 1 for anything allocated per call. A whole group-by split is
+// TestGroupBySplitAllocatesNothing's.
 func TestStageClosuresAllocBudget(t *testing.T) {
 	fx := newStageFixture(t)
 	perRow := func(name string, fn mapreduce.MapFunc) {
@@ -150,11 +148,6 @@ func TestStageClosuresAllocBudget(t *testing.T) {
 		}
 		perRow(name, fn)
 		flush(discardCounted)
-		// None on a warm table; a table or buffer whose Put the race
-		// detector dropped costs a few to refill.
-		if got := testing.AllocsPerRun(100, func() { mapSplit(spec, salesFile, fx.sales, discardCounted) }); got > 4 {
-			t.Errorf("%s split: %v allocations per split of %d rows, want at most 4", name, got, len(fx.sales))
-		}
 	}
 	for _, c := range []struct {
 		name   string
@@ -171,6 +164,21 @@ func TestStageClosuresAllocBudget(t *testing.T) {
 			i++
 		}); got > 2 {
 			t.Errorf("%s: %v allocations per group, want at most 2", c.name, got)
+		}
+	}
+}
+
+// TestGroupBySplitAllocatesNothing: a whole group-by split — its record
+// function over every row, then its flush — allocates nothing on a warm
+// aggTable, with or without a fused filter+projection. The tables and the
+// flush's state buffer come from free lists, which keep every Put, so this
+// holds under the race detector too.
+func TestGroupBySplitAllocatesNothing(t *testing.T) {
+	fx := newStageFixture(t)
+	for name, spec := range fx.groupBy {
+		mapSplit(spec, salesFile, fx.sales, discardCounted)
+		if got := testing.AllocsPerRun(20, func() { mapSplit(spec, salesFile, fx.sales, discardCounted) }); got != 0 {
+			t.Errorf("%s: a warm split of %d rows allocates %v times", name, len(fx.sales), got)
 		}
 	}
 }

@@ -387,10 +387,10 @@ func (c *compiler) materialize(src *source) (*Stage, error) {
 			emit(row, nil)
 			return
 		}
-		buf := scratchPool.Get().(*scratch)
+		buf := borrowScratch()
 		buf.b = src.appendRow(buf.b[:0], row, sp)
 		emit(buf.b, nil)
-		scratchPool.Put(buf)
+		scratches.Put(buf)
 	}
 	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		for i := range values.Len() {
@@ -448,7 +448,7 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		if err != nil {
 			panic(err)
 		}
-		buf := scratchPool.Get().(*scratch)
+		buf := borrowScratch()
 		b := append(buf.b[:0], key...)
 		for i, a := range aggs {
 			b = append(b, sepByte)
@@ -477,7 +477,7 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		}
 		emit(b, nil)
 		buf.b = b
-		scratchPool.Put(buf)
+		scratches.Put(buf)
 	}
 	// Grouping collapses rows; a quarter of the input is a workable prior
 	// for sizing downstream stages.
@@ -519,10 +519,10 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 			if !ok {
 				return
 			}
-			buf := scratchPool.Get().(*scratch)
+			buf := borrowScratch()
 			buf.b = side.appendRow(append(buf.b[:0], tag, sepByte), row, sp)
 			emit(sp.field(row, keyField), buf.b)
-			scratchPool.Put(buf)
+			scratches.Put(buf)
 		}
 	}
 	leftMap := mkSide(left, li, 'L')
@@ -567,14 +567,14 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 				}
 			}
 		}
-		buf := scratchPool.Get().(*scratch)
+		buf := borrowScratch()
 		for _, left := range rows[:nl] {
 			for i := total - 1; i >= nl; i-- {
 				buf.b = append(append(append(buf.b[:0], left...), sepByte), rows[i]...)
 				emit(buf.b, nil)
 			}
 		}
-		scratchPool.Put(buf)
+		scratches.Put(buf)
 	}
 	return &source{files: out.Files, schema: outSchema, producer: st.ID, estBytes: estIn, sig: st.Sig}, nil
 }
@@ -602,7 +602,7 @@ func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, er
 			return
 		}
 		// An untransformed row passes through as the line's own bytes.
-		buf := scratchPool.Get().(*scratch)
+		buf := borrowScratch()
 		b := appendSortKey(buf.b[:0], sp.field(row, ci), desc)
 		n := len(b)
 		if src.cols != nil {
@@ -611,7 +611,7 @@ func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, er
 		}
 		emit(b[:n], row)
 		buf.b = b
-		scratchPool.Put(buf)
+		scratches.Put(buf)
 	}
 	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		for i := range values.Len() {

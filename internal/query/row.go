@@ -7,7 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"mrapid/internal/mapreduce"
@@ -17,9 +16,9 @@ import (
 // is never a []string: it is the line's own bytes plus the spans of its
 // fields, computed once. Keys, filter operands and aggregate inputs are
 // sub-slices of the line; whatever a closure has to build — a projected row,
-// a partial state, a sort key — is appended into one pooled buffer and handed
-// to emit, which copies it. The bytes are the ones the string codec produced:
-// same separator, same number renderings, same sort keys.
+// a partial state, a sort key — is appended into one borrowed scratch buffer
+// and handed to emit, which copies it. The bytes are the ones the string
+// codec produced: same separator, same number renderings, same sort keys.
 
 const sepByte = 0x1f // colSep as a byte
 
@@ -100,11 +99,20 @@ func (s spans) appendFields(dst, row []byte, idx []int) []byte {
 
 // scratch is the buffer a closure builds its emitted bytes in. Closures may
 // run concurrently in simulations on different goroutines and share nothing
-// mutable; each call borrows a buffer for its own duration. A new one starts wide enough for the
-// usual row, so a pool the collector emptied refills in one step.
+// mutable; each call borrows a buffer for its own duration and puts it back
+// on scratches, a free list the collector does not empty.
 type scratch struct{ b []byte }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{b: make([]byte, 0, 256)} }}
+var scratches mapreduce.FreeList[scratch]
+
+// borrowScratch takes a buffer from scratches, or makes one wide enough for
+// the usual row.
+func borrowScratch() *scratch {
+	if s := scratches.Get(); s != nil {
+		return s
+	}
+	return &scratch{b: make([]byte, 0, 256)}
+}
 
 // pred is a filter condition compiled against a stored-row field, its
 // literal parsed once.
@@ -214,7 +222,7 @@ type aggPlan struct {
 // split is the stage's MapFor: it borrows a table for one split and hands
 // out the table's record function and flush.
 func (p *aggPlan) split(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
-	t, _ := aggTables.Get().(*aggTable)
+	t := aggTables.Get()
 	if t == nil {
 		t = newAggTable()
 	}
@@ -247,7 +255,7 @@ type aggSlot struct{ hash, group uint32 }
 const aggMinSlots = 1 << 10
 
 var (
-	aggTables sync.Pool // of *aggTable, flushed and reset
+	aggTables mapreduce.FreeList[aggTable] // flushed and reset
 	aggSeed   = maphash.MakeSeed()
 )
 
@@ -352,12 +360,12 @@ func (t *aggTable) grow() {
 // and flush must not be called after.
 func (t *aggTable) flush(emit mapreduce.CountedEmit) {
 	n := len(t.plan.aggs)
-	buf := scratchPool.Get().(*scratch)
+	buf := borrowScratch()
 	for g, key := range t.keys {
 		buf.b = appendStates(buf.b[:0], t.accs[g*n:(g+1)*n])
 		emit(key, buf.b, 1)
 	}
-	scratchPool.Put(buf)
+	scratches.Put(buf)
 	clear(t.slots)
 	clear(t.keys) // the keys pin their input blocks
 	t.keys, t.accs, t.arena, t.plan = t.keys[:0], t.accs[:0], t.arena[:0], nil

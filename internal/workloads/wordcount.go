@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"sync"
 
 	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
@@ -142,12 +141,15 @@ const (
 	wordMaxSlots = 1 << 16
 )
 
-var wordTables sync.Pool // of *wordTable, flushed and reset
+// wordTables are the flushed and reset tables. It is a free list, not a
+// sync.Pool: a collection does not empty it, so a process builds one table
+// per goroutine mapping at once, not one after every GC.
+var wordTables mapreduce.FreeList[wordTable]
 
 // borrowWordTable takes a reset table from wordTables, or builds one, for
 // a split whose words must contain pattern (nil: every word counts).
 func borrowWordTable(pattern []byte) *wordTable {
-	t, _ := wordTables.Get().(*wordTable)
+	t := wordTables.Get()
 	if t == nil {
 		t = &wordTable{
 			slots: make([]wordSlot, wordMinSlots),
