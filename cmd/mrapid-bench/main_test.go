@@ -11,22 +11,20 @@ func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		scale                         float64
 		codecSet, service, throughput bool
-		seriesOut, dashOut            string
+		seriesOut                     string
 		bad                           string // the flag the error must name; "" = accepted
 	}{
-		{1, false, false, true, "", "", ""},
-		{0.05, true, true, true, "", "", ""},
-		{0, false, false, true, "", "", "scale"},
-		{-1, false, false, true, "", "", "scale"},
-		{1, true, false, true, "", "", "shuffle-codec"},
-		{1, false, false, true, "x.prom", "x.html", ""},
-		{1, false, false, false, "", "", ""},
-		{1, false, false, false, "x.prom", "", "series-out"},
-		{1, false, false, false, "", "x.html", "dash-out"},
-		{1, false, false, false, "x.prom", "x.html", "series-out"},
+		{1, false, false, true, "", ""},
+		{0.05, true, true, true, "", ""},
+		{0, false, false, true, "", "scale"},
+		{-1, false, false, true, "", "scale"},
+		{1, true, false, true, "", "shuffle-codec"},
+		{1, false, false, true, "x.prom", ""},
+		{1, false, false, false, "", ""},
+		{1, false, false, false, "x.prom", "series-out"},
 	}
 	for _, c := range cases {
-		opts := bench.Options{ShuffleService: c.service, SeriesOut: c.seriesOut, DashOut: c.dashOut}
+		opts := bench.Options{ShuffleService: c.service, SeriesOut: c.seriesOut}
 		err := checkFlags(c.scale, c.codecSet, c.throughput, opts)
 		switch {
 		case c.bad == "" && err != nil:

@@ -44,7 +44,6 @@ import (
 	"mrapid/internal/profiler"
 	"mrapid/internal/query"
 	"mrapid/internal/report"
-	"mrapid/internal/trace"
 	"mrapid/internal/workloads"
 	"mrapid/internal/yarn"
 )
@@ -60,7 +59,7 @@ var (
 	maps     = flag.Int("maps", 4, "pi map tasks")
 	verbose  = flag.Bool("verbose", false, "print per-task profile (query job: every result row)")
 	traceN   = flag.Int("trace", 0, "print the last N trace records (spans and point marks, in start order)")
-	traceOut = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (load in Perfetto / chrome://tracing); with the flight recorder on, series ride along as counter lanes")
+	traceOut = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (load in Perfetto / chrome://tracing)")
 	metOut   = flag.String("metrics-out", "", "write the phase report and metrics registry as JSON")
 	phaseRep = flag.Bool("report", false, "print the critical-path phase-attribution report")
 	jobs     = flag.Int("jobs", 1, "number of jobs; > 1 switches to multi-job workload mode through the JobServer")
@@ -92,9 +91,9 @@ var honoured = map[string]runMode{
 	"samples": singleJob, "maps": singleJob, "trace": singleJob, "trace-out": singleJob,
 	"metrics-out": singleJob, "report": singleJob, "repeat": singleJob, "show-history": singleJob,
 	"verbose":    singleJob | queryJob,
-	"series-out": singleJob | workload, "dash-out": singleJob | workload,
-	"jobs":    singleJob | workload,
-	"tenants": workload, "arrival": workload, "policy": workload,
+	"series-out": singleJob | workload,
+	"jobs":       singleJob | workload,
+	"tenants":    workload, "arrival": workload, "policy": workload,
 	"query-exec": queryJob,
 }
 
@@ -216,14 +215,11 @@ func runWorkload(setup bench.ClusterSetup, opts bench.Options) error {
 				fmt.Printf("  %-10s %s\n", name, rep)
 			}
 		}
-		if err := res.WriteFlightArtifacts(opts, fmt.Sprintf("workload: %d jobs, policy=%s, cluster=%s", *jobs, *policy, *cluster)); err != nil {
+		if err := res.WriteFlightArtifacts(opts); err != nil {
 			return err
 		}
 		if opts.SeriesOut != "" {
 			fmt.Printf("series dump written to %s\n", opts.SeriesOut)
-		}
-		if opts.DashOut != "" {
-			fmt.Printf("dashboard written to %s\n", opts.DashOut)
 		}
 	}
 	return nil
@@ -311,8 +307,8 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 	}
 	if opts.FlightRecorder {
 		// Single-job mode has no admission queue, so the recorder runs
-		// without an SLO tracker: cluster gauges and counter rates still
-		// fill the dashboard.
+		// without an SLO tracker: the dump holds the cluster gauges and
+		// registry counters.
 		env.EnableFlightRecorder(flight.SLOConfig{})
 	}
 
@@ -375,8 +371,7 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 		}
 	}
 
-	label := fmt.Sprintf("job=%s mode=%s cluster=%s", *job, res.Mode, *cluster)
-	fmt.Println(label)
+	fmt.Printf("job=%s mode=%s cluster=%s\n", *job, res.Mode, *cluster)
 	fmt.Printf("completion time: %.2f virtual seconds\n", prof.Elapsed().Seconds())
 	fmt.Printf("timeline: submitted=%s amReady=%s firstTask=%s mapsDone=%s done=%s\n",
 		prof.SubmittedAt, prof.AMReadyAt, prof.FirstTaskAt, prof.MapsDoneAt, prof.DoneAt)
@@ -429,16 +424,7 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 			}
 		}
 		if *traceOut != "" {
-			// With the recorder on, its series ride along as Chrome counter
-			// lanes so Perfetto shows gauges above the span tree.
-			var lanes []trace.CounterSeries
-			if env.Flight != nil {
-				lanes = env.Flight.CounterSeries()
-			}
-			err := bench.WriteArtifact(*traceOut, func(w io.Writer) error {
-				return env.Trace.WriteChromeTraceCounters(w, lanes)
-			})
-			if err != nil {
+			if err := bench.WriteArtifact(*traceOut, env.Trace.WriteChromeTrace); err != nil {
 				return err
 			}
 			fmt.Printf("chrome trace written to %s (%d spans)\n", *traceOut, len(env.Trace.Spans()))
@@ -450,15 +436,12 @@ func run(setup bench.ClusterSetup, opts bench.Options) error {
 			fmt.Printf("metrics summary written to %s\n", *metOut)
 		}
 		if env.Flight != nil {
-			if err := env.WriteFlightArtifacts(opts, label); err != nil {
+			if err := env.WriteFlightArtifacts(opts); err != nil {
 				return err
 			}
 			if opts.SeriesOut != "" {
 				fmt.Printf("series dump written to %s (%d samples, %d series)\n",
 					opts.SeriesOut, env.Flight.Samples(), len(env.Flight.SeriesNames()))
-			}
-			if opts.DashOut != "" {
-				fmt.Printf("dashboard written to %s\n", opts.DashOut)
 			}
 		}
 	}

@@ -19,9 +19,9 @@ func TestCheckFlags(t *testing.T) {
 		bad  string            // the flag the error must name; "" = accepted
 		vals map[string]string // values other than the flags' defaults
 	}{
-		{singleJob, []string{"job", "mode", "files", "size-mb", "trace", "report", "verbose", "repeat", "show-history", "dash-out"}, "", nil},
+		{singleJob, []string{"job", "mode", "files", "size-mb", "trace", "report", "verbose", "repeat", "show-history", "series-out"}, "", nil},
 		{singleJob, []string{"mode", "memo"}, "", map[string]string{"mode": "dplus"}},
-		{workload, []string{"jobs", "tenants", "arrival", "policy", "series-out", "dash-out"}, "", nil},
+		{workload, []string{"jobs", "tenants", "arrival", "policy", "series-out"}, "", nil},
 		{queryJob, []string{"job", "query-exec", "verbose"}, "", nil},
 		// The shared setup works in all three modes.
 		{singleJob, []string{"cluster", "seed", "node-fail", "shuffle-service", "shuffle-codec", "memo"}, "", shuffleOn},
@@ -56,7 +56,6 @@ func TestCheckFlags(t *testing.T) {
 		{queryJob, []string{"job", "repeat"}, "repeat", nil},
 		{queryJob, []string{"job", "show-history"}, "show-history", nil},
 		{queryJob, []string{"job", "series-out"}, "series-out", nil},
-		{queryJob, []string{"job", "dash-out"}, "dash-out", nil},
 		{queryJob, []string{"job", "jobs"}, "jobs", nil},
 		{queryJob, []string{"job", "tenants"}, "tenants", nil},
 		{singleJob, []string{"tenants"}, "tenants", nil},

@@ -43,15 +43,13 @@ type Options struct {
 	MemoCache bool
 
 	// FlightRecorder turns on the flight recorder (internal/flight) for
-	// workload runs: virtual-clock time-series and per-tenant SLO burn
-	// rates. Sampling is read-only on the virtual clock, so results are
+	// workload runs: virtual-clock time-series and per-tenant p99 queue
+	// waits. Sampling is read-only on the virtual clock, so results are
 	// byte-identical with it on or off.
 	FlightRecorder bool
-	// SeriesOut/DashOut, when non-empty, make the recording experiments
-	// write the Prometheus series dump and the HTML dashboard to these
-	// paths.
+	// SeriesOut, when non-empty, makes the recording experiments write the
+	// Prometheus series dump to this path.
 	SeriesOut string
-	DashOut   string
 }
 
 // Apply is the one step from a run description to a simulation's setup: it

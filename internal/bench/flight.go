@@ -9,14 +9,10 @@ import (
 
 	"mrapid/internal/flight"
 	"mrapid/internal/metrics"
-	"mrapid/internal/report"
 )
 
 // DefaultSLO is the objective the workload experiments hold every tenant
-// to: p99 queue wait under 10s, with the tracker's fixed 10% bad-event
-// budget burned over 30s/2m/10m windows. The blocked-FIFO throughput run
-// violates it hard for the later tenants, which is exactly what the
-// burn-rate lanes are meant to show.
+// to: an admission that waits more than 10s is a bad event.
 func DefaultSLO() flight.SLOConfig {
 	return flight.SLOConfig{TargetWait: 10 * time.Second}
 }
@@ -25,10 +21,10 @@ func DefaultSLO() flight.SLOConfig {
 // target, the per-tenant SLO tracker) with the standard cluster gauges:
 // per-node running containers, the scheduler's pending-container backlog,
 // shuffle bytes in flight, intermediate-store residency, and AM-pool
-// occupancy. Registry counters — including uplus_cache_bytes and every
-// *_total rate — ride along automatically. Gauges are read-only probes, so
-// the recorder cannot perturb the run. The recorder is created started;
-// Env.Run stops it with the job, and other drivers call StopIfRunning.
+// occupancy. Registry counters, uplus_cache_bytes included, ride along
+// automatically. Gauges are read-only probes, so the recorder cannot
+// perturb the run. The recorder is created started; Env.Run stops it with
+// the job, and other drivers call StopIfRunning.
 func (e *Env) EnableFlightRecorder(slo flight.SLOConfig) *flight.Recorder {
 	if e.Flight != nil {
 		return e.Flight
@@ -70,16 +66,6 @@ func (e *Env) EnableFlightRecorder(slo flight.SLOConfig) *flight.Recorder {
 	return rec
 }
 
-// FlightDashboard renders the env's recorder into a Dashboard value with
-// the top-k slowest phases filled in from the trace.
-func (e *Env) FlightDashboard(title string, topK int) flight.Dashboard {
-	return flight.Dashboard{
-		Title:    title,
-		Rec:      e.Flight,
-		TopSpans: report.TopSpans(e.Trace, topK),
-	}
-}
-
 // WriteArtifact creates the file at path, lets write fill it, and closes
 // it; the first error of the three is the result.
 func WriteArtifact(path string, write func(io.Writer) error) error {
@@ -94,29 +80,17 @@ func WriteArtifact(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// WriteFlightArtifacts writes whichever flight artifacts the options ask
-// for: the Prometheus series dump (SeriesOut) and the HTML dashboard
-// (DashOut). No-op when the env has no recorder.
-func (e *Env) WriteFlightArtifacts(o Options, title string) error {
-	if e.Flight == nil {
+// WriteFlightArtifacts writes the recorder's Prometheus series dump to
+// o.SeriesOut. No-op when the env has no recorder or no path is set.
+func (e *Env) WriteFlightArtifacts(o Options) error {
+	if e.Flight == nil || o.SeriesOut == "" {
 		return nil
 	}
-	if o.SeriesOut != "" {
-		if err := WriteArtifact(o.SeriesOut, e.Flight.WritePrometheus); err != nil {
-			return err
-		}
-	}
-	if o.DashOut != "" {
-		d := e.FlightDashboard(title, 15)
-		if err := WriteArtifact(o.DashOut, func(w io.Writer) error { return flight.WriteDashboard(w, d) }); err != nil {
-			return err
-		}
-	}
-	return nil
+	return WriteArtifact(o.SeriesOut, e.Flight.WritePrometheus)
 }
 
 // TenantSLOReport is one tenant's SLO outcome in a ThroughputResult: the
-// tracker's view (bucket-interpolated p99, burn rates, breaches) alongside
+// tracker's view (bucket-interpolated p99, event counts) alongside
 // the experiment's own raw nearest-rank p99, which RunThroughput asserts
 // the tracker against.
 type TenantSLOReport struct {
@@ -125,11 +99,8 @@ type TenantSLOReport struct {
 	RawP99Wait    float64 // nearest-rank, from the run's raw wait samples
 	Events        int64
 	Bad           int64
-	Breaches      int64
-	Burn          map[string]float64 // window label → burn rate at end of run
 }
 
 func (t *TenantSLOReport) String() string {
-	return fmt.Sprintf("p99=%.3fs raw=%.3fs bad=%d/%d breaches=%d",
-		t.P99Wait, t.RawP99Wait, t.Bad, t.Events, t.Breaches)
+	return fmt.Sprintf("p99=%.3fs raw=%.3fs bad=%d/%d", t.P99Wait, t.RawP99Wait, t.Bad, t.Events)
 }

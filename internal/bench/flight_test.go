@@ -10,6 +10,8 @@ import (
 	"mrapid/internal/core"
 	"mrapid/internal/flight"
 	"mrapid/internal/mapreduce"
+	"mrapid/internal/metrics"
+	"mrapid/internal/sim"
 )
 
 // flightWorkload is the shared small workload for the recorder tests.
@@ -51,11 +53,10 @@ func TestFlightRecorderByteIdentity(t *testing.T) {
 }
 
 // TestFlightRecorderSeriesDeterminism pins the series artifact itself: two
-// identical recorder-on runs must produce byte-identical Prometheus dumps
-// and byte-identical dashboards.
+// identical recorder-on runs must produce byte-identical Prometheus dumps.
 func TestFlightRecorderSeriesDeterminism(t *testing.T) {
 	t.Parallel()
-	dump := func() (series, dash []byte) {
+	dump := func() []byte {
 		o := Options{Scale: 0.05, Seed: 3, FlightRecorder: true}
 		r, err := RunThroughput(A3x4(), flightWorkload(), o)
 		if err != nil {
@@ -65,28 +66,15 @@ func TestFlightRecorderSeriesDeterminism(t *testing.T) {
 		if err := r.flightEnv.Flight.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
-		var db bytes.Buffer
-		if err := writeDashboardTo(&db, r); err != nil {
-			t.Fatal(err)
-		}
-		return sb.Bytes(), db.Bytes()
+		return sb.Bytes()
 	}
-	s1, d1 := dump()
-	s2, d2 := dump()
+	s1, s2 := dump(), dump()
 	if !bytes.Equal(s1, s2) {
 		t.Fatal("Prometheus series dumps differ between identical runs")
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Fatal("dashboards differ between identical runs")
 	}
 	if len(s1) == 0 {
 		t.Fatal("empty series dump")
 	}
-}
-
-func writeDashboardTo(w *bytes.Buffer, r *ThroughputResult) error {
-	d := r.flightEnv.FlightDashboard("determinism check", 10)
-	return flight.WriteDashboard(w, d)
 }
 
 // TestFlightRecorderSLOPopulated checks the recorder-on result carries the
@@ -109,9 +97,6 @@ func TestFlightRecorderSLOPopulated(t *testing.T) {
 		if rep.Events == 0 {
 			t.Errorf("%s: no SLO events", tn)
 		}
-		if len(rep.Burn) != 3 {
-			t.Errorf("%s: burn windows = %v, want 3", tn, rep.Burn)
-		}
 		if rep.TargetSeconds != 10 {
 			t.Errorf("%s: target = %v", tn, rep.TargetSeconds)
 		}
@@ -132,44 +117,57 @@ func TestFlightRecorderSLOPopulated(t *testing.T) {
 }
 
 // TestFlightArtifactsWritten drives the artifact path end to end through a
-// temp dir: series dump and dashboard both written and non-trivial.
+// temp dir: the series dump is written and carries the SLO tracker's p99.
 func TestFlightArtifactsWritten(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	o := Options{Scale: 0.05, Seed: 7, FlightRecorder: true,
-		SeriesOut: dir + "/series.prom",
-		DashOut:   dir + "/dash.html",
-	}
+	o := Options{Scale: 0.05, Seed: 7, FlightRecorder: true, SeriesOut: t.TempDir() + "/series.prom"}
 	r, err := RunThroughput(A3x4(), flightWorkload(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteFlightArtifacts(o, "artifact test"); err != nil {
+	if err := r.WriteFlightArtifacts(o); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{o.SeriesOut, o.DashOut} {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if len(data) < 100 {
-			t.Fatalf("%s: suspiciously small (%d bytes)", f, len(data))
-		}
+	series, err := os.ReadFile(o.SeriesOut)
+	if err != nil {
+		t.Fatal(err)
 	}
-	series, _ := os.ReadFile(o.SeriesOut)
-	if !bytes.Contains(series, []byte(`slo_burn_rate{tenant="tenant-0",window="30s"}`)) {
-		t.Fatal("series dump missing SLO burn series")
+	if !bytes.Contains(series, []byte(`slo_queue_wait_p99_seconds{tenant="tenant-0"}`)) {
+		t.Fatal("series dump missing the SLO p99 series")
 	}
-	dash, _ := os.ReadFile(o.DashOut)
-	if !bytes.Contains(dash, []byte("<h2>SLO — wait target 10s")) {
-		t.Fatal("dashboard missing the SLO table")
+}
+
+// A recorder whose rings dropped samples fails the run: the dump would
+// miss the start of it. 5s at a 1ms interval is about 5000 ticks, past
+// the ring.
+func TestFlightRecorderEvictionsFailTheRun(t *testing.T) {
+	t.Parallel()
+	eng := sim.NewEngine()
+	env := &Env{Flight: flight.New(eng, metrics.New(), nil, flight.Config{Interval: time.Millisecond, SLO: DefaultSLO()})}
+	collect := func() error {
+		tap := &sloTap{inner: env.Flight.SLO(), waits: map[string][]time.Duration{}}
+		return collectSLO(&ThroughputResult{}, env, tap)
+	}
+	eng.At(sim.Time(time.Second), func() {
+		if err := collect(); err != nil {
+			t.Errorf("1000 ticks: %v", err)
+		}
+	})
+	eng.At(sim.Time(5*time.Second), env.Flight.Stop)
+	env.Flight.Start()
+	eng.Run()
+	if env.Flight.Evicted() == 0 {
+		t.Fatalf("%d ticks evicted nothing", env.Flight.Samples())
+	}
+	if err := collect(); err == nil {
+		t.Fatalf("%d evicted samples passed the check", env.Flight.Evicted())
 	}
 }
 
 func ExampleTenantSLOReport_String() {
-	rep := &TenantSLOReport{P99Wait: 1.5, RawP99Wait: 1.25, Events: 10, Bad: 2, Breaches: 1}
+	rep := &TenantSLOReport{P99Wait: 1.5, RawP99Wait: 1.25, Events: 10, Bad: 2}
 	fmt.Println(rep)
-	// Output: p99=1.500s raw=1.250s bad=2/10 breaches=1
+	// Output: p99=1.500s raw=1.250s bad=2/10
 }
 
 // The intermediate-store gauges are residency, like memo_cache_mem_bytes

@@ -64,11 +64,11 @@ func (p *Profiles) Start() (stop func() error, err error) {
 }
 
 // RunFlags declares the run flags both CLIs take — -seed -node-fail
-// -shuffle-service -shuffle-codec -memo -series-out -dash-out — on the
-// command line's flag set; call it before flag.Parse. The returned function
-// reads the parsed flags into Options: the flight recorder is on exactly
-// when an artifact path asks for it, and a malformed -node-fail schedule is
-// the error.
+// -shuffle-service -shuffle-codec -memo -series-out — on the command
+// line's flag set; call it before flag.Parse. The returned function reads
+// the parsed flags into Options: the flight recorder is on exactly when
+// -series-out asks for it, and a malformed -node-fail schedule is the
+// error.
 func RunFlags() func() (Options, error) {
 	var (
 		seed      = flag.Int64("seed", 1, "input synthesis / placement seed")
@@ -77,7 +77,6 @@ func RunFlags() func() (Options, error) {
 		codec     = flag.String("shuffle-codec", "none", "shuffle-service wire codec: none | lz")
 		memo      = flag.Bool("memo", false, "attach the cross-job memoization cache: repeat submissions of an identical job over unchanged inputs are served from the cache without launching anything")
 		seriesOut = flag.String("series-out", "", "enable the flight recorder and write its Prometheus series dump here")
-		dashOut   = flag.String("dash-out", "", "enable the flight recorder and write its HTML dashboard here")
 	)
 	return func() (Options, error) {
 		faults, err := mapreduce.ParseNodeFaults(*nodeFail)
@@ -87,8 +86,7 @@ func RunFlags() func() (Options, error) {
 		return Options{
 			Seed: *seed, NodeFaults: faults,
 			ShuffleService: *shuffle, ShuffleCodec: *codec, MemoCache: *memo,
-			SeriesOut: *seriesOut, DashOut: *dashOut,
-			FlightRecorder: *seriesOut != "" || *dashOut != "",
+			SeriesOut: *seriesOut, FlightRecorder: *seriesOut != "",
 		}, nil
 	}
 }

@@ -96,13 +96,13 @@ type ThroughputResult struct {
 	flightEnv *Env
 }
 
-// WriteFlightArtifacts writes the series dump / dashboard files the
-// options ask for. No-op when the run had no recorder.
-func (r *ThroughputResult) WriteFlightArtifacts(o Options, title string) error {
+// WriteFlightArtifacts writes the series dump the options ask for. No-op
+// when the run had no recorder.
+func (r *ThroughputResult) WriteFlightArtifacts(o Options) error {
 	if r.flightEnv == nil {
 		return nil
 	}
-	return r.flightEnv.WriteFlightArtifacts(o, title)
+	return r.flightEnv.WriteFlightArtifacts(o)
 }
 
 // arrivalTimes expands a WorkloadConfig.Arrival spec into one absolute
@@ -167,9 +167,9 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	srv := env.Srv
 
 	// Flight recorder: cluster gauges from the env, JobServer gauges here,
-	// and the SLO tracker fed through a tap that also keeps the raw events,
-	// so the tracker's percentiles and burn rates can be verified against
-	// an independent recomputation after the run.
+	// and the SLO tracker fed through a tap that also keeps the raw waits,
+	// so the tracker's percentiles and counts can be verified against an
+	// independent recomputation after the run.
 	var rec *flight.Recorder
 	var tap *sloTap
 	if o.FlightRecorder {
@@ -186,7 +186,7 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 			}
 			sample("jobserver_inflight_jobs", float64(srv.InFlight()))
 		})
-		tap = &sloTap{eng: env.Eng, inner: rec.SLO(), events: make(map[string][]sloRawEvent)}
+		tap = &sloTap{inner: rec.SLO(), waits: make(map[string][]time.Duration)}
 		srv.Observer = tap
 	}
 
@@ -336,35 +336,23 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	}
 
 	if rec != nil {
-		if err := collectSLO(res, env, rec, tap); err != nil {
+		if err := collectSLO(res, env, tap); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-// sloRawEvent is the tap's independent record of one SLO event, an
-// admission.
-type sloRawEvent struct {
-	at   sim.Time
-	wait float64 // seconds
-	bad  bool
-}
-
 // sloTap sits between the JobServer and the SLO tracker: it forwards every
-// observation and keeps its own copy, so the tracker's outputs can be
-// verified against a from-scratch recomputation.
+// admission and keeps its own copy of the wait, so the tracker's outputs
+// can be verified against a from-scratch recomputation.
 type sloTap struct {
-	eng    *sim.Engine
-	inner  core.AdmissionObserver
-	events map[string][]sloRawEvent
+	inner core.AdmissionObserver
+	waits map[string][]time.Duration
 }
 
 func (t *sloTap) JobAdmitted(tenant string, wait time.Duration) {
-	t.events[tenant] = append(t.events[tenant], sloRawEvent{
-		at: t.eng.Now(), wait: wait.Seconds(),
-		bad: wait > DefaultSLO().TargetWait,
-	})
+	t.waits[tenant] = append(t.waits[tenant], wait)
 	t.inner.JobAdmitted(tenant, wait)
 }
 
@@ -372,39 +360,39 @@ func (t *sloTap) JobAdmitted(tenant string, wait time.Duration) {
 func (t *sloTap) JobCompleted(string, bool) {}
 
 // collectSLO fills ThroughputResult's flight fields and enforces the
-// recorder's accuracy contract: for every tenant, the tracker's
-// bucket-interpolated p99 queue wait must land within one histogram bucket
-// of the nearest-rank p99 computed from the raw waits, and every window's
-// burn rate must exactly match a recomputation from the tap's event log.
-func collectSLO(res *ThroughputResult, env *Env, rec *flight.Recorder, tap *sloTap) error {
+// recorder's contract: no series lost a sample to its ring, and for every
+// tenant the tracker's counts match the tap's and its bucket-interpolated
+// p99 queue wait lands within one histogram bucket of the nearest-rank p99
+// computed from the raw waits.
+func collectSLO(res *ThroughputResult, env *Env, tap *sloTap) error {
+	rec := env.Flight
+	if n := rec.Evicted(); n > 0 {
+		return fmt.Errorf("bench: flight recorder evicted %d samples; the run outlasted the series ring", n)
+	}
 	slo := rec.SLO()
-	windows := flight.SLOWindows()
-	now := env.Eng.Now()
 	res.FlightSamples = rec.Samples()
 	res.SLO = make(map[string]*TenantSLOReport)
 	res.flightEnv = env
 
+	target := slo.Config().TargetWait
 	for _, tn := range slo.Tenants() {
 		total, bad := slo.Events(tn)
 		rep := &TenantSLOReport{
-			TargetSeconds: slo.Config().TargetWait.Seconds(),
+			TargetSeconds: target.Seconds(),
 			P99Wait:       slo.P99Wait(tn),
 			Events:        total,
 			Bad:           bad,
-			Breaches:      slo.Breaches(tn),
-			Burn:          make(map[string]float64, len(windows)),
 		}
 
 		var waits []float64
-		var rawTotal, rawBad int64
-		for _, e := range tap.events[tn] {
-			rawTotal++
-			if e.bad {
+		var rawBad int64
+		for _, w := range tap.waits[tn] {
+			if w > target {
 				rawBad++
 			}
-			waits = append(waits, e.wait)
+			waits = append(waits, w.Seconds())
 		}
-		if rawTotal != total || rawBad != bad {
+		if rawTotal := int64(len(waits)); rawTotal != total || rawBad != bad {
 			return fmt.Errorf("bench: SLO tracker for %s counted (%d,%d) events, tap saw (%d,%d)",
 				tn, total, bad, rawTotal, rawBad)
 		}
@@ -412,30 +400,6 @@ func collectSLO(res *ThroughputResult, env *Env, rec *flight.Recorder, tap *sloT
 		rep.RawP99Wait = percentile(waits, 0.99)
 		if err := quantilesAgree(rep.P99Wait, rep.RawP99Wait); err != nil {
 			return fmt.Errorf("bench: tenant %s p99 queue wait: %w", tn, err)
-		}
-
-		for _, w := range windows {
-			got := slo.BurnRate(tn, w)
-			cutoff := now.Add(-w)
-			var wTotal, wBad int64
-			for _, e := range tap.events[tn] {
-				if e.at < cutoff {
-					continue
-				}
-				wTotal++
-				if e.bad {
-					wBad++
-				}
-			}
-			var want float64
-			if wTotal > 0 {
-				want = float64(wBad) / float64(wTotal) / flight.MissBudget
-			}
-			if math.Abs(got-want) > 1e-9 {
-				return fmt.Errorf("bench: tenant %s burn over %s: tracker %v, recomputed %v",
-					tn, w, got, want)
-			}
-			rep.Burn[w.String()] = got
 		}
 		res.SLO[tn] = rep
 	}
@@ -543,9 +507,9 @@ func Throughput(o Options) (*Figure, error) {
 	// Third row: the weighted-fair run again with the flight recorder on.
 	// Recording must be a pure observer — every job's output has to hash
 	// identically to the recorder-off row — and RunThroughput has already
-	// cross-checked the recorder's p99s and burn rates against the run's
-	// own raw measurements. This row is also where the series dump and
-	// dashboard artifacts come from when paths are set.
+	// cross-checked the recorder's p99s and counts against the run's own
+	// raw measurements. This row is also where the series dump comes from
+	// when a path is set.
 	fo := o
 	fo.FlightRecorder = true
 	fr, err := RunThroughput(A3x4(), workload(core.PolicyWeightedFair), fo)
@@ -566,7 +530,7 @@ func Throughput(o Options) (*Figure, error) {
 	})
 	fig.Notes = append(fig.Notes,
 		"wfair+recorder re-runs the wfair row with the flight recorder sampling every 250ms of virtual time; outputs are verified byte-identical and all columns must match the recorder-off row")
-	if err := fr.WriteFlightArtifacts(fo, "throughput: weighted-fair, flight recorder on"); err != nil {
+	if err := fr.WriteFlightArtifacts(fo); err != nil {
 		return nil, err
 	}
 	return fig, nil

@@ -1,10 +1,9 @@
 // Package flight is the cluster flight recorder: it samples a running
 // simulation on the virtual clock at a fixed interval and keeps the
-// results in ring-buffered time-series — metrics-registry counters (raw
-// values plus per-second rates for monotonic *_total counters), live
+// results in ring-buffered time-series — metrics-registry counters, live
 // cluster gauges registered by the embedding code (queue depths, container
 // occupancy, shuffle bytes in flight, cache residency), and a per-tenant
-// SLO tracker with multi-window burn rates.
+// SLO tracker's p99 queue wait and event counts.
 //
 // Because sampling rides the same deterministic event loop as the
 // simulation itself and every probe is read-only with respect to cluster
@@ -12,15 +11,13 @@
 // recorder on and off stay byte-identical, and two identical runs produce
 // identical series dumps.
 //
-// The recorded data is surfaced three ways: Prometheus text-format
-// exposition (WritePrometheus), Chrome-trace counter lanes next to the
-// span tree (CounterSeries + trace.WriteChromeTraceCounters), and a
-// self-contained HTML dashboard (WriteDashboard).
+// The recorded data has one output, the Prometheus text-format dump
+// (WritePrometheus): every retained sample carries its virtual timestamp,
+// so a reader derives rates from it.
 package flight
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"mrapid/internal/metrics"
@@ -59,14 +56,14 @@ type Recorder struct {
 	stopped bool
 	samples int64
 
-	lastAt       sim.Time
-	lastCounters map[string]int64
-	lastFired    uint64
+	lastAt    sim.Time
+	lastFired uint64
 }
 
-// New builds a recorder over the engine, registry and (optional) trace
-// log, which receives the SLO tracker's breach spans. Call AddGauge to
-// register cluster probes, then Start.
+// New builds a recorder over the engine and registry. Call AddGauge to
+// register cluster probes, then Start. The recorder writes nothing into
+// the span tree, so tlog is never read; the parameter stays for the
+// callers outside this module.
 func New(eng *sim.Engine, reg *metrics.Registry, tlog *trace.Log, cfg Config) *Recorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
@@ -78,7 +75,7 @@ func New(eng *sim.Engine, reg *metrics.Registry, tlog *trace.Log, cfg Config) *R
 		series: make(map[string]*Series),
 	}
 	if cfg.SLO.enabled() {
-		r.slo = NewSLOTracker(eng, tlog, cfg.SLO)
+		r.slo = newSLOTracker(cfg.SLO)
 	}
 	return r
 }
@@ -102,7 +99,6 @@ func (r *Recorder) Start() {
 	}
 	r.started = true
 	r.lastAt = r.eng.Now()
-	r.lastCounters = r.reg.Counters()
 	r.lastFired = r.eng.Fired()
 	r.ticker = r.eng.Every(r.cfg.Interval, r.tick)
 }
@@ -137,17 +133,6 @@ func (r *Recorder) Samples() int64 { return r.samples }
 // Series returns one series by full key, or nil.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
 
-// lastValue reads a series' most recent sample, reporting whether the
-// series exists and has one.
-func (r *Recorder) lastValue(name string) (float64, bool) {
-	s, ok := r.series[name]
-	if !ok {
-		return 0, false
-	}
-	last, ok := s.Last()
-	return last.Value, ok
-}
-
 // SeriesNames returns every recorded series key, sorted.
 func (r *Recorder) SeriesNames() []string {
 	names := make([]string, 0, len(r.series))
@@ -177,27 +162,6 @@ func (r *Recorder) record(at sim.Time, name string, v float64) {
 	s.add(at, v)
 }
 
-// rateName derives the per-second rate series key from a counter key:
-// "x_total{a=b}" → "x_total:rate{a=b}". The colon keeps the derived name
-// legal in Prometheus exposition (recording-rule convention) while making
-// collisions with real registry counters impossible.
-func rateName(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i] + ":rate" + key[i:]
-	}
-	return key + ":rate"
-}
-
-// isMonotonic reports whether a series key names a counter that only ever
-// goes up, and therefore has a meaningful rate.
-func isMonotonic(key string) bool {
-	name := key
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		name = key[:i]
-	}
-	return strings.HasSuffix(name, "_total")
-}
-
 // tick is one sample on the virtual clock.
 func (r *Recorder) tick() {
 	at := r.eng.Now()
@@ -210,11 +174,7 @@ func (r *Recorder) tick() {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		v := counters[name]
-		r.record(at, name, float64(v))
-		if isMonotonic(name) && dt > 0 {
-			r.record(at, rateName(name), float64(v-r.lastCounters[name])/dt)
-		}
+		r.record(at, name, float64(counters[name]))
 	}
 
 	for _, fn := range r.gauges {
@@ -230,26 +190,10 @@ func (r *Recorder) tick() {
 	r.record(at, "engine_pending_events", float64(r.eng.Pending()))
 
 	if r.slo != nil {
-		r.slo.sample(at, func(name string, v float64) { r.record(at, name, v) })
+		r.slo.sample(func(name string, v float64) { r.record(at, name, v) })
 	}
 
 	r.samples++
 	r.lastAt = at
-	r.lastCounters = counters
 	r.lastFired = fired
-}
-
-// CounterSeries exports every recorded series as Chrome-trace counter
-// lanes for trace.WriteChromeTraceCounters, sorted by name.
-func (r *Recorder) CounterSeries() []trace.CounterSeries {
-	out := make([]trace.CounterSeries, 0, len(r.series))
-	for _, name := range r.SeriesNames() {
-		s := r.series[name]
-		cs := trace.CounterSeries{Name: name}
-		for _, smp := range s.Samples() {
-			cs.Samples = append(cs.Samples, trace.CounterSample{At: smp.At, Value: smp.Value})
-		}
-		out = append(out, cs)
-	}
-	return out
 }

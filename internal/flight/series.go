@@ -17,7 +17,7 @@ const ringCap = 4096
 // tick; once the ring fills, the oldest samples fall off and are counted.
 type Series struct {
 	// Name is the full series key in metrics.With form, e.g.
-	// "slo_burn_rate{tenant=tenant-0,window=30s}".
+	// "slo_queue_wait_p99_seconds{tenant=tenant-0}".
 	Name string
 
 	buf     []Sample

@@ -266,7 +266,7 @@ func (c *Cache) diskNodeFor(key string) *topology.Node {
 }
 
 // Stats is a snapshot of the cache's counters and residency, the raw
-// material of the bench tables and the dashboard's hit-rate row.
+// material of the bench tables and the flight recorder's cache gauges.
 type Stats struct {
 	Hits, Misses, Invalidations, Evictions, Lost int64
 	Entries                                      int

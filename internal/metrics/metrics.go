@@ -240,9 +240,9 @@ type Label struct {
 
 // ParseSeries decodes a series key produced by With back into the bare
 // metric name and its labels (values unescaped, in key order). A key with
-// no label block returns (key, nil). This is the inverse of With; exporters
-// (Prometheus text format, the flight recorder's dashboard) use it to
-// re-render labels in their own quoting conventions.
+// no label block returns (key, nil). This is the inverse of With; an
+// exporter (the flight recorder's Prometheus text format) uses it to
+// re-render labels in its own quoting conventions.
 func ParseSeries(key string) (name string, labels []Label) {
 	open := strings.IndexByte(key, '{')
 	if open < 0 || !strings.HasSuffix(key, "}") {

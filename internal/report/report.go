@@ -203,51 +203,6 @@ func (r *Report) Render(w io.Writer) error {
 	return nil
 }
 
-// SlowSpan is one row of the top-k slowest-phases table: a closed
-// phase-carrying span and how long it ran on the virtual clock.
-type SlowSpan struct {
-	Component string  `json:"component"`
-	Name      string  `json:"name"`
-	Phase     string  `json:"phase"`
-	Start     float64 `json:"start_seconds"`
-	Seconds   float64 `json:"seconds"`
-}
-
-// TopSpans returns the k longest phase-carrying spans in the log, longest
-// first (open spans are measured up to the current virtual instant). Ties
-// break by start time then span order, so the table is deterministic. The
-// flight-recorder dashboard renders this as its "slowest phases" table.
-func TopSpans(l *trace.Log, k int) []SlowSpan {
-	if l == nil || k <= 0 {
-		return nil
-	}
-	now := l.Now()
-	var out []SlowSpan
-	for _, s := range l.Spans() {
-		if s.Phase == "" {
-			continue
-		}
-		d := s.Duration(now)
-		if d <= 0 {
-			continue
-		}
-		out = append(out, SlowSpan{
-			Component: s.Component, Name: s.Name, Phase: s.Phase,
-			Start: s.Start.Seconds(), Seconds: d.Seconds(),
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Seconds != out[j].Seconds {
-			return out[i].Seconds > out[j].Seconds
-		}
-		return out[i].Start < out[j].Start
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // Summary is the machine-readable JSON envelope: the phase report plus a
 // snapshot of the metrics registry. Quantiles carries bucket-interpolated
 // p50/p90/p99 per histogram (metrics.Histogram.Quantile), so consumers do

@@ -33,33 +33,11 @@ type chromeTrace struct {
 
 func micros(t sim.Time) float64 { return float64(t) / 1e3 }
 
-// CounterSample is one (virtual time, value) point of a counter lane.
-type CounterSample struct {
-	At    sim.Time
-	Value float64
-}
-
-// CounterSeries is one named counter lane for the Chrome trace export —
-// the flight recorder hands its time-series over in this shape so Perfetto
-// renders utilization lanes next to the span tree.
-type CounterSeries struct {
-	Name    string
-	Samples []CounterSample
-}
-
 // WriteChromeTrace serializes the log as Chrome trace_event JSON. Spans
 // still open (e.g. abandoned by a node death) are drawn up to the current
 // virtual instant and flagged with an "open" arg. Safe on a nil log, which
 // writes an empty (but valid) trace.
 func (l *Log) WriteChromeTrace(w io.Writer) error {
-	return l.WriteChromeTraceCounters(w, nil)
-}
-
-// WriteChromeTraceCounters is WriteChromeTrace plus counter ("C") events:
-// each CounterSeries becomes a value lane in the viewer, stacked under the
-// span lanes. With no counters the output is byte-identical to
-// WriteChromeTrace.
-func (l *Log) WriteChromeTraceCounters(w io.Writer, counters []CounterSeries) error {
 	out := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 
 	// One lane per component, sorted for a stable layout.
@@ -110,15 +88,6 @@ func (l *Log) WriteChromeTraceCounters(w io.Writer, counters []CounterSeries) er
 			TS: micros(s.Start), Dur: &dur,
 			PID: 1, TID: tid[s.Component], Args: args,
 		})
-	}
-	for _, cs := range counters {
-		for _, s := range cs.Samples {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: cs.Name, Cat: "counter", Phase: "C",
-				TS: micros(s.At), PID: 1, TID: 0,
-				Args: map[string]any{"value": s.Value},
-			})
-		}
 	}
 
 	enc := json.NewEncoder(w)
