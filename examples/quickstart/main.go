@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"mrapid/internal/core"
 	"mrapid/internal/costmodel"
@@ -92,13 +93,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("output: %d distinct words, e.g.:\n", len(counts))
-	shown := 0
-	for w, n := range counts {
-		fmt.Printf("  %-12s %d\n", w, n)
-		shown++
-		if shown == 5 {
-			break
-		}
+	words := make([]string, 0, len(counts))
+	for w := range counts {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	for _, w := range words[:min(5, len(words))] {
+		fmt.Printf("  %-12s %d\n", w, counts[w])
 	}
 
 	// 7. Submit the same program again: the history answers instantly and

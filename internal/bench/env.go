@@ -236,9 +236,9 @@ func (e *Env) CheckResidency() error {
 	return e.RT.CheckResidency()
 }
 
-// Close does nothing: an Env holds no host-side resource beyond memory. It
-// is kept only because the benchmark module (benchmark/) calls it.
-func (e *Env) Close() {}
+// Close ends the simulation's host work: no task body of its runtime runs
+// on a host lane after it returns (see mapreduce.Runtime.Close).
+func (e *Env) Close() { e.RT.Close() }
 
 // Run executes one job under the variant and returns the client-observed
 // result. The simulation is driven until the job completes; an env can Run

@@ -161,6 +161,7 @@ func runJob(setup ClusterSetup, v Variant, o Options, stage func(*Env) (*mapredu
 	if err != nil {
 		return nil, nil, err
 	}
+	defer env.Close()
 	spec, err := stage(env)
 	if err != nil {
 		return nil, nil, err

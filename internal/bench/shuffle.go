@@ -110,6 +110,7 @@ func RunShuffleCase(setup ClusterSetup, c shuffleCase, cfg shuffleConfig, o Opti
 	if err != nil {
 		return nil, err
 	}
+	defer env.Close()
 	env.EnableObservability(0)
 	spec, output, err := c.Gen(env, o)
 	if err != nil {

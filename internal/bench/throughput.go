@@ -163,6 +163,7 @@ func RunThroughput(setup ClusterSetup, cfg WorkloadConfig, o Options) (*Throughp
 	if err != nil {
 		return nil, err
 	}
+	defer env.Close()
 	env.EnableObservability(0)
 	srv := env.Srv
 

@@ -42,11 +42,11 @@ func runBesidePoison(t *testing.T, poison bool) map[string]string {
 
 	panicMap := func(spec *mapreduce.JobSpec) {
 		mapFor := spec.MapFor
-		spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+		spec.MapFor = func(file string, lane *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
 			if file == names[1] {
 				return func(_, _ []byte, _ mapreduce.Emit) { panic("poisoned split") }, nil
 			}
-			return mapFor(file)
+			return mapFor(file, lane)
 		}
 	}
 	panicReduce := func(spec *mapreduce.JobSpec) {

@@ -134,7 +134,13 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 	if first.Split != nil {
 		split = first.Split.File
 	}
-	b := newOutputBuilder(split, nil, spec.NumReduces, maxOffset)
+	// The merge builds in an idle lane's scratch when one is idle: its
+	// builders are warm from the maps, and no body uses it meanwhile.
+	lane := idleLanes.Get(nil)
+	if lane != nil {
+		defer idleLanes.Put(nil, lane)
+	}
+	b := newOutputBuilder(lane, split, nil, spec.NumReduces, maxOffset)
 	for p := 0; p < spec.NumReduces; p++ {
 		if spec.Combine != nil {
 			b.combineFrom(group, p, spec.Combine)

@@ -28,17 +28,17 @@ var poisons = []struct {
 }{
 	{"map", profiler.MapTask, "poisoned split", "contain_test.go", false, func(spec *JobSpec, names []string) {
 		mapFor := spec.MapFor
-		spec.MapFor = func(file string) (MapFunc, func(CountedEmit)) {
+		spec.MapFor = func(file string, lane *Lane) (MapFunc, func(CountedEmit)) {
 			if file == names[1] {
 				return func(_, _ []byte, _ Emit) { panic("poisoned split") }, nil
 			}
-			return mapFor(file)
+			return mapFor(file, lane)
 		}
 	}},
 	{"flush", profiler.MapTask, "poisoned flush", "contain_test.go", false, func(spec *JobSpec, names []string) {
 		mapFor := spec.MapFor
-		spec.MapFor = func(file string) (MapFunc, func(CountedEmit)) {
-			mapFn, flush := mapFor(file)
+		spec.MapFor = func(file string, lane *Lane) (MapFunc, func(CountedEmit)) {
+			mapFn, flush := mapFor(file, lane)
 			if file == names[1] {
 				return mapFn, func(CountedEmit) { panic("poisoned flush") }
 			}

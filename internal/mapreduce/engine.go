@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mrapid/internal/costmodel"
@@ -64,11 +65,22 @@ type Runtime struct {
 	// inAMs is the set of running in-AM executors, each holding a cache
 	// budget until its teardown (see CheckResidency).
 	inAMs map[*InAM]struct{}
+
+	// lanes are the host lanes task bodies run on while their compute
+	// timers run; nil runs every body inline at its join (see lanes.go).
+	lanes *hostLanes
+
+	// mapsInFlight and reducesInFlight hold, per MapCache key, the attempt
+	// whose body is computing it: an attempt that misses the cache while
+	// another maps or reduces the same inputs shares that body.
+	mapsInFlight    map[cacheKey]*mapAttempt
+	reducesInFlight map[reduceKey]*reduceAttempt
 }
 
 // NewRuntime wires a runtime together.
 func NewRuntime(eng *sim.Engine, cluster *topology.Cluster, dfs *hdfs.DFS, rm *yarn.RM, params costmodel.Params) *Runtime {
-	return &Runtime{Eng: eng, Cluster: cluster, DFS: dfs, RM: rm, Params: params, inAMs: make(map[*InAM]struct{})}
+	return &Runtime{Eng: eng, Cluster: cluster, DFS: dfs, RM: rm, Params: params, inAMs: make(map[*InAM]struct{}),
+		lanes: newHostLanes(defaultLanes())}
 }
 
 // AMResource returns the ApplicationMaster container request. It comes from
@@ -126,7 +138,7 @@ func ExecMap(spec *JobSpec, data []byte) *MapOutput {
 
 // ExecMapFile is ExecMap for a named input file, honoring spec.MapFor.
 func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
-	return execMap(spec, file, data, maxOffset)
+	return execMap(nil, spec, file, data, maxOffset)
 }
 
 // exactRecs is the pair count of a split of n bytes when it is known before
@@ -140,11 +152,11 @@ func exactRecs(spec *JobSpec, n int) (int, bool) {
 	return n / (f.KeyLen + f.ValLen), true
 }
 
-// execMap is ExecMapFile with the offset space bounded by limit, which tests
-// lower.
-func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
+// execMap is ExecMapFile on lane's scratch, with the offset space bounded
+// by limit, which tests lower.
+func execMap(lane *Lane, spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 	nred := spec.NumReduces
-	b := newOutputBuilder(file, data, nred, limit)
+	b := newOutputBuilder(lane, file, data, nred, limit)
 	if recs, ok := exactRecs(spec, len(data)); ok {
 		b.parts[0], b.exact = make([]Rec, 0, recs), true
 	}
@@ -159,7 +171,7 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 	mapFn := spec.Map
 	var flush func(CountedEmit)
 	if spec.MapFor != nil {
-		mapFn, flush = spec.MapFor(file)
+		mapFn, flush = spec.MapFor(file, lane)
 	}
 	var records int64
 	spec.Format.Scan(data, func(k, v []byte) {
@@ -182,7 +194,7 @@ func execMap(spec *JobSpec, file string, data []byte, limit uint64) *MapOutput {
 		// through a view of b's scratch into a second builder over the same
 		// input block, and b goes back once they are in.
 		raw := []*MapOutput{b.view()}
-		c := newOutputBuilder(file, data, nred, limit)
+		c := newOutputBuilder(lane, file, data, nred, limit)
 		for p := 0; p < nred; p++ {
 			c.combineFrom(raw, p, spec.Combine)
 		}
@@ -245,7 +257,9 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 	if done == nil {
 		panic("mapreduce: RunMapTask needs a completion callback")
 	}
-	tp := &profiler.TaskProfile{
+	a := &mapAttempt{rt: rt, spec: spec, split: split}
+	tp := &a.tp
+	*tp = profiler.TaskProfile{
 		Kind:      profiler.MapTask,
 		Index:     split.Index,
 		Node:      node.Name,
@@ -292,18 +306,22 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 				return
 			}
 			// Charge the map function first — its cost depends only on the
-			// input size — and run it when the output-sized sort charge
-			// needs its result. A scripted crash dies partway through.
+			// input size — and have its output when the output-sized sort
+			// charge needs it: the body runs on a host lane meanwhile. A
+			// scripted crash dies partway through and runs nothing.
 			compute := spec.MapComputeTime(split, int64(len(data)), node)
 			if crash {
 				compute = time.Duration(float64(compute) * point)
+			} else {
+				a.start(data, content)
 			}
 			computeStart := rt.Eng.Now()
 			rt.Eng.After(compute, func() {
 				if !node.AliveEpoch(epoch) {
+					a.drop()
 					return
 				}
-				mo, died := contain(crash, func() *MapOutput { return rt.execMapCached(spec, split, data, content) })
+				mo, died := a.join(crash)
 				if died != nil {
 					done(nil, tp, rt.failAttempt(tp, node, span, computeStart, died))
 					return
@@ -341,22 +359,126 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 	})
 }
 
-// execMapCached runs ExecMapFile through the MapCache; the output comes back
-// stamped with the key it was stored or found under. content is what the
-// split reader handed out with data. Simulations on other goroutines may map
-// the same key at the same moment; the cache's sharded locks make that safe,
-// and the duplicate store deduplicates.
-func (rt *Runtime) execMapCached(spec *JobSpec, split *hdfs.Split, data []byte, content *hdfs.Content) *MapOutput {
-	k, reusable := rt.MapCache.key(spec, split.File, split.Offset, len(data), content)
-	if !reusable {
-		return ExecMapFile(spec, split.File, data)
+// mapAttempt is one map task attempt: its profile, the split its body maps,
+// and the body itself, which computes the output on a host lane while the
+// attempt's compute timer runs (see lanes.go).
+type mapAttempt struct {
+	rt    *Runtime
+	spec  *JobSpec
+	split *hdfs.Split
+	data  []byte
+	tp    profiler.TaskProfile
+
+	body hostBody
+	key  cacheKey
+	// from is the attempt whose body this one reads: itself, another
+	// attempt of this Runtime mapping the same key, or nil when the MapCache
+	// had the output (mo) when the timer started.
+	from     *mapAttempt
+	resolved bool // the body's result was stored or given up
+	mo       *MapOutput
+	died     *AttemptError
+}
+
+// start begins the attempt's host work as its compute timer starts. A
+// MapCache hit is taken now, on the simulation goroutine, and nothing runs;
+// a miss shares the body of an attempt already mapping the same key, or
+// starts its own and registers it so that later attempts share it. content
+// is what the split reader handed out with data.
+func (a *mapAttempt) start(data []byte, content *hdfs.Content) {
+	rt := a.rt
+	k, reusable := rt.MapCache.key(a.spec, a.split.File, a.split.Offset, len(data), content)
+	if reusable {
+		if owner := rt.mapsInFlight[k]; owner != nil {
+			rt.MapCache.hits.Add(1)
+			owner.body.refs++
+			a.from = owner
+			return
+		}
+		if mo, ok := rt.MapCache.lookup(k); ok {
+			a.mo = mo
+			return
+		}
+		if rt.mapsInFlight == nil {
+			rt.mapsInFlight = make(map[cacheKey]*mapAttempt)
+		}
+		rt.mapsInFlight[k] = a
+		a.key = k
 	}
-	mo, ok := rt.MapCache.lookup(k)
-	if !ok {
-		mo = ExecMapFile(spec, split.File, data)
-		rt.MapCache.store(k, mo)
+	a.from, a.data = a, data
+	a.body.task = a
+	rt.lanes.start(&a.body)
+}
+
+// execute is the body: the map over the split, on lane's scratch. A panic
+// fails the attempt, not the process.
+func (a *mapAttempt) execute(lane *Lane) {
+	a.mo, a.died = contain(false, func() *MapOutput { return execMap(lane, a.spec, a.split.File, a.data, maxOffset) })
+}
+
+// join returns the attempt's output when its compute timer fires, or how it
+// died: scripted to crash, or its body panicked. The first join of a body
+// stores what it computed in the MapCache; an attempt that shares another's
+// body gets its own copy of the output, as a cache hit does.
+func (a *mapAttempt) join(crash bool) (*MapOutput, *AttemptError) {
+	src := a.from
+	switch {
+	case crash:
+		return nil, &AttemptError{}
+	case src == nil:
+		mo := a.mo
+		a.mo = nil
+		return mo, nil
 	}
-	return mo
+	src.body.join()
+	src.resolve()
+	defer src.release()
+	if src.died != nil {
+		died := *src.died
+		return nil, &died
+	}
+	if src == a {
+		return a.mo, nil
+	}
+	mo := *src.mo
+	mo.PartBytes = slices.Clone(mo.PartBytes)
+	return &mo, nil
+}
+
+// drop gives the attempt's claim on its body up: its node died while the
+// compute timer ran, and the output is never read.
+func (a *mapAttempt) drop() {
+	if src := a.from; src != nil {
+		src.body.drop()
+		if src.body.refs == 0 {
+			src.resolve()
+			src.release()
+		}
+	}
+}
+
+// resolve ends a's registration once its body has a result or no reader:
+// the output goes into the MapCache unless the body died or was dropped.
+func (a *mapAttempt) resolve() {
+	if a.resolved {
+		return
+	}
+	a.resolved = true
+	if a.rt.mapsInFlight[a.key] != a {
+		return
+	}
+	delete(a.rt.mapsInFlight, a.key)
+	if a.body.state == bodyDone && a.died == nil {
+		a.rt.MapCache.store(a.key, a.mo)
+	}
+}
+
+// release lets go of what the body read and made once no attempt will join
+// it: the profile the AM keeps must not pin a split or an output.
+func (a *mapAttempt) release() {
+	if a.body.refs == 0 {
+		a.data, a.mo = nil, nil
+	}
 }
 
 // failAttempt is the one exit of a map or reduce attempt that died at the end
@@ -544,22 +666,6 @@ func PartFileName(outputFile string, part int) string {
 	return fmt.Sprintf("%s/part-%05d", outputFile, part)
 }
 
-// execReduceCached runs ExecReduce through the MapCache: a reduce over
-// outputs that all came through the cache commits the part file an earlier
-// reduce over the same multiset of them produced, and stores its own once
-// it has succeeded. The bytes are shared; HDFS and the intermediate store
-// never write into block data.
-func (rt *Runtime) execReduceCached(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
-	k, reusable := rt.MapCache.reduceKeyFor(spec, part, outputs)
-	if !reusable {
-		return ExecReduce(spec, part, outputs)
-	}
-	if r, ok := rt.MapCache.lookupReduce(k); ok {
-		return r
-	}
-	return rt.MapCache.storeReduce(k, ExecReduce(spec, part, outputs))
-}
-
 // RunReduceTask executes reduce partition part on node: merge-sort CPU,
 // the reduce function, and the HDFS write of the output. Fetches must have
 // completed already. done fires when the output file is durable.
@@ -567,7 +673,9 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 	if done == nil {
 		panic("mapreduce: RunReduceTask needs a completion callback")
 	}
-	tp := &profiler.TaskProfile{
+	a := &reduceAttempt{rt: rt, spec: spec, part: part}
+	tp := &a.tp
+	*tp = profiler.TaskProfile{
 		Kind:    profiler.ReduceTask,
 		Index:   part,
 		Node:    node.Name,
@@ -599,15 +707,17 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 		} else {
 			// Merge-sort CPU over the shuffled bytes.
 			compute += time.Duration(float64(in) / (rt.Params.SortCPUBytesPerSec * node.Type.CPUSpeed) * float64(time.Second))
+			// The reduce is pure over already-materialized map outputs; it
+			// runs on a host lane while the timer runs.
+			a.start(outputs)
 		}
 		computeStart := rt.Eng.Now()
 		rt.Eng.After(compute, func() {
 			if !node.AliveEpoch(epoch) {
+				a.drop()
 				return
 			}
-			// The reduce is pure over already-materialized map outputs; it
-			// runs where the write needs its bytes.
-			r, died := contain(crash, func() Reduced { return rt.execReduceCached(spec, part, outputs) })
+			r, died := a.join(crash)
 			if died != nil {
 				done(tp, rt.failAttempt(tp, node, span, computeStart, died))
 				return
@@ -657,6 +767,122 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 		})
 	})
 }
+
+// reduceAttempt is one reduce task attempt: its profile, the map outputs
+// its body merges, and the body itself (see mapAttempt).
+type reduceAttempt struct {
+	rt      *Runtime
+	spec    *JobSpec
+	part    int
+	outputs []*MapOutput
+	tp      profiler.TaskProfile
+
+	body     hostBody
+	key      reduceKey
+	from     *reduceAttempt // as mapAttempt.from; nil on a MapCache hit (out)
+	resolved bool
+	out      Reduced
+	died     *AttemptError
+}
+
+// start begins the attempt's host work as its compute timer starts: a
+// reduce over outputs that all came through the MapCache commits the part
+// file an earlier reduce over the same multiset of them produced, or shares
+// the body of an attempt of this Runtime reducing them now, or starts its
+// own. The bytes are shared; HDFS and the intermediate store never write
+// into block data.
+func (a *reduceAttempt) start(outputs []*MapOutput) {
+	rt := a.rt
+	k, reusable := rt.MapCache.reduceKeyFor(a.spec, a.part, outputs)
+	if reusable {
+		if owner := rt.reducesInFlight[k]; owner != nil {
+			rt.MapCache.reduceHits.Add(1)
+			owner.body.refs++
+			a.from = owner
+			return
+		}
+		if r, ok := rt.MapCache.lookupReduce(k); ok {
+			a.out = r
+			return
+		}
+		if rt.reducesInFlight == nil {
+			rt.reducesInFlight = make(map[reduceKey]*reduceAttempt)
+		}
+		rt.reducesInFlight[k] = a
+		a.key = k
+	}
+	a.from, a.outputs = a, outputs
+	a.body.task = a
+	rt.lanes.start(&a.body)
+}
+
+// execute is the body: the streaming merge and reduce of the partition. A
+// panic fails the attempt, not the process.
+func (a *reduceAttempt) execute(*Lane) {
+	a.out, a.died = contain(false, func() Reduced { return ExecReduce(a.spec, a.part, a.outputs) })
+}
+
+// join returns the part file when the compute timer fires, or how the
+// attempt died; the first join of a body stores it in the MapCache.
+func (a *reduceAttempt) join(crash bool) (Reduced, *AttemptError) {
+	src := a.from
+	switch {
+	case crash:
+		return Reduced{}, &AttemptError{}
+	case src == nil:
+		r := a.out
+		a.out = Reduced{}
+		return r, nil
+	}
+	src.body.join()
+	src.resolve()
+	defer src.release()
+	if src.died != nil {
+		died := *src.died
+		return Reduced{}, &died
+	}
+	return src.out, nil
+}
+
+// drop gives the attempt's claim on its body up (see mapAttempt.drop).
+func (a *reduceAttempt) drop() {
+	if src := a.from; src != nil {
+		src.body.drop()
+		if src.body.refs == 0 {
+			src.resolve()
+			src.release()
+		}
+	}
+}
+
+// resolve ends a's registration: the part file goes into the MapCache
+// unless the body died or was dropped, copied to its length when the
+// presized buffer left much of it unused (see storeReduce).
+func (a *reduceAttempt) resolve() {
+	if a.resolved {
+		return
+	}
+	a.resolved = true
+	if a.rt.reducesInFlight[a.key] != a {
+		return
+	}
+	delete(a.rt.reducesInFlight, a.key)
+	if a.body.state == bodyDone && a.died == nil {
+		a.out = a.rt.MapCache.storeReduce(a.key, a.out)
+	}
+}
+
+// release lets go of the inputs once no attempt will join the body.
+func (a *reduceAttempt) release() {
+	if a.body.refs == 0 {
+		a.outputs, a.out = nil, Reduced{}
+	}
+}
+
+// Close ends the runtime's use of host lanes: bodies still queued are
+// cancelled — one whose attempt later joins it runs inline — and running
+// ones are waited for, so no body outlives it.
+func (rt *Runtime) Close() { rt.lanes.close() }
 
 // Localize charges a fresh container's download of the job jar and
 // configuration from HDFS (step 6 of the submission flow).

@@ -113,7 +113,7 @@ func wcSpec(inputs []string, output string) *JobSpec {
 	}
 }
 
-func wcCountedSplit(string) (MapFunc, func(CountedEmit)) {
+func wcCountedSplit(string, *Lane) (MapFunc, func(CountedEmit)) {
 	type tally struct {
 		word []byte
 		n    int

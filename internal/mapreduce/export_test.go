@@ -70,3 +70,10 @@ func Snapshot(mo *MapOutput) string {
 	}
 	return string(b)
 }
+
+// UseHostLanes gives every Runtime created until restore runs n host lanes
+// whatever GOMAXPROCS is; 0 runs every task body inline at its join.
+func UseHostLanes(n int) (restore func()) {
+	laneHook.Store(int32(n + 1))
+	return func() { laneHook.Store(0) }
+}

@@ -7,10 +7,10 @@ import "testing"
 func TestFreeListKeepsEveryPut(t *testing.T) {
 	var l FreeList[int]
 	a, b := new(int), new(int)
-	l.Put(a)
-	l.Put(b)
+	l.Put(nil, a)
+	l.Put(nil, b)
 	for _, want := range []*int{b, a, nil} {
-		if got := l.Get(); got != want {
+		if got := l.Get(nil); got != want {
 			t.Fatalf("Get = %p, want %p", got, want)
 		}
 	}

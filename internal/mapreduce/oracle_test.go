@@ -47,7 +47,7 @@ func reference(spec *mapreduce.JobSpec, splits []split) [][]byte {
 		mapFn := spec.Map
 		var flush func(mapreduce.CountedEmit)
 		if spec.MapFor != nil {
-			mapFn, flush = spec.MapFor(s.file)
+			mapFn, flush = spec.MapFor(s.file, nil)
 		}
 		spec.Format.Scan(s.data, func(k, v []byte) { mapFn(k, v, emit) })
 		if flush != nil {

@@ -174,6 +174,7 @@ type outputBuilder struct {
 	split     string // named when the offset space overflows
 	limit     uint64 // maxOffset, lower under test
 	exact     bool   // parts[0] was allocated at the split's pair count, not taken from recBufs
+	lane      *Lane  // whose builders it came from and goes back to
 
 	// What each partition's index and counts grew into, kept for the next
 	// build (the slab keeps its own).
@@ -186,13 +187,13 @@ type outputBuilder struct {
 var builders FreeList[outputBuilder]
 
 // newOutputBuilder starts an output of nparts partitions over input on a
-// builder from builders, or a new one.
-func newOutputBuilder(split string, input []byte, nparts int, limit uint64) *outputBuilder {
-	b := builders.Get()
+// builder from lane's builders, or a new one.
+func newOutputBuilder(lane *Lane, split string, input []byte, nparts int, limit uint64) *outputBuilder {
+	b := builders.Get(lane)
 	if b == nil {
 		b = new(outputBuilder)
 	}
-	b.input, b.split, b.limit, b.exact = input, split, limit, false
+	b.input, b.split, b.limit, b.exact, b.lane = input, split, limit, false, lane
 	if uint64(len(input)) > limit {
 		b.overflow(0)
 	}
@@ -222,7 +223,7 @@ func (b *outputBuilder) release() {
 	clear(b.parts)
 	clear(b.counts)
 	b.input, b.split = nil, ""
-	builders.Put(b)
+	builders.Put(b.lane, b)
 }
 
 // overflow fails the task: offsets past the limit would wrap in the index
@@ -425,8 +426,15 @@ func sortTies(idx []Rec, counts []uint32, s *store) {
 }
 
 // combineFrom merges partition p of the outputs, feeds it through the
-// combiner and leaves the result, sorted, as partition p of b.
+// combiner and leaves the result, sorted, as partition p of b. Over one
+// output — a map's own pairs — it makes room for one pair per input pair
+// first, so a cold partition grows once rather than by doublings.
 func (b *outputBuilder) combineFrom(outputs []*MapOutput, p int, c ReduceFunc) {
+	if len(outputs) == 1 {
+		if n := len(outputs[0].Partitions[p]); cap(b.parts[p]) < n {
+			b.parts[p] = grown(b.parts[p], n)
+		}
+	}
 	newMerger(outputs, p).groups(c, func(k, v []byte) { b.add(p, k, v, 1) })
 	b.sortRecs(p)
 }

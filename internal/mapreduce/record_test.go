@@ -31,9 +31,9 @@ func refCompare(ak, av, bk, bv []byte) int {
 // block and slab the way a map output holds them.
 func twoRecs(ak, av, bk, bv []byte) (*outputBuilder, *outputBuilder) {
 	block := append(append([]byte("##"), ak...), "##"...)
-	a := newOutputBuilder("a", block, 1, maxOffset)
+	a := newOutputBuilder(nil, "a", block, 1, maxOffset)
 	a.add(0, block[2:2+len(ak)], av, 1) // key in place, value copied
-	b := newOutputBuilder("b", nil, 1, maxOffset)
+	b := newOutputBuilder(nil, "b", nil, 1, maxOffset)
 	b.add(0, bk, bv, 1)
 	return a, b
 }
@@ -78,7 +78,7 @@ func FuzzRecordOrder(f *testing.F) {
 func TestQuickSortRecs(t *testing.T) {
 	f := func(keys, values [][]byte) bool {
 		type pair struct{ k, v []byte }
-		b := newOutputBuilder("q", nil, 1, maxOffset)
+		b := newOutputBuilder(nil, "q", nil, 1, maxOffset)
 		var want []pair
 		for i, k := range keys {
 			var v []byte
@@ -134,7 +134,7 @@ func TestInputBytesIndexedInPlace(t *testing.T) {
 func TestOffsetSpaceGuard(t *testing.T) {
 	spec := wcSpec([]string{"/in/big"}, "/o")
 	data := []byte("aa bb cc dd ee ff\n") // 18 input bytes + one shared value byte
-	if mo := execMap(spec, "/in/big", data, 19); mo.TotalBytes == 0 {
+	if mo := execMap(nil, spec, "/in/big", data, 19); mo.TotalBytes == 0 {
 		t.Fatal("an output that exactly fits was refused")
 	}
 	for _, limit := range []uint64{18, 10} { // slab overflow; input alone too big
@@ -145,7 +145,7 @@ func TestOffsetSpaceGuard(t *testing.T) {
 					t.Fatalf("limit %d: panic %q does not name the split", limit, msg)
 				}
 			}()
-			execMap(spec, "/in/big", data, limit)
+			execMap(nil, spec, "/in/big", data, limit)
 			t.Fatalf("limit %d: overflow went unnoticed", limit)
 		}()
 	}
@@ -154,7 +154,7 @@ func TestOffsetSpaceGuard(t *testing.T) {
 // rowPartition indexes fixed 100-byte rows, 10-byte key and 90-byte value,
 // in place as one uncounted partition in input order.
 func rowPartition(rows []byte) *outputBuilder {
-	b := newOutputBuilder("rows", rows, 1, maxOffset)
+	b := newOutputBuilder(nil, "rows", rows, 1, maxOffset)
 	for off := 0; off+100 <= len(rows); off += 100 {
 		b.add(0, rows[off:off+10], rows[off+10:off+100], 1)
 	}
@@ -171,7 +171,7 @@ func wordPartition() *outputBuilder {
 // prefix bytes and differ in their tails.
 func onePrefixPartition(n int) *outputBuilder {
 	rng := rand.New(rand.NewSource(7))
-	b := newOutputBuilder("one-prefix", nil, 1, maxOffset)
+	b := newOutputBuilder(nil, "one-prefix", nil, 1, maxOffset)
 	for range n {
 		b.add(0, strconv.AppendUint([]byte("samepref"), rng.Uint64(), 36), []byte("v"), 1)
 	}
@@ -309,7 +309,7 @@ func checkSort(t *testing.T, pairs []kv, counted bool, rng *rand.Rand) {
 	for _, p := range pairs {
 		block = append(block, p.k...)
 	}
-	b := newOutputBuilder("sort", block, 1, maxOffset)
+	b := newOutputBuilder(nil, "sort", block, 1, maxOffset)
 	var want []kv
 	totals := map[kv]int{}
 	off := 0

@@ -166,8 +166,10 @@ type JobSpec struct {
 	// its count. Repartition joins use it to tag the two sides of the join
 	// differently; group-by stages fold a split's rows into one table the
 	// flush emits, one pair per key; WordCount and Grep count a split's
-	// words in one table the flush emits as (word, "1") × n.
-	MapFor func(file string) (MapFunc, func(CountedEmit))
+	// words in one table the flush emits as (word, "1") × n. lane is the
+	// host lane the split maps on: a per-split table comes from, and goes
+	// back to, lane's stack of its FreeList (nil outside a task).
+	MapFor func(file string, lane *Lane) (MapFunc, func(CountedEmit))
 
 	// MapRate is the map function's compute throughput in input bytes per
 	// second on one reference core; zero means the map function itself is

@@ -154,7 +154,10 @@ func (c *Cache) Lookup(key string, digest uint64) (*Hit, error) {
 // replacing any stale entry for the key. costSeconds is the measured
 // completion time — the recomputation this entry will save, and the
 // numerator of its eviction priority. Outputs too large for even the disk
-// budget are not cached.
+// budget are not cached. The entry keeps parts as they are: they are HDFS
+// blocks or intermediate-store views, which nothing writes into — a file
+// deleted and rewritten gets new blocks, and Append copies a block before
+// it grows it — so the caller must not change them either.
 func (c *Cache) Commit(key string, digest uint64, parts [][]byte, costSeconds float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -162,12 +165,7 @@ func (c *Cache) Commit(key string, digest uint64, parts [][]byte, costSeconds fl
 		c.drop(old)
 	}
 	var bytes int64
-	copied := make([][]byte, len(parts))
-	for i, p := range parts {
-		// Snapshot the bytes: HDFS blocks and store entries are shared
-		// immutable views, but the output file itself may be deleted and
-		// rewritten while the cache still serves this entry.
-		copied[i] = append([]byte(nil), p...)
+	for _, p := range parts {
 		bytes += int64(len(p))
 	}
 	if bytes > c.mem.Cap && bytes > c.dsk.Cap {
@@ -175,7 +173,7 @@ func (c *Cache) Commit(key string, digest uint64, parts [][]byte, costSeconds fl
 	}
 	c.seq++
 	e := &entry{key: key, digest: digest, seq: c.seq, Hit: Hit{
-		Parts: copied, Bytes: bytes, Cost: costSeconds, Resident: topology.Resident{InMemory: true},
+		Parts: parts, Bytes: bytes, Cost: costSeconds, Resident: topology.Resident{InMemory: true},
 	}}
 	c.entries[key] = e
 	c.mem.Hold(bytes)

@@ -1,9 +1,11 @@
 package memo
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"mrapid/internal/hdfs"
 	"mrapid/internal/metrics"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
@@ -65,18 +67,42 @@ func TestLookupCommitInvalidation(t *testing.T) {
 	if reg.Get("memo_hits_total") != 1 || reg.Get("memo_misses_total") != 3 || reg.Get("memo_invalidations_total") != 1 {
 		t.Fatal("registry counters disagree with snapshot")
 	}
+}
 
-	// Committed bytes are snapshots: mutating the caller's slice afterwards
-	// must not reach the cache.
-	src := parts(4)
-	c.Commit("snap", 9, src, 1)
-	src[0][0] = 0xFF
-	hit, err = c.Lookup("snap", 9)
+// An entry keeps the committed file's bytes, not a copy, so it must still
+// serve them after the file is deleted and rewritten under the same name —
+// whole, and one block grown by Append.
+func TestCommitKeepsBytesAcrossRewrites(t *testing.T) {
+	eng := sim.NewEngine()
+	cluster, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 4, Racks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.Parts[0][0] == 0xFF {
-		t.Fatal("cache aliased the caller's bytes")
+	dfs := hdfs.New(eng, cluster, 1<<20, 3, 1)
+	node := cluster.Workers()[0]
+	c := New(nil, cluster.Workers(), Config{MemBytes: 1 << 20, DiskBytes: 1 << 20})
+	want := []byte("word\t3\nother\t1\n")
+	if _, err := dfs.PutInstant("/out/part-00000", bytes.Clone(want), node); err != nil {
+		t.Fatal(err)
+	}
+	data, err := dfs.Contents("/out/part-00000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Commit("job", 1, [][]byte{data}, 1)
+	dfs.Delete("/out/part-00000")
+	if _, err := dfs.PutInstant("/out/part-00000", []byte("rewritten\t9\n"), node); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dfs.Append("/out/part-00000", []byte("appended\t2\n"), node); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := c.Lookup("job", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hit.Parts[0], want) {
+		t.Fatalf("hit serves %q after the rewrite, want %q", hit.Parts[0], want)
 	}
 }
 

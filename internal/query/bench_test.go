@@ -78,7 +78,7 @@ func newStageFixture(tb testing.TB) *stageFixture {
 		fx.groupBy["groupby"+name] = stage(src.GroupBy([]string{"cell"}, Sum("amount"), Count()))
 		fx.maps["orderby"+name] = stage(src.OrderBy("amount", true)).Map
 		fx.maps["materialize"+name] = stage(src).Map
-		fx.maps["join"+name], _ = stage(src.Join(Scan("returns"), "cell", "cell")).MapFor(salesFile)
+		fx.maps["join"+name], _ = stage(src.Join(Scan("returns"), "cell", "cell")).MapFor(salesFile, nil)
 	}
 	gb := fx.groupBy["groupby"]
 	fx.reduce = gb.Reduce
@@ -94,8 +94,8 @@ func newStageFixture(tb testing.TB) *stageFixture {
 	join := stage(plain.Join(Scan("returns"), "cell", "cell"))
 	fx.joinReduce = join.Reduce
 	tagged := map[string][][]byte{}
-	leftMap, _ := join.MapFor(salesFile)
-	rightMap, _ := join.MapFor("/warehouse/returns/part-00000")
+	leftMap, _ := join.MapFor(salesFile, nil)
+	rightMap, _ := join.MapFor("/warehouse/returns/part-00000", nil)
 	groupsOf(fx.sales, leftMap, tagged)
 	groupsOf(fx.returns, rightMap, tagged)
 	fx.joinValues = sortedGroups(tagged)
@@ -106,7 +106,7 @@ func newStageFixture(tb testing.TB) *stageFixture {
 // each line through the split's record function, which only folds it into
 // the split's table (its emit is nil), then the flush.
 func mapSplit(spec *mapreduce.JobSpec, file string, lines [][]byte, emit mapreduce.CountedEmit) {
-	fn, flush := spec.MapFor(file)
+	fn, flush := spec.MapFor(file, nil)
 	for _, line := range lines {
 		fn(nil, line, nil)
 	}
@@ -142,7 +142,7 @@ func TestStageClosuresAllocBudget(t *testing.T) {
 		perRow(name, fn)
 	}
 	for name, spec := range fx.groupBy {
-		fn, flush := spec.MapFor(salesFile)
+		fn, flush := spec.MapFor(salesFile, nil)
 		for _, line := range fx.sales {
 			fn(nil, line, discard)
 		}

@@ -705,7 +705,7 @@ func FuzzStageCodec(f *testing.F) {
 		join := compile(scanT.Join(scanU, "a", "x")).Stages[0].Spec
 		joinRef := refJoin(refT, refU, "a", "x")
 		joinMap := func(file string) mapreduce.MapFunc {
-			fn, flush := join.MapFor(file)
+			fn, flush := join.MapFor(file, nil)
 			if flush != nil {
 				t.Fatalf("the join map of %s has a flush", file)
 			}

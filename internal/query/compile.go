@@ -390,7 +390,7 @@ func (c *compiler) materialize(src *source) (*Stage, error) {
 		buf := borrowScratch()
 		buf.b = src.appendRow(buf.b[:0], row, sp)
 		emit(buf.b, nil)
-		scratches.Put(buf)
+		scratches.Put(nil, buf)
 	}
 	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		for i := range values.Len() {
@@ -477,7 +477,7 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		}
 		emit(b, nil)
 		buf.b = b
-		scratches.Put(buf)
+		scratches.Put(nil, buf)
 	}
 	// Grouping collapses rows; a quarter of the input is a workable prior
 	// for sizing downstream stages.
@@ -522,12 +522,12 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 			buf := borrowScratch()
 			buf.b = side.appendRow(append(buf.b[:0], tag, sepByte), row, sp)
 			emit(sp.field(row, keyField), buf.b)
-			scratches.Put(buf)
+			scratches.Put(nil, buf)
 		}
 	}
 	leftMap := mkSide(left, li, 'L')
 	rightMap := mkSide(right, ri, 'R')
-	st.Spec.MapFor = func(file string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+	st.Spec.MapFor = func(file string, _ *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
 		if leftFiles[file] {
 			return leftMap, nil
 		}
@@ -574,7 +574,7 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 				emit(buf.b, nil)
 			}
 		}
-		scratches.Put(buf)
+		scratches.Put(nil, buf)
 	}
 	return &source{files: out.Files, schema: outSchema, producer: st.ID, estBytes: estIn, sig: st.Sig}, nil
 }
@@ -611,7 +611,7 @@ func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, er
 		}
 		emit(b[:n], row)
 		buf.b = b
-		scratches.Put(buf)
+		scratches.Put(nil, buf)
 	}
 	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		for i := range values.Len() {

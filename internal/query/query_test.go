@@ -618,7 +618,7 @@ func TestEncodingsMatchTheirFormattedForms(t *testing.T) {
 		}
 		// One row through a split's table: its flush emits the row's states.
 		plan := &aggPlan{src: &source{}, keyField: []int{2}, aggField: []int{0, 0, 1, 2}, aggs: aggs, skipped: &atomic.Int64{}}
-		fn, flush := plan.split("")
+		fn, flush := plan.split("", nil)
 		fn(nil, EncodeRow(row), nil)
 		var got []byte
 		flush(func(_, v []byte, _ int) { got = append(got, v...) })

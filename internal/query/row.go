@@ -108,7 +108,7 @@ var scratches mapreduce.FreeList[scratch]
 // borrowScratch takes a buffer from scratches, or makes one wide enough for
 // the usual row.
 func borrowScratch() *scratch {
-	if s := scratches.Get(); s != nil {
+	if s := scratches.Get(nil); s != nil {
 		return s
 	}
 	return &scratch{b: make([]byte, 0, 256)}
@@ -219,14 +219,14 @@ type aggPlan struct {
 	skipped            *atomic.Int64
 }
 
-// split is the stage's MapFor: it borrows a table for one split and hands
-// out the table's record function and flush.
-func (p *aggPlan) split(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
-	t := aggTables.Get()
+// split is the stage's MapFor: it borrows a table from lane's aggTables
+// for one split and hands out the table's record function and flush.
+func (p *aggPlan) split(_ string, lane *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+	t := aggTables.Get(lane)
 	if t == nil {
 		t = newAggTable()
 	}
-	t.plan = p
+	t.plan, t.lane = p, lane
 	return t.mapFn, t.flushFn
 }
 
@@ -235,9 +235,9 @@ func (p *aggPlan) split(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit))
 // the open-addressing table (linear probing) holds a key's hash and its
 // group's index + 1 (0 = empty). A one-column key is the input block's own
 // bytes; a wider key is copied into arena once, when it first appears. The
-// table comes from aggTables with its record function and flush already
-// bound to it, and the flush resets it and puts it back, so a split on a
-// warm table allocates nothing.
+// table comes from its lane's stack of aggTables with its record function
+// and flush already bound to it, and the flush resets it and puts it back
+// there, so a split on a warm table allocates nothing.
 type aggTable struct {
 	plan  *aggPlan
 	slots []aggSlot // a power of two long, at most half full
@@ -245,6 +245,7 @@ type aggTable struct {
 	accs  []aggAcc // group g's accumulators at [g*len(aggs), (g+1)*len(aggs))
 	arena []byte
 	key   []byte // a wider key, joined for its lookup
+	lane  *mapreduce.Lane
 
 	mapFn   mapreduce.MapFunc
 	flushFn func(mapreduce.CountedEmit)
@@ -333,16 +334,22 @@ func (t *aggTable) group(key []byte, n int, borrowed bool) []aggAcc {
 	for range n {
 		t.accs = append(t.accs, aggAcc{lo: math.Inf(1), hi: math.Inf(-1)})
 	}
-	if 2*len(t.keys) > len(t.slots) {
-		t.grow()
+	if 2*len(t.keys) == len(t.slots) {
+		t.grow(n)
 	}
 	return t.accs[g : g+n]
 }
 
-// grow doubles the slots, re-entering every key by its stored hash.
-func (t *aggTable) grow() {
+// grow doubles the slots, re-entering every key by its stored hash, and
+// the room of the keys and their n accumulators each with them: the table
+// holds at most len(slots)/2 keys, so group's appends never reallocate
+// them (append's 1.25× regrowth of a long slice allocated about four times
+// their final size on the way up).
+func (t *aggTable) grow(n int) {
 	old := t.slots
 	t.slots = make([]aggSlot, 2*len(old))
+	t.keys = append(make([][]byte, 0, len(t.slots)/2), t.keys...)
+	t.accs = append(make([]aggAcc, 0, len(t.slots)/2*n), t.accs...)
 	mask := uint32(len(t.slots) - 1)
 	for _, s := range old {
 		if s.group != 0 {
@@ -365,11 +372,11 @@ func (t *aggTable) flush(emit mapreduce.CountedEmit) {
 		buf.b = appendStates(buf.b[:0], t.accs[g*n:(g+1)*n])
 		emit(key, buf.b, 1)
 	}
-	scratches.Put(buf)
+	scratches.Put(nil, buf)
 	clear(t.slots)
 	clear(t.keys) // the keys pin their input blocks
 	t.keys, t.accs, t.arena, t.plan = t.keys[:0], t.accs[:0], t.arena[:0], nil
-	aggTables.Put(t)
+	aggTables.Put(t.lane, t)
 }
 
 // appendStates appends merged partial states in wire form.

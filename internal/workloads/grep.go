@@ -37,8 +37,8 @@ func GrepSearchSpec(name string, inputs []string, output, pattern string) *mapre
 		OutputFile: output,
 		NumReduces: 1,
 		Format:     mapreduce.LineFormat{},
-		MapFor: func(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
-			t := borrowWordTable(pat)
+		MapFor: func(_ string, lane *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+			t := borrowWordTable(lane, pat)
 			return t.mapFn, t.flushFn
 		},
 		Combine:    wordCountReduce,

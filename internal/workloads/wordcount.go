@@ -83,8 +83,8 @@ var one = []byte("1")
 
 // wordCountSplit is WordCount's MapFor: it borrows a word table for one
 // split and hands out the table's record function and flush.
-func wordCountSplit(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
-	t := borrowWordTable(nil)
+func wordCountSplit(_ string, lane *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+	t := borrowWordTable(lane, nil)
 	return t.mapFn, t.flushFn
 }
 
@@ -103,19 +103,21 @@ func wordCountSplit(string) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
 // The table is open addressing with linear probing, a hash's top bits
 // picking its home slot, and each word keeps its hash and knows its slot,
 // so growing never rehashes and the flush empties only the slots the split
-// used. It grows at half load up to wordMaxSlots; once it holds
+// used. It grows fourfold at half load up to wordMaxSlots; once it holds
 // wordMaxSlots/2 words, a new word goes out at once through the record
 // function's Emit, uncounted, which the builder and the merge take as they
-// take any repeated pair. A table comes from wordTables with its record
-// function and flush bound to it, and the flush resets it and puts it
-// back, so a split on a warm table allocates nothing; a split whose map
-// panics never flushes and never returns its table.
+// take any repeated pair. A table comes from its lane's stack of
+// wordTables with its record function and flush bound to it, and the
+// flush resets it and puts it back there, so a split on a warm table
+// allocates nothing; a split whose map panics never flushes and never
+// returns its table.
 type wordTable struct {
 	slots    []wordSlot // a power of two long, at most half full
 	shift    uint       // a hash's top bits pick its home slot
 	words    []wordEntry
 	maxWords int    // wordMaxSlots/2, lower under test
 	pattern  []byte // Grep: admit only words containing it; nil admits all
+	lane     *mapreduce.Lane
 
 	mapFn   mapreduce.MapFunc
 	flushFn func(mapreduce.CountedEmit)
@@ -143,13 +145,14 @@ const (
 
 // wordTables are the flushed and reset tables. It is a free list, not a
 // sync.Pool: a collection does not empty it, so a process builds one table
-// per goroutine mapping at once, not one after every GC.
+// per lane, not one after every GC.
 var wordTables mapreduce.FreeList[wordTable]
 
-// borrowWordTable takes a reset table from wordTables, or builds one, for
-// a split whose words must contain pattern (nil: every word counts).
-func borrowWordTable(pattern []byte) *wordTable {
-	t := wordTables.Get()
+// borrowWordTable takes a reset table from lane's wordTables, or builds
+// one, for a split whose words must contain pattern (nil: every word
+// counts).
+func borrowWordTable(lane *mapreduce.Lane, pattern []byte) *wordTable {
+	t := wordTables.Get(lane)
 	if t == nil {
 		t = &wordTable{
 			slots: make([]wordSlot, wordMinSlots),
@@ -159,7 +162,7 @@ func borrowWordTable(pattern []byte) *wordTable {
 		t.mapFn = t.scan
 		t.flushFn = t.flush
 	}
-	t.maxWords, t.pattern = wordMaxSlots/2, pattern
+	t.maxWords, t.pattern, t.lane = wordMaxSlots/2, pattern, lane
 	return t
 }
 
@@ -246,10 +249,18 @@ func (t *wordTable) count(word []byte, prefix uint64, h uint32, emit mapreduce.E
 	}
 }
 
-// grow doubles the slots, re-entering every word by its stored hash.
+// grow quadruples the slots, up to wordMaxSlots, re-entering every word by
+// its stored hash, and makes the words' room len(slots)/2, the most the
+// table holds, so count's append never reallocates them. A table warms up
+// once per lane, and a cold one growing to full size this way allocates
+// about 3.3 MiB where doubling slots and appending words took 4.5 MiB
+// (append's 1.25× regrowth of a long slice alone allocated about four
+// times the words' final size).
 func (t *wordTable) grow() {
 	old := t.slots
-	t.slots, t.shift = make([]wordSlot, 2*len(old)), t.shift-1
+	n := min(4*len(old), wordMaxSlots)
+	t.slots, t.shift = make([]wordSlot, n), t.shift-uint(bits.TrailingZeros(uint(n/len(old))))
+	t.words = append(make([]wordEntry, 0, len(t.slots)/2), t.words...)
 	mask := uint32(len(t.slots) - 1)
 	for w := range t.words {
 		e := &t.words[w]
@@ -272,7 +283,7 @@ func (t *wordTable) flush(emit mapreduce.CountedEmit) {
 	}
 	clear(t.words) // the words pin their input blocks
 	t.words, t.pattern = t.words[:0], nil
-	wordTables.Put(t)
+	wordTables.Put(t.lane, t)
 }
 
 // countTexts holds the decimal text of every count below 1000, cut from one

@@ -31,13 +31,13 @@ func splitCounts(t *testing.T, data []byte, pattern string, maxWords int) map[st
 	switch {
 	case maxWords > 0:
 		// Two slots to start with: the words collide and the table grows.
-		wt := borrowWordTable([]byte(pattern)) // "" is in every word
+		wt := borrowWordTable(nil, []byte(pattern)) // "" is in every word
 		wt.slots, wt.shift, wt.maxWords = make([]wordSlot, 2), 31, min(maxWords, wt.maxWords)
 		mapFn, flush = wt.mapFn, wt.flushFn
 	case pattern != "":
-		mapFn, flush = GrepSearchSpec("grep", nil, "/out", pattern).MapFor("")
+		mapFn, flush = GrepSearchSpec("grep", nil, "/out", pattern).MapFor("", nil)
 	default:
-		mapFn, flush = wordCountSplit("")
+		mapFn, flush = wordCountSplit("", nil)
 	}
 	inPlace := func(w []byte) {
 		off := uintptr(unsafe.Pointer(unsafe.SliceData(w))) - uintptr(unsafe.Pointer(unsafe.SliceData(data)))
@@ -136,7 +136,7 @@ func TestWordTableTellsApartWordsThatShareAPrefix(t *testing.T) {
 		"ab", "ab\x00", "ab\x00\x00\x00\x00\x00\x00", "abcdefgh", "abcdefgh\x00", "abcdefghX", "abcdefghY",
 		"abcdefghXY", "abcdefghXZ", "abcdefghXYZabcdefgh", "abcdefghXYZabcdefgi",
 	}
-	wt := borrowWordTable(nil)
+	wt := borrowWordTable(nil, nil)
 	want := map[string]int{}
 	for i, w := range words {
 		for range i + 1 {
@@ -167,7 +167,7 @@ func overflowSplit() []byte {
 // than the table holds counts wordMaxSlots/2 of them and emits the rest as
 // they come.
 func TestWordCountSplitOverflowsPastTheCap(t *testing.T) {
-	mapFn, flush := wordCountSplit("")
+	mapFn, flush := wordCountSplit("", nil)
 	emitted, flushed := 0, 0
 	mapreduce.LineFormat{}.Scan(overflowSplit(), func(k, v []byte) {
 		mapFn(k, v, func([]byte, []byte) { emitted++ })
@@ -241,7 +241,7 @@ func TestWordCountSplitAllocatesNothing(t *testing.T) {
 	overflow := func([]byte, []byte) { t.Fatal("the table overflowed") }
 	discard := func([]byte, []byte, int) {}
 	split := func(lines [][]byte) {
-		mapFn, flush := wordCountSplit("")
+		mapFn, flush := wordCountSplit("", nil)
 		for _, line := range lines {
 			mapFn(nil, line, overflow)
 		}

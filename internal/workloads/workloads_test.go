@@ -115,7 +115,7 @@ func TestCountWordsAgainstMapReduceFunctions(t *testing.T) {
 	// Drive the split function, its flush and the reduce directly.
 	byKey := map[string][][]byte{}
 	runs := map[string][]int{}
-	mapFn, flush := wordCountSplit("")
+	mapFn, flush := wordCountSplit("", nil)
 	mapreduce.LineFormat{}.Scan(data, func(k, v []byte) {
 		mapFn(k, v, func([]byte, []byte) { t.Fatal("a split of three words overflowed the word table") })
 	})
