@@ -332,6 +332,57 @@ func TestMapCacheNeverChangesSimulatedTiming(t *testing.T) {
 	}
 }
 
+// Two attempts that miss the MapCache on one split while both compute
+// share one body, on lanes and inline alike: the split maps once, the
+// second attempt counts a hit, and each gets an output of its own — its own
+// holder and PartBytes — over the same pairs. Two reduces over those
+// outputs at once share one body the same way.
+func TestConcurrentMissesShareOneBody(t *testing.T) {
+	for _, lanes := range []int{0, 2} {
+		restore := UseHostLanes(lanes)
+		rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
+		restore()
+		cache := NewMapCache(1 << 30)
+		rt.MapCache = cache
+		nodes := rt.Cluster.Workers()
+		rt.DFS.PutInstant("/in", bytes.Repeat([]byte("one body for both attempts\n"), 30_000), nodes[0])
+		splits, _ := rt.DFS.Splits([]string{"/in"})
+		spec := wcSpec([]string{"/in"}, "/out")
+		var outs [2]*MapOutput
+		for i := range outs {
+			rt.RunMapTask(spec, splits[0], nodes[i], TaskOptions{}, func(mo *MapOutput, _ *profiler.TaskProfile, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = mo
+			})
+		}
+		rt.Eng.RunUntil(sim.Time(1 << 40))
+		if cache.Misses() != 1 || cache.Hits() != 1 {
+			t.Fatalf("%d lanes: %d misses and %d hits, want the second attempt to share the first's body", lanes, cache.Misses(), cache.Hits())
+		}
+		if outs[0].Node != nodes[0] || outs[1].Node != nodes[1] || &outs[0].PartBytes[0] == &outs[1].PartBytes[0] {
+			t.Fatalf("%d lanes: the attempts share one output: held on %s and %s", lanes, outs[0].Node.Name, outs[1].Node.Name)
+		}
+		if Snapshot(outs[0]) != Snapshot(outs[1]) {
+			t.Fatalf("%d lanes: the shared body's outputs differ", lanes)
+		}
+		done := 0
+		for i := range outs {
+			rt.RunReduceTask(spec, 0, TaskOptions{}, outs[:], nodes[2+i], func(_ *profiler.TaskProfile, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				done++
+			})
+		}
+		rt.Eng.RunUntil(sim.Time(1 << 41))
+		if done != 2 || cache.ReduceMisses() != 1 || cache.ReduceHits() != 1 {
+			t.Fatalf("%d lanes: %d reduces done, %d misses and %d hits, want 2, 1 and 1", lanes, done, cache.ReduceMisses(), cache.ReduceHits())
+		}
+	}
+}
+
 // TestFingerprintSensitivity: the block digest a MapCache key carries sees
 // every byte of the block.
 func TestFingerprintSensitivity(t *testing.T) {

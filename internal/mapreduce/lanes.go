@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"mrapid/internal/sim"
 )
 
 // Host lanes (DESIGN.md §6, "Host lanes"). A map or reduce task's body —
@@ -155,7 +157,16 @@ func (h *hostLanes) start(b *hostBody) {
 	q.pending++
 	b.queue = q
 	q.bodies = append(q.bodies, b)
-	if !q.busy && !q.listed {
+	h.offer(q)
+}
+
+// offer puts q, which has bodies queued, up for a worker unless an executor
+// has it or every core is taken by a simulation already — as in a process
+// running one simulation per core, where a worker would only take turns
+// with them. The simulation then runs the queue itself at its join. Which
+// goroutine runs a body never changes the Lane it builds in. h.mu is held.
+func (h *hostLanes) offer(q *hostQueue) {
+	if !q.busy && !q.listed && sim.Firing() < len(h.queues) {
 		workers.list(q, len(h.queues))
 	}
 }
@@ -184,8 +195,8 @@ func (b *hostBody) join() {
 			continue
 		}
 		q.drain(b)
-		if q.head < len(q.bodies) && !q.listed {
-			workers.list(q, len(h.queues))
+		if q.head < len(q.bodies) {
+			h.offer(q)
 		}
 	}
 	b.refs--
