@@ -28,6 +28,7 @@ func chaosRuntime(t testing.TB, seed int64) *mapreduce.Runtime {
 	rm := yarn.NewRM(eng, cluster, params, NewDPlusScheduler(FullDPlus()))
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	t.Cleanup(rt.Close)
 	checkAtTeardown(t, rt)
 	return rt
 }

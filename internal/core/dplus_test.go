@@ -27,6 +27,7 @@ func newRuntime(t testing.TB, instance topology.InstanceType, workers int, sched
 	rm := yarn.NewRM(eng, cluster, params, sched)
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	t.Cleanup(rt.Close)
 	checkAtTeardown(t, rt)
 	return rt
 }

@@ -24,7 +24,9 @@ func stagingRuntime(t *testing.T, jarBytes int64) *Runtime {
 	params := costmodel.Default()
 	params.JobJarBytes = jarBytes
 	dfs := hdfs.New(eng, cluster, params.HDFSBlockBytes, params.Replication, 42)
-	return NewRuntime(eng, cluster, dfs, yarn.NewRM(eng, cluster, params, yarn.NewStockScheduler()), params)
+	rt := NewRuntime(eng, cluster, dfs, yarn.NewRM(eng, cluster, params, yarn.NewStockScheduler()), params)
+	t.Cleanup(rt.Close)
+	return rt
 }
 
 func stage(t *testing.T, rt *Runtime, job string) {

@@ -339,9 +339,8 @@ func TestMapCacheNeverChangesSimulatedTiming(t *testing.T) {
 // outputs at once share one body the same way.
 func TestConcurrentMissesShareOneBody(t *testing.T) {
 	for _, lanes := range []int{0, 2} {
-		restore := UseHostLanes(lanes)
+		t.Cleanup(UseHostLanes(lanes))
 		rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
-		restore()
 		cache := NewMapCache(1 << 30)
 		rt.MapCache = cache
 		nodes := rt.Cluster.Workers()

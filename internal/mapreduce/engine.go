@@ -431,7 +431,7 @@ func (a *mapAttempt) join(crash bool) (*MapOutput, *AttemptError) {
 		return mo, nil
 	}
 	src.body.join()
-	src.resolve()
+	src.resolve(true)
 	defer src.release()
 	if src.died != nil {
 		died := *src.died
@@ -451,15 +451,17 @@ func (a *mapAttempt) drop() {
 	if src := a.from; src != nil {
 		src.body.drop()
 		if src.body.refs == 0 {
-			src.resolve()
+			src.resolve(false)
 			src.release()
 		}
 	}
 }
 
-// resolve ends a's registration once its body has a result or no reader:
-// the output goes into the MapCache unless the body died or was dropped.
-func (a *mapAttempt) resolve() {
+// resolve ends a's registration at its body's first join, or when every
+// attempt dropped it: a joined body's output goes into the MapCache unless
+// the body died, and a dropped one's never does, whether it ran or not —
+// as when a dead node kept the body from running at all.
+func (a *mapAttempt) resolve(joined bool) {
 	if a.resolved {
 		return
 	}
@@ -468,7 +470,7 @@ func (a *mapAttempt) resolve() {
 		return
 	}
 	delete(a.rt.mapsInFlight, a.key)
-	if a.body.state == bodyDone && a.died == nil {
+	if joined && a.died == nil {
 		a.rt.MapCache.store(a.key, a.mo)
 	}
 }
@@ -835,7 +837,7 @@ func (a *reduceAttempt) join(crash bool) (Reduced, *AttemptError) {
 		return r, nil
 	}
 	src.body.join()
-	src.resolve()
+	src.resolve(true)
 	defer src.release()
 	if src.died != nil {
 		died := *src.died
@@ -849,16 +851,16 @@ func (a *reduceAttempt) drop() {
 	if src := a.from; src != nil {
 		src.body.drop()
 		if src.body.refs == 0 {
-			src.resolve()
+			src.resolve(false)
 			src.release()
 		}
 	}
 }
 
-// resolve ends a's registration: the part file goes into the MapCache
-// unless the body died or was dropped, copied to its length when the
-// presized buffer left much of it unused (see storeReduce).
-func (a *reduceAttempt) resolve() {
+// resolve ends a's registration (see mapAttempt.resolve): a joined body's
+// part file goes into the MapCache unless the body died, copied to its
+// length when the presized buffer left much of it unused (see storeReduce).
+func (a *reduceAttempt) resolve(joined bool) {
 	if a.resolved {
 		return
 	}
@@ -867,7 +869,7 @@ func (a *reduceAttempt) resolve() {
 		return
 	}
 	delete(a.rt.reducesInFlight, a.key)
-	if a.body.state == bodyDone && a.died == nil {
+	if joined && a.died == nil {
 		a.out = a.rt.MapCache.storeReduce(a.key, a.out)
 	}
 }

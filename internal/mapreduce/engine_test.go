@@ -28,6 +28,7 @@ func newTestRuntime(t *testing.T, instance topology.InstanceType, workers int, s
 	rm := yarn.NewRM(eng, cluster, params, sched)
 	rm.Start()
 	rt := NewRuntime(eng, cluster, dfs, rm, params)
+	t.Cleanup(rt.Close)
 	// Conservation at teardown: whatever the test did to the cluster, the
 	// RM's incremental resource view must still equal a recomputation, and
 	// every byte budget the sum of its resident copies.

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"mrapid/internal/sim"
 )
 
 // Host lanes (DESIGN.md §6, "Host lanes"). A map or reduce task's body —
@@ -95,8 +93,15 @@ func newHostLanes(n int) *hostLanes {
 	for i := range h.queues {
 		h.queues[i].lanes = h
 	}
+	liveRuntimes.Add(1)
 	return h
 }
+
+// liveRuntimes counts the Runtimes with lanes that are not closed: the
+// simulations the process is setting up, running or checking, each on a
+// goroutine of its own. A Runtime nobody closes counts for the rest of the
+// process, so its workers help no simulation but the forced ones.
+var liveRuntimes atomic.Int32
 
 // defaultLanes is the lane count of a new Runtime: GOMAXPROCS, or none
 // when that is 1.
@@ -111,7 +116,8 @@ func defaultLanes() int {
 }
 
 // laneHook, when a test sets it, is one more than the lane count new
-// Runtimes get in place of defaultLanes' own answer.
+// Runtimes get in place of defaultLanes' own answer, and their queues go to
+// the workers however many simulations are live.
 var laneHook atomic.Int32
 
 // A hostBody is one task's body in flight. It lives in the task attempt's
@@ -161,12 +167,12 @@ func (h *hostLanes) start(b *hostBody) {
 }
 
 // offer puts q, which has bodies queued, up for a worker unless an executor
-// has it or every core is taken by a simulation already — as in a process
+// has it or there are as many live simulations as lanes — as in a process
 // running one simulation per core, where a worker would only take turns
 // with them. The simulation then runs the queue itself at its join. Which
 // goroutine runs a body never changes the Lane it builds in. h.mu is held.
 func (h *hostLanes) offer(q *hostQueue) {
-	if !q.busy && !q.listed && sim.Firing() < len(h.queues) {
+	if !q.busy && !q.listed && (laneHook.Load() > 0 || int(liveRuntimes.Load()) < len(h.queues)) {
 		workers.list(q, len(h.queues))
 	}
 }
@@ -293,7 +299,11 @@ func (h *hostLanes) close() {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
 	h.closed = true
+	liveRuntimes.Add(-1)
 	for i := range h.queues {
 		q := &h.queues[i]
 		for _, b := range q.bodies[q.head:] {

@@ -41,11 +41,12 @@ func onLanes[T any](n int, f func() T) T {
 	return f()
 }
 
-// newLaneEnv is a traced A3x4 simulation of the variant with a MapCache of
-// its own, so that every map and reduce body runs.
-func newLaneEnv(t *testing.T, v bench.Variant) *bench.Env {
+// newLaneEnv is a traced A3x4 simulation of the variant, with the node
+// faults scripted, and a MapCache of its own, so that every map and reduce
+// body runs.
+func newLaneEnv(t *testing.T, v bench.Variant, faults ...mapreduce.NodeFault) *bench.Env {
 	t.Helper()
-	env, err := bench.NewEnv(bench.A3x4(), v)
+	env, err := bench.NewEnv(bench.Options{NodeFaults: faults}.Apply(bench.A3x4()), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +66,10 @@ func chromeTrace(t *testing.T, env *bench.Env) []byte {
 }
 
 // wordCountOnLanes runs WordCount with its combiner, six maps and three
-// reduces, under the variant; arm, when set, edits the spec first.
-func wordCountOnLanes(t *testing.T, v bench.Variant, arm func(*mapreduce.JobSpec, []string)) (laneRun, error) {
-	env := newLaneEnv(t, v)
+// reduces, under the variant and the node faults; arm, when set, edits the
+// spec first.
+func wordCountOnLanes(t *testing.T, v bench.Variant, arm func(*mapreduce.JobSpec, []string), faults ...mapreduce.NodeFault) (laneRun, error) {
+	env := newLaneEnv(t, v, faults...)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
 		Files: 6, FileBytes: 192 << 10, Seed: 11,
 	})

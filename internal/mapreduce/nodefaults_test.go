@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mrapid/internal/hdfs"
 	"mrapid/internal/profiler"
 	"mrapid/internal/topology"
 	"mrapid/internal/yarn"
@@ -208,4 +209,71 @@ func TestNodeRestartRejoinsMidJob(t *testing.T) {
 		t.Fatalf("crash/restart of %s: job failed: %v", node, res.Err)
 	}
 	verifyWordCount(t, rt, "/out", all)
+}
+
+// A map attempt whose node dies while its compute timer runs drops its
+// body, on lanes and inline alike. Two attempts on the dying node, the
+// second sharing the first's body, never deliver and store nothing in the
+// MapCache, so a later attempt at the split misses and maps it again; an
+// attempt elsewhere that shares a body with a dying one still gets its
+// output.
+func TestNodeDeathMidComputeDropsTheBody(t *testing.T) {
+	stage := func(rt *Runtime) []*hdfs.Split {
+		names, _ := stageWordCountInput(t, rt, 1, 1<<20)
+		splits, err := rt.DFS.Splits(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return splits
+	}
+	// The compute timer of a map on node 1 runs from the end of its read to
+	// the start of its output-sized sort charge; a quarter in is inside it.
+	ref := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
+	var mid time.Duration
+	ref.RunMapTask(wcSpec(nil, "/out"), stage(ref)[0], ref.Cluster.Workers()[1], TaskOptions{}, func(_ *MapOutput, tp *profiler.TaskProfile, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid = tp.ReadDur + tp.ComputeDur/4
+	})
+	ref.Eng.RunUntil(horizon)
+	for _, lanes := range []int{0, 2} {
+		t.Cleanup(UseHostLanes(lanes))
+		rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
+		cache := NewMapCache(1 << 30)
+		rt.MapCache = cache
+		split, nodes := stage(rt)[0], rt.Cluster.Workers()
+		spec := wcSpec(nil, "/out")
+		delivered := map[int]bool{}
+		run := func(attempt int, node *topology.Node) {
+			rt.RunMapTask(spec, split, node, TaskOptions{Attempt: attempt}, func(mo *MapOutput, _ *profiler.TaskProfile, err error) {
+				if err != nil || mo.Node != node {
+					t.Fatalf("%d lanes: attempt %d: %v", lanes, attempt, err)
+				}
+				delivered[attempt] = true
+			})
+		}
+		run(0, nodes[1])
+		run(1, nodes[1])
+		// A pause on the host before the crash gives a worker the time to
+		// finish the body, so the drop finds it done: a done body's output
+		// must still not be stored.
+		rt.Eng.After(mid, func() {
+			time.Sleep(20 * time.Millisecond)
+			nodes[1].Fail()
+		})
+		rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
+		if len(delivered) != 0 || cache.Len() != 0 || cache.Misses() != 1 || cache.Hits() != 1 {
+			t.Fatalf("%d lanes: on the dead node %v delivered, %d entries, %d misses, %d hits; want none, 0, 1, 1",
+				lanes, delivered, cache.Len(), cache.Misses(), cache.Hits())
+		}
+		run(2, nodes[2])
+		run(3, nodes[3])
+		rt.Eng.After(mid, nodes[3].Fail)
+		rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
+		if !delivered[2] || delivered[3] || cache.Len() != 1 || cache.Misses() != 2 || cache.Hits() != 2 {
+			t.Fatalf("%d lanes: %v delivered, %d entries, %d misses, %d hits; want attempt 2 only, 1, 2, 2",
+				lanes, delivered, cache.Len(), cache.Misses(), cache.Hits())
+		}
+	}
 }

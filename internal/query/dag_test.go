@@ -35,6 +35,7 @@ func newDAGEnv(t *testing.T, workers int) *env {
 	rm := yarn.NewRM(eng, cluster, params, core.NewDPlusScheduler(core.FullDPlus()))
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	t.Cleanup(rt.Close)
 	rt.Reg = metrics.New()
 	fw := core.NewFramework(rt, 3, core.FullUPlus())
 	ready := false

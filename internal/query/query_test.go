@@ -46,6 +46,7 @@ func newEnv(t *testing.T) *env {
 	rm := yarn.NewRM(eng, cluster, params, core.NewDPlusScheduler(core.FullDPlus()))
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	t.Cleanup(rt.Close)
 	fw := core.NewFramework(rt, 3, core.FullUPlus())
 	ready := false
 	eng.After(0, func() { fw.Start(func() { ready = true }) })

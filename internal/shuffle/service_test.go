@@ -50,6 +50,7 @@ func newWorld(t testing.TB, seed int64, attach bool, codec string) *world {
 	rm := yarn.NewRM(eng, cluster, params, core.NewDPlusScheduler(core.FullDPlus()))
 	rm.Start()
 	rt := mapreduce.NewRuntime(eng, cluster, dfs, rm, params)
+	t.Cleanup(rt.Close)
 	rt.Reg = metrics.New()
 	w := &world{rt: rt, reg: rt.Reg}
 	if attach {

@@ -21,7 +21,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -330,21 +329,9 @@ func (e *Engine) enter() {
 		panic("sim: Run or Step re-entered from within an event callback")
 	}
 	e.running = true
-	enginesFiring.Add(1)
 }
 
-func (e *Engine) leave() {
-	e.running = false
-	enginesFiring.Add(-1)
-}
-
-// enginesFiring counts the engines of the process that are firing events now.
-var enginesFiring atomic.Int32
-
-// Firing reports how many engines are firing events at this moment, each
-// on a goroutine of its own: how many host cores simulations are using.
-// Host lanes hand task bodies to their workers only while a core is left.
-func Firing() int { return int(enginesFiring.Load()) }
+func (e *Engine) leave() { e.running = false }
 
 // fire pops the earliest live event and runs it at its instant, unless the
 // queue is empty or that event is due after the deadline.
