@@ -23,10 +23,10 @@ import (
 // bodies in the same order on every run, whichever goroutine runs them, and
 // a run allocates the same bytes every time.
 //
-// One executor at a time drains a queue, in order: one of the process's
-// workers, or the simulation goroutine itself when a join finds no executor
-// on the queue — a timer that fires before a worker picked its body up runs
-// the body inline, on the body's own Lane. A simulation never waits behind
+// One executor at a time drains a queue, in order: a worker goroutine, or
+// the simulation goroutine itself when a join finds no executor on the
+// queue — a timer that fires before a worker picked its body up runs the
+// body inline, on the body's own Lane. A simulation never waits behind
 // another simulation's bodies, only behind its own.
 
 // A Lane is the scratch of one host lane: a FreeList keeps one stack per
@@ -323,18 +323,17 @@ func (h *hostLanes) close() {
 	}
 }
 
-// workers are the process's lane workers, started as queues first need
-// them, up to the most lanes any Runtime has; they wait for listed queues
-// and drain each in turn.
+// workers are the process's lane workers: goroutines that drain listed
+// queues, one at a time, until none is left and then exit, at most as many
+// at once as the most lanes a Runtime listing a queue has. A join waits for
+// the bodies it needs, and Close for every body its Runtime started, so
+// nothing waits for a worker itself.
 var workers workerPool
 
-func init() { workers.wake.L = &workers.mu }
-
 type workerPool struct {
-	mu    sync.Mutex
-	wake  sync.Cond
-	ready []*hostQueue
-	n     int
+	mu      sync.Mutex
+	ready   []*hostQueue
+	running int
 }
 
 // list puts q, which has bodies and no executor, up for a worker, starting
@@ -342,21 +341,22 @@ type workerPool struct {
 func (w *workerPool) list(q *hostQueue, lanes int) {
 	q.listed = true
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.ready = append(w.ready, q)
-	if w.n < lanes {
-		w.n++
+	if w.running < lanes {
+		w.running++
 		go w.work()
 	}
-	w.mu.Unlock()
-	w.wake.Signal()
 }
 
-// work drains listed queues for the life of the process.
+// work drains listed queues until there are none.
 func (w *workerPool) work() {
-	w.mu.Lock()
 	for {
-		for len(w.ready) == 0 {
-			w.wake.Wait()
+		w.mu.Lock()
+		if len(w.ready) == 0 {
+			w.running--
+			w.mu.Unlock()
+			return
 		}
 		q := w.ready[0]
 		w.ready[0] = nil
@@ -369,6 +369,5 @@ func (w *workerPool) work() {
 			q.drain(nil)
 		}
 		h.mu.Unlock()
-		w.mu.Lock()
 	}
 }
