@@ -193,7 +193,7 @@ func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 func TestContainAllocatesNothing(t *testing.T) {
 	x := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if v, died := contain(false, func() int { x++; return x }); died != nil || v != x {
+		if v, died := contain(func() int { x++; return x }); died != nil || v != x {
 			t.Fatalf("contain returned %d, %v", v, died)
 		}
 	})

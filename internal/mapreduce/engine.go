@@ -83,6 +83,11 @@ func NewRuntime(eng *sim.Engine, cluster *topology.Cluster, dfs *hdfs.DFS, rm *y
 		lanes: newHostLanes(defaultLanes())}
 }
 
+// Close ends the runtime's use of host lanes: bodies still queued are
+// cancelled — one whose attempt later joins it runs inline — and running
+// ones are waited for, so no body outlives it.
+func (rt *Runtime) Close() { rt.lanes.close() }
+
 // AMResource returns the ApplicationMaster container request. It comes from
 // the job configuration (Params), never from any particular node's shape:
 // deriving it from Workers()[0] gives the wrong answer on heterogeneous
@@ -413,7 +418,7 @@ func (a *mapAttempt) start(data []byte, content *hdfs.Content) {
 // execute is the body: the map over the split, on lane's scratch. A panic
 // fails the attempt, not the process.
 func (a *mapAttempt) execute(lane *Lane) {
-	a.mo, a.died = contain(false, func() *MapOutput { return execMap(lane, a.spec, a.split.File, a.data, maxOffset) })
+	a.mo, a.died = contain(func() *MapOutput { return execMap(lane, a.spec, a.split.File, a.data, maxOffset) })
 }
 
 // join returns the attempt's output when its compute timer fires, or how it
@@ -821,7 +826,7 @@ func (a *reduceAttempt) start(outputs []*MapOutput) {
 // execute is the body: the streaming merge and reduce of the partition. A
 // panic fails the attempt, not the process.
 func (a *reduceAttempt) execute(*Lane) {
-	a.out, a.died = contain(false, func() Reduced { return ExecReduce(a.spec, a.part, a.outputs) })
+	a.out, a.died = contain(func() Reduced { return ExecReduce(a.spec, a.part, a.outputs) })
 }
 
 // join returns the part file when the compute timer fires, or how the
@@ -880,11 +885,6 @@ func (a *reduceAttempt) release() {
 		a.outputs, a.out = nil, Reduced{}
 	}
 }
-
-// Close ends the runtime's use of host lanes: bodies still queued are
-// cancelled — one whose attempt later joins it runs inline — and running
-// ones are waited for, so no body outlives it.
-func (rt *Runtime) Close() { rt.lanes.close() }
 
 // Localize charges a fresh container's download of the job jar and
 // configuration from HDFS (step 6 of the submission flow).

@@ -86,15 +86,12 @@ func (fi *FaultInjector) crashPoint(outputFile string, id attemptID) (point floa
 	return point, crash
 }
 
-// contain runs body, an attempt's user code, when the attempt's compute
-// timer fires, and reports how the attempt died instead: scripted to crash
-// there (body never runs), or body panicked — bad user code fails its
-// attempt, not the process. failAttempt stamps the error with the attempt's
-// coordinates.
-func contain[T any](crash bool, body func() T) (v T, died *AttemptError) {
-	if crash {
-		return v, &AttemptError{}
-	}
+// contain runs body, an attempt's user code, on whatever goroutine runs the
+// attempt's body, and reports how it died instead when body panicked — bad
+// user code fails its attempt, not the process. A scripted crash never runs
+// the body (see mapAttempt.join). failAttempt stamps the error with the
+// attempt's coordinates.
+func contain[T any](body func() T) (v T, died *AttemptError) {
 	defer func() {
 		if p := recover(); p != nil {
 			died = &AttemptError{Cause: p, At: raiser()}

@@ -46,10 +46,7 @@ func (l *Lane) index() int {
 // idleLanes holds the Lanes no queue holds; laneSlots numbers new ones.
 var (
 	idleLanes FreeList[Lane]
-	laneSlots struct {
-		sync.Mutex
-		n int
-	}
+	laneSlots atomic.Int32
 )
 
 // takeLane hands out the Lane released last, or a new one.
@@ -57,10 +54,7 @@ func takeLane() *Lane {
 	if l := idleLanes.Get(nil); l != nil {
 		return l
 	}
-	laneSlots.Lock()
-	defer laneSlots.Unlock()
-	laneSlots.n++
-	return &Lane{slot: laneSlots.n}
+	return &Lane{slot: int(laneSlots.Add(1))}
 }
 
 // hostLanes is a Runtime's lane queues. Every field of its queues and
@@ -100,7 +94,7 @@ func newHostLanes(n int) *hostLanes {
 // liveRuntimes counts the Runtimes with lanes that are not closed: the
 // simulations the process is setting up, running or checking, each on a
 // goroutine of its own. A Runtime nobody closes counts for the rest of the
-// process, so its workers help no simulation but the forced ones.
+// process.
 var liveRuntimes atomic.Int32
 
 // defaultLanes is the lane count of a new Runtime: GOMAXPROCS, or none

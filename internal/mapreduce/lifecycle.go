@@ -170,7 +170,7 @@ func (am *amCore) pumpShuffle() {
 		for _, mo := range group {
 			am.fetched[mo] = true
 		}
-		cons, died := contain(false, func() *Consolidated { return am.shuffle.Consolidate(am.spec, group) })
+		cons, died := contain(func() *Consolidated { return am.shuffle.Consolidate(am.spec, group) })
 		if died != nil {
 			am.combineFailed(group, died)
 			return
