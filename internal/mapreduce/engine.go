@@ -83,9 +83,9 @@ func NewRuntime(eng *sim.Engine, cluster *topology.Cluster, dfs *hdfs.DFS, rm *y
 		lanes: newHostLanes(defaultLanes())}
 }
 
-// Close ends the runtime's use of host lanes: bodies still queued are
-// cancelled — one whose attempt later joins it runs inline — and running
-// ones are waited for, so no body outlives it.
+// Close ends the runtime's use of host lanes: bodies still queued come off
+// them — one whose attempt joins it later runs inline — and running ones
+// are waited for, so no body runs on a lane after Close returns.
 func (rt *Runtime) Close() { rt.lanes.close() }
 
 // AMResource returns the ApplicationMaster container request. It comes from

@@ -57,8 +57,9 @@ func takeLane() *Lane {
 	return &Lane{slot: int(laneSlots.Add(1))}
 }
 
-// hostLanes is a Runtime's lane queues. Every field of its queues and
-// bodies is guarded by mu.
+// hostLanes is a Runtime's lane queues. mu guards every field of its
+// queues and the state of their bodies; a body's refs and settled belong to
+// the simulation goroutine.
 type hostLanes struct {
 	mu     sync.Mutex
 	ended  sync.Cond // a body ended, or an executor left its queue
@@ -284,9 +285,10 @@ func (q *hostQueue) next() *hostBody {
 	return nil
 }
 
-// close cancels every body still queued on h and waits for the running
-// ones, then gives back the Lanes: no body outlives it, and bodies started
-// after it run inline at their joins.
+// close takes every body still queued off h's queues — one whose attempt
+// joins it later runs inline — and waits for the running ones, then gives
+// back the Lanes: no body runs on a lane after it, and bodies started after
+// it run inline at their joins.
 func (h *hostLanes) close() {
 	if h == nil {
 		return
