@@ -38,19 +38,24 @@ func TestCloseMidRunTakesBodiesOffTheLanes(t *testing.T) {
 		}
 		if closeAt > 0 {
 			rt.Eng.RunUntil(rt.Eng.Now().Add(closeAt))
+			h := rt.lanes
+			h.mu.Lock()
 			pending := 0
-			for i := range rt.lanes.queues {
-				pending += rt.lanes.queues[i].pending
+			for i := range h.queues {
+				pending += h.queues[i].pending
 			}
+			h.mu.Unlock()
 			if pending == 0 {
 				t.Fatalf("no body is in flight %v in; Close would not be mid-run", closeAt)
 			}
 			rt.Close()
-			for i := range rt.lanes.queues {
-				if q := &rt.lanes.queues[i]; q.busy || q.lane != nil || len(q.bodies) != 0 {
-					t.Fatalf("queue %d after Close: busy %t, lane %v, %d bodies", i, q.busy, q.lane, len(q.bodies))
+			h.mu.Lock()
+			for i := range h.queues {
+				if q := &h.queues[i]; q.busy || q.lane != nil || len(q.bodies) != 0 {
+					t.Errorf("queue %d after Close: busy %t, lane %v, %d bodies", i, q.busy, q.lane, len(q.bodies))
 				}
 			}
+			h.mu.Unlock()
 		}
 		rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
 		return outs
