@@ -41,12 +41,11 @@ func onLanes[T any](n int, f func() T) T {
 	return f()
 }
 
-// newLaneEnv is a traced A3x4 simulation of the variant, with the node
-// faults scripted, and a MapCache of its own, so that every map and reduce
-// body runs.
-func newLaneEnv(t *testing.T, v bench.Variant, faults ...mapreduce.NodeFault) *bench.Env {
+// newLaneEnv is a traced A3x4 simulation of the variant with a MapCache of
+// its own, so that every map and reduce body runs.
+func newLaneEnv(t *testing.T, v bench.Variant) *bench.Env {
 	t.Helper()
-	env, err := bench.NewEnv(bench.Options{NodeFaults: faults}.Apply(bench.A3x4()), v)
+	env, err := bench.NewEnv(bench.A3x4(), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +65,9 @@ func chromeTrace(t *testing.T, env *bench.Env) []byte {
 }
 
 // wordCountOnLanes runs WordCount with its combiner, six maps and three
-// reduces, under the variant and the node faults; arm, when set, edits the
-// spec first.
-func wordCountOnLanes(t *testing.T, v bench.Variant, arm func(*mapreduce.JobSpec, []string), faults ...mapreduce.NodeFault) (laneRun, error) {
-	env := newLaneEnv(t, v, faults...)
+// reduces, under the variant; arm, when set, edits the spec first.
+func wordCountOnLanes(t *testing.T, v bench.Variant, arm func(*mapreduce.JobSpec, []string)) (laneRun, error) {
+	env := newLaneEnv(t, v)
 	names, err := workloads.GenerateWordCountInput(env.DFS, env.Cluster, "/in/wc", workloads.WordCountConfig{
 		Files: 6, FileBytes: 192 << 10, Seed: 11,
 	})
@@ -155,9 +153,9 @@ func queryOnLanes(t *testing.T) laneRun {
 
 // Task bodies on host lanes change nothing a simulation shows: a WordCount
 // with a combiner over six maps and three reduces — distributed, and as a
-// speculative D+/U+ race whose two modes map the same splits, sharing one
-// body per split — and a query DAG finish at the same virtual instants,
-// commit the same bytes and trace the same spans inline and on lanes.
+// speculative D+/U+ race whose two modes map the same splits — and a query
+// DAG finish at the same virtual instants, commit the same bytes and trace
+// the same spans inline and on lanes.
 func TestHostLanesChangeNothingVirtual(t *testing.T) {
 	for _, v := range []bench.Variant{bench.VariantHadoop(), bench.VariantSpeculative()} {
 		run := func() laneRun {
