@@ -343,8 +343,8 @@ func (t *aggTable) group(key []byte, n int, borrowed bool) []aggAcc {
 // grow doubles the slots, re-entering every key by its stored hash, and
 // the room of the keys and their n accumulators each with them: the table
 // holds at most len(slots)/2 keys, so group's appends never reallocate
-// them (append's 1.25× regrowth of a long slice allocated about four times
-// their final size on the way up).
+// them (append regrows a long slice by 1.25×), and a cold table, one per
+// lane, allocates less on its way up.
 func (t *aggTable) grow(n int) {
 	old := t.slots
 	t.slots = make([]aggSlot, 2*len(old))

@@ -251,11 +251,10 @@ func (t *wordTable) count(word []byte, prefix uint64, h uint32, emit mapreduce.E
 
 // grow quadruples the slots, up to wordMaxSlots, re-entering every word by
 // its stored hash, and makes the words' room len(slots)/2, the most the
-// table holds, so count's append never reallocates them. A table warms up
-// once per lane, and a cold one growing to full size this way allocates
-// about 3.3 MiB where doubling slots and appending words took 4.5 MiB
-// (append's 1.25× regrowth of a long slice alone allocated about four
-// times the words' final size).
+// table holds, so count's append never reallocates them (append regrows a
+// long slice by 1.25×). Every lane warms a table of its own, so what a cold
+// table allocates on its way to full size — about 3.3 MiB — is paid once
+// per lane.
 func (t *wordTable) grow() {
 	old := t.slots
 	n := min(4*len(old), wordMaxSlots)
