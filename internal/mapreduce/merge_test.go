@@ -272,28 +272,27 @@ func TestExecReduceAllocatesNothingPerKey(t *testing.T) {
 	}
 }
 
-// FuzzMergeGroups feeds checkMerge arbitrary runs in an arbitrary order. The
-// input is lines of "<run byte><key>\t<value>"; a line's first byte modulo
-// nruns picks its run, and a line without a tab is a key with an empty
-// value. The runs are then shuffled by order: a merge's result must not
-// depend on the order its runs are fed, which is what lets the MapCache key
-// a reduce by the multiset of its inputs (see reduceKey).
+// FuzzMergeGroups feeds checkMergeCounted arbitrary runs in an arbitrary
+// order. The input is lines of "<run byte><key>\t<value>"; a line's first
+// byte modulo nruns picks its run, and a line without a tab is a key with
+// an empty value. The runs are then shuffled by order: a merge's result
+// must not depend on the order its runs are fed, which is what lets the
+// MapCache key a reduce by the multiset of its inputs (see reduceKey).
+// order also picks the counted share of the runs' builds.
 //
-// The seeds are the merge cases of at most maxSeedPairs pairs. The larger
-// ones — the repeats shape's 2 048-pair runs, about 20 KiB of text each,
-// and 33 runs of Zipf duplicates — stay in
-// TestMergeMatchesSortedConcatenation: one execution over 33 such runs
-// takes a third of a second, and mutating them held the fuzzer to a few
-// hundred executions a second.
+// An execution stays small so that the fuzzer spends its time fuzzing: the
+// input is at most 8 KiB, and the seeds are the merge cases with each run
+// cut to its first maxSeedPairs/len(runs) pairs. The cases at full size —
+// the repeats shape's 2 048-pair runs, about 20 KiB of text each, and 33
+// runs of Zipf duplicates — are checked, at every counted share, in
+// TestMergeMatchesSortedConcatenation: one execution over 33 such runs took
+// a third of a second, and the fuzzer minimizes every new interesting
+// input at the speed of such executions.
 func FuzzMergeGroups(f *testing.F) {
-	const maxSeedPairs = 2000
+	const maxSeedPairs = 500
 	eachMergeCase(func(_ string, runs [][]kv) {
-		pairs := 0
-		for _, run := range runs {
-			pairs += len(run)
-		}
-		if pairs > maxSeedPairs {
-			return
+		for i, run := range runs {
+			runs[i] = run[:min(len(run), maxSeedPairs/len(runs))]
 		}
 		var text strings.Builder
 		for i, run := range runs {
@@ -304,7 +303,7 @@ func FuzzMergeGroups(f *testing.F) {
 		f.Add([]byte(text.String()), uint8(len(runs)), int64(len(runs)))
 	})
 	f.Fuzz(func(t *testing.T, text []byte, nruns uint8, order int64) {
-		if nruns == 0 || nruns > 40 {
+		if nruns == 0 || nruns > 40 || len(text) > 8<<10 {
 			return
 		}
 		runs := make([][]kv, nruns)
@@ -316,7 +315,16 @@ func FuzzMergeGroups(f *testing.F) {
 			run := int(line[0]) % int(nruns)
 			runs[run] = append(runs[run], kv{string(k), string(v)})
 		}
-		rand.New(rand.NewSource(order)).Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
-		checkMerge(t, runs)
+		// Shuffle by order with a splitmix64 stream: a rand.Source costs
+		// more to seed than a small merge takes.
+		x := uint64(order)
+		for i := len(runs) - 1; i > 0; i-- {
+			x += 0x9e3779b97f4a7c15
+			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			j := int((z ^ z>>31) % uint64(i+1))
+			runs[i], runs[j] = runs[j], runs[i]
+		}
+		checkMergeCounted(t, runs, countedHalves[uint64(order)%uint64(len(countedHalves))])
 	})
 }
