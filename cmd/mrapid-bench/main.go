@@ -8,8 +8,8 @@
 //	mrapid-bench -scale 0.2       # shrink the inputs (faster, same code paths)
 //	mrapid-bench -list            # list experiment IDs
 //
-// Experiments run concurrently, one per core (GOMAXPROCS); the tables print
-// in registry order.
+// Experiments run concurrently, one per core (GOMAXPROCS), the heaviest
+// first; the tables print in registry order.
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -115,10 +116,11 @@ type outcome struct {
 }
 
 // runAll starts the selected experiments (all when none is selected) on up
-// to GOMAXPROCS goroutines, in registry order, and returns one channel per
-// experiment, in that order, that receives its outcome. Experiments share
-// only the process-wide input and map-output caches, which are safe for
-// concurrent use; GOMAXPROCS=1 runs them one after another.
+// to GOMAXPROCS goroutines, the heaviest first (bench.ByCost), and returns
+// one channel per experiment, in registry order, that receives its outcome.
+// Experiments share only the process-wide input and map-output caches,
+// which are safe for concurrent use; GOMAXPROCS=1 runs them one after
+// another.
 func runAll(selected map[string]bool, opts bench.Options) []chan outcome {
 	var ids []string
 	var runs []bench.Runner
@@ -131,7 +133,11 @@ func runAll(selected map[string]bool, opts bench.Options) []chan outcome {
 	next := make(chan int, len(runs))
 	for i := range runs {
 		done[i] = make(chan outcome, 1)
-		next <- i
+	}
+	for _, id := range bench.ByCost {
+		if i := slices.Index(ids, id); i >= 0 {
+			next <- i
+		}
 	}
 	close(next)
 	for range min(runtime.GOMAXPROCS(0), len(runs)) {

@@ -356,6 +356,24 @@ func TestRegistryAndLookup(t *testing.T) {
 	}
 }
 
+// ByCost ranks every registered experiment exactly once.
+func TestByCostRanksEveryExperiment(t *testing.T) {
+	t.Parallel()
+	ranked := map[string]int{}
+	for _, id := range ByCost {
+		ranked[id]++
+	}
+	for _, r := range Registry {
+		if ranked[r.ID] != 1 {
+			t.Errorf("ByCost ranks %s %d times, want once", r.ID, ranked[r.ID])
+		}
+		delete(ranked, r.ID)
+	}
+	for id := range ranked {
+		t.Errorf("ByCost ranks %s, which is not registered", id)
+	}
+}
+
 func TestRenderTable(t *testing.T) {
 	t.Parallel()
 	fig := &Figure{

@@ -535,6 +535,16 @@ var Registry = []struct {
 	{"memo", Memo, "cross-job memoization: digest-keyed result reuse skips execution"},
 }
 
+// ByCost lists every Registry ID once, the heaviest experiment first, by
+// its "regenerated in" wall time in a paper-scale mrapid-bench run on two
+// cores: fig10 3.5 s, fig8 3.0 s, fig7 2.6 s, shuffle 0.9 s, fig9 and memo
+// 0.8 s, fig11 0.3 s, phases 0.2 s, then the ones of 0.1 s and below, in
+// Registry order. mrapid-bench hands its runners the experiments in this
+// order, so that a heavy one never starts last while the other runners
+// idle.
+var ByCost = []string{"fig10", "fig8", "fig7", "shuffle", "fig9", "memo", "fig11", "phases",
+	"table2", "fig12", "fig13", "fig14", "fig15", "estimator", "throughput", "dagquery"}
+
 // Lookup finds a registered experiment by ID.
 func Lookup(id string) (Runner, bool) {
 	for _, r := range Registry {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -127,17 +128,36 @@ func eightOf(data []byte) [][]byte {
 	return splits
 }
 
+// benchExecReduce times the reduce of partition 0 of the splits' outputs
+// at one range, through ExecReduce, and cut into one range per
+// GOMAXPROCS, helper goroutines taking ranges as a task body's would.
 func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
 	outputs := make([]*MapOutput, len(splits))
 	for i, data := range splits {
 		outputs[i] = ExecMap(spec, data)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := ExecReduce(spec, 0, outputs); out.Records == 0 {
-			b.Fatal("empty reduce")
-		}
+	pairs := 0
+	for _, mo := range outputs {
+		pairs += len(mo.Partitions[0])
+	}
+	for _, n := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		b.Run(fmt.Sprintf("ranges=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var out Reduced
+				if n == 1 {
+					out = ExecReduce(spec, 0, outputs)
+				} else if r, died := splitReduce(spec, 0, outputs, n).run(true); died != nil {
+					b.Fatal(died)
+				} else {
+					out = r
+				}
+				if out.Records == 0 {
+					b.Fatal("empty reduce")
+				}
+			}
+			b.ReportMetric(float64(pairs), "pairs")
+		})
 	}
 }
 
@@ -245,5 +265,25 @@ func BenchmarkMapCacheKey(b *testing.B) {
 		if _, ok := c.key(spec, "/in", 0, len(data), content); !ok {
 			b.Fatal("WordCount is not reusable")
 		}
+	}
+}
+
+// BenchmarkExecReduceRanges measures where cutting a reduce into one range
+// per GOMAXPROCS starts to pay, the measurement splitPairs rests on: four
+// runs of unique TeraSort rows and four of counted Zipf words, at pair
+// counts around it, at one range and at GOMAXPROCS with helpers.
+func BenchmarkExecReduceRanges(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, pairs := range []int{5_000, 10_000, 20_000, 40_000} {
+		splits := make([][]byte, 4)
+		for i := range splits {
+			splits[i] = teraRows(rng, pairs/4)
+		}
+		b.Run(fmt.Sprintf("tera/pairs=%d", pairs), func(b *testing.B) { benchExecReduce(b, teraBenchSpec(), splits) })
+	}
+	for _, kib := range []int{20, 40, 80, 160} {
+		b.Run(fmt.Sprintf("zipf/kib=%d", kib), func(b *testing.B) {
+			benchExecReduce(b, wcSpec([]string{"/x"}, "/o"), zipfSplits(4, kib<<10))
+		})
 	}
 }

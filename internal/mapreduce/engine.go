@@ -636,32 +636,18 @@ type Reduced struct {
 }
 
 // ExecReduce runs the reduce function for real over the fetched partitions,
-// streaming merge → group by key → reduce → encode: neither the merged
-// sequence nor the output pairs are materialized. Output records are
-// tab-separated lines, the shape of TextOutputFormat, so job output is a
-// plain inspectable HDFS file, presized to one line per distinct pair of
-// every run and grown if the reducer emits more. Pure computation.
+// streaming merge → group by key → reduce → encode: the merged sequence is
+// never materialized, and the output lines go straight into the part file.
+// Output records are tab-separated lines, the shape of TextOutputFormat, so
+// job output is a plain inspectable HDFS file, presized to one line per
+// distinct pair of every run and grown if the reducer emits more. Pure
+// computation, on the calling goroutine: it is the one-range case of the
+// reduce a task body runs (see ranges.go), and a reducer's panic is the
+// caller's.
 func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
-	var size int
-	for _, mo := range outputs {
-		for _, r := range mo.Partitions[part] {
-			size += int(r.klen) + int(r.vlen) + 2
-		}
-	}
-	out := Reduced{Encoded: make([]byte, 0, size)}
-	emit := func(k, v []byte) {
-		buf := out.Encoded
-		if n := len(k) + len(v) + 2; cap(buf)-len(buf) < n {
-			buf = grown(buf, n)
-		}
-		buf = append(buf, k...)
-		buf = append(buf, '\t')
-		buf = append(buf, v...)
-		out.Encoded = append(buf, '\n')
-		out.Records++
-	}
-	newMerger(outputs, part).groups(spec.Reduce, emit)
-	return out
+	s := splitReduce(spec, part, outputs, 1)
+	s.reduceRange(0)
+	return s.assemble()
 }
 
 // EncodePairs returns the part file a reduce produced. ExecReduce encodes
@@ -823,10 +809,10 @@ func (a *reduceAttempt) start(outputs []*MapOutput) {
 	rt.lanes.start(&a.body)
 }
 
-// execute is the body: the streaming merge and reduce of the partition. A
-// panic fails the attempt, not the process.
+// execute is the body: the streaming merge and reduce of the partition, in
+// key ranges when it is large. A panic fails the attempt, not the process.
 func (a *reduceAttempt) execute(*Lane) {
-	a.out, a.died = contain(func() Reduced { return ExecReduce(a.spec, a.part, a.outputs) })
+	a.out, a.died = a.rt.lanes.reduce(a.spec, a.part, a.outputs)
 }
 
 // join returns the part file when the compute timer fires, or how the

@@ -7,12 +7,13 @@ import (
 )
 
 // Host lanes (DESIGN.md §6, "Host lanes"). A map or reduce task's body —
-// its ExecMapFile or ExecReduce — is a pure function of what the task holds
-// when its core is acquired, and nothing reads the result before the task's
-// compute timer fires. So the body starts on a host lane when the timer
-// starts and is joined when the timer fires, on the simulation goroutine, at
-// the virtual instant an inline run would have had it: no virtual time,
-// output byte or trace can move.
+// its ExecMapFile, or its reduce (hostLanes.reduce, which cuts a large
+// partition into key ranges: ranges.go) — is a pure function of what the
+// task holds when its core is acquired, and nothing reads the result before
+// the task's compute timer fires. So the body starts on a host lane when the
+// timer starts and is joined when the timer fires, on the simulation
+// goroutine, at the virtual instant an inline run would have had it: no
+// virtual time, output byte or trace can move.
 //
 // A Runtime has one FIFO queue per lane, GOMAXPROCS of them, and none when
 // GOMAXPROCS is 1: then every body runs inline at its join and no goroutine
@@ -162,14 +163,44 @@ func (h *hostLanes) start(b *hostBody) {
 }
 
 // offer puts q, which has bodies queued, up for a worker unless an executor
-// has it or there are as many live simulations as lanes — as in a process
-// running one simulation per core, where a worker would only take turns
-// with them. The simulation then runs the queue itself at its join. Which
-// goroutine runs a body never changes the Lane it builds in. h.mu is held.
+// has it or h may not use other goroutines. The simulation then runs the
+// queue itself at its join. Which goroutine runs a body never changes the
+// Lane it builds in. h.mu is held.
 func (h *hostLanes) offer(q *hostQueue) {
-	if !q.busy && !q.listed && (laneHook.Load() > 0 || int(liveRuntimes.Load()) < len(h.queues)) {
+	if !q.busy && !q.listed && h.spare() {
 		workers.list(q, len(h.queues))
 	}
+}
+
+// spare reports whether h's work may go to other goroutines: unless there
+// are as many live simulations as lanes — as in a process running one
+// simulation per core, where another goroutine would only take turns with
+// them — or a test forced the lanes. h.mu is held.
+func (h *hostLanes) spare() bool {
+	return !h.closed && (laneHook.Load() > 0 || int(liveRuntimes.Load()) < len(h.queues))
+}
+
+// reduce is a reduce task's body: partition part of outputs, cut into as
+// many key ranges as h has lanes when it indexes at least splitPairs pairs,
+// with helper goroutines taking ranges while h may spare them (see
+// ranges.go). Without lanes it is one range, as ExecReduce runs it, but a
+// reducer's panic fails the attempt instead of the process.
+func (h *hostLanes) reduce(spec *JobSpec, part int, outputs []*MapOutput) (Reduced, *AttemptError) {
+	n, pairs := 1, 0
+	for _, mo := range outputs {
+		pairs += len(mo.Partitions[part])
+	}
+	if h != nil && pairs >= splitPairs {
+		n = len(h.queues)
+	}
+	s := splitReduce(spec, part, outputs, n)
+	help := false
+	if n > 1 {
+		h.mu.Lock()
+		help = h.spare()
+		h.mu.Unlock()
+	}
+	return s.run(help)
 }
 
 // join waits until b has run — running it, after whatever its queue holds

@@ -197,3 +197,101 @@ func TestPanickingMapOnALaneFailsAlike(t *testing.T) {
 		t.Fatalf("inline: %v\non lanes: %v", inline, lanes)
 	}
 }
+
+// teraSortOnLanes runs a 40 000-row TeraSort into one reduce, which a body
+// on lanes cuts into one key range per lane, helpers taking ranges; arm,
+// when set, edits the spec first.
+func teraSortOnLanes(t *testing.T, arm func(*mapreduce.JobSpec)) (laneRun, error) {
+	v := bench.VariantHadoop()
+	env := newLaneEnv(t, v)
+	names, err := workloads.TeraGen(env.DFS, env.Cluster, "/in/tera", workloads.TeraGenConfig{Rows: 40_000, Files: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workloads.TeraSortSpec(env.DFS, "tera-lanes", names, "/out/tera", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arm != nil {
+		arm(spec)
+	}
+	res, err := env.Run(v, spec)
+	if err != nil {
+		return laneRun{}, err
+	}
+	if res.Err != nil {
+		return laneRun{}, res.Err
+	}
+	data, err := env.DFS.Contents(mapreduce.PartFileName(spec.OutputFile, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return laneRun{res.Elapsed(), h.Sum64(), chromeTrace(t, env)}, nil
+}
+
+// A reduce cut into key ranges on lanes commits what the one-range reduce
+// inline commits, at the same virtual instants with the same trace: with
+// TeraSort's reducer, whose lines fill their windows exactly, and with one
+// that emits each row twice, so that every range outgrows its window.
+func TestReduceRangesOnLanesChangeNothing(t *testing.T) {
+	twice := func(spec *mapreduce.JobSpec) {
+		spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+			values.Each(func(v []byte) {
+				emit(key, v)
+				emit(key, append([]byte("again "), v...))
+			})
+		}
+		spec.ClosureSig += " twice"
+	}
+	for _, c := range []struct {
+		name string
+		arm  func(*mapreduce.JobSpec)
+	}{{"terasort", nil}, {"outgrowing", twice}} {
+		run := func() laneRun {
+			r, err := teraSortOnLanes(t, c.arm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		sameRun(t, c.name, onLanes(0, run), onLanes(3, run))
+	}
+}
+
+// A reducer that panics in a range a helper may run fails its attempt as
+// it does inline, and when two ranges panic the lowest one's panic is the
+// one reported: the error names the same key, panic and raising frame as
+// the one-range reduce's first panic. Keys are printable bytes drawn
+// uniformly, so with three ranges a key starting with '0' falls in the
+// first and one starting with 'x' in the last.
+func TestPanickingReduceOnALaneFailsAlike(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		poison string // first key bytes the reducer panics on
+	}{{"last range", "x"}, {"first and last ranges", "0x"}} {
+		poison := func(spec *mapreduce.JobSpec) {
+			reduce := spec.Reduce
+			spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
+				if bytes.IndexByte([]byte(c.poison), key[0]) >= 0 {
+					panic(fmt.Sprintf("poisoned key %q", key))
+				}
+				reduce(key, values, emit)
+			}
+			spec.ClosureSig += " poisoned " + c.poison
+		}
+		run := func() error {
+			_, err := teraSortOnLanes(t, poison)
+			return err
+		}
+		inline, lanes := onLanes(0, run), onLanes(3, run)
+		var ae *mapreduce.AttemptError
+		if !errors.Is(lanes, mapreduce.ErrTaskFailed) || !errors.As(lanes, &ae) || ae.At == "" {
+			t.Fatalf("%s on lanes: %v, want a failed task naming the panic's frame", c.name, lanes)
+		}
+		if inline == nil || inline.Error() != lanes.Error() {
+			t.Fatalf("%s inline: %v\non lanes: %v", c.name, inline, lanes)
+		}
+	}
+}

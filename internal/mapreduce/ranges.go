@@ -1,0 +1,201 @@
+package mapreduce
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+)
+
+// Key ranges (DESIGN.md §6, "Host lanes"). A reduce body cuts a large
+// partition into as many key ranges as its Runtime has lanes and merges,
+// groups, reduces and encodes each range on its own. Every pair of one key
+// falls in one range and range i's keys all sort before range i+1's, so the
+// ranges' lines laid end to end are the one-range reduce's part file.
+//
+// The cut keys are pairs of the partition's largest run at its quantiles,
+// and every run is cut at each cut key's lower bound: before its first pair
+// whose key is not below the cut key. A range encodes into its own window
+// of the one output buffer, presized as a one-range reduce presizes it, one
+// line per distinct pair of every run; the windows are closed up in place
+// once every range is done. A range whose reducer outgrows its window grows
+// a buffer of its own, and the part file is then assembled once, into a
+// buffer of its exact length.
+//
+// Ranges are claimed in order by whoever runs next: the body, and helper
+// goroutines when the body's Runtime may use other goroutines (see
+// hostLanes.spare). A range builds and allocates the same whichever
+// goroutine runs it, and the body returns only after its helpers have.
+
+// splitPairs is the fewest pairs, summed over its runs, a reduce partition
+// indexes when a body cuts it into ranges. BenchmarkExecReduceRanges on two
+// cores, medians of five: from 10 000 pairs up two ranges take 18–37 % off
+// one range's time, on unique TeraSort rows and on counted Zipf words
+// alike; below it the gain ranges from nothing (4 500 Zipf pairs) to 20 %
+// (5 000 TeraSort rows), as the helper's start and join weigh more.
+const splitPairs = 10_000
+
+// reduceSplit is one reduce partition cut into key ranges.
+type reduceSplit struct {
+	reduce ReduceFunc
+	buf    []byte // the output buffer whose windows the ranges encode into
+	ranges []keyRange
+
+	next    atomic.Int32 // the first range nobody claimed
+	failed  atomic.Bool  // a range's reducer panicked: later ranges need not run
+	helpers sync.WaitGroup
+}
+
+// keyRange is one range of a reduceSplit.
+type keyRange struct {
+	merge   merger
+	window  int    // its window's bytes in buf
+	out     []byte // its lines: in its window, or in its own buffer once they outgrew it
+	records int64
+	died    *AttemptError
+}
+
+// splitReduce cuts partition part of outputs into n key ranges, of which
+// some may be empty, or into one when the partition is empty.
+func splitReduce(spec *JobSpec, part int, outputs []*MapOutput, n int) *reduceSplit {
+	var largest []Rec
+	var ls *store
+	for _, mo := range outputs {
+		if idx := mo.Partitions[part]; len(idx) > len(largest) {
+			largest, ls = idx, &mo.store
+		}
+	}
+	if len(largest) == 0 {
+		n = 1
+	}
+	s := &reduceSplit{reduce: spec.Reduce, ranges: make([]keyRange, n)}
+	k := len(outputs)
+	cursors := make([]cursor, 0, n*k)
+	for i := range s.ranges {
+		s.ranges[i].merge = cursors[i*k : i*k : (i+1)*k]
+	}
+	for _, mo := range outputs {
+		idx, lo := mo.Partitions[part], 0
+		for i := range s.ranges {
+			hi := len(idx)
+			if i < n-1 {
+				cut := largest[(i+1)*len(largest)/n]
+				hi = lo + sort.Search(hi-lo, func(j int) bool { return compareKeys(idx[lo+j], &mo.store, cut, ls) >= 0 })
+			}
+			r := &s.ranges[i]
+			for _, rec := range idx[lo:hi] {
+				r.window += int(rec.klen) + int(rec.vlen) + 2
+			}
+			r.merge = r.merge.run(mo, part, lo, hi)
+			lo = hi
+		}
+	}
+	size := 0
+	for i := range s.ranges {
+		size += s.ranges[i].window
+	}
+	s.buf = make([]byte, 0, size)
+	off := 0
+	for i := range s.ranges {
+		r := &s.ranges[i]
+		r.merge.heapify()
+		r.out = s.buf[off : off : off+r.window]
+		off += r.window
+	}
+	return s
+}
+
+// reduceRange merges, groups, reduces and encodes range i.
+func (s *reduceSplit) reduceRange(i int) {
+	r := &s.ranges[i]
+	r.merge.groups(s.reduce, r.emit)
+}
+
+// emit encodes one output pair as a tab-separated line of r.out.
+func (r *keyRange) emit(k, v []byte) {
+	buf := r.out
+	if n := len(k) + len(v) + 2; cap(buf)-len(buf) < n {
+		buf = grown(buf, n)
+	}
+	buf = append(buf, k...)
+	buf = append(buf, '\t')
+	buf = append(buf, v...)
+	r.out = append(buf, '\n')
+	r.records++
+}
+
+// run reduces every range, helper goroutines taking some of them when help
+// is set, and returns the part file, or how the lowest range whose reducer
+// panicked died. No helper outlives it.
+func (s *reduceSplit) run(help bool) (Reduced, *AttemptError) {
+	if help {
+		for range len(s.ranges) - 1 {
+			s.helpers.Add(1)
+			go func() {
+				defer s.helpers.Done()
+				s.work()
+			}()
+		}
+	}
+	s.work()
+	s.helpers.Wait()
+	for i := range s.ranges {
+		if died := s.ranges[i].died; died != nil {
+			return Reduced{}, died
+		}
+	}
+	return s.assemble(), nil
+}
+
+// work claims ranges in order and reduces each, until none is left or a
+// reducer panicked. A panic fails its range, not the process; the ranges
+// after it are not needed, and every range before it was claimed already.
+func (s *reduceSplit) work() {
+	for !s.failed.Load() {
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.ranges) {
+			return
+		}
+		r := &s.ranges[i]
+		if _, r.died = contain(func() bool { s.reduceRange(i); return true }); r.died != nil {
+			s.failed.Store(true)
+		}
+	}
+}
+
+// assemble lays the ranges' lines end to end: in place when every range
+// kept to its window, moving each down to where the one before it ended
+// (a range that filled the windows before it exactly is in place already),
+// else once into a buffer of the part file's exact length. A single range's
+// lines are the part file as they are.
+func (s *reduceSplit) assemble() Reduced {
+	if len(s.ranges) == 1 {
+		r := &s.ranges[0]
+		return Reduced{Encoded: r.out, Records: r.records}
+	}
+	var out Reduced
+	size, outgrew := 0, false
+	for i := range s.ranges {
+		r := &s.ranges[i]
+		out.Records += r.records
+		size += len(r.out)
+		outgrew = outgrew || cap(r.out) != r.window // grown is all that changes it
+	}
+	if outgrew {
+		out.Encoded = make([]byte, 0, size)
+		for i := range s.ranges {
+			out.Encoded = append(out.Encoded, s.ranges[i].out...)
+		}
+		return out
+	}
+	end, window := 0, 0
+	for i := range s.ranges {
+		r := &s.ranges[i]
+		if window != end {
+			copy(s.buf[end:cap(s.buf)], r.out) // a memmove down within buf
+		}
+		end += len(r.out)
+		window += r.window
+	}
+	out.Encoded = s.buf[:end]
+	return out
+}

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -107,6 +108,18 @@ func keyPrefix(k []byte) uint64 {
 // eight bytes the shorter key is a prefix of the longer and length alone
 // decides; only two long keys need their tails compared.
 func compareRecs(a Rec, as *store, b Rec, bs *store) int {
+	if c := compareKeys(a, as, b, bs); c != 0 {
+		return c
+	}
+	if as == bs && a.voff == b.voff && a.vlen == b.vlen {
+		return 0 // the same bytes: see place
+	}
+	return bytes.Compare(as.value(a), bs.value(b))
+}
+
+// compareKeys orders two pairs by key alone, as compareRecs does before it
+// looks at values.
+func compareKeys(a Rec, as *store, b Rec, bs *store) int {
 	if a.prefix != b.prefix {
 		if a.prefix < b.prefix {
 			return -1
@@ -114,19 +127,9 @@ func compareRecs(a Rec, as *store, b Rec, bs *store) int {
 		return 1
 	}
 	if a.klen > 8 && b.klen > 8 {
-		if c := bytes.Compare(as.at(a.koff+8, a.klen-8), bs.at(b.koff+8, b.klen-8)); c != 0 {
-			return c
-		}
-	} else if a.klen != b.klen {
-		if a.klen < b.klen {
-			return -1
-		}
-		return 1
+		return bytes.Compare(as.at(a.koff+8, a.klen-8), bs.at(b.koff+8, b.klen-8))
 	}
-	if as == bs && a.voff == b.voff && a.vlen == b.vlen {
-		return 0 // the same bytes: see place
-	}
-	return bytes.Compare(as.value(a), bs.value(b))
+	return cmp.Compare(a.klen, b.klen)
 }
 
 // sameKey reports whether two pairs carry byte-identical keys.
@@ -488,13 +491,14 @@ func (b *outputBuilder) view() *MapOutput {
 }
 
 // cursor is one sorted run being merged: its head pair, the pairs after
-// it, and the output and partition whose store and counts they index (64
-// bytes, which the heap swaps without a duffcopy).
+// it, the output and partition whose store and counts they index, and where
+// the run ends in that partition, which places the counts of a run that is
+// only part of it (64 bytes, which the heap swaps without a duffcopy).
 type cursor struct {
-	head Rec
-	rest []Rec
-	out  *MapOutput
-	part int
+	head      Rec
+	rest      []Rec
+	out       *MapOutput
+	part, end uint32
 }
 
 // merger is a k-way merge over sorted runs — O(n log k) instead of
@@ -511,14 +515,27 @@ type merger []cursor
 func newMerger(outputs []*MapOutput, part int) merger {
 	m := make(merger, 0, len(outputs))
 	for _, mo := range outputs {
-		if idx := mo.Partitions[part]; len(idx) > 0 {
-			m = append(m, cursor{head: idx[0], rest: idx[1:], out: mo, part: part})
-		}
+		m = m.run(mo, part, 0, len(mo.Partitions[part]))
 	}
+	m.heapify()
+	return m
+}
+
+// run adds pairs [lo, hi) of partition part of mo to a merge that heapify
+// has not started yet.
+func (m merger) run(mo *MapOutput, part, lo, hi int) merger {
+	if lo == hi {
+		return m
+	}
+	idx := mo.Partitions[part]
+	return append(m, cursor{head: idx[lo], rest: idx[lo+1 : hi], out: mo, part: uint32(part), end: uint32(hi)})
+}
+
+// heapify orders the runs into a min-heap by head pair.
+func (m merger) heapify() {
 	for i := len(m)/2 - 1; i >= 0; i-- {
 		m.sift(i)
 	}
-	return m
 }
 
 // sift restores the min-heap property at index i.
@@ -552,7 +569,7 @@ func (m *merger) pop() (r Rec, src *store, n uint32) {
 	c := &(*m)[0]
 	r, src, n = c.head, &c.out.store, 1
 	if counts := c.out.counts[c.part]; counts != nil {
-		n = counts[len(counts)-len(c.rest)-1] // counts run parallel to the whole partition
+		n = counts[int(c.end)-len(c.rest)-1] // counts run parallel to the whole partition
 	}
 	if len(c.rest) > 0 {
 		c.head, c.rest = c.rest[0], c.rest[1:]

@@ -38,7 +38,11 @@ type CountedEmit func(key, value []byte, n int)
 type MapFunc func(key, value []byte, emit Emit)
 
 // ReduceFunc consumes one key and all its values (sorted ordering of keys is
-// guaranteed by the framework) and emits output pairs.
+// guaranteed by the framework) and emits output pairs. A task body cuts a
+// large partition into key ranges and reduces them on several goroutines at
+// once, so calls on different keys of one partition may run concurrently: a
+// reducer keeps no state from one key to the next, and anything it shares
+// across calls must be safe for concurrent use (see ranges.go).
 type ReduceFunc func(key []byte, values Values, emit Emit)
 
 // Values is one key's values in merged order, as runs: At(i) is a value and

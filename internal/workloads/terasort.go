@@ -221,41 +221,99 @@ func totalOrderPartitioner(cuts [][]byte) mapreduce.PartitionFunc {
 }
 
 // VerifyTeraSortOutput checks that the concatenated part files are totally
-// ordered and contain exactly rows rows. It walks each part file line by
-// line in place: the bytes are read-only and outlive the walk, so the
-// previous key is a view too.
+// ordered and contain exactly rows rows. It walks each part file's blocks
+// line by line in place, without concatenating them: the bytes are
+// read-only and outlive the walk, so the previous key is a view too, except
+// for a row that straddles a block boundary, which is carried over in a
+// buffer of its own.
 func VerifyTeraSortOutput(dfs *hdfs.DFS, output string, reduces int, rows int64) error {
-	var prev []byte
-	var count int64
+	var w teraWalk
 	for p := 0; p < reduces; p++ {
-		data, err := dfs.Contents(mapreduce.PartFileName(output, p))
+		f, err := dfs.Lookup(mapreduce.PartFileName(output, p))
 		if err != nil {
 			return err
 		}
-		for len(data) > 0 {
-			line := data
-			if i := bytes.IndexByte(data, '\n'); i >= 0 {
-				line, data = data[:i], data[i+1:]
-			} else {
-				data = nil
+		for _, b := range f.Blocks {
+			if err := w.block(b.Data); err != nil {
+				return err
 			}
-			if len(line) == 0 {
-				continue
-			}
-			i := bytes.IndexByte(line, '\t')
-			if i != TeraKeyLen {
-				return fmt.Errorf("workloads: malformed terasort row %q", line)
-			}
-			key := line[:i]
-			if prev != nil && bytes.Compare(prev, key) > 0 {
-				return fmt.Errorf("workloads: terasort output out of order: %q > %q", prev, key)
-			}
-			prev = key
-			count++
+		}
+		if err := w.end(); err != nil {
+			return err
 		}
 	}
-	if count != rows {
-		return fmt.Errorf("workloads: terasort output has %d rows, want %d", count, rows)
+	if w.count != rows {
+		return fmt.Errorf("workloads: terasort output has %d rows, want %d", w.count, rows)
 	}
+	return nil
+}
+
+// teraWalk is VerifyTeraSortOutput's position in the output.
+type teraWalk struct {
+	prev  []byte // the last row's key
+	carry []byte // a line the blocks so far began and did not end
+	key   []byte // the last carried row's key: carry is reused
+	count int64
+}
+
+// block walks the lines of one block's bytes, the first completing a
+// carried line and the last, when no newline ends it, carried on.
+func (w *teraWalk) block(data []byte) error {
+	if len(w.carry) > 0 {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			w.carry = append(w.carry, data...)
+			return nil
+		}
+		w.carry, data = append(w.carry, data[:i]...), data[i+1:]
+		if err := w.end(); err != nil {
+			return err
+		}
+	}
+	for len(data) > 0 {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			w.carry = append(w.carry, data...)
+			return nil
+		}
+		if err := w.row(data[:i]); err != nil {
+			return err
+		}
+		data = data[i+1:]
+	}
+	return nil
+}
+
+// end checks the carried line, if any — a part file's last line needs no
+// newline — and keeps its key past the carry's reuse.
+func (w *teraWalk) end() error {
+	if len(w.carry) == 0 {
+		return nil
+	}
+	err := w.row(w.carry)
+	if err == nil {
+		w.key = append(w.key[:0], w.prev...)
+		w.prev = w.key
+	}
+	w.carry = w.carry[:0]
+	return err
+}
+
+// row checks one line: an empty one is skipped, any other must be a
+// TeraKeyLen-byte key and a tab, the key not below the last row's.
+func (w *teraWalk) row(line []byte) error {
+	if len(line) == 0 {
+		return nil
+	}
+	i := bytes.IndexByte(line, '\t')
+	if i != TeraKeyLen {
+		return fmt.Errorf("workloads: malformed terasort row %q", line)
+	}
+	key := line[:i]
+	if w.prev != nil && bytes.Compare(w.prev, key) > 0 {
+		return fmt.Errorf("workloads: terasort output out of order: %q > %q", w.prev, key)
+	}
+	w.prev = key
+	w.count++
 	return nil
 }

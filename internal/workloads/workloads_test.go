@@ -325,6 +325,93 @@ func TestVerifyTeraSortOutput(t *testing.T) {
 	}
 }
 
+// verifyConcatenated is VerifyTeraSortOutput as it was before it walked
+// blocks: each part file concatenated by DFS.Contents, then walked line by
+// line. The block walk must return exactly its errors.
+func verifyConcatenated(dfs *hdfs.DFS, output string, reduces int, rows int64) error {
+	var prev []byte
+	var count int64
+	for p := 0; p < reduces; p++ {
+		data, err := dfs.Contents(mapreduce.PartFileName(output, p))
+		if err != nil {
+			return err
+		}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			i := bytes.IndexByte(line, '\t')
+			if i != TeraKeyLen {
+				return fmt.Errorf("workloads: malformed terasort row %q", line)
+			}
+			if prev != nil && bytes.Compare(prev, line[:i]) > 0 {
+				return fmt.Errorf("workloads: terasort output out of order: %q > %q", prev, line[:i])
+			}
+			prev = line[:i]
+			count++
+		}
+	}
+	if count != rows {
+		return fmt.Errorf("workloads: terasort output has %d rows, want %d", count, rows)
+	}
+	return nil
+}
+
+// VerifyTeraSortOutput walks a part file block by block: on 16-byte blocks,
+// each 17-byte row straddles a boundary, some over three blocks, and a
+// malformed or out-of-order row at a boundary, a part file's last line
+// without a newline, a missing part file and a wrong count all fail as the
+// walk over the concatenated file failed.
+func TestVerifyTeraSortOutputWalksBlocks(t *testing.T) {
+	row := func(k string) string { return k + "\tvalue\n" }
+	ordered := row("aaaaaaaaaa") + row("bbbbbbbbbb") + row("cccccccccc") + row("dddddddddd")
+	cases := []struct {
+		name  string
+		parts []string
+		rows  int64
+	}{
+		{"ordered", []string{ordered, row("dddddddddd") + "eeeeeeeeee\tlast"}, 6},
+		{"count", []string{ordered}, 5},
+		{"malformed at a boundary", []string{row("aaaaaaaaaa") + row("bbbbbbbbbbb") + row("cccccccccc")}, 3},
+		{"unordered at a boundary", []string{row("aaaaaaaaaa") + row("cccccccccc") + row("bbbbbbbbbb") + row("dddddddddd")}, 4},
+		{"unordered across parts", []string{ordered, row("cccccccccc")}, 5},
+		{"a long row over three blocks", []string{row("aaaaaaaaaa") + "bbbbbbbbbb\t" + strings.Repeat("v", 40) + "\n" + row("cccccccccc")}, 3},
+		{"unordered after a long row", []string{"bbbbbbbbbb\t" + strings.Repeat("v", 40) + "\n" + row("aaaaaaaaaa")}, 2},
+		{"empty lines", []string{"\n\n" + row("aaaaaaaaaa") + "\n" + row("bbbbbbbbbb") + "\n"}, 2},
+		{"missing part", []string{ordered}, 4},
+	}
+	for _, c := range cases {
+		eng := sim.NewEngine()
+		cluster, err := topology.NewCluster(eng, topology.Spec{Instance: topology.A3, Workers: 4, Racks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := hdfs.New(eng, cluster, 16, 1, 99)
+		blocks := 0
+		for p, data := range c.parts {
+			f, err := d.PutInstant(mapreduce.PartFileName("/out", p), []byte(data), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks = max(blocks, len(f.Blocks))
+		}
+		if blocks < 3 {
+			t.Fatalf("%s: the largest part file has %d blocks, want at least 3", c.name, blocks)
+		}
+		reduces := len(c.parts)
+		if c.name == "missing part" {
+			reduces++
+		}
+		got, want := VerifyTeraSortOutput(d, "/out", reduces, c.rows), verifyConcatenated(d, "/out", reduces, c.rows)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: VerifyTeraSortOutput = %v, want %v", c.name, got, want)
+		}
+		if c.name == "ordered" && got != nil {
+			t.Errorf("ordered: %v", got)
+		}
+	}
+}
+
 func TestPiInputAndControlParsing(t *testing.T) {
 	d, c := testDFS(t)
 	names, err := GeneratePiInput(d, c, "/in/pi", PiConfig{Maps: 4, Samples: 1000})
