@@ -280,16 +280,18 @@ func TestMemoDiskHolderLostUnderRead(t *testing.T) {
 	}
 }
 
-// wordFilter counts the words containing sub. Its Map is used as a method
-// value, whose symbol ("…wordFilter.Map-fm") every receiver shares.
+// wordFilter counts the words containing sub. Its Split is used as a
+// method value, whose symbol ("…wordFilter.Split-fm") every receiver shares.
 type wordFilter struct{ sub string }
 
-func (w wordFilter) Map(_, line []byte, emit mapreduce.Emit) {
-	for _, word := range bytes.Fields(line) {
-		if bytes.Contains(word, []byte(w.sub)) {
-			emit(word, []byte("1"))
+func (w wordFilter) Split(string, *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+	return func(_, line []byte, emit mapreduce.Emit) {
+		for _, word := range bytes.Fields(line) {
+			if bytes.Contains(word, []byte(w.sub)) {
+				emit(word, []byte("1"))
+			}
 		}
-	}
+	}, nil
 }
 
 // A method-value transform captures its receiver, and the spec names none of
@@ -308,7 +310,7 @@ func TestMethodValueTransformIsNeverServedFromACache(t *testing.T) {
 		out := fmt.Sprintf("/out/filter-%d", i)
 		spec := workloads.WordCountSpec("filter-"+sub, names, out, false)
 		spec.JobKey = "word-filter"
-		spec.Map, spec.MapFor = wordFilter{sub}.Map, nil
+		spec.MapFor = wordFilter{sub}.Split
 		submitWC(t, f, spec)
 		var kept [][]byte
 		for _, w := range bytes.Fields(input) {

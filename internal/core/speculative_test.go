@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
 	"mrapid/internal/memo"
 	"mrapid/internal/metrics"
@@ -125,6 +127,12 @@ func TestSpeculativeHistoryPersistsAcrossFrameworks(t *testing.T) {
 	}
 }
 
+// threeSecondSplits charges 3 s of compute per map, eightSecondSplits 8 s,
+// which dwarfs launch overhead, whatever the split holds. Named functions
+// keep the specs reusable, as a fixed cost left them.
+func threeSecondSplits(*hdfs.Split) time.Duration { return 3 * time.Second }
+func eightSecondSplits(*hdfs.Split) time.Duration { return 8 * time.Second }
+
 func TestSpeculativeComputeBoundJobPicksUPlus(t *testing.T) {
 	t.Parallel()
 	// A PI-like job: 4 tiny splits, heavy fixed compute. One U+ wave does
@@ -140,7 +148,7 @@ func TestSpeculativeComputeBoundJobPicksUPlus(t *testing.T) {
 	}
 	spec := testWCSpec(names, "/out")
 	spec.JobKey = "pi-like"
-	spec.MapFixedCost = 3e9 // 3 s of compute per map
+	spec.SplitCost = threeSecondSplits
 	res := runSpeculative(t, f, spec)
 	if res.Err != nil {
 		t.Fatalf("job failed: %v", res.Err)
@@ -160,7 +168,7 @@ func TestSpeculativeWideJobPicksDPlus(t *testing.T) {
 	names, _ := stageInput(t, rt, 16, 64<<10)
 	spec := testWCSpec(names, "/out")
 	spec.JobKey = "wide"
-	spec.MapFixedCost = 8e9 // 8 s per map dwarfs launch overhead
+	spec.SplitCost = eightSecondSplits
 	res := runSpeculative(t, f, spec)
 	if res.Err != nil {
 		t.Fatalf("job failed: %v", res.Err)

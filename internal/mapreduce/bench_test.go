@@ -41,7 +41,9 @@ func teraBenchSpec() *JobSpec {
 	return &JobSpec{
 		Name: "tera-bench", InputFiles: []string{"/x"}, OutputFile: "/o", NumReduces: 1,
 		Format: FixedFormat{KeyLen: 10, ValLen: 90},
-		Map:    func(k, v []byte, emit Emit) { emit(k, v) },
+		MapFor: func(string, *Lane) (MapFunc, func(CountedEmit)) {
+			return func(k, v []byte, emit Emit) { emit(k, v) }, nil
+		},
 		Reduce: identityReduce,
 	}
 }
@@ -51,7 +53,7 @@ func benchExecMap(b *testing.B, spec *JobSpec, data []byte) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if mo := ExecMap(spec, data); mo.Records == 0 {
+		if mo := ExecMapFile(spec, "", data); mo.Records == 0 {
 			b.Fatal("no records")
 		}
 	}
@@ -134,7 +136,7 @@ func eightOf(data []byte) [][]byte {
 func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
 	outputs := make([]*MapOutput, len(splits))
 	for i, data := range splits {
-		outputs[i] = ExecMap(spec, data)
+		outputs[i] = ExecMapFile(spec, "", data)
 	}
 	pairs := 0
 	for _, mo := range outputs {
@@ -239,7 +241,7 @@ func BenchmarkConsolidateGroup(b *testing.B) {
 		for w := 0; w < 40_000; w++ {
 			fmt.Fprintf(&text, "word-%d\n", (w*(i+3))%5000)
 		}
-		group[i] = ExecMap(spec, text.Bytes())
+		group[i] = ExecMapFile(spec, "", text.Bytes())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -13,7 +13,7 @@ import (
 	"mrapid/internal/hdfs"
 )
 
-// MapCache memoizes pure ExecMap results across simulations. The benchmark
+// MapCache memoizes pure ExecMapFile results across simulations. The benchmark
 // harness compares four execution modes over byte-identical inputs; the map
 // function's real output is the same every time, only the virtual-clock
 // charges differ, so recomputing it per mode is pure host-CPU waste. The
@@ -21,7 +21,7 @@ import (
 // the split's coordinates and the digest of the hdfs.Content the split
 // reader hands out with its bytes (hashed once per generated content per
 // process, not per lookup or per DFS), and it never affects simulated
-// timing: ExecMap is instantaneous on the virtual clock whether it hits or
+// timing: ExecMapFile is instantaneous on the virtual clock whether it hits or
 // misses. A spec that is not reusable is never looked up or stored.
 //
 // The cache keeps reduces too: a reduce whose every input came through the

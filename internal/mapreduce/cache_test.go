@@ -22,7 +22,7 @@ func TestMapCacheHitReturnsEqualResult(t *testing.T) {
 	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, data)); ok {
 		t.Fatal("hit on empty cache")
 	}
-	fresh := ExecMap(spec, data)
+	fresh := ExecMapFile(spec, "", data)
 	c.store(mustKey(t, spec, "/in", 0, data), fresh)
 	hit, ok := c.lookup(mustKey(t, spec, "/in", 0, data))
 	if !ok {
@@ -45,7 +45,7 @@ func TestMapCacheKeyDiscriminates(t *testing.T) {
 	data := bytes.Repeat([]byte("same name different content\n"), 100)
 	other := bytes.Repeat([]byte("SAME name different CONTENT!\n"), 100)
 	c := NewMapCache(1 << 30)
-	c.store(mustKey(t, spec, "/in", 0, data), ExecMap(spec, data))
+	c.store(mustKey(t, spec, "/in", 0, data), ExecMapFile(spec, "", data))
 
 	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, other)); ok {
 		t.Fatal("hit on different content under the same name")
@@ -140,11 +140,11 @@ func TestMapCacheSameLengthDifferentContentNoCollision(t *testing.T) {
 		t.Fatal("same-length different-content blocks share a digest")
 	}
 	c := NewMapCache(1 << 30)
-	c.store(mustKey(t, spec, "/in", 0, a), ExecMap(spec, a))
+	c.store(mustKey(t, spec, "/in", 0, a), ExecMapFile(spec, "", a))
 	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, b)); ok {
 		t.Fatal("cache hit for different content: wrong job output would be returned")
 	}
-	mb := ExecMap(spec, b)
+	mb := ExecMapFile(spec, "", b)
 	c.store(mustKey(t, spec, "/in", 0, b), mb)
 	hit, ok := c.lookup(mustKey(t, spec, "/in", 0, b))
 	if !ok {
@@ -162,7 +162,7 @@ func TestMapCacheLookupCopiesPartBytes(t *testing.T) {
 	spec := wcSpec([]string{"/in"}, "/out")
 	data := bytes.Repeat([]byte("isolated part bytes\n"), 1000)
 	c := NewMapCache(1 << 30)
-	c.store(mustKey(t, spec, "/in", 0, data), ExecMap(spec, data))
+	c.store(mustKey(t, spec, "/in", 0, data), ExecMapFile(spec, "", data))
 	first, _ := c.lookup(mustKey(t, spec, "/in", 0, data))
 	first.PartBytes[0] = -1
 	second, ok := c.lookup(mustKey(t, spec, "/in", 0, data))
@@ -196,10 +196,10 @@ func TestMapCacheBooksRealFootprint(t *testing.T) {
 	}
 	// The map's scratch outlives the map: grow it before the baseline, so
 	// the heap grows by what the entry keeps and nothing else.
-	ExecMap(spec, input())
+	ExecMapFile(spec, "", input())
 	before := heap()
 	data := input()
-	mo := ExecMap(spec, data)
+	mo := ExecMapFile(spec, "", data)
 	pairs, lines := int64(len(mo.Partitions[0])), mo.Records
 	c.store(mustKey(t, spec, "/in", 0, data), mo)
 	data, mo = nil, nil
@@ -218,7 +218,7 @@ func TestMapCacheEvictsFIFO(t *testing.T) {
 	c := NewMapCache(200 << 10) // under one entry's retained bytes
 	for i := 0; i < 5; i++ {
 		data := mk(byte('a' + i))
-		c.store(mustKey(t, spec, "/in", int64(i), data), ExecMap(spec, data))
+		c.store(mustKey(t, spec, "/in", int64(i), data), ExecMapFile(spec, "", data))
 	}
 	// Each entry retains ~227 KB: the 120 KB input, an index presized for
 	// the input (3 814 Recs of 24 bytes) that holds one counted word, and
@@ -249,7 +249,7 @@ func TestMapCacheConcurrentStress(t *testing.T) {
 	want := make([]*MapOutput, splits)
 	for i := range datas {
 		datas[i] = bytes.Repeat([]byte(fmt.Sprintf("split %d words here\n", i)), 500+100*i)
-		want[i] = ExecMap(spec, datas[i])
+		want[i] = ExecMapFile(spec, "", datas[i])
 	}
 	keys := make([]cacheKey, splits)
 	for i := range keys {
@@ -265,7 +265,7 @@ func TestMapCacheConcurrentStress(t *testing.T) {
 				i := (g + iter) % splits
 				mo, ok := c.lookup(keys[i])
 				if !ok {
-					mo = ExecMap(spec, datas[i])
+					mo = ExecMapFile(spec, "", datas[i])
 					c.store(keys[i], mo)
 				}
 				if mo.Records != want[i].Records || mo.TotalBytes != want[i].TotalBytes {

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -26,7 +25,7 @@ type Runtime struct {
 	RM      *yarn.RM
 	Params  costmodel.Params
 
-	// MapCache, when non-nil, memoizes pure ExecMap results across runs
+	// MapCache, when non-nil, memoizes pure ExecMapFile results across runs
 	// over byte-identical inputs (see MapCache). It changes host CPU time
 	// only, never simulated results.
 	MapCache *MapCache
@@ -113,7 +112,7 @@ type MapOutput struct {
 	// Resident is where the output lives: the task node's local disk, or the
 	// AM heap for outputs the U+ memory cache admitted (InMemory) — never
 	// HDFS, so it is gone once that node crashes. Outputs computed outside a
-	// task (ExecMap) have no holder.
+	// task (ExecMapFile) have no holder.
 	topology.Resident
 
 	store
@@ -134,14 +133,9 @@ var ErrOutputLost = errors.New("mapreduce: map output lost with its node")
 // scratch up to MaxAMAttempts times (yarn.resourcemanager.am.max-attempts).
 var ErrAMLost = errors.New("mapreduce: application master lost with its node")
 
-// ExecMap runs the map function for real over split data: scan records,
-// map, flush, partition, sort each partition, and optionally combine. It is
-// pure computation — the caller charges the virtual clock separately.
-func ExecMap(spec *JobSpec, data []byte) *MapOutput {
-	return ExecMapFile(spec, "", data)
-}
-
-// ExecMapFile is ExecMap for a named input file, honoring spec.MapFor.
+// ExecMapFile runs the map for real over file's split data: scan, map, flush,
+// partition, sort each partition, and optionally combine. It is pure
+// computation — the caller charges the virtual clock separately.
 func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 	return execMap(nil, spec, file, data, maxOffset)
 }
@@ -165,31 +159,15 @@ func execMap(lane *Lane, spec *JobSpec, file string, data []byte, limit uint64) 
 	if recs, ok := exactRecs(spec, len(data)); ok {
 		b.parts[0], b.exact = make([]Rec, 0, recs), true
 	}
-	part := spec.partitioner()
-	var emit Emit
-	if nred == 1 {
-		// Single-reduce short jobs (the paper's case) skip partitioning.
-		emit = func(k, v []byte) { b.add(0, k, v, 1) }
-	} else {
-		emit = func(k, v []byte) { b.add(partitionOf(part, k, nred), k, v, 1) }
-	}
-	mapFn := spec.Map
-	var flush func(CountedEmit)
-	if spec.MapFor != nil {
-		mapFn, flush = spec.MapFor(file, lane)
-	}
+	b.part = spec.partitioner()
+	mapFn, flush := spec.MapFor(file, lane)
 	var records int64
 	spec.Format.Scan(data, func(k, v []byte) {
 		records++
-		mapFn(k, v, emit)
+		mapFn(k, v, b.emit)
 	})
 	if flush != nil {
-		flush(func(k, v []byte, n int) {
-			if n < 1 || n > math.MaxUint32 {
-				panic(fmt.Sprintf("mapreduce: a map flush emitted a pair %d times", n))
-			}
-			b.add(partitionOf(part, k, nred), k, v, uint32(n))
-		})
+		flush(b.emitCounted)
 	}
 	for p := range b.parts {
 		b.sortRecs(p)

@@ -141,7 +141,7 @@ func wcCountedSplit(string, *Lane) (MapFunc, func(CountedEmit)) {
 func TestExecMapPartitionsAndSorts(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	spec.NumReduces = 4
-	mo := ExecMap(spec, []byte("pear apple pear\nbanana apple\n"))
+	mo := ExecMapFile(spec, "", []byte("pear apple pear\nbanana apple\n"))
 	if mo.Records != 2 {
 		t.Fatalf("records = %d, want 2 lines", mo.Records)
 	}
@@ -177,7 +177,7 @@ func TestExecMapCombiner(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	spec.Combine = spec.Reduce
 	data := []byte("a a a b\n")
-	mo := ExecMap(spec, data)
+	mo := ExecMapFile(spec, "", data)
 	if n, occurrences := Distinct(mo, 0); n != 2 || occurrences != 2 {
 		t.Fatalf("combiner left %d pairs counted %d times, want 2 once each", n, occurrences)
 	}
@@ -190,7 +190,7 @@ func TestExecMapCombiner(t *testing.T) {
 	// its output charges what a plain map emits.
 	counted := wcSpec([]string{"/x"}, "/o")
 	counted.Combine = identityReduce
-	kept, raw := ExecMap(counted, data), ExecMap(PlainWordCountSpec(false), data)
+	kept, raw := ExecMapFile(counted, "", data), ExecMapFile(PlainWordCountSpec(false), "", data)
 	if _, occurrences := Distinct(kept, 0); occurrences != 4 || kept.TotalBytes != raw.TotalBytes {
 		t.Fatalf("identity combiner kept %d occurrences, %d bytes; the map emitted 4, %d bytes", occurrences, kept.TotalBytes, raw.TotalBytes)
 	}
@@ -198,8 +198,8 @@ func TestExecMapCombiner(t *testing.T) {
 
 func TestExecReduceGroupsAcrossOutputs(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
-	a := ExecMap(spec, []byte("x y\n"))
-	b := ExecMap(spec, []byte("y z\n"))
+	a := ExecMapFile(spec, "", []byte("x y\n"))
+	b := ExecMapFile(spec, "", []byte("y z\n"))
 	out := ExecReduce(spec, 0, []*MapOutput{a, b})
 	// One line per key, key-sorted.
 	if string(out.Encoded) != "x\t1\ny\t2\nz\t1\n" || out.Records != 3 {
@@ -207,7 +207,7 @@ func TestExecReduceGroupsAcrossOutputs(t *testing.T) {
 	}
 }
 
-// Property: ExecMap/ExecReduce over any partition count computes the same
+// Property: ExecMapFile/ExecReduce over any partition count computes the same
 // word counts as direct counting.
 func TestQuickMapReduceEquivalence(t *testing.T) {
 	f := func(raw []byte, nred8 uint8) bool {
@@ -222,7 +222,7 @@ func TestQuickMapReduceEquivalence(t *testing.T) {
 		}, raw)
 		spec := wcSpec([]string{"/x"}, "/o")
 		spec.NumReduces = nred
-		mo := ExecMap(spec, data)
+		mo := ExecMapFile(spec, "", data)
 		want := map[string]int{}
 		for _, w := range bytes.Fields(data) {
 			want[string(w)]++
@@ -358,7 +358,7 @@ func TestFetchPartitionCosts(t *testing.T) {
 	src := rt.Cluster.Workers()[0]
 	dst := rt.Cluster.Workers()[1]
 	spec := wcSpec([]string{"/x"}, "/o")
-	mo := ExecMap(spec, bytes.Repeat([]byte("word list for shuffle cost test\n"), 100_000))
+	mo := ExecMapFile(spec, "", bytes.Repeat([]byte("word list for shuffle cost test\n"), 100_000))
 	mo.Node = src
 
 	measure := func(m *MapOutput, to *topology.Node) float64 {
@@ -406,7 +406,7 @@ func TestPartFileName(t *testing.T) {
 
 func TestGroupsYieldEachKeyOnce(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
-	outs := []*MapOutput{ExecMap(spec, []byte("a b\n")), ExecMap(spec, []byte("a\n"))}
+	outs := []*MapOutput{ExecMapFile(spec, "", []byte("a b\n")), ExecMapFile(spec, "", []byte("a\n"))}
 	var keys []string
 	var sizes []int
 	newMerger(outs, 0).groups(func(k []byte, vs Values, _ Emit) {

@@ -15,16 +15,19 @@ func Distinct(mo *MapOutput, p int) (pairs, occurrences int) {
 	return len(mo.Partitions[p]), occurrences
 }
 
-// PlainWordCountSpec is WordCount as a plain Map that emits (word, "1") for
-// every occurrence, so each repeat reaches the merge as a pair of its own.
+// PlainWordCountSpec is WordCount whose splits map through wcTestMap, which
+// emits (word, "1") for every occurrence, so each repeat reaches the merge
+// as a pair of its own.
 func PlainWordCountSpec(combiner bool) *JobSpec {
 	spec := wcSpec(nil, "/out")
-	spec.Map, spec.MapFor = wcTestMap, nil
+	spec.MapFor = wcPlainSplit
 	if combiner {
 		spec.Combine = spec.Reduce
 	}
 	return spec
 }
+
+func wcPlainSplit(string, *Lane) (MapFunc, func(CountedEmit)) { return wcTestMap, nil }
 
 // SealedFootprint checks that mo was sealed exactly — every partition and
 // its counts capacity-clipped, the slab's capacity its length — and returns

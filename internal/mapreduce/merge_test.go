@@ -261,7 +261,7 @@ func TestExecReduceAllocatesNothingPerKey(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	var outs []*MapOutput
 	for _, split := range zipfSplits(4, 20<<10) {
-		outs = append(outs, ExecMap(spec, split))
+		outs = append(outs, ExecMapFile(spec, "", split))
 	}
 	keys := ExecReduce(spec, 0, outs).Records
 	if keys < 1000 {

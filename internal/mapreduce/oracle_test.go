@@ -44,11 +44,7 @@ func reference(spec *mapreduce.JobSpec, splits []split) [][]byte {
 		parts[p] = append(parts[p], pair{bytes.Clone(ek), bytes.Clone(ev)})
 	}
 	for _, s := range splits {
-		mapFn := spec.Map
-		var flush func(mapreduce.CountedEmit)
-		if spec.MapFor != nil {
-			mapFn, flush = spec.MapFor(s.file, nil)
-		}
+		mapFn, flush := spec.MapFor(s.file, nil)
 		spec.Format.Scan(s.data, func(k, v []byte) { mapFn(k, v, emit) })
 		if flush != nil {
 			// A counted pair is n emits of the pair.
@@ -248,10 +244,12 @@ func TestOracleEmptyKeysAndValues(t *testing.T) {
 		spec := &mapreduce.JobSpec{
 			Name: "trimmed", NumReduces: reduces,
 			Format: mapreduce.FixedFormat{KeyLen: 12, ValLen: 4},
-			Map: func(k, v []byte, emit mapreduce.Emit) {
-				k, v = bytes.TrimRight(k, "_"), bytes.TrimRight(v, "_")
-				emit(k, v)
-				emit(bytes.ToUpper(k), bytes.ToUpper(v))
+			MapFor: func(string, *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+				return func(k, v []byte, emit mapreduce.Emit) {
+					k, v = bytes.TrimRight(k, "_"), bytes.TrimRight(v, "_")
+					emit(k, v)
+					emit(bytes.ToUpper(k), bytes.ToUpper(v))
+				}, nil
 			},
 			// Position-tagged values make the output depend on value order.
 			Reduce: func(k []byte, vs mapreduce.Values, emit mapreduce.Emit) {

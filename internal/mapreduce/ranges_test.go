@@ -182,7 +182,7 @@ func TestReduceRangesAllocateAlike(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var outs []*MapOutput
 	for range 4 {
-		outs = append(outs, ExecMap(spec, teraRows(rng, splitPairs/4)))
+		outs = append(outs, ExecMapFile(spec, "", teraRows(rng, splitPairs/4)))
 	}
 	// heap reports the fewest bytes f allocated over five calls, so that a
 	// goroutine's first descriptor or a runtime-internal allocation does

@@ -25,9 +25,9 @@ import (
 // A pair is indexed once per add, with the count add is given: a map flush
 // that counted its pairs in the mapper (WordCount's word table, a group-by
 // stage's aggregation table) hands over each distinct pair once with its
-// multiplicity, and a plain Map's repeats are indexed one by one, which the
-// merge takes as it takes any repeated pair. len(Partitions[p]) counts
-// indexed pairs, while PartBytes and TotalBytes charge every occurrence.
+// multiplicity, and a record function's repeats are indexed one by one,
+// which the merge takes as it takes any repeated pair. len(Partitions[p])
+// counts indexed pairs; PartBytes and TotalBytes charge every occurrence.
 // Byte-identical pairs are interchangeable, so a counted pair stands for its
 // occurrences: reducers receive it as one run (see Values). Sorting is a
 // radix sort on the prefix's bytes and merging compares the prefix as one
@@ -179,6 +179,12 @@ type outputBuilder struct {
 	exact     bool   // parts[0] was allocated at the split's pair count, not taken from recBufs
 	lane      *Lane  // whose builders it came from and goes back to
 
+	// emit and emitCounted add the pairs a map emits, partitioned by part;
+	// they are bound when the builder is made, so a split allocates neither.
+	part        PartitionFunc
+	emit        Emit
+	emitCounted CountedEmit
+
 	// What each partition's index and counts grew into, kept for the next
 	// build (the slab keeps its own).
 	recBufs   [][]Rec
@@ -195,6 +201,13 @@ func newOutputBuilder(lane *Lane, split string, input []byte, nparts int, limit 
 	b := builders.Get(lane)
 	if b == nil {
 		b = new(outputBuilder)
+		b.emit = func(k, v []byte) { b.add(partitionOf(b.part, k, len(b.parts)), k, v, 1) }
+		b.emitCounted = func(k, v []byte, n int) {
+			if n < 1 || n > math.MaxUint32 {
+				panic(fmt.Sprintf("mapreduce: a map flush emitted a pair %d times", n))
+			}
+			b.add(partitionOf(b.part, k, len(b.parts)), k, v, uint32(n))
+		}
 	}
 	b.input, b.split, b.limit, b.exact, b.lane = input, split, limit, false, lane
 	if uint64(len(input)) > limit {
@@ -225,7 +238,7 @@ func (b *outputBuilder) release() {
 	}
 	clear(b.parts)
 	clear(b.counts)
-	b.input, b.split = nil, ""
+	b.input, b.split, b.part = nil, "", nil
 	builders.Put(b.lane, b)
 }
 

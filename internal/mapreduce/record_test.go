@@ -107,7 +107,7 @@ func TestQuickSortRecs(t *testing.T) {
 func TestInputBytesIndexedInPlace(t *testing.T) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	data := []byte("pear apple pear\n")
-	mo := ExecMap(spec, data)
+	mo := ExecMapFile(spec, "", data)
 	if got := string(mo.slab); got != "1" { // every "1" value shares one byte
 		t.Fatalf("slab holds %q, want one shared \"1\"", got)
 	}
@@ -163,7 +163,7 @@ func rowPartition(rows []byte) *outputBuilder {
 
 // wordPartition is one 1 MiB WordCount split's sorted, counted partition.
 func wordPartition() *outputBuilder {
-	mo := ExecMap(wcSpec([]string{"/x"}, "/o"), zipfSplits(1, 1<<20)[0])
+	mo := ExecMapFile(wcSpec([]string{"/x"}, "/o"), "", zipfSplits(1, 1<<20)[0])
 	return &outputBuilder{store: mo.store, parts: mo.Partitions, counts: mo.counts}
 }
 

@@ -158,32 +158,28 @@ type JobSpec struct {
 	Queue string
 
 	Format    RecordFormat
-	Map       MapFunc
 	Combine   ReduceFunc // optional map-side combiner
 	Reduce    ReduceFunc
 	Partition PartitionFunc // defaults to HashPartition
 
-	// MapFor, when set, replaces Map: it is called once per split with the
-	// split's file, and returns the split's record function, which must not
-	// be nil, and an optional flush that runs once after the split's last
-	// record and may emit too — Hadoop's Mapper.cleanup — each pair with
-	// its count. Repartition joins use it to tag the two sides of the join
-	// differently; group-by stages fold a split's rows into one table the
-	// flush emits, one pair per key; WordCount and Grep count a split's
-	// words in one table the flush emits as (word, "1") × n. lane is the
-	// host lane the split maps on: a per-split table comes from, and goes
-	// back to, lane's stack of its FreeList (nil outside a task).
+	// MapFor is the map, Hadoop's Mapper: called once per split with its
+	// file (Mapper.setup), it returns the split's record function, which
+	// must not be nil, and an optional flush that runs once after the last
+	// record and may emit too (Mapper.cleanup), each pair with its count.
+	// Repartition joins tag the two sides of the join differently; group-by
+	// stages fold a split's rows into one table the flush emits, one pair
+	// per key; WordCount and Grep count a split's words in one table the
+	// flush emits as (word, "1") × n. lane is the host lane the split maps
+	// on: per-split scratch comes from, and goes back to, lane's stack of
+	// its FreeList (nil outside a task).
 	MapFor func(file string, lane *Lane) (MapFunc, func(CountedEmit))
 
 	// MapRate is the map function's compute throughput in input bytes per
 	// second on one reference core; zero means the map function itself is
-	// free (I/O only). MapFixedCost is charged per task regardless of input
-	// size — compute-bound jobs like PI put their whole cost here via
-	// SplitCost.
-	MapRate      float64
-	MapFixedCost time.Duration
-	// SplitCost, when set, returns extra per-split compute (e.g. PI's
-	// sample count encoded in the split's file).
+	// free (I/O only).
+	MapRate float64
+	// SplitCost, when set, returns extra per-split compute; compute-bound
+	// jobs like PI put their whole cost here.
 	SplitCost func(s *hdfs.Split) time.Duration
 
 	// ReduceRate is the reduce function's throughput over its input bytes
@@ -216,7 +212,7 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("mapreduce: job %q needs at least one reduce", s.Name)
 	case s.Format == nil:
 		return fmt.Errorf("mapreduce: job %q has no record format", s.Name)
-	case s.Map == nil && s.MapFor == nil:
+	case s.MapFor == nil:
 		return fmt.Errorf("mapreduce: job %q has no map function", s.Name)
 	case s.Reduce == nil:
 		return fmt.Errorf("mapreduce: job %q has no reduce function", s.Name)
@@ -251,11 +247,10 @@ func (s *JobSpec) Identity() (id uint64, ok bool) {
 	b := strconv.AppendInt(append(num[:0], '|'), int64(s.NumReduces), 10)
 	b = strconv.AppendFloat(append(b, '|'), s.MapRate, 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, '|'), s.ReduceRate, 'g', -1, 64)
-	b = strconv.AppendInt(append(b, '|'), int64(s.MapFixedCost), 10)
 	h := fnvAdd(fnvAdd(fnvOffset64, format), b)
 	ok = true
-	fields := [...]string{"|map=", "|combine=", "|reduce=", "|part=", "|mapfor=", "|splitcost="}
-	for i, fn := range [...]any{s.Map, s.Combine, s.Reduce, s.Partition, s.MapFor, s.SplitCost} {
+	fields := [...]string{"|combine=", "|reduce=", "|part=", "|mapfor=", "|splitcost="}
+	for i, fn := range [...]any{s.Combine, s.Reduce, s.Partition, s.MapFor, s.SplitCost} {
 		sym := funcSymbol(fn)
 		h = fnvAdd(fnvAdd(h, fields[i]), sym)
 		ok = ok && !capturesState(sym)
@@ -340,7 +335,7 @@ func (s *JobSpec) partitioner() PartitionFunc {
 // MapComputeTime returns the virtual compute duration of the map function
 // over n input bytes on the given node.
 func (s *JobSpec) MapComputeTime(split *hdfs.Split, n int64, node *topology.Node) time.Duration {
-	d := s.MapFixedCost
+	var d time.Duration
 	if s.MapRate > 0 {
 		d += time.Duration(float64(n) / (s.MapRate * node.Type.CPUSpeed) * float64(time.Second))
 	}

@@ -6,23 +6,35 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"mrapid/internal/hdfs"
 )
+
+// splitFunc is the type of JobSpec.MapFor.
+type splitFunc = func(string, *Lane) (MapFunc, func(CountedEmit))
 
 // Named package-level transforms: distinct symbols with identical shapes,
 // which SpecFingerprint must tell apart.
-func fpMapA(_, line []byte, emit Emit)          { emit(line, nil) }
-func fpMapB(_, line []byte, emit Emit)          { emit(nil, line) }
+func fpSplitA(string, *Lane) (MapFunc, func(CountedEmit)) {
+	return func(_, line []byte, emit Emit) { emit(line, nil) }, nil
+}
+func fpSplitB(string, *Lane) (MapFunc, func(CountedEmit)) {
+	return func(_, line []byte, emit Emit) { emit(nil, line) }, nil
+}
 func fpReduce(key []byte, _ Values, emit Emit)  { emit(key, nil) }
 func fpCombine(key []byte, _ Values, emit Emit) { emit(key, nil) }
+func fpSplitCost(*hdfs.Split) time.Duration     { return time.Second }
 
-// fpMakeGrep returns a parameterized closure from a single definition site,
-// the shape a query compiler's predicate factory has. noinline matters: an
-// inlined factory would give each call site its own closure symbol, hiding
-// exactly the collision this file pins down.
+// fpMakeGrep returns a parameterized per-split closure from a single
+// definition site, the shape a query compiler's predicate factory has.
+// noinline matters: an inlined factory would give each call site its own
+// closure symbol, hiding exactly the collision this file pins down.
 //
 //go:noinline
-func fpMakeGrep(word string) MapFunc {
-	return func(_, line []byte, emit Emit) { emit([]byte(word), line) }
+func fpMakeGrep(word string) splitFunc {
+	return func(string, *Lane) (MapFunc, func(CountedEmit)) {
+		return func(_, line []byte, emit Emit) { emit([]byte(word), line) }, nil
+	}
 }
 
 func fpSpec() *JobSpec {
@@ -33,7 +45,7 @@ func fpSpec() *JobSpec {
 		OutputFile: "/out",
 		NumReduces: 2,
 		Format:     LineFormat{},
-		Map:        fpMapA,
+		MapFor:     fpSplitA,
 		Reduce:     fpReduce,
 		MapRate:    1e6,
 		ReduceRate: 2e6,
@@ -52,7 +64,7 @@ func TestSpecFingerprintSensitivity(t *testing.T) {
 	// Same shape, different program: the memo fingerprint must separate
 	// them.
 	other := fpSpec()
-	other.Map = fpMapB
+	other.MapFor = fpSplitB
 	if base.SpecFingerprint() == other.SpecFingerprint() {
 		t.Fatal("SpecFingerprint blind to the map function's identity")
 	}
@@ -62,7 +74,7 @@ func TestSpecFingerprintSensitivity(t *testing.T) {
 		"reduce count":    func(s *JobSpec) { s.NumReduces = 3 },
 		"map rate":        func(s *JobSpec) { s.MapRate = 3e6 },
 		"reduce rate":     func(s *JobSpec) { s.ReduceRate = 1e6 },
-		"fixed cost":      func(s *JobSpec) { s.MapFixedCost = 1 },
+		"split cost set":  func(s *JobSpec) { s.SplitCost = fpSplitCost },
 		"input added":     func(s *JobSpec) { s.InputFiles = append(s.InputFiles, "/in/c") },
 		"input removed":   func(s *JobSpec) { s.InputFiles = s.InputFiles[:1] },
 		"input renamed":   func(s *JobSpec) { s.InputFiles = []string{"/in/a", "/in/B"} },
@@ -96,10 +108,12 @@ func TestSpecFingerprintSensitivity(t *testing.T) {
 }
 
 // fpGrep is a transform with state, used as a method value: every receiver
-// shares the symbol "…fpGrep.Map-fm".
+// shares the symbol "…fpGrep.Split-fm".
 type fpGrep struct{ word string }
 
-func (g fpGrep) Map(_, line []byte, emit Emit) { emit([]byte(g.word), line) }
+func (g fpGrep) Split(string, *Lane) (MapFunc, func(CountedEmit)) {
+	return func(_, line []byte, emit Emit) { emit([]byte(g.word), line) }, nil
+}
 
 // TestIdentityNamesCapturedState pins the closure rule: named package-level
 // transforms are their own identity; closures and method values (whose
@@ -109,12 +123,12 @@ func TestIdentityNamesCapturedState(t *testing.T) {
 	if _, ok := fpSpec().Identity(); !ok {
 		t.Fatal("spec with named transforms reported not reusable")
 	}
-	for name, mapFn := range map[string][2]MapFunc{
+	for name, mapFor := range map[string][2]splitFunc{
 		"closure":      {fpMakeGrep("ERROR"), fpMakeGrep("WARN")},
-		"method value": {fpGrep{"ERROR"}.Map, fpGrep{"WARN"}.Map},
+		"method value": {fpGrep{"ERROR"}.Split, fpGrep{"WARN"}.Split},
 	} {
 		s1, s2 := fpSpec(), fpSpec()
-		s1.Map, s2.Map = mapFn[0], mapFn[1]
+		s1.MapFor, s2.MapFor = mapFor[0], mapFor[1]
 		id1, ok1 := s1.Identity()
 		id2, ok2 := s2.Identity()
 		if id1 != id2 {
@@ -145,13 +159,15 @@ func TestIdentityNamesCapturedState(t *testing.T) {
 
 // TestIdentityIsTheFmtStream pins the allocation-free writer to the stream it
 // replaced, FNV-1a over the fmt rendering below: memo keys — and with them
-// where disk-tier entries are placed — do not move.
+// where disk-tier entries are placed — do not move. The stream lost its
+// "|map=" field and its fixed-cost term when JobSpec.Map and MapFixedCost
+// were deleted, which moved every key once.
 func TestIdentityIsTheFmtStream(t *testing.T) {
 	old := func(s *JobSpec) string {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%T|%d|%g|%g|%d", s.Format, s.NumReduces, s.MapRate, s.ReduceRate, s.MapFixedCost)
-		fmt.Fprintf(h, "|map=%s|combine=%s|reduce=%s|part=%s|mapfor=%s|splitcost=%s",
-			funcSymbol(s.Map), funcSymbol(s.Combine), funcSymbol(s.Reduce),
+		fmt.Fprintf(h, "%T|%d|%g|%g", s.Format, s.NumReduces, s.MapRate, s.ReduceRate)
+		fmt.Fprintf(h, "|combine=%s|reduce=%s|part=%s|mapfor=%s|splitcost=%s",
+			funcSymbol(s.Combine), funcSymbol(s.Reduce),
 			funcSymbol(s.Partition), funcSymbol(s.MapFor), funcSymbol(s.SplitCost))
 		inputs := slices.Clone(s.InputFiles)
 		slices.Sort(inputs)
@@ -163,7 +179,7 @@ func TestIdentityIsTheFmtStream(t *testing.T) {
 	for _, mutate := range []func(*JobSpec){
 		func(*JobSpec) {},
 		func(s *JobSpec) { s.MapRate, s.ReduceRate = 6.5e-7, 1e21 },
-		func(s *JobSpec) { s.MapFixedCost, s.NumReduces = 1500*time.Millisecond, 12 },
+		func(s *JobSpec) { s.SplitCost, s.NumReduces = fpSplitCost, 12 },
 		func(s *JobSpec) { s.Format, s.Combine = FixedFormat{KeyLen: 10, ValLen: 90}, fpCombine },
 		func(s *JobSpec) { s.InputFiles = []string{"/z", "/a/b", "/m"} },
 	} {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mrapid/internal/hdfs"
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
 )
@@ -90,8 +91,10 @@ func validSpec() *JobSpec {
 		OutputFile: "/out",
 		NumReduces: 1,
 		Format:     LineFormat{},
-		Map:        func(_, _ []byte, _ Emit) {},
-		Reduce:     func(_ []byte, _ Values, _ Emit) {},
+		MapFor: func(string, *Lane) (MapFunc, func(CountedEmit)) {
+			return func(_, _ []byte, _ Emit) {}, nil
+		},
+		Reduce: func(_ []byte, _ Values, _ Emit) {},
 	}
 }
 
@@ -105,7 +108,7 @@ func TestSpecValidate(t *testing.T) {
 		func(s *JobSpec) { s.OutputFile = "" },
 		func(s *JobSpec) { s.NumReduces = 0 },
 		func(s *JobSpec) { s.Format = nil },
-		func(s *JobSpec) { s.Map = nil },
+		func(s *JobSpec) { s.MapFor = nil },
 		func(s *JobSpec) { s.Reduce = nil },
 		func(s *JobSpec) { s.MapRate = -1 },
 	}
@@ -134,8 +137,8 @@ func TestComputeTimes(t *testing.T) {
 	node := topology.NewNode(eng, 1, "rack-0", topology.A3)
 	s := validSpec()
 	s.MapRate = 10e6
-	s.MapFixedCost = time.Second
-	if got := s.MapComputeTime(nil, 20e6, node); got != 3*time.Second {
+	s.SplitCost = func(*hdfs.Split) time.Duration { return time.Second }
+	if got := s.MapComputeTime(&hdfs.Split{}, 20e6, node); got != 3*time.Second {
 		t.Fatalf("MapComputeTime = %v, want 3s", got)
 	}
 	s.ReduceRate = 5e6

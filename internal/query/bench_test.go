@@ -2,6 +2,7 @@ package query
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"mrapid/internal/mapreduce"
@@ -18,17 +19,8 @@ type group struct {
 	values mapreduce.Values
 }
 
-// groupsOf runs fn over lines and gathers what it emits by key; sortedGroups
-// hands each key's values over in the engine's order (sorted), equal ones
-// as one counted run.
-func groupsOf(lines [][]byte, fn mapreduce.MapFunc, into map[string][][]byte) {
-	for _, line := range lines {
-		fn(nil, line, func(k, v []byte) {
-			into[string(k)] = append(into[string(k)], append([]byte(nil), v...))
-		})
-	}
-}
-
+// sortedGroups hands each key's values over in the engine's order (sorted),
+// equal ones as one counted run.
 func sortedGroups(m map[string][][]byte) []group {
 	out := make([]group, 0, len(m))
 	for k, vs := range m {
@@ -39,15 +31,17 @@ func sortedGroups(m map[string][][]byte) []group {
 	return out
 }
 
-// salesFile is the file the fixture's splits claim to be.
-const salesFile = "/warehouse/sales/part-00000"
+// salesFile and returnsFile are the files the fixture's splits claim to be.
+const (
+	salesFile   = "/warehouse/sales/part-00000"
+	returnsFile = "/warehouse/returns/part-00000"
+)
 
-// stageFixture holds the warehouse's lines and every stage's map compiled
+// stageFixture holds the warehouse's lines and every stage kind compiled
 // plain and with a fused filter+projection in front.
 type stageFixture struct {
 	sales, returns [][]byte
-	maps           map[string]mapreduce.MapFunc  // by "<stage>" and "<stage>/fused"
-	groupBy        map[string]*mapreduce.JobSpec // "groupby" and "groupby/fused"
+	specs          map[string]*mapreduce.JobSpec // by "<stage>" and "<stage>/fused"
 	reduce         mapreduce.ReduceFunc
 	joinReduce     mapreduce.ReduceFunc
 	states         []group // group-by partial states of eight splits, by cell
@@ -64,7 +58,7 @@ func newStageFixture(tb testing.TB) *stageFixture {
 		}
 		return compiled.Stages[len(compiled.Stages)-1].Spec
 	}
-	fx := &stageFixture{maps: map[string]mapreduce.MapFunc{}, groupBy: map[string]*mapreduce.JobSpec{}}
+	fx := &stageFixture{specs: map[string]*mapreduce.JobSpec{}}
 	sales, returns := warehouseRows(4096, 3)
 	for _, r := range sales {
 		fx.sales = append(fx.sales, EncodeRow(r))
@@ -75,42 +69,53 @@ func newStageFixture(tb testing.TB) *stageFixture {
 	plain := Scan("sales")
 	fused := Scan("sales").Filter(Where("amount", OpGt, "100")).Project("amount", "cell")
 	for name, src := range map[string]*Plan{"": plain, "/fused": fused} {
-		fx.groupBy["groupby"+name] = stage(src.GroupBy([]string{"cell"}, Sum("amount"), Count()))
-		fx.maps["orderby"+name] = stage(src.OrderBy("amount", true)).Map
-		fx.maps["materialize"+name] = stage(src).Map
-		fx.maps["join"+name], _ = stage(src.Join(Scan("returns"), "cell", "cell")).MapFor(salesFile, nil)
+		fx.specs["groupby"+name] = stage(src.GroupBy([]string{"cell"}, Sum("amount"), Count()))
+		fx.specs["orderby"+name] = stage(src.OrderBy("amount", true))
+		fx.specs["materialize"+name] = stage(src)
+		fx.specs["join"+name] = stage(src.Join(Scan("returns"), "cell", "cell"))
 	}
-	gb := fx.groupBy["groupby"]
+	gb := fx.specs["groupby"]
 	fx.reduce = gb.Reduce
 	states := map[string][][]byte{}
 	for i := range 8 {
 		n := len(fx.sales) / 8
-		mapSplit(gb, salesFile, fx.sales[i*n:(i+1)*n], func(k, v []byte, _ int) {
+		mapSplit(gb, salesFile, fx.sales[i*n:(i+1)*n], discard, func(k, v []byte, _ int) {
 			states[string(k)] = append(states[string(k)], append([]byte(nil), v...))
 		})
 	}
 	fx.states = sortedGroups(states)
 
-	join := stage(plain.Join(Scan("returns"), "cell", "cell"))
+	join := fx.specs["join"]
 	fx.joinReduce = join.Reduce
 	tagged := map[string][][]byte{}
-	leftMap, _ := join.MapFor(salesFile, nil)
-	rightMap, _ := join.MapFor("/warehouse/returns/part-00000", nil)
-	groupsOf(fx.sales, leftMap, tagged)
-	groupsOf(fx.returns, rightMap, tagged)
+	for file, lines := range fx.splits("join") {
+		mapSplit(join, file, lines, func(k, v []byte) {
+			tagged[string(k)] = append(tagged[string(k)], append([]byte(nil), v...))
+		}, discardCounted)
+	}
 	fx.joinValues = sortedGroups(tagged)
 	return fx
 }
 
-// mapSplit runs lines through a group-by spec's map as one split of file:
-// each line through the split's record function, which only folds it into
-// the split's table (its emit is nil), then the flush.
-func mapSplit(spec *mapreduce.JobSpec, file string, lines [][]byte, emit mapreduce.CountedEmit) {
+// splits are the lines a stage maps, by the file they claim to be: the
+// sales table's, and for a join the returns table's too.
+func (fx *stageFixture) splits(name string) map[string][][]byte {
+	s := map[string][][]byte{salesFile: fx.sales}
+	if strings.HasPrefix(name, "join") {
+		s[returnsFile] = fx.returns
+	}
+	return s
+}
+
+// mapSplit runs lines through a stage's map as one split of file: each line
+// through the split's record function, which emits through emit, then the
+// flush, which emits through counted.
+func mapSplit(spec *mapreduce.JobSpec, file string, lines [][]byte, emit mapreduce.Emit, counted mapreduce.CountedEmit) {
 	fn, flush := spec.MapFor(file, nil)
 	for _, line := range lines {
-		fn(nil, line, nil)
+		fn(nil, line, emit)
 	}
-	flush(emit)
+	flush(counted)
 }
 
 var benchSink int
@@ -121,33 +126,29 @@ func discardCounted(k, v []byte, _ int) { discard(k, v) }
 
 // TestStageClosuresAllocBudget is the allocation gate of the row path: a map
 // record function allocates nothing per input row, with or without a fused
-// filter+projection — the group-by's on a table that already holds the
-// split's keys — and reduce allocates at most twice per group (a join group
-// past the inline row array allocates its row list once). Each measured run
-// is one row or one group, so AllocsPerRun's truncated average still reads
-// ≥ 1 for anything allocated per call. A whole group-by split is
-// TestGroupBySplitAllocatesNothing's.
+// filter+projection, on a split that has already mapped its rows once (a
+// group-by's table holds the split's keys) — and reduce allocates at most
+// twice per group (a join group past the inline row array allocates its row
+// list once). Each measured run is one row or one group, so AllocsPerRun's
+// truncated average still reads ≥ 1 for anything allocated per call. A
+// whole split is TestGroupBySplitAllocatesNothing's.
 func TestStageClosuresAllocBudget(t *testing.T) {
 	fx := newStageFixture(t)
-	perRow := func(name string, fn mapreduce.MapFunc) {
-		i := 0
-		if got := testing.AllocsPerRun(4000, func() {
-			fn(nil, fx.sales[i%len(fx.sales)], discard)
-			i++
-		}); got != 0 {
-			t.Errorf("%s map: %v allocations per row, want 0", name, got)
+	for name, spec := range fx.specs {
+		for file, lines := range fx.splits(name) {
+			fn, flush := spec.MapFor(file, nil)
+			for _, line := range lines {
+				fn(nil, line, discard)
+			}
+			i := 0
+			if got := testing.AllocsPerRun(4000, func() {
+				fn(nil, lines[i%len(lines)], discard)
+				i++
+			}); got != 0 {
+				t.Errorf("%s map of %s: %v allocations per row, want 0", name, file, got)
+			}
+			flush(discardCounted)
 		}
-	}
-	for name, fn := range fx.maps {
-		perRow(name, fn)
-	}
-	for name, spec := range fx.groupBy {
-		fn, flush := spec.MapFor(salesFile, nil)
-		for _, line := range fx.sales {
-			fn(nil, line, discard)
-		}
-		perRow(name, fn)
-		flush(discardCounted)
 	}
 	for _, c := range []struct {
 		name   string
@@ -168,29 +169,32 @@ func TestStageClosuresAllocBudget(t *testing.T) {
 	}
 }
 
-// TestGroupBySplitAllocatesNothing: a whole group-by split — its record
-// function over every row, then its flush — allocates nothing on a warm
-// aggTable, with or without a fused filter+projection. The tables and the
-// flush's state buffer come from free lists, which keep every Put, so this
-// holds under the race detector too.
+// TestGroupBySplitAllocatesNothing: a whole split of every stage kind —
+// materialize, order-by, both sides of the join and group-by, with or
+// without a fused filter+projection: its record function over every row,
+// then its flush — allocates nothing once warm. The split's scratch or
+// aggTable and the flush's state buffer come from free lists, which keep
+// every Put, so this holds under the race detector too.
 func TestGroupBySplitAllocatesNothing(t *testing.T) {
 	fx := newStageFixture(t)
-	for name, spec := range fx.groupBy {
-		mapSplit(spec, salesFile, fx.sales, discardCounted)
-		if got := testing.AllocsPerRun(20, func() { mapSplit(spec, salesFile, fx.sales, discardCounted) }); got != 0 {
-			t.Errorf("%s: a warm split of %d rows allocates %v times", name, len(fx.sales), got)
+	for name, spec := range fx.specs {
+		for file, lines := range fx.splits(name) {
+			split := func() { mapSplit(spec, file, lines, discard, discardCounted) }
+			split()
+			if got := testing.AllocsPerRun(20, split); got != 0 {
+				t.Errorf("%s of %s: a warm split of %d rows allocates %v times", name, file, len(lines), got)
+			}
 		}
 	}
 }
 
-func benchMap(b *testing.B, fn mapreduce.MapFunc, lines [][]byte) {
+// benchSplit maps the sales lines through spec as one split per iteration.
+func benchSplit(b *testing.B, spec *mapreduce.JobSpec, lines [][]byte) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(lines)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, line := range lines {
-			fn(nil, line, discard)
-		}
+		mapSplit(spec, salesFile, lines, discard, discardCounted)
 	}
 }
 
@@ -210,13 +214,7 @@ func benchGroups(b *testing.B, fn mapreduce.ReduceFunc, groups []group) {
 // query's map side, one split per iteration.
 func BenchmarkGroupByMap(b *testing.B) {
 	fx := newStageFixture(b)
-	spec := fx.groupBy["groupby/fused"]
-	b.ReportAllocs()
-	b.SetBytes(int64(len(fx.sales)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mapSplit(spec, salesFile, fx.sales, discardCounted)
-	}
+	benchSplit(b, fx.specs["groupby/fused"], fx.sales)
 }
 
 // BenchmarkGroupByReduce merges each cell's partial states, one per split
@@ -232,10 +230,11 @@ func BenchmarkJoinReduce(b *testing.B) {
 	benchGroups(b, fx.joinReduce, fx.joinValues)
 }
 
-// BenchmarkOrderByMap builds the numeric sort key and passes the row through.
+// BenchmarkOrderByMap builds the numeric sort key and passes the row
+// through, one whole split per iteration.
 func BenchmarkOrderByMap(b *testing.B) {
 	fx := newStageFixture(b)
-	benchMap(b, fx.maps["orderby"], fx.sales)
+	benchSplit(b, fx.specs["orderby"], fx.sales)
 }
 
 // BenchmarkCatalogCreate stages the warehouse's sales table over four files,

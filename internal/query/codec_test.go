@@ -480,7 +480,7 @@ func refSplit(ref refStage, lines [][]byte) emitted {
 // mapSplitOf is what mapSplit emits, sorted by key.
 func mapSplitOf(spec *mapreduce.JobSpec, file string, lines [][]byte) emitted {
 	return sortedPairs(capture(func(emit mapreduce.Emit) {
-		mapSplit(spec, file, lines, func(k, v []byte, n int) {
+		mapSplit(spec, file, lines, emit, func(k, v []byte, n int) {
 			for range n {
 				emit(k, v)
 			}
@@ -704,15 +704,9 @@ func FuzzStageCodec(f *testing.F) {
 
 		join := compile(scanT.Join(scanU, "a", "x")).Stages[0].Spec
 		joinRef := refJoin(refT, refU, "a", "x")
-		joinMap := func(file string) mapreduce.MapFunc {
-			fn, flush := join.MapFor(file, nil)
-			if flush != nil {
-				t.Fatalf("the join map of %s has a flush", file)
-			}
-			return fn
-		}
-		left := same("join left map", onLine(joinMap("/warehouse/t/part-00000")), onLine(joinRef.mapFor[0]))
-		right := same("join right map", onLine(joinMap("/warehouse/u/part-00000")), onLine(joinRef.mapFor[1]))
+		one := [][]byte{line}
+		left := same("join left map", mapSplitOf(join, "/warehouse/t/part-00000", one), onLine(joinRef.mapFor[0]))
+		right := same("join right map", mapSplitOf(join, "/warehouse/u/part-00000", one), onLine(joinRef.mapFor[1]))
 		values = [][]byte{state}
 		for _, p := range append(left.pairs, right.pairs...) {
 			values = append(values, []byte(p[1]), []byte(p[1]))
@@ -720,8 +714,8 @@ func FuzzStageCodec(f *testing.F) {
 		same("join reduce", onValues(join.Reduce, "k", values...), onValues(joinRef.reduce, "k", values...))
 		same("join reduce without the state", onValues(join.Reduce, "k", values[1:]...), onValues(joinRef.reduce, "k", values[1:]...))
 
-		same("order-by map", onLine(compile(scanT.OrderBy("c", desc)).Stages[0].Spec.Map), onLine(refOrderBy(refT, "c", desc).mapFn))
-		same("materialize map", onLine(compile(scanT).Stages[0].Spec.Map), onLine(refMaterialize(refT).mapFn))
+		same("order-by map", mapSplitOf(compile(scanT.OrderBy("c", desc)).Stages[0].Spec, "/warehouse/t/part-00000", one), onLine(refOrderBy(refT, "c", desc).mapFn))
+		same("materialize map", mapSplitOf(compile(scanT).Stages[0].Spec, "/warehouse/t/part-00000", one), onLine(refMaterialize(refT).mapFn))
 	})
 }
 
@@ -853,8 +847,8 @@ func TestGroupByTableMatchesRowOrderFold(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec, ref := compiled.Stages[0].Spec, refGroupBy(c.ref, c.keys, c.aggs)
-		if spec.Map != nil || spec.Combine != nil {
-			t.Fatalf("%s: the group-by stage sets a Map or a Combine", c.name)
+		if spec.Combine != nil {
+			t.Fatalf("%s: the group-by stage sets a Combine", c.name)
 		}
 		alone := map[string]emitted{}
 		for name, split := range splits {

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -139,7 +140,7 @@ func (s *source) fieldOf(col string) (int, error) {
 }
 
 // scan splits a stage input line once (into buf, which the caller keeps on
-// its stack) and reports whether the row passes the fused filters.
+// its stack or scratch) and reports whether the row passes the fused filters.
 func (s *source) scan(line []byte, buf spans) (row []byte, sp spans, ok bool) {
 	row = rowBytes(line)
 	sp = splitFields(row, buf)
@@ -377,21 +378,14 @@ func (c *compiler) materialize(src *source) (*Stage, error) {
 		return nil, err
 	}
 	st.Sig = fmt.Sprintf("materialize[]x%d(%s)", len(out.Files), src.sig)
-	st.Spec.Map = func(_, line []byte, emit mapreduce.Emit) {
-		var inline [inlineFields]span
-		row, sp, ok := src.scan(line, inline[:0])
-		if !ok {
-			return
-		}
+	st.Spec.MapFor = (&rowMap{src, func(s *scratch, row []byte, sp spans, emit mapreduce.Emit) {
 		if src.cols == nil {
 			emit(row, nil)
 			return
 		}
-		buf := borrowScratch()
-		buf.b = src.appendRow(buf.b[:0], row, sp)
-		emit(buf.b, nil)
-		scratches.Put(nil, buf)
-	}
+		s.b = src.appendRow(s.b[:0], row, sp)
+		emit(s.b, nil)
+	}}).split
 	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		for i := range values.Len() {
 			_, n := values.At(i)
@@ -448,7 +442,7 @@ func (c *compiler) groupByStage(src *source, keys []string, aggs []Agg) (*source
 		if err != nil {
 			panic(err)
 		}
-		buf := borrowScratch()
+		buf := borrowScratch(nil)
 		b := append(buf.b[:0], key...)
 		for i, a := range aggs {
 			b = append(b, sepByte)
@@ -508,30 +502,19 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 	st.Sig = fmt.Sprintf("join[%s=%s]x%d(%s|%s)",
 		leftCol, rightCol, len(out.Files), left.sig, right.sig)
 
-	leftFiles := map[string]bool{}
-	for _, f := range left.files {
-		leftFiles[f] = true
-	}
-	mkSide := func(side *source, keyField int, tag byte) mapreduce.MapFunc {
-		return func(_, line []byte, emit mapreduce.Emit) {
-			var inline [inlineFields]span
-			row, sp, ok := side.scan(line, inline[:0])
-			if !ok {
-				return
-			}
-			buf := borrowScratch()
-			buf.b = side.appendRow(append(buf.b[:0], tag, sepByte), row, sp)
-			emit(sp.field(row, keyField), buf.b)
-			scratches.Put(nil, buf)
-		}
+	mkSide := func(side *source, keyField int, tag byte) *rowMap {
+		return &rowMap{side, func(s *scratch, row []byte, sp spans, emit mapreduce.Emit) {
+			s.b = side.appendRow(append(s.b[:0], tag, sepByte), row, sp)
+			emit(sp.field(row, keyField), s.b)
+		}}
 	}
 	leftMap := mkSide(left, li, 'L')
 	rightMap := mkSide(right, ri, 'R')
-	st.Spec.MapFor = func(file string, _ *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
-		if leftFiles[file] {
-			return leftMap, nil
+	st.Spec.MapFor = func(file string, lane *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+		if slices.Contains(left.files, file) {
+			return leftMap.split(file, lane)
 		}
-		return rightMap, nil
+		return rightMap.split(file, lane)
 	}
 	// A joined row is the left row's bytes, a separator, the right row's
 	// bytes: nothing is decoded. rows holds the group's left rows from the
@@ -567,7 +550,7 @@ func (c *compiler) joinStage(left, right *source, leftCol, rightCol string) (*so
 				}
 			}
 		}
-		buf := borrowScratch()
+		buf := borrowScratch(nil)
 		for _, left := range rows[:nl] {
 			for i := total - 1; i >= nl; i-- {
 				buf.b = append(append(append(buf.b[:0], left...), sepByte), rows[i]...)
@@ -595,24 +578,17 @@ func (c *compiler) orderByStage(src *source, col string, desc bool) (*source, er
 		return nil, err
 	}
 	st.Sig = fmt.Sprintf("orderby[%s;desc=%v]x1(%s)", col, desc, src.sig)
-	st.Spec.Map = func(_, line []byte, emit mapreduce.Emit) {
-		var inline [inlineFields]span
-		row, sp, ok := src.scan(line, inline[:0])
-		if !ok {
-			return
-		}
+	st.Spec.MapFor = (&rowMap{src, func(s *scratch, row []byte, sp spans, emit mapreduce.Emit) {
 		// An untransformed row passes through as the line's own bytes.
-		buf := borrowScratch()
-		b := appendSortKey(buf.b[:0], sp.field(row, ci), desc)
+		b := appendSortKey(s.b[:0], sp.field(row, ci), desc)
 		n := len(b)
 		if src.cols != nil {
 			b = src.appendRow(b, row, sp)
 			row = b[n:]
 		}
 		emit(b[:n], row)
-		buf.b = b
-		scratches.Put(nil, buf)
-	}
+		s.b = b
+	}}).split
 	st.Spec.Reduce = func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 		for i := range values.Len() {
 			v, n := values.At(i)

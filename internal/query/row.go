@@ -52,8 +52,8 @@ type span struct{ lo, hi int }
 // the heap with it.
 type spans []span
 
-// inlineFields is how many spans fit the array a map closure keeps on its
-// stack; splitFields spills wider rows to the heap.
+// inlineFields is how many spans fit the array a group-by's record function
+// keeps on its stack; splitFields spills wider rows to the heap.
 const inlineFields = 16
 
 // field returns field i of row as a sub-slice.
@@ -99,19 +99,52 @@ func (s spans) appendFields(dst, row []byte, idx []int) []byte {
 
 // scratch is the buffer a closure builds its emitted bytes in. Closures may
 // run concurrently in simulations on different goroutines and share nothing
-// mutable; each call borrows a buffer for its own duration and puts it back
-// on scratches, a free list the collector does not empty.
-type scratch struct{ b []byte }
+// mutable: a split borrows a scratch, its record function and flush bound,
+// from its lane's stack of scratches, a free list the collector does not
+// empty, and the flush puts it back; a reduce borrows one per call.
+type scratch struct {
+	b       []byte
+	sp      spans   // the current row's fields, reused row after row
+	m       *rowMap // the split's stage
+	mapFn   mapreduce.MapFunc
+	flushFn func(mapreduce.CountedEmit)
+}
 
 var scratches mapreduce.FreeList[scratch]
 
-// borrowScratch takes a buffer from scratches, or makes one wide enough for
-// the usual row.
-func borrowScratch() *scratch {
-	if s := scratches.Get(nil); s != nil {
+// borrowScratch takes a buffer from lane's stack of scratches, or makes one
+// wide enough for the usual row.
+func borrowScratch(lane *mapreduce.Lane) *scratch {
+	if s := scratches.Get(lane); s != nil {
 		return s
 	}
-	return &scratch{b: make([]byte, 0, 256)}
+	s := &scratch{b: make([]byte, 0, 256)}
+	s.mapFn = func(_, line []byte, emit mapreduce.Emit) {
+		row, sp, ok := s.m.src.scan(line, s.sp[:0])
+		s.sp = sp
+		if ok {
+			s.m.row(s, row, sp, emit)
+		}
+	}
+	s.flushFn = func(mapreduce.CountedEmit) {
+		s.m = nil
+		scratches.Put(lane, s)
+	}
+	return s
+}
+
+// rowMap is the map side of a stage that emits per row: each row of src
+// that passes its filters goes to row, which builds what it emits in s.b.
+type rowMap struct {
+	src *source
+	row func(s *scratch, row []byte, sp spans, emit mapreduce.Emit)
+}
+
+// split is the stage's MapFor: it maps the split on a scratch from lane.
+func (m *rowMap) split(_ string, lane *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+	s := borrowScratch(lane)
+	s.m = m
+	return s.mapFn, s.flushFn
 }
 
 // pred is a filter condition compiled against a stored-row field, its
@@ -244,7 +277,7 @@ type aggTable struct {
 	keys  [][]byte
 	accs  []aggAcc // group g's accumulators at [g*len(aggs), (g+1)*len(aggs))
 	arena []byte
-	key   []byte // a wider key, joined for its lookup
+	key   []byte // a wider key, joined for its lookup; the flush's states
 	lane  *mapreduce.Lane
 
 	mapFn   mapreduce.MapFunc
@@ -367,12 +400,10 @@ func (t *aggTable) grow(n int) {
 // and flush must not be called after.
 func (t *aggTable) flush(emit mapreduce.CountedEmit) {
 	n := len(t.plan.aggs)
-	buf := borrowScratch()
 	for g, key := range t.keys {
-		buf.b = appendStates(buf.b[:0], t.accs[g*n:(g+1)*n])
-		emit(key, buf.b, 1)
+		t.key = appendStates(t.key[:0], t.accs[g*n:(g+1)*n])
+		emit(key, t.key, 1)
 	}
-	scratches.Put(nil, buf)
 	clear(t.slots)
 	clear(t.keys) // the keys pin their input blocks
 	t.keys, t.accs, t.arena, t.plan = t.keys[:0], t.accs[:0], t.arena[:0], nil

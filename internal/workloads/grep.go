@@ -62,20 +62,22 @@ func GrepSortSpec(name string, searchOutput []string, output string) *mapreduce.
 		OutputFile: output,
 		NumReduces: 1,
 		Format:     mapreduce.LineFormat{},
-		Map: func(_, line []byte, emit mapreduce.Emit) {
-			i := bytes.IndexByte(line, '\t')
-			if i < 0 {
-				return
-			}
-			word, countText := line[:i], line[i+1:]
-			n, err := strconv.ParseInt(string(countText), 10, 64)
-			if err != nil {
-				return
-			}
-			// Larger counts must sort first: key on MaxInt64 - n, zero
-			// padded to fixed width.
-			key := fmt.Sprintf("%019d", int64(1<<62)-n)
-			emit([]byte(key), append(append([]byte{}, countText...), append([]byte("\t"), word...)...))
+		MapFor: func(string, *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+			return func(_, line []byte, emit mapreduce.Emit) {
+				i := bytes.IndexByte(line, '\t')
+				if i < 0 {
+					return
+				}
+				word, countText := line[:i], line[i+1:]
+				n, err := strconv.ParseInt(string(countText), 10, 64)
+				if err != nil {
+					return
+				}
+				// Larger counts must sort first: key on MaxInt64 - n, zero
+				// padded to fixed width.
+				key := fmt.Sprintf("%019d", int64(1<<62)-n)
+				emit([]byte(key), append(append([]byte{}, countText...), append([]byte("\t"), word...)...))
+			}, nil
 		},
 		Reduce: func(_ []byte, values mapreduce.Values, emit mapreduce.Emit) {
 			for j := range values.Len() {

@@ -25,7 +25,7 @@ func TestGrepSortSpecOrdersDescending(t *testing.T) {
 	spec := GrepSortSpec("gs", []string{"/x"}, "/out")
 	// Feed it the search job's output format: word TAB count lines.
 	input := []byte("apple\t3\nzebra\t10\nmid\t7\n")
-	mo := mapreduce.ExecMap(spec, input)
+	mo := mapreduce.ExecMapFile(spec, "", input)
 	out := mapreduce.ExecReduce(spec, 0, []*mapreduce.MapOutput{mo})
 	var counts []string
 	var words []string
@@ -52,14 +52,14 @@ func TestGrepEndToEndChained(t *testing.T) {
 	var outputs []*mapreduce.MapOutput
 	for _, f := range []string{"/in/grep/part-0", "/in/grep/part-1"} {
 		data, _ := d.Contents(f)
-		outputs = append(outputs, mapreduce.ExecMap(search, data))
+		outputs = append(outputs, mapreduce.ExecMapFile(search, "", data))
 	}
 	searchOut := mapreduce.EncodePairs(mapreduce.ExecReduce(search, 0, outputs))
 	d.PutInstant("/grep/tmp/part-00000", searchOut, c.Workers()[0])
 
 	sortSpec := GrepSortSpec("gsort", []string{"/grep/tmp/part-00000"}, "/grep/out")
 	data, _ := d.Contents("/grep/tmp/part-00000")
-	sorted := mapreduce.ExecReduce(sortSpec, 0, []*mapreduce.MapOutput{mapreduce.ExecMap(sortSpec, data)})
+	sorted := mapreduce.ExecReduce(sortSpec, 0, []*mapreduce.MapOutput{mapreduce.ExecMapFile(sortSpec, "", data)})
 	d.PutInstant("/grep/out/part-00000", mapreduce.EncodePairs(sorted), c.Workers()[0])
 
 	matches, err := ParseGrepOutput(d, "/grep/out")

@@ -63,7 +63,7 @@ func PiSpec(dfs *hdfs.DFS, name string, inputs []string, output string) *mapredu
 		OutputFile: output,
 		NumReduces: 1,
 		Format:     mapreduce.LineFormat{},
-		Map:        piMap,
+		MapFor:     piSplit,
 		Reduce:     piReduce,
 		SplitCost: func(s *hdfs.Split) time.Duration {
 			_, samples, err := parsePiControl(dfs, s)
@@ -99,6 +99,11 @@ func parsePiLine(data []byte) (offset, samples int64, err error) {
 		return 0, 0, err
 	}
 	return offset, samples, nil
+}
+
+// piSplit is PI's MapFor: a split is one control line, mapped by piMap.
+func piSplit(string, *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+	return piMap, nil
 }
 
 func piMap(_, line []byte, emit mapreduce.Emit) {

@@ -154,8 +154,8 @@ func TeraSortSpecFromCuts(name string, inputs []string, output string, reduces i
 		OutputFile: output,
 		NumReduces: reduces,
 		Format:     mapreduce.FixedFormat{KeyLen: TeraKeyLen, ValLen: TeraValueLen},
-		Map: func(key, value []byte, emit mapreduce.Emit) {
-			emit(key, value)
+		MapFor: func(string, *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+			return func(key, value []byte, emit mapreduce.Emit) { emit(key, value) }, nil
 		},
 		Reduce: func(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 			for i := range values.Len() {

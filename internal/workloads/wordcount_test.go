@@ -194,11 +194,12 @@ func TestWordCountOverflowEndToEnd(t *testing.T) {
 	for _, reduces := range []int{1, 4} {
 		spec := WordCountSpec("wc", nil, "/out", false)
 		plain := WordCountSpec("wc", nil, "/out", false)
-		plain.MapFor = nil
-		plain.Map = func(_, line []byte, emit mapreduce.Emit) {
-			for _, w := range bytes.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '\t' }) {
-				emit(w, one)
-			}
+		plain.MapFor = func(string, *mapreduce.Lane) (mapreduce.MapFunc, func(mapreduce.CountedEmit)) {
+			return func(_, line []byte, emit mapreduce.Emit) {
+				for _, w := range bytes.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '\t' }) {
+					emit(w, one)
+				}
+			}, nil
 		}
 		spec.NumReduces, plain.NumReduces = reduces, reduces
 		mo, ref := mapreduce.ExecMapFile(spec, "", data), mapreduce.ExecMapFile(plain, "", data)
