@@ -20,21 +20,25 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"mrapid/internal/bench"
 )
 
+// The command's flags. checkArgs reads -run, -scale and the shared run
+// flags by name from the set it checks.
+var (
+	_        = flag.String("run", "", "comma-separated experiment IDs (default: all)")
+	scale    = flag.Float64("scale", 1.0, "input-size scale factor (1.0 = paper sizes)")
+	jsonOut  = flag.String("json", "", "also write the regenerated figures as a JSON array to this path (CI artifact)")
+	list     = flag.Bool("list", false, "list experiment IDs and exit")
+	runOpts  = bench.RunFlags()
+	profiles = bench.ProfileFlags()
+)
+
 func main() {
-	var (
-		run      = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		scale    = flag.Float64("scale", 1.0, "input-size scale factor (1.0 = paper sizes)")
-		jsonOut  = flag.String("json", "", "also write the regenerated figures as a JSON array to this path (CI artifact)")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		runOpts  = bench.RunFlags()
-		profiles = bench.ProfileFlags()
-	)
 	flag.Parse()
 
 	if *list {
@@ -44,24 +48,12 @@ func main() {
 		return
 	}
 
-	selected := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := bench.Lookup(id); !ok {
-				fmt.Fprintf(os.Stderr, "mrapid-bench: unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
-			}
-			selected[id] = true
-		}
+	selected, err := checkArgs(flag.CommandLine)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)
+		os.Exit(2)
 	}
-
 	opts, err := runOpts()
-	if err == nil {
-		codecSet := false
-		flag.Visit(func(f *flag.Flag) { codecSet = codecSet || f.Name == "shuffle-codec" })
-		err = checkFlags(*scale, codecSet, len(selected) == 0 || selected["throughput"], opts)
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid-bench: %v\n", err)
 		os.Exit(2)
@@ -150,6 +142,30 @@ func runAll(selected map[string]bool, opts bench.Options) []chan outcome {
 		}()
 	}
 	return done
+}
+
+// checkArgs reads the experiments fs's -run selects (none: all of them)
+// and names a flag the run cannot honour (checkFlags).
+func checkArgs(fs *flag.FlagSet) (map[string]bool, error) {
+	value := func(name string) string { return fs.Lookup(name).Value.String() }
+	selected := map[string]bool{}
+	if ids := value("run"); ids != "" {
+		for _, id := range strings.Split(ids, ",") {
+			id = strings.TrimSpace(id)
+			if _, ok := bench.Lookup(id); !ok {
+				return nil, fmt.Errorf("unknown experiment %q (try -list)", id)
+			}
+			selected[id] = true
+		}
+	}
+	scale, err := strconv.ParseFloat(value("scale"), 64)
+	if err != nil {
+		return nil, err
+	}
+	codecSet := false
+	fs.Visit(func(f *flag.Flag) { codecSet = codecSet || f.Name == "shuffle-codec" })
+	opts := bench.Options{ShuffleService: value("shuffle-service") == "true", SeriesOut: value("series-out")}
+	return selected, checkFlags(scale, codecSet, len(selected) == 0 || selected["throughput"], opts)
 }
 
 // checkFlags names a flag the run cannot honour: a -scale that is not

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"mrapid/internal/bench"
@@ -118,18 +119,26 @@ func checkFlags(m runMode, set []string, value func(name string) string) error {
 	return nil
 }
 
-func main() {
-	flag.Parse()
+// checkArgs picks the mode of a run with fs's parsed flags — the query demo
+// for -job query, the job stream for -jobs above 1, else one job — and
+// names the first explicitly set flag it would ignore (checkFlags).
+func checkArgs(fs *flag.FlagSet) (runMode, error) {
+	value := func(name string) string { return fs.Lookup(name).Value.String() }
 	m := singleJob
-	if *job == "query" {
+	if value("job") == "query" {
 		m = queryJob
-	} else if *jobs > 1 {
+	} else if n, _ := strconv.Atoi(value("jobs")); n > 1 {
 		m = workload
 	}
 	var set []string
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	value := func(name string) string { return flag.Lookup(name).Value.String() }
-	if err := checkFlags(m, set, value); err != nil {
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	return m, checkFlags(m, set, value)
+}
+
+func main() {
+	flag.Parse()
+	m, err := checkArgs(flag.CommandLine)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrapid: %v\n", err)
 		os.Exit(2)
 	}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -195,5 +197,109 @@ func TestProfileFlags(t *testing.T) {
 	defer flag.Set("cpuprofile", "")
 	if err := dispatch(queryJob); err == nil {
 		t.Error("an uncreatable -cpuprofile path did not fail the run")
+	}
+}
+
+// freshFlags returns a new flag set holding each of the command's flags at
+// its default, for parsing arguments without touching the command's own.
+func freshFlags() *flag.FlagSet {
+	fs := flag.NewFlagSet("mrapid", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return
+		}
+		v := reflect.New(reflect.TypeOf(f.Value).Elem()).Interface().(flag.Value)
+		if err := v.Set(f.DefValue); err != nil {
+			panic(err)
+		}
+		fs.Var(v, f.Name, f.Usage)
+	})
+	return fs
+}
+
+// readme is the repository's README.
+func readme(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// readmeRuns returns the arguments of every README line that starts with
+// `go run ./cmd/mrapid `, with a line ending in a backslash joined to the
+// next and a trailing # comment dropped: the lines CI's "CLI smoke" step
+// runs. Quotes are stripped; no quoted argument holds a space.
+func readmeRuns(t *testing.T) [][]string {
+	t.Helper()
+	var runs [][]string
+	for _, line := range strings.Split(strings.ReplaceAll(readme(t), "\\\n", ""), "\n") {
+		rest, ok := strings.CutPrefix(line, "go run ./cmd/mrapid ")
+		if !ok {
+			continue
+		}
+		rest, _, _ = strings.Cut(rest, "#")
+		args := strings.Fields(rest)
+		for i, a := range args {
+			args[i] = strings.Trim(a, "'")
+		}
+		runs = append(runs, args)
+	}
+	return runs
+}
+
+// Every mrapid command README names parses with the command's flags and
+// passes the check that would otherwise exit 2, and README runs no other
+// program than the two commands.
+func TestReadmeRunsParse(t *testing.T) {
+	runs := readmeRuns(t)
+	if len(runs) < 10 {
+		t.Fatalf("README runs mrapid %d times; the extraction lost lines", len(runs))
+	}
+	for _, args := range runs {
+		fs := freshFlags()
+		if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+			t.Errorf("mrapid %s: %v (left over: %q)", strings.Join(args, " "), err, fs.Args())
+			continue
+		}
+		if _, err := checkArgs(fs); err != nil {
+			t.Errorf("mrapid %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	for _, m := range regexp.MustCompile(`go run ([./\w-]+)`).FindAllStringSubmatch(readme(t), -1) {
+		if m[1] != "./cmd/mrapid" && m[1] != "./cmd/mrapid-bench" {
+			t.Errorf("README runs %s, which no test checks", m[1])
+		}
+	}
+}
+
+// README's flag table lists every flag honoured limits, with the modes it
+// allows, and no other.
+func TestReadmeFlagTable(t *testing.T) {
+	const header = "| flags | one job | `-jobs N` | `-job query` |"
+	_, table, ok := strings.Cut(readme(t), header+"\n|---|---|---|---|\n")
+	if !ok {
+		t.Fatalf("README has no flag table under %q", header)
+	}
+	got := map[string]runMode{}
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) != 6 {
+			break // the table ends at the first line that is not a row
+		}
+		var modes runMode
+		for i, m := range []runMode{singleJob, workload, queryJob} {
+			if strings.TrimSpace(cells[2+i]) == "✓" {
+				modes |= m
+			}
+		}
+		for _, name := range strings.Fields(strings.Trim(strings.TrimSpace(cells[1]), "`")) {
+			got[strings.TrimPrefix(name, "-")] = modes
+		}
+	}
+	if !reflect.DeepEqual(got, honoured) {
+		t.Errorf("README's flag table says %v, honoured says %v", got, honoured)
 	}
 }

@@ -149,7 +149,7 @@ func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
 				var out Reduced
 				if n == 1 {
 					out = ExecReduce(spec, 0, outputs)
-				} else if r, died := splitReduce(spec, 0, outputs, n).run(true); died != nil {
+				} else if r, died := splitReduce(spec, 0, outputs, n).run(n - 1); died != nil {
 					b.Fatal(died)
 				} else {
 					out = r

@@ -160,12 +160,10 @@ func execMap(lane *Lane, spec *JobSpec, file string, data []byte, limit uint64) 
 		b.parts[0], b.exact = make([]Rec, 0, recs), true
 	}
 	b.part = spec.partitioner()
-	mapFn, flush := spec.MapFor(file, lane)
-	var records int64
-	spec.Format.Scan(data, func(k, v []byte) {
-		records++
-		mapFn(k, v, b.emit)
-	})
+	var flush func(CountedEmit)
+	b.mapFn, flush = spec.MapFor(file, lane)
+	spec.Format.Scan(data, b.scan)
+	records := b.records
 	if flush != nil {
 		flush(b.emitCounted)
 	}

@@ -182,9 +182,9 @@ func (h *hostLanes) spare() bool {
 
 // reduce is a reduce task's body: partition part of outputs, cut into as
 // many key ranges as h has lanes when it indexes at least splitPairs pairs,
-// with helper goroutines taking ranges while h may spare them (see
-// ranges.go). Without lanes it is one range, as ExecReduce runs it, but a
-// reducer's panic fails the attempt instead of the process.
+// with helper goroutines taking ranges (see ranges.go and helpers). Without
+// lanes it is one range, as ExecReduce runs it, but a reducer's panic fails
+// the attempt instead of the process.
 func (h *hostLanes) reduce(spec *JobSpec, part int, outputs []*MapOutput) (Reduced, *AttemptError) {
 	n, pairs := 1, 0
 	for _, mo := range outputs {
@@ -194,13 +194,31 @@ func (h *hostLanes) reduce(spec *JobSpec, part int, outputs []*MapOutput) (Reduc
 		n = len(h.queues)
 	}
 	s := splitReduce(spec, part, outputs, n)
-	help := false
+	helpers := 0
 	if n > 1 {
-		h.mu.Lock()
-		help = h.spare()
-		h.mu.Unlock()
+		helpers = h.helpers()
 	}
-	return s.run(help)
+	return s.run(helpers)
+}
+
+// helpers is how many helper goroutines a reduce body may start: one per
+// lane queue with nothing pending, while h may spare its work at all. The
+// body's own queue holds the body, and a queue with bodies pending runs
+// them on a core of its own, so a helper beside it would only take turns
+// with them.
+func (h *hostLanes) helpers() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.spare() {
+		return 0
+	}
+	idle := 0
+	for i := range h.queues {
+		if h.queues[i].pending == 0 {
+			idle++
+		}
+	}
+	return idle
 }
 
 // join waits until b has run — running it, after whatever its queue holds

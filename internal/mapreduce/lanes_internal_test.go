@@ -68,3 +68,31 @@ func TestCloseMidRunTakesBodiesOffTheLanes(t *testing.T) {
 		}
 	}
 }
+
+// nopTask is a body that does nothing.
+type nopTask struct{}
+
+func (nopTask) execute(*Lane) {}
+
+// A reduce body starts a helper for each lane queue with nothing pending:
+// a lone reduce gets its helper, and one beside a queue with a body pending
+// gets none until that body settles.
+func TestReduceHelpersOnlyBesideIdleQueues(t *testing.T) {
+	t.Cleanup(UseHostLanes(2))
+	h := newHostLanes(2)
+	defer h.close()
+	reduce, beside := &hostBody{task: nopTask{}}, &hostBody{task: nopTask{}}
+	h.start(reduce)
+	if n := h.helpers(); n != 1 {
+		t.Errorf("a lone reduce may start %d helpers, want 1", n)
+	}
+	h.start(beside)
+	if n := h.helpers(); n != 0 {
+		t.Errorf("a reduce beside a busy queue may start %d helpers, want 0", n)
+	}
+	beside.join()
+	if n := h.helpers(); n != 1 {
+		t.Errorf("after the other queue's body settled a reduce may start %d helpers, want 1", n)
+	}
+	reduce.join()
+}

@@ -22,8 +22,8 @@ import (
 // buffer of its exact length.
 //
 // Ranges are claimed in order by whoever runs next: the body, and helper
-// goroutines when the body's Runtime may use other goroutines (see
-// hostLanes.spare). A range builds and allocates the same whichever
+// goroutines, one per lane queue of the body's Runtime with nothing pending
+// when the Runtime may use other goroutines (see hostLanes.helpers). A range builds and allocates the same whichever
 // goroutine runs it, and the body returns only after its helpers have.
 
 // splitPairs is the fewest pairs, summed over its runs, a reduce partition
@@ -123,18 +123,16 @@ func (r *keyRange) emit(k, v []byte) {
 	r.records++
 }
 
-// run reduces every range, helper goroutines taking some of them when help
-// is set, and returns the part file, or how the lowest range whose reducer
-// panicked died. No helper outlives it.
-func (s *reduceSplit) run(help bool) (Reduced, *AttemptError) {
-	if help {
-		for range len(s.ranges) - 1 {
-			s.helpers.Add(1)
-			go func() {
-				defer s.helpers.Done()
-				s.work()
-			}()
-		}
+// run reduces every range, with up to helpers helper goroutines taking
+// some of them, and returns the part file, or how the lowest range whose
+// reducer panicked died. No helper outlives it.
+func (s *reduceSplit) run(helpers int) (Reduced, *AttemptError) {
+	for range min(helpers, len(s.ranges)-1) {
+		s.helpers.Add(1)
+		go func() {
+			defer s.helpers.Done()
+			s.work()
+		}()
 	}
 	s.work()
 	s.helpers.Wait()

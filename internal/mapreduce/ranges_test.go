@@ -39,11 +39,11 @@ func checkRanges(t *testing.T, runs [][]kv, halves int) {
 		spec := &JobSpec{NumReduces: 1, Reduce: reduce}
 		want := ExecReduce(spec, 0, outs)
 		for n := 1; n <= 4; n++ {
-			for _, help := range []bool{false, true} {
-				got, died := splitReduce(spec, 0, outs, n).run(help)
+			for _, helpers := range []int{0, n - 1} {
+				got, died := splitReduce(spec, 0, outs, n).run(helpers)
 				if died != nil || !bytes.Equal(got.Encoded, want.Encoded) || got.Records != want.Records {
-					t.Fatalf("%d/2 counted, %d ranges (helpers %t): %d records %q (died: %v), want %d %q",
-						halves, n, help, got.Records, got.Encoded, died, want.Records, want.Encoded)
+					t.Fatalf("%d/2 counted, %d ranges (%d helpers): %d records %q (died: %v), want %d %q",
+						halves, n, helpers, got.Records, got.Encoded, died, want.Records, want.Encoded)
 				}
 			}
 		}
@@ -161,7 +161,7 @@ func TestLowestRangePanicWins(t *testing.T) {
 			panic("high")
 		}
 	}}
-	_, died := splitReduce(spec, 0, outs, 2).run(true)
+	_, died := splitReduce(spec, 0, outs, 2).run(1)
 	select {
 	case <-highPanicked:
 	default:

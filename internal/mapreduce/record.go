@@ -179,11 +179,16 @@ type outputBuilder struct {
 	exact     bool   // parts[0] was allocated at the split's pair count, not taken from recBufs
 	lane      *Lane  // whose builders it came from and goes back to
 
-	// emit and emitCounted add the pairs a map emits, partitioned by part;
-	// they are bound when the builder is made, so a split allocates neither.
+	// emit and emitCounted add the pairs a map emits, partitioned by part,
+	// and scan hands each record the format scans to mapFn, counting it in
+	// records; they are bound when the builder is made, so a split
+	// allocates none of them.
 	part        PartitionFunc
 	emit        Emit
 	emitCounted CountedEmit
+	mapFn       MapFunc
+	scan        func(k, v []byte)
+	records     int64
 
 	// What each partition's index and counts grew into, kept for the next
 	// build (the slab keeps its own).
@@ -208,8 +213,12 @@ func newOutputBuilder(lane *Lane, split string, input []byte, nparts int, limit 
 			}
 			b.add(partitionOf(b.part, k, len(b.parts)), k, v, uint32(n))
 		}
+		b.scan = func(k, v []byte) {
+			b.records++
+			b.mapFn(k, v, b.emit)
+		}
 	}
-	b.input, b.split, b.limit, b.exact, b.lane = input, split, limit, false, lane
+	b.input, b.split, b.limit, b.exact, b.lane, b.records = input, split, limit, false, lane, 0
 	if uint64(len(input)) > limit {
 		b.overflow(0)
 	}
@@ -238,7 +247,7 @@ func (b *outputBuilder) release() {
 	}
 	clear(b.parts)
 	clear(b.counts)
-	b.input, b.split, b.part = nil, "", nil
+	b.input, b.split, b.part, b.mapFn = nil, "", nil, nil
 	builders.Put(b.lane, b)
 }
 

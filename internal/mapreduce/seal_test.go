@@ -160,3 +160,26 @@ func TestSealedOutputOutlivesItsScratch(t *testing.T) {
 		}
 	}
 }
+
+// A warm map allocates only the output it seals: the MapOutput, its
+// partition, count and byte tables, the index, and the counts and slab
+// when it has them. The scan callback and its record count are bound to
+// the builder like its emitters, so nothing else is allocated per split.
+// (A combiner's merge allocates per partition besides.)
+func TestWarmMapAllocatesOnlyItsOutput(t *testing.T) {
+	want := map[string]float64{
+		"FixedFormat, 1 reduce": 5, // the partition, allocated at its row count, stands for the index
+		"FixedFormat, 4 reduce": 5,
+		"plain Map":             6, // + the slab of emitted values
+		"counted WordCount":     7, // + the slab and the counts
+		"group-by":              6, // + the slab of flushed states
+	}
+	shapes := sealShapes(t)
+	for name, n := range want {
+		s := shapes[name][0]
+		mapreduce.ExecMapFile(s.spec, s.file, s.data)
+		if got := testing.AllocsPerRun(10, func() { mapreduce.ExecMapFile(s.spec, s.file, s.data) }); got != n {
+			t.Errorf("%s: a warm map made %v allocations, want %v", name, got, n)
+		}
+	}
+}
