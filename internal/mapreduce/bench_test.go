@@ -264,7 +264,7 @@ func BenchmarkMapCacheKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.key(spec, "/in", 0, len(data), content); !ok {
+		if tbl, _ := c.key(spec, "/in", 0, len(data), content); tbl == nil {
 			b.Fatal("WordCount is not reusable")
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,12 +20,12 @@ func TestMapCacheHitReturnsEqualResult(t *testing.T) {
 	data := bytes.Repeat([]byte("cache me if you can\n"), 5000)
 	c := NewMapCache(1 << 30)
 
-	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, data)); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec, "/in", 0, data)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	fresh := ExecMapFile(spec, "", data)
-	c.store(mustKey(t, spec, "/in", 0, data), fresh)
-	hit, ok := c.lookup(mustKey(t, spec, "/in", 0, data))
+	c.maps.store(mustKey(t, spec, "/in", 0, data), fresh)
+	hit, ok := c.maps.lookup(mustKey(t, spec, "/in", 0, data))
 	if !ok {
 		t.Fatal("no hit after store")
 	}
@@ -45,45 +46,45 @@ func TestMapCacheKeyDiscriminates(t *testing.T) {
 	data := bytes.Repeat([]byte("same name different content\n"), 100)
 	other := bytes.Repeat([]byte("SAME name different CONTENT!\n"), 100)
 	c := NewMapCache(1 << 30)
-	c.store(mustKey(t, spec, "/in", 0, data), ExecMapFile(spec, "", data))
+	c.maps.store(mustKey(t, spec, "/in", 0, data), ExecMapFile(spec, "", data))
 
-	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, other)); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec, "/in", 0, other)); ok {
 		t.Fatal("hit on different content under the same name")
 	}
-	if _, ok := c.lookup(mustKey(t, spec, "/in2", 0, data)); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec, "/in2", 0, data)); ok {
 		t.Fatal("hit on different file name")
 	}
-	if _, ok := c.lookup(mustKey(t, spec, "/in", 100, data)); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec, "/in", 100, data)); ok {
 		t.Fatal("hit on different offset")
 	}
 	spec2 := wcSpec([]string{"/in"}, "/out")
 	spec2.NumReduces = 3
-	if _, ok := c.lookup(mustKey(t, spec2, "/in", 0, data)); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec2, "/in", 0, data)); ok {
 		t.Fatal("hit across partition counts")
 	}
 	spec3 := wcSpec([]string{"/in"}, "/out")
 	spec3.Combine = spec3.Reduce
-	if _, ok := c.lookup(mustKey(t, spec3, "/in", 0, data)); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec3, "/in", 0, data)); ok {
 		t.Fatal("hit across combiner settings")
 	}
 	// Closure-built specs from one site share function symbols; the
 	// builder's ClosureSig is what separates them.
 	spec4 := wcSpec([]string{"/in"}, "/out")
 	spec4.ClosureSig = "filter[amount>200]"
-	if _, ok := c.lookup(mustKey(t, spec4, "/in", 0, data)); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec4, "/in", 0, data)); ok {
 		t.Fatal("hit across closure signatures")
 	}
 	// The program and submission names are not the computation: another
 	// JobKey over the same bytes is served.
 	spec5 := wcSpec([]string{"/in"}, "/out")
 	spec5.Name, spec5.JobKey = "renamed", "other-job"
-	if _, ok := c.lookup(mustKey(t, spec5, "/in", 0, data)); !ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec5, "/in", 0, data)); !ok {
 		t.Fatal("the job's names split one computation")
 	}
 	// A closure partitioner with no ClosureSig is not reusable at all.
 	spec6 := wcSpec([]string{"/in"}, "/out")
 	spec6.Partition = func(key []byte, n int) int { return HashPartition(key, n) }
-	if _, ok := c.key(spec6, "/in", 0, len(data), blockContent(t, data)); ok {
+	if tbl, _ := c.key(spec6, "/in", 0, len(data), blockContent(t, data)); tbl != nil {
 		t.Fatal("a closure partitioner with no ClosureSig got a cache key")
 	}
 }
@@ -92,8 +93,8 @@ func TestMapCacheKeyDiscriminates(t *testing.T) {
 // digest HDFS hands out with data.
 func mustKey(t *testing.T, spec *JobSpec, file string, offset int64, data []byte) cacheKey {
 	t.Helper()
-	k, ok := (&MapCache{}).key(spec, file, offset, len(data), blockContent(t, data))
-	if !ok {
+	tbl, k := (&MapCache{}).key(spec, file, offset, len(data), blockContent(t, data))
+	if tbl == nil {
 		t.Fatalf("spec %s is not reusable", spec.Name)
 	}
 	return k
@@ -140,13 +141,13 @@ func TestMapCacheSameLengthDifferentContentNoCollision(t *testing.T) {
 		t.Fatal("same-length different-content blocks share a digest")
 	}
 	c := NewMapCache(1 << 30)
-	c.store(mustKey(t, spec, "/in", 0, a), ExecMapFile(spec, "", a))
-	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, b)); ok {
+	c.maps.store(mustKey(t, spec, "/in", 0, a), ExecMapFile(spec, "", a))
+	if _, ok := c.maps.lookup(mustKey(t, spec, "/in", 0, b)); ok {
 		t.Fatal("cache hit for different content: wrong job output would be returned")
 	}
 	mb := ExecMapFile(spec, "", b)
-	c.store(mustKey(t, spec, "/in", 0, b), mb)
-	hit, ok := c.lookup(mustKey(t, spec, "/in", 0, b))
+	c.maps.store(mustKey(t, spec, "/in", 0, b), mb)
+	hit, ok := c.maps.lookup(mustKey(t, spec, "/in", 0, b))
 	if !ok {
 		t.Fatal("no hit for b after storing b")
 	}
@@ -155,21 +156,26 @@ func TestMapCacheSameLengthDifferentContentNoCollision(t *testing.T) {
 	}
 }
 
-// lookup must hand out a private PartBytes slice: callers own the returned
-// MapOutput, and a shared slice would let one job's mutation corrupt every
-// later hit.
+// A reader gets a private PartBytes slice: callers own the MapOutput a hit
+// or a shared body hands them, and a shared slice would let one job's
+// mutation corrupt every later hit. shareMap makes that copy for both.
 func TestMapCacheLookupCopiesPartBytes(t *testing.T) {
 	spec := wcSpec([]string{"/in"}, "/out")
 	data := bytes.Repeat([]byte("isolated part bytes\n"), 1000)
 	c := NewMapCache(1 << 30)
-	c.store(mustKey(t, spec, "/in", 0, data), ExecMapFile(spec, "", data))
-	first, _ := c.lookup(mustKey(t, spec, "/in", 0, data))
+	k := mustKey(t, spec, "/in", 0, data)
+	c.maps.store(k, ExecMapFile(spec, "", data))
+	entry := c.maps.entries[k]
+	if own := shareMap(entry); &own.PartBytes[0] == &entry.PartBytes[0] || own.PartBytes[0] != entry.PartBytes[0] {
+		t.Fatal("shareMap did not give the reader a copy of PartBytes")
+	}
+	first, _ := c.maps.lookup(k)
 	first.PartBytes[0] = -1
-	second, ok := c.lookup(mustKey(t, spec, "/in", 0, data))
+	second, ok := c.maps.lookup(k)
 	if !ok {
 		t.Fatal("no hit")
 	}
-	if second.PartBytes[0] == -1 {
+	if second.PartBytes[0] == -1 || entry.PartBytes[0] == -1 {
 		t.Fatal("cached PartBytes shared with a returned MapOutput")
 	}
 }
@@ -201,7 +207,7 @@ func TestMapCacheBooksRealFootprint(t *testing.T) {
 	data := input()
 	mo := ExecMapFile(spec, "", data)
 	pairs, lines := int64(len(mo.Partitions[0])), mo.Records
-	c.store(mustKey(t, spec, "/in", 0, data), mo)
+	c.maps.store(mustKey(t, spec, "/in", 0, data), mo)
 	data, mo = nil, nil
 	measured := heap() - before
 	if used := c.Used(); used < measured*9/10 || used > measured*11/10 {
@@ -218,7 +224,7 @@ func TestMapCacheEvictsFIFO(t *testing.T) {
 	c := NewMapCache(200 << 10) // under one entry's retained bytes
 	for i := 0; i < 5; i++ {
 		data := mk(byte('a' + i))
-		c.store(mustKey(t, spec, "/in", int64(i), data), ExecMapFile(spec, "", data))
+		c.maps.store(mustKey(t, spec, "/in", int64(i), data), ExecMapFile(spec, "", data))
 	}
 	// Each entry retains ~227 KB: the 120 KB input, an index presized for
 	// the input (3 814 Recs of 24 bytes) that holds one counted word, and
@@ -230,18 +236,18 @@ func TestMapCacheEvictsFIFO(t *testing.T) {
 	}
 	// Newest entry survives.
 	newest := mk(byte('a' + 4))
-	if _, ok := c.lookup(mustKey(t, spec, "/in", 4, newest)); !ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec, "/in", 4, newest)); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	// Evicted entries are gone.
-	if _, ok := c.lookup(mustKey(t, spec, "/in", 0, mk('a'))); ok {
+	if _, ok := c.maps.lookup(mustKey(t, spec, "/in", 0, mk('a'))); ok {
 		t.Fatal("oldest entry still cached")
 	}
 }
 
 // Concurrent stress: many goroutines hammer lookup/store over overlapping
-// keys. Run under -race this proves the sharded locking is sound; the
-// assertions prove no entry is ever corrupted.
+// keys. Run under -race this proves the locking is sound; the assertions
+// prove no entry is ever corrupted.
 func TestMapCacheConcurrentStress(t *testing.T) {
 	spec := wcSpec([]string{"/in"}, "/out")
 	const splits = 8
@@ -263,10 +269,10 @@ func TestMapCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				i := (g + iter) % splits
-				mo, ok := c.lookup(keys[i])
+				mo, ok := c.maps.lookup(keys[i])
 				if !ok {
 					mo = ExecMapFile(spec, "", datas[i])
-					c.store(keys[i], mo)
+					c.maps.store(keys[i], mo)
 				}
 				if mo.Records != want[i].Records || mo.TotalBytes != want[i].TotalBytes {
 					t.Errorf("split %d: got %d/%d records/bytes, want %d/%d",
@@ -279,7 +285,7 @@ func TestMapCacheConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 	for i := range datas {
-		mo, ok := c.lookup(keys[i])
+		mo, ok := c.maps.lookup(keys[i])
 		if !ok {
 			t.Fatalf("split %d missing after stress", i)
 		}
@@ -380,6 +386,45 @@ func TestConcurrentMissesShareOneBody(t *testing.T) {
 			t.Fatalf("%d lanes: %d reduces done, %d misses and %d hits, want 2, 1 and 1", lanes, done, cache.ReduceMisses(), cache.ReduceHits())
 		}
 	}
+}
+
+// CheckResidency reports a map or reduce body still registered as in
+// flight: one is while its compute timer runs, and none is once the timer
+// fired and the body was resolved.
+func TestCheckResidencyReportsBodiesInFlight(t *testing.T) {
+	rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
+	rt.MapCache = NewMapCache(1 << 30)
+	nodes := rt.Cluster.Workers()
+	rt.DFS.PutInstant("/in", bytes.Repeat([]byte("left in flight\n"), 20_000), nodes[0])
+	splits, _ := rt.DFS.Splits([]string{"/in"})
+	spec := wcSpec([]string{"/in"}, "/out")
+	check := func(want string) {
+		t.Helper()
+		for want != "" && len(rt.mapsInFlight)+len(rt.reducesInFlight) == 0 && rt.Eng.Step() {
+		}
+		err := rt.CheckResidency()
+		if want == "" && err != nil || want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Fatalf("CheckResidency = %v, want %q", err, want)
+		}
+	}
+	var mo *MapOutput
+	rt.RunMapTask(spec, splits[0], nodes[0], TaskOptions{}, func(out *MapOutput, _ *profiler.TaskProfile, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		mo = out
+	})
+	check("1 map and 0 reduce bodies still registered")
+	rt.Eng.RunUntil(sim.Time(1 << 40))
+	check("")
+	rt.RunReduceTask(spec, 0, TaskOptions{}, []*MapOutput{mo}, nodes[1], func(_ *profiler.TaskProfile, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("0 map and 1 reduce bodies still registered")
+	rt.Eng.RunUntil(sim.Time(1 << 41))
+	check("")
 }
 
 // TestFingerprintSensitivity: the block digest a MapCache key carries sees

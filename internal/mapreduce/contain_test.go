@@ -175,12 +175,12 @@ func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 				if spans < failed {
 					t.Fatalf("%d compute spans name the panic, want one per failed attempt (%d)", spans, failed)
 				}
-				for _, file := range cachedFiles(rt.MapCache) {
-					if p.name == "partitioner" || (p.name == "map" || p.name == "flush") && file == names[1] {
-						t.Errorf("the MapCache holds %s, whose map attempts panicked", file)
+				for k := range rt.MapCache.maps.entries {
+					if p.name == "partitioner" || (p.name == "map" || p.name == "flush") && k.file == names[1] {
+						t.Errorf("the MapCache holds %s, whose map attempts panicked", k.file)
 					}
 				}
-				if n := cachedReduces(rt.MapCache); n != 0 {
+				if n := len(rt.MapCache.reduces.entries); n != 0 {
 					t.Errorf("the MapCache holds %d reduce outputs of a job whose reduce never succeeded", n)
 				}
 			})
@@ -209,15 +209,4 @@ func spanAttr(sp *trace.Span, key string) string {
 		}
 	}
 	return ""
-}
-
-// cachedFiles lists the input files the MapCache holds map outputs of.
-func cachedFiles(c *MapCache) []string {
-	var files []string
-	for i := range c.shards {
-		for k := range c.shards[i].entries {
-			files = append(files, k.file)
-		}
-	}
-	return files
 }

@@ -145,8 +145,8 @@ func FuzzMapCacheKey(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ok bool
-			if k, ok = c.key(spec, "/in", 0, len(got), content); !ok {
+			var tbl *table[cacheKey, *MapOutput]
+			if tbl, k = c.key(spec, "/in", 0, len(got), content); tbl == nil {
 				t.Fatal("WordCount is not reusable")
 			}
 		})

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"mrapid/internal/costmodel"
@@ -72,8 +71,8 @@ type Runtime struct {
 	// mapsInFlight and reducesInFlight hold, per MapCache key, the attempt
 	// whose body is computing it: an attempt that misses the cache while
 	// another maps or reduces the same inputs shares that body.
-	mapsInFlight    map[cacheKey]*mapAttempt
-	reducesInFlight map[reduceKey]*reduceAttempt
+	mapsInFlight    inFlight[cacheKey, []byte, *MapOutput]
+	reducesInFlight inFlight[reduceKey, []*MapOutput, Reduced]
 }
 
 // NewRuntime wires a runtime together.
@@ -238,7 +237,8 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 	if done == nil {
 		panic("mapreduce: RunMapTask needs a completion callback")
 	}
-	a := &mapAttempt{rt: rt, spec: spec, split: split}
+	a := &mapAttempt{spec: spec, split: split}
+	a.rt = rt
 	tp := &a.tp
 	*tp = profiler.TaskProfile{
 		Kind:      profiler.MapTask,
@@ -342,94 +342,111 @@ func (rt *Runtime) RunMapTask(spec *JobSpec, split *hdfs.Split, node *topology.N
 
 // mapAttempt is one map task attempt: its profile, the split its body maps,
 // and the body itself, which computes the output on a host lane while the
-// attempt's compute timer runs (see lanes.go).
+// attempt's compute timer runs (see lanes.go and memoBody).
 type mapAttempt struct {
-	rt    *Runtime
+	memoBody[cacheKey, []byte, *MapOutput]
 	spec  *JobSpec
 	split *hdfs.Split
-	data  []byte
 	tp    profiler.TaskProfile
-
-	body hostBody
-	key  cacheKey
-	// from is the attempt whose body this one reads: itself, another
-	// attempt of this Runtime mapping the same key, or nil when the MapCache
-	// had the output (mo) when the timer started.
-	from     *mapAttempt
-	resolved bool // the body's result was stored or given up
-	mo       *MapOutput
-	died     *AttemptError
 }
 
-// start begins the attempt's host work as its compute timer starts. A
-// MapCache hit is taken now, on the simulation goroutine, and nothing runs;
-// a miss shares the body of an attempt already mapping the same key, or
-// starts its own and registers it so that later attempts share it. content
-// is what the split reader handed out with data.
+// start begins the attempt's host work as its compute timer starts, keyed
+// by the split's coordinates and content, which is what the split reader
+// handed out with data.
 func (a *mapAttempt) start(data []byte, content *hdfs.Content) {
-	rt := a.rt
-	k, reusable := rt.MapCache.key(a.spec, a.split.File, a.split.Offset, len(data), content)
-	if reusable {
-		if owner := rt.mapsInFlight[k]; owner != nil {
-			rt.MapCache.hits.Add(1)
-			owner.body.refs++
-			a.from = owner
-			return
-		}
-		if mo, ok := rt.MapCache.lookup(k); ok {
-			a.mo = mo
-			return
-		}
-		if rt.mapsInFlight == nil {
-			rt.mapsInFlight = make(map[cacheKey]*mapAttempt)
-		}
-		rt.mapsInFlight[k] = a
-		a.key = k
-	}
-	a.from, a.data = a, data
-	a.body.task = a
-	rt.lanes.start(&a.body)
+	t, k := a.rt.MapCache.key(a.spec, a.split.File, a.split.Offset, len(data), content)
+	a.memoBody.start(&a.rt.mapsInFlight, t, k, data, a)
 }
 
 // execute is the body: the map over the split, on lane's scratch. A panic
 // fails the attempt, not the process.
 func (a *mapAttempt) execute(lane *Lane) {
-	a.mo, a.died = contain(func() *MapOutput { return execMap(lane, a.spec, a.split.File, a.data, maxOffset) })
+	a.out, a.died = contain(func() *MapOutput { return execMap(lane, a.spec, a.split.File, a.in, maxOffset) })
+}
+
+// memoBody is the part of a map or reduce attempt that computes its output
+// V from its input I, once per MapCache key K among the attempts of one
+// Runtime: a hit in the cache's table when the compute timer starts runs
+// nothing, a miss while another attempt computes the same key shares that
+// attempt's body, and any other miss starts a body of its own, registered
+// in the Runtime's inFlight map for its kind until its first join stores
+// the result. A spec that is not reusable has no table and always runs its
+// own body.
+type memoBody[K comparable, I, V any] struct {
+	rt   *Runtime
+	body hostBody
+
+	// from is the attempt whose body this one reads: itself, another
+	// attempt computing the same key, or nil when the table had the output
+	// (out) when the timer started.
+	from    *memoBody[K, I, V]
+	table   *table[K, V]       // nil: not reusable
+	flights *inFlight[K, I, V] // where the body is registered until resolved; nil when it is not
+	key     K
+	in      I
+	out     V
+	died    *AttemptError
+}
+
+// inFlight holds, per MapCache key, the attempt whose body is computing it.
+type inFlight[K comparable, I, V any] map[K]*memoBody[K, I, V]
+
+// start takes a hit in t on the simulation goroutine, or shares the body of
+// the attempt flights holds for k, or starts task's own body over in and
+// registers it for later attempts to share.
+func (m *memoBody[K, I, V]) start(flights *inFlight[K, I, V], t *table[K, V], k K, in I, task interface{ execute(*Lane) }) {
+	if t != nil {
+		if owner := (*flights)[k]; owner != nil {
+			t.hits.Add(1)
+			owner.body.refs++
+			m.from = owner
+			return
+		}
+		if v, ok := t.lookup(k); ok {
+			m.out = v
+			return
+		}
+		if *flights == nil {
+			*flights = make(inFlight[K, I, V])
+		}
+		(*flights)[k] = m
+		m.table, m.flights, m.key = t, flights, k
+	}
+	m.from, m.in = m, in
+	m.body.task = task
+	m.rt.lanes.start(&m.body)
 }
 
 // join returns the attempt's output when its compute timer fires, or how it
 // died: scripted to crash, or its body panicked. The first join of a body
-// stores what it computed in the MapCache; an attempt that shares another's
-// body gets its own copy of the output, as a cache hit does.
-func (a *mapAttempt) join(crash bool) (*MapOutput, *AttemptError) {
-	src := a.from
+// resolves it; an attempt that shares another's body gets its own view of
+// the output, as a cache hit does.
+func (m *memoBody[K, I, V]) join(crash bool) (v V, died *AttemptError) {
+	src := m.from
 	switch {
 	case crash:
-		return nil, &AttemptError{}
+		return v, &AttemptError{}
 	case src == nil:
-		mo := a.mo
-		a.mo = nil
-		return mo, nil
+		v, m.out = m.out, v
+		return v, nil
 	}
 	src.body.join()
 	src.resolve(true)
 	defer src.release()
 	if src.died != nil {
-		died := *src.died
-		return nil, &died
+		d := *src.died
+		return v, &d
 	}
-	if src == a {
-		return a.mo, nil
+	if src == m {
+		return m.out, nil
 	}
-	mo := *src.mo
-	mo.PartBytes = slices.Clone(mo.PartBytes)
-	return &mo, nil
+	return src.table.share(src.out), nil
 }
 
 // drop gives the attempt's claim on its body up: its node died while the
 // compute timer ran, and the output is never read.
-func (a *mapAttempt) drop() {
-	if src := a.from; src != nil {
+func (m *memoBody[K, I, V]) drop() {
+	if src := m.from; src != nil {
 		src.body.drop()
 		if src.body.refs == 0 {
 			src.resolve(false)
@@ -438,29 +455,30 @@ func (a *mapAttempt) drop() {
 	}
 }
 
-// resolve ends a's registration at its body's first join, or when every
-// attempt dropped it: a joined body's output goes into the MapCache unless
-// the body died, and a dropped one's never does, whether it ran or not —
-// as when a dead node kept the body from running at all.
-func (a *mapAttempt) resolve(joined bool) {
-	if a.resolved {
+// resolve ends m's registration at its body's first join, or when every
+// attempt dropped it: a joined body's output goes into the table unless the
+// body died, and a dropped one's never does, whether it ran or not — as
+// when a dead node kept the body from running at all.
+func (m *memoBody[K, I, V]) resolve(joined bool) {
+	if m.flights == nil {
 		return
 	}
-	a.resolved = true
-	if a.rt.mapsInFlight[a.key] != a {
-		return
-	}
-	delete(a.rt.mapsInFlight, a.key)
-	if joined && a.died == nil {
-		a.rt.MapCache.store(a.key, a.mo)
+	delete(*m.flights, m.key)
+	m.flights = nil
+	if joined && m.died == nil {
+		m.out = m.table.store(m.key, m.out)
 	}
 }
 
 // release lets go of what the body read and made once no attempt will join
 // it: the profile the AM keeps must not pin a split or an output.
-func (a *mapAttempt) release() {
-	if a.body.refs == 0 {
-		a.data, a.mo = nil, nil
+func (m *memoBody[K, I, V]) release() {
+	if m.body.refs == 0 {
+		var (
+			in  I
+			out V
+		)
+		m.in, m.out = in, out
 	}
 }
 
@@ -642,7 +660,8 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 	if done == nil {
 		panic("mapreduce: RunReduceTask needs a completion callback")
 	}
-	a := &reduceAttempt{rt: rt, spec: spec, part: part}
+	a := &reduceAttempt{spec: spec, part: part}
+	a.rt = rt
 	tp := &a.tp
 	*tp = profiler.TaskProfile{
 		Kind:    profiler.ReduceTask,
@@ -738,114 +757,26 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts TaskOptions, outp
 }
 
 // reduceAttempt is one reduce task attempt: its profile, the map outputs
-// its body merges, and the body itself (see mapAttempt).
+// its body merges, and the body itself (see memoBody).
 type reduceAttempt struct {
-	rt      *Runtime
-	spec    *JobSpec
-	part    int
-	outputs []*MapOutput
-	tp      profiler.TaskProfile
-
-	body     hostBody
-	key      reduceKey
-	from     *reduceAttempt // as mapAttempt.from; nil on a MapCache hit (out)
-	resolved bool
-	out      Reduced
-	died     *AttemptError
+	memoBody[reduceKey, []*MapOutput, Reduced]
+	spec *JobSpec
+	part int
+	tp   profiler.TaskProfile
 }
 
-// start begins the attempt's host work as its compute timer starts: a
-// reduce over outputs that all came through the MapCache commits the part
-// file an earlier reduce over the same multiset of them produced, or shares
-// the body of an attempt of this Runtime reducing them now, or starts its
-// own. The bytes are shared; HDFS and the intermediate store never write
-// into block data.
+// start begins the attempt's host work as its compute timer starts, keyed
+// by the multiset of outputs when they all came through the MapCache: a hit
+// commits the part file an earlier reduce over them produced.
 func (a *reduceAttempt) start(outputs []*MapOutput) {
-	rt := a.rt
-	k, reusable := rt.MapCache.reduceKeyFor(a.spec, a.part, outputs)
-	if reusable {
-		if owner := rt.reducesInFlight[k]; owner != nil {
-			rt.MapCache.reduceHits.Add(1)
-			owner.body.refs++
-			a.from = owner
-			return
-		}
-		if r, ok := rt.MapCache.lookupReduce(k); ok {
-			a.out = r
-			return
-		}
-		if rt.reducesInFlight == nil {
-			rt.reducesInFlight = make(map[reduceKey]*reduceAttempt)
-		}
-		rt.reducesInFlight[k] = a
-		a.key = k
-	}
-	a.from, a.outputs = a, outputs
-	a.body.task = a
-	rt.lanes.start(&a.body)
+	t, k := a.rt.MapCache.reduceKeyFor(a.spec, a.part, outputs)
+	a.memoBody.start(&a.rt.reducesInFlight, t, k, outputs, a)
 }
 
 // execute is the body: the streaming merge and reduce of the partition, in
 // key ranges when it is large. A panic fails the attempt, not the process.
 func (a *reduceAttempt) execute(*Lane) {
-	a.out, a.died = a.rt.lanes.reduce(a.spec, a.part, a.outputs)
-}
-
-// join returns the part file when the compute timer fires, or how the
-// attempt died; the first join of a body stores it in the MapCache.
-func (a *reduceAttempt) join(crash bool) (Reduced, *AttemptError) {
-	src := a.from
-	switch {
-	case crash:
-		return Reduced{}, &AttemptError{}
-	case src == nil:
-		r := a.out
-		a.out = Reduced{}
-		return r, nil
-	}
-	src.body.join()
-	src.resolve(true)
-	defer src.release()
-	if src.died != nil {
-		died := *src.died
-		return Reduced{}, &died
-	}
-	return src.out, nil
-}
-
-// drop gives the attempt's claim on its body up (see mapAttempt.drop).
-func (a *reduceAttempt) drop() {
-	if src := a.from; src != nil {
-		src.body.drop()
-		if src.body.refs == 0 {
-			src.resolve(false)
-			src.release()
-		}
-	}
-}
-
-// resolve ends a's registration (see mapAttempt.resolve): a joined body's
-// part file goes into the MapCache unless the body died, copied to its
-// length when the presized buffer left much of it unused (see storeReduce).
-func (a *reduceAttempt) resolve(joined bool) {
-	if a.resolved {
-		return
-	}
-	a.resolved = true
-	if a.rt.reducesInFlight[a.key] != a {
-		return
-	}
-	delete(a.rt.reducesInFlight, a.key)
-	if joined && a.died == nil {
-		a.out = a.rt.MapCache.storeReduce(a.key, a.out)
-	}
-}
-
-// release lets go of the inputs once no attempt will join the body.
-func (a *reduceAttempt) release() {
-	if a.body.refs == 0 {
-		a.outputs, a.out = nil, Reduced{}
-	}
+	a.out, a.died = a.rt.lanes.reduce(a.spec, a.part, a.in)
 }
 
 // Localize charges a fresh container's download of the job jar and

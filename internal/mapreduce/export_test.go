@@ -54,7 +54,7 @@ func SealedFootprint(mo *MapOutput) (int64, error) {
 // cache books for it.
 func CacheBooks(mo *MapOutput) int64 {
 	c := NewMapCache(1 << 40)
-	c.store(cacheKey{file: "booked"}, mo)
+	c.maps.store(cacheKey{file: "booked"}, mo)
 	return c.Used()
 }
 

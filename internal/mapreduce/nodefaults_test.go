@@ -1,7 +1,9 @@
 package mapreduce
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -211,69 +213,131 @@ func TestNodeRestartRejoinsMidJob(t *testing.T) {
 	verifyWordCount(t, rt, "/out", all)
 }
 
-// A map attempt whose node dies while its compute timer runs drops its
-// body, on lanes and inline alike. Two attempts on the dying node, the
-// second sharing the first's body, never deliver and store nothing in the
-// MapCache, so a later attempt at the split misses and maps it again; an
-// attempt elsewhere that shares a body with a dying one still gets its
-// output.
+// An attempt whose node dies while its compute timer runs drops its body,
+// on lanes and inline alike, for a map and for a reduce. Two attempts on the
+// dying node, the second sharing the first's body, never deliver and store
+// nothing in the MapCache, so a later attempt misses and computes it again.
+// An attempt on a live node that shares a body with one on a dying node
+// still gets the output and stores it: the sharer of a map's body, and the
+// sharer of a reduce's body whose owner died, which commits the part file.
 func TestNodeDeathMidComputeDropsTheBody(t *testing.T) {
-	stage := func(rt *Runtime) []*hdfs.Split {
+	stage := func(rt *Runtime) *hdfs.Split {
 		names, _ := stageWordCountInput(t, rt, 1, 1<<20)
 		splits, err := rt.DFS.Splits(names)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return splits
+		return splits[0]
 	}
-	// The compute timer of a map on node 1 runs from the end of its read to
-	// the start of its output-sized sort charge; a quarter in is inside it.
+	spec := wcSpec(nil, "/out")
+	mapOne := func(rt *Runtime, node *topology.Node) (mo *MapOutput, tp *profiler.TaskProfile) {
+		rt.RunMapTask(spec, stage(rt), node, TaskOptions{}, func(out *MapOutput, p *profiler.TaskProfile, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			mo, tp = out, p
+		})
+		rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
+		return mo, tp
+	}
+	// A kind's compute timer on node 1 runs, for a map, from the end of its
+	// read to the start of its output-sized sort charge, and for a reduce
+	// from its start to its write; a quarter in is inside it.
 	ref := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
-	var mid time.Duration
-	ref.RunMapTask(wcSpec(nil, "/out"), stage(ref)[0], ref.Cluster.Workers()[1], TaskOptions{}, func(_ *MapOutput, tp *profiler.TaskProfile, err error) {
+	mo, tp := mapOne(ref, ref.Cluster.Workers()[1])
+	mapMid := tp.ReadDur + tp.ComputeDur/4
+	var reduceMid time.Duration
+	ref.RunReduceTask(spec, 0, TaskOptions{}, []*MapOutput{mo}, ref.Cluster.Workers()[1], func(tp *profiler.TaskProfile, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mid = tp.ReadDur + tp.ComputeDur/4
+		reduceMid = tp.ComputeDur / 4
 	})
-	ref.Eng.RunUntil(horizon)
-	for _, lanes := range []int{0, 2} {
-		t.Cleanup(UseHostLanes(lanes))
-		rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
-		cache := NewMapCache(1 << 30)
-		rt.MapCache = cache
-		split, nodes := stage(rt)[0], rt.Cluster.Workers()
-		spec := wcSpec(nil, "/out")
-		delivered := map[int]bool{}
-		run := func(attempt int, node *topology.Node) {
-			rt.RunMapTask(spec, split, node, TaskOptions{Attempt: attempt}, func(mo *MapOutput, _ *profiler.TaskProfile, err error) {
-				if err != nil || mo.Node != node {
-					t.Fatalf("%d lanes: attempt %d: %v", lanes, attempt, err)
+	ref.Eng.RunUntil(ref.Eng.Now().Add(time.Minute))
+	want := ExecReduce(spec, 0, []*MapOutput{mo}).Encoded
+
+	type counts struct{ misses, hits int64 }
+	for _, kind := range []struct {
+		name string
+		mid  time.Duration
+		// arm readies rt and returns how to start an attempt, which sets
+		// delivered[attempt] when it succeeds, and the kind's lookup counts.
+		arm func(rt *Runtime, delivered map[int]bool) (run func(attempt int, node *topology.Node), lookups func() counts)
+		// second is the order of the live node 2 and the dying node 3 in
+		// the second pair: the owner of the body first.
+		second [2]int
+	}{
+		{"map", mapMid, func(rt *Runtime, delivered map[int]bool) (func(int, *topology.Node), func() counts) {
+			split := stage(rt)
+			return func(attempt int, node *topology.Node) {
+					rt.RunMapTask(spec, split, node, TaskOptions{Attempt: attempt}, func(mo *MapOutput, _ *profiler.TaskProfile, err error) {
+						if err != nil || mo.Node != node {
+							t.Fatalf("map attempt %d: %v", attempt, err)
+						}
+						delivered[attempt] = true
+					})
+				}, func() counts {
+					return counts{rt.MapCache.Misses(), rt.MapCache.Hits()}
 				}
-				delivered[attempt] = true
+		}, [2]int{2, 3}},
+		{"reduce", reduceMid, func(rt *Runtime, delivered map[int]bool) (func(int, *topology.Node), func() counts) {
+			mo, _ := mapOne(rt, rt.Cluster.Workers()[0])
+			return func(attempt int, node *topology.Node) {
+					rt.RunReduceTask(spec, 0, TaskOptions{Attempt: attempt}, []*MapOutput{mo}, node, func(_ *profiler.TaskProfile, err error) {
+						if err != nil {
+							t.Fatalf("reduce attempt %d: %v", attempt, err)
+						}
+						delivered[attempt] = true
+					})
+				}, func() counts {
+					return counts{rt.MapCache.ReduceMisses(), rt.MapCache.ReduceHits()}
+				}
+		}, [2]int{3, 2}},
+	} {
+		for _, lanes := range []int{0, 2} {
+			t.Cleanup(UseHostLanes(lanes))
+			rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
+			rt.MapCache = NewMapCache(1 << 30)
+			delivered := map[int]bool{}
+			run, lookups := kind.arm(rt, delivered)
+			entries := func() int {
+				if kind.name == "map" {
+					return len(rt.MapCache.maps.entries)
+				}
+				return len(rt.MapCache.reduces.entries)
+			}
+			nodes := rt.Cluster.Workers()
+			run(0, nodes[1])
+			run(1, nodes[1])
+			// A pause on the host before the crash gives a worker the time to
+			// finish the body, so the drop finds it done: a done body's output
+			// must still not be stored.
+			rt.Eng.After(kind.mid, func() {
+				time.Sleep(20 * time.Millisecond)
+				nodes[1].Fail()
 			})
-		}
-		run(0, nodes[1])
-		run(1, nodes[1])
-		// A pause on the host before the crash gives a worker the time to
-		// finish the body, so the drop finds it done: a done body's output
-		// must still not be stored.
-		rt.Eng.After(mid, func() {
-			time.Sleep(20 * time.Millisecond)
-			nodes[1].Fail()
-		})
-		rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
-		if len(delivered) != 0 || cache.Len() != 0 || cache.Misses() != 1 || cache.Hits() != 1 {
-			t.Fatalf("%d lanes: on the dead node %v delivered, %d entries, %d misses, %d hits; want none, 0, 1, 1",
-				lanes, delivered, cache.Len(), cache.Misses(), cache.Hits())
-		}
-		run(2, nodes[2])
-		run(3, nodes[3])
-		rt.Eng.After(mid, nodes[3].Fail)
-		rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
-		if !delivered[2] || delivered[3] || cache.Len() != 1 || cache.Misses() != 2 || cache.Hits() != 2 {
-			t.Fatalf("%d lanes: %v delivered, %d entries, %d misses, %d hits; want attempt 2 only, 1, 2, 2",
-				lanes, delivered, cache.Len(), cache.Misses(), cache.Hits())
+			rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
+			if len(delivered) != 0 || entries() != 0 || lookups() != (counts{1, 1}) {
+				t.Fatalf("%s, %d lanes: on the dead node %v delivered, %d entries, lookups %+v; want none, 0, 1 miss and 1 hit",
+					kind.name, lanes, delivered, entries(), lookups())
+			}
+			if _, err := rt.DFS.Contents(PartFileName("/out", 0)); err == nil {
+				t.Fatalf("%s, %d lanes: a part file was committed from the dead node", kind.name, lanes)
+			}
+			run(2, nodes[kind.second[0]])
+			run(3, nodes[kind.second[1]])
+			rt.Eng.After(kind.mid, nodes[3].Fail)
+			rt.Eng.RunUntil(rt.Eng.Now().Add(time.Minute))
+			live := 2 + slices.Index(kind.second[:], 2)
+			if len(delivered) != 1 || !delivered[live] || entries() != 1 || lookups() != (counts{2, 2}) {
+				t.Fatalf("%s, %d lanes: %v delivered, %d entries, lookups %+v; want attempt %d only, 1, 2 misses and 2 hits",
+					kind.name, lanes, delivered, entries(), lookups(), live)
+			}
+			if kind.name == "reduce" {
+				if got, err := rt.DFS.Contents(PartFileName("/out", 0)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%d lanes: the sharer committed %d bytes (%v), want the %d a reduce writes", lanes, len(got), err, len(want))
+				}
+			}
 		}
 	}
 }

@@ -8,8 +8,9 @@ import "fmt"
 // memory budget and on-disk total equal the sums over its files; every
 // running in-AM executor's cache holds exactly what its attempts admitted,
 // and no finished or killed one holds anything; no shuffle byte is in
-// flight. Call it on a drained simulation (test teardown, the end of an
-// experiment); nothing on a job's path does.
+// flight, and no map or reduce body is still registered as computing a
+// MapCache key (see memoBody). Call it on a drained simulation (test
+// teardown, the end of an experiment); nothing on a job's path does.
 func (rt *Runtime) CheckResidency() error {
 	if st := rt.Intermediates; st != nil {
 		var mem, disk int64
@@ -39,6 +40,9 @@ func (rt *Runtime) CheckResidency() error {
 	}
 	if rt.shuffleInFlight != 0 {
 		return fmt.Errorf("mapreduce: %d shuffle bytes in flight at quiescence", rt.shuffleInFlight)
+	}
+	if m, r := len(rt.mapsInFlight), len(rt.reducesInFlight); m+r != 0 {
+		return fmt.Errorf("mapreduce: %d map and %d reduce bodies still registered in flight at quiescence", m, r)
 	}
 	return nil
 }

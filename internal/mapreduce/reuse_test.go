@@ -14,15 +14,6 @@ import (
 // it may not: a spec that is not reusable, an attempt that did not succeed,
 // and an input whose bytes changed under the same name.
 
-// cachedReduces counts the reduce entries the cache holds.
-func cachedReduces(c *MapCache) int {
-	n := 0
-	for i := range c.shards {
-		n += len(c.shards[i].reduces)
-	}
-	return n
-}
-
 // reuseRun runs WordCount over three staged files (other: the same names
 // holding other text) on a fresh runtime attached to cache, and returns the
 // part file and the result.
@@ -60,8 +51,8 @@ func TestReduceReuseServesAnEqualRun(t *testing.T) {
 			t.Fatalf("run %d: %d bytes done at %.6fs, without the cache %d bytes at %.6fs", run, len(got), res.Elapsed(), len(want), ref.Elapsed())
 		}
 	}
-	if cache.ReduceMisses() != 1 || cache.ReduceHits() != 1 || cachedReduces(cache) != 1 {
-		t.Fatalf("reduce lookups: %d misses, %d hits, %d entries; want 1, 1, 1", cache.ReduceMisses(), cache.ReduceHits(), cachedReduces(cache))
+	if cache.ReduceMisses() != 1 || cache.ReduceHits() != 1 || len(cache.reduces.entries) != 1 {
+		t.Fatalf("reduce lookups: %d misses, %d hits, %d entries; want 1, 1, 1", cache.ReduceMisses(), cache.ReduceHits(), len(cache.reduces.entries))
 	}
 	if cache.Misses() != 3 || cache.Hits() != 3 {
 		t.Fatalf("map lookups: %d misses, %d hits; reduce entries must not count as map ones", cache.Misses(), cache.Hits())
@@ -96,8 +87,8 @@ func TestReduceReuseStoresOnlyASuccess(t *testing.T) {
 	if !errors.Is(res.Err, ErrTaskFailed) {
 		t.Fatalf("job error %v, want every reduce attempt to fail", res.Err)
 	}
-	if n := cache.ReduceHits() + cache.ReduceMisses(); n != 0 || cachedReduces(cache) != 0 {
-		t.Fatalf("crashed reduces made %d lookups and left %d entries", n, cachedReduces(cache))
+	if n := cache.ReduceHits() + cache.ReduceMisses(); n != 0 || len(cache.reduces.entries) != 0 {
+		t.Fatalf("crashed reduces made %d lookups and left %d entries", n, len(cache.reduces.entries))
 	}
 	got, res := reuseRun(t, cache, false, func(rt *Runtime, _ *JobSpec) {
 		rt.Faults = new(FaultInjector)
@@ -106,8 +97,8 @@ func TestReduceReuseStoresOnlyASuccess(t *testing.T) {
 	if res.Err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("retried job: error %v, %d bytes, want %d", res.Err, len(got), len(want))
 	}
-	if cache.ReduceMisses() != 1 || cachedReduces(cache) != 1 {
-		t.Fatalf("retried reduce: %d misses, %d entries; want 1, 1", cache.ReduceMisses(), cachedReduces(cache))
+	if cache.ReduceMisses() != 1 || len(cache.reduces.entries) != 1 {
+		t.Fatalf("retried reduce: %d misses, %d entries; want 1, 1", cache.ReduceMisses(), len(cache.reduces.entries))
 	}
 }
 
@@ -140,8 +131,8 @@ func TestReduceKeyIsTheMultisetOfInputs(t *testing.T) {
 	}
 	a, b, a2 := out("/in/a", "x y\n"), out("/in/b", "y z\n"), out("/in/a", "x y\n")
 	key := func(spec *JobSpec, part int, outs ...*MapOutput) reduceKey {
-		k, ok := c.reduceKeyFor(spec, part, outs)
-		if !ok {
+		tbl, k := c.reduceKeyFor(spec, part, outs)
+		if tbl == nil {
 			t.Fatal("outputs that came through the cache got no reduce key")
 		}
 		return k
@@ -161,7 +152,7 @@ func TestReduceKeyIsTheMultisetOfInputs(t *testing.T) {
 	if key(other, 0, a, a2, b) == aab {
 		t.Fatal("two computations share a reduce key")
 	}
-	if _, ok := c.reduceKeyFor(spec, 0, []*MapOutput{a, {}}); ok {
+	if tbl, _ := c.reduceKeyFor(spec, 0, []*MapOutput{a, {}}); tbl != nil {
 		t.Fatal("an output that did not come through the cache got a reduce key")
 	}
 }
