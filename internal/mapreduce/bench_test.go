@@ -252,6 +252,38 @@ func BenchmarkConsolidateGroup(b *testing.B) {
 	}
 }
 
+// BenchmarkConsolidate measures the shuffle service's merge in the shape of
+// shuffle_combine's: WordCount with a combiner over 4 reduces, 8 map
+// outputs of 3 MiB Zipf splits, their words counted in the mapper and
+// combined on the map side, re-combined into one. The reference is
+// ConsolidateGroup on the caller's goroutine; lanes=N is
+// Runtime.ConsolidateGroup on N lanes, one piece per partition, helper
+// goroutines taking pieces.
+func BenchmarkConsolidate(b *testing.B) {
+	spec := wcSpec([]string{"/x"}, "/o")
+	spec.NumReduces, spec.Combine = 4, spec.Reduce
+	group := make([]*MapOutput, 8)
+	for i, split := range zipfSplits(len(group), 3<<20) {
+		group[i] = ExecMapFile(spec, "", split)
+	}
+	for _, n := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		name, consolidate := "reference", ConsolidateGroup
+		if n > 1 {
+			rt := &Runtime{lanes: newHostLanes(n)}
+			defer rt.Close()
+			name, consolidate = fmt.Sprintf("lanes=%d", n), rt.ConsolidateGroup
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c := consolidate(spec, group); c.Out.TotalBytes == 0 {
+					b.Fatal("empty consolidation")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMapCacheKey measures one map lookup's key on a 10 MB split
 // whose block digest is already computed, as every lookup after a block's
 // first finds it: it hashes nothing and allocates nothing.

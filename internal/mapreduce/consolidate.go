@@ -112,55 +112,142 @@ func GroupOutputsByNode(outputs []*MapOutput) [][]*MapOutput {
 
 // ConsolidateGroup builds the synthetic output for one node's group: each
 // partition is the k-way merge of the members' sorted runs, re-combined
-// through the job's combiner when it has one, built in a scratch builder
-// and sealed into one new flat output that pins none of the members' input
+// through the job's combiner when it has one, built in scratch builders and
+// sealed into one new flat output that pins none of the members' input
 // blocks; without a combiner each merged pair keeps its count. Pure
-// computation —
-// the shuffle service charges the virtual cost separately. Correctness
-// rests on compareRecs breaking key ties by value: merging sorted runs in
-// any grouping yields the same final sequence the reducer would have merged
-// per map, so job output is byte-identical with or without consolidation.
+// computation — the shuffle service charges the virtual cost separately.
+// Correctness rests on compareRecs breaking key ties by value: merging
+// sorted runs in any grouping yields the same final sequence the reducer
+// would have merged per map, so job output is byte-identical with or
+// without consolidation. It is the one-goroutine reference:
+// Runtime.ConsolidateGroup with no lanes, as ExecReduce is to
+// hostLanes.reduce.
 func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
+	return (*hostLanes)(nil).consolidate(spec, group)
+}
+
+// ConsolidateGroup is ConsolidateGroup on rt's host lanes, the shuffle
+// service's merge; it returns once the merge is done.
+func (rt *Runtime) ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
+	return rt.lanes.consolidate(spec, group)
+}
+
+// consolidate merges group one piece per partition, a partition cut into
+// key ranges when the job has fewer partitions than h has lanes
+// (hostLanes.ranges). Helpers claim pieces while lanes are idle, one fewer
+// than a reduce body starts: the caller, on no lane, takes an idle lane's
+// place. Only the slab's layout depends on the pieces. A piece's panic is
+// raised again as the *AttemptError that contained it. A single output
+// needs no merge: re-combining it would only re-serialize its values.
+func (h *hostLanes) consolidate(spec *JobSpec, group []*MapOutput) *Consolidated {
 	if len(group) == 0 {
 		panic("mapreduce: ConsolidateGroup needs a non-empty group")
 	}
 	if len(group) == 1 {
-		// A single output needs no merge, and re-running the combiner over
-		// already-combined data would only re-serialize identical values.
 		return &Consolidated{Out: group[0], Members: group}
 	}
-	first := group[0]
-	var split string
-	if first.Split != nil {
-		split = first.Split.File
+	c := newConsolidation(h, spec, group, func(p int) int { return h.ranges(spec.NumReduces, group, p) })
+	if died := c.run(c, len(c.pieces), h.helpers()-1); died != nil {
+		c.putLanes()
+		panic(died)
 	}
-	// The merge builds in an idle lane's scratch when one is idle: its
-	// builders are warm from the maps, and no body uses it meanwhile.
-	lane := idleLanes.Get(nil)
-	if lane != nil {
-		defer idleLanes.Put(nil, lane)
+	return c.seal(group)
+}
+
+// consolidation is one group's merge cut into pieces, in partition order.
+// Without lanes the pieces run in order into one builder. With lanes each
+// has its own, taken in piece order before any helper starts, so what it
+// allocates does not depend on which goroutine ran which piece; they come
+// from the idle lanes in turn, warm from the maps.
+type consolidation struct {
+	claims
+	combine  ReduceFunc
+	lanes    []*Lane // the idle lanes it holds
+	builders []*outputBuilder
+	pieces   []mergePiece
+}
+
+// mergePiece is one piece: what merge yields, added to partition part of b.
+type mergePiece struct {
+	merge merger
+	part  int
+	b     *outputBuilder
+}
+
+// newConsolidation cuts partition p of group into ranges(p) key ranges.
+func newConsolidation(h *hostLanes, spec *JobSpec, group []*MapOutput, ranges func(p int) int) *consolidation {
+	lanes := 1
+	if h != nil {
+		lanes = len(h.queues)
 	}
-	b := newOutputBuilder(lane, split, nil, spec.NumReduces, maxOffset)
-	for p := 0; p < spec.NumReduces; p++ {
-		if spec.Combine != nil {
-			b.combineFrom(group, p, spec.Combine)
-			continue
+	c := &consolidation{combine: spec.Combine,
+		builders: make([]*outputBuilder, 0, spec.NumReduces), pieces: make([]mergePiece, 0, spec.NumReduces)}
+	var split string // names the group in an overflow's panic
+	if s := group[0].Split; s != nil {
+		split = s.File
+	}
+	for range lanes {
+		if l := idleLanes.Get(nil); l != nil {
+			c.lanes = append(c.lanes, l)
 		}
-		// The merged pairs come sorted: append each with its count.
-		for m := newMerger(group, p); len(m) > 0; {
-			r, src, n := m.pop()
-			b.add(p, src.key(r), src.value(r), n)
+	}
+	var merges []merger
+	for p := range spec.NumReduces {
+		merges = cutRuns(merges, group, p, ranges(p))
+		for _, m := range merges {
+			if h != nil || len(c.builders) == 0 {
+				var lane *Lane
+				if len(c.lanes) > 0 {
+					lane = c.lanes[len(c.builders)%len(c.lanes)]
+				}
+				c.builders = append(c.builders, newOutputBuilder(lane, split, nil, spec.NumReduces, maxOffset))
+			}
+			c.pieces = append(c.pieces, mergePiece{m, p, c.builders[len(c.builders)-1]})
 		}
 	}
-	out := b.output()
-	b.release()
-	out.Split, out.Resident = first.Split, first.Resident
+	return c
+}
+
+// putLanes gives back the lanes c holds.
+func (c *consolidation) putLanes() {
+	for i := len(c.lanes) - 1; i >= 0; i-- {
+		idleLanes.Put(nil, c.lanes[i])
+	}
+}
+
+// piece merges piece i into its builder.
+func (c *consolidation) piece(i int) {
+	pc := &c.pieces[i]
+	if c.combine != nil {
+		pc.b.combineFrom(pc.merge, pc.part, c.combine)
+		return
+	}
+	for len(pc.merge) > 0 { // the merged pairs come sorted: append each with its count
+		r, src, n := pc.merge.pop()
+		pc.b.add(pc.part, src.key(r), src.value(r), n)
+	}
+}
+
+// seal seals the builders into the consolidated output and gives them
+// back (in reverse, so the next consolidation takes them in piece order)
+// with the lanes. A combined partition cut into ranges is sorted again: a
+// combiner's keys may leave their range's order.
+func (c *consolidation) seal(group []*MapOutput) *Consolidated {
+	out := seal(c.builders...)
+	if c.combine != nil && len(c.pieces) > len(out.Partitions) {
+		for p := range out.Partitions {
+			sortIndex(out.Partitions[p], out.counts[p], &out.store)
+		}
+	}
+	for i := len(c.builders) - 1; i >= 0; i-- {
+		c.builders[i].release()
+	}
+	c.putLanes()
+	out.Split, out.Resident = group[0].Split, group[0].Resident
 	out.InMemory = true
 	for _, mo := range group {
 		out.Records += mo.Records
-		if !mo.InMemory {
-			out.InMemory = false
-		}
+		out.InMemory = out.InMemory && mo.InMemory
 	}
 	return &Consolidated{Out: out, Members: group}
 }

@@ -58,21 +58,53 @@ var poisons = []struct {
 		spec.Partition = func(_ []byte, n int) int { return n }
 	}},
 	{"combine", profiler.MapTask, "poisoned combine", "contain_test.go", true, func(spec *JobSpec, _ []string) {
+		spec.Combine = poisonedCombine("")
+	}},
+	// Four reduces, partitioned by key length: the service's combine of
+	// partition 2 ("zebras") panics, and with partition 1 ("quick") as well
+	// the lower piece's panic wins.
+	{"combine-p2", profiler.MapTask, "poisoned combine of zebras", "contain_test.go", true, func(spec *JobSpec, _ []string) {
+		spec.NumReduces, spec.Partition, spec.Combine = 4, byLength, poisonedCombine("zebras")
+	}},
+	{"combine-p1-p2", profiler.MapTask, "poisoned combine of quick", "contain_test.go", true, func(spec *JobSpec, _ []string) {
+		zebras, quick := poisonedCombine("zebras"), poisonedCombine("quick")
+		spec.NumReduces, spec.Partition = 4, byLength
 		spec.Combine = func(key []byte, values Values, emit Emit) {
-			values.Each(func(v []byte) {
-				if string(v) != "1" {
-					panic("poisoned combine")
-				}
-			})
-			wcTestReduce(key, values, emit)
+			if string(key) == "zebras" {
+				zebras(key, values, emit)
+			}
+			quick(key, values, emit)
 		}
 	}},
+}
+
+// byLength partitions a key by its length.
+func byLength(k []byte, n int) int { return len(k) % n }
+
+// poisonedCombine is WordCount's reducer as a combiner that panics on a
+// value past the map side's "1" — a count the map side combined, so only the
+// shuffle service's combine meets one — under key, or under any key when
+// key is empty.
+func poisonedCombine(key string) ReduceFunc {
+	cause := "poisoned combine"
+	if key != "" {
+		cause += " of " + key
+	}
+	return func(k []byte, values Values, emit Emit) {
+		values.Each(func(v []byte) {
+			if string(v) != "1" && (key == "" || string(k) == key) {
+				panic(cause)
+			}
+		})
+		wcTestReduce(k, values, emit)
+	}
 }
 
 // nodeShuffle is the shuffle service's plan in miniature (the service
 // itself, internal/shuffle, imports this package): once every map has
 // committed, each node's outputs are consolidated — merged and
-// re-combined through ConsolidateGroup — and fetched as one unit.
+// re-combined on the runtime's lanes, as the service does it — and fetched
+// as one unit.
 type nodeShuffle struct{ rt *Runtime }
 
 func (nodeShuffle) Register(*JobSpec, *MapOutput) {}
@@ -86,8 +118,8 @@ func (nodeShuffle) FetchPlan(pending []*MapOutput, mapsDone bool) [][]*MapOutput
 	return GroupOutputsByNode(pending)
 }
 
-func (nodeShuffle) Consolidate(spec *JobSpec, group []*MapOutput) *Consolidated {
-	return ConsolidateGroup(spec, group)
+func (s nodeShuffle) Consolidate(spec *JobSpec, group []*MapOutput) *Consolidated {
+	return s.rt.ConsolidateGroup(spec, group)
 }
 
 func (s nodeShuffle) Fetch(parent trace.SpanID, _ *JobSpec, c *Consolidated, part int, dst *topology.Node, done func(error)) {
@@ -102,22 +134,30 @@ func (s nodeShuffle) Fetch(parent trace.SpanID, _ *JobSpec, c *Consolidated, par
 // value as the cause. Every failed attempt's compute span names the panic
 // and the frame that raised it, and no panicking attempt leaves an output
 // in the MapCache. The service's combine belongs to no attempt: its panic
-// fails the job at once, and a "combine failed" mark names it.
+// fails the job at once, and a "combine failed" mark names it. The service
+// shape runs a second time on three forced lanes, where the combine's
+// pieces run on helper goroutines: a panic there must fail the job with
+// the same cause and frame.
 func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 	shapes := []struct {
 		name    string
 		mode    Mode
 		service bool
+		lanes   int // forced through UseHostLanes when positive
 	}{
-		{"distributed", ModeDistributed, false}, {"uber", ModeUber, false}, {"uplus", ModeUPlus(FullUPlus()), false},
-		{"shuffle-service", ModeUber, true},
+		{"distributed", ModeDistributed, false, 0}, {"uber", ModeUber, false, 0}, {"uplus", ModeUPlus(FullUPlus()), false, 0},
+		{"shuffle-service", ModeUber, true, 0}, {"shuffle-service-lanes", ModeUber, true, 3},
 	}
+	frames := map[string]string{} // the service shape's At, by poison
 	for _, sh := range shapes {
 		for _, p := range poisons {
 			if p.service && !sh.service {
 				continue
 			}
 			t.Run(sh.name+"/"+p.name, func(t *testing.T) {
+				if sh.lanes > 0 {
+					t.Cleanup(UseHostLanes(sh.lanes))
+				}
 				rt := newTestRuntime(t, topology.A3, 4, yarn.NewStockScheduler())
 				rt.Trace = trace.New(rt.Eng, 0)
 				rt.MapCache = NewMapCache(64 << 20)
@@ -136,6 +176,11 @@ func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 				}
 				if fmt.Sprint(ae.Cause) != p.cause || !strings.Contains(ae.At, p.at) {
 					t.Fatalf("cause %q at %q, want %q raised in %s", ae.Cause, ae.At, p.cause, p.at)
+				}
+				if at, ok := frames[p.name]; ok && ae.At != at {
+					t.Fatalf("raised at %q, where the service shape's was raised at %q", ae.At, at)
+				} else if sh.service {
+					frames[p.name] = ae.At
 				}
 				// The task the error names failed exactly MaxTaskAttempts
 				// times — the service's combine, no attempt at all. Only

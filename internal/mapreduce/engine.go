@@ -176,7 +176,7 @@ func execMap(lane *Lane, spec *JobSpec, file string, data []byte, limit uint64) 
 		raw := []*MapOutput{b.view()}
 		c := newOutputBuilder(lane, file, data, nred, limit)
 		for p := 0; p < nred; p++ {
-			c.combineFrom(raw, p, spec.Combine)
+			c.combineFrom(newMerger(raw, p), p, spec.Combine)
 		}
 		b.release()
 		b = c
@@ -640,7 +640,7 @@ type Reduced struct {
 // caller's.
 func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) Reduced {
 	s := splitReduce(spec, part, outputs, 1)
-	s.reduceRange(0)
+	s.piece(0)
 	return s.assemble()
 }
 

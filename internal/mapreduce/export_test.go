@@ -77,7 +77,8 @@ func Snapshot(mo *MapOutput) string {
 // UseHostLanes gives every Runtime created until restore runs n host lanes
 // whatever GOMAXPROCS is, and offers their queues to the workers however
 // many simulations are live; 0 runs every task body inline at its join.
+// restore puts back what was forced before, if anything (forcelanes.go).
 func UseHostLanes(n int) (restore func()) {
-	laneHook.Store(int32(n + 1))
-	return func() { laneHook.Store(0) }
+	was := laneHook.Swap(int32(n + 1))
+	return func() { laneHook.Store(was) }
 }

@@ -90,11 +90,15 @@ func (fi *FaultInjector) crashPoint(outputFile string, id attemptID) (point floa
 // attempt's body, and reports how it died instead when body panicked — bad
 // user code fails its attempt, not the process. A scripted crash never runs
 // the body (see mapAttempt.join). failAttempt stamps the error with the
-// attempt's coordinates.
+// attempt's coordinates. An *AttemptError raised as a panic is a death
+// contained already, on another goroutine (Runtime.ConsolidateGroup), and
+// is reported as it is.
 func contain[T any](body func() T) (v T, died *AttemptError) {
 	defer func() {
 		if p := recover(); p != nil {
-			died = &AttemptError{Cause: p, At: raiser()}
+			if died, _ = p.(*AttemptError); died == nil {
+				died = &AttemptError{Cause: p, At: raiser()}
+			}
 		}
 	}()
 	return body(), nil

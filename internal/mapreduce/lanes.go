@@ -180,25 +180,30 @@ func (h *hostLanes) spare() bool {
 	return !h.closed && (laneHook.Load() > 0 || int(liveRuntimes.Load()) < len(h.queues))
 }
 
-// reduce is a reduce task's body: partition part of outputs, cut into as
-// many key ranges as h has lanes when it indexes at least splitPairs pairs,
-// with helper goroutines taking ranges (see ranges.go and helpers). Without
-// lanes it is one range, as ExecReduce runs it, but a reducer's panic fails
-// the attempt instead of the process.
+// reduce is a reduce task's body: partition part of outputs, cut into key
+// ranges (see ranges) with helper goroutines taking ranges (see ranges.go
+// and helpers). Without lanes it is one range, as ExecReduce runs it, but a
+// reducer's panic fails the attempt instead of the process.
 func (h *hostLanes) reduce(spec *JobSpec, part int, outputs []*MapOutput) (Reduced, *AttemptError) {
-	n, pairs := 1, 0
+	return splitReduce(spec, part, outputs, h.ranges(1, outputs, part)).run(h.helpers())
+}
+
+// ranges is how many key ranges a body over parts partitions cuts partition
+// part of outputs into: one per lane when it has fewer partitions than h
+// has lanes and the partition indexes at least splitPairs pairs, else one.
+// A reduce body is a body over one partition.
+func (h *hostLanes) ranges(parts int, outputs []*MapOutput, part int) int {
+	if h == nil || parts >= len(h.queues) {
+		return 1
+	}
+	pairs := 0
 	for _, mo := range outputs {
 		pairs += len(mo.Partitions[part])
 	}
-	if h != nil && pairs >= splitPairs {
-		n = len(h.queues)
+	if pairs < splitPairs {
+		return 1
 	}
-	s := splitReduce(spec, part, outputs, n)
-	helpers := 0
-	if n > 1 {
-		helpers = h.helpers()
-	}
-	return s.run(helpers)
+	return len(h.queues)
 }
 
 // helpers is how many helper goroutines a reduce body may start: one per
@@ -207,6 +212,9 @@ func (h *hostLanes) reduce(spec *JobSpec, part int, outputs []*MapOutput) (Reduc
 // them on a core of its own, so a helper beside it would only take turns
 // with them.
 func (h *hostLanes) helpers() int {
+	if h == nil {
+		return 0
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.spare() {

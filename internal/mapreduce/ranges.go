@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,10 +22,14 @@ import (
 // a buffer of its own, and the part file is then assembled once, into a
 // buffer of its exact length.
 //
-// Ranges are claimed in order by whoever runs next: the body, and helper
-// goroutines, one per lane queue of the body's Runtime with nothing pending
-// when the Runtime may use other goroutines (see hostLanes.helpers). A range builds and allocates the same whichever
-// goroutine runs it, and the body returns only after its helpers have.
+// The shuffle service's consolidation (consolidate.go) is the second body
+// cut into pieces: one per partition, a partition cut into key ranges the
+// same way when the job has fewer partitions than lanes. Both claim their
+// pieces with claims: in order, by whoever runs next — the body, and helper
+// goroutines, one per lane queue with nothing pending when the Runtime may
+// use other goroutines (see hostLanes.helpers). A piece builds and
+// allocates the same whichever goroutine runs it, and the body returns only
+// after its helpers have.
 
 // splitPairs is the fewest pairs, summed over its runs, a reduce partition
 // indexes when a body cuts it into ranges. BenchmarkExecReduceRanges on two
@@ -36,13 +41,10 @@ const splitPairs = 10_000
 
 // reduceSplit is one reduce partition cut into key ranges.
 type reduceSplit struct {
+	claims
 	reduce ReduceFunc
 	buf    []byte // the output buffer whose windows the ranges encode into
 	ranges []keyRange
-
-	next    atomic.Int32 // the first range nobody claimed
-	failed  atomic.Bool  // a range's reducer panicked: later ranges need not run
-	helpers sync.WaitGroup
 }
 
 // keyRange is one range of a reduceSplit.
@@ -51,12 +53,12 @@ type keyRange struct {
 	window  int    // its window's bytes in buf
 	out     []byte // its lines: in its window, or in its own buffer once they outgrew it
 	records int64
-	died    *AttemptError
 }
 
-// splitReduce cuts partition part of outputs into n key ranges, of which
-// some may be empty, or into one when the partition is empty.
-func splitReduce(spec *JobSpec, part int, outputs []*MapOutput, n int) *reduceSplit {
+// cutRuns cuts partition part of outputs into n key ranges, of which some
+// may be empty, or into one when the partition is empty, and returns each
+// range's merge, heapified, in dst's array when it has room.
+func cutRuns(dst []merger, outputs []*MapOutput, part, n int) []merger {
 	var largest []Rec
 	var ls *store
 	for _, mo := range outputs {
@@ -67,45 +69,58 @@ func splitReduce(spec *JobSpec, part int, outputs []*MapOutput, n int) *reduceSp
 	if len(largest) == 0 {
 		n = 1
 	}
-	s := &reduceSplit{reduce: spec.Reduce, ranges: make([]keyRange, n)}
-	k := len(outputs)
+	merges, k := slices.Grow(dst[:0], n)[:n], len(outputs)
 	cursors := make([]cursor, 0, n*k)
-	for i := range s.ranges {
-		s.ranges[i].merge = cursors[i*k : i*k : (i+1)*k]
+	for i := range merges {
+		merges[i] = cursors[i*k : i*k : (i+1)*k]
 	}
 	for _, mo := range outputs {
 		idx, lo := mo.Partitions[part], 0
-		for i := range s.ranges {
+		for i := range merges {
 			hi := len(idx)
 			if i < n-1 {
 				cut := largest[(i+1)*len(largest)/n]
 				hi = lo + sort.Search(hi-lo, func(j int) bool { return compareKeys(idx[lo+j], &mo.store, cut, ls) >= 0 })
 			}
-			r := &s.ranges[i]
-			for _, rec := range idx[lo:hi] {
-				r.window += int(rec.klen) + int(rec.vlen) + 2
-			}
-			r.merge = r.merge.run(mo, part, lo, hi)
+			merges[i] = merges[i].run(mo, part, lo, hi)
 			lo = hi
 		}
 	}
+	for _, m := range merges {
+		m.heapify()
+	}
+	return merges
+}
+
+// splitReduce cuts partition part of outputs into n key ranges (see
+// cutRuns) and lays out their windows.
+func splitReduce(spec *JobSpec, part int, outputs []*MapOutput, n int) *reduceSplit {
+	merges := cutRuns(nil, outputs, part, n)
+	s := &reduceSplit{reduce: spec.Reduce, ranges: make([]keyRange, len(merges))}
 	size := 0
-	for i := range s.ranges {
-		size += s.ranges[i].window
+	for i, m := range merges {
+		r := &s.ranges[i]
+		r.merge = m
+		for _, c := range m {
+			r.window += int(c.head.klen) + int(c.head.vlen) + 2
+			for _, rec := range c.rest {
+				r.window += int(rec.klen) + int(rec.vlen) + 2
+			}
+		}
+		size += r.window
 	}
 	s.buf = make([]byte, 0, size)
 	off := 0
 	for i := range s.ranges {
 		r := &s.ranges[i]
-		r.merge.heapify()
 		r.out = s.buf[off : off : off+r.window]
 		off += r.window
 	}
 	return s
 }
 
-// reduceRange merges, groups, reduces and encodes range i.
-func (s *reduceSplit) reduceRange(i int) {
+// piece merges, groups, reduces and encodes range i.
+func (s *reduceSplit) piece(i int) {
 	r := &s.ranges[i]
 	r.merge.groups(s.reduce, r.emit)
 }
@@ -125,37 +140,57 @@ func (r *keyRange) emit(k, v []byte) {
 
 // run reduces every range, with up to helpers helper goroutines taking
 // some of them, and returns the part file, or how the lowest range whose
-// reducer panicked died. No helper outlives it.
+// reducer panicked died.
 func (s *reduceSplit) run(helpers int) (Reduced, *AttemptError) {
-	for range min(helpers, len(s.ranges)-1) {
-		s.helpers.Add(1)
-		go func() {
-			defer s.helpers.Done()
-			s.work()
-		}()
-	}
-	s.work()
-	s.helpers.Wait()
-	for i := range s.ranges {
-		if died := s.ranges[i].died; died != nil {
-			return Reduced{}, died
-		}
+	if died := s.claims.run(s, len(s.ranges), helpers); died != nil {
+		return Reduced{}, died
 	}
 	return s.assemble(), nil
 }
 
-// work claims ranges in order and reduces each, until none is left or a
-// reducer panicked. A panic fails its range, not the process; the ranges
-// after it are not needed, and every range before it was claimed already.
-func (s *reduceSplit) work() {
-	for !s.failed.Load() {
-		i := int(s.next.Add(1)) - 1
-		if i >= len(s.ranges) {
+// claims hands out the pieces of one body — a reduce's key ranges, a
+// consolidation's pieces (consolidate.go) — in order to whoever runs next.
+type claims struct {
+	next    atomic.Int32 // the first piece nobody claimed
+	failed  atomic.Bool  // a piece panicked: later pieces need not run
+	helpers sync.WaitGroup
+	mu      sync.Mutex
+	died    *AttemptError // how the lowest piece that panicked died
+	diedAt  int
+}
+
+// run runs pieces 0 to n-1 of p, the caller and up to helpers helper
+// goroutines claiming them, and returns how the lowest piece that panicked
+// died. No helper outlives it.
+func (c *claims) run(p interface{ piece(i int) }, n, helpers int) *AttemptError {
+	for range min(helpers, n-1) {
+		c.helpers.Add(1)
+		go func() {
+			defer c.helpers.Done()
+			c.work(p, n)
+		}()
+	}
+	c.work(p, n)
+	c.helpers.Wait()
+	return c.died
+}
+
+// work claims pieces in order and runs each, until none is left or one
+// panicked. A panic fails its piece, not the process; the pieces after it
+// are not needed, and every piece before it was claimed already.
+func (c *claims) work(p interface{ piece(i int) }, n int) {
+	for !c.failed.Load() {
+		i := int(c.next.Add(1)) - 1
+		if i >= n {
 			return
 		}
-		r := &s.ranges[i]
-		if _, r.died = contain(func() bool { s.reduceRange(i); return true }); r.died != nil {
-			s.failed.Store(true)
+		if _, died := contain(func() bool { p.piece(i); return true }); died != nil {
+			c.mu.Lock()
+			if c.died == nil || i < c.diedAt {
+				c.died, c.diedAt = died, i
+			}
+			c.mu.Unlock()
+			c.failed.Store(true)
 		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 
 // A differential test of the reduce's key ranges: cut into one to four
 // ranges, run in order or with helper goroutines, a reduce must commit the
-// one-range reduce's bytes and records. Two reducers read every run set:
+// one-range reduce's bytes and records, and a consolidation of the same
+// runs the uncut consolidation's pairs (checkConsolidationRanges). Two reducers read every run set:
 // identityReduce, whose lines show the merged order of values as well as of
 // keys and outgrow their window on counted pairs (a counted pair presizes
 // one line and emits one per occurrence), and countReduce, one line per key,
@@ -35,6 +36,7 @@ func checkRanges(t *testing.T, runs [][]kv, halves int) {
 	for i, run := range runs {
 		outs[i] = runOutput(run, len(run)*halves/2)
 	}
+	checkConsolidationRanges(t, outs, halves)
 	for _, reduce := range []ReduceFunc{identityReduce, countReduce} {
 		spec := &JobSpec{NumReduces: 1, Reduce: reduce}
 		want := ExecReduce(spec, 0, outs)

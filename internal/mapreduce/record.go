@@ -321,10 +321,15 @@ func (b *outputBuilder) counted(p int) []uint32 {
 // other is radix-sorted in place on the prefix bytes, so compareRecs decides
 // only between pairs that share all eight of them.
 func (b *outputBuilder) sortRecs(p int) {
-	idx, s := b.parts[p], &b.store
+	sortIndex(b.parts[p], b.counts[p], &b.store)
+}
+
+// sortIndex orders idx over s, and counts with it when non-nil, as sortRecs
+// orders a partition.
+func sortIndex(idx []Rec, counts []uint32, s *store) {
 	for i := 1; i < len(idx); i++ {
 		if recLess(idx[i], idx[i-1], s) {
-			radixSort(idx, b.counts[p], s, 0)
+			radixSort(idx, counts, s, 0)
 			return
 		}
 	}
@@ -450,58 +455,93 @@ func sortTies(idx []Rec, counts []uint32, s *store) {
 	}
 }
 
-// combineFrom merges partition p of the outputs, feeds it through the
-// combiner and leaves the result, sorted, as partition p of b. Over one
-// output — a map's own pairs — it makes room for one pair per input pair
-// first, so a cold partition grows once rather than by doublings.
-func (b *outputBuilder) combineFrom(outputs []*MapOutput, p int, c ReduceFunc) {
-	if len(outputs) == 1 {
-		if n := len(outputs[0].Partitions[p]); cap(b.parts[p]) < n {
+// combineFrom feeds merge m through the combiner and leaves the result,
+// sorted, as partition p of b. Over one run — a map's own pairs — it makes
+// room for one pair per input pair first, so a cold partition grows once
+// rather than by doublings.
+func (b *outputBuilder) combineFrom(m merger, p int, c ReduceFunc) {
+	if len(m) == 1 {
+		if n := 1 + len(m[0].rest); cap(b.parts[p]) < n {
 			b.parts[p] = grown(b.parts[p], n)
 		}
 	}
-	newMerger(outputs, p).groups(c, func(k, v []byte) { b.add(p, k, v, 1) })
+	m.groups(c, func(k, v []byte) { b.add(p, k, v, 1) })
 	b.sortRecs(p)
 }
 
 // output seals the accumulated pairs into a MapOutput that shares nothing
-// with b but the input block: the indexes copied into one exactly sized
-// array, each partition a capacity-clipped window of it, the counts the
-// same way, and the slab copied at its exact length. An exact partition
-// that came out full is handed over as it is.
-func (b *outputBuilder) output() *MapOutput {
-	n := len(b.parts)
-	out := &MapOutput{store: store{input: b.input}, Partitions: make([][]Rec, n), counts: make([][]uint32, n),
-		PartBytes: slices.Clone(b.partBytes)}
-	handed := b.exact && len(b.parts[0]) == cap(b.parts[0]) && b.counts[0] == nil
+// with b but the input block (see seal).
+func (b *outputBuilder) output() *MapOutput { return seal(b) }
+
+// seal copies what bs hold into one MapOutput over the first's input block,
+// partition by partition and each partition builder by builder: the indexes
+// into one exactly sized array, each partition a capacity-clipped window of
+// it, the counts the same way, and the slabs end to end at their exact
+// length, the offsets of each builder's pairs rebased by where its slab
+// starts. Only the first builder may hold an input block (several are a
+// consolidation's pieces, which have none). A single builder's exact
+// partition that came out full is handed over as it is.
+func seal(bs ...*outputBuilder) *MapOutput {
+	b0, n := bs[0], len(bs[0].parts)
+	out := &MapOutput{store: store{input: b0.input}, Partitions: make([][]Rec, n), counts: make([][]uint32, n),
+		PartBytes: make([]int64, n)}
+	handed := len(bs) == 1 && b0.exact && len(b0.parts[0]) == cap(b0.parts[0]) && b0.counts[0] == nil
 	if handed {
-		out.Partitions[0], b.parts[0] = b.parts[0], nil // release must not keep it
+		out.Partitions[0], b0.parts[0] = b0.parts[0], nil // release must not keep it
 	}
-	var recs, counted int
-	for p, part := range b.parts {
-		recs += len(part)
-		if b.counts[p] != nil {
-			counted += len(part)
+	// counted reports whether partition p needs counts: some builder has them.
+	counted := func(p int) bool {
+		return slices.ContainsFunc(bs, func(b *outputBuilder) bool { return b.counts[p] != nil })
+	}
+	var recs, ncounts, slab int
+	for p := range n {
+		k := 0
+		for _, b := range bs {
+			k += len(b.parts[p])
+			out.PartBytes[p] += b.partBytes[p]
 		}
-		out.TotalBytes += b.partBytes[p]
+		recs += k
+		if counted(p) {
+			ncounts += k
+		}
+		out.TotalBytes += out.PartBytes[p]
 	}
-	idx, cnt := make([]Rec, 0, recs), make([]uint32, 0, counted)
-	for p, part := range b.parts {
+	for _, b := range bs {
+		slab += len(b.slab)
+	}
+	if uint64(len(b0.input)+slab) > maxOffset {
+		panic(fmt.Sprintf("mapreduce: %d outputs sealed together outgrew their %d-byte offset space (%d bytes)", len(bs), uint64(maxOffset), slab))
+	}
+	idx, cnt := make([]Rec, 0, recs), make([]uint32, 0, ncounts)
+	for p := range n {
 		if p == 0 && handed {
 			continue
 		}
-		lo := len(idx)
-		idx = append(idx, part...)
+		lo, clo, c, base := len(idx), len(cnt), counted(p), uint32(0)
+		for _, b := range bs {
+			if part := b.parts[p]; base == 0 {
+				idx = append(idx, part...)
+			} else {
+				for _, r := range part {
+					r.koff, r.voff = r.koff+base, r.voff+base
+					idx = append(idx, r)
+				}
+			}
+			if c && len(b.parts[p]) > 0 {
+				cnt = append(cnt, b.counted(p)...)
+			}
+			base += uint32(len(b.slab))
+		}
 		out.Partitions[p] = idx[lo:len(idx):len(idx)]
-		if c := b.counts[p]; c != nil {
-			lo := len(cnt)
-			cnt = append(cnt, c...)
-			out.counts[p] = cnt[lo:len(cnt):len(cnt)]
+		if c {
+			out.counts[p] = cnt[clo:len(cnt):len(cnt)]
 		}
 	}
-	if len(b.slab) > 0 {
-		out.slab = make([]byte, len(b.slab)) // not bytes.Clone: append rounds its capacity up
-		copy(out.slab, b.slab)
+	if slab > 0 {
+		out.slab = make([]byte, 0, slab) // not bytes.Clone: append rounds its capacity up
+		for _, b := range bs {
+			out.slab = append(out.slab, b.slab...)
+		}
 	}
 	return out
 }

@@ -89,10 +89,11 @@ func (s *Service) FetchPlan(pending []*mapreduce.MapOutput, mapsDone bool) [][]*
 }
 
 // Consolidate merges one node's committed outputs into a single synthetic
-// output (in-node combining when the job has a combiner) and folds the
-// byte-reduction into the service's running stats and gauges.
+// output (in-node combining when the job has a combiner) on the runtime's
+// host lanes (Runtime.ConsolidateGroup) and folds the byte-reduction into
+// the service's running stats and gauges.
 func (s *Service) Consolidate(spec *mapreduce.JobSpec, group []*mapreduce.MapOutput) *mapreduce.Consolidated {
-	c := mapreduce.ConsolidateGroup(spec, group)
+	c := s.rt.ConsolidateGroup(spec, group)
 	var raw int64
 	for _, mo := range group {
 		raw += mo.TotalBytes
@@ -139,7 +140,9 @@ func (s *Service) WireRatio(spec *mapreduce.JobSpec) float64 {
 //     re-combines them (CPU over the raw member bytes, only when there is
 //     more than one member), then compresses the consolidated partition —
 //     charged as elapsed time on the node but not against a task core: the
-//     shuffle handler is a NodeManager auxiliary daemon, not a container;
+//     shuffle handler is a NodeManager auxiliary daemon, not a container.
+//     The price reads the member bytes alone, so which host goroutines ran
+//     the merge (Consolidate) moves no virtual instant;
 //   - one topology.Cluster.Transfer moves the spilled member bytes off the
 //     source disk (U+ in-memory members cost nothing to pick up) and the
 //     wire-sized bytes across the network;
