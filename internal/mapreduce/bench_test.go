@@ -195,6 +195,28 @@ func BenchmarkExecReduceTera(b *testing.B) {
 	benchExecReduce(b, teraBenchSpec(), splits)
 }
 
+// BenchmarkKeyPrefix packs 4096 WordCount-shaped keys, 3 to 10 lowercase
+// letters as the corpus draws them, per iteration: what outputBuilder.add
+// does for every pair it indexes.
+func BenchmarkKeyPrefix(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = []byte(randomBytes(rng, 3+rng.Intn(8), "abcdefghijklmnopqrstuvwxyz"))
+	}
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			sink += keyPrefix(k)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+	prefixSink = sink
+}
+
+var prefixSink uint64
+
 // BenchmarkSortRecs measures the map-side sort alone on one partition in
 // four shapes, each restored to its unsorted order before every sort (the
 // copy is part of the time):

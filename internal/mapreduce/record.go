@@ -85,10 +85,15 @@ func (s *store) at(off, n uint32) []byte {
 func (s *store) key(r Rec) []byte   { return s.at(r.koff, r.klen) }
 func (s *store) value(r Rec) []byte { return s.at(r.voff, r.vlen) }
 
-// keyPrefix packs the first eight key bytes for integer comparison.
+// keyPrefix packs the first eight key bytes for integer comparison. A key
+// of four to seven bytes is two overlapping big-endian loads, its first
+// four bytes and its last four shifted down into place after them.
 func keyPrefix(k []byte) uint64 {
-	if len(k) >= 8 {
+	if n := len(k); n >= 8 {
 		return binary.BigEndian.Uint64(k)
+	} else if n >= 4 {
+		return uint64(binary.BigEndian.Uint32(k))<<32 |
+			uint64(binary.BigEndian.Uint32(k[n-4:]))<<(64-8*uint(n))
 	}
 	var p uint64
 	for i, c := range k {

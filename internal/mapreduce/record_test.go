@@ -12,6 +12,28 @@ import (
 	"unsafe"
 )
 
+// keyPrefix against the byte loop it replaced, at every length from 0 to
+// 16 on random bytes, 0x00 and 0xff included.
+func TestKeyPrefixMatchesByteLoop(t *testing.T) {
+	loop := func(k []byte) uint64 {
+		var p uint64
+		for i, c := range k[:min(len(k), 8)] {
+			p |= uint64(c) << (56 - 8*uint(i))
+		}
+		return p
+	}
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 16)
+	for n := 0; n <= 16; n++ {
+		for range 1000 {
+			rng.Read(buf)
+			if got, want := keyPrefix(buf[:n]), loop(buf[:n]); got != want {
+				t.Fatalf("keyPrefix(%x) = %016x, want %016x", buf[:n], got, want)
+			}
+		}
+	}
+}
+
 func TestRecSize(t *testing.T) {
 	if got := unsafe.Sizeof(Rec{}); got != recSize {
 		t.Fatalf("Rec is %d bytes, recSize says %d", got, recSize)

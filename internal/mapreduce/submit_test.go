@@ -35,7 +35,8 @@ func runJob(t *testing.T, rt *Runtime, spec *JobSpec, mode Mode) *Result {
 }
 
 // stageWordCountInput writes n files of roughly size bytes each and returns
-// (names, all concatenated data).
+// (names, all concatenated data). File i cycles through the three
+// sentences from sentence i mod 3 on.
 func stageWordCountInput(t *testing.T, rt *Runtime, n int, size int) ([]string, []byte) {
 	t.Helper()
 	var names []string
@@ -47,8 +48,8 @@ func stageWordCountInput(t *testing.T, rt *Runtime, n int, size int) ([]string, 
 	}
 	for i := 0; i < n; i++ {
 		var buf bytes.Buffer
-		for buf.Len() < size {
-			buf.Write(sentences[(i+buf.Len())%len(sentences)])
+		for k := i; buf.Len() < size; k++ {
+			buf.Write(sentences[k%len(sentences)])
 		}
 		name := "/in/wc/part-" + strconv.Itoa(i)
 		if _, err := rt.DFS.PutInstant(name, buf.Bytes(), rt.Cluster.Workers()[i%len(rt.Cluster.Workers())]); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -56,11 +55,22 @@ func TeraGen(dfs *hdfs.DFS, cluster *topology.Cluster, prefix string, cfg TeraGe
 	return names, nil
 }
 
-// teraPayload is a row's payload before its ordinal is written in: the
-// ordinal's zero padding, then dots.
+// teraPayload is row 0's payload: the ordinal 0 as %022d prints it, then
+// dots.
 var teraPayload = strings.Repeat("0", teraOrdinalLen) + strings.Repeat(".", TeraValueLen-teraOrdinalLen)
 
 const teraOrdinalLen = 22
+
+// A key byte is printable ASCII, ' ' + rng.Intn(teraKeyBytes), the draw
+// written out as NewCorpus writes its letters: Intn(95) is Int31n's
+// arithmetic over Int63's top 31 bits, redrawing any value above
+// teraKeyMax, the largest multiple of 95 less one, and taking the rest
+// mod 95. So the bytes, and the source's state after them, are the ones
+// rand.Intn leaves.
+const (
+	teraKeyBytes = 95
+	teraKeyMax   = int32(1<<31 - 1 - (1<<31)%teraKeyBytes)
+)
 
 // teraCache memoizes generated row files by configuration, each file as
 // the Content every DFS that stages it shares; the benchmark harness stages
@@ -99,24 +109,32 @@ func teraFiles(cfg TeraGenConfig) ([]*hdfs.Content, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perFile := cfg.Rows / int64(cfg.Files)
 	files := make([]*hdfs.Content, 0, cfg.Files)
-	var row int64
+	var payload [TeraValueLen]byte
+	copy(payload[:], teraPayload)
 	for i := 0; i < cfg.Files; i++ {
 		n := perFile
 		if i == cfg.Files-1 {
 			n = cfg.Rows - perFile*int64(cfg.Files-1)
 		}
-		buf := make([]byte, 0, n*TeraRowLen)
-		var digits [20]byte
-		for r := int64(0); r < n; r++ {
-			for range TeraKeyLen {
-				buf = append(buf, byte(' '+rng.Intn(95))) // printable ASCII keys
+		buf := make([]byte, n*TeraRowLen)
+		for r := buf; len(r) > 0; r = r[TeraRowLen:] {
+			for k := range TeraKeyLen {
+				v := int32(rng.Int63() >> 32)
+				for v > teraKeyMax {
+					v = int32(rng.Int63() >> 32)
+				}
+				r[k] = byte(' ' + v%teraKeyBytes)
 			}
 			// The payload is the row ordinal as %022d would print it, padded
-			// with '.' to the row's end, written in place.
-			buf = append(buf, teraPayload...)
-			d := strconv.AppendInt(digits[:0], row, 10)
-			copy(buf[len(buf)-TeraValueLen+teraOrdinalLen-len(d):], d)
-			row++
+			// with '.' to the row's end; the ordinal counts up in place.
+			copy(r[TeraKeyLen:TeraRowLen], payload[:])
+			for d := teraOrdinalLen - 1; ; d-- {
+				if payload[d] < '9' {
+					payload[d]++
+					break
+				}
+				payload[d] = '0'
+			}
 		}
 		files = append(files, &hdfs.Content{Data: buf})
 	}

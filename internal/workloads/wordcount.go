@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"unicode/utf8"
 
 	"mrapid/internal/hdfs"
 	"mrapid/internal/mapreduce"
@@ -320,8 +321,47 @@ func wordCountReduce(key []byte, values mapreduce.Values, emit mapreduce.Emit) {
 }
 
 // CountWords computes the reference answer directly, for output
-// verification in tests.
+// verification: each word of data as bytes.Fields splits it, with its
+// count. It is what the map is checked against, so it shares nothing with
+// wordTable. ASCII text is read in one pass, each word looked up in an
+// index of the words seen so far and made a string only when it is new;
+// text holding any byte from 0x80 up is split by bytes.Fields, so that
+// Unicode white space separates words there too.
 func CountWords(data []byte) map[string]int {
+	index := make(map[string]int)
+	var n []int
+	for i := 0; i < len(data); {
+		if data[i] >= utf8.RuneSelf {
+			return countFields(data)
+		}
+		if fieldSpace[data[i]] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(data) && data[j] < utf8.RuneSelf && !fieldSpace[data[j]] {
+			j++
+		}
+		if k, ok := index[string(data[i:j])]; ok {
+			n[k]++
+		} else {
+			index[string(data[i:j])] = len(n)
+			n = append(n, 1)
+		}
+		i = j
+	}
+	counts := make(map[string]int, len(index))
+	for w, k := range index {
+		counts[w] = n[k]
+	}
+	return counts
+}
+
+// fieldSpace marks the ASCII bytes bytes.Fields splits at.
+var fieldSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// countFields is CountWords on any text.
+func countFields(data []byte) map[string]int {
 	counts := make(map[string]int)
 	for _, w := range bytes.Fields(data) {
 		counts[string(w)]++
@@ -332,7 +372,13 @@ func CountWords(data []byte) map[string]int {
 // ParseWordCountOutput decodes the job's part file back into a count map.
 func ParseWordCountOutput(data []byte) (map[string]int, error) {
 	counts := make(map[string]int)
-	for _, line := range bytes.Split(data, []byte("\n")) {
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
 		if len(line) == 0 {
 			continue
 		}

@@ -267,3 +267,40 @@ func BenchmarkWordCountMap(b *testing.B) {
 		mapreduce.ExecMapFile(spec, "", split)
 	}
 }
+
+// CountWords against its definition, bytes.Fields and a plain map, beyond
+// its seeds: ASCII separators of every kind, runs of them, no final
+// newline, and the text it hands to bytes.Fields — Unicode white space
+// (NEL, NBSP, an em space), invalid UTF-8 and a word that ends where a
+// multi-byte one starts.
+func FuzzCountWords(f *testing.F) {
+	for _, seed := range []string{
+		"", " ", "a", "a b a\nc b a\n", "\t\n\v\f\r x\ry\vz\fx \n", "no final newline",
+		"a\u0085b a\u00a0b a\u2003b", "café cafe café\n", "\xff\xfe a \xc3\x28 a",
+		"word\xc2\xa0word word", "\x00 \x00\x00 a\x00",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := map[string]int{}
+		for _, w := range bytes.Fields(data) {
+			want[string(w)]++
+		}
+		if got := CountWords(data); !maps.Equal(got, want) {
+			t.Fatalf("CountWords(%q) = %v, want %v", data, got, want)
+		}
+	})
+}
+
+// BenchmarkCountWords counts the words of 16 MiB of the corpus every
+// WordCount experiment reads, as the benchmark harness checks a run's
+// output against its input.
+func BenchmarkCountWords(b *testing.B) {
+	data := NewCorpus(30000, 1).Generate(16 << 20)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CountWords(data)
+	}
+}

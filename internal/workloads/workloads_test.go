@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -215,6 +216,70 @@ func TestTeraGenDeterministic(t *testing.T) {
 		files = append(files, b)
 	}
 	pin.Check(t, "teragen rows=100 files=2 seed=9", pin.Record{"output": pin.Digest(files...)})
+}
+
+// What tera_modes stages — 100k and 500k rows in four files at seeds 1
+// and 2 — and a row count the files do not divide, whose last file takes
+// the remainder. Every key byte is a draw, so a generator that drew one
+// byte differently, or in another order, moves these.
+func TestTeraGenPinned(t *testing.T) {
+	for _, cfg := range []TeraGenConfig{
+		{Rows: 100_000, Files: 4, Seed: 1},
+		{Rows: 500_000, Files: 4, Seed: 1},
+		{Rows: 100_000, Files: 4, Seed: 2},
+		{Rows: 500_000, Files: 4, Seed: 2},
+		{Rows: 1003, Files: 4, Seed: 1},
+	} {
+		files, err := TeraRows(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin.Check(t, fmt.Sprintf("teragen rows=%d files=%d seed=%d", cfg.Rows, cfg.Files, cfg.Seed),
+			pin.Record{"output": pin.Digest(files...)})
+	}
+}
+
+// The written-out draw is rand.Intn(95)'s: over many seeds and long runs,
+// the key bytes of TeraRows' files, row by row and file after file, are
+// ' ' + Intn(95) from a source of the same seed, and each payload is the
+// row's ordinal as %022d prints it, then dots. A chosen draw then checks
+// the bound the rare redraw hangs on: Intn takes teraKeyMax as it is and
+// redraws one above it.
+func TestTeraKeysAreIntnDraws(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		cfg := TeraGenConfig{Rows: 5000 + 37*seed, Files: 3, Seed: 1<<40 + seed}
+		files, err := TeraRows(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := rand.New(rand.NewSource(cfg.Seed))
+		var row int
+		for i, f := range files {
+			for r := f; len(r) > 0; r = r[TeraRowLen:] {
+				for k := range TeraKeyLen {
+					if want := byte(' ' + ref.Intn(95)); r[k] != want {
+						t.Fatalf("seed %d file %d row %d: key byte %d is %q, Intn drew %q", cfg.Seed, i, row, k, r[k], want)
+					}
+				}
+				want := fmt.Sprintf("%022d", row) + strings.Repeat(".", TeraValueLen-teraOrdinalLen)
+				if string(r[TeraKeyLen:TeraRowLen]) != want {
+					t.Fatalf("seed %d row %d: payload %q, want %q", cfg.Seed, row, r[TeraKeyLen:TeraRowLen], want)
+				}
+				row++
+			}
+		}
+	}
+	for _, c := range []struct {
+		top         int32 // Int63's top 31 bits on the first draw; the second's are 7
+		want, draws int
+	}{{0, 0, 1}, {teraKeyMax, int(teraKeyMax % teraKeyBytes), 1}, {teraKeyMax + 1, 7, 2}, {math.MaxInt32, 7, 2}} {
+		src := &scripted{}
+		src.start(int64(c.top) << 32)
+		src.queue = append(src.queue, 7<<32)
+		if got := rand.New(src).Intn(teraKeyBytes); got != c.want || src.calls != c.draws {
+			t.Errorf("first draw %d: Intn(95) = %d after %d draws, want %d after %d", c.top, got, src.calls, c.want, c.draws)
+		}
+	}
 }
 
 func TestTotalOrderPartitioner(t *testing.T) {
@@ -732,4 +797,19 @@ func TestWordCountReduceFastPaths(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { wordCountReduce(key, runs, emit) }); n != 0 {
 		t.Errorf("a reduce inside the table allocates %v times", n)
 	}
+}
+
+// BenchmarkTeraGen generates tera_modes' larger input, 500k rows in four
+// files, per iteration, each at a seed of its own so that teraCache never
+// serves it: the key draws and the row writes.
+func BenchmarkTeraGen(b *testing.B) {
+	const rows = 500_000
+	b.ReportAllocs()
+	b.SetBytes(rows * TeraRowLen)
+	for i := 0; i < b.N; i++ {
+		if _, err := TeraRows(TeraGenConfig{Rows: rows, Files: 4, Seed: 1_000_000 + int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds()/1e6, "Mrows/s")
 }
