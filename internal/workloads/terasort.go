@@ -3,7 +3,6 @@ package workloads
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -61,7 +60,7 @@ var teraPayload = strings.Repeat("0", teraOrdinalLen) + strings.Repeat(".", Tera
 
 const teraOrdinalLen = 22
 
-// A key byte is printable ASCII, ' ' + rng.Intn(teraKeyBytes), the draw
+// A key byte is printable ASCII, ' ' + rand.Intn(teraKeyBytes), the draw
 // written out as NewCorpus writes its letters: Intn(95) is Int31n's
 // arithmetic over Int63's top 31 bits, redrawing any value above
 // teraKeyMax, the largest multiple of 95 less one, and taking the rest
@@ -69,7 +68,7 @@ const teraOrdinalLen = 22
 // rand.Intn leaves.
 const (
 	teraKeyBytes = 95
-	teraKeyMax   = int32(1<<31 - 1 - (1<<31)%teraKeyBytes)
+	teraKeyMax   = 1<<31 - 1 - (1<<31)%teraKeyBytes
 )
 
 // teraCache memoizes generated row files by configuration, each file as
@@ -106,7 +105,7 @@ func teraFiles(cfg TeraGenConfig) ([]*hdfs.Content, error) {
 	if cached, ok := teraCache[cfg]; ok {
 		return cached, nil
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := newSource(cfg.Seed)
 	perFile := cfg.Rows / int64(cfg.Files)
 	files := make([]*hdfs.Content, 0, cfg.Files)
 	var payload [TeraValueLen]byte
@@ -119,9 +118,9 @@ func teraFiles(cfg TeraGenConfig) ([]*hdfs.Content, error) {
 		buf := make([]byte, n*TeraRowLen)
 		for r := buf; len(r) > 0; r = r[TeraRowLen:] {
 			for k := range TeraKeyLen {
-				v := int32(rng.Int63() >> 32)
+				v := src.top31()
 				for v > teraKeyMax {
-					v = int32(rng.Int63() >> 32)
+					v = src.top31()
 				}
 				r[k] = byte(' ' + v%teraKeyBytes)
 			}

@@ -8,7 +8,6 @@ package workloads
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -27,7 +26,7 @@ type Corpus struct {
 	slab  []byte   // the words' letters back to back, then 16 bytes of padding
 	words []uint32 // word i as its offset in slab << 4 | its length
 	zipf  *zipfTable
-	rng   *rand.Rand
+	src   *source
 }
 
 // defaultVocab is the vocabulary size of every WordCount input unless its
@@ -44,36 +43,43 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 	if vocabSize <= 0 || vocabSize > maxVocab {
 		panic(fmt.Sprintf("workloads: vocabulary of %d words, want 1 to %d", vocabSize, maxVocab))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	src := newSource(seed)
 	// The words are cut from one slab, and the set of those drawn so far is
 	// keyed by their letters packed five bits each (ten letters at most, none
 	// packed as zero, so the length is part of the key and no key is 0). The
 	// set is open-addressed over a flat table at most half full, 0 marking a
-	// free slot: nothing is allocated per word.
+	// free slot: nothing is allocated per word, and the table is cleared and
+	// kept for the next corpus rather than allocated per corpus.
 	//
-	// A word's length is 3 + rng.Intn(8) and each letter rng.Intn(26),
+	// A word's length is 3 + rand.Intn(8) and each letter rand.Intn(26),
 	// written out: Intn is Int31n's arithmetic over Int63's top 31 bits,
 	// masking for a power of two and otherwise rejecting the draws above
 	// the largest multiple of n.
 	const (
-		letters   = "abcdefghijklmnopqrstuvwxyz"
-		letterMax = int32(1<<31 - 1 - (1<<31)%len(letters))
+		letters   = 26
+		letterMax = 1<<31 - 1 - (1<<31)%letters
 	)
 	words := make([]uint32, vocabSize)
-	slab := make([]byte, 0, 10*vocabSize+16)
+	slab := make([]byte, 10*vocabSize+16)
 	shift := 64 - bits.Len(uint(2*vocabSize))
-	seen := make([]uint64, 1<<(64-shift))
+	pooled := seenPool.Get().(*[]uint64)
+	if slots := 1 << (64 - shift); cap(*pooled) < slots {
+		*pooled = make([]uint64, slots)
+	}
+	seen := (*pooled)[:1<<(64-shift)]
 	mask := uint64(len(seen) - 1)
+	end := 0
 	for i := range words {
 		for {
-			start, packed := len(slab), uint64(0)
-			for n := 3 + rng.Int63()>>32&7; n > 0; n-- {
-				v := int32(rng.Int63() >> 32)
+			start, packed := end, uint64(0)
+			for n := 3 + src.top31()&7; n > 0; n-- {
+				v := src.top31()
 				for v > letterMax {
-					v = int32(rng.Int63() >> 32)
+					v = src.top31()
 				}
-				c := v % int32(len(letters))
-				slab = append(slab, letters[c])
+				c := v % letters
+				slab[end] = 'a' + byte(c)
+				end++
 				packed = packed<<5 | uint64(c+1)
 			}
 			slot := packed * 0x9e3779b97f4a7c15 >> shift
@@ -82,19 +88,25 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 			}
 			if seen[slot] == 0 {
 				seen[slot] = packed
-				words[i] = uint32(start<<4 | (len(slab) - start))
+				words[i] = uint32(start<<4 | (end - start))
 				break
 			}
-			slab = slab[:start] // drawn before: draw again
+			end = start // drawn before: draw again
 		}
 	}
+	clear(seen)
+	seenPool.Put(pooled)
 	return &Corpus{
-		slab:  slab[:len(slab)+16],
+		slab:  slab[:end+16],
 		words: words,
 		zipf:  zipfFor(vocabSize),
-		rng:   rng,
+		src:   src,
 	}
 }
+
+// seenPool keeps NewCorpus's duplicate table between corpora, cleared:
+// allocating it afresh faults in 512 KiB per default-sized corpus.
+var seenPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Generate produces approximately size bytes of newline-separated text,
 // always ending cleanly at a line boundary.
@@ -111,7 +123,7 @@ func (c *Corpus) Generate(size int64) []byte {
 // separator overwrites the byte after it.
 func (c *Corpus) appendWords(b []byte, size int64, line int) ([]byte, int) {
 	for int64(len(b)) < size {
-		w := c.words[c.zipf.next(c.rng)]
+		w := c.words[c.zipf.next(c.src)]
 		off, n := int(w>>4), int(w&15)
 		b = slices.Grow(b, 16)
 		end := len(b)

@@ -42,6 +42,9 @@ func GenerateWordCountInput(dfs *hdfs.DFS, cluster *topology.Cluster, prefix str
 	if vocab == 0 {
 		vocab = defaultVocab
 	}
+	if vocab < 0 || vocab > maxVocab {
+		return nil, fmt.Errorf("workloads: wordcount vocabulary of %d words, want 1 to %d (0 for %d)", vocab, maxVocab, defaultVocab)
+	}
 	// One long deterministic stream per (vocab, seed), cut into per-file
 	// chunks at line boundaries. Cached across runs: every experiment that
 	// asks for the same configuration gets the same files, Contents and all.

@@ -165,6 +165,24 @@ func TestGenerateWordCountInput(t *testing.T) {
 	}
 }
 
+// A vocabulary NewCorpus cannot build fails the one input, with an error
+// rather than NewCorpus's panic, and caches nothing for it.
+func TestGenerateWordCountInputRejectsVocabularyOutOfRange(t *testing.T) {
+	d, c := testDFS(t)
+	for _, vocab := range []int{-1, maxVocab + 1} {
+		cfg := WordCountConfig{Files: 1, FileBytes: 100, VocabSize: vocab, Seed: 1}
+		if _, err := GenerateWordCountInput(d, c, "/bad", cfg); err == nil {
+			t.Errorf("vocabulary %d did not error", vocab)
+		}
+		streamMu.Lock()
+		_, cached := streamCache[streamKey{vocab, 1}]
+		streamMu.Unlock()
+		if cached {
+			t.Errorf("vocabulary %d left a stream cache entry", vocab)
+		}
+	}
+}
+
 func TestWordCountSpecValid(t *testing.T) {
 	spec := WordCountSpec("wc", []string{"/in"}, "/out", true)
 	if err := spec.Validate(); err != nil {
@@ -599,10 +617,28 @@ func TestCorpusPinned(t *testing.T) {
 // WordCount figures use: the duplicate check decides which draws survive,
 // so a set that answered wrongly even once would move these.
 func TestVocabularyPinned(t *testing.T) {
-	for _, seed := range []int64{1, 2, 1000} {
-		pin.Check(t, fmt.Sprintf("vocabulary size=30000 seed=%d", seed),
-			pin.Record{"words": pin.Digest(bytes.Join(NewCorpus(30000, seed).vocabulary(), []byte{'\n'}))})
+	for _, c := range []struct {
+		size int
+		seed int64
+	}{{30000, 1}, {30000, 2}, {30000, 1000}, {500, 5}} {
+		pin.Check(t, fmt.Sprintf("vocabulary size=%d seed=%d", c.size, c.seed),
+			pin.Record{"words": pin.Digest(bytes.Join(NewCorpus(c.size, c.seed).vocabulary(), []byte{'\n'}))})
 	}
+}
+
+// Every input set cluster_stream stages at its first seed, as the harness
+// cuts them: 64 sets of four 20 KiB files over the default vocabulary at
+// seeds 1000 to 1063, one digest over all 256 files.
+func TestClusterStreamInputsPinned(t *testing.T) {
+	const sets, files, fileBytes = 64, 4, 20 << 10
+	var all [][]byte
+	for seed := int64(1000); seed < 1000+sets; seed++ {
+		for _, c := range corpusFiles(defaultVocab, seed, files, fileBytes) {
+			all = append(all, c.Data)
+		}
+	}
+	pin.Check(t, fmt.Sprintf("cluster_stream inputs sets=%d files=%d size=%d seeds=1000-%d", sets, files, fileBytes, 1000+sets-1),
+		pin.Record{"output": pin.Digest(all...)})
 }
 
 // vocabulary returns the corpus's words in draw order.
@@ -622,6 +658,23 @@ func BenchmarkNewCorpus(b *testing.B) {
 		NewCorpus(30000, 1)
 	}
 }
+
+// BenchmarkCorpusSets builds cluster_stream's inputs per iteration: 64
+// corpora over the 30 000-word vocabulary, each at a seed of its own and
+// generating 80 KiB (one set of four 20 KiB files), straight from
+// NewCorpus so that no stream cache serves them.
+func BenchmarkCorpusSets(b *testing.B) {
+	const sets, setBytes = 64, 80 << 10
+	b.ReportAllocs()
+	b.SetBytes(sets * setBytes)
+	for i := 0; i < b.N; i++ {
+		for j := range int64(sets) {
+			corpusSink = NewCorpus(defaultVocab, 1000+int64(i)*sets+j).Generate(setBytes)
+		}
+	}
+}
+
+var corpusSink []byte
 
 // BenchmarkCorpusGenerate generates 4 MiB of text over the 30 000-word
 // vocabulary per iteration, one corpus continuing its stream: the Zipf

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 )
 
@@ -35,7 +34,7 @@ import (
 // 1 holds, and so whether test 2 or another draw follows — is
 // math/rand's. An ur inside a band, and an ur whose rank may lie past the
 // table, runs math/rand's loop body itself. Either way each draw takes one
-// Float64 from rng, as math/rand's does, so the source ends where
+// Float64 from the source, as math/rand's does, so the source ends where
 // math/rand's would.
 //
 // The guide table finds the rank: one entry per 2⁻¹⁴ of r, holding the
@@ -133,35 +132,38 @@ func (z *zipfTable) hinv(x float64) float64 {
 }
 
 // next returns the rank math/rand's Zipf over the same constants would
-// return from rng's next draws, and leaves rng where that Zipf would.
-func (z *zipfTable) next(rng *rand.Rand) uint64 {
+// return from src's next draws, and leaves src where that Zipf would: one
+// Float64 per draw, until a draw is accepted.
+func (z *zipfTable) next(src *source) uint64 {
 	for {
-		r := rng.Float64()
-		ur := z.hxm + r*z.hx0minusHxm
-		if k := int(z.guide[int(r*zipfGuideLen)]); k != zipfSlow {
-			for ur >= z.ranks[k+1].lo {
-				k++
-			}
-			if t := &z.ranks[k]; ur >= t.lo && ur < t.hi {
-				if ur >= t.accHi {
-					return uint64(k)
-				}
-				if ur < t.accLo {
-					if ur >= t.test2 {
-						return uint64(k)
-					}
-					continue
-				}
-			}
-		}
-		// math/rand's loop body.
-		x := z.hinv(ur)
-		k := math.Floor(x + 0.5)
-		if k-x <= z.s {
-			return uint64(k)
-		}
-		if ur >= z.h(k+0.5)-math.Exp(-math.Log(k+z.v)*z.q) {
-			return uint64(k)
+		if k, ok := z.rank(src.Float64()); ok {
+			return k
 		}
 	}
+}
+
+// rank decides one draw of r in [0, 1): the rank math/rand's Zipf returns
+// for it, or false where it rejects r and draws again.
+func (z *zipfTable) rank(r float64) (uint64, bool) {
+	ur := z.hxm + r*z.hx0minusHxm
+	if k := int(z.guide[int(r*zipfGuideLen)]); k != zipfSlow {
+		for ur >= z.ranks[k+1].lo {
+			k++
+		}
+		if t := &z.ranks[k]; ur >= t.lo && ur < t.hi {
+			if ur >= t.accHi {
+				return uint64(k), true
+			}
+			if ur < t.accLo {
+				return uint64(k), ur >= t.test2
+			}
+		}
+	}
+	// math/rand's loop body.
+	x := z.hinv(ur)
+	k := math.Floor(x + 0.5)
+	if k-x <= z.s {
+		return uint64(k), true
+	}
+	return uint64(k), ur >= z.h(k+0.5)-math.Exp(-math.Log(k+z.v)*z.q)
 }

@@ -7,10 +7,10 @@ import (
 	"unsafe"
 )
 
-// The table against rand.NewZipf on the same seeds: every rank equal, and
-// the source left where math/rand leaves it (the next Int63 equal), over
-// the corpus's vocabulary (a million draws) and three ranges whose tables
-// cover every rank.
+// The table drawing from a source against rand.NewZipf drawing from
+// math/rand's, on the same seeds: every rank equal, and both sources left
+// in one place (the next Int63 equal), over the corpus's vocabulary (a
+// million draws) and three ranges whose tables cover every rank.
 func TestZipfTableMatchesStdlib(t *testing.T) {
 	for _, imax := range []uint64{19, 499, 699, defaultVocab - 1} {
 		z := newZipfTable(1.2, 1, imax)
@@ -22,7 +22,7 @@ func TestZipfTableMatchesStdlib(t *testing.T) {
 			draws /= 10
 		}
 		for seed := int64(1); seed <= 8; seed++ {
-			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			a, b := rand.New(rand.NewSource(seed)), newSource(seed)
 			std := rand.NewZipf(a, 1.2, 1, imax)
 			for i := 0; i < draws; i++ {
 				if want, got := std.Uint64(), z.next(b); got != want {
@@ -63,7 +63,8 @@ func (s *scripted) Seed(int64) {}
 // Both samplers driven by one chosen draw at, and 1, 2, 3, 4, 8, 16, 32
 // and 64 representable values of r either side of, every point the table
 // decides by: each guide bucket's edge, each head rank's boundary and
-// test-1 point, and both edges of their guard bands. The rank and the
+// test-1 point, and both edges of their guard bands. The table's side is
+// next's loop over rank, fed from the scripted source. The rank and the
 // number of draws taken (a rejected draw takes another) must agree.
 func TestZipfTableScriptedDraws(t *testing.T) {
 	for _, imax := range []uint64{19, 699, defaultVocab - 1} {
@@ -98,12 +99,22 @@ func TestZipfTableScriptedDraws(t *testing.T) {
 				draw := int64(r * (1 << 63))
 				std.start(draw)
 				tab.start(draw)
-				want, got := stdZipf.Uint64(), z.next(tabRand)
+				want, got := stdZipf.Uint64(), z.nextFrom(tabRand)
 				if got != want || tab.calls != std.calls {
 					t.Fatalf("imax=%d r=%v: table gave rank %d after %d draws, rand.Zipf %d after %d",
 						imax, r, got, tab.calls, want, std.calls)
 				}
 			}
+		}
+	}
+}
+
+// nextFrom is next drawing from rng: rank decides each Float64 until one
+// is accepted.
+func (z *zipfTable) nextFrom(rng *rand.Rand) uint64 {
+	for {
+		if k, ok := z.rank(rng.Float64()); ok {
+			return k
 		}
 	}
 }
@@ -124,8 +135,9 @@ func TestZipfDefaultTableShared(t *testing.T) {
 	}
 }
 
-// The table against rand.NewZipf on fuzzed seeds, ranges and parameters:
-// s in [1.05, 4.04], v in [1, 16], imax in [0, 65535].
+// The table drawing from a source against rand.NewZipf drawing from
+// math/rand's, on fuzzed seeds, ranges and parameters: s in [1.05, 4.04],
+// v in [1, 16], imax in [0, 65535].
 func FuzzZipfMatchesStdlib(f *testing.F) {
 	f.Add(int64(1), uint16(29999), uint16(15), uint8(0))
 	f.Add(int64(7), uint16(699), uint16(15), uint8(0))
@@ -134,7 +146,7 @@ func FuzzZipfMatchesStdlib(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, imax, sRaw uint16, vRaw uint8) {
 		s, v := 1.05+float64(sRaw%300)/100, 1+float64(vRaw%16)
 		z := newZipfTable(s, v, uint64(imax))
-		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		a, b := rand.New(rand.NewSource(seed)), newSource(seed)
 		std := rand.NewZipf(a, s, v, uint64(imax))
 		for i := 0; i < 2000; i++ {
 			if want, got := std.Uint64(), z.next(b); got != want {
@@ -159,10 +171,10 @@ func BenchmarkZipf(b *testing.B) {
 		zipfSink = sum
 	})
 	b.Run("table", func(b *testing.B) {
-		z, rng := defaultZipf(), rand.New(rand.NewSource(1))
+		z, src := defaultZipf(), newSource(1)
 		var sum uint64
 		for i := 0; i < b.N; i++ {
-			sum += z.next(rng)
+			sum += z.next(src)
 		}
 		zipfSink = sum
 	})
