@@ -26,10 +26,6 @@ type Params struct {
 	// AM↔NM start-container, proxy↔AM).
 	RPCLatency time.Duration
 
-	// ContainerAllocate is the ResourceManager-side bookkeeping cost to
-	// grant one container (small; the waiting dominates).
-	ContainerAllocate time.Duration
-
 	// ContainerLaunch is the NodeManager-side cost to localize and start a
 	// container before the JVM boots (t^l's non-JVM half).
 	ContainerLaunch time.Duration
@@ -158,7 +154,6 @@ func Default() Params {
 		NMHeartbeat:        1000 * time.Millisecond,
 		AMHeartbeat:        1000 * time.Millisecond,
 		RPCLatency:         30 * time.Millisecond,
-		ContainerAllocate:  20 * time.Millisecond,
 		ContainerLaunch:    800 * time.Millisecond,
 		JVMStart:           1700 * time.Millisecond,
 		AMInit:             1500 * time.Millisecond,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -131,8 +130,8 @@ func eightOf(data []byte) [][]byte {
 }
 
 // benchExecReduce times the reduce of partition 0 of the splits' outputs
-// at one range, through ExecReduce, and cut into one range per
-// GOMAXPROCS, helper goroutines taking ranges as a task body's would.
+// at one range, through ExecReduce, and cut into one range per lane of a
+// Runtime (laneCount), pool workers taking ranges as a task body's would.
 func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
 	outputs := make([]*MapOutput, len(splits))
 	for i, data := range splits {
@@ -142,7 +141,7 @@ func benchExecReduce(b *testing.B, spec *JobSpec, splits [][]byte) {
 	for _, mo := range outputs {
 		pairs += len(mo.Partitions[0])
 	}
-	for _, n := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+	for _, n := range []int{1, laneCount} {
 		b.Run(fmt.Sprintf("ranges=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -279,8 +278,8 @@ func BenchmarkConsolidateGroup(b *testing.B) {
 // outputs of 3 MiB Zipf splits, their words counted in the mapper and
 // combined on the map side, re-combined into one. The reference is
 // ConsolidateGroup on the caller's goroutine; lanes=N is
-// Runtime.ConsolidateGroup on N lanes, one piece per partition, helper
-// goroutines taking pieces.
+// Runtime.ConsolidateGroup on a Runtime's N lanes (laneCount), one piece
+// per partition, pool workers taking pieces.
 func BenchmarkConsolidate(b *testing.B) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	spec.NumReduces, spec.Combine = 4, spec.Reduce
@@ -288,7 +287,7 @@ func BenchmarkConsolidate(b *testing.B) {
 	for i, split := range zipfSplits(len(group), 3<<20) {
 		group[i] = ExecMapFile(spec, "", split)
 	}
-	for _, n := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+	for _, n := range []int{1, laneCount} {
 		name, consolidate := "reference", ConsolidateGroup
 		if n > 1 {
 			rt := &Runtime{lanes: newHostLanes(n)}
@@ -325,9 +324,9 @@ func BenchmarkMapCacheKey(b *testing.B) {
 }
 
 // BenchmarkExecReduceRanges measures where cutting a reduce into one range
-// per GOMAXPROCS starts to pay, the measurement splitPairs rests on: four
-// runs of unique TeraSort rows and four of counted Zipf words, at pair
-// counts around it, at one range and at GOMAXPROCS with helpers.
+// per lane starts to pay, the measurement splitPairs rests on: four runs of
+// unique TeraSort rows and four of counted Zipf words, at pair counts
+// around it, at one range and at laneCount with pool workers.
 func BenchmarkExecReduceRanges(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, pairs := range []int{5_000, 10_000, 20_000, 40_000} {

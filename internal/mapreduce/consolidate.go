@@ -134,11 +134,11 @@ func (rt *Runtime) ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolid
 
 // consolidate merges group one piece per partition, a partition cut into
 // key ranges when the job has fewer partitions than h has lanes
-// (hostLanes.ranges). Helpers claim pieces while lanes are idle, one fewer
-// than a reduce body starts: the caller, on no lane, takes an idle lane's
-// place. Only the slab's layout depends on the pieces. A piece's panic is
-// raised again as the *AttemptError that contained it. A single output
-// needs no merge: re-combining it would only re-serialize its values.
+// (hostLanes.ranges). Pool workers claim pieces beside the caller as a
+// reduce body's do (hostLanes.pieceHelpers). Only the slab's layout depends
+// on the pieces. A piece's panic is raised again as the *AttemptError that
+// contained it. A single output needs no merge: re-combining it would only
+// re-serialize its values.
 func (h *hostLanes) consolidate(spec *JobSpec, group []*MapOutput) *Consolidated {
 	if len(group) == 0 {
 		panic("mapreduce: ConsolidateGroup needs a non-empty group")
@@ -147,7 +147,7 @@ func (h *hostLanes) consolidate(spec *JobSpec, group []*MapOutput) *Consolidated
 		return &Consolidated{Out: group[0], Members: group}
 	}
 	c := newConsolidation(h, spec, group, func(p int) int { return h.ranges(spec.NumReduces, group, p) })
-	if died := c.run(c, len(c.pieces), h.helpers()-1); died != nil {
+	if died := c.run(c, len(c.pieces), h.pieceHelpers()); died != nil {
 		c.putLanes()
 		panic(died)
 	}
@@ -156,7 +156,7 @@ func (h *hostLanes) consolidate(spec *JobSpec, group []*MapOutput) *Consolidated
 
 // consolidation is one group's merge cut into pieces, in partition order.
 // Without lanes the pieces run in order into one builder. With lanes each
-// has its own, taken in piece order before any helper starts, so what it
+// has its own, taken in piece order before any worker is listed, so what it
 // allocates does not depend on which goroutine ran which piece; they come
 // from the idle lanes in turn, warm from the maps.
 type consolidation struct {

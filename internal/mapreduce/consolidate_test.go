@@ -12,7 +12,7 @@ import (
 // The shuffle service's consolidation on host lanes (Runtime.ConsolidateGroup)
 // against the one-goroutine reference, ConsolidateGroup: one piece per
 // partition, a partition cut into key ranges when the job has fewer
-// partitions than lanes, helper goroutines taking pieces. Offsets are not
+// partitions than lanes, pool workers taking pieces. Offsets are not
 // compared: the pieces' slabs are laid end to end, so the slab's layout may
 // differ from the reference's single builder's.
 
@@ -196,7 +196,7 @@ func TestLowestConsolidationPiecePanicWins(t *testing.T) {
 }
 
 // splitConsolidation is the consolidation of partition 0 of outs cut into
-// n key ranges, run with helpers helper goroutines.
+// n key ranges, run with up to helpers pool workers.
 func splitConsolidation(spec *JobSpec, outs []*MapOutput, n, helpers int) (*MapOutput, *AttemptError) {
 	c := newConsolidation(new(hostLanes), spec, outs, func(int) int { return n })
 	if died := c.run(c, len(c.pieces), helpers); died != nil {

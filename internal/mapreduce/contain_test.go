@@ -136,7 +136,7 @@ func (s nodeShuffle) Fetch(parent trace.SpanID, _ *JobSpec, c *Consolidated, par
 // in the MapCache. The service's combine belongs to no attempt: its panic
 // fails the job at once, and a "combine failed" mark names it. The service
 // shape runs a second time on three forced lanes, where the combine's
-// pieces run on helper goroutines: a panic there must fail the job with
+// pieces run on pool workers: a panic there must fail the job with
 // the same cause and frame.
 func TestUserPanicsFailTheirJobThroughEveryAMShape(t *testing.T) {
 	shapes := []struct {

@@ -75,8 +75,9 @@ func Snapshot(mo *MapOutput) string {
 }
 
 // UseHostLanes gives every Runtime created until restore runs n host lanes
-// whatever GOMAXPROCS is, and offers their queues to the workers however
-// many simulations are live; 0 runs every task body inline at its join.
+// in place of laneCount, and lists their work on the worker pool however
+// many simulations are live and whatever GOMAXPROCS is; 0 runs every task
+// body inline at its join.
 // restore puts back what was forced before, if anything (forcelanes.go).
 func UseHostLanes(n int) (restore func()) {
 	was := laneHook.Swap(int32(n + 1))

@@ -2,10 +2,10 @@
 
 package mapreduce
 
-// Built with -tags forcelanes, every Runtime gets three host lanes whatever
-// GOMAXPROCS is, and offers their queues to the workers however many
-// simulations are live (see laneHook): the package tests of every package
-// above this one then run their task bodies, key ranges and consolidation
-// pieces on lane workers and helper goroutines, which t.Parallel tests
-// otherwise rarely reach.
+// Built with -tags forcelanes, every Runtime gets three host lanes in place
+// of laneCount, and lists its work on the worker pool however many
+// simulations are live and whatever GOMAXPROCS is (see laneHook): the
+// package tests of every package above this one then run their task
+// bodies, key ranges and consolidation pieces on pool workers, which
+// t.Parallel tests otherwise rarely reach.
 func init() { laneHook.Store(3 + 1) }

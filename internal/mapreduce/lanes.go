@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -15,20 +16,26 @@ import (
 // goroutine, at the virtual instant an inline run would have had it: no
 // virtual time, output byte or trace can move.
 //
-// A Runtime has one FIFO queue per lane, GOMAXPROCS of them, and none when
-// GOMAXPROCS is 1: then every body runs inline at its join and no goroutine
-// starts. A body goes to the queue with the fewest unsettled bodies when its
-// timer starts, and a queue holds a Lane — the scratch its bodies build in —
-// from its first unsettled body to the last one's settling. Both happen on
-// the simulation goroutine in event order, so every Lane sees the same
-// bodies in the same order on every run, whichever goroutine runs them, and
+// Every Runtime has laneCount FIFO queues, whatever the machine. A body goes
+// to the queue with the fewest unsettled bodies when its timer starts, and a
+// queue holds a Lane — the scratch its bodies build in — from its first
+// unsettled body to the last one's settling. Both happen on the simulation
+// goroutine in event order, so every Lane sees the same bodies in the same
+// order on every run and every machine, whichever goroutine runs them, and
 // a run allocates the same bytes every time.
 //
-// One executor at a time drains a queue, in order: a worker goroutine, or
-// the simulation goroutine itself when a join finds no executor on the
-// queue — a timer that fires before a worker picked its body up runs the
-// body inline, on the body's own Lane. A simulation never waits behind
-// another simulation's bodies, only behind its own.
+// One executor at a time drains a queue, in order: a pool worker, or the
+// simulation goroutine itself when a join finds no executor on the queue —
+// a timer that fires before a worker picked its body up runs the body
+// inline, on the body's own Lane. A simulation never waits behind another
+// simulation's bodies, only behind its own. GOMAXPROCS decides only whether
+// a queue goes to the pool at all (hostLanes.spare): at 1 it never does,
+// and every queue drains inline at its joins.
+//
+// The pool (workers) runs at most one worker per lane, and that cap is the
+// only rule on how many goroutines run host work: its workers drain queues
+// and help with the pieces of a body cut into pieces (claims, ranges.go),
+// whichever was listed first.
 
 // A Lane is the scratch of one host lane: a FreeList keeps one stack per
 // Lane, and a body running on a Lane is the only user of those stacks until
@@ -99,21 +106,23 @@ func newHostLanes(n int) *hostLanes {
 // process.
 var liveRuntimes atomic.Int32
 
-// defaultLanes is the lane count of a new Runtime: GOMAXPROCS, or none
-// when that is 1.
+// laneCount is the lane count of every Runtime. It is fixed, not the
+// machine's core count, because the lanes' scratch sets and a split body's
+// key ranges follow it, and so do the bytes a run allocates.
+const laneCount = 2
+
+// defaultLanes is the lane count of a new Runtime: laneCount, unless a test
+// forced another.
 func defaultLanes() int {
 	if n := laneHook.Load(); n > 0 {
 		return int(n) - 1
 	}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 0
+	return laneCount
 }
 
 // laneHook, when a test sets it, is one more than the lane count new
-// Runtimes get in place of defaultLanes' own answer, and their queues go to
-// the workers however many simulations are live.
+// Runtimes get in place of laneCount, and their work goes to the pool
+// however many simulations are live and whatever GOMAXPROCS is.
 var laneHook atomic.Int32
 
 // A hostBody is one task's body in flight. It lives in the task attempt's
@@ -168,24 +177,41 @@ func (h *hostLanes) start(b *hostBody) {
 // Lane it builds in. h.mu is held.
 func (h *hostLanes) offer(q *hostQueue) {
 	if !q.busy && !q.listed && h.spare() {
-		workers.list(q, len(h.queues))
+		q.listed = true
+		workers.list(q, 1, len(h.queues))
 	}
 }
 
-// spare reports whether h's work may go to other goroutines: unless there
-// are as many live simulations as lanes — as in a process running one
-// simulation per core, where another goroutine would only take turns with
-// them — or a test forced the lanes. h.mu is held.
+// spare reports whether h's work may go to other goroutines: while fewer
+// simulations are live than the process has cores — never at GOMAXPROCS 1,
+// and not in a process running one simulation per core, where another
+// goroutine would only take turns with them — or when a test forced the
+// lanes. h.mu is held.
 func (h *hostLanes) spare() bool {
-	return !h.closed && (laneHook.Load() > 0 || int(liveRuntimes.Load()) < len(h.queues))
+	return !h.closed && (laneHook.Load() > 0 || int(liveRuntimes.Load()) < runtime.GOMAXPROCS(0))
+}
+
+// pieceHelpers is how many pool workers a body cut into pieces may list
+// its claims for: one per lane but its caller's, while h may spare its
+// work at all, else none.
+func (h *hostLanes) pieceHelpers() int {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.spare() {
+		return 0
+	}
+	return len(h.queues) - 1
 }
 
 // reduce is a reduce task's body: partition part of outputs, cut into key
-// ranges (see ranges) with helper goroutines taking ranges (see ranges.go
-// and helpers). Without lanes it is one range, as ExecReduce runs it, but a
-// reducer's panic fails the attempt instead of the process.
+// ranges (see ranges) that pool workers may help with (see ranges.go).
+// Without lanes it is one range, as ExecReduce runs it, but a reducer's
+// panic fails the attempt instead of the process.
 func (h *hostLanes) reduce(spec *JobSpec, part int, outputs []*MapOutput) (Reduced, *AttemptError) {
-	return splitReduce(spec, part, outputs, h.ranges(1, outputs, part)).run(h.helpers())
+	return splitReduce(spec, part, outputs, h.ranges(1, outputs, part)).run(h.pieceHelpers())
 }
 
 // ranges is how many key ranges a body over parts partitions cuts partition
@@ -204,29 +230,6 @@ func (h *hostLanes) ranges(parts int, outputs []*MapOutput, part int) int {
 		return 1
 	}
 	return len(h.queues)
-}
-
-// helpers is how many helper goroutines a reduce body may start: one per
-// lane queue with nothing pending, while h may spare its work at all. The
-// body's own queue holds the body, and a queue with bodies pending runs
-// them on a core of its own, so a helper beside it would only take turns
-// with them.
-func (h *hostLanes) helpers() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.spare() {
-		return 0
-	}
-	idle := 0
-	for i := range h.queues {
-		if h.queues[i].pending == 0 {
-			idle++
-		}
-	}
-	return idle
 }
 
 // join waits until b has run — running it, after whatever its queue holds
@@ -376,33 +379,51 @@ func (h *hostLanes) close() {
 	}
 }
 
-// workers are the process's lane workers: goroutines that drain listed
-// queues, one at a time, until none is left and then exit, at most as many
-// at once as the most lanes a Runtime listing a queue has. A join waits for
-// the bodies it needs, and Close for every body its Runtime started, so
-// nothing waits for a worker itself.
+// workers is the process's worker pool: goroutines that serve listings in
+// the order they were listed until none is left and then exit, at most as
+// many at once as the most lanes a Runtime listing work has. A join waits
+// for the bodies it needs, a body cut into pieces for the workers inside
+// its claims, and Close for every body its Runtime started, so nothing
+// waits for a worker itself.
 var workers workerPool
 
 type workerPool struct {
 	mu      sync.Mutex
-	ready   []*hostQueue
+	ready   []listing
 	running int
 }
 
-// list puts q, which has bodies and no executor, up for a worker, starting
-// one if fewer than lanes run. q's lanes.mu is held.
-func (w *workerPool) list(q *hostQueue, lanes int) {
-	q.listed = true
+// A listing is work that waits for a worker: a lane queue to drain
+// (hostQueue), or one helper's turn at a body's pieces (claims). A listing
+// never touches a queue's bodies or pending count, which belong to the
+// simulation goroutine's event order.
+type listing interface{ serve() }
+
+// list puts x up for n workers, starting workers while fewer than lanes
+// run.
+func (w *workerPool) list(x listing, n, lanes int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.ready = append(w.ready, q)
-	if w.running < lanes {
-		w.running++
-		go w.work()
+	for range n {
+		w.ready = append(w.ready, x)
+		if w.running < lanes {
+			w.running++
+			go w.work()
+		}
 	}
 }
 
-// work drains listed queues until there are none.
+// withdraw takes back x's listings no worker has taken and returns how
+// many there were.
+func (w *workerPool) withdraw(x listing) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := len(w.ready)
+	w.ready = slices.DeleteFunc(w.ready, func(y listing) bool { return y == x })
+	return n - len(w.ready)
+}
+
+// work serves listings until there are none.
 func (w *workerPool) work() {
 	for {
 		w.mu.Lock()
@@ -411,16 +432,20 @@ func (w *workerPool) work() {
 			w.mu.Unlock()
 			return
 		}
-		q := w.ready[0]
-		w.ready[0] = nil
-		w.ready = w.ready[1:]
+		x := w.ready[0]
+		w.ready = slices.Delete(w.ready, 0, 1) // keeps the array: listing allocates nothing once it is grown
 		w.mu.Unlock()
-		h := q.lanes
-		h.mu.Lock()
-		q.listed = false
-		if !q.busy {
-			q.drain(nil)
-		}
-		h.mu.Unlock()
+		x.serve()
+	}
+}
+
+// serve drains q unless an executor already has it.
+func (q *hostQueue) serve() {
+	h := q.lanes
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	q.listed = false
+	if !q.busy {
+		q.drain(nil)
 	}
 }

@@ -199,7 +199,7 @@ func TestPanickingMapOnALaneFailsAlike(t *testing.T) {
 }
 
 // teraSortOnLanes runs a 40 000-row TeraSort into one reduce, which a body
-// on lanes cuts into one key range per lane, helpers taking ranges; arm,
+// on lanes cuts into one key range per lane, pool workers taking ranges; arm,
 // when set, edits the spec first.
 func teraSortOnLanes(t *testing.T, arm func(*mapreduce.JobSpec)) (laneRun, error) {
 	v := bench.VariantHadoop()
@@ -260,7 +260,7 @@ func TestReduceRangesOnLanesChangeNothing(t *testing.T) {
 	}
 }
 
-// A reducer that panics in a range a helper may run fails its attempt as
+// A reducer that panics in a range a pool worker may run fails its attempt as
 // it does inline, and when two ranges panic the lowest one's panic is the
 // one reported: the error names the same key, panic and raising frame as
 // the one-range reduce's first panic. Keys are printable bytes drawn

@@ -8,7 +8,7 @@ import (
 )
 
 // Key ranges (DESIGN.md §6, "Host lanes"). A reduce body cuts a large
-// partition into as many key ranges as its Runtime has lanes and merges,
+// partition into one key range per lane of its Runtime and merges,
 // groups, reduces and encodes each range on its own. Every pair of one key
 // falls in one range and range i's keys all sort before range i+1's, so the
 // ranges' lines laid end to end are the one-range reduce's part file.
@@ -25,11 +25,12 @@ import (
 // The shuffle service's consolidation (consolidate.go) is the second body
 // cut into pieces: one per partition, a partition cut into key ranges the
 // same way when the job has fewer partitions than lanes. Both claim their
-// pieces with claims: in order, by whoever runs next — the body, and helper
-// goroutines, one per lane queue with nothing pending when the Runtime may
-// use other goroutines (see hostLanes.helpers). A piece builds and
-// allocates the same whichever goroutine runs it, and the body returns only
-// after its helpers have.
+// pieces with claims: in order, by whoever runs next — the body's own
+// executor, and the pool workers (lanes.go) that take the body's listings,
+// one per lane but the caller's while the Runtime may use other goroutines
+// (hostLanes.pieceHelpers). A piece builds and allocates the same whichever
+// goroutine runs it, and the body returns only after every worker inside
+// its claims has left.
 
 // splitPairs is the fewest pairs, summed over its runs, a reduce partition
 // indexes when a body cuts it into ranges. BenchmarkExecReduceRanges on two
@@ -138,9 +139,9 @@ func (r *keyRange) emit(k, v []byte) {
 	r.records++
 }
 
-// run reduces every range, with up to helpers helper goroutines taking
-// some of them, and returns the part file, or how the lowest range whose
-// reducer panicked died.
+// run reduces every range, with up to helpers pool workers taking some of
+// them, and returns the part file, or how the lowest range whose reducer
+// panicked died.
 func (s *reduceSplit) run(helpers int) (Reduced, *AttemptError) {
 	if died := s.claims.run(s, len(s.ranges), helpers); died != nil {
 		return Reduced{}, died
@@ -153,38 +154,52 @@ func (s *reduceSplit) run(helpers int) (Reduced, *AttemptError) {
 type claims struct {
 	next    atomic.Int32 // the first piece nobody claimed
 	failed  atomic.Bool  // a piece panicked: later pieces need not run
-	helpers sync.WaitGroup
+	p       interface{ piece(i int) }
+	n       int
+	helpers sync.WaitGroup // listings not withdrawn whose workers have not left
 	mu      sync.Mutex
 	died    *AttemptError // how the lowest piece that panicked died
 	diedAt  int
 }
 
-// run runs pieces 0 to n-1 of p, the caller and up to helpers helper
-// goroutines claiming them, and returns how the lowest piece that panicked
-// died. No helper outlives it.
+// run runs pieces 0 to n-1 of p, the caller claiming them beside up to
+// helpers pool workers: c is listed once per helper, at most once per piece
+// past the first, and the pool starts workers for it while fewer than
+// helpers+1 run — one per lane, when the caller is a Runtime's body. Once
+// the caller runs out of pieces it withdraws the listings no worker took
+// and waits for the workers that took one; then it returns how the lowest
+// piece that panicked died.
 func (c *claims) run(p interface{ piece(i int) }, n, helpers int) *AttemptError {
-	for range min(helpers, n-1) {
-		c.helpers.Add(1)
-		go func() {
-			defer c.helpers.Done()
-			c.work(p, n)
-		}()
+	c.p, c.n = p, n
+	k := min(helpers, n-1)
+	if k <= 0 {
+		c.work()
+		return c.died
 	}
-	c.work(p, n)
+	c.helpers.Add(k)
+	workers.list(c, k, k+1)
+	c.work()
+	c.helpers.Add(-workers.withdraw(c))
 	c.helpers.Wait()
 	return c.died
+}
+
+// serve is one pool worker's turn at c's pieces.
+func (c *claims) serve() {
+	defer c.helpers.Done()
+	c.work()
 }
 
 // work claims pieces in order and runs each, until none is left or one
 // panicked. A panic fails its piece, not the process; the pieces after it
 // are not needed, and every piece before it was claimed already.
-func (c *claims) work(p interface{ piece(i int) }, n int) {
+func (c *claims) work() {
 	for !c.failed.Load() {
 		i := int(c.next.Add(1)) - 1
-		if i >= n {
+		if i >= c.n {
 			return
 		}
-		if _, died := contain(func() bool { p.piece(i); return true }); died != nil {
+		if _, died := contain(func() bool { c.p.piece(i); return true }); died != nil {
 			c.mu.Lock()
 			if c.died == nil || i < c.diedAt {
 				c.died, c.diedAt = died, i

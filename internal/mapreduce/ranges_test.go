@@ -12,7 +12,7 @@ import (
 )
 
 // A differential test of the reduce's key ranges: cut into one to four
-// ranges, run in order or with helper goroutines, a reduce must commit the
+// ranges, run in order or with pool workers helping, a reduce must commit the
 // one-range reduce's bytes and records, and a consolidation of the same
 // runs the uncut consolidation's pairs (checkConsolidationRanges). Two reducers read every run set:
 // identityReduce, whose lines show the merged order of values as well as of
@@ -177,8 +177,8 @@ func TestLowestRangePanicWins(t *testing.T) {
 // A reduce cut into ranges allocates what the one-range reduce allocates
 // plus a small constant, at any lane count: one window per range of the one
 // output buffer, not a buffer per range, so its heap bytes do not grow with
-// GOMAXPROCS the way one scratch set per lane does. The split runs as a
-// task body runs it, on a Runtime's lanes with the helpers forced.
+// the lane count the way one scratch set per lane does. The split runs as a
+// task body runs it, on a Runtime's lanes with the pool forced.
 func TestReduceRangesAllocateAlike(t *testing.T) {
 	spec := teraBenchSpec()
 	rng := rand.New(rand.NewSource(7))
