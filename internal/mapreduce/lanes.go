@@ -29,13 +29,7 @@ import (
 // a timer that fires before a worker picked its body up runs the body
 // inline, on the body's own Lane. A simulation never waits behind another
 // simulation's bodies, only behind its own. GOMAXPROCS decides only whether
-// a queue goes to the pool at all (hostLanes.spare): at 1 it never does,
-// and every queue drains inline at its joins.
-//
-// The pool (workers) runs at most one worker per lane, and that cap is the
-// only rule on how many goroutines run host work: its workers drain queues
-// and help with the pieces of a body cut into pieces (claims, ranges.go),
-// whichever was listed first.
+// a queue goes to the pool (workers) at all: at 1 it never does.
 
 // A Lane is the scratch of one host lane: a FreeList keeps one stack per
 // Lane, and a body running on a Lane is the only user of those stacks until
@@ -182,11 +176,9 @@ func (h *hostLanes) offer(q *hostQueue) {
 	}
 }
 
-// spare reports whether h's work may go to other goroutines: while fewer
-// simulations are live than the process has cores — never at GOMAXPROCS 1,
-// and not in a process running one simulation per core, where another
-// goroutine would only take turns with them — or when a test forced the
-// lanes. h.mu is held.
+// spare reports whether h's work may go to the pool: while fewer
+// simulations are live than the process has cores (never at GOMAXPROCS 1),
+// or when a test forced the lanes. h.mu is held.
 func (h *hostLanes) spare() bool {
 	return !h.closed && (laneHook.Load() > 0 || int(liveRuntimes.Load()) < runtime.GOMAXPROCS(0))
 }
@@ -380,11 +372,8 @@ func (h *hostLanes) close() {
 }
 
 // workers is the process's worker pool: goroutines that serve listings in
-// the order they were listed until none is left and then exit, at most as
-// many at once as the most lanes a Runtime listing work has. A join waits
-// for the bodies it needs, a body cut into pieces for the workers inside
-// its claims, and Close for every body its Runtime started, so nothing
-// waits for a worker itself.
+// order until none is left and then exit, at most one per lane of the
+// Runtime listing work — the only cap on goroutines running host work.
 var workers workerPool
 
 type workerPool struct {
@@ -393,10 +382,8 @@ type workerPool struct {
 	running int
 }
 
-// A listing is work that waits for a worker: a lane queue to drain
-// (hostQueue), or one helper's turn at a body's pieces (claims). A listing
-// never touches a queue's bodies or pending count, which belong to the
-// simulation goroutine's event order.
+// A listing is a lane queue to drain (hostQueue) or one helper's turn at a
+// body's pieces (claims); it never touches a queue's bodies or pending.
 type listing interface{ serve() }
 
 // list puts x up for n workers, starting workers while fewer than lanes

@@ -25,12 +25,9 @@ import (
 // The shuffle service's consolidation (consolidate.go) is the second body
 // cut into pieces: one per partition, a partition cut into key ranges the
 // same way when the job has fewer partitions than lanes. Both claim their
-// pieces with claims: in order, by whoever runs next — the body's own
-// executor, and the pool workers (lanes.go) that take the body's listings,
-// one per lane but the caller's while the Runtime may use other goroutines
-// (hostLanes.pieceHelpers). A piece builds and allocates the same whichever
-// goroutine runs it, and the body returns only after every worker inside
-// its claims has left.
+// pieces in order with claims, beside the pool workers that take the body's
+// listings (hostLanes.pieceHelpers); a piece builds and allocates the same
+// whichever goroutine runs it.
 
 // splitPairs is the fewest pairs, summed over its runs, a reduce partition
 // indexes when a body cuts it into ranges. BenchmarkExecReduceRanges on two
@@ -162,13 +159,10 @@ type claims struct {
 	diedAt  int
 }
 
-// run runs pieces 0 to n-1 of p, the caller claiming them beside up to
-// helpers pool workers: c is listed once per helper, at most once per piece
-// past the first, and the pool starts workers for it while fewer than
-// helpers+1 run — one per lane, when the caller is a Runtime's body. Once
-// the caller runs out of pieces it withdraws the listings no worker took
-// and waits for the workers that took one; then it returns how the lowest
-// piece that panicked died.
+// run runs pieces 0 to n-1 of p, listing c for up to helpers pool workers
+// (at most helpers+1 running) beside the caller; out of pieces, the caller
+// withdraws what no worker took and waits for those that did, then returns
+// how the lowest piece that panicked died.
 func (c *claims) run(p interface{ piece(i int) }, n, helpers int) *AttemptError {
 	c.p, c.n = p, n
 	k := min(helpers, n-1)
