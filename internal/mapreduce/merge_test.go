@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // A differential test of the reduce-side merge. Whatever runs it is given,
@@ -18,8 +19,14 @@ import (
 
 type kv struct{ k, v string }
 
-// compareKV is refCompare on two pairs.
-func compareKV(a, b kv) int { return refCompare([]byte(a.k), []byte(a.v), []byte(b.k), []byte(b.v)) }
+// compareKV is refCompare on two pairs, compared as strings so that no
+// pair is copied into a byte slice per comparison.
+func compareKV(a, b kv) int {
+	if c := strings.Compare(a.k, b.k); c != 0 {
+		return c
+	}
+	return strings.Compare(a.v, b.v)
+}
 
 // countedHalves are the shares of a run, in halves, that its build counts:
 // none, so every occurrence is its own Rec, as a plain Map emits them; the
@@ -109,11 +116,7 @@ func checkMergeCounted(t *testing.T, runs [][]kv, halves int) {
 			t.Fatalf("%d/2 counted: run %d counts %d pairs, want %d", halves, i, got, len(run))
 		}
 	}
-	slices.SortFunc(want, compareKV)
-	var wantBytes []byte
-	for _, p := range want {
-		wantBytes = append(append(append(append(wantBytes, p.k...), '\t'), p.v...), '\n')
-	}
+	wantBytes := sortedLines(want)
 
 	// groups hands over runs: expanded, they must be the sorted
 	// concatenation, and each key's counts must add up to its occurrences.
@@ -165,6 +168,73 @@ func checkMergeCounted(t *testing.T, runs [][]kv, halves int) {
 	if con.TotalBytes != charged {
 		t.Fatalf("%d/2 counted: ConsolidateGroup charges %d bytes, its members %d", halves, con.TotalBytes, charged)
 	}
+}
+
+// sortedLines sorts pairs in place with compareKV and returns the part file
+// identityReduce writes of them.
+func sortedLines(pairs []kv) []byte {
+	slices.SortFunc(pairs, compareKV)
+	var lines []byte
+	for _, p := range pairs {
+		lines = append(append(append(append(lines, p.k...), '\t'), p.v...), '\n')
+	}
+	return lines
+}
+
+// The merge hints the lines of pairs ahead only in runs whose store is over
+// prefetchMin, which no other merge test or fuzzer reaches. Four runs of
+// 14 000 TeraGen rows each hold 140 kB of keys in their input blocks and
+// 1 MB of values in their slabs, so a pair's key and value lie in different
+// buffers; every fifth row repeats the one before, which a counted build
+// counts twice and an uncounted one places on the same slab bytes. Each
+// run set goes through groups, ExecReduce and ConsolidateGroup
+// (checkMergeCounted) and through a reduce cut into one and two key
+// ranges, all against the sorted concatenation.
+func TestMergeOverLargeStoresMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	runs := make([][]kv, 4)
+	var all []kv
+	for i := range runs {
+		rows := teraRows(rng, 14_000)
+		for j := 0; j < len(rows); j += 100 {
+			p := kv{string(rows[j : j+10]), string(rows[j+10 : j+100])}
+			if j%500 == 400 {
+				p = runs[i][len(runs[i])-1]
+			}
+			runs[i] = append(runs[i], p)
+		}
+		all = append(all, runs[i]...)
+	}
+	wantBytes := sortedLines(all)
+	spec := &JobSpec{NumReduces: 1, Reduce: identityReduce}
+	for _, halves := range countedHalves {
+		outs := make([]*MapOutput, len(runs))
+		for i, run := range runs {
+			outs[i] = runOutput(run, len(run)*halves/2)
+			if size := len(outs[i].input) + len(outs[i].slab); size <= prefetchMin {
+				t.Fatalf("run %d's store holds %d bytes, not over prefetchMin", i, size)
+			}
+		}
+		checkMergeCounted(t, runs, halves)
+		for n := 1; n <= 2; n++ {
+			got, died := splitReduce(spec, 0, outs, n).run(n - 1)
+			if died != nil || !bytes.Equal(got.Encoded, wantBytes) || got.Records != int64(len(all)) {
+				t.Fatalf("%d/2 counted, %d ranges: %d records (died: %v), want %d and the sorted concatenation's bytes",
+					halves, n, got.Records, died, len(all))
+			}
+		}
+	}
+}
+
+// The hint never faults, whatever the address: not on the first page, nor
+// one byte past a slice, nor on the last line of the address space.
+func TestPrefetchNeverFaults(t *testing.T) {
+	b := make([]byte, 100)
+	past := uintptr(unsafe.Pointer(unsafe.SliceData(b))) + uintptr(len(b))
+	for _, addr := range []uintptr{0, 1, past, ^uintptr(0) &^ 63} {
+		prefetch(addr)
+	}
+	prefetchLines(b[len(b)-1:])
 }
 
 // mergeShapes are the inputs that take a merge down its different paths.
