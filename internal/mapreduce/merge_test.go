@@ -182,7 +182,8 @@ func sortedLines(pairs []kv) []byte {
 }
 
 // The merge hints the lines of pairs ahead only in runs whose store is over
-// prefetchMin, which no other merge test or fuzzer reaches. Four runs of
+// prefetchMin. The merge's other reference tests and its fuzzers stay under
+// it; elsewhere only whole jobs over 1 MiB splits reach it. Four runs of
 // 14 000 TeraGen rows each hold 140 kB of keys in their input blocks and
 // 1 MB of values in their slabs, so a pair's key and value lie in different
 // buffers; every fifth row repeats the one before, which a counted build

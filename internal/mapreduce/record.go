@@ -575,8 +575,7 @@ type cursor struct {
 // interface; a heap of indexes into the cursors and a sift that moves a
 // hole instead of swapping both measured no faster on BenchmarkExecReduce*;
 // a tournament tree of int32 run indexes, three compares per pop at k = 8,
-// left BenchmarkExecReduce* level and made shuffle_combine's host_s slower,
-// 0.160 → 0.196 s, in 12 of 12 pairs).
+// left BenchmarkExecReduce* level and measured slower on shuffle_combine).
 // The merged sequence is never materialized: pop takes it one counted pair
 // at a time, and groups drains it by key.
 //
@@ -593,11 +592,16 @@ type merger []cursor
 const prefetchAhead = 8
 
 // prefetchMin is the store size, input block and slab together, above
-// which pop hints. It is a property of the input, not a setting: a store
-// under it mostly sits in cache already, and there the hints only cost.
+// which pop hints. It is a property of the input, not a setting: a small
+// store mostly sits in cache already, and there the hints only cost.
 // Without the gate BenchmarkExecReduceShort (four 20 KiB stores) took
-// 12–22 % longer.
-const prefetchMin = 1 << 20
+// 12–22 % longer and cluster_stream, whose stores are all near 20 KB,
+// read 4.9 % more host_s (ungated lower in 1 of 10 pairs). The five
+// driver workloads' stores fall at 20 KB, 81–239 KB, 0.73–1.34 MB and
+// 2.5–12.5 MB; the gate sits in the empty gap below 0.73 MB. Hinting the
+// 0.73–1.34 MB stores (wc_modes', query_repeat's larger ones) or not read
+// level, so the gate need only keep the hints off the small ones.
+const prefetchMin = 512 << 10
 
 // newMerger starts a merge of partition part of every output.
 func newMerger(outputs []*MapOutput, part int) merger {
